@@ -7,4 +7,4 @@ test:
 	go test ./...
 
 bench:
-	./scripts/bench.sh snapshot
+	bash bench/run.sh

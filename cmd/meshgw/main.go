@@ -24,10 +24,10 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/gateway"
+	"repro/internal/livenet"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/routing"
-	"repro/internal/udpnet"
 )
 
 // options collects everything a run needs; flags map onto it 1:1.
@@ -95,10 +95,14 @@ func run(w io.Writer, o options) error {
 
 	// The mesh: a chain of UDP hosts on localhost, adjacent peers only,
 	// so traffic from the far end really multi-hops to the sink.
-	hosts := make([]*udpnet.Host, o.n)
+	hosts := make([]*livenet.Host, o.n)
+	socks := make([]*livenet.UDPLink, o.n)
 	for i := range hosts {
-		h, err := udpnet.Start(udpnet.Config{
-			Listen: "127.0.0.1:0",
+		sock, err := livenet.ListenUDP("127.0.0.1:0", nil, 0)
+		if err != nil {
+			return err
+		}
+		h, err := livenet.Start(livenet.Config{
 			Node: core.Config{
 				Address:        packet.Address(i + 1),
 				HelloPeriod:    o.hello,
@@ -107,23 +111,23 @@ func run(w io.Writer, o options) error {
 			},
 			TimeScale: o.timescale,
 			Seed:      int64(i + 1),
-		})
+		}, sock)
 		if err != nil {
 			return err
 		}
-		hosts[i] = h
+		hosts[i], socks[i] = h, sock
 		defer h.Close()
 	}
 	for i := 0; i < o.n-1; i++ {
-		if err := hosts[i].AddPeer(hosts[i+1].Addr().String()); err != nil {
+		if err := socks[i].AddPeer(socks[i+1].Addr().String()); err != nil {
 			return err
 		}
-		if err := hosts[i+1].AddPeer(hosts[i].Addr().String()); err != nil {
+		if err := socks[i+1].AddPeer(socks[i].Addr().String()); err != nil {
 			return err
 		}
 	}
 	sink := hosts[0]
-	fmt.Fprintf(w, "mesh: %d-node chain, sink %v at %s\n", o.n, sink.MeshAddress(), sink.Addr())
+	fmt.Fprintf(w, "mesh: %d-node chain, sink %v at %s\n", o.n, sink.Addr(), socks[0].Addr())
 
 	// The gateway rides on the sink.
 	g, err := gateway.New(gateway.Config{
@@ -165,7 +169,7 @@ func run(w io.Writer, o options) error {
 	for {
 		ok := true
 		for _, h := range hosts[1:] {
-			if !h.HasRoute(sink.MeshAddress()) {
+			if !h.HasRoute(sink.Addr()) {
 				ok = false
 				break
 			}
@@ -192,12 +196,12 @@ func run(w io.Writer, o options) error {
 		}
 		addrs := make([]packet.Address, o.n)
 		for i := range addrs {
-			addrs[i] = hosts[i].MeshAddress()
+			addrs[i] = hosts[i].Addr()
 		}
 		ctl, err = control.New(control.Config{
 			State: desired,
 			Nodes: addrs,
-			Self:  sink.MeshAddress(),
+			Self:  sink.Addr(),
 			Send: func(to packet.Address, payload []byte, reliable bool) error {
 				if reliable {
 					_, err := sink.SendReliable(to, payload)
@@ -248,7 +252,7 @@ func run(w io.Writer, o options) error {
 	// Sources: every non-sink node emits readings toward the sink.
 	stop := make(chan struct{})
 	for idx, h := range hosts[1:] {
-		go func(idx int, h *udpnet.Host) {
+		go func(idx int, h *livenet.Host) {
 			tick := time.NewTicker(o.interval)
 			defer tick.Stop()
 			for i := 0; o.count == 0 || i < o.count; i++ {
@@ -258,8 +262,8 @@ func run(w io.Writer, o options) error {
 				case <-tick.C:
 				}
 				payload := []byte(fmt.Sprintf("node%d reading %d", idx+1, i))
-				if err := h.Send(sink.MeshAddress(), payload); err != nil {
-					fmt.Fprintf(w, "send from %v: %v\n", h.MeshAddress(), err)
+				if err := h.Send(sink.Addr(), payload); err != nil {
+					fmt.Fprintf(w, "send from %v: %v\n", h.Addr(), err)
 				}
 			}
 		}(idx, h)
@@ -271,7 +275,7 @@ func run(w io.Writer, o options) error {
 	far := hosts[o.n-1]
 	if o.downlink && backend != nil {
 		backend.PushDownlink(gateway.Downlink{
-			To: far.MeshAddress(), Payload: []byte("downlink ping"),
+			To: far.Addr(), Payload: []byte("downlink ping"),
 		})
 	}
 
@@ -298,7 +302,7 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "backend: %d distinct readings, %d duplicates, %d batches\n",
 			backend.Distinct(), backend.Duplicates(), backend.Batches())
 		for _, h := range hosts[1:] {
-			fmt.Fprintf(w, "  from %v: %d readings\n", h.MeshAddress(), len(backend.FromAddr(h.MeshAddress())))
+			fmt.Fprintf(w, "  from %v: %d readings\n", h.Addr(), len(backend.FromAddr(h.Addr())))
 		}
 		if o.count > 0 && backend.Distinct() < want {
 			return fmt.Errorf("only %d/%d readings uplinked before the deadline", backend.Distinct(), want)
@@ -312,7 +316,7 @@ func run(w io.Writer, o options) error {
 				break
 			}
 		}
-		fmt.Fprintf(w, "downlink to %v delivered: %v\n", far.MeshAddress(), got)
+		fmt.Fprintf(w, "downlink to %v delivered: %v\n", far.Addr(), got)
 	}
 	if ctl != nil {
 		snap := ctl.Metrics().Snapshot()

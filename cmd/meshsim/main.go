@@ -194,25 +194,21 @@ func run(w io.Writer, o options) error {
 		cfg.SecKey = &key
 	}
 	if strat != "" {
-		pk, ok := netsim.KindForStrategy(strat)
-		if !ok {
-			return fmt.Errorf("no engine runs strategy %q", strat)
-		}
-		cfg.Protocol = pk
+		cfg.Protocol = strat
 	} else {
 		switch o.protocol {
 		case "mesher":
-			cfg.Protocol = netsim.KindMesher
+			cfg.Protocol = forward.KindProactive
 		case "flooding":
-			cfg.Protocol = netsim.KindFlooding
+			cfg.Protocol = forward.KindFlooding
 		case "reactive":
-			cfg.Protocol = netsim.KindReactive
+			cfg.Protocol = forward.KindReactive
 		default:
 			return fmt.Errorf("unknown protocol %q", o.protocol)
 		}
 	}
 	switch cfg.Protocol {
-	case netsim.KindICN:
+	case forward.KindICN:
 		// The PIT window sits below the 40 s application re-express
 		// cadence of icnReads, so a lost round re-floods instead of
 		// aggregating against a dead pending interest.
@@ -226,7 +222,7 @@ func run(w io.Writer, o options) error {
 			}
 			return nil
 		}
-	case netsim.KindSlotted:
+	case forward.KindSlotted:
 		sf := defaultSuperframe()
 		cfg.Slotted = slotted.Config{Superframe: sf, Sink: 0x0001}
 		cfg.FlowLatencyBound = sf.LatencyBound.D()
@@ -236,7 +232,7 @@ func run(w io.Writer, o options) error {
 	}
 	cfg.SpanCapacity = o.spanCap
 	cfg.HealthInterval = o.health
-	if cfg.Protocol == netsim.KindSlotted && cfg.HealthInterval <= 0 {
+	if cfg.Protocol == forward.KindSlotted && cfg.HealthInterval <= 0 {
 		// The superframe's latency bound is enforced by the health
 		// monitor; a slotted run without one would declare a bound nobody
 		// checks.
@@ -291,7 +287,7 @@ func run(w io.Writer, o options) error {
 	if strat != "" {
 		fmt.Fprintf(w, "forwarding strategy: %s\n\n", strat)
 	}
-	if cfg.Protocol == netsim.KindMesher || cfg.Protocol == netsim.KindSlotted {
+	if cfg.Protocol == forward.KindProactive || cfg.Protocol == forward.KindSlotted {
 		conv, ok := sim.TimeToConvergence(10*time.Second, 12*time.Hour)
 		if !ok {
 			return fmt.Errorf("mesh did not converge in 12 h — check density vs radio range")
@@ -327,7 +323,7 @@ func run(w io.Writer, o options) error {
 	trafficLabel := o.traffic
 	switch {
 	case o.traffic == "none":
-	case cfg.Protocol == netsim.KindICN:
+	case cfg.Protocol == forward.KindICN:
 		// ICN routes by name, not address: the push patterns cannot drive
 		// it, so every non-producer node pulls a per-round datum instead.
 		icnStats = icnReads(sim, o.duration, o.interval)
@@ -365,7 +361,7 @@ func run(w io.Writer, o options) error {
 			total.Offered, total.Delivered, 100*total.DeliveryRatio(),
 			total.MeanLatency().Round(time.Millisecond))
 	}
-	if cfg.Protocol == netsim.KindICN {
+	if cfg.Protocol == forward.KindICN {
 		snap := sim.AggregateMetrics().Snapshot()
 		fmt.Fprintf(w, "icn: interests expressed %.0f  aggregated %.0f  cache hits %.0f  misses %.0f  airtime saved %.0fms\n\n",
 			snap["total.icn.interest.expressed"], snap["total.icn.interest.aggregated"],

@@ -26,7 +26,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/udpnet"
+	"repro/internal/livenet"
 	"repro/loramesher"
 )
 
@@ -64,27 +64,31 @@ func nodeConfig(a loramesher.Address) loramesher.Config {
 func demo() error {
 	const n = 4
 	fmt.Printf("booting %d mesh nodes on localhost UDP ports (chain connectivity, 100x time)\n", n)
-	hosts := make([]*udpnet.Host, n)
+	hosts := make([]*livenet.Host, n)
+	socks := make([]*livenet.UDPLink, n)
 	for i := range hosts {
-		h, err := udpnet.Start(udpnet.Config{
-			Listen:      "127.0.0.1:0",
+		sock, err := livenet.ListenUDP("127.0.0.1:0", nil, 0)
+		if err != nil {
+			return err
+		}
+		h, err := livenet.Start(livenet.Config{
 			Node:        nodeConfig(loramesher.Address(i + 1)),
 			TimeScale:   100,
 			Seed:        int64(i + 1),
 			MetricsAddr: "127.0.0.1:0",
-		})
+		}, sock)
 		if err != nil {
 			return err
 		}
 		defer h.Close()
-		hosts[i] = h
-		fmt.Printf("  node %v on %v (metrics http://%s/metrics)\n", h.MeshAddress(), h.Addr(), h.MetricsAddr())
+		hosts[i], socks[i] = h, sock
+		fmt.Printf("  node %v on %v (metrics http://%s/metrics)\n", h.Addr(), sock.Addr(), h.MetricsAddr())
 	}
 	for i := 0; i < n-1; i++ {
-		if err := hosts[i].AddPeer(hosts[i+1].Addr().String()); err != nil {
+		if err := socks[i].AddPeer(socks[i+1].Addr().String()); err != nil {
 			return err
 		}
-		if err := hosts[i+1].AddPeer(hosts[i].Addr().String()); err != nil {
+		if err := socks[i+1].AddPeer(socks[i].Addr().String()); err != nil {
 			return err
 		}
 	}
@@ -155,18 +159,20 @@ func single(addrHex, listen, peers string, scale float64, send, metricsAddr stri
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
 	}
-	h, err := udpnet.Start(udpnet.Config{
-		Listen:      listen,
-		Peers:       peerList,
+	sock, err := livenet.ListenUDP(listen, peerList, 0)
+	if err != nil {
+		return err
+	}
+	h, err := livenet.Start(livenet.Config{
 		Node:        nodeConfig(a),
 		TimeScale:   scale,
 		MetricsAddr: metricsAddr,
-	})
+	}, sock)
 	if err != nil {
 		return err
 	}
 	defer h.Close()
-	fmt.Printf("node %v listening on %v, %d peers\n", a, h.Addr(), len(peerList))
+	fmt.Printf("node %v listening on %v, %d peers\n", a, sock.Addr(), len(peerList))
 	if h.MetricsAddr() != "" {
 		fmt.Printf("metrics on http://%s/metrics (health on /healthz)\n", h.MetricsAddr())
 	}

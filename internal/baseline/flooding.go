@@ -78,12 +78,8 @@ type Node struct {
 	stopped bool
 
 	nextSeq uint16
-	// seen is a FIFO-evicting dedup set.
-	seen     map[floodKey]struct{}
-	seenFIFO []floodKey
-
-	queue        []*packet.Packet
-	transmitting bool
+	seen    forward.SeenSet[floodKey]
+	tx      *forward.TxQueue
 }
 
 // NewNode creates a flooding node on the given env.
@@ -94,11 +90,14 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	if cfg.Address == packet.Broadcast {
 		return nil, fmt.Errorf("baseline: node address must not be broadcast")
 	}
+	cfg = cfg.withDefaults()
+	reg := metrics.NewRegistry()
 	return &Node{
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		env:  env,
-		reg:  metrics.NewRegistry(),
-		seen: make(map[floodKey]struct{}),
+		reg:  reg,
+		seen: forward.SeenSet[floodKey]{Cap: cfg.DedupCapacity},
+		tx:   forward.NewTxQueue(env, reg),
 	}, nil
 }
 
@@ -124,7 +123,10 @@ func (n *Node) Start() error {
 }
 
 // Stop silences the node.
-func (n *Node) Stop() { n.stopped = true }
+func (n *Node) Stop() {
+	n.stopped = true
+	n.tx.Stop()
+}
 
 // Send floods a datagram toward dst (packet.Broadcast floods to everyone).
 func (n *Node) Send(dst packet.Address, payload []byte) error {
@@ -147,9 +149,9 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 		Via:     packet.Broadcast,
 		Payload: body,
 	}
-	n.remember(floodKey{origin: n.cfg.Address, seq: seq})
+	n.seen.Remember(floodKey{origin: n.cfg.Address, seq: seq})
 	n.reg.Counter("app.sent").Inc()
-	n.enqueue(p, 0)
+	n.tx.Enqueue(p, 0)
 	return nil
 }
 
@@ -176,11 +178,10 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 	ttl := p.Payload[0]
 	seq := binary.BigEndian.Uint16(p.Payload[1:3])
 	key := floodKey{origin: p.Src, seq: seq}
-	if n.isDuplicate(key) {
+	if n.seen.Remember(key) {
 		n.reg.Counter("rx.duplicate").Inc()
 		return
 	}
-	n.remember(key)
 
 	if p.Dst == n.cfg.Address || p.Dst == packet.Broadcast {
 		n.reg.Counter("app.delivered").Inc()
@@ -204,64 +205,8 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 	// Randomized hold-off: nodes that heard the same broadcast would
 	// otherwise rebroadcast at the same instant and collide.
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay))
-	n.enqueue(fwd, delay)
-}
-
-func (n *Node) isDuplicate(k floodKey) bool {
-	_, ok := n.seen[k]
-	return ok
-}
-
-func (n *Node) remember(k floodKey) {
-	if _, ok := n.seen[k]; ok {
-		return
-	}
-	n.seen[k] = struct{}{}
-	n.seenFIFO = append(n.seenFIFO, k)
-	if len(n.seenFIFO) > n.cfg.DedupCapacity {
-		old := n.seenFIFO[0]
-		n.seenFIFO = n.seenFIFO[1:]
-		delete(n.seen, old)
-	}
-}
-
-// enqueue schedules a packet for transmission after delay.
-func (n *Node) enqueue(p *packet.Packet, delay time.Duration) {
-	if delay > 0 {
-		n.env.Schedule(delay, func() { n.enqueue(p, 0) })
-		return
-	}
-	n.queue = append(n.queue, p)
-	n.pump()
-}
-
-func (n *Node) pump() {
-	if n.stopped || n.transmitting || len(n.queue) == 0 {
-		return
-	}
-	p := n.queue[0]
-	n.queue[0] = nil
-	n.queue = n.queue[1:]
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		n.reg.Counter("drop.marshal").Inc()
-		n.pump()
-		return
-	}
-	if _, err := n.env.Transmit(frame); err != nil {
-		n.reg.Counter("drop.txerror").Inc()
-		return
-	}
-	n.transmitting = true
-	n.reg.Counter("tx.frames").Inc()
-	n.reg.Counter("tx.bytes").Add(uint64(len(frame)))
+	n.tx.Enqueue(fwd, delay)
 }
 
 // HandleTxDone resumes the transmit queue.
-func (n *Node) HandleTxDone() {
-	if n.stopped {
-		return
-	}
-	n.transmitting = false
-	n.pump()
-}
+func (n *Node) HandleTxDone() { n.tx.TxDone() }

@@ -234,7 +234,7 @@ func TestFloodDedupEviction(t *testing.T) {
 	if got := len(b.env(2).msgs); got != 10 {
 		t.Errorf("delivered %d, want 10 despite dedup eviction", got)
 	}
-	if got := len(b.env(2).node.seen); got > 4 {
+	if got := b.env(2).node.seen.Len(); got > 4 {
 		t.Errorf("dedup set grew to %d, cap 4", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/netsim"
 	"repro/internal/routing"
@@ -96,7 +97,7 @@ func E7Baseline(opt Options) (*Result, error) {
 		perDel   float64
 		airtime  time.Duration
 	}
-	run := func(kind netsim.ProtocolKind, seed int64) (*outcome, error) {
+	run := func(kind forward.Kind, seed int64) (*outcome, error) {
 		side := 12000.0 * math.Sqrt(float64(n)/4)
 		topo, err := geo.ConnectedRandomGeometric(n, side, side, 12000, seed, 1000)
 		if err != nil {
@@ -113,7 +114,7 @@ func E7Baseline(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if kind == netsim.KindMesher {
+		if kind == forward.KindProactive {
 			if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
 				return nil, fmt.Errorf("E7: no convergence")
 			}
@@ -149,9 +150,9 @@ func E7Baseline(opt Options) (*Result, error) {
 	// Every (protocol, seed) replicate is independent; fan them all out
 	// at once and fold the means afterwards in fixed index order, so the
 	// float sums associate identically however the runs were scheduled.
-	kinds := []netsim.ProtocolKind{netsim.KindMesher, netsim.KindFlooding}
+	kinds := []forward.Kind{forward.KindProactive, forward.KindFlooding}
 	type point struct {
-		kind netsim.ProtocolKind
+		kind forward.Kind
 		seed int64
 	}
 	var points []point

@@ -2,8 +2,8 @@
 // evaluation (see DESIGN.md's experiment index): each experiment builds
 // its workload on internal/netsim, runs it under the deterministic
 // simulator, and renders the same rows/series the paper-scale evaluation
-// reports. cmd/meshbench is the CLI front end; bench_test.go at the repo
-// root wraps each experiment as a Go benchmark.
+// reports. cmd/meshbench is the CLI front end; the repo root's
+// TestAllExperimentsQuick runs each one under `go test`.
 package experiments
 
 import (

@@ -39,8 +39,7 @@ func X6Reactive(opt Options) (*Result, error) {
 		return nil, err
 	}
 	// The comparison set is expressed in strategy-API terms: each row is
-	// a forward.Kind plus its display name, resolved to the engine that
-	// runs it via netsim.KindForStrategy.
+	// a forward.Kind plus its display name.
 	protos := []struct {
 		kind forward.Kind
 		name string
@@ -51,13 +50,9 @@ func X6Reactive(opt Options) (*Result, error) {
 	}
 	rows, err := forEachPoint(opt, len(protos), func(p int) ([]string, error) {
 		pr := protos[p]
-		pk, ok := netsim.KindForStrategy(pr.kind)
-		if !ok {
-			return nil, fmt.Errorf("X6: no engine runs strategy %q", pr.kind)
-		}
 		cfg := netsim.Config{
 			Topology: topo,
-			Protocol: pk,
+			Protocol: pr.kind,
 			Node:     expNode(),
 			Reactive: reactive.Config{DiscoveryTimeout: 15 * time.Second},
 			Seed:     opt.Seed,

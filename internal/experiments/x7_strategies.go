@@ -65,8 +65,8 @@ func X7Strategies(opt Options) (*Result, error) {
 	}
 
 	// --- section 1: chaos matrix × four strategies -------------------
-	kinds := []netsim.ProtocolKind{
-		netsim.KindMesher, netsim.KindReactive, netsim.KindICN, netsim.KindSlotted,
+	kinds := []forward.Kind{
+		forward.KindProactive, forward.KindReactive, forward.KindICN, forward.KindSlotted,
 	}
 	scenarios := x7Scenarios()
 	chainRows, err := forEachPoint(opt, len(kinds)*len(scenarios), func(i int) ([]string, error) {
@@ -85,7 +85,7 @@ func X7Strategies(opt Options) (*Result, error) {
 		air  time.Duration
 		hits float64
 	}
-	manyKinds := []netsim.ProtocolKind{netsim.KindMesher, netsim.KindFlooding, netsim.KindICN}
+	manyKinds := []forward.Kind{forward.KindProactive, forward.KindFlooding, forward.KindICN}
 	manyCells, err := forEachPoint(opt, len(manyKinds), func(i int) (manyCell, error) {
 		row, air, hits, err := x7ManyReaderCell(opt, manyKinds[i], manyFor)
 		return manyCell{row, air, hits}, err
@@ -187,16 +187,16 @@ func x7Content(name string) []byte { return []byte("x7(" + name + ")") }
 // x7Sim assembles a chain-or-grid simulation for one strategy, keeping
 // every strategy on the same radio profile and seed. producer is the node
 // index that answers ICN interests (and the slotted/ManyToOne sink).
-func x7Sim(opt Options, kind netsim.ProtocolKind, topo *geo.Topology, producer int) (*netsim.Sim, error) {
+func x7Sim(opt Options, kind forward.Kind, topo *geo.Topology, producer int) (*netsim.Sim, error) {
 	cfg := netsim.Config{Topology: topo, Protocol: kind, Seed: opt.Seed}
 	switch kind {
-	case netsim.KindMesher:
+	case forward.KindProactive:
 		cfg.Node = expNode()
-	case netsim.KindFlooding:
+	case forward.KindFlooding:
 		// Defaults; the baseline has no routing state to configure.
-	case netsim.KindReactive:
+	case forward.KindReactive:
 		cfg.Reactive = reactive.Config{DiscoveryTimeout: 15 * time.Second}
-	case netsim.KindICN:
+	case forward.KindICN:
 		cfg.ICN = x7ICNConfig()
 		cfg.ICNProduce = func(i int, name string) []byte {
 			if i == producer {
@@ -204,7 +204,7 @@ func x7Sim(opt Options, kind netsim.ProtocolKind, topo *geo.Topology, producer i
 			}
 			return nil
 		}
-	case netsim.KindSlotted:
+	case forward.KindSlotted:
 		sf := x7Superframe()
 		cfg.Node = expNode()
 		cfg.Slotted = slotted.Config{
@@ -216,11 +216,11 @@ func x7Sim(opt Options, kind netsim.ProtocolKind, topo *geo.Topology, producer i
 	}
 	sim, err := netsim.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("X7 %s: %w", kind.StrategyKind(), err)
+		return nil, fmt.Errorf("X7 %s: %w", kind, err)
 	}
-	if kind == netsim.KindMesher || kind == netsim.KindSlotted {
+	if kind == forward.KindProactive || kind == forward.KindSlotted {
 		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("X7 %s: mesh never converged", kind.StrategyKind())
+			return nil, fmt.Errorf("X7 %s: mesh never converged", kind)
 		}
 	}
 	return sim, nil
@@ -228,7 +228,7 @@ func x7Sim(opt Options, kind netsim.ProtocolKind, topo *geo.Topology, producer i
 
 // x7ChainCell evaluates one (strategy, chaos scenario) cell on the
 // 5-node chain under the shared telemetry workload.
-func x7ChainCell(opt Options, kind netsim.ProtocolKind, sc struct {
+func x7ChainCell(opt Options, kind forward.Kind, sc struct {
 	name string
 	plan *faults.Plan
 }, active time.Duration) ([]string, error) {
@@ -250,7 +250,7 @@ func x7ChainCell(opt Options, kind netsim.ProtocolKind, sc struct {
 	// only after the run; the ICN accounting object is mutated in place.
 	var stats *netsim.TrafficStats
 	var flows []*netsim.TrafficStats
-	if kind == netsim.KindICN {
+	if kind == forward.KindICN {
 		consumers := make([]int, 0, n-1)
 		for i := 1; i < n; i++ {
 			consumers = append(consumers, i)
@@ -273,7 +273,7 @@ func x7ChainCell(opt Options, kind netsim.ProtocolKind, sc struct {
 		return nil, err
 	}
 	return []string{
-		string(kind.StrategyKind()), sc.name,
+		string(kind), sc.name,
 		fmt.Sprintf("%d", stats.Offered),
 		fmt.Sprintf("%d", stats.Delivered),
 		fmtPct(stats.DeliveryRatio()),
@@ -285,13 +285,13 @@ func x7ChainCell(opt Options, kind netsim.ProtocolKind, sc struct {
 
 // x7Detail renders the strategy-specific evidence column and enforces
 // the slotted zero-violation bar on fault-free runs.
-func x7Detail(sim *netsim.Sim, kind netsim.ProtocolKind, faultFree bool) (string, error) {
+func x7Detail(sim *netsim.Sim, kind forward.Kind, faultFree bool) (string, error) {
 	snap := sim.AggregateMetrics().Snapshot()
 	switch kind {
-	case netsim.KindICN:
+	case forward.KindICN:
 		return fmt.Sprintf("cs.hit=%.0f agg=%.0f",
 			snap["total.icn.cs.hit"], snap["total.icn.interest.aggregated"]), nil
-	case netsim.KindSlotted:
+	case forward.KindSlotted:
 		viol := snap["health.violation."+health.KindLatencyBound]
 		if faultFree && viol != 0 {
 			return "", fmt.Errorf("X7: slotted fault-free run has %.0f latency_bound violations, want 0", viol)
@@ -308,7 +308,7 @@ func x7Detail(sim *netsim.Sim, kind netsim.ProtocolKind, faultFree bool) (string
 // as one unicast per reader per round; ICN readers express interest in
 // the round's name. Returns the row plus the airtime and cache-hit
 // figures the caller's cross-strategy assertion needs.
-func x7ManyReaderCell(opt Options, kind netsim.ProtocolKind, runFor time.Duration) ([]string, time.Duration, float64, error) {
+func x7ManyReaderCell(opt Options, kind forward.Kind, runFor time.Duration) ([]string, time.Duration, float64, error) {
 	const period = 10 * time.Minute
 	topo, err := geo.Grid(4, 4, 8000)
 	if err != nil {
@@ -326,7 +326,7 @@ func x7ManyReaderCell(opt Options, kind netsim.ProtocolKind, runFor time.Duratio
 	}
 	var stats *netsim.TrafficStats
 	var flows []*netsim.TrafficStats
-	if kind == netsim.KindICN {
+	if kind == forward.KindICN {
 		stats = x7ICNRounds(sim, readers, int(runFor/period), period)
 	} else {
 		for _, r := range readers {
@@ -349,7 +349,7 @@ func x7ManyReaderCell(opt Options, kind netsim.ProtocolKind, runFor time.Duratio
 	snap := sim.AggregateMetrics().Snapshot()
 	hits := snap["total.icn.cs.hit"]
 	detail := "-"
-	if kind == netsim.KindICN {
+	if kind == forward.KindICN {
 		ratio := 0.0
 		if denom := hits + snap["total.icn.cs.miss"]; denom > 0 {
 			ratio = hits / denom
@@ -358,7 +358,7 @@ func x7ManyReaderCell(opt Options, kind netsim.ProtocolKind, runFor time.Duratio
 			hits, snap["total.icn.interest.aggregated"], fmtPct(ratio))
 	}
 	row := []string{
-		string(kind.StrategyKind()),
+		string(kind),
 		fmt.Sprintf("many-reader 4x4 grid, %d readers", len(readers)),
 		fmt.Sprintf("%d", stats.Offered),
 		fmt.Sprintf("%d", stats.Delivered),

@@ -3,8 +3,10 @@
 // host, plus the smaller contracts a strategy is assembled from — the
 // next-hop decision (Forwarder), transmission admission for scheduled
 // access (TxGate), per-strategy control beacons (Beaconer), the routed-
-// packet duplicate suppressor (Dedup), and the canonical drop-reason
-// vocabulary shared by every strategy's drop accounting.
+// packet duplicate suppressor (Dedup), the bounded seen-set and transmit
+// queue the table-free engines share (SeenSet, TxQueue), and the
+// canonical drop-reason vocabulary shared by every strategy's drop
+// accounting.
 //
 // Four strategies implement the API today:
 //
@@ -184,3 +186,134 @@ func (d *Dedup) Duplicate(now time.Time, fp uint64) bool {
 
 // Len returns the number of remembered fingerprints (for tests).
 func (d *Dedup) Len() int { return len(d.seen) }
+
+// SeenSet is the bounded duplicate-suppression set the table-free
+// engines (flooding, reactive, ICN) share: it remembers up to Cap keys
+// and, past that, forgets the key first remembered longest ago — FIFO by
+// first sight, whatever happened to the key since. It does not replace
+// Dedup: there is no horizon, only the capacity bound. The zero value is
+// ready to use once Cap is set.
+//
+// Eviction order is load-bearing for replay determinism (E7/X6/X7 are
+// byte-identical per seed), so it is fixed here once rather than per
+// engine.
+type SeenSet[K comparable] struct {
+	// Cap is how many keys are remembered.
+	Cap   int
+	at    map[K]time.Time
+	order []K
+}
+
+// Remember records k and reports whether it was already remembered (a
+// repeat keeps its place in the eviction order).
+func (s *SeenSet[K]) Remember(k K) bool {
+	if _, ok := s.at[k]; ok {
+		return true
+	}
+	s.Mark(k, time.Time{})
+	return false
+}
+
+// At returns the time k was last marked with; ok is false when k is not
+// remembered.
+func (s *SeenSet[K]) At(k K) (at time.Time, ok bool) {
+	at, ok = s.at[k]
+	return at, ok
+}
+
+// Len returns the number of remembered keys (for tests).
+func (s *SeenSet[K]) Len() int { return len(s.at) }
+
+// Mark records k as last heard at the given time. A key already
+// remembered keeps its place in the eviction order.
+func (s *SeenSet[K]) Mark(k K, at time.Time) {
+	if s.at == nil {
+		s.at = make(map[K]time.Time)
+	}
+	_, known := s.at[k]
+	s.at[k] = at
+	if known {
+		return
+	}
+	s.order = append(s.order, k)
+	if len(s.order) > s.Cap {
+		delete(s.at, s.order[0])
+		s.order = s.order[1:]
+	}
+}
+
+// TxEnv is the part of an engine's host a TxQueue drives: timers and the
+// radio. Every core.Env satisfies it.
+type TxEnv interface {
+	Schedule(d time.Duration, fn func()) (cancel func())
+	Transmit(frame []byte) (time.Duration, error)
+}
+
+// TxQueue is the transmit path the table-free engines share: a FIFO of
+// packets awaiting the half-duplex radio, one frame on the air at a
+// time. It accounts tx.frames/tx.bytes and the marshal/txerror drops in
+// the engine's registry under the canonical names.
+type TxQueue struct {
+	env          TxEnv
+	reg          *metrics.Registry
+	queue        []*packet.Packet
+	transmitting bool
+	stopped      bool
+}
+
+// NewTxQueue returns an empty queue transmitting through env and
+// accounting into reg.
+func NewTxQueue(env TxEnv, reg *metrics.Registry) *TxQueue {
+	return &TxQueue{env: env, reg: reg}
+}
+
+// Enqueue admits p for transmission after delay (immediately when delay
+// is not positive).
+func (q *TxQueue) Enqueue(p *packet.Packet, delay time.Duration) {
+	if delay > 0 {
+		q.env.Schedule(delay, func() { q.Enqueue(p, 0) })
+		return
+	}
+	q.queue = append(q.queue, p)
+	q.pump()
+}
+
+// pump puts the head of the queue on the air when the radio is free. A
+// packet that fails to marshal is dropped and the next one tried; a
+// Transmit error drops the packet and leaves the queue to the next
+// Enqueue or TxDone.
+func (q *TxQueue) pump() {
+	if q.stopped || q.transmitting || len(q.queue) == 0 {
+		return
+	}
+	p := q.queue[0]
+	q.queue[0] = nil
+	q.queue = q.queue[1:]
+	frame, err := packet.Marshal(p)
+	if err != nil {
+		q.reg.Counter("drop." + DropMarshal).Inc()
+		q.pump()
+		return
+	}
+	if _, err := q.env.Transmit(frame); err != nil {
+		q.reg.Counter("drop." + DropTxError).Inc()
+		return
+	}
+	q.transmitting = true
+	q.reg.Counter("tx.frames").Inc()
+	q.reg.Counter("tx.bytes").Add(uint64(len(frame)))
+}
+
+// TxDone is the host's signal that the frame on the air ended; the next
+// queued packet goes out.
+func (q *TxQueue) TxDone() {
+	if q.stopped {
+		return
+	}
+	q.transmitting = false
+	q.pump()
+}
+
+// Stop silences the queue: nothing further is transmitted, including
+// packets whose Enqueue delay has yet to elapse.
+func (q *TxQueue) Stop() { q.stopped = true }

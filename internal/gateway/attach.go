@@ -19,9 +19,9 @@ import (
 // inside the scheduled event — wall-clock work under a paused virtual
 // clock, invisible to the simulation.)
 //
-// The live runtimes (livenet, udpnet) just need the observer hook and a
-// downlink sender; AttachHost wires both and the caller runs the
-// real-time loop with Gateway.Start.
+// The wall-clock runtime (a livenet.Host, over either link) just needs
+// the observer hook and a downlink sender; AttachHost wires both and the
+// caller runs the real-time loop with Gateway.Start.
 
 // Sim attaches a Gateway to one node of a netsim simulation.
 type Sim struct {
@@ -96,10 +96,11 @@ func (a *Sim) Detach() { a.detached = true }
 // Gateway returns the attached gateway.
 func (a *Sim) Gateway() *Gateway { return a.g }
 
-// MeshHost is the surface a live runtime exposes for gateway attachment;
-// *livenet.Handle and *udpnet.Host both satisfy it.
+// MeshHost is the surface the wall-clock runtime exposes for gateway
+// attachment; *livenet.Host satisfies it. It is declared here so the
+// gateway does not import the runtime.
 type MeshHost interface {
-	MeshAddress() packet.Address
+	Addr() packet.Address
 	SetOnMessage(func(core.AppMessage))
 	Send(dst packet.Address, payload []byte) error
 	SendReliable(dst packet.Address, payload []byte) (uint8, error)
@@ -109,7 +110,7 @@ type MeshHost interface {
 // Drive the uplinker with g.Start(); the observer must stay cheap, and
 // Offer is (it never touches the network).
 func AttachHost(h MeshHost, g *Gateway) {
-	g.setAddr(h.MeshAddress())
+	g.setAddr(h.Addr())
 	h.SetOnMessage(func(m core.AppMessage) { g.OfferMessage(m) })
 	g.SetSender(func(d Downlink) error {
 		if d.Reliable {

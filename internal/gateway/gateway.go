@@ -1,10 +1,10 @@
 // Package gateway bridges a LoRa mesh to an IP backend: the missing layer
 // between a gateway-less field mesh and the infrastructure that ultimately
-// consumes its data. A Gateway attaches to a sink-role node on any of the
-// repo's mesh runtimes — the deterministic simulator (internal/netsim, via
-// AttachSim), the goroutine-per-node live runtime (internal/livenet), or
-// the UDP socket runtime (internal/udpnet, both via AttachHost) — and
-// store-and-forwards every application delivery to an HTTP backend:
+// consumes its data. A Gateway attaches to a sink-role node on either of
+// the repo's mesh runtimes — the deterministic simulator (internal/netsim,
+// via AttachSim) or the wall-clock runtime (internal/livenet over its
+// in-memory hub or UDP sockets, via AttachHost) — and store-and-forwards
+// every application delivery to an HTTP backend:
 //
 //   - every mesh delivery is deduplicated by its causal trace ID and
 //     appended to a file-backed WAL spool (see spool.go), so no reading is

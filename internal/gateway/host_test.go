@@ -10,9 +10,9 @@ import (
 	"repro/internal/routing"
 )
 
-// TestAttachHostLivenet wires the gateway onto the goroutine-per-node
-// live runtime: readings from a peer reach the backend through the
-// sink's gateway, and a queued downlink command crosses back.
+// TestAttachHostLivenet wires the gateway onto the wall-clock runtime
+// (hosts on the in-memory hub): readings from a peer reach the backend
+// through the sink's gateway, and a queued downlink command crosses back.
 func TestAttachHostLivenet(t *testing.T) {
 	b := NewBackend()
 	srv := httptest.NewServer(b)
@@ -26,7 +26,7 @@ func TestAttachHostLivenet(t *testing.T) {
 			DutyCycleLimit: 1,
 			Routing:        routing.Config{EntryTTL: 20 * time.Second},
 		},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,15 +160,13 @@ type Node struct {
 	addrStr string
 
 	nextNonce uint16
-	seen      map[nonceKey]struct{}
-	seenFIFO  []nonceKey
+	seen      forward.SeenSet[nonceKey]
 
 	// dataSeen remembers when a data frame for (name, requester) was last
 	// heard — addressed to us or overheard — so a queued answer of our own
 	// for the same requester can stand down (broadcast-medium data
 	// suppression).
-	dataSeen     map[dataKey]time.Time
-	dataSeenFIFO []dataKey
+	dataSeen forward.SeenSet[dataKey]
 
 	pit map[string]*pitEntry
 
@@ -176,8 +174,7 @@ type Node struct {
 	csLRU   *list.List // front = most recent
 	csBytes int
 
-	queue        []*packet.Packet
-	transmitting bool
+	tx *forward.TxQueue
 }
 
 // NewNode creates an ICN node on the given env.
@@ -188,16 +185,18 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	if cfg.Address == packet.Broadcast {
 		return nil, fmt.Errorf("icn: node address must not be broadcast")
 	}
+	reg := metrics.NewRegistry()
 	n := &Node{
 		cfg:      cfg.withDefaults(),
 		env:      env,
-		reg:      metrics.NewRegistry(),
+		reg:      reg,
 		addrStr:  cfg.Address.String(),
-		seen:     make(map[nonceKey]struct{}),
-		dataSeen: make(map[dataKey]time.Time),
+		seen:     forward.SeenSet[nonceKey]{Cap: 512},
+		dataSeen: forward.SeenSet[dataKey]{Cap: 512},
 		pit:      make(map[string]*pitEntry),
 		cs:       make(map[string]*csEntry),
 		csLRU:    list.New(),
+		tx:       forward.NewTxQueue(env, reg),
 	}
 	// Pre-register the icn.* schema so scrapes before traffic see zeros.
 	for _, c := range []string{
@@ -254,6 +253,7 @@ func (n *Node) Start() error {
 // Stop silences the node.
 func (n *Node) Stop() {
 	n.stopped = true
+	n.tx.Stop()
 }
 
 // Send maps the generic strategy surface onto Express: the payload is
@@ -303,7 +303,7 @@ func (n *Node) Express(name string) error {
 	e.relayed = true
 	nonce := n.nextNonce
 	n.nextNonce++
-	n.remember(nonceKey{origin: n.cfg.Address, nonce: nonce})
+	n.seen.Remember(nonceKey{origin: n.cfg.Address, nonce: nonce})
 	n.sendInterest(name, nonce, 0, n.cfg.Address, n.cfg.Address)
 	return nil
 }
@@ -368,7 +368,7 @@ func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevH
 		n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
 			trace.TraceID(p.TraceID()), "interest %q nonce=%d hops=%d", name, nonce, hops)
 	}
-	n.enqueue(p, 0)
+	n.tx.Enqueue(p, 0)
 }
 
 // sendData enqueues one named-data frame carrying content toward origin
@@ -403,11 +403,11 @@ func (n *Node) sendData(name string, content []byte, producer packet.Address, ho
 		}
 		// Somebody else's answer to the same requester crossed the air
 		// during our hold-off: transmitting ours too would only collide.
-		if at, ok := n.dataSeen[dataKey{name: name, origin: origin}]; ok && at.After(scheduledAt) {
+		if at, ok := n.dataSeen.At(dataKey{name: name, origin: origin}); ok && at.After(scheduledAt) {
 			n.reg.Counter("icn.data.suppressed").Inc()
 			return
 		}
-		n.enqueue(p, 0)
+		n.tx.Enqueue(p, 0)
 	})
 }
 
@@ -454,11 +454,10 @@ func (n *Node) handleInterest(p *packet.Packet) {
 		return
 	}
 	key := nonceKey{origin: p.Src, nonce: nonce}
-	if n.isSeen(key) {
+	if n.seen.Remember(key) {
 		n.reg.Counter("icn.interest.duplicate").Inc()
 		return
 	}
-	n.remember(key)
 
 	// Producer or cache answer: the interest stops here.
 	if own := n.localContent(name); own != nil {
@@ -570,7 +569,7 @@ func (n *Node) handleData(p *packet.Packet, overheard bool) {
 
 	// Remember the answer in flight so a queued answer of our own for the
 	// same requester stands down (see sendData).
-	n.rememberData(dataKey{name: name, origin: p.Dst})
+	n.dataSeen.Mark(dataKey{name: name, origin: p.Dst}, n.env.Now())
 
 	// Cache on path: every hop the data crosses becomes a future answer
 	// point. hops+1 is the distance from the producer at THIS node.
@@ -610,19 +609,6 @@ func (n *Node) handleData(p *packet.Packet, overheard bool) {
 		n.reg.Counter("icn.data.forwarded").Inc()
 		n.reg.Counter("fwd.frames").Inc()
 	}
-}
-
-// rememberData records a heard data answer in the bounded FIFO set.
-func (n *Node) rememberData(k dataKey) {
-	if _, ok := n.dataSeen[k]; !ok {
-		n.dataSeenFIFO = append(n.dataSeenFIFO, k)
-		if len(n.dataSeenFIFO) > 512 {
-			old := n.dataSeenFIFO[0]
-			n.dataSeenFIFO = n.dataSeenFIFO[1:]
-			delete(n.dataSeen, old)
-		}
-	}
-	n.dataSeen[k] = n.env.Now()
 }
 
 // cacheContent inserts (or refreshes) name in the content store, LRU-
@@ -682,62 +668,5 @@ func (n *Node) deliverContent(name string, producer packet.Address, content []by
 	})
 }
 
-// isSeen / remember implement the bounded interest dedup set.
-func (n *Node) isSeen(k nonceKey) bool {
-	_, ok := n.seen[k]
-	return ok
-}
-
-func (n *Node) remember(k nonceKey) {
-	if _, ok := n.seen[k]; ok {
-		return
-	}
-	n.seen[k] = struct{}{}
-	n.seenFIFO = append(n.seenFIFO, k)
-	if len(n.seenFIFO) > 512 {
-		old := n.seenFIFO[0]
-		n.seenFIFO = n.seenFIFO[1:]
-		delete(n.seen, old)
-	}
-}
-
-// enqueue schedules a packet for transmission after delay.
-func (n *Node) enqueue(p *packet.Packet, delay time.Duration) {
-	if delay > 0 {
-		n.env.Schedule(delay, func() { n.enqueue(p, 0) })
-		return
-	}
-	n.queue = append(n.queue, p)
-	n.pump()
-}
-
-func (n *Node) pump() {
-	if n.stopped || n.transmitting || len(n.queue) == 0 {
-		return
-	}
-	p := n.queue[0]
-	n.queue[0] = nil
-	n.queue = n.queue[1:]
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		n.reg.Counter("drop." + forward.DropMarshal).Inc()
-		n.pump()
-		return
-	}
-	if _, err := n.env.Transmit(frame); err != nil {
-		n.reg.Counter("drop." + forward.DropTxError).Inc()
-		return
-	}
-	n.transmitting = true
-	n.reg.Counter("tx.frames").Inc()
-	n.reg.Counter("tx.bytes").Add(uint64(len(frame)))
-}
-
 // HandleTxDone resumes the transmit queue.
-func (n *Node) HandleTxDone() {
-	if n.stopped {
-		return
-	}
-	n.transmitting = false
-	n.pump()
-}
+func (n *Node) HandleTxDone() { n.tx.TxDone() }

@@ -1,12 +1,20 @@
-// Package livenet runs the same LoRaMesher protocol engines as the
-// discrete-event simulator, but live: one goroutine per node, real timers
-// (optionally time-scaled), and a concurrent in-memory medium. It exists
-// to prove the engine's host contract under genuine concurrency — the
-// deterministic simulator can hide ordering assumptions that a
-// goroutine-per-node deployment (or real hardware) would violate — and it
-// is exercised under the race detector in this package's tests.
+// Package livenet is the wall-clock runtime: it runs the same LoRaMesher
+// protocol engine as the discrete-event simulator, but live — one
+// goroutine per node, real timers (optionally time-scaled), and a real
+// medium behind a Link. It exists to prove the engine's host contract
+// under genuine concurrency — the deterministic simulator can hide
+// ordering assumptions that a goroutine-per-node deployment (or real
+// hardware) would violate — and it is exercised under the race detector
+// in this package's tests.
 //
-// Each node owns a serial event loop; every interaction with its engine
+// There is one Host type and two Links. The in-memory hub (Net) fans a
+// frame out to every connected host of the same process; the UDP link
+// (ListenUDP) unicasts it to configured peers, so hosts in separate OS
+// processes — or machines — form one mesh. Either way the frame leaves
+// after its emulated LoRa airtime, so protocol timing (airtime
+// serialization, beacon pacing, ARQ round trips) is preserved.
+//
+// Each host owns a serial event loop; every interaction with its engine
 // (frames, timers, API calls) is a closure delivered to that loop, so the
 // engine itself still sees single-threaded execution, exactly as it would
 // behind an interrupt-driven radio driver.
@@ -15,11 +23,7 @@ package livenet
 import (
 	"fmt"
 	"math/rand"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -29,35 +33,37 @@ import (
 	"repro/internal/packet"
 )
 
-// Config describes a live network.
+// mailboxDepth bounds each host's pending-event queue: deep enough that a
+// burst of arrivals and timer firings never blocks a sender in practice,
+// small enough that a wedged loop shows up as back-pressure.
+const mailboxDepth = 256
+
+// Config describes a wall-clock host — or, given to New, every host of a
+// hub.
 type Config struct {
+	// Node is the engine configuration. A lone host needs Address set,
+	// unique across the mesh; a hub assigns it per node.
+	Node core.Config
 	// TimeScale compresses virtual time: a scale of 60 runs one virtual
 	// minute per wall second. Zero means 1 (real time).
 	TimeScale float64
-	// Connect decides whether a frame transmitted by a reaches b. Nil
-	// means full connectivity. It must be safe for concurrent use.
-	Connect func(from, to packet.Address) bool
-	// Node is the engine configuration template; Address is assigned
-	// per node.
-	Node core.Config
-	// Seed drives per-node jitter randomness.
+	// Seed drives jitter randomness, mixed with the node address.
 	Seed int64
-	// MailboxDepth bounds each node's pending-event queue. Zero means
-	// 256.
-	MailboxDepth int
 	// MetricsAddr, when non-empty, serves Prometheus-format metrics on
-	// that TCP address: GET /metrics exposes every node's registry under
-	// node_<addr>_* plus network totals under mesh_*, and GET /healthz
-	// answers with a JSON liveness summary. Use "127.0.0.1:0" to let the
-	// kernel pick a free port (see Net.MetricsAddr).
+	// that TCP address. A lone host exposes its engine's registry at GET
+	// /metrics; a hub exposes every node's under node_<addr>_* plus
+	// network totals under mesh_*. GET /healthz answers with a JSON
+	// liveness summary. Use "127.0.0.1:0" to let the kernel pick a free
+	// port (see MetricsAddr).
 	MetricsAddr string
-	// HealthInterval arms the always-on mesh health monitor when
-	// positive: every interval of VIRTUAL time (wall time divided by
-	// TimeScale) the monitor snapshots every node's routing table and
-	// counters to detect loops, blackholes, silent nodes, stuck duty
-	// budgets, and replay anomalies (see internal/health). With a
-	// MetricsAddr, /healthz then reports the monitor's verdict and
-	// /metrics exports the health.* instruments.
+	// HealthInterval arms the always-on health monitor when positive:
+	// every interval of VIRTUAL time (wall time divided by TimeScale) the
+	// monitor snapshots routing tables and counters to detect blackholes,
+	// silent nodes, stuck duty budgets, and replay anomalies (see
+	// internal/health). A hub sees every table, so it also detects loops;
+	// a lone host only sees itself. With a MetricsAddr, /healthz then
+	// reports the monitor's verdict and /metrics exports the health.*
+	// instruments.
 	HealthInterval time.Duration
 	// Pprof, when true together with MetricsAddr, additionally mounts the
 	// net/http/pprof profiling handlers under /debug/pprof/ on the
@@ -66,279 +72,168 @@ type Config struct {
 	Pprof bool
 }
 
-// Net is a running live network.
-type Net struct {
-	cfg   Config
-	start time.Time // wall anchor
-	phy   loraphy.Params
-
-	mu     sync.Mutex
-	nodes  []*Handle
-	byAddr map[packet.Address]*Handle
-	closed chan struct{}
-	wg     sync.WaitGroup
-
-	// onAir counts in-flight transmissions for ChannelBusy.
-	onAir atomic.Int64
-
-	metricsLis net.Listener
-	metricsSrv *http.Server
-
-	// health is the always-on monitor; nil unless Config.HealthInterval
-	// is positive.
-	health *health.Monitor
+// Link is how a host's frames leave and arrive: the medium under the
+// wall-clock runtime. The hub and the UDP socket are the two
+// implementations.
+type Link interface {
+	// Listen starts handing every frame this link hears to h.Receive. The
+	// host calls it once, before its engine starts.
+	Listen(h *Host) error
+	// Send puts frame on the medium for airtime of wall-clock time. When
+	// it ends the frame reaches whoever hears this link, and then done
+	// runs. The link owns frame from here on.
+	Send(frame []byte, airtime time.Duration, done func())
+	// Busy reports whether a transmission can be sensed on the medium
+	// (listen-before-talk).
+	Busy() bool
+	// Close releases the link; nothing reaches the host afterwards.
+	Close()
 }
 
-// Handle is one live node.
-type Handle struct {
-	net  *Net
-	addr packet.Address
-	node *core.Node
-
-	events chan func()
-
-	mu      sync.Mutex
-	msgs    []core.AppMessage
-	events2 []core.StreamEvent
-	onMsg   func(core.AppMessage)
-	rng     *rand.Rand
+// clock maps virtual protocol time onto the wall clock.
+type clock struct {
+	start time.Time // wall anchor, also virtual time zero
+	scale float64
 }
 
-// New creates an empty live network.
-func New(cfg Config) (*Net, error) {
-	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("livenet: negative time scale")
+func newClock(scale float64) (clock, error) {
+	if scale < 0 {
+		return clock{}, fmt.Errorf("livenet: negative time scale")
 	}
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = 1
+	if scale == 0 {
+		scale = 1
 	}
-	if cfg.MailboxDepth <= 0 {
-		cfg.MailboxDepth = 256
-	}
-	n := &Net{
-		cfg:    cfg,
-		start:  time.Now(),
-		phy:    cfg.Node.EffectivePhy(),
-		byAddr: make(map[packet.Address]*Handle),
-		closed: make(chan struct{}),
-	}
-	if cfg.HealthInterval > 0 {
-		n.health = health.New(health.Config{
-			Interval: cfg.HealthInterval,
-			Tracer:   cfg.Node.Tracer,
-		}, n.healthSource)
-		go n.healthLoop()
-	}
-	if cfg.MetricsAddr != "" {
-		if err := n.serveMetrics(cfg.MetricsAddr); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
-
-// Health returns the mesh health monitor, or nil when disabled.
-func (n *Net) Health() *health.Monitor { return n.health }
-
-// healthLoop polls the monitor on the (time-scaled) wall clock until the
-// network closes.
-func (n *Net) healthLoop() {
-	t := time.NewTicker(n.wall(n.cfg.HealthInterval))
-	defer t.Stop()
-	for {
-		select {
-		case <-n.closed:
-			return
-		case <-t.C:
-			n.health.Poll(n.virtualNow())
-		}
-	}
-}
-
-// healthSource snapshots every node for the monitor. Each snapshot runs
-// on the node's own event loop (Do), so table walks never race the
-// engine.
-func (n *Net) healthSource() []health.NodeStatus {
-	var out []health.NodeStatus
-	for _, h := range n.handles() {
-		st := health.NodeStatus{Addr: h.addr, Alive: true}
-		h.Do(func(node *core.Node) {
-			st.Stats = node.Metrics().Snapshot()
-			for _, e := range node.Table().Entries() {
-				if e.Poisoned() {
-					continue
-				}
-				st.Routes = append(st.Routes, health.Route{Dst: e.Addr, Via: e.Via})
-			}
-		})
-		out = append(out, st)
-	}
-	return out
-}
-
-// serveMetrics starts the /metrics and /healthz listener.
-func (n *Net) serveMetrics(addr string) error {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("livenet: metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", metrics.Handler(n.AggregateMetrics))
-	mux.Handle("/healthz", metrics.HealthHandler(func() map[string]any {
-		v := map[string]any{"status": "ok"}
-		if n.health != nil {
-			// The monitor's verdict IS the liveness answer: a mesh with
-			// loops or silent nodes is not "ok" just because the process
-			// responds.
-			v = n.health.Verdict()
-		}
-		v["nodes"] = len(n.handles())
-		v["timescale"] = n.cfg.TimeScale
-		v["uptime"] = time.Since(n.start).String()
-		return v
-	}))
-	if n.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	n.metricsLis = lis
-	n.metricsSrv = &http.Server{Handler: mux}
-	go n.metricsSrv.Serve(lis)
-	return nil
-}
-
-// MetricsAddr returns the metrics listener's address ("" when disabled) —
-// with a ":0" config this is where the kernel actually bound it.
-func (n *Net) MetricsAddr() string {
-	if n.metricsLis == nil {
-		return ""
-	}
-	return n.metricsLis.Addr().String()
-}
-
-// AggregateMetrics merges every node's registry under "node.<addr>." plus
-// network-wide totals under "mesh.". Registries are safe to read while
-// the node loops run, so a scrape never blocks the mesh.
-func (n *Net) AggregateMetrics() *metrics.Registry {
-	agg := metrics.NewRegistry()
-	for _, h := range n.handles() {
-		reg := h.node.Metrics()
-		agg.Merge(fmt.Sprintf("node.%v.", h.addr), reg)
-		agg.Merge("mesh.", reg)
-	}
-	if n.health != nil {
-		agg.Merge("", n.health.Metrics())
-	}
-	return agg
+	return clock{start: time.Now(), scale: scale}, nil
 }
 
 // wall converts a virtual duration to wall-clock time.
-func (n *Net) wall(d time.Duration) time.Duration {
-	return time.Duration(float64(d) / n.cfg.TimeScale)
+func (c clock) wall(d time.Duration) time.Duration {
+	return time.Duration(float64(d) / c.scale)
 }
 
-// virtualNow returns the current virtual time.
-func (n *Net) virtualNow() time.Time {
-	return n.start.Add(time.Duration(float64(time.Since(n.start)) * n.cfg.TimeScale))
+// now returns the current virtual time.
+func (c clock) now() time.Time {
+	return c.start.Add(time.Duration(float64(time.Since(c.start)) * c.scale))
 }
 
-// AddNode creates, registers, and starts a node with the given address.
-func (n *Net) AddNode(addr packet.Address) (*Handle, error) {
-	select {
-	case <-n.closed:
-		return nil, fmt.Errorf("livenet: network is closed")
-	default:
-	}
-	n.mu.Lock()
-	if _, dup := n.byAddr[addr]; dup {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("livenet: duplicate address %v", addr)
-	}
-	h := &Handle{
-		net:    n,
-		addr:   addr,
-		events: make(chan func(), n.cfg.MailboxDepth),
-		rng:    rand.New(rand.NewSource(n.cfg.Seed ^ int64(addr)*0x9e3779b9)),
-	}
-	cfg := n.cfg.Node
-	cfg.Address = addr
-	node, err := core.NewNode(cfg, (*liveEnv)(h))
+// Host is one running wall-clock node.
+type Host struct {
+	addr  packet.Address
+	node  *core.Node
+	link  Link
+	clock clock
+	phy   loraphy.Params
+	rng   *rand.Rand // event loop only
+	obs   *observer
+
+	events    chan func()
+	closed    chan struct{}
+	closeOnce sync.Once
+	loopDone  chan struct{}
+
+	mu      sync.Mutex
+	msgs    []core.AppMessage
+	streams []core.StreamEvent
+	onMsg   func(core.AppMessage)
+}
+
+// Start runs one host over link. The host owns link from here on: it is
+// closed when Start fails and when the host closes.
+func Start(cfg Config, link Link) (*Host, error) {
+	clk, err := newClock(cfg.TimeScale)
 	if err != nil {
-		n.mu.Unlock()
+		link.Close()
+		return nil, err
+	}
+	return start(cfg, clk, link)
+}
+
+// start is Start on a given clock; a hub's hosts share one so their
+// virtual timestamps agree.
+func start(cfg Config, clk clock, link Link) (*Host, error) {
+	addr := cfg.Node.Address
+	h := &Host{
+		addr:     addr,
+		link:     link,
+		clock:    clk,
+		phy:      cfg.Node.EffectivePhy(),
+		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(addr)*0x9e3779b9)),
+		events:   make(chan func(), mailboxDepth),
+		closed:   make(chan struct{}),
+		loopDone: make(chan struct{}),
+	}
+	node, err := core.NewNode(cfg.Node, (*hostEnv)(h))
+	if err != nil {
+		link.Close()
 		return nil, fmt.Errorf("livenet: %w", err)
 	}
 	h.node = node
-	n.nodes = append(n.nodes, h)
-	n.byAddr[addr] = h
-	n.wg.Add(1)
-	go h.loop(&n.wg)
-	n.mu.Unlock()
-
+	if h.obs, err = observe(cfg, clk, h); err != nil {
+		link.Close()
+		return nil, err
+	}
+	go h.loop()
+	if err := link.Listen(h); err != nil {
+		h.Close()
+		return nil, err
+	}
 	var startErr error
-	h.Do(func(node *core.Node) { startErr = node.Start() })
+	h.Do(func(n *core.Node) { startErr = n.Start() })
 	if startErr != nil {
+		h.Close()
 		return nil, fmt.Errorf("livenet: start %v: %w", addr, startErr)
 	}
 	return h, nil
 }
 
-// Close stops every node and waits for their loops to drain.
-func (n *Net) Close() {
-	n.mu.Lock()
-	select {
-	case <-n.closed:
-		n.mu.Unlock()
-		return
-	default:
-	}
-	close(n.closed)
-	nodes := append([]*Handle(nil), n.nodes...)
-	n.mu.Unlock()
-	if n.metricsSrv != nil {
-		n.metricsSrv.Close()
-	}
-	n.wg.Wait()
-	for _, h := range nodes {
+// Close stops the node and releases its link. It is idempotent.
+func (h *Host) Close() {
+	h.closeOnce.Do(func() {
+		close(h.closed)
+		h.obs.close()
+		h.link.Close()
+		<-h.loopDone
 		h.node.Stop()
-	}
+	})
 }
 
-// handles returns a snapshot of the registered nodes.
-func (n *Net) handles() []*Handle {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]*Handle(nil), n.nodes...)
-}
+// Addr returns the host's mesh address.
+func (h *Host) Addr() packet.Address { return h.addr }
 
-// Addr returns the handle's mesh address.
-func (h *Handle) Addr() packet.Address { return h.addr }
+// Health returns this host's health monitor, or nil when disabled (a
+// hub's hosts share the hub's; see Net.Health).
+func (h *Host) Health() *health.Monitor { return h.obs.health }
 
-// MeshAddress returns the handle's mesh address; it exists alongside Addr
-// so livenet.Handle and udpnet.Host satisfy the same attachment interface
-// (see internal/gateway.MeshHost).
-func (h *Handle) MeshAddress() packet.Address { return h.addr }
+// MetricsAddr returns the metrics listener's address ("" when disabled)
+// — with a ":0" config this is where the kernel actually bound it.
+func (h *Host) MetricsAddr() string { return h.obs.addr() }
 
 // SetOnMessage installs an observer invoked for every application
 // delivery, after the message is recorded. The observer runs on the
-// node's event loop, so it must not block; pass nil to remove it.
-func (h *Handle) SetOnMessage(fn func(core.AppMessage)) {
+// host's event loop, so it must not block; pass nil to remove it.
+func (h *Host) SetOnMessage(fn func(core.AppMessage)) {
 	h.mu.Lock()
 	h.onMsg = fn
 	h.mu.Unlock()
 }
 
-// loop serializes all engine interactions. It exits when the network
+// Receive hands the host a frame its link heard. Links call it from any
+// goroutine; the engine sees the frame on the event loop.
+func (h *Host) Receive(frame []byte) {
+	h.enqueue(func() {
+		h.node.HandleFrame(frame, core.RxInfo{RSSIDBm: -80, SNRDB: 10})
+	})
+}
+
+// loop serializes all engine interactions. It exits when the host
 // closes; the mailbox channel itself is never closed, because timer
 // goroutines may still attempt sends during shutdown (enqueue's select on
 // the closed signal drops those safely).
-func (h *Handle) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
+func (h *Host) loop() {
+	defer close(h.loopDone)
 	for {
 		select {
-		case <-h.net.closed:
+		case <-h.closed:
 			return
 		case fn := <-h.events:
 			fn()
@@ -346,18 +241,18 @@ func (h *Handle) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// enqueue delivers a closure to the node's loop; it drops the event if the
-// network is shutting down (matching a powered-off radio).
-func (h *Handle) enqueue(fn func()) {
+// enqueue delivers a closure to the host's loop; it drops the event if
+// the host is shutting down (matching a powered-off radio).
+func (h *Host) enqueue(fn func()) {
 	select {
-	case <-h.net.closed:
+	case <-h.closed:
 	case h.events <- fn:
 	}
 }
 
-// Do runs fn inside the node's event loop and waits for it, giving callers
-// race-free access to the engine (tables, sends, metrics).
-func (h *Handle) Do(fn func(n *core.Node)) {
+// Do runs fn inside the host's event loop and waits for it, giving
+// callers race-free access to the engine (tables, sends, metrics).
+func (h *Host) Do(fn func(n *core.Node)) {
 	done := make(chan struct{})
 	h.enqueue(func() {
 		fn(h.node)
@@ -365,19 +260,19 @@ func (h *Handle) Do(fn func(n *core.Node)) {
 	})
 	select {
 	case <-done:
-	case <-h.net.closed:
+	case <-h.closed:
 	}
 }
 
-// Send transmits a datagram from this node.
-func (h *Handle) Send(dst packet.Address, payload []byte) error {
+// Send transmits a datagram from this host.
+func (h *Host) Send(dst packet.Address, payload []byte) error {
 	var err error
 	h.Do(func(n *core.Node) { err = n.Send(dst, payload) })
 	return err
 }
 
-// SendReliable opens a reliable transfer from this node.
-func (h *Handle) SendReliable(dst packet.Address, payload []byte) (uint8, error) {
+// SendReliable opens a reliable transfer from this host.
+func (h *Host) SendReliable(dst packet.Address, payload []byte) (uint8, error) {
 	var (
 		id  uint8
 		err error
@@ -386,89 +281,96 @@ func (h *Handle) SendReliable(dst packet.Address, payload []byte) (uint8, error)
 	return id, err
 }
 
+// HasRoute reports whether the host can reach dst.
+func (h *Host) HasRoute(dst packet.Address) bool {
+	var ok bool
+	h.Do(func(n *core.Node) { _, ok = n.Table().NextHop(dst) })
+	return ok
+}
+
 // Messages returns a snapshot of delivered application messages.
-func (h *Handle) Messages() []core.AppMessage {
+func (h *Host) Messages() []core.AppMessage {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]core.AppMessage(nil), h.msgs...)
 }
 
 // StreamEvents returns a snapshot of reliable-transfer outcomes.
-func (h *Handle) StreamEvents() []core.StreamEvent {
+func (h *Host) StreamEvents() []core.StreamEvent {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]core.StreamEvent(nil), h.events2...)
+	return append([]core.StreamEvent(nil), h.streams...)
 }
 
-// RouteCount returns the node's usable routing-table size.
-func (h *Handle) RouteCount() int {
-	var c int
-	h.Do(func(n *core.Node) { c = n.Table().Len() })
-	return c
+// status snapshots the node for the health monitor. It runs on the
+// host's own event loop (Do), so the table walk never races the engine.
+func (h *Host) status() health.NodeStatus {
+	st := health.NodeStatus{Addr: h.addr, Alive: true}
+	h.Do(func(n *core.Node) {
+		st.Stats = n.Metrics().Snapshot()
+		for _, e := range n.Table().Entries() {
+			if e.Poisoned() {
+				continue
+			}
+			st.Routes = append(st.Routes, health.Route{Dst: e.Addr, Via: e.Via})
+		}
+	})
+	return st
 }
 
-// HasRoute reports whether the node can reach dst.
-func (h *Handle) HasRoute(dst packet.Address) bool {
-	var ok bool
-	h.Do(func(n *core.Node) { _, ok = n.Table().NextHop(dst) })
-	return ok
+// The three methods below make a lone host its own observer's view.
+
+func (h *Host) hosts() []*Host { return []*Host{h} }
+
+func (h *Host) export() *metrics.Registry { return h.node.Metrics() }
+
+func (h *Host) describe(v map[string]any) {
+	v["mesh"] = h.addr.String()
+	if u, ok := h.link.(*UDPLink); ok {
+		v["udp"] = u.Addr().String()
+	}
 }
 
-// liveEnv adapts a Handle into the engine's host interface. Its methods
-// are invoked from the node's event loop.
-type liveEnv Handle
+// hostEnv adapts a Host into the engine's host interface — the one
+// core.Env of the wall-clock runtime. Its methods are invoked from the
+// host's event loop.
+type hostEnv Host
 
-var _ core.Env = (*liveEnv)(nil)
+var _ core.Env = (*hostEnv)(nil)
 
-func (e *liveEnv) handle() *Handle { return (*Handle)(e) }
+func (e *hostEnv) host() *Host { return (*Host)(e) }
 
-// Now implements core.Env.
-func (e *liveEnv) Now() time.Time { return e.handle().net.virtualNow() }
+// Now implements core.Env with scaled time.
+func (e *hostEnv) Now() time.Time { return e.clock.now() }
 
 // Schedule implements core.Env using wall timers scaled to virtual time.
-func (e *liveEnv) Schedule(d time.Duration, fn func()) func() {
-	h := e.handle()
-	t := time.AfterFunc(h.net.wall(d), func() { h.enqueue(fn) })
+func (e *hostEnv) Schedule(d time.Duration, fn func()) func() {
+	h := e.host()
+	t := time.AfterFunc(h.clock.wall(d), func() { h.enqueue(fn) })
 	return func() { t.Stop() }
 }
 
-// Transmit implements core.Env: the frame arrives at every connected peer
-// after its airtime; the sender gets TxDone then.
-func (e *liveEnv) Transmit(frame []byte) (time.Duration, error) {
-	h := e.handle()
-	n := h.net
-	airtime, err := n.phy.Airtime(len(frame))
+// Transmit implements core.Env: the link carries the frame to whoever
+// hears it after the frame's airtime; the sender gets TxDone then.
+func (e *hostEnv) Transmit(frame []byte) (time.Duration, error) {
+	h := e.host()
+	airtime, err := h.phy.Airtime(len(frame))
 	if err != nil {
 		return 0, fmt.Errorf("livenet: %w", err)
 	}
 	data := append([]byte(nil), frame...)
-	n.onAir.Add(1)
-	time.AfterFunc(n.wall(airtime), func() {
-		n.onAir.Add(-1)
-		for _, peer := range n.handles() {
-			if peer == h {
-				continue
-			}
-			if n.cfg.Connect != nil && !n.cfg.Connect(h.addr, peer.addr) {
-				continue
-			}
-			peer.enqueue(func() {
-				peer.node.HandleFrame(data, core.RxInfo{RSSIDBm: -80, SNRDB: 10})
-			})
-		}
+	h.link.Send(data, h.clock.wall(airtime), func() {
 		h.enqueue(func() { h.node.HandleTxDone() })
 	})
 	return airtime, nil
 }
 
-// ChannelBusy implements core.Env from the global on-air count.
-func (e *liveEnv) ChannelBusy() (bool, error) {
-	return e.handle().net.onAir.Load() > 0, nil
-}
+// ChannelBusy implements core.Env from the link's carrier sense.
+func (e *hostEnv) ChannelBusy() (bool, error) { return e.link.Busy(), nil }
 
 // Deliver implements core.Env.
-func (e *liveEnv) Deliver(msg core.AppMessage) {
-	h := e.handle()
+func (e *hostEnv) Deliver(msg core.AppMessage) {
+	h := e.host()
 	h.mu.Lock()
 	h.msgs = append(h.msgs, msg)
 	fn := h.onMsg
@@ -479,13 +381,13 @@ func (e *liveEnv) Deliver(msg core.AppMessage) {
 }
 
 // StreamDone implements core.Env.
-func (e *liveEnv) StreamDone(ev core.StreamEvent) {
-	h := e.handle()
+func (e *hostEnv) StreamDone(ev core.StreamEvent) {
+	h := e.host()
 	h.mu.Lock()
-	h.events2 = append(h.events2, ev)
+	h.streams = append(h.streams, ev)
 	h.mu.Unlock()
 }
 
-// Rand implements core.Env. It runs only inside the node's loop, so the
+// Rand implements core.Env. It runs only inside the host's loop, so the
 // unsynchronized source is safe.
-func (e *liveEnv) Rand() float64 { return e.handle().rng.Float64() }
+func (e *hostEnv) Rand() float64 { return e.rng.Float64() }

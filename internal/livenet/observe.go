@@ -1,0 +1,148 @@
+package livenet
+
+import (
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/pprof"
+	"sync"
+	"time"
+
+	"repro/internal/health"
+	"repro/internal/metrics"
+)
+
+// view is what an observer watches: one host, or a hub's worth of them.
+type view interface {
+	// hosts lists the hosts the health monitor snapshots.
+	hosts() []*Host
+	// export is the /metrics body before the health.* instruments.
+	export() *metrics.Registry
+	// describe adds the view's own fields to a /healthz answer.
+	describe(v map[string]any)
+}
+
+// observer is the observability a host or hub carries when its Config
+// asks for it: the /metrics + /healthz listener and the health monitor's
+// polling loop. With neither configured it is inert.
+type observer struct {
+	clock  clock
+	view   view
+	health *health.Monitor // nil unless Config.HealthInterval is positive
+	lis    net.Listener    // nil unless Config.MetricsAddr is set
+	srv    *http.Server
+
+	stop chan struct{}
+	wg   sync.WaitGroup
+}
+
+// observe starts what cfg asks for. The listener is bound before anything
+// else starts, so a bad MetricsAddr fails with nothing left running.
+func observe(cfg Config, clk clock, v view) (*observer, error) {
+	o := &observer{clock: clk, view: v, stop: make(chan struct{})}
+	if cfg.HealthInterval > 0 {
+		o.health = health.New(health.Config{
+			Interval: cfg.HealthInterval,
+			Tracer:   cfg.Node.Tracer,
+		}, o.healthSource)
+	}
+	if cfg.MetricsAddr != "" {
+		if err := o.serveMetrics(cfg.MetricsAddr, cfg.Pprof); err != nil {
+			return nil, err
+		}
+	}
+	if o.health != nil {
+		o.wg.Add(1)
+		go o.healthLoop(clk.wall(cfg.HealthInterval))
+	}
+	return o, nil
+}
+
+// close stops the listener and the polling loop and waits for the loop.
+func (o *observer) close() {
+	close(o.stop)
+	if o.srv != nil {
+		o.srv.Close()
+	}
+	o.wg.Wait()
+}
+
+// addr returns the metrics listener's address, "" when disabled.
+func (o *observer) addr() string {
+	if o.lis == nil {
+		return ""
+	}
+	return o.lis.Addr().String()
+}
+
+// healthLoop polls the monitor on the (time-scaled) wall clock until the
+// observer closes.
+func (o *observer) healthLoop(every time.Duration) {
+	defer o.wg.Done()
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-o.stop:
+			return
+		case <-t.C:
+			o.health.Poll(o.clock.now())
+		}
+	}
+}
+
+// healthSource snapshots every watched host for the monitor.
+func (o *observer) healthSource() []health.NodeStatus {
+	var out []health.NodeStatus
+	for _, h := range o.view.hosts() {
+		out = append(out, h.status())
+	}
+	return out
+}
+
+// metrics is the /metrics view: what the view exports plus, when the
+// monitor runs, the health.* instruments. Registries are safe to read
+// while the event loops run, so a scrape never blocks the mesh.
+func (o *observer) metrics() *metrics.Registry {
+	reg := o.view.export()
+	if o.health == nil {
+		return reg
+	}
+	agg := metrics.NewRegistry()
+	agg.Merge("", reg)
+	agg.Merge("", o.health.Metrics())
+	return agg
+}
+
+// serveMetrics starts the /metrics and /healthz listener.
+func (o *observer) serveMetrics(addr string, profiling bool) error {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("livenet: metrics listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler(o.metrics))
+	mux.Handle("/healthz", metrics.HealthHandler(func() map[string]any {
+		v := map[string]any{"status": "ok"}
+		if o.health != nil {
+			// The monitor's verdict IS the liveness answer: a mesh with
+			// loops or silent nodes is not "ok" just because the process
+			// responds.
+			v = o.health.Verdict()
+		}
+		o.view.describe(v)
+		v["uptime"] = time.Since(o.clock.start).String()
+		return v
+	}))
+	if profiling {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	o.lis = lis
+	o.srv = &http.Server{Handler: mux}
+	go o.srv.Serve(lis)
+	return nil
+}

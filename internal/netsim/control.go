@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
+	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/health"
 	"repro/internal/packet"
@@ -51,7 +52,7 @@ type ControllerConfig struct {
 // (Config.HealthInterval), since the recovery playbooks are driven by
 // its violation feed. One controller per simulation.
 func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error) {
-	if s.Cfg.Protocol != KindMesher {
+	if s.Cfg.Protocol != forward.KindProactive {
 		return nil, fmt.Errorf("netsim: the controller requires the mesher protocol")
 	}
 	if s.Health == nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/forward"
 	"repro/internal/icn"
 	"repro/internal/loraphy"
 	"repro/internal/packet"
@@ -25,7 +26,7 @@ import (
 func (s *Sim) buildEngine(h *Handle) error {
 	addr := h.Addr
 	switch s.Cfg.Protocol {
-	case KindMesher:
+	case forward.KindProactive:
 		nc := s.Cfg.Node
 		nc.Address = addr
 		nc.Tracer = s.Tracer
@@ -64,7 +65,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Proto = n
 		h.Mesher = n
 		h.env.phy = n.Config().Phy
-	case KindFlooding:
+	case forward.KindFlooding:
 		fc := s.Cfg.Flood
 		fc.Address = addr
 		n, err := baseline.NewNode(fc, h.env)
@@ -74,7 +75,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Proto = n
 		h.Mesher = nil
 		h.env.phy = s.Cfg.Node.EffectivePhy()
-	case KindReactive:
+	case forward.KindReactive:
 		rc := s.Cfg.Reactive
 		rc.Address = addr
 		n, err := reactive.NewNode(rc, h.env)
@@ -84,7 +85,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Proto = n
 		h.Mesher = nil
 		h.env.phy = s.Cfg.Node.EffectivePhy()
-	case KindICN:
+	case forward.KindICN:
 		ic := s.Cfg.ICN
 		ic.Address = addr
 		ic.Tracer = s.Tracer
@@ -107,7 +108,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.ICN = n
 		h.Mesher = nil
 		h.env.phy = ic.Phy
-	case KindSlotted:
+	case forward.KindSlotted:
 		sc := s.Cfg.Slotted
 		nc := s.Cfg.Node
 		nc.Address = addr
@@ -129,7 +130,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = n.Node
 		h.env.phy = n.Config().Phy
 	default:
-		return fmt.Errorf("netsim: unknown protocol %d", s.Cfg.Protocol)
+		return fmt.Errorf("netsim: unknown protocol %q", s.Cfg.Protocol)
 	}
 	return nil
 }

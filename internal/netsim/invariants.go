@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/forward"
 	"repro/internal/health"
 )
 
@@ -92,7 +93,7 @@ func (s *Sim) CheckInvariants() error {
 // always-on monitor runs the same detection continuously at runtime;
 // this method is the test-time entry point over the same code.
 func (s *Sim) CheckRoutingLoops() error {
-	if s.Cfg.Protocol != KindMesher {
+	if s.Cfg.Protocol != forward.KindProactive {
 		return nil
 	}
 	var errs []error

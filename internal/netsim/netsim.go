@@ -34,126 +34,42 @@ import (
 // reproducible and timestamps readable.
 var Epoch = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 
-// ProtocolKind selects which engine the simulation runs.
-type ProtocolKind int
-
-// Supported protocols.
-const (
-	// KindMesher runs the LoRaMesher distance-vector engine.
-	KindMesher ProtocolKind = iota + 1
-	// KindFlooding runs the controlled-flooding baseline.
-	KindFlooding
-	// KindReactive runs the AODV-style on-demand baseline.
-	KindReactive
-	// KindICN runs the named-data pub-sub strategy with in-mesh caching.
-	KindICN
-	// KindSlotted runs the distance-vector engine under the TDMA-like
-	// slotted transmit schedule (real-time mode).
-	KindSlotted
-)
-
-// StrategyKind maps a simulation protocol selection to its
-// forwarding-strategy identifier (see internal/forward), and back via
-// KindForStrategy.
-func (k ProtocolKind) StrategyKind() forward.Kind {
-	switch k {
-	case KindMesher:
-		return forward.KindProactive
-	case KindFlooding:
-		return forward.KindFlooding
-	case KindReactive:
-		return forward.KindReactive
-	case KindICN:
-		return forward.KindICN
-	case KindSlotted:
-		return forward.KindSlotted
-	}
-	return ""
-}
-
-// KindForStrategy maps a forwarding-strategy identifier to the protocol
-// kind that runs it, reporting false for unknown strategies.
-func KindForStrategy(k forward.Kind) (ProtocolKind, bool) {
-	switch k {
-	case forward.KindProactive:
-		return KindMesher, true
-	case forward.KindFlooding:
-		return KindFlooding, true
-	case forward.KindReactive:
-		return KindReactive, true
-	case forward.KindICN:
-		return KindICN, true
-	case forward.KindSlotted:
-		return KindSlotted, true
-	}
-	return 0, false
-}
-
-// Protocol is the engine surface every forwarding strategy implements
-// (see internal/forward.Strategy — this is the same contract minus the
-// strategy-identity methods, kept as a local interface so hosts compile
-// against exactly what they drive).
-type Protocol interface {
-	Start() error
-	Stop()
-	Send(dst packet.Address, payload []byte) error
-	HandleFrame(frame []byte, info core.RxInfo)
-	HandleTxDone()
-	Address() packet.Address
-	Metrics() *metrics.Registry
-}
-
-var (
-	_ Protocol = (*core.Node)(nil)
-	_ Protocol = (*baseline.Node)(nil)
-	_ Protocol = (*reactive.Node)(nil)
-	_ Protocol = (*icn.Node)(nil)
-	_ Protocol = (*slotted.Node)(nil)
-
-	// Every engine also satisfies the full strategy API.
-	_ forward.Strategy = (*core.Node)(nil)
-	_ forward.Strategy = (*baseline.Node)(nil)
-	_ forward.Strategy = (*reactive.Node)(nil)
-	_ forward.Strategy = (*icn.Node)(nil)
-	_ forward.Strategy = (*slotted.Node)(nil)
-)
-
 // Config describes a simulation.
 type Config struct {
 	// Topology gives node positions; required.
 	Topology *geo.Topology
 	// Medium tunes the channel model (path loss, shadowing, capture).
 	Medium airmedium.Config
-	// Protocol selects the engine; zero means KindMesher.
-	Protocol ProtocolKind
+	// Protocol selects the engine; empty means forward.KindProactive.
+	Protocol forward.Kind
 	// Node is the LoRaMesher configuration template; the address field
 	// is assigned per node.
 	Node core.Config
 	// NodeOverride, when set, customizes node i's configuration after
 	// the template (e.g. give node 0 the sink role).
 	NodeOverride func(i int, cfg core.Config) core.Config
-	// Flood is the baseline configuration template (KindFlooding).
+	// Flood is the baseline configuration template (forward.KindFlooding).
 	Flood baseline.Config
-	// Reactive is the on-demand baseline template (KindReactive).
+	// Reactive is the on-demand baseline template (forward.KindReactive).
 	Reactive reactive.Config
-	// ICN is the named-data strategy template (KindICN); the address is
+	// ICN is the named-data strategy template (forward.KindICN); the address is
 	// assigned per node and a zero Phy inherits Node's effective PHY so
 	// all strategies share one radio profile.
 	ICN icn.Config
-	// ICNProduce, when set under KindICN, makes node i a producer: it is
+	// ICNProduce, when set under forward.KindICN, makes node i a producer: it is
 	// called with the node index and the requested content name and
 	// returns the content (nil = node i does not produce that name). It
 	// overrides ICN.Produce, which cannot be per-node.
 	ICNProduce func(i int, name string) []byte
-	// Slotted is the slotted-strategy template (KindSlotted): the
+	// Slotted is the slotted-strategy template (forward.KindSlotted): the
 	// superframe (typically control.State.Slotted from a desired-state
 	// document), sink, and beacon period. Its Core field is ignored —
-	// Node is the engine template, exactly as under KindMesher.
+	// Node is the engine template, exactly as under forward.KindProactive.
 	Slotted slotted.Config
 	// BaseAddress is node 0's address; node i gets BaseAddress+i.
 	// Zero means 0x0001.
 	BaseAddress packet.Address
-	// SecKey, when set, secures the mesh (KindMesher only): every node
+	// SecKey, when set, secures the mesh (forward.KindProactive only): every node
 	// gets a meshsec link derived from this network key. The link lives
 	// on the Handle, not the engine, so crash/restart cycles keep the
 	// node's frame counter monotonic and never reuse a nonce.
@@ -196,15 +112,15 @@ type Handle struct {
 	// Station is the node's medium endpoint.
 	Station airmedium.StationID
 	// Proto is the protocol engine.
-	Proto Protocol
+	Proto forward.Strategy
 	// Mesher is the engine as a *core.Node: the engine itself under
-	// KindMesher, the embedded core engine under KindSlotted, nil for
+	// forward.KindProactive, the embedded core engine under forward.KindSlotted, nil for
 	// the table-free strategies (flooding, reactive, ICN).
 	Mesher *core.Node
-	// ICN is the engine as an *icn.Node, nil except under KindICN.
+	// ICN is the engine as an *icn.Node, nil except under forward.KindICN.
 	ICN *icn.Node
 	// Slotted is the engine as a *slotted.Node, nil except under
-	// KindSlotted.
+	// forward.KindSlotted.
 	Slotted *slotted.Node
 	// Msgs collects application deliveries.
 	Msgs []core.AppMessage
@@ -311,8 +227,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Topology == nil || cfg.Topology.N() == 0 {
 		return nil, fmt.Errorf("netsim: config needs a non-empty topology")
 	}
-	if cfg.Protocol == 0 {
-		cfg.Protocol = KindMesher
+	if cfg.Protocol == "" {
+		cfg.Protocol = forward.KindProactive
 	}
 	if cfg.BaseAddress == 0 {
 		cfg.BaseAddress = 0x0001
@@ -327,7 +243,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Medium.Seed == 0 {
 		cfg.Medium.Seed = cfg.Seed
 	}
-	if cfg.SecKey != nil && cfg.Protocol != KindMesher {
+	if cfg.SecKey != nil && cfg.Protocol != forward.KindProactive {
 		return nil, fmt.Errorf("netsim: security requires the mesher protocol")
 	}
 
@@ -508,11 +424,11 @@ func (s *Sim) Move(i int, pos geo.Point) error {
 }
 
 // Converged reports whether every live routing node has a usable route
-// to every other live node (KindMesher and KindSlotted — the strategies
+// to every other live node (forward.KindProactive and forward.KindSlotted — the strategies
 // with a distance-vector table). For the table-free strategies it is
 // trivially true.
 func (s *Sim) Converged() bool {
-	if s.Cfg.Protocol != KindMesher && s.Cfg.Protocol != KindSlotted {
+	if s.Cfg.Protocol != forward.KindProactive && s.Cfg.Protocol != forward.KindSlotted {
 		return true
 	}
 	for _, a := range s.handles {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/packet"
 	"repro/internal/routing"
@@ -44,7 +45,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Topology: topo, BaseAddress: 0xFFFE}); err == nil {
 		t.Error("address collision with broadcast: want error")
 	}
-	if _, err := New(Config{Topology: topo, Protocol: ProtocolKind(99)}); err == nil {
+	if _, err := New(Config{Topology: topo, Protocol: "bogus"}); err == nil {
 		t.Error("unknown protocol: want error")
 	}
 }
@@ -171,7 +172,7 @@ func TestFloodingProtocolOnPHY(t *testing.T) {
 	topo := mustLine(t, 4, 8000)
 	sim, err := New(Config{
 		Topology: topo,
-		Protocol: KindFlooding,
+		Protocol: forward.KindFlooding,
 		Flood:    baseline.Config{TTL: 6},
 		Seed:     5,
 	})
@@ -567,7 +568,7 @@ func TestReactiveProtocolOnPHY(t *testing.T) {
 	topo := mustLine(t, 4, 8000)
 	sim, err := New(Config{
 		Topology: topo,
-		Protocol: KindReactive,
+		Protocol: forward.KindReactive,
 		Seed:     31,
 	})
 	if err != nil {
@@ -588,7 +589,7 @@ func TestReactiveProtocolOnPHY(t *testing.T) {
 
 func TestInvariantsAllProtocols(t *testing.T) {
 	topo := mustLine(t, 3, 8000)
-	for _, kind := range []ProtocolKind{KindMesher, KindFlooding, KindReactive} {
+	for _, kind := range []forward.Kind{forward.KindProactive, forward.KindFlooding, forward.KindReactive} {
 		sim, err := New(Config{Topology: topo, Protocol: kind, Node: fastNode(), Seed: 32})
 		if err != nil {
 			t.Fatal(err)
@@ -596,7 +597,7 @@ func TestInvariantsAllProtocols(t *testing.T) {
 		_ = sim.Handle(0).Proto.Send(sim.Handle(2).Addr, []byte("x"))
 		sim.Run(10 * time.Minute)
 		if err := sim.CheckInvariants(); err != nil {
-			t.Errorf("protocol %d invariants:\n%v", kind, err)
+			t.Errorf("protocol %s invariants:\n%v", kind, err)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func TestICNRetrievalOnChain(t *testing.T) {
 	// breadcrumbs back, being cached at every hop.
 	topo := mustLine(t, 4, 8000)
 	sim, err := New(Config{
-		Topology: topo, Protocol: KindICN, ICN: icnConfig(), Seed: 1,
+		Topology: topo, Protocol: forward.KindICN, ICN: icnConfig(), Seed: 1,
 		ICNProduce: func(i int, name string) []byte {
 			if i == 3 {
 				return icnContent(name)
@@ -91,7 +91,7 @@ func TestICNAggregationAndCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim, err := New(Config{
-		Topology: topo, Protocol: KindICN, ICN: icnConfig(), Seed: 3,
+		Topology: topo, Protocol: forward.KindICN, ICN: icnConfig(), Seed: 3,
 		ICNProduce: func(i int, name string) []byte {
 			if i == 0 {
 				return icnContent(name)
@@ -185,7 +185,7 @@ func TestICNCorrectUnderChaosAcrossSeeds(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			topo := mustLine(t, 5, 8000)
 			sim, err := New(Config{
-				Topology: topo, Protocol: KindICN, ICN: icnConfig(), Seed: seed,
+				Topology: topo, Protocol: forward.KindICN, ICN: icnConfig(), Seed: seed,
 				ICNProduce: func(i int, name string) []byte {
 					if i == 4 {
 						return icnContent(name)
@@ -242,7 +242,7 @@ func TestICNReplayByteIdentical(t *testing.T) {
 	run := func(seed int64) []byte {
 		topo := mustLine(t, 5, 8000)
 		sim, err := New(Config{
-			Topology: topo, Protocol: KindICN, ICN: icnConfig(), Seed: seed,
+			Topology: topo, Protocol: forward.KindICN, ICN: icnConfig(), Seed: seed,
 			TraceCapacity: 64,
 			ICNProduce: func(i int, name string) []byte {
 				if i == 4 {
@@ -302,7 +302,7 @@ func TestSlottedMeetsLatencyBound(t *testing.T) {
 	topo := mustLine(t, 3, 8000)
 	sf := testSuperframe()
 	sim, err := New(Config{
-		Topology: topo, Protocol: KindSlotted, Node: fastNode(),
+		Topology: topo, Protocol: forward.KindSlotted, Node: fastNode(),
 		Slotted:          slotted.Config{Superframe: sf, Sink: 0x0001},
 		Seed:             5,
 		HealthInterval:   time.Minute,
@@ -345,7 +345,7 @@ func TestSlottedLatencyBoundViolationDetected(t *testing.T) {
 	// monitor has to flag violations.
 	topo := mustLine(t, 3, 8000)
 	sim, err := New(Config{
-		Topology: topo, Protocol: KindSlotted, Node: fastNode(),
+		Topology: topo, Protocol: forward.KindSlotted, Node: fastNode(),
 		Slotted:          slotted.Config{Superframe: testSuperframe(), Sink: 0x0001},
 		Seed:             5,
 		HealthInterval:   time.Minute,
@@ -371,7 +371,7 @@ func TestSlottedReplayByteIdentical(t *testing.T) {
 	run := func(seed int64) []byte {
 		topo := mustLine(t, 4, 8000)
 		sim, err := New(Config{
-			Topology: topo, Protocol: KindSlotted, Node: fastNode(),
+			Topology: topo, Protocol: forward.KindSlotted, Node: fastNode(),
 			Slotted:       slotted.Config{Superframe: testSuperframe(), Sink: 0x0001},
 			Seed:          seed,
 			TraceCapacity: 64,
@@ -404,22 +404,6 @@ func TestSlottedReplayByteIdentical(t *testing.T) {
 	}
 }
 
-func TestStrategyKindRoundTrip(t *testing.T) {
-	for _, k := range []ProtocolKind{KindMesher, KindFlooding, KindReactive, KindICN, KindSlotted} {
-		fk := k.StrategyKind()
-		if fk == "" {
-			t.Fatalf("kind %d has no strategy name", k)
-		}
-		back, ok := KindForStrategy(fk)
-		if !ok || back != k {
-			t.Errorf("round trip %d -> %q -> %d (ok=%v)", k, fk, back, ok)
-		}
-	}
-	if _, ok := KindForStrategy(forward.Kind("bogus")); ok {
-		t.Error("bogus strategy resolved to a protocol kind")
-	}
-}
-
 func TestStrategyKindsExposedByEngines(t *testing.T) {
 	// Every built engine must self-report the strategy the config asked
 	// for — the dispatch contract X7's four-way shoot-out relies on.
@@ -428,11 +412,11 @@ func TestStrategyKindsExposedByEngines(t *testing.T) {
 		cfg  Config
 		want forward.Kind
 	}{
-		{Config{Topology: topo, Protocol: KindMesher, Node: fastNode()}, forward.KindProactive},
-		{Config{Topology: topo, Protocol: KindFlooding}, forward.KindFlooding},
-		{Config{Topology: topo, Protocol: KindReactive}, forward.KindReactive},
-		{Config{Topology: topo, Protocol: KindICN, ICN: icnConfig()}, forward.KindICN},
-		{Config{Topology: topo, Protocol: KindSlotted, Node: fastNode(),
+		{Config{Topology: topo, Protocol: forward.KindProactive, Node: fastNode()}, forward.KindProactive},
+		{Config{Topology: topo, Protocol: forward.KindFlooding}, forward.KindFlooding},
+		{Config{Topology: topo, Protocol: forward.KindReactive}, forward.KindReactive},
+		{Config{Topology: topo, Protocol: forward.KindICN, ICN: icnConfig()}, forward.KindICN},
+		{Config{Topology: topo, Protocol: forward.KindSlotted, Node: fastNode(),
 			Slotted: slotted.Config{Superframe: testSuperframe(), Sink: 0x0001}}, forward.KindSlotted},
 	}
 	for _, tc := range cases {
@@ -441,12 +425,8 @@ func TestStrategyKindsExposedByEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tc.want, err)
 		}
-		st, ok := sim.Handle(0).Proto.(forward.Strategy)
-		if !ok {
-			t.Fatalf("%v: engine does not implement forward.Strategy", tc.want)
-		}
-		if st.Kind() != tc.want {
-			t.Errorf("engine kind = %v, want %v", st.Kind(), tc.want)
+		if got := sim.Handle(0).Proto.Kind(); got != tc.want {
+			t.Errorf("engine kind = %v, want %v", got, tc.want)
 		}
 	}
 }

@@ -113,14 +113,12 @@ type Node struct {
 	stopped bool
 
 	routes      map[packet.Address]routeEntry
-	seen        map[reqKey]struct{}
-	seenFIFO    []reqKey
+	seen        forward.SeenSet[reqKey]
 	nextReqID   uint16
 	discoveries map[packet.Address]*discovery
 	pending     map[packet.Address][][]byte
 
-	queue        []*packet.Packet
-	transmitting bool
+	tx *forward.TxQueue
 }
 
 // NewNode creates a reactive node on the given env.
@@ -131,14 +129,16 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	if cfg.Address == packet.Broadcast {
 		return nil, fmt.Errorf("reactive: node address must not be broadcast")
 	}
+	reg := metrics.NewRegistry()
 	return &Node{
 		cfg:         cfg.withDefaults(),
 		env:         env,
-		reg:         metrics.NewRegistry(),
+		reg:         reg,
 		routes:      make(map[packet.Address]routeEntry),
-		seen:        make(map[reqKey]struct{}),
+		seen:        forward.SeenSet[reqKey]{Cap: 512},
 		discoveries: make(map[packet.Address]*discovery),
 		pending:     make(map[packet.Address][][]byte),
+		tx:          forward.NewTxQueue(env, reg),
 	}, nil
 }
 
@@ -181,6 +181,7 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
+	n.tx.Stop()
 	for _, d := range n.discoveries {
 		if d.cancel != nil {
 			d.cancel()
@@ -202,7 +203,7 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 	}
 	n.reg.Counter("app.sent").Inc()
 	if dst == packet.Broadcast {
-		n.enqueue(&packet.Packet{
+		n.tx.Enqueue(&packet.Packet{
 			Dst: dst, Src: n.cfg.Address, Type: packet.TypeData,
 			Via: packet.Broadcast, Payload: append([]byte(nil), payload...),
 		}, 0)
@@ -247,7 +248,7 @@ func (n *Node) learnRoute(dst, next packet.Address, hops uint8) {
 
 // sendData enqueues a routed datagram.
 func (n *Node) sendData(dst, via packet.Address, payload []byte) {
-	n.enqueue(&packet.Packet{
+	n.tx.Enqueue(&packet.Packet{
 		Dst: dst, Src: n.cfg.Address, Type: packet.TypeData,
 		Via: via, Payload: append([]byte(nil), payload...),
 	}, 0)
@@ -259,7 +260,7 @@ func (n *Node) startDiscovery(dst packet.Address) {
 	n.nextReqID++
 	d := &discovery{target: dst, id: id}
 	n.discoveries[dst] = d
-	n.remember(reqKey{origin: n.cfg.Address, id: id})
+	n.seen.Remember(reqKey{origin: n.cfg.Address, id: id})
 	n.floodRReq(dst, id, 0, n.cfg.Address)
 	n.reg.Counter("discovery.started").Inc()
 	n.armDiscovery(d)
@@ -286,7 +287,7 @@ func (n *Node) discoveryTimeout(d *discovery) {
 	id := n.nextReqID
 	n.nextReqID++
 	d.id = id
-	n.remember(reqKey{origin: n.cfg.Address, id: id})
+	n.seen.Remember(reqKey{origin: n.cfg.Address, id: id})
 	n.floodRReq(d.target, id, 0, n.cfg.Address)
 	n.armDiscovery(d)
 }
@@ -297,7 +298,7 @@ func (n *Node) floodRReq(target packet.Address, id uint16, hopCount uint8, prevH
 	binary.BigEndian.PutUint16(payload[0:2], id)
 	payload[2] = hopCount
 	binary.BigEndian.PutUint16(payload[3:5], uint16(prevHop))
-	n.enqueue(&packet.Packet{
+	n.tx.Enqueue(&packet.Packet{
 		Dst: target, Src: n.cfg.Address, Type: packet.TypeRouteRequest, Payload: payload,
 	}, 0)
 	n.reg.Counter("rreq.sent").Inc()
@@ -348,11 +349,10 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	hopCount := p.Payload[2]
 	prevHop := packet.Address(binary.BigEndian.Uint16(p.Payload[3:5]))
 	key := reqKey{origin: p.Src, id: id}
-	if n.isSeen(key) {
+	if n.seen.Remember(key) {
 		n.reg.Counter("rreq.duplicate").Inc()
 		return
 	}
-	n.remember(key)
 	n.learnRoute(p.Src, prevHop, hopCount+1)
 
 	if p.Dst == n.cfg.Address {
@@ -371,7 +371,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	payload[2] = hopCount + 1
 	binary.BigEndian.PutUint16(payload[3:5], uint16(n.cfg.Address))
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay))
-	n.enqueue(&packet.Packet{
+	n.tx.Enqueue(&packet.Packet{
 		Dst: p.Dst, Src: p.Src, Type: packet.TypeRouteRequest, Payload: payload,
 	}, delay)
 	n.reg.Counter("rreq.relayed").Inc()
@@ -383,7 +383,7 @@ func (n *Node) sendRRep(origin, via packet.Address, id uint16) {
 	binary.BigEndian.PutUint16(payload[0:2], id)
 	payload[2] = 0
 	binary.BigEndian.PutUint16(payload[3:5], uint16(n.cfg.Address))
-	n.enqueue(&packet.Packet{
+	n.tx.Enqueue(&packet.Packet{
 		Dst: origin, Src: n.cfg.Address, Type: packet.TypeRouteReply,
 		Via: via, Payload: payload,
 	}, 0)
@@ -429,7 +429,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	fwd.Via = r.next
 	fwd.Payload[2] = hopCount + 1
 	binary.BigEndian.PutUint16(fwd.Payload[3:5], uint16(n.cfg.Address))
-	n.enqueue(fwd, 0)
+	n.tx.Enqueue(fwd, 0)
 	n.reg.Counter("rrep.forwarded").Inc()
 }
 
@@ -452,66 +452,9 @@ func (n *Node) handleData(p *packet.Packet) {
 	}
 	fwd := p.Clone()
 	fwd.Via = r.next
-	n.enqueue(fwd, 0)
+	n.tx.Enqueue(fwd, 0)
 	n.reg.Counter("fwd.frames").Inc()
 }
 
-// isSeen / remember implement the bounded RREQ dedup set.
-func (n *Node) isSeen(k reqKey) bool {
-	_, ok := n.seen[k]
-	return ok
-}
-
-func (n *Node) remember(k reqKey) {
-	if _, ok := n.seen[k]; ok {
-		return
-	}
-	n.seen[k] = struct{}{}
-	n.seenFIFO = append(n.seenFIFO, k)
-	if len(n.seenFIFO) > 512 {
-		old := n.seenFIFO[0]
-		n.seenFIFO = n.seenFIFO[1:]
-		delete(n.seen, old)
-	}
-}
-
-// enqueue schedules a packet for transmission after delay.
-func (n *Node) enqueue(p *packet.Packet, delay time.Duration) {
-	if delay > 0 {
-		n.env.Schedule(delay, func() { n.enqueue(p, 0) })
-		return
-	}
-	n.queue = append(n.queue, p)
-	n.pump()
-}
-
-func (n *Node) pump() {
-	if n.stopped || n.transmitting || len(n.queue) == 0 {
-		return
-	}
-	p := n.queue[0]
-	n.queue[0] = nil
-	n.queue = n.queue[1:]
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		n.reg.Counter("drop.marshal").Inc()
-		n.pump()
-		return
-	}
-	if _, err := n.env.Transmit(frame); err != nil {
-		n.reg.Counter("drop.txerror").Inc()
-		return
-	}
-	n.transmitting = true
-	n.reg.Counter("tx.frames").Inc()
-	n.reg.Counter("tx.bytes").Add(uint64(len(frame)))
-}
-
 // HandleTxDone resumes the transmit queue.
-func (n *Node) HandleTxDone() {
-	if n.stopped {
-		return
-	}
-	n.transmitting = false
-	n.pump()
-}
+func (n *Node) HandleTxDone() { n.tx.TxDone() }

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/airmedium"
 	"repro/internal/baseline"
+	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/loraphy"
 	"repro/internal/netsim"
@@ -48,9 +49,9 @@ type (
 // Protocol selection for Config.Protocol.
 const (
 	// KindMesher runs the LoRaMesher distance-vector engine (default).
-	KindMesher = netsim.KindMesher
+	KindMesher = forward.KindProactive
 	// KindFlooding runs the controlled-flooding baseline.
-	KindFlooding = netsim.KindFlooding
+	KindFlooding = forward.KindFlooding
 )
 
 // ChannelConfig tunes the simulated medium (path loss, shadowing,

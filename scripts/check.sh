@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the local quality gate: format, vet, (optionally) staticcheck,
-# build, full tests, a race pass over the packages with real concurrency
-# (live harness, metrics instruments, tracer, gateway bridge), and the
-# coverage ratchet. CI and contributors run exactly this.
+# build, full tests, the same tests under the race detector, the
+# benchmark's smoke test, two end-to-end CLI smokes, and the coverage
+# ratchet. CI and contributors run exactly this.
 #
 # staticcheck and govulncheck run when their binaries are on PATH (CI
 # installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -36,29 +36,23 @@ echo "==> go build"
 go build ./...
 echo "==> go test"
 go test -coverprofile=coverage.out ./...
-echo "==> go test -race (concurrent packages)"
-# netsim and experiments are here for the parallel sweep runner: worker
-# goroutines evaluate independent Sims concurrently, so hidden shared
-# state between Sims is a race, not just a determinism bug.
-# meshsec is in the race list because one Link is shared by a node's
-# engine and its host (gateway rekey, handle counters); faults rides
-# along for the injector its plans arm across the live harness.
-# span and health are here because their recorder/monitor are written
-# from engine goroutines and read by scrape/verdict endpoints.
-# control is here because the live deployment (meshgw) drives Poll from
-# a wall-clock ticker goroutine while acks arrive on the host's event
-# loop — the controller's lock discipline is load-bearing, not theory.
-# citysim is here for the shard barrier: persistent shard goroutines
-# exchange outboxes and the merged window list through channel handoffs,
-# and the read-only-during-phases discipline on cell tx-indexes is
-# exactly the kind of invariant the race detector checks.
-# meshload is here because the load harness runs a gateway fleet, an
-# HTTP backend, and the drain poller concurrently in one process.
-# forward, icn, and slotted are here because the strategy engines run
-# inside netsim's parallel sweep workers (X7 evaluates independent Sims
-# concurrently) and on the live harness's engine goroutines — shared
-# state between two strategy instances is a race, not a design choice.
-go test -race ./internal/livenet/... ./internal/metrics/... ./internal/trace/... ./internal/udpnet/... ./internal/gateway/... ./internal/netsim/... ./internal/experiments/... ./internal/meshsec/... ./internal/faults/... ./internal/span/... ./internal/health/... ./internal/control/... ./internal/citysim/... ./internal/forward/... ./internal/icn/... ./internal/slotted/... ./cmd/meshgw/... ./cmd/meshload/...
+echo "==> go test -race"
+# The whole tree, not a hand-kept list: a package that grows a goroutine
+# is covered the day it does. What the race detector is here to check:
+# the wall-clock runtime (livenet's event loops, links, and scrape
+# endpoints) and everything written from engine goroutines and read by
+# scrape/verdict endpoints (metrics, trace, span, health); independent
+# Sims evaluated concurrently by the parallel sweep runner, where hidden
+# shared state between Sims or strategy instances is a race, not just a
+# determinism bug; the controller's lock discipline under a wall-clock
+# ticker; citysim's shard barrier and its read-only-during-phases
+# tx-indexes; and the gateway fleet, HTTP backend, and drain poller
+# running in one process.
+go test -race ./...
+echo "==> bench smoke"
+# bench/ is a nested module the root's ./... does not see; its smoke
+# test runs every BENCHMARK.json workload at toy scale.
+(cd bench && go test ./...)
 echo "==> meshsim -control smoke"
 # End-to-end: the simulator reconciles toward a real desired-state
 # document and must report convergence — guards the CLI wiring (flag,
