@@ -131,7 +131,7 @@ func run(w io.Writer, o options) error {
 
 	// The gateway rides on the sink.
 	g, err := gateway.New(gateway.Config{
-		URL:           url,
+		URLs:          []string{url},
 		SpoolPath:     o.spool,
 		BatchSize:     o.batch,
 		FlushInterval: o.flush,

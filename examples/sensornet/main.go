@@ -82,7 +82,7 @@ func run(nodes, hours int, interval time.Duration, seed int64, stdout bool) erro
 		defer srv.Close()
 		url := "http://" + lis.Addr().String() + "/uplink"
 		gw, err = gateway.New(gateway.Config{
-			URL:           url,
+			URLs:          []string{url},
 			BatchSize:     16,
 			FlushInterval: time.Minute,
 			RetryBase:     10 * time.Second,

@@ -8,16 +8,13 @@
 // The collision model follows the LoRaSim family: two frames interact when
 // their airtimes overlap on the same carrier frequency; a frame survives an
 // interferer when its received power exceeds the interferer by the
-// spreading-factor-dependent capture threshold, or (optionally) when the
-// interferer ends before the frame's critical preamble section so the
-// receiver can still lock on.
+// spreading-factor-dependent capture threshold.
 package airmedium
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -57,22 +54,12 @@ type TxObserver interface {
 
 // Config tunes the channel model.
 type Config struct {
-	// PathLoss is the distance-dependent attenuation model. Nil means
-	// the default suburban log-distance fit.
-	PathLoss loraphy.PathLossModel
 	// ShadowSigmaDB adds static per-link log-normal shadowing.
 	ShadowSigmaDB float64
-	// LinkBudget holds transmit power and antenna gains. Zero value
-	// means the EU868 default (14 dBm, dipoles).
-	LinkBudget loraphy.LinkBudget
 	// ExtraFrameLossRate injects i.i.d. frame erasures per (frame,
 	// receiver) on top of the physical model, for controlled
 	// PER sweeps. Must be in [0,1).
 	ExtraFrameLossRate float64
-	// CaptureCriticalSection enables the preamble critical-section
-	// refinement: an interferer that ends before the frame's last
-	// preamble symbols does not destroy it.
-	CaptureCriticalSection bool
 	// SoftDecodingWidthDB widens the sensitivity threshold into a soft
 	// PER region: a frame whose SNR margin over the demodulation floor
 	// is within this many dB is lost with a probability that falls
@@ -80,34 +67,6 @@ type Config struct {
 	// matching LoRa's measured PER-vs-SNR curves. Zero keeps the hard
 	// threshold.
 	SoftDecodingWidthDB float64
-	// PathLossOverride, when set, replaces the geometric model for the
-	// ordered station pair (from, to) when it returns ok — testbed
-	// replay: feed measured per-link attenuations instead of positions.
-	// Pairs it declines fall back to the geometric model. Must be
-	// deterministic.
-	PathLossOverride func(from, to StationID) (lossDB float64, ok bool)
-	// MaxRangeMeters, when positive, enables the spatial cell index: the
-	// plane is partitioned into square cells of this side length and a
-	// transmission is evaluated only against stations in the 3x3 cell
-	// neighborhood of its sender; everything farther is accounted in bulk
-	// as below sensitivity. The caller owns the sizing contract: the value
-	// must be at least the largest distance at which any station can
-	// deliver OR interfere (loraphy.MaxRangeMeters plus a shadowing
-	// margin when ShadowSigmaDB > 0 — e.g. the range at maximum path loss
-	// plus ~4 sigma for a negligible tail). Delivery outcomes are then
-	// identical to the full scan; only the loss-bucket attribution of
-	// skipped stations is approximate (a far station is counted
-	// below-sensitivity when listening and not-listening otherwise, even
-	// if the full scan would have attributed it to a blocked link or an
-	// own overlapping transmission first — total losses are conserved).
-	//
-	// In indexed mode the dense per-pair loss cache is not allocated (it
-	// is O(n^2) memory — the reason demo-scale media cannot host a city);
-	// instead each sender caches its 3x3 candidate set and link budgets,
-	// invalidated per cell: moving one station bumps only the generation
-	// of the cells it left and entered, so senders whose neighborhoods do
-	// not overlap those cells keep warm caches.
-	MaxRangeMeters float64
 	// Seed drives shadowing and frame-erasure randomness.
 	Seed int64
 }
@@ -123,11 +82,6 @@ type Stats struct {
 	LostRandom           uint64
 	LostNotListening     uint64
 	AirtimeTotal         time.Duration
-	// NeighborhoodRebuilds counts sender candidate-cache rebuilds in
-	// indexed mode (Config.MaxRangeMeters > 0): how often a transmission
-	// found its cached 3x3 neighborhood stale. Flat across moves far from
-	// the sender is the per-cell invalidation working.
-	NeighborhoodRebuilds uint64
 }
 
 // station is one radio endpoint on the medium.
@@ -145,104 +99,6 @@ type station struct {
 	// for half-duplex checks and double-transmit detection.
 	txUntil time.Time
 	airtime time.Duration
-	// cellKey and nbr are live only in indexed mode (Config.MaxRangeMeters
-	// > 0): the station's current cell and its cached candidate set as a
-	// sender.
-	cellKey cellKey
-	nbr     nbrCache
-}
-
-// cellKey addresses one cell of the sparse spatial index. Stations have no
-// field bounds, so cells are keyed by quantized coordinates rather than
-// packed into a dense grid (contrast geo.CellGrid, used where bounds are
-// known).
-type cellKey struct{ cx, cy int32 }
-
-// nbrCache is a sender's memoized 3x3 candidate set: the stations any of
-// its transmissions could reach, with their link budgets. It is valid
-// while the sender stays in the same cell, the carrier frequency is
-// unchanged, and none of the nine neighborhood cells' generations moved.
-type nbrCache struct {
-	valid  bool
-	key    cellKey
-	freqHz float64
-	gens   [9]uint64
-	ids    []StationID // ascending, may include the sender itself
-	loss   []float64   // pathLoss(sender -> ids[i]) at freqHz
-}
-
-// cellIndex is the sparse cell grid: per-cell sorted membership plus a
-// per-cell generation counter. Any membership or position change inside a
-// cell bumps only that cell's generation, which lazily invalidates exactly
-// the sender caches whose 3x3 neighborhoods overlap it.
-type cellIndex struct {
-	size    float64
-	members map[cellKey][]StationID
-	gens    map[cellKey]uint64
-}
-
-func newCellIndex(size float64) *cellIndex {
-	return &cellIndex{
-		size:    size,
-		members: make(map[cellKey][]StationID),
-		gens:    make(map[cellKey]uint64),
-	}
-}
-
-func (ci *cellIndex) keyOf(p geo.Point) cellKey {
-	return cellKey{cx: int32(math.Floor(p.X / ci.size)), cy: int32(math.Floor(p.Y / ci.size))}
-}
-
-func (ci *cellIndex) add(id StationID, k cellKey) {
-	list := ci.members[k]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= id })
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = id
-	ci.members[k] = list
-	ci.gens[k]++
-}
-
-func (ci *cellIndex) remove(id StationID, k cellKey) {
-	list := ci.members[k]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= id })
-	if i < len(list) && list[i] == id {
-		ci.members[k] = append(list[:i], list[i+1:]...)
-	}
-	ci.gens[k]++
-}
-
-// forNeighborhood visits the nine neighborhood cell keys of k in a fixed
-// row-major order, so generation snapshots and candidate collection agree
-// on slot positions.
-func (ci *cellIndex) forNeighborhood(k cellKey, fn func(slot int, nk cellKey)) {
-	slot := 0
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			fn(slot, cellKey{cx: k.cx + dx, cy: k.cy + dy})
-			slot++
-		}
-	}
-}
-
-func (ci *cellIndex) snapshotGens(k cellKey, dst *[9]uint64) {
-	ci.forNeighborhood(k, func(slot int, nk cellKey) { dst[slot] = ci.gens[nk] })
-}
-
-func (ci *cellIndex) gensEqual(k cellKey, snap *[9]uint64) bool {
-	equal := true
-	ci.forNeighborhood(k, func(slot int, nk cellKey) {
-		if ci.gens[nk] != snap[slot] {
-			equal = false
-		}
-	})
-	return equal
-}
-
-func (ci *cellIndex) collect(k cellKey, dst []StationID) []StationID {
-	ci.forNeighborhood(k, func(_ int, nk cellKey) { dst = append(dst, ci.members[nk]...) })
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	return dst
 }
 
 // linkLoss is one cached link-budget entry for an ordered station pair.
@@ -264,24 +120,14 @@ type transmission struct {
 	params loraphy.Params
 }
 
-// criticalStart returns the instant from which the receiver needs a clean
-// channel to lock onto this frame: the last CriticalSectionSymbols of the
-// preamble.
-func (tx *transmission) criticalStart() time.Time {
-	sym := tx.params.SymbolTime()
-	lockWindow := time.Duration(loraphy.CriticalSectionSymbols) * sym
-	pre := tx.params.PreambleTime()
-	if lockWindow > pre {
-		lockWindow = pre
-	}
-	return tx.start.Add(pre - lockWindow)
-}
-
 // Medium is the shared channel. It is not safe for concurrent use; the
 // simulation drives it from the scheduler goroutine.
 type Medium struct {
-	sched    *simtime.Scheduler
-	cfg      Config
+	sched *simtime.Scheduler
+	cfg   Config
+	// budget and shadow's base model are the EU868 defaults (14 dBm,
+	// dipoles; suburban log-distance fit): no program runs another.
+	budget   loraphy.LinkBudget
 	shadow   loraphy.ShadowedModel
 	rng      *rand.Rand
 	stations []*station
@@ -296,17 +142,9 @@ type Medium struct {
 	// and reception is evaluated at every station per frame, so the
 	// log-distance/shadowing math dominates dense-network runs without
 	// it. Entries self-invalidate via station generations (bumped on
-	// SetPosition and Remove) rather than being cleared eagerly. Not
-	// allocated in indexed mode, where per-sender neighborhood caches
-	// replace it without the O(n^2) footprint.
+	// SetPosition and Remove) rather than being cleared eagerly.
 	lossCache [][]linkLoss
-	// cells is the spatial index, nil unless Config.MaxRangeMeters > 0.
-	// activeN / listeningN track non-removed and listening station counts
-	// for the bulk accounting of stations the index skips.
-	cells      *cellIndex
-	activeN    int
-	listeningN int
-	stats      Stats
+	stats     Stats
 }
 
 // New creates a medium on the given scheduler.
@@ -317,26 +155,13 @@ func New(sched *simtime.Scheduler, cfg Config) (*Medium, error) {
 	if cfg.ExtraFrameLossRate < 0 || cfg.ExtraFrameLossRate >= 1 {
 		return nil, fmt.Errorf("airmedium: ExtraFrameLossRate %v out of [0,1)", cfg.ExtraFrameLossRate)
 	}
-	if cfg.PathLoss == nil {
-		cfg.PathLoss = loraphy.DefaultLogDistance()
-	}
-	if cfg.LinkBudget == (loraphy.LinkBudget{}) {
-		cfg.LinkBudget = loraphy.DefaultLinkBudget()
-	}
-	if cfg.MaxRangeMeters < 0 {
-		return nil, fmt.Errorf("airmedium: MaxRangeMeters %v must be >= 0", cfg.MaxRangeMeters)
-	}
-	var cells *cellIndex
-	if cfg.MaxRangeMeters > 0 {
-		cells = newCellIndex(cfg.MaxRangeMeters)
-	}
 	return &Medium{
-		cells:   cells,
 		sched:   sched,
 		cfg:     cfg,
+		budget:  loraphy.DefaultLinkBudget(),
 		blocked: make(map[[2]StationID]bool),
 		shadow: loraphy.ShadowedModel{
-			Base:    cfg.PathLoss,
+			Base:    loraphy.DefaultLogDistance(),
 			SigmaDB: cfg.ShadowSigmaDB,
 			Seed:    uint64(cfg.Seed),
 		},
@@ -350,15 +175,7 @@ func (m *Medium) AddStation(pos geo.Point, rx Receiver) (StationID, error) {
 		return 0, fmt.Errorf("airmedium: nil receiver")
 	}
 	id := StationID(len(m.stations))
-	s := &station{id: id, pos: pos, rx: rx, listening: true}
-	m.stations = append(m.stations, s)
-	m.activeN++
-	m.listeningN++
-	if m.cells != nil {
-		s.cellKey = m.cells.keyOf(pos)
-		m.cells.add(id, s.cellKey)
-		return id, nil
-	}
+	m.stations = append(m.stations, &station{id: id, pos: pos, rx: rx, listening: true})
 	// Grow the loss matrix; fresh entries are zero-valued, i.e. invalid.
 	for i := range m.lossCache {
 		m.lossCache[i] = append(m.lossCache[i], linkLoss{})
@@ -387,18 +204,6 @@ func (m *Medium) SetPosition(id StationID, pos geo.Point) error {
 	}
 	s.pos = pos
 	s.gen++ // invalidate cached link budgets involving this station
-	if m.cells != nil {
-		nk := m.cells.keyOf(pos)
-		if nk != s.cellKey {
-			m.cells.remove(id, s.cellKey)
-			m.cells.add(id, nk)
-			s.cellKey = nk
-		} else {
-			// Same cell, but the link budgets to it changed: bump just
-			// this cell so only overlapping neighborhoods go cold.
-			m.cells.gens[s.cellKey]++
-		}
-	}
 	return nil
 }
 
@@ -418,13 +223,6 @@ func (m *Medium) SetListening(id StationID, on bool) error {
 	if err != nil {
 		return err
 	}
-	if !s.removed && s.listening != on {
-		if on {
-			m.listeningN++
-		} else {
-			m.listeningN--
-		}
-	}
 	s.listening = on
 	return nil
 }
@@ -435,15 +233,6 @@ func (m *Medium) Remove(id StationID) error {
 	s, err := m.station(id)
 	if err != nil {
 		return err
-	}
-	if !s.removed {
-		m.activeN--
-		if s.listening {
-			m.listeningN--
-		}
-		if m.cells != nil {
-			m.cells.remove(id, s.cellKey)
-		}
 	}
 	s.removed = true
 	s.listening = false
@@ -497,19 +286,13 @@ func (m *Medium) Transmit(id StationID, data []byte, params loraphy.Params) (tim
 }
 
 // finish runs at a frame's end-of-airtime: evaluate reception at every
-// station that could plausibly hear it (all of them in full-scan mode, the
-// sender's 3x3 cell neighborhood in indexed mode), deliver survivors,
-// notify the sender, and prune history.
+// other station, deliver survivors, notify the sender, and prune history.
 func (m *Medium) finish(tx *transmission) {
-	if m.cells != nil {
-		m.finishIndexed(tx)
-	} else {
-		for _, s := range m.stations {
-			if s.id == tx.from || s.removed {
-				continue
-			}
-			m.evaluate(tx, s)
+	for _, s := range m.stations {
+		if s.id == tx.from || s.removed {
+			continue
 		}
+		m.evaluate(tx, s)
 	}
 	if sender := m.stations[int(tx.from)]; !sender.removed {
 		if obs, ok := sender.rx.(TxObserver); ok {
@@ -517,63 +300,6 @@ func (m *Medium) finish(tx *transmission) {
 		}
 	}
 	m.prune()
-}
-
-// finishIndexed is finish for indexed mode: only the sender's cached 3x3
-// candidate set is visited; everything farther is below sensitivity by the
-// MaxRangeMeters contract and is accounted in bulk.
-func (m *Medium) finishIndexed(tx *transmission) {
-	sender := m.stations[int(tx.from)]
-	nb := m.refreshNeighborhood(sender, tx.params.FrequencyHz)
-	candActive, candListening := 0, 0
-	for _, id := range nb.ids {
-		if id == tx.from {
-			continue
-		}
-		s := m.stations[int(id)]
-		if s.removed {
-			continue
-		}
-		candActive++
-		if s.listening {
-			candListening++
-		}
-		m.evaluate(tx, s)
-	}
-	senderActive, senderListening := 0, 0
-	if !sender.removed {
-		senderActive = 1
-		if sender.listening {
-			senderListening = 1
-		}
-	}
-	skippedActive := m.activeN - senderActive - candActive
-	skippedListening := m.listeningN - senderListening - candListening
-	m.stats.LostBelowSensitivity += uint64(skippedListening)
-	m.stats.LostNotListening += uint64(skippedActive - skippedListening)
-}
-
-// refreshNeighborhood returns the sender's candidate cache, rebuilding it
-// only when the sender changed cells or frequency, or any of the nine
-// neighborhood cells' generations moved — the per-cell invalidation that
-// keeps one SetPosition from colding every sender's cache.
-func (m *Medium) refreshNeighborhood(s *station, freqHz float64) *nbrCache {
-	nb := &s.nbr
-	key := m.cells.keyOf(s.pos)
-	if nb.valid && nb.key == key && nb.freqHz == freqHz && m.cells.gensEqual(key, &nb.gens) {
-		return nb
-	}
-	m.stats.NeighborhoodRebuilds++
-	nb.valid = true
-	nb.key = key
-	nb.freqHz = freqHz
-	m.cells.snapshotGens(key, &nb.gens)
-	nb.ids = m.cells.collect(key, nb.ids[:0])
-	nb.loss = nb.loss[:0]
-	for _, id := range nb.ids {
-		nb.loss = append(nb.loss, m.computeLoss(s.id, id, freqHz))
-	}
-	return nb
 }
 
 // evaluate decides whether station s receives frame tx and delivers it.
@@ -593,7 +319,7 @@ func (m *Medium) evaluate(tx *transmission, s *station) {
 		return
 	}
 	loss := m.pathLoss(tx.from, s.id, tx.params.FrequencyHz)
-	rec, err := loraphy.Receive(tx.params, m.cfg.LinkBudget, loss)
+	rec, err := loraphy.Receive(tx.params, m.budget, loss)
 	if err != nil {
 		// Params were validated at Transmit; this is a programming bug.
 		panic(fmt.Sprintf("airmedium: reception eval: %v", err))
@@ -657,13 +383,8 @@ func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm fl
 		if !(other.start.Before(tx.end) && other.end.After(tx.start)) {
 			continue
 		}
-		if m.cfg.CaptureCriticalSection && !other.end.After(tx.criticalStart()) {
-			// Interferer fell silent before the receiver needed to
-			// lock; the frame survives it regardless of power.
-			continue
-		}
 		interfLoss := m.pathLoss(other.from, s.id, other.params.FrequencyHz)
-		interfDBm := m.cfg.LinkBudget.RSSI(interfLoss)
+		interfDBm := m.budget.RSSI(interfLoss)
 		// Interference far below the noise floor cannot destroy the frame
 		// even at adverse capture thresholds.
 		if interfDBm < tx.params.NoiseFloorDBm()-10 {
@@ -681,32 +402,11 @@ func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm fl
 	return true
 }
 
-// pathLoss resolves the attenuation between two stations: the measured
-// override when one is configured and covers the pair, the geometric
-// (optionally shadowed) model otherwise. In full-scan mode geometric
-// results are memoized per ordered pair; a cached entry is reused only
-// while both stations' generations and the carrier frequency match, so
-// moving or removing a station lazily invalidates every link it is part
-// of. In indexed mode the sender's neighborhood cache answers when it is
-// current (validated against the per-cell generations, so a stale mover's
-// entry is never served); other pairs compute directly.
+// pathLoss resolves the (optionally shadowed) geometric attenuation
+// between two stations, memoized per ordered pair; a cached entry is reused
+// only while both stations' generations and the carrier frequency match, so
+// moving or removing a station lazily invalidates every link it is part of.
 func (m *Medium) pathLoss(from, to StationID, freqHz float64) float64 {
-	if m.cfg.PathLossOverride != nil {
-		if loss, ok := m.cfg.PathLossOverride(from, to); ok {
-			return loss
-		}
-	}
-	if m.cells != nil {
-		sf := m.stations[int(from)]
-		if nb := &sf.nbr; nb.valid && nb.freqHz == freqHz && nb.key == m.cells.keyOf(sf.pos) &&
-			m.cells.gensEqual(nb.key, &nb.gens) {
-			i := sort.Search(len(nb.ids), func(i int) bool { return nb.ids[i] >= to })
-			if i < len(nb.ids) && nb.ids[i] == to {
-				return nb.loss[i]
-			}
-		}
-		return m.computeLoss(from, to, freqHz)
-	}
 	sf, st := m.stations[int(from)], m.stations[int(to)]
 	e := &m.lossCache[int(from)][int(to)]
 	if e.valid && e.genFrom == sf.gen && e.genTo == st.gen && e.freqHz == freqHz {
@@ -715,14 +415,6 @@ func (m *Medium) pathLoss(from, to StationID, freqHz float64) float64 {
 	loss := m.shadow.LinkPathLossDB(uint64(from), uint64(to), sf.pos.Distance(st.pos), freqHz)
 	*e = linkLoss{genFrom: sf.gen, genTo: st.gen, freqHz: freqHz, lossDB: loss, valid: true}
 	return loss
-}
-
-// computeLoss is the uncached geometric path: override-free shadowed link
-// budget from current positions. It must stay the single formula both
-// cache layers memoize so cached and direct answers are bit-identical.
-func (m *Medium) computeLoss(from, to StationID, freqHz float64) float64 {
-	sf, st := m.stations[int(from)], m.stations[int(to)]
-	return m.shadow.LinkPathLossDB(uint64(from), uint64(to), sf.pos.Distance(st.pos), freqHz)
 }
 
 // lostInSoftRegion samples the near-sensitivity PER curve: the loss
@@ -789,9 +481,9 @@ func (m *Medium) SetLinkBlocked(a, b StationID, blocked bool) error {
 	} else {
 		delete(m.blocked, linkKey(a, b))
 	}
-	// Blocking is decided per pair outside the loss caches (evaluate and
+	// Blocking is decided per pair outside the loss cache (evaluate and
 	// survivesInterference consult m.blocked directly), and it does not
-	// change any link budget — so no generations are bumped and every
+	// change any link budget — so no generations are bumped and the
 	// cache stays warm across partition injection.
 	return nil
 }
@@ -820,7 +512,7 @@ func (m *Medium) Busy(id StationID, freqHz float64) (bool, error) {
 			continue
 		}
 		loss := m.pathLoss(tx.from, id, tx.params.FrequencyHz)
-		rec, err := loraphy.Receive(tx.params, m.cfg.LinkBudget, loss)
+		rec, err := loraphy.Receive(tx.params, m.budget, loss)
 		if err != nil {
 			return false, fmt.Errorf("airmedium: busy eval: %w", err)
 		}

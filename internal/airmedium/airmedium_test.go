@@ -1,6 +1,7 @@
 package airmedium
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -282,50 +283,6 @@ func TestExtraFrameLossValidation(t *testing.T) {
 	}
 }
 
-func TestCriticalSectionExemption(t *testing.T) {
-	// An interferer that ends before the frame's lock window must not
-	// destroy it when the refinement is on — arrange a long frame and a
-	// short interferer that starts first.
-	run := func(critical bool) int {
-		sched := simtime.NewScheduler(t0)
-		m, err := New(sched, Config{CaptureCriticalSection: critical})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rx := &collector{}
-		if _, err := m.AddStation(geo.Point{}, rx); err != nil {
-			t.Fatal(err)
-		}
-		cNear, cFar := &collector{}, &collector{}
-		near, _ := m.AddStation(geo.Point{X: 2000}, cNear) // the wanted sender (weak)
-		far, _ := m.AddStation(geo.Point{X: 50}, cFar)     // the interferer (strong)
-		p := loraphy.DefaultParams()
-		// Interferer: minimal frame, starts immediately.
-		if _, err := m.Transmit(far, []byte{1}, p); err != nil {
-			t.Fatal(err)
-		}
-		// Wanted frame starts at 20 ms with a long payload. The 1-byte
-		// interferer lasts ≈25.9 ms, so it overlaps the wanted frame's
-		// early preamble but ends before its lock window opens at
-		// 20 + (12.544 - 5·1.024) ≈ 27.4 ms.
-		sched.MustAfter(20*time.Millisecond, func() {
-			if _, err := m.Transmit(near, make([]byte, 200), p); err != nil {
-				t.Error(err)
-			}
-		})
-		sched.Run(0)
-		return len(rx.frames)
-	}
-	// With the refinement the weak frame survives the early-preamble
-	// overlap; without it, capture kills it.
-	if got := run(true); got != 2 {
-		t.Errorf("critical-section on: delivered %d, want 2 (both frames)", got)
-	}
-	if got := run(false); got != 1 {
-		t.Errorf("critical-section off: delivered %d, want 1 (strong only)", got)
-	}
-}
-
 func TestBusy(t *testing.T) {
 	f := newFixture(t, Config{}, []geo.Point{{}, {X: 100}})
 	freq := loraphy.DefaultParams().FrequencyHz
@@ -516,5 +473,73 @@ func TestLinkBlocking(t *testing.T) {
 	// Unknown stations error.
 	if err := f.medium.SetLinkBlocked(StationID(9), f.ids[0], true); err == nil {
 		t.Error("unknown station: want error")
+	}
+}
+
+// TestLossBucketConservation is a seeded property case over random fields
+// with moves, removals, sleep and blocked links interleaved with traffic:
+// for every transmission, the six receiver-outcome counters together grow
+// by exactly the number of other non-removed stations — each potential
+// receiver lands in exactly one bucket.
+func TestLossBucketConservation(t *testing.T) {
+	outcomes := func(st Stats) uint64 {
+		return st.FramesDelivered + st.LostBelowSensitivity + st.LostCollision +
+			st.LostHalfDuplex + st.LostRandom + st.LostNotListening
+	}
+	p := loraphy.DefaultParams()
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 10 + rng.Intn(30)
+		field := 2000 + rng.Float64()*28000
+		topo, err := geo.RandomGeometric(n, field, field, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Seed: seed, ShadowSigmaDB: 6 * rng.Float64(), ExtraFrameLossRate: 0.2 * rng.Float64()}
+		f := newFixture(t, cfg, topo.Positions)
+		m := f.medium
+		removed := make([]bool, n)
+		var want uint64
+		sent := 0
+		for i := 0; i < 12*n; i++ {
+			a, b := StationID(rng.Intn(n)), StationID(rng.Intn(n))
+			at := time.Duration(rng.Intn(5000)) * time.Millisecond
+			pos := geo.Point{X: rng.Float64() * field, Y: rng.Float64() * field}
+			size := 1 + rng.Intn(60)
+			switch k := rng.Intn(20); {
+			case k == 0:
+				f.sched.MustAfter(at, func() { removed[a] = true; _ = m.Remove(a) })
+			case k == 1:
+				f.sched.MustAfter(at, func() { _ = m.SetPosition(a, pos) })
+			case k == 2:
+				f.sched.MustAfter(at, func() { _ = m.SetListening(a, size%2 == 0) })
+			case k == 3:
+				f.sched.MustAfter(at, func() { _ = m.SetLinkBlocked(a, b, size%3 != 0) })
+			default:
+				f.sched.MustAfter(at, func() {
+					airtime, err := m.Transmit(a, make([]byte, size), p)
+					if err != nil {
+						return // removed or already transmitting: part of the workload
+					}
+					sent++
+					// Scheduled right behind the frame's own end-of-airtime
+					// event, so it observes the counters just after it.
+					f.sched.MustAfter(airtime, func() {
+						for id := range removed {
+							if StationID(id) != a && !removed[id] {
+								want++
+							}
+						}
+						if got := outcomes(m.Stats()); got != want {
+							t.Fatalf("seed %d: after frame from %d: outcome counters sum to %d, want %d", seed, a, got, want)
+						}
+					})
+				})
+			}
+		}
+		f.sched.Run(0)
+		if st := m.Stats(); sent == 0 || st.FramesSent != uint64(sent) || st.FramesDelivered == 0 || st.LostCollision == 0 {
+			t.Fatalf("seed %d: workload too thin to mean anything: sent %d, stats %+v", seed, sent, st)
+		}
 	}
 }

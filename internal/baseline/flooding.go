@@ -40,21 +40,19 @@ type Config struct {
 	Address packet.Address
 	// TTL is the rebroadcast hop limit. Zero means 8.
 	TTL uint8
-	// RebroadcastDelay is the mean randomized hold-off before a node
-	// repeats a packet; the jitter desynchronizes the simultaneous
-	// rebroadcasts that otherwise collide. Zero means 500 ms.
-	RebroadcastDelay time.Duration
 	// DedupCapacity is how many (origin, seq) pairs the duplicate
 	// suppressor remembers. Zero means 512.
 	DedupCapacity int
 }
 
+// rebroadcastDelay is the mean randomized hold-off before a node repeats
+// a packet; the jitter desynchronizes the simultaneous rebroadcasts that
+// otherwise collide.
+const rebroadcastDelay = 500 * time.Millisecond
+
 func (c Config) withDefaults() Config {
 	if c.TTL == 0 {
 		c.TTL = 8
-	}
-	if c.RebroadcastDelay <= 0 {
-		c.RebroadcastDelay = 500 * time.Millisecond
 	}
 	if c.DedupCapacity <= 0 {
 		c.DedupCapacity = 512
@@ -109,9 +107,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
 // Kind identifies the strategy: the controlled-flooding baseline.
 func (n *Node) Kind() forward.Kind { return forward.KindFlooding }
-
-// Beacons reports no control beacons: flooding has no control plane.
-func (n *Node) Beacons() []forward.Beacon { return nil }
 
 // Start is a no-op: flooding needs no beaconing. It exists so the
 // simulator can treat both protocols uniformly.
@@ -204,7 +199,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 	n.reg.Counter("fwd.frames").Inc()
 	// Randomized hold-off: nodes that heard the same broadcast would
 	// otherwise rebroadcast at the same instant and collide.
-	delay := time.Duration((0.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay))
+	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.tx.Enqueue(fwd, delay)
 }
 

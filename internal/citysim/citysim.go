@@ -104,12 +104,6 @@ type Config struct {
 	// Sinks is the number of data collection points, placed on a uniform
 	// grid and snapped to the nearest node. 0 means max(1, Nodes/640).
 	Sinks int
-	// FieldMeters is the square field side. 0 derives it from Nodes and
-	// TargetDegree so mean radio degree stays constant as Nodes grows.
-	FieldMeters float64
-	// TargetDegree is the mean number of neighbors within delivery range
-	// used when deriving the field size. 0 means 30.
-	TargetDegree float64
 	// HelloPeriod is the mean beacon interval (0 = 60s); DataPeriod the
 	// mean telemetry generation interval per node (0 = 90s). Both get
 	// +-1/8 period of per-node hash jitter.
@@ -125,16 +119,11 @@ type Config struct {
 	// Window overrides the synchronization window. 0 means the minimum
 	// frame airtime; larger values are rejected (the conservative bound).
 	Window time.Duration
-	// PathLossExponent tunes the log-distance model (0 = 3.8, urban).
-	PathLossExponent float64
 	// ShadowSigmaDB adds per-link log-normal shadowing, truncated at
 	// +-2 sigma so the cell size bound stays finite.
 	ShadowSigmaDB float64
 	// ExtraFrameLossRate injects i.i.d. per-(frame,receiver) erasures.
 	ExtraFrameLossRate float64
-	// Params and LinkBudget follow loraphy defaults when zero.
-	Params     loraphy.Params
-	LinkBudget loraphy.LinkBudget
 }
 
 // Stats is the merged outcome of a run. Every field except EventsFired,
@@ -234,6 +223,17 @@ type resolved struct {
 	csTTLNs      int64 // icn: content-store entry freshness
 }
 
+// The city's fixed physical profile: loraphy's default radio parameters
+// and link budget on a log-distance model with pathLossExponent, and a
+// field sized for targetDegree.
+const (
+	// pathLossExponent is an urban canyon; the default suburban 2.7 gives
+	// km-scale cells.
+	pathLossExponent = 3.8
+	// targetDegree is the mean number of neighbors within delivery range.
+	targetDegree = 30
+)
+
 // Strategy codes for resolved.strat.
 const (
 	stratProactive uint8 = iota
@@ -256,24 +256,10 @@ func (cfg Config) resolve() (resolved, error) {
 	if cfg.ShadowSigmaDB < 0 {
 		return r, fmt.Errorf("citysim: negative ShadowSigmaDB %v", cfg.ShadowSigmaDB)
 	}
-	r.params = cfg.Params
-	if r.params == (loraphy.Params{}) {
-		r.params = loraphy.DefaultParams()
-	}
-	if err := r.params.Validate(); err != nil {
-		return r, fmt.Errorf("citysim: %w", err)
-	}
-	r.budget = cfg.LinkBudget
-	if r.budget == (loraphy.LinkBudget{}) {
-		r.budget = loraphy.DefaultLinkBudget()
-	}
-	exp := cfg.PathLossExponent
-	if exp == 0 {
-		exp = 3.8 // urban canyon; the default suburban 2.7 gives km-scale cells
-	}
-	base := loraphy.DefaultLogDistance()
-	base.Exponent = exp
-	r.model = base
+	r.params = loraphy.DefaultParams()
+	r.budget = loraphy.DefaultLinkBudget()
+	r.model = loraphy.DefaultLogDistance()
+	r.model.Exponent = pathLossExponent
 
 	helloAir, err := r.params.Airtime(helloFrameBytes)
 	if err != nil {
@@ -323,21 +309,10 @@ func (cfg Config) resolve() (resolved, error) {
 		return r, fmt.Errorf("citysim: link budget closes at zero range")
 	}
 
-	deg := cfg.TargetDegree
-	if deg == 0 {
-		deg = 30
-	}
-	if deg <= 0 {
-		return r, fmt.Errorf("citysim: TargetDegree %v must be positive", deg)
-	}
+	// The square field grows with Nodes so the mean radio degree stays at
+	// targetDegree.
 	delRange := rangeAtLoss(r.model, r.params.FrequencyHz, r.maxLossDel)
-	r.field = cfg.FieldMeters
-	if r.field == 0 {
-		r.field = delRange * math.Sqrt(float64(cfg.Nodes)*math.Pi/deg)
-	}
-	if r.field <= 0 {
-		return r, fmt.Errorf("citysim: field %v must be positive", r.field)
-	}
+	r.field = delRange * math.Sqrt(float64(cfg.Nodes)*math.Pi/targetDegree)
 
 	if r.HelloPeriod == 0 {
 		r.HelloPeriod = 60 * time.Second

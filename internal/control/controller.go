@@ -52,9 +52,6 @@ type Config struct {
 	// detector re-fires its violation every health poll, and the
 	// playbook must stay idempotent under that. Zero means 150 s.
 	Cooldown time.Duration
-	// MaxInflight bounds concurrently outstanding commands (rekey waves
-	// are additionally serialized to one at a time). Zero means 4.
-	MaxInflight int
 	// StallDecay is how long a retry-exhausted node is left alone before
 	// reconciliation tries it again. Exhaustion must not be terminal: a
 	// node stalled by transient interference mid-rekey would otherwise
@@ -85,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 150 * time.Second
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4
 	}
 	if c.StallDecay <= 0 {
 		c.StallDecay = c.Cooldown
@@ -134,6 +128,10 @@ type queuedCmd struct {
 
 // actionsCap bounds the retained action journal.
 const actionsCap = 4096
+
+// maxInflight bounds concurrently outstanding commands (rekey waves are
+// additionally serialized to one at a time).
+const maxInflight = 4
 
 // Controller reconciles a desired-state document onto the mesh and runs
 // the recovery playbooks. Safe for concurrent use: live hosts call Poll
@@ -278,17 +276,6 @@ func (c *Controller) KeyEpoch() uint32 {
 	return c.st.KeyEpoch
 }
 
-// CurrentKey returns the network key for the current desired key epoch,
-// and false when the document carries no key.
-func (c *Controller) CurrentKey() (meshsec.Key, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.hasKey {
-		return meshsec.Key{}, false
-	}
-	return KeyForEpoch(c.baseKey, c.st.KeyEpoch), true
-}
-
 // Converged reports whether every managed node has acknowledged the
 // current document version and key epoch (both rekey phases). Stalled
 // nodes count as unconverged.
@@ -388,7 +375,7 @@ func (c *Controller) Poll(now time.Time) int {
 		if t == nil {
 			continue
 		}
-		if t.inflight != nil || inflight >= c.cfg.MaxInflight {
+		if t.inflight != nil || inflight >= maxInflight {
 			keep = append(keep, q)
 			continue
 		}
@@ -404,7 +391,7 @@ func (c *Controller) Poll(now time.Time) int {
 
 	// Phase 3: reconcile. Key rollout first (strictly serialized,
 	// farthest first: one rotate at a time, then one commit at a time),
-	// then configuration epochs, concurrently up to MaxInflight.
+	// then configuration epochs, concurrently up to maxInflight.
 	keyBusy := false
 	target := c.st.KeyEpoch
 	if c.hasKey && target > 0 {
@@ -425,7 +412,7 @@ func (c *Controller) Poll(now time.Time) int {
 	keyDone := !c.hasKey || target == 0 || (!keyBusy && c.keyConvergedLocked(target))
 	if keyDone && c.st.Version > 0 {
 		for _, a := range c.order {
-			if inflight >= c.cfg.MaxInflight {
+			if inflight >= maxInflight {
 				break
 			}
 			t := c.nodes[a]

@@ -10,8 +10,6 @@ package core
 // scheduling, reboots) goes through Config.OnControl.
 
 import (
-	"time"
-
 	"repro/internal/control"
 	"repro/internal/packet"
 	"repro/internal/trace"
@@ -98,11 +96,7 @@ func (n *Node) applyConfig(cmd control.Command) control.Status {
 		if n.started && !n.stopped {
 			// Re-arm the beacon on the new cadence, jittered like any
 			// other HELLO so reconfigured fleets do not synchronize.
-			period := cmd.HelloPeriod
-			if j := n.cfg.HelloJitter; j > 0 {
-				period = time.Duration((1 - j + 2*j*n.env.Rand()) * float64(period))
-			}
-			n.helloTimer.Reset(period)
+			n.helloTimer.Reset(n.jitteredHello(cmd.HelloPeriod))
 		}
 	}
 	if cmd.DutyCycle > 0 && cmd.DutyCycle != n.cfg.DutyCycleLimit {

@@ -189,20 +189,10 @@ type Config struct {
 	// HelloPeriod is the routing-beacon interval; the prototype uses
 	// 120 s. Zero means 120 s.
 	HelloPeriod time.Duration
-	// HelloJitter is the relative desynchronization jitter applied to
-	// each HELLO period (0.2 = ±20%). Zero means 0.2; negative disables.
-	HelloJitter float64
-	// RouteCheck is how often stale routes are expired. Zero means a
-	// quarter of the routing entry TTL.
-	RouteCheck time.Duration
 	// Routing tunes the routing table (TTL, hop cap, poisoning).
 	Routing routing.Config
 	// QueueCapacity bounds the transmit queue. Zero means 64.
 	QueueCapacity int
-	// InterFrameGap is the pause between consecutive transmissions from
-	// this node, jittered ±50%, which desynchronizes forwarders. Zero
-	// means 80 ms; negative disables.
-	InterFrameGap time.Duration
 	// DutyCycleLimit caps airtime per rolling hour (0.01 = EU868 g1).
 	// Zero means derive from Phy.FrequencyHz; 1 disables regulation.
 	DutyCycleLimit float64
@@ -223,14 +213,11 @@ type Config struct {
 	// stream chunks. Zero means 12 s (several multi-hop frame times).
 	StreamRetry time.Duration
 	// StreamBackoff grows the retransmission timeout each consecutive
-	// round without acknowledged progress (capped at StreamRetryCap,
+	// round without acknowledged progress (capped at 8x StreamRetry,
 	// jittered ±10%), so a congested or healing path is not hammered at
 	// a fixed cadence. Zero means 2 (doubling); 1 restores the
 	// prototype's fixed timeout.
 	StreamBackoff float64
-	// StreamRetryCap bounds the backed-off retransmission timeout.
-	// Zero means 8× StreamRetry.
-	StreamRetryCap time.Duration
 	// StreamPacing spaces consecutive window chunk transmissions so a
 	// windowed transfer does not self-collide on a half-duplex
 	// multi-hop path. Zero (the prototype) sends the window as fast as
@@ -241,10 +228,6 @@ type Config struct {
 	StreamMaxRetries int
 	// MaxOutStreams bounds concurrent outgoing streams. Zero means 4.
 	MaxOutStreams int
-	// DedupHorizon is how long a forwarded packet fingerprint is
-	// remembered to break transient routing loops (the wire format has
-	// no TTL field). Zero means 1500 ms; negative disables.
-	DedupHorizon time.Duration
 	// TriggeredUpdates withdraws routes the moment a next hop is known
 	// dead — when a direct neighbor's entry expires, or when a reliable
 	// stream exhausts its retries toward one — poisoning every route
@@ -289,10 +272,6 @@ type Config struct {
 	// means the host cannot either, and the node reports the command
 	// unsupported. Nil means every host-level command is unsupported.
 	OnControl func(cmd control.Command) bool
-	// Forwarder, when set, replaces the node's own distance-vector table
-	// as the next-hop decision for routed packets (see internal/forward).
-	// Nil dispatches through the routing table — the default strategy.
-	Forwarder forward.Forwarder
 	// TxGate, when set, is consulted before every transmission (after
 	// the duty-cycle check, before listen-before-talk): a positive
 	// clearance defers the queue pump by that long. The slotted strategy
@@ -314,14 +293,8 @@ func (c Config) withDefaults() Config {
 	if c.HelloPeriod <= 0 {
 		c.HelloPeriod = 120 * time.Second
 	}
-	if c.HelloJitter == 0 {
-		c.HelloJitter = 0.2
-	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 64
-	}
-	if c.InterFrameGap == 0 {
-		c.InterFrameGap = 80 * time.Millisecond
 	}
 	if c.CADBackoff <= 0 {
 		c.CADBackoff = 3 * c.Phy.PreambleTime()
@@ -338,9 +311,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamBackoff == 0 {
 		c.StreamBackoff = 2
 	}
-	if c.StreamRetryCap <= 0 {
-		c.StreamRetryCap = 8 * c.StreamRetry
-	}
 	if c.TriggeredHelloGap <= 0 {
 		c.TriggeredHelloGap = c.HelloPeriod / 10
 		if c.TriggeredHelloGap < time.Second {
@@ -352,9 +322,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxOutStreams <= 0 {
 		c.MaxOutStreams = 4
-	}
-	if c.DedupHorizon == 0 {
-		c.DedupHorizon = 1500 * time.Millisecond
 	}
 	return c
 }
@@ -382,9 +349,6 @@ func (c Config) Validate() error {
 	}
 	if cc.DutyCycleLimit < 0 || cc.DutyCycleLimit > 1 {
 		return fmt.Errorf("core: duty-cycle limit %v out of [0,1]", cc.DutyCycleLimit)
-	}
-	if cc.HelloJitter > 0.9 {
-		return fmt.Errorf("core: hello jitter %v too large (max 0.9)", cc.HelloJitter)
 	}
 	if cc.StreamBackoff < 1 {
 		return fmt.Errorf("core: stream backoff %v must be >= 1", cc.StreamBackoff)
@@ -458,27 +422,14 @@ type Node struct {
 	outStreams map[uint8]*outStream
 	inStreams  map[inKey]*inStream
 
-	// fwd is the next-hop decision for routed packets: the node's own
-	// routing table unless Config.Forwarder overrides it.
-	fwd forward.Forwarder
 	// dedup is the forwarding loop-breaker (shared strategy-API
 	// semantics; see forward.Dedup).
 	dedup forward.Dedup
 }
 
-// Compile-time check: the distance-vector table satisfies the strategy
-// API's next-hop contract verbatim.
-var _ forward.Forwarder = (*routing.Table)(nil)
-
 // Kind identifies the node's forwarding strategy: the distance-vector
 // engine is the proactive strategy.
 func (n *Node) Kind() forward.Kind { return forward.KindProactive }
-
-// Beacons describes the proactive strategy's control beacon: the
-// periodic routing-table HELLO.
-func (n *Node) Beacons() []forward.Beacon {
-	return []forward.Beacon{{Type: packet.TypeHello, Period: n.cfg.HelloPeriod}}
-}
 
 // dutyRegulator is the subset of dutycycle.Regulator the node needs,
 // extracted so tests can substitute a fake.
@@ -522,11 +473,7 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 		outStreams: make(map[uint8]*outStream),
 		inStreams:  make(map[inKey]*inStream),
 	}
-	n.dedup = forward.Dedup{Horizon: cfg.DedupHorizon}
-	n.fwd = cfg.Forwarder
-	if n.fwd == nil {
-		n.fwd = n.table
-	}
+	n.dedup = forward.Dedup{Horizon: dedupHorizon}
 	duty, err := newDuty(cfg)
 	if err != nil {
 		return nil, err
@@ -758,10 +705,9 @@ func (n *Node) Stop() {
 	}
 }
 
+// routeCheckPeriod is how often stale routes are expired: a quarter of
+// the routing entry TTL.
 func (n *Node) routeCheckPeriod() time.Duration {
-	if n.cfg.RouteCheck > 0 {
-		return n.cfg.RouteCheck
-	}
 	ttl := n.cfg.Routing.EntryTTL
 	if ttl <= 0 {
 		ttl = routing.DefaultConfig().EntryTTL

@@ -24,10 +24,6 @@ func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(cfg, env); err == nil {
 		t.Error("duty cycle 2: want error")
 	}
-	cfg = Config{Address: 1, HelloJitter: 0.95}
-	if _, err := NewNode(cfg, env); err == nil {
-		t.Error("jitter 0.95: want error")
-	}
 	// Frequency outside EU868 with automatic duty limit: error surfaces.
 	cfg = fastConfig()
 	cfg.Address = 1

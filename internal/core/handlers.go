@@ -221,10 +221,9 @@ func (n *Node) deliverData(p *packet.Packet) {
 }
 
 // forward relays a routed packet one hop closer to its destination. The
-// next-hop decision dispatches through the strategy API's Forwarder —
-// the distance-vector table by default (see Config.Forwarder).
+// next-hop decision is the distance-vector table's.
 func (n *Node) forward(p *packet.Packet) {
-	next, ok := n.fwd.NextHop(p.Dst)
+	next, ok := n.table.NextHop(p.Dst)
 	if !ok {
 		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
 		n.tracePacket(trace.KindDrop, p, "drop: no route to %v (forwarding)", p.Dst)
@@ -251,7 +250,10 @@ func (n *Node) forward(p *packet.Packet) {
 	}
 }
 
-// isDuplicate remembers routed-packet fingerprints for DedupHorizon and
+// dedupHorizon is how long a forwarded packet fingerprint is remembered.
+const dedupHorizon = 1500 * time.Millisecond
+
+// isDuplicate remembers routed-packet fingerprints for dedupHorizon and
 // reports repeats, breaking transient routing loops (the wire format has
 // no TTL). The suppressor itself lives in the strategy API (forward.Dedup)
 // so every strategy shares its exact semantics.
@@ -266,7 +268,7 @@ func (n *Node) route(p *packet.Packet) error {
 		p.Via = packet.Broadcast
 		return n.enqueue(p)
 	}
-	next, ok := n.fwd.NextHop(p.Dst)
+	next, ok := n.table.NextHop(p.Dst)
 	if !ok {
 		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
 		n.tracePacket(trace.KindDrop, p, "drop: no route to %v (origin)", p.Dst)

@@ -13,15 +13,12 @@ import (
 // stream.retx.rounds histogram, and triggered route withdrawal.
 
 func TestRetryDelayBackoffCapped(t *testing.T) {
-	cfg := fastConfig() // StreamRetry 3s -> default cap 24s, backoff 2x
+	cfg := fastConfig() // StreamRetry 3s -> cap 24s, backoff 2x
 	b := newBus(t, cfg, 0x01)
 	n := b.env(0x01).node
 
 	base := n.cfg.StreamRetry
-	cap := n.cfg.StreamRetryCap
-	if cap != 8*base {
-		t.Fatalf("default StreamRetryCap = %v, want %v", cap, 8*base)
-	}
+	cap := streamRetryCapFactor * base
 	for rounds := 0; rounds < 8; rounds++ {
 		want := base
 		for i := 0; i < rounds && want < cap; i++ {

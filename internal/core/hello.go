@@ -13,12 +13,17 @@ func (n *Node) helloTick() {
 		return
 	}
 	n.sendHello()
-	period := n.cfg.HelloPeriod
-	if j := n.cfg.HelloJitter; j > 0 {
-		// Uniform in [1-j, 1+j] times the period.
-		period = time.Duration((1 - j + 2*j*n.env.Rand()) * float64(period))
-	}
-	n.helloTimer.Reset(period)
+	n.helloTimer.Reset(n.jitteredHello(n.cfg.HelloPeriod))
+}
+
+// helloJitter is the relative desynchronization jitter applied to each
+// HELLO period (±20%), so beacons that start aligned drift apart.
+const helloJitter = 0.2
+
+// jitteredHello draws one beacon gap: uniform in [1-helloJitter,
+// 1+helloJitter] times the period.
+func (n *Node) jitteredHello(period time.Duration) time.Duration {
+	return time.Duration((1 - helloJitter + 2*helloJitter*n.env.Rand()) * float64(period))
 }
 
 // sendHello enqueues the node's routing table as one or more HELLO

@@ -287,15 +287,14 @@ func (n *Node) HandleTxDone() {
 		return
 	}
 	n.transmitting = false
-	gap := n.cfg.InterFrameGap
-	if gap <= 0 {
-		n.pump(0)
-		return
-	}
 	// Jitter the inter-frame gap ±50% so forwarders on a shared path
 	// don't lock step into repeated collisions.
-	n.pump(time.Duration((0.5 + n.env.Rand()) * float64(gap)))
+	n.pump(time.Duration((0.5 + n.env.Rand()) * float64(interFrameGap)))
 }
+
+// interFrameGap is the nominal pause between consecutive transmissions
+// from one node.
+const interFrameGap = 80 * time.Millisecond
 
 // fingerprint is a routed packet's end-to-end identity (everything but
 // the hop-local via field) for the forwarding loop-breaker — the same

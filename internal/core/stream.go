@@ -238,21 +238,36 @@ func (n *Node) fillStep(s *outStream) {
 	}
 }
 
-// retryDelay returns the retransmission timeout for the given number of
-// consecutive unacknowledged rounds: StreamRetry grown by StreamBackoff
-// per round, capped at StreamRetryCap. With backoff enabled the delay is
-// jittered ±10% so retransmissions from nodes that lost the same frame
-// do not stay synchronized.
-func (n *Node) retryDelay(rounds int) time.Duration {
+// streamRetryCapFactor bounds the backed-off retransmission timeout at
+// this multiple of StreamRetry.
+const streamRetryCapFactor = 8
+
+// backedOff returns the un-jittered retransmission timeout for the given
+// number of consecutive unacknowledged rounds: StreamRetry grown by
+// StreamBackoff per round, capped at streamRetryCapFactor x StreamRetry.
+func (n *Node) backedOff(rounds int) time.Duration {
 	d := n.cfg.StreamRetry
 	if n.cfg.StreamBackoff <= 1 {
 		return d // the prototype's fixed timeout
 	}
-	for i := 0; i < rounds && d < n.cfg.StreamRetryCap; i++ {
+	limit := streamRetryCapFactor * n.cfg.StreamRetry
+	for i := 0; i < rounds && d < limit; i++ {
 		d = time.Duration(float64(d) * n.cfg.StreamBackoff)
 	}
-	if d > n.cfg.StreamRetryCap {
-		d = n.cfg.StreamRetryCap
+	if d > limit {
+		d = limit
+	}
+	return d
+}
+
+// retryDelay returns the retransmission timeout for the given number of
+// consecutive unacknowledged rounds. With backoff enabled the delay is
+// jittered ±10% so retransmissions from nodes that lost the same frame
+// do not stay synchronized.
+func (n *Node) retryDelay(rounds int) time.Duration {
+	d := n.backedOff(rounds)
+	if n.cfg.StreamBackoff <= 1 {
+		return d
 	}
 	return time.Duration(float64(d) * (0.9 + 0.2*n.env.Rand()))
 }
@@ -262,16 +277,7 @@ func (n *Node) retryDelay(rounds int) time.Duration {
 func (n *Node) retryBudget() time.Duration {
 	var sum time.Duration
 	for r := 0; r <= n.cfg.StreamMaxRetries; r++ {
-		d := n.cfg.StreamRetry
-		if n.cfg.StreamBackoff > 1 {
-			for i := 0; i < r && d < n.cfg.StreamRetryCap; i++ {
-				d = time.Duration(float64(d) * n.cfg.StreamBackoff)
-			}
-			if d > n.cfg.StreamRetryCap {
-				d = n.cfg.StreamRetryCap
-			}
-		}
-		sum += d
+		sum += n.backedOff(r)
 	}
 	return sum
 }

@@ -48,7 +48,7 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 			return nil, err
 		}
 		g, err := gateway.New(gateway.Config{
-			URL:              srv.URL,
+			URLs:             []string{srv.URL},
 			BatchSize:        8,
 			FlushInterval:    30 * time.Second,
 			RetryBase:        10 * time.Second,

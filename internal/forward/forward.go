@@ -1,8 +1,7 @@
 // Package forward defines the pluggable forwarding-strategy API: the
 // engine surface every mesh protocol in this repository presents to its
 // host, plus the smaller contracts a strategy is assembled from — the
-// next-hop decision (Forwarder), transmission admission for scheduled
-// access (TxGate), per-strategy control beacons (Beaconer), the routed-
+// transmission admission for scheduled access (TxGate), the routed-
 // packet duplicate suppressor (Dedup), the bounded seen-set and transmit
 // queue the table-free engines share (SeenSet, TxQueue), and the
 // canonical drop-reason vocabulary shared by every strategy's drop
@@ -99,15 +98,6 @@ type Strategy interface {
 	Kind() Kind
 }
 
-// Forwarder makes the next-hop decision for a routed packet — the
-// contract the distance-vector table (routing.Table) satisfies and a
-// strategy may replace wholesale.
-type Forwarder interface {
-	// NextHop returns the neighbor to hand a packet for dst to; ok is
-	// false when the destination is unreachable (the "noroute" drop).
-	NextHop(dst packet.Address) (packet.Address, bool)
-}
-
 // TxGate is the transmission-admission hook scheduled-access strategies
 // install in the engine's transmit path. Clearance is consulted after
 // the duty-cycle check and before listen-before-talk: a zero return
@@ -115,20 +105,6 @@ type Forwarder interface {
 // pump by that long (the engine re-consults at the new time).
 type TxGate interface {
 	Clearance(now time.Time, t packet.Type, airtime time.Duration) time.Duration
-}
-
-// Beacon describes one per-strategy control beacon: the wire type it
-// rides and its nominal period. Strategies with no beacons return none.
-type Beacon struct {
-	Type   packet.Type
-	Period time.Duration
-}
-
-// Beaconer is implemented by strategies that emit periodic control
-// beacons (proactive HELLOs, slotted slot advertisements), so hosts and
-// experiments can account control overhead per strategy uniformly.
-type Beaconer interface {
-	Beacons() []Beacon
 }
 
 // Canonical drop reasons. Every strategy accounts drops under a

@@ -19,7 +19,7 @@ import (
 //
 // It also implements the reverse path: downlink commands queued with
 // PushDownlink ride out in the response to the gateway's next uplink
-// POST, and fault injection (FailNext, SetFailing) simulates backend
+// POST, and fault injection (SetFailing) simulates backend
 // outages so backoff and the circuit breaker can be observed.
 type Backend struct {
 	mu        sync.Mutex
@@ -27,7 +27,6 @@ type Backend struct {
 	seen      map[trace.TraceID]int // uploads per trace ID (first + dupes)
 	downlinks []Downlink
 	batches   int
-	failNext  int
 	failing   bool
 }
 
@@ -43,10 +42,7 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	b.mu.Lock()
-	if b.failing || b.failNext > 0 {
-		if b.failNext > 0 {
-			b.failNext--
-		}
+	if b.failing {
 		b.mu.Unlock()
 		http.Error(w, "injected outage", http.StatusServiceUnavailable)
 		return
@@ -75,13 +71,6 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// FailNext makes the next n uplink requests fail with 503.
-func (b *Backend) FailNext(n int) {
-	b.mu.Lock()
-	b.failNext = n
-	b.mu.Unlock()
 }
 
 // SetFailing switches an indefinite outage on or off.

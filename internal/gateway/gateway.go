@@ -21,9 +21,8 @@
 //     cross-gateway exactly-once through handover and crash replay;
 //   - an uplinker drains each shard in size- or time-triggered batches
 //     over plain net/http POSTs, with up to Pipeline batches in flight
-//     per shard (windowed acks), exponential backoff plus jitter on
-//     failure, and a per-shard circuit breaker after consecutive
-//     failures;
+//     per shard (windowed acks), exponential backoff on failure, and a
+//     per-shard circuit breaker after consecutive failures;
 //   - the spool is a bounded queue: under sustained backend outage an
 //     explicit drop policy (oldest or newest) decides what gives, and the
 //     decision is counted, never silent;
@@ -44,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,11 +189,9 @@ type uplinkResponse struct {
 
 // Config parameterizes a gateway.
 type Config struct {
-	// URL is the backend uplink endpoint (POST) — the single-shard
-	// shorthand for URLs with one entry.
-	URL string
-	// URLs lists one uplink endpoint per backend shard; when set it
-	// overrides URL and fixes the shard count at len(URLs). Readings are
+	// URLs lists one uplink endpoint (POST) per backend shard, fixing the
+	// shard count at len(URLs); a single backend is a one-element list.
+	// Every entry must be an absolute http or https URL. Readings are
 	// partitioned across shards by consistent-hashed origin address, so
 	// every gateway configured with the same shard COUNT routes a given
 	// origin to the same shard index — the property cross-gateway dedup
@@ -255,17 +253,9 @@ type Config struct {
 	// spool admission (enqueue), spool drops, and backend delivery on a
 	// successful batch ack. Nil disables span capture.
 	Spans *span.Recorder
-	// Jitter returns a uniform float64 in [0,1) used to decorrelate
-	// retry backoffs across a fleet. Nil means a fixed midpoint (no
-	// jitter, fully deterministic); pass a seeded source for
-	// reproducible jittered runs.
-	Jitter func() float64
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.URLs) == 0 && c.URL != "" {
-		c.URLs = []string{c.URL}
-	}
 	if c.SpoolCapacity <= 0 {
 		c.SpoolCapacity = 1024
 	}
@@ -295,9 +285,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if c.Jitter == nil {
-		c.Jitter = func() float64 { return 0.5 }
 	}
 	return c
 }
@@ -356,8 +343,8 @@ type launch struct {
 // New opens the spools (replaying any WALs) and returns a ready gateway.
 // Nothing uplinks until Start or Poll drives it.
 func New(cfg Config) (*Gateway, error) {
-	if cfg.URL == "" && len(cfg.URLs) == 0 {
-		return nil, fmt.Errorf("gateway: config needs a backend URL")
+	if err := validateURLs(cfg.URLs); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	g := &Gateway{
@@ -390,6 +377,28 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.reg.Gauge("gw.spool.depth").Set(float64(g.depth()))
 	return g, nil
+}
+
+// validateURLs rejects a backend list the uplinker could not POST to, so
+// a bad entry fails construction instead of the lane's first flush.
+func validateURLs(urls []string) error {
+	if len(urls) == 0 {
+		return fmt.Errorf("gateway: config needs a backend URL")
+	}
+	for i, raw := range urls {
+		u, err := url.Parse(raw)
+		switch {
+		case raw == "":
+			return fmt.Errorf("gateway: URLs[%d] is empty", i)
+		case err != nil:
+			return fmt.Errorf("gateway: URLs[%d]: %v", i, err)
+		case u.Scheme != "http" && u.Scheme != "https":
+			return fmt.Errorf("gateway: URLs[%d] %q: scheme must be http or https", i, raw)
+		case u.Host == "":
+			return fmt.Errorf("gateway: URLs[%d] %q: no host", i, raw)
+		}
+	}
+	return nil
 }
 
 // preRegisterInstruments creates the gateway's instrument schema up
@@ -915,8 +924,13 @@ func (g *Gateway) Inject(d Downlink) error {
 	return nil
 }
 
-// backoff computes the exponential, jittered delay for the nth
-// consecutive failure (n >= 1).
+// backoffScale is the fixed fraction of the exponential delay a retry
+// waits.
+const backoffScale = 0.75
+
+// backoff computes the delay before the retry after the nth consecutive
+// failure (n >= 1): RetryBase doubled per failure, capped at RetryMax,
+// times backoffScale. It is deterministic — retries are not jittered.
 func (g *Gateway) backoff(n int) time.Duration {
 	d := g.cfg.RetryBase
 	for i := 1; i < n && d < g.cfg.RetryMax; i++ {
@@ -925,12 +939,10 @@ func (g *Gateway) backoff(n int) time.Duration {
 	if d > g.cfg.RetryMax {
 		d = g.cfg.RetryMax
 	}
-	// Decorrelate retries across a fleet: scale into [0.5, 1.0] of the
-	// computed delay.
-	return time.Duration(float64(d) * (0.5 + 0.5*g.cfg.Jitter()))
+	return time.Duration(float64(d) * backoffScale)
 }
 
-// Start launches the real-time drain loop (livenet/udpnet hosts and
+// Start launches the real-time drain loop (livenet hosts and
 // cmd/meshgw). Pair with Close.
 func (g *Gateway) Start() {
 	g.wg.Add(1)

@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ func newTestGateway(t *testing.T, b *Backend, mut func(*Config)) (*Gateway, *htt
 	srv := httptest.NewServer(b)
 	t.Cleanup(srv.Close)
 	cfg := Config{
-		URL:              srv.URL,
+		URLs:             []string{srv.URL},
 		Addr:             0x0001,
 		BatchSize:        4,
 		FlushInterval:    10 * time.Second,
@@ -26,7 +28,6 @@ func newTestGateway(t *testing.T, b *Backend, mut func(*Config)) (*Gateway, *htt
 		RetryMax:         8 * time.Second,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Minute,
-		Jitter:           func() float64 { return 1 }, // exact doubling
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -37,6 +38,39 @@ func newTestGateway(t *testing.T, b *Backend, mut func(*Config)) (*Gateway, *htt
 	}
 	t.Cleanup(func() { g.Close() })
 	return g, srv
+}
+
+func TestNewValidatesBackendURLs(t *testing.T) {
+	const good = "http://127.0.0.1:9/uplink"
+	for _, tc := range []struct {
+		name string
+		urls []string
+		bad  int // index the error must name; -1 means New succeeds
+	}{
+		{"one", []string{good}, -1},
+		{"https shards", []string{"https://a.example/s/0", "https://a.example/s/1"}, -1},
+		{"empty entry", []string{"", good}, 0},
+		{"unparseable", []string{good, "http://[::1"}, 1},
+		{"wrong scheme", []string{"ftp://127.0.0.1/uplink"}, 0},
+		{"no scheme", []string{good, good, "127.0.0.1:9/uplink"}, 2},
+		{"no host", []string{"http:///uplink"}, 0},
+	} {
+		g, err := New(Config{URLs: tc.urls})
+		switch {
+		case err == nil:
+			g.Close()
+			if tc.bad >= 0 {
+				t.Errorf("%s: New(URLs: %q) accepted a bad backend list", tc.name, tc.urls)
+			}
+		case tc.bad < 0:
+			t.Errorf("%s: New(URLs: %q) = %v", tc.name, tc.urls, err)
+		case !strings.Contains(err.Error(), fmt.Sprintf("URLs[%d]", tc.bad)):
+			t.Errorf("%s: error %q does not name URLs[%d]", tc.name, err, tc.bad)
+		}
+	}
+	if _, err := New(Config{}); err == nil {
+		t.Error("New without any backend URL: want error")
+	}
 }
 
 func TestReadingJSONRoundTrip(t *testing.T) {
@@ -120,9 +154,9 @@ func TestGatewayBackoffAndCircuitBreaker(t *testing.T) {
 		g.Offer(testReading(i))
 	}
 
-	// Failure 1: backoff = RetryBase (jitter pinned to 1.0).
-	if d := g.Poll(now); d != time.Second {
-		t.Fatalf("backoff after failure 1 = %v, want 1s", d)
+	// Failure 1: backoff = backoffScale x RetryBase.
+	if d := g.Poll(now); d != 750*time.Millisecond {
+		t.Fatalf("backoff after failure 1 = %v, want 750ms", d)
 	}
 	// Poll again inside the backoff window: no extra attempt.
 	g.Poll(now.Add(500 * time.Millisecond))
@@ -131,8 +165,8 @@ func TestGatewayBackoffAndCircuitBreaker(t *testing.T) {
 	}
 	// Failure 2 doubles the backoff.
 	now = now.Add(time.Second)
-	if d := g.Poll(now); d != 2*time.Second {
-		t.Fatalf("backoff after failure 2 = %v, want 2s", d)
+	if d := g.Poll(now); d != 1500*time.Millisecond {
+		t.Fatalf("backoff after failure 2 = %v, want 1.5s", d)
 	}
 	// Failure 3 crosses the threshold: breaker opens for the cooldown.
 	now = now.Add(2 * time.Second)
@@ -273,7 +307,7 @@ func TestGatewayRestartReplay(t *testing.T) {
 	defer srv.Close()
 
 	cfg := Config{
-		URL:           srv.URL,
+		URLs:          []string{srv.URL},
 		Addr:          0x0001,
 		SpoolPath:     path,
 		BatchSize:     8,

@@ -41,7 +41,7 @@ func TestAttachHostLivenet(t *testing.T) {
 	}
 
 	g, err := New(Config{
-		URL:           srv.URL,
+		URLs:          []string{srv.URL},
 		BatchSize:     4,
 		FlushInterval: 100 * time.Millisecond,
 		RetryBase:     50 * time.Millisecond,

@@ -64,7 +64,7 @@ func TestPipelinedUplinkOverlapsBatches(t *testing.T) {
 	defer srv.Close()
 
 	g, err := New(Config{
-		URL:           srv.URL,
+		URLs:          []string{srv.URL},
 		Addr:          0x0001,
 		BatchSize:     2,
 		Pipeline:      3,
@@ -266,7 +266,7 @@ func TestGroupCommitBatchesWALFlushes(t *testing.T) {
 	defer srv.Close()
 
 	g, err := New(Config{
-		URL:           srv.URL,
+		URLs:          []string{srv.URL},
 		Addr:          0x0001,
 		SpoolPath:     path,
 		GroupCommit:   100 * time.Millisecond,
@@ -323,7 +323,7 @@ func TestGroupCommitCrashLosesOnlyBufferedWindow(t *testing.T) {
 
 	mk := func() *Gateway {
 		g, err := New(Config{
-			URL:           srv.URL,
+			URLs:          []string{srv.URL},
 			Addr:          0x0001,
 			SpoolPath:     path,
 			GroupCommit:   100 * time.Millisecond,

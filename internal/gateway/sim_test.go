@@ -49,7 +49,7 @@ func simChainKeyed(t *testing.T, n int, seed int64, key *meshsec.Key) *netsim.Si
 func simGateway(t *testing.T, url, spoolPath string) *Gateway {
 	t.Helper()
 	g, err := New(Config{
-		URL:              url,
+		URLs:             []string{url},
 		SpoolPath:        spoolPath,
 		BatchSize:        8,
 		FlushInterval:    30 * time.Second,

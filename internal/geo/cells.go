@@ -55,9 +55,6 @@ func (g CellGrid) Rows() int { return g.rows }
 // NumCells returns the total cell count.
 func (g CellGrid) NumCells() int { return g.cols * g.rows }
 
-// CellSize returns the cell side length in meters.
-func (g CellGrid) CellSize() float64 { return g.cell }
-
 // CellOf returns the cell index containing p, clamping out-of-field points
 // to the border cells.
 func (g CellGrid) CellOf(p Point) int {

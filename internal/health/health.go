@@ -132,9 +132,6 @@ type Config struct {
 	// SilentPolls is how many consecutive polls without any tx or rx
 	// progress mark a node silent. Zero means 3.
 	SilentPolls int
-	// DutyStuckUtil is the utilization at or above which the duty
-	// budget counts as saturated. Zero means 0.95.
-	DutyStuckUtil float64
 	// DutyStuckPolls is how many consecutive saturated polls (with
 	// deferrals still accruing) mark the budget stuck. Zero means 2.
 	DutyStuckPolls int
@@ -152,10 +149,6 @@ type Config struct {
 	// Tracer, when set, receives every violation as a structured
 	// trace.KindHealth event (the violation kind rides Event.Seg).
 	Tracer *trace.Tracer
-	// OnViolation, when set, observes each violation as it is detected,
-	// from Poll's goroutine — the hook a reconciliation playbook
-	// attaches to.
-	OnViolation func(Violation)
 }
 
 func (c Config) withDefaults() Config {
@@ -165,9 +158,6 @@ func (c Config) withDefaults() Config {
 	if c.SilentPolls <= 0 {
 		c.SilentPolls = 3
 	}
-	if c.DutyStuckUtil <= 0 {
-		c.DutyStuckUtil = 0.95
-	}
 	if c.DutyStuckPolls <= 0 {
 		c.DutyStuckPolls = 2
 	}
@@ -176,6 +166,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// dutyStuckUtil is the utilization at or above which the duty budget
+// counts as saturated.
+const dutyStuckUtil = 0.95
 
 // history carries one node's state between polls for the delta detectors.
 type history struct {
@@ -243,10 +237,9 @@ func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
 func (m *Monitor) Metrics() *metrics.Registry { return m.reg }
 
 // Subscribe registers fn to observe every violation as it is detected
-// (after Config.OnViolation, in subscription order), called from Poll's
-// goroutine. The returned function cancels the subscription. This is the
-// attachment point for consumers added after construction — notably the
-// internal/control reconciler.
+// (in subscription order), called from Poll's goroutine. The returned
+// function cancels the subscription. This is the one attachment point for
+// violation consumers — notably the internal/control reconciler.
 func (m *Monitor) Subscribe(fn func(Violation)) (cancel func()) {
 	m.mu.Lock()
 	id := m.nextSub
@@ -277,7 +270,6 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 	}
 	m.score(now, nodes, vs)
 	tracer := m.cfg.Tracer
-	onV := m.cfg.OnViolation
 	// Snapshot subscribers in id (= subscription) order so every run
 	// notifies in the same deterministic order.
 	ids := make([]int, 0, len(m.subs))
@@ -295,9 +287,6 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 		if tracer != nil {
 			tracer.EmitSeg(now, v.Node.String(), trace.KindHealth, 0, v.Kind, 0,
 				"health.violation: "+v.Detail)
-		}
-		if onV != nil {
-			onV(v)
 		}
 		for _, fn := range subs {
 			fn(v)
@@ -356,7 +345,7 @@ func (m *Monitor) deltaDetectors(nodes []NodeStatus) []Violation {
 			} else {
 				h.silentN = 0
 			}
-			if util >= m.cfg.DutyStuckUtil && deferrals > h.deferrals {
+			if util >= dutyStuckUtil && deferrals > h.deferrals {
 				h.dutyN++
 				if h.dutyN >= m.cfg.DutyStuckPolls {
 					vs = append(vs, Violation{Node: n.Addr, Kind: KindDutyStuck,
@@ -448,17 +437,6 @@ func (m *Monitor) Score(addr packet.Address) int {
 		return s
 	}
 	return 100
-}
-
-// Scores returns a snapshot of every scored node.
-func (m *Monitor) Scores() map[packet.Address]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[packet.Address]int, len(m.scores))
-	for a, s := range m.scores {
-		out[a] = s
-	}
-	return out
 }
 
 // Violations returns the retained violation tail, oldest first.

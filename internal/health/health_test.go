@@ -168,7 +168,8 @@ func TestReplayDetector(t *testing.T) {
 		{Addr: addr(1), Alive: true, Stats: stats(1, 1, 0, 0, 0)},
 	}}
 	var seen []Violation
-	m := New(Config{ReplayBurst: 5, OnViolation: func(v Violation) { seen = append(seen, v) }}, p.source)
+	m := New(Config{ReplayBurst: 5}, p.source)
+	m.Subscribe(func(v Violation) { seen = append(seen, v) })
 
 	m.Poll(t0)
 	p.nodes[0].Stats = stats(2, 2, 3, 0, 0) // +3 replays: under the burst
@@ -181,7 +182,7 @@ func TestReplayDetector(t *testing.T) {
 		t.Fatalf("replay burst not flagged: %v", vs)
 	}
 	if len(seen) != 1 || seen[0].Kind != KindReplay {
-		t.Fatalf("OnViolation hook saw %v", seen)
+		t.Fatalf("subscriber saw %v", seen)
 	}
 }
 
@@ -329,25 +330,26 @@ func TestViolationSeqMonotonic(t *testing.T) {
 	}
 }
 
-// TestSubscribeCancel verifies subscriber lifecycle: both the
-// Config.OnViolation hook and Subscribe observers fire per violation,
-// and a canceled subscription stops immediately.
+// TestSubscribeCancel verifies subscriber lifecycle: every Subscribe
+// observer fires per violation, and a canceled subscription stops
+// immediately while the others keep firing.
 func TestSubscribeCancel(t *testing.T) {
 	p := &poller{nodes: []NodeStatus{
 		{Addr: addr(1), Alive: true, Routes: []Route{{Dst: addr(2), Via: addr(9)}}},
 		{Addr: addr(2), Alive: true},
 	}}
-	var hook, subbed int
-	m := New(Config{OnViolation: func(Violation) { hook++ }}, p.source)
+	var kept, subbed int
+	m := New(Config{}, p.source)
+	m.Subscribe(func(Violation) { kept++ })
 	cancel := m.Subscribe(func(Violation) { subbed++ })
 
 	m.Poll(t0.Add(time.Minute))
-	if hook != 1 || subbed != 1 {
-		t.Fatalf("after one poll: hook=%d sub=%d, want 1/1", hook, subbed)
+	if kept != 1 || subbed != 1 {
+		t.Fatalf("after one poll: kept=%d sub=%d, want 1/1", kept, subbed)
 	}
 	cancel()
 	m.Poll(t0.Add(2 * time.Minute))
-	if hook != 2 || subbed != 1 {
-		t.Fatalf("after cancel: hook=%d sub=%d, want 2/1", hook, subbed)
+	if kept != 2 || subbed != 1 {
+		t.Fatalf("after cancel: kept=%d sub=%d, want 2/1", kept, subbed)
 	}
 }

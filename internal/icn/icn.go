@@ -227,10 +227,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 // Kind identifies the strategy: named-data pub-sub with caching.
 func (n *Node) Kind() forward.Kind { return forward.KindICN }
 
-// Beacons reports no periodic control beacons: ICN control traffic is
-// the interest flood itself.
-func (n *Node) Beacons() []forward.Beacon { return nil }
-
 // CacheHitRatio returns hits/(hits+misses) over the node's lifetime
 // (zero before any lookup).
 func (n *Node) CacheHitRatio() float64 {

@@ -407,9 +407,6 @@ func TestStrategySurface(t *testing.T) {
 	if n.Address() != 0x0001 {
 		t.Errorf("Address = %v", n.Address())
 	}
-	if bs := n.Beacons(); len(bs) != 0 {
-		t.Errorf("ICN reports beacons: %v", bs)
-	}
 	if n.CacheHitRatio() != 0 {
 		t.Error("hit ratio nonzero before any lookup")
 	}

@@ -65,11 +65,6 @@ type Config struct {
 	// reports the monitor's verdict and /metrics exports the health.*
 	// instruments.
 	HealthInterval time.Duration
-	// Pprof, when true together with MetricsAddr, additionally mounts the
-	// net/http/pprof profiling handlers under /debug/pprof/ on the
-	// metrics mux. Off by default: profiling endpoints on a mesh debug
-	// port are opt-in.
-	Pprof bool
 }
 
 // Link is how a host's frames leave and arrive: the medium under the

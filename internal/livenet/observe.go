@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"time"
 
@@ -47,7 +46,7 @@ func observe(cfg Config, clk clock, v view) (*observer, error) {
 		}, o.healthSource)
 	}
 	if cfg.MetricsAddr != "" {
-		if err := o.serveMetrics(cfg.MetricsAddr, cfg.Pprof); err != nil {
+		if err := o.serveMetrics(cfg.MetricsAddr); err != nil {
 			return nil, err
 		}
 	}
@@ -115,7 +114,7 @@ func (o *observer) metrics() *metrics.Registry {
 }
 
 // serveMetrics starts the /metrics and /healthz listener.
-func (o *observer) serveMetrics(addr string, profiling bool) error {
+func (o *observer) serveMetrics(addr string) error {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("livenet: metrics listener: %w", err)
@@ -134,13 +133,6 @@ func (o *observer) serveMetrics(addr string, profiling bool) error {
 		v["uptime"] = time.Since(o.clock.start).String()
 		return v
 	}))
-	if profiling {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	o.lis = lis
 	o.srv = &http.Server{Handler: mux}
 	go o.srv.Serve(lis)

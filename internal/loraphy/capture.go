@@ -52,8 +52,3 @@ func Survives(signalSF SpreadingFactor, signalDBm float64, interfererSF Spreadin
 	}
 	return signalDBm-interfererDBm >= th, nil
 }
-
-// CriticalSectionSymbols is the number of final preamble symbols that must
-// be interference-free for the receiver to lock onto a frame. The LoRaSim
-// collision model uses the last 5 preamble symbols.
-const CriticalSectionSymbols = 5

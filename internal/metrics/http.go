@@ -5,11 +5,11 @@ import (
 	"net/http"
 )
 
-// HTTP exposition helpers shared by the live runtimes (livenet, udpnet):
-// a /metrics handler in Prometheus text format and a /healthz handler in
-// JSON. Both pull fresh state per request through caller-supplied
-// functions, so the hosting runtime decides how node registries are
-// aggregated without this package knowing about nodes.
+// HTTP exposition helpers shared by the wall-clock hosts (livenet,
+// cmd/meshgw): a /metrics handler in Prometheus text format and a
+// /healthz handler in JSON. Both pull fresh state per request through
+// caller-supplied functions, so the hosting runtime decides how node
+// registries are aggregated without this package knowing about nodes.
 
 // Handler serves the registry returned by source in Prometheus text
 // format. source is called on every request and must be safe for

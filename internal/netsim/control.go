@@ -31,19 +31,13 @@ type ControllerConfig struct {
 	// is measured from it). Defaults to node 0, the experiments'
 	// gateway position.
 	Host int
-	// PollInterval / RetryInterval / MaxRetries / Cooldown /
-	// MaxInflight / StallDecay pass through to control.Config (zeros
-	// take its defaults).
+	// PollInterval / RetryInterval / MaxRetries / Cooldown / StallDecay
+	// pass through to control.Config (zeros take its defaults).
 	PollInterval  time.Duration
 	RetryInterval time.Duration
 	MaxRetries    int
 	Cooldown      time.Duration
-	MaxInflight   int
 	StallDecay    time.Duration
-	// NoEscalation disables the power-cycle escalation path, leaving
-	// retry exhaustion terminal (the node stays stalled until it
-	// reports again).
-	NoEscalation bool
 }
 
 // AttachController builds the self-healing control plane over this
@@ -92,32 +86,29 @@ func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error)
 		RetryInterval: cc.RetryInterval,
 		MaxRetries:    cc.MaxRetries,
 		Cooldown:      cc.Cooldown,
-		MaxInflight:   cc.MaxInflight,
 		StallDecay:    cc.StallDecay,
 		Tracer:        s.Tracer,
 	}
-	if !cc.NoEscalation {
-		// The out-of-band recovery an in-band command cannot deliver: a
-		// node whose engine is wedged never acks its reboot command, so
-		// after retry exhaustion the "infrastructure" power-cycles it.
-		// Only the reboot playbook escalates — an unacked route purge or
-		// config push does not justify cycling a node's power.
-		cfg.Escalate = func(a packet.Address, cmd control.Command) bool {
-			if cmd.Op != control.OpReboot {
-				return false
-			}
-			h := s.ByAddr(a)
-			if h == nil {
-				return false
-			}
-			// The escalation satisfies the command: stale in-band copies
-			// of it (stream retries queued while the node was deaf) must
-			// not power-cycle the node again when they finally deliver.
-			if cmd.Seq > h.lastRebootSeq {
-				h.lastRebootSeq = cmd.Seq
-			}
-			return s.rebootNode(h.Index, "controller escalation")
+	// The out-of-band recovery an in-band command cannot deliver: a
+	// node whose engine is wedged never acks its reboot command, so
+	// after retry exhaustion the "infrastructure" power-cycles it.
+	// Only the reboot playbook escalates — an unacked route purge or
+	// config push does not justify cycling a node's power.
+	cfg.Escalate = func(a packet.Address, cmd control.Command) bool {
+		if cmd.Op != control.OpReboot {
+			return false
 		}
+		h := s.ByAddr(a)
+		if h == nil {
+			return false
+		}
+		// The escalation satisfies the command: stale in-band copies
+		// of it (stream retries queued while the node was deaf) must
+		// not power-cycle the node again when they finally deliver.
+		if cmd.Seq > h.lastRebootSeq {
+			h.lastRebootSeq = cmd.Seq
+		}
+		return s.rebootNode(h.Index, "controller escalation")
 	}
 	ctl, err := control.New(cfg)
 	if err != nil {

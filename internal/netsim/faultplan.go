@@ -119,7 +119,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 			nc.Address = addr
 		}
 		// The slotted wrapper owns these hooks.
-		nc.Forwarder, nc.TxGate, nc.OnBeacon = nil, nil, nil
+		nc.TxGate, nc.OnBeacon = nil, nil
 		sc.Core = nc
 		n, err := slotted.NewNode(sc, h.env)
 		if err != nil {

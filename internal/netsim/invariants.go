@@ -75,8 +75,8 @@ func (s *Sim) CheckInvariants() error {
 
 	// The scheduler never went backwards and fired a sane number of
 	// events for the elapsed time.
-	if s.Sched.Now().Before(s.Cfg.Start) {
-		errs = append(errs, fmt.Errorf("clock ran backwards: %v < %v", s.Sched.Now(), s.Cfg.Start))
+	if s.Sched.Now().Before(Epoch) {
+		errs = append(errs, fmt.Errorf("clock ran backwards: %v < %v", s.Sched.Now(), Epoch))
 	}
 	return errors.Join(errs...)
 }

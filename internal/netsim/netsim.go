@@ -30,7 +30,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Epoch is the default simulation start time. A fixed epoch keeps runs
+// Epoch is the simulation start time. A fixed epoch keeps runs
 // reproducible and timestamps readable.
 var Epoch = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 
@@ -76,8 +76,6 @@ type Config struct {
 	SecKey *meshsec.Key
 	// Seed drives all simulation randomness (jitter, traffic).
 	Seed int64
-	// Start is the virtual start time; zero means Epoch.
-	Start time.Time
 	// TraceCapacity enables event tracing when positive.
 	TraceCapacity int
 	// SpanCapacity enables hop-level span capture when positive: every
@@ -233,9 +231,6 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.BaseAddress == 0 {
 		cfg.BaseAddress = 0x0001
 	}
-	if cfg.Start.IsZero() {
-		cfg.Start = Epoch
-	}
 	last := int(cfg.BaseAddress) + cfg.Topology.N() - 1
 	if last >= int(packet.Broadcast) {
 		return nil, fmt.Errorf("netsim: address range ends at %04X, collides with broadcast", last)
@@ -247,7 +242,7 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("netsim: security requires the mesher protocol")
 	}
 
-	sched := simtime.NewScheduler(cfg.Start)
+	sched := simtime.NewScheduler(Epoch)
 	medium, err := airmedium.New(sched, cfg.Medium)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: %w", err)
@@ -376,7 +371,7 @@ func (s *Sim) Now() time.Time { return s.Sched.Now() }
 func (s *Sim) EventsFired() uint64 { return s.Sched.Fired() }
 
 // Elapsed returns virtual time since the simulation start.
-func (s *Sim) Elapsed() time.Duration { return s.Sched.Now().Sub(s.Cfg.Start) }
+func (s *Sim) Elapsed() time.Duration { return s.Sched.Now().Sub(Epoch) }
 
 // RunUntil steps the simulation by step until cond holds or max elapses.
 // It returns the virtual time spent in this call and whether cond held.

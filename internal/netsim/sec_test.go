@@ -261,7 +261,7 @@ func TestSecuredCounterSurvivesRestart(t *testing.T) {
 	sim.Run(8 * time.Minute)
 
 	victim := sim.Handle(0).Addr
-	restartTime := sim.Cfg.Start.Add(restartAt)
+	restartTime := Epoch.Add(restartAt)
 	var preMax uint32
 	post := 0
 	for _, r := range mon.recs {

@@ -56,10 +56,11 @@ type Config struct {
 	// PendingCapacity bounds datagrams buffered per destination during
 	// discovery. Zero means 8.
 	PendingCapacity int
-	// RebroadcastDelay is the mean randomized hold-off before relaying
-	// an RREQ, desynchronizing the flood. Zero means 300 ms.
-	RebroadcastDelay time.Duration
 }
+
+// rebroadcastDelay is the mean randomized hold-off before relaying an
+// RREQ, desynchronizing the flood.
+const rebroadcastDelay = 300 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.RouteTTL <= 0 {
@@ -76,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PendingCapacity <= 0 {
 		c.PendingCapacity = 8
-	}
-	if c.RebroadcastDelay <= 0 {
-		c.RebroadcastDelay = 300 * time.Millisecond
 	}
 	return c
 }
@@ -150,10 +148,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
 // Kind identifies the strategy: AODV-style on-demand routing.
 func (n *Node) Kind() forward.Kind { return forward.KindReactive }
-
-// Beacons reports no periodic control beacons: a reactive protocol is
-// silent until traffic appears (its control traffic is the RREQ flood).
-func (n *Node) Beacons() []forward.Beacon { return nil }
 
 // RouteCount returns the number of unexpired routes.
 func (n *Node) RouteCount() int {
@@ -370,7 +364,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	binary.BigEndian.PutUint16(payload[0:2], id)
 	payload[2] = hopCount + 1
 	binary.BigEndian.PutUint16(payload[3:5], uint16(n.cfg.Address))
-	delay := time.Duration((0.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay))
+	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.tx.Enqueue(&packet.Packet{
 		Dst: p.Dst, Src: p.Src, Type: packet.TypeRouteRequest, Payload: payload,
 	}, delay)

@@ -30,6 +30,9 @@ import (
 // poisoned route advertises.
 const MetricInfinity uint8 = 255
 
+// snrMarginDB is the hysteresis for Config.SNRTiebreak.
+const snrMarginDB = 3
+
 // Config tunes the routing table.
 type Config struct {
 	// EntryTTL is how long an entry survives without a refreshing HELLO.
@@ -45,10 +48,8 @@ type Config struct {
 	// whose next-hop link has the higher SNR — the link-quality
 	// refinement later versions of the prototype adopt. A candidate
 	// displaces an equal-metric route only when its SNR advantage
-	// exceeds SNRMarginDB, hysteresis against route flapping.
+	// exceeds snrMarginDB, hysteresis against route flapping.
 	SNRTiebreak bool
-	// SNRMarginDB is the hysteresis for SNRTiebreak. Zero means 3 dB.
-	SNRMarginDB float64
 	// PoisonHold is how long a poisoned entry is retained. Zero means
 	// half of EntryTTL.
 	PoisonHold time.Duration
@@ -84,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoisonHold <= 0 {
 		c.PoisonHold = c.EntryTTL / 2
-	}
-	if c.SNRMarginDB <= 0 {
-		c.SNRMarginDB = 3
 	}
 	if c.SuppressWindow <= 0 {
 		c.SuppressWindow = c.EntryTTL
@@ -131,8 +129,6 @@ type Table struct {
 	self    packet.Address
 	cfg     Config
 	entries map[packet.Address]*Entry
-	// changes counts table mutations, a cheap convergence probe.
-	changes uint64
 	// suppressed quarantines repeatedly-withdrawn neighbors (see
 	// Config.SuppressAfter). Bounded by SuppressMax.
 	suppressed map[packet.Address]*suppression
@@ -170,10 +166,6 @@ func (t *Table) Len() int {
 	}
 	return n
 }
-
-// Changes returns the number of mutations applied so far. Experiments use
-// a quiescent change counter as the convergence signal.
-func (t *Table) Changes() uint64 { return t.changes }
 
 // ApplyHello folds one received HELLO into the table. from is the sender
 // (which becomes a 1-hop neighbor), role its advertised role, snr the
@@ -246,12 +238,10 @@ func (t *Table) update(now time.Time, cand Entry) bool {
 			return false
 		}
 		*cur = cand
-		t.changes++
 		return true
 	case !ok:
 		e := cand
 		t.entries[cand.Addr] = &e
-		t.changes++
 		return true
 	case cur.Via == cand.Via:
 		// Update from the route's own next hop: always accept — the
@@ -259,20 +249,15 @@ func (t *Table) update(now time.Time, cand Entry) bool {
 		// worse — and refresh the timestamp.
 		structural := cur.Metric != cand.Metric || cur.Role != cand.Role
 		*cur = cand
-		if structural {
-			t.changes++
-		}
 		return structural
 	case cand.Metric < cur.Metric:
 		// Strictly better path through a different neighbor.
 		*cur = cand
-		t.changes++
 		return true
 	case cand.Metric == cur.Metric && t.cfg.SNRTiebreak &&
-		cand.SNR >= cur.SNR+t.cfg.SNRMarginDB:
+		cand.SNR >= cur.SNR+snrMarginDB:
 		// Equal hop count but a clearly stronger first link.
 		*cur = cand
-		t.changes++
 		return true
 	default:
 		return false
@@ -281,7 +266,6 @@ func (t *Table) update(now time.Time, cand Entry) bool {
 
 // invalidate marks an entry unreachable (poisoning on) or removes it.
 func (t *Table) invalidate(now time.Time, e *Entry) {
-	t.changes++
 	if t.cfg.Poisoning {
 		e.Metric = MetricInfinity
 		e.UpdatedAt = now
@@ -300,7 +284,6 @@ func (t *Table) ExpireStale(now time.Time) []packet.Address {
 		if e.Poisoned() {
 			if age > t.cfg.PoisonHold {
 				delete(t.entries, addr)
-				t.changes++
 			}
 			continue
 		}

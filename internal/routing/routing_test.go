@@ -28,6 +28,10 @@ func TestApplyHelloAddsNeighbor(t *testing.T) {
 	if !ok || next != 0x0002 {
 		t.Errorf("NextHop = %v,%v, want 0002,true", next, ok)
 	}
+	// Re-applying identical state must not count as change.
+	if tab.ApplyHello(t0.Add(time.Minute), 0x0002, packet.RoleDefault, 5, nil) {
+		t.Error("identical HELLO reported a change")
+	}
 }
 
 func TestApplyHelloLearnsMultiHopRoute(t *testing.T) {
@@ -267,20 +271,6 @@ func TestEntriesSortedAndCopied(t *testing.T) {
 	}
 }
 
-func TestChangesCounterQuiesces(t *testing.T) {
-	tab := newTestTable(DefaultConfig())
-	adv := []packet.HelloEntry{{Addr: 0x0003, Metric: 1, Role: packet.RoleDefault}}
-	tab.ApplyHello(t0, 0x0002, packet.RoleDefault, 0, adv)
-	c := tab.Changes()
-	// Re-applying identical state must not count as change.
-	if tab.ApplyHello(t0.Add(time.Minute), 0x0002, packet.RoleDefault, 0, adv) {
-		t.Error("identical HELLO reported a change")
-	}
-	if tab.Changes() != c {
-		t.Errorf("changes went %d -> %d on identical HELLO", c, tab.Changes())
-	}
-}
-
 // TestPropertyMetricConsistency: for any sequence of random HELLOs, every
 // entry satisfies 1 <= metric <= MaxHops (or infinity when poisoned), and
 // NextHop only ever returns installed 1-hop neighbors... more precisely,
@@ -340,12 +330,12 @@ func BenchmarkApplyHello(b *testing.B) {
 func TestSNRTiebreak(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SNRTiebreak = true
-	cfg.SNRMarginDB = 3
 	tab := newTestTable(cfg)
 	// Route to D at 2 hops via B, heard at SNR 2 dB.
 	tab.ApplyHello(t0, 0x000B, packet.RoleDefault, 2,
 		[]packet.HelloEntry{{Addr: 0x000D, Metric: 1}})
-	// Equal-metric alternative via C at SNR 8 dB: displaces (margin met).
+	// Equal-metric alternative via C at SNR 8 dB: displaces (the 3 dB
+	// margin is met).
 	tab.ApplyHello(t0, 0x000C, packet.RoleDefault, 8,
 		[]packet.HelloEntry{{Addr: 0x000D, Metric: 1}})
 	e, _ := tab.Lookup(0x000D)

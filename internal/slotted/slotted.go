@@ -36,8 +36,7 @@ import (
 // Config parameterizes a slotted node.
 type Config struct {
 	// Core is the underlying distance-vector engine's configuration.
-	// Forwarder, TxGate, and OnBeacon must be unset — the slotted
-	// wrapper owns them.
+	// TxGate and OnBeacon must be unset — the slotted wrapper owns them.
 	Core core.Config
 	// Superframe is the shared TDMA schedule. Required.
 	Superframe control.Superframe
@@ -75,8 +74,8 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 		return nil, fmt.Errorf("slotted: guard %v leaves no usable slot time (slot_len %v)",
 			cfg.Superframe.Guard.D(), cfg.Superframe.SlotLen.D())
 	}
-	if cfg.Core.Forwarder != nil || cfg.Core.TxGate != nil || cfg.Core.OnBeacon != nil {
-		return nil, fmt.Errorf("slotted: Core.Forwarder/TxGate/OnBeacon are owned by the slotted wrapper")
+	if cfg.Core.TxGate != nil || cfg.Core.OnBeacon != nil {
+		return nil, fmt.Errorf("slotted: Core.TxGate/OnBeacon are owned by the slotted wrapper")
 	}
 	if cfg.BeaconPeriod == 0 {
 		cfg.BeaconPeriod = 10 * cfg.Superframe.Period()
@@ -99,16 +98,6 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 
 // Kind identifies the strategy, shadowing the embedded engine's.
 func (s *Node) Kind() forward.Kind { return forward.KindSlotted }
-
-// Beacons reports both control beacons: the routing HELLO and the slot
-// beacon.
-func (s *Node) Beacons() []forward.Beacon {
-	bs := s.Node.Beacons()
-	if s.cfg.BeaconPeriod > 0 {
-		bs = append(bs, forward.Beacon{Type: packet.TypeSlotBeacon, Period: s.cfg.BeaconPeriod})
-	}
-	return bs
-}
 
 // Superframe returns the schedule the node runs.
 func (s *Node) Superframe() control.Superframe { return s.cfg.Superframe }

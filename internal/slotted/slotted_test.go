@@ -196,30 +196,19 @@ func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
 func TestBeaconsSurface(t *testing.T) {
 	cfg := Config{Superframe: superframe(), Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001)
-	s := b.envs[0].node
-	bs := s.Beacons()
-	if len(bs) != 2 {
-		t.Fatalf("Beacons() = %v, want HELLO + slot beacon", bs)
-	}
-	var slot *forward.Beacon
-	for i := range bs {
-		if bs[i].Type == packet.TypeSlotBeacon {
-			slot = &bs[i]
-		}
-	}
-	if slot == nil {
-		t.Fatal("no slot beacon advertised")
-	}
-	// Default beacon period: one per 10 superframes (6 s period).
-	if slot.Period != 60*time.Second {
-		t.Errorf("default slot-beacon period = %v, want 60s", slot.Period)
+	// Default beacon period: one per 10 superframes (6 s period), first
+	// one a random fraction of a period in — ten in ten minutes.
+	b.sched.RunFor(10 * time.Minute)
+	if got := snapshot(b.envs[0].node, "slotted.beacon.tx"); got != 10 {
+		t.Errorf("default beaconing sent %v slot beacons in 10 min, want 10 (60s period)", got)
 	}
 
-	// Disabled beaconing drops the advertisement.
+	// Disabled beaconing sends none.
 	cfg2 := cfg
 	cfg2.BeaconPeriod = -1
 	b2 := newBus(t, cfg2, 0x0002)
-	if bs := b2.envs[0].node.Beacons(); len(bs) != 1 || bs[0].Type != packet.TypeHello {
-		t.Errorf("disabled beaconing still advertises: %v", bs)
+	b2.sched.RunFor(10 * time.Minute)
+	if got := snapshot(b2.envs[0].node, "slotted.beacon.tx"); got != 0 {
+		t.Errorf("disabled beaconing still sent %v slot beacons", got)
 	}
 }

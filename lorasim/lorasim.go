@@ -54,19 +54,9 @@ const (
 	KindFlooding = forward.KindFlooding
 )
 
-// ChannelConfig tunes the simulated medium (path loss, shadowing,
-// capture, injected loss).
+// ChannelConfig tunes the simulated medium (shadowing, soft decoding,
+// injected loss).
 type ChannelConfig = airmedium.Config
-
-// LinkMatrix holds measured per-link attenuations for testbed replay:
-// install matrix.Override() as ChannelConfig.PathLossOverride to drive the
-// channel from survey data instead of synthetic geometry.
-type LinkMatrix = airmedium.LinkMatrix
-
-// LoadLinkMatrix reads a measured link matrix from a JSON file.
-func LoadLinkMatrix(path string) (*LinkMatrix, error) {
-	return airmedium.LoadLinkMatrix(path)
-}
 
 // FloodConfig tunes the flooding baseline.
 type FloodConfig = baseline.Config

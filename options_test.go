@@ -1,0 +1,211 @@
+package repro
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// optionAllowlist names the exported Config fields that no program sets
+// and that stay anyway, each with the reason (DESIGN.md, "Options
+// policy"). Keys are package.Type.Field, resolved by type.
+var optionAllowlist = map[string]string{
+	// Bounds that tests shrink to reach behaviour programs do reach.
+	"core.Config.QueueCapacity":           "queue-full drops: tests shrink the 64-frame queue to hit them",
+	"core.Config.CADBackoff":              "listen-before-talk deferral: tests shorten it",
+	"core.Config.CADMaxTries":             "listen-before-talk give-up: tests shrink it",
+	"core.Config.MaxOutStreams":           "ErrBusyStream: tests shrink the 4-stream bound",
+	"core.Config.StreamBackoff":           "tests pin 1 to get the prototype's fixed retry timeout",
+	"citysim.Config.QueueCap":             "queue drops: tests shrink the 8-frame queue",
+	"citysim.Config.TTLHops":              "TTL drops: tests shrink the 32-hop bound",
+	"citysim.Config.Sinks":                "tests pin the sink count on toy fields",
+	"citysim.Config.Window":               "tests reject an over-long synchronization window",
+	"citysim.Config.SlottedSlots":         "tests shrink the superframe",
+	"citysim.Config.RouteTTL":             "route expiry: tests shorten it",
+	"icn.Config.ContentStoreBytes":        "cache eviction: tests shrink the store",
+	"reactive.Config.MaxDiscoveryRetries": "discovery give-up: tests shrink it",
+	"reactive.Config.PendingCapacity":     "pending-queue overflow: tests shrink it",
+	"baseline.Config.DedupCapacity":       "seen-set eviction: tests shrink it",
+	"slotted.Config.BeaconPeriod":         "tests speed up and disable the slot beacon",
+	"health.Config.SilentPolls":           "silent detector: tests shorten the window",
+	"health.Config.DutyStuckPolls":        "duty-stuck detector: tests shorten the window",
+	"health.Config.ReplayBurst":           "replay detector: tests lower the burst",
+	"routing.Config.PoisonHold":           "poison hold-down: tests shorten it",
+	"netsim.Config.BaseAddress":           "tests move the address block to check nothing assumes 1..n",
+	"citysim.Config.ExtraFrameLossRate":   "determinism tests inject erasures to reach the LostRandom bucket",
+	"icn.Config.MaxHops":                  "interest-flood hop bound: tests shrink it",
+	"reactive.Config.MaxHops":             "RREQ-flood hop bound: tests shrink it",
+	"reactive.Config.RouteTTL":            "route expiry: tests shorten it",
+	// Fields of features kept by their own DESIGN decision and tests.
+	"routing.Config.SuppressAfter":  "dead-neighbour suppression (DESIGN: chaos hardening)",
+	"routing.Config.SuppressWindow": "dead-neighbour suppression (DESIGN: chaos hardening)",
+	"routing.Config.SuppressHold":   "dead-neighbour suppression (DESIGN: chaos hardening)",
+	"routing.Config.SuppressMax":    "dead-neighbour suppression (DESIGN: chaos hardening)",
+	"netsim.ControllerConfig.Host":  "the controller's node; every program uses the default, node 0",
+	"core.Config.TriggeredHelloGap": "triggered updates (kept feature): the rate limit on its HELLOs",
+	"gateway.Config.Drop":           "the full-spool policy README documents; DropNewest runs in spool tests only — cutting it is its own PR",
+	"gateway.Config.Tracer":         "gateway trace events (ROADMAP aim 4); no program attaches a tracer yet — wire it or cut it in its own PR",
+}
+
+// TestEveryOptionHasASetter keeps the options audit true: every exported
+// field of every exported *Config struct under internal/ is set — by a
+// keyed literal, an assignment, or its address handed to a flag — in some
+// non-test file other than the
+// one that defines it (cmd/, examples/, internal/, bench/, and the two
+// public wrappers), or is in optionAllowlist with its reason. A test
+// alone does not keep an option alive.
+func TestEveryOptionHasASetter(t *testing.T) {
+	r := &repo{
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		pkgs: make(map[string]*types.Package),
+		info: &types.Info{Uses: make(map[*ast.Ident]types.Object)},
+	}
+	var dirs []string
+	for _, pat := range []string{"internal/*", "cmd/*", "examples/*", "bench", "lorasim", "loramesher"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, m...)
+	}
+	for _, d := range dirs {
+		if _, err := r.Import("repro/" + filepath.ToSlash(d)); err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+	}
+
+	// The options: field object -> its name and defining file.
+	type option struct{ key, file string }
+	options := make(map[types.Object]option)
+	for path, pkg := range r.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					options[f] = option{pkg.Name() + "." + name + "." + f.Name(), r.fset.Position(f.Pos()).Filename}
+				}
+			}
+		}
+	}
+	if len(options) < 100 {
+		t.Fatalf("found only %d Config fields under internal/: the walk is broken", len(options))
+	}
+
+	// The setters: keyed-literal keys and assignment targets that resolve
+	// to one of those fields, outside its defining file.
+	set := make(map[types.Object]bool)
+	mark := func(id *ast.Ident) {
+		obj := r.info.Uses[id]
+		if o, ok := options[obj]; ok && r.fset.Position(id.Pos()).Filename != o.file {
+			set[obj] = true
+		}
+	}
+	for _, f := range r.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					mark(id)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						mark(sel.Sel)
+					}
+				}
+			case *ast.UnaryExpr:
+				// &cfg.Field handed to a writer such as flag.IntVar.
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					mark(sel.Sel)
+				}
+			}
+			return true
+		})
+	}
+
+	var unset []string
+	used := make(map[string]bool)
+	for obj, o := range options {
+		_, allowed := optionAllowlist[o.key]
+		switch {
+		case allowed:
+			used[o.key] = true
+			if set[obj] {
+				t.Errorf("%s is set by a program now: drop it from optionAllowlist", o.key)
+			}
+		case !set[obj]:
+			unset = append(unset, o.key)
+		}
+	}
+	sort.Strings(unset)
+	for _, k := range unset {
+		t.Errorf("%s has no setter in any program: make it a constant, or allowlist it with a reason", k)
+	}
+	for k := range optionAllowlist {
+		if !used[k] {
+			t.Errorf("optionAllowlist names %s, which no longer exists", k)
+		}
+	}
+}
+
+// repo type-checks the repository's packages from source — non-test
+// files only, so a test never counts as a setter — and defers everything
+// outside the module to the toolchain's importer.
+type repo struct {
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
+func (r *repo) Import(path string) (*types.Package, error) {
+	if !strings.HasPrefix(path, "repro/") {
+		return r.std.Import(path)
+	}
+	if pkg, ok := r.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.FromSlash(strings.TrimPrefix(path, "repro/"))
+	parsed, err := parser.ParseDir(r.fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, p := range parsed {
+		for _, f := range p.Files {
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		return nil, os.ErrNotExist
+	}
+	pkg, err := (&types.Config{Importer: r}).Check(path, r.fset, files, r.info)
+	if err != nil {
+		return nil, err
+	}
+	r.pkgs[path] = pkg
+	r.files = append(r.files, files...)
+	return pkg, nil
+}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — the local quality gate: format, vet, (optionally) staticcheck,
 # build, full tests, the same tests under the race detector, the
-# benchmark's smoke test, two end-to-end CLI smokes, and the coverage
-# ratchet. CI and contributors run exactly this.
+# benchmark's smoke test, the evaluation diff, two end-to-end CLI smokes,
+# and the coverage ratchet. CI and contributors run exactly this.
 #
 # staticcheck and govulncheck run when their binaries are on PATH (CI
 # installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -53,6 +53,10 @@ echo "==> bench smoke"
 # bench/ is a nested module the root's ./... does not see; its smoke
 # test runs every BENCHMARK.json workload at toy scale.
 (cd bench && go test ./...)
+echo "==> eval diff"
+# The evaluation's deterministic cells against the committed
+# eval_output.txt: a refactor that moves one has changed behaviour.
+./scripts/eval_diff.sh
 echo "==> meshsim -control smoke"
 # End-to-end: the simulator reconciles toward a real desired-state
 # document and must report convergence — guards the CLI wiring (flag,
