@@ -98,7 +98,7 @@ func run(w io.Writer, o options) error {
 	hosts := make([]*livenet.Host, o.n)
 	socks := make([]*livenet.UDPLink, o.n)
 	for i := range hosts {
-		sock, err := livenet.ListenUDP("127.0.0.1:0", nil, 0)
+		sock, err := livenet.ListenUDP("127.0.0.1:0", nil)
 		if err != nil {
 			return err
 		}

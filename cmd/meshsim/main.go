@@ -6,7 +6,7 @@
 //
 //	meshsim                                   # 5-node chain, defaults
 //	meshsim -topology random -n 12 -duration 2h -traffic sink
-//	meshsim -topology grid -n 9 -protocol flooding -traffic pairs
+//	meshsim -topology grid -n 9 -strategy flooding -traffic pairs
 //	meshsim -strategy icn -n 8 -topology grid     # pull workload, in-mesh caching
 //	meshsim -strategy slotted                     # TDMA schedule + latency bound
 //	meshsim -trace 50                         # show the last 50 events
@@ -49,14 +49,13 @@ type options struct {
 	// (internal/citysim) instead of the per-node protocol stack: 0 is the
 	// serial reference executor, k >= 1 runs k column-stripe shards. -1
 	// keeps the default per-node engine.
-	shards   int
-	spacing  float64
-	protocol string
-	// strategy, when set, selects the forwarding strategy by its
-	// forward.Kind name (proactive, reactive, icn, slotted, flooding),
-	// overriding -protocol. ICN runs a pull workload (interest rounds
-	// against a node-0 producer) instead of the push -traffic patterns;
-	// slotted runs under a default 3-slot superframe with node 0 as sink.
+	shards  int
+	spacing float64
+	// strategy selects the forwarding strategy by its forward.Kind name
+	// (proactive, reactive, icn, slotted, flooding). ICN runs a pull
+	// workload (interest rounds against a node-0 producer) instead of the
+	// push -traffic patterns; slotted runs under a default 3-slot
+	// superframe with node 0 as sink.
 	strategy string
 	duration time.Duration
 	traffic  string
@@ -78,8 +77,8 @@ type options struct {
 	// with the same pair to replay a failure exactly.
 	faultsFile string
 	// seckey, 32 hex digits, turns on link-layer security: every frame
-	// is encrypted and authenticated under this network key (mesher
-	// protocol only).
+	// is encrypted and authenticated under this network key (proactive
+	// strategy only).
 	seckey string
 	// spanCap arms hop-level span capture with a flight-recorder ring of
 	// this many segments; with -trace-out the segments also stream as
@@ -101,8 +100,7 @@ func main() {
 	flag.IntVar(&o.n, "n", 5, "number of nodes")
 	flag.Float64Var(&o.spacing, "spacing", 8000, "node spacing / radius in meters")
 	flag.IntVar(&o.shards, "shards", -1, "run the city-scale sharded engine with -n nodes and this many shards (0 = serial reference executor; -1 = per-node engine)")
-	flag.StringVar(&o.protocol, "protocol", "mesher", "mesher | flooding | reactive")
-	flag.StringVar(&o.strategy, "strategy", "", "forwarding strategy: proactive | reactive | icn | slotted | flooding (overrides -protocol; icn/slotted not available with -protocol)")
+	flag.StringVar(&o.strategy, "strategy", "proactive", "forwarding strategy: proactive | reactive | icn | slotted | flooding")
 	flag.DurationVar(&o.duration, "duration", time.Hour, "simulated duration after convergence")
 	flag.StringVar(&o.traffic, "traffic", "pairs", "none | pairs | sink")
 	flag.DurationVar(&o.interval, "interval", 5*time.Minute, "mean traffic interval per flow")
@@ -147,18 +145,14 @@ func buildTopology(kind string, n int, spacing float64, seed int64) (*geo.Topolo
 }
 
 func run(w io.Writer, o options) error {
-	var strat forward.Kind
-	if o.strategy != "" {
-		var err error
-		if strat, err = forward.ParseKind(o.strategy); err != nil {
-			return err
-		}
+	strat, err := forward.ParseKind(o.strategy)
+	if err != nil {
+		return err
 	}
 	if o.shards >= 0 {
 		return runCity(w, o)
 	}
 	var topo *geo.Topology
-	var err error
 	if o.topoFile != "" {
 		topo, err = geo.LoadFile(o.topoFile)
 	} else {
@@ -181,6 +175,7 @@ func run(w io.Writer, o options) error {
 	}
 	cfg := netsim.Config{
 		Topology: topo,
+		Protocol: strat,
 		Seed:     o.seed,
 		Node:     loramesher.Config{HelloPeriod: o.hello},
 		Flood:    baseline.Config{},
@@ -192,20 +187,6 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		cfg.SecKey = &key
-	}
-	if strat != "" {
-		cfg.Protocol = strat
-	} else {
-		switch o.protocol {
-		case "mesher":
-			cfg.Protocol = forward.KindProactive
-		case "flooding":
-			cfg.Protocol = forward.KindFlooding
-		case "reactive":
-			cfg.Protocol = forward.KindReactive
-		default:
-			return fmt.Errorf("unknown protocol %q", o.protocol)
-		}
 	}
 	switch cfg.Protocol {
 	case forward.KindICN:
@@ -284,9 +265,7 @@ func run(w io.Writer, o options) error {
 	if cfg.SecKey != nil {
 		fmt.Fprintf(w, "link-layer security: on (frames encrypted and authenticated)\n\n")
 	}
-	if strat != "" {
-		fmt.Fprintf(w, "forwarding strategy: %s\n\n", strat)
-	}
+	fmt.Fprintf(w, "forwarding strategy: %s\n\n", strat)
 	if cfg.Protocol == forward.KindProactive || cfg.Protocol == forward.KindSlotted {
 		conv, ok := sim.TimeToConvergence(10*time.Second, 12*time.Hour)
 		if !ok {

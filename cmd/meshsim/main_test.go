@@ -47,7 +47,7 @@ func TestPrintMapRendersEveryNode(t *testing.T) {
 // opts returns a tiny base scenario; tests tweak what they need.
 func opts() options {
 	return options{
-		topology: "line", n: 3, spacing: 8000, protocol: "mesher",
+		topology: "line", n: 3, spacing: 8000, strategy: "proactive",
 		duration: 600e9, traffic: "pairs", interval: 300e9, hello: 120e9,
 		seed: 1, shards: -1,
 	}
@@ -63,12 +63,12 @@ func TestRunSmoke(t *testing.T) {
 		t.Error("report missing per-node summary")
 	}
 	o := opts()
-	o.protocol, o.duration, o.traffic = "flooding", 60e9, "none"
+	o.strategy, o.duration, o.traffic = "flooding", 60e9, "none"
 	if err := run(&out, o); err != nil {
 		t.Fatal(err)
 	}
 	o = opts()
-	o.protocol, o.duration = "reactive", 60e9
+	o.strategy, o.duration = "reactive", 60e9
 	if err := run(&out, o); err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +207,13 @@ func TestRunSecuredSmoke(t *testing.T) {
 		t.Error("malformed -seckey: want error")
 	}
 
-	// Link security is a mesher feature; the baselines must refuse the
-	// key rather than silently run plaintext.
+	// Link security is a proactive-engine feature; the baselines must
+	// refuse the key rather than silently run plaintext.
 	o = opts()
 	o.seckey = "2b7e151628aed2a6abf7158809cf4f3c"
-	o.protocol, o.traffic, o.duration = "flooding", "none", 60e9
+	o.strategy, o.traffic, o.duration = "flooding", "none", 60e9
 	if err := run(&out, o); err == nil {
-		t.Error("-seckey with flooding protocol: want error")
+		t.Error("-seckey with the flooding strategy: want error")
 	}
 }
 
@@ -246,13 +246,6 @@ func TestRunStrategySmoke(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("slotted report missing %q:\n%s", want, s)
 		}
-	}
-
-	// -strategy proactive matches the -protocol mesher default path.
-	o = opts()
-	o.strategy, o.duration = "proactive", 600e9
-	if err := run(&out, o); err != nil {
-		t.Fatal(err)
 	}
 
 	// Malformed values fail cleanly on both engine paths.

@@ -92,7 +92,7 @@ func run(nodes, hours int, interval time.Duration, seed int64, stdout bool) erro
 			return err
 		}
 		defer gw.Close()
-		if _, err := gateway.AttachSim(sim, 0, gw); err != nil {
+		if err := gateway.AttachSim(sim, 0, gw); err != nil {
 			return err
 		}
 		fmt.Printf("gateway bridge on the sink, uplinking to %s\n", url)

@@ -67,7 +67,7 @@ func demo() error {
 	hosts := make([]*livenet.Host, n)
 	socks := make([]*livenet.UDPLink, n)
 	for i := range hosts {
-		sock, err := livenet.ListenUDP("127.0.0.1:0", nil, 0)
+		sock, err := livenet.ListenUDP("127.0.0.1:0", nil)
 		if err != nil {
 			return err
 		}
@@ -159,7 +159,7 @@ func single(addrHex, listen, peers string, scale float64, send, metricsAddr stri
 	if peers != "" {
 		peerList = strings.Split(peers, ",")
 	}
-	sock, err := livenet.ListenUDP(listen, peerList, 0)
+	sock, err := livenet.ListenUDP(listen, peerList)
 	if err != nil {
 		return err
 	}
@@ -167,6 +167,10 @@ func single(addrHex, listen, peers string, scale float64, send, metricsAddr stri
 		Node:        nodeConfig(a),
 		TimeScale:   scale,
 		MetricsAddr: metricsAddr,
+		// /healthz then answers with the health monitor's verdict on this
+		// node (blackholed routes, silence, a stuck duty budget, replays)
+		// rather than with "the process responds".
+		HealthInterval: 30 * time.Second,
 	}, sock)
 	if err != nil {
 		return err

@@ -191,7 +191,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 		}
 	}
 	if ttl <= 1 {
-		n.reg.Counter("drop.ttl").Inc()
+		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}
 	fwd := p.Clone()

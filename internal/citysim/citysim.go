@@ -613,18 +613,6 @@ func (s *Sim) stateBytes() uint64 {
 	return b
 }
 
-// SinkIndices returns the node indices elected as sinks, ascending. A
-// multi-gateway harness uses these to attribute deliveries to gateways.
-func (s *Sim) SinkIndices() []int {
-	var out []int
-	for i, is := range s.nodes.isSink {
-		if is {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Delivery is one reading's arrival at a sink, exported from the
 // per-shard delivery logs in the digest's deterministic global order.
 type Delivery struct {

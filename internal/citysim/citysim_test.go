@@ -3,7 +3,6 @@ package citysim
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -138,22 +137,15 @@ func TestCityShardBarrierRace(t *testing.T) {
 // TestScaleSmoke is the CI scale-regression gate (satellite #1), gated
 // behind SCALE_SMOKE=1 because it simulates a 10k-node city. It fails on
 // either (a) serial-vs-sharded trace divergence — digest mismatch — or
-// (b) an events/sec speedup below SCALE_FLOOR (default 2.0; the sharded
-// executor must beat the full-scan design by at least that factor even on
-// one core, because its win is algorithmic: cell-bounded neighbor scans
-// instead of O(n) per transmission).
+// (b) an events/sec speedup below 2.0 (the sharded executor must beat the
+// full-scan design by at least that factor even on one core, because its
+// win is algorithmic: cell-bounded neighbor scans instead of O(n) per
+// transmission).
 func TestScaleSmoke(t *testing.T) {
 	if os.Getenv("SCALE_SMOKE") == "" {
 		t.Skip("set SCALE_SMOKE=1 to run the 10k-node scale gate")
 	}
-	floor := 2.0
-	if v := os.Getenv("SCALE_FLOOR"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			t.Fatalf("bad SCALE_FLOOR %q: %v", v, err)
-		}
-		floor = f
-	}
+	const floor = 2.0
 	cfg := Config{Nodes: 10000, Seed: 1}
 	const d = 2 * time.Minute
 	serial, serialDigest := runOnce(t, cfg, d)
@@ -171,7 +163,7 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestCityDeliveryExports pins the multi-gateway observability surface:
-// sink indices match the elected count, and the delivery log is in its
+// the elected sinks match the configured count, and the delivery log is in its
 // deterministic global order with every record naming a real sink.
 func TestCityDeliveryExports(t *testing.T) {
 	sim, err := New(Config{Nodes: 300, Seed: 1, Shards: 2, Sinks: 2})
@@ -181,11 +173,15 @@ func TestCityDeliveryExports(t *testing.T) {
 	if err := sim.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sinks := sim.SinkIndices()
-	if len(sinks) != 2 {
-		t.Fatalf("SinkIndices = %v, want 2 sinks", sinks)
+	isSink := map[int]bool{}
+	for i, is := range sim.nodes.isSink {
+		if is {
+			isSink[i] = true
+		}
 	}
-	isSink := map[int]bool{sinks[0]: true, sinks[1]: true}
+	if len(isSink) != 2 {
+		t.Fatalf("elected sinks = %v, want 2", isSink)
+	}
 	recs := sim.Deliveries()
 	if uint64(len(recs)) != sim.Stats().Delivered {
 		t.Fatalf("Deliveries len %d != Stats().Delivered %d", len(recs), sim.Stats().Delivered)

@@ -81,9 +81,6 @@ func (sp NodeSpec) merged(over NodeSpec) NodeSpec {
 	return sp
 }
 
-// zero reports whether the spec expresses no opinion at all.
-func (sp NodeSpec) zero() bool { return sp == NodeSpec{} }
-
 // Superframe declares a TDMA-like slotted schedule for the real-time
 // forwarding strategy (see internal/slotted): the superframe repeats
 // every Slots×SlotLen, each node transmits data only inside its assigned

@@ -579,8 +579,9 @@ func (n *Node) preRegisterInstruments() {
 	for _, c := range []string{
 		"tx.frames", "tx.bytes", "rx.frames", "fwd.frames",
 		"app.sent", "app.delivered",
-		"drop.noroute", "drop.duplicate", "drop.queue_full",
-		"drop.dutycycle", "drop.marshal", "drop.txerror",
+		"drop." + forward.DropNoRoute, "drop." + forward.DropDuplicate,
+		"drop." + forward.DropQueueFull, "drop." + forward.DropDutyCycle,
+		"drop." + forward.DropMarshal, "drop." + forward.DropTxError,
 		"dutycycle.deferrals",
 	} {
 		n.reg.Counter(c)

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/forward"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -50,7 +51,7 @@ func (n *Node) sendHello() {
 		entries = entries[len(chunk):]
 		payload, err := packet.MarshalHello(chunk)
 		if err != nil {
-			n.reg.Counter("drop.marshal").Inc()
+			n.reg.Counter("drop." + forward.DropMarshal).Inc()
 			return
 		}
 		p := &packet.Packet{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/forward"
 	"repro/internal/packet"
 	"repro/internal/span"
 	"repro/internal/trace"
@@ -126,10 +127,10 @@ func (n *Node) enqueue(p *packet.Packet) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	if err := n.queue.push(p, n.env.Now()); err != nil {
-		n.reg.Counter("drop.queue_full").Inc()
+		n.reg.Counter("drop." + forward.DropQueueFull).Inc()
 		if p.Type != packet.TypeHello {
 			n.tracePacket(trace.KindDrop, p, "drop: queue full (%d queued)", n.queue.len())
-			n.recordSpan(p, span.SegDrop, 0, "queue_full")
+			n.recordSpan(p, span.SegDrop, 0, forward.DropQueueFull)
 		}
 		return err
 	}
@@ -189,16 +190,16 @@ func (n *Node) transmitHead() {
 		// The packet was validated at enqueue; treat as a bug signal,
 		// drop it, and keep the queue moving.
 		n.queue.pop()
-		n.reg.Counter("drop.marshal").Inc()
+		n.reg.Counter("drop." + forward.DropMarshal).Inc()
 		n.tracePacket(trace.KindDrop, head, "drop: marshal failed: %v", err)
-		n.recordSpan(head, span.SegDrop, 0, "marshal")
+		n.recordSpan(head, span.SegDrop, 0, forward.DropMarshal)
 		n.pump(0)
 		return
 	}
 	airtime, err := n.cfg.Phy.Airtime(len(frame))
 	if err != nil {
 		n.queue.pop()
-		n.reg.Counter("drop.marshal").Inc()
+		n.reg.Counter("drop." + forward.DropMarshal).Inc()
 		n.tracePacket(trace.KindDrop, head, "drop: airtime rejected: %v", err)
 		n.recordSpan(head, span.SegDrop, 0, "airtime")
 		n.pump(0)
@@ -211,9 +212,9 @@ func (n *Node) transmitHead() {
 			// The frame alone exceeds the whole budget; it can never
 			// be sent legally.
 			n.queue.pop()
-			n.reg.Counter("drop.dutycycle").Inc()
+			n.reg.Counter("drop." + forward.DropDutyCycle).Inc()
 			n.tracePacket(trace.KindDrop, head, "drop: frame airtime %v exceeds whole duty budget", airtime)
-			n.recordSpan(head, span.SegDrop, 0, "dutycycle")
+			n.recordSpan(head, span.SegDrop, 0, forward.DropDutyCycle)
 			n.pump(0)
 			return
 		}
@@ -248,9 +249,9 @@ func (n *Node) transmitHead() {
 	_, enqueuedAt, _ := n.queue.pop()
 	n.ins.queueDepth.Set(float64(n.queue.len()))
 	if _, err := n.env.Transmit(frame); err != nil {
-		n.reg.Counter("drop.txerror").Inc()
+		n.reg.Counter("drop." + forward.DropTxError).Inc()
 		n.tracePacket(trace.KindDrop, head, "drop: radio transmit error: %v", err)
-		n.recordSpan(head, span.SegDrop, 0, "txerror")
+		n.recordSpan(head, span.SegDrop, 0, forward.DropTxError)
 		n.pump(0)
 		return
 	}

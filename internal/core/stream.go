@@ -24,11 +24,6 @@ import (
 // maxChunk is the data bytes per XL_DATA packet on a plaintext mesh.
 var maxChunk = packet.MaxPayload(packet.TypeXLData)
 
-// MaxReliablePayload is the largest payload SendReliable accepts on a
-// plaintext mesh: 65535 chunks of maxChunk bytes. A secured node's limit
-// is smaller (sealing costs packet.SecOverhead bytes per chunk).
-var MaxReliablePayload = 65535 * maxChunk
-
 // chunkSize is the data bytes per XL_DATA packet for this node's
 // security mode. Both ends compute the same value because security is a
 // network-wide property (a mixed mesh cannot interoperate anyway).

@@ -246,11 +246,5 @@ func (r *Regulator) Utilization(now time.Time) float64 {
 	return float64(r.usedAt(now)) / float64(b)
 }
 
-// DutyCycle returns the raw duty cycle over the window ending at now
-// (airtime / window), the quantity the regulation caps.
-func (r *Regulator) DutyCycle(now time.Time) float64 {
-	return float64(r.usedAt(now)) / float64(r.window)
-}
-
 // LifetimeAirtime returns all airtime ever recorded.
 func (r *Regulator) LifetimeAirtime() time.Duration { return r.lifetime }

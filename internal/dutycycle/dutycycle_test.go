@@ -136,9 +136,6 @@ func TestUtilizationAndDutyCycle(t *testing.T) {
 	if u := r.Utilization(now); u < 0.49 || u > 0.51 {
 		t.Errorf("utilization = %v, want ≈0.5", u)
 	}
-	if d := r.DutyCycle(now); d < 0.0049 || d > 0.0051 {
-		t.Errorf("duty cycle = %v, want ≈0.005", d)
-	}
 }
 
 func TestLifetimeAirtime(t *testing.T) {

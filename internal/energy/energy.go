@@ -90,16 +90,6 @@ func (p Profile) ChargeMAH(u Usage) (float64, error) {
 	return p.TxMA*hours(u.Tx) + p.RxMA*hours(u.Rx()) + p.SleepMA*hours(u.Sleep), nil
 }
 
-// EnergyJoules returns the energy consumed over the window.
-func (p Profile) EnergyJoules(u Usage) (float64, error) {
-	mah, err := p.ChargeMAH(u)
-	if err != nil {
-		return 0, err
-	}
-	// 1 mAh at V volts = 3.6 * V joules.
-	return mah * 3.6 * p.SupplyVolts, nil
-}
-
 // MeanCurrentMA returns the average draw over the window.
 func (p Profile) MeanCurrentMA(u Usage) (float64, error) {
 	mah, err := p.ChargeMAH(u)

@@ -31,19 +31,6 @@ func TestChargeMAH(t *testing.T) {
 	}
 }
 
-func TestEnergyJoules(t *testing.T) {
-	p := Profile{TxMA: 100, RxMA: 10, SleepMA: 1, SupplyVolts: 3.7}
-	u := Usage{Tx: time.Hour, Window: time.Hour}
-	// 100 mAh at 3.7 V = 100 * 3.6 * 3.7 J.
-	got, err := p.EnergyJoules(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 100 * 3.6 * 3.7; math.Abs(got-want) > 1e-9 {
-		t.Errorf("energy = %v J, want %v", got, want)
-	}
-}
-
 func TestMeanCurrentAndBatteryLife(t *testing.T) {
 	p := Profile{TxMA: 100, RxMA: 10, SleepMA: 1, SupplyVolts: 3.7}
 	u := Usage{Window: time.Hour} // pure listening

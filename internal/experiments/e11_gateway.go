@@ -60,7 +60,7 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 			return nil, err
 		}
 		defer g.Close()
-		if _, err := gateway.AttachSim(sim, 0, g); err != nil {
+		if err := gateway.AttachSim(sim, 0, g); err != nil {
 			return nil, err
 		}
 		if _, ok := sim.TimeToConvergence(30*time.Second, 2*time.Hour); !ok {

@@ -158,16 +158,6 @@ func Find(id string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// IDs returns every experiment id, sorted by display order.
-func IDs() []string {
-	specs := All()
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	return ids
-}
-
 // Formatting helpers shared by the experiment implementations.
 
 func fmtDur(d time.Duration) string {

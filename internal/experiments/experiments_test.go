@@ -46,16 +46,12 @@ func TestFindAndIDs(t *testing.T) {
 	if _, ok := Find("E99"); ok {
 		t.Error("Find returned a bogus experiment")
 	}
-	ids := IDs()
-	if len(ids) != len(All()) {
-		t.Fatalf("IDs() has %d entries, want %d", len(ids), len(All()))
-	}
 	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Errorf("duplicate experiment id %s", id)
+	for _, spec := range All() {
+		if seen[spec.ID] {
+			t.Errorf("duplicate experiment id %s", spec.ID)
 		}
-		seen[id] = true
+		seen[spec.ID] = true
 	}
 	for _, want := range []string{"E1", "E10", "A5"} {
 		if !seen[want] {

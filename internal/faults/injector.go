@@ -84,12 +84,6 @@ func NewInjector(plan *Plan, seed int64, epoch time.Time) *Injector {
 	return inj
 }
 
-// Plan returns the plan this injector evaluates.
-func (inj *Injector) Plan() *Plan { return inj.plan }
-
-// Epoch returns the virtual time the plan's offsets are relative to.
-func (inj *Injector) Epoch() time.Time { return inj.epoch }
-
 // state returns (lazily creating) the directed link's mutable state.
 // The PRNG seed mixes the injector seed with both endpoints so each
 // direction has an independent, reproducible random stream that does

@@ -11,7 +11,7 @@ import (
 
 // This file wires a Gateway onto the repo's mesh runtimes.
 //
-// The deterministic simulator needs an externally-clocked drive: Sim
+// The deterministic simulator needs an externally-clocked drive: AttachSim
 // chains onto the sink handle's OnMessage hook and reschedules
 // Gateway.Poll on the virtual scheduler, so uplink batching, backoff, and
 // breaker windows all elapse in virtual time and a scenario stays
@@ -19,25 +19,20 @@ import (
 // inside the scheduled event — wall-clock work under a paused virtual
 // clock, invisible to the simulation.)
 //
-// The wall-clock runtime (a livenet.Host, over either link) just needs
+// The wall-clock runtime (a livenet.Host) just needs
 // the observer hook and a downlink sender; AttachHost wires both and the
 // caller runs the real-time loop with Gateway.Start.
-
-// Sim attaches a Gateway to one node of a netsim simulation.
-type Sim struct {
-	g        *Gateway
-	sim      *netsim.Sim
-	h        *netsim.Handle
-	detached bool
-}
 
 // AttachSim hooks g onto node index's deliveries and starts polling the
 // uplinker on the simulation's scheduler. The node keeps accumulating
 // Msgs and running any previously-installed OnMessage observer; the
-// gateway observes in addition, not instead.
-func AttachSim(s *netsim.Sim, index int, g *Gateway) (*Sim, error) {
+// gateway observes in addition, not instead. The attachment lasts as
+// long as g does: a closed gateway refuses offers and launches nothing,
+// so closing it and attaching a successor on the same spool models a
+// process restart.
+func AttachSim(s *netsim.Sim, index int, g *Gateway) error {
 	if index < 0 || index >= s.N() {
-		return nil, fmt.Errorf("gateway: attach: node %d out of range", index)
+		return fmt.Errorf("gateway: attach: node %d out of range", index)
 	}
 	h := s.Handle(index)
 	g.setAddr(h.Addr)
@@ -46,36 +41,27 @@ func AttachSim(s *netsim.Sim, index int, g *Gateway) (*Sim, error) {
 		// a reading's span tree runs mesh hop → spool → backend uplink.
 		g.cfg.Spans = s.Spans
 	}
-	a := &Sim{g: g, sim: s, h: h}
 
 	prev := h.OnMessage
 	h.OnMessage = func(m core.AppMessage) {
 		if prev != nil {
 			prev(m)
 		}
-		if !a.detached {
-			g.OfferMessage(m)
-		}
+		g.OfferMessage(m)
 	}
 	g.SetSender(func(d Downlink) error {
-		if a.detached {
-			return fmt.Errorf("gateway: detached from simulation")
-		}
 		if d.Reliable {
-			if a.h.Mesher == nil {
-				return fmt.Errorf("gateway: node %v has no reliable transport", a.h.Addr)
+			if h.Mesher == nil {
+				return fmt.Errorf("gateway: node %v has no reliable transport", h.Addr)
 			}
-			_, err := a.h.Mesher.SendReliable(d.To, d.Payload)
+			_, err := h.Mesher.SendReliable(d.To, d.Payload)
 			return err
 		}
-		return a.h.Proto.Send(d.To, d.Payload)
+		return h.Proto.Send(d.To, d.Payload)
 	})
 
 	var tick func()
 	tick = func() {
-		if a.detached {
-			return
-		}
 		d := g.Poll(s.Now())
 		if d <= 0 {
 			d = time.Millisecond
@@ -85,16 +71,8 @@ func AttachSim(s *netsim.Sim, index int, g *Gateway) (*Sim, error) {
 	// First poll after one flush interval; deliveries before that simply
 	// accumulate into the first batch.
 	s.Sched.MustAfter(g.cfg.FlushInterval, tick)
-	return a, nil
+	return nil
 }
-
-// Detach stops the adapter: deliveries are no longer offered and polling
-// ceases at the next tick. The gateway itself stays usable — close it,
-// or re-attach a successor to model a process restart on the same spool.
-func (a *Sim) Detach() { a.detached = true }
-
-// Gateway returns the attached gateway.
-func (a *Sim) Gateway() *Gateway { return a.g }
 
 // MeshHost is the surface the wall-clock runtime exposes for gateway
 // attachment; *livenet.Host satisfies it. It is declared here so the

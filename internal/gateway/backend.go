@@ -180,9 +180,6 @@ func (sb *ShardedBackend) URLs(base string) []string {
 // Shard exposes one shard's collector.
 func (sb *ShardedBackend) Shard(i int) *Backend { return sb.shards[i] }
 
-// Shards returns the shard count.
-func (sb *ShardedBackend) Shards() int { return len(sb.shards) }
-
 // Distinct sums the unique readings accepted across all shards. If an
 // origin's readings ever split across shards this exceeds the true
 // unique count — use DoubleAccepted to detect that directly.

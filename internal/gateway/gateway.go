@@ -2,9 +2,9 @@
 // between a gateway-less field mesh and the infrastructure that ultimately
 // consumes its data. A Gateway attaches to a sink-role node on either of
 // the repo's mesh runtimes — the deterministic simulator (internal/netsim,
-// via AttachSim) or the wall-clock runtime (internal/livenet over its
-// in-memory hub or UDP sockets, via AttachHost) — and store-and-forwards
-// every application delivery to an HTTP backend:
+// via AttachSim) or the wall-clock runtime (internal/livenet over UDP
+// sockets, via AttachHost) — and store-and-forwards every application
+// delivery to an HTTP backend:
 //
 //   - every mesh delivery is deduplicated by its causal trace ID and
 //     appended to a file-backed WAL spool (see spool.go), so no reading is
@@ -23,9 +23,10 @@
 //     over plain net/http POSTs, with up to Pipeline batches in flight
 //     per shard (windowed acks), exponential backoff on failure, and a
 //     per-shard circuit breaker after consecutive failures;
-//   - the spool is a bounded queue: under sustained backend outage an
-//     explicit drop policy (oldest or newest) decides what gives, and the
-//     decision is counted, never silent;
+//   - the spool is a bounded queue: under sustained backend outage the
+//     oldest pending reading gives way to the newcomer, so the spool holds
+//     the freshest window of data, and each eviction is counted, never
+//     silent;
 //   - the backend's POST responses may carry downlink commands, which the
 //     gateway injects back into the mesh through the node's normal
 //     datagram/reliable API; versioned commands are applied idempotently,
@@ -50,31 +51,11 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/meshsec"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
-
-// DropPolicy selects which reading a full spool sacrifices.
-type DropPolicy int
-
-const (
-	// DropOldest evicts the oldest pending reading (default): under
-	// prolonged outage the spool holds the freshest window of data.
-	DropOldest DropPolicy = iota
-	// DropNewest rejects the incoming reading, preserving the backlog in
-	// arrival order.
-	DropNewest
-)
-
-func (p DropPolicy) String() string {
-	if p == DropNewest {
-		return "newest"
-	}
-	return "oldest"
-}
 
 // Reading is one spooled uplink record: an application message the mesh
 // delivered to the gateway node.
@@ -168,11 +149,6 @@ type Downlink struct {
 	// farthest-first and the gateway's own node last: receivers keep the
 	// prior key live, so the mesh stays connected mid-rollout.
 	Command *control.Command `json:"command,omitempty"`
-	// Rekey carries a replacement network key as 32 hex digits — the
-	// backend-facing shorthand for Command{Op: OpRekey, Key: ...} kept
-	// for wire compatibility with PR 5 backends. When set, Payload and
-	// Command are ignored.
-	Rekey string `json:"rekey,omitempty"`
 }
 
 // uplinkRequest is the POST body.
@@ -206,10 +182,9 @@ type Config struct {
 	// shard i's WAL lives at SpoolPath+".s<i>".
 	SpoolPath string
 	// SpoolCapacity bounds the pending queue, split evenly across
-	// shards. Zero means 1024.
+	// shards; a full shard evicts its oldest pending reading. Zero means
+	// 1024.
 	SpoolCapacity int
-	// Drop selects the full-spool policy (default DropOldest).
-	Drop DropPolicy
 	// BatchSize is the most readings per POST; reaching it triggers an
 	// immediate flush. Zero means 32.
 	BatchSize int
@@ -360,7 +335,7 @@ func New(cfg Config) (*Gateway, error) {
 	perShardCap := (cfg.SpoolCapacity + n - 1) / n
 	replayed := 0
 	for i, u := range cfg.URLs {
-		sp, err := openSpool(walShardPath(cfg.SpoolPath, i, n), perShardCap, cfg.Drop, cfg.DedupHorizon, g.reg)
+		sp, err := openSpool(walShardPath(cfg.SpoolPath, i, n), perShardCap, cfg.DedupHorizon, g.reg)
 		if err != nil {
 			for _, sh := range g.shards {
 				sh.sp.close()
@@ -447,13 +422,6 @@ func (g *Gateway) recordSpan(at time.Time, id trace.TraceID, seg span.Seg, dur t
 // Metrics exposes the gateway's instrument registry.
 func (g *Gateway) Metrics() *metrics.Registry { return g.reg }
 
-// Shards returns the number of backend shards.
-func (g *Gateway) Shards() int { return len(g.shards) }
-
-// ShardOf returns the backend shard index owning an origin address — the
-// same mapping every gateway with this shard count computes.
-func (g *Gateway) ShardOf(origin packet.Address) int { return g.ring.shard(origin) }
-
 // Addr returns the gateway's mesh address.
 func (g *Gateway) Addr() packet.Address {
 	g.mu.Lock()
@@ -508,10 +476,9 @@ func (g *Gateway) BreakerOpen() bool {
 }
 
 // Offer admits one reading into its origin's shard. It returns true when
-// the reading was admitted, false when it was recognized as a duplicate
-// or rejected by the DropNewest policy. Offer never blocks on the
-// network, and offers for different origins contend only on their own
-// shard's lock.
+// the reading was admitted, false when it was recognized as a duplicate.
+// Offer never blocks on the network, and offers for different origins
+// contend only on their own shard's lock.
 func (g *Gateway) Offer(r Reading) bool {
 	if control.IsReport(r.Payload) {
 		// Control-plane feedback reaching the spool means no reconciler
@@ -526,7 +493,7 @@ func (g *Gateway) Offer(r Reading) bool {
 	sh := g.shards[g.ring.shard(r.From)]
 	g.reg.Counter("gw.offered").Inc()
 	sh.mu.Lock()
-	res, evicted, err := sh.sp.add(r)
+	dup, evicted, err := sh.sp.add(r)
 	depth := sh.sp.len()
 	sh.mu.Unlock()
 
@@ -538,16 +505,10 @@ func (g *Gateway) Offer(r Reading) bool {
 	}
 	sh.gDepth.Set(float64(depth))
 	g.reg.Gauge("gw.spool.depth").Set(float64(g.depth()))
-	switch res {
-	case addDuplicate:
+	if dup {
 		g.reg.Counter("gw.drop.duplicate").Inc()
 		g.recordSpan(time.Now(), r.Trace, span.SegDrop, 0, "gw_duplicate")
 		g.emitPacket(r.Trace, "duplicate reading from %v suppressed", r.From)
-		return false
-	case addRejected:
-		g.reg.Counter("gw.drop.newest").Inc()
-		g.recordSpan(time.Now(), r.Trace, span.SegDrop, 0, "gw_spool_full")
-		g.emitPacket(r.Trace, "spool full (%d): newest reading from %v dropped", g.cfg.SpoolCapacity, r.From)
 		return false
 	}
 	if evicted != nil {
@@ -870,16 +831,6 @@ func (g *Gateway) Inject(d Downlink) error {
 		g.reg.Counter("gw.downlink.errors").Inc()
 		g.emit("downlink to %v dropped: no mesh sender attached", d.To)
 		return fmt.Errorf("gateway: no mesh sender attached")
-	}
-	if d.Rekey != "" {
-		// Backend shorthand: expand into the typed command.
-		k, err := meshsec.ParseKey(d.Rekey)
-		if err != nil {
-			g.reg.Counter("gw.downlink.errors").Inc()
-			g.emit("rekey downlink to %v rejected: %v", d.To, err)
-			return err
-		}
-		d.Command = &control.Command{Op: control.OpRekey, Key: k}
 	}
 	if d.Command != nil && d.Command.Seq != 0 {
 		key := dlKey{to: d.To, op: d.Command.Op}

@@ -7,38 +7,49 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/livenet"
+	"repro/internal/packet"
 	"repro/internal/routing"
 )
 
 // TestAttachHostLivenet wires the gateway onto the wall-clock runtime
-// (hosts on the in-memory hub): readings from a peer reach the backend
+// (two hosts on loopback UDP): readings from a peer reach the backend
 // through the sink's gateway, and a queued downlink command crosses back.
 func TestAttachHostLivenet(t *testing.T) {
 	b := NewBackend()
 	srv := httptest.NewServer(b)
 	defer srv.Close()
 
-	net, err := livenet.New(livenet.Config{
-		TimeScale: 200,
-		Seed:      1,
-		Node: core.Config{
-			HelloPeriod:    2 * time.Second,
-			DutyCycleLimit: 1,
-			Routing:        routing.Config{EntryTTL: 20 * time.Second},
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	var (
+		hosts [2]*livenet.Host
+		socks [2]*livenet.UDPLink
+	)
+	for i := range hosts {
+		sock, err := livenet.ListenUDP("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := livenet.Start(livenet.Config{
+			TimeScale: 200,
+			Seed:      1,
+			Node: core.Config{
+				Address:        packet.Address(i + 1),
+				HelloPeriod:    2 * time.Second,
+				DutyCycleLimit: 1,
+				Routing:        routing.Config{EntryTTL: 20 * time.Second},
+			},
+		}, sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		hosts[i], socks[i] = h, sock
 	}
-	defer net.Close()
-	sink, err := net.AddNode(0x0001)
-	if err != nil {
-		t.Fatal(err)
+	for i, sock := range socks {
+		if err := sock.AddPeer(socks[1-i].Addr().String()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sensor, err := net.AddNode(0x0002)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink, sensor := hosts[0], hosts[1]
 
 	g, err := New(Config{
 		URLs:          []string{srv.URL},

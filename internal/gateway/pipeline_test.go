@@ -136,8 +136,8 @@ func TestShardedGatewayPartitionsByOrigin(t *testing.T) {
 	}
 	for o := 0; o < origins; o++ {
 		origin := packet.Address(0x0100 + o)
-		home := g.ShardOf(origin)
-		for s := 0; s < sb.Shards(); s++ {
+		home := g.ring.shard(origin)
+		for s := 0; s < len(sb.shards); s++ {
 			got := len(sb.Shard(s).FromAddr(origin))
 			want := 0
 			if s == home {
@@ -233,7 +233,7 @@ func TestCrossGatewayHandoverExactlyOnce(t *testing.T) {
 				t.Fatalf("%d readings double-accepted across shards", d)
 			}
 			got := make(map[trace.TraceID]bool)
-			for s := 0; s < sb.Shards(); s++ {
+			for s := 0; s < len(sb.shards); s++ {
 				for _, r := range sb.Shard(s).Readings() {
 					got[r.Trace] = true
 				}
@@ -301,7 +301,7 @@ func TestGroupCommitBatchesWALFlushes(t *testing.T) {
 	// Durable restart: the committed group survives even a crash (no
 	// close-time flush) because the deadline already flushed it.
 	g.crash()
-	sp, err := openSpool(path, 1024, DropOldest, 8192, metrics.NewRegistry())
+	sp, err := openSpool(path, 1024, 8192, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/geo"
 	"repro/internal/meshsec"
 	"repro/internal/netsim"
@@ -83,7 +84,7 @@ func TestSimEndToEnd(t *testing.T) {
 
 	sim := simChain(t, 5, 1)
 	g := simGateway(t, srv.URL, "")
-	if _, err := AttachSim(sim, 0, g); err != nil {
+	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +138,7 @@ func TestSimPartitionHealWithOutage(t *testing.T) {
 
 	sim := simChain(t, 4, 2)
 	g := simGateway(t, srv.URL, "")
-	if _, err := AttachSim(sim, 0, g); err != nil {
+	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
 	}
 	reg := g.Metrics()
@@ -210,8 +211,7 @@ func TestSimRestartReplay(t *testing.T) {
 
 	sim := simChain(t, 3, 3)
 	g1 := simGateway(t, srv.URL, path)
-	a1, err := AttachSim(sim, 0, g1)
-	if err != nil {
+	if err := AttachSim(sim, 0, g1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +232,6 @@ func TestSimRestartReplay(t *testing.T) {
 
 	// "Process restart": stop the first gateway, bring up a successor on
 	// the same spool file.
-	a1.Detach()
 	if err := g1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +240,7 @@ func TestSimRestartReplay(t *testing.T) {
 	if g2.Pending() != atSink {
 		t.Fatalf("successor replayed %d, want %d", g2.Pending(), atSink)
 	}
-	if _, err := AttachSim(sim, 0, g2); err != nil {
+	if err := AttachSim(sim, 0, g2); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, sim, g2)
@@ -274,7 +273,7 @@ func TestSimRekeyRollout(t *testing.T) {
 
 	sim := simChainKeyed(t, 3, 5, &oldKey)
 	g := simGateway(t, srv.URL, "")
-	if _, err := AttachSim(sim, 0, g); err != nil {
+	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,7 +292,7 @@ func TestSimRekeyRollout(t *testing.T) {
 	// Farthest-first: each rekey command crosses only forwarders still on
 	// the old key, so it authenticates hop by hop on its way out.
 	for i := sim.N() - 1; i >= 1; i-- {
-		b.PushDownlink(Downlink{To: sim.Handle(i).Addr, Rekey: newKey.String()})
+		b.PushDownlink(Downlink{To: sim.Handle(i).Addr, Command: &control.Command{Op: control.OpRekey, Key: newKey}})
 		h := sim.Handle(i)
 		if _, ok := sim.RunUntil(func() bool { return h.Sec.NetKey() == newKey },
 			10*time.Second, 20*time.Minute); !ok {
@@ -347,8 +346,7 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 
 	sim := simChainKeyed(t, 3, 6, &key)
 	g1 := simGateway(t, srv.URL, path)
-	a1, err := AttachSim(sim, 0, g1)
-	if err != nil {
+	if err := AttachSim(sim, 0, g1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -370,7 +368,6 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 		t.Fatal("gateway node sent no secured frames before the restart")
 	}
 
-	a1.Detach()
 	if err := g1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +376,7 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 	if g2.Pending() != atOutage {
 		t.Fatalf("successor replayed %d, want %d", g2.Pending(), atOutage)
 	}
-	if _, err := AttachSim(sim, 0, g2); err != nil {
+	if err := AttachSim(sim, 0, g2); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, sim, g2)

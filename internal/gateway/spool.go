@@ -61,7 +61,6 @@ type walRecord struct {
 type spool struct {
 	path     string // "" = memory-only
 	capacity int
-	policy   DropPolicy
 	reg      *metrics.Registry
 
 	f *os.File
@@ -106,24 +105,14 @@ type spool struct {
 	tail *walRecord
 }
 
-// spoolAdd is the outcome of an admission attempt.
-type spoolAdd int
-
-const (
-	addOK spoolAdd = iota
-	addDuplicate
-	addRejected // DropNewest under a full queue
-)
-
 // openSpool opens (and replays) the WAL at path, or builds a memory-only
 // spool when path is empty. Group commit is off until the owner sets
 // s.groupCommit; open-time appends (tail rewrite, capacity trim) are
 // always flushed immediately.
-func openSpool(path string, capacity int, policy DropPolicy, seenCap int, reg *metrics.Registry) (*spool, error) {
+func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*spool, error) {
 	s := &spool{
 		path:     path,
 		capacity: capacity,
-		policy:   policy,
 		reg:      reg,
 		seen:     make(map[trace.TraceID]struct{}),
 		seenCap:  seenCap,
@@ -157,20 +146,13 @@ func openSpool(path string, capacity int, policy DropPolicy, seenCap int, reg *m
 		}
 		s.tail = nil
 	}
-	// Respect the capacity bound even across a config change: evict per
-	// policy — with del records and counted drops, so the evictees neither
+	// Respect the capacity bound even across a config change: evict the
+	// oldest — with del records and counted drops, so the evictees neither
 	// resurrect on the next replay nor vanish silently.
 	for len(s.pending) > s.capacity {
-		var ev Reading
-		if s.policy == DropNewest {
-			ev = s.pending[len(s.pending)-1]
-			s.pending = s.pending[:len(s.pending)-1]
-			s.reg.Counter("gw.drop.newest").Inc()
-		} else {
-			ev = s.pending[0]
-			s.pending = s.pending[1:]
-			s.reg.Counter("gw.drop.oldest").Inc()
-		}
+		ev := s.pending[0]
+		s.pending = s.pending[1:]
+		s.reg.Counter("gw.drop.oldest").Inc()
 		if err := s.appendJSON(walRecord{Op: "del", Trace: ev.Trace.String()}); err != nil {
 			return nil, err
 		}
@@ -450,22 +432,16 @@ func (s *spool) commit() error {
 	return nil
 }
 
-// add admits a reading: dedup against the horizon, then enqueue, evicting
-// per policy when full. The evicted reading (DropOldest) is returned so
-// the caller can record it. The in-memory queue is updated before the WAL
-// is written: a failed append degrades durability (reported via err), but
-// the admitted reading still uplinks from memory.
-func (s *spool) add(r Reading) (res spoolAdd, evicted *Reading, err error) {
+// add admits a reading unless the horizon has seen it (dup): enqueue,
+// evicting the oldest pending reading when full. The evicted reading is
+// returned so the caller can record it. The in-memory queue is updated
+// before the WAL is written: a failed append degrades durability (reported
+// via err), but the admitted reading still uplinks from memory.
+func (s *spool) add(r Reading) (dup bool, evicted *Reading, err error) {
 	if _, dup := s.seen[r.Trace]; dup {
-		return addDuplicate, nil, nil
+		return true, nil, nil
 	}
 	if len(s.pending) >= s.capacity {
-		if s.policy == DropNewest {
-			// The newcomer is rejected and deliberately NOT remembered:
-			// if the mesh ever re-delivers it when there is room, it
-			// should be admitted.
-			return addRejected, nil, nil
-		}
 		old := s.pending[0]
 		s.pending = s.pending[1:]
 		evicted = &old
@@ -481,7 +457,7 @@ func (s *spool) add(r Reading) (res spoolAdd, evicted *Reading, err error) {
 	if werr := s.appendPut(&r, r.At); werr != nil && firstErr == nil {
 		firstErr = werr
 	}
-	return addOK, evicted, firstErr
+	return false, evicted, firstErr
 }
 
 // peek returns up to n readings from the head without removing them.
@@ -511,10 +487,6 @@ func (s *spool) peekExcluding(n int, excl map[trace.TraceID]struct{}) []Reading 
 	}
 	return out
 }
-
-// ack removes the given readings at the zero time; test convenience for
-// spools without group commit (where the dirty timestamp is unused).
-func (s *spool) ack(rs []Reading) error { return s.ackAt(rs, time.Time{}) }
 
 // ackAt removes the given readings (matched by trace ID, wherever they
 // sit: an eviction may have shifted the head while an upload was in
@@ -654,16 +626,6 @@ func (s *spool) finishCompact(st *compactState) error {
 	// trading perfect restart-dedup for a bounded file.
 	s.reg.Counter("gw.spool.compactions").Inc()
 	return nil
-}
-
-// compactBlocking runs a due compaction start to finish — for callers
-// (and tests) that hold the spool exclusively anyway.
-func (s *spool) compactBlocking() error {
-	snap, ok := s.beginCompact()
-	if !ok {
-		return nil
-	}
-	return s.finishCompact(s.writeCompactTmp(snap))
 }
 
 // len returns the number of pending readings.

@@ -21,19 +21,19 @@ func testReading(i int) Reading {
 }
 
 func TestSpoolMemoryOnlyFIFO(t *testing.T) {
-	s, err := openSpool("", 4, DropOldest, 16, metrics.NewRegistry())
+	s, err := openSpool("", 4, 16, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if res, _, err := s.add(testReading(i)); res != addOK || err != nil {
-			t.Fatalf("add %d: res=%v err=%v", i, res, err)
+		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 	}
 	if got := s.peek(2); len(got) != 2 || got[0].Trace != testReading(0).Trace {
 		t.Fatalf("peek returned %v", got)
 	}
-	if err := s.ack(s.peek(2)); err != nil {
+	if err := s.ackAt(s.peek(2), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if s.len() != 1 || s.peek(1)[0].Trace != testReading(2).Trace {
@@ -42,72 +42,60 @@ func TestSpoolMemoryOnlyFIFO(t *testing.T) {
 }
 
 func TestSpoolDedup(t *testing.T) {
-	s, err := openSpool("", 4, DropOldest, 16, metrics.NewRegistry())
+	s, err := openSpool("", 4, 16, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := testReading(1)
-	if res, _, _ := s.add(r); res != addOK {
-		t.Fatalf("first add: %v", res)
+	if dup, _, _ := s.add(r); dup {
+		t.Fatal("first add judged a duplicate")
 	}
-	if res, _, _ := s.add(r); res != addDuplicate {
-		t.Fatalf("second add: %v, want duplicate", res)
+	if dup, _, _ := s.add(r); !dup {
+		t.Fatal("second add admitted, want duplicate")
 	}
 	// Still a duplicate after upload: the horizon outlives the queue.
-	if err := s.ack([]Reading{r}); err != nil {
+	if err := s.ackAt([]Reading{r}, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if res, _, _ := s.add(r); res != addDuplicate {
-		t.Fatalf("post-ack add: %v, want duplicate", res)
+	if dup, _, _ := s.add(r); !dup {
+		t.Fatal("post-ack add admitted, want duplicate")
 	}
 }
 
 func TestSpoolDropPolicies(t *testing.T) {
-	// DropOldest evicts the head and admits the newcomer.
-	s, _ := openSpool("", 2, DropOldest, 16, metrics.NewRegistry())
+	// A full spool evicts the head and admits the newcomer.
+	s, _ := openSpool("", 2, 16, metrics.NewRegistry())
 	s.add(testReading(0))
 	s.add(testReading(1))
-	res, evicted, _ := s.add(testReading(2))
-	if res != addOK || evicted == nil || evicted.Trace != testReading(0).Trace {
-		t.Fatalf("DropOldest: res=%v evicted=%v", res, evicted)
+	dup, evicted, _ := s.add(testReading(2))
+	if dup || evicted == nil || evicted.Trace != testReading(0).Trace {
+		t.Fatalf("full spool: dup=%v evicted=%v", dup, evicted)
 	}
 	if s.len() != 2 || s.peek(1)[0].Trace != testReading(1).Trace {
-		t.Fatalf("DropOldest queue state wrong")
-	}
-
-	// DropNewest rejects the newcomer and forgets it, so it can return.
-	s, _ = openSpool("", 2, DropNewest, 16, metrics.NewRegistry())
-	s.add(testReading(0))
-	s.add(testReading(1))
-	if res, _, _ := s.add(testReading(2)); res != addRejected {
-		t.Fatalf("DropNewest: %v, want rejected", res)
-	}
-	s.ack(s.peek(1))
-	if res, _, _ := s.add(testReading(2)); res != addOK {
-		t.Fatalf("DropNewest re-offer after space freed: %v, want ok", res)
+		t.Fatalf("queue state wrong after the eviction")
 	}
 }
 
 func TestSpoolReplayAfterRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if res, _, err := s.add(testReading(i)); res != addOK || err != nil {
-			t.Fatalf("add %d: res=%v err=%v", i, res, err)
+		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 	}
 	// Upload the first two, then "crash".
-	if err := s.ack(s.peek(2)); err != nil {
+	if err := s.ackAt(s.peek(2), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s2, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +110,14 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 		}
 	}
 	// Uploaded readings must still be recognized as duplicates.
-	if res, _, _ := s2.add(testReading(0)); res != addDuplicate {
+	if dup, _, _ := s2.add(testReading(0)); !dup {
 		t.Errorf("replayed horizon lost an uploaded ID")
 	}
 }
 
 func TestSpoolReplayToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +134,7 @@ func TestSpoolReplayToleratesTornTail(t *testing.T) {
 	f.WriteString(`{"op":"put","r":{"from":2,"to"`)
 	f.Close()
 
-	s2, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s2, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatalf("torn tail must not poison the spool: %v", err)
 	}
@@ -157,7 +145,7 @@ func TestSpoolReplayToleratesTornTail(t *testing.T) {
 
 func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +163,15 @@ func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 
 	// First restart tolerates the torn tail and must truncate it, so the
 	// next append starts on a fresh line.
-	s2, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s2, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.len() != 2 {
 		t.Fatalf("replayed %d, want 2", s2.len())
 	}
-	if res, _, err := s2.add(testReading(2)); res != addOK || err != nil {
-		t.Fatalf("post-torn add: res=%v err=%v", res, err)
+	if dup, _, err := s2.add(testReading(2)); dup || err != nil {
+		t.Fatalf("post-torn add: dup=%v err=%v", dup, err)
 	}
 	if err := s2.close(); err != nil {
 		t.Fatal(err)
@@ -191,7 +179,7 @@ func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 
 	// Second restart: without truncation the new record would have been
 	// glued onto the partial line — replay would fail or drop it.
-	s3, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s3, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatalf("second replay after torn tail: %v", err)
 	}
@@ -205,7 +193,7 @@ func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 
 func TestSpoolUnterminatedFinalRecordKept(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +212,7 @@ func TestSpoolUnterminatedFinalRecordKept(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s2, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +223,7 @@ func TestSpoolUnterminatedFinalRecordKept(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The record must have been rewritten properly framed.
-	s3, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s3, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +234,7 @@ func TestSpoolUnterminatedFinalRecordKept(t *testing.T) {
 
 func TestSpoolReplayTrimWritesDels(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +248,7 @@ func TestSpoolReplayTrimWritesDels(t *testing.T) {
 	// Reopen under a shrunk capacity: the trim must count its drops and
 	// log del records so the evictees stay dead.
 	reg := metrics.NewRegistry()
-	s2, err := openSpool(path, 2, DropOldest, 64, reg)
+	s2, err := openSpool(path, 2, 64, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +262,7 @@ func TestSpoolReplayTrimWritesDels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A later restart with the original capacity must not resurrect them.
-	s3, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s3, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,15 +273,15 @@ func TestSpoolReplayTrimWritesDels(t *testing.T) {
 
 func TestSpoolAddKeepsReadingOnWALError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
-	s, err := openSpool(path, 16, DropOldest, 64, metrics.NewRegistry())
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the WAL: every flush now fails.
 	s.f.Close()
-	res, _, err := s.add(testReading(0))
-	if res != addOK {
-		t.Fatalf("add under WAL failure: res=%v, want ok", res)
+	dup, _, err := s.add(testReading(0))
+	if dup {
+		t.Fatal("add under WAL failure judged a duplicate, want admitted")
 	}
 	if err == nil {
 		t.Fatal("add under WAL failure reported no error")
@@ -307,7 +295,7 @@ func TestSpoolAddKeepsReadingOnWALError(t *testing.T) {
 func TestSpoolCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spool.wal")
 	reg := metrics.NewRegistry()
-	s, err := openSpool(path, 8, DropOldest, 4096, reg)
+	s, err := openSpool(path, 8, 4096, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +303,16 @@ func TestSpoolCompaction(t *testing.T) {
 	// driving the rewrite the way the gateway does: check the trigger
 	// after each ack and run the begin/write/finish cycle when due.
 	for i := 0; i < 700; i++ {
-		if res, _, err := s.add(testReading(i)); res != addOK || err != nil {
-			t.Fatalf("add %d: res=%v err=%v", i, res, err)
+		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
-		if err := s.ack(s.peek(1)); err != nil {
+		if err := s.ackAt(s.peek(1), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.compactBlocking(); err != nil {
-			t.Fatal(err)
+		if snap, due := s.beginCompact(); due {
+			if err := s.finishCompact(s.writeCompactTmp(snap)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if reg.Counter("gw.spool.compactions").Value() == 0 {
@@ -338,7 +328,7 @@ func TestSpoolCompaction(t *testing.T) {
 	// The compacted log must still replay correctly.
 	s.add(testReading(9000))
 	s.close()
-	s2, err := openSpool(path, 8, DropOldest, 4096, metrics.NewRegistry())
+	s2, err := openSpool(path, 8, 4096, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +338,16 @@ func TestSpoolCompaction(t *testing.T) {
 }
 
 func TestSpoolSeenHorizonBounded(t *testing.T) {
-	s, _ := openSpool("", 4, DropOldest, 8, metrics.NewRegistry())
+	s, _ := openSpool("", 4, 8, metrics.NewRegistry())
 	for i := 0; i < 100; i++ {
 		s.add(testReading(i))
-		s.ack(s.peek(1))
+		s.ackAt(s.peek(1), time.Time{})
 	}
 	if len(s.seen) > 8 || len(s.seenOrder) > 8 {
 		t.Fatalf("horizon grew to %d, cap 8", len(s.seen))
 	}
 	// An ID evicted from the horizon is admissible again.
-	if res, _, _ := s.add(testReading(0)); res != addOK {
-		t.Fatalf("evicted-horizon re-add: %v, want ok", res)
+	if dup, _, _ := s.add(testReading(0)); dup {
+		t.Fatal("evicted-horizon re-add judged a duplicate, want admitted")
 	}
 }

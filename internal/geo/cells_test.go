@@ -10,8 +10,8 @@ func TestCellGridCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Cols() != 4 || g.Rows() != 3 || g.NumCells() != 12 {
-		t.Fatalf("got %dx%d cells, want 4x3", g.Cols(), g.Rows())
+	if g.Cols() != 4 || g.rows != 3 || g.NumCells() != 12 {
+		t.Fatalf("got %dx%d cells, want 4x3", g.Cols(), g.rows)
 	}
 	// Corners land in the corner cells; out-of-field points clamp.
 	if c := g.CellOf(Point{0, 0}); c != 0 {

@@ -141,36 +141,3 @@ func ConnectedRandomGeometric(n int, widthMeters, heightMeters, rangeMeters floa
 	return nil, fmt.Errorf("geo: no connected random topology with n=%d field=%gx%g range=%g after %d tries",
 		n, widthMeters, heightMeters, rangeMeters, maxTries)
 }
-
-// Cluster places k clusters of nodes; each cluster center is uniform in the
-// field and members are Gaussian around it with the given spread. Models
-// the "groups of sensors per building" deployments from the motivation.
-func Cluster(n, k int, widthMeters, heightMeters, spreadMeters float64, seed int64) (*Topology, error) {
-	if n < 1 || k < 1 || k > n {
-		return nil, fmt.Errorf("geo: cluster needs 1 <= k <= n, got n=%d k=%d", n, k)
-	}
-	if widthMeters <= 0 || heightMeters <= 0 || spreadMeters <= 0 {
-		return nil, fmt.Errorf("geo: cluster dimensions must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([]Point, k)
-	for i := range centers {
-		centers[i] = Point{X: rng.Float64() * widthMeters, Y: rng.Float64() * heightMeters}
-	}
-	pts := make([]Point, n)
-	for i := range pts {
-		c := centers[i%k]
-		pts[i] = Point{
-			X: clamp(c.X+rng.NormFloat64()*spreadMeters, 0, widthMeters),
-			Y: clamp(c.Y+rng.NormFloat64()*spreadMeters, 0, heightMeters),
-		}
-	}
-	return &Topology{
-		Name:      fmt.Sprintf("cluster(n=%d,k=%d,seed=%d)", n, k, seed),
-		Positions: pts,
-	}, nil
-}
-
-func clamp(v, lo, hi float64) float64 {
-	return math.Min(math.Max(v, lo), hi)
-}

@@ -213,24 +213,6 @@ func TestMeanDegree(t *testing.T) {
 	}
 }
 
-func TestCluster(t *testing.T) {
-	topo, err := Cluster(20, 4, 1000, 1000, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.N() != 20 {
-		t.Fatalf("N = %d, want 20", topo.N())
-	}
-	for _, p := range topo.Positions {
-		if p.X < 0 || p.X > 1000 || p.Y < 0 || p.Y > 1000 {
-			t.Errorf("cluster node %v out of field", p)
-		}
-	}
-	if _, err := Cluster(3, 5, 1000, 1000, 50, 3); err == nil {
-		t.Error("k > n: want error")
-	}
-}
-
 func TestNeighborsSymmetric(t *testing.T) {
 	topo, err := RandomGeometric(25, 800, 800, 11)
 	if err != nil {

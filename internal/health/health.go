@@ -229,10 +229,6 @@ func New(cfg Config, src Source) *Monitor {
 	return m
 }
 
-// Interval returns the configured poll cadence (for hosts that arm their
-// own timers).
-func (m *Monitor) Interval() time.Duration { return m.cfg.Interval }
-
 // Metrics exposes the monitor's health.* instruments for aggregation.
 func (m *Monitor) Metrics() *metrics.Registry { return m.reg }
 
@@ -427,16 +423,6 @@ func (m *Monitor) score(now time.Time, nodes []NodeStatus, vs []Violation) {
 	default:
 		m.lastStatus = "critical"
 	}
-}
-
-// Score returns a node's current health score (100 when never scored).
-func (m *Monitor) Score(addr packet.Address) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.scores[addr]; ok {
-		return s
-	}
-	return 100
 }
 
 // Violations returns the retained violation tail, oldest first.

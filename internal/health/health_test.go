@@ -121,10 +121,10 @@ func TestSilentDetector(t *testing.T) {
 	if len(vs) != 1 || vs[0].Kind != KindSilent || vs[0].Node != addr(1) {
 		t.Fatalf("silent node not flagged: %v", vs)
 	}
-	if s := m.Score(addr(1)); s != 100-scorePenalty[KindSilent] {
+	if s := m.scores[addr(1)]; s != 100-scorePenalty[KindSilent] {
 		t.Fatalf("silent score = %d", s)
 	}
-	if s := m.Score(addr(2)); s != 100 {
+	if s := m.scores[addr(2)]; s != 100 {
 		t.Fatalf("healthy score = %d", s)
 	}
 
@@ -134,7 +134,7 @@ func TestSilentDetector(t *testing.T) {
 	if vs := m.Poll(now); len(vs) != 0 {
 		t.Fatalf("progress did not clear silence: %v", vs)
 	}
-	if s := m.Score(addr(1)); s != 100 {
+	if s := m.scores[addr(1)]; s != 100 {
 		t.Fatalf("score did not recover: %d", s)
 	}
 }
@@ -235,7 +235,7 @@ func TestPenaltyOncePerPollAndClamp(t *testing.T) {
 	if len(vs) != 3 {
 		t.Fatalf("want 3 blackhole violations, got %v", vs)
 	}
-	if s := m.Score(addr(1)); s != 100-scorePenalty[KindBlackhole] {
+	if s := m.scores[addr(1)]; s != 100-scorePenalty[KindBlackhole] {
 		t.Fatalf("repeated kind penalized more than once: %d", s)
 	}
 }

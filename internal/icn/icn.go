@@ -53,9 +53,8 @@ const MaxNameLen = 64
 
 // Errors returned by the API.
 var (
-	ErrStopped  = errors.New("icn: node is stopped")
-	ErrBadName  = errors.New("icn: bad content name")
-	ErrTooLarge = errors.New("icn: content too large")
+	ErrStopped = errors.New("icn: node is stopped")
+	ErrBadName = errors.New("icn: bad content name")
 )
 
 // Config parameterizes an ICN node.
@@ -226,17 +225,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
 // Kind identifies the strategy: named-data pub-sub with caching.
 func (n *Node) Kind() forward.Kind { return forward.KindICN }
-
-// CacheHitRatio returns hits/(hits+misses) over the node's lifetime
-// (zero before any lookup).
-func (n *Node) CacheHitRatio() float64 {
-	snap := n.reg.Snapshot()
-	h, m := snap["icn.cs.hit"], snap["icn.cs.miss"]
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}
 
 // Start is a no-op: an ICN node is silent until an interest appears.
 func (n *Node) Start() error {

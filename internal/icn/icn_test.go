@@ -213,9 +213,6 @@ func TestProducerRoundTripAndLocalCache(t *testing.T) {
 	if counter(t, cons.node, "icn.airtime.saved_ms") == 0 {
 		t.Error("cache hit credited no saved airtime")
 	}
-	if r := cons.node.CacheHitRatio(); r <= 0 || r > 1 {
-		t.Errorf("CacheHitRatio = %v", r)
-	}
 }
 
 func TestIntermediateCacheAnswers(t *testing.T) {
@@ -406,9 +403,6 @@ func TestStrategySurface(t *testing.T) {
 	}
 	if n.Address() != 0x0001 {
 		t.Errorf("Address = %v", n.Address())
-	}
-	if n.CacheHitRatio() != 0 {
-		t.Error("hit ratio nonzero before any lookup")
 	}
 	// Send maps the generic surface onto Express (dst advisory): the
 	// producer answers itself without touching the air.

@@ -1,18 +1,17 @@
 // Package livenet is the wall-clock runtime: it runs the same LoRaMesher
 // protocol engine as the discrete-event simulator, but live — one
 // goroutine per node, real timers (optionally time-scaled), and a real
-// medium behind a Link. It exists to prove the engine's host contract
+// UDP socket for a medium. It exists to prove the engine's host contract
 // under genuine concurrency — the deterministic simulator can hide
 // ordering assumptions that a goroutine-per-node deployment (or real
 // hardware) would violate — and it is exercised under the race detector
 // in this package's tests.
 //
-// There is one Host type and two Links. The in-memory hub (Net) fans a
-// frame out to every connected host of the same process; the UDP link
-// (ListenUDP) unicasts it to configured peers, so hosts in separate OS
-// processes — or machines — form one mesh. Either way the frame leaves
-// after its emulated LoRa airtime, so protocol timing (airtime
-// serialization, beacon pacing, ARQ round trips) is preserved.
+// There is one Host type and one link: the UDP link (ListenUDP) unicasts
+// a frame to configured peers, so hosts in one process, in separate OS
+// processes, or on separate machines form one mesh the same way. The
+// frame leaves after its emulated LoRa airtime, so protocol timing
+// (airtime serialization, beacon pacing, ARQ round trips) is preserved.
 //
 // Each host owns a serial event loop; every interaction with its engine
 // (frames, timers, API calls) is a closure delivered to that loop, so the
@@ -29,7 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/loraphy"
-	"repro/internal/metrics"
 	"repro/internal/packet"
 )
 
@@ -38,51 +36,30 @@ import (
 // small enough that a wedged loop shows up as back-pressure.
 const mailboxDepth = 256
 
-// Config describes a wall-clock host — or, given to New, every host of a
-// hub.
+// Config describes a wall-clock host.
 type Config struct {
-	// Node is the engine configuration. A lone host needs Address set,
-	// unique across the mesh; a hub assigns it per node.
+	// Node is the engine configuration; Address must be set, unique
+	// across the mesh.
 	Node core.Config
 	// TimeScale compresses virtual time: a scale of 60 runs one virtual
 	// minute per wall second. Zero means 1 (real time).
 	TimeScale float64
 	// Seed drives jitter randomness, mixed with the node address.
 	Seed int64
-	// MetricsAddr, when non-empty, serves Prometheus-format metrics on
-	// that TCP address. A lone host exposes its engine's registry at GET
-	// /metrics; a hub exposes every node's under node_<addr>_* plus
-	// network totals under mesh_*. GET /healthz answers with a JSON
-	// liveness summary. Use "127.0.0.1:0" to let the kernel pick a free
-	// port (see MetricsAddr).
+	// MetricsAddr, when non-empty, serves the engine's registry as
+	// Prometheus-format metrics at GET /metrics on that TCP address; GET
+	// /healthz answers with a JSON liveness summary. Use "127.0.0.1:0"
+	// to let the kernel pick a free port (see MetricsAddr).
 	MetricsAddr string
 	// HealthInterval arms the always-on health monitor when positive:
 	// every interval of VIRTUAL time (wall time divided by TimeScale) the
-	// monitor snapshots routing tables and counters to detect blackholes,
-	// silent nodes, stuck duty budgets, and replay anomalies (see
-	// internal/health). A hub sees every table, so it also detects loops;
-	// a lone host only sees itself. With a MetricsAddr, /healthz then
-	// reports the monitor's verdict and /metrics exports the health.*
-	// instruments.
+	// monitor snapshots the routing table and counters to detect
+	// blackholes, silence, a stuck duty budget, and replay anomalies (see
+	// internal/health). A host only sees itself, so loops — which take
+	// every table of the mesh — are out of its reach. With a MetricsAddr,
+	// /healthz then reports the monitor's verdict and /metrics exports
+	// the health.* instruments.
 	HealthInterval time.Duration
-}
-
-// Link is how a host's frames leave and arrive: the medium under the
-// wall-clock runtime. The hub and the UDP socket are the two
-// implementations.
-type Link interface {
-	// Listen starts handing every frame this link hears to h.Receive. The
-	// host calls it once, before its engine starts.
-	Listen(h *Host) error
-	// Send puts frame on the medium for airtime of wall-clock time. When
-	// it ends the frame reaches whoever hears this link, and then done
-	// runs. The link owns frame from here on.
-	Send(frame []byte, airtime time.Duration, done func())
-	// Busy reports whether a transmission can be sensed on the medium
-	// (listen-before-talk).
-	Busy() bool
-	// Close releases the link; nothing reaches the host afterwards.
-	Close()
 }
 
 // clock maps virtual protocol time onto the wall clock.
@@ -115,7 +92,7 @@ func (c clock) now() time.Time {
 type Host struct {
 	addr  packet.Address
 	node  *core.Node
-	link  Link
+	link  *UDPLink
 	clock clock
 	phy   loraphy.Params
 	rng   *rand.Rand // event loop only
@@ -134,18 +111,12 @@ type Host struct {
 
 // Start runs one host over link. The host owns link from here on: it is
 // closed when Start fails and when the host closes.
-func Start(cfg Config, link Link) (*Host, error) {
+func Start(cfg Config, link *UDPLink) (*Host, error) {
 	clk, err := newClock(cfg.TimeScale)
 	if err != nil {
 		link.Close()
 		return nil, err
 	}
-	return start(cfg, clk, link)
-}
-
-// start is Start on a given clock; a hub's hosts share one so their
-// virtual timestamps agree.
-func start(cfg Config, clk clock, link Link) (*Host, error) {
 	addr := cfg.Node.Address
 	h := &Host{
 		addr:     addr,
@@ -163,15 +134,12 @@ func start(cfg Config, clk clock, link Link) (*Host, error) {
 		return nil, fmt.Errorf("livenet: %w", err)
 	}
 	h.node = node
-	if h.obs, err = observe(cfg, clk, h); err != nil {
+	if h.obs, err = observe(cfg, h); err != nil {
 		link.Close()
 		return nil, err
 	}
 	go h.loop()
-	if err := link.Listen(h); err != nil {
-		h.Close()
-		return nil, err
-	}
+	link.listen(h)
 	var startErr error
 	h.Do(func(n *core.Node) { startErr = n.Start() })
 	if startErr != nil {
@@ -195,10 +163,6 @@ func (h *Host) Close() {
 // Addr returns the host's mesh address.
 func (h *Host) Addr() packet.Address { return h.addr }
 
-// Health returns this host's health monitor, or nil when disabled (a
-// hub's hosts share the hub's; see Net.Health).
-func (h *Host) Health() *health.Monitor { return h.obs.health }
-
 // MetricsAddr returns the metrics listener's address ("" when disabled)
 // — with a ":0" config this is where the kernel actually bound it.
 func (h *Host) MetricsAddr() string { return h.obs.addr() }
@@ -212,9 +176,10 @@ func (h *Host) SetOnMessage(fn func(core.AppMessage)) {
 	h.mu.Unlock()
 }
 
-// Receive hands the host a frame its link heard. Links call it from any
-// goroutine; the engine sees the frame on the event loop.
-func (h *Host) Receive(frame []byte) {
+// receive hands the host a frame its link heard. The link's read loop
+// calls it from its own goroutine; the engine sees the frame on the event
+// loop.
+func (h *Host) receive(frame []byte) {
 	h.enqueue(func() {
 		h.node.HandleFrame(frame, core.RxInfo{RSSIDBm: -80, SNRDB: 10})
 	})
@@ -313,19 +278,6 @@ func (h *Host) status() health.NodeStatus {
 	return st
 }
 
-// The three methods below make a lone host its own observer's view.
-
-func (h *Host) hosts() []*Host { return []*Host{h} }
-
-func (h *Host) export() *metrics.Registry { return h.node.Metrics() }
-
-func (h *Host) describe(v map[string]any) {
-	v["mesh"] = h.addr.String()
-	if u, ok := h.link.(*UDPLink); ok {
-		v["udp"] = u.Addr().String()
-	}
-}
-
 // hostEnv adapts a Host into the engine's host interface — the one
 // core.Env of the wall-clock runtime. Its methods are invoked from the
 // host's event loop.
@@ -354,14 +306,15 @@ func (e *hostEnv) Transmit(frame []byte) (time.Duration, error) {
 		return 0, fmt.Errorf("livenet: %w", err)
 	}
 	data := append([]byte(nil), frame...)
-	h.link.Send(data, h.clock.wall(airtime), func() {
+	h.link.send(data, h.clock.wall(airtime), func() {
 		h.enqueue(func() { h.node.HandleTxDone() })
 	})
 	return airtime, nil
 }
 
-// ChannelBusy implements core.Env from the link's carrier sense.
-func (e *hostEnv) ChannelBusy() (bool, error) { return e.link.Busy(), nil }
+// ChannelBusy implements core.Env: a UDP socket cannot sense carrier, so
+// listen-before-talk always finds the channel clear.
+func (e *hostEnv) ChannelBusy() (bool, error) { return false, nil }
 
 // Deliver implements core.Env.
 func (e *hostEnv) Deliver(msg core.AppMessage) {

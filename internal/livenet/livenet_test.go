@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/packet"
 	"repro/internal/routing"
 )
@@ -32,71 +31,15 @@ func liveConfig() Config {
 	}
 }
 
-// chainConnect restricts hub connectivity to adjacent addresses.
-func chainConnect(a, b packet.Address) bool {
-	return a == b+1 || b == a+1
-}
-
-// mesh is a booted chain of hosts, addresses 1..n, adjacent hosts only in
-// range of each other, plus where its observability lives: one listener
-// and monitor for the whole hub, or host 1's own over UDP.
-type mesh struct {
-	hosts       []*Host
-	metricsAddr string
-	health      *health.Monitor
-}
-
-// links is the table every host-behaviour scenario runs over: the same
-// Host on each of the two Links.
-var links = []struct {
-	name string
-	boot func(t *testing.T, cfg Config, n int) mesh
-	// metricPrefixes are the families the link's /metrics exposes the
-	// engine counters under.
-	metricPrefixes []string
-	// healthz lists what the link's /healthz adds to the verdict.
-	healthz []string
-}{
-	{
-		name: "hub",
-		boot: func(t *testing.T, cfg Config, n int) mesh {
-			hub, err := New(cfg, chainConnect)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(hub.Close)
-			m := mesh{metricsAddr: hub.MetricsAddr(), health: hub.Health()}
-			for i := 1; i <= n; i++ {
-				h, err := hub.AddNode(packet.Address(i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.hosts = append(m.hosts, h)
-			}
-			return m
-		},
-		metricPrefixes: []string{"mesh_", "node_0001_"},
-		healthz:        []string{`"nodes":3`, `"timescale":200`},
-	},
-	{
-		name: "udp",
-		boot: func(t *testing.T, cfg Config, n int) mesh {
-			return bootUDPChain(t, cfg, n, 0)
-		},
-		metricPrefixes: []string{""},
-		healthz:        []string{`"mesh":"0001"`, `"udp":"127.0.0.1:`},
-	},
-}
-
-// bootUDPChain boots n hosts on localhost sockets wired as a chain
-// (adjacent peers only, both ways), each dropping received frames at the
-// given rate.
-func bootUDPChain(t *testing.T, cfg Config, n int, drop float64) mesh {
+// bootUDP boots n hosts, addresses 1..n, on localhost sockets, hosts i
+// and j in range of each other (peers, both ways) when their indices
+// differ by at most reach: 1 wires a chain, n a full mesh.
+func bootUDP(t *testing.T, cfg Config, n, reach int) []*Host {
 	t.Helper()
-	var m mesh
+	var hs []*Host
 	socks := make([]*UDPLink, n)
 	for i := range socks {
-		l, err := ListenUDP("127.0.0.1:0", nil, drop)
+		l, err := ListenUDP("127.0.0.1:0", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,18 +51,19 @@ func bootUDPChain(t *testing.T, cfg Config, n int, drop float64) mesh {
 			t.Fatal(err)
 		}
 		t.Cleanup(h.Close)
-		m.hosts = append(m.hosts, h)
+		hs = append(hs, h)
 	}
-	for i := 0; i < n-1; i++ {
-		if err := socks[i].AddPeer(socks[i+1].Addr().String()); err != nil {
-			t.Fatal(err)
-		}
-		if err := socks[i+1].AddPeer(socks[i].Addr().String()); err != nil {
-			t.Fatal(err)
+	for i := range socks {
+		for j := range socks {
+			if i == j || i-j > reach || j-i > reach {
+				continue
+			}
+			if err := socks[i].AddPeer(socks[j].Addr().String()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	m.metricsAddr, m.health = m.hosts[0].MetricsAddr(), m.hosts[0].Health()
-	return m
+	return hs
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -143,189 +87,176 @@ func testPayload(n, step int) []byte {
 	return p
 }
 
+// The host-behaviour scenarios below each run as the subtest "udp": the
+// name of the one link a host runs over.
+
 // TestLiveMeshConvergesAndRoutes: routes form across a 3-node chain and a
 // datagram multi-hops end to end.
 func TestLiveMeshConvergesAndRoutes(t *testing.T) {
-	for _, link := range links {
-		t.Run(link.name, func(t *testing.T) {
-			hs := link.boot(t, liveConfig(), 3).hosts
-			if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) && hs[2].HasRoute(1) }) {
-				t.Fatal("live mesh did not converge")
-			}
-			if err := hs[0].Send(3, []byte("live multi-hop")); err != nil {
-				t.Fatal(err)
-			}
-			if !waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 }) {
-				t.Fatal("datagram not delivered over the live mesh")
-			}
-			msg := hs[2].Messages()[0]
-			if string(msg.Payload) != "live multi-hop" || msg.From != 1 {
-				t.Errorf("message = %+v", msg)
-			}
-			if hs[0].Addr() != 1 || hs[2].Addr() != 3 {
-				t.Errorf("addresses = %v, %v", hs[0].Addr(), hs[2].Addr())
-			}
-		})
-	}
+	t.Run("udp", func(t *testing.T) {
+		hs := bootUDP(t, liveConfig(), 3, 1)
+		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) && hs[2].HasRoute(1) }) {
+			t.Fatal("live mesh did not converge")
+		}
+		if err := hs[0].Send(3, []byte("live multi-hop")); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 }) {
+			t.Fatal("datagram not delivered over the live mesh")
+		}
+		msg := hs[2].Messages()[0]
+		if string(msg.Payload) != "live multi-hop" || msg.From != 1 {
+			t.Errorf("message = %+v", msg)
+		}
+		if hs[0].Addr() != 1 || hs[2].Addr() != 3 {
+			t.Errorf("addresses = %v, %v", hs[0].Addr(), hs[2].Addr())
+		}
+	})
 }
 
 // TestLiveReliableTransfer: a multi-fragment reliable stream crosses two
 // hops intact and the sender hears the outcome.
 func TestLiveReliableTransfer(t *testing.T) {
-	for _, link := range links {
-		t.Run(link.name, func(t *testing.T) {
-			hs := link.boot(t, liveConfig(), 3).hosts
-			if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) }) {
-				t.Fatal("no convergence")
-			}
-			payload := testPayload(1200, 3)
-			if _, err := hs[0].SendReliable(3, payload); err != nil {
-				t.Fatal(err)
-			}
-			if !waitFor(t, 30*time.Second, func() bool { return len(hs[0].StreamEvents()) == 1 }) {
-				t.Fatal("stream never completed")
-			}
-			if ev := hs[0].StreamEvents()[0]; ev.Err != nil {
-				t.Fatalf("stream failed: %v", ev.Err)
-			}
-			msgs := hs[2].Messages()
-			if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
-				t.Fatal("reliable payload corrupted over live mesh")
-			}
-		})
-	}
+	t.Run("udp", func(t *testing.T) {
+		hs := bootUDP(t, liveConfig(), 3, 1)
+		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) }) {
+			t.Fatal("no convergence")
+		}
+		payload := testPayload(1200, 3)
+		if _, err := hs[0].SendReliable(3, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFor(t, 30*time.Second, func() bool { return len(hs[0].StreamEvents()) == 1 }) {
+			t.Fatal("stream never completed")
+		}
+		if ev := hs[0].StreamEvents()[0]; ev.Err != nil {
+			t.Fatalf("stream failed: %v", ev.Err)
+		}
+		msgs := hs[2].Messages()
+		if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
+			t.Fatal("reliable payload corrupted over live mesh")
+		}
+	})
 }
 
 // TestMetricsEndpointScrape is the live-exposition acceptance test: an
 // opt-in HTTP listener serves Prometheus-format metrics and a health
-// probe while the mesh runs, and a real scrape over TCP finds tx/rx/drop
-// counters and the duty-cycle gauge.
+// probe while the mesh runs, and a real scrape over TCP finds host 1's
+// tx/rx/drop counters and the duty-cycle gauge.
 func TestMetricsEndpointScrape(t *testing.T) {
-	for _, link := range links {
-		t.Run(link.name, func(t *testing.T) {
-			cfg := liveConfig()
-			cfg.MetricsAddr = "127.0.0.1:0"
-			m := link.boot(t, cfg, 3)
-			hs := m.hosts
-			if m.metricsAddr == "" {
-				t.Fatal("metrics listener not bound")
-			}
-			if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) }) {
-				t.Fatal("no route 1->3")
-			}
-			if err := hs[0].Send(3, []byte("scrape me")); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 })
+	t.Run("udp", func(t *testing.T) {
+		cfg := liveConfig()
+		cfg.MetricsAddr = "127.0.0.1:0"
+		hs := bootUDP(t, cfg, 3, 1)
+		metricsAddr := hs[0].MetricsAddr()
+		if metricsAddr == "" {
+			t.Fatal("metrics listener not bound")
+		}
+		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) }) {
+			t.Fatal("no route 1->3")
+		}
+		if err := hs[0].Send(3, []byte("scrape me")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 })
 
-			scrape := func(path string) string {
-				resp, err := http.Get("http://" + m.metricsAddr + path)
-				if err != nil {
-					t.Errorf("GET %s: %v", path, err)
-					return ""
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Errorf("GET %s: status %d, %v", path, resp.StatusCode, err)
-				}
-				return string(body)
+		scrape := func(path string) string {
+			resp, err := http.Get("http://" + metricsAddr + path)
+			if err != nil {
+				t.Errorf("GET %s: %v", path, err)
+				return ""
 			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s: status %d, %v", path, resp.StatusCode, err)
+			}
+			return string(body)
+		}
 
-			body := scrape("/metrics")
-			for _, p := range link.metricPrefixes {
-				for _, want := range []string{
-					p + "tx_frames_total",
-					p + "rx_frames_total",
-					p + "drop_noroute_total",
-					p + "dutycycle_utilization",
-					"# TYPE " + p + "tx_frames_total counter",
-					"# TYPE " + p + "dutycycle_utilization gauge",
-				} {
-					if !strings.Contains(body, want) {
-						t.Errorf("scrape missing %q", want)
-					}
-				}
-				// The mesh has been beaconing and forwarding: counts are
-				// nonzero.
-				for _, line := range strings.Split(body, "\n") {
-					if strings.TrimPrefix(line, p+"tx_frames_total ") == "0" {
-						t.Errorf("%stx_frames_total is zero on a running mesh", p)
-					}
-				}
+		body := scrape("/metrics")
+		for _, want := range []string{
+			"tx_frames_total",
+			"rx_frames_total",
+			"drop_noroute_total",
+			"dutycycle_utilization",
+			"# TYPE tx_frames_total counter",
+			"# TYPE dutycycle_utilization gauge",
+		} {
+			if !strings.Contains(body, want) {
+				t.Errorf("scrape missing %q", want)
 			}
+		}
+		// The host has been beaconing and sending: the count is nonzero.
+		for _, line := range strings.Split(body, "\n") {
+			if strings.TrimPrefix(line, "tx_frames_total ") == "0" {
+				t.Error("tx_frames_total is zero on a running mesh")
+			}
+		}
 
-			healthz := scrape("/healthz")
-			for _, want := range append([]string{`"status":"ok"`, `"uptime"`}, link.healthz...) {
-				if !strings.Contains(healthz, want) {
-					t.Errorf("healthz missing %s: %s", want, healthz)
-				}
+		healthz := scrape("/healthz")
+		for _, want := range []string{`"status":"ok"`, `"uptime"`, `"mesh":"0001"`, `"udp":"127.0.0.1:`} {
+			if !strings.Contains(healthz, want) {
+				t.Errorf("healthz missing %s: %s", want, healthz)
 			}
+		}
 
-			// Scrapes must stay readable while nodes keep working (the
-			// race detector guards this test).
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					_ = scrape("/metrics")
-				}()
-			}
-			hs[0].Send(3, []byte("concurrent with scrapes"))
-			wg.Wait()
-		})
-	}
+		// Scrapes must stay readable while nodes keep working (the
+		// race detector guards this test).
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = scrape("/metrics")
+			}()
+		}
+		hs[0].Send(3, []byte("concurrent with scrapes"))
+		wg.Wait()
+	})
 }
 
 // TestLiveHealthVerdict: with HealthInterval set the monitor polls on the
-// scaled clock, scores what its view covers (every node of a hub, the one
-// host over UDP), and its verdict is what /healthz and /metrics report.
+// scaled clock, scores the one host it watches, and its verdict is what
+// /healthz and /metrics report.
 func TestLiveHealthVerdict(t *testing.T) {
-	for _, link := range links {
-		t.Run(link.name, func(t *testing.T) {
-			cfg := liveConfig()
-			cfg.MetricsAddr = "127.0.0.1:0"
-			cfg.HealthInterval = 5 * time.Second // 25 ms of wall time
-			m := link.boot(t, cfg, 3)
-			if m.health == nil {
-				t.Fatal("HealthInterval did not arm the monitor")
+	t.Run("udp", func(t *testing.T) {
+		cfg := liveConfig()
+		cfg.MetricsAddr = "127.0.0.1:0"
+		cfg.HealthInterval = 5 * time.Second // 25 ms of wall time
+		hs := bootUDP(t, cfg, 3, 1)
+		monitor := hs[0].obs.health
+		if monitor == nil {
+			t.Fatal("HealthInterval did not arm the monitor")
+		}
+		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) && hs[2].HasRoute(1) }) {
+			t.Fatal("no convergence")
+		}
+		var verdict map[string]any
+		if !waitFor(t, 15*time.Second, func() bool {
+			verdict = monitor.Verdict()
+			return verdict["polls"].(uint64) >= 2 && verdict["status"] == "ok"
+		}) {
+			t.Fatalf("healthy chain never judged ok: %v", verdict)
+		}
+		if got := len(verdict["scores"].(map[string]int)); got != 1 {
+			t.Errorf("monitor scored %d nodes, want 1: %v", got, verdict)
+		}
+		for path, want := range map[string]string{
+			"/healthz": `"polls":`,
+			"/metrics": "health_nodes_total",
+		} {
+			resp, err := http.Get("http://" + hs[0].MetricsAddr() + path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !waitFor(t, 15*time.Second, func() bool {
-				return m.hosts[0].HasRoute(3) && m.hosts[2].HasRoute(1)
-			}) {
-				t.Fatal("no convergence")
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !strings.Contains(string(body), want) {
+				t.Errorf("GET %s missing %q:\n%s", path, want, body)
 			}
-			var verdict map[string]any
-			if !waitFor(t, 15*time.Second, func() bool {
-				verdict = m.health.Verdict()
-				return verdict["polls"].(uint64) >= 2 && verdict["status"] == "ok"
-			}) {
-				t.Fatalf("healthy chain never judged ok: %v", verdict)
-			}
-			wantNodes := 1
-			if link.name == "hub" {
-				wantNodes = 3
-			}
-			if got := len(verdict["scores"].(map[string]int)); got != wantNodes {
-				t.Errorf("monitor scored %d nodes, want %d: %v", got, wantNodes, verdict)
-			}
-			for path, want := range map[string]string{
-				"/healthz": `"polls":`,
-				"/metrics": "health_nodes_total",
-			} {
-				resp, err := http.Get("http://" + m.metricsAddr + path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if !strings.Contains(string(body), want) {
-					t.Errorf("GET %s missing %q:\n%s", path, want, body)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestLiveCloseUnblocksDo closes a host while its timers are pending
@@ -333,43 +264,41 @@ func TestLiveHealthVerdict(t *testing.T) {
 // hammer Do across the close: nothing may hang, and late timer firings
 // must be dropped, not delivered to a stopped engine.
 func TestLiveCloseUnblocksDo(t *testing.T) {
-	for _, link := range links {
-		t.Run(link.name, func(t *testing.T) {
-			hs := link.boot(t, liveConfig(), 2).hosts
-			if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(2) }) {
-				t.Fatal("no convergence")
+	t.Run("udp", func(t *testing.T) {
+		hs := bootUDP(t, liveConfig(), 2, 1)
+		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(2) }) {
+			t.Fatal("no convergence")
+		}
+		if _, err := hs[0].SendReliable(2, testPayload(2000, 7)); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			// Hammer Do across the close; none may hang.
+			for i := 0; i < 1000; i++ {
+				hs[0].Do(func(*core.Node) {})
 			}
-			if _, err := hs[0].SendReliable(2, testPayload(2000, 7)); err != nil {
-				t.Fatal(err)
+			close(done)
+		}()
+		closed := make(chan struct{})
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			hs[0].Close()
+			hs[0].Close() // idempotent
+			close(closed)
+		}()
+		for _, ch := range []chan struct{}{done, closed} {
+			select {
+			case <-ch:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Do or Close hung across the close")
 			}
-			done := make(chan struct{})
-			go func() {
-				// Hammer Do across the close; none may hang.
-				for i := 0; i < 1000; i++ {
-					hs[0].Do(func(*core.Node) {})
-				}
-				close(done)
-			}()
-			closed := make(chan struct{})
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				hs[0].Close()
-				hs[0].Close() // idempotent
-				close(closed)
-			}()
-			for _, ch := range []chan struct{}{done, closed} {
-				select {
-				case <-ch:
-				case <-time.After(10 * time.Second):
-					t.Fatal("Do or Close hung across the close")
-				}
-			}
-			// A closed host answers instead of blocking.
-			if hs[0].HasRoute(2) {
-				t.Error("closed host still ran an engine query")
-			}
-		})
-	}
+		}
+		// A closed host answers instead of blocking.
+		if hs[0].HasRoute(2) {
+			t.Error("closed host still ran an engine query")
+		}
+	})
 }
 
 // TestMetricsListenerFailureLeaksNothing: a MetricsAddr that cannot be
@@ -387,10 +316,7 @@ func TestMetricsListenerFailureLeaksNothing(t *testing.T) {
 	cfg.HealthInterval = time.Second
 
 	before := runtime.NumGoroutine()
-	if _, err := New(cfg, nil); err == nil {
-		t.Error("hub on a bound metrics port: want error")
-	}
-	sock, err := ListenUDP("127.0.0.1:0", nil, 0)
+	sock, err := ListenUDP("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +325,7 @@ func TestMetricsListenerFailureLeaksNothing(t *testing.T) {
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
 		buf := make([]byte, 1<<16)
-		t.Fatalf("%d goroutines before, %d after the failed constructors:\n%s",
+		t.Fatalf("%d goroutines before, %d after the failed constructor:\n%s",
 			before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 	}
 }
@@ -408,20 +334,8 @@ func TestLiveConcurrentSenders(t *testing.T) {
 	// Full connectivity, several nodes sending simultaneously from test
 	// goroutines: exercises the mailbox serialization under the race
 	// detector.
-	hub, err := New(liveConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
 	const n = 5
-	var hs []*Host
-	for i := 1; i <= n; i++ {
-		h, err := hub.AddNode(packet.Address(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
+	hs := bootUDP(t, liveConfig(), n, n)
 	if !waitFor(t, 10*time.Second, func() bool {
 		for _, h := range hs {
 			var routes int
@@ -461,150 +375,40 @@ func TestLiveConcurrentSenders(t *testing.T) {
 	}
 }
 
-// TestLiveValidation covers what the hub refuses.
+// listenUDP binds one link on an ephemeral localhost port.
+func listenUDP(t *testing.T) *UDPLink {
+	t.Helper()
+	l, err := ListenUDP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestLiveValidation covers what Start refuses, and that a failed Start
+// closes the link it was given.
 func TestLiveValidation(t *testing.T) {
-	if _, err := New(Config{TimeScale: -1}, nil); err == nil {
-		t.Error("negative time scale: want error")
-	}
-	hub, err := New(liveConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.AddNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.AddNode(1); err == nil {
-		t.Error("duplicate address: want error")
-	}
-	if _, err := hub.AddNode(packet.Broadcast); err == nil {
-		t.Error("broadcast node address: want error")
-	}
-	if got := len(hub.hosts()); got != 1 {
-		t.Errorf("%d hosts joined after two refused AddNodes, want 1", got)
-	}
-	hub.Close()
-	hub.Close() // idempotent
-	if _, err := hub.AddNode(2); err == nil {
-		t.Error("AddNode after Close: want error")
-	}
-}
-
-// TestHubConnectPredicate: the hub delivers a frame only where Connect
-// says the sender is heard — here 1<->2 are in range and 3 hears nobody.
-func TestHubConnectPredicate(t *testing.T) {
-	hub, err := New(liveConfig(), func(a, b packet.Address) bool { return a != 3 && b != 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	var hs []*Host
-	for a := packet.Address(1); a <= 3; a++ {
-		h, err := hub.AddNode(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
-	if !waitFor(t, 10*time.Second, func() bool { return hs[0].HasRoute(2) && hs[1].HasRoute(1) }) {
-		t.Fatal("connected pair did not converge")
-	}
-	// Many HELLO periods have passed by now; the cut-off node learned
-	// nothing and nobody learned of it.
-	time.Sleep(100 * time.Millisecond)
-	if hs[2].HasRoute(1) || hs[2].HasRoute(2) || hs[0].HasRoute(3) || hs[1].HasRoute(3) {
-		t.Error("frames crossed a link Connect refuses")
-	}
-}
-
-// TestCarrierSense: the hub senses a transmission for exactly its
-// airtime, from every port; a UDP socket never senses one.
-func TestCarrierSense(t *testing.T) {
-	hub, err := New(liveConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	a, b := &port{hub: hub}, &port{hub: hub}
-	if a.Busy() || b.Busy() {
-		t.Fatal("idle hub senses carrier")
-	}
-	// Unjoined ports: nobody hears the frame, but the channel is held.
-	done := make(chan struct{})
-	a.Send([]byte{1}, 50*time.Millisecond, func() { close(done) })
-	if !a.Busy() || !b.Busy() {
-		t.Error("no carrier while a frame is on the air")
-	}
-	<-done
-	if a.Busy() || b.Busy() {
-		t.Error("carrier outlasted the frame's airtime")
-	}
-
-	sock, err := ListenUDP("127.0.0.1:0", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sock.Close()
-	done = make(chan struct{})
-	sock.Send([]byte{1}, 20*time.Millisecond, func() { close(done) })
-	if sock.Busy() {
-		t.Error("UDP link claims carrier sense")
-	}
-	<-done
-}
-
-// TestUDPReliableWithLoss: 10% injected receive loss on every host — the
-// ARQ must still get the payload across two hops of real sockets.
-func TestUDPReliableWithLoss(t *testing.T) {
-	hs := bootUDPChain(t, liveConfig(), 3, 0.10).hosts
-	if !waitFor(t, 20*time.Second, func() bool { return hs[0].HasRoute(3) }) {
-		t.Fatal("no convergence under loss")
-	}
-	payload := testPayload(900, 11)
-	if _, err := hs[0].SendReliable(3, payload); err != nil {
-		t.Fatal(err)
-	}
-	if !waitFor(t, 60*time.Second, func() bool { return len(hs[0].StreamEvents()) == 1 }) {
-		t.Fatal("stream never finished")
-	}
-	if ev := hs[0].StreamEvents()[0]; ev.Err != nil {
-		t.Fatalf("stream failed: %v", ev.Err)
-	}
-	msgs := hs[2].Messages()
-	if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
-		t.Fatal("payload corrupted over lossy UDP mesh")
-	}
-}
-
-// TestUDPValidation covers what the UDP link and a lone host refuse.
-func TestUDPValidation(t *testing.T) {
-	if _, err := ListenUDP("127.0.0.1:0", nil, 1.5); err == nil {
-		t.Error("drop rate 1.5: want error")
-	}
-	if _, err := ListenUDP("not-an-address", nil, 0); err == nil {
-		t.Error("bad listen address: want error")
-	}
-	if _, err := ListenUDP("127.0.0.1:0", []string{"///"}, 0); err == nil {
-		t.Error("bad initial peer: want error")
-	}
-	listen := func() *UDPLink {
-		l, err := ListenUDP("127.0.0.1:0", nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	// A failed Start closes the link it was given.
-	l := listen()
+	l := listenUDP(t)
 	if _, err := Start(Config{TimeScale: -1, Node: core.Config{Address: 1}}, l); err == nil {
-		t.Error("negative scale: want error")
+		t.Error("negative time scale: want error")
 	}
 	if _, err := l.conn.WriteToUDP([]byte{0}, l.Addr()); err == nil {
 		t.Error("link still open after a failed Start")
 	}
-	if _, err := Start(Config{Node: core.Config{Address: packet.Broadcast}}, listen()); err == nil {
+	if _, err := Start(Config{Node: core.Config{Address: packet.Broadcast}}, listenUDP(t)); err == nil {
 		t.Error("broadcast node address: want error")
 	}
-	l = listen()
+}
+
+// TestUDPValidation covers what the UDP link refuses.
+func TestUDPValidation(t *testing.T) {
+	if _, err := ListenUDP("not-an-address", nil); err == nil {
+		t.Error("bad listen address: want error")
+	}
+	if _, err := ListenUDP("127.0.0.1:0", []string{"///"}); err == nil {
+		t.Error("bad initial peer: want error")
+	}
+	l := listenUDP(t)
 	h, err := Start(Config{Node: core.Config{Address: 7, DutyCycleLimit: 1}}, l)
 	if err != nil {
 		t.Fatal(err)

@@ -11,22 +11,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// view is what an observer watches: one host, or a hub's worth of them.
-type view interface {
-	// hosts lists the hosts the health monitor snapshots.
-	hosts() []*Host
-	// export is the /metrics body before the health.* instruments.
-	export() *metrics.Registry
-	// describe adds the view's own fields to a /healthz answer.
-	describe(v map[string]any)
-}
-
-// observer is the observability a host or hub carries when its Config
-// asks for it: the /metrics + /healthz listener and the health monitor's
+// observer is the observability a host carries when its Config asks for
+// it: the /metrics + /healthz listener and the health monitor's
 // polling loop. With neither configured it is inert.
 type observer struct {
-	clock  clock
-	view   view
+	host   *Host
 	health *health.Monitor // nil unless Config.HealthInterval is positive
 	lis    net.Listener    // nil unless Config.MetricsAddr is set
 	srv    *http.Server
@@ -37,8 +26,8 @@ type observer struct {
 
 // observe starts what cfg asks for. The listener is bound before anything
 // else starts, so a bad MetricsAddr fails with nothing left running.
-func observe(cfg Config, clk clock, v view) (*observer, error) {
-	o := &observer{clock: clk, view: v, stop: make(chan struct{})}
+func observe(cfg Config, h *Host) (*observer, error) {
+	o := &observer{host: h, stop: make(chan struct{})}
 	if cfg.HealthInterval > 0 {
 		o.health = health.New(health.Config{
 			Interval: cfg.HealthInterval,
@@ -52,7 +41,7 @@ func observe(cfg Config, clk clock, v view) (*observer, error) {
 	}
 	if o.health != nil {
 		o.wg.Add(1)
-		go o.healthLoop(clk.wall(cfg.HealthInterval))
+		go o.healthLoop(h.clock.wall(cfg.HealthInterval))
 	}
 	return o, nil
 }
@@ -85,25 +74,21 @@ func (o *observer) healthLoop(every time.Duration) {
 		case <-o.stop:
 			return
 		case <-t.C:
-			o.health.Poll(o.clock.now())
+			o.health.Poll(o.host.clock.now())
 		}
 	}
 }
 
-// healthSource snapshots every watched host for the monitor.
+// healthSource snapshots the host for the monitor.
 func (o *observer) healthSource() []health.NodeStatus {
-	var out []health.NodeStatus
-	for _, h := range o.view.hosts() {
-		out = append(out, h.status())
-	}
-	return out
+	return []health.NodeStatus{o.host.status()}
 }
 
-// metrics is the /metrics view: what the view exports plus, when the
+// metrics is the /metrics view: the engine's registry plus, when the
 // monitor runs, the health.* instruments. Registries are safe to read
-// while the event loops run, so a scrape never blocks the mesh.
+// while the event loop runs, so a scrape never blocks the host.
 func (o *observer) metrics() *metrics.Registry {
-	reg := o.view.export()
+	reg := o.host.node.Metrics()
 	if o.health == nil {
 		return reg
 	}
@@ -129,8 +114,9 @@ func (o *observer) serveMetrics(addr string) error {
 			// responds.
 			v = o.health.Verdict()
 		}
-		o.view.describe(v)
-		v["uptime"] = time.Since(o.clock.start).String()
+		v["mesh"] = o.host.addr.String()
+		v["udp"] = o.host.link.Addr().String()
+		v["uptime"] = time.Since(o.host.clock.start).String()
 		return v
 	}))
 	o.lis = lis

@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -10,13 +9,13 @@ import (
 	"repro/internal/packet"
 )
 
-// UDPLink is the Link over a real UDP socket: the mesh becomes an actual
-// distributed system with no shared memory. It "transmits" by unicasting
-// the frame to its peers, which model radio connectivity: give each link
-// the addresses its host would hear over the air.
+// UDPLink is the medium under a host — how its frames leave and arrive —
+// over a real UDP socket: the mesh becomes an actual distributed system
+// with no shared memory. It "transmits" by unicasting the frame to its
+// peers, which model radio connectivity: give each link the addresses
+// its host would hear over the air.
 type UDPLink struct {
-	conn     *net.UDPConn
-	dropRate float64
+	conn *net.UDPConn
 
 	mu    sync.Mutex
 	peers []*net.UDPAddr
@@ -27,13 +26,8 @@ type UDPLink struct {
 // ListenUDP binds listen ("127.0.0.1:0" for an ephemeral localhost port)
 // and returns the link, not yet reading. peers are the UDP addresses this
 // link's transmissions reach; connectivity is directional, so list both
-// ways for symmetric links (more can follow with AddPeer). dropRate, in
-// [0, 1), injects random frame loss on reception, for exercising the ARQ
-// over real sockets.
-func ListenUDP(listen string, peers []string, dropRate float64) (*UDPLink, error) {
-	if dropRate < 0 || dropRate >= 1 {
-		return nil, fmt.Errorf("livenet: drop rate %v out of [0,1)", dropRate)
-	}
+// ways for symmetric links (more can follow with AddPeer).
+func ListenUDP(listen string, peers []string) (*UDPLink, error) {
 	laddr, err := net.ResolveUDPAddr("udp", listen)
 	if err != nil {
 		return nil, fmt.Errorf("livenet: listen address: %w", err)
@@ -42,7 +36,7 @@ func ListenUDP(listen string, peers []string, dropRate float64) (*UDPLink, error
 	if err != nil {
 		return nil, fmt.Errorf("livenet: %w", err)
 	}
-	l := &UDPLink{conn: conn, dropRate: dropRate}
+	l := &UDPLink{conn: conn}
 	for _, p := range peers {
 		if err := l.AddPeer(p); err != nil {
 			conn.Close()
@@ -67,11 +61,11 @@ func (l *UDPLink) AddPeer(addr string) error {
 	return nil
 }
 
-// Listen starts the read loop that hands received frames to h.
-func (l *UDPLink) Listen(h *Host) error {
+// listen starts the read loop that hands received frames to h. The host
+// calls it once, before its engine starts.
+func (l *UDPLink) listen(h *Host) {
 	l.readDone = make(chan struct{})
 	go l.readLoop(h)
-	return nil
 }
 
 // readLoop receives frames from the socket until it closes.
@@ -86,15 +80,13 @@ func (l *UDPLink) readLoop(h *Host) {
 		if n == 0 || n > packet.MaxFrameLen {
 			continue
 		}
-		if l.dropRate > 0 && rand.Float64() < l.dropRate {
-			continue
-		}
-		h.Receive(append([]byte(nil), buf[:n]...))
+		h.receive(append([]byte(nil), buf[:n]...))
 	}
 }
 
-// Send writes the frame to every peer once its emulated airtime elapsed.
-func (l *UDPLink) Send(frame []byte, airtime time.Duration, done func()) {
+// send writes the frame to every peer once its emulated airtime elapsed,
+// and then runs done. The link owns frame from here on.
+func (l *UDPLink) send(frame []byte, airtime time.Duration, done func()) {
 	time.AfterFunc(airtime, func() {
 		l.mu.Lock()
 		peers := append([]*net.UDPAddr(nil), l.peers...)
@@ -108,11 +100,8 @@ func (l *UDPLink) Send(frame []byte, airtime time.Duration, done func()) {
 	})
 }
 
-// Busy reports no carrier: a UDP socket cannot sense the channel.
-func (l *UDPLink) Busy() bool { return false }
-
 // Close releases the socket, which unblocks the read loop, and waits for
-// the loop.
+// the loop; nothing reaches the host afterwards.
 func (l *UDPLink) Close() {
 	l.conn.Close()
 	if l.readDone != nil {

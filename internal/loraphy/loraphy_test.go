@@ -133,14 +133,6 @@ func TestAirtimePropertySFDoubling(t *testing.T) {
 	}
 }
 
-func TestBitRate(t *testing.T) {
-	p := DefaultParams() // SF7 BW125 CR4/5
-	want := 7.0 * (4.0 / 5.0) * 125e3 / 128.0
-	if got := p.BitRate(); math.Abs(got-want) > 1e-6 {
-		t.Errorf("BitRate = %v, want %v", got, want)
-	}
-}
-
 func TestSensitivityLadder(t *testing.T) {
 	// The classic BW125 sensitivity ladder from the SX1276 datasheet
 	// derivation: noise floor ≈ -117.1 dBm; SF7 ≈ -124.6 ... SF12 ≈ -137.1.

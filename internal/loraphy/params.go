@@ -190,13 +190,6 @@ func (p Params) LowDataRateEnabled() bool {
 	return p.SymbolTime() > 16*time.Millisecond
 }
 
-// BitRate returns the equivalent physical bit rate in bits/second:
-// SF * (4 / (4+CR)) * BW / 2^SF.
-func (p Params) BitRate() float64 {
-	sf := float64(p.SpreadingFactor)
-	return sf * (4.0 / float64(p.CodingRate.Denominator())) * p.Bandwidth.Hz() / float64(int(1)<<p.SpreadingFactor)
-}
-
 func (p Params) String() string {
 	return fmt.Sprintf("%v/%v/%v@%.1fMHz", p.SpreadingFactor, p.Bandwidth, p.CodingRate, p.FrequencyHz/1e6)
 }

@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -43,17 +42,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -135,9 +123,6 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	return h.samples[idx]
 }
-
-// Min returns the smallest sample, or NaN with no samples.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
 // Max returns the largest sample, or NaN with no samples.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
@@ -244,18 +229,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Merge folds other's counters and histogram samples into r, prefixing
 // names with the given prefix (e.g. "node.0003."). Gauges are copied under
 // the prefixed name.
@@ -300,17 +273,5 @@ func (r *Registry) Merge(prefix string, other *Registry) {
 		for _, v := range h.samples {
 			dst.Observe(v)
 		}
-	}
-}
-
-// FormatValue renders a metric value compactly for tables.
-func FormatValue(v float64) string {
-	switch {
-	case v == math.Trunc(v) && math.Abs(v) < 1e9:
-		return fmt.Sprintf("%.0f", v)
-	case math.Abs(v) >= 100:
-		return fmt.Sprintf("%.1f", v)
-	default:
-		return fmt.Sprintf("%.3f", v)
 	}
 }

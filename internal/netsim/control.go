@@ -42,12 +42,12 @@ type ControllerConfig struct {
 
 // AttachController builds the self-healing control plane over this
 // simulation and arms its reconcile loop on the virtual clock. Requires
-// the mesher protocol and an armed health monitor
+// the proactive strategy and an armed health monitor
 // (Config.HealthInterval), since the recovery playbooks are driven by
 // its violation feed. One controller per simulation.
 func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error) {
 	if s.Cfg.Protocol != forward.KindProactive {
-		return nil, fmt.Errorf("netsim: the controller requires the mesher protocol")
+		return nil, fmt.Errorf("netsim: the controller requires the %s strategy", forward.KindProactive)
 	}
 	if s.Health == nil {
 		return nil, fmt.Errorf("netsim: the controller needs the health monitor (set Config.HealthInterval)")
@@ -137,9 +137,6 @@ func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error)
 	return ctl, nil
 }
 
-// Control returns the attached controller, or nil.
-func (s *Sim) Control() *control.Controller { return s.control }
-
 // distanceFrom measures a node's distance from the controller host for
 // farthest-first rollout ordering.
 func (s *Sim) distanceFrom(from geo.Point, a packet.Address) float64 {
@@ -171,9 +168,6 @@ func (s *Sim) Hang(i int) error {
 		"node hung (engine wedged, still powered)")
 	return nil
 }
-
-// Hung reports whether node i is currently wedged.
-func (s *Sim) Hung(i int) bool { return s.handles[i].hung }
 
 // rebootNode power-cycles node i out of band (the controller's
 // escalation path, or an OpReboot the node's host accepted): the engine

@@ -161,7 +161,7 @@ func TestControllerRecoversHungNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Run(horizon)
-		if !sim.Hung(2) {
+		if !sim.handles[2].hung {
 			t.Fatalf("seed %d: node un-wedged itself without a controller", seed)
 		}
 		if sim.AggregateMetrics().Snapshot()["health.violation.silent"] == 0 {
@@ -186,7 +186,7 @@ func TestControllerRecoversHungNode(t *testing.T) {
 		if err := sim.Hang(2); err != nil {
 			t.Fatal(err)
 		}
-		recovered, ok := sim.RunUntil(func() bool { return !sim.Hung(2) }, 5*time.Second, horizon)
+		recovered, ok := sim.RunUntil(func() bool { return !sim.handles[2].hung }, 5*time.Second, horizon)
 		if !ok {
 			t.Fatalf("seed %d: hung node not recovered within %v; journal:\n%s",
 				seed, horizon, strings.Join(ctl.Actions(), "\n"))

@@ -220,14 +220,6 @@ func (s *Sim) ApplyFaultPlan(plan *faults.Plan) error {
 	return nil
 }
 
-// FaultPlan returns the applied plan, or nil.
-func (s *Sim) FaultPlan() *faults.Plan {
-	if s.injector == nil {
-		return nil
-	}
-	return s.injector.Plan()
-}
-
 // FaultStats returns the injector's per-reason counts (empty without a
 // plan).
 func (s *Sim) FaultStats() map[string]uint64 {

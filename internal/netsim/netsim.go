@@ -1,9 +1,10 @@
 // Package netsim assembles complete mesh simulations: it places protocol
-// engines (the LoRaMesher core or the flooding baseline) on the simulated
-// LoRa medium at topology-defined positions, drives them through the
-// discrete-event scheduler, and offers failure injection, mobility,
-// convergence probes, traffic generation, and metric aggregation — the
-// machinery every experiment in the evaluation is built from.
+// engines (one forward.Strategy per node, selected by Config.Protocol) on
+// the simulated LoRa medium at topology-defined positions, drives them
+// through the discrete-event scheduler, and offers failure injection,
+// mobility, convergence probes, traffic generation, and metric
+// aggregation — the machinery every experiment in the evaluation is built
+// from.
 package netsim
 
 import (
@@ -172,9 +173,6 @@ type Handle struct {
 	sleeping   bool
 }
 
-// Down reports whether the node is currently crashed by the fault plan.
-func (h *Handle) Down() bool { return h.down }
-
 // retire folds the current engine's metrics and airtime into the
 // handle's retired accumulators before the engine is discarded.
 func (h *Handle) retire() {
@@ -239,7 +237,7 @@ func New(cfg Config) (*Sim, error) {
 		cfg.Medium.Seed = cfg.Seed
 	}
 	if cfg.SecKey != nil && cfg.Protocol != forward.KindProactive {
-		return nil, fmt.Errorf("netsim: security requires the mesher protocol")
+		return nil, fmt.Errorf("netsim: security requires the %s strategy", forward.KindProactive)
 	}
 
 	sched := simtime.NewScheduler(Epoch)
@@ -405,17 +403,6 @@ func (s *Sim) Kill(i int) error {
 	}
 	s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure, "node killed")
 	return nil
-}
-
-// Alive reports whether node i is still running.
-func (s *Sim) Alive(i int) bool { return !s.handles[i].killed }
-
-// Move relocates node i (mobility injection).
-func (s *Sim) Move(i int, pos geo.Point) error {
-	if i < 0 || i >= len(s.handles) {
-		return fmt.Errorf("netsim: move: node %d out of range", i)
-	}
-	return s.Medium.SetPosition(s.handles[i].Station, pos)
 }
 
 // Converged reports whether every live routing node has a usable route

@@ -141,7 +141,7 @@ func TestKillAndRouteRepair(t *testing.T) {
 	if err := sim.Kill(1); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Alive(1) {
+	if !sim.handles[1].killed {
 		t.Fatal("killed node still alive")
 	}
 	// Repair means the stale route through the dead node expires and a
@@ -295,7 +295,7 @@ func TestMoveChangesConnectivity(t *testing.T) {
 	if _, ok := sim.TimeToConvergence(time.Second, 2*time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
-	if err := sim.Move(1, geo.Point{X: 500e3}); err != nil {
+	if err := sim.Medium.SetPosition(sim.Handle(1).Station, geo.Point{X: 500e3}); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(2 * time.Minute)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/health"
-	"repro/internal/packet"
 )
 
 // TrafficStats accumulates the outcome of a generated workload.
@@ -141,146 +140,6 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 	return stats, nil
 }
 
-// AnycastFlow describes a flow addressed to a role rather than a node:
-// every send goes to whichever gateway the source's routing table says
-// is nearest, so when that gateway dies the flow hands over to the next
-// one as soon as the distance-vector tables reconverge.
-type AnycastFlow struct {
-	// From is the source node index.
-	From int
-	// Role selects the destination set, typically packet.RoleGateway.
-	// Candidate nodes must advertise it (Config.NodeOverride sets
-	// core.Config.Role per node).
-	Role packet.Role
-	// Sinks are the node indices whose deliveries count; normally every
-	// node advertising Role.
-	Sinks []int
-	// Payload, Interval, Count and Poisson behave as in Flow.
-	Payload  int
-	Interval time.Duration
-	Count    int
-	Poisson  bool
-	// Margin is the handover hysteresis in hops (see
-	// routing.Table.SelectAnycast). Zero hands over on any improvement.
-	Margin uint8
-}
-
-// AnycastStats extends TrafficStats with gateway-selection accounting.
-type AnycastStats struct {
-	TrafficStats
-	// Handovers counts selection switches after the first pick.
-	Handovers int
-	// NoRoute counts fires skipped because no node with the role was
-	// reachable (e.g. while tables reconverge after a gateway death).
-	NoRoute int
-	// PerSink attributes deliveries to the gateway that received them.
-	PerSink map[packet.Address]int
-}
-
-// StartAnycastFlow schedules a role-addressed flow with nearest-gateway
-// selection and handover. Deliveries at any listed sink are matched to
-// sends by sequence tag, exactly as in StartFlow.
-func (s *Sim) StartAnycastFlow(f AnycastFlow) (*AnycastStats, error) {
-	if f.From < 0 || f.From >= s.N() {
-		return nil, fmt.Errorf("netsim: anycast source %d invalid", f.From)
-	}
-	if len(f.Sinks) == 0 {
-		return nil, fmt.Errorf("netsim: anycast flow needs at least one sink")
-	}
-	src := s.handles[f.From]
-	if src.Mesher == nil {
-		return nil, fmt.Errorf("netsim: anycast needs a routing engine (not flooding)")
-	}
-	if f.Payload < 8 {
-		f.Payload = 8
-	}
-	if f.Interval <= 0 {
-		return nil, fmt.Errorf("netsim: flow interval must be positive")
-	}
-	stats := &AnycastStats{PerSink: make(map[packet.Address]int)}
-	sentAt := make(map[uint32]time.Time)
-	var seq uint32
-	for _, si := range f.Sinks {
-		if si < 0 || si >= s.N() || si == f.From {
-			return nil, fmt.Errorf("netsim: anycast sink %d invalid", si)
-		}
-		sink := s.handles[si]
-		prev := sink.OnMessage
-		sink.OnMessage = func(msg core.AppMessage) {
-			if prev != nil {
-				prev(msg)
-			}
-			if msg.From != src.Addr || len(msg.Payload) < 4 {
-				return
-			}
-			tag := uint32(msg.Payload[0])<<24 | uint32(msg.Payload[1])<<16 |
-				uint32(msg.Payload[2])<<8 | uint32(msg.Payload[3])
-			at, ok := sentAt[tag]
-			if !ok {
-				return
-			}
-			delete(sentAt, tag)
-			stats.Delivered++
-			stats.PerSink[sink.Addr]++
-			lat := msg.At.Sub(at)
-			stats.Latencies = append(stats.Latencies, lat)
-			s.reg.Counter("flows.delivered").Inc()
-			s.reg.Histogram("e2e.latency_ms").ObserveDuration(lat)
-		}
-	}
-
-	var current packet.Address
-	var fire func()
-	arm := func() {
-		gap := f.Interval
-		if f.Poisson {
-			u := s.rng.Float64()
-			gap = time.Duration(float64(f.Interval) * math.Max(-math.Log(1-u), 1e-3))
-		}
-		s.Sched.MustAfter(gap, fire)
-	}
-	fire = func() {
-		if f.Count > 0 && stats.Offered >= f.Count {
-			return
-		}
-		if src.killed {
-			return
-		}
-		if src.down {
-			arm()
-			return
-		}
-		stats.Offered++
-		s.reg.Counter("flows.offered").Inc()
-		sel, ok := src.Mesher.Table().SelectAnycast(f.Role, current, f.Margin)
-		if !ok {
-			stats.NoRoute++
-			s.reg.Counter("flows.anycast.noroute").Inc()
-		} else {
-			if current != 0 && sel != current {
-				stats.Handovers++
-				s.reg.Counter("flows.anycast.handover").Inc()
-			}
-			current = sel
-			payload := make([]byte, f.Payload)
-			tag := seq
-			seq++
-			payload[0], payload[1], payload[2], payload[3] =
-				byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag)
-			if err := src.Proto.Send(sel, payload); err == nil {
-				stats.Accepted++
-				s.reg.Counter("flows.accepted").Inc()
-				sentAt[tag] = s.Sched.Now()
-			}
-		}
-		if f.Count == 0 || stats.Offered < f.Count {
-			arm()
-		}
-	}
-	arm()
-	return stats, nil
-}
-
 // StartManyToOne starts one flow from every other node to sink, the
 // telemetry pattern from the paper's motivation. It returns per-source
 // stats indexed by node.
@@ -314,12 +173,4 @@ func MergeStats(all []*TrafficStats) *TrafficStats {
 		total.Latencies = append(total.Latencies, st.Latencies...)
 	}
 	return total
-}
-
-// SendTagged sends one tagged datagram outside any flow; used by tests.
-func (s *Sim) SendTagged(from, to int, payload int) error {
-	if payload < 8 {
-		payload = 8
-	}
-	return s.handles[from].Proto.Send(s.handles[to].Addr, make([]byte, payload))
 }

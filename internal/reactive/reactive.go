@@ -149,18 +149,6 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 // Kind identifies the strategy: AODV-style on-demand routing.
 func (n *Node) Kind() forward.Kind { return forward.KindReactive }
 
-// RouteCount returns the number of unexpired routes.
-func (n *Node) RouteCount() int {
-	now := n.env.Now()
-	c := 0
-	for _, r := range n.routes {
-		if r.expires.After(now) {
-			c++
-		}
-	}
-	return c
-}
-
 // Start is a no-op: a reactive protocol is silent until traffic appears.
 func (n *Node) Start() error {
 	if n.stopped {
@@ -274,7 +262,7 @@ func (n *Node) discoveryTimeout(d *discovery) {
 		dropped := len(n.pending[d.target])
 		delete(n.pending, d.target)
 		n.reg.Counter("discovery.failed").Inc()
-		n.reg.Counter("drop.noroute").Add(uint64(dropped))
+		n.reg.Counter("drop." + forward.DropNoRoute).Add(uint64(dropped))
 		return
 	}
 	n.reg.Counter("discovery.retries").Inc()
@@ -355,7 +343,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 		return
 	}
 	if hopCount+1 >= n.cfg.MaxHops {
-		n.reg.Counter("drop.ttl").Inc()
+		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}
 	// Relay after a randomized hold-off so simultaneous relays collide
@@ -416,7 +404,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	// Forward along the reverse route learned from the RREQ.
 	r, ok := n.freshRoute(p.Dst)
 	if !ok {
-		n.reg.Counter("drop.noroute").Inc()
+		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
 		return
 	}
 	fwd := p.Clone()
@@ -441,7 +429,7 @@ func (n *Node) handleData(p *packet.Packet) {
 	}
 	r, ok := n.freshRoute(p.Dst)
 	if !ok {
-		n.reg.Counter("drop.noroute").Inc()
+		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
 		return
 	}
 	fwd := p.Clone()

@@ -124,7 +124,7 @@ func TestDiscoveryAndDelivery(t *testing.T) {
 		t.Fatalf("destination messages = %+v", msgs)
 	}
 	// Forward route installed at the source and reverse at the dest.
-	if src.RouteCount() == 0 {
+	if len(src.routes) == 0 {
 		t.Error("originator learned no routes")
 	}
 	if got := src.Metrics().Counter("discovery.succeeded").Value(); got != 1 {

@@ -153,9 +153,6 @@ func NewTable(self packet.Address, cfg Config) *Table {
 	}
 }
 
-// Self returns the owning node's address.
-func (t *Table) Self() packet.Address { return t.self }
-
 // Len returns the number of usable (non-poisoned) entries.
 func (t *Table) Len() int {
 	n := 0
@@ -375,33 +372,6 @@ func (t *Table) ByRole(role packet.Role) []Entry {
 	return out
 }
 
-// SelectAnycast picks a destination advertising the given role — the
-// nearest-gateway selection a multi-gateway mesh needs. It is sticky:
-// the current selection is kept while it remains usable unless some
-// competitor is nearer by MORE than margin hops, hysteresis that stops
-// a node equidistant between two gateways from flapping its uplink
-// (and thrashing backend dedup shards) on every metric wobble. Pass
-// current == 0 (or a now-unusable address) for a fresh pick; ok is
-// false when no destination with the role is reachable.
-func (t *Table) SelectAnycast(role packet.Role, current packet.Address, margin uint8) (addr packet.Address, ok bool) {
-	cands := t.ByRole(role)
-	if len(cands) == 0 {
-		return 0, false
-	}
-	best := cands[0]
-	for _, e := range cands {
-		if e.Addr != current {
-			continue
-		}
-		// Current is still usable: hand over only past the margin.
-		if best.Metric+margin < e.Metric {
-			return best.Addr, true
-		}
-		return current, true
-	}
-	return best.Addr, true
-}
-
 // RemoveNeighbor drops every route through the given neighbor, as when the
 // link layer reports repeated delivery failure. It returns the invalidated
 // destinations.
@@ -470,17 +440,4 @@ func (t *Table) IsSuppressed(now time.Time, via packet.Address) bool {
 		return false
 	}
 	return true
-}
-
-// SuppressedNeighbors returns the currently quarantined neighbors,
-// sorted, for diagnostics and tests.
-func (t *Table) SuppressedNeighbors(now time.Time) []packet.Address {
-	var out []packet.Address
-	for a, s := range t.suppressed {
-		if !s.until.IsZero() && !now.After(s.until) {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -360,45 +360,3 @@ func TestSNRTiebreak(t *testing.T) {
 		t.Errorf("hop-only table displaced equal-metric route to %v", e.Via)
 	}
 }
-
-func TestSelectAnycastNearestWithHysteresis(t *testing.T) {
-	tab := newTestTable(DefaultConfig())
-	// Gateway A at 2 hops (via 0x0002), gateway B at 4 hops (via 0x0003).
-	tab.ApplyHello(t0, 0x0002, packet.RoleDefault, 0,
-		[]packet.HelloEntry{{Addr: 0x00A0, Metric: 1, Role: packet.RoleGateway}})
-	tab.ApplyHello(t0, 0x0003, packet.RoleDefault, 0,
-		[]packet.HelloEntry{{Addr: 0x00B0, Metric: 3, Role: packet.RoleGateway}})
-
-	// Fresh pick lands on the nearest gateway.
-	got, ok := tab.SelectAnycast(packet.RoleGateway, 0, 1)
-	if !ok || got != 0x00A0 {
-		t.Fatalf("fresh SelectAnycast = %v,%v, want 00A0,true", got, ok)
-	}
-
-	// Sticky within the margin: B stays selected while A is only 2 hops
-	// better than B's 4 when margin is 2 (2+2 !< 4).
-	got, ok = tab.SelectAnycast(packet.RoleGateway, 0x00B0, 2)
-	if !ok || got != 0x00B0 {
-		t.Fatalf("within-margin SelectAnycast = %v,%v, want sticky 00B0", got, ok)
-	}
-	// Past the margin the selection hands over.
-	got, ok = tab.SelectAnycast(packet.RoleGateway, 0x00B0, 1)
-	if !ok || got != 0x00A0 {
-		t.Fatalf("past-margin SelectAnycast = %v,%v, want handover to 00A0", got, ok)
-	}
-
-	// Current gone (expired/poisoned): falls back to the best remaining.
-	tab.ExpireStale(t0.Add(time.Hour))
-	tab.ApplyHello(t0.Add(time.Hour), 0x0003, packet.RoleDefault, 0,
-		[]packet.HelloEntry{{Addr: 0x00B0, Metric: 3, Role: packet.RoleGateway}})
-	got, ok = tab.SelectAnycast(packet.RoleGateway, 0x00A0, 2)
-	if !ok || got != 0x00B0 {
-		t.Fatalf("dead-current SelectAnycast = %v,%v, want 00B0", got, ok)
-	}
-
-	// No gateways at all.
-	empty := newTestTable(DefaultConfig())
-	if _, ok := empty.SelectAnycast(packet.RoleGateway, 0, 0); ok {
-		t.Fatal("SelectAnycast on empty table should report no route")
-	}
-}

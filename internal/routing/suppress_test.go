@@ -46,9 +46,6 @@ func TestSuppressionQuarantinesFlapper(t *testing.T) {
 	if !tbl.IsSuppressed(now, 0x02) {
 		t.Fatal("two strikes within the window did not quarantine")
 	}
-	if got := tbl.SuppressedNeighbors(now); len(got) != 1 || got[0] != 0x02 {
-		t.Fatalf("SuppressedNeighbors = %v, want [0x02]", got)
-	}
 
 	// While quarantined, the flapper's HELLOs are ignored.
 	if tbl.ApplyHello(now, 0x02, packet.RoleDefault, 10, nil) {

@@ -99,9 +99,6 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 // Kind identifies the strategy, shadowing the embedded engine's.
 func (s *Node) Kind() forward.Kind { return forward.KindSlotted }
 
-// Superframe returns the schedule the node runs.
-func (s *Node) Superframe() control.Superframe { return s.cfg.Superframe }
-
 // Slot returns the node's current slot assignment: route depth to the
 // sink modulo the slot count. The sink itself — and any node that has
 // not yet learned a route — transmits in slot 0.

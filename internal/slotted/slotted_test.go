@@ -160,9 +160,6 @@ func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
 	if sink.Kind() != forward.KindSlotted {
 		t.Errorf("Kind = %v", sink.Kind())
 	}
-	if sf := sink.Superframe(); sf != superframe() {
-		t.Errorf("Superframe = %+v", sf)
-	}
 
 	b.sched.RunFor(6 * time.Minute)
 

@@ -188,18 +188,6 @@ func (r *Recorder) Records() []Record {
 	return out
 }
 
-// Filter returns the retained segments carrying the given trace ID, in
-// capture order.
-func (r *Recorder) Filter(id trace.TraceID) []Record {
-	var out []Record
-	for _, rec := range r.Records() {
-		if rec.Trace == id {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // FromEvents converts the KindSpan events of a trace stream (as read by
 // trace.ReadJSONL) back into span records, preserving order. Events of
 // other kinds are ignored.

@@ -61,15 +61,11 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+func TestTraceIDs(t *testing.T) {
 	r := NewRecorder(16)
 	r.Record(at(0), "0001", 7, SegEnqueue, 0, "DATA")
 	r.Record(at(time.Second), "0001", 9, SegEnqueue, 0, "DATA")
 	r.Record(at(2*time.Second), "0002", 7, SegRx, 0, "DATA")
-	got := r.Filter(7)
-	if len(got) != 2 || got[0].Seg != SegEnqueue || got[1].Seg != SegRx {
-		t.Fatalf("Filter(7) = %+v", got)
-	}
 	ids := TraceIDs(r.Records())
 	if len(ids) != 2 || ids[0] != 7 || ids[1] != 9 {
 		t.Fatalf("TraceIDs = %v, want [7 9] in first-seen order", ids)

@@ -301,19 +301,7 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// WriteJSONL writes the retained events to w, one JSON object per line —
-// the same schema the sink streams and ReadJSONL parses.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
-		if err := enc.Encode(ev.toJSON()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a JSONL event stream produced by WriteJSONL or a sink.
+// ReadJSONL parses a JSONL event stream produced by a sink.
 // Blank lines are skipped; a malformed line fails with its line number.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event

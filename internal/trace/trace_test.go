@@ -166,12 +166,10 @@ func TestTraceIDString(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := New(16)
+	var sb strings.Builder
+	tr.SetSink(&sb)
 	tr.EmitPacket(t0, "0001", KindTx, 0xabc, "frame out")
 	tr.Emit(t0.Add(time.Second), "0002", KindFailure, "node killed")
-	var sb strings.Builder
-	if err := tr.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
 	evs, err := ReadJSONL(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ var optionAllowlist = map[string]string{
 	"routing.Config.SuppressMax":    "dead-neighbour suppression (DESIGN: chaos hardening)",
 	"netsim.ControllerConfig.Host":  "the controller's node; every program uses the default, node 0",
 	"core.Config.TriggeredHelloGap": "triggered updates (kept feature): the rate limit on its HELLOs",
-	"gateway.Config.Drop":           "the full-spool policy README documents; DropNewest runs in spool tests only — cutting it is its own PR",
 	"gateway.Config.Tracer":         "gateway trace events (ROADMAP aim 4); no program attaches a tracer yet — wire it or cut it in its own PR",
 }
 
@@ -63,25 +62,7 @@ var optionAllowlist = map[string]string{
 // public wrappers), or is in optionAllowlist with its reason. A test
 // alone does not keep an option alive.
 func TestEveryOptionHasASetter(t *testing.T) {
-	r := &repo{
-		fset: token.NewFileSet(),
-		std:  importer.Default(),
-		pkgs: make(map[string]*types.Package),
-		info: &types.Info{Uses: make(map[*ast.Ident]types.Object)},
-	}
-	var dirs []string
-	for _, pat := range []string{"internal/*", "cmd/*", "examples/*", "bench", "lorasim", "loramesher"} {
-		m, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirs = append(dirs, m...)
-	}
-	for _, d := range dirs {
-		if _, err := r.Import("repro/" + filepath.ToSlash(d)); err != nil {
-			t.Fatalf("%s: %v", d, err)
-		}
-	}
+	r := loadRepo(t)
 
 	// The options: field object -> its name and defining file.
 	type option struct{ key, file string }
@@ -176,6 +157,32 @@ type repo struct {
 	pkgs  map[string]*types.Package
 	info  *types.Info
 	files []*ast.File
+}
+
+// loadRepo type-checks every package of the repository (internal/, cmd/,
+// examples/, bench/, and the two public wrappers).
+func loadRepo(t *testing.T) *repo {
+	t.Helper()
+	r := &repo{
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		pkgs: make(map[string]*types.Package),
+		info: &types.Info{Uses: make(map[*ast.Ident]types.Object)},
+	}
+	var dirs []string
+	for _, pat := range []string{"internal/*", "cmd/*", "examples/*", "bench", "lorasim", "loramesher"} {
+		m, err := filepath.Glob(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, m...)
+	}
+	for _, d := range dirs {
+		if _, err := r.Import("repro/" + filepath.ToSlash(d)); err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+	}
+	return r
 }
 
 func (r *repo) Import(path string) (*types.Package, error) {

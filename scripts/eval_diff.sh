@@ -4,15 +4,17 @@
 # eval_output.txt byte for byte.
 #
 # Left out, because their tables are mostly wall-clock columns and they
-# take a minute: E15, E17 and X7 (E15's and X7's digests are asserted
-# equal across shard counts by the experiments themselves, and pinned by
-# bench/). Masked on both sides: the "(… completed in … wall time)" lines
-# and E14's heap-allocs column, which counts runtime mallocs and moves by
-# a few from run to run.
+# take a minute: E15 and E17 (E15's digests are asserted equal across
+# shard counts by the experiment itself, and pinned by bench/). X7 is in:
+# every cell of it is deterministic, and its chaos-chain and many-reader
+# sections run the netsim and routing code a diet PR edits. Masked on
+# both sides: the "(… completed in … wall time)" lines and E14's
+# heap-allocs column, which counts runtime mallocs and moves by a few
+# from run to run.
 set -eu
 cd "$(dirname "$0")/.."
 
-skip='E15|E17|X7'
+skip='E15|E17'
 ids=$(go run ./cmd/meshbench -list | awk '{print $1}' | grep -Ev "^($skip)\$" | paste -sd, -)
 
 deterministic() {

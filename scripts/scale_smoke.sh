@@ -7,18 +7,14 @@
 #      the serial reference's (the byte-identical determinism contract in
 #      internal/citysim broke), or
 #   2. an events/sec floor regression — the sharded executor's throughput
-#      advantage over the serial full scan fell below SCALE_FLOOR
-#      (default 2.0x; the advantage is algorithmic — cell-bounded
-#      neighbor scans instead of O(n) full scans — so it holds even on a
-#      single core, where goroutine parallelism contributes nothing).
+#      advantage over the serial full scan fell below 2.0x (the
+#      advantage is algorithmic — cell-bounded neighbor scans instead of
+#      O(n) full scans — so it holds even on a single core, where
+#      goroutine parallelism contributes nothing).
 #
 # The run simulates a 10k-node city and takes ~30s of wall, most of it
 # the serial baseline — deliberately kept out of the tier-1 `go test`
 # suite, which is why the test is gated behind SCALE_SMOKE=1.
-#
-# Environment:
-#   SCALE_FLOOR=<f>  minimum sharded/serial events-per-second ratio
-#                    (default 2.0)
 set -eu
 cd "$(dirname "$0")/.."
 
