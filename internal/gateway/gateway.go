@@ -40,11 +40,13 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +89,8 @@ type Reading struct {
 
 // readingJSON is Reading's wire/WAL form: the trace ID travels as the
 // canonical 16-hex-digit string so non-Go backends never face a 64-bit
-// JSON number.
+// JSON number. It is the decode-side schema; appendReading (spool.go) is
+// the encoder.
 type readingJSON struct {
 	From     packet.Address `json:"from"`
 	To       packet.Address `json:"to"`
@@ -99,10 +102,7 @@ type readingJSON struct {
 
 // MarshalJSON implements json.Marshaler.
 func (r Reading) MarshalJSON() ([]byte, error) {
-	return json.Marshal(readingJSON{
-		From: r.From, To: r.To, Trace: r.Trace.String(),
-		Payload: r.Payload, Reliable: r.Reliable, At: r.At,
-	})
+	return appendReading(nil, &r), nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -151,10 +151,25 @@ type Downlink struct {
 	Command *control.Command `json:"command,omitempty"`
 }
 
-// uplinkRequest is the POST body.
+// uplinkRequest is the POST body, as the backend decodes it;
+// appendUplinkRequest is the encoder.
 type uplinkRequest struct {
 	Gateway  packet.Address `json:"gateway"`
 	Readings []Reading      `json:"readings"`
+}
+
+// appendUplinkRequest appends the POST body for one batch to dst.
+func appendUplinkRequest(dst []byte, gw packet.Address, batch []Reading) []byte {
+	dst = append(dst, `{"gateway":`...)
+	dst = strconv.AppendUint(dst, uint64(gw), 10)
+	dst = append(dst, `,"readings":[`...)
+	for i := range batch {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendReading(dst, &batch[i])
+	}
+	return append(dst, ']', '}')
 }
 
 // uplinkResponse is the POST response body.
@@ -285,6 +300,13 @@ type dlKey struct {
 type Gateway struct {
 	cfg Config
 	reg *metrics.Registry
+	// label is the node label on trace events and spans, "gw.<addr>".
+	label string
+
+	// Instruments the per-batch path touches, resolved once.
+	gDepth, gBackoff         *metrics.Gauge
+	cBatches, cReadings      *metrics.Counter
+	hBatchSize, hRTT, hAgeMs *metrics.Histogram
 
 	ring   *hashRing
 	shards []*gwShard
@@ -309,6 +331,7 @@ type Gateway struct {
 type launch struct {
 	sh       *gwShard
 	batch    []Reading
+	seqs     []uint64 // the batch's spool sequence numbers, for the ack
 	halfOpen bool
 	resp     *uplinkResponse
 	rtt      time.Duration
@@ -324,6 +347,7 @@ func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	g := &Gateway{
 		cfg:     cfg,
+		label:   gwLabel(cfg.Addr),
 		reg:     metrics.NewRegistry(),
 		applied: make(map[dlKey]uint32),
 		kick:    make(chan struct{}, 1),
@@ -350,9 +374,12 @@ func New(cfg Config) (*Gateway, error) {
 		g.reg.Counter("gw.spool.replayed").Add(uint64(replayed))
 		g.emit("replayed %d pending readings from %s", replayed, cfg.SpoolPath)
 	}
-	g.reg.Gauge("gw.spool.depth").Set(float64(g.depth()))
+	g.gDepth.Set(float64(g.depth()))
 	return g, nil
 }
+
+// gwLabel formats the node label of the gateway at addr.
+func gwLabel(addr packet.Address) string { return fmt.Sprintf("gw.%v", addr) }
 
 // validateURLs rejects a backend list the uplinker could not POST to, so
 // a bad entry fails construction instead of the lane's first flush.
@@ -381,42 +408,42 @@ func validateURLs(urls []string) error {
 func (g *Gateway) preRegisterInstruments() {
 	for _, c := range []string{
 		"gw.offered", "gw.accepted", "gw.drop.duplicate", "gw.drop.oldest",
-		"gw.drop.newest", "gw.wal.errors",
-		"gw.uplink.batches", "gw.uplink.readings", "gw.uplink.failures",
+		"gw.drop.newest", "gw.wal.errors", "gw.uplink.failures",
 		"gw.breaker.opened", "gw.spool.replayed", "gw.spool.compactions",
 		"gw.downlink.received", "gw.downlink.injected", "gw.downlink.errors",
 		"gw.downlink.stale", "ingest.wal.commits",
 	} {
 		g.reg.Counter(c)
 	}
-	g.reg.Gauge("gw.spool.depth")
+	// The per-batch path keeps the ones it touches, so it never looks an
+	// instrument up by name.
+	g.gDepth = g.reg.Gauge("gw.spool.depth")
+	g.gBackoff = g.reg.Gauge("gw.backoff_ms")
+	g.cBatches = g.reg.Counter("gw.uplink.batches")
+	g.cReadings = g.reg.Counter("gw.uplink.readings")
+	g.hBatchSize = g.reg.Histogram("gw.uplink.batch_size")
+	g.hRTT = g.reg.Histogram("gw.uplink.rtt_ms")
+	g.hAgeMs = g.reg.Histogram("gw.uplink.age_ms")
 	g.reg.Gauge("gw.breaker.open")
-	g.reg.Gauge("gw.backoff_ms")
-	g.reg.Histogram("gw.uplink.batch_size")
-	g.reg.Histogram("gw.uplink.rtt_ms")
-	g.reg.Histogram("gw.uplink.age_ms")
 	g.reg.Histogram("gw.wal.compact_ns")
 	g.reg.Histogram("ingest.wal.commit_records")
 }
 
 // emit records a gateway trace event (no-op without a tracer).
 func (g *Gateway) emit(format string, args ...any) {
-	g.cfg.Tracer.Emit(time.Now(), fmt.Sprintf("gw.%v", g.cfg.Addr), trace.KindGateway, format, args...)
+	g.cfg.Tracer.Emit(time.Now(), g.label, trace.KindGateway, format, args...)
 }
 
 // emitPacket records a gateway trace event tied to one reading.
 func (g *Gateway) emitPacket(id trace.TraceID, format string, args ...any) {
-	g.cfg.Tracer.EmitPacket(time.Now(), fmt.Sprintf("gw.%v", g.cfg.Addr), trace.KindGateway, id, format, args...)
+	g.cfg.Tracer.EmitPacket(time.Now(), g.label, trace.KindGateway, id, format, args...)
 }
 
 // recordSpan appends one uplink-leg span segment for a reading (no-op
 // without a recorder). The node label matches the gateway's trace
 // label so span trees and JSONL events line up.
 func (g *Gateway) recordSpan(at time.Time, id trace.TraceID, seg span.Seg, dur time.Duration, detail string) {
-	if g.cfg.Spans == nil {
-		return
-	}
-	g.cfg.Spans.Record(at, fmt.Sprintf("gw.%v", g.cfg.Addr), id, seg, dur, detail)
+	g.cfg.Spans.Record(at, g.label, id, seg, dur, detail)
 }
 
 // Metrics exposes the gateway's instrument registry.
@@ -435,6 +462,7 @@ func (g *Gateway) setAddr(a packet.Address) {
 	g.mu.Lock()
 	if g.cfg.Addr == 0 {
 		g.cfg.Addr = a
+		g.label = gwLabel(a)
 	}
 	g.mu.Unlock()
 }
@@ -504,7 +532,7 @@ func (g *Gateway) Offer(r Reading) bool {
 		g.emit("WAL append failed: %v", err)
 	}
 	sh.gDepth.Set(float64(depth))
-	g.reg.Gauge("gw.spool.depth").Set(float64(g.depth()))
+	g.gDepth.Set(float64(g.depth()))
 	if dup {
 		g.reg.Counter("gw.drop.duplicate").Inc()
 		g.recordSpan(time.Now(), r.Trace, span.SegDrop, 0, "gw_duplicate")
@@ -576,16 +604,13 @@ func (g *Gateway) collect(now time.Time) ([]*launch, time.Duration) {
 				}
 				break
 			}
-			batch := sh.sp.peekExcluding(g.cfg.BatchSize, sh.inflight)
+			batch, seqs := sh.sp.take(g.cfg.BatchSize)
 			if len(batch) == 0 {
 				break
 			}
-			for _, r := range batch {
-				sh.inflight[r.Trace] = struct{}{}
-			}
 			sh.inflightBatches++
 			sh.gInflight.Set(float64(sh.inflightBatches))
-			launches = append(launches, &launch{sh: sh, batch: batch, halfOpen: sh.breakerOpen})
+			launches = append(launches, &launch{sh: sh, batch: batch, seqs: seqs, halfOpen: sh.breakerOpen})
 			if sh.breakerOpen {
 				// Half-open: exactly one probe batch.
 				break
@@ -630,7 +655,7 @@ func (g *Gateway) decideShard(sh *gwShard, now time.Time) (time.Duration, bool) 
 		// Window full; an ack will reopen it.
 		return g.cfg.FlushInterval, false
 	}
-	avail := sh.sp.len() - len(sh.inflight)
+	avail := sh.sp.queued()
 	if avail <= 0 {
 		if sh.sp.len() == 0 {
 			sh.lastFlush = now
@@ -650,7 +675,7 @@ func (g *Gateway) decideShard(sh *gwShard, now time.Time) (time.Duration, bool) 
 func (g *Gateway) execute(launches []*launch) {
 	if len(launches) == 1 {
 		l := launches[0]
-		l.resp, l.rtt, l.err = g.post(l.sh.url, uplinkRequest{Gateway: g.Addr(), Readings: l.batch})
+		l.resp, l.rtt, l.err = g.post(l.sh.url, g.Addr(), l.batch)
 		return
 	}
 	addr := g.Addr()
@@ -659,7 +684,7 @@ func (g *Gateway) execute(launches []*launch) {
 	for _, l := range launches {
 		go func(l *launch) {
 			defer wg.Done()
-			l.resp, l.rtt, l.err = g.post(l.sh.url, uplinkRequest{Gateway: addr, Readings: l.batch})
+			l.resp, l.rtt, l.err = g.post(l.sh.url, addr, l.batch)
 		}(l)
 	}
 	wg.Wait()
@@ -671,18 +696,16 @@ func (g *Gateway) execute(launches []*launch) {
 func (g *Gateway) apply(l *launch, now time.Time) {
 	sh := l.sh
 	sh.mu.Lock()
-	for _, r := range l.batch {
-		delete(sh.inflight, r.Trace)
-	}
 	sh.inflightBatches--
 	sh.gInflight.Set(float64(sh.inflightBatches))
 
 	if l.err != nil {
+		sh.sp.release(l.seqs)
 		sh.consecFails++
 		g.reg.Counter("gw.uplink.failures").Inc()
 		backoff := g.backoff(sh.consecFails)
 		sh.nextRetryAt = now.Add(backoff)
-		g.reg.Gauge("gw.backoff_ms").Set(float64(backoff) / float64(time.Millisecond))
+		g.gBackoff.Set(float64(backoff) / float64(time.Millisecond))
 		opened := false
 		if g.cfg.BreakerThreshold > 0 && sh.consecFails >= g.cfg.BreakerThreshold {
 			sh.breakerOpen = true
@@ -705,7 +728,7 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 	}
 
 	// Success: acknowledge the batch in the WAL, reset failure state.
-	if wErr := sh.sp.ackAt(l.batch, now); wErr != nil {
+	if wErr := sh.sp.ackAt(l.batch, l.seqs, now); wErr != nil {
 		g.reg.Counter("gw.wal.errors").Inc()
 		g.emit("WAL ack failed: %v", wErr)
 	}
@@ -724,18 +747,21 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 
 	sh.gDepth.Set(float64(depth))
 	sh.cUplinked.Add(uint64(len(l.batch)))
-	g.reg.Gauge("gw.backoff_ms").Set(0)
-	g.reg.Gauge("gw.spool.depth").Set(float64(g.depth()))
-	g.reg.Counter("gw.uplink.batches").Inc()
-	g.reg.Counter("gw.uplink.readings").Add(uint64(len(l.batch)))
-	g.reg.Histogram("gw.uplink.batch_size").Observe(float64(len(l.batch)))
-	g.reg.Histogram("gw.uplink.rtt_ms").ObserveDuration(l.rtt)
+	g.gBackoff.Set(0)
+	g.gDepth.Set(float64(g.depth()))
+	g.cBatches.Inc()
+	g.cReadings.Add(uint64(len(l.batch)))
+	g.hBatchSize.Observe(float64(len(l.batch)))
+	g.hRTT.ObserveDuration(l.rtt)
+	spans := g.cfg.Spans != nil
 	for _, r := range l.batch {
-		g.reg.Histogram("gw.uplink.age_ms").ObserveDuration(now.Sub(r.At))
-		// Queue-wait is the reading's spool residency; the batch POST's
-		// round trip stands in for the uplink "airtime".
-		g.recordSpan(now, r.Trace, span.SegQueueWait, now.Sub(r.At), "gw_spool")
-		g.recordSpan(now, r.Trace, span.SegDeliver, l.rtt, "gw_uplink")
+		g.hAgeMs.ObserveDuration(now.Sub(r.At))
+		if spans {
+			// Queue-wait is the reading's spool residency; the batch POST's
+			// round trip stands in for the uplink "airtime".
+			g.recordSpan(now, r.Trace, span.SegQueueWait, now.Sub(r.At), "gw_spool")
+			g.recordSpan(now, r.Trace, span.SegDeliver, l.rtt, "gw_uplink")
+		}
 	}
 	g.emit("uplinked batch of %d (accepted %d, depth %d)", len(l.batch), l.resp.Accepted, depth)
 	if compactDue {
@@ -769,11 +795,12 @@ func (g *Gateway) compactShard(sh *gwShard) {
 }
 
 // post performs the HTTP round trip against one shard's endpoint.
-func (g *Gateway) post(url string, req uplinkRequest) (*uplinkResponse, time.Duration, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("gateway: encode batch: %w", err)
+func (g *Gateway) post(url string, addr packet.Address, batch []Reading) (*uplinkResponse, time.Duration, error) {
+	size := 32 + len(batch)*readingJSONMax
+	for i := range batch {
+		size += base64.StdEncoding.EncodedLen(len(batch[i].Payload))
 	}
+	body := appendUplinkRequest(make([]byte, 0, size), addr, batch)
 	start := time.Now()
 	hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -937,19 +964,16 @@ func (g *Gateway) Close() error {
 		}
 		for {
 			sh.mu.Lock()
-			batch := sh.sp.peekExcluding(g.cfg.BatchSize, sh.inflight)
+			batch, seqs := sh.sp.take(g.cfg.BatchSize)
 			if len(batch) == 0 {
 				sh.mu.Unlock()
 				break
 			}
-			for _, r := range batch {
-				sh.inflight[r.Trace] = struct{}{}
-			}
 			sh.inflightBatches++
 			halfOpen := sh.breakerOpen
 			sh.mu.Unlock()
-			l := &launch{sh: sh, batch: batch, halfOpen: halfOpen}
-			l.resp, l.rtt, l.err = g.post(sh.url, uplinkRequest{Gateway: g.Addr(), Readings: batch})
+			l := &launch{sh: sh, batch: batch, seqs: seqs, halfOpen: halfOpen}
+			l.resp, l.rtt, l.err = g.post(sh.url, g.Addr(), batch)
 			g.apply(l, now)
 			if l.err != nil {
 				break

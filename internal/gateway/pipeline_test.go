@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -396,5 +398,86 @@ func TestDownlinkIdempotentAcrossReorderedAcks(t *testing.T) {
 	g.injectDownlinks(cmd(0x0008, control.OpSetConfig, 1))
 	if len(sent) != 4 {
 		t.Fatalf("independent streams were cross-suppressed: sent=%v", sent)
+	}
+}
+
+// TestEvictedInFlightReadingFreesItsWindowSlot: a reading evicted while it
+// rides an in-flight batch no longer counts against what is available to
+// launch, so the full batches behind it go out at once instead of waiting
+// a FlushInterval — and the evictees still get their eviction's del and,
+// when the batch that carried them is acknowledged, the ack's.
+func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "evict.wal")
+	b := NewBackend()
+	srv := httptest.NewServer(b)
+	defer srv.Close()
+	g, err := New(Config{
+		URLs:          []string{srv.URL},
+		Addr:          0x0001,
+		SpoolPath:     path,
+		SpoolCapacity: 4,
+		BatchSize:     2,
+		Pipeline:      3,
+		FlushInterval: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	offer := func(i int) { g.Offer(reading(0x0002, uint64(0x7000+i), now)) }
+
+	offer(0)
+	offer(1)
+	first, _ := g.collect(now)
+	if len(first) != 1 || len(first[0].batch) != 2 {
+		t.Fatalf("first collect launched %d batches, want one of 2", len(first))
+	}
+	for i := 2; i < 6; i++ {
+		offer(i) // 4 and 5 find the spool full and evict 0 and 1, both in flight
+	}
+	if got := g.Metrics().Counter("gw.drop.oldest").Value(); got != 2 {
+		t.Fatalf("evicted %d readings, want 2", got)
+	}
+	next, wait := g.collect(now)
+	if len(next) != 2 {
+		t.Fatalf("collect launched %d batches and would wake in %v; want both full batches at once", len(next), wait)
+	}
+	launches := append(first, next...)
+	g.execute(launches)
+	for _, l := range launches {
+		g.apply(l, now)
+	}
+	if g.Pending() != 0 || b.Distinct() != 6 || b.Duplicates() != 0 {
+		t.Fatalf("pending=%d distinct=%d dupes=%d, want 0/6/0", g.Pending(), b.Distinct(), b.Duplicates())
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts, dels := map[string]int{}, map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte{'\n'}) {
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("WAL line %q: %v", line, err)
+		}
+		if rec.Op == "put" {
+			puts[rec.Reading.Trace.String()]++
+		} else {
+			dels[rec.Trace]++
+		}
+	}
+	for i := 0; i < 6; i++ {
+		id := trace.TraceID(0x7000 + i).String()
+		wantDels := 1
+		if i < 2 {
+			wantDels = 2 // the eviction's, then the late ack's
+		}
+		if puts[id] != 1 || dels[id] != wantDels {
+			t.Errorf("reading %d: %d put and %d del records, want 1 and %d", i, puts[id], dels[id], wantDels)
+		}
 	}
 }

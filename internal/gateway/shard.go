@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/trace"
 )
 
 // This file holds the sharded-ingest machinery: the consistent hash ring
@@ -124,11 +123,9 @@ type gwShard struct {
 	nextRetryAt time.Time
 	breakerOpen bool
 	breakerTil  time.Time
-	// inflight marks readings currently riding an unacknowledged batch,
-	// so overlapping launches never upload the same reading twice.
-	inflight map[trace.TraceID]struct{}
 	// inflightBatches counts launched-but-unapplied posts; bounded by
-	// Config.Pipeline.
+	// Config.Pipeline. The spool marks the readings they carry, so
+	// overlapping launches never upload the same reading twice.
 	inflightBatches int
 
 	// Per-lane instruments, resolved once (fmt on the hot path would
@@ -146,7 +143,6 @@ func newGwShard(id int, url string, sp *spool, reg *metrics.Registry) *gwShard {
 		id:        id,
 		url:       url,
 		sp:        sp,
-		inflight:  make(map[trace.TraceID]struct{}),
 		gDepth:    reg.Gauge(prefix + "depth"),
 		gInflight: reg.Gauge(prefix + "inflight"),
 		gBreaker:  reg.Gauge(prefix + "breaker_open"),

@@ -16,12 +16,24 @@ import (
 )
 
 // The spool is the gateway's durable uplink queue: a bounded in-memory
-// FIFO mirrored by an append-only write-ahead log. Every admitted reading
+// queue mirrored by an append-only write-ahead log. Every admitted reading
 // is appended as a "put" record before it becomes eligible for uplink;
 // acknowledged (uploaded) and evicted readings append a "del" record. On
 // open the log is replayed, so readings that were spooled but never
 // acknowledged survive a process restart and upload then — no reading the
 // mesh delivered is lost to a crash or a long backend outage.
+//
+// In memory the queue is a FIFO of slots addressed by admission sequence
+// number: the reading admitted as number seq sits at slots[seq-base], where
+// base is the sequence number of the oldest slot still held. A batch is
+// handed out together with its sequence numbers (take) and comes back by
+// them: an acknowledgement tombstones those slots by index arithmetic and
+// the head then advances past tombstones, so moving a batch costs O(batch)
+// however deep the backlog behind it is — whether the batch was the head
+// run or left a hole behind an earlier batch that failed. A sequence
+// number below base names a reading already evicted; its ack still logs
+// the del. Eviction pops the head the same way. Replay pushes puts onto
+// the same structure.
 //
 // The log also persists the dedup horizon: every trace ID that ever
 // entered the spool (uploaded, pending, or evicted) is remembered — up to
@@ -45,7 +57,7 @@ import (
 // anyway.
 
 // walRecord is one WAL line. It is the decode-side schema; the encode
-// side is the hand-rolled appendPut/appendDel below, which emit the same
+// side is the hand-rolled encodePut/encodeDel below, which emit the same
 // shape without allocating.
 type walRecord struct {
 	// Op is "put" (reading admitted) or "del" (reading uploaded or
@@ -73,8 +85,16 @@ type spool struct {
 	dirtySince  time.Time
 	unflushed   int
 
-	pending []Reading // FIFO; head is the oldest admitted reading
-	seen    map[trace.TraceID]struct{}
+	// slots holds the readings admitted as base, base+1, … in order, and
+	// state what became of each; a dead slot's reading is zeroed. The head
+	// slot is never dead (trim restores that after every removal), and both
+	// slices grow on demand — never pre-sized to capacity.
+	slots []Reading
+	state []slotState
+	base  uint64
+	live  int // slots not dead: the pending readings
+	busy  int // of those, how many ride an in-flight batch
+	seen  map[trace.TraceID]struct{}
 	// seenOrder evicts the oldest remembered IDs once the horizon fills,
 	// bounding memory for long-running gateways.
 	seenOrder []trace.TraceID
@@ -99,11 +119,20 @@ type spool struct {
 	// reopened for append, so the next record never concatenates onto a
 	// partial line.
 	validLen int64
-	// tail holds a final record that parsed completely but lost its
-	// trailing newline to a crash; it is truncated away with the torn
-	// bytes and re-appended once the writer is open.
-	tail *walRecord
+	// tail holds the bytes of a final record that parsed completely but
+	// lost its trailing newline to a crash; it is truncated away with the
+	// torn bytes and re-appended, framed, once the writer is open.
+	tail []byte
 }
+
+// slotState says what became of an admitted reading.
+type slotState uint8
+
+const (
+	slotQueued slotState = iota // waiting for a batch
+	slotBusy                    // riding an in-flight batch
+	slotDead                    // acknowledged, evicted or superseded: a tombstone
+)
 
 // openSpool opens (and replays) the WAL at path, or builds a memory-only
 // spool when path is empty. Group commit is off until the owner sets
@@ -141,7 +170,7 @@ func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*
 	if s.tail != nil {
 		// The final record was complete but unterminated; it was truncated
 		// with the torn bytes, so write it back properly framed.
-		if err := s.appendJSON(*s.tail); err != nil {
+		if err := s.appendLine(append(s.tail, '\n'), time.Time{}); err != nil {
 			return nil, err
 		}
 		s.tail = nil
@@ -149,15 +178,14 @@ func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*
 	// Respect the capacity bound even across a config change: evict the
 	// oldest — with del records and counted drops, so the evictees neither
 	// resurrect on the next replay nor vanish silently.
-	for len(s.pending) > s.capacity {
-		ev := s.pending[0]
-		s.pending = s.pending[1:]
+	for s.live > s.capacity {
+		ev := s.evictHead()
 		s.reg.Counter("gw.drop.oldest").Inc()
-		if err := s.appendJSON(walRecord{Op: "del", Trace: ev.Trace.String()}); err != nil {
+		if err := s.appendDel(ev.Trace, time.Time{}); err != nil {
 			return nil, err
 		}
 	}
-	s.replayed = len(s.pending)
+	s.replayed = s.live
 	return s, nil
 }
 
@@ -176,12 +204,10 @@ func (s *spool) replay() (torn bool, err error) {
 	}
 	defer f.Close()
 
-	type slot struct {
-		r    Reading
-		live bool
-	}
-	var order []trace.TraceID
-	slots := make(map[trace.TraceID]*slot)
+	// at resolves a del to the slot its put went to. It holds only IDs
+	// whose put has seen no del yet and is garbage once replay returns
+	// (32 bits a slot: replay numbers from zero, and no log has 2³² puts).
+	at := make(map[trace.TraceID]uint32)
 	apply := func(rec walRecord, line int) error {
 		switch rec.Op {
 		case "put":
@@ -189,18 +215,23 @@ func (s *spool) replay() (torn bool, err error) {
 				return fmt.Errorf("gateway: spool %s: put without reading at line %d", s.path, line)
 			}
 			id := rec.Reading.Trace
-			if _, ok := slots[id]; !ok {
-				order = append(order, id)
+			if old, ok := at[id]; ok {
+				// Re-admitted after falling off the dedup horizon while still
+				// pending: the later put supersedes, one slot per ID.
+				s.kill(uint64(old))
+				s.trim()
 			}
-			slots[id] = &slot{r: *rec.Reading, live: true}
+			at[id] = uint32(s.push(*rec.Reading))
 			s.remember(id)
 		case "del":
 			id, err := trace.ParseTraceID(rec.Trace)
 			if err != nil {
 				return fmt.Errorf("gateway: spool %s: line %d: %w", s.path, line, err)
 			}
-			if sl, ok := slots[id]; ok {
-				sl.live = false
+			if seq, ok := at[id]; ok {
+				s.kill(uint64(seq))
+				s.trim()
+				delete(at, id)
 			}
 			s.remember(id)
 		default:
@@ -239,7 +270,7 @@ func (s *spool) replay() (torn bool, err error) {
 				// Complete record, missing only its newline: keep it, but
 				// have openSpool rewrite it properly framed (append will
 				// re-count it, so it is not counted here).
-				s.tail = &rec
+				s.tail = raw
 				lines--
 				torn = true
 				break
@@ -248,11 +279,6 @@ func (s *spool) replay() (torn bool, err error) {
 		s.validLen += int64(len(line))
 		if rerr == io.EOF {
 			break
-		}
-	}
-	for _, id := range order {
-		if sl := slots[id]; sl.live {
-			s.pending = append(s.pending, sl.r)
 		}
 	}
 	s.lines = lines
@@ -292,12 +318,17 @@ func appendHexTrace(dst []byte, id trace.TraceID) []byte {
 	return dst
 }
 
-// encodePut appends one framed put record to dst. The output parses as
-// the walRecord/readingJSON schema; every field is from a JSON-safe
-// alphabet (decimal, hex, base64, RFC 3339), so no escaping pass is
-// needed and the encoder allocates nothing once dst has grown.
-func encodePut(dst []byte, r *Reading) []byte {
-	dst = append(dst, `{"op":"put","r":{"from":`...)
+// readingJSONMax bounds appendReading's output for an empty payload: the
+// field names and punctuation plus the widest address, trace and time.
+const readingJSONMax = 128
+
+// appendReading appends r's JSON object — the one encoder for a Reading,
+// shared by the WAL, the uplink body and MarshalJSON. The output parses as
+// the readingJSON schema; every field is from a JSON-safe alphabet
+// (decimal, hex, base64, RFC 3339), so no escaping pass is needed and the
+// encoder allocates nothing once dst has grown.
+func appendReading(dst []byte, r *Reading) []byte {
+	dst = append(dst, `{"from":`...)
 	dst = strconv.AppendUint(dst, uint64(r.From), 10)
 	dst = append(dst, `,"to":`...)
 	dst = strconv.AppendUint(dst, uint64(r.To), 10)
@@ -314,8 +345,14 @@ func encodePut(dst []byte, r *Reading) []byte {
 		dst = append(dst, `","at":"`...)
 	}
 	dst = r.At.AppendFormat(dst, time.RFC3339Nano)
-	dst = append(dst, '"', '}', '}', '\n')
-	return dst
+	return append(dst, '"', '}')
+}
+
+// encodePut appends one framed put record to dst.
+func encodePut(dst []byte, r *Reading) []byte {
+	dst = append(dst, `{"op":"put","r":`...)
+	dst = appendReading(dst, r)
+	return append(dst, '}', '\n')
 }
 
 // encodeDel appends one framed del record to dst.
@@ -373,27 +410,6 @@ func (s *spool) appendDel(id trace.TraceID, at time.Time) error {
 	return s.appendLine(s.encBuf, at)
 }
 
-// appendJSON writes one record through encoding/json — the cold path used
-// only at open time (tail rewrite, capacity trim), always flushed.
-func (s *spool) appendJSON(rec walRecord) error {
-	if s.w == nil {
-		return nil
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("gateway: spool: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := s.w.Write(b); err != nil {
-		return fmt.Errorf("gateway: spool: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("gateway: spool: %w", err)
-	}
-	s.lines++
-	return nil
-}
-
 // commitDeadline reports when buffered appends must be flushed.
 func (s *spool) commitDeadline() (time.Time, bool) {
 	if !s.dirty {
@@ -432,6 +448,50 @@ func (s *spool) commit() error {
 	return nil
 }
 
+// push appends r at the tail and returns its sequence number.
+func (s *spool) push(r Reading) uint64 {
+	s.slots = append(s.slots, r)
+	s.state = append(s.state, slotQueued)
+	s.live++
+	return s.base + uint64(len(s.slots)-1)
+}
+
+// kill tombstones the slot admitted as seq; a slot already dead or popped
+// is left alone. The caller trims afterwards.
+func (s *spool) kill(seq uint64) {
+	if seq < s.base {
+		return
+	}
+	i := seq - s.base
+	switch s.state[i] {
+	case slotDead:
+		return
+	case slotBusy:
+		s.busy--
+	}
+	s.state[i] = slotDead
+	s.slots[i] = Reading{} // let the payload go now, not when the head passes
+	s.live--
+}
+
+// trim pops the tombstones at the head.
+func (s *spool) trim() {
+	n := 0
+	for n < len(s.state) && s.state[n] == slotDead {
+		n++
+	}
+	s.slots, s.state, s.base = s.slots[n:], s.state[n:], s.base+uint64(n)
+}
+
+// evictHead removes and returns the oldest pending reading, in flight or
+// not.
+func (s *spool) evictHead() Reading {
+	old := s.slots[0]
+	s.kill(s.base)
+	s.trim()
+	return old
+}
+
 // add admits a reading unless the horizon has seen it (dup): enqueue,
 // evicting the oldest pending reading when full. The evicted reading is
 // returned so the caller can record it. The in-memory queue is updated
@@ -441,13 +501,12 @@ func (s *spool) add(r Reading) (dup bool, evicted *Reading, err error) {
 	if _, dup := s.seen[r.Trace]; dup {
 		return true, nil, nil
 	}
-	if len(s.pending) >= s.capacity {
-		old := s.pending[0]
-		s.pending = s.pending[1:]
+	if s.live >= s.capacity {
+		old := s.evictHead()
 		evicted = &old
 	}
 	s.remember(r.Trace)
-	s.pending = append(s.pending, r)
+	s.push(r)
 	var firstErr error
 	if evicted != nil {
 		if werr := s.appendDel(evicted.Trace, r.At); werr != nil {
@@ -460,56 +519,51 @@ func (s *spool) add(r Reading) (dup bool, evicted *Reading, err error) {
 	return false, evicted, firstErr
 }
 
-// peek returns up to n readings from the head without removing them.
-func (s *spool) peek(n int) []Reading {
-	if n > len(s.pending) {
-		n = len(s.pending)
+// take hands out the next batch: up to n queued readings from the head,
+// in FIFO order, with their sequence numbers. It marks them in flight, so
+// an overlapping batch never carries the same reading; the batch comes
+// back through ackAt or release.
+func (s *spool) take(n int) (batch []Reading, seqs []uint64) {
+	if n > s.queued() {
+		n = s.queued()
 	}
-	return append([]Reading(nil), s.pending[:n]...)
+	batch, seqs = make([]Reading, 0, n), make([]uint64, 0, n)
+	for i := 0; len(batch) < n; i++ {
+		if s.state[i] == slotQueued {
+			s.state[i] = slotBusy
+			batch = append(batch, s.slots[i])
+			seqs = append(seqs, s.base+uint64(i))
+		}
+	}
+	s.busy += n
+	return batch, seqs
 }
 
-// peekExcluding returns up to n readings from the head, skipping trace
-// IDs in excl — the pipelined uplinker's view, which must not re-launch
-// readings already riding an in-flight batch.
-func (s *spool) peekExcluding(n int, excl map[trace.TraceID]struct{}) []Reading {
-	if len(excl) == 0 {
-		return s.peek(n)
-	}
-	out := make([]Reading, 0, n)
-	for i := range s.pending {
-		if len(out) == n {
-			break
+// release puts a failed batch back in the queue, where it was; readings
+// evicted meanwhile stay gone.
+func (s *spool) release(seqs []uint64) {
+	for _, seq := range seqs {
+		if seq >= s.base && s.state[seq-s.base] == slotBusy {
+			s.state[seq-s.base] = slotQueued
+			s.busy--
 		}
-		if _, busy := excl[s.pending[i].Trace]; busy {
-			continue
-		}
-		out = append(out, s.pending[i])
 	}
-	return out
 }
 
-// ackAt removes the given readings (matched by trace ID, wherever they
-// sit: an eviction may have shifted the head while an upload was in
-// flight) and logs their deletion. Compaction is the caller's affair —
-// check compactDue afterwards and run it off the hot path.
-func (s *spool) ackAt(rs []Reading, now time.Time) error {
-	ids := make(map[trace.TraceID]struct{}, len(rs))
-	for _, r := range rs {
-		ids[r.Trace] = struct{}{}
-	}
-	kept := s.pending[:0]
-	for _, p := range s.pending {
-		if _, ok := ids[p.Trace]; !ok {
-			kept = append(kept, p)
-		}
-	}
-	s.pending = kept
+// ackAt removes an uploaded batch — slot by slot through its sequence
+// numbers, so the cost does not depend on what else is pending — and logs
+// a del for every reading in it, also one evicted while the upload was in
+// flight. Compaction is the caller's affair — check compactDue afterwards
+// and run it off the hot path.
+func (s *spool) ackAt(batch []Reading, seqs []uint64, now time.Time) error {
 	var firstErr error
-	for _, r := range rs {
-		if err := s.appendDel(r.Trace, now); err != nil && firstErr == nil {
+	for i, seq := range seqs {
+		s.kill(seq)
+		if err := s.appendDel(batch[i].Trace, now); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
+	s.trim()
 	return firstErr
 }
 
@@ -518,7 +572,7 @@ func (s *spool) ackAt(rs []Reading, now time.Time) error {
 // the rewrite itself must not (see beginCompact).
 func (s *spool) compactDue() bool {
 	return s.f != nil && !s.compacting &&
-		s.lines >= 1024 && s.lines >= 4*(len(s.pending)+1)
+		s.lines >= 1024 && s.lines >= 4*(s.live+1)
 }
 
 // compactState carries an in-progress compaction between the unlocked
@@ -531,17 +585,17 @@ type compactState struct {
 	err     error
 }
 
-// beginCompact snapshots the pending queue and marks the compaction in
-// progress. Runs under the owner's lock; returns ok=false when no
-// compaction is due. From here until finishCompact, appends keep landing
-// in the live WAL (nothing is lost to a crash mid-compaction) and are
-// captured for the sidecar.
+// beginCompact snapshots the pending readings, in FIFO order, and marks
+// the compaction in progress. Runs under the owner's lock; returns
+// ok=false when no compaction is due. From here until finishCompact,
+// appends keep landing in the live WAL (nothing is lost to a crash
+// mid-compaction) and are captured for the sidecar.
 func (s *spool) beginCompact() ([]Reading, bool) {
 	if !s.compactDue() {
 		return nil, false
 	}
 	s.compacting = true
-	return append([]Reading(nil), s.pending...), true
+	return s.pendingReadings(), true
 }
 
 // writeCompactTmp bulk-writes the snapshot into the sidecar file. It
@@ -628,8 +682,22 @@ func (s *spool) finishCompact(st *compactState) error {
 	return nil
 }
 
-// len returns the number of pending readings.
-func (s *spool) len() int { return len(s.pending) }
+// len returns the number of pending readings, in flight or not.
+func (s *spool) len() int { return s.live }
+
+// queued returns how many pending readings no in-flight batch carries.
+func (s *spool) queued() int { return s.live - s.busy }
+
+// pendingReadings copies the pending readings out in FIFO order.
+func (s *spool) pendingReadings() []Reading {
+	out := make([]Reading, 0, s.live)
+	for i, st := range s.state {
+		if st != slotDead {
+			out = append(out, s.slots[i])
+		}
+	}
+	return out
+}
 
 // close flushes and closes the WAL.
 func (s *spool) close() error {

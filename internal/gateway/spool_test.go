@@ -1,12 +1,19 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
@@ -20,6 +27,22 @@ func testReading(i int) Reading {
 	}
 }
 
+// peek returns up to n pending readings from the head without touching
+// the queue.
+func peek(s *spool, n int) []Reading {
+	all := s.pendingReadings()
+	if n > len(all) {
+		n = len(all)
+	}
+	return all[:n]
+}
+
+// ackHead takes the next batch of up to n and acknowledges it.
+func ackHead(s *spool, n int) error {
+	batch, seqs := s.take(n)
+	return s.ackAt(batch, seqs, time.Time{})
+}
+
 func TestSpoolMemoryOnlyFIFO(t *testing.T) {
 	s, err := openSpool("", 4, 16, metrics.NewRegistry())
 	if err != nil {
@@ -30,13 +53,13 @@ func TestSpoolMemoryOnlyFIFO(t *testing.T) {
 			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 	}
-	if got := s.peek(2); len(got) != 2 || got[0].Trace != testReading(0).Trace {
+	if got := peek(s, 2); len(got) != 2 || got[0].Trace != testReading(0).Trace {
 		t.Fatalf("peek returned %v", got)
 	}
-	if err := s.ackAt(s.peek(2), time.Time{}); err != nil {
+	if err := ackHead(s, 2); err != nil {
 		t.Fatal(err)
 	}
-	if s.len() != 1 || s.peek(1)[0].Trace != testReading(2).Trace {
+	if s.len() != 1 || peek(s, 1)[0].Trace != testReading(2).Trace {
 		t.Fatalf("after ack: len=%d", s.len())
 	}
 }
@@ -54,7 +77,7 @@ func TestSpoolDedup(t *testing.T) {
 		t.Fatal("second add admitted, want duplicate")
 	}
 	// Still a duplicate after upload: the horizon outlives the queue.
-	if err := s.ackAt([]Reading{r}, time.Time{}); err != nil {
+	if err := ackHead(s, 1); err != nil {
 		t.Fatal(err)
 	}
 	if dup, _, _ := s.add(r); !dup {
@@ -71,7 +94,7 @@ func TestSpoolDropPolicies(t *testing.T) {
 	if dup || evicted == nil || evicted.Trace != testReading(0).Trace {
 		t.Fatalf("full spool: dup=%v evicted=%v", dup, evicted)
 	}
-	if s.len() != 2 || s.peek(1)[0].Trace != testReading(1).Trace {
+	if s.len() != 2 || peek(s, 1)[0].Trace != testReading(1).Trace {
 		t.Fatalf("queue state wrong after the eviction")
 	}
 }
@@ -88,7 +111,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 		}
 	}
 	// Upload the first two, then "crash".
-	if err := s.ackAt(s.peek(2), time.Time{}); err != nil {
+	if err := ackHead(s, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
@@ -102,7 +125,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 	if s2.replayed != 3 || s2.len() != 3 {
 		t.Fatalf("replayed %d pending, want 3", s2.len())
 	}
-	got := s2.peek(3)
+	got := peek(s2, 3)
 	for i, r := range got {
 		want := testReading(i + 2)
 		if r.Trace != want.Trace || string(r.Payload) != string(want.Payload) || !r.At.Equal(want.At) {
@@ -186,7 +209,7 @@ func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 	if s3.len() != 3 {
 		t.Fatalf("second replay recovered %d readings, want 3", s3.len())
 	}
-	if got := s3.peek(3)[2].Trace; got != testReading(2).Trace {
+	if got := peek(s3, 3)[2].Trace; got != testReading(2).Trace {
 		t.Fatalf("post-torn record lost: tail trace %v", got)
 	}
 }
@@ -287,7 +310,7 @@ func TestSpoolAddKeepsReadingOnWALError(t *testing.T) {
 		t.Fatal("add under WAL failure reported no error")
 	}
 	// Durability degraded; delivery must not: the reading is queued.
-	if s.len() != 1 || s.peek(1)[0].Trace != testReading(0).Trace {
+	if s.len() != 1 || peek(s, 1)[0].Trace != testReading(0).Trace {
 		t.Fatalf("reading lost on WAL failure: len=%d", s.len())
 	}
 }
@@ -306,7 +329,7 @@ func TestSpoolCompaction(t *testing.T) {
 		if dup, _, err := s.add(testReading(i)); dup || err != nil {
 			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
-		if err := s.ackAt(s.peek(1), time.Time{}); err != nil {
+		if err := ackHead(s, 1); err != nil {
 			t.Fatal(err)
 		}
 		if snap, due := s.beginCompact(); due {
@@ -332,7 +355,7 @@ func TestSpoolCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.len() != 1 || s2.peek(1)[0].Trace != testReading(9000).Trace {
+	if s2.len() != 1 || peek(s2, 1)[0].Trace != testReading(9000).Trace {
 		t.Fatalf("post-compaction replay: len=%d", s2.len())
 	}
 }
@@ -341,7 +364,7 @@ func TestSpoolSeenHorizonBounded(t *testing.T) {
 	s, _ := openSpool("", 4, 8, metrics.NewRegistry())
 	for i := 0; i < 100; i++ {
 		s.add(testReading(i))
-		s.ackAt(s.peek(1), time.Time{})
+		ackHead(s, 1)
 	}
 	if len(s.seen) > 8 || len(s.seenOrder) > 8 {
 		t.Fatalf("horizon grew to %d, cap 8", len(s.seen))
@@ -350,4 +373,439 @@ func TestSpoolSeenHorizonBounded(t *testing.T) {
 	if dup, _, _ := s.add(testReading(0)); dup {
 		t.Fatal("evicted-horizon re-add judged a duplicate, want admitted")
 	}
+}
+
+// spoolModel is the queue the sequence-addressed spool replaced, kept as
+// the reference: one slice, in-flight readings in a set of trace IDs, and
+// an ack that filters everything pending.
+type spoolModel struct {
+	capacity int
+	pending  []Reading
+	seen     map[trace.TraceID]bool
+}
+
+func (m *spoolModel) add(r Reading) (dup bool, evicted *Reading) {
+	if m.seen[r.Trace] {
+		return true, nil
+	}
+	if len(m.pending) >= m.capacity {
+		evicted, m.pending = &m.pending[0], m.pending[1:]
+	}
+	m.seen[r.Trace] = true
+	m.pending = append(m.pending, r)
+	return false, evicted
+}
+
+func (m *spoolModel) peekExcluding(n int, excl map[trace.TraceID]bool) []Reading {
+	var out []Reading
+	for _, p := range m.pending {
+		if len(out) < n && !excl[p.Trace] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func (m *spoolModel) ackAt(rs []Reading) {
+	ids := make(map[trace.TraceID]bool, len(rs))
+	for _, r := range rs {
+		ids[r.Trace] = true
+	}
+	var kept []Reading
+	for _, p := range m.pending {
+		if !ids[p.Trace] {
+			kept = append(kept, p)
+		}
+	}
+	m.pending = kept
+}
+
+// sameReadings compares two queues field by field (a replayed time is
+// Equal to, not identical with, the one that was written).
+func sameReadings(a, b []Reading) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].From != b[i].From || a[i].To != b[i].To || a[i].Trace != b[i].Trace ||
+			!bytes.Equal(a[i].Payload, b[i].Payload) || a[i].Reliable != b[i].Reliable || !a[i].At.Equal(b[i].At) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSpoolMatchesScanModel drives the spool and the scan-based model with
+// the same seeded random interleaving of everything a shard does to its
+// queue — admit, duplicate admit, evict at capacity, up to three batches
+// out at once, acks in and out of order, failed batches that retry, acks
+// of readings evicted in flight, compactions with traffic between begin
+// and finish, crash and reopen — and demands identical depth, contents,
+// order and evictees after every step, and that the WAL replays to the
+// model's queue.
+func TestSpoolMatchesScanModel(t *testing.T) {
+	const steps, horizon = 2000, 1 << 20 // the horizon never forgets: dedup is not under test
+	type flight struct {
+		batch []Reading
+		seqs  []uint64
+	}
+	compactions, reopens, lateAcks := 0, 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		path := filepath.Join(t.TempDir(), "model.wal")
+		capacity := 4 + rng.Intn(60)
+		reg := metrics.NewRegistry()
+		s, err := openSpool(path, capacity, horizon, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &spoolModel{capacity: capacity, seen: map[trace.TraceID]bool{}}
+		var out []flight
+		busy := map[trace.TraceID]bool{}
+		var compacting *compactState
+		next := 0
+
+		check := func(step int, what string) {
+			t.Helper()
+			queued := 0
+			for _, p := range m.pending {
+				if !busy[p.Trace] {
+					queued++
+				}
+			}
+			if s.len() != len(m.pending) || s.queued() != queued || !sameReadings(s.pendingReadings(), m.pending) {
+				t.Fatalf("seed %d step %d (%s): spool len=%d queued=%d %v, model len=%d queued=%d %v",
+					seed, step, what, s.len(), s.queued(), traces(s.pendingReadings()), len(m.pending), queued, traces(m.pending))
+			}
+		}
+		reopen := func(step int, crash bool) {
+			if compacting != nil {
+				if err := s.finishCompact(compacting); err != nil {
+					t.Fatal(err)
+				}
+				compacting = nil
+			}
+			if crash {
+				s.crash()
+			} else if err := s.close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = openSpool(path, capacity, horizon, reg); err != nil {
+				t.Fatalf("seed %d step %d: reopen: %v", seed, step, err)
+			}
+			// The batches that were out died with the process, and the
+			// horizon is now what the log still names.
+			out, busy = nil, map[trace.TraceID]bool{}
+			m.seen = map[trace.TraceID]bool{}
+			for id := range s.seen {
+				m.seen[id] = true
+			}
+			reopens++
+		}
+
+		for step := 0; step < steps; step++ {
+			what := ""
+			switch p := rng.Intn(100); {
+			case p < 45:
+				what = "admit"
+				r := testReading(next)
+				next++
+				mdup, mev := m.add(r)
+				dup, ev, err := s.add(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dup != mdup || (ev == nil) != (mev == nil) || (ev != nil && ev.Trace != mev.Trace) {
+					t.Fatalf("seed %d step %d: add: spool dup=%v evicted=%v, model dup=%v evicted=%v", seed, step, dup, ev, mdup, mev)
+				}
+			case p < 50 && next > 0:
+				what = "duplicate admit"
+				r := testReading(rng.Intn(next))
+				mdup, _ := m.add(r)
+				dup, _, _ := s.add(r)
+				if dup != mdup {
+					t.Fatalf("seed %d step %d: duplicate admit: spool dup=%v, model dup=%v", seed, step, dup, mdup)
+				}
+			case p < 70 && len(out) < 3:
+				what = "take"
+				n := 1 + rng.Intn(8)
+				want := m.peekExcluding(n, busy)
+				batch, seqs := s.take(n)
+				if !sameReadings(batch, want) {
+					t.Fatalf("seed %d step %d: take(%d) = %v, model %v", seed, step, n, traces(batch), traces(want))
+				}
+				if len(batch) > 0 {
+					for _, r := range batch {
+						busy[r.Trace] = true
+					}
+					out = append(out, flight{batch, seqs})
+				}
+			case p < 92 && len(out) > 0:
+				// The oldest batch out (in order) or any of them (out of
+				// order); one time in four it failed and goes back.
+				i := 0
+				if rng.Intn(2) == 0 {
+					i = rng.Intn(len(out))
+				}
+				f := out[i]
+				out = append(out[:i], out[i+1:]...)
+				for _, r := range f.batch {
+					delete(busy, r.Trace)
+				}
+				if rng.Intn(4) == 0 {
+					what = "fail"
+					s.release(f.seqs)
+					break
+				}
+				what = "ack"
+				if f.seqs[0] < s.base {
+					lateAcks++
+				}
+				m.ackAt(f.batch)
+				if err := s.ackAt(f.batch, f.seqs, time.Time{}); err != nil {
+					t.Fatal(err)
+				}
+			case p < 97:
+				what = "compact"
+				if compacting != nil {
+					if err := s.finishCompact(compacting); err != nil {
+						t.Fatal(err)
+					}
+					compacting = nil
+					compactions++
+				} else if snap, due := s.beginCompact(); due {
+					compacting = s.writeCompactTmp(snap) // finishes some steps later
+				}
+			case p < 99:
+				what = "reopen"
+				reopen(step, rng.Intn(2) == 0)
+			}
+			check(step, what)
+		}
+		reopen(steps, false)
+		check(steps, "final replay")
+		s.close()
+	}
+	t.Logf("compactions=%d reopens=%d acks after eviction=%d", compactions, reopens, lateAcks)
+	if compactions == 0 || reopens == 0 || lateAcks == 0 {
+		t.Fatalf("the walk never reached: compactions=%d reopens=%d acks after eviction=%d", compactions, reopens, lateAcks)
+	}
+}
+
+// traces lists a queue's trace IDs, for failure messages.
+func traces(rs []Reading) []trace.TraceID {
+	ids := make([]trace.TraceID, len(rs))
+	for i, r := range rs {
+		ids[i] = r.Trace
+	}
+	return ids
+}
+
+// TestEncodersAgree pins the hand encoders to encoding/json: appendReading
+// writes what json.Marshal writes for the readingJSON schema, and the
+// hand-built uplink body is json.Marshal of an uplinkRequest, byte for
+// byte. (A nil payload is the one difference: json writes null, the hand
+// encoder — as it always has in the WAL — "", and both decode to no bytes.)
+func TestEncodersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	zones := []*time.Location{time.UTC, time.FixedZone("", 5*3600+30*60), time.FixedZone("", -8*3600)}
+	var batch []Reading
+	for i := 0; i < 300; i++ {
+		r := Reading{
+			From:     packet.Address(rng.Intn(1 << 16)),
+			To:       packet.Address(rng.Intn(1 << 16)),
+			Trace:    trace.TraceID(rng.Uint64()),
+			Payload:  make([]byte, []int{0, 1, 255}[i%3]),
+			Reliable: rng.Intn(2) == 0,
+			At:       time.Unix(rng.Int63n(4e9), []int64{0, 1, 120_000_000, 999_999_999}[i%4]).In(zones[rng.Intn(len(zones))]),
+		}
+		rng.Read(r.Payload)
+		want, err := json.Marshal(readingJSON{
+			From: r.From, To: r.To, Trace: r.Trace.String(),
+			Payload: r.Payload, Reliable: r.Reliable, At: r.At,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendReading(nil, &r)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendReading:\n got %s\nwant %s", got, want)
+		}
+		if over := len(got) - base64.StdEncoding.EncodedLen(len(r.Payload)); over > readingJSONMax {
+			t.Fatalf("reading encodes to %d bytes beyond its payload, readingJSONMax is %d", over, readingJSONMax)
+		}
+		batch = append(batch, r)
+		if len(batch) == 1+i%7 {
+			gw := packet.Address(rng.Intn(1 << 16))
+			want, err := json.Marshal(uplinkRequest{Gateway: gw, Readings: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendUplinkRequest(nil, gw, batch); !bytes.Equal(got, want) {
+				t.Fatalf("appendUplinkRequest:\n got %s\nwant %s", got, want)
+			}
+			batch = nil
+		}
+	}
+}
+
+// ackRound is the drain's inner loop at a constant backlog: take the head
+// batch, acknowledge it, admit as many again.
+func ackRound(s *spool, next *int, rounds int) {
+	for i := 0; i < rounds; i++ {
+		batch, seqs := s.take(64)
+		s.ackAt(batch, seqs, time.Time{})
+		for range batch {
+			s.add(testReading(*next))
+			*next++
+		}
+	}
+}
+
+// backlogSpool builds a memory-only spool holding backlog readings.
+func backlogSpool(backlog int) (*spool, *int) {
+	s, _ := openSpool("", 1<<30, 1024, metrics.NewRegistry())
+	next := 0
+	for ; next < backlog; next++ {
+		s.add(testReading(next))
+	}
+	return s, &next
+}
+
+func BenchmarkSpoolAck(b *testing.B) {
+	for _, backlog := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("backlog=%dk", backlog/1000), func(b *testing.B) {
+			s, next := backlogSpool(backlog)
+			b.ResetTimer()
+			ackRound(s, next, b.N)
+		})
+	}
+}
+
+// BenchmarkEncodeUplink is the encode row of the drain's cost budget: one
+// POST body for a full batch of 64 readings with 24-byte payloads.
+func BenchmarkEncodeUplink(b *testing.B) {
+	batch := make([]Reading, 64)
+	for i := range batch {
+		batch[i] = testReading(i)
+		batch[i].Payload = make([]byte, 24)
+	}
+	var body []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = appendUplinkRequest(body[:0], 0x00FE, batch)
+	}
+}
+
+// TestAckCostIndependentOfBacklog is the scaling gate: acknowledging the
+// head batch behind a 100× deeper backlog may cost at most 5× as much. The
+// scan it replaced cost ≈ 100×, so the bound is far from both and the
+// fastest of several rounds keeps a busy box out of the verdict.
+func TestAckCostIndependentOfBacklog(t *testing.T) {
+	fastest := func(backlog int) time.Duration {
+		s, next := backlogSpool(backlog)
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 7; i++ {
+			start := time.Now()
+			ackRound(s, next, 100)
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	shallow, deep := fastest(1_000), fastest(100_000)
+	t.Logf("100 acks of 64: %v behind 1k, %v behind 100k", shallow, deep)
+	if deep > 5*shallow {
+		t.Fatalf("100 acks of 64 took %v behind 1k readings and %v behind 100k: the cost of a batch grows with the backlog", shallow, deep)
+	}
+}
+
+// FuzzSpoolReplay feeds arbitrary bytes to the spool as its WAL. Replay
+// must return an error or a spool — never panic or hang — and a spool it
+// returns must work: what it holds after an admission and an ack is what a
+// reopen finds.
+func FuzzSpoolReplay(f *testing.F) {
+	dir := f.TempDir()
+	wal := func(name string, build func(s *spool)) []byte {
+		path := filepath.Join(dir, name)
+		s, err := openSpool(path, 8, 64, metrics.NewRegistry())
+		if err != nil {
+			f.Fatal(err)
+		}
+		build(s)
+		s.close()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	plain := wal("plain", func(s *spool) {
+		for i := 0; i < 5; i++ {
+			s.add(testReading(i))
+		}
+		ackHead(s, 2)
+	})
+	f.Add(plain)
+	f.Add(append(append([]byte(nil), plain...), `{"op":"put","r":{"from":2,"to"`...)) // torn tail
+	f.Add(plain[:len(plain)-1])                                                       // unterminated final record
+	f.Add(wal("compacted", func(s *spool) {
+		for i := 0; i < 700; i++ {
+			s.add(testReading(i))
+			if i%3 > 0 {
+				ackHead(s, 1)
+			}
+			if snap, due := s.beginCompact(); due {
+				s.finishCompact(s.writeCompactTmp(snap))
+			}
+		}
+	}))
+	f.Add([]byte("{\"op\":\"del\",\"trace\":\"zz\"}\n"))
+	f.Add([]byte("{\"op\":\"put\"}\n{}\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.wal") // one file per worker process: executions do not overlap
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := openSpool(path, 8, 64, metrics.NewRegistry())
+		if err != nil {
+			return
+		}
+		if s.len() > 8 || s.len() != len(s.pendingReadings()) {
+			t.Fatalf("replay left len=%d with %d readings, capacity 8", s.len(), len(s.pendingReadings()))
+		}
+		// An ID neither the horizon nor the queue knows (a pending reading
+		// can have fallen off a 64-entry horizon).
+		known := map[trace.TraceID]bool{}
+		for id := range s.seen {
+			known[id] = true
+		}
+		for _, r := range s.pendingReadings() {
+			known[r.Trace] = true
+		}
+		fresh := testReading(0)
+		for fresh.Trace = 1; known[fresh.Trace]; fresh.Trace++ {
+		}
+		if dup, _, err := s.add(fresh); dup || err != nil {
+			t.Fatalf("add after replay: dup=%v err=%v", dup, err)
+		}
+		if err := ackHead(s, 3); err != nil {
+			t.Fatal(err)
+		}
+		want := s.pendingReadings()
+		if err := s.close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := openSpool(path, 8, 64, metrics.NewRegistry())
+		if err != nil {
+			t.Fatalf("the WAL this spool wrote does not replay: %v", err)
+		}
+		defer s2.close()
+		if got := s2.pendingReadings(); !sameReadings(got, want) {
+			t.Fatalf("reopen found %v, the spool held %v", traces(got), traces(want))
+		}
+	})
 }
