@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/forward"
 	"repro/internal/meshsec"
 )
 
@@ -35,9 +34,6 @@ type options struct {
 	list       bool
 	format     string
 	parallel   int
-	nodes      int
-	shards     int
-	strategy   string
 	cpuprofile string
 	// seckey, 32 hex digits, replaces the built-in network key in the
 	// security-aware experiments (E13).
@@ -53,9 +49,6 @@ func main() {
 	flag.StringVar(&o.format, "format", "table", "table | csv | json")
 	flag.IntVar(&o.parallel, "parallel", 0,
 		"worker goroutines per sweep (0 = GOMAXPROCS, 1 = serial); tables are identical at any setting")
-	flag.IntVar(&o.nodes, "nodes", 0, "override the city-scale experiment's node sweep with one size (E15)")
-	flag.IntVar(&o.shards, "shards", 0, "restrict the city-scale experiment to this shard count (E15; 0 = default sweep)")
-	flag.StringVar(&o.strategy, "strategy", "", "restrict X7's city section to one forwarding strategy (proactive | reactive | icn | slotted)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.seckey, "seckey", "", "network key as 32 hex digits for the security experiments (default: built-in key)")
 	flag.Parse()
@@ -102,13 +95,7 @@ func run(w, ew io.Writer, o options) error {
 		}
 	}
 
-	if o.strategy != "" {
-		if _, err := forward.ParseKind(o.strategy); err != nil {
-			return err
-		}
-	}
-	opt := experiments.Options{Seed: o.seed, Quick: o.quick, Parallel: o.parallel,
-		Nodes: o.nodes, Shards: o.shards, Strategy: o.strategy}
+	opt := experiments.Options{Seed: o.seed, Quick: o.quick, Parallel: o.parallel}
 	if o.seckey != "" {
 		key, err := meshsec.ParseKey(o.seckey)
 		if err != nil {

@@ -113,65 +113,3 @@ func TestMeshbenchSecKey(t *testing.T) {
 		t.Fatal("malformed -seckey must fail")
 	}
 }
-
-// TestMeshbenchStrategyFlag pins the -strategy override: X7's city
-// section collapses to the one named strategy, and malformed values fail
-// before any experiment runs.
-func TestMeshbenchStrategyFlag(t *testing.T) {
-	var out, errOut strings.Builder
-	o := options{exp: "X7", quick: true, seed: 1, format: "csv",
-		nodes: 300, shards: 2, strategy: "icn"}
-	if err := run(&out, &errOut, o); err != nil {
-		t.Fatalf("run: %v\n%s", err, errOut.String())
-	}
-	cr := csv.NewReader(strings.NewReader(out.String()))
-	cr.FieldsPerRecord = -1
-	recs, err := cr.ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v\n%s", err, out.String())
-	}
-	var city [][]string
-	for _, rec := range recs[2:] {
-		if len(rec) > 1 && strings.HasPrefix(rec[1], "citysim") {
-			city = append(city, rec)
-		}
-	}
-	if len(city) != 1 || city[0][0] != "icn" {
-		t.Errorf("want exactly one icn city row, got %v", city)
-	}
-
-	o.strategy = "bogus"
-	if err := run(&out, &errOut, o); err == nil || !strings.Contains(err.Error(), `unknown strategy "bogus"`) {
-		t.Errorf("malformed -strategy: got %v, want unknown-strategy error", err)
-	}
-}
-
-// TestMeshbenchCityFlags pins the -nodes/-shards overrides: E15 collapses
-// to one size with a serial baseline plus the requested shard count.
-func TestMeshbenchCityFlags(t *testing.T) {
-	var out, errOut strings.Builder
-	o := options{exp: "E15", quick: true, seed: 1, format: "csv", nodes: 300, shards: 2}
-	if err := run(&out, &errOut, o); err != nil {
-		t.Fatalf("run: %v\n%s", err, errOut.String())
-	}
-	cr := csv.NewReader(strings.NewReader(out.String()))
-	cr.FieldsPerRecord = -1
-	recs, err := cr.ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v\n%s", err, out.String())
-	}
-	// Comment, header, then exactly two rows: serial and 2-shard.
-	if len(recs) != 4 {
-		t.Fatalf("want 2 data rows, got %d: %v", len(recs)-2, recs)
-	}
-	if recs[2][0] != "300" || recs[2][1] != "serial" {
-		t.Errorf("first row not the 300-node serial baseline: %v", recs[2])
-	}
-	if recs[3][1] != "2-shard" {
-		t.Errorf("second row not the 2-shard run: %v", recs[3])
-	}
-	// The digest column (last) is the determinism witness across rows.
-	if d0, d1 := recs[2][len(recs[2])-1], recs[3][len(recs[3])-1]; d0 != d1 {
-		t.Errorf("digest diverged between executors: %s vs %s", d0, d1)
-	}
-}

@@ -80,9 +80,9 @@ type options struct {
 	// is encrypted and authenticated under this network key (proactive
 	// strategy only).
 	seckey string
-	// spanCap arms hop-level span capture with a flight-recorder ring of
-	// this many segments; with -trace-out the segments also stream as
-	// KindSpan JSONL events for packetdump -spans.
+	// spanCap arms hop-level span capture and adds this many slots to
+	// the trace ring; with -trace-out the segments stream as KindSpan
+	// JSONL events for packetdump -spans.
 	spanCap int
 	// health runs the always-on mesh health monitor at this virtual-time
 	// poll interval, printing the verdict after the run.
@@ -114,7 +114,7 @@ func main() {
 	flag.StringVar(&o.tracePacket, "trace-packet", "", "print the hop-by-hop journey of the packet with this trace ID")
 	flag.StringVar(&o.faultsFile, "faults", "", "apply a fault-injection plan from this JSON file (deterministic in -seed)")
 	flag.StringVar(&o.seckey, "seckey", "", "network key as 32 hex digits; enables link-layer security (mesher only)")
-	flag.IntVar(&o.spanCap, "spans", 0, "capture hop-level spans in a ring of this many segments (streamed to -trace-out as span events)")
+	flag.IntVar(&o.spanCap, "spans", 0, "capture hop-level spans, adding this many slots to the trace ring (streamed to -trace-out as span events)")
 	flag.DurationVar(&o.health, "health", 0, "poll the mesh health monitor at this interval (0 disables)")
 	flag.StringVar(&o.controlFile, "control", "", "reconcile the mesh toward this desired-state JSON document (self-healing controller at node 0; implies -health 30s)")
 	flag.Parse()
@@ -386,10 +386,10 @@ func run(w io.Writer, o options) error {
 		}
 	}
 
-	if sim.Spans != nil {
-		recs := sim.Spans.Records()
-		fmt.Fprintf(w, "\nspan capture: %d segments recorded (%d retained, %d traces); render with packetdump -events <jsonl> -spans <id>\n",
-			sim.Spans.Total(), len(recs), len(span.TraceIDs(recs)))
+	if sim.Tracer.Segments() {
+		recs := span.FromEvents(sim.Tracer.Events())
+		fmt.Fprintf(w, "\nspan capture: %d segments retained (%d traces); render with packetdump -events <jsonl> -spans <id>\n",
+			len(recs), len(span.TraceIDs(recs)))
 	}
 	if sim.Health != nil {
 		v := sim.Health.Verdict()
@@ -415,8 +415,9 @@ func run(w io.Writer, o options) error {
 			}
 		}
 	}
-	if o.traceN > 0 && sim.Tracer != nil {
-		fmt.Fprintf(w, "\nlast %d events:\n", o.traceN)
+	if o.traceN > 0 {
+		// -spans adds its slots to the same ring, and its segments to it.
+		fmt.Fprintf(w, "\nlast %d events:\n", o.traceN+o.spanCap)
 		if _, err := sim.Tracer.WriteTo(w); err != nil {
 			return err
 		}

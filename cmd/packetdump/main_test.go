@@ -96,7 +96,7 @@ func TestPreviewPayload(t *testing.T) {
 
 func TestDumpEvents(t *testing.T) {
 	// Build a small stream the way meshsim's sink would.
-	tr := trace.New(16)
+	tr := trace.New(16, 0)
 	var jsonl bytes.Buffer
 	tr.SetSink(&jsonl)
 	at := time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -237,7 +237,7 @@ func TestDumpSlotBeacon(t *testing.T) {
 }
 
 func TestDumpEventsStrategyKinds(t *testing.T) {
-	tr := trace.New(16)
+	tr := trace.New(16, 0)
 	var jsonl bytes.Buffer
 	tr.SetSink(&jsonl)
 	at := time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -269,20 +269,18 @@ func TestDumpEventsStrategyKinds(t *testing.T) {
 func TestDumpSpansCacheHit(t *testing.T) {
 	// A cache-hit journey as the ICN engine records it: requester tx,
 	// cache node rx + cache-hit + data tx, requester rx + deliver.
-	tr := trace.New(32)
+	tr := trace.New(0, 32)
 	var jsonl bytes.Buffer
 	tr.SetSink(&jsonl)
-	rec := span.NewRecorder(32)
-	rec.AttachTracer(tr)
 	at := time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 	id := trace.TraceID(0x9c4f21aa03b7e5d1)
-	rec.Record(at, "0001", id, span.SegEnqueue, 0, "INTEREST")
-	rec.Record(at.Add(10*time.Millisecond), "0001", id, span.SegAirtime, 41*time.Millisecond, "INTEREST")
-	rec.Record(at.Add(51*time.Millisecond), "0003", id, span.SegRx, 0, "INTEREST")
-	rec.Record(at.Add(52*time.Millisecond), "0003", id, span.SegCacheHit, 0, "city/7/air")
-	rec.Record(at.Add(60*time.Millisecond), "0003", id, span.SegAirtime, 46*time.Millisecond, "NAMED_DATA")
-	rec.Record(at.Add(106*time.Millisecond), "0001", id, span.SegRx, 0, "NAMED_DATA")
-	rec.Record(at.Add(107*time.Millisecond), "0001", id, span.SegDeliver, 0, "NAMED_DATA")
+	tr.EmitSeg(at, "0001", trace.KindSpan, id, span.SegEnqueue.String(), 0, "INTEREST")
+	tr.EmitSeg(at.Add(10*time.Millisecond), "0001", trace.KindSpan, id, span.SegAirtime.String(), 41*time.Millisecond, "INTEREST")
+	tr.EmitSeg(at.Add(51*time.Millisecond), "0003", trace.KindSpan, id, span.SegRx.String(), 0, "INTEREST")
+	tr.EmitSeg(at.Add(52*time.Millisecond), "0003", trace.KindSpan, id, span.SegCacheHit.String(), 0, "city/7/air")
+	tr.EmitSeg(at.Add(60*time.Millisecond), "0003", trace.KindSpan, id, span.SegAirtime.String(), 46*time.Millisecond, "NAMED_DATA")
+	tr.EmitSeg(at.Add(106*time.Millisecond), "0001", trace.KindSpan, id, span.SegRx.String(), 0, "NAMED_DATA")
+	tr.EmitSeg(at.Add(107*time.Millisecond), "0001", trace.KindSpan, id, span.SegDeliver.String(), 0, "NAMED_DATA")
 
 	var out bytes.Buffer
 	if err := dumpSpans(&out, bytes.NewReader(jsonl.Bytes()), "all", ""); err != nil {

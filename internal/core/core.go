@@ -250,21 +250,17 @@ type Config struct {
 	// so a rebooted node never reuses an AEAD nonce. Nil runs the legacy
 	// plaintext protocol.
 	Security *meshsec.Link
-	// Tracer, when set, receives per-packet causal events — origin,
-	// per-hop tx/rx, forwarding decisions, delivery, and every drop with
-	// its reason — keyed by the packet's trace ID, plus host-agnostic
-	// protocol events. Nil disables tracing; emission costs one nil
-	// check. The same tracer works under the deterministic simulator and
-	// the live runtimes because the node only stamps events with
-	// Env.Now.
+	// Tracer, when set, receives per-packet causal events keyed by the
+	// packet's trace ID, in the classes the tracer was built with: the
+	// narrative (origin, per-hop tx/rx, forwarding decisions, delivery,
+	// every drop with its reason, plus host-agnostic protocol events)
+	// and hop-level span segments (enqueue, queue-wait, airtime, rx,
+	// forward, retransmit, deliver, drop; see internal/span), which
+	// allocate nothing without a sink and so can stay armed. Nil
+	// disables both; emission costs one nil check. The same tracer works
+	// under the deterministic simulator and the live runtimes because
+	// the node only stamps events with Env.Now.
 	Tracer *trace.Tracer
-	// Spans, when set, receives hop-level causal span segments — enqueue,
-	// queue-wait, airtime, rx, forward, retransmit, deliver, and drop —
-	// keyed by the packet's trace ID (see internal/span). The recorder is
-	// a fixed ring; with no trace sink attached to it, recording stays
-	// allocation-free, so spans can remain armed on the hot path. Nil
-	// disables span capture entirely.
-	Spans *span.Recorder
 	// OnControl, when set, lets the HOST handle the control-plane
 	// commands the engine cannot perform on itself — radio (SF)
 	// reconfiguration, sleep scheduling, reboots (see internal/control).
@@ -371,15 +367,14 @@ type Node struct {
 	// lookups hash a name and take a mutex, which dominates dense
 	// simulations when paid per frame.
 	ins hotInstruments
-	// traceOn mirrors cfg.Tracer != nil so hot call sites can skip
-	// building tracePacket's variadic arguments (the []any boxing
-	// allocates even when the tracer is nil).
-	traceOn bool
+	// traceOn and segsOn mirror the two classes cfg.Tracer records
+	// (narrative, span segments). Hot call sites test traceOn to skip
+	// building tracePacket's variadic arguments: the []any boxing
+	// allocates even when nothing is recorded.
+	traceOn, segsOn bool
 	// sec mirrors cfg.Security; nil means the legacy plaintext protocol.
 	sec *meshsec.Link
-	// spans mirrors cfg.Spans; nil disables span capture.
-	spans *span.Recorder
-	// addrStr caches Address.String() — span records carry the rendered
+	// addrStr caches Address.String() — span segments carry the rendered
 	// address, and formatting it per segment would allocate on the hot
 	// path.
 	addrStr string
@@ -479,9 +474,8 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 		return nil, err
 	}
 	n.duty = duty
-	n.traceOn = cfg.Tracer != nil
+	n.traceOn, n.segsOn = cfg.Tracer.Enabled(), cfg.Tracer.Segments()
 	n.sec = cfg.Security
-	n.spans = cfg.Spans
 	n.addrStr = cfg.Address.String()
 	n.pumpTimer = newTimer(env, func() {
 		n.pumpArmed = false
@@ -614,25 +608,108 @@ func (n *Node) preRegisterInstruments() {
 	}
 }
 
-// tracePacket emits a causal event about p, stamped with p's trace ID.
-// It is a no-op without a configured tracer.
+// tracePacket emits a narrative event about p, stamped with p's trace
+// ID. It is a no-op when the narrative is off.
 func (n *Node) tracePacket(kind trace.Kind, p *packet.Packet, format string, args ...any) {
-	if n.cfg.Tracer == nil {
+	if !n.traceOn {
 		return
 	}
-	n.cfg.Tracer.EmitPacket(n.env.Now(), n.cfg.Address.String(), kind,
+	n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, kind,
 		trace.TraceID(p.TraceID()), format, args...)
 }
 
-// recordSpan captures one hop-level span segment for p. It is a no-op
-// without a configured recorder, and with one it allocates nothing:
-// node and detail strings are pre-rendered or constant, and the trace ID
-// hash works on the packet in place.
-func (n *Node) recordSpan(p *packet.Packet, seg span.Seg, dur time.Duration, detail string) {
-	if n.spans == nil {
+// segment emits one hop-level span segment for p. It is a no-op when
+// segments are off, and otherwise allocates nothing: node and detail
+// strings are pre-rendered or constant, and the trace ID hash works on
+// the packet in place.
+func (n *Node) segment(p *packet.Packet, seg span.Seg, dur time.Duration, detail string) {
+	if !n.segsOn {
 		return
 	}
-	n.spans.Record(n.env.Now(), n.addrStr, trace.TraceID(p.TraceID()), seg, dur, detail)
+	n.cfg.Tracer.EmitSeg(n.env.Now(), n.addrStr, trace.KindSpan,
+		trace.TraceID(p.TraceID()), seg.String(), dur, detail)
+}
+
+// The methods below account one occurrence on a packet's path each — its
+// counter, its narrative event and its span segment — so a call site
+// reports what happened once. Narrative and segment keep the order each
+// occurrence has always streamed them in.
+
+// drop accounts a packet dropped for one of the forward.Drop* reasons.
+func (n *Node) drop(p *packet.Packet, reason, format string, args ...any) {
+	n.dropAs(n.reg.Counter("drop."+reason), p, reason, format, args...)
+}
+
+// dropAs is drop for the reasons whose counter is not drop.<reason>.
+func (n *Node) dropAs(c *metrics.Counter, p *packet.Packet, reason, format string, args ...any) {
+	c.Inc()
+	n.tracePacket(trace.KindDrop, p, format, args...)
+	n.segment(p, span.SegDrop, 0, reason)
+}
+
+// received accounts a routed packet accepted for processing.
+func (n *Node) received(p *packet.Packet, info RxInfo) {
+	n.segment(p, span.SegRx, 0, p.Type.String())
+	if n.traceOn {
+		n.tracePacket(trace.KindRx, p, "rx %v %v->%v snr=%.1f", p.Type, p.Src, p.Dst, info.SNRDB)
+	}
+}
+
+// delivered accounts a datagram handed to the application.
+func (n *Node) delivered(p *packet.Packet) {
+	n.ins.appDelivered.Inc()
+	n.segment(p, span.SegDeliver, 0, "data")
+	if n.traceOn {
+		n.tracePacket(trace.KindApp, p, "delivered %d bytes from %v", len(p.Payload), p.Src)
+	}
+}
+
+// streamReceived accounts a reliable payload handed to the application;
+// id is the delivering packet or, for a multi-chunk stream, the
+// stream's synthetic identity.
+func (n *Node) streamReceived(id *packet.Packet, detail string) {
+	n.reg.Counter("stream.received").Inc()
+	n.segment(id, span.SegDeliver, 0, detail)
+}
+
+// forwarded accounts a packet relayed one hop closer via next.
+func (n *Node) forwarded(fwd *packet.Packet, next packet.Address) {
+	n.ins.fwdFrames.Inc()
+	n.segment(fwd, span.SegForward, 0, fwd.Type.String())
+	if n.traceOn {
+		n.tracePacket(trace.KindRoute, fwd, "forward %v->%v via %v", fwd.Src, fwd.Dst, next)
+	}
+}
+
+// transmitted accounts a frame the radio accepted at now, after the
+// packet waited in the queue since enqueuedAt (zero if unknown).
+func (n *Node) transmitted(head *packet.Packet, frameLen int, now, enqueuedAt time.Time, airtime time.Duration) {
+	n.ins.txFrames.Inc()
+	n.txTypeCounter(head.Type).Inc()
+	n.ins.txBytes.Add(uint64(frameLen))
+	if head.Secured {
+		n.ins.secSealed.Inc()
+		n.ins.secOverheadBytes.Add(uint64(packet.SecOverhead))
+	}
+	n.ins.txAirtimeMs.ObserveDuration(airtime)
+	if !enqueuedAt.IsZero() {
+		n.ins.queueWaitMs.ObserveDuration(now.Sub(enqueuedAt))
+	}
+	n.ins.dutyUtil.Set(n.duty.Utilization(now))
+	if head.Type == packet.TypeHello {
+		return
+	}
+	if n.segsOn {
+		id := trace.TraceID(head.TraceID())
+		if !enqueuedAt.IsZero() {
+			n.cfg.Tracer.EmitSeg(now, n.addrStr, trace.KindSpan, id, span.SegQueueWait.String(), now.Sub(enqueuedAt), "")
+		}
+		n.cfg.Tracer.EmitSeg(now, n.addrStr, trace.KindSpan, id, span.SegAirtime.String(), airtime, head.Type.String())
+	}
+	if n.traceOn {
+		n.tracePacket(trace.KindTx, head, "tx %v %v->%v via %v, %d bytes, airtime %v",
+			head.Type, head.Src, head.Dst, head.Via, frameLen, airtime)
+	}
 }
 
 // refreshSecGauges re-exports the link's replay-protection state —

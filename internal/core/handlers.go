@@ -9,7 +9,6 @@ import (
 	"repro/internal/forward"
 	"repro/internal/meshsec"
 	"repro/internal/packet"
-	"repro/internal/span"
 	"repro/internal/trace"
 )
 
@@ -42,9 +41,7 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 		// A secured mesh treats every plaintext frame as unauthenticated,
 		// whatever its type — this is the drop that keeps forged legacy
 		// HELLOs out of the routing table.
-		n.ins.secDropLegacy.Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: plaintext %v from %v on secured mesh", p.Type, p.Src)
-		n.recordSpan(p, span.SegDrop, 0, "plaintext")
+		n.dropAs(n.ins.secDropLegacy, p, "plaintext", "drop: plaintext %v from %v on secured mesh", p.Type, p.Src)
 		return
 	}
 	if n.sec == nil && p.Secured {
@@ -88,10 +85,7 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 	if n.sec != nil && !n.secOpen(p) {
 		return
 	}
-	n.recordSpan(p, span.SegRx, 0, p.Type.String())
-	if n.traceOn {
-		n.tracePacket(trace.KindRx, p, "rx %v %v->%v snr=%.1f", p.Type, p.Src, p.Dst, info.SNRDB)
-	}
+	n.received(p, info)
 	if p.Dst == n.cfg.Address {
 		n.consume(p)
 		return
@@ -123,13 +117,9 @@ func (n *Node) secOpen(p *packet.Packet) bool {
 		return true
 	}
 	if errors.Is(err, meshsec.ErrReplay) {
-		n.ins.secDropReplay.Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: replayed %v from %v (ctr=%d)", p.Type, p.Src, p.Counter)
-		n.recordSpan(p, span.SegDrop, 0, "replay")
+		n.dropAs(n.ins.secDropReplay, p, "replay", "drop: replayed %v from %v (ctr=%d)", p.Type, p.Src, p.Counter)
 	} else {
-		n.ins.secDropAuth.Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: auth failed for %v from %v", p.Type, p.Src)
-		n.recordSpan(p, span.SegDrop, 0, "auth")
+		n.dropAs(n.ins.secDropAuth, p, "auth", "drop: auth failed for %v from %v", p.Type, p.Src)
 	}
 	return false
 }
@@ -206,11 +196,7 @@ func (n *Node) consume(p *packet.Packet) {
 
 // deliverData hands a datagram payload to the application.
 func (n *Node) deliverData(p *packet.Packet) {
-	n.ins.appDelivered.Inc()
-	n.recordSpan(p, span.SegDeliver, 0, "data")
-	if n.traceOn {
-		n.tracePacket(trace.KindApp, p, "delivered %d bytes from %v", len(p.Payload), p.Src)
-	}
+	n.delivered(p)
 	n.deliver(AppMessage{
 		From:    p.Src,
 		To:      p.Dst,
@@ -225,15 +211,11 @@ func (n *Node) deliverData(p *packet.Packet) {
 func (n *Node) forward(p *packet.Packet) {
 	next, ok := n.table.NextHop(p.Dst)
 	if !ok {
-		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: no route to %v (forwarding)", p.Dst)
-		n.recordSpan(p, span.SegDrop, 0, forward.DropNoRoute)
+		n.drop(p, forward.DropNoRoute, "drop: no route to %v (forwarding)", p.Dst)
 		return
 	}
 	if n.isDuplicate(p) {
-		n.reg.Counter("drop." + forward.DropDuplicate).Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: duplicate within dedup horizon (loop breaker)")
-		n.recordSpan(p, span.SegDrop, 0, forward.DropDuplicate)
+		n.drop(p, forward.DropDuplicate, "drop: duplicate within dedup horizon (loop breaker)")
 		return
 	}
 	fwd := p.Clone()
@@ -243,11 +225,7 @@ func (n *Node) forward(p *packet.Packet) {
 		// enqueue.
 		return
 	}
-	n.ins.fwdFrames.Inc()
-	n.recordSpan(fwd, span.SegForward, 0, fwd.Type.String())
-	if n.traceOn {
-		n.tracePacket(trace.KindRoute, fwd, "forward %v->%v via %v", fwd.Src, fwd.Dst, next)
-	}
+	n.forwarded(fwd, next)
 }
 
 // dedupHorizon is how long a forwarded packet fingerprint is remembered.
@@ -270,9 +248,7 @@ func (n *Node) route(p *packet.Packet) error {
 	}
 	next, ok := n.table.NextHop(p.Dst)
 	if !ok {
-		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
-		n.tracePacket(trace.KindDrop, p, "drop: no route to %v (origin)", p.Dst)
-		n.recordSpan(p, span.SegDrop, 0, forward.DropNoRoute)
+		n.drop(p, forward.DropNoRoute, "drop: no route to %v (origin)", p.Dst)
 		return fmt.Errorf("%w: %v", ErrNoRoute, p.Dst)
 	}
 	p.Via = next

@@ -117,7 +117,7 @@ func TestTriggeredWithdrawalOnExpiredNeighbor(t *testing.T) {
 	// whose poisoned rows kill D's routes through A right away.
 	chain := []packet.Address{0x04, 0x01, 0x02, 0x03}
 	cfg := triggeredConfig()
-	cfg.Tracer = trace.New(8192)
+	cfg.Tracer = trace.New(8192, 0)
 	b := newBus(t, cfg, chain...)
 	b.drop = chainDrop(chain)
 	b.run(15 * time.Second)

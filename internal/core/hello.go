@@ -82,7 +82,7 @@ func (n *Node) expiryTick() {
 		n.reg.Counter("routes.expired").Add(uint64(len(dead)))
 		if n.cfg.TriggeredUpdates {
 			for _, d := range dead {
-				if n.cfg.Tracer != nil {
+				if n.traceOn {
 					n.cfg.Tracer.Emit(n.env.Now(), n.cfg.Address.String(), trace.KindRoute,
 						"route.withdrawn dst=%v reason=expired", d)
 				}
@@ -114,7 +114,7 @@ func (n *Node) withdrawNeighbor(via packet.Address, reason string) {
 		return
 	}
 	n.reg.Counter("routes.withdrawn").Add(uint64(len(dead)))
-	if n.cfg.Tracer != nil {
+	if n.traceOn {
 		for _, d := range dead {
 			n.cfg.Tracer.Emit(n.env.Now(), n.cfg.Address.String(), trace.KindRoute,
 				"route.withdrawn dst=%v via=%v reason=%s", d, via, reason)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/forward"
 	"repro/internal/packet"
 	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // priority orders packets in the transmit queue: routing control first
@@ -127,15 +126,16 @@ func (n *Node) enqueue(p *packet.Packet) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	if err := n.queue.push(p, n.env.Now()); err != nil {
-		n.reg.Counter("drop." + forward.DropQueueFull).Inc()
-		if p.Type != packet.TypeHello {
-			n.tracePacket(trace.KindDrop, p, "drop: queue full (%d queued)", n.queue.len())
-			n.recordSpan(p, span.SegDrop, 0, forward.DropQueueFull)
+		if p.Type == packet.TypeHello {
+			// Beacons are counted, never traced.
+			n.reg.Counter("drop." + forward.DropQueueFull).Inc()
+		} else {
+			n.drop(p, forward.DropQueueFull, "drop: queue full (%d queued)", n.queue.len())
 		}
 		return err
 	}
 	if p.Type != packet.TypeHello {
-		n.recordSpan(p, span.SegEnqueue, 0, p.Type.String())
+		n.segment(p, span.SegEnqueue, 0, p.Type.String())
 	}
 	n.ins.queueDepth.Set(float64(n.queue.len()))
 	n.pump(0)
@@ -190,18 +190,14 @@ func (n *Node) transmitHead() {
 		// The packet was validated at enqueue; treat as a bug signal,
 		// drop it, and keep the queue moving.
 		n.queue.pop()
-		n.reg.Counter("drop." + forward.DropMarshal).Inc()
-		n.tracePacket(trace.KindDrop, head, "drop: marshal failed: %v", err)
-		n.recordSpan(head, span.SegDrop, 0, forward.DropMarshal)
+		n.drop(head, forward.DropMarshal, "drop: marshal failed: %v", err)
 		n.pump(0)
 		return
 	}
 	airtime, err := n.cfg.Phy.Airtime(len(frame))
 	if err != nil {
 		n.queue.pop()
-		n.reg.Counter("drop." + forward.DropMarshal).Inc()
-		n.tracePacket(trace.KindDrop, head, "drop: airtime rejected: %v", err)
-		n.recordSpan(head, span.SegDrop, 0, "airtime")
+		n.dropAs(n.reg.Counter("drop."+forward.DropMarshal), head, "airtime", "drop: airtime rejected: %v", err)
 		n.pump(0)
 		return
 	}
@@ -212,9 +208,7 @@ func (n *Node) transmitHead() {
 			// The frame alone exceeds the whole budget; it can never
 			// be sent legally.
 			n.queue.pop()
-			n.reg.Counter("drop." + forward.DropDutyCycle).Inc()
-			n.tracePacket(trace.KindDrop, head, "drop: frame airtime %v exceeds whole duty budget", airtime)
-			n.recordSpan(head, span.SegDrop, 0, forward.DropDutyCycle)
+			n.drop(head, forward.DropDutyCycle, "drop: frame airtime %v exceeds whole duty budget", airtime)
 			n.pump(0)
 			return
 		}
@@ -249,37 +243,13 @@ func (n *Node) transmitHead() {
 	_, enqueuedAt, _ := n.queue.pop()
 	n.ins.queueDepth.Set(float64(n.queue.len()))
 	if _, err := n.env.Transmit(frame); err != nil {
-		n.reg.Counter("drop." + forward.DropTxError).Inc()
-		n.tracePacket(trace.KindDrop, head, "drop: radio transmit error: %v", err)
-		n.recordSpan(head, span.SegDrop, 0, forward.DropTxError)
+		n.drop(head, forward.DropTxError, "drop: radio transmit error: %v", err)
 		n.pump(0)
 		return
 	}
 	n.duty.Record(now, airtime)
 	n.transmitting = true
-	n.ins.txFrames.Inc()
-	n.txTypeCounter(head.Type).Inc()
-	n.ins.txBytes.Add(uint64(len(frame)))
-	if head.Secured {
-		n.ins.secSealed.Inc()
-		n.ins.secOverheadBytes.Add(uint64(packet.SecOverhead))
-	}
-	n.ins.txAirtimeMs.ObserveDuration(airtime)
-	if !enqueuedAt.IsZero() {
-		n.ins.queueWaitMs.ObserveDuration(now.Sub(enqueuedAt))
-	}
-	n.ins.dutyUtil.Set(n.duty.Utilization(now))
-	if n.spans != nil && head.Type != packet.TypeHello {
-		id := trace.TraceID(head.TraceID())
-		if !enqueuedAt.IsZero() {
-			n.spans.Record(now, n.addrStr, id, span.SegQueueWait, now.Sub(enqueuedAt), "")
-		}
-		n.spans.Record(now, n.addrStr, id, span.SegAirtime, airtime, head.Type.String())
-	}
-	if n.traceOn && head.Type != packet.TypeHello {
-		n.tracePacket(trace.KindTx, head, "tx %v %v->%v via %v, %d bytes, airtime %v",
-			head.Type, head.Src, head.Dst, head.Via, len(frame), airtime)
-	}
+	n.transmitted(head, len(frame), now, enqueuedAt, airtime)
 }
 
 // HandleTxDone is called by the host when the node's transmission ends.

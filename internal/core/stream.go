@@ -190,7 +190,7 @@ func (n *Node) sendChunk(s *outStream, k int) error {
 	}
 	if k <= s.maxSent {
 		s.retrans++
-		n.recordSpan(p, span.SegRetransmit, 0, p.Type.String())
+		n.segment(p, span.SegRetransmit, 0, p.Type.String())
 	} else {
 		s.maxSent = k
 	}
@@ -405,9 +405,8 @@ func (n *Node) handleSingle(p *packet.Packet) {
 	s := &inStream{total: 1, totalBytes: len(p.Payload), nextExpected: 2, done: true}
 	n.inStreams[key] = s
 	n.armStreamGC(key, s)
-	n.reg.Counter("stream.received").Inc()
 	n.reg.Counter("app.delivered").Inc()
-	n.recordSpan(p, span.SegDeliver, 0, "data_ack")
+	n.streamReceived(p, "data_ack")
 	n.deliver(AppMessage{
 		From:     p.Src,
 		To:       p.Dst,
@@ -506,7 +505,6 @@ func (n *Node) handleChunk(p *packet.Packet) {
 		if len(payload) != s.totalBytes {
 			n.reg.Counter("stream.length_mismatch").Inc()
 		}
-		n.reg.Counter("stream.received").Inc()
 		// A multi-chunk stream has no single delivering packet; derive a
 		// stable end-to-end ID from the stream's identity and reassembled
 		// payload, so every retransmission-path outcome hashes alike.
@@ -517,7 +515,7 @@ func (n *Node) handleChunk(p *packet.Packet) {
 			// the ID, so re-sends of an identical payload stay distinct.
 			Secured: s.secured, Counter: s.counter,
 		}
-		n.recordSpan(sid, span.SegDeliver, 0, "stream")
+		n.streamReceived(sid, "stream")
 		n.deliver(AppMessage{
 			From:     p.Src,
 			To:       n.cfg.Address,

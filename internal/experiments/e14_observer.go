@@ -7,17 +7,18 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/netsim"
+	"repro/internal/span"
 )
 
-// E14Observer measures what always-on observability costs: the same
-// 3-hop datagram workload runs three times — bare, with hop-level span
-// capture armed (flight recorder, no sink), and with span capture plus
-// the mesh health monitor polling — and the table puts delivery,
-// latency, and heap allocations side by side. Under virtual time the
-// observer must be behavior-neutral: spans and health polls read the
-// simulation, never perturb it, so PDR and latency are asserted
-// identical across modes and the only degree of freedom left is the
-// allocation count. The run is serial by design (it ignores
+// E14Observer measures what always-on observability costs: the same 3-hop
+// datagram workload runs three times — bare, with hop-level span capture
+// armed (segments into the tracer's ring, no sink, narrative off), and
+// with span capture plus the mesh health monitor polling — and the table
+// puts delivery, latency, and heap allocations side by side. Under
+// virtual time the observer must be behavior-neutral: spans and health
+// polls read the simulation, never perturb it, so PDR and latency are
+// asserted identical across modes and the only degree of freedom left is
+// the allocation count. The run is serial by design (it ignores
 // Options.Parallel): the allocation deltas come from
 // runtime.ReadMemStats, a process-global counter that concurrent sweep
 // workers would pollute.
@@ -93,8 +94,8 @@ func E14Observer(opt Options) (*Result, error) {
 		}
 
 		segments := "—"
-		if sim.Spans != nil {
-			segments = fmt.Sprintf("%d", sim.Spans.Total())
+		if sim.Tracer.Segments() {
+			segments = fmt.Sprintf("%d", len(span.FromEvents(sim.Tracer.Events())))
 		}
 		polls := "—"
 		if sim.Health != nil {
@@ -106,12 +107,12 @@ func E14Observer(opt Options) (*Result, error) {
 	res.Notes = []string{
 		"Observability is behavior-neutral by construction: span capture and",
 		"health polls read the simulation without perturbing it, so delivery and",
-		"latency are identical across the three rows (the run fails if not). The",
-		"cost shows up only as heap allocations. The span hot path itself is",
-		"allocation-free (value records into a pre-allocated ring; see the",
-		"0 allocs/op guard in internal/span) — the delta against `off` comes",
-		"from per-poll health snapshots and span-ring bookkeeping at the edges,",
-		"and stays small against the simulator's own event machinery.",
+		"latency are identical across the three rows (the run fails if not).",
+		"E14 prices span segments and health polls, not the narrative tracer,",
+		"and counts heap allocations, not wall time: a segment is one slot of",
+		"the tracer's pre-sized ring (0 allocs/op guard in internal/trace), so",
+		"`spans` allocates what `off` does and the `spans+health` delta is the",
+		"per-poll health snapshots. DESIGN.md prices every observer class in wall time.",
 	}
 	return res, nil
 }

@@ -49,26 +49,6 @@ func E15CityMesh(opt Options) (*Result, error) {
 			{50000, []int{8}, 20 * time.Minute},
 		}
 	}
-	if opt.Nodes > 0 {
-		sh := 4
-		if opt.Shards > 0 {
-			sh = opt.Shards
-		}
-		plan = []size{{opt.Nodes, []int{0, sh}, 150 * time.Second}}
-	} else if opt.Shards > 0 {
-		for i := range plan {
-			kept := plan[i].shards[:0]
-			for _, k := range plan[i].shards {
-				if k == 0 || k == opt.Shards {
-					kept = append(kept, k)
-				}
-			}
-			if len(kept) == 0 || kept[len(kept)-1] != opt.Shards {
-				kept = append(kept, opt.Shards)
-			}
-			plan[i].shards = kept
-		}
-	}
 
 	res := &Result{
 		ID:     "E15",

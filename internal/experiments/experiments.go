@@ -33,19 +33,6 @@ type Options struct {
 	// security-aware experiments (E13). Nil keeps the fixed default so
 	// published tables reproduce without flags.
 	SecKey *meshsec.Key
-	// Nodes, when positive, replaces the node-count sweep of the
-	// city-scale experiments (E15, X7's city section) with this single
-	// size.
-	Nodes int
-	// Shards, when positive, restricts E15's sharded rows to this shard
-	// count (the serial baseline always runs for the speedup column) and
-	// overrides X7's city shard count. Zero keeps the defaults.
-	Shards int
-	// Strategy, when set to a forward.Kind name, restricts X7's city
-	// section to that single forwarding strategy (the chain and
-	// many-reader sections always run the full comparison set — their
-	// cross-strategy assertions need every row). Empty keeps all four.
-	Strategy string
 }
 
 // Result is one regenerated table/figure as rows of text cells.

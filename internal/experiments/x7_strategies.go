@@ -49,12 +49,6 @@ func X7Strategies(opt Options) (*Result, error) {
 		manyFor = time.Hour
 		cityNodes, cityShards, cityFor = 2000, 2, 12*time.Minute
 	}
-	if opt.Nodes > 0 {
-		cityNodes = opt.Nodes
-	}
-	if opt.Shards > 0 {
-		cityShards = opt.Shards
-	}
 
 	res := &Result{
 		ID: "X7",
@@ -107,16 +101,6 @@ func X7Strategies(opt Options) (*Result, error) {
 
 	// --- section 3: city scale ---------------------------------------
 	cityStrats := []string{"proactive", "reactive", "icn", "slotted"}
-	if opt.Strategy != "" {
-		k, err := forward.ParseKind(opt.Strategy)
-		if err != nil {
-			return nil, fmt.Errorf("X7: %w", err)
-		}
-		if k == forward.KindFlooding {
-			return nil, fmt.Errorf("X7: the city engine does not run %q", k)
-		}
-		cityStrats = []string{string(k)}
-	}
 	cityRows, err := forEachPoint(opt, len(cityStrats), func(i int) ([]string, error) {
 		return x7CityCell(opt, cityStrats[i], cityNodes, cityShards, cityFor)
 	})

@@ -32,7 +32,7 @@ import (
 )
 
 // Kind names a forwarding strategy. The string forms are the values the
-// meshsim/meshbench -strategy flags accept.
+// meshsim -strategy flag accepts.
 type Kind string
 
 // Known strategies.

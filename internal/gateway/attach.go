@@ -36,10 +36,10 @@ func AttachSim(s *netsim.Sim, index int, g *Gateway) error {
 	}
 	h := s.Handle(index)
 	g.setAddr(h.Addr)
-	if g.cfg.Spans == nil {
-		// Inherit the simulation's recorder (when span capture is on) so
+	if g.cfg.Tracer == nil {
+		// Inherit the simulation's tracer (when span capture is on) so
 		// a reading's span tree runs mesh hop → spool → backend uplink.
-		g.cfg.Spans = s.Spans
+		g.cfg.Tracer = s.Tracer
 	}
 
 	prev := h.OnMessage

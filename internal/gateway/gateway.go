@@ -237,12 +237,12 @@ type Config struct {
 	// Client performs the POSTs. Nil means an http.Client with a 10 s
 	// timeout.
 	Client *http.Client
-	// Tracer, when set, receives gateway events. Nil disables tracing.
+	// Tracer, when set and recording span segments, receives the uplink
+	// leg of each reading's span: spool admission (enqueue), spool
+	// drops, and backend delivery on a successful batch ack. AttachSim
+	// sets it to the simulation's tracer, so a reading's span tree runs
+	// mesh hop → spool → uplink. Nil disables span capture.
 	Tracer *trace.Tracer
-	// Spans, when set, records the uplink leg of each reading's span:
-	// spool admission (enqueue), spool drops, and backend delivery on a
-	// successful batch ack. Nil disables span capture.
-	Spans *span.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -372,7 +372,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if replayed > 0 {
 		g.reg.Counter("gw.spool.replayed").Add(uint64(replayed))
-		g.emit("replayed %d pending readings from %s", replayed, cfg.SpoolPath)
 	}
 	g.gDepth.Set(float64(g.depth()))
 	return g, nil
@@ -429,21 +428,26 @@ func (g *Gateway) preRegisterInstruments() {
 	g.reg.Histogram("ingest.wal.commit_records")
 }
 
-// emit records a gateway trace event (no-op without a tracer).
-func (g *Gateway) emit(format string, args ...any) {
-	g.cfg.Tracer.Emit(time.Now(), g.label, trace.KindGateway, format, args...)
+// admission accounts what Offer did with one reading: the gw.<counter>
+// instrument and, when segments are recorded, the uplink-leg span
+// segment, stamped with the wall clock as Offer has no other.
+func (g *Gateway) admission(counter string, id trace.TraceID, seg span.Seg, detail string) {
+	g.reg.Counter(counter).Inc()
+	if g.cfg.Tracer.Segments() {
+		g.cfg.Tracer.EmitSeg(time.Now(), g.label, trace.KindSpan, id, seg.String(), 0, detail)
+	}
 }
 
-// emitPacket records a gateway trace event tied to one reading.
-func (g *Gateway) emitPacket(id trace.TraceID, format string, args ...any) {
-	g.cfg.Tracer.EmitPacket(time.Now(), g.label, trace.KindGateway, id, format, args...)
-}
-
-// recordSpan appends one uplink-leg span segment for a reading (no-op
-// without a recorder). The node label matches the gateway's trace
-// label so span trees and JSONL events line up.
-func (g *Gateway) recordSpan(at time.Time, id trace.TraceID, seg span.Seg, dur time.Duration, detail string) {
-	g.cfg.Spans.Record(at, g.label, id, seg, dur, detail)
+// uplinked accounts one reading the backend acknowledged at now: its
+// spool age and, when segments are recorded, the two segments that close
+// its span — queue-wait is the reading's spool residency, and the batch
+// POST's round trip stands in for the uplink "airtime".
+func (g *Gateway) uplinked(r Reading, now time.Time, rtt time.Duration) {
+	g.hAgeMs.ObserveDuration(now.Sub(r.At))
+	if t := g.cfg.Tracer; t.Segments() {
+		t.EmitSeg(now, g.label, trace.KindSpan, r.Trace, span.SegQueueWait.String(), now.Sub(r.At), "gw_spool")
+		t.EmitSeg(now, g.label, trace.KindSpan, r.Trace, span.SegDeliver.String(), rtt, "gw_uplink")
+	}
 }
 
 // Metrics exposes the gateway's instrument registry.
@@ -529,24 +533,17 @@ func (g *Gateway) Offer(r Reading) bool {
 		// The reading is queued in memory even when the WAL write
 		// failed; durability degrades, delivery does not.
 		g.reg.Counter("gw.wal.errors").Inc()
-		g.emit("WAL append failed: %v", err)
 	}
 	sh.gDepth.Set(float64(depth))
 	g.gDepth.Set(float64(g.depth()))
 	if dup {
-		g.reg.Counter("gw.drop.duplicate").Inc()
-		g.recordSpan(time.Now(), r.Trace, span.SegDrop, 0, "gw_duplicate")
-		g.emitPacket(r.Trace, "duplicate reading from %v suppressed", r.From)
+		g.admission("gw.drop.duplicate", r.Trace, span.SegDrop, "gw_duplicate")
 		return false
 	}
 	if evicted != nil {
-		g.reg.Counter("gw.drop.oldest").Inc()
-		g.recordSpan(time.Now(), evicted.Trace, span.SegDrop, 0, "gw_evicted")
-		g.emitPacket(evicted.Trace, "spool full (%d): oldest reading from %v evicted", g.cfg.SpoolCapacity, evicted.From)
+		g.admission("gw.drop.oldest", evicted.Trace, span.SegDrop, "gw_evicted")
 	}
-	g.reg.Counter("gw.accepted").Inc()
-	g.recordSpan(time.Now(), r.Trace, span.SegEnqueue, 0, "gw_spool")
-	g.emitPacket(r.Trace, "spooled %d bytes from %v (depth %d)", len(r.Payload), r.From, depth)
+	g.admission("gw.accepted", r.Trace, span.SegEnqueue, "gw_spool")
 	if depth >= g.cfg.BatchSize {
 		select {
 		case g.kick <- struct{}{}:
@@ -714,15 +711,9 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 			sh.gBreaker.Set(1)
 			opened = true
 		}
-		fails := sh.consecFails
 		sh.mu.Unlock()
 		if opened {
 			g.reg.Counter("gw.breaker.opened").Inc()
-			g.emit("circuit breaker OPEN after %d consecutive failures (cooldown %v): %v",
-				fails, g.cfg.BreakerCooldown, l.err)
-		} else {
-			g.emit("uplink batch of %d failed (attempt %d, retry in %v): %v",
-				len(l.batch), fails, g.backoff(fails), l.err)
 		}
 		return
 	}
@@ -730,13 +721,11 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 	// Success: acknowledge the batch in the WAL, reset failure state.
 	if wErr := sh.sp.ackAt(l.batch, l.seqs, now); wErr != nil {
 		g.reg.Counter("gw.wal.errors").Inc()
-		g.emit("WAL ack failed: %v", wErr)
 	}
 	if l.halfOpen || sh.breakerOpen {
 		sh.breakerOpen = false
 		g.reg.Gauge("gw.breaker.open").Set(0)
 		sh.gBreaker.Set(0)
-		g.emit("circuit breaker CLOSED after successful probe")
 	}
 	sh.consecFails = 0
 	sh.nextRetryAt = time.Time{}
@@ -753,17 +742,9 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 	g.cReadings.Add(uint64(len(l.batch)))
 	g.hBatchSize.Observe(float64(len(l.batch)))
 	g.hRTT.ObserveDuration(l.rtt)
-	spans := g.cfg.Spans != nil
 	for _, r := range l.batch {
-		g.hAgeMs.ObserveDuration(now.Sub(r.At))
-		if spans {
-			// Queue-wait is the reading's spool residency; the batch POST's
-			// round trip stands in for the uplink "airtime".
-			g.recordSpan(now, r.Trace, span.SegQueueWait, now.Sub(r.At), "gw_spool")
-			g.recordSpan(now, r.Trace, span.SegDeliver, l.rtt, "gw_uplink")
-		}
+		g.uplinked(r, now, l.rtt)
 	}
-	g.emit("uplinked batch of %d (accepted %d, depth %d)", len(l.batch), l.resp.Accepted, depth)
 	if compactDue {
 		g.compactShard(sh)
 	}
@@ -790,7 +771,6 @@ func (g *Gateway) compactShard(sh *gwShard) {
 	g.reg.Histogram("gw.wal.compact_ns").Observe(float64(time.Since(start)))
 	if err != nil {
 		g.reg.Counter("gw.wal.errors").Inc()
-		g.emit("WAL compaction failed: %v", err)
 	}
 }
 
@@ -836,7 +816,7 @@ func (g *Gateway) injectDownlinks(cmds []Downlink) {
 	}
 	g.reg.Counter("gw.downlink.received").Add(uint64(len(cmds)))
 	for _, d := range cmds {
-		g.Inject(d) // errors are counted and emitted inside
+		g.Inject(d) // errors are counted inside
 	}
 }
 
@@ -856,7 +836,6 @@ func (g *Gateway) Inject(d Downlink) error {
 	g.mu.Unlock()
 	if sender == nil {
 		g.reg.Counter("gw.downlink.errors").Inc()
-		g.emit("downlink to %v dropped: no mesh sender attached", d.To)
 		return fmt.Errorf("gateway: no mesh sender attached")
 	}
 	if d.Command != nil && d.Command.Seq != 0 {
@@ -867,8 +846,6 @@ func (g *Gateway) Inject(d Downlink) error {
 		g.mu.Unlock()
 		if stale {
 			g.reg.Counter("gw.downlink.stale").Inc()
-			g.emit("stale %s downlink to %v skipped (seq %d < %d)",
-				d.Command.Op, d.To, d.Command.Seq, last)
 			return nil
 		}
 	}
@@ -882,7 +859,6 @@ func (g *Gateway) Inject(d Downlink) error {
 	}
 	if err := sender(d); err != nil {
 		g.reg.Counter("gw.downlink.errors").Inc()
-		g.emit("downlink to %v failed: %v", d.To, err)
 		return err
 	}
 	if d.Command != nil && d.Command.Seq != 0 {
@@ -894,11 +870,6 @@ func (g *Gateway) Inject(d Downlink) error {
 		g.mu.Unlock()
 	}
 	g.reg.Counter("gw.downlink.injected").Inc()
-	if d.Command != nil {
-		g.emit("control downlink %s injected toward %v (reliable=%v)", d.Command.Op, d.To, d.Reliable)
-	} else {
-		g.emit("downlink %d bytes injected toward %v (reliable=%v)", len(d.Payload), d.To, d.Reliable)
-	}
 	return nil
 }
 

@@ -280,7 +280,7 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 	m.mu.Unlock()
 
 	for _, v := range vs {
-		if tracer != nil {
+		if tracer.Enabled() {
 			tracer.EmitSeg(now, v.Node.String(), trace.KindHealth, 0, v.Kind, 0,
 				"health.violation: "+v.Detail)
 		}

@@ -242,7 +242,7 @@ func TestPenaltyOncePerPollAndClamp(t *testing.T) {
 
 func TestViolationTracerEmission(t *testing.T) {
 	var sink bytes.Buffer
-	tr := trace.New(16)
+	tr := trace.New(16, 0)
 	tr.SetSink(&sink)
 	p := &poller{nodes: []NodeStatus{
 		{Addr: addr(1), Alive: true, Routes: []Route{{Dst: addr(2), Via: addr(9)}}},

@@ -78,11 +78,10 @@ type Config struct {
 	// Produce, when set, makes this node a producer: called with a
 	// content name, it returns the content (nil = not produced here).
 	Produce func(name string) []byte
-	// Tracer, when set, receives interest/data lifecycle events.
+	// Tracer, when set, receives interest/data lifecycle events and,
+	// when it records span segments, the SegCacheHit segment that marks
+	// cached replies in hop trees.
 	Tracer *trace.Tracer
-	// Spans, when set, records hop-level span segments, including the
-	// SegCacheHit segment that marks cached replies in hop trees.
-	Spans *span.Recorder
 }
 
 func (c Config) withDefaults() Config {
@@ -348,7 +347,7 @@ func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevH
 	p := &packet.Packet{
 		Dst: packet.Broadcast, Src: origin, Type: packet.TypeInterest, Payload: payload,
 	}
-	if n.cfg.Tracer != nil {
+	if n.cfg.Tracer.Enabled() {
 		n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
 			trace.TraceID(p.TraceID()), "interest %q nonce=%d hops=%d", name, nonce, hops)
 	}
@@ -368,7 +367,7 @@ func (n *Node) sendData(name string, content []byte, producer packet.Address, ho
 		Dst: origin, Src: n.cfg.Address, Type: packet.TypeNamedData,
 		Via: downstream, Payload: payload,
 	}
-	if n.cfg.Tracer != nil {
+	if n.cfg.Tracer.Enabled() {
 		n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindData,
 			trace.TraceID(p.TraceID()), "data %q -> %v via %v (%d bytes, hops=%d)",
 			name, origin, downstream, len(content), hops)
@@ -447,16 +446,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 	if own := n.localContent(name); own != nil {
 		fromCache := own.producer != n.cfg.Address
 		if fromCache {
-			n.reg.Counter("icn.cs.hit").Inc()
-			n.creditAirtimeSaved(own, len(name))
-			if n.cfg.Spans != nil {
-				n.cfg.Spans.Record(n.env.Now(), n.addrStr, trace.TraceID(p.TraceID()),
-					span.SegCacheHit, 0, name)
-			}
-			if n.cfg.Tracer != nil {
-				n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
-					trace.TraceID(p.TraceID()), "cache hit %q for %v (saves %d hops)", name, p.Src, own.hops)
-			}
+			n.cacheHit(p, name, own)
 		} else {
 			n.reg.Counter("icn.data.produced").Inc()
 		}
@@ -471,7 +461,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 		// reader just adds a breadcrumb.
 		e.addCrumb(c)
 		n.reg.Counter("icn.interest.aggregated").Inc()
-		if n.cfg.Tracer != nil {
+		if n.cfg.Tracer.Enabled() {
 			n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
 				trace.TraceID(p.TraceID()), "aggregated interest %q from %v", name, p.Src)
 		}
@@ -627,6 +617,23 @@ func (n *Node) cacheContent(name string, content []byte, producer packet.Address
 	n.reg.Gauge("icn.cs.bytes").Set(float64(n.csBytes))
 }
 
+// cacheHit accounts an interest answered from the content store: the
+// counters, the span segment and the narrative event.
+func (n *Node) cacheHit(p *packet.Packet, name string, e *csEntry) {
+	n.reg.Counter("icn.cs.hit").Inc()
+	n.creditAirtimeSaved(e, len(name))
+	t := n.cfg.Tracer
+	if t == nil {
+		return
+	}
+	id := trace.TraceID(p.TraceID())
+	t.EmitSeg(n.env.Now(), n.addrStr, trace.KindSpan, id, span.SegCacheHit.String(), 0, name)
+	if t.Enabled() {
+		t.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
+			id, "cache hit %q for %v (saves %d hops)", name, p.Src, e.hops)
+	}
+}
+
 // deliverContent hands named content to the application. The payload is
 // "name\x00content" so the consumer can tell which name resolved.
 func (n *Node) deliverContent(name string, producer packet.Address, content []byte, local bool) {
@@ -636,7 +643,7 @@ func (n *Node) deliverContent(name string, producer packet.Address, content []by
 	payload = append(payload, name...)
 	payload = append(payload, 0)
 	payload = append(payload, content...)
-	if n.cfg.Tracer != nil {
+	if n.cfg.Tracer.Enabled() {
 		src := "mesh"
 		if local {
 			src = "local"

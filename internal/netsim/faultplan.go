@@ -30,7 +30,6 @@ func (s *Sim) buildEngine(h *Handle) error {
 		nc := s.Cfg.Node
 		nc.Address = addr
 		nc.Tracer = s.Tracer
-		nc.Spans = s.Spans
 		if s.Cfg.NodeOverride != nil {
 			nc = s.Cfg.NodeOverride(h.Index, nc)
 			nc.Address = addr // the override must not break addressing
@@ -89,7 +88,6 @@ func (s *Sim) buildEngine(h *Handle) error {
 		ic := s.Cfg.ICN
 		ic.Address = addr
 		ic.Tracer = s.Tracer
-		ic.Spans = s.Spans
 		if ic.Phy == (loraphy.Params{}) {
 			// All strategies share one radio profile: an unset ICN PHY
 			// inherits the node template's.
@@ -113,7 +111,6 @@ func (s *Sim) buildEngine(h *Handle) error {
 		nc := s.Cfg.Node
 		nc.Address = addr
 		nc.Tracer = s.Tracer
-		nc.Spans = s.Spans
 		if s.Cfg.NodeOverride != nil {
 			nc = s.Cfg.NodeOverride(h.Index, nc)
 			nc.Address = addr
@@ -274,21 +271,20 @@ func (s *Sim) restartNode(i int) {
 		"node restarted cold (empty routing table)")
 }
 
-// faultDrop records one injector-dropped delivery: a sim-level
-// drop.fault.<reason> counter plus a trace event carrying the packet's
-// trace ID when it still parses.
+// faultDrop accounts one injector-dropped delivery: a sim-level
+// drop.fault.<reason> counter, plus the segment that terminates the
+// frame's span at this node and the narrative event it pairs with 1:1,
+// both carrying the packet's trace ID when the frame still parses.
 func (s *Sim) faultDrop(at time.Time, h *Handle, reason string, frame []byte) {
 	s.reg.Counter("drop.fault." + reason).Inc()
-	if !s.Tracer.Enabled() && s.Spans == nil {
+	if s.Tracer == nil {
 		return
 	}
 	var id trace.TraceID
 	if p, err := packet.Unmarshal(frame); err == nil {
 		id = trace.TraceID(p.TraceID())
 	}
-	// The span drop pairs 1:1 with the drop.fault.* trace event: a fault
-	// eating a frame terminates that frame's span at this node.
-	s.Spans.Record(at, h.addrStr, id, span.SegDrop, 0, reason)
+	s.Tracer.EmitSeg(at, h.addrStr, trace.KindSpan, id, span.SegDrop.String(), 0, reason)
 	if s.Tracer.Enabled() {
 		s.Tracer.EmitPacket(at, h.addrStr, trace.KindDrop, id,
 			"drop.fault.%s %d bytes", reason, len(frame))

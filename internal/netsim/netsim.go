@@ -27,7 +27,6 @@ import (
 	"repro/internal/reactive"
 	"repro/internal/simtime"
 	"repro/internal/slotted"
-	"repro/internal/span"
 	"repro/internal/trace"
 )
 
@@ -77,16 +76,16 @@ type Config struct {
 	SecKey *meshsec.Key
 	// Seed drives all simulation randomness (jitter, traffic).
 	Seed int64
-	// TraceCapacity enables event tracing when positive.
+	// TraceCapacity switches the narrative trace on when positive, and
+	// SpanCapacity hop-level span capture: every engine (and an attached
+	// gateway) emits enqueue/queue-wait/airtime/rx/forward/deliver/drop
+	// segments as KindSpan events (see internal/span). Both classes go
+	// to Sim.Tracer, whose ring retains the most recent
+	// TraceCapacity+SpanCapacity events and whose sink, if set, sees
+	// all of them. A class that is off emits nothing, so switching one
+	// on leaves the other's stream byte-identical.
 	TraceCapacity int
-	// SpanCapacity enables hop-level span capture when positive: every
-	// mesher node records enqueue/queue-wait/airtime/rx/forward/deliver/
-	// drop segments into one shared flight recorder retaining this many
-	// segments (see internal/span). When tracing is also enabled, spans
-	// additionally stream to the tracer's sink as KindSpan events. Zero
-	// keeps span capture off — and keeps existing trace streams
-	// byte-identical.
-	SpanCapacity int
+	SpanCapacity  int
 	// FlowLatencyBound, when positive (and HealthInterval arms the
 	// monitor), promotes the per-flow latency bound to a health
 	// invariant: every StartFlow delivery slower than the bound is a
@@ -190,10 +189,10 @@ type Sim struct {
 	Cfg    Config
 	Sched  *simtime.Scheduler
 	Medium *airmedium.Medium
+	// Tracer is the run's one recorder: the narrative when
+	// Config.TraceCapacity is positive, hop-span segments when
+	// Config.SpanCapacity is; nil when both are zero.
 	Tracer *trace.Tracer
-	// Spans is the shared hop-span flight recorder; nil unless
-	// Config.SpanCapacity is positive.
-	Spans *span.Recorder
 	// Health is the mesh health monitor, polled on the virtual clock; nil
 	// unless Config.HealthInterval is positive.
 	Health *health.Monitor
@@ -253,14 +252,8 @@ func New(cfg Config) (*Sim, error) {
 		reg:        metrics.NewRegistry(),
 		stationIdx: make(map[airmedium.StationID]int),
 	}
-	if cfg.TraceCapacity > 0 {
-		s.Tracer = trace.New(cfg.TraceCapacity)
-	}
-	if cfg.SpanCapacity > 0 {
-		s.Spans = span.NewRecorder(cfg.SpanCapacity)
-		if s.Tracer != nil {
-			s.Spans.AttachTracer(s.Tracer)
-		}
+	if cfg.TraceCapacity > 0 || cfg.SpanCapacity > 0 {
+		s.Tracer = trace.New(cfg.TraceCapacity, cfg.SpanCapacity)
 	}
 
 	for i, pos := range cfg.Topology.Positions {

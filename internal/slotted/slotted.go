@@ -181,7 +181,7 @@ func (s *Node) beaconTick() {
 	payload := []byte{uint8(s.cfg.Superframe.Slots), uint8(slot), uint8(s.depth())}
 	if err := s.SendBeacon(packet.TypeSlotBeacon, payload); err == nil {
 		s.Metrics().Counter("slotted.beacon.tx").Inc()
-		if tr := s.Config().Tracer; tr != nil {
+		if tr := s.Config().Tracer; tr.Enabled() {
 			tr.Emit(s.env.Now(), s.Address().String(), trace.KindSlotBeacon,
 				"slot beacon: slot %d/%d depth %d", slot, s.cfg.Superframe.Slots, s.depth())
 		}
@@ -196,7 +196,7 @@ func (s *Node) handleBeacon(p *packet.Packet, _ core.RxInfo) {
 		return
 	}
 	s.Metrics().Counter("slotted.beacon.rx").Inc()
-	if tr := s.Config().Tracer; tr != nil {
+	if tr := s.Config().Tracer; tr.Enabled() {
 		tr.Emit(s.env.Now(), s.Address().String(), trace.KindSlotBeacon,
 			"heard slot beacon from %v: slot %d/%d depth %d",
 			p.Src, p.Payload[1], p.Payload[0], p.Payload[2])

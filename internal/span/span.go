@@ -1,16 +1,14 @@
-// Package span records hop-level causal spans: per trace ID, the timing
+// Package span reads hop-level causal spans: per trace ID, the timing
 // segments of a packet's life — enqueue, queue-wait, airtime, rx,
 // forward, retransmit, deliver, and drop — across every node it visits.
 //
-// The capture side is a fixed-size ring of value-type records (a flight
-// recorder): with no tracer attached, recording a segment takes a mutex
-// and writes one slot, allocating nothing, so span capture can stay armed
-// on the hot path permanently. Attaching a trace.Tracer additionally
-// emits every segment as a KindSpan JSONL event through the tracer's
-// sink, which is what packetdump -spans and the Chrome trace export
-// consume.
+// It owns the segment vocabulary (Seg) and the analysis; it records
+// nothing. Engines emit a segment as a KindSpan event on the one
+// trace.Tracer (Tracer.EmitSeg with Seg.String()), and FromEvents
+// decodes such events — from the tracer's ring or from a JSONL file —
+// back into Records.
 //
-// The analysis side reconstructs a causal hop tree from the time-ordered
+// The analysis reconstructs a causal hop tree from the time-ordered
 // segments of one trace ID: each contiguous run of segments on one node
 // is a hop, parented to the hop whose transmission it received — in the
 // deterministic simulator the ordering is exact, and on the live
@@ -18,7 +16,6 @@
 package span
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -87,16 +84,14 @@ func ParseSeg(name string) (Seg, bool) {
 	return 0, false
 }
 
-// Record is one captured span segment. It is a value type: the ring holds
-// records inline and recording one copies it into a pre-allocated slot.
+// Record is one decoded span segment.
 type Record struct {
 	// At is the segment's timestamp (virtual under simulation).
 	At time.Time
 	// Trace is the packet's causal trace ID.
 	Trace trace.TraceID
 	// Node is the mesh address (rendered) of the node the segment
-	// happened on; hosts pass a cached string so recording stays
-	// allocation-free.
+	// happened on.
 	Node string
 	// Seg is the segment kind.
 	Seg Seg
@@ -104,93 +99,14 @@ type Record struct {
 	// zero for instantaneous segments.
 	Dur time.Duration
 	// Detail is a short constant annotation — the drop reason for
-	// SegDrop, the packet type otherwise. Hot callers pass constants.
+	// SegDrop, the packet type otherwise.
 	Detail string
 }
 
-// Recorder is a bounded flight recorder of span segments, safe for
-// concurrent use. The zero value is unusable; use NewRecorder.
-type Recorder struct {
-	mu     sync.Mutex
-	buf    []Record
-	next   int
-	full   bool
-	total  uint64
-	tracer *trace.Tracer
-}
-
-// NewRecorder returns a recorder retaining the most recent capacity
-// segments. capacity <= 0 means 8192.
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 8192
-	}
-	return &Recorder{buf: make([]Record, capacity)}
-}
-
-// AttachTracer additionally emits every subsequently recorded segment as
-// a KindSpan event through t (and so to t's JSONL sink). Pass nil to
-// detach and restore the zero-allocation flight-recorder-only path.
-func (r *Recorder) AttachTracer(t *trace.Tracer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tracer = t
-	r.mu.Unlock()
-}
-
-// Record captures one segment. On a nil recorder it is a no-op, so call
-// sites need no guards. With no tracer attached it allocates nothing.
-func (r *Recorder) Record(at time.Time, node string, id trace.TraceID, seg Seg, dur time.Duration, detail string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.buf[r.next] = Record{At: at, Trace: id, Node: node, Seg: seg, Dur: dur, Detail: detail}
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-	r.total++
-	t := r.tracer
-	r.mu.Unlock()
-	if t != nil {
-		t.EmitSeg(at, node, trace.KindSpan, id, seg.String(), dur, detail)
-	}
-}
-
-// Total returns how many segments were ever recorded (including ones the
-// ring has since evicted).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Records returns the retained segments in capture order.
-func (r *Recorder) Records() []Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return append([]Record(nil), r.buf[:r.next]...)
-	}
-	out := make([]Record, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// FromEvents converts the KindSpan events of a trace stream (as read by
-// trace.ReadJSONL) back into span records, preserving order. Events of
-// other kinds are ignored.
+// FromEvents converts the KindSpan events of a trace stream (the
+// tracer's ring, or a file read by trace.ReadJSONL) into span records,
+// preserving order. Events of other kinds, and segments this version
+// does not name, are ignored.
 func FromEvents(evs []trace.Event) []Record {
 	var out []Record
 	for _, ev := range evs {

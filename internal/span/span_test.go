@@ -33,72 +33,50 @@ func TestSegNames(t *testing.T) {
 	}
 }
 
-func TestNilRecorder(t *testing.T) {
-	var r *Recorder
-	r.Record(t0, "0001", 1, SegRx, 0, "") // must not panic
-	r.AttachTracer(nil)
-	if r.Total() != 0 || r.Records() != nil {
-		t.Fatal("nil recorder must report nothing")
-	}
-}
-
-func TestRingWrap(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 6; i++ {
-		r.Record(at(time.Duration(i)*time.Second), "0001", trace.TraceID(i), SegRx, 0, "")
-	}
-	if r.Total() != 6 {
-		t.Fatalf("total = %d, want 6", r.Total())
-	}
-	recs := r.Records()
-	if len(recs) != 4 {
-		t.Fatalf("retained %d records, want 4", len(recs))
-	}
-	for i, rec := range recs {
-		if want := trace.TraceID(i + 2); rec.Trace != want {
-			t.Fatalf("record %d trace = %v, want %v (oldest-first after wrap)", i, rec.Trace, want)
-		}
-	}
-}
-
 func TestTraceIDs(t *testing.T) {
-	r := NewRecorder(16)
-	r.Record(at(0), "0001", 7, SegEnqueue, 0, "DATA")
-	r.Record(at(time.Second), "0001", 9, SegEnqueue, 0, "DATA")
-	r.Record(at(2*time.Second), "0002", 7, SegRx, 0, "DATA")
-	ids := TraceIDs(r.Records())
+	ids := TraceIDs([]Record{
+		{At: at(0), Trace: 7, Node: "0001", Seg: SegEnqueue, Detail: "DATA"},
+		{At: at(time.Second), Trace: 9, Node: "0001", Seg: SegEnqueue, Detail: "DATA"},
+		{At: at(2 * time.Second), Trace: 7, Node: "0002", Seg: SegRx, Detail: "DATA"},
+	})
 	if len(ids) != 2 || ids[0] != 7 || ids[1] != 9 {
 		t.Fatalf("TraceIDs = %v, want [7 9] in first-seen order", ids)
 	}
 }
 
-// TestFromEventsRoundTrip pushes records through the tracer's JSONL sink
-// and back: packetdump -spans must see exactly what the recorder saw.
+// TestFromEventsRoundTrip pushes segments through the tracer's ring and
+// its JSONL sink and back: packetdump -spans must see exactly what the
+// engines emitted, and unknown segment names and other kinds are skipped.
 func TestFromEventsRoundTrip(t *testing.T) {
 	var sink bytes.Buffer
-	tr := trace.New(64)
+	tr := trace.New(8, 16)
 	tr.SetSink(&sink)
-	r := NewRecorder(16)
-	r.AttachTracer(tr)
 
-	r.Record(at(0), "0001", 42, SegEnqueue, 0, "DATA")
-	r.Record(at(time.Second), "0001", 42, SegAirtime, 70*time.Millisecond, "DATA")
-	r.Record(at(2*time.Second), "0002", 42, SegDrop, 0, "noroute")
+	want := []Record{
+		{At: at(0), Trace: 42, Node: "0001", Seg: SegEnqueue, Detail: "DATA"},
+		{At: at(time.Second), Trace: 42, Node: "0001", Seg: SegAirtime, Dur: 70 * time.Millisecond, Detail: "DATA"},
+		{At: at(2 * time.Second), Trace: 42, Node: "0002", Seg: SegDrop, Detail: "noroute"},
+	}
+	for _, r := range want {
+		tr.EmitSeg(r.At, r.Node, trace.KindSpan, r.Trace, r.Seg.String(), r.Dur, r.Detail)
+	}
+	tr.EmitSeg(at(3*time.Second), "0002", trace.KindSpan, 42, "teleport", 0, "")
+	tr.EmitPacket(at(3*time.Second), "0002", trace.KindDrop, 42, "drop: no route")
 
 	evs, err := trace.ReadJSONL(&sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := FromEvents(evs)
-	want := r.Records()
-	if len(back) != len(want) {
-		t.Fatalf("round-tripped %d records, want %d", len(back), len(want))
-	}
-	for i := range back {
-		if !back[i].At.Equal(want[i].At) || back[i].Trace != want[i].Trace ||
-			back[i].Node != want[i].Node || back[i].Seg != want[i].Seg ||
-			back[i].Dur != want[i].Dur || back[i].Detail != want[i].Detail {
-			t.Fatalf("record %d: got %+v, want %+v", i, back[i], want[i])
+	for name, back := range map[string][]Record{"sink": FromEvents(evs), "ring": FromEvents(tr.Events())} {
+		if len(back) != len(want) {
+			t.Fatalf("%s: round-tripped %d records, want %d", name, len(back), len(want))
+		}
+		for i := range back {
+			if !back[i].At.Equal(want[i].At) || back[i].Trace != want[i].Trace ||
+				back[i].Node != want[i].Node || back[i].Seg != want[i].Seg ||
+				back[i].Dur != want[i].Dur || back[i].Detail != want[i].Detail {
+				t.Fatalf("%s: record %d: got %+v, want %+v", name, i, back[i], want[i])
+			}
 		}
 	}
 }
@@ -223,28 +201,5 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if err := WriteChromeTrace(&buf, nil); err == nil {
 		t.Fatal("empty export should error")
-	}
-}
-
-// TestRecordNoSinkZeroAlloc is the hot-path contract: with no tracer
-// attached, recording a segment allocates nothing, so span capture can
-// stay armed permanently.
-func TestRecordNoSinkZeroAlloc(t *testing.T) {
-	r := NewRecorder(1024)
-	node := "0001"
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record(t0, node, 42, SegAirtime, 70*time.Millisecond, "DATA")
-	})
-	if allocs != 0 {
-		t.Fatalf("Record with no sink allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func BenchmarkRecordNoSink(b *testing.B) {
-	r := NewRecorder(8192)
-	node := "0001"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(t0, node, 42, SegAirtime, 70*time.Millisecond, "DATA")
 	}
 }

@@ -1,15 +1,18 @@
-// Package trace records structured simulation events (PHY, routing, app)
-// for debugging, for the CLI's timeline rendering, and for per-packet
-// causal tracing: events that concern a specific datagram carry the
-// packet's trace ID, so a packet's full hop-by-hop journey — origin,
-// per-hop transmissions, forwarding decisions, and the eventual delivery
-// or drop reason — can be reconstructed by filtering on that ID.
+// Package trace is the repository's one recorder of simulation events:
+// the narrative (PHY, routing, app, failures — one formatted line per
+// occurrence, for debugging and the CLI's timeline) and hop-level span
+// segments (KindSpan: structured, priced, allocation-free; the
+// vocabulary and the analysis live in internal/span). Events that
+// concern a specific datagram carry the packet's trace ID, so a packet's
+// full hop-by-hop journey — origin, per-hop transmissions, forwarding
+// decisions, and the eventual delivery or drop reason — can be
+// reconstructed by filtering on that ID.
 //
-// The tracer is a bounded ring: long simulations keep the most recent
-// events instead of growing without bound. An optional sink receives
-// every event as one JSON line the moment it is emitted, so a full
-// unbounded record can be streamed to a file (see SetSink) while the ring
-// stays small.
+// The tracer is a bounded ring shared by both classes: long simulations
+// keep the most recent events instead of growing without bound. An
+// optional sink receives every event as one JSON line the moment it is
+// emitted, so a full unbounded record can be streamed to a file (see
+// SetSink) while the ring stays small.
 package trace
 
 import (
@@ -34,14 +37,11 @@ const (
 	KindApp     Kind = "app"
 	KindStream  Kind = "stream"
 	KindFailure Kind = "failure"
-	// KindGateway marks mesh↔backend bridge events: spool admissions and
-	// drops, uplink batch outcomes, circuit-breaker transitions, and
-	// downlink injections.
-	KindGateway Kind = "gateway"
 	// KindSpan marks hop-level span segments (see internal/span): causal
 	// timing segments of one packet's journey — enqueue, queue-wait,
 	// airtime, rx, forward, retransmit, deliver, drop — carrying the
-	// segment name in Event.Seg and its duration in Event.Dur.
+	// segment name in Event.Seg and its duration in Event.Dur. It is the
+	// one kind outside the narrative, with its own switch (see New).
 	KindSpan Kind = "span"
 	// KindHealth marks mesh health-monitor events (see internal/health):
 	// violation detections (loops, blackholes, silent nodes, stuck duty
@@ -155,11 +155,17 @@ func (j jsonEvent) toEvent() (Event, error) {
 
 // Tracer collects events. It is safe for concurrent use. The zero value is
 // a disabled tracer that drops everything; use New for a recording tracer.
+//
+// Events come in two classes, each switched on or off at construction:
+// span segments (KindSpan) and the narrative (every other kind). Both
+// share the ring and the sink.
 type Tracer struct {
+	// narrative and segments never change after New, so the hot-path
+	// tests Enabled and Segments read them without the lock.
+	narrative, segments bool
+
 	mu      sync.Mutex
-	enabled bool
-	max     int
-	events  []Event
+	events  []Event // the ring: pre-sized, so recording never allocates
 	dropped uint64
 	start   int // ring start index once full
 
@@ -167,13 +173,15 @@ type Tracer struct {
 	sinkErr error
 }
 
-// New returns a tracer retaining at most max events (the most recent win).
-// max <= 0 means 4096.
-func New(max int) *Tracer {
-	if max <= 0 {
-		max = 4096
+// New returns a tracer that records the narrative when narrative is
+// positive and span segments when segments is positive, retaining the
+// most recent narrative+segments events of whichever classes are on.
+func New(narrative, segments int) *Tracer {
+	return &Tracer{
+		narrative: narrative > 0,
+		segments:  segments > 0,
+		events:    make([]Event, 0, max(narrative, 0)+max(segments, 0)),
 	}
-	return &Tracer{enabled: true, max: max}
 }
 
 // SetSink streams every subsequently emitted event to w as one JSON line,
@@ -200,27 +208,34 @@ func (t *Tracer) SinkErr() error {
 	return t.sinkErr
 }
 
-// Emit records an event not tied to one packet. On a nil or disabled
-// tracer it is a no-op, so call sites need no guards.
+// Emit records a narrative event not tied to one packet. On a nil tracer
+// or with the narrative off it is a no-op, so call sites need no guards.
 func (t *Tracer) Emit(at time.Time, node string, kind Kind, format string, args ...any) {
 	t.EmitPacket(at, node, kind, 0, format, args...)
 }
 
-// EmitPacket records an event about the datagram identified by id. A zero
-// id degrades to a plain event. On a nil or disabled tracer it is a no-op.
+// EmitPacket records a narrative event about the datagram identified by
+// id. A zero id degrades to a plain event. On a nil tracer or with the
+// narrative off it is a no-op.
 func (t *Tracer) EmitPacket(at time.Time, node string, kind Kind, id TraceID, format string, args ...any) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Node: node, Kind: kind, Trace: id, Detail: fmt.Sprintf(format, args...)})
 }
 
 // EmitSeg records a structured segmented event — a span segment
-// (KindSpan) or a health violation (KindHealth) — with a pre-formatted
-// detail string. Unlike EmitPacket it takes no format arguments, so hot
-// callers can pass constant details without boxing a variadic slice.
+// (KindSpan, recorded when segments are on) or a health violation
+// (KindHealth, part of the narrative) — with a pre-formatted detail
+// string. It takes no format arguments, so hot callers pass constant
+// details without boxing a variadic slice, and with no sink attached it
+// allocates nothing: a segment is one slot of the ring.
 func (t *Tracer) EmitSeg(at time.Time, node string, kind Kind, id TraceID, seg string, dur time.Duration, detail string) {
-	if t == nil {
+	if kind == KindSpan {
+		if !t.Segments() {
+			return
+		}
+	} else if !t.Enabled() {
 		return
 	}
 	t.record(Event{At: at, Node: node, Kind: kind, Trace: id, Seg: seg, Dur: dur, Detail: detail})
@@ -230,9 +245,6 @@ func (t *Tracer) EmitSeg(at time.Time, node string, kind Kind, id TraceID, seg s
 func (t *Tracer) record(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled {
-		return
-	}
 	if t.sink != nil && t.sinkErr == nil {
 		if b, err := json.Marshal(ev.toJSON()); err == nil {
 			b = append(b, '\n')
@@ -241,26 +253,22 @@ func (t *Tracer) record(ev Event) {
 			}
 		}
 	}
-	if len(t.events) < t.max {
+	if len(t.events) < cap(t.events) {
 		t.events = append(t.events, ev)
 		return
 	}
 	t.events[t.start] = ev
-	t.start = (t.start + 1) % t.max
+	t.start = (t.start + 1) % len(t.events)
 	t.dropped++
 }
 
-// Enabled reports whether the tracer records events; callers use it to
-// skip building event context (e.g. decoding a frame for its trace ID)
-// when tracing is off.
-func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled
-}
+// Enabled reports whether the tracer records the narrative; callers use
+// it to skip building event context (decoding a frame for its trace ID,
+// boxing format arguments) when it does not.
+func (t *Tracer) Enabled() bool { return t != nil && t.narrative }
+
+// Segments reports whether the tracer records span segments.
+func (t *Tracer) Segments() bool { return t != nil && t.segments }
 
 // Events returns the retained events in chronological order.
 func (t *Tracer) Events() []Event {
@@ -302,7 +310,8 @@ func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadJSONL parses a JSONL event stream produced by a sink.
-// Blank lines are skipped; a malformed line fails with its line number.
+// Blank lines are skipped; a malformed or over-long (> 1 MiB) line fails
+// with its line number.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
@@ -325,7 +334,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		// The scanner stopped inside the line after the last one it
+		// returned (one longer than its buffer, or a failed read).
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +12,7 @@ import (
 var t0 = time.Date(2022, 7, 1, 12, 0, 0, 0, time.UTC)
 
 func TestEmitAndEvents(t *testing.T) {
-	tr := New(10)
+	tr := New(10, 0)
 	tr.Emit(t0, "0001", KindTx, "frame %d", 1)
 	tr.Emit(t0.Add(time.Second), "0002", KindRx, "frame %d", 1)
 	evs := tr.Events()
@@ -26,7 +28,7 @@ func TestEmitAndEvents(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	tr := New(3)
+	tr := New(3, 0)
 	for i := 0; i < 5; i++ {
 		tr.Emit(t0.Add(time.Duration(i)*time.Second), "n", KindApp, "%d", i)
 	}
@@ -61,7 +63,7 @@ func TestNilAndDisabledTracer(t *testing.T) {
 }
 
 func TestWriteTo(t *testing.T) {
-	tr := New(10)
+	tr := New(10, 0)
 	tr.Emit(t0, "0001", KindDrop, "no route to %s", "0009")
 	var sb strings.Builder
 	if _, err := tr.WriteTo(&sb); err != nil {
@@ -73,7 +75,7 @@ func TestWriteTo(t *testing.T) {
 }
 
 func TestConcurrentEmit(t *testing.T) {
-	tr := New(128)
+	tr := New(128, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -101,7 +103,7 @@ func TestConcurrentEmit(t *testing.T) {
 func TestRingWraparoundOrderUnderConcurrency(t *testing.T) {
 	const ring = 7
 	const workers, per = 4, 50
-	tr := New(ring)
+	tr := New(ring, 0)
 	var mu sync.Mutex
 	next := 0
 	var wg sync.WaitGroup
@@ -136,7 +138,7 @@ func TestRingWraparoundOrderUnderConcurrency(t *testing.T) {
 		t.Errorf("dropped = %d, want %d (eviction starts once the ring is full)", got, total-ring)
 	}
 	// A ring that never fills evicts nothing.
-	small := New(64)
+	small := New(64, 0)
 	for i := 0; i < 10; i++ {
 		small.Emit(t0, "n", KindApp, "x")
 	}
@@ -165,7 +167,7 @@ func TestTraceIDString(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	tr := New(16)
+	tr := New(16, 0)
 	var sb strings.Builder
 	tr.SetSink(&sb)
 	tr.EmitPacket(t0, "0001", KindTx, 0xabc, "frame out")
@@ -194,6 +196,10 @@ func TestReadJSONLErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "line 1") {
 		t.Errorf("error %v missing line number", err)
 	}
+	long := "\n" + strings.Repeat("x", 2<<20)
+	if _, err := ReadJSONL(strings.NewReader(long)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("over-long second line: got %v, want an error naming line 2", err)
+	}
 	evs, err := ReadJSONL(strings.NewReader("\n\n"))
 	if err != nil || len(evs) != 0 {
 		t.Errorf("blank lines = %v, %v; want empty, nil", evs, err)
@@ -201,7 +207,7 @@ func TestReadJSONLErrors(t *testing.T) {
 }
 
 func TestSinkStreamsBeyondRingCapacity(t *testing.T) {
-	tr := New(2)
+	tr := New(2, 0)
 	var sb strings.Builder
 	tr.SetSink(&sb)
 	for i := 0; i < 5; i++ {
@@ -223,7 +229,7 @@ func TestSinkStreamsBeyondRingCapacity(t *testing.T) {
 }
 
 func TestFilterReconstructsJourney(t *testing.T) {
-	tr := New(32)
+	tr := New(32, 0)
 	const id TraceID = 0x42
 	tr.EmitPacket(t0, "0001", KindApp, id, "origin")
 	tr.EmitPacket(t0.Add(time.Second), "0001", KindTx, id, "tx hop 1")
@@ -242,5 +248,107 @@ func TestFilterReconstructsJourney(t *testing.T) {
 	}
 	if journey[3].Kind != KindDrop {
 		t.Errorf("journey end = %v, want drop", journey[3].Kind)
+	}
+}
+
+// TestEventClasses: the two switches are independent — a class that is
+// off records nothing, health violations ride the narrative, and the
+// ring holds the sum of the two capacities.
+func TestEventClasses(t *testing.T) {
+	emitAll := func(tr *Tracer) []Kind {
+		tr.Emit(t0, "n", KindTx, "narrative")
+		tr.EmitSeg(t0, "n", KindSpan, 1, "rx", 0, "DATA")
+		tr.EmitSeg(t0, "n", KindHealth, 0, "loop", 0, "health.violation: loop")
+		var kinds []Kind
+		for _, ev := range tr.Events() {
+			kinds = append(kinds, ev.Kind)
+		}
+		return kinds
+	}
+	for _, c := range []struct {
+		narrative, segments int
+		want                string
+	}{
+		{4, 0, "[tx health]"},
+		{0, 4, "[span]"},
+		{4, 4, "[tx span health]"},
+		{0, 0, "[]"},
+	} {
+		tr := New(c.narrative, c.segments)
+		if tr.Enabled() != (c.narrative > 0) || tr.Segments() != (c.segments > 0) {
+			t.Errorf("New(%d, %d): Enabled %v, Segments %v", c.narrative, c.segments, tr.Enabled(), tr.Segments())
+		}
+		if got := fmt.Sprint(emitAll(tr)); got != c.want {
+			t.Errorf("New(%d, %d) recorded %s, want %s", c.narrative, c.segments, got, c.want)
+		}
+	}
+	tr := New(2, 3)
+	for i := 0; i < 9; i++ {
+		tr.EmitSeg(t0, "n", KindSpan, TraceID(i), "rx", 0, "")
+	}
+	if got := len(tr.Events()); got != 5 {
+		t.Errorf("ring of New(2, 3) retained %d events, want 2+3", got)
+	}
+}
+
+// The next four carry the flight-recorder contract the span recorder's tests
+// held before a segment became a trace event.
+
+func TestEmitSegNilTracer(t *testing.T) {
+	var tr *Tracer
+	tr.EmitSeg(t0, "0001", KindSpan, 1, "rx", 0, "") // must not panic
+	tr.SetSink(nil)
+	if tr.Segments() || tr.Enabled() || tr.Events() != nil || tr.Dropped() != 0 {
+		t.Fatal("nil tracer must report nothing")
+	}
+}
+
+func TestEmitSegRingWrap(t *testing.T) {
+	tr := New(0, 4)
+	for i := 0; i < 6; i++ {
+		tr.EmitSeg(t0.Add(time.Duration(i)*time.Second), "0001", KindSpan, TraceID(i), "rx", 0, "")
+	}
+	if tr.Dropped() != 2 {
+		t.Fatalf("dropped = %d, want 2 of 6", tr.Dropped())
+	}
+	evs := tr.Events()
+	if len(evs) != 4 {
+		t.Fatalf("retained %d events, want 4", len(evs))
+	}
+	for i, ev := range evs {
+		if want := TraceID(i + 2); ev.Trace != want {
+			t.Fatalf("event %d trace = %v, want %v (oldest-first after wrap)", i, ev.Trace, want)
+		}
+	}
+}
+
+// TestEmitSegNoSinkZeroAlloc is the hot-path contract: with no sink, a
+// segment allocates nothing — from the first event, not only once the
+// ring has wrapped — so span capture can stay armed permanently.
+func TestEmitSegNoSinkZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := New(0, 1024)
+	node := "0001"
+	emit := func() { tr.EmitSeg(t0, node, KindSpan, 42, "airtime", 70*time.Millisecond, "DATA") }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 512; i++ {
+		emit()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("filling half the ring allocated %d times, want 0", n)
+	}
+	if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
+		t.Fatalf("EmitSeg with no sink allocates %.1f/op across the wrap, want 0", allocs)
+	}
+}
+
+func BenchmarkEmitSegNoSink(b *testing.B) {
+	tr := New(0, 8192)
+	node := "0001"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.EmitSeg(t0, node, KindSpan, 42, "airtime", 70*time.Millisecond, "DATA")
 	}
 }

@@ -51,7 +51,6 @@ var optionAllowlist = map[string]string{
 	"routing.Config.SuppressMax":    "dead-neighbour suppression (DESIGN: chaos hardening)",
 	"netsim.ControllerConfig.Host":  "the controller's node; every program uses the default, node 0",
 	"core.Config.TriggeredHelloGap": "triggered updates (kept feature): the rate limit on its HELLOs",
-	"gateway.Config.Tracer":         "gateway trace events (ROADMAP aim 4); no program attaches a tracer yet — wire it or cut it in its own PR",
 }
 
 // TestEveryOptionHasASetter keeps the options audit true: every exported

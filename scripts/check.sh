@@ -45,7 +45,7 @@ echo "==> go test -race"
 # is covered the day it does. What the race detector is here to check:
 # the wall-clock runtime (livenet's event loops, UDP links, and scrape
 # endpoints) and everything written from engine goroutines and read by
-# scrape/verdict endpoints (metrics, trace, span, health); independent
+# scrape/verdict endpoints (metrics, trace, health); independent
 # Sims evaluated concurrently by the parallel sweep runner, where hidden
 # shared state between Sims or strategy instances is a race, not just a
 # determinism bug; the controller's lock discipline under a wall-clock
