@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/citysim"
 	"repro/internal/control"
-	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/forward"
@@ -190,9 +188,9 @@ func run(w io.Writer, o options) error {
 	}
 	switch cfg.Protocol {
 	case forward.KindICN:
-		// The PIT window sits below the 40 s application re-express
-		// cadence of icnReads, so a lost round re-floods instead of
-		// aggregating against a dead pending interest.
+		// The PIT window sits below StartInterestRounds' 40 s re-express
+		// cadence, so a lost round re-floods instead of aggregating
+		// against a dead pending interest.
 		cfg.ICN = icn.Config{
 			RebroadcastDelay: 200 * time.Millisecond,
 			PITTimeout:       20 * time.Second,
@@ -204,7 +202,7 @@ func run(w io.Writer, o options) error {
 			return nil
 		}
 	case forward.KindSlotted:
-		sf := defaultSuperframe()
+		sf := slotted.DefaultSuperframe()
 		cfg.Slotted = slotted.Config{Superframe: sf, Sink: 0x0001}
 		cfg.FlowLatencyBound = sf.LatencyBound.D()
 	}
@@ -266,17 +264,17 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "link-layer security: on (frames encrypted and authenticated)\n\n")
 	}
 	fmt.Fprintf(w, "forwarding strategy: %s\n\n", strat)
-	if cfg.Protocol == forward.KindProactive || cfg.Protocol == forward.KindSlotted {
-		conv, ok := sim.TimeToConvergence(10*time.Second, 12*time.Hour)
-		if !ok {
-			return fmt.Errorf("mesh did not converge in 12 h — check density vs radio range")
-		}
+	conv, ok := sim.TimeToConvergence(10*time.Second, 12*time.Hour)
+	if !ok {
+		return fmt.Errorf("mesh did not converge in 12 h — check density vs radio range")
+	}
+	if conv > 0 { // the table-free strategies, and a lone node, have nothing to converge
 		fmt.Fprintf(w, "mesh converged in %v\n\n", conv.Round(time.Second))
 	}
 
 	var ctl *control.Controller
 	if desired != nil {
-		if ctl, err = sim.AttachController(netsim.ControllerConfig{State: desired}); err != nil {
+		if ctl, err = sim.AttachController(control.Config{State: desired}); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "self-healing controller attached at %v (state version %d, poll %v)\n\n",
@@ -305,7 +303,9 @@ func run(w io.Writer, o options) error {
 	case cfg.Protocol == forward.KindICN:
 		// ICN routes by name, not address: the push patterns cannot drive
 		// it, so every non-producer node pulls a per-round datum instead.
-		icnStats = icnReads(sim, o.duration, o.interval)
+		if icnStats, err = sim.StartInterestRounds("demo/reading/", o.interval, o.duration); err != nil {
+			return err
+		}
 		trafficLabel = "interest rounds"
 	case o.traffic == "pairs":
 		for i := 0; i < sim.N(); i++ {
@@ -431,86 +431,6 @@ func run(w io.Writer, o options) error {
 		return fmt.Errorf("trace sink: %w", err)
 	}
 	return nil
-}
-
-// defaultSuperframe is the TDMA schedule -strategy slotted runs under:
-// three slots of 2 s with a 100 ms guard, and a 90 s end-to-end latency
-// bound the health monitor enforces per delivery.
-func defaultSuperframe() control.Superframe {
-	return control.Superframe{
-		Slots:        3,
-		SlotLen:      control.Duration(2 * time.Second),
-		Guard:        control.Duration(100 * time.Millisecond),
-		LatencyBound: control.Duration(90 * time.Second),
-	}
-}
-
-// icnReads drives the pull equivalent of the push traffic patterns: every
-// node but the node-0 producer expresses interest in a shared per-round
-// name each interval, re-expressing up to twice (40 s apart) while
-// unsatisfied — the strategy never retransmits, so retry is the
-// application's job. Offered counts one per (consumer, round); latency
-// runs from a consumer's first expression to its first delivery.
-func icnReads(sim *netsim.Sim, duration, interval time.Duration) *netsim.TrafficStats {
-	stats := &netsim.TrafficStats{}
-	type key struct{ consumer, round int }
-	exprAt := make(map[key]time.Time)
-	satisfied := make(map[key]bool)
-
-	for c := 1; c < sim.N(); c++ {
-		c := c
-		h := sim.Handle(c)
-		prev := h.OnMessage
-		h.OnMessage = func(msg core.AppMessage) {
-			if prev != nil {
-				prev(msg)
-			}
-			sep := bytes.IndexByte(msg.Payload, 0)
-			if sep < 0 {
-				return
-			}
-			var round int
-			if _, err := fmt.Sscanf(string(msg.Payload[:sep]), "demo/reading/%d", &round); err != nil {
-				return
-			}
-			k := key{c, round}
-			at, ok := exprAt[k]
-			if !ok || satisfied[k] {
-				return
-			}
-			satisfied[k] = true
-			stats.Delivered++
-			stats.Latencies = append(stats.Latencies, msg.At.Sub(at))
-		}
-	}
-
-	for r := 0; r < int(duration/interval); r++ {
-		name := fmt.Sprintf("demo/reading/%d", r)
-		for c := 1; c < sim.N(); c++ {
-			k := key{c, r}
-			base := time.Duration(r)*interval + time.Second +
-				time.Duration(c-1)*1700*time.Millisecond
-			for attempt := 0; attempt < 3; attempt++ {
-				at := base + time.Duration(attempt)*40*time.Second
-				if at >= duration {
-					continue
-				}
-				sim.Sched.MustAfter(at, func() {
-					if satisfied[k] {
-						return
-					}
-					if _, ok := exprAt[k]; !ok {
-						exprAt[k] = sim.Now()
-						stats.Offered++
-					}
-					if sim.Handle(k.consumer).ICN.Express(name) == nil {
-						stats.Accepted++
-					}
-				})
-			}
-		}
-	}
-	return stats
 }
 
 // printJourney renders every retained event carrying the trace ID — the

@@ -40,22 +40,21 @@ type Config struct {
 	Address packet.Address
 	// TTL is the rebroadcast hop limit. Zero means 8.
 	TTL uint8
-	// DedupCapacity is how many (origin, seq) pairs the duplicate
-	// suppressor remembers. Zero means 512.
-	DedupCapacity int
 }
 
-// rebroadcastDelay is the mean randomized hold-off before a node repeats
-// a packet; the jitter desynchronizes the simultaneous rebroadcasts that
-// otherwise collide.
-const rebroadcastDelay = 500 * time.Millisecond
+const (
+	// rebroadcastDelay is the mean randomized hold-off before a node
+	// repeats a packet; the jitter desynchronizes the simultaneous
+	// rebroadcasts that otherwise collide.
+	rebroadcastDelay = 500 * time.Millisecond
+	// dedupCapacity is how many (origin, seq) pairs the duplicate
+	// suppressor remembers.
+	dedupCapacity = 512
+)
 
 func (c Config) withDefaults() Config {
 	if c.TTL == 0 {
 		c.TTL = 8
-	}
-	if c.DedupCapacity <= 0 {
-		c.DedupCapacity = 512
 	}
 	return c
 }
@@ -94,7 +93,7 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 		cfg:  cfg,
 		env:  env,
 		reg:  reg,
-		seen: forward.SeenSet[floodKey]{Cap: cfg.DedupCapacity},
+		seen: forward.SeenSet[floodKey]{Cap: dedupCapacity},
 		tx:   forward.NewTxQueue(env, reg),
 	}, nil
 }

@@ -223,19 +223,19 @@ func TestFloodValidation(t *testing.T) {
 }
 
 func TestFloodDedupEviction(t *testing.T) {
-	cfg := Config{DedupCapacity: 4}
-	b := newFloodBus(t, cfg, 1, 2)
-	for i := 0; i < 10; i++ {
+	b := newFloodBus(t, Config{}, 1, 2)
+	const sends = dedupCapacity + 6
+	for i := 0; i < sends; i++ {
 		if err := b.env(1).node.Send(packet.Broadcast, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 		b.sched.RunFor(10 * time.Second)
 	}
-	if got := len(b.env(2).msgs); got != 10 {
-		t.Errorf("delivered %d, want 10 despite dedup eviction", got)
+	if got := len(b.env(2).msgs); got != sends {
+		t.Errorf("delivered %d, want %d despite dedup eviction", got, sends)
 	}
-	if got := b.env(2).node.seen.Len(); got > 4 {
-		t.Errorf("dedup set grew to %d, cap 4", got)
+	if got := b.env(2).node.seen.Len(); got != dedupCapacity {
+		t.Errorf("dedup set holds %d after %d floods, want the cap %d", got, sends, dedupCapacity)
 	}
 }
 

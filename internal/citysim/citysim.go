@@ -69,6 +69,23 @@ const (
 
 const noRoute = ^uint16(0) // hop-count sentinel: no usable route to a sink
 
+// Bounds every program runs at one value (DESIGN.md decision 7). Sink
+// routes not refreshed by a beacon expire after 3.5 HELLO periods, and
+// the synchronization window is the minimum frame airtime — the
+// conservative lookahead bound.
+const (
+	// queueCap bounds each node's forwarding queue; the oldest drops.
+	queueCap = 8
+	// ttlHops bounds forwarding depth.
+	ttlHops = 32
+	// nodesPerSink sizes the sink grid: max(1, Nodes/nodesPerSink) data
+	// collection points, snapped to the nearest nodes.
+	nodesPerSink = 640
+	// slottedSlots is the "slotted" superframe slot count (slot = route
+	// depth modulo slots).
+	slottedSlots = 8
+)
+
 // Config describes one city simulation. The zero value of every field
 // selects a sensible default; Nodes is required.
 type Config struct {
@@ -90,9 +107,6 @@ type Config struct {
 	//	"slotted":      proactive routing plus a TDMA gate: data transmits
 	//	                only inside the node's depth-derived slot
 	Strategy string
-	// SlottedSlots is the superframe slot count for Strategy "slotted"
-	// (slot = route depth modulo slots). 0 means 8.
-	SlottedSlots int
 	// Shards selects the execution mode: 0 is the serial reference — one
 	// event wheel and full O(n) station scans per transmission, the
 	// design that caps internal/netsim at demo scale — and any k >= 1
@@ -101,24 +115,11 @@ type Config struct {
 	Shards int
 	// Seed drives placement, jitter, backoff, shadowing, and erasures.
 	Seed int64
-	// Sinks is the number of data collection points, placed on a uniform
-	// grid and snapped to the nearest node. 0 means max(1, Nodes/640).
-	Sinks int
 	// HelloPeriod is the mean beacon interval (0 = 60s); DataPeriod the
 	// mean telemetry generation interval per node (0 = 90s). Both get
 	// +-1/8 period of per-node hash jitter.
 	HelloPeriod time.Duration
 	DataPeriod  time.Duration
-	// RouteTTL expires sink routes not refreshed by a beacon. 0 means
-	// 3*HelloPeriod + HelloPeriod/2.
-	RouteTTL time.Duration
-	// QueueCap bounds each node's forwarding queue (0 = 8; oldest drops).
-	QueueCap int
-	// TTLHops bounds forwarding depth (0 = 32).
-	TTLHops int
-	// Window overrides the synchronization window. 0 means the minimum
-	// frame airtime; larger values are rejected (the conservative bound).
-	Window time.Duration
 	// ShadowSigmaDB adds per-link log-normal shadowing, truncated at
 	// +-2 sigma so the cell size bound stays finite.
 	ShadowSigmaDB float64
@@ -277,14 +278,7 @@ func (cfg Config) resolve() (resolved, error) {
 		minAir = r.dataAirNs
 		r.maxAirNs = r.helloAirNs
 	}
-	if cfg.Window < 0 || cfg.Window.Nanoseconds() > minAir {
-		return r, fmt.Errorf("citysim: window %v exceeds the minimum airtime %v (conservative lookahead bound)",
-			cfg.Window, time.Duration(minAir))
-	}
-	r.winNs = cfg.Window.Nanoseconds()
-	if r.winNs == 0 {
-		r.winNs = minAir
-	}
+	r.winNs = minAir
 
 	sens, err := r.params.SensitivityDBm()
 	if err != nil {
@@ -320,38 +314,14 @@ func (cfg Config) resolve() (resolved, error) {
 	if r.DataPeriod == 0 {
 		r.DataPeriod = 90 * time.Second
 	}
-	if r.RouteTTL == 0 {
-		r.RouteTTL = 3*r.HelloPeriod + r.HelloPeriod/2
-	}
-	if r.HelloPeriod <= 0 || r.DataPeriod <= 0 || r.RouteTTL <= 0 {
+	if r.HelloPeriod <= 0 || r.DataPeriod <= 0 {
 		return r, fmt.Errorf("citysim: periods must be positive")
 	}
 	r.helloNs = r.HelloPeriod.Nanoseconds()
 	r.dataNs = r.DataPeriod.Nanoseconds()
-	r.routeTTLNs = r.RouteTTL.Nanoseconds()
+	r.routeTTLNs = 3*r.helloNs + r.helloNs/2
 	r.csmaSlotNs = r.helloAirNs
 	r.noRouteWaitNs = r.helloNs / 2
-	if r.QueueCap == 0 {
-		r.QueueCap = 8
-	}
-	if r.QueueCap < 1 || r.QueueCap > 255 {
-		return r, fmt.Errorf("citysim: QueueCap %d out of [1,255]", r.QueueCap)
-	}
-	if r.TTLHops == 0 {
-		r.TTLHops = 32
-	}
-	if r.TTLHops < 1 || r.TTLHops > 254 {
-		return r, fmt.Errorf("citysim: TTLHops %d out of [1,254]", r.TTLHops)
-	}
-	if r.Sinks == 0 {
-		r.Sinks = cfg.Nodes / 640
-		if r.Sinks < 1 {
-			r.Sinks = 1
-		}
-	}
-	if r.Sinks < 1 || r.Sinks > cfg.Nodes {
-		return r, fmt.Errorf("citysim: Sinks %d out of [1,%d]", r.Sinks, cfg.Nodes)
-	}
 
 	switch cfg.Strategy {
 	case "", "proactive":
@@ -365,16 +335,10 @@ func (cfg Config) resolve() (resolved, error) {
 	default:
 		return r, fmt.Errorf("citysim: unknown strategy %q (want proactive, reactive, icn, or slotted)", cfg.Strategy)
 	}
-	if r.SlottedSlots == 0 {
-		r.SlottedSlots = 8
-	}
-	if r.SlottedSlots < 1 || r.SlottedSlots > 64 {
-		return r, fmt.Errorf("citysim: SlottedSlots %d out of [1,64]", r.SlottedSlots)
-	}
 	// Four data airtimes per slot: the slot always fits a frame (no
 	// livelock) with room for CSMA jitter.
 	r.slotLenNs = 4 * r.dataAirNs
-	r.slotPeriodNs = int64(r.SlottedSlots) * r.slotLenNs
+	r.slotPeriodNs = slottedSlots * r.slotLenNs
 	r.solicitTTLNs = 2*r.helloNs + r.helloNs/2
 	r.relayJitNs = 16 * r.csmaSlotNs
 	r.pitTTLNs = r.dataNs / 2
@@ -456,7 +420,7 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) buildNodes(topo *geo.Topology) {
 	n := s.r.Nodes
 	ns := &s.nodes
-	ns.alloc(n, s.r.QueueCap)
+	ns.alloc(n)
 	s.cellStations = make([][]int32, s.grid.NumCells())
 	for i, p := range topo.Positions {
 		ns.x[i], ns.y[i] = p.X, p.Y
@@ -475,7 +439,7 @@ func (s *Sim) buildNodes(topo *geo.Topology) {
 // electSinks snaps a uniform sink grid to the nearest nodes: sinks are
 // ordinary stations that terminate telemetry and beacon hop 0.
 func (s *Sim) electSinks() {
-	k := s.r.Sinks
+	k := max(1, s.r.Nodes/nodesPerSink)
 	g := int(math.Ceil(math.Sqrt(float64(k))))
 	placed := 0
 	for gy := 0; gy < g && placed < k; gy++ {

@@ -1,7 +1,6 @@
 package citysim
 
 import (
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -21,12 +20,12 @@ func runOnce(t *testing.T, cfg Config, d time.Duration) (Stats, uint64) {
 }
 
 // TestCityBasics checks that a small city forms routes and delivers
-// telemetry to its sinks within a few hello periods.
+// telemetry to its one sink within a few hello periods.
 func TestCityBasics(t *testing.T) {
-	cfg := Config{Nodes: 300, Seed: 1, Shards: 2, Sinks: 2}
+	cfg := Config{Nodes: 150, Seed: 1, Shards: 2}
 	st, _ := runOnce(t, cfg, 10*time.Minute)
-	if st.Sinks != 2 {
-		t.Fatalf("elected %d sinks, want 2", st.Sinks)
+	if st.Sinks != 1 {
+		t.Fatalf("elected %d sinks below %d nodes, want 1", st.Sinks, nodesPerSink)
 	}
 	if st.FramesSent == 0 || st.FramesDelivered == 0 {
 		t.Fatalf("no radio traffic: %+v", st)
@@ -69,10 +68,6 @@ func TestCityConfigValidation(t *testing.T) {
 		{Nodes: 10, Shards: -1},
 		{Nodes: 10, ExtraFrameLossRate: 1.0},
 		{Nodes: 10, ShadowSigmaDB: -1},
-		{Nodes: 10, Window: time.Hour},
-		{Nodes: 10, Sinks: 11},
-		{Nodes: 10, QueueCap: 300},
-		{Nodes: 10, TTLHops: 255},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -85,27 +80,42 @@ func TestCityConfigValidation(t *testing.T) {
 // tables, per-node counters, queue contents, the delivery log, merged
 // stats — is byte-identical between the serial reference (Shards: 0) and
 // every sharded execution, per (config, seed), including with shadowing
-// and erasures switched on.
+// and erasures switched on. The last case is sized from nodesPerSink so
+// the shipped ratio elects two sinks: cross-shard deliveries to different
+// sinks must merge into the same delivery order.
 func TestCityDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	cases := []struct {
+		name  string
+		nodes int
+		seed  int64
+		d     time.Duration
+		sinks int
+	}{
+		{"seed1", 240, 1, 8 * time.Minute, 1},
+		{"seed7", 240, 7, 8 * time.Minute, 1},
+		{"seed42", 240, 42, 8 * time.Minute, 1},
+		{"twosinks", 2 * nodesPerSink, 7, 2 * time.Minute, 2},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			base := Config{
-				Nodes:              240,
-				Seed:               seed,
-				Sinks:              2,
+				Nodes:              tc.nodes,
+				Seed:               tc.seed,
 				ShadowSigmaDB:      4,
 				ExtraFrameLossRate: 0.02,
 			}
-			const d = 8 * time.Minute
-			serial, want := runOnce(t, base, d)
+			serial, want := runOnce(t, base, tc.d)
 			if serial.Shards != 1 {
 				t.Fatalf("serial mode ran %d shards", serial.Shards)
+			}
+			if serial.Sinks != tc.sinks || serial.Delivered == 0 {
+				t.Fatalf("want deliveries at %d sinks, got %+v", tc.sinks, serial)
 			}
 			for _, shards := range []int{1, 2, 4} {
 				cfg := base
 				cfg.Shards = shards
-				st, got := runOnce(t, cfg, d)
+				st, got := runOnce(t, cfg, tc.d)
 				if got != want {
 					t.Errorf("shards=%d digest %016x, serial %016x (stats %+v vs %+v)",
 						shards, got, want, st, serial)
@@ -124,7 +134,7 @@ func TestCityDeterminism(t *testing.T) {
 // multi-shard run with enough traffic that every phase and the pruning
 // path execute concurrently.
 func TestCityShardBarrierRace(t *testing.T) {
-	cfg := Config{Nodes: 400, Seed: 3, Shards: 4, Sinks: 2, ShadowSigmaDB: 3}
+	cfg := Config{Nodes: 400, Seed: 3, Shards: 4, ShadowSigmaDB: 3}
 	st, _ := runOnce(t, cfg, 6*time.Minute)
 	if st.Shards < 2 {
 		t.Fatalf("wanted a multi-shard run, got %d shards", st.Shards)
@@ -163,10 +173,10 @@ func TestScaleSmoke(t *testing.T) {
 }
 
 // TestCityDeliveryExports pins the multi-gateway observability surface:
-// the elected sinks match the configured count, and the delivery log is in its
-// deterministic global order with every record naming a real sink.
+// a field of 2*nodesPerSink nodes elects two sinks, and the delivery log is
+// in its deterministic global order with every record naming a real sink.
 func TestCityDeliveryExports(t *testing.T) {
-	sim, err := New(Config{Nodes: 300, Seed: 1, Shards: 2, Sinks: 2})
+	sim, err := New(Config{Nodes: 2 * nodesPerSink, Seed: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestCityDeliveryExports(t *testing.T) {
 // TestCityStrategyAliasIdentity pins the proactive-untouched guarantee at
 // the digest level: Strategy "" and "proactive" are the same run.
 func TestCityStrategyAliasIdentity(t *testing.T) {
-	base := Config{Nodes: 120, Seed: 5, Shards: 2, Sinks: 1}
+	base := Config{Nodes: 120, Seed: 5, Shards: 2}
 	_, blank := runOnce(t, base, 6*time.Minute)
 	named := base
 	named.Strategy = "proactive"
@@ -217,43 +227,53 @@ func TestCityStrategyAliasIdentity(t *testing.T) {
 	}
 }
 
-// TestCityStrategyValidation rejects unknown strategies and bad slot
-// counts.
+// TestCityStrategyValidation rejects unknown strategies.
 func TestCityStrategyValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 10, Strategy: "flooding"}); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-	if _, err := New(Config{Nodes: 10, Strategy: "slotted", SlottedSlots: 65}); err == nil {
-		t.Fatal("SlottedSlots 65 accepted")
 	}
 }
 
 // TestCityStrategyDeterminism extends the serial-vs-sharded digest gate to
 // every strategy mode: the strategy handlers must obey the same barrier
-// discipline as the proactive engine.
+// discipline as the proactive engine. The last case runs one mode at
+// 2*nodesPerSink nodes, where the shipped ratio elects two sinks.
 func TestCityStrategyDeterminism(t *testing.T) {
-	for _, strat := range []string{"reactive", "icn", "slotted"} {
-		strat := strat
-		t.Run(strat, func(t *testing.T) {
+	cases := []struct {
+		name  string
+		strat string
+		nodes int
+		d     time.Duration
+		sinks int
+	}{
+		{"reactive", "reactive", 240, 8 * time.Minute, 1},
+		{"icn", "icn", 240, 8 * time.Minute, 1},
+		{"slotted", "slotted", 240, 8 * time.Minute, 1},
+		{"icn-twosinks", "icn", 2 * nodesPerSink, 3 * time.Minute, 2},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			base := Config{
-				Nodes:         240,
+				Nodes:         tc.nodes,
 				Seed:          9,
-				Sinks:         2,
-				Strategy:      strat,
+				Strategy:      tc.strat,
 				ShadowSigmaDB: 3,
 			}
-			const d = 8 * time.Minute
-			serial, want := runOnce(t, base, d)
+			serial, want := runOnce(t, base, tc.d)
 			for _, shards := range []int{2, 4} {
 				cfg := base
 				cfg.Shards = shards
-				_, got := runOnce(t, cfg, d)
+				_, got := runOnce(t, cfg, tc.d)
 				if got != want {
 					t.Errorf("shards=%d digest %016x, serial %016x", shards, got, want)
 				}
 			}
 			if serial.FramesSent == 0 {
 				t.Fatalf("no radio traffic: %+v", serial)
+			}
+			if serial.Sinks != tc.sinks {
+				t.Fatalf("elected %d sinks, want %d", serial.Sinks, tc.sinks)
 			}
 		})
 	}
@@ -263,7 +283,7 @@ func TestCityStrategyDeterminism(t *testing.T) {
 // engages at city scale.
 func TestCityStrategyBehavior(t *testing.T) {
 	const d = 12 * time.Minute
-	base := Config{Nodes: 240, Seed: 2, Shards: 2, Sinks: 2}
+	base := Config{Nodes: 240, Seed: 2, Shards: 2}
 
 	t.Run("reactive", func(t *testing.T) {
 		cfg := base

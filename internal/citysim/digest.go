@@ -54,8 +54,8 @@ func (s *Sim) Digest() uint64 {
 		sh := s.shardOfNode(int32(i))
 		d.u64(uint64(ns.qLen[i]))
 		for k := 0; k < int(ns.qLen[i]); k++ {
-			slot := (int(ns.qHead[i]) + k) % ns.qCap
-			p := sh.pkts[ns.qBuf[i*ns.qCap+slot]]
+			slot := (int(ns.qHead[i]) + k) % queueCap
+			p := sh.pkts[ns.qBuf[i*queueCap+slot]]
 			d.i64(int64(p.origin))
 			d.i64(p.born)
 			d.u64(uint64(p.hops))

@@ -61,7 +61,6 @@ type nodeState struct {
 	qBuf  []int32
 	qHead []uint8
 	qLen  []uint8
-	qCap  int
 
 	// EU868 1% duty budget as a token bucket (ns of airtime).
 	dutyBudget []int64
@@ -104,7 +103,7 @@ type nodeState struct {
 
 const txHistLen = 4
 
-func (ns *nodeState) alloc(n, qcap int) {
+func (ns *nodeState) alloc(n int) {
 	ns.x = make([]float64, n)
 	ns.y = make([]float64, n)
 	ns.cell = make([]int32, n)
@@ -115,10 +114,9 @@ func (ns *nodeState) alloc(n, qcap int) {
 	ns.txEnd = make([]int64, n)
 	ns.txHist = make([]int64, n*txHistLen*2)
 	ns.txHistPos = make([]uint8, n)
-	ns.qBuf = make([]int32, n*qcap)
+	ns.qBuf = make([]int32, n*queueCap)
 	ns.qHead = make([]uint8, n)
 	ns.qLen = make([]uint8, n)
-	ns.qCap = qcap
 	ns.dutyBudget = make([]int64, n)
 	ns.dutyAt = make([]int64, n)
 	ns.backoff = make([]uint8, n)
@@ -347,15 +345,15 @@ func (s *Sim) accrueDuty(i int32, nowNs int64) {
 // on overflow. pktIdx indexes the owning shard's slab.
 func (sh *shard) enqueue(i int32, pktIdx int32) {
 	ns := &sh.sim.nodes
-	if int(ns.qLen[i]) == ns.qCap {
-		head := ns.qBuf[int(i)*ns.qCap+int(ns.qHead[i])]
+	if int(ns.qLen[i]) == queueCap {
+		head := ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]
 		sh.freePkt(head)
-		ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % ns.qCap)
+		ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % queueCap)
 		ns.qLen[i]--
 		sh.stats.dropQueue++
 	}
-	slot := (int(ns.qHead[i]) + int(ns.qLen[i])) % ns.qCap
-	ns.qBuf[int(i)*ns.qCap+slot] = pktIdx
+	slot := (int(ns.qHead[i]) + int(ns.qLen[i])) % queueCap
+	ns.qBuf[int(i)*queueCap+slot] = pktIdx
 	ns.qLen[i]++
 }
 
@@ -365,8 +363,8 @@ func (sh *shard) dequeue(i int32) (int32, bool) {
 	if ns.qLen[i] == 0 {
 		return 0, false
 	}
-	idx := ns.qBuf[int(i)*ns.qCap+int(ns.qHead[i])]
-	ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % ns.qCap)
+	idx := ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]
+	ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % queueCap)
 	ns.qLen[i]--
 	return idx, true
 }
@@ -508,7 +506,7 @@ func (sh *shard) pump(i int32) {
 // peek returns the head of node i's queue without dequeuing (qLen > 0).
 func (sh *shard) peek(i int32) pkt {
 	ns := &sh.sim.nodes
-	return sh.pkts[ns.qBuf[int(i)*ns.qCap+int(ns.qHead[i])]]
+	return sh.pkts[ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]]
 }
 
 // armPump schedules a single pump retry after d; duplicate arms collapse.
@@ -586,7 +584,7 @@ func (sh *shard) onData(r int32, tx *txRec) {
 		return
 	}
 	nh := tx.hops + 1
-	if int(nh) > s.r.TTLHops {
+	if int(nh) > ttlHops {
 		sh.stats.dropTTL++
 		return
 	}

@@ -31,7 +31,7 @@ const pitCap = 4
 // depth modulo the superframe size, so each tree ring drains in its own
 // phase. Callers guarantee a live route.
 func (s *Sim) slotWait(i int32, nowNs int64) int64 {
-	slot := int64(s.effHop(i, nowNs)) % int64(s.r.SlottedSlots)
+	slot := int64(s.effHop(i, nowNs)) % slottedSlots
 	ws := slot * s.r.slotLenNs
 	phase := nowNs % s.r.slotPeriodNs
 	if phase >= ws && phase+s.r.dataAirNs <= ws+s.r.slotLenNs {
@@ -89,7 +89,7 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 		return
 	}
 	ns.solSeenFrom[r], ns.solSeenBorn[r] = tx.origin, tx.born
-	if int(tx.hops)+1 > s.r.TTLHops {
+	if int(tx.hops)+1 > ttlHops {
 		sh.stats.dropTTL++
 		return
 	}
@@ -247,7 +247,7 @@ func (sh *shard) onInterest(r int32, tx *txRec) {
 		sh.stats.interestAggregated++
 		return
 	}
-	if int(tx.hops)+1 > s.r.TTLHops {
+	if int(tx.hops)+1 > ttlHops {
 		sh.stats.dropTTL++
 		return
 	}

@@ -55,7 +55,7 @@ func (n *Node) ApplyControl(cmd control.Command) control.Report {
 		}
 	case control.OpTriggerHello:
 		// Purge the faulty path first, then beacon immediately —
-		// unthrottled by TriggeredHelloGap: the controller already
+		// unthrottled by triggeredHelloGap: the controller already
 		// rate-limits the playbook, and a recovery beacon must not be
 		// swallowed by a coincidental earlier trigger.
 		if cmd.Via != 0 && cmd.Via != packet.Broadcast {

@@ -177,6 +177,22 @@ var (
 	ErrStreamFailed = errors.New("core: stream exhausted retries")
 )
 
+// Bounds every program runs at one value (DESIGN.md decision 7).
+const (
+	// queueCapacity bounds the transmit queue, in frames.
+	queueCapacity = 64
+	// cadBackoffPreambles is the deferral before re-checking a busy
+	// channel, in frame-preamble times.
+	cadBackoffPreambles = 3
+	// cadMaxTries bounds deferrals before transmitting regardless.
+	cadMaxTries = 8
+	// maxOutStreams bounds concurrent outgoing streams.
+	maxOutStreams = 4
+	// streamBackoff is the retransmission-timeout growth per consecutive
+	// round without acknowledged progress.
+	streamBackoff = 2
+)
+
 // Config parameterizes a node.
 type Config struct {
 	// Address is the node's 16-bit mesh address (unique per network).
@@ -191,33 +207,24 @@ type Config struct {
 	HelloPeriod time.Duration
 	// Routing tunes the routing table (TTL, hop cap, poisoning).
 	Routing routing.Config
-	// QueueCapacity bounds the transmit queue. Zero means 64.
-	QueueCapacity int
 	// DutyCycleLimit caps airtime per rolling hour (0.01 = EU868 g1).
 	// Zero means derive from Phy.FrequencyHz; 1 disables regulation.
 	DutyCycleLimit float64
 	// CAD enables listen-before-talk: the node defers transmissions
-	// while it senses channel activity.
+	// while it senses channel activity, re-checking every
+	// cadBackoffPreambles preamble times (jittered) and transmitting
+	// regardless after cadMaxTries deferrals.
 	CAD bool
-	// CADBackoff is the deferral before re-checking a busy channel,
-	// jittered. Zero means 3 frame-preamble times.
-	CADBackoff time.Duration
-	// CADMaxTries bounds deferrals before transmitting regardless.
-	// Zero means 8.
-	CADMaxTries int
 	// StreamWindow is the reliable-transport window in chunks: 1 is the
 	// prototype's stop-and-wait; larger values enable go-back-N. Zero
 	// means 1.
 	StreamWindow int
 	// StreamRetry is the retransmission timeout for unacknowledged
-	// stream chunks. Zero means 12 s (several multi-hop frame times).
+	// stream chunks. Zero means 12 s (several multi-hop frame times). It
+	// grows streamBackoff-fold each consecutive round without
+	// acknowledged progress (capped at 8x, jittered ±10%), so a congested
+	// or healing path is not hammered at a fixed cadence.
 	StreamRetry time.Duration
-	// StreamBackoff grows the retransmission timeout each consecutive
-	// round without acknowledged progress (capped at 8x StreamRetry,
-	// jittered ±10%), so a congested or healing path is not hammered at
-	// a fixed cadence. Zero means 2 (doubling); 1 restores the
-	// prototype's fixed timeout.
-	StreamBackoff float64
 	// StreamPacing spaces consecutive window chunk transmissions so a
 	// windowed transfer does not self-collide on a half-duplex
 	// multi-hop path. Zero (the prototype) sends the window as fast as
@@ -226,19 +233,14 @@ type Config struct {
 	// StreamMaxRetries bounds retransmission rounds before a stream
 	// fails. Zero means 6.
 	StreamMaxRetries int
-	// MaxOutStreams bounds concurrent outgoing streams. Zero means 4.
-	MaxOutStreams int
 	// TriggeredUpdates withdraws routes the moment a next hop is known
 	// dead — when a direct neighbor's entry expires, or when a reliable
 	// stream exhausts its retries toward one — poisoning every route
 	// through it (routing.Table.RemoveNeighbor) and broadcasting an
-	// immediate, rate-limited HELLO so neighbors learn within one frame
-	// time instead of one EntryTTL. Off by default (the prototype waits
-	// out timeouts); chaos scenarios enable it.
+	// immediate HELLO (at most one per triggeredHelloGap) so neighbors
+	// learn within one frame time instead of one EntryTTL. Off by default
+	// (the prototype waits out timeouts); chaos scenarios enable it.
 	TriggeredUpdates bool
-	// TriggeredHelloGap rate-limits triggered HELLOs. Zero means
-	// HelloPeriod/10, clamped to at least one second.
-	TriggeredHelloGap time.Duration
 	// Security, when set, arms link-layer authenticated encryption: every
 	// frame this node transmits is sealed (encrypted + 4-byte MIC) under
 	// the Link's network key, every received frame must verify and pass
@@ -289,35 +291,14 @@ func (c Config) withDefaults() Config {
 	if c.HelloPeriod <= 0 {
 		c.HelloPeriod = 120 * time.Second
 	}
-	if c.QueueCapacity <= 0 {
-		c.QueueCapacity = 64
-	}
-	if c.CADBackoff <= 0 {
-		c.CADBackoff = 3 * c.Phy.PreambleTime()
-	}
-	if c.CADMaxTries <= 0 {
-		c.CADMaxTries = 8
-	}
 	if c.StreamWindow <= 0 {
 		c.StreamWindow = 1
 	}
 	if c.StreamRetry <= 0 {
 		c.StreamRetry = 12 * time.Second
 	}
-	if c.StreamBackoff == 0 {
-		c.StreamBackoff = 2
-	}
-	if c.TriggeredHelloGap <= 0 {
-		c.TriggeredHelloGap = c.HelloPeriod / 10
-		if c.TriggeredHelloGap < time.Second {
-			c.TriggeredHelloGap = time.Second
-		}
-	}
 	if c.StreamMaxRetries <= 0 {
 		c.StreamMaxRetries = 6
-	}
-	if c.MaxOutStreams <= 0 {
-		c.MaxOutStreams = 4
 	}
 	return c
 }
@@ -345,9 +326,6 @@ func (c Config) Validate() error {
 	}
 	if cc.DutyCycleLimit < 0 || cc.DutyCycleLimit > 1 {
 		return fmt.Errorf("core: duty-cycle limit %v out of [0,1]", cc.DutyCycleLimit)
-	}
-	if cc.StreamBackoff < 1 {
-		return fmt.Errorf("core: stream backoff %v must be >= 1", cc.StreamBackoff)
 	}
 	if cc.Security != nil && cc.Security.Addr() != cc.Address {
 		return fmt.Errorf("core: security link keyed for %v, node is %v",
@@ -464,7 +442,7 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 		env:        env,
 		table:      routing.NewTable(cfg.Address, cfg.Routing),
 		reg:        metrics.NewRegistry(),
-		queue:      newTxQueue(cfg.QueueCapacity),
+		queue:      &txQueue{},
 		outStreams: make(map[uint8]*outStream),
 		inStreams:  make(map[inKey]*inStream),
 	}

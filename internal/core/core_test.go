@@ -194,9 +194,7 @@ func TestHelloJitterDesynchronizes(t *testing.T) {
 }
 
 func TestQueueFullRejectsDataKeepsHello(t *testing.T) {
-	cfg := fastConfig()
-	cfg.QueueCapacity = 4
-	b := newBus(t, cfg, 1, 2)
+	b := newBus(t, fastConfig(), 1, 2)
 	b.run(5 * time.Second) // discover each other
 	n := b.env(1).node
 
@@ -204,11 +202,13 @@ func TestQueueFullRejectsDataKeepsHello(t *testing.T) {
 	// between Sends, so nothing transmits in between; the first Send
 	// starts transmitting immediately and the rest stack up).
 	var fullErr error
-	for i := 0; i < 20 && fullErr == nil; i++ {
+	sends := 0
+	for ; sends < queueCapacity+2 && fullErr == nil; sends++ {
 		fullErr = n.Send(2, []byte("filler"))
 	}
-	if !errors.Is(fullErr, ErrQueueFull) {
-		t.Fatalf("flooding Sends = %v, want ErrQueueFull", fullErr)
+	if !errors.Is(fullErr, ErrQueueFull) || sends != queueCapacity+2 {
+		t.Fatalf("Send %d = %v, want ErrQueueFull on send %d (one on air, %d queued)",
+			sends, fullErr, queueCapacity+2, queueCapacity)
 	}
 	if n.Metrics().Counter("drop.queue_full").Value() == 0 {
 		t.Error("drop.queue_full not counted")
@@ -235,18 +235,20 @@ func TestQueueFullRejectsDataKeepsHello(t *testing.T) {
 func TestCADDefersWhileBusy(t *testing.T) {
 	cfg := fastConfig()
 	cfg.CAD = true
-	cfg.CADMaxTries = 3
-	cfg.CADBackoff = 100 * time.Millisecond
 	b := newBus(t, cfg, 1, 2)
 	b.busy = true
 	b.run(10 * time.Second)
 	n := b.env(1).node
-	if got := n.Metrics().Counter("cad.deferrals").Value(); got == 0 {
-		t.Error("no CAD deferrals on a busy channel")
+	// Transmissions still happen after max tries (LBT is best-effort),
+	// each one after exactly cadMaxTries deferrals.
+	tx := n.Metrics().Counter("tx.frames").Value()
+	if tx == 0 {
+		t.Fatal("node never transmitted despite the cadMaxTries cap")
 	}
-	// Transmissions still happen after max tries (LBT is best-effort).
-	if got := n.Metrics().Counter("tx.frames").Value(); got == 0 {
-		t.Error("node never transmitted despite CADMaxTries cap")
+	deferrals := n.Metrics().Counter("cad.deferrals").Value()
+	if deferrals < cadMaxTries*tx || deferrals >= cadMaxTries*(tx+1) {
+		t.Errorf("%d CAD deferrals for %d frames on a busy channel, want %d per frame",
+			deferrals, tx, cadMaxTries)
 	}
 }
 

@@ -161,12 +161,6 @@ func (n *Node) handleHello(p *packet.Packet, info RxInfo) {
 			role = e.Role
 		}
 	}
-	if n.table.IsSuppressed(n.env.Now(), p.Src) {
-		// Quarantined flapper (see routing.Config.SuppressAfter): its
-		// beacons are ignored until the hold expires.
-		n.reg.Counter("hello.suppressed").Inc()
-		return
-	}
 	if n.table.ApplyHello(n.env.Now(), p.Src, role, info.SNRDB, entries) {
 		n.ins.routesUpdated.Inc()
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -13,7 +14,7 @@ import (
 // stream.retx.rounds histogram, and triggered route withdrawal.
 
 func TestRetryDelayBackoffCapped(t *testing.T) {
-	cfg := fastConfig() // StreamRetry 3s -> cap 24s, backoff 2x
+	cfg := fastConfig() // StreamRetry 3s -> cap 24s
 	b := newBus(t, cfg, 0x01)
 	n := b.env(0x01).node
 
@@ -22,7 +23,7 @@ func TestRetryDelayBackoffCapped(t *testing.T) {
 	for rounds := 0; rounds < 8; rounds++ {
 		want := base
 		for i := 0; i < rounds && want < cap; i++ {
-			want *= 2
+			want *= streamBackoff
 		}
 		if want > cap {
 			want = cap
@@ -34,18 +35,6 @@ func TestRetryDelayBackoffCapped(t *testing.T) {
 			if got < lo || got > hi {
 				t.Fatalf("retryDelay(%d) = %v outside jittered [%v, %v]", rounds, got, lo, hi)
 			}
-		}
-	}
-}
-
-func TestRetryDelayLegacyFixed(t *testing.T) {
-	cfg := fastConfig()
-	cfg.StreamBackoff = 1 // the prototype's fixed timeout
-	b := newBus(t, cfg, 0x01)
-	n := b.env(0x01).node
-	for rounds := 0; rounds < 8; rounds++ {
-		if got := n.retryDelay(rounds); got != n.cfg.StreamRetry {
-			t.Fatalf("legacy retryDelay(%d) = %v, want fixed %v", rounds, got, n.cfg.StreamRetry)
 		}
 	}
 }
@@ -195,9 +184,29 @@ func TestTriggeredHelloRateLimited(t *testing.T) {
 	if got := n.Metrics().Counter("hello.triggered").Value(); got != 1 {
 		t.Fatalf("burst of 10 triggered %d HELLOs, want 1", got)
 	}
-	b.run(n.cfg.TriggeredHelloGap + time.Millisecond)
+	b.run(n.triggeredHelloGap() + time.Millisecond)
 	n.triggeredHello()
 	if got := n.Metrics().Counter("hello.triggered").Value(); got != 2 {
 		t.Fatalf("after the gap: %d triggered HELLOs, want 2", got)
+	}
+	// The gap is an expression of the live HELLO period: a controller
+	// rollout that slows the beacon slows the triggered rate limit with it.
+	old := n.triggeredHelloGap()
+	const slow = 5 * time.Minute
+	if st := n.applyConfig(control.Command{HelloPeriod: slow}); st != control.StatusOK {
+		t.Fatalf("applyConfig: %v", st)
+	}
+	if got := n.triggeredHelloGap(); got != slow/10 || got <= old {
+		t.Fatalf("gap after the rollout = %v, want HelloPeriod/10 = %v (was %v)", got, slow/10, old)
+	}
+	b.run(old + time.Millisecond)
+	n.triggeredHello()
+	if got := n.Metrics().Counter("hello.triggered").Value(); got != 2 {
+		t.Fatalf("old gap still honoured after the rollout: %d triggered HELLOs, want 2", got)
+	}
+	b.run(slow / 10)
+	n.triggeredHello()
+	if got := n.Metrics().Counter("hello.triggered").Value(); got != 3 {
+		t.Fatalf("after the new gap: %d triggered HELLOs, want 3", got)
 	}
 }

@@ -123,13 +123,19 @@ func (n *Node) withdrawNeighbor(via packet.Address, reason string) {
 	n.reg.Gauge("routes.count").Set(float64(n.table.Len()))
 }
 
+// triggeredHelloGap is the least spacing between triggered HELLOs: a
+// tenth of the HELLO period, at least one second.
+func (n *Node) triggeredHelloGap() time.Duration {
+	return max(n.cfg.HelloPeriod/10, time.Second)
+}
+
 // triggeredHello broadcasts the table out of cycle so withdrawals reach
-// neighbors within a frame time. Rate-limited by TriggeredHelloGap: a
+// neighbors within a frame time. Rate-limited by triggeredHelloGap: a
 // burst of withdrawals costs one beacon, and a flapping link cannot turn
 // the node into a beacon firehose.
 func (n *Node) triggeredHello() {
 	now := n.env.Now()
-	if !n.lastTriggered.IsZero() && now.Sub(n.lastTriggered) < n.cfg.TriggeredHelloGap {
+	if !n.lastTriggered.IsZero() && now.Sub(n.lastTriggered) < n.triggeredHelloGap() {
 		return
 	}
 	n.lastTriggered = now

@@ -39,15 +39,11 @@ type queued struct {
 	at time.Time
 }
 
-// txQueue is a fixed-capacity, three-level priority FIFO.
+// txQueue is a three-level priority FIFO holding at most queueCapacity
+// packets.
 type txQueue struct {
 	levels [prioLevels][]queued
 	size   int
-	cap    int
-}
-
-func newTxQueue(capacity int) *txQueue {
-	return &txQueue{cap: capacity}
 }
 
 func (q *txQueue) len() int { return q.size }
@@ -57,7 +53,7 @@ func (q *txQueue) len() int { return q.size }
 // loses all routes, which is strictly worse than losing one datagram.
 func (q *txQueue) push(p *packet.Packet, at time.Time) error {
 	prio := priorityFor(p.Type)
-	if q.size >= q.cap {
+	if q.size >= queueCapacity {
 		if prio != prioRouting {
 			return fmt.Errorf("%w: %d packets queued", ErrQueueFull, q.size)
 		}
@@ -231,11 +227,11 @@ func (n *Node) transmitHead() {
 	}
 	if n.cfg.CAD {
 		busy, err := n.env.ChannelBusy()
-		if err == nil && busy && n.cadTries < n.cfg.CADMaxTries {
+		if err == nil && busy && n.cadTries < cadMaxTries {
 			n.cadTries++
 			n.reg.Counter("cad.deferrals").Inc()
-			backoff := time.Duration((1 + n.env.Rand()) * float64(n.cfg.CADBackoff))
-			n.pump(backoff)
+			backoff := cadBackoffPreambles * n.cfg.Phy.PreambleTime()
+			n.pump(time.Duration((1 + n.env.Rand()) * float64(backoff)))
 			return
 		}
 		n.cadTries = 0

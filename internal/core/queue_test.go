@@ -16,7 +16,7 @@ func mkPacket(typ packet.Type, tag byte) *packet.Packet {
 }
 
 func TestTxQueuePriorityOrder(t *testing.T) {
-	q := newTxQueue(16)
+	q := &txQueue{}
 	// Enqueue low priority first.
 	if err := q.push(mkPacket(packet.TypeData, 1), time.Time{}); err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestTxQueuePriorityOrder(t *testing.T) {
 }
 
 func TestTxQueuePeekDoesNotRemove(t *testing.T) {
-	q := newTxQueue(4)
+	q := &txQueue{}
 	if err := q.push(mkPacket(packet.TypeData, 7), time.Time{}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTxQueuePeekDoesNotRemove(t *testing.T) {
 }
 
 func TestTxQueuePopReturnsEnqueueTime(t *testing.T) {
-	q := newTxQueue(4)
+	q := &txQueue{}
 	at := time.Date(2022, 5, 10, 12, 0, 0, 0, time.UTC)
 	if err := q.push(mkPacket(packet.TypeData, 1), at); err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func TestTxQueuePopReturnsEnqueueTime(t *testing.T) {
 }
 
 func TestTxQueueCapacityAndEviction(t *testing.T) {
-	q := newTxQueue(3)
-	for i := 0; i < 3; i++ {
+	q := &txQueue{}
+	for i := 0; i < queueCapacity; i++ {
 		if err := q.push(mkPacket(packet.TypeData, byte(i)), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
@@ -92,31 +92,33 @@ func TestTxQueueCapacityAndEviction(t *testing.T) {
 	if err := q.push(mkPacket(packet.TypeHello, 9), time.Time{}); err != nil {
 		t.Fatalf("hello should evict data: %v", err)
 	}
-	if q.len() != 3 {
-		t.Errorf("len = %d after eviction, want 3", q.len())
+	if q.len() != queueCapacity {
+		t.Errorf("len = %d after eviction, want %d", q.len(), queueCapacity)
 	}
-	// First out is the hello, then data 0, 1 (data 2 was evicted).
+	// First out is the hello, then the data in order, less the newest.
 	p, _, _ := q.pop()
 	if p.Type != packet.TypeHello {
 		t.Errorf("head = %v, want HELLO", p.Type)
 	}
-	p, _, _ = q.pop()
-	if p.Payload[0] != 0 {
-		t.Errorf("second = tag %d, want 0", p.Payload[0])
+	for i := 0; i < queueCapacity-1; i++ {
+		if p, _, _ = q.pop(); int(p.Payload[0]) != i {
+			t.Fatalf("pop %d = tag %d, want %d", i+1, p.Payload[0], i)
+		}
 	}
-	p, _, _ = q.pop()
-	if p.Payload[0] != 1 {
-		t.Errorf("third = tag %d, want 1 (tag 2 evicted)", p.Payload[0])
+	if _, _, ok := q.pop(); ok {
+		t.Errorf("tag %d survived: the HELLO should have evicted the newest data", queueCapacity-1)
 	}
 }
 
 func TestTxQueueHelloCannotEvictControl(t *testing.T) {
-	q := newTxQueue(2)
-	if err := q.push(mkPacket(packet.TypeAck, 1), time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(mkPacket(packet.TypeSync, 2), time.Time{}); err != nil {
-		t.Fatal(err)
+	q := &txQueue{}
+	for i := 0; i < queueCapacity; i += 2 {
+		if err := q.push(mkPacket(packet.TypeAck, 1), time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.push(mkPacket(packet.TypeSync, 2), time.Time{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Queue full of control packets: even a HELLO is refused rather than
 	// dropping stream control.

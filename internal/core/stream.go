@@ -93,7 +93,7 @@ func (n *Node) SendReliable(dst packet.Address, payload []byte) (uint8, error) {
 	if max := 65535 * n.chunkSize(); len(payload) > max {
 		return 0, fmt.Errorf("%w: %d > %d bytes", ErrTooLarge, len(payload), max)
 	}
-	if len(n.outStreams) >= n.cfg.MaxOutStreams {
+	if len(n.outStreams) >= maxOutStreams {
 		return 0, fmt.Errorf("%w: %d active", ErrBusyStream, len(n.outStreams))
 	}
 	id, err := n.allocStreamID()
@@ -239,15 +239,12 @@ const streamRetryCapFactor = 8
 
 // backedOff returns the un-jittered retransmission timeout for the given
 // number of consecutive unacknowledged rounds: StreamRetry grown by
-// StreamBackoff per round, capped at streamRetryCapFactor x StreamRetry.
+// streamBackoff per round, capped at streamRetryCapFactor x StreamRetry.
 func (n *Node) backedOff(rounds int) time.Duration {
 	d := n.cfg.StreamRetry
-	if n.cfg.StreamBackoff <= 1 {
-		return d // the prototype's fixed timeout
-	}
 	limit := streamRetryCapFactor * n.cfg.StreamRetry
 	for i := 0; i < rounds && d < limit; i++ {
-		d = time.Duration(float64(d) * n.cfg.StreamBackoff)
+		d *= streamBackoff
 	}
 	if d > limit {
 		d = limit
@@ -256,15 +253,10 @@ func (n *Node) backedOff(rounds int) time.Duration {
 }
 
 // retryDelay returns the retransmission timeout for the given number of
-// consecutive unacknowledged rounds. With backoff enabled the delay is
-// jittered ±10% so retransmissions from nodes that lost the same frame
-// do not stay synchronized.
+// consecutive unacknowledged rounds, jittered ±10% so retransmissions
+// from nodes that lost the same frame do not stay synchronized.
 func (n *Node) retryDelay(rounds int) time.Duration {
-	d := n.backedOff(rounds)
-	if n.cfg.StreamBackoff <= 1 {
-		return d
-	}
-	return time.Duration(float64(d) * (0.9 + 0.2*n.env.Rand()))
+	return time.Duration(float64(n.backedOff(rounds)) * (0.9 + 0.2*n.env.Rand()))
 }
 
 // retryBudget is the un-jittered time a stream can spend in timeouts

@@ -247,22 +247,20 @@ func TestReliableValidation(t *testing.T) {
 }
 
 func TestReliableConcurrentStreamLimit(t *testing.T) {
-	cfg := fastConfig()
-	cfg.MaxOutStreams = 2
-	b := converge(t, cfg, 1, 2)
+	b := converge(t, fastConfig(), 1, 2)
 	n := b.env(1).node
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxOutStreams; i++ {
 		if _, err := n.SendReliable(2, makePayload(3000)); err != nil {
 			t.Fatalf("stream %d: %v", i, err)
 		}
 	}
 	if _, err := n.SendReliable(2, makePayload(100)); !errors.Is(err, ErrBusyStream) {
-		t.Errorf("third concurrent stream = %v, want ErrBusyStream", err)
+		t.Errorf("concurrent stream %d = %v, want ErrBusyStream", maxOutStreams+1, err)
 	}
-	b.run(3 * time.Minute)
-	// Both streams complete and the slot frees up.
-	if len(b.env(2).msgs) != 2 {
-		t.Fatalf("receiver got %d messages, want 2", len(b.env(2).msgs))
+	b.run(6 * time.Minute)
+	// Every stream completes and the slots free up.
+	if len(b.env(2).msgs) != maxOutStreams {
+		t.Fatalf("receiver got %d messages, want %d", len(b.env(2).msgs), maxOutStreams)
 	}
 	if _, err := n.SendReliable(2, makePayload(100)); err != nil {
 		t.Errorf("stream after completion: %v", err)

@@ -144,7 +144,7 @@ func e16Cell(opt Options, fault string, withCtl bool, key meshsec.Key,
 	}
 
 	if withCtl {
-		if _, err := sim.AttachController(netsim.ControllerConfig{
+		if _, err := sim.AttachController(control.Config{
 			// Version 0 + KeyEpoch 0: no configuration churn — the
 			// controller is idle until the playbooks have a violation
 			// to act on, so pre-fault behavior matches the off column.

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/citysim"
-	"repro/internal/control"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/forward"
 	"repro/internal/geo"
@@ -142,18 +139,6 @@ func x7Scenarios() []struct {
 	}
 }
 
-// x7Superframe is the real-time schedule X7 declares for the slotted
-// strategy: three slots of 2 s with a 100 ms guard, and a 90 s end-to-end
-// latency bound the health monitor enforces per delivery.
-func x7Superframe() control.Superframe {
-	return control.Superframe{
-		Slots:        3,
-		SlotLen:      control.Duration(2 * time.Second),
-		Guard:        control.Duration(100 * time.Millisecond),
-		LatencyBound: control.Duration(90 * time.Second),
-	}
-}
-
 // x7ICNConfig is the ICN template for X7: the PIT window sits below the
 // 40 s application re-express cadence so lost rounds re-flood instead of
 // aggregating against a dead pending interest.
@@ -163,6 +148,9 @@ func x7ICNConfig() icn.Config {
 		PITTimeout:       20 * time.Second,
 	}
 }
+
+// x7NamePrefix names the per-round datum every X7 ICN reader pulls.
+const x7NamePrefix = "x7/reading/"
 
 // x7Content is the deterministic producer function: content is a pure
 // function of the name, so every cached answer is checkable.
@@ -189,7 +177,7 @@ func x7Sim(opt Options, kind forward.Kind, topo *geo.Topology, producer int) (*n
 			return nil
 		}
 	case forward.KindSlotted:
-		sf := x7Superframe()
+		sf := slotted.DefaultSuperframe()
 		cfg.Node = expNode()
 		cfg.Slotted = slotted.Config{
 			Superframe: sf,
@@ -202,10 +190,8 @@ func x7Sim(opt Options, kind forward.Kind, topo *geo.Topology, producer int) (*n
 	if err != nil {
 		return nil, fmt.Errorf("X7 %s: %w", kind, err)
 	}
-	if kind == forward.KindProactive || kind == forward.KindSlotted {
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("X7 %s: mesh never converged", kind)
-		}
+	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
+		return nil, fmt.Errorf("X7 %s: mesh never converged", kind)
 	}
 	return sim, nil
 }
@@ -235,16 +221,12 @@ func x7ChainCell(opt Options, kind forward.Kind, sc struct {
 	var stats *netsim.TrafficStats
 	var flows []*netsim.TrafficStats
 	if kind == forward.KindICN {
-		consumers := make([]int, 0, n-1)
-		for i := 1; i < n; i++ {
-			consumers = append(consumers, i)
-		}
-		stats = x7ICNRounds(sim, consumers, int(active/(2*time.Minute)), 2*time.Minute)
+		stats, err = sim.StartInterestRounds(x7NamePrefix, 2*time.Minute, active)
 	} else {
 		flows, err = sim.StartManyToOne(0, 16, 2*time.Minute, true)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	sim.Run(active)
 	if stats == nil {
@@ -304,16 +286,15 @@ func x7ManyReaderCell(opt Options, kind forward.Kind, runFor time.Duration) ([]s
 	}
 	airStart := sim.TotalAirtime()
 
-	readers := make([]int, 0, topo.N()-1)
-	for i := 1; i < topo.N(); i++ {
-		readers = append(readers, i)
-	}
+	readers := topo.N() - 1
 	var stats *netsim.TrafficStats
 	var flows []*netsim.TrafficStats
 	if kind == forward.KindICN {
-		stats = x7ICNRounds(sim, readers, int(runFor/period), period)
+		if stats, err = sim.StartInterestRounds(x7NamePrefix, period, runFor); err != nil {
+			return nil, 0, 0, err
+		}
 	} else {
-		for _, r := range readers {
+		for r := 1; r <= readers; r++ {
 			st, err := sim.StartFlow(netsim.Flow{
 				From: 0, To: r, Payload: 24, Interval: period, Poisson: true,
 			})
@@ -343,7 +324,7 @@ func x7ManyReaderCell(opt Options, kind forward.Kind, runFor time.Duration) ([]s
 	}
 	row := []string{
 		string(kind),
-		fmt.Sprintf("many-reader 4x4 grid, %d readers", len(readers)),
+		fmt.Sprintf("many-reader 4x4 grid, %d readers", readers),
 		fmt.Sprintf("%d", stats.Offered),
 		fmt.Sprintf("%d", stats.Delivered),
 		fmtPct(stats.DeliveryRatio()),
@@ -352,71 +333,6 @@ func x7ManyReaderCell(opt Options, kind forward.Kind, runFor time.Duration) ([]s
 		detail, "-",
 	}
 	return row, airPerNodeH, hits, nil
-}
-
-// x7ICNRounds drives the named-data equivalent of a periodic workload:
-// each consumer expresses the round's name at a staggered offset and
-// re-expresses up to twice (40 s apart) while unsatisfied — interests
-// are never retransmitted by the strategy, so retry is the application's
-// job. Offered counts one per (consumer, round); latency runs from the
-// consumer's first expression to its first delivery of that round.
-func x7ICNRounds(sim *netsim.Sim, consumers []int, rounds int, period time.Duration) *netsim.TrafficStats {
-	stats := &netsim.TrafficStats{}
-	type key struct{ consumer, round int }
-	exprAt := make(map[key]time.Time)
-	satisfied := make(map[key]bool)
-
-	for _, c := range consumers {
-		c := c
-		h := sim.Handle(c)
-		prev := h.OnMessage
-		h.OnMessage = func(msg core.AppMessage) {
-			if prev != nil {
-				prev(msg)
-			}
-			sep := bytes.IndexByte(msg.Payload, 0)
-			if sep < 0 {
-				return
-			}
-			var round int
-			if _, err := fmt.Sscanf(string(msg.Payload[:sep]), "x7/reading/%d", &round); err != nil {
-				return
-			}
-			k := key{c, round}
-			at, ok := exprAt[k]
-			if !ok || satisfied[k] {
-				return
-			}
-			satisfied[k] = true
-			stats.Delivered++
-			stats.Latencies = append(stats.Latencies, msg.At.Sub(at))
-		}
-	}
-
-	for r := 0; r < rounds; r++ {
-		name := fmt.Sprintf("x7/reading/%d", r)
-		for ci, c := range consumers {
-			k := key{c, r}
-			base := time.Duration(r)*period + time.Second +
-				time.Duration(ci)*1700*time.Millisecond
-			for attempt := 0; attempt < 3; attempt++ {
-				at := base + time.Duration(attempt)*40*time.Second
-				sim.Sched.MustAfter(at, func() {
-					if satisfied[k] {
-						return
-					}
-					if _, ok := exprAt[k]; !ok {
-						exprAt[k] = sim.Now()
-						stats.Offered++
-					}
-					if sim.Handle(k.consumer).ICN.Express(name) == nil {
-						stats.Accepted++
-					}
-				})
-			}
-		}
-	}
-	return stats
 }
 
 // x7CityCell runs one strategy on the city-scale sharded simulator and

@@ -129,15 +129,6 @@ type Config struct {
 	// Interval is the intended poll period; it only documents the
 	// cadence for Verdict (hosts drive Poll themselves). Zero means 30s.
 	Interval time.Duration
-	// SilentPolls is how many consecutive polls without any tx or rx
-	// progress mark a node silent. Zero means 3.
-	SilentPolls int
-	// DutyStuckPolls is how many consecutive saturated polls (with
-	// deferrals still accruing) mark the budget stuck. Zero means 2.
-	DutyStuckPolls int
-	// ReplayBurst is the sec.drop.replay increase within one poll that
-	// flags a replay anomaly. Zero means 5.
-	ReplayBurst float64
 	// FlowLatencyBound, when positive, arms the per-flow latency-bound
 	// invariant: every FlowSample whose Latency exceeds the bound is a
 	// latency_bound violation. Zero disables the detector.
@@ -155,21 +146,24 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
 	}
-	if c.SilentPolls <= 0 {
-		c.SilentPolls = 3
-	}
-	if c.DutyStuckPolls <= 0 {
-		c.DutyStuckPolls = 2
-	}
-	if c.ReplayBurst <= 0 {
-		c.ReplayBurst = 5
-	}
 	return c
 }
 
-// dutyStuckUtil is the utilization at or above which the duty budget
-// counts as saturated.
-const dutyStuckUtil = 0.95
+// The delta detectors' thresholds.
+const (
+	// silentPolls is how many consecutive polls without any tx or rx
+	// progress mark a node silent.
+	silentPolls = 3
+	// dutyStuckPolls is how many consecutive saturated polls (with
+	// deferrals still accruing) mark the budget stuck.
+	dutyStuckPolls = 2
+	// dutyStuckUtil is the utilization at or above which the duty budget
+	// counts as saturated.
+	dutyStuckUtil = 0.95
+	// replayBurst is the sec.drop.replay increase within one poll that
+	// flags a replay anomaly.
+	replayBurst = 5
+)
 
 // history carries one node's state between polls for the delta detectors.
 type history struct {
@@ -334,7 +328,7 @@ func (m *Monitor) deltaDetectors(nodes []NodeStatus) []Violation {
 		if h.seen {
 			if txrx == h.txrx {
 				h.silentN++
-				if h.silentN >= m.cfg.SilentPolls {
+				if h.silentN >= silentPolls {
 					vs = append(vs, Violation{Node: n.Addr, Kind: KindSilent,
 						Detail: fmt.Sprintf("node %v: no tx/rx progress for %d polls", n.Addr, h.silentN)})
 				}
@@ -343,14 +337,14 @@ func (m *Monitor) deltaDetectors(nodes []NodeStatus) []Violation {
 			}
 			if util >= dutyStuckUtil && deferrals > h.deferrals {
 				h.dutyN++
-				if h.dutyN >= m.cfg.DutyStuckPolls {
+				if h.dutyN >= dutyStuckPolls {
 					vs = append(vs, Violation{Node: n.Addr, Kind: KindDutyStuck,
 						Detail: fmt.Sprintf("node %v: duty budget saturated (util %.2f) with deferrals accruing for %d polls", n.Addr, util, h.dutyN)})
 				}
 			} else {
 				h.dutyN = 0
 			}
-			if d := replays - h.replays; d >= m.cfg.ReplayBurst {
+			if d := replays - h.replays; d >= replayBurst {
 				vs = append(vs, Violation{Node: n.Addr, Kind: KindReplay,
 					Detail: fmt.Sprintf("node %v: %d replayed frames rejected in one poll", n.Addr, int(d))})
 			}

@@ -104,10 +104,11 @@ func TestSilentDetector(t *testing.T) {
 		{Addr: addr(1), Alive: true, Stats: stats(10, 10, 0, 0, 0)},
 		{Addr: addr(2), Alive: true, Stats: stats(5, 5, 0, 0, 0)},
 	}}
-	m := New(Config{SilentPolls: 3}, p.source)
+	m := New(Config{}, p.source)
 
+	// The baseline poll, then silentPolls-1 silent ones, raise nothing.
 	now := t0
-	for i := 0; i < 3; i++ {
+	for i := 0; i < silentPolls; i++ {
 		now = now.Add(time.Minute)
 		// Node 2 makes progress every poll; node 1 never does.
 		p.nodes[1].Stats = stats(float64(6+i), 5, 0, 0, 0)
@@ -143,22 +144,25 @@ func TestDutyStuckDetector(t *testing.T) {
 	p := &poller{nodes: []NodeStatus{
 		{Addr: addr(1), Alive: true, Stats: stats(1, 1, 0, 0.99, 10)},
 	}}
-	m := New(Config{DutyStuckPolls: 2}, p.source)
+	m := New(Config{}, p.source)
 
-	m.Poll(t0) // baseline
-	p.nodes[0].Stats = stats(2, 2, 0, 0.99, 20)
-	if vs := m.Poll(t0.Add(time.Minute)); len(vs) != 0 {
-		t.Fatalf("one saturated poll flagged early: %v", vs)
-	}
-	p.nodes[0].Stats = stats(3, 3, 0, 0.99, 30)
-	vs := m.Poll(t0.Add(2 * time.Minute))
-	if len(vs) != 1 || vs[0].Kind != KindDutyStuck {
-		t.Fatalf("stuck duty budget not flagged: %v", vs)
+	now := t0
+	m.Poll(now) // baseline
+	for i := 1; i <= dutyStuckPolls; i++ {
+		now = now.Add(time.Minute)
+		p.nodes[0].Stats = stats(float64(1+i), float64(1+i), 0, 0.99, float64(10+10*i))
+		vs := m.Poll(now)
+		if i < dutyStuckPolls && len(vs) != 0 {
+			t.Fatalf("saturated poll %d of %d flagged early: %v", i, dutyStuckPolls, vs)
+		}
+		if i == dutyStuckPolls && (len(vs) != 1 || vs[0].Kind != KindDutyStuck) {
+			t.Fatalf("stuck duty budget not flagged after %d polls: %v", dutyStuckPolls, vs)
+		}
 	}
 
 	// Utilization dropping clears the streak.
-	p.nodes[0].Stats = stats(4, 4, 0, 0.30, 30)
-	if vs := m.Poll(t0.Add(3 * time.Minute)); len(vs) != 0 {
+	p.nodes[0].Stats = stats(9, 9, 0, 0.30, float64(10+10*dutyStuckPolls))
+	if vs := m.Poll(now.Add(time.Minute)); len(vs) != 0 {
 		t.Fatalf("recovered budget still flagged: %v", vs)
 	}
 }
@@ -168,15 +172,15 @@ func TestReplayDetector(t *testing.T) {
 		{Addr: addr(1), Alive: true, Stats: stats(1, 1, 0, 0, 0)},
 	}}
 	var seen []Violation
-	m := New(Config{ReplayBurst: 5}, p.source)
+	m := New(Config{}, p.source)
 	m.Subscribe(func(v Violation) { seen = append(seen, v) })
 
 	m.Poll(t0)
-	p.nodes[0].Stats = stats(2, 2, 3, 0, 0) // +3 replays: under the burst
+	p.nodes[0].Stats = stats(2, 2, replayBurst-1, 0, 0) // one under the burst
 	if vs := m.Poll(t0.Add(time.Minute)); len(vs) != 0 {
 		t.Fatalf("sub-burst replays flagged: %v", vs)
 	}
-	p.nodes[0].Stats = stats(3, 3, 9, 0, 0) // +6 replays in one poll
+	p.nodes[0].Stats = stats(3, 3, 2*replayBurst-1, 0, 0) // +replayBurst in one poll
 	vs := m.Poll(t0.Add(2 * time.Minute))
 	if len(vs) != 1 || vs[0].Kind != KindReplay {
 		t.Fatalf("replay burst not flagged: %v", vs)
@@ -273,17 +277,24 @@ func TestDeadNodeHistoryDropped(t *testing.T) {
 	p := &poller{nodes: []NodeStatus{
 		{Addr: addr(1), Alive: true, Stats: stats(1, 1, 0, 0, 0)},
 	}}
-	m := New(Config{SilentPolls: 2}, p.source)
-	m.Poll(t0)
-	m.Poll(t0.Add(time.Minute)) // silent streak 1
+	m := New(Config{}, p.source)
+	now := t0
+	poll := func() []Violation {
+		now = now.Add(time.Minute)
+		return m.Poll(now)
+	}
+	poll() // baseline
+	for i := 1; i < silentPolls; i++ {
+		poll() // silent streak one short of a violation
+	}
 
 	// The node dies, then comes back (a restart): the streak must not
 	// survive the outage.
 	p.nodes[0].Alive = false
-	m.Poll(t0.Add(2 * time.Minute))
+	poll()
 	p.nodes[0].Alive = true
-	m.Poll(t0.Add(3 * time.Minute)) // fresh baseline
-	if vs := m.Poll(t0.Add(4 * time.Minute)); len(vs) != 0 {
+	poll() // fresh baseline
+	if vs := poll(); len(vs) != 0 {
 		t.Fatalf("restart inherited the silent streak: %v", vs)
 	}
 }

@@ -57,6 +57,15 @@ var (
 	ErrBadName = errors.New("icn: bad content name")
 )
 
+// Bounds every program runs at one value (DESIGN.md decision 7).
+const (
+	// contentStoreBytes bounds the content store (sum of cached content
+	// bytes, LRU eviction).
+	contentStoreBytes = 4096
+	// maxHops bounds interest flood propagation.
+	maxHops = 16
+)
+
 // Config parameterizes an ICN node.
 type Config struct {
 	// Address is the node's mesh address.
@@ -64,14 +73,9 @@ type Config struct {
 	// Phy selects the radio parameters, used to estimate the airtime a
 	// cache hit saves. Zero value means loraphy.DefaultParams().
 	Phy loraphy.Params
-	// ContentStoreBytes bounds the content store (sum of cached content
-	// bytes, LRU eviction). Zero means 4096; negative disables caching.
-	ContentStoreBytes int
 	// PITTimeout is how long a pending interest waits for data before
 	// its breadcrumbs are forgotten. Zero means 60 s.
 	PITTimeout time.Duration
-	// MaxHops bounds interest flood propagation. Zero means 16.
-	MaxHops uint8
 	// RebroadcastDelay is the mean randomized hold-off before relaying
 	// an interest, desynchronizing the flood. Zero means 300 ms.
 	RebroadcastDelay time.Duration
@@ -88,14 +92,8 @@ func (c Config) withDefaults() Config {
 	if c.Phy == (loraphy.Params{}) {
 		c.Phy = loraphy.DefaultParams()
 	}
-	if c.ContentStoreBytes == 0 {
-		c.ContentStoreBytes = 4096
-	}
 	if c.PITTimeout <= 0 {
 		c.PITTimeout = 60 * time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 16
 	}
 	if c.RebroadcastDelay <= 0 {
 		c.RebroadcastDelay = 300 * time.Millisecond
@@ -467,7 +465,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 		}
 		return
 	}
-	if hops+1 >= n.cfg.MaxHops {
+	if hops+1 >= maxHops {
 		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}
@@ -588,7 +586,7 @@ func (n *Node) handleData(p *packet.Packet, overheard bool) {
 // cacheContent inserts (or refreshes) name in the content store, LRU-
 // evicting past the byte bound.
 func (n *Node) cacheContent(name string, content []byte, producer packet.Address, hops uint8) {
-	if n.cfg.ContentStoreBytes < 0 || len(content) > n.cfg.ContentStoreBytes {
+	if len(content) > contentStoreBytes {
 		return
 	}
 	if e, ok := n.cs[name]; ok {
@@ -603,7 +601,7 @@ func (n *Node) cacheContent(name string, content []byte, producer packet.Address
 		n.cs[name] = e
 		n.csBytes += len(content)
 	}
-	for n.csBytes > n.cfg.ContentStoreBytes {
+	for n.csBytes > contentStoreBytes {
 		back := n.csLRU.Back()
 		if back == nil {
 			break

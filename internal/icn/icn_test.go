@@ -130,14 +130,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Phy == (loraphy.Params{}) {
 		t.Error("Phy not defaulted")
 	}
-	if c.ContentStoreBytes != 4096 || c.PITTimeout != 60*time.Second ||
-		c.MaxHops != 16 || c.RebroadcastDelay != 300*time.Millisecond {
+	if c.PITTimeout != 60*time.Second || c.RebroadcastDelay != 300*time.Millisecond {
 		t.Errorf("defaults: %+v", c)
-	}
-	// Negative content-store budget (caching disabled) must survive
-	// defaulting.
-	if d := (Config{ContentStoreBytes: -1}).withDefaults(); d.ContentStoreBytes != -1 {
-		t.Errorf("negative ContentStoreBytes overwritten: %d", d.ContentStoreBytes)
 	}
 }
 
@@ -216,30 +210,34 @@ func TestProducerRoundTripAndLocalCache(t *testing.T) {
 }
 
 func TestIntermediateCacheAnswers(t *testing.T) {
-	// Line topology consumer(1) - mid(2) - producer(3). The consumer's own
-	// store is disabled, so its second interest must be answered by the
-	// mid node's cache instead of the producer.
-	consumer := Config{Address: 0x0001, ContentStoreBytes: -1}
-	mid := Config{Address: 0x0002}
-	producer := Config{Address: 0x0003, Produce: func(name string) []byte { return []byte("v:" + name) }}
-	b := newBus(t, consumer, mid, producer)
-	b.drop = chainDrop(0x0001, 0x0002, 0x0003)
-	cons := b.env(0x0001)
+	// Line topology consumer - mid(2) - producer(3), with consumer 1 in
+	// range for the first read and consumer 4 for the second. The first
+	// read fills the mid node's store; consumer 4 was out of earshot, so
+	// its store is cold and its read of the same name must be answered by
+	// the mid node's cache instead of the producer.
+	produced := 0
+	producer := Config{Address: 0x0003, Produce: func(name string) []byte {
+		produced++
+		return []byte("v:" + name)
+	}}
+	b := newBus(t, Config{Address: 0x0001}, Config{Address: 0x0002}, producer, Config{Address: 0x0004})
 
-	if err := cons.node.Express("city/7/air"); err != nil {
-		t.Fatal(err)
+	for i, cons := range []*testEnv{b.env(0x0001), b.env(0x0004)} {
+		b.drop = chainDrop(cons.addr, 0x0002, 0x0003)
+		if err := cons.node.Express("city/7/air"); err != nil {
+			t.Fatal(err)
+		}
+		b.sched.RunFor(30 * time.Second)
+		if len(cons.msgs) != 1 {
+			t.Fatalf("read %d: %d deliveries, want 1", i+1, len(cons.msgs))
+		}
+		// Both deliveries name the true producer even when served from cache.
+		if cons.msgs[0].From != 0x0003 {
+			t.Errorf("read %d: answer From = %v, want the producer", i+1, cons.msgs[0].From)
+		}
 	}
-	b.sched.RunFor(30 * time.Second)
-	if len(cons.msgs) != 1 {
-		t.Fatalf("first read: %d deliveries, want 1", len(cons.msgs))
-	}
-
-	if err := cons.node.Express("city/7/air"); err != nil {
-		t.Fatal(err)
-	}
-	b.sched.RunFor(30 * time.Second)
-	if len(cons.msgs) != 2 {
-		t.Fatalf("second read: %d deliveries, want 2", len(cons.msgs))
+	if produced != 1 {
+		t.Errorf("producer answered %d interests, want only the first", produced)
 	}
 	midNode := b.env(0x0002).node
 	if counter(t, midNode, "icn.cs.hit") == 0 {
@@ -247,10 +245,6 @@ func TestIntermediateCacheAnswers(t *testing.T) {
 	}
 	if counter(t, midNode, "icn.airtime.saved_ms") == 0 {
 		t.Error("mid-cache hit credited no saved airtime")
-	}
-	// Both deliveries name the true producer even when served from cache.
-	if cons.msgs[1].From != 0x0003 {
-		t.Errorf("cached answer From = %v, want the producer", cons.msgs[1].From)
 	}
 }
 
@@ -300,13 +294,18 @@ func interestFrame(t *testing.T, src packet.Address, name string, nonce uint16, 
 }
 
 func TestInterestTTLAndDedup(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001, MaxHops: 4})
+	b := newBus(t, Config{Address: 0x0001})
 	n := b.env(0x0001).node
 
-	// At the hop limit the interest is dropped under the canonical reason.
-	n.HandleFrame(interestFrame(t, 0x0009, "far/name", 7, 3), core.RxInfo{})
+	// One hop short of the limit the interest is relayed; at the limit it
+	// is dropped under the canonical reason.
+	n.HandleFrame(interestFrame(t, 0x0009, "far/name", 6, maxHops-2), core.RxInfo{})
+	if got := counter(t, n, "drop."+forward.DropTTL); got != 0 {
+		t.Errorf("drop.ttl = %v after %d hops, want 0", got, maxHops-2)
+	}
+	n.HandleFrame(interestFrame(t, 0x0009, "farther/name", 7, maxHops-1), core.RxInfo{})
 	if got := counter(t, n, "drop."+forward.DropTTL); got != 1 {
-		t.Errorf("drop.ttl = %v, want 1", got)
+		t.Errorf("drop.ttl = %v after %d hops, want 1", got, maxHops-1)
 	}
 
 	// The same (origin, nonce) seen again is a flood duplicate.
@@ -356,11 +355,14 @@ func TestCorruptAndForeignFrames(t *testing.T) {
 }
 
 func TestContentStoreLRUEviction(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001, ContentStoreBytes: 10})
+	b := newBus(t, Config{Address: 0x0001})
 	n := b.env(0x0001).node
 
-	n.cacheContent("a", []byte("aaaaaa"), 0x0002, 1) // 6 bytes
-	n.cacheContent("b", []byte("bbbbbb"), 0x0002, 1) // 6 bytes: evicts a
+	// Two entries of just over half the store each: the second evicts
+	// the first.
+	const over = contentStoreBytes/2 + 1
+	n.cacheContent("a", bytes.Repeat([]byte{'a'}, over), 0x0002, 1)
+	n.cacheContent("b", bytes.Repeat([]byte{'b'}, over), 0x0002, 1)
 	if _, ok := n.cs["a"]; ok {
 		t.Error("LRU victim still cached")
 	}
@@ -370,7 +372,7 @@ func TestContentStoreLRUEviction(t *testing.T) {
 	if got := counter(t, n, "icn.cs.evict"); got != 1 {
 		t.Errorf("cs.evict = %v, want 1", got)
 	}
-	if n.csBytes > 10 {
+	if n.csBytes > contentStoreBytes {
 		t.Errorf("store over budget: %d bytes", n.csBytes)
 	}
 
@@ -381,17 +383,9 @@ func TestContentStoreLRUEviction(t *testing.T) {
 	}
 
 	// Content larger than the whole budget is never cached.
-	n.cacheContent("huge", bytes.Repeat([]byte{'h'}, 11), 0x0002, 1)
+	n.cacheContent("huge", bytes.Repeat([]byte{'h'}, contentStoreBytes+1), 0x0002, 1)
 	if _, ok := n.cs["huge"]; ok {
 		t.Error("over-budget content cached")
-	}
-
-	// A disabled store caches nothing.
-	b2 := newBus(t, Config{Address: 0x0002, ContentStoreBytes: -1})
-	n2 := b2.env(0x0002).node
-	n2.cacheContent("a", []byte("x"), 0x0001, 1)
-	if len(n2.cs) != 0 {
-		t.Error("disabled content store accepted an entry")
 	}
 }
 

@@ -202,13 +202,7 @@ func TestChaosMixedFaultSoak(t *testing.T) {
 			}()
 
 			topo := mustLine(t, 6, 8000)
-			node := chaosNode()
-			// Exercise the bounded flap-damping list too.
-			node.Routing.SuppressAfter = 3
-			node.Routing.SuppressWindow = 2 * time.Minute
-			node.Routing.SuppressHold = 20 * time.Second
-			node.Routing.SuppressMax = 8
-			sim, err := New(Config{Topology: topo, Node: node, Seed: seed, TraceCapacity: 64})
+			sim, err := New(Config{Topology: topo, Node: chaosNode(), Seed: seed, TraceCapacity: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

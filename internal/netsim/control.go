@@ -22,30 +22,20 @@ import (
 	"repro/internal/trace"
 )
 
-// ControllerConfig parameterizes AttachController.
-type ControllerConfig struct {
-	// State is the desired-state document to reconcile. Required.
-	State *control.State
-	// Host is the topology index of the node the controller is
-	// co-located with (commands for it apply locally; rollout distance
-	// is measured from it). Defaults to node 0, the experiments'
-	// gateway position.
-	Host int
-	// PollInterval / RetryInterval / MaxRetries / Cooldown / StallDecay
-	// pass through to control.Config (zeros take its defaults).
-	PollInterval  time.Duration
-	RetryInterval time.Duration
-	MaxRetries    int
-	Cooldown      time.Duration
-	StallDecay    time.Duration
-}
+// controllerHost is the topology index of the node the controller is
+// co-located with (commands for it apply locally; rollout distance is
+// measured from it): node 0, the experiments' gateway position.
+const controllerHost = 0
 
 // AttachController builds the self-healing control plane over this
-// simulation and arms its reconcile loop on the virtual clock. Requires
-// the proactive strategy and an armed health monitor
-// (Config.HealthInterval), since the recovery playbooks are driven by
-// its violation feed. One controller per simulation.
-func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error) {
+// simulation and arms its reconcile loop on the virtual clock. The
+// caller sets cfg.State and whatever timing it wants off the defaults;
+// the wiring fields (Nodes, Send, Self, Local, Distance, Escalate,
+// Tracer) are the simulation's to fill. Requires the proactive strategy
+// and an armed health monitor (Config.HealthInterval), since the
+// recovery playbooks are driven by its violation feed. One controller
+// per simulation.
+func (s *Sim) AttachController(cfg control.Config) (*control.Controller, error) {
 	if s.Cfg.Protocol != forward.KindProactive {
 		return nil, fmt.Errorf("netsim: the controller requires the %s strategy", forward.KindProactive)
 	}
@@ -55,40 +45,28 @@ func (s *Sim) AttachController(cc ControllerConfig) (*control.Controller, error)
 	if s.control != nil {
 		return nil, fmt.Errorf("netsim: a controller is already attached")
 	}
-	if cc.Host < 0 || cc.Host >= len(s.handles) {
-		return nil, fmt.Errorf("netsim: controller host %d out of range", cc.Host)
-	}
-	host := s.handles[cc.Host]
-	hostPos := s.Cfg.Topology.Positions[cc.Host]
-	nodes := make([]packet.Address, 0, len(s.handles))
+	host := s.handles[controllerHost]
+	hostPos := s.Cfg.Topology.Positions[controllerHost]
+	cfg.Nodes = make([]packet.Address, 0, len(s.handles))
 	for _, h := range s.handles {
-		nodes = append(nodes, h.Addr)
+		cfg.Nodes = append(cfg.Nodes, h.Addr)
 	}
-	cfg := control.Config{
-		State: cc.State,
-		Nodes: nodes,
-		// Resolve the host engine per call: reboots replace it, and a
-		// command sent through a stale engine would vanish.
-		Send: func(to packet.Address, payload []byte, reliable bool) error {
-			if host.killed || host.down {
-				return fmt.Errorf("netsim: controller host %v is down", host.Addr)
-			}
-			if reliable {
-				_, err := host.Mesher.SendReliable(to, payload)
-				return err
-			}
-			return host.Mesher.Send(to, payload)
-		},
-		Self:          host.Addr,
-		Local:         func(cmd control.Command) control.Report { return host.Mesher.ApplyControl(cmd) },
-		Distance:      func(a packet.Address) float64 { return s.distanceFrom(hostPos, a) },
-		PollInterval:  cc.PollInterval,
-		RetryInterval: cc.RetryInterval,
-		MaxRetries:    cc.MaxRetries,
-		Cooldown:      cc.Cooldown,
-		StallDecay:    cc.StallDecay,
-		Tracer:        s.Tracer,
+	// Resolve the host engine per call: reboots replace it, and a
+	// command sent through a stale engine would vanish.
+	cfg.Send = func(to packet.Address, payload []byte, reliable bool) error {
+		if host.killed || host.down {
+			return fmt.Errorf("netsim: controller host %v is down", host.Addr)
+		}
+		if reliable {
+			_, err := host.Mesher.SendReliable(to, payload)
+			return err
+		}
+		return host.Mesher.Send(to, payload)
 	}
+	cfg.Self = host.Addr
+	cfg.Local = func(cmd control.Command) control.Report { return host.Mesher.ApplyControl(cmd) }
+	cfg.Distance = func(a packet.Address) float64 { return s.distanceFrom(hostPos, a) }
+	cfg.Tracer = s.Tracer
 	// The out-of-band recovery an in-band command cannot deliver: a
 	// node whose engine is wedged never acks its reboot command, so
 	// after retry exhaustion the "infrastructure" power-cycles it.

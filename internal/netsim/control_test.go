@@ -43,18 +43,15 @@ func TestAttachControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.AttachController(ControllerConfig{State: ctlState()}); err == nil {
+	if _, err := sim.AttachController(control.Config{State: ctlState()}); err == nil {
 		t.Error("attach without a health monitor: want error")
 	}
 
 	sim = ctlSim(t, 1)
-	if _, err := sim.AttachController(ControllerConfig{State: ctlState(), Host: 99}); err == nil {
-		t.Error("host out of range: want error")
-	}
-	if _, err := sim.AttachController(ControllerConfig{State: ctlState()}); err != nil {
+	if _, err := sim.AttachController(control.Config{State: ctlState()}); err != nil {
 		t.Fatalf("valid attach failed: %v", err)
 	}
-	if _, err := sim.AttachController(ControllerConfig{State: ctlState()}); err == nil {
+	if _, err := sim.AttachController(control.Config{State: ctlState()}); err == nil {
 		t.Error("double attach: want error")
 	}
 }
@@ -68,7 +65,7 @@ func TestControllerReconcilesConfig(t *testing.T) {
 	if _, ok := sim.TimeToConvergence(time.Second, 5*time.Minute); !ok {
 		t.Fatal("no route convergence")
 	}
-	ctl, err := sim.AttachController(ControllerConfig{
+	ctl, err := sim.AttachController(control.Config{
 		State:         ctlState(),
 		PollInterval:  5 * time.Second,
 		RetryInterval: 15 * time.Second,
@@ -109,7 +106,7 @@ func TestControllerRekeyLossFree(t *testing.T) {
 	st := ctlState()
 	st.Version = 0 // isolate the rekey: no config epoch in flight
 	st.KeyEpoch = 1
-	ctl, err := sim.AttachController(ControllerConfig{
+	ctl, err := sim.AttachController(control.Config{
 		State:         st,
 		PollInterval:  5 * time.Second,
 		RetryInterval: 20 * time.Second,
@@ -173,7 +170,7 @@ func TestControllerRecoversHungNode(t *testing.T) {
 		if _, ok := sim.TimeToConvergence(time.Second, 5*time.Minute); !ok {
 			t.Fatalf("seed %d: no route convergence", seed)
 		}
-		ctl, err := sim.AttachController(ControllerConfig{
+		ctl, err := sim.AttachController(control.Config{
 			State:         ctlState(),
 			PollInterval:  5 * time.Second,
 			RetryInterval: 10 * time.Second,
@@ -212,7 +209,7 @@ func TestControllerActionsByteIdentical(t *testing.T) {
 		sim := ctlSim(t, seed)
 		st := ctlState()
 		st.KeyEpoch = 1
-		ctl, err := sim.AttachController(ControllerConfig{
+		ctl, err := sim.AttachController(control.Config{
 			State:         st,
 			PollInterval:  5 * time.Second,
 			RetryInterval: 10 * time.Second,

@@ -169,7 +169,7 @@ func (s *Sim) ApplyFaultPlan(plan *faults.Plan) error {
 		if err := h.Proto.Start(); err != nil {
 			return fmt.Errorf("netsim: skewed node %d: %w", sk.Node, err)
 		}
-		s.Tracer.Emit(now, h.Addr.String(), trace.KindFailure,
+		s.Tracer.Emit(now, h.addrStr, trace.KindFailure,
 			"clock skew %.2fx applied to HELLO timer", sk.Factor)
 	}
 
@@ -239,7 +239,7 @@ func (s *Sim) crashNode(i int, downtime time.Duration) {
 	h.Proto.Stop()
 	_ = s.Medium.SetListening(h.Station, false)
 	s.reg.Counter("fault.crash").Inc()
-	s.Tracer.Emit(s.Sched.Now(), h.Addr.String(), trace.KindFailure,
+	s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 		"node crashed (fault plan); routing table lost")
 	if downtime > 0 {
 		s.Sched.MustAfter(downtime, func() { s.restartNode(i) })
@@ -255,19 +255,19 @@ func (s *Sim) restartNode(i int) {
 		return
 	}
 	if err := s.buildEngine(h); err != nil {
-		s.Tracer.Emit(s.Sched.Now(), h.Addr.String(), trace.KindFailure,
+		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 			"restart failed: %v", err)
 		return
 	}
 	h.down = false
 	_ = s.Medium.SetListening(h.Station, true)
 	if err := h.Proto.Start(); err != nil {
-		s.Tracer.Emit(s.Sched.Now(), h.Addr.String(), trace.KindFailure,
+		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 			"restart failed: %v", err)
 		return
 	}
 	s.reg.Counter("fault.restart").Inc()
-	s.Tracer.Emit(s.Sched.Now(), h.Addr.String(), trace.KindFailure,
+	s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 		"node restarted cold (empty routing table)")
 }
 

@@ -34,6 +34,9 @@ import (
 // reproducible and timestamps readable.
 var Epoch = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 
+// baseAddress is node 0's address; node i gets baseAddress+i.
+const baseAddress packet.Address = 0x0001
+
 // Config describes a simulation.
 type Config struct {
 	// Topology gives node positions; required.
@@ -63,12 +66,9 @@ type Config struct {
 	ICNProduce func(i int, name string) []byte
 	// Slotted is the slotted-strategy template (forward.KindSlotted): the
 	// superframe (typically control.State.Slotted from a desired-state
-	// document), sink, and beacon period. Its Core field is ignored —
+	// document) and sink. Its Core field is ignored —
 	// Node is the engine template, exactly as under forward.KindProactive.
 	Slotted slotted.Config
-	// BaseAddress is node 0's address; node i gets BaseAddress+i.
-	// Zero means 0x0001.
-	BaseAddress packet.Address
 	// SecKey, when set, secures the mesh (forward.KindProactive only): every node
 	// gets a meshsec link derived from this network key. The link lives
 	// on the Handle, not the engine, so crash/restart cycles keep the
@@ -225,10 +225,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = forward.KindProactive
 	}
-	if cfg.BaseAddress == 0 {
-		cfg.BaseAddress = 0x0001
-	}
-	last := int(cfg.BaseAddress) + cfg.Topology.N() - 1
+	last := int(baseAddress) + cfg.Topology.N() - 1
 	if last >= int(packet.Broadcast) {
 		return nil, fmt.Errorf("netsim: address range ends at %04X, collides with broadcast", last)
 	}
@@ -257,7 +254,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	for i, pos := range cfg.Topology.Positions {
-		addr := cfg.BaseAddress + packet.Address(i)
+		addr := baseAddress + packet.Address(i)
 		h := &Handle{Index: i, Addr: addr}
 		h.addrStr = addr.String()
 		h.prefix = "node." + h.addrStr + "."
@@ -344,7 +341,7 @@ func (s *Sim) Handle(i int) *Handle { return s.handles[i] }
 
 // ByAddr returns the node with the given address, or nil.
 func (s *Sim) ByAddr(a packet.Address) *Handle {
-	i := int(a) - int(s.Cfg.BaseAddress)
+	i := int(a) - int(baseAddress)
 	if i < 0 || i >= len(s.handles) {
 		return nil
 	}
@@ -535,7 +532,7 @@ func (s *Sim) StartMobility(model geo.Mobility, interval time.Duration) error {
 			}
 			next := model.Step(h.Index, cur, interval)
 			if err := s.Medium.SetPosition(h.Station, next); err == nil && next != cur {
-				s.Tracer.Emit(s.Sched.Now(), h.Addr.String(), trace.KindRoute,
+				s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindRoute,
 					"moved to %v", next)
 			}
 		}

@@ -42,7 +42,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("empty config: want error")
 	}
 	topo := mustLine(t, 3, 100)
-	if _, err := New(Config{Topology: topo, BaseAddress: 0xFFFE}); err == nil {
+	if _, err := New(Config{Topology: mustLine(t, int(packet.Broadcast-baseAddress)+1, 100)}); err == nil {
 		t.Error("address collision with broadcast: want error")
 	}
 	if _, err := New(Config{Topology: topo, Protocol: "bogus"}); err == nil {
@@ -306,17 +306,19 @@ func TestMoveChangesConnectivity(t *testing.T) {
 
 func TestByAddrAndHandles(t *testing.T) {
 	topo := mustLine(t, 3, 100)
-	sim, err := New(Config{Topology: topo, Node: fastNode(), BaseAddress: 0x0010, Seed: 11})
+	sim, err := New(Config{Topology: topo, Node: fastNode(), Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := sim.ByAddr(0x0011); h == nil || h.Index != 1 {
-		t.Errorf("ByAddr(0x0011) = %+v, want index 1", h)
+	if h := sim.ByAddr(baseAddress + 1); h == nil || h.Index != 1 {
+		t.Errorf("ByAddr(%v) = %+v, want index 1", baseAddress+1, h)
 	}
-	if h := sim.ByAddr(0x0009); h != nil {
-		t.Error("ByAddr outside range should be nil")
+	for _, outside := range []packet.Address{baseAddress - 1, baseAddress + 3} {
+		if h := sim.ByAddr(outside); h != nil {
+			t.Errorf("ByAddr(%v) outside the block = %+v, want nil", outside, h)
+		}
 	}
-	if sim.Handle(2).Addr != 0x0012 {
+	if sim.Handle(2).Addr != baseAddress+2 {
 		t.Errorf("handle 2 addr = %v", sim.Handle(2).Addr)
 	}
 }
@@ -629,7 +631,7 @@ func TestPacketTraceRoundTrip(t *testing.T) {
 	}
 
 	// Drop case: no route to an address outside the mesh.
-	ghost := sim.Cfg.BaseAddress + 100
+	ghost := baseAddress + 100
 	if err := sim.Handle(0).Proto.Send(ghost, payload); err == nil {
 		t.Fatal("send to unrouted address should fail")
 	}

@@ -80,6 +80,54 @@ func TestICNRetrievalOnChain(t *testing.T) {
 	}
 }
 
+// TestInterestRounds drives the shared pull-workload generator: one offer
+// per (consumer, round), the producer never a consumer, expressions at or
+// past the duration never scheduled, and a non-ICN simulation refused.
+func TestInterestRounds(t *testing.T) {
+	const producer, period = 0, 5 * time.Minute
+	sim, err := New(Config{
+		Topology: mustLine(t, 4, 8000), Protocol: forward.KindICN, ICN: icnConfig(), Seed: 3,
+		ICNProduce: func(i int, name string) []byte {
+			if i == producer {
+				return icnContent(name)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.StartInterestRounds("t/", 0, time.Hour); err == nil {
+		t.Error("zero period: want error")
+	}
+	// 2.1 periods: two rounds, and no third one started in the tail.
+	duration := 2*period + period/10
+	stats, err := sim.StartInterestRounds("t/", period, duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(duration)
+	consumers := sim.N() - 1
+	if stats.Offered != 2*consumers || stats.Delivered != stats.Offered {
+		t.Errorf("offered %d delivered %d, want %d each (2 rounds x %d consumers)",
+			stats.Offered, stats.Delivered, 2*consumers, consumers)
+	}
+	if len(stats.Latencies) != stats.Delivered || stats.MeanLatency() <= 0 {
+		t.Errorf("latencies %d mean %v for %d deliveries", len(stats.Latencies), stats.MeanLatency(), stats.Delivered)
+	}
+	if got := len(sim.Handle(producer).Msgs); got != 0 {
+		t.Errorf("the producer read %d of its own data", got)
+	}
+
+	push, err := New(Config{Topology: mustLine(t, 2, 8000), Node: fastNode(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := push.StartInterestRounds("t/", period, duration); err == nil {
+		t.Error("proactive simulation: want error")
+	}
+}
+
 func TestICNAggregationAndCacheHit(t *testing.T) {
 	// 3×3 grid, producer in one corner. Consumer A fetches first (filling
 	// caches along the path), then two more consumers ask for the same

@@ -1,11 +1,15 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/forward"
 	"repro/internal/health"
 )
 
@@ -158,6 +162,90 @@ func (s *Sim) StartManyToOne(sink int, payload int, interval time.Duration, pois
 		out[i] = st
 	}
 	return out, nil
+}
+
+// StartInterestRounds drives the pull equivalent of the push patterns
+// under the ICN strategy: every period, each node but the producer (node
+// 0, where both programs publish) expresses interest in the round's shared name (prefix + round number)
+// at a staggered offset, re-expressing up to twice (40 s apart) while
+// unsatisfied — the strategy never retransmits, so retry is the
+// application's job. Expressions that would fall at or past duration are
+// not scheduled. Offered counts one per (consumer, round); latency runs
+// from a consumer's first expression to its first delivery of that round.
+func (s *Sim) StartInterestRounds(prefix string, period, duration time.Duration) (*TrafficStats, error) {
+	if s.Cfg.Protocol != forward.KindICN {
+		return nil, fmt.Errorf("netsim: interest rounds need the %s strategy", forward.KindICN)
+	}
+	if period <= 0 {
+		return nil, fmt.Errorf("netsim: interest round period must be positive")
+	}
+	stats := &TrafficStats{}
+	type key struct{ consumer, round int }
+	exprAt := make(map[key]time.Time)
+	satisfied := make(map[key]bool)
+
+	var consumers []*Handle
+	for _, h := range s.handles {
+		if h.Index == 0 {
+			continue
+		}
+		consumers = append(consumers, h)
+		prev := h.OnMessage
+		h.OnMessage = func(msg core.AppMessage) {
+			if prev != nil {
+				prev(msg)
+			}
+			// ICN deliveries are name, NUL, content.
+			sep := bytes.IndexByte(msg.Payload, 0)
+			if sep < 0 {
+				return
+			}
+			tail, ok := strings.CutPrefix(string(msg.Payload[:sep]), prefix)
+			if !ok {
+				return
+			}
+			round, err := strconv.Atoi(tail)
+			if err != nil {
+				return
+			}
+			k := key{h.Index, round}
+			at, ok := exprAt[k]
+			if !ok || satisfied[k] {
+				return
+			}
+			satisfied[k] = true
+			stats.Delivered++
+			stats.Latencies = append(stats.Latencies, msg.At.Sub(at))
+		}
+	}
+
+	for r := 0; r < int(duration/period); r++ {
+		name := prefix + strconv.Itoa(r)
+		for ci, h := range consumers {
+			k := key{h.Index, r}
+			base := time.Duration(r)*period + time.Second +
+				time.Duration(ci)*1700*time.Millisecond
+			for attempt := 0; attempt < 3; attempt++ {
+				at := base + time.Duration(attempt)*40*time.Second
+				if at >= duration {
+					continue
+				}
+				s.Sched.MustAfter(at, func() {
+					if satisfied[k] {
+						return
+					}
+					if _, ok := exprAt[k]; !ok {
+						exprAt[k] = s.Sched.Now()
+						stats.Offered++
+					}
+					if h.ICN.Express(name) == nil {
+						stats.Accepted++
+					}
+				})
+			}
+		}
+	}
+	return stats, nil
 }
 
 // MergeStats folds many per-flow stats into one.

@@ -42,41 +42,32 @@ var (
 type Config struct {
 	// Address is the node's mesh address.
 	Address packet.Address
-	// RouteTTL is how long an unused route stays valid; every use
-	// refreshes it. Zero means 5 minutes.
-	RouteTTL time.Duration
 	// DiscoveryTimeout is how long the originator waits for an RREP
 	// before re-flooding. Zero means 10 s.
 	DiscoveryTimeout time.Duration
-	// MaxDiscoveryRetries bounds re-floods before pending traffic is
-	// dropped. Zero means 3.
-	MaxDiscoveryRetries int
-	// MaxHops bounds RREQ propagation. Zero means 16.
-	MaxHops uint8
-	// PendingCapacity bounds datagrams buffered per destination during
-	// discovery. Zero means 8.
-	PendingCapacity int
 }
 
-// rebroadcastDelay is the mean randomized hold-off before relaying an
-// RREQ, desynchronizing the flood.
-const rebroadcastDelay = 300 * time.Millisecond
+// Bounds every program runs at one value (DESIGN.md decision 7).
+const (
+	// routeTTL is how long an unused route stays valid; every use
+	// refreshes it.
+	routeTTL = 5 * time.Minute
+	// maxDiscoveryRetries bounds re-floods before pending traffic is
+	// dropped.
+	maxDiscoveryRetries = 3
+	// maxHops bounds RREQ propagation.
+	maxHops = 16
+	// pendingCapacity bounds datagrams buffered per destination during
+	// discovery.
+	pendingCapacity = 8
+	// rebroadcastDelay is the mean randomized hold-off before relaying an
+	// RREQ, desynchronizing the flood.
+	rebroadcastDelay = 300 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
-	if c.RouteTTL <= 0 {
-		c.RouteTTL = 5 * time.Minute
-	}
 	if c.DiscoveryTimeout <= 0 {
 		c.DiscoveryTimeout = 10 * time.Second
-	}
-	if c.MaxDiscoveryRetries <= 0 {
-		c.MaxDiscoveryRetries = 3
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 16
-	}
-	if c.PendingCapacity <= 0 {
-		c.PendingCapacity = 8
 	}
 	return c
 }
@@ -195,7 +186,7 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 		n.sendData(dst, r.next, payload)
 		return nil
 	}
-	if len(n.pending[dst]) >= n.cfg.PendingCapacity {
+	if len(n.pending[dst]) >= pendingCapacity {
 		n.reg.Counter("drop.pending_full").Inc()
 		return fmt.Errorf("%w: %v", ErrPendingFull, dst)
 	}
@@ -213,7 +204,7 @@ func (n *Node) freshRoute(dst packet.Address) (routeEntry, bool) {
 	if !ok || !r.expires.After(n.env.Now()) {
 		return routeEntry{}, false
 	}
-	r.expires = n.env.Now().Add(n.cfg.RouteTTL)
+	r.expires = n.env.Now().Add(routeTTL)
 	n.routes[dst] = r
 	return r, true
 }
@@ -225,7 +216,7 @@ func (n *Node) learnRoute(dst, next packet.Address, hops uint8) {
 	if ok && cur.expires.After(now) && cur.hops < hops {
 		return // keep the shorter live route
 	}
-	n.routes[dst] = routeEntry{next: next, hops: hops, expires: now.Add(n.cfg.RouteTTL)}
+	n.routes[dst] = routeEntry{next: next, hops: hops, expires: now.Add(routeTTL)}
 }
 
 // sendData enqueues a routed datagram.
@@ -257,7 +248,7 @@ func (n *Node) discoveryTimeout(d *discovery) {
 		return
 	}
 	d.retries++
-	if d.retries > n.cfg.MaxDiscoveryRetries {
+	if d.retries > maxDiscoveryRetries {
 		delete(n.discoveries, d.target)
 		dropped := len(n.pending[d.target])
 		delete(n.pending, d.target)
@@ -342,7 +333,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 		n.sendRRep(p.Src, prevHop, id)
 		return
 	}
-	if hopCount+1 >= n.cfg.MaxHops {
+	if hopCount+1 >= maxHops {
 		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}

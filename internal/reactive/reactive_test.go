@@ -169,8 +169,7 @@ func TestReverseRouteFromDiscovery(t *testing.T) {
 }
 
 func TestDiscoveryFailureDropsPending(t *testing.T) {
-	cfg := Config{DiscoveryTimeout: 2 * time.Second, MaxDiscoveryRetries: 2}
-	b := newRBus(t, cfg, 1, 2)
+	b := newRBus(t, Config{DiscoveryTimeout: 2 * time.Second}, 1, 2)
 	src := b.env(1).node
 	// Destination 9 does not exist.
 	if err := src.Send(9, []byte("void")); err != nil {
@@ -186,30 +185,28 @@ func TestDiscoveryFailureDropsPending(t *testing.T) {
 	if len(src.pending) != 0 || len(src.discoveries) != 0 {
 		t.Error("failed discovery leaked state")
 	}
-	// Retries happened: 1 initial + 2 retries = 3 RREQs.
-	if got := src.Metrics().Counter("rreq.sent").Value(); got != 3 {
-		t.Errorf("rreq.sent = %d, want 3", got)
+	// Retries happened: one initial RREQ plus maxDiscoveryRetries.
+	if got := src.Metrics().Counter("rreq.sent").Value(); got != 1+maxDiscoveryRetries {
+		t.Errorf("rreq.sent = %d, want %d", got, 1+maxDiscoveryRetries)
 	}
 }
 
 func TestPendingCapacity(t *testing.T) {
-	cfg := Config{PendingCapacity: 2, DiscoveryTimeout: time.Hour}
-	b := newRBus(t, cfg, 1)
+	b := newRBus(t, Config{DiscoveryTimeout: time.Hour}, 1)
 	src := b.env(1).node
-	for i := 0; i < 2; i++ {
+	for i := 0; i < pendingCapacity; i++ {
 		if err := src.Send(9, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := src.Send(9, []byte{9}); !errors.Is(err, ErrPendingFull) {
-		t.Errorf("third buffered send = %v, want ErrPendingFull", err)
+	if err := src.Send(9, []byte{0xFF}); !errors.Is(err, ErrPendingFull) {
+		t.Errorf("buffered send %d = %v, want ErrPendingFull", pendingCapacity+1, err)
 	}
 }
 
 func TestRouteExpiry(t *testing.T) {
-	cfg := Config{RouteTTL: 30 * time.Second}
 	chain := []packet.Address{1, 2, 3}
-	b := newRBus(t, cfg, chain...)
+	b := newRBus(t, Config{}, chain...)
 	b.drop = chainDrop(chain)
 	src := b.env(1).node
 	if err := src.Send(3, []byte("a")); err != nil {
@@ -219,9 +216,17 @@ func TestRouteExpiry(t *testing.T) {
 	if len(b.env(3).msgs) != 1 {
 		t.Fatal("setup: first datagram not delivered")
 	}
-	// Idle well past the TTL: the route expires and the next send
-	// re-discovers.
-	b.sched.RunFor(5 * time.Minute)
+	// A send inside the TTL rides the cached route.
+	b.sched.RunFor(routeTTL - 2*time.Minute)
+	if err := src.Send(3, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	b.sched.RunFor(time.Minute)
+	if got := src.Metrics().Counter("rreq.sent").Value(); got != 1 {
+		t.Fatalf("rreq.sent = %d inside the route TTL, want the one discovery", got)
+	}
+	// Idle past the TTL: the route expires and the next send re-discovers.
+	b.sched.RunFor(routeTTL)
 	rreqs := src.Metrics().Counter("rreq.sent").Value()
 	if err := src.Send(3, []byte("b")); err != nil {
 		t.Fatal(err)
@@ -230,7 +235,7 @@ func TestRouteExpiry(t *testing.T) {
 	if got := src.Metrics().Counter("rreq.sent").Value(); got <= rreqs {
 		t.Error("expired route did not trigger re-discovery")
 	}
-	if len(b.env(3).msgs) != 2 {
+	if len(b.env(3).msgs) != 3 {
 		t.Fatal("post-expiry datagram not delivered")
 	}
 }
@@ -254,23 +259,29 @@ func TestRReqDeduplication(t *testing.T) {
 }
 
 func TestMaxHopsBoundsFlood(t *testing.T) {
-	chain := []packet.Address{1, 2, 3, 4, 5}
-	cfg := Config{MaxHops: 2, DiscoveryTimeout: 5 * time.Second, MaxDiscoveryRetries: 1}
-	b := newRBus(t, cfg, chain...)
-	b.drop = chainDrop(chain)
-	if err := b.env(1).node.Send(5, []byte("far")); err != nil {
-		t.Fatal(err)
-	}
-	b.sched.RunFor(2 * time.Minute)
-	if len(b.env(5).msgs) != 0 {
-		t.Error("RREQ crossed 4 hops with MaxHops 2")
-	}
-	var ttlDrops uint64
-	for _, a := range chain {
-		ttlDrops += b.env(a).node.Metrics().Counter("drop.ttl").Value()
-	}
-	if ttlDrops == 0 {
-		t.Error("no TTL drops recorded")
+	// A destination maxHops hops away is discovered; one hop farther the
+	// flood dies at the last relay.
+	for _, hops := range []int{maxHops, maxHops + 1} {
+		chain := make([]packet.Address, hops+1)
+		for i := range chain {
+			chain[i] = packet.Address(i + 1)
+		}
+		b := newRBus(t, Config{}, chain...)
+		b.drop = chainDrop(chain)
+		far := chain[hops]
+		if err := b.env(1).node.Send(far, []byte("far")); err != nil {
+			t.Fatal(err)
+		}
+		b.sched.RunFor(2 * time.Minute)
+		var ttlDrops uint64
+		for _, a := range chain {
+			ttlDrops += b.env(a).node.Metrics().Counter("drop.ttl").Value()
+		}
+		if got, reachable := len(b.env(far).msgs), hops <= maxHops; reachable && (got != 1 || ttlDrops != 0) {
+			t.Errorf("%d hops: %d deliveries, %d TTL drops, want 1 and 0", hops, got, ttlDrops)
+		} else if !reachable && (got != 0 || ttlDrops == 0) {
+			t.Errorf("%d hops: %d deliveries, %d TTL drops, want none and some (maxHops %d)", hops, got, ttlDrops, maxHops)
+		}
 	}
 }
 

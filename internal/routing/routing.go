@@ -41,8 +41,8 @@ type Config struct {
 	// MaxHops caps usable route length; candidates beyond it are
 	// discarded, bounding count-to-infinity. Zero means 32.
 	MaxHops uint8
-	// Poisoning keeps expired routes for PoisonHold, advertised at
-	// MetricInfinity, so neighbors drop them immediately.
+	// Poisoning keeps expired routes for half of EntryTTL, advertised
+	// at MetricInfinity, so neighbors drop them immediately.
 	Poisoning bool
 	// SNRTiebreak prefers, among equal-hop-count candidates, the route
 	// whose next-hop link has the higher SNR — the link-quality
@@ -50,24 +50,6 @@ type Config struct {
 	// displaces an equal-metric route only when its SNR advantage
 	// exceeds snrMarginDB, hysteresis against route flapping.
 	SNRTiebreak bool
-	// PoisonHold is how long a poisoned entry is retained. Zero means
-	// half of EntryTTL.
-	PoisonHold time.Duration
-	// SuppressAfter enables the bounded dead-neighbor suppression list:
-	// a neighbor withdrawn (RemoveNeighbor) this many times within
-	// SuppressWindow is quarantined for SuppressHold — its HELLOs are
-	// ignored, so a flapping link stops thrashing the Bellman-Ford
-	// table on every up-cycle. Zero disables suppression.
-	SuppressAfter int
-	// SuppressWindow is the strike-counting window. Zero means EntryTTL.
-	SuppressWindow time.Duration
-	// SuppressHold is the quarantine duration once SuppressAfter strikes
-	// accumulate. Zero means half of EntryTTL.
-	SuppressHold time.Duration
-	// SuppressMax bounds the suppression list (memory on a
-	// microcontroller); the entry closest to release is evicted to make
-	// room. Zero means 16.
-	SuppressMax int
 }
 
 // DefaultConfig returns the prototype's values: 10-minute TTL, 32-hop cap,
@@ -82,18 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxHops == 0 || c.MaxHops >= MetricInfinity {
 		c.MaxHops = 32
-	}
-	if c.PoisonHold <= 0 {
-		c.PoisonHold = c.EntryTTL / 2
-	}
-	if c.SuppressWindow <= 0 {
-		c.SuppressWindow = c.EntryTTL
-	}
-	if c.SuppressHold <= 0 {
-		c.SuppressHold = c.EntryTTL / 2
-	}
-	if c.SuppressMax <= 0 {
-		c.SuppressMax = 16
 	}
 	return c
 }
@@ -129,16 +99,6 @@ type Table struct {
 	self    packet.Address
 	cfg     Config
 	entries map[packet.Address]*Entry
-	// suppressed quarantines repeatedly-withdrawn neighbors (see
-	// Config.SuppressAfter). Bounded by SuppressMax.
-	suppressed map[packet.Address]*suppression
-}
-
-// suppression tracks one neighbor's withdrawal strikes.
-type suppression struct {
-	strikes     int
-	windowStart time.Time
-	until       time.Time // zero until quarantined
 }
 
 // NewTable returns an empty table for the node self.
@@ -147,9 +107,6 @@ func NewTable(self packet.Address, cfg Config) *Table {
 		self:    self,
 		cfg:     cfg.withDefaults(),
 		entries: make(map[packet.Address]*Entry),
-		// suppressed is created lazily on the first strike: reads of a
-		// nil map behave like an empty one, and most tables never
-		// quarantine anybody.
 	}
 }
 
@@ -170,11 +127,6 @@ func (t *Table) Len() int {
 // whether the table changed.
 func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role, snr float64, advertised []packet.HelloEntry) bool {
 	if from == t.self || from == packet.Broadcast {
-		return false
-	}
-	if t.IsSuppressed(now, from) {
-		// Quarantined flapper: ignoring its beacons keeps the table from
-		// oscillating every time the link blips back up.
 		return false
 	}
 	changed := t.update(now, Entry{Addr: from, Via: from, Metric: 1, Role: role, SNR: snr})
@@ -271,6 +223,9 @@ func (t *Table) invalidate(now time.Time, e *Entry) {
 	delete(t.entries, e.Addr)
 }
 
+// poisonHold is how long a poisoned entry is retained.
+func (t *Table) poisonHold() time.Duration { return t.cfg.EntryTTL / 2 }
+
 // ExpireStale drops (or poisons) entries whose TTL has lapsed and removes
 // poisoned entries past their hold time. It returns the addresses whose
 // routes were invalidated this call.
@@ -279,7 +234,7 @@ func (t *Table) ExpireStale(now time.Time) []packet.Address {
 	for addr, e := range t.entries {
 		age := now.Sub(e.UpdatedAt)
 		if e.Poisoned() {
-			if age > t.cfg.PoisonHold {
+			if age > t.poisonHold() {
 				delete(t.entries, addr)
 			}
 			continue
@@ -287,13 +242,6 @@ func (t *Table) ExpireStale(now time.Time) []packet.Address {
 		if age > t.cfg.EntryTTL {
 			t.invalidate(now, e)
 			dead = append(dead, addr)
-		}
-	}
-	for via, s := range t.suppressed {
-		if s.until.IsZero() && now.Sub(s.windowStart) > t.cfg.SuppressWindow {
-			delete(t.suppressed, via)
-		} else if !s.until.IsZero() && now.After(s.until) {
-			delete(t.suppressed, via)
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
@@ -384,60 +332,5 @@ func (t *Table) RemoveNeighbor(now time.Time, via packet.Address) []packet.Addre
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	if len(dead) > 0 {
-		t.strike(now, via)
-	}
 	return dead
-}
-
-// strike records one withdrawal against a neighbor and quarantines it
-// once it accumulates SuppressAfter strikes within SuppressWindow.
-func (t *Table) strike(now time.Time, via packet.Address) {
-	if t.cfg.SuppressAfter <= 0 {
-		return
-	}
-	s := t.suppressed[via]
-	if s == nil {
-		if len(t.suppressed) >= t.cfg.SuppressMax {
-			// Bounded list: evict the entry closest to release (an
-			// inactive, unquarantined one first).
-			var victim packet.Address
-			var victimUntil time.Time
-			first := true
-			for a, e := range t.suppressed {
-				if first || e.until.Before(victimUntil) {
-					victim, victimUntil, first = a, e.until, false
-				}
-			}
-			delete(t.suppressed, victim)
-		}
-		s = &suppression{windowStart: now}
-		if t.suppressed == nil {
-			t.suppressed = make(map[packet.Address]*suppression)
-		}
-		t.suppressed[via] = s
-	}
-	if now.Sub(s.windowStart) > t.cfg.SuppressWindow {
-		s.strikes = 0
-		s.windowStart = now
-	}
-	s.strikes++
-	if s.strikes >= t.cfg.SuppressAfter {
-		s.until = now.Add(t.cfg.SuppressHold)
-		s.strikes = 0
-		s.windowStart = now
-	}
-}
-
-// IsSuppressed reports whether the neighbor is currently quarantined.
-func (t *Table) IsSuppressed(now time.Time, via packet.Address) bool {
-	s, ok := t.suppressed[via]
-	if !ok || s.until.IsZero() {
-		return false
-	}
-	if now.After(s.until) {
-		delete(t.suppressed, via)
-		return false
-	}
-	return true
 }

@@ -149,7 +149,6 @@ func TestPoisoningLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EntryTTL = time.Minute
 	cfg.Poisoning = true
-	cfg.PoisonHold = time.Minute
 	tab := newTestTable(cfg)
 	tab.ApplyHello(t0, 0x0002, packet.RoleDefault, 0, nil)
 
@@ -167,8 +166,12 @@ func TestPoisoningLifecycle(t *testing.T) {
 	if len(hs) != 1 || hs[0].Metric != MetricInfinity {
 		t.Fatalf("hello entries = %v, want one at infinity", hs)
 	}
-	// After the hold, the entry vanishes.
-	tab.ExpireStale(t0.Add(4 * time.Minute))
+	// The entry is held for poisonHold, then vanishes.
+	tab.ExpireStale(t0.Add(2*time.Minute + tab.poisonHold()))
+	if _, ok := tab.Lookup(0x0002); !ok {
+		t.Error("poisoned entry dropped before its hold time")
+	}
+	tab.ExpireStale(t0.Add(2*time.Minute + tab.poisonHold() + time.Second))
 	if _, ok := tab.Lookup(0x0002); ok {
 		t.Error("poisoned entry survived its hold time")
 	}
@@ -193,15 +196,16 @@ func TestPoisonedAdvertKillsRouteThroughSender(t *testing.T) {
 }
 
 func TestPoisonedRouteResurrects(t *testing.T) {
-	cfg := Config{EntryTTL: time.Minute, Poisoning: true, PoisonHold: 10 * time.Minute}
-	tab := newTestTable(cfg)
+	tab := newTestTable(Config{EntryTTL: time.Minute, Poisoning: true})
 	tab.ApplyHello(t0, 0x0002, packet.RoleDefault, 0, nil)
-	tab.ExpireStale(t0.Add(2 * time.Minute))
+	poisonedAt := t0.Add(2 * time.Minute)
+	tab.ExpireStale(poisonedAt)
 	if e, _ := tab.Lookup(0x0002); !e.Poisoned() {
 		t.Fatal("setup: entry should be poisoned")
 	}
-	// A fresh HELLO resurrects the neighbor.
-	tab.ApplyHello(t0.Add(3*time.Minute), 0x0002, packet.RoleDefault, 0, nil)
+	// A fresh HELLO inside the hold resurrects the neighbor.
+	tab.ExpireStale(poisonedAt.Add(tab.poisonHold() / 2))
+	tab.ApplyHello(poisonedAt.Add(tab.poisonHold()/2), 0x0002, packet.RoleDefault, 0, nil)
 	e, ok := tab.Lookup(0x0002)
 	if !ok || e.Poisoned() || e.Metric != 1 {
 		t.Errorf("entry = %+v,%v, want resurrected at metric 1", e, ok)
@@ -209,22 +213,26 @@ func TestPoisonedRouteResurrects(t *testing.T) {
 }
 
 func TestPoisonHoldDownRejectsStaleAdverts(t *testing.T) {
-	cfg := Config{EntryTTL: time.Minute, Poisoning: true, PoisonHold: 10 * time.Minute}
-	tab := newTestTable(cfg)
+	tab := newTestTable(Config{EntryTTL: time.Minute, Poisoning: true})
 	tab.ApplyHello(t0, 0x0002, packet.RoleDefault, 0, nil)
-	tab.ExpireStale(t0.Add(2 * time.Minute))
+	poisonedAt := t0.Add(2 * time.Minute)
+	tab.ExpireStale(poisonedAt)
 	if e, _ := tab.Lookup(0x0002); !e.Poisoned() {
 		t.Fatal("setup: entry should be poisoned")
 	}
 	// A third party still advertising the dead node must NOT resurrect it
-	// (that is exactly the count-to-infinity feedback poisoning breaks).
-	tab.ApplyHello(t0.Add(3*time.Minute), 0x0003, packet.RoleDefault, 0,
-		[]packet.HelloEntry{{Addr: 0x0002, Metric: 2}})
-	if e, _ := tab.Lookup(0x0002); !e.Poisoned() {
-		t.Error("stale multi-hop advert resurrected a poisoned route")
+	// (that is exactly the count-to-infinity feedback poisoning breaks),
+	// at any point of the hold.
+	for _, at := range []time.Time{poisonedAt.Add(time.Second), poisonedAt.Add(tab.poisonHold())} {
+		tab.ExpireStale(at)
+		tab.ApplyHello(at, 0x0003, packet.RoleDefault, 0,
+			[]packet.HelloEntry{{Addr: 0x0002, Metric: 2}})
+		if e, _ := tab.Lookup(0x0002); !e.Poisoned() {
+			t.Errorf("stale multi-hop advert resurrected a poisoned route %v into the hold", at.Sub(poisonedAt))
+		}
 	}
 	// Direct evidence (HELLO from the node itself) does resurrect.
-	tab.ApplyHello(t0.Add(4*time.Minute), 0x0002, packet.RoleDefault, 0, nil)
+	tab.ApplyHello(poisonedAt.Add(tab.poisonHold()), 0x0002, packet.RoleDefault, 0, nil)
 	if e, _ := tab.Lookup(0x0002); e.Poisoned() || e.Metric != 1 {
 		t.Errorf("direct HELLO did not resurrect: %+v", e)
 	}
@@ -358,5 +366,28 @@ func TestSNRTiebreak(t *testing.T) {
 	e, _ = plain.Lookup(0x000D)
 	if e.Via != 0x000B {
 		t.Errorf("hop-only table displaced equal-metric route to %v", e.Via)
+	}
+}
+
+// TestWithdrawnNeighbourRejoinsAtOnce pins what every program has always
+// run: withdrawals are not counted against a neighbour, so however often
+// its link flaps inside one EntryTTL, its next HELLO is applied.
+func TestWithdrawnNeighbourRejoinsAtOnce(t *testing.T) {
+	tab := newTestTable(Config{EntryTTL: time.Minute, Poisoning: true})
+	now := t0
+	for flap := 1; flap <= 3; flap++ {
+		if !tab.ApplyHello(now, 0x0002, packet.RoleDefault, 10, nil) {
+			t.Fatalf("flap %d: HELLO from the withdrawn neighbour not applied", flap)
+		}
+		if _, ok := tab.NextHop(0x0002); !ok {
+			t.Fatalf("flap %d: no route after the HELLO", flap)
+		}
+		if dead := tab.RemoveNeighbor(now, 0x0002); len(dead) != 1 {
+			t.Fatalf("flap %d: RemoveNeighbor withdrew %v, want the one route", flap, dead)
+		}
+		now = now.Add(tab.cfg.EntryTTL / 10)
+	}
+	if !tab.ApplyHello(now, 0x0002, packet.RoleDefault, 10, nil) {
+		t.Fatal("HELLO after three withdrawals inside one EntryTTL was not applied")
 	}
 }

@@ -43,10 +43,22 @@ type Config struct {
 	// Sink is the node whose route depth assigns slots (depth 0 — the
 	// sink itself and nodes with no route yet — gets slot 0).
 	Sink packet.Address
-	// BeaconPeriod is the slot-beacon interval. Zero means one beacon
-	// per 10 superframes; negative disables beaconing.
-	BeaconPeriod time.Duration
 }
+
+// DefaultSuperframe is the real-time schedule the programs declare for
+// the slotted strategy: three slots of 2 s with a 100 ms guard, and a
+// 90 s end-to-end latency bound the health monitor enforces per delivery.
+func DefaultSuperframe() control.Superframe {
+	return control.Superframe{
+		Slots:        3,
+		SlotLen:      control.Duration(2 * time.Second),
+		Guard:        control.Duration(100 * time.Millisecond),
+		LatencyBound: control.Duration(90 * time.Second),
+	}
+}
+
+// beaconSuperframes is the slot-beacon interval, in superframes.
+const beaconSuperframes = 10
 
 // Node is one slotted protocol engine: the full proactive engine with a
 // TDMA transmit gate layered on top. It embeds *core.Node, so the whole
@@ -76,9 +88,6 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	}
 	if cfg.Core.TxGate != nil || cfg.Core.OnBeacon != nil {
 		return nil, fmt.Errorf("slotted: Core.TxGate/OnBeacon are owned by the slotted wrapper")
-	}
-	if cfg.BeaconPeriod == 0 {
-		cfg.BeaconPeriod = 10 * cfg.Superframe.Period()
 	}
 	s := &Node{cfg: cfg, env: env}
 	coreCfg := cfg.Core
@@ -155,12 +164,14 @@ func (s *Node) Start() error {
 	if err := s.Node.Start(); err != nil {
 		return err
 	}
-	if s.cfg.BeaconPeriod > 0 {
-		s.beaconTimer = core.NewEnvTimer(s.env, s.beaconTick)
-		// First beacon after a random fraction of the period, like HELLOs.
-		s.beaconTimer.Reset(time.Duration(s.env.Rand() * float64(s.cfg.BeaconPeriod)))
-	}
+	s.beaconTimer = core.NewEnvTimer(s.env, s.beaconTick)
+	// First beacon after a random fraction of the period, like HELLOs.
+	s.beaconTimer.Reset(time.Duration(s.env.Rand() * float64(s.beaconPeriod())))
 	return nil
+}
+
+func (s *Node) beaconPeriod() time.Duration {
+	return beaconSuperframes * s.cfg.Superframe.Period()
 }
 
 // Stop stops the beacon and the underlying engine.
@@ -186,7 +197,7 @@ func (s *Node) beaconTick() {
 				"slot beacon: slot %d/%d depth %d", slot, s.cfg.Superframe.Slots, s.depth())
 		}
 	}
-	s.beaconTimer.Reset(s.cfg.BeaconPeriod)
+	s.beaconTimer.Reset(s.beaconPeriod())
 }
 
 // handleBeacon counts neighbor slot beacons (observability only: slot

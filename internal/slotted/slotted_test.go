@@ -153,7 +153,7 @@ func TestClearance(t *testing.T) {
 }
 
 func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
-	cfg := Config{Superframe: superframe(), Sink: 0x0001, BeaconPeriod: 30 * time.Second}
+	cfg := Config{Superframe: superframe(), Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001, 0x0002)
 	sink, other := b.envs[0].node, b.envs[1].node
 
@@ -193,19 +193,11 @@ func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
 func TestBeaconsSurface(t *testing.T) {
 	cfg := Config{Superframe: superframe(), Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001)
-	// Default beacon period: one per 10 superframes (6 s period), first
-	// one a random fraction of a period in — ten in ten minutes.
-	b.sched.RunFor(10 * time.Minute)
+	// One beacon per beaconSuperframes superframes (6 s period), the
+	// first a random fraction of a beacon period in — ten in ten beacon
+	// periods.
+	b.sched.RunFor(10 * beaconSuperframes * cfg.Superframe.Period())
 	if got := snapshot(b.envs[0].node, "slotted.beacon.tx"); got != 10 {
-		t.Errorf("default beaconing sent %v slot beacons in 10 min, want 10 (60s period)", got)
-	}
-
-	// Disabled beaconing sends none.
-	cfg2 := cfg
-	cfg2.BeaconPeriod = -1
-	b2 := newBus(t, cfg2, 0x0002)
-	b2.sched.RunFor(10 * time.Minute)
-	if got := snapshot(b2.envs[0].node, "slotted.beacon.tx"); got != 0 {
-		t.Errorf("disabled beaconing still sent %v slot beacons", got)
+		t.Errorf("sent %v slot beacons in 10 beacon periods, want 10", got)
 	}
 }

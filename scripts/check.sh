@@ -2,7 +2,8 @@
 # check.sh — the local quality gate: format, vet, (optionally) staticcheck,
 # build, full tests, the same tests under the race detector, the
 # benchmark's smoke test, the evaluation diff, two end-to-end CLI smokes,
-# and the coverage ratchet. CI and contributors run exactly this.
+# the coverage ratchet, and the size ledger (counts.sh). CI and
+# contributors run exactly this.
 #
 # staticcheck and govulncheck run when their binaries are on PATH (CI
 # installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -24,6 +25,9 @@ if [ -n "$unformatted" ]; then
 fi
 echo "==> go vet"
 go vet ./...
+# Files behind the chaos tag (CI's seed-sweep job) are invisible to every
+# other step here; type-check them so a removed field cannot rot them.
+go vet -tags chaos ./internal/netsim/
 if command -v staticcheck >/dev/null 2>&1; then
     echo "==> staticcheck"
     staticcheck ./...
@@ -105,4 +109,7 @@ fi
 if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t > f + 1.0) }'; then
     echo "    coverage grew; consider raising scripts/coverage_floor.txt to ${total}"
 fi
+echo "==> counts"
+# The size ledger a code-diet PR quotes in CHANGES.md, before and after.
+./scripts/counts.sh
 echo "OK"
