@@ -32,7 +32,6 @@ type options struct {
 	quick      bool
 	seed       int64
 	list       bool
-	format     string
 	parallel   int
 	cpuprofile string
 	// seckey, 32 hex digits, replaces the built-in network key in the
@@ -46,7 +45,6 @@ func main() {
 	flag.BoolVar(&o.quick, "quick", false, "reduced sweeps and durations")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.BoolVar(&o.list, "list", false, "list experiment ids and exit")
-	flag.StringVar(&o.format, "format", "table", "table | csv | json")
 	flag.IntVar(&o.parallel, "parallel", 0,
 		"worker goroutines per sweep (0 = GOMAXPROCS, 1 = serial); tables are identical at any setting")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -112,25 +110,12 @@ func run(w, ew io.Writer, o options) error {
 			failed++
 			continue
 		}
-		var werr error
-		switch o.format {
-		case "table":
-			_, werr = res.WriteTo(w)
-		case "csv":
-			werr = res.WriteCSV(w)
-		case "json":
-			werr = res.WriteJSON(w)
-		default:
-			return fmt.Errorf("unknown format %q", o.format)
-		}
-		if werr != nil {
-			fmt.Fprintf(ew, "meshbench: writing %s: %v\n", s.ID, werr)
+		if _, err := res.WriteTo(w); err != nil {
+			fmt.Fprintf(ew, "meshbench: writing %s: %v\n", s.ID, err)
 			failed++
 			continue
 		}
-		if o.format == "table" {
-			fmt.Fprintf(w, "(%s completed in %v wall time)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
-		}
+		fmt.Fprintf(w, "(%s completed in %v wall time)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failed)

@@ -1,24 +1,18 @@
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// TestMeshbenchSmoke runs one fast experiment end to end in every output
-// format and checks each rendering is well-formed.
+// TestMeshbenchSmoke runs one fast experiment end to end and checks the
+// rendered table.
 func TestMeshbenchSmoke(t *testing.T) {
-	// E2 computes packet formats analytically; no simulation, so the
-	// smoke test stays fast.
-	base := options{exp: "E2", quick: true, seed: 1}
-
 	t.Run("table", func(t *testing.T) {
 		var out, errOut strings.Builder
-		o := base
-		o.format = "table"
-		if err := run(&out, &errOut, o); err != nil {
+		// E2 computes packet formats analytically; no simulation, so the
+		// smoke test stays fast.
+		if err := run(&out, &errOut, options{exp: "E2", quick: true, seed: 1}); err != nil {
 			t.Fatalf("run: %v\n%s", err, errOut.String())
 		}
 		s := out.String()
@@ -26,48 +20,6 @@ func TestMeshbenchSmoke(t *testing.T) {
 			if !strings.Contains(s, want) {
 				t.Errorf("table output missing %q:\n%s", want, s)
 			}
-		}
-	})
-
-	t.Run("csv", func(t *testing.T) {
-		var out, errOut strings.Builder
-		o := base
-		o.format = "csv"
-		if err := run(&out, &errOut, o); err != nil {
-			t.Fatalf("run: %v\n%s", err, errOut.String())
-		}
-		cr := csv.NewReader(strings.NewReader(out.String()))
-		cr.FieldsPerRecord = -1
-		recs, err := cr.ReadAll()
-		if err != nil {
-			t.Fatalf("output is not valid CSV: %v\n%s", err, out.String())
-		}
-		// Comment row, header row, and at least one data row.
-		if len(recs) < 3 || recs[0][0] != "# E2" {
-			t.Fatalf("unexpected CSV shape: %v", recs)
-		}
-		if len(recs[2]) != len(recs[1]) {
-			t.Fatalf("data row width %d != header width %d", len(recs[2]), len(recs[1]))
-		}
-	})
-
-	t.Run("json", func(t *testing.T) {
-		var out, errOut strings.Builder
-		o := base
-		o.format = "json"
-		if err := run(&out, &errOut, o); err != nil {
-			t.Fatalf("run: %v\n%s", err, errOut.String())
-		}
-		var doc struct {
-			ID     string     `json:"id"`
-			Header []string   `json:"header"`
-			Rows   [][]string `json:"rows"`
-		}
-		if err := json.Unmarshal([]byte(out.String()), &doc); err != nil {
-			t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-		}
-		if doc.ID != "E2" || len(doc.Header) == 0 || len(doc.Rows) == 0 {
-			t.Fatalf("unexpected JSON document: %+v", doc)
 		}
 	})
 }
@@ -89,9 +41,6 @@ func TestMeshbenchUnknownExperiment(t *testing.T) {
 	if err := run(&out, &errOut, options{exp: "E99"}); err == nil {
 		t.Fatal("unknown experiment must fail")
 	}
-	if err := run(&out, &errOut, options{exp: "E2", format: "yaml"}); err == nil {
-		t.Fatal("unknown format must fail")
-	}
 }
 
 // TestMeshbenchSecKey checks the -seckey plumbing: a valid key reaches
@@ -99,7 +48,7 @@ func TestMeshbenchUnknownExperiment(t *testing.T) {
 // runs.
 func TestMeshbenchSecKey(t *testing.T) {
 	var out, errOut strings.Builder
-	o := options{exp: "E13", quick: true, seed: 1, format: "table",
+	o := options{exp: "E13", quick: true, seed: 1,
 		seckey: "000102030405060708090a0b0c0d0e0f"}
 	if err := run(&out, &errOut, o); err != nil {
 		t.Fatalf("run: %v\n%s", err, errOut.String())

@@ -35,15 +35,12 @@ type options struct {
 	n         int
 	url       string
 	spool     string
-	batch     int
 	flush     time.Duration
 	interval  time.Duration
 	count     int
 	duration  time.Duration
 	timescale float64
-	hello     time.Duration
 	metrics   string
-	downlink  bool
 	// controlFile loads a desired-state document (JSON); the gateway's
 	// sink node runs the self-healing controller against it, reconciling
 	// the live UDP mesh over the same downlink path readings ride up.
@@ -55,15 +52,12 @@ func main() {
 	flag.IntVar(&o.n, "n", 4, "nodes in the chain (node 1 is the sink gateway)")
 	flag.StringVar(&o.url, "url", "", "backend uplink URL (empty: start the embedded backend)")
 	flag.StringVar(&o.spool, "spool", "", "WAL spool path (empty: in-memory only)")
-	flag.IntVar(&o.batch, "batch", 8, "uplink batch size")
 	flag.DurationVar(&o.flush, "flush", 2*time.Second, "uplink flush interval")
 	flag.DurationVar(&o.interval, "interval", time.Second, "reading interval per source node")
 	flag.IntVar(&o.count, "count", 5, "readings per source (0: run for -duration)")
 	flag.DurationVar(&o.duration, "duration", 30*time.Second, "run time when -count is 0; drain timeout otherwise")
 	flag.Float64Var(&o.timescale, "timescale", 50, "protocol time compression")
-	flag.DurationVar(&o.hello, "hello", 2*time.Second, "HELLO beacon period (protocol time)")
 	flag.StringVar(&o.metrics, "metrics", "", "serve gateway /metrics and /healthz on this address")
-	flag.BoolVar(&o.downlink, "downlink", true, "demonstrate a backend->mesh downlink command")
 	flag.StringVar(&o.controlFile, "control", "", "reconcile the mesh toward this desired-state JSON document (controller at the sink)")
 	flag.Parse()
 	if err := run(os.Stdout, o); err != nil {
@@ -71,6 +65,9 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// hello is the demo mesh's HELLO beacon period, in protocol time.
+const hello = 2 * time.Second
 
 func run(w io.Writer, o options) error {
 	if o.n < 2 {
@@ -105,9 +102,9 @@ func run(w io.Writer, o options) error {
 		h, err := livenet.Start(livenet.Config{
 			Node: core.Config{
 				Address:        packet.Address(i + 1),
-				HelloPeriod:    o.hello,
+				HelloPeriod:    hello,
 				DutyCycleLimit: 1,
-				Routing:        routing.Config{EntryTTL: 15 * o.hello},
+				Routing:        routing.Config{EntryTTL: 15 * hello},
 			},
 			TimeScale: o.timescale,
 			Seed:      int64(i + 1),
@@ -133,7 +130,7 @@ func run(w io.Writer, o options) error {
 	g, err := gateway.New(gateway.Config{
 		URLs:          []string{url},
 		SpoolPath:     o.spool,
-		BatchSize:     o.batch,
+		BatchSize:     8,
 		FlushInterval: o.flush,
 		RetryBase:     500 * time.Millisecond,
 		RetryMax:      10 * time.Second,
@@ -273,7 +270,7 @@ func run(w io.Writer, o options) error {
 	// The reverse path: queue a command for the far end of the chain; it
 	// rides back in an uplink response and re-enters the mesh at the sink.
 	far := hosts[o.n-1]
-	if o.downlink && backend != nil {
+	if backend != nil {
 		backend.PushDownlink(gateway.Downlink{
 			To: far.Addr(), Payload: []byte("downlink ping"),
 		})
@@ -308,7 +305,7 @@ func run(w io.Writer, o options) error {
 			return fmt.Errorf("only %d/%d readings uplinked before the deadline", backend.Distinct(), want)
 		}
 	}
-	if o.downlink && backend != nil {
+	if backend != nil {
 		got := false
 		for _, m := range far.Messages() {
 			if string(m.Payload) == "downlink ping" {

@@ -13,14 +13,11 @@ func TestMeshgwEndToEnd(t *testing.T) {
 	var sb strings.Builder
 	o := options{
 		n:         3,
-		batch:     4,
 		flush:     300 * time.Millisecond,
 		interval:  150 * time.Millisecond,
 		count:     4,
 		duration:  30 * time.Second,
 		timescale: 100,
-		hello:     2 * time.Second,
-		downlink:  true,
 	}
 	if err := run(&sb, o); err != nil {
 		t.Fatalf("run: %v\n%s", err, sb.String())

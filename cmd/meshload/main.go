@@ -31,16 +31,12 @@ func main() {
 	flag.IntVar(&cfg.Origins, "origins", 64, "distinct origin addresses (shard key population)")
 	flag.IntVar(&cfg.Gateways, "gateways", 1, "fleet size")
 	flag.IntVar(&cfg.Shards, "shards", 1, "backend shard count")
-	flag.IntVar(&cfg.BatchSize, "batch", 64, "readings per uplink POST")
 	flag.IntVar(&cfg.Pipeline, "pipeline", 1, "in-flight batches per backend shard")
 	flag.DurationVar(&cfg.GroupCommit, "gc", 0, "WAL group-commit interval (0 = flush per record)")
-	flag.DurationVar(&cfg.FlushInterval, "flush", 200*time.Millisecond, "partial-batch flush interval")
 	flag.StringVar(&cfg.SpoolDir, "spool", "", "directory for WAL spools (empty = memory-only)")
 	flag.Float64Var(&cfg.Overlap, "overlap", 0, "fraction of readings offered to a second gateway")
 	flag.BoolVar(&cfg.CrashRestart, "crash", false, "crash gateway 0 mid-run, hand over, restart from WAL")
 	flag.DurationVar(&cfg.BackendLatency, "rtt", 10*time.Millisecond, "simulated backend round-trip latency")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "assignment seed")
-	flag.DurationVar(&cfg.Timeout, "timeout", 60*time.Second, "drain deadline")
 	sweep := flag.String("sweep", "", "knob to sweep: batch | pipeline | shards | gateways")
 	values := flag.String("values", "", "comma-separated sweep values")
 	check := flag.Bool("check", false, "exit nonzero unless every run is exactly-once")

@@ -23,17 +23,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/citysim"
 	"repro/internal/control"
 	"repro/internal/energy"
 	"repro/internal/faults"
 	"repro/internal/forward"
 	"repro/internal/geo"
-	"repro/internal/icn"
 	"repro/internal/meshsec"
 	"repro/internal/netsim"
-	"repro/internal/slotted"
 	"repro/internal/span"
 	"repro/internal/trace"
 	"repro/loramesher"
@@ -47,13 +44,12 @@ type options struct {
 	// (internal/citysim) instead of the per-node protocol stack: 0 is the
 	// serial reference executor, k >= 1 runs k column-stripe shards. -1
 	// keeps the default per-node engine.
-	shards  int
-	spacing float64
+	shards int
 	// strategy selects the forwarding strategy by its forward.Kind name
 	// (proactive, reactive, icn, slotted, flooding). ICN runs a pull
 	// workload (interest rounds against a node-0 producer) instead of the
-	// push -traffic patterns; slotted runs under a default 3-slot
-	// superframe with node 0 as sink.
+	// push -traffic patterns; slotted runs under the 3-slot superframe
+	// with node 0 as sink.
 	strategy string
 	duration time.Duration
 	traffic  string
@@ -62,8 +58,6 @@ type options struct {
 	seed     int64
 	traceN   int
 	shadow   float64
-	topoFile string
-	saveTopo string
 	// traceOut streams every trace event to this file as JSONL ("-" for
 	// stdout); packetdump -events reads the format back.
 	traceOut string
@@ -96,7 +90,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.topology, "topology", "line", "line | grid | star | random")
 	flag.IntVar(&o.n, "n", 5, "number of nodes")
-	flag.Float64Var(&o.spacing, "spacing", 8000, "node spacing / radius in meters")
 	flag.IntVar(&o.shards, "shards", -1, "run the city-scale sharded engine with -n nodes and this many shards (0 = serial reference executor; -1 = per-node engine)")
 	flag.StringVar(&o.strategy, "strategy", "proactive", "forwarding strategy: proactive | reactive | icn | slotted | flooding")
 	flag.DurationVar(&o.duration, "duration", time.Hour, "simulated duration after convergence")
@@ -106,8 +99,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.IntVar(&o.traceN, "trace", 0, "print the last N trace events")
 	flag.Float64Var(&o.shadow, "shadow", 0, "log-normal shadowing sigma in dB")
-	flag.StringVar(&o.topoFile, "topo", "", "load node positions from a topology JSON file (overrides -topology)")
-	flag.StringVar(&o.saveTopo, "save-topo", "", "save the generated topology to a JSON file and continue")
 	flag.StringVar(&o.traceOut, "trace-out", "", "stream all trace events to this file as JSONL (\"-\" for stdout)")
 	flag.StringVar(&o.tracePacket, "trace-packet", "", "print the hop-by-hop journey of the packet with this trace ID")
 	flag.StringVar(&o.faultsFile, "faults", "", "apply a fault-injection plan from this JSON file (deterministic in -seed)")
@@ -122,7 +113,11 @@ func main() {
 	}
 }
 
-func buildTopology(kind string, n int, spacing float64, seed int64) (*geo.Topology, error) {
+// spacing is the node spacing (star: radius) in meters: adjacent nodes in
+// SF7 range, next-but-one out of it.
+const spacing = 8000.0
+
+func buildTopology(kind string, n int, seed int64) (*geo.Topology, error) {
 	switch kind {
 	case "line":
 		return geo.Line(n, spacing)
@@ -150,20 +145,9 @@ func run(w io.Writer, o options) error {
 	if o.shards >= 0 {
 		return runCity(w, o)
 	}
-	var topo *geo.Topology
-	if o.topoFile != "" {
-		topo, err = geo.LoadFile(o.topoFile)
-	} else {
-		topo, err = buildTopology(o.topology, o.n, o.spacing, o.seed)
-	}
+	topo, err := buildTopology(o.topology, o.n, o.seed)
 	if err != nil {
 		return err
-	}
-	if o.saveTopo != "" {
-		if err := topo.SaveFile(o.saveTopo); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "topology saved to %s\n", o.saveTopo)
 	}
 	var wantID trace.TraceID
 	if o.tracePacket != "" {
@@ -176,7 +160,13 @@ func run(w io.Writer, o options) error {
 		Protocol: strat,
 		Seed:     o.seed,
 		Node:     loramesher.Config{HelloPeriod: o.hello},
-		Flood:    baseline.Config{},
+		// Answers interests under -strategy icn; unused otherwise.
+		ICNProduce: func(i int, name string) []byte {
+			if i == 0 {
+				return []byte("demo(" + name + ")")
+			}
+			return nil
+		},
 	}
 	cfg.Medium.ShadowSigmaDB = o.shadow
 	if o.seckey != "" {
@@ -186,37 +176,11 @@ func run(w io.Writer, o options) error {
 		}
 		cfg.SecKey = &key
 	}
-	switch cfg.Protocol {
-	case forward.KindICN:
-		// The PIT window sits below StartInterestRounds' 40 s re-express
-		// cadence, so a lost round re-floods instead of aggregating
-		// against a dead pending interest.
-		cfg.ICN = icn.Config{
-			RebroadcastDelay: 200 * time.Millisecond,
-			PITTimeout:       20 * time.Second,
-		}
-		cfg.ICNProduce = func(i int, name string) []byte {
-			if i == 0 {
-				return []byte("demo(" + name + ")")
-			}
-			return nil
-		}
-	case forward.KindSlotted:
-		sf := slotted.DefaultSuperframe()
-		cfg.Slotted = slotted.Config{Superframe: sf, Sink: 0x0001}
-		cfg.FlowLatencyBound = sf.LatencyBound.D()
-	}
 	if o.traceN > 0 {
 		cfg.TraceCapacity = o.traceN
 	}
 	cfg.SpanCapacity = o.spanCap
 	cfg.HealthInterval = o.health
-	if cfg.Protocol == forward.KindSlotted && cfg.HealthInterval <= 0 {
-		// The superframe's latency bound is enforced by the health
-		// monitor; a slotted run without one would declare a bound nobody
-		// checks.
-		cfg.HealthInterval = time.Minute
-	}
 	var desired *control.State
 	if o.controlFile != "" {
 		if desired, err = control.LoadFile(o.controlFile); err != nil {
@@ -319,7 +283,7 @@ func run(w io.Writer, o options) error {
 			flows = append(flows, st)
 		}
 	case o.traffic == "sink":
-		all, err := sim.StartManyToOne(0, 24, o.interval, true)
+		all, err := sim.StartManyToOne(24, o.interval)
 		if err != nil {
 			return err
 		}

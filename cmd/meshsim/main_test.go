@@ -12,7 +12,7 @@ import (
 
 func TestBuildTopologyKinds(t *testing.T) {
 	for _, kind := range []string{"line", "grid", "star", "random"} {
-		topo, err := buildTopology(kind, 6, 8000, 1)
+		topo, err := buildTopology(kind, 6, 1)
 		if err != nil {
 			t.Errorf("%s: %v", kind, err)
 			continue
@@ -21,13 +21,13 @@ func TestBuildTopologyKinds(t *testing.T) {
 			t.Errorf("%s produced %d nodes, want >= 6", kind, topo.N())
 		}
 	}
-	if _, err := buildTopology("klein-bottle", 6, 8000, 1); err == nil {
+	if _, err := buildTopology("klein-bottle", 6, 1); err == nil {
 		t.Error("unknown topology: want error")
 	}
 }
 
 func TestPrintMapRendersEveryNode(t *testing.T) {
-	topo, err := buildTopology("line", 4, 1000, 1)
+	topo, err := buildTopology("line", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestPrintMapRendersEveryNode(t *testing.T) {
 // opts returns a tiny base scenario; tests tweak what they need.
 func opts() options {
 	return options{
-		topology: "line", n: 3, spacing: 8000, strategy: "proactive",
+		topology: "line", n: 3, strategy: "proactive",
 		duration: 600e9, traffic: "pairs", interval: 300e9, hello: 120e9,
 		seed: 1, shards: -1,
 	}

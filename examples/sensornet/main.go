@@ -113,7 +113,7 @@ func run(nodes, hours int, interval time.Duration, seed int64, stdout bool) erro
 	}
 	fmt.Printf("%d/%d sensors discovered the sink by its advertised role\n\n", discovered, nodes)
 
-	stats, err := sim.StartManyToOne(0, 24, interval, true)
+	stats, err := sim.StartManyToOne(24, interval)
 	if err != nil {
 		return err
 	}

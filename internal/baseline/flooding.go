@@ -34,15 +34,9 @@ var (
 	ErrStopped  = errors.New("baseline: node is stopped")
 )
 
-// Config parameterizes a flooding node.
-type Config struct {
-	// Address is the node's mesh address.
-	Address packet.Address
-	// TTL is the rebroadcast hop limit. Zero means 8.
-	TTL uint8
-}
-
 const (
+	// ttl is the rebroadcast hop limit a flood starts with.
+	ttl = 8
 	// rebroadcastDelay is the mean randomized hold-off before a node
 	// repeats a packet; the jitter desynchronizes the simultaneous
 	// rebroadcasts that otherwise collide.
@@ -51,13 +45,6 @@ const (
 	// suppressor remembers.
 	dedupCapacity = 512
 )
-
-func (c Config) withDefaults() Config {
-	if c.TTL == 0 {
-		c.TTL = 8
-	}
-	return c
-}
 
 // floodKey identifies a flooded packet network-wide.
 type floodKey struct {
@@ -69,7 +56,7 @@ type floodKey struct {
 // host-driven state machine implementing the same engine surface, so the
 // simulator runs both protocols on identical substrates.
 type Node struct {
-	cfg     Config
+	addr    packet.Address
 	env     core.Env
 	reg     *metrics.Registry
 	stopped bool
@@ -79,18 +66,17 @@ type Node struct {
 	tx      *forward.TxQueue
 }
 
-// NewNode creates a flooding node on the given env.
-func NewNode(cfg Config, env core.Env) (*Node, error) {
+// NewNode creates a flooding node with the given mesh address on env.
+func NewNode(addr packet.Address, env core.Env) (*Node, error) {
 	if env == nil {
 		return nil, fmt.Errorf("baseline: nil env")
 	}
-	if cfg.Address == packet.Broadcast {
+	if addr == packet.Broadcast {
 		return nil, fmt.Errorf("baseline: node address must not be broadcast")
 	}
-	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
 	return &Node{
-		cfg:  cfg,
+		addr: addr,
 		env:  env,
 		reg:  reg,
 		seen: forward.SeenSet[floodKey]{Cap: dedupCapacity},
@@ -99,7 +85,7 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 }
 
 // Address returns the node's mesh address.
-func (n *Node) Address() packet.Address { return n.cfg.Address }
+func (n *Node) Address() packet.Address { return n.addr }
 
 // Metrics exposes the node's instruments.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
@@ -133,17 +119,17 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 	seq := n.nextSeq
 	n.nextSeq++
 	body := make([]byte, floodHeaderLen+len(payload))
-	body[0] = n.cfg.TTL
+	body[0] = ttl
 	binary.BigEndian.PutUint16(body[1:3], seq)
 	copy(body[floodHeaderLen:], payload)
 	p := &packet.Packet{
 		Dst:     dst,
-		Src:     n.cfg.Address,
+		Src:     n.addr,
 		Type:    packet.TypeData,
 		Via:     packet.Broadcast,
 		Payload: body,
 	}
-	n.seen.Remember(floodKey{origin: n.cfg.Address, seq: seq})
+	n.seen.Remember(floodKey{origin: n.addr, seq: seq})
 	n.reg.Counter("app.sent").Inc()
 	n.tx.Enqueue(p, 0)
 	return nil
@@ -166,7 +152,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
-	if p.Src == n.cfg.Address {
+	if p.Src == n.addr {
 		return // own flood echoed back
 	}
 	ttl := p.Payload[0]
@@ -177,7 +163,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 		return
 	}
 
-	if p.Dst == n.cfg.Address || p.Dst == packet.Broadcast {
+	if p.Dst == n.addr || p.Dst == packet.Broadcast {
 		n.reg.Counter("app.delivered").Inc()
 		n.env.Deliver(core.AppMessage{
 			From:    p.Src,
@@ -185,7 +171,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 			Payload: append([]byte(nil), p.Payload[floodHeaderLen:]...),
 			At:      n.env.Now(),
 		})
-		if p.Dst == n.cfg.Address {
+		if p.Dst == n.addr {
 			return // unicast reached its destination; stop the flood here
 		}
 	}

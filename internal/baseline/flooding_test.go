@@ -65,14 +65,12 @@ func (e *floodEnv) Rand() float64               { return e.rng.Float64() }
 
 var _ core.Env = (*floodEnv)(nil)
 
-func newFloodBus(t *testing.T, cfg Config, addrs ...packet.Address) *floodBus {
+func newFloodBus(t *testing.T, addrs ...packet.Address) *floodBus {
 	t.Helper()
 	b := &floodBus{sched: simtime.NewScheduler(t0)}
 	for i, a := range addrs {
-		c := cfg
-		c.Address = a
 		env := &floodEnv{b: b, addr: a, rng: rand.New(rand.NewSource(int64(i) + 1))}
-		n, err := NewNode(c, env)
+		n, err := NewNode(a, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +110,7 @@ func chainDrop(chain []packet.Address) func(from, to packet.Address) bool {
 
 func TestFloodReachesMultiHopDestination(t *testing.T) {
 	chain := []packet.Address{1, 2, 3, 4}
-	b := newFloodBus(t, Config{}, chain...)
+	b := newFloodBus(t, chain...)
 	b.drop = chainDrop(chain)
 	if err := b.env(1).node.Send(4, []byte("flooded")); err != nil {
 		t.Fatal(err)
@@ -133,7 +131,7 @@ func TestFloodReachesMultiHopDestination(t *testing.T) {
 
 func TestFloodBroadcastDeliversEverywhere(t *testing.T) {
 	chain := []packet.Address{1, 2, 3, 4, 5}
-	b := newFloodBus(t, Config{}, chain...)
+	b := newFloodBus(t, chain...)
 	b.drop = chainDrop(chain)
 	if err := b.env(1).node.Send(packet.Broadcast, []byte("all")); err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestFloodBroadcastDeliversEverywhere(t *testing.T) {
 func TestFloodDuplicateSuppression(t *testing.T) {
 	// Full connectivity, 4 nodes: every node hears every rebroadcast but
 	// must deliver and forward each flood only once.
-	b := newFloodBus(t, Config{}, 1, 2, 3, 4)
+	b := newFloodBus(t, 1, 2, 3, 4)
 	if err := b.env(1).node.Send(packet.Broadcast, []byte("once")); err != nil {
 		t.Fatal(err)
 	}
@@ -165,16 +163,23 @@ func TestFloodDuplicateSuppression(t *testing.T) {
 }
 
 func TestFloodTTLBoundsPropagation(t *testing.T) {
-	chain := []packet.Address{1, 2, 3, 4, 5}
-	cfg := Config{TTL: 2} // origin + 1 rebroadcast: reaches 2 hops
-	b := newFloodBus(t, cfg, chain...)
+	// The origin plus ttl-1 rebroadcasts reach ttl hops: on a chain of
+	// ttl+2 nodes the last but one hears a broadcast and the last does not.
+	chain := make([]packet.Address, ttl+2)
+	for i := range chain {
+		chain[i] = packet.Address(i + 1)
+	}
+	b := newFloodBus(t, chain...)
 	b.drop = chainDrop(chain)
-	if err := b.env(1).node.Send(5, []byte("short")); err != nil {
+	if err := b.env(1).node.Send(packet.Broadcast, []byte("short")); err != nil {
 		t.Fatal(err)
 	}
 	b.sched.RunFor(time.Minute)
-	if len(b.env(5).msgs) != 0 {
-		t.Error("flood with TTL 2 crossed 4 hops")
+	if len(b.env(ttl+1).msgs) != 1 {
+		t.Errorf("flood did not reach %d hops", ttl)
+	}
+	if len(b.env(ttl+2).msgs) != 0 {
+		t.Errorf("flood crossed %d hops, past its TTL", ttl+1)
 	}
 	// TTL drops are counted somewhere along the chain.
 	var ttlDrops uint64
@@ -188,7 +193,7 @@ func TestFloodTTLBoundsPropagation(t *testing.T) {
 
 func TestFloodUnicastStopsAtDestination(t *testing.T) {
 	chain := []packet.Address{1, 2, 3}
-	b := newFloodBus(t, Config{}, chain...)
+	b := newFloodBus(t, chain...)
 	b.drop = chainDrop(chain)
 	if err := b.env(1).node.Send(2, []byte("next door")); err != nil {
 		t.Fatal(err)
@@ -205,7 +210,7 @@ func TestFloodUnicastStopsAtDestination(t *testing.T) {
 }
 
 func TestFloodValidation(t *testing.T) {
-	b := newFloodBus(t, Config{}, 1)
+	b := newFloodBus(t, 1)
 	n := b.env(1).node
 	if err := n.Send(2, make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize = %v, want ErrTooLarge", err)
@@ -214,16 +219,16 @@ func TestFloodValidation(t *testing.T) {
 	if err := n.Send(2, []byte("x")); !errors.Is(err, ErrStopped) {
 		t.Errorf("send after stop = %v, want ErrStopped", err)
 	}
-	if _, err := NewNode(Config{Address: packet.Broadcast}, &floodEnv{}); err == nil {
+	if _, err := NewNode(packet.Broadcast, &floodEnv{}); err == nil {
 		t.Error("broadcast address: want error")
 	}
-	if _, err := NewNode(Config{Address: 1}, nil); err == nil {
+	if _, err := NewNode(1, nil); err == nil {
 		t.Error("nil env: want error")
 	}
 }
 
 func TestFloodDedupEviction(t *testing.T) {
-	b := newFloodBus(t, Config{}, 1, 2)
+	b := newFloodBus(t, 1, 2)
 	const sends = dedupCapacity + 6
 	for i := 0; i < sends; i++ {
 		if err := b.env(1).node.Send(packet.Broadcast, []byte{byte(i)}); err != nil {
@@ -240,7 +245,7 @@ func TestFloodDedupEviction(t *testing.T) {
 }
 
 func TestFloodCorruptFrames(t *testing.T) {
-	b := newFloodBus(t, Config{}, 1)
+	b := newFloodBus(t, 1)
 	n := b.env(1).node
 	n.HandleFrame([]byte{1, 2}, core.RxInfo{})
 	// Valid packet but payload shorter than the flood header.

@@ -1,7 +1,6 @@
 package citysim
 
 import (
-	"os"
 	"testing"
 	"time"
 )
@@ -141,34 +140,6 @@ func TestCityShardBarrierRace(t *testing.T) {
 	}
 	if st.FramesDelivered == 0 {
 		t.Fatalf("no deliveries: %+v", st)
-	}
-}
-
-// TestScaleSmoke is the CI scale-regression gate (satellite #1), gated
-// behind SCALE_SMOKE=1 because it simulates a 10k-node city. It fails on
-// either (a) serial-vs-sharded trace divergence — digest mismatch — or
-// (b) an events/sec speedup below 2.0 (the sharded executor must beat the
-// full-scan design by at least that factor even on one core, because its
-// win is algorithmic: cell-bounded neighbor scans instead of O(n) per
-// transmission).
-func TestScaleSmoke(t *testing.T) {
-	if os.Getenv("SCALE_SMOKE") == "" {
-		t.Skip("set SCALE_SMOKE=1 to run the 10k-node scale gate")
-	}
-	const floor = 2.0
-	cfg := Config{Nodes: 10000, Seed: 1}
-	const d = 2 * time.Minute
-	serial, serialDigest := runOnce(t, cfg, d)
-	cfg.Shards = 4
-	sharded, shardedDigest := runOnce(t, cfg, d)
-
-	t.Logf("serial:  events=%d wall=%v events/sec=%.0f", serial.EventsFired, serial.Wall, serial.EventsPerSec())
-	t.Logf("sharded: events=%d wall=%v events/sec=%.0f shards=%d", sharded.EventsFired, sharded.Wall, sharded.EventsPerSec(), sharded.Shards)
-	if shardedDigest != serialDigest {
-		t.Fatalf("trace divergence: sharded digest %016x != serial %016x", shardedDigest, serialDigest)
-	}
-	if ratio := sharded.EventsPerSec() / serial.EventsPerSec(); ratio < floor {
-		t.Fatalf("scale regression: sharded/serial events/sec ratio %.2f below floor %.2f", ratio, floor)
 	}
 }
 

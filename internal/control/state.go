@@ -81,29 +81,6 @@ func (sp NodeSpec) merged(over NodeSpec) NodeSpec {
 	return sp
 }
 
-// Superframe declares a TDMA-like slotted schedule for the real-time
-// forwarding strategy (see internal/slotted): the superframe repeats
-// every Slots×SlotLen, each node transmits data only inside its assigned
-// slot (slot index = route depth modulo Slots), and LatencyBound is the
-// per-flow delivery deadline the health monitor enforces as an invariant.
-type Superframe struct {
-	// Slots is the number of slots per superframe.
-	Slots int `json:"slots"`
-	// SlotLen is one slot's duration.
-	SlotLen Duration `json:"slot_len"`
-	// Guard is trimmed from both ends of a slot: a transmission must
-	// finish Guard before the slot closes. Zero means no guard.
-	Guard Duration `json:"guard,omitempty"`
-	// LatencyBound is the per-flow delivery deadline; zero disables the
-	// latency-bound invariant.
-	LatencyBound Duration `json:"latency_bound,omitempty"`
-}
-
-// Period returns the superframe's repeat interval.
-func (sf *Superframe) Period() time.Duration {
-	return time.Duration(sf.Slots) * sf.SlotLen.D()
-}
-
 // State is one versioned desired-state document: what every node's
 // configuration should be, declaratively. The controller reconciles
 // live nodes toward it and re-reconciles whenever Version grows.
@@ -125,9 +102,6 @@ type State struct {
 	// Nodes overrides Defaults per node, keyed by the node's mesh
 	// address in hex ("0003").
 	Nodes map[string]NodeSpec `json:"nodes,omitempty"`
-	// Slotted, when present, declares the TDMA superframe the slotted
-	// forwarding strategy runs (see internal/slotted).
-	Slotted *Superframe `json:"slotted,omitempty"`
 }
 
 // Spec returns the effective desired spec for addr: Defaults overlaid
@@ -192,21 +166,6 @@ func (s *State) Validate() error {
 		}
 		if err := check("nodes["+k+"]", sp); err != nil {
 			return err
-		}
-	}
-	if sf := s.Slotted; sf != nil {
-		if sf.Slots < 1 || sf.Slots > 255 {
-			return fmt.Errorf("control: slotted slots %d outside 1..255", sf.Slots)
-		}
-		if sf.SlotLen <= 0 {
-			return fmt.Errorf("control: slotted slot_len must be positive")
-		}
-		if sf.Guard < 0 || sf.LatencyBound < 0 {
-			return fmt.Errorf("control: slotted has a negative duration")
-		}
-		if 2*sf.Guard.D() >= sf.SlotLen.D() {
-			return fmt.Errorf("control: slotted guard %v leaves no usable slot time (slot_len %v)",
-				sf.Guard.D(), sf.SlotLen.D())
 		}
 	}
 	return nil

@@ -29,7 +29,7 @@ func A1Poisoning(opt Options) (*Result, error) {
 		ttl = 2 * time.Minute
 	}
 	modes := []bool{false, true}
-	rows, err := forEachPoint(opt, len(modes), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(modes), func(p int) ([]string, error) {
 		poisoning := modes[p]
 		topo, err := geo.Line(n, chainSpacing)
 		if err != nil {
@@ -37,12 +37,9 @@ func A1Poisoning(opt Options) (*Result, error) {
 		}
 		cfg := expNode()
 		cfg.Routing = routing.Config{EntryTTL: ttl, Poisoning: poisoning, MaxHops: 16}
-		sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
+		sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("A1: no convergence")
 		}
 		dead := sim.Handle(n - 1)
 		if err := sim.Kill(n - 1); err != nil {
@@ -79,12 +76,8 @@ func A1Poisoning(opt Options) (*Result, error) {
 		}
 		return []string{mode, life, fmt.Sprintf("%d", maxMetric),
 			fmt.Sprintf("%d", stats.Accepted)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"expiry-only suffers count-to-infinity: neighbors mutually refresh the dead route at climbing metrics until the hop cap, multiplying the phantom lifetime; poisoning kills it within ~TTL + a few HELLO periods")
@@ -110,7 +103,7 @@ func A2HelloPeriod(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := forEachPoint(opt, len(periods), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(periods), func(i int) ([]string, error) {
 		period := periods[i]
 		cfg := expNode()
 		cfg.HelloPeriod = period
@@ -129,12 +122,8 @@ func A2HelloPeriod(opt Options) (*Result, error) {
 		budget := 36 * time.Second
 		return []string{fmtDur(period), fmtDur(conv), fmtDur(perNodeH),
 			fmtPct(float64(perNodeH) / float64(budget))}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"convergence scales with the period (diameter x period), overhead scales inversely — the knee sits near the prototype's 2 min")
@@ -162,7 +151,7 @@ func A3ARQWindow(opt Options) (*Result, error) {
 		Title:  fmt.Sprintf("ARQ window sweep: %d B over %d hops", size, hops),
 		Header: []string{"window", "pacing", "time", "goodput B/s", "retransmissions"},
 	}
-	rows, err := forEachPoint(opt, len(variants), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		w := v.window
 		topo, err := geo.Line(hops+1, chainSpacing)
@@ -174,12 +163,9 @@ func A3ARQWindow(opt Options) (*Result, error) {
 		cfg.StreamPacing = v.pacing
 		cfg.StreamRetry = 20 * time.Second
 		cfg.StreamMaxRetries = 10
-		sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
+		sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("A3: no convergence")
 		}
 		src := sim.Handle(0)
 		if _, err := src.Mesher.SendReliable(sim.Handle(hops).Addr, make([]byte, size)); err != nil {
@@ -202,12 +188,8 @@ func A3ARQWindow(opt Options) (*Result, error) {
 		return []string{fmt.Sprintf("%d", w), pacingStr, fmtDur(ev.Elapsed),
 			fmtF(float64(size)/ev.Elapsed.Seconds(), 1),
 			fmt.Sprintf("%d", ev.Retransmissions)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"windowing cannot win on a half-duplex single-channel chain: unpaced windows collide with their own forwarding (retransmissions explode, transfers can fail), and pacing wide enough to be safe degenerates to stop-and-wait timing — validating the prototype's stop-and-wait design")
@@ -233,7 +215,7 @@ func A4SpreadingFactor(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := forEachPoint(opt, len(sfs), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(sfs), func(p int) ([]string, error) {
 		sf := sfs[p]
 		phy := loraphy.DefaultParams()
 		phy.SpreadingFactor = sf
@@ -271,12 +253,8 @@ func A4SpreadingFactor(opt Options) (*Result, error) {
 		}
 		return []string{sf.String(), fmt.Sprintf("%.0fkm", rng/1000),
 			fmt.Sprintf("%v", connected), convStr, pdrStr, airStr}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"the crossover: the lowest SF whose range connects the field wins — higher SFs only multiply airtime (x2 per step) against the same duty budget")
@@ -303,7 +281,7 @@ func A5CAD(opt Options) (*Result, error) {
 		return nil, err
 	}
 	cads := []bool{false, true}
-	rows, err := forEachPoint(opt, len(cads), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cads), func(i int) ([]string, error) {
 		cad := cads[i]
 		cfg := expNode()
 		cfg.CAD = cad
@@ -314,7 +292,7 @@ func A5CAD(opt Options) (*Result, error) {
 		if _, ok := sim.TimeToConvergence(10*time.Second, 2*time.Hour); !ok {
 			return nil, fmt.Errorf("A5: no convergence")
 		}
-		stats, err := sim.StartManyToOne(0, 24, 90*time.Second, true)
+		stats, err := sim.StartManyToOne(24, 90*time.Second)
 		if err != nil {
 			return nil, err
 		}
@@ -326,12 +304,8 @@ func A5CAD(opt Options) (*Result, error) {
 			fmtDur(total.MeanLatency()),
 			fmt.Sprintf("%d", ms.LostCollision),
 			fmtF(snap["total.cad.deferrals"], 0)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"CAD converts collision losses into short deferrals: delivery rises, latency pays milliseconds")

@@ -33,7 +33,7 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 			"spool max", "breaker opens", "mean age", "p95 age"},
 	}
 
-	rows, err := forEachPoint(opt, len(outages), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(outages), func(p int) ([]string, error) {
 		outage := outages[p]
 		backend := gateway.NewBackend()
 		srv := httptest.NewServer(backend)
@@ -66,7 +66,7 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 		if _, ok := sim.TimeToConvergence(30*time.Second, 2*time.Hour); !ok {
 			return nil, fmt.Errorf("E11: mesh never converged")
 		}
-		if _, err := sim.StartManyToOne(0, 16, time.Minute, true); err != nil {
+		if _, err := sim.StartManyToOne(16, time.Minute); err != nil {
 			return nil, err
 		}
 
@@ -132,12 +132,8 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 			fmt.Sprintf("%d", reg.Counter("gw.breaker.opened").Value()),
 			fmtDur(time.Duration(age.Mean()) * time.Millisecond),
 			fmtDur(time.Duration(age.Quantile(0.95)) * time.Millisecond)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"ratio is uplinked/at-sink: the spool makes the backend outage invisible (100% with zero duplicates) while the partition only suppresses arrivals",

@@ -80,7 +80,7 @@ func E12ChaosMatrix(opt Options) (*Result, error) {
 			"fault drops", "expired", "trig HELLOs"},
 	}
 
-	rows, err := forEachPoint(opt, len(scenarios), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(scenarios), func(i int) ([]string, error) {
 		sc := scenarios[i]
 		topo, err := geo.Line(n, chainSpacing)
 		if err != nil {
@@ -96,7 +96,7 @@ func E12ChaosMatrix(opt Options) (*Result, error) {
 		if err := sim.ApplyFaultPlan(sc.plan); err != nil {
 			return nil, err
 		}
-		all, err := sim.StartManyToOne(0, 16, 2*time.Minute, true)
+		all, err := sim.StartManyToOne(16, 2*time.Minute)
 		if err != nil {
 			return nil, err
 		}
@@ -124,12 +124,8 @@ func E12ChaosMatrix(opt Options) (*Result, error) {
 			fmt.Sprintf("%.0f", snap["total.routes.expired"]),
 			fmt.Sprintf("%.0f", snap["total.hello.triggered"]),
 		}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 
 	res.Notes = []string{

@@ -54,7 +54,7 @@ func E13Security(opt Options) (*Result, error) {
 		cells = append(cells, cell{h, false}, cell{h, true})
 	}
 
-	rows, err := forEachPoint(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
 		c := cells[i]
 		n := c.hops + 1
 		topo, err := geo.Line(n, chainSpacing)
@@ -102,12 +102,8 @@ func E13Security(opt Options) (*Result, error) {
 			fmtDur(sim.TotalAirtime()),
 			secShare,
 		}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 
 	res.Notes = []string{

@@ -67,13 +67,11 @@ func E16SelfHealing(opt Options) (*Result, error) {
 		cells = append(cells, cell{f, false}, cell{f, true})
 	}
 
-	rows, err := forEachPoint(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
 		return e16Cell(opt, cells[i].fault, cells[i].ctl, *key, horizon, probeEvery)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	res.Rows = rows
 
 	res.Notes = append(res.Notes,
 		"MTTR runs from fault injection to the recovery signal: a delivered probe (blackhole, silent) or the replay-drop counter going quiet for 2min while the attacker keeps injecting (replay).",

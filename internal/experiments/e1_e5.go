@@ -121,7 +121,7 @@ func E3Convergence(opt Options) (*Result, error) {
 		Title:  "time to full routing convergence (HELLO period 2 min)",
 		Header: []string{"nodes", "chain", "chain diam", "random", "random diam"},
 	}
-	rows, err := forEachPoint(opt, len(sizes), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		chain, err := geo.Line(n, chainSpacing)
 		if err != nil {
@@ -145,12 +145,8 @@ func E3Convergence(opt Options) (*Result, error) {
 		return []string{fmt.Sprintf("%d", n),
 			okDur(chainT, chainOK), fmt.Sprintf("%d", cd),
 			okDur(randT, randOK), fmt.Sprintf("%d", rd)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"convergence grows with network diameter: each extra hop costs about one HELLO period",
@@ -191,7 +187,7 @@ func E4ControlOverhead(opt Options) (*Result, error) {
 		Title:  "routing control overhead (idle mesh, HELLO period 2 min)",
 		Header: []string{"nodes", "hello frames/node/h", "hello airtime/node/h", "% of 1% budget", "hello bytes/frame"},
 	}
-	rows, err := forEachPoint(opt, len(sizes), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		side := 12000.0 * math.Sqrt(float64(n)/4)
 		topo, err := geo.ConnectedRandomGeometric(n, side, side, 12000, opt.Seed, 1000)
@@ -218,12 +214,8 @@ func E4ControlOverhead(opt Options) (*Result, error) {
 			fmtF(helloFrames, 1), fmtDur(airPerNodeH),
 			fmtPct(float64(airPerNodeH) / float64(budget)),
 			fmtF(avgFrame, 1)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"HELLO frames grow with table size (larger meshes advertise more rows), but stay well inside the duty budget at the 2-min period")
@@ -256,14 +248,10 @@ func E5Delivery(opt Options) (*Result, error) {
 			cells = append(cells, cell{h, loss})
 		}
 	}
-	rows, err := forEachPoint(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
 		return deliveryCell(opt.Seed, cells[i].hops, cells[i].loss, count)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"datagram PDR decays roughly as (1-loss)^hops; the reliable transport holds ≈100% through moderate hop-loss products by paying retransmissions, and degrades only where the end-to-end round trip itself is unlikely (7 hops at 20% per-link loss)",
@@ -279,7 +267,7 @@ func deliveryCell(seed int64, hops int, loss float64, count int) ([]string, erro
 	cfg := expNode()
 	cfg.StreamRetry = 15 * time.Second
 	cfg.StreamMaxRetries = 8
-	sim, err := netsim.New(netsim.Config{
+	sim, err := converged(netsim.Config{
 		Topology: topo,
 		Node:     cfg,
 		Seed:     seed,
@@ -287,9 +275,6 @@ func deliveryCell(seed int64, hops int, loss float64, count int) ([]string, erro
 	})
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("E5: no convergence at %d hops", hops)
 	}
 	// Unreliable datagrams.
 	stats, err := sim.StartFlow(netsim.Flow{

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/netsim"
@@ -33,18 +32,15 @@ func E6LargePayload(opt Options) (*Result, error) {
 			cells = append(cells, cell{size, h})
 		}
 	}
-	rows, err := forEachPoint(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
 		size, h := cells[i].size, cells[i].hops
 		topo, err := geo.Line(h+1, chainSpacing)
 		if err != nil {
 			return nil, err
 		}
-		sim, err := netsim.New(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
+		sim, err := converged(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("E6: no convergence")
 		}
 		src := sim.Handle(0)
 		if _, err := src.Mesher.SendReliable(sim.Handle(h).Addr, make([]byte, size)); err != nil {
@@ -60,12 +56,8 @@ func E6LargePayload(opt Options) (*Result, error) {
 		return []string{fmt.Sprintf("%d", size), fmt.Sprintf("%d", h),
 			fmt.Sprintf("%d", ev.Chunks), fmtDur(ev.Elapsed),
 			fmtF(float64(size)/ev.Elapsed.Seconds(), 1)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"transfer time scales linearly in chunks and in hops (stop-and-wait pays one mesh round-trip per chunk)")
@@ -103,21 +95,9 @@ func E7Baseline(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := netsim.Config{
-			Topology: topo,
-			Protocol: kind,
-			Node:     expNode(),
-			Flood:    baseline.Config{TTL: 8},
-			Seed:     seed,
-		}
-		sim, err := netsim.New(cfg)
+		sim, err := converged(netsim.Config{Topology: topo, Protocol: kind, Node: expNode(), Seed: seed})
 		if err != nil {
 			return nil, err
-		}
-		if kind == forward.KindProactive {
-			if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-				return nil, fmt.Errorf("E7: no convergence")
-			}
 		}
 		// Fixed unicast pairs i -> (i+n/2) mod n, Poisson.
 		var all []*netsim.TrafficStats
@@ -215,14 +195,11 @@ func E8DutyCycle(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := netsim.New(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
+	sim, err := converged(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("E8: no convergence")
-	}
-	stats, err := sim.StartManyToOne(0, 24, 10*time.Minute, true)
+	stats, err := sim.StartManyToOne(24, 10*time.Minute)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +259,7 @@ func E9Density(opt Options) (*Result, error) {
 		Title:  "density sweep: fixed 30x30 km field, Poisson unicast",
 		Header: []string{"nodes", "mean degree", "PDR", "mean latency", "collision losses", "tx frames"},
 	}
-	rows, err := forEachPoint(opt, len(sizes), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(sizes), func(p int) ([]string, error) {
 		n := sizes[p]
 		topo, err := geo.ConnectedRandomGeometric(n, 30000, 30000, 12000, opt.Seed, 2000)
 		if err != nil {
@@ -316,12 +293,8 @@ func E9Density(opt Options) (*Result, error) {
 			fmtDur(total.MeanLatency()),
 			fmt.Sprintf("%d", ms.LostCollision),
 			fmtF(snap["total.tx.frames"], 0)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"collision losses grow superlinearly with density while PDR degrades gracefully — capture lets the strongest frame survive")
@@ -341,14 +314,10 @@ func E10Repair(opt Options) (*Result, error) {
 		Title:  "route repair after router death (diamond topology, redundant path)",
 		Header: []string{"entry TTL", "repair time", "lost in outage", "delivered after"},
 	}
-	rows, err := forEachPoint(opt, len(ttls), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(ttls), func(i int) ([]string, error) {
 		return repairCell(opt.Seed, ttls[i], false)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"repair ≈ entry TTL + one HELLO period: the dead route must expire before the alternative is adopted",
@@ -363,12 +332,9 @@ func repairCell(seed int64, ttl time.Duration, poisoning bool) ([]string, error)
 	}}
 	cfg := expNode()
 	cfg.Routing = routing.Config{EntryTTL: ttl, Poisoning: poisoning}
-	sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: seed})
+	sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: seed})
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("repair: no convergence")
 	}
 	// Steer the 0->3 route through node 1, then kill node 1.
 	if via, _ := sim.Handle(0).Mesher.Table().NextHop(sim.Handle(3).Addr); via == sim.Handle(2).Addr {

@@ -7,8 +7,6 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -16,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/meshsec"
+	"repro/internal/netsim"
 )
 
 // Options tunes an experiment run.
@@ -49,6 +48,28 @@ type Result struct {
 // AddRow appends a row of stringified cells.
 func (r *Result) AddRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
+}
+
+// sweep evaluates row(i) for the n points of a sweep (see forEachPoint)
+// and appends the rows in sweep order.
+func (r *Result) sweep(opt Options, n int, row func(i int) ([]string, error)) error {
+	rows, err := forEachPoint(opt, n, row)
+	r.Rows = append(r.Rows, rows...)
+	return err
+}
+
+// converged builds cfg's simulation and runs it until every node routes
+// to every other (at once under the table-free strategies), looking every
+// 10 s of virtual time for up to 4 h.
+func converged(cfg netsim.Config) (*netsim.Sim, error) {
+	sim, err := netsim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
+		return nil, fmt.Errorf("no convergence in 4 h")
+	}
+	return sim, nil
 }
 
 // WriteTo renders the result as an aligned text table.
@@ -174,40 +195,4 @@ func median(ds []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), ds...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
-}
-
-// WriteCSV renders the result as RFC-4180 CSV with a leading comment row
-// for the title, for plotting pipelines.
-func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"# " + r.ID}, r.Title)); err != nil {
-		return fmt.Errorf("experiments: csv: %w", err)
-	}
-	if err := cw.Write(r.Header); err != nil {
-		return fmt.Errorf("experiments: csv: %w", err)
-	}
-	for _, row := range r.Rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiments: csv: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSON renders the result as a JSON document.
-func (r *Result) WriteJSON(w io.Writer) error {
-	doc := struct {
-		ID     string     `json:"id"`
-		Title  string     `json:"title"`
-		Header []string   `json:"header"`
-		Rows   [][]string `json:"rows"`
-		Notes  []string   `json:"notes,omitempty"`
-	}{r.ID, r.Title, r.Header, r.Rows, r.Notes}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("experiments: json: %w", err)
-	}
-	return nil
 }

@@ -94,23 +94,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Errorf("median(nil) = %v", got)
 	}
 }
-
-func TestResultCSVAndJSON(t *testing.T) {
-	res := &Result{ID: "T", Title: "t", Header: []string{"a", "b"}, Notes: []string{"n"}}
-	res.AddRow("1", "2")
-	var csvOut, jsonOut strings.Builder
-	if err := res.WriteCSV(&csvOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csvOut.String(), "a,b") || !strings.Contains(csvOut.String(), "1,2") {
-		t.Errorf("csv = %q", csvOut.String())
-	}
-	if err := res.WriteJSON(&jsonOut); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"id": "T"`, `"rows"`, `"n"`} {
-		if !strings.Contains(jsonOut.String(), want) {
-			t.Errorf("json missing %q: %s", want, jsonOut.String())
-		}
-	}
-}

@@ -24,12 +24,9 @@ func X1Energy(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := netsim.New(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
+	sim, err := converged(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed})
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("X1: no convergence")
 	}
 	// Endpoint-to-endpoint telemetry: every interior node relays.
 	stats, err := sim.StartFlow(netsim.Flow{

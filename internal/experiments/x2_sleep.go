@@ -40,7 +40,7 @@ func X2Sleep(opt Options) (*Result, error) {
 	if opt.Quick {
 		variants = []variant{{-1, 0, "nobody"}, {2, 0.9, "leaf"}, {1, 0.9, "router"}}
 	}
-	rows, err := forEachPoint(opt, len(variants), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		// Chain: 0 = sink, 1 = router, 2 = leaf.
 		topo, err := geo.Line(3, chainSpacing)
@@ -53,12 +53,9 @@ func X2Sleep(opt Options) (*Result, error) {
 		// holding entries longer costs nothing and keeps its route alive
 		// across sleep cycles.
 		cfg.Routing.EntryTTL = time.Hour
-		sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
+		sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("X2: no convergence")
 		}
 		if v.sleeper >= 0 {
 			// Awake windows sized to catch HELLOs: 30 s awake, scaled
@@ -88,12 +85,8 @@ func X2Sleep(opt Options) (*Result, error) {
 		ne := report[idx]
 		return []string{v.label, fmtPct(v.duty), fmtPct(stats.DeliveryRatio()),
 			fmtF(ne.MeanCurrentMA, 2), fmtDur(ne.BatteryLife)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"paired with a long routing TTL, a sleeping leaf keeps near-full delivery (transmissions wake the radio; routes refresh during awake windows) while battery life multiplies ~10-20x; a sleeping router black-holes the frames it should forward — only edge devices may sleep")

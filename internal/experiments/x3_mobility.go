@@ -25,7 +25,7 @@ func X3Mobility(opt Options) (*Result, error) {
 		Title:  fmt.Sprintf("extension: random-waypoint mobility, %d nodes, Poisson unicast", n),
 		Header: []string{"speed m/s", "PDR", "mean latency", "no-route drops", "routes expired"},
 	}
-	rows, err := forEachPoint(opt, len(speeds), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(speeds), func(p int) ([]string, error) {
 		speed := speeds[p]
 		side := 12000.0 * 1.6 // keep the roaming field comfortably connected
 		topo, err := geo.ConnectedRandomGeometric(n, side, side, 12000, opt.Seed, 2000)
@@ -36,12 +36,9 @@ func X3Mobility(opt Options) (*Result, error) {
 		// Mobile meshes need faster failure detection than the static
 		// default: TTL of a few HELLO periods.
 		cfg.Routing.EntryTTL = 6 * time.Minute
-		sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
+		sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-			return nil, fmt.Errorf("X3: no convergence")
 		}
 		if speed > 0 {
 			model, err := geo.NewRandomWaypoint(n, side, side, speed, speed, 30*time.Second, opt.Seed)
@@ -70,12 +67,8 @@ func X3Mobility(opt Options) (*Result, error) {
 			fmtDur(total.MeanLatency()),
 			fmtF(snap["total.drop.noroute"], 0),
 			fmtF(snap["total.routes.expired"], 0)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"pedestrian speeds are nearly free (links outlive the hello period); vehicular speeds outrun the 2-min beacons — stale next hops and no-route drops climb, the proactive protocol's known mobility wall")

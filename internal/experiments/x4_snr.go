@@ -41,7 +41,7 @@ func X4SNRRouting(opt Options) (*Result, error) {
 			cells = append(cells, cell{seed, snr})
 		}
 	}
-	rows, err := forEachPoint(opt, len(cells), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(cells), func(p int) ([]string, error) {
 		seed, snr := cells[p].seed, cells[p].snr
 		// Dense enough that equal-hop alternatives exist; shadowing
 		// makes their quality diverge.
@@ -59,7 +59,7 @@ func X4SNRRouting(opt Options) (*Result, error) {
 			// Shadowing spreads link qualities; soft decoding makes
 			// marginal links lossy instead of binary, which is what
 			// a quality metric can route around.
-			Medium: airmedium.Config{ShadowSigmaDB: 8, SoftDecodingWidthDB: 3, Seed: seed},
+			Medium: airmedium.Config{ShadowSigmaDB: 8, SoftDecodingWidthDB: 3},
 		})
 		if err != nil {
 			return nil, err
@@ -84,12 +84,8 @@ func X4SNRRouting(opt Options) (*Result, error) {
 		return []string{metricName(snr), fmt.Sprintf("%d", seed),
 			fmtPct(total.DeliveryRatio()), fmtDur(total.MeanLatency()),
 			fmt.Sprintf("%d", ms.LostBelowSensitivity)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"NEGATIVE RESULT: the first-link-greedy SNR tiebreak consistently lowers PDR — it pulls routes toward strong nearby neighbors whose onward links are weaker. Link-quality routing needs an end-to-end metric (ETX-style) carried in the advertisement, which the prototype's 4-byte HELLO row cannot express; hop count with implicit survivor bias (weak neighbors' HELLOs rarely arrive) is the better default")

@@ -37,12 +37,9 @@ func X5Partition(opt Options) (*Result, error) {
 
 	cfg := expNode()
 	cfg.Routing = routing.Config{EntryTTL: 6 * time.Minute, Poisoning: true}
-	sim, err := netsim.New(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
+	sim, err := converged(netsim.Config{Topology: topo, Node: cfg, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("X5: no convergence")
 	}
 
 	// One intra-cluster flow per side plus two cross-cluster flows.

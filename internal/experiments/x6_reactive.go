@@ -8,7 +8,6 @@ import (
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/netsim"
-	"repro/internal/reactive"
 )
 
 // X6Reactive is an extension experiment: the canonical proactive-versus-
@@ -48,23 +47,11 @@ func X6Reactive(opt Options) (*Result, error) {
 		{forward.KindReactive, "AODV-lite (reactive)"},
 		{forward.KindFlooding, "flooding"},
 	}
-	rows, err := forEachPoint(opt, len(protos), func(p int) ([]string, error) {
+	if err := res.sweep(opt, len(protos), func(p int) ([]string, error) {
 		pr := protos[p]
-		cfg := netsim.Config{
-			Topology: topo,
-			Protocol: pr.kind,
-			Node:     expNode(),
-			Reactive: reactive.Config{DiscoveryTimeout: 15 * time.Second},
-			Seed:     opt.Seed,
-		}
-		sim, err := netsim.New(cfg)
+		sim, err := converged(netsim.Config{Topology: topo, Protocol: pr.kind, Node: expNode(), Seed: opt.Seed})
 		if err != nil {
 			return nil, err
-		}
-		if pr.kind == forward.KindProactive {
-			if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-				return nil, fmt.Errorf("X6: no convergence")
-			}
 		}
 		// Phase 1: a silent network — what does just existing cost?
 		airBefore := sim.TotalAirtime()
@@ -100,12 +87,8 @@ func X6Reactive(opt Options) (*Result, error) {
 		return []string{pr.name, fmtDur(idleAir), first,
 			fmtPct(total.DeliveryRatio()), fmtDur(total.MeanLatency()),
 			fmtF(snap["total.tx.frames"], 0)}, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range rows {
-		res.AddRow(row...)
 	}
 	res.Notes = append(res.Notes,
 		"the trade: proactive pays idle beacons and answers instantly; reactive is silent when idle but the first packet of every flow waits out a discovery round trip; flooding pays the most airtime forever. For always-on telemetry (this paper's workload) proactive wins; for rare event traffic reactive's silence is worth the latency")

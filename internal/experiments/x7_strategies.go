@@ -9,11 +9,7 @@ import (
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/health"
-	"repro/internal/icn"
 	"repro/internal/netsim"
-	"repro/internal/packet"
-	"repro/internal/reactive"
-	"repro/internal/slotted"
 )
 
 // X7Strategies is the four-way forwarding-strategy shoot-out the strategy
@@ -60,14 +56,10 @@ func X7Strategies(opt Options) (*Result, error) {
 		forward.KindProactive, forward.KindReactive, forward.KindICN, forward.KindSlotted,
 	}
 	scenarios := x7Scenarios()
-	chainRows, err := forEachPoint(opt, len(kinds)*len(scenarios), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(kinds)*len(scenarios), func(i int) ([]string, error) {
 		return x7ChainCell(opt, kinds[i/len(scenarios)], scenarios[i%len(scenarios)], active)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range chainRows {
-		res.AddRow(row...)
 	}
 
 	// --- section 2: many-reader workload -----------------------------
@@ -98,14 +90,10 @@ func X7Strategies(opt Options) (*Result, error) {
 
 	// --- section 3: city scale ---------------------------------------
 	cityStrats := []string{"proactive", "reactive", "icn", "slotted"}
-	cityRows, err := forEachPoint(opt, len(cityStrats), func(i int) ([]string, error) {
+	if err := res.sweep(opt, len(cityStrats), func(i int) ([]string, error) {
 		return x7CityCell(opt, cityStrats[i], cityNodes, cityShards, cityFor)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	for _, row := range cityRows {
-		res.AddRow(row...)
 	}
 
 	res.Notes = append(res.Notes,
@@ -139,16 +127,6 @@ func x7Scenarios() []struct {
 	}
 }
 
-// x7ICNConfig is the ICN template for X7: the PIT window sits below the
-// 40 s application re-express cadence so lost rounds re-flood instead of
-// aggregating against a dead pending interest.
-func x7ICNConfig() icn.Config {
-	return icn.Config{
-		RebroadcastDelay: 200 * time.Millisecond,
-		PITTimeout:       20 * time.Second,
-	}
-}
-
 // x7NamePrefix names the per-round datum every X7 ICN reader pulls.
 const x7NamePrefix = "x7/reading/"
 
@@ -156,42 +134,21 @@ const x7NamePrefix = "x7/reading/"
 // function of the name, so every cached answer is checkable.
 func x7Content(name string) []byte { return []byte("x7(" + name + ")") }
 
-// x7Sim assembles a chain-or-grid simulation for one strategy, keeping
-// every strategy on the same radio profile and seed. producer is the node
-// index that answers ICN interests (and the slotted/ManyToOne sink).
-func x7Sim(opt Options, kind forward.Kind, topo *geo.Topology, producer int) (*netsim.Sim, error) {
-	cfg := netsim.Config{Topology: topo, Protocol: kind, Seed: opt.Seed}
-	switch kind {
-	case forward.KindProactive:
-		cfg.Node = expNode()
-	case forward.KindFlooding:
-		// Defaults; the baseline has no routing state to configure.
-	case forward.KindReactive:
-		cfg.Reactive = reactive.Config{DiscoveryTimeout: 15 * time.Second}
-	case forward.KindICN:
-		cfg.ICN = x7ICNConfig()
-		cfg.ICNProduce = func(i int, name string) []byte {
-			if i == producer {
+// x7Sim assembles a converged chain-or-grid simulation for one strategy,
+// keeping every strategy on the same radio profile and seed; the strategy
+// is its name. Node 0 answers ICN interests.
+func x7Sim(opt Options, kind forward.Kind, topo *geo.Topology) (*netsim.Sim, error) {
+	sim, err := converged(netsim.Config{
+		Topology: topo, Protocol: kind, Node: expNode(), Seed: opt.Seed,
+		ICNProduce: func(i int, name string) []byte {
+			if i == 0 {
 				return x7Content(name)
 			}
 			return nil
-		}
-	case forward.KindSlotted:
-		sf := slotted.DefaultSuperframe()
-		cfg.Node = expNode()
-		cfg.Slotted = slotted.Config{
-			Superframe: sf,
-			Sink:       packet.Address(0x0001 + producer),
-		}
-		cfg.HealthInterval = time.Minute
-		cfg.FlowLatencyBound = sf.LatencyBound.D()
-	}
-	sim, err := netsim.New(cfg)
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("X7 %s: %w", kind, err)
-	}
-	if _, ok := sim.TimeToConvergence(10*time.Second, 4*time.Hour); !ok {
-		return nil, fmt.Errorf("X7 %s: mesh never converged", kind)
 	}
 	return sim, nil
 }
@@ -207,7 +164,7 @@ func x7ChainCell(opt Options, kind forward.Kind, sc struct {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := x7Sim(opt, kind, topo, 0)
+	sim, err := x7Sim(opt, kind, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +180,7 @@ func x7ChainCell(opt Options, kind forward.Kind, sc struct {
 	if kind == forward.KindICN {
 		stats, err = sim.StartInterestRounds(x7NamePrefix, 2*time.Minute, active)
 	} else {
-		flows, err = sim.StartManyToOne(0, 16, 2*time.Minute, true)
+		flows, err = sim.StartManyToOne(16, 2*time.Minute)
 	}
 	if err != nil {
 		return nil, err
@@ -280,7 +237,7 @@ func x7ManyReaderCell(opt Options, kind forward.Kind, runFor time.Duration) ([]s
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sim, err := x7Sim(opt, kind, topo, 0)
+	sim, err := x7Sim(opt, kind, topo)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -21,6 +21,10 @@
 // same surface, so comparison experiments dispatch every engine —
 // baseline or strategy — through one interface instead of hard-wired
 // per-protocol calls.
+//
+// A strategy is selected by its Kind name and nothing else: both
+// executors (netsim.Config.Protocol, citysim.Config.Strategy) take the
+// name, and each strategy's own parameters are constants in its package.
 package forward
 
 import (

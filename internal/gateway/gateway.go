@@ -407,7 +407,7 @@ func validateURLs(urls []string) error {
 func (g *Gateway) preRegisterInstruments() {
 	for _, c := range []string{
 		"gw.offered", "gw.accepted", "gw.drop.duplicate", "gw.drop.oldest",
-		"gw.drop.newest", "gw.wal.errors", "gw.uplink.failures",
+		"gw.wal.errors", "gw.uplink.failures",
 		"gw.breaker.opened", "gw.spool.replayed", "gw.spool.compactions",
 		"gw.downlink.received", "gw.downlink.injected", "gw.downlink.errors",
 		"gw.downlink.stale", "ingest.wal.commits",

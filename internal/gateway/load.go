@@ -34,13 +34,11 @@ type LoadConfig struct {
 	Gateways int
 	// Shards is the backend shard count. Zero means 1.
 	Shards int
-	// BatchSize, Pipeline, GroupCommit and FlushInterval are handed to
-	// every gateway (see Config). Zero BatchSize means 64; zero
-	// FlushInterval means 200 ms.
-	BatchSize     int
-	Pipeline      int
-	GroupCommit   time.Duration
-	FlushInterval time.Duration
+	// BatchSize, Pipeline and GroupCommit are handed to every gateway
+	// (see Config). Zero BatchSize means 64.
+	BatchSize   int
+	Pipeline    int
+	GroupCommit time.Duration
 	// SpoolDir, when set, backs each gateway with a WAL file inside it
 	// (gw<i>.wal); empty runs memory-only spools.
 	SpoolDir string
@@ -61,9 +59,15 @@ type LoadConfig struct {
 	// Seed drives reading assignment; runs are reproducible per seed up
 	// to wall-clock columns. Zero means 1.
 	Seed int64
-	// Timeout bounds the drain wait. Zero means 60 s.
-	Timeout time.Duration
 }
+
+const (
+	// loadFlushInterval is every load gateway's partial-batch flush
+	// interval.
+	loadFlushInterval = 200 * time.Millisecond
+	// loadTimeout bounds the drain wait.
+	loadTimeout = 60 * time.Second
+)
 
 func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Readings <= 0 {
@@ -81,17 +85,11 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 200 * time.Millisecond
-	}
 	if c.Pipeline <= 0 {
 		c.Pipeline = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 60 * time.Second
 	}
 	return c
 }
@@ -177,7 +175,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 			URLs:          sb.URLs(base),
 			Addr:          packet.Address(0xF000 + i),
 			BatchSize:     cfg.BatchSize,
-			FlushInterval: cfg.FlushInterval,
+			FlushInterval: loadFlushInterval,
 			Pipeline:      cfg.Pipeline,
 			GroupCommit:   cfg.GroupCommit,
 			// The harness offers at memory speed with no mesh pacing, so
@@ -256,7 +254,7 @@ func RunLoad(cfg LoadConfig) (LoadReport, error) {
 		}
 	}
 
-	deadline := time.Now().Add(cfg.Timeout)
+	deadline := time.Now().Add(loadTimeout)
 	for sb.Distinct() < cfg.Readings && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}

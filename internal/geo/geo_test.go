@@ -2,8 +2,6 @@ package geo
 
 import (
 	"math"
-	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -232,56 +230,5 @@ func TestNeighborsSymmetric(t *testing.T) {
 				t.Fatalf("adjacency not symmetric: %d->%d", i, j)
 			}
 		}
-	}
-}
-
-func TestTopologyJSONRoundTrip(t *testing.T) {
-	orig, err := RandomGeometric(7, 1000, 1000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := orig.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != orig.Name || got.N() != orig.N() {
-		t.Fatalf("round trip changed shape: %q/%d vs %q/%d", got.Name, got.N(), orig.Name, orig.N())
-	}
-	for i := range orig.Positions {
-		if got.Positions[i] != orig.Positions[i] {
-			t.Errorf("position %d = %v, want %v", i, got.Positions[i], orig.Positions[i])
-		}
-	}
-	// Rejects junk and empty documents.
-	if _, err := ReadJSON(strings.NewReader(`{"positions": []}`)); err == nil {
-		t.Error("empty topology: want error")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"bogus": 1}`)); err == nil {
-		t.Error("unknown field: want error")
-	}
-}
-
-func TestTopologyFileRoundTrip(t *testing.T) {
-	orig, err := Line(4, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "topo.json")
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != 4 || got.Positions[3].X != 1500 {
-		t.Errorf("loaded topology = %+v", got)
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file: want error")
 	}
 }

@@ -64,6 +64,14 @@ const (
 	contentStoreBytes = 4096
 	// maxHops bounds interest flood propagation.
 	maxHops = 16
+	// pitTimeout is how long a pending interest waits for data before
+	// its breadcrumbs are forgotten. It sits below the 40 s re-express
+	// cadence of the pull workload (netsim.StartInterestRounds), so a lost
+	// round re-floods instead of aggregating against a dead entry.
+	pitTimeout = 20 * time.Second
+	// rebroadcastDelay is the mean randomized hold-off before relaying an
+	// interest, desynchronizing the flood.
+	rebroadcastDelay = 200 * time.Millisecond
 )
 
 // Config parameterizes an ICN node.
@@ -73,12 +81,6 @@ type Config struct {
 	// Phy selects the radio parameters, used to estimate the airtime a
 	// cache hit saves. Zero value means loraphy.DefaultParams().
 	Phy loraphy.Params
-	// PITTimeout is how long a pending interest waits for data before
-	// its breadcrumbs are forgotten. Zero means 60 s.
-	PITTimeout time.Duration
-	// RebroadcastDelay is the mean randomized hold-off before relaying
-	// an interest, desynchronizing the flood. Zero means 300 ms.
-	RebroadcastDelay time.Duration
 	// Produce, when set, makes this node a producer: called with a
 	// content name, it returns the content (nil = not produced here).
 	Produce func(name string) []byte
@@ -91,12 +93,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Phy == (loraphy.Params{}) {
 		c.Phy = loraphy.DefaultParams()
-	}
-	if c.PITTimeout <= 0 {
-		c.PITTimeout = 60 * time.Second
-	}
-	if c.RebroadcastDelay <= 0 {
-		c.RebroadcastDelay = 300 * time.Millisecond
 	}
 	return c
 }
@@ -250,8 +246,8 @@ func (n *Node) Send(_ packet.Address, payload []byte) error {
 // delivered synchronously.
 //
 // The engine does not retransmit lost interests: retry is the
-// application's (re-Express), so size PITTimeout below the retry cadence
-// — a re-expression inside the pending window only aggregates.
+// application's (re-Express) — a re-expression inside the pitTimeout
+// window only aggregates.
 func (n *Node) Express(name string) error {
 	if n.stopped {
 		return ErrStopped
@@ -319,7 +315,7 @@ func (n *Node) livePIT(name string) (*pitEntry, bool) {
 }
 
 func (n *Node) newPIT(name string) *pitEntry {
-	e := &pitEntry{expires: n.env.Now().Add(n.cfg.PITTimeout)}
+	e := &pitEntry{expires: n.env.Now().Add(pitTimeout)}
 	n.pit[name] = e
 	n.reg.Gauge("icn.pit.entries").Set(float64(len(n.pit)))
 	return e
@@ -376,7 +372,7 @@ func (n *Node) sendData(name string, content []byte, producer packet.Address, ho
 	// topologies), so data transmissions hold off briefly too — but
 	// strictly less than a relay hold-off (see handleInterest), so a
 	// nearby answer wins the channel before the flood grows.
-	delay := time.Duration((0.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay) / 2)
+	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay) / 2)
 	scheduledAt := n.env.Now()
 	n.env.Schedule(delay, func() {
 		if n.stopped {
@@ -478,7 +474,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 	// channel before the flood expands another ring — and a relay whose
 	// content arrives (or is overheard) during the hold-off is cancelled
 	// outright.
-	delay := time.Duration((1.5 + n.env.Rand()) * float64(n.cfg.RebroadcastDelay))
+	delay := time.Duration((1.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.reg.Counter("icn.interest.relayed").Inc()
 	n.scheduleInterest(name, nonce, hops+1, p.Src, delay)
 }

@@ -130,9 +130,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Phy == (loraphy.Params{}) {
 		t.Error("Phy not defaulted")
 	}
-	if c.PITTimeout != 60*time.Second || c.RebroadcastDelay != 300*time.Millisecond {
-		t.Errorf("defaults: %+v", c)
-	}
 }
 
 func TestNewNodeValidation(t *testing.T) {
@@ -251,7 +248,7 @@ func TestIntermediateCacheAnswers(t *testing.T) {
 func TestInterestAggregation(t *testing.T) {
 	// An isolated consumer with nobody to answer: the second expression of
 	// a pending name aggregates instead of re-flooding.
-	b := newBus(t, Config{Address: 0x0001, PITTimeout: time.Minute})
+	b := newBus(t, Config{Address: 0x0001})
 	n := b.env(0x0001).node
 	if err := n.Express("demo/1"); err != nil {
 		t.Fatal(err)
@@ -273,6 +270,19 @@ func TestInterestAggregation(t *testing.T) {
 	}
 	if got := counter(t, n, "icn.interest.expressed"); got != 2 {
 		t.Errorf("expressed = %v, want 2", got)
+	}
+	// Past pitTimeout the pending entry is forgotten: the next expression
+	// floods again.
+	b.sched.RunFor(pitTimeout)
+	if err := n.Express("demo/1"); err != nil {
+		t.Fatal(err)
+	}
+	b.sched.RunFor(5 * time.Second)
+	if got := counter(t, n, "icn.interest.aggregated"); got != 1 {
+		t.Errorf("aggregated against an expired entry: %v, want 1", got)
+	}
+	if got := counter(t, n, "tx.frames"); got <= txAfterFirst {
+		t.Errorf("expression after pitTimeout did not re-flood: tx still %v", got)
 	}
 }
 

@@ -65,9 +65,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = n
 		h.env.phy = n.Config().Phy
 	case forward.KindFlooding:
-		fc := s.Cfg.Flood
-		fc.Address = addr
-		n, err := baseline.NewNode(fc, h.env)
+		n, err := baseline.NewNode(addr, h.env)
 		if err != nil {
 			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
 		}
@@ -75,9 +73,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = nil
 		h.env.phy = s.Cfg.Node.EffectivePhy()
 	case forward.KindReactive:
-		rc := s.Cfg.Reactive
-		rc.Address = addr
-		n, err := reactive.NewNode(rc, h.env)
+		n, err := reactive.NewNode(addr, h.env)
 		if err != nil {
 			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
 		}
@@ -85,17 +81,10 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = nil
 		h.env.phy = s.Cfg.Node.EffectivePhy()
 	case forward.KindICN:
-		ic := s.Cfg.ICN
-		ic.Address = addr
-		ic.Tracer = s.Tracer
-		if ic.Phy == (loraphy.Params{}) {
-			// All strategies share one radio profile: an unset ICN PHY
-			// inherits the node template's.
-			ic.Phy = s.Cfg.Node.EffectivePhy()
-		}
-		if s.Cfg.ICNProduce != nil {
+		// All strategies share one radio profile: the node template's.
+		ic := icn.Config{Address: addr, Tracer: s.Tracer, Phy: s.Cfg.Node.EffectivePhy()}
+		if produce := s.Cfg.ICNProduce; produce != nil {
 			idx := h.Index
-			produce := s.Cfg.ICNProduce
 			ic.Produce = func(name string) []byte { return produce(idx, name) }
 		}
 		n, err := icn.NewNode(ic, h.env)
@@ -107,7 +96,6 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = nil
 		h.env.phy = ic.Phy
 	case forward.KindSlotted:
-		sc := s.Cfg.Slotted
 		nc := s.Cfg.Node
 		nc.Address = addr
 		nc.Tracer = s.Tracer
@@ -117,13 +105,12 @@ func (s *Sim) buildEngine(h *Handle) error {
 		}
 		// The slotted wrapper owns these hooks.
 		nc.TxGate, nc.OnBeacon = nil, nil
-		sc.Core = nc
-		n, err := slotted.NewNode(sc, h.env)
+		// Slots follow route depth to node 0, the sink of every workload.
+		n, err := slotted.NewNode(slotted.Config{Core: nc, Sink: baseAddress}, h.env)
 		if err != nil {
 			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
 		}
 		h.Proto = n
-		h.Slotted = n
 		h.Mesher = n.Node
 		h.env.phy = n.Config().Phy
 	default:

@@ -17,7 +17,6 @@ import (
 	"repro/internal/forward"
 	"repro/internal/gateway"
 	"repro/internal/geo"
-	"repro/internal/icn"
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/span"
@@ -142,7 +141,6 @@ var goldenScenarios = []goldenScenario{
 	{"icn", func(t *testing.T, m goldenMode, sink *bytes.Buffer) (*netsim.Sim, string) {
 		sim := goldenChain(t, m, netsim.Config{
 			Protocol: forward.KindICN, Seed: 7,
-			ICN: icn.Config{RebroadcastDelay: 200 * time.Millisecond, PITTimeout: 10 * time.Second},
 			ICNProduce: func(i int, name string) []byte {
 				if i == 3 {
 					return []byte("content(" + name + ")")

@@ -1,10 +1,16 @@
 // Package netsim assembles complete mesh simulations: it places protocol
-// engines (one forward.Strategy per node, selected by Config.Protocol) on
-// the simulated LoRa medium at topology-defined positions, drives them
-// through the discrete-event scheduler, and offers failure injection,
-// mobility, convergence probes, traffic generation, and metric
-// aggregation — the machinery every experiment in the evaluation is built
-// from.
+// engines (one forward.Strategy per node) on the simulated LoRa medium at
+// topology-defined positions, drives them through the discrete-event
+// scheduler, and offers failure injection, mobility, convergence probes,
+// traffic generation, and metric aggregation — the machinery every
+// experiment in the evaluation is built from.
+//
+// A strategy is its name: Config{Topology, Protocol, Seed} runs any
+// forward.Kind (plus ICNProduce — application data — under ICN). Each
+// strategy's own parameters are constants in its package, node 0 is the
+// slotted sink and the ICN workloads' producer, and a slotted run arms
+// the health monitor with the schedule's latency bound, so no program
+// carries a per-strategy configuration block.
 package netsim
 
 import (
@@ -13,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/airmedium"
-	"repro/internal/baseline"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -24,7 +29,6 @@ import (
 	"repro/internal/meshsec"
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/reactive"
 	"repro/internal/simtime"
 	"repro/internal/slotted"
 	"repro/internal/trace"
@@ -51,24 +55,10 @@ type Config struct {
 	// NodeOverride, when set, customizes node i's configuration after
 	// the template (e.g. give node 0 the sink role).
 	NodeOverride func(i int, cfg core.Config) core.Config
-	// Flood is the baseline configuration template (forward.KindFlooding).
-	Flood baseline.Config
-	// Reactive is the on-demand baseline template (forward.KindReactive).
-	Reactive reactive.Config
-	// ICN is the named-data strategy template (forward.KindICN); the address is
-	// assigned per node and a zero Phy inherits Node's effective PHY so
-	// all strategies share one radio profile.
-	ICN icn.Config
 	// ICNProduce, when set under forward.KindICN, makes node i a producer: it is
 	// called with the node index and the requested content name and
-	// returns the content (nil = node i does not produce that name). It
-	// overrides ICN.Produce, which cannot be per-node.
+	// returns the content (nil = node i does not produce that name).
 	ICNProduce func(i int, name string) []byte
-	// Slotted is the slotted-strategy template (forward.KindSlotted): the
-	// superframe (typically control.State.Slotted from a desired-state
-	// document) and sink. Its Core field is ignored —
-	// Node is the engine template, exactly as under forward.KindProactive.
-	Slotted slotted.Config
 	// SecKey, when set, secures the mesh (forward.KindProactive only): every node
 	// gets a meshsec link derived from this network key. The link lives
 	// on the Handle, not the engine, so crash/restart cycles keep the
@@ -86,20 +76,21 @@ type Config struct {
 	// on leaves the other's stream byte-identical.
 	TraceCapacity int
 	SpanCapacity  int
-	// FlowLatencyBound, when positive (and HealthInterval arms the
-	// monitor), promotes the per-flow latency bound to a health
-	// invariant: every StartFlow delivery slower than the bound is a
-	// latency_bound violation (see internal/health). The slotted
-	// strategy's experiments assert zero of these.
-	FlowLatencyBound time.Duration
 	// HealthInterval arms the always-on mesh health monitor when
 	// positive: every interval of virtual time the monitor walks routing
 	// tables and counter deltas for loops, blackholes, silent nodes,
 	// stuck duty budgets, and replay anomalies (see internal/health).
 	// Violations emit KindHealth trace events; scores and counts ride
-	// AggregateMetrics under health.*.
+	// AggregateMetrics under health.*. Under forward.KindSlotted the
+	// monitor is always on (slottedHealthInterval when this is zero) and
+	// every StartFlow delivery slower than slotted.LatencyBound is a
+	// latency_bound violation — a bound nobody checks is not a bound.
 	HealthInterval time.Duration
 }
+
+// slottedHealthInterval is the health poll a slotted run gets when
+// Config.HealthInterval does not name one.
+const slottedHealthInterval = time.Minute
 
 // Handle is one node in the simulation.
 type Handle struct {
@@ -117,9 +108,6 @@ type Handle struct {
 	Mesher *core.Node
 	// ICN is the engine as an *icn.Node, nil except under forward.KindICN.
 	ICN *icn.Node
-	// Slotted is the engine as a *slotted.Node, nil except under
-	// forward.KindSlotted.
-	Slotted *slotted.Node
 	// Msgs collects application deliveries.
 	Msgs []core.AppMessage
 	// StreamEvents collects reliable-transfer outcomes.
@@ -208,9 +196,11 @@ type Sim struct {
 	stationIdx map[airmedium.StationID]int
 	// injector evaluates the applied fault plan; nil without one.
 	injector *faults.Injector
-	// flowSamples buffers StartFlow deliveries for the health monitor's
-	// latency-bound invariant; drained every poll. Only filled when
-	// Config.FlowLatencyBound is positive.
+	// latencyBound is the per-flow delivery deadline the health monitor
+	// enforces: slotted.LatencyBound under forward.KindSlotted, else zero.
+	latencyBound time.Duration
+	// flowSamples buffers StartFlow deliveries for that invariant; drained
+	// every poll. Only filled when latencyBound is positive.
 	flowSamples []health.FlowSample
 	// control is the attached self-healing controller; nil without one.
 	control *control.Controller
@@ -235,6 +225,15 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.SecKey != nil && cfg.Protocol != forward.KindProactive {
 		return nil, fmt.Errorf("netsim: security requires the %s strategy", forward.KindProactive)
 	}
+	// The one place a strategy implies anything beyond its engine: the
+	// slotted schedule promises a latency bound, and a monitor checks it.
+	var latencyBound time.Duration
+	if cfg.Protocol == forward.KindSlotted {
+		latencyBound = slotted.LatencyBound
+		if cfg.HealthInterval <= 0 {
+			cfg.HealthInterval = slottedHealthInterval
+		}
+	}
 
 	sched := simtime.NewScheduler(Epoch)
 	medium, err := airmedium.New(sched, cfg.Medium)
@@ -248,6 +247,8 @@ func New(cfg Config) (*Sim, error) {
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		reg:        metrics.NewRegistry(),
 		stationIdx: make(map[airmedium.StationID]int),
+
+		latencyBound: latencyBound,
 	}
 	if cfg.TraceCapacity > 0 || cfg.SpanCapacity > 0 {
 		s.Tracer = trace.New(cfg.TraceCapacity, cfg.SpanCapacity)
@@ -288,8 +289,8 @@ func New(cfg Config) (*Sim, error) {
 			Interval: cfg.HealthInterval,
 			Tracer:   s.Tracer,
 		}
-		if cfg.FlowLatencyBound > 0 {
-			hc.FlowLatencyBound = cfg.FlowLatencyBound
+		if latencyBound > 0 {
+			hc.FlowLatencyBound = latencyBound
 			hc.Flows = s.drainFlowSamples
 		}
 		s.Health = health.New(hc, s.healthSource)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/airmedium"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/forward"
@@ -173,7 +172,6 @@ func TestFloodingProtocolOnPHY(t *testing.T) {
 	sim, err := New(Config{
 		Topology: topo,
 		Protocol: forward.KindFlooding,
-		Flood:    baseline.Config{TTL: 6},
 		Seed:     5,
 	})
 	if err != nil {
@@ -249,7 +247,7 @@ func TestManyToOneTraffic(t *testing.T) {
 	if _, ok := sim.TimeToConvergence(time.Second, 5*time.Minute); !ok {
 		t.Fatal("no convergence")
 	}
-	all, err := sim.StartManyToOne(0, 20, 30*time.Second, true)
+	all, err := sim.StartManyToOne(20, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

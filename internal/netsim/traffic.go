@@ -95,7 +95,7 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 		stats.Latencies = append(stats.Latencies, lat)
 		s.reg.Counter("flows.delivered").Inc()
 		s.reg.Histogram("e2e.latency_ms").ObserveDuration(lat)
-		if s.Cfg.FlowLatencyBound > 0 {
+		if s.latencyBound > 0 {
 			s.flowSamples = append(s.flowSamples,
 				health.FlowSample{Src: src.Addr, Dst: dst.Addr, Latency: lat})
 		}
@@ -144,17 +144,14 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 	return stats, nil
 }
 
-// StartManyToOne starts one flow from every other node to sink, the
-// telemetry pattern from the paper's motivation. It returns per-source
-// stats indexed by node.
-func (s *Sim) StartManyToOne(sink int, payload int, interval time.Duration, poisson bool) ([]*TrafficStats, error) {
+// StartManyToOne starts one Poisson flow from every other node to node 0,
+// the telemetry pattern from the paper's motivation. It returns
+// per-source stats indexed by node.
+func (s *Sim) StartManyToOne(payload int, interval time.Duration) ([]*TrafficStats, error) {
 	out := make([]*TrafficStats, s.N())
-	for i := range s.handles {
-		if i == sink {
-			continue
-		}
+	for i := 1; i < s.N(); i++ {
 		st, err := s.StartFlow(Flow{
-			From: i, To: sink, Payload: payload, Interval: interval, Poisson: poisson,
+			From: i, To: 0, Payload: payload, Interval: interval, Poisson: true,
 		})
 		if err != nil {
 			return nil, err

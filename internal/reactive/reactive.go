@@ -38,17 +38,11 @@ var (
 	ErrPendingFull = errors.New("reactive: too many datagrams awaiting route discovery")
 )
 
-// Config parameterizes a reactive node.
-type Config struct {
-	// Address is the node's mesh address.
-	Address packet.Address
-	// DiscoveryTimeout is how long the originator waits for an RREP
-	// before re-flooding. Zero means 10 s.
-	DiscoveryTimeout time.Duration
-}
-
 // Bounds every program runs at one value (DESIGN.md decision 7).
 const (
+	// discoveryTimeout is how long the originator waits for an RREP
+	// before re-flooding.
+	discoveryTimeout = 15 * time.Second
 	// routeTTL is how long an unused route stays valid; every use
 	// refreshes it.
 	routeTTL = 5 * time.Minute
@@ -64,13 +58,6 @@ const (
 	// RREQ, desynchronizing the flood.
 	rebroadcastDelay = 300 * time.Millisecond
 )
-
-func (c Config) withDefaults() Config {
-	if c.DiscoveryTimeout <= 0 {
-		c.DiscoveryTimeout = 10 * time.Second
-	}
-	return c
-}
 
 // routeEntry is one on-demand route.
 type routeEntry struct {
@@ -96,7 +83,7 @@ type discovery struct {
 // Node is one reactive protocol engine, host-driven exactly like
 // core.Node and baseline.Node.
 type Node struct {
-	cfg     Config
+	addr    packet.Address
 	env     core.Env
 	reg     *metrics.Registry
 	stopped bool
@@ -110,17 +97,17 @@ type Node struct {
 	tx *forward.TxQueue
 }
 
-// NewNode creates a reactive node on the given env.
-func NewNode(cfg Config, env core.Env) (*Node, error) {
+// NewNode creates a reactive node with the given mesh address on env.
+func NewNode(addr packet.Address, env core.Env) (*Node, error) {
 	if env == nil {
 		return nil, fmt.Errorf("reactive: nil env")
 	}
-	if cfg.Address == packet.Broadcast {
+	if addr == packet.Broadcast {
 		return nil, fmt.Errorf("reactive: node address must not be broadcast")
 	}
 	reg := metrics.NewRegistry()
 	return &Node{
-		cfg:         cfg.withDefaults(),
+		addr:        addr,
 		env:         env,
 		reg:         reg,
 		routes:      make(map[packet.Address]routeEntry),
@@ -132,7 +119,7 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 }
 
 // Address returns the node's mesh address.
-func (n *Node) Address() packet.Address { return n.cfg.Address }
+func (n *Node) Address() packet.Address { return n.addr }
 
 // Metrics exposes the node's instruments.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
@@ -177,7 +164,7 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 	n.reg.Counter("app.sent").Inc()
 	if dst == packet.Broadcast {
 		n.tx.Enqueue(&packet.Packet{
-			Dst: dst, Src: n.cfg.Address, Type: packet.TypeData,
+			Dst: dst, Src: n.addr, Type: packet.TypeData,
 			Via: packet.Broadcast, Payload: append([]byte(nil), payload...),
 		}, 0)
 		return nil
@@ -222,7 +209,7 @@ func (n *Node) learnRoute(dst, next packet.Address, hops uint8) {
 // sendData enqueues a routed datagram.
 func (n *Node) sendData(dst, via packet.Address, payload []byte) {
 	n.tx.Enqueue(&packet.Packet{
-		Dst: dst, Src: n.cfg.Address, Type: packet.TypeData,
+		Dst: dst, Src: n.addr, Type: packet.TypeData,
 		Via: via, Payload: append([]byte(nil), payload...),
 	}, 0)
 }
@@ -233,14 +220,14 @@ func (n *Node) startDiscovery(dst packet.Address) {
 	n.nextReqID++
 	d := &discovery{target: dst, id: id}
 	n.discoveries[dst] = d
-	n.seen.Remember(reqKey{origin: n.cfg.Address, id: id})
-	n.floodRReq(dst, id, 0, n.cfg.Address)
+	n.seen.Remember(reqKey{origin: n.addr, id: id})
+	n.floodRReq(dst, id, 0, n.addr)
 	n.reg.Counter("discovery.started").Inc()
 	n.armDiscovery(d)
 }
 
 func (n *Node) armDiscovery(d *discovery) {
-	d.cancel = n.env.Schedule(n.cfg.DiscoveryTimeout, func() { n.discoveryTimeout(d) })
+	d.cancel = n.env.Schedule(discoveryTimeout, func() { n.discoveryTimeout(d) })
 }
 
 func (n *Node) discoveryTimeout(d *discovery) {
@@ -260,8 +247,8 @@ func (n *Node) discoveryTimeout(d *discovery) {
 	id := n.nextReqID
 	n.nextReqID++
 	d.id = id
-	n.seen.Remember(reqKey{origin: n.cfg.Address, id: id})
-	n.floodRReq(d.target, id, 0, n.cfg.Address)
+	n.seen.Remember(reqKey{origin: n.addr, id: id})
+	n.floodRReq(d.target, id, 0, n.addr)
 	n.armDiscovery(d)
 }
 
@@ -272,7 +259,7 @@ func (n *Node) floodRReq(target packet.Address, id uint16, hopCount uint8, prevH
 	payload[2] = hopCount
 	binary.BigEndian.PutUint16(payload[3:5], uint16(prevHop))
 	n.tx.Enqueue(&packet.Packet{
-		Dst: target, Src: n.cfg.Address, Type: packet.TypeRouteRequest, Payload: payload,
+		Dst: target, Src: n.addr, Type: packet.TypeRouteRequest, Payload: payload,
 	}, 0)
 	n.reg.Counter("rreq.sent").Inc()
 }
@@ -290,18 +277,18 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
-	if p.Src == n.cfg.Address {
+	if p.Src == n.addr {
 		return
 	}
 	switch p.Type {
 	case packet.TypeRouteRequest:
 		n.handleRReq(p)
 	case packet.TypeRouteReply:
-		if p.Via == n.cfg.Address {
+		if p.Via == n.addr {
 			n.handleRRep(p)
 		}
 	case packet.TypeData:
-		if p.Via == n.cfg.Address || p.Via == packet.Broadcast {
+		if p.Via == n.addr || p.Via == packet.Broadcast {
 			n.handleData(p)
 		}
 	default:
@@ -328,7 +315,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	}
 	n.learnRoute(p.Src, prevHop, hopCount+1)
 
-	if p.Dst == n.cfg.Address {
+	if p.Dst == n.addr {
 		// We are the destination: reply along the reverse path.
 		n.sendRRep(p.Src, prevHop, id)
 		return
@@ -342,7 +329,7 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	payload := make([]byte, rreqPayloadLen)
 	binary.BigEndian.PutUint16(payload[0:2], id)
 	payload[2] = hopCount + 1
-	binary.BigEndian.PutUint16(payload[3:5], uint16(n.cfg.Address))
+	binary.BigEndian.PutUint16(payload[3:5], uint16(n.addr))
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.tx.Enqueue(&packet.Packet{
 		Dst: p.Dst, Src: p.Src, Type: packet.TypeRouteRequest, Payload: payload,
@@ -355,9 +342,9 @@ func (n *Node) sendRRep(origin, via packet.Address, id uint16) {
 	payload := make([]byte, rreqPayloadLen)
 	binary.BigEndian.PutUint16(payload[0:2], id)
 	payload[2] = 0
-	binary.BigEndian.PutUint16(payload[3:5], uint16(n.cfg.Address))
+	binary.BigEndian.PutUint16(payload[3:5], uint16(n.addr))
 	n.tx.Enqueue(&packet.Packet{
-		Dst: origin, Src: n.cfg.Address, Type: packet.TypeRouteReply,
+		Dst: origin, Src: n.addr, Type: packet.TypeRouteReply,
 		Via: via, Payload: payload,
 	}, 0)
 	n.reg.Counter("rrep.sent").Inc()
@@ -375,7 +362,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	// p.Src is the replying destination: the forward route.
 	n.learnRoute(p.Src, prevHop, hopCount+1)
 
-	if p.Dst == n.cfg.Address {
+	if p.Dst == n.addr {
 		// Discovery complete: flush everything waiting on this route.
 		if d, ok := n.discoveries[p.Src]; ok {
 			if d.cancel != nil {
@@ -401,14 +388,14 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	fwd := p.Clone()
 	fwd.Via = r.next
 	fwd.Payload[2] = hopCount + 1
-	binary.BigEndian.PutUint16(fwd.Payload[3:5], uint16(n.cfg.Address))
+	binary.BigEndian.PutUint16(fwd.Payload[3:5], uint16(n.addr))
 	n.tx.Enqueue(fwd, 0)
 	n.reg.Counter("rrep.forwarded").Inc()
 }
 
 // handleData delivers or forwards a routed datagram.
 func (n *Node) handleData(p *packet.Packet) {
-	if p.Dst == n.cfg.Address || p.Dst == packet.Broadcast {
+	if p.Dst == n.addr || p.Dst == packet.Broadcast {
 		n.reg.Counter("app.delivered").Inc()
 		n.env.Deliver(core.AppMessage{
 			From:    p.Src,

@@ -64,14 +64,12 @@ func (e *renv) Rand() float64               { return e.rng.Float64() }
 
 var _ core.Env = (*renv)(nil)
 
-func newRBus(t *testing.T, cfg Config, addrs ...packet.Address) *rbus {
+func newRBus(t *testing.T, addrs ...packet.Address) *rbus {
 	t.Helper()
 	b := &rbus{sched: simtime.NewScheduler(t0)}
 	for i, a := range addrs {
-		c := cfg
-		c.Address = a
 		env := &renv{b: b, addr: a, rng: rand.New(rand.NewSource(int64(i) + 1))}
-		n, err := NewNode(c, env)
+		n, err := NewNode(a, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +109,7 @@ func chainDrop(chain []packet.Address) func(from, to packet.Address) bool {
 
 func TestDiscoveryAndDelivery(t *testing.T) {
 	chain := []packet.Address{1, 2, 3, 4}
-	b := newRBus(t, Config{}, chain...)
+	b := newRBus(t, chain...)
 	b.drop = chainDrop(chain)
 	src := b.env(1).node
 	// First send triggers discovery: no error, buffered.
@@ -146,7 +144,7 @@ func TestDiscoveryAndDelivery(t *testing.T) {
 
 func TestReverseRouteFromDiscovery(t *testing.T) {
 	chain := []packet.Address{1, 2, 3}
-	b := newRBus(t, Config{}, chain...)
+	b := newRBus(t, chain...)
 	b.drop = chainDrop(chain)
 	if err := b.env(1).node.Send(3, []byte("fwd")); err != nil {
 		t.Fatal(err)
@@ -169,13 +167,13 @@ func TestReverseRouteFromDiscovery(t *testing.T) {
 }
 
 func TestDiscoveryFailureDropsPending(t *testing.T) {
-	b := newRBus(t, Config{DiscoveryTimeout: 2 * time.Second}, 1, 2)
+	b := newRBus(t, 1, 2)
 	src := b.env(1).node
 	// Destination 9 does not exist.
 	if err := src.Send(9, []byte("void")); err != nil {
 		t.Fatal(err)
 	}
-	b.sched.RunFor(time.Minute)
+	b.sched.RunFor((2 + maxDiscoveryRetries) * discoveryTimeout)
 	if got := src.Metrics().Counter("discovery.failed").Value(); got != 1 {
 		t.Errorf("discovery.failed = %d, want 1", got)
 	}
@@ -192,7 +190,7 @@ func TestDiscoveryFailureDropsPending(t *testing.T) {
 }
 
 func TestPendingCapacity(t *testing.T) {
-	b := newRBus(t, Config{DiscoveryTimeout: time.Hour}, 1)
+	b := newRBus(t, 1)
 	src := b.env(1).node
 	for i := 0; i < pendingCapacity; i++ {
 		if err := src.Send(9, []byte{byte(i)}); err != nil {
@@ -206,7 +204,7 @@ func TestPendingCapacity(t *testing.T) {
 
 func TestRouteExpiry(t *testing.T) {
 	chain := []packet.Address{1, 2, 3}
-	b := newRBus(t, Config{}, chain...)
+	b := newRBus(t, chain...)
 	b.drop = chainDrop(chain)
 	src := b.env(1).node
 	if err := src.Send(3, []byte("a")); err != nil {
@@ -243,7 +241,7 @@ func TestRouteExpiry(t *testing.T) {
 func TestRReqDeduplication(t *testing.T) {
 	// Full connectivity: every node hears both the original flood and
 	// every relay, but must relay a given request at most once.
-	b := newRBus(t, Config{}, 1, 2, 3, 4)
+	b := newRBus(t, 1, 2, 3, 4)
 	if err := b.env(1).node.Send(4, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func TestMaxHopsBoundsFlood(t *testing.T) {
 		for i := range chain {
 			chain[i] = packet.Address(i + 1)
 		}
-		b := newRBus(t, Config{}, chain...)
+		b := newRBus(t, chain...)
 		b.drop = chainDrop(chain)
 		far := chain[hops]
 		if err := b.env(1).node.Send(far, []byte("far")); err != nil {
@@ -286,7 +284,7 @@ func TestMaxHopsBoundsFlood(t *testing.T) {
 }
 
 func TestBroadcastData(t *testing.T) {
-	b := newRBus(t, Config{}, 1, 2, 3)
+	b := newRBus(t, 1, 2, 3)
 	if err := b.env(1).node.Send(packet.Broadcast, []byte("all")); err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +297,13 @@ func TestBroadcastData(t *testing.T) {
 }
 
 func TestValidationAndStop(t *testing.T) {
-	if _, err := NewNode(Config{Address: packet.Broadcast}, &renv{}); err == nil {
+	if _, err := NewNode(packet.Broadcast, &renv{}); err == nil {
 		t.Error("broadcast address: want error")
 	}
-	if _, err := NewNode(Config{Address: 1}, nil); err == nil {
+	if _, err := NewNode(1, nil); err == nil {
 		t.Error("nil env: want error")
 	}
-	b := newRBus(t, Config{}, 1)
+	b := newRBus(t, 1)
 	n := b.env(1).node
 	if err := n.Send(2, make([]byte, packet.MaxPayload(packet.TypeData)+1)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversize = %v, want ErrTooLarge", err)
@@ -322,7 +320,7 @@ func TestValidationAndStop(t *testing.T) {
 }
 
 func TestCorruptControlPackets(t *testing.T) {
-	b := newRBus(t, Config{}, 1, 2)
+	b := newRBus(t, 1, 2)
 	n := b.env(2).node
 	// RREQ with a short payload.
 	p := &packet.Packet{Dst: 2, Src: 1, Type: packet.TypeRouteRequest, Payload: []byte{1}}

@@ -3,18 +3,18 @@
 // into a TDMA-like slotted schedule, trading idle airtime for a bounded,
 // predictable per-flow latency.
 //
-// The schedule is a superframe of N slots of fixed length, declared in
-// the desired-state document (control.State.Slotted) so the whole mesh
-// shares one schedule without any distribution protocol. A node's slot
-// is its route depth to the sink modulo the slot count — nodes at the
-// same depth share a slot, and a packet relayed hop by hop toward the
-// sink ratchets through consecutive slots, which is what yields the
-// per-flow latency bound the health monitor enforces (see
-// internal/health's latency-bound invariant). Slot phase is anchored to
-// absolute time (virtual under simulation), so nodes agree on slot
-// boundaries without beacon-based synchronization; the periodic slot
-// beacon (packet.TypeSlotBeacon) advertises the node's current
-// assignment for observability and for neighbors to sanity-check depth.
+// The schedule is a superframe of N slots of fixed length, compiled in
+// (the constants below) so the whole mesh shares one schedule without
+// any distribution protocol. A node's slot is its route depth to the
+// sink modulo the slot count — nodes at the same depth share a slot, and
+// a packet relayed hop by hop toward the sink ratchets through
+// consecutive slots, which is what yields the per-flow latency bound the
+// health monitor enforces (see internal/health's latency-bound
+// invariant). Slot phase is anchored to absolute time (virtual under
+// simulation), so nodes agree on slot boundaries without beacon-based
+// synchronization; the periodic slot beacon (packet.TypeSlotBeacon)
+// advertises the node's current assignment for observability and for
+// neighbors to sanity-check depth.
 //
 // Control traffic — HELLOs, ACKs, route maintenance — is exempt from
 // the gate: the routing plane must converge for slot assignments to make
@@ -26,11 +26,27 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/forward"
 	"repro/internal/packet"
 	"repro/internal/trace"
+)
+
+// The superframe: the one real-time schedule every program runs
+// (DESIGN.md decision 7). It repeats every slots×slotLen, and a node
+// transmits data only inside its own slot.
+const (
+	slots   = 3
+	slotLen = 2 * time.Second
+	// guard is trimmed from both ends of a slot: a transmission must
+	// finish guard before the slot closes.
+	guard  = 100 * time.Millisecond
+	period = slots * slotLen
+	// beaconPeriod is the slot-beacon interval: every tenth superframe.
+	beaconPeriod = 10 * period
+	// LatencyBound is the per-flow delivery deadline the schedule
+	// promises; netsim hands it to the health monitor as an invariant.
+	LatencyBound = 90 * time.Second
 )
 
 // Config parameterizes a slotted node.
@@ -38,27 +54,10 @@ type Config struct {
 	// Core is the underlying distance-vector engine's configuration.
 	// TxGate and OnBeacon must be unset — the slotted wrapper owns them.
 	Core core.Config
-	// Superframe is the shared TDMA schedule. Required.
-	Superframe control.Superframe
 	// Sink is the node whose route depth assigns slots (depth 0 — the
 	// sink itself and nodes with no route yet — gets slot 0).
 	Sink packet.Address
 }
-
-// DefaultSuperframe is the real-time schedule the programs declare for
-// the slotted strategy: three slots of 2 s with a 100 ms guard, and a
-// 90 s end-to-end latency bound the health monitor enforces per delivery.
-func DefaultSuperframe() control.Superframe {
-	return control.Superframe{
-		Slots:        3,
-		SlotLen:      control.Duration(2 * time.Second),
-		Guard:        control.Duration(100 * time.Millisecond),
-		LatencyBound: control.Duration(90 * time.Second),
-	}
-}
-
-// beaconSuperframes is the slot-beacon interval, in superframes.
-const beaconSuperframes = 10
 
 // Node is one slotted protocol engine: the full proactive engine with a
 // TDMA transmit gate layered on top. It embeds *core.Node, so the whole
@@ -79,13 +78,6 @@ var _ forward.TxGate = (*Node)(nil)
 
 // NewNode creates a slotted node on the given env.
 func NewNode(cfg Config, env core.Env) (*Node, error) {
-	if cfg.Superframe.Slots < 1 || cfg.Superframe.SlotLen <= 0 {
-		return nil, fmt.Errorf("slotted: superframe needs slots >= 1 and a positive slot_len")
-	}
-	if 2*cfg.Superframe.Guard.D() >= cfg.Superframe.SlotLen.D() {
-		return nil, fmt.Errorf("slotted: guard %v leaves no usable slot time (slot_len %v)",
-			cfg.Superframe.Guard.D(), cfg.Superframe.SlotLen.D())
-	}
 	if cfg.Core.TxGate != nil || cfg.Core.OnBeacon != nil {
 		return nil, fmt.Errorf("slotted: Core.TxGate/OnBeacon are owned by the slotted wrapper")
 	}
@@ -112,7 +104,7 @@ func (s *Node) Kind() forward.Kind { return forward.KindSlotted }
 // sink modulo the slot count. The sink itself — and any node that has
 // not yet learned a route — transmits in slot 0.
 func (s *Node) Slot() int {
-	return s.depth() % s.cfg.Superframe.Slots
+	return s.depth() % slots
 }
 
 func (s *Node) depth() int {
@@ -135,14 +127,9 @@ func (s *Node) Clearance(now time.Time, t packet.Type, airtime time.Duration) ti
 	default:
 		return 0
 	}
-	sf := s.cfg.Superframe
-	slotLen := sf.SlotLen.D()
-	guard := sf.Guard.D()
-	usable := slotLen - 2*guard
-	if airtime >= usable {
+	if airtime >= slotLen-2*guard {
 		return 0
 	}
-	period := sf.Period()
 	phase := time.Duration(now.UnixNano() % int64(period))
 	slotStart := time.Duration(s.Slot()) * slotLen
 	open := slotStart + guard
@@ -166,12 +153,8 @@ func (s *Node) Start() error {
 	}
 	s.beaconTimer = core.NewEnvTimer(s.env, s.beaconTick)
 	// First beacon after a random fraction of the period, like HELLOs.
-	s.beaconTimer.Reset(time.Duration(s.env.Rand() * float64(s.beaconPeriod())))
+	s.beaconTimer.Reset(time.Duration(s.env.Rand() * float64(beaconPeriod)))
 	return nil
-}
-
-func (s *Node) beaconPeriod() time.Duration {
-	return beaconSuperframes * s.cfg.Superframe.Period()
 }
 
 // Stop stops the beacon and the underlying engine.
@@ -189,15 +172,15 @@ func (s *Node) beaconTick() {
 	}
 	slot := s.Slot()
 	s.Metrics().Gauge("slotted.slot").Set(float64(slot))
-	payload := []byte{uint8(s.cfg.Superframe.Slots), uint8(slot), uint8(s.depth())}
+	payload := []byte{slots, uint8(slot), uint8(s.depth())}
 	if err := s.SendBeacon(packet.TypeSlotBeacon, payload); err == nil {
 		s.Metrics().Counter("slotted.beacon.tx").Inc()
 		if tr := s.Config().Tracer; tr.Enabled() {
 			tr.Emit(s.env.Now(), s.Address().String(), trace.KindSlotBeacon,
-				"slot beacon: slot %d/%d depth %d", slot, s.cfg.Superframe.Slots, s.depth())
+				"slot beacon: slot %d/%d depth %d", slot, slots, s.depth())
 		}
 	}
-	s.beaconTimer.Reset(s.beaconPeriod())
+	s.beaconTimer.Reset(beaconPeriod)
 }
 
 // handleBeacon counts neighbor slot beacons (observability only: slot

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/forward"
 	"repro/internal/loraphy"
@@ -18,16 +17,6 @@ import (
 // internal/netsim's strategy tests exercise against the real medium).
 
 var t0 = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
-
-// superframe is the schedule under test: 3 slots x 2 s, 100 ms guard,
-// period 6 s.
-func superframe() control.Superframe {
-	return control.Superframe{
-		Slots:   3,
-		SlotLen: control.Duration(2 * time.Second),
-		Guard:   control.Duration(100 * time.Millisecond),
-	}
-}
 
 type bus struct {
 	sched *simtime.Scheduler
@@ -101,15 +90,7 @@ func (stubGate) Clearance(time.Time, packet.Type, time.Duration) time.Duration {
 func TestNewNodeValidation(t *testing.T) {
 	env := &testEnv{b: &bus{sched: simtime.NewScheduler(t0)}, rng: rand.New(rand.NewSource(1)), phy: loraphy.DefaultParams()}
 
-	if _, err := NewNode(Config{Superframe: control.Superframe{Slots: 0, SlotLen: control.Duration(time.Second)}}, env); err == nil {
-		t.Error("zero-slot superframe accepted")
-	}
-	sf := superframe()
-	sf.Guard = control.Duration(time.Second) // 2*guard == slot_len: nothing usable
-	if _, err := NewNode(Config{Superframe: sf}, env); err == nil {
-		t.Error("all-guard superframe accepted")
-	}
-	cfg := Config{Superframe: superframe(), Sink: 0x0001}
+	cfg := Config{Sink: 0x0001}
 	cfg.Core.Address = 0x0001
 	cfg.Core.TxGate = stubGate{}
 	if _, err := NewNode(cfg, env); err == nil {
@@ -118,7 +99,7 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 func TestClearance(t *testing.T) {
-	cfg := Config{Superframe: superframe(), Sink: 0x0001}
+	cfg := Config{Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001) // the sink itself: depth 0, slot 0
 	s := b.envs[0].node
 	if got := s.Slot(); got != 0 {
@@ -131,20 +112,21 @@ func TestClearance(t *testing.T) {
 		t.Errorf("HELLO deferred %v", d)
 	}
 	// Inside slot 0's guarded window: clear to transmit.
-	if d := s.Clearance(time.Unix(0, int64(500*time.Millisecond)), packet.TypeData, airtime); d != 0 {
+	if d := s.Clearance(time.Unix(0, int64(slotLen/4)), packet.TypeData, airtime); d != 0 {
 		t.Errorf("in-slot DATA deferred %v", d)
 	}
 	// At the slot boundary, the guard has not opened yet.
-	if d := s.Clearance(time.Unix(0, 0), packet.TypeData, airtime); d != 100*time.Millisecond {
-		t.Errorf("boundary DATA deferred %v, want the 100ms guard", d)
+	if d := s.Clearance(time.Unix(0, 0), packet.TypeData, airtime); d != guard {
+		t.Errorf("boundary DATA deferred %v, want the %v guard", d, guard)
 	}
 	// In another node's slot: wait for our slot to come around again.
-	if d := s.Clearance(time.Unix(3, 0), packet.TypeData, airtime); d != 3100*time.Millisecond {
-		t.Errorf("off-slot DATA deferred %v, want 3.1s", d)
+	offSlot := time.Unix(0, int64(slotLen+slotLen/2))
+	if d, want := s.Clearance(offSlot, packet.TypeData, airtime), period-(slotLen+slotLen/2)+guard; d != want {
+		t.Errorf("off-slot DATA deferred %v, want %v", d, want)
 	}
 	// A frame that can never fit a guarded slot passes rather than
 	// deferring forever.
-	if d := s.Clearance(time.Unix(3, 0), packet.TypeData, 1900*time.Millisecond); d != 0 {
+	if d := s.Clearance(offSlot, packet.TypeData, slotLen-guard); d != 0 {
 		t.Errorf("oversized DATA deferred %v", d)
 	}
 	if got := snapshot(s, "slotted.gate.deferrals"); got != 2 {
@@ -153,7 +135,7 @@ func TestClearance(t *testing.T) {
 }
 
 func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
-	cfg := Config{Superframe: superframe(), Sink: 0x0001}
+	cfg := Config{Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001, 0x0002)
 	sink, other := b.envs[0].node, b.envs[1].node
 
@@ -191,12 +173,11 @@ func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
 }
 
 func TestBeaconsSurface(t *testing.T) {
-	cfg := Config{Superframe: superframe(), Sink: 0x0001}
+	cfg := Config{Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001)
-	// One beacon per beaconSuperframes superframes (6 s period), the
-	// first a random fraction of a beacon period in — ten in ten beacon
-	// periods.
-	b.sched.RunFor(10 * beaconSuperframes * cfg.Superframe.Period())
+	// One beacon per beacon period, the first a random fraction of one
+	// in — ten in ten beacon periods.
+	b.sched.RunFor(10 * beaconPeriod)
 	if got := snapshot(b.envs[0].node, "slotted.beacon.tx"); got != 10 {
 		t.Errorf("sent %v slot beacons in 10 beacon periods, want 10", got)
 	}

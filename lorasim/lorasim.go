@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/airmedium"
-	"repro/internal/baseline"
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/loraphy"
@@ -57,9 +56,6 @@ const (
 // ChannelConfig tunes the simulated medium (shadowing, soft decoding,
 // injected loss).
 type ChannelConfig = airmedium.Config
-
-// FloodConfig tunes the flooding baseline.
-type FloodConfig = baseline.Config
 
 // New builds and starts a simulation.
 func New(cfg Config) (*Sim, error) { return netsim.New(cfg) }

@@ -94,7 +94,6 @@ func TestFloodingThroughPublicAPI(t *testing.T) {
 	sim, err := lorasim.New(lorasim.Config{
 		Topology: topo,
 		Protocol: lorasim.KindFlooding,
-		Flood:    lorasim.FloodConfig{TTL: 4},
 		Seed:     2,
 	})
 	if err != nil {
