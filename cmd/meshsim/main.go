@@ -272,22 +272,13 @@ func run(w io.Writer, o options) error {
 		}
 		trafficLabel = "interest rounds"
 	case o.traffic == "pairs":
-		for i := 0; i < sim.N(); i++ {
-			st, err := sim.StartFlow(netsim.Flow{
-				From: i, To: (i + sim.N()/2) % sim.N(), Payload: 24,
-				Interval: o.interval, Poisson: true,
-			})
-			if err != nil {
-				return err
-			}
-			flows = append(flows, st)
-		}
-	case o.traffic == "sink":
-		all, err := sim.StartManyToOne(24, o.interval)
-		if err != nil {
+		if flows, err = sim.StartPairs(o.interval); err != nil {
 			return err
 		}
-		flows = all
+	case o.traffic == "sink":
+		if flows, err = sim.StartManyToOne(24, o.interval); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("unknown traffic pattern %q", o.traffic)
 	}

@@ -84,14 +84,8 @@ func NewNode(addr packet.Address, env core.Env) (*Node, error) {
 	}, nil
 }
 
-// Address returns the node's mesh address.
-func (n *Node) Address() packet.Address { return n.addr }
-
 // Metrics exposes the node's instruments.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
-
-// Kind identifies the strategy: the controlled-flooding baseline.
-func (n *Node) Kind() forward.Kind { return forward.KindFlooding }
 
 // Start is a no-op: flooding needs no beaconing. It exists so the
 // simulator can treat both protocols uniformly.

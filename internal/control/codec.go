@@ -177,8 +177,9 @@ func cmdBodyLen(op Op) (int, bool) {
 }
 
 // ParseCommand reports whether b is a control command and decodes it.
-// Unknown versions, unknown ops, and length mismatches all return false:
-// the payload then falls through to the application like any other.
+// Unknown versions, unknown ops, length mismatches, and field values no
+// encoder produces all return false: the payload then falls through to
+// the application like any other.
 func ParseCommand(b []byte) (Command, bool) {
 	var c Command
 	if len(b) < cmdHeaderLen || b[0] != cmdMagic[0] || b[1] != cmdMagic[1] {
@@ -198,7 +199,9 @@ func ParseCommand(b []byte) (Command, bool) {
 	switch c.Op {
 	case OpSetConfig:
 		c.HelloPeriod = time.Duration(binary.BigEndian.Uint32(body[0:])) * time.Millisecond
-		c.DutyCycle = dutyFromWire(binary.BigEndian.Uint16(body[4:]))
+		if c.DutyCycle, ok = dutyFromWire(binary.BigEndian.Uint16(body[4:])); !ok {
+			return Command{}, false
+		}
 		c.SF = int(body[6])
 		c.Awake = time.Duration(binary.BigEndian.Uint16(body[7:])) * time.Second
 		c.Sleep = time.Duration(binary.BigEndian.Uint16(body[9:])) * time.Second
@@ -208,6 +211,9 @@ func ParseCommand(b []byte) (Command, bool) {
 	case OpReboot:
 		c.Delay = time.Duration(binary.BigEndian.Uint16(body[0:])) * time.Second
 	case OpRekey:
+		if body[0]&^3 != 0 {
+			return Command{}, false // a phase flag this version does not know
+		}
 		c.Commit = body[0]&1 != 0
 		c.Stage = body[0]&2 != 0
 		c.KeyEpoch = binary.BigEndian.Uint32(body[1:])
@@ -291,9 +297,10 @@ func ParseReport(b []byte) (Report, bool) {
 	r.Epoch = binary.BigEndian.Uint32(b[9:])
 	r.KeyEpoch = binary.BigEndian.Uint32(b[13:])
 	r.HelloPeriod = time.Duration(binary.BigEndian.Uint32(b[17:])) * time.Millisecond
-	r.DutyCycle = dutyFromWire(binary.BigEndian.Uint16(b[21:]))
 	r.SF = int(b[23])
-	return r, true
+	var ok bool
+	r.DutyCycle, ok = dutyFromWire(binary.BigEndian.Uint16(b[21:]))
+	return r, ok
 }
 
 // IsReport reports whether b carries the report magic (any version) —
@@ -315,11 +322,10 @@ func dutyToWire(f float64) uint16 {
 	return uint16(f*10000 + 0.5)
 }
 
-func dutyFromWire(u uint16) float64 {
-	if u == 0 {
-		return 0
-	}
-	return float64(u) / 10000
+// dutyFromWire decodes dutyToWire's units; ok is false past 10000, a
+// fraction above 1 that no encoder produces.
+func dutyFromWire(u uint16) (f float64, ok bool) {
+	return float64(u) / 10000, u <= 10000
 }
 
 func clampU32(v int64) uint32 {

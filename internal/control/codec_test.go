@@ -84,13 +84,16 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestDutyWireQuantization(t *testing.T) {
 	for _, f := range []float64{0, 0.001, 0.01, 0.1, 0.5, 1} {
-		got := dutyFromWire(dutyToWire(f))
-		if diff := got - f; diff > 1e-4 || diff < -1e-4 {
+		got, ok := dutyFromWire(dutyToWire(f))
+		if diff := got - f; !ok || diff > 1e-4 || diff < -1e-4 {
 			t.Errorf("duty %v came back as %v", f, got)
 		}
 	}
 	if dutyToWire(2) != 10000 || dutyToWire(-1) != 0 {
 		t.Error("duty clamp broken")
+	}
+	if _, ok := dutyFromWire(10001); ok {
+		t.Error("a duty fraction above 1 decoded")
 	}
 }
 

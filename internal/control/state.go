@@ -8,43 +8,15 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"time"
 
+	"repro/internal/faults"
 	"repro/internal/meshsec"
 	"repro/internal/packet"
 )
 
-// Duration is a time.Duration that (un)marshals as a Go duration string
-// ("90s", "2m30s") in JSON, with plain nanosecond numbers also accepted —
-// the same convention internal/faults uses for plans.
-type Duration time.Duration
-
-// D returns the native duration.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// MarshalJSON renders the duration as its Go string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "90s"-style strings or nanosecond numbers.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, perr := time.ParseDuration(s)
-		if perr != nil {
-			return fmt.Errorf("control: bad duration %q: %w", s, perr)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("control: bad duration %s", b)
-	}
-	*d = Duration(n)
-	return nil
-}
+// Duration is the JSON duration the fault plans use: a Go duration string
+// ("90s", "2m30s"), with plain nanosecond numbers also accepted.
+type Duration = faults.Duration
 
 // NodeSpec is the desired configuration for one node (or the fleet
 // default). Zero fields mean "no opinion — leave the node's value

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/dutycycle"
 	"repro/internal/forward"
 	"repro/internal/loraphy"
 	"repro/internal/meshsec"
@@ -400,12 +401,8 @@ type Node struct {
 	dedup forward.Dedup
 }
 
-// Kind identifies the node's forwarding strategy: the distance-vector
-// engine is the proactive strategy.
-func (n *Node) Kind() forward.Kind { return forward.KindProactive }
-
-// dutyRegulator is the subset of dutycycle.Regulator the node needs,
-// extracted so tests can substitute a fake.
+// dutyRegulator is the transmit gate: a dutycycle.Regulator, or
+// unlimitedDuty when the config lifts regulation.
 type dutyRegulator interface {
 	CanTransmit(now time.Time, airtime time.Duration) bool
 	Record(now time.Time, airtime time.Duration)
@@ -771,7 +768,9 @@ func (n *Node) routeCheckPeriod() time.Duration {
 	return ttl / 4
 }
 
-// newDuty builds the duty-cycle gate from the config.
+// newDuty builds the duty-cycle gate from the config: unregulated at a
+// limit of 1 or more, else the standard rolling-hour regulator at the
+// configured limit (the band's regulatory limit when zero).
 func newDuty(cfg Config) (dutyRegulator, error) {
 	if cfg.DutyCycleLimit >= 1 {
 		return &unlimitedDuty{}, nil
@@ -779,10 +778,13 @@ func newDuty(cfg Config) (dutyRegulator, error) {
 	limit := cfg.DutyCycleLimit
 	if limit == 0 {
 		var err error
-		limit, err = limitForFrequency(cfg.Phy.FrequencyHz)
-		if err != nil {
-			return nil, err
+		if limit, err = dutycycle.LimitForFrequency(cfg.Phy.FrequencyHz); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	return newRegulator(limit)
+	reg, err := dutycycle.NewRegulator(limit, dutycycle.DefaultWindow)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return reg, nil
 }

@@ -234,16 +234,9 @@ func A4SpreadingFactor(opt Options) (*Result, error) {
 		conv, ok := sim.TimeToConvergence(30*time.Second, 2*time.Hour)
 		if ok {
 			convStr = fmtDur(conv)
-			var all []*netsim.TrafficStats
-			for i := 0; i < n; i++ {
-				st, err := sim.StartFlow(netsim.Flow{
-					From: i, To: (i + n/2) % n, Payload: 24,
-					Interval: 5 * time.Minute, Poisson: true,
-				})
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, st)
+			all, err := sim.StartPairs(5 * time.Minute)
+			if err != nil {
+				return nil, err
 			}
 			before := sim.TotalAirtime()
 			sim.Run(time.Hour)

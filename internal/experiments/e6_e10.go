@@ -100,16 +100,9 @@ func E7Baseline(opt Options) (*Result, error) {
 			return nil, err
 		}
 		// Fixed unicast pairs i -> (i+n/2) mod n, Poisson.
-		var all []*netsim.TrafficStats
-		for i := 0; i < n; i++ {
-			st, err := sim.StartFlow(netsim.Flow{
-				From: i, To: (i + n/2) % n, Payload: 24,
-				Interval: 4 * time.Minute, Poisson: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, st)
+		all, err := sim.StartPairs(4 * time.Minute)
+		if err != nil {
+			return nil, err
 		}
 		sim.Run(dur)
 		total := netsim.MergeStats(all)
@@ -272,16 +265,9 @@ func E9Density(opt Options) (*Result, error) {
 		if _, ok := sim.TimeToConvergence(10*time.Second, 6*time.Hour); !ok {
 			return []string{fmt.Sprintf("%d", n), "-", "no convergence", "-", "-", "-"}, nil
 		}
-		var all []*netsim.TrafficStats
-		for i := 0; i < n; i++ {
-			st, err := sim.StartFlow(netsim.Flow{
-				From: i, To: (i + n/2) % n, Payload: 24,
-				Interval: 3 * time.Minute, Poisson: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, st)
+		all, err := sim.StartPairs(3 * time.Minute)
+		if err != nil {
+			return nil, err
 		}
 		sim.Run(dur)
 		total := netsim.MergeStats(all)

@@ -67,16 +67,9 @@ func X4SNRRouting(opt Options) (*Result, error) {
 		if _, ok := sim.TimeToConvergence(10*time.Second, 6*time.Hour); !ok {
 			return []string{metricName(snr), fmt.Sprintf("%d", seed), "no convergence", "-", "-"}, nil
 		}
-		var all []*netsim.TrafficStats
-		for i := 0; i < n; i++ {
-			st, err := sim.StartFlow(netsim.Flow{
-				From: i, To: (i + n/2) % n, Payload: 24,
-				Interval: 3 * time.Minute, Poisson: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, st)
+		all, err := sim.StartPairs(3 * time.Minute)
+		if err != nil {
+			return nil, err
 		}
 		sim.Run(dur)
 		total := netsim.MergeStats(all)

@@ -60,16 +60,9 @@ func X6Reactive(opt Options) (*Result, error) {
 
 		// Phase 2: traffic appears. The first packet of each flow
 		// measures cold-route latency; the rest measure steady state.
-		var all []*netsim.TrafficStats
-		for i := 0; i < n; i++ {
-			st, err := sim.StartFlow(netsim.Flow{
-				From: i, To: (i + n/2) % n, Payload: 24,
-				Interval: 3 * time.Minute, Poisson: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, st)
+		all, err := sim.StartPairs(3 * time.Minute)
+		if err != nil {
+			return nil, err
 		}
 		sim.Run(active)
 		total := netsim.MergeStats(all)

@@ -54,14 +54,14 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err == nil {
 		v, perr := time.ParseDuration(s)
 		if perr != nil {
-			return fmt.Errorf("faults: bad duration %q: %w", s, perr)
+			return fmt.Errorf("bad duration %q: %w", s, perr)
 		}
 		*d = Duration(v)
 		return nil
 	}
 	var n int64
 	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("faults: bad duration %s", b)
+		return fmt.Errorf("bad duration %s", b)
 	}
 	*d = Duration(n)
 	return nil
@@ -201,7 +201,8 @@ func (a Attacker) Behaviors() []string { return a.behaviors() }
 
 // ClockSkew multiplies one node's HELLO timer period by Factor,
 // modelling the cheap-crystal drift real SX127x boards exhibit (a
-// factor of 1.25 beacons 25% slower than its neighbors expect).
+// factor of 1.25 beacons 25% slower than its neighbors expect). Only the
+// strategies that beacon (proactive, slotted) accept a plan with skews.
 type ClockSkew struct {
 	Node   int     `json:"node"`
 	Factor float64 `json:"factor"`

@@ -94,12 +94,8 @@ type Strategy interface {
 	// HandleTxDone is the host's signal that the engine's transmission
 	// ended.
 	HandleTxDone()
-	// Address returns the node's mesh address.
-	Address() packet.Address
 	// Metrics exposes the engine's drop accounting and counters.
 	Metrics() *metrics.Registry
-	// Kind identifies the strategy for dispatch and reporting.
-	Kind() Kind
 }
 
 // TxGate is the transmission-admission hook scheduled-access strategies

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/livenet"
 	"repro/internal/netsim"
-	"repro/internal/packet"
 )
 
 // This file wires a Gateway onto the repo's mesh runtimes.
@@ -74,20 +74,10 @@ func AttachSim(s *netsim.Sim, index int, g *Gateway) error {
 	return nil
 }
 
-// MeshHost is the surface the wall-clock runtime exposes for gateway
-// attachment; *livenet.Host satisfies it. It is declared here so the
-// gateway does not import the runtime.
-type MeshHost interface {
-	Addr() packet.Address
-	SetOnMessage(func(core.AppMessage))
-	Send(dst packet.Address, payload []byte) error
-	SendReliable(dst packet.Address, payload []byte) (uint8, error)
-}
-
 // AttachHost hooks g onto a live host's deliveries and downlink path.
 // Drive the uplinker with g.Start(); the observer must stay cheap, and
 // Offer is (it never touches the network).
-func AttachHost(h MeshHost, g *Gateway) {
+func AttachHost(h *livenet.Host, g *Gateway) {
 	g.setAddr(h.Addr())
 	h.SetOnMessage(func(m core.AppMessage) { g.OfferMessage(m) })
 	g.SetSender(func(d Downlink) error {

@@ -6,17 +6,10 @@ import (
 	"time"
 )
 
-// Mobility steps node positions through time. Implementations are pure
-// state machines driven by the simulation clock, so runs stay
-// deterministic per seed.
-type Mobility interface {
-	// Step returns node i's new position after dt starting from cur.
-	Step(i int, cur Point, dt time.Duration) Point
-}
-
 // RandomWaypoint is the classic mobility model: each node picks a uniform
 // waypoint in the field, travels there at a uniform-random speed, pauses,
-// and repeats.
+// and repeats. It is a pure state machine driven by the simulation clock,
+// so runs stay deterministic per seed.
 type RandomWaypoint struct {
 	width, height      float64
 	minSpeed, maxSpeed float64 // meters/second
@@ -59,9 +52,7 @@ func NewRandomWaypoint(n int, width, height, minSpeed, maxSpeed float64, pause t
 	}, nil
 }
 
-var _ Mobility = (*RandomWaypoint)(nil)
-
-// Step implements Mobility.
+// Step returns node i's new position after dt starting from cur.
 func (m *RandomWaypoint) Step(i int, cur Point, dt time.Duration) Point {
 	if i < 0 || i >= len(m.states) || dt <= 0 {
 		return cur

@@ -210,14 +210,8 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	return n, nil
 }
 
-// Address returns the node's mesh address.
-func (n *Node) Address() packet.Address { return n.cfg.Address }
-
 // Metrics exposes the node's instruments.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
-
-// Kind identifies the strategy: named-data pub-sub with caching.
-func (n *Node) Kind() forward.Kind { return forward.KindICN }
 
 // Start is a no-op: an ICN node is silent until an interest appears.
 func (n *Node) Start() error {

@@ -402,12 +402,6 @@ func TestContentStoreLRUEviction(t *testing.T) {
 func TestStrategySurface(t *testing.T) {
 	b := newBus(t, Config{Address: 0x0001, Produce: func(string) []byte { return []byte("v") }})
 	n := b.env(0x0001).node
-	if n.Kind() != forward.KindICN {
-		t.Errorf("Kind = %v", n.Kind())
-	}
-	if n.Address() != 0x0001 {
-		t.Errorf("Address = %v", n.Address())
-	}
 	// Send maps the generic surface onto Express (dst advisory): the
 	// producer answers itself without touching the air.
 	if err := n.Send(0x00FF, []byte("any/name")); err != nil {

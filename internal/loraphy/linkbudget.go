@@ -108,7 +108,7 @@ func Receive(p Params, lb LinkBudget, pathLossDB float64) (Reception, error) {
 // sensitivity floor under the given path-loss model, found by bisection.
 // It returns 0 if even zero distance is below sensitivity, and cap if the
 // link still closes at the cap distance.
-func MaxRangeMeters(p Params, lb LinkBudget, model PathLossModel, capMeters float64) (float64, error) {
+func MaxRangeMeters(p Params, lb LinkBudget, model LogDistance, capMeters float64) (float64, error) {
 	sens, err := p.SensitivityDBm()
 	if err != nil {
 		return 0, err

@@ -179,19 +179,19 @@ func TestReceiveThresholds(t *testing.T) {
 
 func TestFreeSpacePathLoss(t *testing.T) {
 	// Friis at 868 MHz, 1 km is ≈ 91.2 dB.
-	got := FreeSpace{}.PathLossDB(1000, 868e6)
+	got := freeSpaceDB(1000, 868e6)
 	if math.Abs(got-91.2) > 0.3 {
 		t.Errorf("free-space 1km@868MHz = %.2f dB, want ≈91.2", got)
 	}
 	// Clamps below 1 m.
-	if a, b := (FreeSpace{}).PathLossDB(0, 868e6), (FreeSpace{}).PathLossDB(1, 868e6); a != b {
+	if a, b := freeSpaceDB(0, 868e6), freeSpaceDB(1, 868e6); a != b {
 		t.Errorf("free-space should clamp d<1m: %v vs %v", a, b)
 	}
 }
 
 func TestLogDistanceReducesToFreeSpaceAtReference(t *testing.T) {
 	m := DefaultLogDistance()
-	fs := FreeSpace{}.PathLossDB(1, 868e6)
+	fs := freeSpaceDB(1, 868e6)
 	if got := m.PathLossDB(1, 868e6); math.Abs(got-fs) > 1e-9 {
 		t.Errorf("log-distance at d0 = %v, want free-space %v", got, fs)
 	}
@@ -233,8 +233,8 @@ func TestShadowedModelZeroSigmaIsBase(t *testing.T) {
 // TestShadowingIsRoughlyStandardNormal samples many links and checks mean
 // and variance of the shadowing term.
 func TestShadowingIsRoughlyStandardNormal(t *testing.T) {
-	m := ShadowedModel{Base: FreeSpace{}, SigmaDB: 1, Seed: 99}
-	base := FreeSpace{}.PathLossDB(100, 868e6)
+	m := ShadowedModel{Base: DefaultLogDistance(), SigmaDB: 1, Seed: 99}
+	base := m.Base.PathLossDB(100, 868e6)
 	n := 20000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {

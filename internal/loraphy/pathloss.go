@@ -1,36 +1,13 @@
 package loraphy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// PathLossModel maps a link distance to an attenuation in dB. Models are
-// pure functions of distance and frequency; per-link shadowing is layered
-// on top by ShadowedModel so the base models stay deterministic.
-type PathLossModel interface {
-	// PathLossDB returns the attenuation in dB over distanceMeters at
-	// carrier frequency freqHz. Implementations must clamp distances
-	// below one meter to one meter to stay finite.
-	PathLossDB(distanceMeters, freqHz float64) float64
-	// Name identifies the model in traces and experiment output.
-	Name() string
-}
-
-// FreeSpace is the Friis free-space path-loss model:
-// 20log10(d) + 20log10(f) - 147.55.
-type FreeSpace struct{}
-
-var _ PathLossModel = FreeSpace{}
-
-// PathLossDB implements PathLossModel.
-func (FreeSpace) PathLossDB(distanceMeters, freqHz float64) float64 {
+// freeSpaceDB is the Friis free-space loss, 20log10(d) + 20log10(f) - 147.55,
+// with distances below one meter clamped to one meter to stay finite.
+func freeSpaceDB(distanceMeters, freqHz float64) float64 {
 	d := math.Max(distanceMeters, 1)
 	return 20*math.Log10(d) + 20*math.Log10(freqHz) - 147.55
 }
-
-// Name implements PathLossModel.
-func (FreeSpace) Name() string { return "free-space" }
 
 // LogDistance is the log-distance model PL(d) = PL(d0) + 10·n·log10(d/d0),
 // the standard fit for LoRa deployments. The urban LoRa literature uses
@@ -45,8 +22,6 @@ type LogDistance struct {
 	Exponent float64
 }
 
-var _ PathLossModel = LogDistance{}
-
 // DefaultLogDistance returns the suburban-campus fit used for the
 // reproduction's testbed-like topologies: d0 = 1 m, n = 2.7, free-space
 // reference loss.
@@ -54,7 +29,9 @@ func DefaultLogDistance() LogDistance {
 	return LogDistance{ReferenceMeters: 1, Exponent: 2.7}
 }
 
-// PathLossDB implements PathLossModel.
+// PathLossDB returns the attenuation in dB over distanceMeters at carrier
+// frequency freqHz; distances below d0 are clamped to d0. Per-link shadowing
+// is layered on top by ShadowedModel so this stays a pure function.
 func (m LogDistance) PathLossDB(distanceMeters, freqHz float64) float64 {
 	d0 := m.ReferenceMeters
 	if d0 <= 0 {
@@ -66,19 +43,10 @@ func (m LogDistance) PathLossDB(distanceMeters, freqHz float64) float64 {
 	}
 	ref := m.ReferenceLossDB
 	if ref == 0 {
-		ref = FreeSpace{}.PathLossDB(d0, freqHz)
+		ref = freeSpaceDB(d0, freqHz)
 	}
 	d := math.Max(distanceMeters, d0)
 	return ref + 10*n*math.Log10(d/d0)
-}
-
-// Name implements PathLossModel.
-func (m LogDistance) Name() string {
-	n := m.Exponent
-	if n <= 0 {
-		n = 2.7
-	}
-	return fmt.Sprintf("log-distance(n=%.2f)", n)
 }
 
 // ShadowedModel adds static per-link log-normal shadowing on top of a base
@@ -88,7 +56,7 @@ func (m LogDistance) Name() string {
 // and runs are reproducible.
 type ShadowedModel struct {
 	// Base is the underlying distance-dependent model.
-	Base PathLossModel
+	Base LogDistance
 	// SigmaDB is the shadowing standard deviation; LoRa measurement
 	// campaigns report 6–10 dB outdoors.
 	SigmaDB float64
@@ -109,19 +77,6 @@ func (m ShadowedModel) LinkPathLossDB(a, b uint64, distanceMeters, freqHz float6
 	}
 	return base + m.SigmaDB*gaussianFromHash(mix64(lo^rotl(hi, 32)^m.Seed))
 }
-
-// PathLossDB implements PathLossModel by returning the unshadowed base
-// loss; use LinkPathLossDB when link identities are known.
-func (m ShadowedModel) PathLossDB(distanceMeters, freqHz float64) float64 {
-	return m.Base.PathLossDB(distanceMeters, freqHz)
-}
-
-// Name implements PathLossModel.
-func (m ShadowedModel) Name() string {
-	return fmt.Sprintf("%s+shadow(σ=%.1fdB)", m.Base.Name(), m.SigmaDB)
-}
-
-var _ PathLossModel = ShadowedModel{}
 
 // mix64 is the SplitMix64 finalizer, a high-quality 64-bit mixer.
 func mix64(x uint64) uint64 {

@@ -163,15 +163,7 @@ func (s *Sim) rebootNode(i int, why string) bool {
 		s.restartNode(i)
 		return !h.down
 	}
-	h.retire()
-	h.Proto.Stop()
-	h.hung = false
-	if err := s.buildEngine(h); err != nil {
-		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
-			"reboot failed: %v", err)
-		return false
-	}
-	if err := h.Proto.Start(); err != nil {
+	if err := s.rebuild(h); err != nil {
 		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 			"reboot failed: %v", err)
 		return false
@@ -184,7 +176,7 @@ func (s *Sim) rebootNode(i int, why string) bool {
 
 // hostControl is the simulated host side of the node control hook: the
 // operations an engine cannot perform on itself. It is wired as
-// core.Config.OnControl on every simulated mesher node (buildEngine),
+// core.Config.OnControl on every simulated mesher node (nodeConfig),
 // and is inert until a controller actually issues commands.
 func (s *Sim) hostControl(h *Handle, cmd control.Command) bool {
 	switch cmd.Op {

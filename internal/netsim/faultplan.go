@@ -18,46 +18,71 @@ import (
 	"repro/internal/trace"
 )
 
-// buildEngine constructs (or reconstructs, on crash/restart) node h's
-// protocol engine from the simulation config. A rebuilt engine starts
-// with an empty routing table and fresh metrics — exactly what a
-// microcontroller reboot loses — so callers must retire the old engine's
-// metrics first (Handle.retire) to keep network totals intact.
+// rebuild boots node h cold: the engine it had (none yet inside New) is
+// stopped and its metrics retired, and a fresh one is built and started —
+// empty routing table, fresh metrics, zeroed duty accounting, exactly what
+// a microcontroller reboot loses. What must outlive a reboot lives on the
+// handle and goes into every engine (nodeConfig). A crashed node powers
+// back on; a wedged one is wedged no longer.
+func (s *Sim) rebuild(h *Handle) error {
+	if h.Proto != nil {
+		h.retire()
+		h.Proto.Stop()
+	}
+	if err := s.buildEngine(h); err != nil {
+		return err
+	}
+	h.hung = false
+	if h.down {
+		h.down = false
+		_ = s.Medium.SetListening(h.Station, true)
+	}
+	if err := h.Proto.Start(); err != nil {
+		return fmt.Errorf("netsim: start node %d: %w", h.Index, err)
+	}
+	return nil
+}
+
+// nodeConfig prepares node h's core.Config — the proactive engine's, and
+// the one the slotted wrapper embeds — from the simulation's template plus
+// the state the handle keeps across rebuilds.
+func (s *Sim) nodeConfig(h *Handle) core.Config {
+	nc := s.Cfg.Node
+	nc.Address = h.Addr
+	nc.Tracer = s.Tracer
+	if s.Cfg.NodeOverride != nil {
+		nc = s.Cfg.NodeOverride(h.Index, nc)
+		nc.Address = h.Addr // the override must not break addressing
+	}
+	// The handle's link (not a fresh one) goes into every rebuilt
+	// engine: the frame counter must survive restarts.
+	nc.Security = h.Sec
+	if nc.OnControl == nil {
+		// The simulated host side of the control plane (reboots,
+		// radio reconfiguration, sleep scheduling) — inert until a
+		// controller issues commands, so plain runs are unaffected.
+		nc.OnControl = func(cmd control.Command) bool { return s.hostControl(h, cmd) }
+	}
+	if h.sfOverride != 0 {
+		// A control-plane radio reconfiguration outlives rebuilds.
+		nc.Phy = nc.EffectivePhy()
+		nc.Phy.SpreadingFactor = loraphy.SpreadingFactor(h.sfOverride)
+	}
+	if h.helloScale > 0 && h.helloScale != 1 {
+		// Clock skew: this node's crystal runs fast or slow, so its
+		// HELLO cadence drifts from what neighbors expect.
+		nc.HelloPeriod = time.Duration(h.helloScale * float64(nc.EffectiveHelloPeriod()))
+	}
+	return nc
+}
+
+// buildEngine constructs node h's protocol engine from the simulation
+// config and points the handle at it; rebuild retires and starts around it.
 func (s *Sim) buildEngine(h *Handle) error {
 	addr := h.Addr
 	switch s.Cfg.Protocol {
 	case forward.KindProactive:
-		nc := s.Cfg.Node
-		nc.Address = addr
-		nc.Tracer = s.Tracer
-		if s.Cfg.NodeOverride != nil {
-			nc = s.Cfg.NodeOverride(h.Index, nc)
-			nc.Address = addr // the override must not break addressing
-		}
-		// The handle's link (not a fresh one) goes into every rebuilt
-		// engine: the frame counter must survive restarts.
-		nc.Security = h.Sec
-		if nc.OnControl == nil {
-			// The simulated host side of the control plane (reboots,
-			// radio reconfiguration, sleep scheduling) — inert until a
-			// controller issues commands, so plain runs are unaffected.
-			nc.OnControl = func(cmd control.Command) bool { return s.hostControl(h, cmd) }
-		}
-		if h.sfOverride != 0 {
-			// A control-plane radio reconfiguration outlives rebuilds.
-			nc.Phy = nc.EffectivePhy()
-			nc.Phy.SpreadingFactor = loraphy.SpreadingFactor(h.sfOverride)
-		}
-		if h.helloScale > 0 && h.helloScale != 1 {
-			// Clock skew: this node's crystal runs fast or slow, so its
-			// HELLO cadence drifts from what neighbors expect.
-			base := nc.HelloPeriod
-			if base <= 0 {
-				base = core.Config{}.EffectiveHelloPeriod()
-			}
-			nc.HelloPeriod = time.Duration(h.helloScale * float64(base))
-		}
-		n, err := core.NewNode(nc, h.env)
+		n, err := core.NewNode(s.nodeConfig(h), h.env)
 		if err != nil {
 			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
 		}
@@ -96,13 +121,7 @@ func (s *Sim) buildEngine(h *Handle) error {
 		h.Mesher = nil
 		h.env.phy = ic.Phy
 	case forward.KindSlotted:
-		nc := s.Cfg.Node
-		nc.Address = addr
-		nc.Tracer = s.Tracer
-		if s.Cfg.NodeOverride != nil {
-			nc = s.Cfg.NodeOverride(h.Index, nc)
-			nc.Address = addr
-		}
+		nc := s.nodeConfig(h)
 		// The slotted wrapper owns these hooks.
 		nc.TxGate, nc.OnBeacon = nil, nil
 		// Slots follow route depth to node 0, the sink of every workload.
@@ -136,6 +155,9 @@ func (s *Sim) ApplyFaultPlan(plan *faults.Plan) error {
 	if err := plan.Validate(s.N()); err != nil {
 		return err
 	}
+	if len(plan.ClockSkews) > 0 && s.handles[0].Mesher == nil {
+		return fmt.Errorf("netsim: clock_skews scale the HELLO timer, and the %s strategy has none", s.Cfg.Protocol)
+	}
 	now := s.Sched.Now()
 
 	// Clock skews: rebuild the affected engines with the scaled HELLO
@@ -148,13 +170,8 @@ func (s *Sim) ApplyFaultPlan(plan *faults.Plan) error {
 		if h.killed || h.down {
 			continue // the restart path rebuilds with the skew
 		}
-		h.retire()
-		h.Proto.Stop()
-		if err := s.buildEngine(h); err != nil {
+		if err := s.rebuild(h); err != nil {
 			return err
-		}
-		if err := h.Proto.Start(); err != nil {
-			return fmt.Errorf("netsim: skewed node %d: %w", sk.Node, err)
 		}
 		s.Tracer.Emit(now, h.addrStr, trace.KindFailure,
 			"clock skew %.2fx applied to HELLO timer", sk.Factor)
@@ -222,7 +239,6 @@ func (s *Sim) crashNode(i int, downtime time.Duration) {
 		return
 	}
 	h.down = true
-	h.retire()
 	h.Proto.Stop()
 	_ = s.Medium.SetListening(h.Station, false)
 	s.reg.Counter("fault.crash").Inc()
@@ -241,14 +257,7 @@ func (s *Sim) restartNode(i int) {
 	if h.killed || !h.down {
 		return
 	}
-	if err := s.buildEngine(h); err != nil {
-		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
-			"restart failed: %v", err)
-		return
-	}
-	h.down = false
-	_ = s.Medium.SetListening(h.Station, true)
-	if err := h.Proto.Start(); err != nil {
+	if err := s.rebuild(h); err != nil {
 		s.Tracer.Emit(s.Sched.Now(), h.addrStr, trace.KindFailure,
 			"restart failed: %v", err)
 		return

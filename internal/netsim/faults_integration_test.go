@@ -102,7 +102,13 @@ func TestFaultPlanCrashRestartColdBoot(t *testing.T) {
 	// routing table — the reboot lost everything.
 	var midDown, upAfter bool
 	var coldLen int
-	sim.Sched.MustAfter(40*time.Second, func() { midDown = sim.Handle(1).down })
+	var midErr error
+	sim.Sched.MustAfter(40*time.Second, func() {
+		midDown = sim.Handle(1).down
+		// The dead engine's counters and airtime count once while the
+		// node is down, not once as live and once as retired.
+		midErr = sim.CheckInvariants()
+	})
 	sim.Sched.MustAfter(70*time.Second+10*time.Millisecond, func() {
 		upAfter = !sim.Handle(1).down
 		coldLen = sim.Handle(1).Mesher.Table().Len()
@@ -111,6 +117,9 @@ func TestFaultPlanCrashRestartColdBoot(t *testing.T) {
 
 	if !midDown {
 		t.Error("node not down mid-downtime")
+	}
+	if midErr != nil {
+		t.Errorf("invariants mid-downtime:\n%v", midErr)
 	}
 	if !upAfter {
 		t.Error("node not restarted after downtime")

@@ -126,7 +126,7 @@ type Handle struct {
 	down bool
 	// hung marks a wedged engine (Sim.Hang): powered and apparently up,
 	// but making no progress — the silent-node failure mode. Cleared by
-	// a power-cycle (rebootNode).
+	// any rebuild: a power-cycle or a crash/restart.
 	hung bool
 	// sfOverride, when nonzero, is the spreading factor a control-plane
 	// reconfiguration pinned for this node; every engine rebuild keeps
@@ -157,7 +157,6 @@ type Handle struct {
 	// sleepAccum totals time spent with the receiver off (sleep cycles),
 	// feeding the energy report.
 	sleepAccum time.Duration
-	sleeping   bool
 }
 
 // retire folds the current engine's metrics and airtime into the
@@ -265,10 +264,6 @@ func New(cfg Config) (*Sim, error) {
 		env := &nodeEnv{sim: s, h: h, rng: rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x9e3779b9))}
 		h.env = env
 
-		if err := s.buildEngine(h); err != nil {
-			return nil, err
-		}
-
 		station, err := medium.AddStation(pos, env)
 		if err != nil {
 			return nil, fmt.Errorf("netsim: node %d: %w", i, err)
@@ -277,11 +272,11 @@ func New(cfg Config) (*Sim, error) {
 		s.stationIdx[station] = i
 		s.handles = append(s.handles, h)
 	}
-	// Start engines only after every station exists, so first beacons
+	// Engines boot only after every station exists, so first beacons
 	// reach all neighbors.
-	for i, h := range s.handles {
-		if err := h.Proto.Start(); err != nil {
-			return nil, fmt.Errorf("netsim: start node %d: %w", i, err)
+	for _, h := range s.handles {
+		if err := s.rebuild(h); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.HealthInterval > 0 {
@@ -490,7 +485,6 @@ func (s *Sim) StartSleepCycle(i int, awakeFor, sleepFor time.Duration) error {
 		if h.killed {
 			return
 		}
-		h.sleeping = true
 		if err := s.Medium.SetListening(h.Station, false); err != nil {
 			return
 		}
@@ -500,10 +494,13 @@ func (s *Sim) StartSleepCycle(i int, awakeFor, sleepFor time.Duration) error {
 		if h.killed {
 			return
 		}
-		h.sleeping = false
 		h.sleepAccum += sleepFor
-		if err := s.Medium.SetListening(h.Station, true); err != nil {
-			return
+		// A crashed node's radio stays off until it restarts; the cycle
+		// itself keeps its phase.
+		if !h.down {
+			if err := s.Medium.SetListening(h.Station, true); err != nil {
+				return
+			}
 		}
 		s.Sched.MustAfter(awakeFor, sleep)
 	}
@@ -514,7 +511,7 @@ func (s *Sim) StartSleepCycle(i int, awakeFor, sleepFor time.Duration) error {
 // StartMobility steps every live node's position through the model every
 // interval. Route churn then follows from beacons refreshing or expiring,
 // exactly as with physical movement.
-func (s *Sim) StartMobility(model geo.Mobility, interval time.Duration) error {
+func (s *Sim) StartMobility(model *geo.RandomWaypoint, interval time.Duration) error {
 	if model == nil {
 		return fmt.Errorf("netsim: nil mobility model")
 	}

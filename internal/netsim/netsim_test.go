@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +259,53 @@ func TestManyToOneTraffic(t *testing.T) {
 	}
 	if total.DeliveryRatio() < 0.7 {
 		t.Errorf("star PDR = %v, want ≥0.7", total.DeliveryRatio())
+	}
+}
+
+// TestStartPairsMatchesHandWrittenLoop pins StartPairs to the loop seven
+// call sites used to spell out: same flows in the same order, so every RNG
+// draw — and with it every outcome — is where it was.
+func TestStartPairsMatchesHandWrittenLoop(t *testing.T) {
+	run := func(start func(*Sim) ([]*TrafficStats, error)) *TrafficStats {
+		topo, err := geo.Grid(2, 3, 8000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New(Config{Topology: topo, Node: fastNode(), Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sim.TimeToConvergence(time.Second, 5*time.Minute); !ok {
+			t.Fatal("no convergence")
+		}
+		all, err := start(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(10 * time.Minute)
+		return MergeStats(all)
+	}
+	got := run(func(sim *Sim) ([]*TrafficStats, error) { return sim.StartPairs(30 * time.Second) })
+	want := run(func(sim *Sim) ([]*TrafficStats, error) {
+		var all []*TrafficStats
+		n := sim.N()
+		for i := 0; i < n; i++ {
+			st, err := sim.StartFlow(Flow{
+				From: i, To: (i + n/2) % n, Payload: 24,
+				Interval: 30 * time.Second, Poisson: true,
+			})
+			if err != nil {
+				return nil, err
+			}
+			all = append(all, st)
+		}
+		return all, nil
+	})
+	if want.Delivered == 0 {
+		t.Fatalf("the reference loop delivered nothing: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("StartPairs = %+v\nhand-written loop = %+v", got, want)
 	}
 }
 

@@ -161,6 +161,24 @@ func (s *Sim) StartManyToOne(payload int, interval time.Duration) ([]*TrafficSta
 	return out, nil
 }
 
+// StartPairs starts one Poisson flow of 24-byte datagrams from every node
+// i to node (i+n/2) mod n — the fixed unicast pairs the evaluation and
+// meshsim load a mesh with. It returns per-source stats indexed by node.
+func (s *Sim) StartPairs(interval time.Duration) ([]*TrafficStats, error) {
+	n := s.N()
+	out := make([]*TrafficStats, n)
+	for i := range out {
+		st, err := s.StartFlow(Flow{
+			From: i, To: (i + n/2) % n, Payload: 24, Interval: interval, Poisson: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = st
+	}
+	return out, nil
+}
+
 // StartInterestRounds drives the pull equivalent of the push patterns
 // under the ICN strategy: every period, each node but the producer (node
 // 0, where both programs publish) expresses interest in the round's shared name (prefix + round number)

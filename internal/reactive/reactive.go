@@ -118,14 +118,8 @@ func NewNode(addr packet.Address, env core.Env) (*Node, error) {
 	}, nil
 }
 
-// Address returns the node's mesh address.
-func (n *Node) Address() packet.Address { return n.addr }
-
 // Metrics exposes the node's instruments.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
-
-// Kind identifies the strategy: AODV-style on-demand routing.
-func (n *Node) Kind() forward.Kind { return forward.KindReactive }
 
 // Start is a no-op: a reactive protocol is silent until traffic appears.
 func (n *Node) Start() error {

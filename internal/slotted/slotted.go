@@ -97,9 +97,6 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 	return s, nil
 }
 
-// Kind identifies the strategy, shadowing the embedded engine's.
-func (s *Node) Kind() forward.Kind { return forward.KindSlotted }
-
 // Slot returns the node's current slot assignment: route depth to the
 // sink modulo the slot count. The sink itself — and any node that has
 // not yet learned a route — transmits in slot 0.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/forward"
 	"repro/internal/loraphy"
 	"repro/internal/packet"
 	"repro/internal/simtime"
@@ -138,10 +137,6 @@ func TestBeaconExchangeAndSlotAssignment(t *testing.T) {
 	cfg := Config{Sink: 0x0001}
 	b := newBus(t, cfg, 0x0001, 0x0002)
 	sink, other := b.envs[0].node, b.envs[1].node
-
-	if sink.Kind() != forward.KindSlotted {
-		t.Errorf("Kind = %v", sink.Kind())
-	}
 
 	b.sched.RunFor(6 * time.Minute)
 

@@ -21,3 +21,4 @@ echo "os.Getenv sites outside bench/:     $(find . -name '*.go' ! -path './bench
 echo "interfaces (non-test):              $(src | xargs grep -c 'interface {' | awk -F: '{n+=$2} END {print n+0}')"
 echo "optionAllowlist entries:            $(entries options_test.go optionAllowlist)"
 echo "exportAllowlist entries:            $(entries exports_test.go exportAllowlist)"
+echo "docs KB (README, DESIGN, EXPERIMENTS, CHANGES): $(cat README.md DESIGN.md EXPERIMENTS.md CHANGES.md | wc -c | awk '{printf "%.1f", $1/1024}')"
