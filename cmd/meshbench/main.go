@@ -7,9 +7,8 @@
 //
 //	meshbench              # run every experiment
 //	meshbench -exp E5,E7   # run selected experiments
-//	meshbench -quick       # reduced sweeps (CI-sized)
+//	meshbench -quick       # E15, E17 and X7 (a minute at published size) at test size
 //	meshbench -seed 7      # different random seed
-//	meshbench -parallel 4  # sweep-point workers (0 = GOMAXPROCS)
 //	meshbench -cpuprofile meshbench.prof
 package main
 
@@ -32,7 +31,6 @@ type options struct {
 	quick      bool
 	seed       int64
 	list       bool
-	parallel   int
 	cpuprofile string
 	// seckey, 32 hex digits, replaces the built-in network key in the
 	// security-aware experiments (E13).
@@ -42,11 +40,9 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.exp, "exp", "", "comma-separated experiment ids (default: all)")
-	flag.BoolVar(&o.quick, "quick", false, "reduced sweeps and durations")
+	flag.BoolVar(&o.quick, "quick", false, "run E15, E17 and X7 at test size (every other experiment has one size)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.BoolVar(&o.list, "list", false, "list experiment ids and exit")
-	flag.IntVar(&o.parallel, "parallel", 0,
-		"worker goroutines per sweep (0 = GOMAXPROCS, 1 = serial); tables are identical at any setting")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.seckey, "seckey", "", "network key as 32 hex digits for the security experiments (default: built-in key)")
 	flag.Parse()
@@ -93,7 +89,7 @@ func run(w, ew io.Writer, o options) error {
 		}
 	}
 
-	opt := experiments.Options{Seed: o.seed, Quick: o.quick, Parallel: o.parallel}
+	opt := experiments.Options{Seed: o.seed, Quick: o.quick}
 	if o.seckey != "" {
 		key, err := meshsec.ParseKey(o.seckey)
 		if err != nil {

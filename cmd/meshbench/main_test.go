@@ -12,7 +12,7 @@ func TestMeshbenchSmoke(t *testing.T) {
 		var out, errOut strings.Builder
 		// E2 computes packet formats analytically; no simulation, so the
 		// smoke test stays fast.
-		if err := run(&out, &errOut, options{exp: "E2", quick: true, seed: 1}); err != nil {
+		if err := run(&out, &errOut, options{exp: "E2", seed: 1}); err != nil {
 			t.Fatalf("run: %v\n%s", err, errOut.String())
 		}
 		s := out.String()
@@ -48,7 +48,7 @@ func TestMeshbenchUnknownExperiment(t *testing.T) {
 // runs.
 func TestMeshbenchSecKey(t *testing.T) {
 	var out, errOut strings.Builder
-	o := options{exp: "E13", quick: true, seed: 1,
+	o := options{exp: "E13", seed: 1,
 		seckey: "000102030405060708090a0b0c0d0e0f"}
 	if err := run(&out, &errOut, o); err != nil {
 		t.Fatalf("run: %v\n%s", err, errOut.String())

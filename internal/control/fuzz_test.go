@@ -2,6 +2,8 @@ package control
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,6 +38,47 @@ func FuzzParseCommand(f *testing.F) {
 			if out := MarshalReport(r); !bytes.Equal(out, data) {
 				t.Fatalf("report parse/marshal not identity:\n in  %x\n out %x\n %+v", data, out, r)
 			}
+		}
+	})
+}
+
+// FuzzLoadState drives the desired-state loader with arbitrary documents:
+// the file is operator input, read by meshsim and meshgw. Load must not
+// panic; a document with a top-level field State does not declare — the
+// retired `slotted` section included — must be refused; and whatever
+// loads validates, answers Spec, and re-marshals to a document that
+// loads. The committed seeds (testdata/fuzz/FuzzLoadState) are the
+// documents the repo ships: README's, state_test's, check.sh's.
+func FuzzLoadState(f *testing.F) {
+	known := []string{"version", "net_key", "key_epoch", "defaults", "nodes"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var fields map[string]json.RawMessage
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&fields); err != nil {
+			t.Fatalf("loaded a document that is not a JSON object: %v\n%s", err, data)
+		}
+	field:
+		for name := range fields {
+			for _, k := range known {
+				if strings.EqualFold(name, k) {
+					continue field
+				}
+			}
+			t.Fatalf("loaded a document with unknown field %q\n%s", name, data)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("loaded state does not validate: %v\n%s", err, data)
+		}
+		s.Spec(0x0004)
+		doc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("marshal of a loaded state: %v\n%+v", err, s)
+		}
+		if _, err := Load(bytes.NewReader(doc)); err != nil {
+			t.Fatalf("re-marshalled state does not load: %v\n%s", err, doc)
 		}
 	})
 }

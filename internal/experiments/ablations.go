@@ -19,17 +19,13 @@ import (
 // advertised at the infinity metric and die in a few HELLO periods.
 func A1Poisoning(opt Options) (*Result, error) {
 	res := &Result{
-		ID:     "A1",
 		Title:  "phantom-route lifetime after endpoint death: expiry-only vs poisoning",
 		Header: []string{"mode", "phantom route lifetime", "max phantom metric", "stale forwards"},
 	}
 	n := 6
 	ttl := 5 * time.Minute
-	if opt.Quick {
-		ttl = 2 * time.Minute
-	}
 	modes := []bool{false, true}
-	if err := res.sweep(opt, len(modes), func(p int) ([]string, error) {
+	if err := res.sweep(len(modes), func(p int) ([]string, error) {
 		poisoning := modes[p]
 		topo, err := geo.Line(n, chainSpacing)
 		if err != nil {
@@ -89,12 +85,8 @@ func A1Poisoning(opt Options) (*Result, error) {
 // prototype's 2-minute choice sits on this curve.
 func A2HelloPeriod(opt Options) (*Result, error) {
 	periods := []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute, 5 * time.Minute}
-	if opt.Quick {
-		periods = []time.Duration{30 * time.Second, 2 * time.Minute}
-	}
 	n := 8
 	res := &Result{
-		ID:     "A2",
 		Title:  fmt.Sprintf("HELLO period trade-off (%d-node random field)", n),
 		Header: []string{"period", "convergence", "hello airtime/node/h", "% of 1% budget"},
 	}
@@ -103,7 +95,7 @@ func A2HelloPeriod(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.sweep(opt, len(periods), func(i int) ([]string, error) {
+	if err := res.sweep(len(periods), func(i int) ([]string, error) {
 		period := periods[i]
 		cfg := expNode()
 		cfg.HelloPeriod = period
@@ -141,17 +133,13 @@ func A3ARQWindow(opt Options) (*Result, error) {
 		{1, 0}, {2, 0}, {4, 0}, {8, 0},
 		{2, 3 * time.Second}, {4, 3 * time.Second},
 	}
-	if opt.Quick {
-		variants = []variant{{1, 0}, {4, 0}, {4, 3 * time.Second}}
-	}
 	size := 4096
 	hops := 3
 	res := &Result{
-		ID:     "A3",
 		Title:  fmt.Sprintf("ARQ window sweep: %d B over %d hops", size, hops),
 		Header: []string{"window", "pacing", "time", "goodput B/s", "retransmissions"},
 	}
-	if err := res.sweep(opt, len(variants), func(i int) ([]string, error) {
+	if err := res.sweep(len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		w := v.window
 		topo, err := geo.Line(hops+1, chainSpacing)
@@ -201,12 +189,8 @@ func A3ARQWindow(opt Options) (*Result, error) {
 // airtime and duty-cycle price. The crossover picks the deployment SF.
 func A4SpreadingFactor(opt Options) (*Result, error) {
 	sfs := loraphy.AllSpreadingFactors()
-	if opt.Quick {
-		sfs = []loraphy.SpreadingFactor{loraphy.SF7, loraphy.SF10}
-	}
 	n := 10
 	res := &Result{
-		ID:     "A4",
 		Title:  fmt.Sprintf("spreading-factor sweep: %d nodes on a fixed sparse field", n),
 		Header: []string{"SF", "est. range", "connected", "convergence", "PDR", "airtime/node/h"},
 	}
@@ -215,7 +199,7 @@ func A4SpreadingFactor(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := res.sweep(opt, len(sfs), func(p int) ([]string, error) {
+	if err := res.sweep(len(sfs), func(p int) ([]string, error) {
 		sf := sfs[p]
 		phy := loraphy.DefaultParams()
 		phy.SpreadingFactor = sf
@@ -260,12 +244,7 @@ func A4SpreadingFactor(opt Options) (*Result, error) {
 func A5CAD(opt Options) (*Result, error) {
 	n := 10
 	dur := time.Hour
-	if opt.Quick {
-		n = 6
-		dur = 30 * time.Minute
-	}
 	res := &Result{
-		ID:     "A5",
 		Title:  fmt.Sprintf("listen-before-talk: %d nodes in mutual range -> hub", n),
 		Header: []string{"CAD", "PDR", "mean latency", "collision losses", "CAD deferrals"},
 	}
@@ -274,7 +253,7 @@ func A5CAD(opt Options) (*Result, error) {
 		return nil, err
 	}
 	cads := []bool{false, true}
-	if err := res.sweep(opt, len(cads), func(i int) ([]string, error) {
+	if err := res.sweep(len(cads), func(i int) ([]string, error) {
 		cad := cads[i]
 		cfg := expNode()
 		cfg.CAD = cad

@@ -22,18 +22,13 @@ import (
 func E11GatewayUplink(opt Options) (*Result, error) {
 	n := 5
 	outages := []time.Duration{0, 2 * time.Minute, 5 * time.Minute, 10 * time.Minute}
-	if opt.Quick {
-		n = 4
-		outages = []time.Duration{0, 2 * time.Minute, 5 * time.Minute}
-	}
 	res := &Result{
-		ID:    "E11",
 		Title: fmt.Sprintf("gateway uplink under backend outage + sink partition, %d-node chain", n),
 		Header: []string{"partition", "at sink", "uplinked", "ratio", "dupes",
 			"spool max", "breaker opens", "mean age", "p95 age"},
 	}
 
-	if err := res.sweep(opt, len(outages), func(p int) ([]string, error) {
+	if err := res.sweep(len(outages), func(p int) ([]string, error) {
 		outage := outages[p]
 		backend := gateway.NewBackend()
 		srv := httptest.NewServer(backend)

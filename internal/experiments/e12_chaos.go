@@ -31,9 +31,6 @@ func chaosExpNode() core.Config {
 func E12ChaosMatrix(opt Options) (*Result, error) {
 	const n = 5
 	runFor := 2 * time.Hour
-	if opt.Quick {
-		runFor = time.Hour
-	}
 	min := faults.Duration(time.Minute)
 
 	scenarios := []struct {
@@ -73,14 +70,13 @@ func E12ChaosMatrix(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID: "E12",
 		Title: fmt.Sprintf("chaos matrix: delivery under injected faults, %d-node chain, %v",
 			n, runFor),
 		Header: []string{"scenario", "offered", "delivered", "PDR", "mean lat",
 			"fault drops", "expired", "trig HELLOs"},
 	}
 
-	if err := res.sweep(opt, len(scenarios), func(i int) ([]string, error) {
+	if err := res.sweep(len(scenarios), func(i int) ([]string, error) {
 		sc := scenarios[i]
 		topo, err := geo.Line(n, chainSpacing)
 		if err != nil {

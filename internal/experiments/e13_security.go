@@ -28,10 +28,6 @@ func E13Security(opt Options) (*Result, error) {
 	hops := []int{1, 3, 5}
 	count := 30
 	interval := time.Minute
-	if opt.Quick {
-		hops = []int{1, 3}
-		count = 10
-	}
 	key := opt.SecKey
 	if key == nil {
 		k := e13Key
@@ -39,7 +35,6 @@ func E13Security(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID: "E13",
 		Title: fmt.Sprintf("link-layer security overhead (%d datagrams per cell, 24 B payload)",
 			count),
 		Header: []string{"hops", "security", "PDR", "mean lat", "airtime", "sec bytes"},
@@ -54,7 +49,7 @@ func E13Security(opt Options) (*Result, error) {
 		cells = append(cells, cell{h, false}, cell{h, true})
 	}
 
-	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(len(cells), func(i int) ([]string, error) {
 		c := cells[i]
 		n := c.hops + 1
 		topo, err := geo.Line(n, chainSpacing)

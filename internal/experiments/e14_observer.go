@@ -18,19 +18,14 @@ import (
 // virtual time the observer must be behavior-neutral: spans and health
 // polls read the simulation, never perturb it, so PDR and latency are
 // asserted identical across modes and the only degree of freedom left is
-// the allocation count. The run is serial by design (it ignores
-// Options.Parallel): the allocation deltas come from
-// runtime.ReadMemStats, a process-global counter that concurrent sweep
-// workers would pollute.
+// the allocation count. The run is serial by design (no sweep pool): the
+// allocation deltas come from runtime.ReadMemStats, a process-global
+// counter that concurrent sweep workers would pollute.
 func E14Observer(opt Options) (*Result, error) {
 	count := 30
 	interval := time.Minute
-	if opt.Quick {
-		count = 10
-	}
 
 	res := &Result{
-		ID: "E14",
 		Title: fmt.Sprintf("observer overhead: spans and health monitor on vs off (%d datagrams, 3 hops)",
 			count),
 		Header: []string{"observer", "PDR", "mean lat", "heap allocs", "segments", "health polls"},

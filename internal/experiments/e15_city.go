@@ -18,7 +18,7 @@ import (
 // columns (wall, events/s, speedup) are machine-specific; everything else
 // is byte-reproducible per seed.
 //
-// The run is serial by design (it ignores Options.Parallel): rows measure
+// The run is serial by design (no sweep pool): rows measure
 // wall time, which concurrent sweep workers would distort.
 func E15CityMesh(opt Options) (*Result, error) {
 	type size struct {
@@ -51,7 +51,6 @@ func E15CityMesh(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:     "E15",
 		Title:  "city mesh: sharded-simulator scaling curve (telemetry workload, sinks every ~640 nodes)",
 		Header: []string{"nodes", "executor", "sim", "sinks", "cells", "frames", "PDR", "mean lat", "events/s", "speedup", "state", "digest"},
 	}

@@ -42,9 +42,6 @@ import (
 func E16SelfHealing(opt Options) (*Result, error) {
 	const probeEvery = 15 * time.Second
 	horizon := 8 * time.Minute
-	if opt.Quick {
-		horizon = 6 * time.Minute
-	}
 	key := opt.SecKey
 	if key == nil {
 		k := e13Key
@@ -52,7 +49,6 @@ func E16SelfHealing(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID: "E16",
 		Title: fmt.Sprintf("self-healing MTTR: controller off vs on (%v horizon, probes every %v)",
 			horizon, probeEvery),
 		Header: []string{"fault", "controller", "detected", "recovered", "MTTR", "mechanism"},
@@ -67,7 +63,7 @@ func E16SelfHealing(opt Options) (*Result, error) {
 		cells = append(cells, cell{f, false}, cell{f, true})
 	}
 
-	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(len(cells), func(i int) ([]string, error) {
 		return e16Cell(opt, cells[i].fault, cells[i].ctl, *key, horizon, probeEvery)
 	}); err != nil {
 		return nil, err

@@ -24,7 +24,7 @@ import (
 // round trips within a lane. Wall-clock columns (readings/s, speedup)
 // are machine-specific; the delivery ledger reproduces per seed.
 //
-// The run is serial by design (it ignores Options.Parallel): rungs
+// The run is serial by design (no sweep pool): rungs
 // measure wall time, which concurrent workers would distort.
 func E17Ingest(opt Options) (*Result, error) {
 	readings, rtt := 20000, 10*time.Millisecond
@@ -65,7 +65,6 @@ func E17Ingest(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID:     "E17",
 		Title:  "ingest at scale: WAL group commit, sharded dedup, pipelined uplink, fleet handover",
 		Header: []string{"config", "gw", "shards", "pipeline", "gc", "readings/s", "speedup", "distinct", "dupes", "double-acc", "lost"},
 	}

@@ -42,7 +42,6 @@ func E1MeshFormation(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		ID:     "E1",
 		Title:  fmt.Sprintf("mesh formation, %d-node chain, %0.f km spacing", n, chainSpacing/1000),
 		Header: []string{"t", "avg routes known", "converged"},
 	}
@@ -81,7 +80,6 @@ func E1MeshFormation(opt Options) (*Result, error) {
 // of the protocol.
 func E2PacketFormats(Options) (*Result, error) {
 	res := &Result{
-		ID:     "E2",
 		Title:  "LoRaMesher wire formats (SF7/BW125/CR4_5 airtimes)",
 		Header: []string{"type", "header B", "max payload B", "airtime empty", "airtime full"},
 	}
@@ -113,15 +111,11 @@ func E2PacketFormats(Options) (*Result, error) {
 // function of network size, on chains and connected random fields.
 func E3Convergence(opt Options) (*Result, error) {
 	sizes := []int{2, 4, 8, 12, 16, 24}
-	if opt.Quick {
-		sizes = []int{2, 4, 8}
-	}
 	res := &Result{
-		ID:     "E3",
 		Title:  "time to full routing convergence (HELLO period 2 min)",
 		Header: []string{"nodes", "chain", "chain diam", "random", "random diam"},
 	}
-	if err := res.sweep(opt, len(sizes), func(i int) ([]string, error) {
+	if err := res.sweep(len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		chain, err := geo.Line(n, chainSpacing)
 		if err != nil {
@@ -175,19 +169,12 @@ func convergenceTime(topo *geo.Topology, seed int64) (time.Duration, bool, error
 // the EU868 1% budget.
 func E4ControlOverhead(opt Options) (*Result, error) {
 	sizes := []int{4, 8, 16}
-	if opt.Quick {
-		sizes = []int{4, 8}
-	}
 	dur := 2 * time.Hour
-	if opt.Quick {
-		dur = time.Hour
-	}
 	res := &Result{
-		ID:     "E4",
 		Title:  "routing control overhead (idle mesh, HELLO period 2 min)",
 		Header: []string{"nodes", "hello frames/node/h", "hello airtime/node/h", "% of 1% budget", "hello bytes/frame"},
 	}
-	if err := res.sweep(opt, len(sizes), func(i int) ([]string, error) {
+	if err := res.sweep(len(sizes), func(i int) ([]string, error) {
 		n := sizes[i]
 		side := 12000.0 * math.Sqrt(float64(n)/4)
 		topo, err := geo.ConnectedRandomGeometric(n, side, side, 12000, opt.Seed, 1000)
@@ -228,13 +215,7 @@ func E5Delivery(opt Options) (*Result, error) {
 	hops := []int{1, 2, 3, 5, 7}
 	losses := []float64{0, 0.10, 0.20}
 	count := 40
-	if opt.Quick {
-		hops = []int{1, 3}
-		losses = []float64{0, 0.20}
-		count = 15
-	}
 	res := &Result{
-		ID:     "E5",
 		Title:  "delivery ratio vs hops (40 datagrams / 15 reliable msgs per cell)",
 		Header: []string{"hops", "link loss", "datagram PDR", "reliable PDR", "reliable retrans"},
 	}
@@ -248,7 +229,7 @@ func E5Delivery(opt Options) (*Result, error) {
 			cells = append(cells, cell{h, loss})
 		}
 	}
-	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(len(cells), func(i int) ([]string, error) {
 		return deliveryCell(opt.Seed, cells[i].hops, cells[i].loss, count)
 	}); err != nil {
 		return nil, err

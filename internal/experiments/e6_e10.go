@@ -16,12 +16,7 @@ import (
 func E6LargePayload(opt Options) (*Result, error) {
 	sizes := []int{512, 1024, 2048, 4096, 8192}
 	hops := []int{1, 2, 4}
-	if opt.Quick {
-		sizes = []int{512, 2048}
-		hops = []int{1, 2}
-	}
 	res := &Result{
-		ID:     "E6",
 		Title:  "reliable large-payload transfer (stop-and-wait, clean channel)",
 		Header: []string{"size B", "hops", "chunks", "time", "goodput B/s"},
 	}
@@ -32,7 +27,7 @@ func E6LargePayload(opt Options) (*Result, error) {
 			cells = append(cells, cell{size, h})
 		}
 	}
-	if err := res.sweep(opt, len(cells), func(i int) ([]string, error) {
+	if err := res.sweep(len(cells), func(i int) ([]string, error) {
 		size, h := cells[i].size, cells[i].hops
 		topo, err := geo.Line(h+1, chainSpacing)
 		if err != nil {
@@ -72,13 +67,7 @@ func E7Baseline(opt Options) (*Result, error) {
 	n := 12
 	dur := 2 * time.Hour
 	seeds := []int64{opt.Seed, opt.Seed + 1, opt.Seed + 2}
-	if opt.Quick {
-		n = 8
-		dur = 45 * time.Minute
-		seeds = seeds[:1]
-	}
 	res := &Result{
-		ID:     "E7",
 		Title:  fmt.Sprintf("LoRaMesher vs flooding: %d nodes, Poisson unicast, mean of %d seeds", n, len(seeds)),
 		Header: []string{"protocol", "PDR", "mean latency", "tx frames", "tx per delivery", "airtime"},
 	}
@@ -134,7 +123,7 @@ func E7Baseline(opt Options) (*Result, error) {
 			points = append(points, point{kind, seed})
 		}
 	}
-	outcomes, err := forEachPoint(opt, len(points), func(i int) (*outcome, error) {
+	outcomes, err := forEachPoint(len(points), func(i int) (*outcome, error) {
 		return run(points[i].kind, points[i].seed)
 	})
 	if err != nil {
@@ -180,10 +169,6 @@ func E7Baseline(opt Options) (*Result, error) {
 func E8DutyCycle(opt Options) (*Result, error) {
 	n := 12
 	dur := 24 * time.Hour
-	if opt.Quick {
-		n = 8
-		dur = 4 * time.Hour
-	}
 	topo, err := geo.ConnectedRandomGeometric(n+1, 25000, 25000, 12000, opt.Seed, 1000)
 	if err != nil {
 		return nil, err
@@ -198,7 +183,6 @@ func E8DutyCycle(opt Options) (*Result, error) {
 	}
 	sim.Run(dur)
 	res := &Result{
-		ID:     "E8",
 		Title:  fmt.Sprintf("duty-cycle audit: %d sensors -> sink, %v of telemetry", n, dur),
 		Header: []string{"node", "role", "sent", "delivered", "airtime/h", "duty cycle", "within 1%"},
 	}
@@ -243,16 +227,11 @@ func statsFor(all []*netsim.TrafficStats, i int) *netsim.TrafficStats {
 func E9Density(opt Options) (*Result, error) {
 	sizes := []int{5, 10, 20, 30, 40}
 	dur := time.Hour
-	if opt.Quick {
-		sizes = []int{5, 15}
-		dur = 30 * time.Minute
-	}
 	res := &Result{
-		ID:     "E9",
 		Title:  "density sweep: fixed 30x30 km field, Poisson unicast",
 		Header: []string{"nodes", "mean degree", "PDR", "mean latency", "collision losses", "tx frames"},
 	}
-	if err := res.sweep(opt, len(sizes), func(p int) ([]string, error) {
+	if err := res.sweep(len(sizes), func(p int) ([]string, error) {
 		n := sizes[p]
 		topo, err := geo.ConnectedRandomGeometric(n, 30000, 30000, 12000, opt.Seed, 2000)
 		if err != nil {
@@ -292,15 +271,11 @@ func E9Density(opt Options) (*Result, error) {
 // prototype is governed by the routing entry TTL.
 func E10Repair(opt Options) (*Result, error) {
 	ttls := []time.Duration{2 * time.Minute, 5 * time.Minute, 10 * time.Minute}
-	if opt.Quick {
-		ttls = ttls[:2]
-	}
 	res := &Result{
-		ID:     "E10",
 		Title:  "route repair after router death (diamond topology, redundant path)",
 		Header: []string{"entry TTL", "repair time", "lost in outage", "delivered after"},
 	}
-	if err := res.sweep(opt, len(ttls), func(i int) ([]string, error) {
+	if err := res.sweep(len(ttls), func(i int) ([]string, error) {
 		return repairCell(opt.Seed, ttls[i], false)
 	}); err != nil {
 		return nil, err

@@ -3,7 +3,8 @@
 // its workload on internal/netsim, runs it under the deterministic
 // simulator, and renders the same rows/series the paper-scale evaluation
 // reports. cmd/meshbench is the CLI front end; the repo root's
-// TestAllExperimentsQuick runs each one under `go test`.
+// TestAllExperimentsQuick compares each table with eval_output.txt under
+// `go test`.
 package experiments
 
 import (
@@ -21,13 +22,9 @@ import (
 type Options struct {
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed int64
-	// Quick shrinks sweeps and durations for CI and benchmarks.
+	// Quick shrinks E15, E17 and X7, the three experiments whose
+	// published size costs seconds to a minute; the rest have one size.
 	Quick bool
-	// Parallel caps the worker goroutines evaluating independent sweep
-	// points: 0 means GOMAXPROCS, 1 forces serial evaluation. Tables
-	// come out byte-identical at any setting — workers only compute
-	// cells, and rows are assembled in sweep order afterwards.
-	Parallel int
 	// SecKey, when set, replaces the built-in network key in the
 	// security-aware experiments (E13). Nil keeps the fixed default so
 	// published tables reproduce without flags.
@@ -36,7 +33,7 @@ type Options struct {
 
 // Result is one regenerated table/figure as rows of text cells.
 type Result struct {
-	ID     string
+	ID     string // stamped by the registry (All)
 	Title  string
 	Header []string
 	Rows   [][]string
@@ -52,8 +49,8 @@ func (r *Result) AddRow(cells ...string) {
 
 // sweep evaluates row(i) for the n points of a sweep (see forEachPoint)
 // and appends the rows in sweep order.
-func (r *Result) sweep(opt Options, n int, row func(i int) ([]string, error)) error {
-	rows, err := forEachPoint(opt, n, row)
+func (r *Result) sweep(n int, row func(i int) ([]string, error)) error {
+	rows, err := forEachPoint(n, row)
 	r.Rows = append(r.Rows, rows...)
 	return err
 }
@@ -72,7 +69,8 @@ func converged(cfg netsim.Config) (*netsim.Sim, error) {
 	return sim, nil
 }
 
-// WriteTo renders the result as an aligned text table.
+// WriteTo renders the result as an aligned text table; a cell past the
+// header's last column is written unpadded.
 func (r *Result) WriteTo(w io.Writer) (int64, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", r.ID, r.Title)
@@ -92,7 +90,11 @@ func (r *Result) WriteTo(w io.Writer) (int64, error) {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
+			if i < len(widths) {
+				fmt.Fprintf(&sb, "%-*s", widths[i], c)
+			} else {
+				sb.WriteString(c)
+			}
 		}
 		sb.WriteByte('\n')
 	}
@@ -121,9 +123,10 @@ type Spec struct {
 	Run   func(Options) (*Result, error)
 }
 
-// All returns every experiment and ablation in display order.
+// All returns every experiment and ablation in display order. Each Run
+// stamps its Result with the Spec's ID, the one place an ID is written.
 func All() []Spec {
-	return []Spec{
+	specs := []Spec{
 		{"E1", "Mesh formation on the demo topology", E1MeshFormation},
 		{"E2", "Packet formats and header overhead", E2PacketFormats},
 		{"E3", "Routing convergence time vs network size", E3Convergence},
@@ -154,6 +157,17 @@ func All() []Spec {
 		{"X6", "Extension: proactive vs reactive vs flooding", X6Reactive},
 		{"X7", "Extension: forwarding-strategy shoot-out (proactive/reactive/ICN/slotted)", X7Strategies},
 	}
+	for i := range specs {
+		id, run := specs[i].ID, specs[i].Run
+		specs[i].Run = func(opt Options) (*Result, error) {
+			res, err := run(opt)
+			if res != nil {
+				res.ID = id
+			}
+			return res, err
+		}
+	}
+	return specs
 }
 
 // Find returns the spec with the given id (case-insensitive).

@@ -37,6 +37,16 @@ func TestResultWriteTo(t *testing.T) {
 	if len(rows) != 2 || strings.Index(rows[0], "1") != strings.Index(rows[1], "2") {
 		t.Errorf("rows not aligned:\n%s", out)
 	}
+
+	// A row wider than the header renders its extra cell unpadded.
+	res.AddRow("third", "3", "extra")
+	sb.Reset()
+	if _, err := res.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "third          3      extra\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("ragged row: output missing %q:\n%s", want, sb.String())
+	}
 }
 
 func TestFindAndIDs(t *testing.T) {

@@ -16,9 +16,6 @@ import (
 // cost of relaying.
 func X1Energy(opt Options) (*Result, error) {
 	hours := 24
-	if opt.Quick {
-		hours = 6
-	}
 	n := 7
 	topo, err := geo.Line(n, chainSpacing)
 	if err != nil {
@@ -44,7 +41,6 @@ func X1Energy(opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		ID:     "X1",
 		Title:  fmt.Sprintf("extension: energy audit, %d-node chain, %d h of end-to-end telemetry", n, hours),
 		Header: []string{"node", "role", "fwd frames", "tx airtime", "mean mA", "life @3000mAh"},
 	}

@@ -7,33 +7,20 @@ import (
 )
 
 // forEachPoint evaluates fn(i) for every i in [0, n) and returns the
-// results indexed by i. Points run concurrently across the worker budget
-// from opt.Parallel; each point must therefore be self-contained (build
-// its own simulation, touch no shared mutable state). Results land in
-// input order regardless of completion order, and callers render rows
-// from the returned slice, so a parallel table is byte-identical to a
-// serial one. On failure the lowest-index error is returned — also
-// order-independent — after all in-flight points finish.
-func forEachPoint[T any](opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
+// results indexed by i. Points run concurrently on a pool GOMAXPROCS
+// wide; each point must therefore be self-contained (build its own
+// simulation, touch no shared mutable state). Results land in input
+// order regardless of completion order, and callers render rows from the
+// returned slice, so a table is byte-identical at any pool width. On
+// failure the lowest-index error is returned — also order-independent —
+// after every point has run.
+func forEachPoint[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	errs := make([]error, n)
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -3,14 +3,23 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
+// setProcs makes the sweep pool n wide until the test ends. Tests that
+// call it must not run in parallel: GOMAXPROCS is process-wide.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestForEachPointPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		out, err := forEachPoint(Options{Parallel: workers}, 20, func(i int) (int, error) {
+		setProcs(t, workers)
+		out, err := forEachPoint(20, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -25,15 +34,16 @@ func TestForEachPointPreservesOrder(t *testing.T) {
 }
 
 func TestForEachPointZeroPoints(t *testing.T) {
-	out, err := forEachPoint(Options{}, 0, func(int) (int, error) { return 0, nil })
+	out, err := forEachPoint(0, func(int) (int, error) { return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
 
 func TestForEachPointLowestIndexErrorWins(t *testing.T) {
+	setProcs(t, 4)
 	wantErr := errors.New("point 3")
-	_, err := forEachPoint(Options{Parallel: 4}, 10, func(i int) (string, error) {
+	_, err := forEachPoint(10, func(i int) (string, error) {
 		if i == 7 {
 			return "", errors.New("point 7")
 		}
@@ -50,39 +60,24 @@ func TestForEachPointLowestIndexErrorWins(t *testing.T) {
 func TestForEachPointRunsEveryPointDespiteError(t *testing.T) {
 	// An early failure must not strand later points half-evaluated: all
 	// points run to completion before the error is surfaced, so partial
-	// side effects are at least deterministic.
-	var ran atomic.Int64
-	_, err := forEachPoint(Options{Parallel: 3}, 12, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 0 {
-			return 0, errors.New("boom")
+	// side effects are at least deterministic — at any pool width, one
+	// included.
+	for _, workers := range []int{1, 3} {
+		setProcs(t, workers)
+		var ran atomic.Int64
+		_, err := forEachPoint(12, func(i int) (int, error) {
+			ran.Add(1)
+			if i == 0 {
+				return 0, errors.New("boom")
+			}
+			return i, nil
+		})
+		if err == nil {
+			t.Fatal("error swallowed")
 		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if got := ran.Load(); got != 12 {
-		t.Fatalf("%d points ran, want 12", got)
-	}
-}
-
-func TestForEachPointSerialFallback(t *testing.T) {
-	// workers <= 1 must run on the calling goroutine in index order and
-	// stop at the first error (the serial fast path).
-	var order []int
-	_, err := forEachPoint(Options{Parallel: 1}, 5, func(i int) (int, error) {
-		order = append(order, i)
-		if i == 2 {
-			return 0, errors.New("stop")
+		if got := ran.Load(); got != 12 {
+			t.Fatalf("workers=%d: %d points ran, want 12", workers, got)
 		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("serial order = %v, want [0 1 2]", order)
 	}
 }
 
@@ -106,17 +101,18 @@ func renderTable(t *testing.T, id string, opt Options) string {
 }
 
 // TestParallelTablesByteIdentical is the determinism contract for the
-// parallel sweep runner: at the same seed, a table computed with 4 workers
-// must be byte-for-byte identical to the serial one. E3 (per-size sims),
-// E5 (hops×loss grid), and E12 (chaos scenarios with fault injection)
-// cover the three heaviest sweep shapes.
+// parallel sweep runner: at the same seed, a table computed on a pool 4
+// wide must be byte-for-byte identical to one computed at GOMAXPROCS=1. E3
+// (per-size sims), E5 (hops×loss grid), and E12 (chaos scenarios with fault
+// injection) cover the three heaviest sweep shapes.
 func TestParallelTablesByteIdentical(t *testing.T) {
 	for _, id := range []string{"E3", "E5", "E12"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			serial := renderTable(t, id, Options{Seed: 1, Quick: true, Parallel: 1})
-			parallel := renderTable(t, id, Options{Seed: 1, Quick: true, Parallel: 4})
+			setProcs(t, 1)
+			serial := renderTable(t, id, Options{Seed: 1})
+			setProcs(t, 4)
+			parallel := renderTable(t, id, Options{Seed: 1})
 			if serial != parallel {
 				t.Errorf("%s: serial and parallel tables differ\n--- serial ---\n%s\n--- parallel ---\n%s",
 					id, serial, parallel)

@@ -17,11 +17,7 @@ import (
 // forward. The experiment sweeps the sleep duty on both roles.
 func X2Sleep(opt Options) (*Result, error) {
 	hours := 12
-	if opt.Quick {
-		hours = 3
-	}
 	res := &Result{
-		ID:     "X2",
 		Title:  fmt.Sprintf("extension: duty-cycled sleep, 3-node chain leaf->router->sink, %d h", hours),
 		Header: []string{"sleeper", "sleep duty", "PDR", "mean mA", "life @3000mAh"},
 	}
@@ -37,10 +33,7 @@ func X2Sleep(opt Options) (*Result, error) {
 		{2, 0.97, "leaf"},
 		{1, 0.9, "router"},
 	}
-	if opt.Quick {
-		variants = []variant{{-1, 0, "nobody"}, {2, 0.9, "leaf"}, {1, 0.9, "router"}}
-	}
-	if err := res.sweep(opt, len(variants), func(i int) ([]string, error) {
+	if err := res.sweep(len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		// Chain: 0 = sink, 1 = router, 2 = leaf.
 		topo, err := geo.Line(3, chainSpacing)

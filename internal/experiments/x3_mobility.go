@@ -15,17 +15,12 @@ import (
 func X3Mobility(opt Options) (*Result, error) {
 	speeds := []float64{0, 1, 5, 15, 30} // m/s: static, walking, cycling, driving
 	dur := 2 * time.Hour
-	if opt.Quick {
-		speeds = []float64{0, 5, 30}
-		dur = 45 * time.Minute
-	}
 	n := 10
 	res := &Result{
-		ID:     "X3",
 		Title:  fmt.Sprintf("extension: random-waypoint mobility, %d nodes, Poisson unicast", n),
 		Header: []string{"speed m/s", "PDR", "mean latency", "no-route drops", "routes expired"},
 	}
-	if err := res.sweep(opt, len(speeds), func(p int) ([]string, error) {
+	if err := res.sweep(len(speeds), func(p int) ([]string, error) {
 		speed := speeds[p]
 		side := 12000.0 * 1.6 // keep the roaming field comfortably connected
 		topo, err := geo.ConnectedRandomGeometric(n, side, side, 12000, opt.Seed, 2000)

@@ -21,13 +21,8 @@ import (
 func X4SNRRouting(opt Options) (*Result, error) {
 	dur := 3 * time.Hour
 	seeds := []int64{opt.Seed, opt.Seed + 1, opt.Seed + 2}
-	if opt.Quick {
-		dur = time.Hour
-		seeds = seeds[:1]
-	}
 	n := 14
 	res := &Result{
-		ID:     "X4",
 		Title:  fmt.Sprintf("extension: hop-count vs SNR-tiebreak routing, %d nodes, 8 dB shadowing", n),
 		Header: []string{"metric", "seed", "PDR", "mean latency", "marginal-link drops"},
 	}
@@ -41,7 +36,7 @@ func X4SNRRouting(opt Options) (*Result, error) {
 			cells = append(cells, cell{seed, snr})
 		}
 	}
-	if err := res.sweep(opt, len(cells), func(p int) ([]string, error) {
+	if err := res.sweep(len(cells), func(p int) ([]string, error) {
 		seed, snr := cells[p].seed, cells[p].snr
 		// Dense enough that equal-hop alternatives exist; shadowing
 		// makes their quality diverge.

@@ -17,9 +17,6 @@ import (
 // re-merge on its own.
 func X5Partition(opt Options) (*Result, error) {
 	phase := 45 * time.Minute
-	if opt.Quick {
-		phase = 20 * time.Minute
-	}
 	// Two 4-node square clusters, 8 km apart: only the facing corners
 	// bridge the gap.
 	cluster := func(ox, oy float64) []geo.Point {
@@ -52,7 +49,6 @@ func X5Partition(opt Options) (*Result, error) {
 		{From: 5, To: 2, Payload: 20, Interval: time.Minute, Poisson: true}, // cross
 	}
 	res := &Result{
-		ID:     "X5",
 		Title:  "extension: partition and merge, two bridged 4-node clusters",
 		Header: []string{"phase", "intra PDR", "cross PDR", "cross routes at end"},
 	}

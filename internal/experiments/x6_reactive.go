@@ -21,13 +21,7 @@ func X6Reactive(opt Options) (*Result, error) {
 	n := 10
 	idle := time.Hour
 	active := 2 * time.Hour
-	if opt.Quick {
-		n = 8
-		idle = 20 * time.Minute
-		active = 40 * time.Minute
-	}
 	res := &Result{
-		ID:    "X6",
 		Title: fmt.Sprintf("extension: proactive vs reactive vs flooding, %d nodes", n),
 		Header: []string{"protocol", "idle airtime/h", "first-packet latency",
 			"steady PDR", "steady latency", "tx frames"},
@@ -47,7 +41,7 @@ func X6Reactive(opt Options) (*Result, error) {
 		{forward.KindReactive, "AODV-lite (reactive)"},
 		{forward.KindFlooding, "flooding"},
 	}
-	if err := res.sweep(opt, len(protos), func(p int) ([]string, error) {
+	if err := res.sweep(len(protos), func(p int) ([]string, error) {
 		pr := protos[p]
 		sim, err := converged(netsim.Config{Topology: topo, Protocol: pr.kind, Node: expNode(), Seed: opt.Seed})
 		if err != nil {

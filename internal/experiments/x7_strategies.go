@@ -31,7 +31,7 @@ import (
 // The slotted rows declare a latency bound via the superframe; the
 // baseline (fault-free) slotted row must finish with zero latency_bound
 // health violations (asserted). Cells are byte-identical per (plan,
-// seed) at any Options.Parallel: every sweep point builds its own
+// seed) at any GOMAXPROCS: every sweep point builds its own
 // simulation and rows are assembled in sweep order.
 func X7Strategies(opt Options) (*Result, error) {
 	active := 2 * time.Hour
@@ -44,7 +44,6 @@ func X7Strategies(opt Options) (*Result, error) {
 	}
 
 	res := &Result{
-		ID: "X7",
 		Title: fmt.Sprintf("forwarding-strategy shoot-out: chaos chain (%v), many-reader (%v), city n=%d",
 			active, manyFor, cityNodes),
 		Header: []string{"strategy", "scenario", "offered", "delivered", "PDR",
@@ -56,7 +55,7 @@ func X7Strategies(opt Options) (*Result, error) {
 		forward.KindProactive, forward.KindReactive, forward.KindICN, forward.KindSlotted,
 	}
 	scenarios := x7Scenarios()
-	if err := res.sweep(opt, len(kinds)*len(scenarios), func(i int) ([]string, error) {
+	if err := res.sweep(len(kinds)*len(scenarios), func(i int) ([]string, error) {
 		return x7ChainCell(opt, kinds[i/len(scenarios)], scenarios[i%len(scenarios)], active)
 	}); err != nil {
 		return nil, err
@@ -69,7 +68,7 @@ func X7Strategies(opt Options) (*Result, error) {
 		hits float64
 	}
 	manyKinds := []forward.Kind{forward.KindProactive, forward.KindFlooding, forward.KindICN}
-	manyCells, err := forEachPoint(opt, len(manyKinds), func(i int) (manyCell, error) {
+	manyCells, err := forEachPoint(len(manyKinds), func(i int) (manyCell, error) {
 		row, air, hits, err := x7ManyReaderCell(opt, manyKinds[i], manyFor)
 		return manyCell{row, air, hits}, err
 	})
@@ -90,7 +89,7 @@ func X7Strategies(opt Options) (*Result, error) {
 
 	// --- section 3: city scale ---------------------------------------
 	cityStrats := []string{"proactive", "reactive", "icn", "slotted"}
-	if err := res.sweep(opt, len(cityStrats), func(i int) ([]string, error) {
+	if err := res.sweep(len(cityStrats), func(i int) ([]string, error) {
 		return x7CityCell(opt, cityStrats[i], cityNodes, cityShards, cityFor)
 	}); err != nil {
 		return nil, err

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the local quality gate: format, vet, (optionally) staticcheck,
-# build, full tests, the same tests under the race detector, the
-# benchmark's smoke test, the evaluation diff, two end-to-end CLI smokes,
+# build, full tests (the root package's compares every deterministic
+# table of the evaluation with eval_output.txt), the same tests under the
+# race detector, the benchmark's smoke test, two end-to-end CLI smokes,
 # the coverage ratchet, and the size ledger (counts.sh). CI and
 # contributors run exactly this.
 #
@@ -58,10 +59,6 @@ echo "==> bench smoke"
 # bench/ is a nested module the root's ./... does not see; its smoke
 # test runs every BENCHMARK.json workload at toy scale.
 (cd bench && go test ./...)
-echo "==> eval diff"
-# The evaluation's deterministic cells against the committed
-# eval_output.txt: a refactor that moves one has changed behaviour.
-./scripts/eval_diff.sh
 echo "==> meshsim -control smoke"
 # End-to-end: the simulator reconciles toward a real desired-state
 # document and must report convergence — guards the CLI wiring (flag,
