@@ -357,10 +357,18 @@ type Node struct {
 	// address, and formatting it per segment would allocate on the hot
 	// path.
 	addrStr string
-	// secStatTick throttles replay-window gauge refreshes to every 32nd
-	// successful frame open; walking the per-origin windows on every frame
-	// would show up in dense-simulation profiles.
-	secStatTick uint32
+	// secStatTick counts frame opens and secSealTick frame seals. Every
+	// 32nd of each is timed into sec.open_ns / sec.seal_ns, and every 32nd
+	// open refreshes the replay-window gauges: a clock read and a kept
+	// histogram sample per frame, or a walk of the per-origin windows,
+	// would show up in dense-simulation profiles and heaps.
+	secStatTick, secSealTick uint32
+	// rx and helloRows are what HandleFrame decodes each frame and each
+	// HELLO's rows into. Nothing HandleFrame hands a frame to keeps it
+	// past the call (forwarding clones), so one of each serves every
+	// reception.
+	rx        packet.Packet
+	helloRows []packet.HelloEntry
 
 	started bool
 	stopped bool
@@ -511,6 +519,8 @@ func (n *Node) cacheInstruments() {
 		n.ins.secDropLegacy = n.reg.Counter("sec.drop.legacy")
 		n.ins.secRekeys = n.reg.Counter("sec.rekey.applied")
 		n.ins.secOverheadBytes = n.reg.Counter("sec.overhead.bytes")
+		// Sampled: one seal and one open in 32 is timed, so .count is
+		// about a 32nd of sec.tx.sealed / sec.rx.opened.
 		n.ins.secSealNs = n.reg.Histogram("sec.seal_ns")
 		n.ins.secOpenNs = n.reg.Histogram("sec.open_ns")
 		n.ins.secWinOrigins = n.reg.Gauge("sec.replay.window.origins")
@@ -689,8 +699,8 @@ func (n *Node) transmitted(head *packet.Packet, frameLen int, now, enqueuedAt ti
 
 // refreshSecGauges re-exports the link's replay-protection state —
 // window occupancy and frame-counter high-water marks. Called every 32nd
-// successful open (see secStatTick) so the per-origin window walk stays
-// off the per-frame cost profile.
+// open (see secStatTick) so the per-origin window walk stays off the
+// per-frame cost profile.
 func (n *Node) refreshSecGauges() {
 	origins, occupancy, rxHigh := n.sec.ReplayStats()
 	n.ins.secWinOrigins.Set(float64(origins))

@@ -26,8 +26,8 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 	// that fail to parse — so medium-delivered and engine-received frame
 	// counts reconcile exactly (netsim's invariant audit depends on it).
 	n.ins.rxFrames.Inc()
-	p, err := packet.Unmarshal(frame)
-	if err != nil {
+	p := &n.rx
+	if err := packet.UnmarshalInto(p, frame); err != nil {
 		n.ins.rxCorrupt.Inc()
 		return
 	}
@@ -105,15 +105,19 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 // whether processing may continue. Failures are accounted under the
 // sec.drop.* counters the chaos suite asserts on.
 func (n *Node) secOpen(p *packet.Packet) bool {
-	start := time.Now()
+	n.secStatTick++
+	sampled := n.secStatTick&31 == 0
+	var start time.Time
+	if sampled {
+		start = time.Now()
+	}
 	err := n.sec.Open(p)
-	n.ins.secOpenNs.Observe(float64(time.Since(start)))
+	if sampled {
+		n.ins.secOpenNs.Observe(float64(time.Since(start)))
+		n.refreshSecGauges()
+	}
 	if err == nil {
 		n.ins.secOpened.Inc()
-		n.secStatTick++
-		if n.secStatTick&31 == 0 {
-			n.refreshSecGauges()
-		}
 		return true
 	}
 	if errors.Is(err, meshsec.ErrReplay) {
@@ -148,11 +152,12 @@ func (n *Node) deliver(msg AppMessage) {
 
 // handleHello folds a received routing beacon into the table.
 func (n *Node) handleHello(p *packet.Packet, info RxInfo) {
-	entries, err := packet.UnmarshalHello(p.Payload)
+	entries, err := packet.AppendHello(n.helloRows[:0], p.Payload)
 	if err != nil {
 		n.ins.rxCorrupt.Inc()
 		return
 	}
+	n.helloRows = entries
 	// The sender's own role rides on its metric-0 self entry when
 	// present; the prototype simply advertises RoleDefault otherwise.
 	role := packet.RoleDefault

@@ -177,9 +177,17 @@ func (n *Node) transmitHead() {
 		if n.sec != nil && head.Secured {
 			// Seal in place. Deterministic, so re-marshalling the same
 			// head after a duty-cycle deferral reproduces the same bytes.
-			start := time.Now()
+			// One seal in 32 is timed (see secStatTick).
+			n.secSealTick++
+			sampled := n.secSealTick&31 == 0
+			var start time.Time
+			if sampled {
+				start = time.Now()
+			}
 			err = n.sec.SealFrame(frame, head)
-			n.ins.secSealNs.Observe(float64(time.Since(start)))
+			if sampled {
+				n.ins.secSealNs.Observe(float64(time.Since(start)))
+			}
 		}
 	}
 	if err != nil {

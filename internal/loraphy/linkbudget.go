@@ -18,12 +18,29 @@ const (
 // NoiseFloorDBm returns the receiver noise floor for the configured
 // bandwidth in dBm.
 func (p Params) NoiseFloorDBm() float64 {
-	return ThermalNoiseDensityDBm + 10*math.Log10(p.Bandwidth.Hz()) + ReceiverNoiseFigureDB
+	if int(p.Bandwidth) < len(noiseFloorDBm) {
+		return noiseFloorDBm[p.Bandwidth]
+	}
+	return noiseFloor(p.Bandwidth)
 }
 
-// snrFloorDB maps each spreading factor to the minimum SNR (dB) at which
+// noiseFloor is the noise-floor expression itself; noiseFloorDBm holds its
+// value per supported bandwidth, so every reception reads the same bits
+// without a logarithm.
+func noiseFloor(bw Bandwidth) float64 {
+	return ThermalNoiseDensityDBm + 10*math.Log10(bw.Hz()) + ReceiverNoiseFigureDB
+}
+
+var noiseFloorDBm = func() (t [BW500 + 1]float64) {
+	for bw := range t {
+		t[bw] = noiseFloor(Bandwidth(bw))
+	}
+	return t
+}()
+
+// snrFloorDB holds, per spreading factor, the minimum SNR (dB) at which
 // the demodulator still decodes, per the SX1276 datasheet.
-var snrFloorDB = map[SpreadingFactor]float64{
+var snrFloorDB = [SF12 + 1]float64{
 	SF7:  -7.5,
 	SF8:  -10.0,
 	SF9:  -12.5,
@@ -34,11 +51,10 @@ var snrFloorDB = map[SpreadingFactor]float64{
 
 // SNRFloorDB returns the demodulation SNR floor for the spreading factor.
 func (sf SpreadingFactor) SNRFloorDB() (float64, error) {
-	v, ok := snrFloorDB[sf]
-	if !ok {
+	if !sf.Valid() {
 		return 0, fmt.Errorf("loraphy: no SNR floor for %v", sf)
 	}
-	return v, nil
+	return snrFloorDB[sf], nil
 }
 
 // SensitivityDBm returns the receiver sensitivity for the configured SF and
@@ -87,16 +103,14 @@ type Reception struct {
 // Receive computes the reception outcome for a frame sent with params p
 // over a link with the given budget and path loss.
 func Receive(p Params, lb LinkBudget, pathLossDB float64) (Reception, error) {
-	sens, err := p.SensitivityDBm()
-	if err != nil {
-		return Reception{}, err
-	}
 	snrFloor, err := p.SpreadingFactor.SNRFloorDB()
 	if err != nil {
 		return Reception{}, err
 	}
+	noise := p.NoiseFloorDBm()
+	sens := noise + snrFloor // SensitivityDBm
 	rssi := lb.RSSI(pathLossDB)
-	snr := rssi - p.NoiseFloorDBm()
+	snr := rssi - noise
 	return Reception{
 		RSSIDBm:          rssi,
 		SNRDB:            snr,

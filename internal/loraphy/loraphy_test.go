@@ -421,3 +421,24 @@ func TestSurvivesAntisymmetry(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFloorTablesMatchExpressions pins the precomputed noise and SNR
+// floors to the expression and datasheet map they replaced, bit for bit,
+// including the out-of-range values the receive path can be handed.
+func TestFloorTablesMatchExpressions(t *testing.T) {
+	for bw := 0; bw < 256; bw++ {
+		p := Params{Bandwidth: Bandwidth(bw)}
+		want := ThermalNoiseDensityDBm + 10*math.Log10(Bandwidth(bw).Hz()) + ReceiverNoiseFigureDB
+		if got := p.NoiseFloorDBm(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("NoiseFloorDBm(%v) = %v, want %v", Bandwidth(bw), got, want)
+		}
+	}
+	datasheet := map[SpreadingFactor]float64{SF7: -7.5, SF8: -10, SF9: -12.5, SF10: -15, SF11: -17.5, SF12: -20}
+	for sf := 0; sf < 256; sf++ {
+		want, ok := datasheet[SpreadingFactor(sf)]
+		got, err := SpreadingFactor(sf).SNRFloorDB()
+		if (err == nil) != ok || got != want {
+			t.Errorf("SNRFloorDB(%v) = %v, %v; want %v, ok=%v", SpreadingFactor(sf), got, err, want, ok)
+		}
+	}
+}

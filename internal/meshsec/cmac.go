@@ -27,9 +27,11 @@ func dbl(dst, src *[16]byte) {
 	}
 }
 
-// cmac computes the full 16-byte AES-CMAC tag of msg.
-func cmac(b cipher.Block, k1, k2 *[16]byte, msg []byte, tag *[16]byte) {
-	var x [16]byte
+// cmac computes the full 16-byte AES-CMAC tag of msg into x, which is
+// also the chaining block: the caller owns it so that nothing escapes per
+// call through the cipher.Block interface.
+func cmac(b cipher.Block, k1, k2 *[16]byte, msg []byte, x *[16]byte) {
+	*x = [16]byte{}
 	n := len(msg)
 	// All complete blocks but the last.
 	full := (n - 1) / 16 // index of the final block
@@ -61,5 +63,4 @@ func cmac(b cipher.Block, k1, k2 *[16]byte, msg []byte, tag *[16]byte) {
 		x[j] ^= last[j]
 	}
 	b.Encrypt(x[:], x[:])
-	*tag = x
 }

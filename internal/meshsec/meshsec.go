@@ -100,6 +100,10 @@ type Link struct {
 
 	scratch []byte // decrypted-payload buffer, valid until the next Open
 	macBuf  []byte // CMAC input assembly buffer
+	// The cipher's working blocks: the CTR counter block and keystream,
+	// and the CMAC chaining value. A block handed to cipher.Block.Encrypt
+	// escapes, so as locals they would cost an allocation each per call.
+	iv, ks, mac [16]byte
 }
 
 type sessKey struct {
@@ -277,20 +281,19 @@ func secAAD(p *packet.Packet, buf *[13]byte) {
 // ctrXOR applies the CTR keystream for (origin, counter) to data in
 // place. The IV is unique per (session key, origin, counter) and frames
 // are < 16 blocks, so the keystream never repeats.
-func ctrXOR(s *session, src packet.Address, counter uint32, data []byte) {
-	var iv, ks [16]byte
-	iv[0] = 0x02
-	binary.BigEndian.PutUint16(iv[1:3], uint16(src))
-	binary.BigEndian.PutUint32(iv[3:7], counter)
+func (l *Link) ctrXOR(s *session, src packet.Address, counter uint32, data []byte) {
+	l.iv = [16]byte{0: 0x02}
+	binary.BigEndian.PutUint16(l.iv[1:3], uint16(src))
+	binary.BigEndian.PutUint32(l.iv[3:7], counter)
 	for i := 0; i < len(data); i += 16 {
-		binary.BigEndian.PutUint16(iv[14:16], uint16(i/16))
-		s.block.Encrypt(ks[:], iv[:])
+		binary.BigEndian.PutUint16(l.iv[14:16], uint16(i/16))
+		s.block.Encrypt(l.ks[:], l.iv[:])
 		n := len(data) - i
 		if n > 16 {
 			n = 16
 		}
 		for j := 0; j < n; j++ {
-			data[i+j] ^= ks[j]
+			data[i+j] ^= l.ks[j]
 		}
 	}
 }
@@ -301,10 +304,9 @@ func (l *Link) mic(s *session, p *packet.Packet, ct []byte) [packet.SecMICLen]by
 	secAAD(p, &aad)
 	l.macBuf = append(l.macBuf[:0], aad[:]...)
 	l.macBuf = append(l.macBuf, ct...)
-	var tag [16]byte
-	cmac(s.block, &s.k1, &s.k2, l.macBuf, &tag)
+	cmac(s.block, &s.k1, &s.k2, l.macBuf, &l.mac)
 	var out [packet.SecMICLen]byte
-	copy(out[:], tag[:])
+	copy(out[:], l.mac[:])
 	return out
 }
 
@@ -328,7 +330,7 @@ func (l *Link) SealFrame(frame []byte, p *packet.Packet) error {
 	end := len(frame) - packet.SecMICLen
 	start := end - len(p.Payload)
 	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		ctrXOR(s, p.Src, p.Counter, frame[start:end])
+		l.ctrXOR(s, p.Src, p.Counter, frame[start:end])
 	}
 	m := l.mic(s, p, frame[start:end])
 	copy(frame[end:], m[:])
@@ -399,7 +401,7 @@ func (l *Link) Open(p *packet.Packet) error {
 	}
 	l.scratch = append(l.scratch[:0], p.Payload...)
 	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		ctrXOR(s, p.Src, p.Counter, l.scratch)
+		l.ctrXOR(s, p.Src, p.Counter, l.scratch)
 	}
 	p.Payload = l.scratch
 	return nil
@@ -416,7 +418,7 @@ func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
 	}
 	pt := append([]byte(nil), p.Payload...)
 	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		ctrXOR(s, p.Src, p.Counter, pt)
+		l.ctrXOR(s, p.Src, p.Counter, pt)
 	}
 	return pt, true
 }

@@ -483,3 +483,43 @@ func TestHelloStrictFreshness(t *testing.T) {
 		t.Fatalf("re-poisoning HELLO (ctr 3): got %v, want ErrReplay", err)
 	}
 }
+
+// TestSealOpenAllocs fences the engine's per-frame crypto: sealing and
+// opening a data-sized frame allocate nothing once the origin's session
+// and replay window exist.
+func TestSealOpenAllocs(t *testing.T) {
+	const runs = 100
+	key := testKey(0x42)
+	tx, rxl := NewLink(key, 0x0001), NewLink(key, 0x0002)
+	p := securedPacket(tx, make([]byte, 24))
+	frame, err := packet.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := tx.SealFrame(frame, p); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("SealFrame: %v allocations, want 0", got)
+	}
+
+	// Open consumes a counter, so each run opens its own sealed frame;
+	// the first one (outside the count) creates the session and window.
+	frames := make([]*packet.Packet, runs+2)
+	for i := range frames {
+		frames[i], _ = sealUnmarshal(t, tx, securedPacket(tx, make([]byte, 24)))
+	}
+	if err := rxl.Open(frames[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 1
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := rxl.Open(frames[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("Open: %v allocations, want 0", got)
+	}
+}

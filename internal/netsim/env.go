@@ -144,9 +144,11 @@ func (e *nodeEnv) OnFrame(d airmedium.Delivery) {
 	}
 	if e.sim.Tracer.Enabled() {
 		// Decode just enough to tag the medium-level event with the
-		// packet's trace ID; HandleFrame re-parses on its own.
+		// packet's trace ID, into a stack packet so it allocates nothing;
+		// HandleFrame re-parses on its own.
 		var id trace.TraceID
-		if p, err := packet.Unmarshal(data); err == nil {
+		var p packet.Packet
+		if packet.UnmarshalInto(&p, data) == nil {
 			id = trace.TraceID(p.TraceID())
 		}
 		e.sim.Tracer.EmitPacket(d.At, e.h.addrStr, trace.KindRx, id,

@@ -66,6 +66,16 @@ func MarshalHello(entries []HelloEntry) ([]byte, error) {
 
 // UnmarshalHello decodes a HELLO payload into routing-table entries.
 func UnmarshalHello(payload []byte) ([]HelloEntry, error) {
+	// Capped: an oversized payload, which AppendHello rejects, must not
+	// size the allocation.
+	n := min(len(payload), MaxHelloEntries*helloEntryLen) / helloEntryLen
+	return AppendHello(make([]HelloEntry, 0, n), payload)
+}
+
+// AppendHello decodes a HELLO payload, appending its entries to dst and
+// returning the extended slice; a receive path that passes the same
+// buffer back (`rows[:0]`) decodes every beacon without allocating.
+func AppendHello(dst []HelloEntry, payload []byte) ([]HelloEntry, error) {
 	if len(payload)%helloEntryLen != 0 {
 		return nil, fmt.Errorf("packet: hello payload length %d is not a multiple of %d",
 			len(payload), helloEntryLen)
@@ -74,13 +84,12 @@ func UnmarshalHello(payload []byte) ([]HelloEntry, error) {
 		return nil, fmt.Errorf("packet: hello payload of %d entries exceeds the %d-entry frame limit",
 			len(payload)/helloEntryLen, MaxHelloEntries)
 	}
-	entries := make([]HelloEntry, 0, len(payload)/helloEntryLen)
 	for off := 0; off < len(payload); off += helloEntryLen {
-		entries = append(entries, HelloEntry{
+		dst = append(dst, HelloEntry{
 			Addr:   Address(binary.BigEndian.Uint16(payload[off : off+2])),
 			Metric: payload[off+2],
 			Role:   Role(payload[off+3]),
 		})
 	}
-	return entries, nil
+	return dst, nil
 }

@@ -310,31 +310,42 @@ func AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
 // aliases buf; callers that retain the packet beyond the buffer's lifetime
 // must copy it.
 func Unmarshal(buf []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := UnmarshalInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// UnmarshalInto is Unmarshal into a packet the caller owns, overwriting
+// every field, so a receive path that decodes each frame into the same
+// Packet allocates nothing. After an error p must not be used.
+func UnmarshalInto(p *Packet, buf []byte) error {
 	if len(buf) < BaseHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(buf))
+		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(buf))
 	}
 	if len(buf) > MaxFrameLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
 	}
-	p := &Packet{
+	*p = Packet{
 		Dst:     Address(binary.BigEndian.Uint16(buf[0:2])),
 		Src:     Address(binary.BigEndian.Uint16(buf[2:4])),
 		Type:    Type(buf[4] &^ secTypeBit),
 		Secured: buf[4]&secTypeBit != 0,
 	}
 	if !p.Type.Valid() {
-		return nil, fmt.Errorf("%w: 0x%02X", ErrBadType, buf[4])
+		return fmt.Errorf("%w: 0x%02X", ErrBadType, buf[4])
 	}
 	if int(buf[5]) != len(buf) {
-		return nil, fmt.Errorf("%w: field %d, frame %d", ErrBadSize, buf[5], len(buf))
+		return fmt.Errorf("%w: field %d, frame %d", ErrBadSize, buf[5], len(buf))
 	}
 	off := BaseHeaderLen
 	if p.Secured {
 		if len(buf) < off+SecHeaderLen+SecMICLen {
-			return nil, fmt.Errorf("%w: missing security header", ErrTruncated)
+			return fmt.Errorf("%w: missing security header", ErrTruncated)
 		}
 		if v := buf[off] >> 4; v != SecVersion {
-			return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+			return fmt.Errorf("%w: %d", ErrBadVersion, v)
 		}
 		p.SecFlags = buf[off] & 0x0F
 		p.Counter = binary.BigEndian.Uint32(buf[off+1 : off+5])
@@ -342,14 +353,14 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	}
 	if p.Type.Routed() {
 		if len(buf) < off+ViaLen {
-			return nil, fmt.Errorf("%w: missing via", ErrTruncated)
+			return fmt.Errorf("%w: missing via", ErrTruncated)
 		}
 		p.Via = Address(binary.BigEndian.Uint16(buf[off : off+2]))
 		off += ViaLen
 	}
 	if p.Type.Stream() {
 		if len(buf) < off+StreamHeaderLen {
-			return nil, fmt.Errorf("%w: missing stream header", ErrTruncated)
+			return fmt.Errorf("%w: missing stream header", ErrTruncated)
 		}
 		p.SeqID = buf[off]
 		p.Number = binary.BigEndian.Uint16(buf[off+1 : off+3])
@@ -357,14 +368,14 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	}
 	if p.Secured {
 		if len(buf) < off+SecMICLen {
-			return nil, fmt.Errorf("%w: missing MIC trailer", ErrTruncated)
+			return fmt.Errorf("%w: missing MIC trailer", ErrTruncated)
 		}
 		copy(p.MIC[:], buf[len(buf)-SecMICLen:])
 		p.Payload = buf[off : len(buf)-SecMICLen]
 	} else {
 		p.Payload = buf[off:]
 	}
-	return p, nil
+	return nil
 }
 
 // TraceID hashes the packet's end-to-end identity — every field except

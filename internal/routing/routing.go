@@ -7,6 +7,15 @@
 // refreshed by subsequent HELLOs and expire after a timeout, which is how
 // the prototype detects dead routes.
 //
+// A table is one slice of rows sorted by destination address plus a count
+// of the usable ones. Every HELLO is applied by each station that hears it
+// (about 15 in the benchmark's mesh) and carries the sender's whole table,
+// so nothing on that path hashes: ApplyHello looks for each advertised
+// row, which arrive in address order, just past the last one it applied,
+// other lookups bisect, Len is a field read, and the walks that render or
+// age the table (Entries, HelloEntries, ExpireStale, RemoveNeighbor)
+// produce address order without sorting.
+//
 // Two defensive mechanisms beyond the prototype's expiry-only behaviour are
 // available behind configuration flags, evaluated as ablations:
 //
@@ -19,8 +28,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -93,32 +103,47 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%v via %v metric %d role %v", e.Addr, e.Via, e.Metric, e.Role)
 }
 
-// Table is a single node's distance-vector routing table. It is not safe
-// for concurrent use; the owning node engine serializes access.
+// Table is a single node's distance-vector routing table: its rows in one
+// slice sorted by destination address, and how many of them are usable
+// (not poisoned). It is not safe for concurrent use; the owning node
+// engine serializes access.
 type Table struct {
-	self    packet.Address
-	cfg     Config
-	entries map[packet.Address]*Entry
+	self   packet.Address
+	cfg    Config
+	rows   []Entry
+	usable int
 }
 
 // NewTable returns an empty table for the node self.
 func NewTable(self packet.Address, cfg Config) *Table {
-	return &Table{
-		self:    self,
-		cfg:     cfg.withDefaults(),
-		entries: make(map[packet.Address]*Entry),
-	}
+	return &Table{self: self, cfg: cfg.withDefaults()}
 }
 
 // Len returns the number of usable (non-poisoned) entries.
-func (t *Table) Len() int {
-	n := 0
-	for _, e := range t.entries {
-		if !e.Poisoned() {
-			n++
+func (t *Table) Len() int { return t.usable }
+
+// find returns the index of dst's row and true, or the index a row for
+// dst would be inserted at and false.
+func (t *Table) find(dst packet.Address) (int, bool) { return t.findFrom(0, dst) }
+
+// findFrom is find for a dst that sorts after every row below from. It
+// looks at from and the next two rows before it bisects the rest.
+func (t *Table) findFrom(from int, dst packet.Address) (int, bool) {
+	lo, hi := from, len(t.rows)
+	for ; lo < hi && lo < from+3; lo++ {
+		if a := t.rows[lo].Addr; a >= dst {
+			return lo, a == dst
 		}
 	}
-	return n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.rows[m].Addr < dst {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.rows) && t.rows[lo].Addr == dst
 }
 
 // ApplyHello folds one received HELLO into the table. from is the sender
@@ -129,7 +154,11 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 	if from == t.self || from == packet.Broadcast {
 		return false
 	}
-	changed := t.update(now, Entry{Addr: from, Via: from, Metric: 1, Role: role, SNR: snr})
+	_, changed := t.update(now, 0, from, from, 1, role, snr)
+	// Rows below next sort before the row being applied. A beacon lists
+	// its rows in address order, so each is usually found at next or
+	// just past it.
+	next := 0
 	for _, adv := range advertised {
 		if adv.Addr == t.self || adv.Addr == packet.Broadcast {
 			continue
@@ -140,11 +169,18 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 		if adv.Addr == from {
 			continue
 		}
+		if next > 0 && t.rows[next-1].Addr >= adv.Addr {
+			next = 0 // out of address order
+		}
 		if adv.Metric == MetricInfinity {
 			// Poisoned advertisement: if our route to that
 			// destination goes through the sender, it is dead.
-			if cur, ok := t.entries[adv.Addr]; ok && cur.Via == from && !cur.Poisoned() {
-				t.invalidate(now, cur)
+			i, ok := t.findFrom(next, adv.Addr)
+			next = i
+			if ok && t.rows[i].Via == from && !t.rows[i].Poisoned() {
+				if !t.withdraw(now, &t.rows[i]) {
+					t.rows = slices.Delete(t.rows, i, i+1)
+				}
 				changed = true
 			}
 			continue
@@ -159,68 +195,73 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 		if metric > int(t.cfg.MaxHops) {
 			continue
 		}
-		if t.update(now, Entry{
-			Addr:   adv.Addr,
-			Via:    from,
-			Metric: uint8(metric),
-			Role:   packet.Role(adv.Role),
-			SNR:    snr,
-		}) {
-			changed = true
-		}
+		var c bool
+		next, c = t.update(now, next, adv.Addr, from, uint8(metric), adv.Role, snr)
+		changed = changed || c
 	}
 	return changed
 }
 
-// update applies the Bellman-Ford acceptance rule for one candidate route.
-func (t *Table) update(now time.Time, cand Entry) bool {
-	cand.UpdatedAt = now
-	cur, ok := t.entries[cand.Addr]
+// update applies the Bellman-Ford acceptance rule for one candidate route
+// to dst via a neighbour at a metric, which is never poisoned: it is
+// capped at MaxHops. Every row below from sorts before dst. It returns
+// the index of dst's row and whether the table changed. The candidate
+// arrives as scalars, not as an Entry, for the reason set gives.
+func (t *Table) update(now time.Time, from int, dst, via packet.Address, metric uint8, role packet.Role, snr float64) (int, bool) {
+	i, ok := t.findFrom(from, dst)
+	if !ok {
+		t.rows = slices.Insert(t.rows, i, Entry{Addr: dst})
+		t.usable++
+	}
+	cur := &t.rows[i]
 	switch {
-	case ok && cur.Poisoned():
+	case !ok:
+	case cur.Metric == MetricInfinity: // poisoned; not cur.Poisoned(), which copies the row
 		// Hold-down: while a route is poisoned, neighbors may still be
 		// advertising their stale copies of it; accepting them would
 		// resurrect the dead route and defeat the poison. Only direct
 		// evidence (a metric-1 candidate: the destination itself was
 		// heard) lifts the hold.
-		if cand.Metric != 1 {
-			return false
+		if metric != 1 {
+			return i, false
 		}
-		*cur = cand
-		return true
-	case !ok:
-		e := cand
-		t.entries[cand.Addr] = &e
-		return true
-	case cur.Via == cand.Via:
+		t.usable++
+	case cur.Via == via:
 		// Update from the route's own next hop: always accept — the
 		// path through that neighbor now has this metric, better or
 		// worse — and refresh the timestamp.
-		structural := cur.Metric != cand.Metric || cur.Role != cand.Role
-		*cur = cand
-		return structural
-	case cand.Metric < cur.Metric:
+		structural := cur.Metric != metric || cur.Role != role
+		cur.set(now, via, metric, role, snr)
+		return i, structural
+	case metric < cur.Metric:
 		// Strictly better path through a different neighbor.
-		*cur = cand
-		return true
-	case cand.Metric == cur.Metric && t.cfg.SNRTiebreak &&
-		cand.SNR >= cur.SNR+snrMarginDB:
+	case metric == cur.Metric && t.cfg.SNRTiebreak && snr >= cur.SNR+snrMarginDB:
 		// Equal hop count but a clearly stronger first link.
-		*cur = cand
-		return true
 	default:
-		return false
+		return i, false
 	}
+	cur.set(now, via, metric, role, snr)
+	return i, true
 }
 
-// invalidate marks an entry unreachable (poisoning on) or removes it.
-func (t *Table) invalidate(now time.Time, e *Entry) {
-	if t.cfg.Poisoning {
-		e.Metric = MetricInfinity
-		e.UpdatedAt = now
-		return
+// set overwrites a row's route field by field: a composite literal would
+// be built on the stack in narrow stores and copied out in wide loads,
+// which stall on store forwarding.
+func (e *Entry) set(now time.Time, via packet.Address, metric uint8, role packet.Role, snr float64) {
+	e.Via, e.Metric, e.Role, e.UpdatedAt, e.SNR = via, metric, role, now, snr
+}
+
+// withdraw makes a usable row unreachable: with poisoning on it is
+// poisoned in place and kept; otherwise it reports false and the caller
+// removes the row.
+func (t *Table) withdraw(now time.Time, e *Entry) (keep bool) {
+	t.usable--
+	if !t.cfg.Poisoning {
+		return false
 	}
-	delete(t.entries, e.Addr)
+	e.Metric = MetricInfinity
+	e.UpdatedAt = now
+	return true
 }
 
 // poisonHold is how long a poisoned entry is retained.
@@ -228,33 +269,36 @@ func (t *Table) poisonHold() time.Duration { return t.cfg.EntryTTL / 2 }
 
 // ExpireStale drops (or poisons) entries whose TTL has lapsed and removes
 // poisoned entries past their hold time. It returns the addresses whose
-// routes were invalidated this call.
+// routes were invalidated this call, in address order.
 func (t *Table) ExpireStale(now time.Time) []packet.Address {
 	var dead []packet.Address
-	for addr, e := range t.entries {
+	kept := t.rows[:0]
+	for _, e := range t.rows {
 		age := now.Sub(e.UpdatedAt)
 		if e.Poisoned() {
 			if age > t.poisonHold() {
-				delete(t.entries, addr)
+				continue
 			}
-			continue
+		} else if age > t.cfg.EntryTTL {
+			dead = append(dead, e.Addr)
+			if !t.withdraw(now, &e) {
+				continue
+			}
 		}
-		if age > t.cfg.EntryTTL {
-			t.invalidate(now, e)
-			dead = append(dead, addr)
-		}
+		kept = append(kept, e)
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	clear(t.rows[len(kept):])
+	t.rows = kept
 	return dead
 }
 
 // NextHop returns the neighbor to forward a packet for dst to.
 func (t *Table) NextHop(dst packet.Address) (packet.Address, bool) {
-	e, ok := t.entries[dst]
-	if !ok || e.Poisoned() {
+	i, ok := t.find(dst)
+	if !ok || t.rows[i].Poisoned() {
 		return 0, false
 	}
-	return e.Via, true
+	return t.rows[i].Via, true
 }
 
 // HopsTo returns the hop count (route metric) to dst, false when no
@@ -262,42 +306,36 @@ func (t *Table) NextHop(dst packet.Address) (packet.Address, bool) {
 // the slotted mode assigns TDMA slots by route depth — read this instead
 // of inspecting entries directly.
 func (t *Table) HopsTo(dst packet.Address) (uint8, bool) {
-	e, ok := t.entries[dst]
-	if !ok || e.Poisoned() {
+	i, ok := t.find(dst)
+	if !ok || t.rows[i].Poisoned() {
 		return 0, false
 	}
-	return e.Metric, true
+	return t.rows[i].Metric, true
 }
 
 // Lookup returns a copy of the entry for dst.
 func (t *Table) Lookup(dst packet.Address) (Entry, bool) {
-	e, ok := t.entries[dst]
+	i, ok := t.find(dst)
 	if !ok {
 		return Entry{}, false
 	}
-	return *e, true
+	return t.rows[i], true
 }
 
 // Entries returns a copy of all rows (including poisoned ones), sorted by
-// address for stable output.
+// address.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	return append(make([]Entry, 0, len(t.rows)), t.rows...)
 }
 
-// HelloEntries renders the table as HELLO advertisement rows: every usable
-// route at its metric, plus — when poisoning is on — poisoned routes at
-// MetricInfinity.
+// HelloEntries renders the table as HELLO advertisement rows in address
+// order: every usable route at its metric, plus — when poisoning is on —
+// poisoned routes at MetricInfinity.
 func (t *Table) HelloEntries() []packet.HelloEntry {
-	out := make([]packet.HelloEntry, 0, len(t.entries))
-	for _, e := range t.entries {
+	out := make([]packet.HelloEntry, 0, len(t.rows))
+	for _, e := range t.rows {
 		out = append(out, packet.HelloEntry{Addr: e.Addr, Metric: e.Metric, Role: e.Role})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
@@ -306,31 +344,32 @@ func (t *Table) HelloEntries() []packet.HelloEntry {
 // me a sink/gateway" without provisioning addresses.
 func (t *Table) ByRole(role packet.Role) []Entry {
 	var out []Entry
-	for _, e := range t.entries {
+	for _, e := range t.rows {
 		if !e.Poisoned() && e.Role == role {
-			out = append(out, *e)
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Metric != out[j].Metric {
-			return out[i].Metric < out[j].Metric
-		}
-		return out[i].Addr < out[j].Addr
-	})
+	// Stable over address order: equal metrics stay nearest address first.
+	slices.SortStableFunc(out, func(a, b Entry) int { return cmp.Compare(a.Metric, b.Metric) })
 	return out
 }
 
 // RemoveNeighbor drops every route through the given neighbor, as when the
 // link layer reports repeated delivery failure. It returns the invalidated
-// destinations.
+// destinations in address order.
 func (t *Table) RemoveNeighbor(now time.Time, via packet.Address) []packet.Address {
 	var dead []packet.Address
-	for addr, e := range t.entries {
+	kept := t.rows[:0]
+	for _, e := range t.rows {
 		if e.Via == via && !e.Poisoned() {
-			t.invalidate(now, e)
-			dead = append(dead, addr)
+			dead = append(dead, e.Addr)
+			if !t.withdraw(now, &e) {
+				continue
+			}
 		}
+		kept = append(kept, e)
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	clear(t.rows[len(kept):])
+	t.rows = kept
 	return dead
 }

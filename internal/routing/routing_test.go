@@ -1,6 +1,12 @@
 package routing
 
 import (
+	"cmp"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -390,4 +396,320 @@ func TestWithdrawnNeighbourRejoinsAtOnce(t *testing.T) {
 	if !tab.ApplyHello(now, 0x0002, packet.RoleDefault, 10, nil) {
 		t.Fatal("HELLO after three withdrawals inside one EntryTTL was not applied")
 	}
+}
+
+// mapTable is the map-backed table this package shipped before the rows
+// became a sorted slice, kept as the reference model the differential
+// tests below hold Table to.
+type mapTable struct {
+	self    packet.Address
+	cfg     Config
+	entries map[packet.Address]*Entry
+}
+
+func newMapTable(self packet.Address, cfg Config) *mapTable {
+	return &mapTable{self: self, cfg: cfg.withDefaults(), entries: make(map[packet.Address]*Entry)}
+}
+
+func (t *mapTable) Len() int {
+	n := 0
+	for _, e := range t.entries {
+		if !e.Poisoned() {
+			n++
+		}
+	}
+	return n
+}
+
+func (t *mapTable) ApplyHello(now time.Time, from packet.Address, role packet.Role, snr float64, advertised []packet.HelloEntry) bool {
+	if from == t.self || from == packet.Broadcast {
+		return false
+	}
+	changed := t.update(now, Entry{Addr: from, Via: from, Metric: 1, Role: role, SNR: snr})
+	for _, adv := range advertised {
+		if adv.Addr == t.self || adv.Addr == packet.Broadcast || adv.Addr == from {
+			continue
+		}
+		if adv.Metric == MetricInfinity {
+			if cur, ok := t.entries[adv.Addr]; ok && cur.Via == from && !cur.Poisoned() {
+				t.invalidate(now, cur)
+				changed = true
+			}
+			continue
+		}
+		if adv.Metric == 0 {
+			continue
+		}
+		metric := int(adv.Metric) + 1
+		if metric > int(t.cfg.MaxHops) {
+			continue
+		}
+		if t.update(now, Entry{Addr: adv.Addr, Via: from, Metric: uint8(metric), Role: adv.Role, SNR: snr}) {
+			changed = true
+		}
+	}
+	return changed
+}
+
+func (t *mapTable) update(now time.Time, cand Entry) bool {
+	cand.UpdatedAt = now
+	cur, ok := t.entries[cand.Addr]
+	switch {
+	case ok && cur.Poisoned():
+		if cand.Metric != 1 {
+			return false
+		}
+		*cur = cand
+		return true
+	case !ok:
+		e := cand
+		t.entries[cand.Addr] = &e
+		return true
+	case cur.Via == cand.Via:
+		structural := cur.Metric != cand.Metric || cur.Role != cand.Role
+		*cur = cand
+		return structural
+	case cand.Metric < cur.Metric:
+		*cur = cand
+		return true
+	case cand.Metric == cur.Metric && t.cfg.SNRTiebreak && cand.SNR >= cur.SNR+snrMarginDB:
+		*cur = cand
+		return true
+	default:
+		return false
+	}
+}
+
+func (t *mapTable) invalidate(now time.Time, e *Entry) {
+	if t.cfg.Poisoning {
+		e.Metric = MetricInfinity
+		e.UpdatedAt = now
+		return
+	}
+	delete(t.entries, e.Addr)
+}
+
+func (t *mapTable) ExpireStale(now time.Time) []packet.Address {
+	var dead []packet.Address
+	for addr, e := range t.entries {
+		age := now.Sub(e.UpdatedAt)
+		if e.Poisoned() {
+			if age > t.cfg.EntryTTL/2 {
+				delete(t.entries, addr)
+			}
+			continue
+		}
+		if age > t.cfg.EntryTTL {
+			t.invalidate(now, e)
+			dead = append(dead, addr)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	return dead
+}
+
+func (t *mapTable) NextHop(dst packet.Address) (packet.Address, bool) {
+	e, ok := t.entries[dst]
+	if !ok || e.Poisoned() {
+		return 0, false
+	}
+	return e.Via, true
+}
+
+func (t *mapTable) Lookup(dst packet.Address) (Entry, bool) {
+	e, ok := t.entries[dst]
+	if !ok {
+		return Entry{}, false
+	}
+	return *e, true
+}
+
+func (t *mapTable) Entries() []Entry {
+	out := make([]Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, *e)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	return out
+}
+
+func (t *mapTable) RemoveNeighbor(now time.Time, via packet.Address) []packet.Address {
+	var dead []packet.Address
+	for addr, e := range t.entries {
+		if e.Via == via && !e.Poisoned() {
+			t.invalidate(now, e)
+			dead = append(dead, addr)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
+	return dead
+}
+
+// modelConfigs are the four switch settings the differential tests run:
+// poisoning and the SNR tiebreak, each on and off, at a short TTL and a
+// low hop cap so expiry, hold-down and the cap all fire.
+func modelConfigs() []Config {
+	var out []Config
+	for _, poison := range []bool{false, true} {
+		for _, snr := range []bool{false, true} {
+			out = append(out, Config{EntryTTL: time.Minute, MaxHops: 6, Poisoning: poison, SNRTiebreak: snr})
+		}
+	}
+	return out
+}
+
+// agree fails t unless tab and ref hold the same rows, count the same
+// usable ones, and pick the same next hop for every address in addrs.
+func agree(t *testing.T, tab *Table, ref *mapTable, addrs []packet.Address, where string) {
+	t.Helper()
+	if got, want := tab.Entries(), ref.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Entries\n got  %v\n want %v", where, got, want)
+	}
+	if got, want := tab.Len(), ref.Len(); got != want {
+		t.Fatalf("%s: Len = %d, want %d", where, got, want)
+	}
+	for _, a := range addrs {
+		gv, gok := tab.NextHop(a)
+		wv, wok := ref.NextHop(a)
+		if gv != wv || gok != wok {
+			t.Fatalf("%s: NextHop(%v) = %v,%v, want %v,%v", where, a, gv, gok, wv, wok)
+		}
+	}
+}
+
+// randomHello draws an advertisement with every shape the decoder lets
+// through: rows mostly in address order (as tables render them) but
+// sometimes shuffled, duplicated, about the receiver, the broadcast
+// address or the sender itself, at metric 0, over the hop cap, or
+// poisoned.
+func randomHello(rng *rand.Rand, self, from packet.Address, pool []packet.Address) []packet.HelloEntry {
+	rows := make([]packet.HelloEntry, rng.Intn(12))
+	for i := range rows {
+		addr := pool[rng.Intn(len(pool))]
+		switch rng.Intn(12) {
+		case 0:
+			addr = self
+		case 1:
+			addr = packet.Broadcast
+		case 2:
+			addr = from
+		}
+		metric := uint8(1 + rng.Intn(7))
+		switch rng.Intn(10) {
+		case 0:
+			metric = 0
+		case 1, 2:
+			metric = MetricInfinity
+		}
+		rows[i] = packet.HelloEntry{Addr: addr, Metric: metric, Role: packet.Role(1 + rng.Intn(3))}
+	}
+	if rng.Intn(4) != 0 {
+		slices.SortStableFunc(rows, func(a, b packet.HelloEntry) int { return cmp.Compare(a.Addr, b.Addr) })
+	}
+	if len(rows) > 0 && rng.Intn(4) == 0 {
+		rows = append(rows, rows[rng.Intn(len(rows))])
+	}
+	if rng.Intn(2) == 0 {
+		// A real beacon leads with the sender's metric-0 self entry.
+		rows = append([]packet.HelloEntry{{Addr: from, Role: packet.RoleDefault}}, rows...)
+	}
+	return rows
+}
+
+// TestTableMatchesMapModel drives the sorted-slice table and the map model
+// through the same seeded random operations and demands identical answers
+// and identical state after every step.
+func TestTableMatchesMapModel(t *testing.T) {
+	const self = packet.Address(1)
+	pool := make([]packet.Address, 0, 20)
+	for a := packet.Address(2); len(pool) < cap(pool); a += 3 {
+		pool = append(pool, a)
+	}
+	seen := append([]packet.Address{self, packet.Broadcast, 0}, pool...)
+	for ci, cfg := range modelConfigs() {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tab, ref := NewTable(self, cfg), newMapTable(self, cfg)
+			now := t0
+			for step := 0; step < 2000; step++ {
+				now = now.Add(time.Duration(rng.Intn(20)) * time.Second)
+				where := fmt.Sprintf("config %d seed %d step %d", ci, seed, step)
+				switch op := rng.Intn(10); {
+				case op < 6:
+					from := pool[rng.Intn(len(pool))]
+					switch rng.Intn(20) {
+					case 0:
+						from = self
+					case 1:
+						from = packet.Broadcast
+					}
+					adv := randomHello(rng, self, from, pool)
+					snr := float64(rng.Intn(12))
+					role := packet.Role(1 + rng.Intn(3))
+					if got, want := tab.ApplyHello(now, from, role, snr, adv), ref.ApplyHello(now, from, role, snr, adv); got != want {
+						t.Fatalf("%s: ApplyHello(%v, %v) = %v, want %v", where, from, adv, got, want)
+					}
+				case op < 7:
+					if got, want := tab.ExpireStale(now), ref.ExpireStale(now); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: ExpireStale = %v, want %v", where, got, want)
+					}
+				case op < 8:
+					via := pool[rng.Intn(len(pool))]
+					if got, want := tab.RemoveNeighbor(now, via), ref.RemoveNeighbor(now, via); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: RemoveNeighbor(%v) = %v, want %v", where, via, got, want)
+					}
+				default:
+					dst := seen[rng.Intn(len(seen))]
+					ge, gok := tab.Lookup(dst)
+					we, wok := ref.Lookup(dst)
+					if ge != we || gok != wok {
+						t.Fatalf("%s: Lookup(%v) = %v,%v, want %v,%v", where, dst, ge, gok, we, wok)
+					}
+				}
+				agree(t, tab, ref, seen, where)
+			}
+		}
+	}
+}
+
+// FuzzApplyHello feeds arbitrary bytes through the HELLO decoder into the
+// table and the map model: whatever decodes must be applied identically,
+// from the sender it names and from two others, and age out identically.
+func FuzzApplyHello(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x02, 0x00, 0x01, 0x00, 0x03, 0x01, 0x03})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		adv, err := packet.UnmarshalHello(payload)
+		if err != nil {
+			return
+		}
+		const self = packet.Address(1)
+		from := packet.Address(2)
+		if len(adv) > 0 {
+			from = adv[0].Addr // a beacon leads with its sender's self entry
+		}
+		addrs := []packet.Address{self, from, 2, 3}
+		for _, e := range adv {
+			addrs = append(addrs, e.Addr)
+		}
+		for ci, cfg := range modelConfigs() {
+			tab, ref := NewTable(self, cfg), newMapTable(self, cfg)
+			now := t0
+			for i, sender := range []packet.Address{from, 2, 3, from} {
+				now = now.Add(20 * time.Second)
+				where := fmt.Sprintf("config %d hello %d from %v", ci, i, sender)
+				if got, want := tab.ApplyHello(now, sender, packet.RoleDefault, float64(4*i), adv), ref.ApplyHello(now, sender, packet.RoleDefault, float64(4*i), adv); got != want {
+					t.Fatalf("%s: ApplyHello = %v, want %v", where, got, want)
+				}
+				agree(t, tab, ref, addrs, where)
+			}
+			for _, later := range []time.Duration{cfg.EntryTTL, cfg.EntryTTL / 2, cfg.EntryTTL} {
+				now = now.Add(later)
+				if got, want := tab.ExpireStale(now), ref.ExpireStale(now); !reflect.DeepEqual(got, want) {
+					t.Fatalf("config %d: ExpireStale = %v, want %v", ci, got, want)
+				}
+				agree(t, tab, ref, addrs, fmt.Sprintf("config %d after expiry", ci))
+			}
+		}
+	})
 }
