@@ -1,6 +1,9 @@
 package meshsec
 
-import "crypto/cipher"
+import (
+	"crypto/cipher"
+	"crypto/subtle"
+)
 
 // AES-CMAC (RFC 4493): the MAC half of the frame AEAD. Implemented here
 // because the standard library ships AES but no CMAC, and the repo is
@@ -31,36 +34,62 @@ func dbl(dst, src *[16]byte) {
 // also the chaining block: the caller owns it so that nothing escapes per
 // call through the cipher.Block interface.
 func cmac(b cipher.Block, k1, k2 *[16]byte, msg []byte, x *[16]byte) {
+	cmacCTR(b, k1, k2, nil, msg, x, nil)
+}
+
+// cmacCTR computes the AES-CMAC tag of head||msg into x without
+// assembling the message: head (at most one block; a frame's AAD) is
+// folded into the first block. It also encrypts ks, a run of whole CTR
+// counter blocks, in place under the same cipher: one keystream block
+// after each chain block, where it fills the chain's wait for its own
+// encryption, and any blocks the chain outlasts after it.
+func cmacCTR(b cipher.Block, k1, k2 *[16]byte, head, msg []byte, x *[16]byte, ks []byte) {
 	*x = [16]byte{}
-	n := len(msg)
+	var blk [16]byte
+	if n := len(head) + len(msg); n > 16 && len(head) > 0 {
+		copy(x[:], head)
+		msg = msg[copy(x[len(head):], msg):]
+		ks = cmacStep(b, x, ks)
+	} else if len(head) > 0 {
+		// head||msg is one block, and so the last.
+		copy(blk[:], head)
+		copy(blk[len(head):], msg)
+		msg = blk[:n]
+	}
 	// All complete blocks but the last.
-	full := (n - 1) / 16 // index of the final block
-	if n == 0 {
-		full = 0
+	for len(msg) > 16 {
+		subtle.XORBytes(x[:], x[:], msg[:16])
+		msg = msg[16:]
+		ks = cmacStep(b, x, ks)
 	}
-	for i := 0; i < full; i++ {
-		for j := 0; j < 16; j++ {
-			x[j] ^= msg[16*i+j]
-		}
-		b.Encrypt(x[:], x[:])
-	}
-	// Final block: XOR K1 when complete, pad + XOR K2 otherwise.
+	// Final block: XOR K1 when complete, pad + XOR K2 otherwise. The
+	// subkey goes into the block first, which does not wait for the chain.
 	var last [16]byte
-	rem := msg[16*full:]
-	if len(rem) == 16 {
-		copy(last[:], rem)
-		for j := 0; j < 16; j++ {
-			last[j] ^= k1[j]
-		}
-	} else {
-		copy(last[:], rem)
-		last[len(rem)] = 0x80
-		for j := 0; j < 16; j++ {
-			last[j] ^= k2[j]
-		}
+	k := k1
+	if len(msg) < 16 {
+		copy(last[:], msg)
+		last[len(msg)] = 0x80
+		msg, k = last[:], k2
 	}
-	for j := 0; j < 16; j++ {
-		x[j] ^= last[j]
-	}
+	subtle.XORBytes(last[:], msg, k[:])
+	subtle.XORBytes(x[:], x[:], last[:])
+	encryptBlocks(b, cmacStep(b, x, ks))
+}
+
+// cmacStep encrypts the chaining block and, if any is left, the next
+// keystream block, and returns the keystream blocks still to encrypt.
+func cmacStep(b cipher.Block, x *[16]byte, ks []byte) []byte {
 	b.Encrypt(x[:], x[:])
+	if len(ks) < 16 {
+		return ks
+	}
+	b.Encrypt(ks[:16], ks[:16])
+	return ks[16:]
+}
+
+// encryptBlocks encrypts a run of whole blocks in place.
+func encryptBlocks(b cipher.Block, blocks []byte) {
+	for ; len(blocks) >= 16; blocks = blocks[16:] {
+		b.Encrypt(blocks[:16], blocks[:16])
+	}
 }

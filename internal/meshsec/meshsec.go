@@ -30,10 +30,12 @@ package meshsec
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 )
@@ -67,16 +69,39 @@ var (
 	ErrReplay = errors.New("meshsec: replayed frame counter")
 )
 
+// keystreamLen is the keystream buffer's size. A frame is at most
+// packet.MaxFrameLen (255) bytes, so its payload spans at most 16 blocks
+// and the 16-bit block index of a counter block never wraps.
+const keystreamLen = (packet.MaxFrameLen + 15) / 16 * 16
+
 // session holds the cipher state derived for one origin address under
-// one network key.
+// one key generation.
 type session struct {
 	block  cipher.Block
 	k1, k2 [16]byte // CMAC subkeys
+	gen    uint32   // key generation; 0 = empty
+}
+
+// origin is what a Link keeps about one origin address: its replay
+// window and its sessions under the live key generations (current,
+// previous, staged), so one lookup serves a whole Open. Outside a key
+// rotation one generation is live, so its session is inline and the
+// other two live behind a pointer set at the first rotation: a node
+// keeps a slot for every origin it hears.
+type origin struct {
+	win  window
+	addr packet.Address
+	// windowed is set once a counter from this origin was checked:
+	// ReplayStats counts those origins, not ones that only failed
+	// authentication.
+	windowed bool
+	sess     session
+	more     *[2]session
 }
 
 // Link is one node's security state: the installed network key(s), the
-// node's own monotonic frame counter, per-origin session-key caches, and
-// per-origin replay windows.
+// node's own monotonic frame counter, and per-origin session keys and
+// replay windows.
 //
 // The Link is designed to be owned by the HOST (the simulator handle or
 // the device firmware's persistent store), not by the protocol engine:
@@ -90,38 +115,25 @@ type Link struct {
 
 	cur, prev, next          Key
 	hasPrev, hasNext         bool
-	curGen, prevGen, nextGen uint32 // allocated by genSeq; key session cache entries
+	curGen, prevGen, nextGen uint32 // allocated by genSeq; tag cached sessions
 	genSeq                   uint32 // generation allocator (never reused)
 
 	counter uint32
 
-	sessions map[sessKey]*session
-	windows  map[packet.Address]*window
+	origins []origin // sorted by address
 
 	scratch []byte // decrypted-payload buffer, valid until the next Open
-	macBuf  []byte // CMAC input assembly buffer
-	// The cipher's working blocks: the CTR counter block and keystream,
-	// and the CMAC chaining value. A block handed to cipher.Block.Encrypt
-	// escapes, so as locals they would cost an allocation each per call.
-	iv, ks, mac [16]byte
-}
-
-type sessKey struct {
-	addr packet.Address
-	gen  uint32
+	// The cipher's working blocks: the CMAC chaining value and the CTR
+	// keystream. A block handed to cipher.Block.Encrypt escapes, so as
+	// locals they would cost an allocation each per call.
+	mac [16]byte
+	ks  [keystreamLen]byte
 }
 
 // NewLink returns the security state for a node with the given address
 // under the given network key.
 func NewLink(key Key, addr packet.Address) *Link {
-	return &Link{
-		addr:     addr,
-		cur:      key,
-		curGen:   1,
-		genSeq:   1,
-		sessions: make(map[sessKey]*session),
-		windows:  make(map[packet.Address]*window),
-	}
+	return &Link{addr: addr, cur: key, curGen: 1, genSeq: 1}
 }
 
 // newGen allocates a session-cache generation that has never been used
@@ -145,12 +157,14 @@ func (l *Link) Counter() uint32 { return l.counter }
 // high-water mark; the tx mark is Counter). Call from the owning node's
 // execution context, like Open.
 func (l *Link) ReplayStats() (origins, occupancy int, rxHigh uint32) {
-	for _, w := range l.windows {
-		origins++
-		occupancy += w.occupancy()
-		if w.top > rxHigh {
-			rxHigh = w.top
+	for i := range l.origins {
+		o := &l.origins[i]
+		if !o.windowed {
+			continue
 		}
+		origins++
+		occupancy += o.win.occupancy()
+		rxHigh = max(rxHigh, o.win.top)
 	}
 	return origins, occupancy, rxHigh
 }
@@ -193,6 +207,9 @@ func (l *Link) Rotate(key Key) {
 	if key == l.cur {
 		return
 	}
+	if l.hasPrev {
+		l.evictGen(l.prevGen) // the fallback this rotation replaces
+	}
 	l.prev, l.prevGen, l.hasPrev = l.cur, l.curGen, true
 	if l.hasNext && key == l.next {
 		l.cur, l.curGen = l.next, l.nextGen
@@ -227,21 +244,75 @@ func (l *Link) RetirePrev() {
 	l.hasPrev = false
 }
 
-// evictGen drops a retired generation's cached cipher state.
+// evictGen drops a retired generation's cached cipher state. Every
+// retirement evicts, so an origin never holds more than the three live
+// generations' sessions.
 func (l *Link) evictGen(gen uint32) {
-	for sk := range l.sessions {
-		if sk.gen == gen {
-			delete(l.sessions, sk)
+	for i := range l.origins {
+		o := &l.origins[i]
+		if o.sess.gen == gen {
+			o.sess = session{}
+		}
+		if o.more == nil {
+			continue
+		}
+		for j := range o.more {
+			if o.more[j].gen == gen {
+				o.more[j] = session{}
+			}
 		}
 	}
 }
 
-// session returns (caching) the cipher state for frames originated by
-// addr under the given key generation.
-func (l *Link) session(addr packet.Address, key Key, gen uint32) (*session, error) {
-	sk := sessKey{addr, gen}
-	if s, ok := l.sessions[sk]; ok {
-		return s, nil
+// origin returns addr's slot, inserting an empty one on first contact.
+// The pointer is valid until the next insertion.
+func (l *Link) origin(addr packet.Address) *origin {
+	lo, hi := 0, len(l.origins)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.origins[m].addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(l.origins) || l.origins[lo].addr != addr {
+		if len(l.origins) == cap(l.origins) {
+			// Grow by an eighth, not by append's doubling: every node keeps
+			// a slot per origin it hears, and a doubled slice is mostly empty.
+			grown := make([]origin, len(l.origins), len(l.origins)+len(l.origins)/8+1)
+			copy(grown, l.origins)
+			l.origins = grown
+		}
+		l.origins = slices.Insert(l.origins, lo, origin{addr: addr})
+	}
+	return &l.origins[lo]
+}
+
+// session returns (deriving on first use) the cipher state for frames
+// originated by o under the given key generation.
+func (l *Link) session(o *origin, key Key, gen uint32) (*session, error) {
+	if o.sess.gen == gen {
+		return &o.sess, nil
+	}
+	if o.more != nil {
+		for i := range o.more {
+			if o.more[i].gen == gen {
+				return &o.more[i], nil
+			}
+		}
+	}
+	// Every retirement evicts, so of three entries one is free for the
+	// at most three live generations.
+	s := &o.sess
+	if s.gen != 0 {
+		if o.more == nil {
+			o.more = new([2]session)
+		}
+		s = &o.more[0]
+		if s.gen != 0 {
+			s = &o.more[1]
+		}
 	}
 	nk, err := aes.NewCipher(key[:])
 	if err != nil {
@@ -253,15 +324,14 @@ func (l *Link) session(addr packet.Address, key Key, gen uint32) (*session, erro
 	// without inverting AES.
 	var blk [16]byte
 	blk[0] = 0x01
-	binary.BigEndian.PutUint16(blk[1:3], uint16(addr))
+	binary.BigEndian.PutUint16(blk[1:3], uint16(o.addr))
 	nk.Encrypt(blk[:], blk[:])
 	b, err := aes.NewCipher(blk[:])
 	if err != nil {
 		return nil, fmt.Errorf("meshsec: %w", err)
 	}
-	s := &session{block: b}
+	*s = session{block: b, gen: gen}
 	cmacSubkeys(b, &s.k1, &s.k2)
-	l.sessions[sk] = s
 	return s, nil
 }
 
@@ -278,36 +348,46 @@ func secAAD(p *packet.Packet, buf *[13]byte) {
 	binary.BigEndian.PutUint32(buf[9:13], p.Counter)
 }
 
-// ctrXOR applies the CTR keystream for (origin, counter) to data in
-// place. The IV is unique per (session key, origin, counter) and frames
-// are < 16 blocks, so the keystream never repeats.
-func (l *Link) ctrXOR(s *session, src packet.Address, counter uint32, data []byte) {
-	l.iv = [16]byte{0: 0x02}
-	binary.BigEndian.PutUint16(l.iv[1:3], uint16(src))
-	binary.BigEndian.PutUint32(l.iv[3:7], counter)
-	for i := 0; i < len(data); i += 16 {
-		binary.BigEndian.PutUint16(l.iv[14:16], uint16(i/16))
-		s.block.Encrypt(l.ks[:], l.iv[:])
-		n := len(data) - i
-		if n > 16 {
-			n = 16
-		}
-		for j := 0; j < n; j++ {
-			data[i+j] ^= l.ks[j]
-		}
+// counterBlocks writes the CTR counter blocks covering n bytes from
+// (origin, counter) into the keystream buffer and returns them, still
+// to be encrypted. Block i is 0x02 || origin || counter || 0… || i: the
+// IV is unique per (session key, origin, counter), and n ≤ keystreamLen
+// keeps i below 16, so the keystream never repeats.
+func (l *Link) counterBlocks(src packet.Address, counter uint32, n int) []byte {
+	ks := l.ks[:(n+15)/16*16]
+	hi := 0x02<<56 | uint64(src)<<40 | uint64(counter)<<8
+	for i := 0; i < len(ks); i += 16 {
+		binary.BigEndian.PutUint64(ks[i:], hi)
+		binary.BigEndian.PutUint64(ks[i+8:], uint64(i/16))
 	}
+	return ks
 }
 
-// mic computes the truncated CMAC tag over aad || ciphertext.
-func (l *Link) mic(s *session, p *packet.Packet, ct []byte) [packet.SecMICLen]byte {
-	var aad [13]byte
-	secAAD(p, &aad)
-	l.macBuf = append(l.macBuf[:0], aad[:]...)
-	l.macBuf = append(l.macBuf, ct...)
-	cmac(s.block, &s.k1, &s.k2, l.macBuf, &l.mac)
-	var out [packet.SecMICLen]byte
-	copy(out[:], l.mac[:])
-	return out
+// keystream returns the CTR keystream for n bytes from (origin, counter)
+// under s: every counter block is written before the first is encrypted,
+// so none is read back while its stores are still in flight.
+func (l *Link) keystream(s *session, src packet.Address, counter uint32, n int) []byte {
+	ks := l.counterBlocks(src, counter, n)
+	encryptBlocks(s.block, ks)
+	return ks
+}
+
+// mic computes the truncated CMAC tag over aad || ct, encrypting the
+// counter blocks ks in place along the way (see cmacCTR).
+func (l *Link) mic(s *session, aad *[13]byte, ct, ks []byte) [packet.SecMICLen]byte {
+	cmacCTR(s.block, &s.k1, &s.k2, aad[:], ct, &l.mac, ks)
+	return [packet.SecMICLen]byte(l.mac[:])
+}
+
+// verify reports whether p's MIC verifies under s and returns the
+// keystream of an encrypted p, encrypted in the same pass (nil for a
+// MIC-only frame, and so a no-op for subtle.XORBytes).
+func (l *Link) verify(s *session, p *packet.Packet, aad *[13]byte) ([]byte, bool) {
+	var ks []byte
+	if p.SecFlags&packet.SecFlagEncrypted != 0 {
+		ks = l.counterBlocks(p.Src, p.Counter, len(p.Payload))
+	}
+	return ks, l.mic(s, aad, p.Payload, ks) == p.MIC
 }
 
 // SealFrame encrypts and authenticates an encoded secured frame in
@@ -320,19 +400,21 @@ func (l *Link) SealFrame(frame []byte, p *packet.Packet) error {
 	if !p.Secured {
 		return errors.New("meshsec: SealFrame on an unsecured packet")
 	}
-	if len(frame) < packet.SecMICLen || len(frame) != p.WireLen() {
+	if len(frame) < packet.SecMICLen || len(frame) > packet.MaxFrameLen || len(frame) != p.WireLen() {
 		return errors.New("meshsec: frame does not match packet")
 	}
-	s, err := l.session(p.Src, l.cur, l.curGen)
+	s, err := l.session(l.origin(p.Src), l.cur, l.curGen)
 	if err != nil {
 		return err
 	}
 	end := len(frame) - packet.SecMICLen
-	start := end - len(p.Payload)
+	ct := frame[end-len(p.Payload) : end]
 	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		l.ctrXOR(s, p.Src, p.Counter, frame[start:end])
+		subtle.XORBytes(ct, ct, l.keystream(s, p.Src, p.Counter, len(ct)))
 	}
-	m := l.mic(s, p, frame[start:end])
+	var aad [13]byte
+	secAAD(p, &aad)
+	m := l.mic(s, &aad, ct, nil)
 	copy(frame[end:], m[:])
 	return nil
 }
@@ -346,47 +428,55 @@ func (l *Link) SealFrame(frame []byte, p *packet.Packet) error {
 // Verification order matters: the MIC is checked first (under the
 // current key, then the previous key during a rotation), and only an
 // authenticated counter may advance the replay window — otherwise a
-// forger could poison windows and block legitimate traffic.
+// forger could poison windows and block legitimate traffic. The
+// keystream under the current key is computed in the same pass as its
+// MIC, but applied only to a frame the window has admitted; the scratch
+// buffer is untouched on failure.
 func (l *Link) Open(p *packet.Packet) error {
 	if !p.Secured {
 		return errors.New("meshsec: Open on an unsecured packet")
 	}
-	s, err := l.session(p.Src, l.cur, l.curGen)
+	if len(p.Payload) > keystreamLen {
+		return ErrAuth // longer than any frame a sealer can produce
+	}
+	o := l.origin(p.Src)
+	s, err := l.session(o, l.cur, l.curGen)
 	if err != nil {
 		return err
 	}
-	if l.mic(s, p, p.Payload) != p.MIC {
-		ok := false
+	var aad [13]byte
+	secAAD(p, &aad)
+	ks, ok := l.verify(s, p, &aad)
+	if !ok {
 		if l.hasPrev {
-			ps, err := l.session(p.Src, l.prev, l.prevGen)
+			ps, err := l.session(o, l.prev, l.prevGen)
 			if err != nil {
 				return err
 			}
-			if l.mic(ps, p, p.Payload) == p.MIC {
+			if l.mic(ps, &aad, p.Payload, nil) == p.MIC {
 				s, ok = ps, true
 			}
 		}
 		if !ok && l.hasNext {
 			// A staged (not yet active) key accepts too: peers that have
 			// already rotated stay readable mid-rollout.
-			ns, err := l.session(p.Src, l.next, l.nextGen)
+			ns, err := l.session(o, l.next, l.nextGen)
 			if err != nil {
 				return err
 			}
-			if l.mic(ns, p, p.Payload) == p.MIC {
+			if l.mic(ns, &aad, p.Payload, nil) == p.MIC {
 				s, ok = ns, true
 			}
 		}
 		if !ok {
 			return ErrAuth
 		}
+		if ks != nil {
+			ks = l.keystream(s, p.Src, p.Counter, len(p.Payload))
+		}
 	}
-	w := l.windows[p.Src]
-	if w == nil {
-		w = &window{}
-		l.windows[p.Src] = w
-	}
-	if p.Type == packet.TypeHello && p.Counter <= w.top {
+	o.windowed = true
+	if p.Type == packet.TypeHello && p.Counter <= o.win.top {
 		// Beacons get strict freshness, not the reordering window: a
 		// HELLO carries topology state, and an old-but-never-seen one
 		// replayed out of position would install routes to wherever the
@@ -396,13 +486,11 @@ func (l *Link) Open(p *packet.Packet) error {
 		// arrives with the highest counter yet heard from its origin.
 		return ErrReplay
 	}
-	if !w.admit(p.Counter) {
+	if !o.win.admit(p.Counter) {
 		return ErrReplay
 	}
 	l.scratch = append(l.scratch[:0], p.Payload...)
-	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		l.ctrXOR(s, p.Src, p.Counter, l.scratch)
-	}
+	subtle.XORBytes(l.scratch, l.scratch, ks)
 	p.Payload = l.scratch
 	return nil
 }
@@ -412,26 +500,30 @@ func (l *Link) Open(p *packet.Packet) error {
 // returns the decrypted payload as a fresh allocation. Offline tooling
 // (packetdump) uses it; the engine path uses Open.
 func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
-	s, err := l.session(p.Src, l.cur, l.curGen)
-	if err != nil || l.mic(s, p, p.Payload) != p.MIC {
+	if len(p.Payload) > keystreamLen {
+		return nil, false
+	}
+	s, err := l.session(l.origin(p.Src), l.cur, l.curGen)
+	if err != nil {
+		return nil, false
+	}
+	var aad [13]byte
+	secAAD(p, &aad)
+	ks, ok := l.verify(s, p, &aad)
+	if !ok {
 		return nil, false
 	}
 	pt := append([]byte(nil), p.Payload...)
-	if p.SecFlags&packet.SecFlagEncrypted != 0 {
-		l.ctrXOR(s, p.Src, p.Counter, pt)
-	}
+	subtle.XORBytes(pt, pt, ks)
 	return pt, true
 }
 
 // ReplayCheck runs just the replay-window admission for (origin,
 // counter), for tooling that verifies with VerifyOnly first.
 func (l *Link) ReplayCheck(src packet.Address, counter uint32) bool {
-	w := l.windows[src]
-	if w == nil {
-		w = &window{}
-		l.windows[src] = w
-	}
-	return w.admit(counter)
+	o := l.origin(src)
+	o.windowed = true
+	return o.win.admit(counter)
 }
 
 // Key rotation rides the gateway downlink channel as a typed

@@ -484,42 +484,215 @@ func TestHelloStrictFreshness(t *testing.T) {
 	}
 }
 
+// typedPacket returns a secured, encrypted packet of the given type and
+// payload size from l, with l's next frame counter.
+func typedPacket(l *Link, typ packet.Type, size int) *packet.Packet {
+	p := securedPacket(l, make([]byte, size))
+	p.Type = typ
+	if typ == packet.TypeHello {
+		p.Dst, p.Via = packet.Broadcast, 0
+	}
+	return p
+}
+
+// sealedFrames returns n frames from tx, sealed and parsed the way a
+// receiver sees them; each can be opened once.
+func sealedFrames(t testing.TB, tx *Link, typ packet.Type, size, n int) []*packet.Packet {
+	frames := make([]*packet.Packet, n)
+	for i := range frames {
+		p := typedPacket(tx, typ, size)
+		frame, err := packet.Marshal(p)
+		if err == nil {
+			err = tx.SealFrame(frame, p)
+		}
+		if err == nil {
+			frames[i], err = packet.Unmarshal(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return frames
+}
+
 // TestSealOpenAllocs fences the engine's per-frame crypto: sealing and
-// opening a data-sized frame allocate nothing once the origin's session
-// and replay window exist.
+// opening a data frame or a 60-row HELLO allocate nothing once the
+// origin's slot and sessions exist, and neither does an Open that
+// authenticates under the previous key or under the staged one.
 func TestSealOpenAllocs(t *testing.T) {
 	const runs = 100
-	key := testKey(0x42)
-	tx, rxl := NewLink(key, 0x0001), NewLink(key, 0x0002)
-	p := securedPacket(tx, make([]byte, 24))
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
+	oldKey, newKey := testKey(0x42), testKey(0x43)
+	cases := []struct {
+		name string
+		typ  packet.Type
+		size int
+		keys func(tx, rx *Link) // which of rx's keys tx's frames open under
+	}{
+		{"data 24 B", packet.TypeData, 24, func(tx, rx *Link) {}},
+		{"HELLO 240 B", packet.TypeHello, 240, func(tx, rx *Link) {}},
+		{"data under the previous key", packet.TypeData, 24, func(tx, rx *Link) { rx.Rotate(newKey) }},
+		{"data under the staged key", packet.TypeData, 24, func(tx, rx *Link) { rx.Stage(newKey); tx.Rotate(newKey) }},
 	}
-	if got := testing.AllocsPerRun(runs, func() {
-		if err := tx.SealFrame(frame, p); err != nil {
+	for _, c := range cases {
+		tx, rx := NewLink(oldKey, 0x0001), NewLink(oldKey, 0x0002)
+		c.keys(tx, rx)
+		p := typedPacket(tx, c.typ, c.size)
+		frame, err := packet.Marshal(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); got != 0 {
-		t.Errorf("SealFrame: %v allocations, want 0", got)
-	}
+		if got := testing.AllocsPerRun(runs, func() {
+			if err := tx.SealFrame(frame, p); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("%s: SealFrame: %v allocations, want 0", c.name, got)
+		}
 
-	// Open consumes a counter, so each run opens its own sealed frame;
-	// the first one (outside the count) creates the session and window.
-	frames := make([]*packet.Packet, runs+2)
-	for i := range frames {
-		frames[i], _ = sealUnmarshal(t, tx, securedPacket(tx, make([]byte, 24)))
-	}
-	if err := rxl.Open(frames[0]); err != nil {
-		t.Fatal(err)
-	}
-	i := 1
-	if got := testing.AllocsPerRun(runs, func() {
-		if err := rxl.Open(frames[i]); err != nil {
+		// Open consumes a counter, so each run opens its own sealed frame;
+		// the first one (outside the count) creates the slot and sessions.
+		frames := sealedFrames(t, tx, c.typ, c.size, runs+2)
+		if err := rx.Open(frames[0]); err != nil {
 			t.Fatal(err)
 		}
-		i++
-	}); got != 0 {
-		t.Errorf("Open: %v allocations, want 0", got)
+		i := 1
+		if got := testing.AllocsPerRun(runs, func() {
+			if err := rx.Open(frames[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); got != 0 {
+			t.Errorf("%s: Open: %v allocations, want 0", c.name, got)
+		}
+	}
+}
+
+// TestRetiredSessionsEvicted: every way a key generation retires — a
+// superseded Stage, a Rotate to an unrelated key past a staged one, a
+// second Rotate past the previous key, RetirePrev — drops its sessions
+// from every origin's slot, so a slot holds each live generation's
+// session once, none of a retired one's, and never more than three.
+func TestRetiredSessionsEvicted(t *testing.T) {
+	rx := NewLink(testKey(1), 0x0100)
+	counters := map[packet.Address]uint32{}
+	// hear opens, from each of three origins, one frame under every key
+	// rx has installed; one under the staged key derives all three.
+	hear := func() {
+		keys := []Key{rx.cur}
+		if rx.hasPrev {
+			keys = append(keys, rx.prev)
+		}
+		if rx.hasNext {
+			keys = append(keys, rx.next)
+		}
+		for _, a := range []packet.Address{3, 1, 2} {
+			for _, k := range keys {
+				tx := NewLink(k, a)
+				tx.counter = counters[a]
+				if err := rx.Open(sealedFrames(t, tx, packet.TypeData, 8, 1)[0]); err != nil {
+					t.Fatalf("origin %v: %v", a, err)
+				}
+				counters[a] = tx.counter
+			}
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, o := range rx.origins {
+			sessions := []session{o.sess}
+			if o.more != nil {
+				sessions = append(sessions, o.more[:]...)
+			}
+			held := map[uint32]bool{}
+			for _, s := range sessions {
+				if s.gen == 0 {
+					continue
+				}
+				if held[s.gen] {
+					t.Errorf("after %s: origin %v holds generation %d twice", step, o.addr, s.gen)
+				}
+				held[s.gen] = true
+				if s.gen != rx.curGen && !(rx.hasPrev && s.gen == rx.prevGen) && !(rx.hasNext && s.gen == rx.nextGen) {
+					t.Errorf("after %s: origin %v holds retired generation %d", step, o.addr, s.gen)
+				}
+				if s.block == nil {
+					t.Errorf("after %s: origin %v holds generation %d without a cipher", step, o.addr, s.gen)
+				}
+			}
+			if len(held) > 3 {
+				t.Errorf("after %s: origin %v holds %d sessions", step, o.addr, len(held))
+			}
+		}
+	}
+	hear()
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"Stage", func() { rx.Stage(testKey(2)) }},
+		{"a superseding Stage", func() { rx.Stage(testKey(3)) }},
+		{"Rotate to the staged key", func() { rx.Rotate(testKey(3)) }},
+		{"Stage during the grace period", func() { rx.Stage(testKey(4)) }},
+		{"Rotate past the staged key", func() { rx.Rotate(testKey(5)) }},
+		{"a second Rotate", func() { rx.Rotate(testKey(6)) }},
+		{"Stage, then Rotate to it", func() { rx.Stage(testKey(7)); hear(); rx.Rotate(testKey(7)) }},
+		{"RetirePrev", func() { rx.RetirePrev() }},
+	} {
+		step.do()
+		check(step.name)
+		hear()
+		check(step.name + " and traffic")
+	}
+}
+
+var benchFrames = []struct {
+	name string
+	typ  packet.Type
+	size int
+}{{"hello240", packet.TypeHello, 240}, {"data24", packet.TypeData, 24}}
+
+// BenchmarkOpen times Open of a frame from a known origin: a 60-row
+// HELLO (240 B), the frame that dominates a secured mesh's receptions,
+// and a 24 B data frame. A frame opens once, so batches of freshly
+// sealed frames are prepared with the timer stopped.
+func BenchmarkOpen(b *testing.B) {
+	for _, c := range benchFrames {
+		b.Run(c.name, func(b *testing.B) {
+			const batch = 512
+			key := testKey(0x42)
+			tx, rx := NewLink(key, 0x0001), NewLink(key, 0x0002)
+			var frames []*packet.Packet
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					b.StopTimer()
+					frames = sealedFrames(b, tx, c.typ, c.size, batch)
+					b.StartTimer()
+				}
+				if err := rx.Open(frames[i%batch]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSeal times SealFrame of the same two frames.
+func BenchmarkSeal(b *testing.B) {
+	for _, c := range benchFrames {
+		b.Run(c.name, func(b *testing.B) {
+			tx := NewLink(testKey(0x42), 0x0001)
+			p := typedPacket(tx, c.typ, c.size)
+			frame, err := packet.Marshal(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tx.SealFrame(frame, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,9 +2,9 @@
 # check.sh — the local quality gate: format, vet, (optionally) staticcheck,
 # build, full tests (the root package's compares every deterministic
 # table of the evaluation with eval_output.txt), the same tests under the
-# race detector, the benchmark's smoke test, two end-to-end CLI smokes,
-# the coverage ratchet, and the size ledger (counts.sh). CI and
-# contributors run exactly this.
+# race detector, every Go benchmark once, the benchmark's smoke test, two
+# end-to-end CLI smokes, the coverage ratchet, and the size ledger
+# (counts.sh). CI and contributors run exactly this.
 #
 # staticcheck and govulncheck run when their binaries are on PATH (CI
 # installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -55,6 +55,10 @@ echo "==> go test -race"
 # tx-indexes; and the gateway fleet, HTTP backend, and drain poller
 # running in one process.
 go test -race ./...
+echo "==> go test -bench, one iteration each"
+# Every Go benchmark runs once, so one that panics or fails is caught
+# the day it breaks, not the day someone next measures with it.
+go test -run '^$' -bench . -benchtime 1x ./...
 echo "==> bench smoke"
 # bench/ is a nested module the root's ./... does not see; its smoke
 # test runs every BENCHMARK.json workload at toy scale.
