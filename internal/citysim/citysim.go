@@ -374,9 +374,6 @@ type Sim struct {
 	nodes    nodeState
 	// cellStations lists node ids per cell, ascending (static topology).
 	cellStations [][]int32
-	// pop3x3 is the station count of each cell's 3x3 neighborhood, for
-	// bulk loss accounting in sharded mode.
-	pop3x3 []int32
 	// shardOfCol maps a grid column to its owning shard.
 	shardOfCol []int32
 	shards     []*shard
@@ -427,12 +424,6 @@ func (s *Sim) buildNodes(topo *geo.Topology) {
 		c := int32(s.grid.CellOf(p))
 		ns.cell[i] = c
 		s.cellStations[c] = append(s.cellStations[c], int32(i))
-	}
-	s.pop3x3 = make([]int32, s.grid.NumCells())
-	for c := range s.pop3x3 {
-		var pop int32
-		s.grid.ForNeighbors(c, func(nc int) { pop += int32(len(s.cellStations[nc])) })
-		s.pop3x3[c] = pop
 	}
 }
 

@@ -1,6 +1,6 @@
 // radio.go — reception evaluation and carrier sense. Both execution modes
-// share every gate here; the serial full scan simply resolves links by
-// recomputation where the sharded mode uses slab lookups and cell pruning.
+// share every gate after sensitivity; the serial full scan recomputes links
+// to every station, the sharded mode reads the sender's link slab.
 //
 // Cross-mode exactness relies on the radio-relevance bound: a node outside
 // the sender's 3x3 cell neighborhood is farther than one cell side, so its
@@ -12,54 +12,101 @@
 
 package citysim
 
-// evaluateTx evaluates one transmission at every candidate receiver this
-// shard owns. Fired at tx.endNs + W, when every transmission that can
-// overlap tx has crossed a barrier — the interferer set is exact.
+// evaluateTx hands tx to every receiver this shard owns that hears it.
+// Fired at tx.endNs + W, when every transmission that can overlap tx has
+// crossed a barrier — the interferer set is exact.
 func (sh *shard) evaluateTx(tx txRec) {
-	s := sh.sim
-	if s.fullScan {
-		for r := int32(0); r < int32(s.r.Nodes); r++ {
-			if r != tx.sender {
-				sh.evalAt(r, &tx)
+	for _, r := range sh.hear(&tx) {
+		switch tx.kind {
+		case kindHello:
+			sh.onHello(r, &tx)
+		case kindData:
+			if tx.dst == r {
+				sh.onData(r, &tx)
+			}
+		case kindSolicit:
+			sh.onSolicit(r, &tx)
+		case kindInterest:
+			sh.onInterest(r, &tx)
+		case kindNamedData:
+			if tx.dst == r {
+				sh.onNamedData(r, &tx)
 			}
 		}
-		return
 	}
-	scell := s.nodes.cell[tx.sender]
-	if s.shardOfCell(scell) == sh.id {
-		// Bulk-account everything outside the 3x3 neighborhood (which
-		// holds the sender itself) as below sensitivity, exactly once per
-		// transmission (by the cell owner).
-		sh.stats.lostBelowSens += uint64(s.r.Nodes) - uint64(s.pop3x3[scell])
-	}
-	s.grid.ForNeighbors(int(scell), func(c int) {
-		if s.shardOfCell(int32(c)) != sh.id {
-			return
-		}
-		for _, r := range s.cellStations[c] {
-			if r != tx.sender {
-				sh.evalAt(r, &tx)
-			}
-		}
-	})
 }
 
-// evalAt decides one (transmission, receiver) outcome. Gate order is part
-// of the determinism contract: sensitivity first (so bulk-skipped and
-// individually-rejected far nodes share a bucket), then half-duplex,
-// interference, and the erasure channel.
-func (sh *shard) evalAt(r int32, tx *txRec) {
+// hear decides tx at every receiver this shard owns, books each loss, and
+// returns who heard it, ascending (shard scratch). No verdict reads state a
+// handler writes, so deciding all before dispatching any changes nothing.
+func (sh *shard) hear(tx *txRec) []int32 {
 	s := sh.sim
-	loss, ok := s.lossBetween(r, tx.sender)
-	if !ok || loss > s.r.maxLossDel {
-		sh.stats.lostBelowSens++
-		return
+	sh.heard = sh.heard[:0]
+	if s.fullScan {
+		for r := int32(0); r < int32(s.r.Nodes); r++ {
+			if r == tx.sender {
+				continue
+			}
+			loss, ok := s.lossBetween(r, tx.sender)
+			if !ok || loss > s.r.maxLossDel {
+				sh.stats.lostBelowSens++
+				continue
+			}
+			sh.receive(r, tx, loss, sh.flightAll)
+		}
+		return sh.heard
 	}
+	// The sender's slab lists its receivers; linkLoss is symmetric.
+	ns := &s.nodes
+	scell := ns.cell[tx.sender]
+	sh.gatherInterferers(scell, tx)
+	inRange := 0
+	for k := ns.nbrOff[tx.sender]; k < ns.nbrOff[tx.sender+1]; k++ {
+		loss := ns.nbrLoss[k]
+		if loss > s.r.maxLossDel {
+			continue
+		}
+		inRange++
+		if r := ns.nbrID[k]; s.shardOfCell(ns.cell[r]) == sh.id {
+			sh.receive(r, tx, loss, sh.interf)
+		}
+	}
+	if s.shardOfCell(scell) == sh.id { // the rest, booked once, by the sender's owner
+		sh.stats.lostBelowSens += uint64(s.r.Nodes - 1 - inRange)
+	}
+	return sh.heard
+}
+
+// gatherInterferers collects, once per frame, every in-flight record in the
+// sender's 5x5 cell block that overlaps tx and is not the sender's. That
+// holds the 3x3 of every receiver in range; a record outside a receiver's
+// 3x3 is absent from its slab, and lossBetween skips it as before.
+func (sh *shard) gatherInterferers(scell int32, tx *txRec) {
+	g := &sh.sim.grid
+	col, row := g.ColRow(int(scell))
+	cols := g.Cols()
+	sh.interf = sh.interf[:0]
+	for r := max(row-2, 0); r <= min(row+2, g.Rows()-1); r++ {
+		for c := max(col-2, 0); c <= min(col+2, cols-1); c++ {
+			for _, rec := range sh.cellTx[r*cols+c] {
+				if rec.sender != tx.sender && rec.endNs > tx.startNs && rec.startNs < tx.endNs {
+					sh.interf = append(sh.interf, rec)
+				}
+			}
+		}
+	}
+}
+
+// receive applies the gates after sensitivity to receiver r at link loss
+// loss against the candidate interferers recs, in contract order:
+// half-duplex, interference, erasure.
+func (sh *shard) receive(r int32, tx *txRec, loss float64, recs []airRec) {
+	s := sh.sim
 	if s.nodes.transmittedDuring(r, tx.startNs, tx.endNs) {
 		sh.stats.lostHalfDuplex++
 		return
 	}
-	if !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss) {
+	if !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss, recs) {
 		sh.stats.lostCollision++
 		return
 	}
@@ -69,69 +116,37 @@ func (sh *shard) evalAt(r int32, tx *txRec) {
 		return
 	}
 	sh.stats.framesDelivered++
-	switch tx.kind {
-	case kindHello:
-		sh.onHello(r, tx)
-	case kindData:
-		if tx.dst == r {
-			sh.onData(r, tx)
-		}
-	case kindSolicit:
-		sh.onSolicit(r, tx)
-	case kindInterest:
-		sh.onInterest(r, tx)
-	case kindNamedData:
-		if tx.dst == r {
-			sh.onNamedData(r, tx)
-		}
-	}
+	sh.heard = append(sh.heard, r)
 }
 
 // clearOfInterference reports whether the frame survives every concurrent
-// transmission at receiver r under the capture model. Interferers weaker
-// than 10 dB below the noise floor are ignored in both modes (the uniform
-// relevance floor that makes cell pruning exact).
-func (sh *shard) clearOfInterference(r int32, tx *txRec, rssiDBm float64) bool {
+// transmission in recs at receiver r under the capture model. Interferers
+// weaker than 10 dB below the noise floor are ignored in both modes (the
+// uniform relevance floor that makes cell pruning exact). The verdict is
+// an AND over recs, so their order does not matter.
+func (sh *shard) clearOfInterference(r int32, tx *txRec, rssiDBm float64, recs []airRec) bool {
 	s := sh.sim
-	survives := func(rec *airRec) bool {
+	for i := range recs {
+		rec := &recs[i]
 		if rec.sender == tx.sender || rec.sender == r {
-			return true // own frame; own transmissions are half-duplex's job
+			continue // own frame; own transmissions are half-duplex's job
 		}
 		if rec.endNs <= tx.startNs || rec.startNs >= tx.endNs {
-			return true // no overlap
+			continue // no overlap
 		}
 		il, ok := s.lossBetween(r, rec.sender)
 		if !ok {
-			return true
+			continue
 		}
 		irssi := s.r.eirpDBm - il
 		if irssi < s.r.noiseDBm-10 {
-			return true
+			continue
 		}
-		return rssiDBm-irssi >= s.r.captureThDB
+		if rssiDBm-irssi < s.r.captureThDB {
+			return false
+		}
 	}
-	if s.fullScan {
-		for i := range sh.flightAll {
-			if !survives(&sh.flightAll[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	clear := true
-	s.grid.ForNeighbors(int(s.nodes.cell[r]), func(c int) {
-		if !clear {
-			return
-		}
-		recs := sh.cellTx[c]
-		for i := range recs {
-			if !survives(&recs[i]) {
-				clear = false
-				return
-			}
-		}
-	})
-	return clear
+	return true
 }
 
 // channelBusy is the CSMA listen: node i senses energy from any
@@ -141,33 +156,21 @@ func (sh *shard) clearOfInterference(r int32, tx *txRec, rssiDBm float64) bool {
 // same-window cross-shard traffic that hasn't crossed a barrier yet.
 func (sh *shard) channelBusy(i int32, nowNs int64) bool {
 	s := sh.sim
-	busy := false
-	sense := func(rec *airRec) bool {
-		if rec.sender == i || rec.startNs >= sh.winStartNs || rec.endNs <= nowNs {
-			return false
-		}
-		loss, ok := s.lossBetween(i, rec.sender)
-		return ok && loss <= s.r.maxLossDel
-	}
-	if s.fullScan {
-		for k := range sh.flightAll {
-			if sense(&sh.flightAll[k]) {
+	sense := func(recs []airRec) bool {
+		for _, rec := range recs {
+			if rec.sender == i || rec.startNs >= sh.winStartNs || rec.endNs <= nowNs {
+				continue
+			}
+			if loss, ok := s.lossBetween(i, rec.sender); ok && loss <= s.r.maxLossDel {
 				return true
 			}
 		}
 		return false
 	}
-	s.grid.ForNeighbors(int(s.nodes.cell[i]), func(c int) {
-		if busy {
-			return
-		}
-		recs := sh.cellTx[c]
-		for k := range recs {
-			if sense(&recs[k]) {
-				busy = true
-				return
-			}
-		}
-	})
+	if s.fullScan {
+		return sense(sh.flightAll)
+	}
+	busy := false
+	s.grid.ForNeighbors(int(s.nodes.cell[i]), func(c int) { busy = busy || sense(sh.cellTx[c]) })
 	return busy
 }

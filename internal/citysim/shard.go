@@ -109,6 +109,9 @@ type shard struct {
 	cellTx [][]airRec
 	// flightAll is the serial reference's single flat list (fullScan).
 	flightAll []airRec
+	// interf and heard are hear's scratch: interferers, receivers.
+	interf []airRec
+	heard  []int32
 
 	// pkts is the queued-packet slab with a freelist.
 	pkts     []pkt

@@ -49,6 +49,9 @@ func NewCellGrid(minX, minY, maxX, maxY, cellMeters float64) (CellGrid, error) {
 // Cols returns the number of cell columns.
 func (g CellGrid) Cols() int { return g.cols }
 
+// Rows returns the number of cell rows.
+func (g CellGrid) Rows() int { return g.rows }
+
 // NumCells returns the total cell count.
 func (g CellGrid) NumCells() int { return g.cols * g.rows }
 

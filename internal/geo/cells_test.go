@@ -10,8 +10,8 @@ func TestCellGridCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Cols() != 4 || g.rows != 3 || g.NumCells() != 12 {
-		t.Fatalf("got %dx%d cells, want 4x3", g.Cols(), g.rows)
+	if g.Cols() != 4 || g.Rows() != 3 || g.NumCells() != 12 {
+		t.Fatalf("got %dx%d cells, want 4x3", g.Cols(), g.Rows())
 	}
 	// Corners land in the corner cells; out-of-field points clamp.
 	if c := g.CellOf(Point{0, 0}); c != 0 {
@@ -74,6 +74,40 @@ func TestCellGridNeighborInvariant(t *testing.T) {
 		})
 		if !found {
 			t.Fatalf("points %v and %v at distance %.1f not cell neighbors", a, b, a.Distance(b))
+		}
+	}
+}
+
+// TestCellGridBlockHoldsNeighborBlocks is the invariant behind citysim's
+// once-per-frame interferer gather: the 5x5 block around a cell, clamped
+// to the grid by Cols and Rows, contains the 3x3 block of every cell in
+// that cell's 3x3. Random grids of 1 to 12 cells a side, every cell of
+// each, so every border and corner cell is among them.
+func TestCellGridBlockHoldsNeighborBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		side := 10 + rng.Float64()*90
+		w, h := side*float64(1+rng.Intn(12)), side*float64(1+rng.Intn(12))
+		g, err := NewCellGrid(0, 0, w-rng.Float64()*side/2, h-rng.Float64()*side/2, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < g.NumCells(); c++ {
+			col, row := g.ColRow(c)
+			block := map[int]bool{}
+			for r := max(row-2, 0); r <= min(row+2, g.Rows()-1); r++ {
+				for cc := max(col-2, 0); cc <= min(col+2, g.Cols()-1); cc++ {
+					block[r*g.Cols()+cc] = true
+				}
+			}
+			g.ForNeighbors(c, func(n int) {
+				g.ForNeighbors(n, func(m int) {
+					if !block[m] {
+						t.Fatalf("%dx%d grid: cell %d, in the 3x3 of %d's neighbor %d, is outside %d's 5x5",
+							g.Cols(), g.Rows(), m, c, n, c)
+					}
+				})
+			})
 		}
 	}
 }
