@@ -1,6 +1,6 @@
 // radio.go — reception evaluation and carrier sense. Both execution modes
 // share every gate after sensitivity; the serial full scan recomputes links
-// to every station, the sharded mode reads the sender's link slab.
+// to every station, the sharded mode reads the sender's and interferers' slabs.
 //
 // Cross-mode exactness relies on the radio-relevance bound: a node outside
 // the sender's 3x3 cell neighborhood is farther than one cell side, so its
@@ -52,14 +52,14 @@ func (sh *shard) hear(tx *txRec) []int32 {
 				sh.stats.lostBelowSens++
 				continue
 			}
-			sh.receive(r, tx, loss, sh.flightAll)
+			sh.receive(r, tx, !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss, sh.flightAll))
 		}
 		return sh.heard
 	}
 	// The sender's slab lists its receivers; linkLoss is symmetric.
 	ns := &s.nodes
 	scell := ns.cell[tx.sender]
-	sh.gatherInterferers(scell, tx)
+	sh.cands = sh.cands[:0]
 	inRange := 0
 	for k := ns.nbrOff[tx.sender]; k < ns.nbrOff[tx.sender+1]; k++ {
 		loss := ns.nbrLoss[k]
@@ -68,45 +68,79 @@ func (sh *shard) hear(tx *txRec) []int32 {
 		}
 		inRange++
 		if r := ns.nbrID[k]; s.shardOfCell(ns.cell[r]) == sh.id {
-			sh.receive(r, tx, loss, sh.interf)
+			sh.cands = append(sh.cands, candidate{r: r, rssi: s.r.eirpDBm - loss})
 		}
 	}
 	if s.shardOfCell(scell) == sh.id { // the rest, booked once, by the sender's owner
 		sh.stats.lostBelowSens += uint64(s.r.Nodes - 1 - inRange)
 	}
+	if len(sh.cands) == 0 {
+		return sh.heard
+	}
+	sh.capture(scell, tx)
+	for _, c := range sh.cands {
+		sh.receive(c.r, tx, c.captured)
+	}
 	return sh.heard
 }
 
-// gatherInterferers collects, once per frame, every in-flight record in the
-// sender's 5x5 cell block that overlaps tx and is not the sender's. That
-// holds the 3x3 of every receiver in range; a record outside a receiver's
-// 3x3 is absent from its slab, and lossBetween skips it as before.
-func (sh *shard) gatherInterferers(scell int32, tx *txRec) {
+// candidate is a receiver in delivery range of the frame being decided.
+type candidate struct {
+	r        int32
+	captured bool    // by some interferer
+	rssi     float64 // the frame's, at r
+}
+
+// capture is clearOfInterference for every candidate at once: it merges
+// each in-flight record in the sender's 5x5 cell block that overlaps tx and
+// is not the sender's with the candidates. The block holds every
+// candidate's 3x3, and the verdict is an AND, so visit order does not matter.
+func (sh *shard) capture(scell int32, tx *txRec) {
 	g := &sh.sim.grid
 	col, row := g.ColRow(int(scell))
 	cols := g.Cols()
-	sh.interf = sh.interf[:0]
 	for r := max(row-2, 0); r <= min(row+2, g.Rows()-1); r++ {
 		for c := max(col-2, 0); c <= min(col+2, cols-1); c++ {
 			for _, rec := range sh.cellTx[r*cols+c] {
 				if rec.sender != tx.sender && rec.endNs > tx.startNs && rec.startNs < tx.endNs {
-					sh.interf = append(sh.interf, rec)
+					sh.mergeInterferer(rec.sender)
 				}
 			}
 		}
 	}
 }
 
-// receive applies the gates after sensitivity to receiver r at link loss
-// loss against the candidate interferers recs, in contract order:
-// half-duplex, interference, erasure.
-func (sh *shard) receive(r int32, tx *txRec, loss float64, recs []airRec) {
+// mergeInterferer marks the candidates interferer i captures by merging
+// i's slab with them, both ascending by id. Slabs are symmetric and never
+// list their own node, so an id match is exactly lossBetween(r, i)'s pair.
+func (sh *shard) mergeInterferer(i int32) {
+	s, ns := sh.sim, &sh.sim.nodes
+	lo, hi := ns.nbrOff[i], ns.nbrOff[i+1]
+	ids, loss := ns.nbrID[lo:hi], ns.nbrLoss[lo:hi]
+	k := 0
+	for j := range sh.cands {
+		c := &sh.cands[j]
+		for k < len(ids) && ids[k] < c.r {
+			k++
+		}
+		if k == len(ids) {
+			return
+		}
+		if irssi := s.r.eirpDBm - loss[k]; ids[k] == c.r && irssi >= s.r.noiseDBm-10 && c.rssi-irssi < s.r.captureThDB {
+			c.captured = true
+		}
+	}
+}
+
+// receive applies the gates after sensitivity to receiver r in contract
+// order: half-duplex, interference (captured is its verdict), erasure.
+func (sh *shard) receive(r int32, tx *txRec, captured bool) {
 	s := sh.sim
 	if s.nodes.transmittedDuring(r, tx.startNs, tx.endNs) {
 		sh.stats.lostHalfDuplex++
 		return
 	}
-	if !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss, recs) {
+	if captured {
 		sh.stats.lostCollision++
 		return
 	}
@@ -120,10 +154,10 @@ func (sh *shard) receive(r int32, tx *txRec, loss float64, recs []airRec) {
 }
 
 // clearOfInterference reports whether the frame survives every concurrent
-// transmission in recs at receiver r under the capture model. Interferers
-// weaker than 10 dB below the noise floor are ignored in both modes (the
-// uniform relevance floor that makes cell pruning exact). The verdict is
-// an AND over recs, so their order does not matter.
+// transmission in recs at receiver r under the capture model; capture does
+// the same for every receiver at once. Interferers weaker than 10 dB below
+// the noise floor are ignored in both modes (the uniform relevance floor
+// that makes cell pruning exact). The verdict is an AND over recs.
 func (sh *shard) clearOfInterference(r int32, tx *txRec, rssiDBm float64, recs []airRec) bool {
 	s := sh.sim
 	for i := range recs {

@@ -109,9 +109,10 @@ type shard struct {
 	cellTx [][]airRec
 	// flightAll is the serial reference's single flat list (fullScan).
 	flightAll []airRec
-	// interf and heard are hear's scratch: interferers, receivers.
-	interf []airRec
-	heard  []int32
+	// cands and heard are hear's scratch: receivers in range, receivers
+	// that heard.
+	cands []candidate
+	heard []int32
 
 	// pkts is the queued-packet slab with a freelist.
 	pkts     []pkt

@@ -37,39 +37,25 @@ func (e *nodeEnv) Schedule(d time.Duration, fn func()) func() {
 	return func() { e.sim.Sched.Cancel(h) }
 }
 
-// NewTimer implements core.TimerEnv: a reusable single-shot timer
-// holding a scheduler handle directly, so re-arming allocates nothing
-// (Schedule wraps every call in a fresh cancel closure).
+// NewTimer implements core.TimerEnv: a reusable single-shot timer holding
+// its last scheduler handle, so re-arming allocates nothing, and cancelling
+// it unconditionally, since a fired or zero handle cancels nothing.
 func (e *nodeEnv) NewTimer(fn func()) core.Timer {
-	t := &simTimer{sched: e.sim.Sched}
-	t.fire = func() {
-		t.armed = false
-		fn()
-	}
-	return t
+	return &simTimer{sched: e.sim.Sched, fire: fn}
 }
 
 type simTimer struct {
 	sched *simtime.Scheduler
 	fire  func()
 	h     simtime.Handle
-	armed bool
 }
 
 func (t *simTimer) Reset(d time.Duration) {
-	if t.armed {
-		t.sched.Cancel(t.h)
-	}
-	t.armed = true
+	t.sched.Cancel(t.h)
 	t.h = t.sched.MustAfter(d, t.fire)
 }
 
-func (t *simTimer) Stop() {
-	if t.armed {
-		t.sched.Cancel(t.h)
-		t.armed = false
-	}
-}
+func (t *simTimer) Stop() { t.sched.Cancel(t.h) }
 
 // Transmit implements core.Env.
 func (e *nodeEnv) Transmit(frame []byte) (time.Duration, error) {

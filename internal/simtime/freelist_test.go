@@ -6,9 +6,9 @@ import (
 )
 
 // The freelist tests are white-box: they reach into Scheduler.free to
-// verify events are recycled exactly when they leave the heap (fired, or
-// popped while cancelled) and never sooner, since premature reuse would
-// corrupt a pending callback.
+// verify slots are recycled exactly when their entries leave the heap
+// (fired, or popped while cancelled) and never sooner, since premature
+// reuse would corrupt a pending callback.
 
 func TestFreelistRecyclesFiredEvents(t *testing.T) {
 	s := NewScheduler(testEpoch)
@@ -22,10 +22,10 @@ func TestFreelistRecyclesFiredEvents(t *testing.T) {
 	if len(s.free) != 4 {
 		t.Fatalf("freelist has %d entries after 4 fires, want 4", len(s.free))
 	}
-	// A recycled event must not retain the old callback or handle.
-	for _, ev := range s.free {
-		if ev.fn != nil || ev.handle != 0 || ev.canceled {
-			t.Fatalf("freelist entry not cleared: %+v", ev)
+	// A recycled slot must not retain the old callback or sequence.
+	for _, slot := range s.free {
+		if ev := s.events[slot]; ev.fn != nil || ev.seq != 0 {
+			t.Fatalf("freelist slot %d not cleared: %+v", slot, ev)
 		}
 	}
 	// New schedules drain the freelist instead of allocating.
@@ -43,7 +43,7 @@ func TestFreelistCancelledEventRecycledOnlyAtPop(t *testing.T) {
 	if !s.Cancel(h) {
 		t.Fatal("Cancel failed")
 	}
-	// Cancel must NOT recycle: the heap still references the event.
+	// Cancel must NOT recycle: the heap still names the slot.
 	if len(s.free) != 0 {
 		t.Fatalf("freelist has %d entries right after Cancel, want 0", len(s.free))
 	}
@@ -59,7 +59,7 @@ func TestFreelistCancelledEventRecycledOnlyAtPop(t *testing.T) {
 func TestFreelistHandlesStayUniqueAcrossReuse(t *testing.T) {
 	s := NewScheduler(testEpoch)
 	seen := make(map[Handle]bool)
-	// Churn the same pooled events through many schedule/fire and
+	// Churn the same pooled slots through many schedule/fire and
 	// schedule/cancel cycles; every handle must still be distinct.
 	for cycle := 0; cycle < 50; cycle++ {
 		var hs []Handle
@@ -68,7 +68,7 @@ func TestFreelistHandlesStayUniqueAcrossReuse(t *testing.T) {
 		}
 		for _, h := range hs {
 			if seen[h] {
-				t.Fatalf("handle %d repeated after event reuse", h)
+				t.Fatalf("handle %v repeated after slot reuse", h)
 			}
 			seen[h] = true
 		}
@@ -80,7 +80,7 @@ func TestFreelistHandlesStayUniqueAcrossReuse(t *testing.T) {
 }
 
 func TestFreelistRescheduleFromCallback(t *testing.T) {
-	// A callback that schedules immediately gets the event it is running
+	// A callback that schedules immediately gets the slot it is running
 	// from (released before fn() runs). The chain must still execute in
 	// order with distinct handles.
 	s := NewScheduler(testEpoch)
@@ -107,10 +107,10 @@ func TestFreelistRescheduleFromCallback(t *testing.T) {
 	}
 	for i := 1; i < len(hs); i++ {
 		if hs[i] == hs[i-1] {
-			t.Fatalf("consecutive handles equal: %d", hs[i])
+			t.Fatalf("consecutive handles equal: %v", hs[i])
 		}
 	}
-	// The whole chain reused a single pooled event.
+	// The whole chain reused a single pooled slot.
 	if len(s.free) != 1 {
 		t.Fatalf("freelist has %d entries after chain, want 1", len(s.free))
 	}
@@ -120,13 +120,16 @@ func TestFreelistStaleHandleCancelIsNoop(t *testing.T) {
 	s := NewScheduler(testEpoch)
 	h := s.MustAfter(time.Second, func() {})
 	s.Run(0)
-	// The event behind h is now on the freelist; reuse it.
+	// The slot behind h is now on the freelist; reuse it.
 	fired := false
 	h2 := s.MustAfter(time.Second, func() { fired = true })
 	if h == h2 {
-		t.Fatal("reused event kept its old handle")
+		t.Fatal("reused slot kept its old handle")
 	}
-	// Cancelling the stale handle must not touch the reused event.
+	if h.slot != h2.slot {
+		t.Fatalf("At took slot %d, want the freed slot %d", h2.slot, h.slot)
+	}
+	// Cancelling the stale handle must not touch the reused slot.
 	if s.Cancel(h) {
 		t.Fatal("Cancel(stale) returned true")
 	}

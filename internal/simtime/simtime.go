@@ -9,95 +9,63 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
 
-// Handle identifies a scheduled event so that it can be cancelled.
-// The zero Handle is invalid and is never returned by the scheduler.
-type Handle uint64
+// Handle identifies a scheduled event so that it can be cancelled: the
+// event's slot and its schedule sequence number. The zero Handle is
+// invalid and is never returned by the scheduler.
+type Handle struct {
+	slot int32
+	seq  uint64
+}
 
-// event is a single scheduled callback. Events are pooled on the
-// scheduler's freelist: one is recycled only after it leaves the heap
-// (fired or popped while cancelled), never at Cancel time, because the
-// heap still references a cancelled event until Step or peek discards it.
+// event is a scheduled callback in the scheduler's slab. seq is the live
+// event's schedule number and 0 once it fired or was cancelled. A slot
+// returns to the freelist only when its heap entry leaves the heap, never
+// at Cancel time, because the entry still names the slot until Step or
+// NextAt discards it.
 type event struct {
-	at       time.Time
-	atNs     int64  // at.UnixNano(), precomputed for heap ordering
-	seq      uint64 // tie-breaker: schedule order
-	fn       func()
-	handle   Handle
-	canceled bool
-	index    int // position in the heap, maintained by eventQueue
+	at  time.Time
+	fn  func()
+	seq uint64
 }
 
-// eventQueue is a min-heap of events ordered by (at, seq).
-type eventQueue []*event
-
-var _ heap.Interface = (*eventQueue)(nil)
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].atNs != q[j].atNs {
-		return q[i].atNs < q[j].atNs
-	}
-	return q[i].seq < q[j].seq
+// entry is one heap element: the event's ordering key and its slot. An
+// entry whose seq differs from its slot's is a cancelled event.
+type entry struct {
+	atNs int64  // at.UnixNano(), precomputed for ordering
+	seq  uint64 // tie-breaker: schedule order
+	slot int32
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		panic(fmt.Sprintf("simtime: pushed non-event %T", x))
-	}
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+func (a entry) before(b entry) bool {
+	return a.atNs < b.atNs || (a.atNs == b.atNs && a.seq < b.seq)
 }
 
 // Scheduler is a deterministic discrete-event scheduler. It is not safe for
 // concurrent use; the simulation drives it from a single goroutine.
 type Scheduler struct {
 	now     time.Time
-	queue   eventQueue
+	heap    []entry // binary min-heap ordered by (atNs, seq)
+	events  []event
+	free    []int32 // slots whose entries have left the heap
 	nextSeq uint64
-	pending map[Handle]*event
+	live    int
 	fired   uint64
-	// free holds events that have left the heap, ready for reuse by At.
-	// Handles stay unique across reuse because they come from nextSeq,
-	// which never repeats.
-	free []*event
 }
 
 // NewScheduler returns a scheduler whose clock starts at start.
 func NewScheduler(start time.Time) *Scheduler {
-	return &Scheduler{
-		now:     start,
-		pending: make(map[Handle]*event),
-	}
+	return &Scheduler{now: start}
 }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.now }
 
 // Len returns the number of pending (non-cancelled) events.
-func (s *Scheduler) Len() int { return len(s.pending) }
+func (s *Scheduler) Len() int { return s.live }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -106,47 +74,29 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // is an error: the simulation would lose causal ordering.
 func (s *Scheduler) At(at time.Time, fn func()) (Handle, error) {
 	if fn == nil {
-		return 0, fmt.Errorf("simtime: schedule nil callback at %v", at)
+		return Handle{}, fmt.Errorf("simtime: schedule nil callback at %v", at)
 	}
 	if at.Before(s.now) {
-		return 0, fmt.Errorf("simtime: schedule at %v is before now %v", at, s.now)
+		return Handle{}, fmt.Errorf("simtime: schedule at %v is before now %v", at, s.now)
 	}
 	s.nextSeq++
-	var ev *event
+	slot := int32(len(s.events))
 	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+		slot, s.free = s.free[n-1], s.free[:n-1]
 	} else {
-		ev = &event{}
+		s.events = append(s.events, event{})
 	}
-	ev.at = at
-	ev.atNs = at.UnixNano()
-	ev.seq = s.nextSeq
-	ev.fn = fn
-	ev.handle = Handle(s.nextSeq)
-	ev.canceled = false
-	heap.Push(&s.queue, ev)
-	s.pending[ev.handle] = ev
-	return ev.handle, nil
-}
-
-// release returns an event that has left the heap to the freelist,
-// dropping its callback so the closure (and anything it captures) is not
-// retained past the fire.
-func (s *Scheduler) release(ev *event) {
-	ev.fn = nil
-	ev.handle = 0
-	ev.canceled = false
-	ev.index = -1
-	s.free = append(s.free, ev)
+	s.events[slot] = event{at: at, fn: fn, seq: s.nextSeq}
+	s.push(entry{atNs: at.UnixNano(), seq: s.nextSeq, slot: slot})
+	s.live++
+	return Handle{slot: slot, seq: s.nextSeq}, nil
 }
 
 // After schedules fn to run d after the current virtual time. A negative
 // duration is an error.
 func (s *Scheduler) After(d time.Duration, fn func()) (Handle, error) {
 	if d < 0 {
-		return 0, fmt.Errorf("simtime: negative delay %v", d)
+		return Handle{}, fmt.Errorf("simtime: negative delay %v", d)
 	}
 	return s.At(s.now.Add(d), fn)
 }
@@ -164,36 +114,34 @@ func (s *Scheduler) MustAfter(d time.Duration, fn func()) Handle {
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending; cancelling an already-fired or already-cancelled event is a
-// harmless no-op that returns false.
+// harmless no-op that returns false. Sequence numbers never repeat, so a
+// handle whose slot has since been reused no longer matches it.
 func (s *Scheduler) Cancel(h Handle) bool {
-	ev, ok := s.pending[h]
-	if !ok {
+	if h.seq == 0 || int(h.slot) >= len(s.events) || s.events[h.slot].seq != h.seq {
 		return false
 	}
-	ev.canceled = true
-	delete(s.pending, h)
+	s.events[h.slot] = event{}
+	s.live--
 	return true
 }
 
 // Step executes the next pending event, advancing the clock to its
 // scheduled time. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for s.queue.Len() > 0 {
-		ev, ok := heap.Pop(&s.queue).(*event)
-		if !ok {
-			panic("simtime: queue held non-event")
+	for len(s.heap) > 0 {
+		e := s.pop()
+		ev := &s.events[e.slot]
+		// Recycle before firing: the entry is out of the heap, so the
+		// callback can schedule freely, even into this slot.
+		s.free = append(s.free, e.slot)
+		if ev.seq != e.seq {
+			continue // cancelled
 		}
-		if ev.canceled {
-			s.release(ev)
-			continue
-		}
-		delete(s.pending, ev.handle)
-		s.now = ev.at
-		s.fired++
 		fn := ev.fn
-		// Recycle before firing: the event is out of the heap and out of
-		// pending, so the callback can schedule freely without observing it.
-		s.release(ev)
+		s.now = ev.at
+		*ev = event{}
+		s.live--
+		s.fired++
 		fn()
 		return true
 	}
@@ -204,18 +152,7 @@ func (s *Scheduler) Step() bool {
 // next event is after deadline. The clock is left at the later of its
 // current value and deadline, so periodic measurements can rely on the
 // clock having reached the deadline even in an idle network.
-func (s *Scheduler) RunUntil(deadline time.Time) {
-	for {
-		next, ok := s.peek()
-		if !ok || next.at.After(deadline) {
-			break
-		}
-		s.Step()
-	}
-	if s.now.Before(deadline) {
-		s.now = deadline
-	}
-}
+func (s *Scheduler) RunUntil(deadline time.Time) { s.runTo(deadline, true) }
 
 // RunBefore executes events in order while they are scheduled strictly
 // before t, then advances the clock to t. It is the windowed-execution
@@ -224,10 +161,14 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 // next window — after the barrier at b — never to this one. Leaving the
 // clock at t lets barrier-time integration schedule events at >= t without
 // tripping the schedule-in-the-past guard.
-func (s *Scheduler) RunBefore(t time.Time) {
+func (s *Scheduler) RunBefore(t time.Time) { s.runTo(t, false) }
+
+// runTo executes events in order while they are scheduled before t, or at
+// t when inclusive, then advances the clock to t unless it is later.
+func (s *Scheduler) runTo(t time.Time, inclusive bool) {
 	for {
-		next, ok := s.peek()
-		if !ok || !next.at.Before(t) {
+		next, ok := s.NextAt()
+		if !ok || next.After(t) || !inclusive && next.Equal(t) {
 			break
 		}
 		s.Step()
@@ -255,24 +196,62 @@ func (s *Scheduler) Run(maxEvents int) int {
 	return n
 }
 
-// peek returns the earliest pending event without executing it.
-func (s *Scheduler) peek() (*event, bool) {
-	for s.queue.Len() > 0 {
-		ev := s.queue[0]
-		if !ev.canceled {
-			return ev, true
+// NextAt returns the time of the earliest pending event, discarding
+// cancelled entries from the top of the heap on the way.
+func (s *Scheduler) NextAt() (time.Time, bool) {
+	for len(s.heap) > 0 {
+		e := s.heap[0]
+		if ev := &s.events[e.slot]; ev.seq == e.seq {
+			return ev.at, true
 		}
-		heap.Pop(&s.queue)
-		s.release(ev)
+		s.pop()
+		s.free = append(s.free, e.slot)
 	}
-	return nil, false
+	return time.Time{}, false
 }
 
-// NextAt returns the time of the earliest pending event.
-func (s *Scheduler) NextAt() (time.Time, bool) {
-	ev, ok := s.peek()
-	if !ok {
-		return time.Time{}, false
+// push adds e to the heap, sifting it up from the last position.
+func (s *Scheduler) push(e entry) {
+	s.heap = append(s.heap, e)
+	h := s.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return ev.at, true
+	h[i] = e
+}
+
+// pop removes and returns the heap's minimum, sifting the last entry down
+// from the root.
+func (s *Scheduler) pop() entry {
+	h := s.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	s.heap = h[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }

@@ -257,3 +257,24 @@ func BenchmarkSchedulerScheduleAndFire(b *testing.B) {
 	}
 	s.Run(0)
 }
+
+// BenchmarkSchedulerTimerChurn prices Cancel the way netsim's reusable
+// timers spend it: a Reset cancels the armed event and schedules afresh,
+// so many events die before they fire. Each op re-arms one of 256 timers
+// 100 ms to 1.1 s out and advances the clock 1 ms, firing what is due.
+func BenchmarkSchedulerTimerChurn(b *testing.B) {
+	s := NewScheduler(testEpoch)
+	nop := func() {}
+	hs := make([]Handle, 256)
+	for i := range hs {
+		hs[i] = s.MustAfter(time.Duration(i)*time.Millisecond, nop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(hs)
+		s.Cancel(hs[k])
+		hs[k] = s.MustAfter(time.Duration(100+i%1000)*time.Millisecond, nop)
+		s.RunFor(time.Millisecond)
+	}
+}
