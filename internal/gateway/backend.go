@@ -1,9 +1,13 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/packet"
@@ -49,8 +53,8 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	b.mu.Unlock()
 
-	var ur uplinkRequest
-	if err := json.NewDecoder(req.Body).Decode(&ur); err != nil {
+	ur, err := decodeUplinkRequest(req.Body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -72,6 +76,36 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)
 }
+
+// maxParsedBody bounds how much of a POST body the backend reads for
+// parseUplinkRequest; a longer body goes to encoding/json, those bytes first.
+const maxParsedBody = 1 << 20
+
+// decodeUplinkRequest decodes a POST body. A body that appendUplinkRequest
+// could have written is read by its twin; any other reaches
+// json.NewDecoder(...).Decode as the same stream of bytes and the same read
+// error it would have met unbuffered, so it fares exactly as it always has
+// (trailing bytes after the object included, which Decode ignores).
+func decodeUplinkRequest(body io.Reader) (uplinkRequest, error) {
+	b, rerr := io.ReadAll(io.LimitReader(body, maxParsedBody+1))
+	if rerr == nil && len(b) <= maxParsedBody {
+		if ur, ok := parseUplinkRequest(b); ok {
+			return ur, nil
+		}
+	}
+	rest := body // past the bound, or at EOF
+	if rerr != nil {
+		rest = failedReader{rerr}
+	}
+	var ur uplinkRequest
+	err := json.NewDecoder(io.MultiReader(bytes.NewReader(b), rest)).Decode(&ur)
+	return ur, err
+}
+
+// failedReader returns err from every Read.
+type failedReader struct{ err error }
+
+func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 // SetFailing switches an indefinite outage on or off.
 func (b *Backend) SetFailing(on bool) {
@@ -158,10 +192,12 @@ func NewShardedBackend(n int) *ShardedBackend {
 	return sb
 }
 
-// ServeHTTP routes "/s/<i>" to shard i.
+// ServeHTTP routes "/s/<i>", exactly as URLs writes it, to shard i; any
+// other path is 404.
 func (sb *ShardedBackend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	var i int
-	if _, err := fmt.Sscanf(req.URL.Path, "/s/%d", &i); err != nil || i < 0 || i >= len(sb.shards) {
+	num, ok := strings.CutPrefix(req.URL.Path, "/s/")
+	i, err := strconv.Atoi(num)
+	if !ok || err != nil || strconv.Itoa(i) != num || i < 0 || i >= len(sb.shards) {
 		http.Error(w, "no such shard", http.StatusNotFound)
 		return
 	}

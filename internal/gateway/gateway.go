@@ -90,7 +90,7 @@ type Reading struct {
 // readingJSON is Reading's wire/WAL form: the trace ID travels as the
 // canonical 16-hex-digit string so non-Go backends never face a 64-bit
 // JSON number. It is the decode-side schema; appendReading (spool.go) is
-// the encoder.
+// the encoder, and parseReading its twin for POST bodies.
 type readingJSON struct {
 	From     packet.Address `json:"from"`
 	To       packet.Address `json:"to"`
@@ -152,7 +152,7 @@ type Downlink struct {
 }
 
 // uplinkRequest is the POST body, as the backend decodes it;
-// appendUplinkRequest is the encoder.
+// appendUplinkRequest is the encoder, parseUplinkRequest its twin.
 type uplinkRequest struct {
 	Gateway  packet.Address `json:"gateway"`
 	Readings []Reading      `json:"readings"`
@@ -170,6 +170,38 @@ func appendUplinkRequest(dst []byte, gw packet.Address, batch []Reading) []byte 
 		dst = appendReading(dst, &batch[i])
 	}
 	return append(dst, ']', '}')
+}
+
+// parseUplinkRequest is appendUplinkRequest's twin: it decodes b when b is
+// exactly a body that encoder writes, and reports ok false for anything
+// else (see parseReading).
+func parseUplinkRequest(b []byte) (ur uplinkRequest, ok bool) {
+	if b, ok = cut(b, `{"gateway":`); !ok {
+		return ur, false
+	}
+	if ur.Gateway, b, ok = parseAddr(b); !ok {
+		return ur, false
+	}
+	if b, ok = cut(b, `,"readings":[`); !ok {
+		return ur, false
+	}
+	ur.Readings = []Reading{} // encoding/json's value for [], not nil
+	if string(b) == "]}" {
+		return ur, true
+	}
+	for {
+		var r Reading
+		if r, b, ok = parseReading(b); !ok {
+			return uplinkRequest{}, false
+		}
+		ur.Readings = append(ur.Readings, r)
+		if string(b) == "]}" {
+			return ur, true
+		}
+		if b, ok = cut(b, ","); !ok {
+			return uplinkRequest{}, false
+		}
+	}
 }
 
 // uplinkResponse is the POST response body.
@@ -800,13 +832,20 @@ func (g *Gateway) post(url string, addr packet.Address, batch []Reading) (*uplin
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return nil, rtt, fmt.Errorf("gateway: backend status %d", resp.StatusCode)
 	}
+	ur, err := decodeUplinkResponse(raw)
+	return ur, rtt, err
+}
+
+// decodeUplinkResponse decodes a 2xx response body; an empty one accepts
+// the batch with no downlinks.
+func decodeUplinkResponse(raw []byte) (*uplinkResponse, error) {
 	var ur uplinkResponse
 	if len(raw) > 0 {
 		if err := json.Unmarshal(raw, &ur); err != nil {
-			return nil, rtt, fmt.Errorf("gateway: decode response: %w", err)
+			return nil, fmt.Errorf("gateway: decode response: %w", err)
 		}
 	}
-	return &ur, rtt, nil
+	return &ur, nil
 }
 
 // injectDownlinks pushes backend commands into the mesh via the sender.

@@ -1,14 +1,18 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/control"
+	"repro/internal/meshsec"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -293,6 +297,94 @@ func TestGatewayDownlinkInjection(t *testing.T) {
 	reg := g.Metrics()
 	if reg.Counter("gw.downlink.received").Value() != 1 || reg.Counter("gw.downlink.injected").Value() != 1 {
 		t.Fatal("downlink metrics missing")
+	}
+}
+
+// FuzzUplinkResponse feeds arbitrary 2xx bodies through post's decode and
+// on into the mesh. The decode returns an error or a response, never both
+// nor neither, and every downlink the response carries is injected, counted
+// as an injection error, or skipped as an older version of a command
+// already injected — and nothing panics on the way.
+func FuzzUplinkResponse(f *testing.F) {
+	b := NewBackend()
+	b.PushDownlink(Downlink{To: 0x0007, Command: &control.Command{Op: control.OpRekey, Seq: 3, KeyEpoch: 2, Key: meshsec.Key{1, 2, 3}}})
+	b.PushDownlink(Downlink{To: 0x0009, Payload: []byte("valve off"), Reliable: true})
+	rec := httptest.NewRecorder()
+	b.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(appendUplinkRequest(nil, 0x0001, []Reading{testReading(0)}))))
+	if rec.Code != http.StatusOK {
+		f.Fatalf("backend answered %d", rec.Code)
+	}
+	f.Add(rec.Body.Bytes())
+	f.Add([]byte(""))
+	f.Add([]byte("null"))
+	f.Add([]byte(`{"accepted":1,"downlinks":[{"to":65535,"payload":"AQ=="},{"to":7,"command":{"Op":9,"Seq":1}}]}`))
+	f.Add([]byte(`{"downlinks":[{"to":7,"command":{"Op":1,"Seq":5,"DutyCycle":1e300,"HelloPeriod":-1}},{"to":7,"command":{"Op":1,"Seq":4}}]}`))
+
+	g, err := New(Config{URLs: []string{"http://127.0.0.1:9/uplink"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { g.Close() })
+	g.SetSender(func(d Downlink) error {
+		if d.To == packet.Broadcast {
+			return fmt.Errorf("no route to %v", d.To)
+		}
+		return nil
+	})
+	reg := g.Metrics()
+	counts := func() (received, settled uint64) {
+		return reg.Counter("gw.downlink.received").Value(),
+			reg.Counter("gw.downlink.injected").Value() + reg.Counter("gw.downlink.errors").Value() + reg.Counter("gw.downlink.stale").Value()
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ur, err := decodeUplinkResponse(data)
+		if (ur == nil) == (err == nil) {
+			t.Fatalf("decode returned %v and %v", ur, err)
+		}
+		if err != nil {
+			return
+		}
+		received, settled := counts()
+		g.injectDownlinks(ur.Downlinks)
+		received2, settled2 := counts()
+		if n := uint64(len(ur.Downlinks)); received2-received != n || settled2-settled != n {
+			t.Fatalf("%d downlinks: %d received, %d injected, failed or stale", n, received2-received, settled2-settled)
+		}
+	})
+}
+
+// TestShardedBackendRoutesExactPaths holds the router to the paths URLs
+// writes: anything else is 404, not a near-miss parse into some shard.
+func TestShardedBackendRoutesExactPaths(t *testing.T) {
+	sb := NewShardedBackend(2)
+	body := appendUplinkRequest(nil, 0x0001, []Reading{testReading(0)})
+	for _, tc := range []struct {
+		path  string
+		shard int // -1: no shard
+	}{
+		{"/s/0", 0},
+		{"/s/1", 1},
+		{"/s/0/readings", -1},
+		{"/s/1x", -1},
+		{"/s/+1", -1},
+		{"/s/ 1", -1},
+		{"/s/01", -1},
+		{"/s/2", -1},
+		{"/s/-1", -1},
+		{"/s/", -1},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		req.URL.Path = tc.path
+		before := sb.Batches()
+		rec := httptest.NewRecorder()
+		sb.ServeHTTP(rec, req)
+		switch {
+		case tc.shard < 0 && (rec.Code != http.StatusNotFound || sb.Batches() != before):
+			t.Errorf("%q: status %d, %d batches accepted; want 404 and none", tc.path, rec.Code, sb.Batches()-before)
+		case tc.shard >= 0 && (rec.Code != http.StatusOK || sb.Shard(tc.shard).Batches() != 1):
+			t.Errorf("%q: status %d, shard %d holds %d batches; want 200 and one", tc.path, rec.Code, tc.shard, sb.Shard(tc.shard).Batches())
+		}
 	}
 }
 

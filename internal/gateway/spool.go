@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
@@ -346,6 +347,124 @@ func appendReading(dst []byte, r *Reading) []byte {
 	}
 	dst = r.At.AppendFormat(dst, time.RFC3339Nano)
 	return append(dst, '"', '}')
+}
+
+// parseReading is appendReading's twin: it decodes the reading at the front
+// of b when b starts with exactly the bytes appendReading writes — its key
+// order, no whitespace, no escapes, decimal addresses without leading
+// zeros, a 16-digit lowercase hex trace, padded standard base64 — and
+// returns what follows. Anything else is not canonical (ok false), and the
+// caller hands the whole input to encoding/json instead, so the twin never
+// has to reject what encoding/json would accept. Where it does accept, it
+// yields what encoding/json yields: the payload through the same base64
+// decode into a fresh slice, the time through the same
+// time.Time.UnmarshalJSON call (FuzzDecodeMatchesJSON holds it to that).
+func parseReading(b []byte) (r Reading, rest []byte, ok bool) {
+	if b, ok = cut(b, `{"from":`); !ok {
+		return r, nil, false
+	}
+	if r.From, b, ok = parseAddr(b); !ok {
+		return r, nil, false
+	}
+	if b, ok = cut(b, `,"to":`); !ok {
+		return r, nil, false
+	}
+	if r.To, b, ok = parseAddr(b); !ok {
+		return r, nil, false
+	}
+	if b, ok = cut(b, `,"trace":"`); !ok {
+		return r, nil, false
+	}
+	if r.Trace, b, ok = parseHexTrace(b); !ok {
+		return r, nil, false
+	}
+	if b, ok = cut(b, `","payload":"`); !ok {
+		return r, nil, false
+	}
+	// The decoder rejects every byte outside the padded alphabet except
+	// \r and \n, which it skips and a JSON string cannot hold unescaped.
+	n := bytes.IndexByte(b, '"')
+	if n < 0 || bytes.ContainsAny(b[:n], "\r\n") {
+		return r, nil, false
+	}
+	r.Payload = make([]byte, base64.StdEncoding.DecodedLen(n))
+	m, err := base64.StdEncoding.Decode(r.Payload, b[:n])
+	if err != nil {
+		return r, nil, false
+	}
+	r.Payload = r.Payload[:m]
+	b = b[n:]
+	if rb, rel := cut(b, `","reliable":true,"at":`); rel {
+		r.Reliable, b = true, rb
+	} else if b, ok = cut(b, `","at":`); !ok {
+		return r, nil, false
+	}
+	// The time goes to time.Time.UnmarshalJSON with its quotes, as
+	// encoding/json hands it over; the twin only checks that the quoted
+	// bytes are a JSON string with nothing to unescape.
+	if len(b) == 0 || b[0] != '"' {
+		return r, nil, false
+	}
+	n = bytes.IndexByte(b[1:], '"') + 1 // the closing quote, or 0
+	if n == 0 || !isPlainString(b[1:n]) || r.At.UnmarshalJSON(b[:n+1]) != nil {
+		return r, nil, false
+	}
+	if b, ok = cut(b[n+1:], "}"); !ok {
+		return r, nil, false
+	}
+	return r, b, true
+}
+
+// cut removes lit from the front of b.
+func cut(b []byte, lit string) ([]byte, bool) {
+	if len(b) < len(lit) || string(b[:len(lit)]) != lit {
+		return b, false
+	}
+	return b[len(lit):], true
+}
+
+// parseAddr reads a packet address as strconv.AppendUint writes it: 0, or
+// up to five digits without a leading zero, at most 65535.
+func parseAddr(b []byte) (packet.Address, []byte, bool) {
+	n, v := 0, 0
+	for n < len(b) && n <= 5 && '0' <= b[n] && b[n] <= '9' {
+		v = v*10 + int(b[n]-'0')
+		n++
+	}
+	if n == 0 || n > 5 || v > 0xFFFF || (n > 1 && b[0] == '0') {
+		return 0, b, false
+	}
+	return packet.Address(v), b[n:], true
+}
+
+// parseHexTrace reads the 16 lowercase hex digits appendHexTrace writes.
+func parseHexTrace(b []byte) (trace.TraceID, []byte, bool) {
+	if len(b) < 16 {
+		return 0, b, false
+	}
+	var v uint64
+	for _, c := range b[:16] {
+		switch {
+		case '0' <= c && c <= '9':
+			v = v<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			v = v<<4 | uint64(c-'a'+10)
+		default:
+			return 0, b, false
+		}
+	}
+	return trace.TraceID(v), b[16:], true
+}
+
+// isPlainString reports whether s can sit between JSON quotes as it is:
+// printable ASCII, no quote, no backslash.
+func isPlainString(s []byte) bool {
+	for _, c := range s {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // encodePut appends one framed put record to dst.

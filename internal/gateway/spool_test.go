@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -606,23 +609,28 @@ func traces(rs []Reading) []trace.TraceID {
 // hand-built uplink body is json.Marshal of an uplinkRequest, byte for
 // byte. (A nil payload is the one difference: json writes null, the hand
 // encoder — as it always has in the WAL — "", and both decode to no bytes.)
+// Every reading and body must also be read by the encoder's twin, never
+// left to the fallback, into exactly what encoding/json reads.
 func TestEncodersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zones := []*time.Location{time.UTC, time.FixedZone("", 5*3600+30*60), time.FixedZone("", -8*3600)}
+	twinMatches(t, "appendUplinkRequest, empty batch", appendUplinkRequest(nil, 0xFFFF, nil), parseUplinkRequest, refDecodeBody)
 	var batch []Reading
 	for i := 0; i < 300; i++ {
 		r := Reading{
 			From:     packet.Address(rng.Intn(1 << 16)),
 			To:       packet.Address(rng.Intn(1 << 16)),
 			Trace:    trace.TraceID(rng.Uint64()),
-			Payload:  make([]byte, []int{0, 1, 255}[i%3]),
 			Reliable: rng.Intn(2) == 0,
 			At:       time.Unix(rng.Int63n(4e9), []int64{0, 1, 120_000_000, 999_999_999}[i%4]).In(zones[rng.Intn(len(zones))]),
 		}
-		rng.Read(r.Payload)
+		if n := []int{-1, 0, 1, 255}[i/4%4]; n >= 0 {
+			r.Payload = make([]byte, n)
+			rng.Read(r.Payload)
+		}
 		want, err := json.Marshal(readingJSON{
 			From: r.From, To: r.To, Trace: r.Trace.String(),
-			Payload: r.Payload, Reliable: r.Reliable, At: r.At,
+			Payload: append([]byte{}, r.Payload...), Reliable: r.Reliable, At: r.At,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -634,6 +642,7 @@ func TestEncodersAgree(t *testing.T) {
 		if over := len(got) - base64.StdEncoding.EncodedLen(len(r.Payload)); over > readingJSONMax {
 			t.Fatalf("reading encodes to %d bytes beyond its payload, readingJSONMax is %d", over, readingJSONMax)
 		}
+		twinMatches(t, "appendReading", got, parseWholeReading, refDecodeReading)
 		batch = append(batch, r)
 		if len(batch) == 1+i%7 {
 			gw := packet.Address(rng.Intn(1 << 16))
@@ -641,10 +650,153 @@ func TestEncodersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := appendUplinkRequest(nil, gw, batch); !bytes.Equal(got, want) {
+			got := appendUplinkRequest(nil, gw, batch)
+			if !bytes.Equal(got, want) {
 				t.Fatalf("appendUplinkRequest:\n got %s\nwant %s", got, want)
 			}
+			twinMatches(t, "appendUplinkRequest", got, parseUplinkRequest, refDecodeBody)
 			batch = nil
+		}
+	}
+}
+
+// twinMatches fails t unless twin accepts b and yields what ref, the
+// encoding/json decode, yields.
+func twinMatches[T any](t *testing.T, what string, b []byte, twin func([]byte) (T, bool), ref func([]byte) (T, error)) {
+	t.Helper()
+	got, ok := twin(b)
+	if !ok {
+		t.Fatalf("%s output left to encoding/json:\n%s", what, b)
+	}
+	want, err := ref(b)
+	if err != nil {
+		t.Fatalf("%s output: %v\n%s", what, err, b)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s output %s\ntwin decodes %+v\njson decodes %+v", what, b, got, want)
+	}
+}
+
+// parseWholeReading is parseReading over an input that must hold one
+// reading and nothing after it.
+func parseWholeReading(b []byte) (Reading, bool) {
+	r, rest, ok := parseReading(b)
+	return r, ok && len(rest) == 0
+}
+
+// refDecodeReading is Reading.UnmarshalJSON, which is encoding/json alone.
+func refDecodeReading(b []byte) (Reading, error) {
+	var r Reading
+	err := r.UnmarshalJSON(b)
+	return r, err
+}
+
+// refDecodeBody is the backend's POST body decode by encoding/json alone.
+func refDecodeBody(b []byte) (uplinkRequest, error) {
+	return refDecodeBodyFrom(bytes.NewReader(b))
+}
+
+func refDecodeBodyFrom(body io.Reader) (uplinkRequest, error) {
+	var ur uplinkRequest
+	err := json.NewDecoder(body).Decode(&ur)
+	return ur, err
+}
+
+// FuzzDecodeMatchesJSON searches for a POST body on which the backend's
+// decode parts from json.NewDecoder(...).Decode, the call it replaced: both
+// must accept or both reject, and what they accept must be equal.
+func FuzzDecodeMatchesJSON(f *testing.F) {
+	r := Reading{
+		From: 2, To: 1, Trace: 0x00ab_cdef_0123_4567,
+		Payload:  []byte{0xff, 0xff, 0xff, 0x01}, // "////AQ=="
+		Reliable: true,
+		At:       time.Date(2022, 7, 1, 12, 30, 5, 120_000_000, time.FixedZone("", 5*3600+30*60)),
+	}
+	plain := r
+	plain.Reliable, plain.Payload, plain.At = false, nil, time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
+	body := appendUplinkRequest(nil, 0x00FE, []Reading{r, plain})
+	canonical := [][]byte{body, appendReading(nil, &r), appendUplinkRequest(nil, 0, nil)}
+	for _, c := range canonical {
+		f.Add(c)
+	}
+	mutations := [][2]string{
+		{`"from":2`, `"from":3`},                             // a flipped digit: canonical still
+		{`"from":2`, `"from":02`},                            // a leading zero
+		{`abcdef`, `ABCDEF`},                                 // uppercase hex
+		{`"to":1,`, `"to": 1,`},                              // whitespace
+		{`////`, `\/\/\/\/`},                                 // escapes of what needs none
+		{`"from":2,"to":1`, `"to":1,"from":2`},               // reordered keys
+		{`"from":2`, `"from":65536`},                         // an address out of range
+		{`"payload":"////AQ=="`, `"payload":"AQ"`},           // missing padding
+		{`"payload":"////AQ=="`, "\"payload\":\"AQ\r\n==\""}, // bytes base64 skips, JSON forbids
+		{`"reliable":true`, `"reliable":false`},
+		{`+05:30`, `+5:30`},
+	}
+	for _, c := range canonical {
+		for _, m := range mutations {
+			if mut := bytes.Replace(c, []byte(m[0]), []byte(m[1]), 1); !bytes.Equal(mut, c) {
+				f.Add(mut)
+			}
+		}
+		f.Add(append(append([]byte(nil), c...), "\n{}"...)) // trailing bytes
+		f.Add(append([]byte(" "), c...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeUplinkRequest(bytes.NewReader(data))
+		want, wantErr := refDecodeBody(data)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: error %v, encoding/json's %v", data, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q:\n got %+v\njson %+v", data, got, want)
+		}
+	})
+}
+
+// failOnce fails its first Read and reports EOF after, as an HTTP request
+// body cut short of its Content-Length does: a decoder that read it again
+// would see a clean end where the body had failed.
+type failOnce struct{ failed bool }
+
+func (f *failOnce) Read([]byte) (int, error) {
+	if f.failed {
+		return 0, io.EOF
+	}
+	f.failed = true
+	return 0, errors.New("connection reset")
+}
+
+// TestDecodeUplinkRequestStreams covers the bodies the twin does not read
+// whole: one past the buffer bound, and ones whose read fails, before or
+// after the object is complete. Each must decode as encoding/json decodes
+// the same stream.
+func TestDecodeUplinkRequestStreams(t *testing.T) {
+	batch := make([]Reading, maxParsedBody/64)
+	for i := range batch {
+		batch[i] = testReading(i)
+	}
+	long := appendUplinkRequest(nil, 0x00FE, batch)
+	if len(long) <= maxParsedBody {
+		t.Fatalf("a %d-byte body does not pass the %d-byte bound", len(long), maxParsedBody)
+	}
+	short := appendUplinkRequest(nil, 0x00FE, batch[:3])
+	for _, tc := range []struct {
+		name string
+		body func() io.Reader
+	}{
+		{"past the bound", func() io.Reader { return bytes.NewReader(long) }},
+		{"cut short", func() io.Reader { return io.MultiReader(bytes.NewReader(short[:40]), &failOnce{}) }},
+		{"failing after the object", func() io.Reader { return io.MultiReader(bytes.NewReader(short), &failOnce{}) }},
+		{"failing past the bound", func() io.Reader { return io.MultiReader(bytes.NewReader(long[:len(long)-1]), &failOnce{}) }},
+	} {
+		got, err := decodeUplinkRequest(tc.body())
+		want, wantErr := refDecodeBodyFrom(tc.body())
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: error %v, encoding/json's %v", tc.name, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %d readings unlike encoding/json's %d", tc.name, len(got.Readings), len(want.Readings))
 		}
 	}
 }
@@ -695,6 +847,26 @@ func BenchmarkEncodeUplink(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body = appendUplinkRequest(body[:0], 0x00FE, batch)
+	}
+}
+
+// BenchmarkDecodeUplink is the backend's decode of the body
+// BenchmarkEncodeUplink writes.
+func BenchmarkDecodeUplink(b *testing.B) {
+	batch := make([]Reading, 64)
+	for i := range batch {
+		batch[i] = testReading(i)
+		batch[i].Payload = make([]byte, 24)
+	}
+	body := appendUplinkRequest(nil, 0x00FE, batch)
+	var r bytes.Reader
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(body)
+		if _, err := decodeUplinkRequest(&r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
