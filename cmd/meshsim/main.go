@@ -478,8 +478,9 @@ func runCity(w io.Writer, o options) error {
 		st.FramesSent, st.FramesDelivered, st.LostCollision, st.LostBelowSensitivity, st.LostHalfDuplex)
 	fmt.Fprintf(w, "telemetry offered %d  delivered %d  PDR %.1f%%  mean latency %v\n",
 		st.Offered, st.Delivered, 100*st.PDR(), st.MeanLatency().Round(time.Millisecond))
-	fmt.Fprintf(w, "windows %d  fast-forwards %d  events %d  events/sec %.0f  state %.1fMB\n",
-		st.Windows, st.FastForwards, st.EventsFired, st.EventsPerSec(), float64(st.StateBytes)/(1<<20))
+	fmt.Fprintf(w, "windows %d  fast-forwards %d  events %d  events/sec %.0f  state %.1fMB  shard busy %v (%.2f cores)  barrier wait %v\n",
+		st.Windows, st.FastForwards, st.EventsFired, st.EventsPerSec(), float64(st.StateBytes)/(1<<20),
+		st.ShardBusy.Round(time.Millisecond), st.ShardBusy.Seconds()/st.Wall.Seconds(), st.BarrierWait.Round(time.Millisecond))
 	fmt.Fprintf(w, "digest %016x\n", sim.Digest())
 	return nil
 }

@@ -25,8 +25,11 @@
 // simtime.RunBefore; the barrier merges all shards' transmission outboxes
 // into one globally sorted list (by start instant, then sender); phase B
 // has every shard integrate that list into its cell tx-index and schedule
-// reception evaluations. A frame ending at e is evaluated at e+W, by which
-// point every transmission that could overlap it has crossed a barrier —
+// reception evaluations. Phase B rides at the head of the next window's
+// command, so a window costs one rendezvous, and a shard that waits for
+// its next command polls before it parks (shard.go). A frame ending at e
+// is evaluated at e+W, by which point every transmission that could
+// overlap it has crossed a barrier —
 // the interferer set is exact, at the cost of one extra window of receive
 // latency per hop (a documented, mode-independent model semantic, not an
 // approximation). Carrier sense is window-quantized the same way: a node
@@ -128,7 +131,8 @@ type Config struct {
 }
 
 // Stats is the merged outcome of a run. Every field except EventsFired,
-// Wall, and StateBytes is identical across execution modes per Config.
+// Wall, StateBytes, ShardBusy, and BarrierWait is identical across
+// execution modes per Config.
 type Stats struct {
 	Nodes, Shards, Cells, Sinks int
 	Windows, FastForwards       uint64
@@ -165,6 +169,12 @@ type Stats struct {
 	EventsFired uint64
 	Wall        time.Duration
 	StateBytes  uint64
+	// ShardBusy sums every shard's wall inside window commands, so
+	// ShardBusy/Wall is the cores the executor kept busy; BarrierWait is
+	// the time the calling goroutine waited for the other shards after
+	// its own.
+	ShardBusy   time.Duration
+	BarrierWait time.Duration
 }
 
 // PDR returns the delivery ratio of offered telemetry.
@@ -521,6 +531,7 @@ func (s *Sim) Run(d time.Duration) error {
 	s.stats.Wall = time.Since(start)
 	for _, sh := range s.shards {
 		s.stats.EventsFired += sh.wheel.Fired()
+		s.stats.ShardBusy += sh.busy
 	}
 	s.stats.StateBytes = s.stateBytes()
 	return nil

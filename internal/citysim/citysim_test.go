@@ -1,6 +1,8 @@
 package citysim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -44,6 +46,11 @@ func TestCityBasics(t *testing.T) {
 	if st.StateBytes == 0 || st.EventsFired == 0 {
 		t.Fatalf("missing resource accounting: %+v", st)
 	}
+	// Each shard is busy at most the whole run, and the caller waits at
+	// most the whole run.
+	if st.ShardBusy <= 0 || st.ShardBusy > time.Duration(st.Shards)*st.Wall || st.BarrierWait > st.Wall {
+		t.Fatalf("shard busy %v, barrier wait %v over %d shards and wall %v", st.ShardBusy, st.BarrierWait, st.Shards, st.Wall)
+	}
 }
 
 // TestCityRunTwiceRejected pins the one-shot Run contract.
@@ -79,9 +86,12 @@ func TestCityConfigValidation(t *testing.T) {
 // tables, per-node counters, queue contents, the delivery log, merged
 // stats — is byte-identical between the serial reference (Shards: 0) and
 // every sharded execution, per (config, seed), including with shadowing
-// and erasures switched on. The last case is sized from nodesPerSink so
-// the shipped ratio elects two sinks: cross-shard deliveries to different
-// sinks must merge into the same delivery order.
+// and erasures switched on, on one processor and on two: on one, a polling
+// wait must hand the processor to the shard it waits for. The last case
+// is sized from nodesPerSink so the shipped ratio elects two sinks:
+// cross-shard deliveries to different sinks must merge into the same
+// delivery order. GOMAXPROCS is process-wide, so no test here runs in
+// parallel.
 func TestCityDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -111,19 +121,74 @@ func TestCityDeterminism(t *testing.T) {
 			if serial.Sinks != tc.sinks || serial.Delivered == 0 {
 				t.Fatalf("want deliveries at %d sinks, got %+v", tc.sinks, serial)
 			}
-			for _, shards := range []int{1, 2, 4} {
-				cfg := base
-				cfg.Shards = shards
-				st, got := runOnce(t, cfg, tc.d)
-				if got != want {
-					t.Errorf("shards=%d digest %016x, serial %016x (stats %+v vs %+v)",
-						shards, got, want, st, serial)
-				}
-				if st.Windows != serial.Windows || st.FastForwards != serial.FastForwards {
-					t.Errorf("shards=%d window sequence diverged: %d/%d vs serial %d/%d",
-						shards, st.Windows, st.FastForwards, serial.Windows, serial.FastForwards)
+			prev := runtime.GOMAXPROCS(0)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for _, shards := range []int{1, 2, 4} {
+					cfg := base
+					cfg.Shards = shards
+					st, got := runOnce(t, cfg, tc.d)
+					if got != want {
+						t.Errorf("procs=%d shards=%d digest %016x, serial %016x (stats %+v vs %+v)",
+							procs, shards, got, want, st, serial)
+					}
+					if st.Windows != serial.Windows || st.FastForwards != serial.FastForwards {
+						t.Errorf("procs=%d shards=%d window sequence diverged: %d/%d vs serial %d/%d",
+							procs, shards, st.Windows, st.FastForwards, serial.Windows, serial.FastForwards)
+					}
 				}
 			}
+		})
+	}
+}
+
+// TestAwait pins the barrier's wait: with a budget that parks at once, one
+// that runs out before the second send, and one that outlasts it, both
+// values and then the close reach the receiver in order.
+func TestAwait(t *testing.T) {
+	for _, budget := range []time.Duration{0, time.Millisecond, time.Hour} {
+		ch := make(chan int, 1)
+		go func() {
+			ch <- 1
+			time.Sleep(5 * time.Millisecond)
+			ch <- 2
+			close(ch)
+		}()
+		for _, want := range []int{1, 2} {
+			if v, ok := await(ch, budget); !ok || v != want {
+				t.Fatalf("budget %v: got %d, %v; want %d", budget, v, ok, want)
+			}
+		}
+		if _, ok := await(ch, budget); ok {
+			t.Fatalf("budget %v: closed channel still open", budget)
+		}
+	}
+}
+
+// BenchmarkCityRun times the window loop at one and two shards on a
+// 2 000-node city over two virtual minutes; -cpu 1,2 shows what the
+// second processor buys.
+func BenchmarkCityRun(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var frames uint64
+			var wall time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sim, err := New(Config{Nodes: 2000, Shards: shards, Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := sim.Run(2 * time.Minute); err != nil {
+					b.Fatal(err)
+				}
+				st := sim.Stats()
+				frames += st.FramesSent
+				wall += st.Wall
+			}
+			b.ReportMetric(float64(frames)/wall.Seconds(), "frames/s")
 		})
 	}
 }

@@ -1,12 +1,15 @@
 // shard.go — the parallel execution machinery: per-shard event wheels,
-// the two-phase lockstep window loop, the barrier merge, and the cell
-// tx-index each shard keeps for its stripe plus a one-column halo.
+// the lockstep window loop, the barrier merge, and the cell tx-index each
+// shard keeps for its stripe plus a one-column halo.
 
 package citysim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/simtime"
@@ -79,16 +82,16 @@ type shardStats struct {
 	slotDeferrals      uint64
 }
 
-// Worker command phases.
-const (
-	phaseRun uint8 = iota
-	phaseIntegrate
-)
-
+// shardCmd is one window's work for a shard: integrate the previous
+// window's merged list, which ended at winStartNs, if it was not empty
+// (phase B), then run the wheel through [winStartNs, winEndNs) (phase A).
 type shardCmd struct {
-	phase      uint8
+	integrate  bool
 	winStartNs int64
 	winEndNs   int64
+	// poll bounds the worker's wait for its next command before it parks:
+	// the wall of the previous window.
+	poll time.Duration
 }
 
 // shard owns a contiguous stripe of grid columns [c0, c1]: the nodes in
@@ -123,6 +126,7 @@ type shard struct {
 
 	winStartNs int64 // current window start: the carrier-sense quantum
 	integrated uint64
+	busy       time.Duration // wall spent running commands
 
 	cmds chan shardCmd
 }
@@ -181,41 +185,42 @@ func (sh *shard) indexesCol(col int) bool { return col >= sh.c0-1 && col <= sh.c
 // scol belongs to the stripe — i.e. this shard owns receivers of the tx.
 func (sh *shard) evaluatesAround(scol int) bool { return scol >= sh.c0-1 && scol <= sh.c1+1 }
 
-// runWindows drives the lockstep two-phase window loop until the virtual
-// clock passes endNs (rounded up to whole windows) or no events remain.
+// runWindows drives the lockstep window loop until the virtual clock
+// passes endNs (rounded up to whole windows) or no events remain. The
+// calling goroutine runs the last shard itself; every other shard runs on
+// a worker goroutine. A window is one rendezvous: each shard integrates
+// the previous window's merged list (phase B) and runs its wheel through
+// the window (phase A), then the barrier merges the outboxes. The last
+// window's list is never integrated: nothing reads it.
 func (s *Sim) runWindows(endNs int64) {
-	nsh := len(s.shards)
-	var done chan struct{}
-	if nsh > 1 {
-		done = make(chan struct{}, nsh)
-		for _, sh := range s.shards {
-			sh.cmds = make(chan shardCmd, 1)
-			go sh.work(done)
-		}
-		defer func() {
-			for _, sh := range s.shards {
-				close(sh.cmds)
-			}
+	workers, own := s.shards[:len(s.shards)-1], s.shards[len(s.shards)-1]
+	done := make(chan struct{}, len(workers))
+	var exited sync.WaitGroup
+	for _, sh := range workers {
+		sh.cmds = make(chan shardCmd, 1)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			sh.work(done)
 		}()
 	}
+	defer func() {
+		for _, sh := range workers {
+			close(sh.cmds)
+		}
+		exited.Wait()
+	}()
 	winNs := s.r.winNs
 	winStart := int64(0)
+	pending := false // the merged list awaits phase B
+	var poll time.Duration
+	last := time.Now()
 	for winStart < endNs {
 		winEnd := winStart + winNs
+		now := time.Now()
+		poll, last = now.Sub(last), now
 
-		// Phase A: every shard runs its wheel through [winStart, winEnd).
-		if nsh == 1 {
-			sh := s.shards[0]
-			sh.winStartNs = winStart
-			sh.wheel.RunBefore(time.Unix(0, winEnd).UTC())
-		} else {
-			for _, sh := range s.shards {
-				sh.cmds <- shardCmd{phase: phaseRun, winStartNs: winStart, winEndNs: winEnd}
-			}
-			for i := 0; i < nsh; i++ {
-				<-done
-			}
-		}
+		s.step(workers, own, done, shardCmd{integrate: pending, winStartNs: winStart, winEndNs: winEnd, poll: poll})
 
 		// Barrier: merge outboxes into one globally sorted list. The key
 		// (startNs, sender) is unique — a sender's transmissions never
@@ -225,29 +230,20 @@ func (s *Sim) runWindows(endNs int64) {
 			merged = append(merged, sh.outbox...)
 			sh.outbox = sh.outbox[:0]
 		}
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].startNs != merged[j].startNs {
-				return merged[i].startNs < merged[j].startNs
+		slices.SortFunc(merged, func(a, b txRec) int {
+			if c := cmp.Compare(a.startNs, b.startNs); c != 0 {
+				return c
 			}
-			return merged[i].sender < merged[j].sender
+			return cmp.Compare(a.sender, b.sender)
 		})
 		s.winTxs = merged
 		s.stats.Windows++
 
-		// Phase B: shards integrate the merged list into their tx-indexes
-		// and schedule reception evaluations at endNs+W. Empty windows
-		// skip the phase (nothing to integrate; pruning just waits).
-		if len(merged) > 0 {
-			if nsh == 1 {
-				s.shards[0].integrate(winEnd)
-			} else {
-				for _, sh := range s.shards {
-					sh.cmds <- shardCmd{phase: phaseIntegrate, winEndNs: winEnd}
-				}
-				for i := 0; i < nsh; i++ {
-					<-done
-				}
-			}
+		// Phase B opens the next window's command: shards integrate the
+		// merged list into their tx-indexes and schedule reception
+		// evaluations at endNs+W. Empty windows skip the phase (nothing
+		// to integrate; pruning just waits).
+		if pending = len(merged) > 0; pending {
 			winStart = winEnd
 			continue
 		}
@@ -277,20 +273,73 @@ func (s *Sim) runWindows(endNs int64) {
 	}
 }
 
-// work is the persistent shard goroutine: phases arrive over cmds, each
-// completion is acknowledged on done. All cross-goroutine data handoff
-// (outboxes, winTxs, wheel state) is ordered by these channel operations.
+// step runs cmd on every shard and returns when all have finished: the
+// workers through their channels, own on the calling goroutine. All
+// cross-goroutine data handoff (outboxes, winTxs, wheel state) is ordered
+// by these channel operations. The wait beyond own's share is
+// BarrierWait.
+func (s *Sim) step(workers []*shard, own *shard, done chan struct{}, cmd shardCmd) {
+	for _, sh := range workers {
+		sh.cmds <- cmd
+	}
+	own.exec(cmd)
+	t := time.Now()
+	for range workers {
+		await(done, cmd.poll)
+	}
+	s.stats.BarrierWait += time.Since(t)
+}
+
+// work is the persistent worker goroutine: commands arrive over cmds,
+// each completion is acknowledged on done.
 func (sh *shard) work(done chan<- struct{}) {
-	for cmd := range sh.cmds {
-		switch cmd.phase {
-		case phaseRun:
-			sh.winStartNs = cmd.winStartNs
-			sh.wheel.RunBefore(time.Unix(0, cmd.winEndNs).UTC())
-		case phaseIntegrate:
-			sh.integrate(cmd.winEndNs)
+	var poll time.Duration
+	for {
+		cmd, ok := await(sh.cmds, poll)
+		if !ok {
+			return
 		}
+		sh.exec(cmd)
+		poll = cmd.poll
 		done <- struct{}{}
 	}
+}
+
+// exec runs one window's command on the shard and adds its wall to the
+// shard's busy time.
+func (sh *shard) exec(cmd shardCmd) {
+	t := time.Now()
+	if cmd.integrate {
+		sh.integrate(cmd.winStartNs)
+	}
+	sh.winStartNs = cmd.winStartNs
+	sh.wheel.RunBefore(time.Unix(0, cmd.winEndNs).UTC())
+	sh.busy += time.Since(t)
+}
+
+// await receives from ch. It polls for up to budget first, yielding the
+// processor between tries, and only then parks. Parking at once left the
+// second core mostly idle: every window woke the goroutines it had just
+// parked. A blocking receive ends every wait, so no send is missed however
+// the budget runs out, and with more goroutines than processors the
+// yields hand the processor to one with work.
+func await[T any](ch <-chan T, budget time.Duration) (T, bool) {
+	if budget > 0 {
+		deadline := time.Now().Add(budget)
+		for {
+			select {
+			case v, ok := <-ch:
+				return v, ok
+			default:
+			}
+			if time.Now().After(deadline) {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	v, ok := <-ch
+	return v, ok
 }
 
 // integrate (phase B) walks the merged window transmissions in global
