@@ -30,6 +30,7 @@ import (
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/meshsec"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/span"
 	"repro/internal/trace"
@@ -334,7 +335,7 @@ func run(w io.Writer, o options) error {
 			fmt.Fprintln(w, "no frames affected")
 		} else {
 			parts := make([]string, 0, len(fs))
-			for _, reason := range faults.Reasons(fs) {
+			for _, reason := range metrics.SortedKeys(fs) {
 				parts = append(parts, fmt.Sprintf("%s=%d", reason, fs[reason]))
 			}
 			fmt.Fprintln(w, strings.Join(parts, "  "))

@@ -41,6 +41,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -220,9 +221,10 @@ func dumpSpans(w io.Writer, r io.Reader, traceID, chromeOut string) error {
 }
 
 // dump decodes one hex frame and writes its description. With a link it
-// also authenticates secured frames, decrypts their payloads, and runs
-// the replay window shared across the dump, so a capture containing a
-// replayed frame shows the verdict on the second copy.
+// also judges secured frames as a node would, with Link.Open, whose
+// replay state is shared across the dump: a capture containing a
+// replayed frame, or a HELLO no newer than its origin's last, shows the
+// REPLAY verdict on it; a fresh frame's payload is decrypted.
 func dump(w io.Writer, hexFrame string, params loraphy.Params, link *meshsec.Link) error {
 	clean := strings.Map(func(r rune) rune {
 		if r == ' ' || r == ':' || r == '-' {
@@ -248,19 +250,19 @@ func dump(w io.Writer, hexFrame string, params loraphy.Params, link *meshsec.Lin
 			fmt.Fprintln(w, "  security: unauthenticated (no key; pass -key to verify)")
 			return nil // the payload is ciphertext; nothing below can parse it
 		default:
-			pt, ok := link.VerifyOnly(p)
-			if !ok {
+			// The engine's own verdict: Open authenticates first, so a
+			// forged counter never touches the replay windows.
+			switch err := link.Open(p); {
+			case errors.Is(err, meshsec.ErrAuth):
 				fmt.Fprintln(w, "  security: auth FAILED (wrong key or tampered frame)")
 				return nil
+			case errors.Is(err, meshsec.ErrReplay):
+				fmt.Fprintf(w, "  security: auth ok, counter %d REPLAY (a node drops it: seen before, or a HELLO no newer than its origin's last)\n", p.Counter)
+				return nil // Open leaves a rejected payload encrypted
+			case err != nil:
+				return err
 			}
-			// Only authenticated counters touch the window, mirroring the
-			// engine: a forged counter must not poison the verdicts.
-			if link.ReplayCheck(p.Src, p.Counter) {
-				fmt.Fprintf(w, "  security: auth ok, counter %d fresh\n", p.Counter)
-			} else {
-				fmt.Fprintf(w, "  security: auth ok, counter %d REPLAY (already seen in this dump)\n", p.Counter)
-			}
-			p.Payload = pt
+			fmt.Fprintf(w, "  security: auth ok, counter %d fresh\n", p.Counter)
 		}
 	}
 	switch {

@@ -294,20 +294,17 @@ func TestDumpSpansCacheHit(t *testing.T) {
 	}
 }
 
-// sealedHex builds one secured DATA frame under key/counter and returns
-// it as hex, exactly as a capture would present it.
-func sealedHex(t *testing.T, key meshsec.Key, src packet.Address, counter uint32, payload string) string {
+// sealedHex seals p (plaintext payload) under key, as its origin p.Src
+// would, and returns the frame as hex, exactly as a capture would
+// present it.
+func sealedHex(t *testing.T, key meshsec.Key, p *packet.Packet) string {
 	t.Helper()
-	p := &packet.Packet{
-		Dst: 0x0002, Src: src, Via: 0x0002, Type: packet.TypeData,
-		Payload: []byte(payload),
-		Secured: true, SecFlags: packet.SecFlagEncrypted, Counter: counter,
-	}
+	p.Secured, p.SecFlags = true, packet.SecFlagEncrypted
 	frame, err := packet.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := meshsec.NewLink(key, src).SealFrame(frame, p); err != nil {
+	if err := meshsec.NewLink(key, p.Src).SealFrame(frame, p); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(frame)
@@ -318,7 +315,10 @@ func TestDumpSecuredFrames(t *testing.T) {
 		0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 		0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
 	}
-	frame := sealedHex(t, key, 0x0001, 7, "hello mesh")
+	frame := sealedHex(t, key, &packet.Packet{
+		Dst: 0x0002, Src: 0x0001, Via: 0x0002, Type: packet.TypeData,
+		Payload: []byte("hello mesh"), Counter: 7,
+	})
 
 	// Without a key: the frame parses but stays opaque.
 	var sb strings.Builder
@@ -385,5 +385,43 @@ func TestDumpSecuredFrames(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"plain"`) || strings.Contains(sb.String(), "security:") {
 		t.Errorf("plaintext frame dump changed under -key:\n%s", sb.String())
+	}
+}
+
+// TestDumpOutOfOrderHello holds packetdump's verdict to a node's: a HELLO
+// whose counter is below its origin's highest was never seen, so the
+// reordering window would admit it, but a node drops it as a replay
+// (beacons get strict freshness). Data at the same counter is fresh.
+func TestDumpOutOfOrderHello(t *testing.T) {
+	key := meshsec.Key{0x42}
+	payload, err := packet.MarshalHello([]packet.HelloEntry{{Addr: 0x1234, Metric: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := func(counter uint32) string {
+		return sealedHex(t, key, &packet.Packet{
+			Dst: packet.Broadcast, Src: 0x0001, Type: packet.TypeHello,
+			Payload: payload, Counter: counter,
+		})
+	}
+	data := sealedHex(t, key, &packet.Packet{
+		Dst: 0x0002, Src: 0x0001, Via: 0x0002, Type: packet.TypeData,
+		Payload: []byte("late data"), Counter: 8,
+	})
+	link := meshsec.NewLink(key, 0)
+	for _, c := range []struct {
+		frame, want string
+	}{
+		{hello(9), "counter 9 fresh"},
+		{hello(8), "counter 8 REPLAY"},
+		{data, "counter 8 fresh"},
+	} {
+		var sb strings.Builder
+		if err := dump(&sb, c.frame, loraphy.DefaultParams(), link); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), c.want) {
+			t.Errorf("want %q:\n%s", c.want, sb.String())
+		}
 	}
 }

@@ -43,18 +43,19 @@
 // interleaving. The load-bearing rules: all cross-shard effects flow
 // through the sorted barrier list; per-cell tx indexes are read-only
 // during phases and mutated only at integration in merged order; every
-// random draw is a splitmix64 hash of (seed, purpose, node/pair, counter)
-// — there is no shared rand.Rand to race on ordering; and both eval paths
-// share one linkLoss function so cached and recomputed budgets are
-// bit-identical. Unlike airmedium, reception checks sensitivity before
-// half-duplex so out-of-range stations land in the same loss bucket
-// whether they were scanned individually (serial) or skipped in bulk
-// (sharded).
+// random draw is a loraphy.Mix64 (SplitMix64) hash of (seed, purpose,
+// node/pair, counter) — there is no shared rand.Rand to race on ordering;
+// and both eval paths share one linkLoss function so cached and
+// recomputed budgets are bit-identical. Unlike airmedium, reception
+// checks sensitivity before half-duplex so out-of-range stations land in
+// the same loss bucket whether they were scanned individually (serial) or
+// skipped in bulk (sharded).
 package citysim
 
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"time"
 
@@ -282,13 +283,8 @@ func (cfg Config) resolve() (resolved, error) {
 	}
 	r.helloAirNs = helloAir.Nanoseconds()
 	r.dataAirNs = dataAir.Nanoseconds()
-	r.maxAirNs = r.dataAirNs
-	minAir := r.helloAirNs
-	if r.dataAirNs < minAir {
-		minAir = r.dataAirNs
-		r.maxAirNs = r.helloAirNs
-	}
-	r.winNs = minAir
+	r.maxAirNs = max(r.helloAirNs, r.dataAirNs)
+	r.winNs = min(r.helloAirNs, r.dataAirNs)
 
 	sens, err := r.params.SensitivityDBm()
 	if err != nil {
@@ -485,23 +481,20 @@ func (s *Sim) buildShards() {
 		colPop[col] += len(st)
 	}
 	s.shardOfCol = make([]int32, cols)
-	cum, next := 0, 0
+	cum := 0
 	for col := 0; col < cols; col++ {
-		// Advance to the next stripe when the cumulative count passes the
+		// Open the next stripe when the cumulative count passes the
 		// proportional boundary, keeping stripes contiguous and non-empty.
-		if next < nsh-1 && cum >= (next+1)*s.r.Nodes/nsh && col > next {
-			next++
+		if n := len(s.shards); n == 0 || n < nsh && cum >= n*s.r.Nodes/nsh && col >= n {
+			s.shards = append(s.shards, newShard(s, int32(n), col))
 		}
-		s.shardOfCol[col] = int32(next)
+		sh := s.shards[len(s.shards)-1]
+		sh.c1 = col
+		s.shardOfCol[col] = sh.id
 		cum += colPop[col]
 	}
-	actual := int(s.shardOfCol[cols-1]) + 1
-	s.shards = make([]*shard, actual)
-	for i := range s.shards {
-		s.shards[i] = newShard(s, int32(i))
-	}
 	s.stats.Nodes = s.r.Nodes
-	s.stats.Shards = actual
+	s.stats.Shards = len(s.shards)
 	s.stats.Cells = s.grid.NumCells()
 }
 
@@ -546,35 +539,40 @@ func (s *Sim) Stats() Stats {
 	return out
 }
 
-func (dst *Stats) merge(src *shardStats) {
-	dst.FramesSent += src.framesSent
-	dst.FramesDelivered += src.framesDelivered
-	dst.LostBelowSensitivity += src.lostBelowSens
-	dst.LostCollision += src.lostCollision
-	dst.LostHalfDuplex += src.lostHalfDuplex
-	dst.LostRandom += src.lostRandom
-	dst.HelloSkips += src.helloSkips
-	dst.AirtimeTotal += time.Duration(src.airtimeNs)
-	dst.Offered += src.offered
-	dst.Delivered += src.delivered
-	dst.DropQueue += src.dropQueue
-	dst.DropTTL += src.dropTTL
-	dst.LatencySum += time.Duration(src.latencySumNs)
-	dst.SolicitsSent += src.solicitsSent
-	dst.InterestsSent += src.interestsSent
-	dst.InterestAggregated += src.interestAggregated
-	dst.CacheHits += src.cacheHits
-	dst.SlotDeferrals += src.slotDeferrals
+// merge adds src's outcome counters, the ones shards count, to dst.
+func (dst *Stats) merge(src *Stats) {
+	dst.FramesSent += src.FramesSent
+	dst.FramesDelivered += src.FramesDelivered
+	dst.LostBelowSensitivity += src.LostBelowSensitivity
+	dst.LostCollision += src.LostCollision
+	dst.LostHalfDuplex += src.LostHalfDuplex
+	dst.LostRandom += src.LostRandom
+	dst.HelloSkips += src.HelloSkips
+	dst.AirtimeTotal += src.AirtimeTotal
+	dst.Offered += src.Offered
+	dst.Delivered += src.Delivered
+	dst.DropQueue += src.DropQueue
+	dst.DropTTL += src.DropTTL
+	dst.LatencySum += src.LatencySum
+	dst.SolicitsSent += src.SolicitsSent
+	dst.InterestsSent += src.InterestsSent
+	dst.InterestAggregated += src.InterestAggregated
+	dst.CacheHits += src.CacheHits
+	dst.SlotDeferrals += src.SlotDeferrals
 }
 
-// stateBytes approximates the resident engine footprint: node slabs, link
-// slabs, queues, and packet pools. Reporting only — not digest material.
+// stateBytes is the resident engine footprint: every nodeState slab
+// (routes, queues, strategy state, link slabs) and every shard's packet
+// slab. Reporting only — not digest material.
 func (s *Sim) stateBytes() uint64 {
-	b := uint64(s.r.Nodes) * nodeStateBytesPer
-	b += uint64(len(s.nodes.qBuf)) * 4
-	b += uint64(len(s.nodes.nbrID))*4 + uint64(len(s.nodes.nbrLoss))*8
+	var b uint64
+	slabs := reflect.ValueOf(s.nodes)
+	for i := 0; i < slabs.NumField(); i++ {
+		f := slabs.Field(i)
+		b += uint64(f.Len()) * uint64(f.Type().Elem().Size())
+	}
 	for _, sh := range s.shards {
-		b += uint64(cap(sh.pkts)) * pktBytes
+		b += uint64(cap(sh.pkts)) * uint64(reflect.TypeOf(pkt{}).Size())
 	}
 	return b
 }

@@ -2,9 +2,11 @@ package citysim
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // runOnce builds and runs one simulation, returning stats and digest.
@@ -50,6 +52,35 @@ func TestCityBasics(t *testing.T) {
 	// most the whole run.
 	if st.ShardBusy <= 0 || st.ShardBusy > time.Duration(st.Shards)*st.Wall || st.BarrierWait > st.Wall {
 		t.Fatalf("shard busy %v, barrier wait %v over %d shards and wall %v", st.ShardBusy, st.BarrierWait, st.Shards, st.Wall)
+	}
+}
+
+// TestStateBytesCountsEverySlab grows each nodeState slab, then each
+// shard's packet slab, by one element: StateBytes must grow by exactly
+// that element's size, so no slab is left out or counted at the wrong
+// width.
+func TestStateBytesCountsEverySlab(t *testing.T) {
+	s, err := New(Config{Nodes: 200, Shards: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slabs := reflect.ValueOf(&s.nodes).Elem()
+	for i := 0; i < slabs.NumField(); i++ {
+		f := slabs.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem() // settable
+		kept, before := f.Interface(), s.stateBytes()
+		f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		if got, want := s.stateBytes()-before, f.Type().Elem().Size(); got != uint64(want) {
+			t.Errorf("one more %s element adds %d state bytes, want %d", slabs.Type().Field(i).Name, got, want)
+		}
+		f.Set(reflect.ValueOf(kept))
+	}
+	for _, sh := range s.shards {
+		before := s.stateBytes()
+		sh.pkts = make([]pkt, len(sh.pkts), cap(sh.pkts)+1)
+		if got, want := s.stateBytes()-before, reflect.TypeOf(pkt{}).Size(); got != uint64(want) {
+			t.Errorf("one more pkt slot adds %d state bytes, want %d", got, want)
+		}
 	}
 }
 

@@ -1,13 +1,11 @@
 // digest.go — the byte-identical determinism witness. The digest folds
 // every mode-independent piece of final state: per-node routing and
 // counters, queue contents, the full delivery log, and the merged
-// statistics (minus the three machine/mode-dependent fields). Equal
+// statistics (minus the machine/mode-dependent fields). Equal
 // digests across Shards settings are the acceptance test for the sharded
 // executor.
 
 package citysim
-
-import "sort"
 
 const (
 	fnvOffset = 14695981039346656037
@@ -81,30 +79,11 @@ func (s *Sim) Digest() uint64 {
 		}
 	}
 
-	// The delivery log, sorted into its global order (per-shard append
-	// order is a mode-dependent interleaving; the multiset is not).
-	var recs []deliveryRec
-	for _, sh := range s.shards {
-		recs = append(recs, sh.deliveries...)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.atNs != b.atNs {
-			return a.atNs < b.atNs
-		}
-		if a.sink != b.sink {
-			return a.sink < b.sink
-		}
-		if a.origin != b.origin {
-			return a.origin < b.origin
-		}
-		return a.bornNs < b.bornNs
-	})
-	for _, rec := range recs {
-		d.i64(rec.atNs)
-		d.i64(rec.bornNs)
-		d.i64(int64(rec.sink))
-		d.i64(int64(rec.origin))
+	for _, dl := range s.Deliveries() {
+		d.i64(int64(dl.At))
+		d.i64(int64(dl.Born))
+		d.i64(int64(dl.Sink))
+		d.i64(int64(dl.Origin))
 	}
 
 	st := s.Stats()

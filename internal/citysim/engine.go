@@ -6,20 +6,12 @@
 
 package citysim
 
-import "math"
+import (
+	"math"
+	"time"
 
-// nodeStateBytesPer is the approximate fixed SoA footprint per node, for
-// the memory column of the scaling curve.
-const nodeStateBytesPer = 8 + 8 + 4 + 1 + // x, y, cell, isSink
-	2 + 4 + 8 + // hop, next, routeAt
-	8 + 4*16 + 1 + // txEnd, txHist, txHistPos
-	1 + 1 + // qHead, qLen
-	8 + 8 + // dutyBudget, dutyAt
-	1 + 1 + 4 + 4 + 4 + // backoff, pumpArmed, txSeq, helloSeq, dataSeq
-	4*8 // counters
-
-// pktBytes is the slab footprint of one queued packet.
-const pktBytes = 4 + 8 + 1 + 1 + 4 + 6 // origin, born, hops, kind, dst, padding
+	"repro/internal/loraphy"
+)
 
 // pkt is one queued frame awaiting transmission. Under proactive routing
 // it is always a telemetry reading (kind/dst unused — the digest of a
@@ -174,16 +166,6 @@ func (ns *nodeState) transmittedDuring(i int32, startNs, endNs int64) bool {
 	return false
 }
 
-// splitmix64 is the avalanche finalizer behind every deterministic draw:
-// order-independent (keyed purely on identity and counters, never on
-// event ordering), so serial and sharded runs sample identical values.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Hash purposes, mixed into the key so streams never collide. The
 // strategy modes draw from purposes 6+ only, leaving every proactive
 // stream untouched.
@@ -197,11 +179,14 @@ const (
 	purposeSolicitJit uint64 = 7 // reactive: triggered hello-reply hold-off
 )
 
+// hash is the draw behind every random choice: loraphy.Mix64 (SplitMix64)
+// chained over the key, never over event ordering, so serial and sharded
+// runs sample identical values.
 func (s *Sim) hash(purpose uint64, a, b, c uint64) uint64 {
-	h := splitmix64(uint64(s.r.Seed) ^ purpose*0x9e3779b97f4a7c15)
-	h = splitmix64(h ^ a)
-	h = splitmix64(h ^ b)
-	return splitmix64(h ^ c)
+	h := loraphy.Mix64(uint64(s.r.Seed) ^ purpose*0x9e3779b97f4a7c15)
+	h = loraphy.Mix64(h ^ a)
+	h = loraphy.Mix64(h ^ b)
+	return loraphy.Mix64(h ^ c)
 }
 
 // hash01 maps a hash to a uniform in [0,1).
@@ -350,7 +335,7 @@ func (sh *shard) enqueue(i int32, pktIdx int32) {
 		sh.freePkt(head)
 		ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % queueCap)
 		ns.qLen[i]--
-		sh.stats.dropQueue++
+		sh.stats.DropQueue++
 	}
 	slot := (int(ns.qHead[i]) + int(ns.qLen[i])) % queueCap
 	ns.qBuf[int(i)*queueCap+slot] = pktIdx
@@ -394,12 +379,10 @@ func (sh *shard) helloFire(i int32) {
 	ns := &s.nodes
 	s.accrueDuty(i, now)
 	ns.helloSeq[i]++
+	// Reactive: an unsolicited non-sink node stays silent.
 	if s.r.strat == stratReactive && !ns.isSink[i] &&
-		(ns.solicitAt[i] < 0 || now-ns.solicitAt[i] > s.r.solicitTTLNs) {
-		// Reactive: an unsolicited non-sink node stays silent.
-		sh.stats.helloSkips++
-	} else if ns.txEnd[i] > now || ns.dutyBudget[i] < s.r.helloAirNs || sh.channelBusy(i, now) {
-		sh.stats.helloSkips++
+		(ns.solicitAt[i] < 0 || now-ns.solicitAt[i] > s.r.solicitTTLNs) || !sh.beaconClear(i, now) {
+		sh.stats.HelloSkips++
 	} else {
 		sh.startTx(i, txRec{
 			kind:   kindHello,
@@ -412,6 +395,14 @@ func (sh *shard) helloFire(i int32) {
 	sh.at(now+next, func() { sh.helloFire(i) })
 }
 
+// beaconClear is the gate every beacon-sized broadcast (hello, solicit)
+// passes: the radio idle, a beacon's airtime in the duty budget, and the
+// channel clear. Callers accrue the duty budget first.
+func (sh *shard) beaconClear(i int32, nowNs int64) bool {
+	s := sh.sim
+	return s.nodes.txEnd[i] <= nowNs && s.nodes.dutyBudget[i] >= s.r.helloAirNs && !sh.channelBusy(i, nowNs)
+}
+
 // dataFire generates one telemetry reading, queues it, and re-arms. In
 // ICN mode the same cadence expresses an interest in the well-known
 // content instead (the reading flows sink-to-node, not node-to-sink).
@@ -420,7 +411,7 @@ func (sh *shard) dataFire(i int32) {
 	now := sh.nowNs()
 	ns := &s.nodes
 	ns.dataSeq[i]++
-	sh.stats.offered++
+	sh.stats.Offered++
 	if s.r.strat == stratICN {
 		sh.expressInterest(i, now)
 	} else {
@@ -445,14 +436,14 @@ func (sh *shard) pump(i int32) {
 		// ICN forwards by name, never by route. The other strategies need
 		// a sink route; reactive ones additionally shout for one.
 		if s.r.strat == stratReactive {
-			sh.trySolicit(i, now)
+			sh.trySolicit(i, now, i, now, 0)
 		}
 		sh.armPump(i, s.r.noRouteWaitNs)
 		return
 	}
 	if s.r.strat == stratSlotted {
 		if wait := s.slotWait(i, now); wait > 0 {
-			sh.stats.slotDeferrals++
+			sh.stats.SlotDeferrals++
 			sh.armPump(i, wait)
 			return
 		}
@@ -495,7 +486,7 @@ func (sh *shard) pump(i int32) {
 		hops:   p.hops,
 	}, airNs)
 	if kind == kindInterest {
-		sh.stats.interestsSent++
+		sh.stats.InterestsSent++
 	} else if p.origin == i {
 		ns.cDataTx[i]++
 	} else {
@@ -536,8 +527,8 @@ func (sh *shard) startTx(i int32, tx txRec, airNs int64) {
 	ns.txEnd[i] = tx.endNs
 	ns.recordTx(i, tx.startNs, tx.endNs)
 	ns.dutyBudget[i] -= airNs
-	sh.stats.framesSent++
-	sh.stats.airtimeNs += airNs
+	sh.stats.FramesSent++
+	sh.stats.AirtimeTotal += time.Duration(airNs)
 	sh.outbox = append(sh.outbox, tx)
 	sh.at(tx.endNs, func() { sh.pump(i) })
 }
@@ -575,19 +566,25 @@ func (sh *shard) onData(r int32, tx *txRec) {
 	ns := &s.nodes
 	now := sh.nowNs()
 	if ns.isSink[r] {
-		ns.cDelivered[r]++
-		sh.stats.delivered++
-		sh.stats.latencySumNs += now - tx.born
-		sh.deliveries = append(sh.deliveries, deliveryRec{
-			atNs: now, sink: r, origin: tx.origin, bornNs: tx.born,
-		})
+		sh.deliver(r, tx.origin, tx.born, now)
 		return
 	}
 	nh := tx.hops + 1
 	if int(nh) > ttlHops {
-		sh.stats.dropTTL++
+		sh.stats.DropTTL++
 		return
 	}
 	sh.enqueue(r, sh.allocPkt(pkt{origin: tx.origin, born: tx.born, hops: nh}))
 	sh.pump(r)
+}
+
+// deliver records one reading arriving at node r: a telemetry reading at a
+// sink, or in ICN mode the content reaching its requester (r = origin).
+func (sh *shard) deliver(r, origin int32, bornNs, nowNs int64) {
+	sh.sim.nodes.cDelivered[r]++
+	sh.stats.Delivered++
+	sh.stats.LatencySum += time.Duration(nowNs - bornNs)
+	sh.deliveries = append(sh.deliveries, deliveryRec{
+		atNs: nowNs, sink: r, origin: origin, bornNs: bornNs,
+	})
 }

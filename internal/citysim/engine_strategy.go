@@ -46,18 +46,17 @@ func (s *Sim) slotWait(i int32, nowNs int64) int64 {
 
 // --- reactive ----------------------------------------------------------
 
-// trySolicit broadcasts a route solicit if the radio, duty budget, and
-// channel allow; a blocked attempt simply waits for the caller's pump
-// retry. The (origin, born) pair names the flood for dedup.
-func (sh *shard) trySolicit(i int32, nowNs int64) {
+// trySolicit broadcasts the solicit flood (origin, born), hops deep, from
+// node i if the beacon gate allows. A blocked attempt is not retried: an
+// originator's pump retries on its own cadence, a relay gives up.
+func (sh *shard) trySolicit(i int32, nowNs int64, origin int32, born int64, hops uint8) {
 	s := sh.sim
-	ns := &s.nodes
 	s.accrueDuty(i, nowNs)
-	if ns.txEnd[i] > nowNs || ns.dutyBudget[i] < s.r.helloAirNs || sh.channelBusy(i, nowNs) {
+	if !sh.beaconClear(i, nowNs) {
 		return
 	}
-	sh.startTx(i, txRec{kind: kindSolicit, dst: -1, origin: i, born: nowNs}, s.r.helloAirNs)
-	sh.stats.solicitsSent++
+	sh.startTx(i, txRec{kind: kindSolicit, dst: -1, origin: origin, born: born, hops: hops}, s.r.helloAirNs)
+	sh.stats.SolicitsSent++
 }
 
 // onSolicit handles a received solicit at node r: licence beacons, answer
@@ -75,8 +74,7 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 		// jitter so concurrent answerers desynchronize.
 		if !ns.replyArmed[r] {
 			ns.replyArmed[r] = true
-			jit := 1 + int64(s.hash(purposeSolicitJit, uint64(r), uint64(tx.origin), uint64(tx.born))%uint64(s.r.relayJitNs))
-			sh.at(now+jit, func() {
+			sh.at(now+s.holdOff(purposeSolicitJit, r, tx.origin, tx.born), func() {
 				ns.replyArmed[r] = false
 				sh.helloOnce(r)
 			})
@@ -90,45 +88,41 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 	}
 	ns.solSeenFrom[r], ns.solSeenBorn[r] = tx.origin, tx.born
 	if int(tx.hops)+1 > ttlHops {
-		sh.stats.dropTTL++
+		sh.stats.DropTTL++
 		return
 	}
 	origin, born, hops := tx.origin, tx.born, tx.hops+1
-	jit := 1 + int64(s.hash(purposeRelayJit, uint64(r), uint64(origin), uint64(born))%uint64(s.r.relayJitNs))
-	sh.at(now+jit, func() { sh.solicitRelay(r, origin, born, hops) })
+	sh.at(now+s.holdOff(purposeRelayJit, r, origin, born), func() { sh.solicitRelay(r, origin, born, hops) })
+}
+
+// holdOff is node r's deterministic delay, in [1, relayJitNs], before it
+// answers or relays the flood (origin, born), so concurrent answerers and
+// relayers desynchronize.
+func (s *Sim) holdOff(purpose uint64, r, origin int32, born int64) int64 {
+	return 1 + int64(s.hash(purpose, uint64(r), uint64(origin), uint64(born))%uint64(s.r.relayJitNs))
 }
 
 // solicitRelay re-broadcasts a solicit flood from a still-routeless node.
-// No retry on a blocked radio: the originator re-solicits on its own
-// cadence.
 func (sh *shard) solicitRelay(r, origin int32, born int64, hops uint8) {
-	s := sh.sim
-	ns := &s.nodes
 	now := sh.nowNs()
-	if s.effHop(r, now) != noRoute {
+	if sh.sim.effHop(r, now) != noRoute {
 		return // learned a route during the hold-off; beacons answer now
 	}
-	s.accrueDuty(r, now)
-	if ns.txEnd[r] > now || ns.dutyBudget[r] < s.r.helloAirNs || sh.channelBusy(r, now) {
-		return
-	}
-	sh.startTx(r, txRec{kind: kindSolicit, dst: -1, origin: origin, born: born, hops: hops}, s.r.helloAirNs)
-	sh.stats.solicitsSent++
+	sh.trySolicit(r, now, origin, born, hops)
 }
 
 // helloOnce transmits one triggered beacon (no re-arm), with the same
 // radio gates as the periodic helloFire.
 func (sh *shard) helloOnce(i int32) {
 	s := sh.sim
-	ns := &s.nodes
 	now := sh.nowNs()
 	s.accrueDuty(i, now)
-	if ns.txEnd[i] > now || ns.dutyBudget[i] < s.r.helloAirNs || sh.channelBusy(i, now) {
-		sh.stats.helloSkips++
+	if !sh.beaconClear(i, now) {
+		sh.stats.HelloSkips++
 		return
 	}
 	sh.startTx(i, txRec{kind: kindHello, dst: -1, hopSrc: s.effHop(i, now)}, s.r.helloAirNs)
-	ns.cHelloTx[i]++
+	s.nodes.cHelloTx[i]++
 }
 
 // --- icn ---------------------------------------------------------------
@@ -179,13 +173,13 @@ func (sh *shard) expressInterest(i int32, nowNs int64) {
 	ns := &s.nodes
 	if s.csValid(i, nowNs) {
 		// Cache hit at the consumer itself: zero-airtime delivery.
-		sh.stats.cacheHits++
-		sh.deliverICN(i, i, nowNs, nowNs)
+		sh.stats.CacheHits++
+		sh.deliver(i, i, nowNs, nowNs)
 		return
 	}
 	if s.pitLive(i, nowNs) {
 		s.pitAdd(i, i, i, nowNs)
-		sh.stats.interestAggregated++
+		sh.stats.InterestAggregated++
 		return
 	}
 	ns.pitLen[i] = 0
@@ -193,18 +187,6 @@ func (sh *shard) expressInterest(i int32, nowNs int64) {
 	s.pitAdd(i, i, i, nowNs)
 	sh.enqueue(i, sh.allocPkt(pkt{kind: kindInterest, dst: -1, origin: i, born: nowNs, hops: 0}))
 	sh.pump(i)
-}
-
-// deliverICN records one satisfied interest at requester r (sink column
-// = the satisfied node; origin = the requester, mirroring the telemetry
-// log's shape).
-func (sh *shard) deliverICN(r, origin int32, bornNs, nowNs int64) {
-	sh.sim.nodes.cDelivered[r]++
-	sh.stats.delivered++
-	sh.stats.latencySumNs += nowNs - bornNs
-	sh.deliveries = append(sh.deliveries, deliveryRec{
-		atNs: nowNs, sink: r, origin: origin, bornNs: bornNs,
-	})
 }
 
 // onInterest runs the ICN forwarding plane at node r: dedup, producer or
@@ -226,40 +208,42 @@ func (sh *shard) onInterest(r int32, tx *txRec) {
 		// breadcrumb. hops counts the distance from the content copy.
 		var fromHops uint16
 		if !ns.isSink[r] {
-			sh.stats.cacheHits++
+			sh.stats.CacheHits++
 			fromHops = ns.csHops[r]
 		}
 		if fromHops > 254 {
 			fromHops = 254
 		}
-		hops := uint8(fromHops)
-		sh.enqueue(r, sh.allocPkt(pkt{
+		sh.queueHeldOff(r, pkt{
 			kind: kindNamedData, dst: tx.sender,
-			origin: tx.origin, born: tx.born, hops: hops,
-		}))
-		jit := 1 + int64(s.hash(purposeRelayJit, uint64(r), uint64(tx.origin), uint64(tx.born))%uint64(s.r.relayJitNs))
-		sh.at(now+jit, func() { sh.pump(r) })
+			origin: tx.origin, born: tx.born, hops: uint8(fromHops),
+		})
 		return
 	}
 
 	if s.pitLive(r, now) {
 		s.pitAdd(r, tx.sender, tx.origin, tx.born)
-		sh.stats.interestAggregated++
+		sh.stats.InterestAggregated++
 		return
 	}
 	if int(tx.hops)+1 > ttlHops {
-		sh.stats.dropTTL++
+		sh.stats.DropTTL++
 		return
 	}
 	ns.pitLen[r] = 0
 	ns.pitExpiry[r] = now + s.r.pitTTLNs
 	s.pitAdd(r, tx.sender, tx.origin, tx.born)
-	sh.enqueue(r, sh.allocPkt(pkt{
+	sh.queueHeldOff(r, pkt{
 		kind: kindInterest, dst: -1,
 		origin: tx.origin, born: tx.born, hops: tx.hops + 1,
-	}))
-	jit := 1 + int64(s.hash(purposeRelayJit, uint64(r), uint64(tx.origin), uint64(tx.born))%uint64(s.r.relayJitNs))
-	sh.at(now+jit, func() { sh.pump(r) })
+	})
+}
+
+// queueHeldOff queues p at node r and pumps r after its hold-off for p's
+// flood.
+func (sh *shard) queueHeldOff(r int32, p pkt) {
+	sh.enqueue(r, sh.allocPkt(p))
+	sh.at(sh.nowNs()+sh.sim.holdOff(purposeRelayJit, r, p.origin, p.born), func() { sh.pump(r) })
 }
 
 // onNamedData handles content addressed to node r: cache it, deliver to
@@ -280,7 +264,7 @@ func (sh *shard) onNamedData(r int32, tx *txRec) {
 	for k := 0; k < crumbs; k++ {
 		down, origin, born := ns.pitDown[base+k], ns.pitOrigin[base+k], ns.pitBorn[base+k]
 		if down == r {
-			sh.deliverICN(r, origin, born, now)
+			sh.deliver(r, origin, born, now)
 			continue
 		}
 		sh.enqueue(r, sh.allocPkt(pkt{

@@ -49,7 +49,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 			}
 			loss, ok := s.lossBetween(r, tx.sender)
 			if !ok || loss > s.r.maxLossDel {
-				sh.stats.lostBelowSens++
+				sh.stats.LostBelowSensitivity++
 				continue
 			}
 			sh.receive(r, tx, !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss, sh.flightAll))
@@ -72,7 +72,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 		}
 	}
 	if s.shardOfCell(scell) == sh.id { // the rest, booked once, by the sender's owner
-		sh.stats.lostBelowSens += uint64(s.r.Nodes - 1 - inRange)
+		sh.stats.LostBelowSensitivity += uint64(s.r.Nodes - 1 - inRange)
 	}
 	if len(sh.cands) == 0 {
 		return sh.heard
@@ -137,19 +137,19 @@ func (sh *shard) mergeInterferer(i int32) {
 func (sh *shard) receive(r int32, tx *txRec, captured bool) {
 	s := sh.sim
 	if s.nodes.transmittedDuring(r, tx.startNs, tx.endNs) {
-		sh.stats.lostHalfDuplex++
+		sh.stats.LostHalfDuplex++
 		return
 	}
 	if captured {
-		sh.stats.lostCollision++
+		sh.stats.LostCollision++
 		return
 	}
 	if rate := s.r.ExtraFrameLossRate; rate > 0 &&
 		hash01(s.hash(purposeErasure, uint64(tx.sender), uint64(tx.seq), uint64(r))) < rate {
-		sh.stats.lostRandom++
+		sh.stats.LostRandom++
 		return
 	}
-	sh.stats.framesDelivered++
+	sh.stats.FramesDelivered++
 	sh.heard = append(sh.heard, r)
 }
 

@@ -45,7 +45,7 @@ func hearAll(t *testing.T, s *Sim, tx txRec) Stats {
 		want.merge(&ref.stats)
 		wantHeard = append(wantHeard, ref.heard...)
 
-		sh.stats = shardStats{}
+		sh.stats = Stats{}
 		gotHeard = append(gotHeard, sh.hear(&tx)...)
 		got.merge(&sh.stats)
 	}

@@ -10,7 +10,7 @@ package citysim
 // own, so the reference decides a frame without disturbing the shard.
 type refShard struct {
 	*shard
-	stats shardStats
+	stats Stats
 	heard []int32
 }
 
@@ -39,7 +39,7 @@ func (sh *refShard) evaluateTx(tx txRec) {
 		// Bulk-account everything outside the 3x3 neighborhood (which
 		// holds the sender itself) as below sensitivity, exactly once per
 		// transmission (by the cell owner).
-		sh.stats.lostBelowSens += uint64(s.r.Nodes) - uint64(refPop3x3(s, scell))
+		sh.stats.LostBelowSensitivity += uint64(s.r.Nodes) - uint64(refPop3x3(s, scell))
 	}
 	s.grid.ForNeighbors(int(scell), func(c int) {
 		if s.shardOfCell(int32(c)) != sh.id {
@@ -61,23 +61,23 @@ func (sh *refShard) evalAt(r int32, tx *txRec) {
 	s := sh.sim
 	loss, ok := s.lossBetween(r, tx.sender)
 	if !ok || loss > s.r.maxLossDel {
-		sh.stats.lostBelowSens++
+		sh.stats.LostBelowSensitivity++
 		return
 	}
 	if s.nodes.transmittedDuring(r, tx.startNs, tx.endNs) {
-		sh.stats.lostHalfDuplex++
+		sh.stats.LostHalfDuplex++
 		return
 	}
 	if !sh.clearOfInterference(r, tx, s.r.eirpDBm-loss) {
-		sh.stats.lostCollision++
+		sh.stats.LostCollision++
 		return
 	}
 	if rate := s.r.ExtraFrameLossRate; rate > 0 &&
 		hash01(s.hash(purposeErasure, uint64(tx.sender), uint64(tx.seq), uint64(r))) < rate {
-		sh.stats.lostRandom++
+		sh.stats.LostRandom++
 		return
 	}
-	sh.stats.framesDelivered++
+	sh.stats.FramesDelivered++
 	sh.heard = append(sh.heard, r)
 }
 

@@ -57,31 +57,6 @@ type deliveryRec struct {
 	origin int32
 }
 
-// shardStats are per-shard outcome counters, merged order-independently
-// (sums) into Stats.
-type shardStats struct {
-	framesSent      uint64
-	framesDelivered uint64
-	lostBelowSens   uint64
-	lostCollision   uint64
-	lostHalfDuplex  uint64
-	lostRandom      uint64
-	helloSkips      uint64
-	airtimeNs       int64
-	offered         uint64
-	delivered       uint64
-	dropQueue       uint64
-	dropTTL         uint64
-	latencySumNs    int64
-
-	// Strategy-mode counters (zero under proactive).
-	solicitsSent       uint64
-	interestsSent      uint64
-	interestAggregated uint64
-	cacheHits          uint64
-	slotDeferrals      uint64
-}
-
 // shardCmd is one window's work for a shard: integrate the previous
 // window's merged list, which ended at winStartNs, if it was not empty
 // (phase B), then run the wheel through [winStartNs, winEndNs) (phase A).
@@ -122,7 +97,9 @@ type shard struct {
 	freePkts []int32
 
 	deliveries []deliveryRec
-	stats      shardStats
+	// stats holds the outcome counters this shard counts; Sim.Stats sums
+	// them.
+	stats Stats
 
 	winStartNs int64 // current window start: the carrier-sense quantum
 	integrated uint64
@@ -131,20 +108,14 @@ type shard struct {
 	cmds chan shardCmd
 }
 
-func newShard(s *Sim, id int32) *shard {
+// newShard creates shard id, whose stripe starts at column c0.
+func newShard(s *Sim, id int32, c0 int) *shard {
 	sh := &shard{
 		sim:   s,
 		id:    id,
-		c0:    -1,
+		c0:    c0,
+		c1:    c0,
 		wheel: simtime.NewScheduler(time.Unix(0, 0).UTC()),
-	}
-	for col, owner := range s.shardOfCol {
-		if owner == id {
-			if sh.c0 < 0 {
-				sh.c0 = col
-			}
-			sh.c1 = col
-		}
 	}
 	if !s.fullScan {
 		sh.cellTx = make([][]airRec, s.grid.NumCells())
@@ -176,14 +147,6 @@ func (sh *shard) allocPkt(p pkt) int32 {
 }
 
 func (sh *shard) freePkt(idx int32) { sh.freePkts = append(sh.freePkts, idx) }
-
-// ownsCol reports whether the shard keeps tx-index state for col (stripe
-// plus halo).
-func (sh *shard) indexesCol(col int) bool { return col >= sh.c0-1 && col <= sh.c1+1 }
-
-// evaluatesAround reports whether any cell of the 3x3 neighborhood around
-// scol belongs to the stripe — i.e. this shard owns receivers of the tx.
-func (sh *shard) evaluatesAround(scol int) bool { return scol >= sh.c0-1 && scol <= sh.c1+1 }
 
 // runWindows drives the lockstep window loop until the virtual clock
 // passes endNs (rounded up to whole windows) or no events remain. The
@@ -358,11 +321,10 @@ func (sh *shard) integrate(winEndNs int64) {
 			sh.at(tx.endNs+winNs, func() { sh.evaluateTx(tx) })
 			continue
 		}
-		scol, _ := s.grid.ColRow(int(scell))
-		if sh.indexesCol(scol) {
+		// A sender in the stripe or its halo: the shard indexes its cell,
+		// and its 3x3 neighborhood reaches receivers in the stripe.
+		if scol, _ := s.grid.ColRow(int(scell)); scol >= sh.c0-1 && scol <= sh.c1+1 {
 			sh.cellTx[scell] = append(sh.cellTx[scell], airRec{tx.startNs, tx.endNs, tx.sender})
-		}
-		if sh.evaluatesAround(scol) {
 			sh.at(tx.endNs+winNs, func() { sh.evaluateTx(tx) })
 		}
 	}

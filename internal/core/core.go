@@ -466,8 +466,7 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 	})
 	n.helloTimer = newTimer(env, n.helloTick)
 	n.expiryTimer = newTimer(env, n.expiryTick)
-	n.preRegisterInstruments()
-	n.cacheInstruments()
+	n.registerInstruments()
 	return n, nil
 }
 
@@ -494,7 +493,23 @@ type hotInstruments struct {
 	secTxHigh, secRxHigh           *metrics.Gauge
 }
 
-func (n *Node) cacheInstruments() {
+// registerInstruments creates the node's instrument schema up front, so
+// a /metrics scrape (or a dashboard) sees stable names from boot — a drop
+// counter that reads 0 is very different from one that does not exist
+// yet — and keeps the ones the per-frame paths touch.
+func (n *Node) registerInstruments() {
+	for _, c := range []string{
+		"drop." + forward.DropNoRoute, "drop." + forward.DropDuplicate,
+		"drop." + forward.DropQueueFull, "drop." + forward.DropDutyCycle,
+		"drop." + forward.DropMarshal, "drop." + forward.DropTxError,
+		"dutycycle.deferrals",
+	} {
+		n.reg.Counter(c)
+	}
+	// stream.retx.rounds observes, per finished stream, the longest run
+	// of consecutive retransmission rounds without acknowledged
+	// progress — the bounded-retry evidence chaos runs assert on.
+	n.reg.Histogram("stream.retx.rounds")
 	n.ins.txFrames = n.reg.Counter("tx.frames")
 	n.ins.txBytes = n.reg.Counter("tx.bytes")
 	n.ins.rxFrames = n.reg.Counter("rx.frames")
@@ -548,49 +563,6 @@ func (n *Node) rxTypeCounter(t packet.Type) *metrics.Counter {
 		n.ins.rxType[t] = c
 	}
 	return c
-}
-
-// preRegisterInstruments creates the node's core instrument set up front,
-// so a /metrics scrape (or a dashboard) sees a stable schema from boot —
-// a drop counter that reads 0 is very different from one that does not
-// exist yet.
-func (n *Node) preRegisterInstruments() {
-	for _, c := range []string{
-		"tx.frames", "tx.bytes", "rx.frames", "fwd.frames",
-		"app.sent", "app.delivered",
-		"drop." + forward.DropNoRoute, "drop." + forward.DropDuplicate,
-		"drop." + forward.DropQueueFull, "drop." + forward.DropDutyCycle,
-		"drop." + forward.DropMarshal, "drop." + forward.DropTxError,
-		"dutycycle.deferrals",
-	} {
-		n.reg.Counter(c)
-	}
-	n.reg.Gauge("queue.depth")
-	n.reg.Gauge("routes.count")
-	n.reg.Gauge("dutycycle.utilization")
-	n.reg.Histogram("tx.airtime_ms")
-	n.reg.Histogram("queue.wait_ms")
-	// stream.retx.rounds observes, per finished stream, the longest run
-	// of consecutive retransmission rounds without acknowledged
-	// progress — the bounded-retry evidence chaos runs assert on.
-	n.reg.Histogram("stream.retx.rounds")
-	if n.cfg.Security != nil {
-		for _, c := range []string{
-			"sec.tx.sealed", "sec.rx.opened",
-			"sec.drop.auth", "sec.drop.replay", "sec.drop.legacy",
-			"sec.rekey.applied", "sec.overhead.bytes",
-		} {
-			n.reg.Counter(c)
-		}
-		n.reg.Histogram("sec.seal_ns")
-		n.reg.Histogram("sec.open_ns")
-		for _, g := range []string{
-			"sec.replay.window.origins", "sec.replay.window.occupancy",
-			"sec.counter.tx.highwater", "sec.counter.rx.highwater",
-		} {
-			n.reg.Gauge(g)
-		}
-	}
 }
 
 // tracePacket emits a narrative event about p, stamped with p's trace

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/meshsec"
 	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/simtime"
@@ -350,6 +352,42 @@ func TestMetricsNamesStable(t *testing.T) {
 	for _, want := range []string{"tx.frames", "rx.frames", "hello.sent", "hello.received"} {
 		if _, ok := snap[want]; !ok {
 			t.Errorf("counter %q missing from %v", want, snap)
+		}
+	}
+
+	// The schema a scrape sees at boot, before any frame, with and
+	// without link security.
+	schema := []string{
+		"app.delivered", "app.sent", "drop.duplicate", "drop.dutycycle", "drop.marshal",
+		"drop.noroute", "drop.queue_full", "drop.txerror", "dutycycle.deferrals",
+		"dutycycle.utilization", "fwd.frames", "hello.received", "queue.depth",
+		"queue.wait_ms.count", "routes.count", "routes.updated", "rx.corrupt", "rx.frames",
+		"rx.overheard", "rx.own_echo", "stream.retx.rounds.count", "tx.airtime_ms.count",
+		"tx.bytes", "tx.frames",
+	}
+	secSchema := append(slices.Clone(schema),
+		"sec.counter.rx.highwater", "sec.counter.tx.highwater", "sec.drop.auth",
+		"sec.drop.legacy", "sec.drop.replay", "sec.open_ns.count", "sec.overhead.bytes",
+		"sec.rekey.applied", "sec.replay.window.occupancy", "sec.replay.window.origins",
+		"sec.rx.opened", "sec.seal_ns.count", "sec.tx.sealed",
+	)
+	for _, sec := range []bool{false, true} {
+		cfg, want := fastConfig(), schema
+		cfg.Address = 1
+		if sec {
+			cfg.Security, want = meshsec.NewLink(testNetKey, 1), secSchema
+		}
+		n, err := NewNode(cfg, &testEnv{b: &bus{sched: simtime.NewScheduler(t0)}, addr: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for name := range n.Metrics().Snapshot() {
+			got = append(got, name)
+		}
+		slices.Sort(got)
+		if slices.Sort(want); !slices.Equal(got, want) {
+			t.Errorf("security %v: NewNode registers\n %q\nwant\n %q", sec, got, want)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 )
 
@@ -389,14 +388,4 @@ func LoadFile(path string) (*Plan, error) {
 		return nil, fmt.Errorf("faults: %s: %w", path, err)
 	}
 	return p, nil
-}
-
-// Reasons orders fault-drop reason strings for stable reporting.
-func Reasons(stats map[string]uint64) []string {
-	keys := make([]string, 0, len(stats))
-	for k := range stats {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

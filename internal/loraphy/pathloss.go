@@ -75,11 +75,12 @@ func (m ShadowedModel) LinkPathLossDB(a, b uint64, distanceMeters, freqHz float6
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return base + m.SigmaDB*gaussianFromHash(mix64(lo^rotl(hi, 32)^m.Seed))
+	return base + m.SigmaDB*gaussianFromHash(Mix64(lo^rotl(hi, 32)^m.Seed))
 }
 
-// mix64 is the SplitMix64 finalizer, a high-quality 64-bit mixer.
-func mix64(x uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer, a high-quality 64-bit mixer. It is
+// also citysim's hash behind every deterministic draw.
+func Mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -92,6 +93,6 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 // Box-Muller transform on two derived uniforms.
 func gaussianFromHash(h uint64) float64 {
 	u1 := (float64(h>>11) + 0.5) / (1 << 53)
-	u2 := (float64(mix64(h)>>11) + 0.5) / (1 << 53)
+	u2 := (float64(Mix64(h)>>11) + 0.5) / (1 << 53)
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

@@ -497,8 +497,9 @@ func (l *Link) Open(p *packet.Packet) error {
 
 // VerifyOnly checks a packet's MIC without touching replay windows or
 // the scratch buffer, and reports whether it verified and (if encrypted)
-// returns the decrypted payload as a fresh allocation. Offline tooling
-// (packetdump) uses it; the engine path uses Open.
+// returns the decrypted payload as a fresh allocation. bench uses it to
+// price authentication alone; nodes and packetdump judge frames with
+// Open.
 func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
 	if len(p.Payload) > keystreamLen {
 		return nil, false
@@ -516,14 +517,6 @@ func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
 	pt := append([]byte(nil), p.Payload...)
 	subtle.XORBytes(pt, pt, ks)
 	return pt, true
-}
-
-// ReplayCheck runs just the replay-window admission for (origin,
-// counter), for tooling that verifies with VerifyOnly first.
-func (l *Link) ReplayCheck(src packet.Address, counter uint32) bool {
-	o := l.origin(src)
-	o.windowed = true
-	return o.win.admit(counter)
 }
 
 // Key rotation rides the gateway downlink channel as a typed

@@ -384,7 +384,7 @@ func TestNextCounterMonotonic(t *testing.T) {
 	}
 }
 
-func TestVerifyOnlyAndReplayCheck(t *testing.T) {
+func TestVerifyOnly(t *testing.T) {
 	key := testKey(0x42)
 	tx := NewLink(key, 0x0001)
 	dump := NewLink(key, 0)
@@ -396,17 +396,14 @@ func TestVerifyOnlyAndReplayCheck(t *testing.T) {
 	if !ok || string(pt) != "captured" {
 		t.Fatalf("VerifyOnly = %q, %v", pt, ok)
 	}
-	// VerifyOnly leaves the window untouched: first ReplayCheck admits.
-	if !dump.ReplayCheck(rx.Src, rx.Counter) {
-		t.Error("first ReplayCheck must admit")
-	}
-	if dump.ReplayCheck(rx.Src, rx.Counter) {
-		t.Error("second ReplayCheck must reject")
-	}
-
-	rx.MIC[0] ^= 1
-	if _, ok := dump.VerifyOnly(rx); ok {
+	bad := *rx
+	bad.MIC[0] ^= 1
+	if _, ok := dump.VerifyOnly(&bad); ok {
 		t.Error("VerifyOnly accepted a flipped MIC")
+	}
+	// VerifyOnly leaves the window untouched: Open still admits the frame.
+	if err := dump.Open(rx); err != nil {
+		t.Errorf("Open after VerifyOnly: %v", err)
 	}
 }
 

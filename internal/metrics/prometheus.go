@@ -66,19 +66,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
-	for _, name := range sortedKeys(counters) {
+	for _, name := range SortedKeys(counters) {
 		pn := SanitizeName(name) + "_total"
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, counters[name].Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(gauges) {
+	for _, name := range SortedKeys(gauges) {
 		pn := SanitizeName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promValue(gauges[name].Value())); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(histograms) {
+	for _, name := range SortedKeys(histograms) {
 		h := histograms[name]
 		pn := SanitizeName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", pn); err != nil {
@@ -98,7 +98,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func sortedKeys[V any](m map[string]V) []string {
+// SortedKeys returns m's keys in ascending order: the stable order every
+// report of a name-keyed map prints in.
+func SortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
