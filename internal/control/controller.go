@@ -379,13 +379,11 @@ func (c *Controller) Poll(now time.Time) int {
 			keep = append(keep, q)
 			continue
 		}
-		c.seq++
-		q.cmd.Seq = c.seq
-		t.inflight = &pending{cmd: q.cmd, reliable: q.reliable, sentAt: now, tries: 1}
+		s := c.issueLocked(now, t, q.cmd, q.reliable)
 		t.stalled = false
 		inflight++
-		c.logf(now, "playbook %s: %s seq=%d node=%v", q.why, q.cmd.Op, q.cmd.Seq, q.to)
-		sends = append(sends, sendItem{to: q.to, cmd: q.cmd, reliable: q.reliable})
+		c.logf(now, "playbook %s: %s seq=%d node=%v", q.why, s.cmd.Op, s.cmd.Seq, q.to)
+		sends = append(sends, s)
 	}
 	c.queued = keep
 
@@ -419,13 +417,10 @@ func (c *Controller) Poll(now time.Time) int {
 			if t.inflight != nil || t.stalled || t.ackedEpoch >= c.st.Version {
 				continue
 			}
-			cmd := c.configCommand(a)
-			c.seq++
-			cmd.Seq = c.seq
-			t.inflight = &pending{cmd: cmd, reliable: true, sentAt: now, tries: 1}
+			s := c.issueLocked(now, t, c.configCommand(a), true)
 			inflight++
-			c.logf(now, "reconcile epoch=%d: set_config seq=%d node=%v", cmd.Epoch, cmd.Seq, a)
-			sends = append(sends, sendItem{to: a, cmd: cmd, reliable: true})
+			c.logf(now, "reconcile epoch=%d: set_config seq=%d node=%v", s.cmd.Epoch, s.cmd.Seq, a)
+			sends = append(sends, s)
 		}
 	}
 
@@ -515,18 +510,24 @@ func (c *Controller) planRekeyLocked(now time.Time, target uint32) (sendItem, bo
 			if t.stalled || t.inflight != nil {
 				continue // resting after exhaustion, or busy; wait
 			}
-			cmd := w.cmd
-			c.seq++
-			cmd.Seq = c.seq
-			t.inflight = &pending{cmd: cmd, reliable: true, sentAt: now, tries: 1}
-			c.logf(now, "rekey %s epoch=%d seq=%d node=%v", w.name, target, cmd.Seq, a)
-			return sendItem{to: a, cmd: cmd, reliable: true}, true
+			s := c.issueLocked(now, t, w.cmd, true)
+			c.logf(now, "rekey %s epoch=%d seq=%d node=%v", w.name, target, s.cmd.Seq, a)
+			return s, true
 		}
 		if incomplete {
 			return sendItem{}, false // this wave must finish first
 		}
 	}
 	return sendItem{}, false
+}
+
+// issueLocked stamps cmd with the next sequence number and makes it t's
+// outstanding command, first tried at now. Called under mu.
+func (c *Controller) issueLocked(now time.Time, t *nodeTrack, cmd Command, reliable bool) sendItem {
+	c.seq++
+	cmd.Seq = c.seq
+	t.inflight = &pending{cmd: cmd, reliable: reliable, sentAt: now, tries: 1}
+	return sendItem{to: t.addr, cmd: cmd, reliable: reliable}
 }
 
 // configCommand builds the OpSetConfig realizing the document for addr.

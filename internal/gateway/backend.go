@@ -1,8 +1,8 @@
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -77,35 +77,19 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// maxParsedBody bounds how much of a POST body the backend reads for
-// parseUplinkRequest; a longer body goes to encoding/json, those bytes first.
-const maxParsedBody = 1 << 20
-
-// decodeUplinkRequest decodes a POST body. A body that appendUplinkRequest
-// could have written is read by its twin; any other reaches
-// json.NewDecoder(...).Decode as the same stream of bytes and the same read
-// error it would have met unbuffered, so it fares exactly as it always has
-// (trailing bytes after the object included, which Decode ignores).
+// decodeUplinkRequest decodes a POST body. The one body it accepts is what
+// appendUplinkRequest writes; parseUplinkRequest reads it.
 func decodeUplinkRequest(body io.Reader) (uplinkRequest, error) {
-	b, rerr := io.ReadAll(io.LimitReader(body, maxParsedBody+1))
-	if rerr == nil && len(b) <= maxParsedBody {
-		if ur, ok := parseUplinkRequest(b); ok {
-			return ur, nil
-		}
+	b, err := io.ReadAll(body)
+	if err != nil {
+		return uplinkRequest{}, fmt.Errorf("gateway: read uplink body: %w", err)
 	}
-	rest := body // past the bound, or at EOF
-	if rerr != nil {
-		rest = failedReader{rerr}
+	ur, ok := parseUplinkRequest(b)
+	if !ok {
+		return uplinkRequest{}, errors.New("gateway: malformed uplink body")
 	}
-	var ur uplinkRequest
-	err := json.NewDecoder(io.MultiReader(bytes.NewReader(b), rest)).Decode(&ur)
-	return ur, err
+	return ur, nil
 }
-
-// failedReader returns err from every Read.
-type failedReader struct{ err error }
-
-func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
 // SetFailing switches an indefinite outage on or off.
 func (b *Backend) SetFailing(on bool) {

@@ -87,41 +87,6 @@ type Reading struct {
 	At time.Time
 }
 
-// readingJSON is Reading's wire/WAL form: the trace ID travels as the
-// canonical 16-hex-digit string so non-Go backends never face a 64-bit
-// JSON number. It is the decode-side schema; appendReading (spool.go) is
-// the encoder, and parseReading its twin for POST bodies.
-type readingJSON struct {
-	From     packet.Address `json:"from"`
-	To       packet.Address `json:"to"`
-	Trace    string         `json:"trace"`
-	Payload  []byte         `json:"payload"`
-	Reliable bool           `json:"reliable,omitempty"`
-	At       time.Time      `json:"at"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r Reading) MarshalJSON() ([]byte, error) {
-	return appendReading(nil, &r), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Reading) UnmarshalJSON(b []byte) error {
-	var j readingJSON
-	if err := json.Unmarshal(b, &j); err != nil {
-		return err
-	}
-	id, err := trace.ParseTraceID(j.Trace)
-	if err != nil {
-		return err
-	}
-	*r = Reading{
-		From: j.From, To: j.To, Trace: id,
-		Payload: j.Payload, Reliable: j.Reliable, At: j.At,
-	}
-	return nil
-}
-
 // FromAppMessage converts a mesh delivery into a spoolable reading.
 func FromAppMessage(m core.AppMessage) Reading {
 	return Reading{
@@ -154,8 +119,8 @@ type Downlink struct {
 // uplinkRequest is the POST body, as the backend decodes it;
 // appendUplinkRequest is the encoder, parseUplinkRequest its twin.
 type uplinkRequest struct {
-	Gateway  packet.Address `json:"gateway"`
-	Readings []Reading      `json:"readings"`
+	Gateway  packet.Address
+	Readings []Reading
 }
 
 // appendUplinkRequest appends the POST body for one batch to dst.
@@ -185,7 +150,6 @@ func parseUplinkRequest(b []byte) (ur uplinkRequest, ok bool) {
 	if b, ok = cut(b, `,"readings":[`); !ok {
 		return ur, false
 	}
-	ur.Readings = []Reading{} // encoding/json's value for [], not nil
 	if string(b) == "]}" {
 		return ur, true
 	}
@@ -808,7 +772,7 @@ func (g *Gateway) compactShard(sh *gwShard) {
 
 // post performs the HTTP round trip against one shard's endpoint.
 func (g *Gateway) post(url string, addr packet.Address, batch []Reading) (*uplinkResponse, time.Duration, error) {
-	size := 32 + len(batch)*readingJSONMax
+	size := 32 + len(batch)*readingMaxOverhead
 	for i := range batch {
 		size += base64.StdEncoding.EncodedLen(len(batch[i].Payload))
 	}

@@ -77,29 +77,6 @@ func TestNewValidatesBackendURLs(t *testing.T) {
 	}
 }
 
-func TestReadingJSONRoundTrip(t *testing.T) {
-	r := testReading(7)
-	r.Reliable = true
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trace ID must travel as the canonical hex string.
-	var raw map[string]any
-	json.Unmarshal(b, &raw)
-	if raw["trace"] != r.Trace.String() {
-		t.Fatalf("trace serialized as %v, want %q", raw["trace"], r.Trace.String())
-	}
-	var back Reading
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Trace != r.Trace || back.From != r.From || !back.At.Equal(r.At) ||
-		string(back.Payload) != string(r.Payload) || !back.Reliable {
-		t.Fatalf("round trip mutated the reading: %+v vs %+v", back, r)
-	}
-}
-
 func TestGatewayBatchSizeTrigger(t *testing.T) {
 	b := NewBackend()
 	g, _ := newTestGateway(t, b, nil)
@@ -352,6 +329,31 @@ func FuzzUplinkResponse(f *testing.F) {
 			t.Fatalf("%d downlinks: %d received, %d injected, failed or stale", n, received2-received, settled2-settled)
 		}
 	})
+}
+
+// TestBackendRejectsNonCanonicalBody holds the backend to the one body
+// spelling the gateway writes: valid JSON spelled any other way is a 400,
+// and none of its readings are kept.
+func TestBackendRejectsNonCanonicalBody(t *testing.T) {
+	b := NewBackend()
+	body := appendUplinkRequest(nil, 0x0001, []Reading{testReading(0)})
+	spaced := bytes.Replace(body, []byte(`"to":1,`), []byte(`"to": 1,`), 1)
+	if bytes.Equal(spaced, body) || !json.Valid(spaced) {
+		t.Fatalf("%s is not a respelling of %s", spaced, body)
+	}
+	for _, tc := range []struct {
+		body []byte
+		code int
+	}{{spaced, http.StatusBadRequest}, {body, http.StatusOK}} {
+		rec := httptest.NewRecorder()
+		b.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Fatalf("%s: status %d, want %d", tc.body, rec.Code, tc.code)
+		}
+	}
+	if b.Batches() != 1 || b.Distinct() != 1 {
+		t.Fatalf("backend kept %d batches, %d readings; want only the canonical body's 1 and 1", b.Batches(), b.Distinct())
+	}
 }
 
 // TestShardedBackendRoutesExactPaths holds the router to the paths URLs

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -458,20 +457,20 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, dels := map[string]int{}, map[string]int{}
+	puts, dels := map[trace.TraceID]int{}, map[trace.TraceID]int{}
 	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte{'\n'}) {
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("WAL line %q: %v", line, err)
+		r, put, ok := parseRecord(line)
+		if !ok {
+			t.Fatalf("WAL line %q does not parse", line)
 		}
-		if rec.Op == "put" {
-			puts[rec.Reading.Trace.String()]++
+		if put {
+			puts[r.Trace]++
 		} else {
-			dels[rec.Trace]++
+			dels[r.Trace]++
 		}
 	}
 	for i := 0; i < 6; i++ {
-		id := trace.TraceID(0x7000 + i).String()
+		id := trace.TraceID(0x7000 + i)
 		wantDels := 1
 		if i < 2 {
 			wantDels = 2 // the eviction's, then the late ack's

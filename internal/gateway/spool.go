@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -56,17 +55,6 @@ import (
 // The spool never fsyncs; power-loss durability is the file system's
 // affair — the right trade for an edge bridge whose upstream retries
 // anyway.
-
-// walRecord is one WAL line. It is the decode-side schema; the encode
-// side is the hand-rolled encodePut/encodeDel below, which emit the same
-// shape without allocating.
-type walRecord struct {
-	// Op is "put" (reading admitted) or "del" (reading uploaded or
-	// evicted; only Trace is set).
-	Op      string   `json:"op"`
-	Reading *Reading `json:"r,omitempty"`
-	Trace   string   `json:"trace,omitempty"`
-}
 
 // spool is the bounded durable queue. It has no lock of its own: every
 // method runs under the owning shard's mutex (compaction's bulk write is
@@ -193,8 +181,9 @@ func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*
 // replay rebuilds the pending queue and dedup horizon from the WAL. A
 // truncated final line (crash mid-append) is tolerated — torn reports it
 // so openSpool truncates the file back to the last intact record before
-// appending resumes. Any earlier malformed line is an error, because
-// silently skipping it could drop data the log promised to keep.
+// appending resumes. Any earlier line that parseRecord does not read is an
+// error, because silently skipping it could drop data the log promised to
+// keep.
 func (s *spool) replay() (torn bool, err error) {
 	f, err := os.Open(s.path)
 	if os.IsNotExist(err) {
@@ -208,39 +197,9 @@ func (s *spool) replay() (torn bool, err error) {
 	// at resolves a del to the slot its put went to. It holds only IDs
 	// whose put has seen no del yet and is garbage once replay returns
 	// (32 bits a slot: replay numbers from zero, and no log has 2³² puts).
+	// A put of an ID still pending supersedes the earlier put (it fell off
+	// the dedup horizon and was re-admitted): one slot per ID.
 	at := make(map[trace.TraceID]uint32)
-	apply := func(rec walRecord, line int) error {
-		switch rec.Op {
-		case "put":
-			if rec.Reading == nil {
-				return fmt.Errorf("gateway: spool %s: put without reading at line %d", s.path, line)
-			}
-			id := rec.Reading.Trace
-			if old, ok := at[id]; ok {
-				// Re-admitted after falling off the dedup horizon while still
-				// pending: the later put supersedes, one slot per ID.
-				s.kill(uint64(old))
-				s.trim()
-			}
-			at[id] = uint32(s.push(*rec.Reading))
-			s.remember(id)
-		case "del":
-			id, err := trace.ParseTraceID(rec.Trace)
-			if err != nil {
-				return fmt.Errorf("gateway: spool %s: line %d: %w", s.path, line, err)
-			}
-			if seq, ok := at[id]; ok {
-				s.kill(uint64(seq))
-				s.trim()
-				delete(at, id)
-			}
-			s.remember(id)
-		default:
-			return fmt.Errorf("gateway: spool %s: unknown op %q at line %d", s.path, rec.Op, line)
-		}
-		return nil
-	}
-
 	br := bufio.NewReaderSize(f, 64*1024)
 	lines := 0
 	for {
@@ -251,8 +210,8 @@ func (s *spool) replay() (torn bool, err error) {
 		terminated := rerr == nil
 		raw := bytes.TrimSuffix(line, []byte{'\n'})
 		if len(raw) > 0 {
-			var rec walRecord
-			if jerr := json.Unmarshal(raw, &rec); jerr != nil {
+			r, put, ok := parseRecord(raw)
+			if !ok {
 				if terminated {
 					// A framed record that does not parse is corruption,
 					// not a crash artifact.
@@ -263,9 +222,15 @@ func (s *spool) replay() (torn bool, err error) {
 				torn = true
 				break
 			}
-			if aerr := apply(rec, lines+1); aerr != nil {
-				return false, aerr
+			if seq, ok := at[r.Trace]; ok {
+				s.kill(uint64(seq))
+				s.trim()
+				delete(at, r.Trace)
 			}
+			if put {
+				at[r.Trace] = uint32(s.push(r))
+			}
+			s.remember(r.Trace)
 			lines++
 			if !terminated {
 				// Complete record, missing only its newline: keep it, but
@@ -319,15 +284,16 @@ func appendHexTrace(dst []byte, id trace.TraceID) []byte {
 	return dst
 }
 
-// readingJSONMax bounds appendReading's output for an empty payload: the
-// field names and punctuation plus the widest address, trace and time.
-const readingJSONMax = 128
+// readingMaxOverhead bounds appendReading's output for an empty payload:
+// the field names and punctuation plus the widest address, trace and time.
+const readingMaxOverhead = 128
 
 // appendReading appends r's JSON object — the one encoder for a Reading,
-// shared by the WAL, the uplink body and MarshalJSON. The output parses as
-// the readingJSON schema; every field is from a JSON-safe alphabet
-// (decimal, hex, base64, RFC 3339), so no escaping pass is needed and the
-// encoder allocates nothing once dst has grown.
+// shared by the WAL and the uplink body; parseReading is its twin. The
+// trace ID travels as the canonical 16-hex-digit string so non-Go backends
+// never face a 64-bit JSON number. Every field is from a JSON-safe
+// alphabet (decimal, hex, base64, RFC 3339), so no escaping pass is needed
+// and the encoder allocates nothing once dst has grown.
 func appendReading(dst []byte, r *Reading) []byte {
 	dst = append(dst, `{"from":`...)
 	dst = strconv.AppendUint(dst, uint64(r.From), 10)
@@ -353,11 +319,10 @@ func appendReading(dst []byte, r *Reading) []byte {
 // of b when b starts with exactly the bytes appendReading writes — its key
 // order, no whitespace, no escapes, decimal addresses without leading
 // zeros, a 16-digit lowercase hex trace, padded standard base64 — and
-// returns what follows. Anything else is not canonical (ok false), and the
-// caller hands the whole input to encoding/json instead, so the twin never
-// has to reject what encoding/json would accept. Where it does accept, it
-// yields what encoding/json yields: the payload through the same base64
-// decode into a fresh slice, the time through the same
+// returns what follows. Anything else is rejected (ok false), even where
+// encoding/json would accept it: no program writes it. Where it does
+// accept, it yields what encoding/json yields: the payload through the
+// same base64 decode into a fresh slice, the time through the same
 // time.Time.UnmarshalJSON call (FuzzDecodeMatchesJSON holds it to that).
 func parseReading(b []byte) (r Reading, rest []byte, ok bool) {
 	if b, ok = cut(b, `{"from":`); !ok {
@@ -480,6 +445,24 @@ func encodeDel(dst []byte, id trace.TraceID) []byte {
 	dst = appendHexTrace(dst, id)
 	dst = append(dst, '"', '}', '\n')
 	return dst
+}
+
+// parseRecord is encodePut and encodeDel's twin: it decodes one WAL line,
+// its newline cut off, when it is exactly what one of them writes. A put
+// yields its reading (put true), a del a Reading holding only the trace.
+func parseRecord(line []byte) (r Reading, put, ok bool) {
+	if b, isPut := cut(line, `{"op":"put","r":`); isPut {
+		r, b, ok = parseReading(b)
+		return r, true, ok && string(b) == "}"
+	}
+	b, ok := cut(line, `{"op":"del","trace":"`)
+	if !ok {
+		return r, false, false
+	}
+	if r.Trace, b, ok = parseHexTrace(b); !ok {
+		return r, false, false
+	}
+	return r, false, string(b) == `"}`
 }
 
 // appendLine writes one pre-encoded record line: straight to the OS when

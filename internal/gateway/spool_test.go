@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,6 +254,49 @@ func TestSpoolUnterminatedFinalRecordKept(t *testing.T) {
 	}
 	if s3.len() != 2 {
 		t.Fatalf("re-replay recovered %d readings, want 2", s3.len())
+	}
+}
+
+// TestSpoolRejectsNonCanonicalRecord: a framed line that is not exactly
+// what encodePut or encodeDel writes is corruption, even when it is valid
+// JSON for a record, and replay names its line.
+func TestSpoolRejectsNonCanonicalRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spool.wal")
+	s, err := openSpool(path, 16, 64, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.add(testReading(0))
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testReading(1)
+	for _, bad := range [][]byte{
+		bytes.Replace(encodePut(nil, &r), []byte(`"to":1,`), []byte(`"to": 1,`), 1),
+		bytes.Replace(encodeDel(nil, 0xabcdef), []byte("abcdef"), []byte("ABCDEF"), 1),
+		[]byte("{\"op\":\"put\"}\n"),
+		[]byte("{\"op\":\"get\",\"trace\":\"0000000000001001\"}\n"),
+		[]byte("{\"op\":\"del\",\"trace\":\"zz\"}\n"),
+	} {
+		if !json.Valid(bad) {
+			t.Fatalf("%q is not valid JSON", bad)
+		}
+		wal := append(append(append([]byte(nil), good...), bad...), encodeDel(nil, r.Trace)...)
+		if err := os.WriteFile(path, wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := openSpool(path, 16, 64, metrics.NewRegistry())
+		if err == nil {
+			s.close()
+			t.Fatalf("replay accepted %q", bad)
+		}
+		if !strings.Contains(err.Error(), "malformed record at line 2") {
+			t.Fatalf("replay of %q: %v, want malformed record at line 2", bad, err)
+		}
 	}
 }
 
@@ -604,18 +646,57 @@ func traces(rs []Reading) []trace.TraceID {
 	return ids
 }
 
-// TestEncodersAgree pins the hand encoders to encoding/json: appendReading
-// writes what json.Marshal writes for the readingJSON schema, and the
-// hand-built uplink body is json.Marshal of an uplinkRequest, byte for
-// byte. (A nil payload is the one difference: json writes null, the hand
-// encoder — as it always has in the WAL — "", and both decode to no bytes.)
-// Every reading and body must also be read by the encoder's twin, never
-// left to the fallback, into exactly what encoding/json reads.
+// readingJSON is a reading's schema on the wire and in the WAL, spelled
+// for encoding/json: the reference the hand encoder and its twin are held
+// to.
+type readingJSON struct {
+	From     packet.Address `json:"from"`
+	To       packet.Address `json:"to"`
+	Trace    string         `json:"trace"`
+	Payload  []byte         `json:"payload"`
+	Reliable bool           `json:"reliable,omitempty"`
+	At       time.Time      `json:"at"`
+}
+
+// uplinkRequestJSON is the POST body's schema.
+type uplinkRequestJSON struct {
+	Gateway  packet.Address `json:"gateway"`
+	Readings []readingJSON  `json:"readings"`
+}
+
+// walRecordJSON is one WAL line's schema: a put carries its reading, a
+// del only its trace.
+type walRecordJSON struct {
+	Op      string       `json:"op"`
+	Reading *readingJSON `json:"r,omitempty"`
+	Trace   string       `json:"trace,omitempty"`
+}
+
+func toReadingJSON(r Reading) readingJSON {
+	return readingJSON{
+		From: r.From, To: r.To, Trace: r.Trace.String(),
+		Payload: append([]byte{}, r.Payload...), Reliable: r.Reliable, At: r.At,
+	}
+}
+
+func (j readingJSON) reading() (Reading, error) {
+	id, err := trace.ParseTraceID(j.Trace)
+	return Reading{From: j.From, To: j.To, Trace: id, Payload: j.Payload, Reliable: j.Reliable, At: j.At}, err
+}
+
+// TestEncodersAgree pins the hand encoders to encoding/json: appendReading,
+// encodePut and encodeDel write what json.Marshal writes for the schemas
+// above, and the hand-built uplink body is json.Marshal of
+// uplinkRequestJSON, byte for byte. (A nil payload is the one difference:
+// json writes null, the hand encoder — as it always has in the WAL — "",
+// and both decode to no bytes.) Every reading, body and record must also
+// be read by the encoder's twin into exactly what encoding/json reads.
 func TestEncodersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	zones := []*time.Location{time.UTC, time.FixedZone("", 5*3600+30*60), time.FixedZone("", -8*3600)}
 	twinMatches(t, "appendUplinkRequest, empty batch", appendUplinkRequest(nil, 0xFFFF, nil), parseUplinkRequest, refDecodeBody)
 	var batch []Reading
+	var batchJSON []readingJSON
 	for i := 0; i < 300; i++ {
 		r := Reading{
 			From:     packet.Address(rng.Intn(1 << 16)),
@@ -628,45 +709,59 @@ func TestEncodersAgree(t *testing.T) {
 			r.Payload = make([]byte, n)
 			rng.Read(r.Payload)
 		}
-		want, err := json.Marshal(readingJSON{
-			From: r.From, To: r.To, Trace: r.Trace.String(),
-			Payload: append([]byte{}, r.Payload...), Reliable: r.Reliable, At: r.At,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rj := toReadingJSON(r)
 		got := appendReading(nil, &r)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("appendReading:\n got %s\nwant %s", got, want)
+		encodesAs(t, "appendReading", got, rj)
+		if over := len(got) - base64.StdEncoding.EncodedLen(len(r.Payload)); over > readingMaxOverhead {
+			t.Fatalf("reading encodes to %d bytes beyond its payload, readingMaxOverhead is %d", over, readingMaxOverhead)
 		}
-		if over := len(got) - base64.StdEncoding.EncodedLen(len(r.Payload)); over > readingJSONMax {
-			t.Fatalf("reading encodes to %d bytes beyond its payload, readingJSONMax is %d", over, readingJSONMax)
+		decoded := twinMatches(t, "appendReading", got, parseWholeReading, refDecodeReading)
+
+		put := encodePut(nil, &r)
+		encodesAs(t, "encodePut", put, walRecordJSON{Op: "put", Reading: &rj})
+		if got, isPut, ok := parseRecord(put[:len(put)-1]); !ok || !isPut || !reflect.DeepEqual(got, decoded) {
+			t.Fatalf("parseRecord(%s) = %+v, put %v, ok %v; want %+v", put, got, isPut, ok, decoded)
 		}
-		twinMatches(t, "appendReading", got, parseWholeReading, refDecodeReading)
-		batch = append(batch, r)
+		del := encodeDel(nil, r.Trace)
+		encodesAs(t, "encodeDel", del, walRecordJSON{Op: "del", Trace: rj.Trace})
+		if got, isPut, ok := parseRecord(del[:len(del)-1]); !ok || isPut || !reflect.DeepEqual(got, Reading{Trace: r.Trace}) {
+			t.Fatalf("parseRecord(%s) = %+v, put %v, ok %v", del, got, isPut, ok)
+		}
+
+		batch, batchJSON = append(batch, r), append(batchJSON, rj)
 		if len(batch) == 1+i%7 {
 			gw := packet.Address(rng.Intn(1 << 16))
-			want, err := json.Marshal(uplinkRequest{Gateway: gw, Readings: batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := appendUplinkRequest(nil, gw, batch)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("appendUplinkRequest:\n got %s\nwant %s", got, want)
-			}
-			twinMatches(t, "appendUplinkRequest", got, parseUplinkRequest, refDecodeBody)
-			batch = nil
+			body := appendUplinkRequest(nil, gw, batch)
+			encodesAs(t, "appendUplinkRequest", body, uplinkRequestJSON{Gateway: gw, Readings: batchJSON})
+			twinMatches(t, "appendUplinkRequest", body, parseUplinkRequest, refDecodeBody)
+			batch, batchJSON = nil, nil
 		}
 	}
 }
 
+// encodesAs fails t unless got is json.Marshal of ref, plus the newline
+// that frames a WAL record when got ends in one.
+func encodesAs(t *testing.T, what string, got []byte, ref any) {
+	t.Helper()
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasSuffix(got, []byte{'\n'}) {
+		want = append(want, '\n')
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s:\n got %s\nwant %s", what, got, want)
+	}
+}
+
 // twinMatches fails t unless twin accepts b and yields what ref, the
-// encoding/json decode, yields.
-func twinMatches[T any](t *testing.T, what string, b []byte, twin func([]byte) (T, bool), ref func([]byte) (T, error)) {
+// encoding/json decode, yields; it returns that value.
+func twinMatches[T any](t *testing.T, what string, b []byte, twin func([]byte) (T, bool), ref func([]byte) (T, error)) T {
 	t.Helper()
 	got, ok := twin(b)
 	if !ok {
-		t.Fatalf("%s output left to encoding/json:\n%s", what, b)
+		t.Fatalf("%s output rejected by its twin:\n%s", what, b)
 	}
 	want, err := ref(b)
 	if err != nil {
@@ -675,6 +770,7 @@ func twinMatches[T any](t *testing.T, what string, b []byte, twin func([]byte) (
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s output %s\ntwin decodes %+v\njson decodes %+v", what, b, got, want)
 	}
+	return got
 }
 
 // parseWholeReading is parseReading over an input that must hold one
@@ -684,27 +780,37 @@ func parseWholeReading(b []byte) (Reading, bool) {
 	return r, ok && len(rest) == 0
 }
 
-// refDecodeReading is Reading.UnmarshalJSON, which is encoding/json alone.
+// refDecodeReading decodes one reading by encoding/json alone.
 func refDecodeReading(b []byte) (Reading, error) {
-	var r Reading
-	err := r.UnmarshalJSON(b)
-	return r, err
+	var j readingJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return Reading{}, err
+	}
+	return j.reading()
 }
 
-// refDecodeBody is the backend's POST body decode by encoding/json alone.
+// refDecodeBody decodes a POST body by encoding/json alone.
 func refDecodeBody(b []byte) (uplinkRequest, error) {
-	return refDecodeBodyFrom(bytes.NewReader(b))
+	var j uplinkRequestJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return uplinkRequest{}, err
+	}
+	ur := uplinkRequest{Gateway: j.Gateway}
+	for _, rj := range j.Readings {
+		r, err := rj.reading()
+		if err != nil {
+			return uplinkRequest{}, err
+		}
+		ur.Readings = append(ur.Readings, r)
+	}
+	return ur, nil
 }
 
-func refDecodeBodyFrom(body io.Reader) (uplinkRequest, error) {
-	var ur uplinkRequest
-	err := json.NewDecoder(body).Decode(&ur)
-	return ur, err
-}
-
-// FuzzDecodeMatchesJSON searches for a POST body on which the backend's
-// decode parts from json.NewDecoder(...).Decode, the call it replaced: both
-// must accept or both reject, and what they accept must be equal.
+// FuzzDecodeMatchesJSON searches for a POST body the backend accepts but
+// reads unlike encoding/json: whenever the twin accepts a body,
+// encoding/json must accept it too and decode the same value. The converse
+// need not hold: the backend answers 400 to any spelling
+// appendUplinkRequest does not write.
 func FuzzDecodeMatchesJSON(f *testing.F) {
 	r := Reading{
 		From: 2, To: 1, Trace: 0x00ab_cdef_0123_4567,
@@ -744,61 +850,17 @@ func FuzzDecodeMatchesJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeUplinkRequest(bytes.NewReader(data))
-		want, wantErr := refDecodeBody(data)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q: error %v, encoding/json's %v", data, err, wantErr)
+		if err != nil {
+			return
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		want, err := refDecodeBody(data)
+		if err != nil {
+			t.Fatalf("%q: the twin accepts what encoding/json rejects: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q:\n got %+v\njson %+v", data, got, want)
 		}
 	})
-}
-
-// failOnce fails its first Read and reports EOF after, as an HTTP request
-// body cut short of its Content-Length does: a decoder that read it again
-// would see a clean end where the body had failed.
-type failOnce struct{ failed bool }
-
-func (f *failOnce) Read([]byte) (int, error) {
-	if f.failed {
-		return 0, io.EOF
-	}
-	f.failed = true
-	return 0, errors.New("connection reset")
-}
-
-// TestDecodeUplinkRequestStreams covers the bodies the twin does not read
-// whole: one past the buffer bound, and ones whose read fails, before or
-// after the object is complete. Each must decode as encoding/json decodes
-// the same stream.
-func TestDecodeUplinkRequestStreams(t *testing.T) {
-	batch := make([]Reading, maxParsedBody/64)
-	for i := range batch {
-		batch[i] = testReading(i)
-	}
-	long := appendUplinkRequest(nil, 0x00FE, batch)
-	if len(long) <= maxParsedBody {
-		t.Fatalf("a %d-byte body does not pass the %d-byte bound", len(long), maxParsedBody)
-	}
-	short := appendUplinkRequest(nil, 0x00FE, batch[:3])
-	for _, tc := range []struct {
-		name string
-		body func() io.Reader
-	}{
-		{"past the bound", func() io.Reader { return bytes.NewReader(long) }},
-		{"cut short", func() io.Reader { return io.MultiReader(bytes.NewReader(short[:40]), &failOnce{}) }},
-		{"failing after the object", func() io.Reader { return io.MultiReader(bytes.NewReader(short), &failOnce{}) }},
-		{"failing past the bound", func() io.Reader { return io.MultiReader(bytes.NewReader(long[:len(long)-1]), &failOnce{}) }},
-	} {
-		got, err := decodeUplinkRequest(tc.body())
-		want, wantErr := refDecodeBodyFrom(tc.body())
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("%s: error %v, encoding/json's %v", tc.name, err, wantErr)
-		}
-		if err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: decoded %d readings unlike encoding/json's %d", tc.name, len(got.Readings), len(want.Readings))
-		}
-	}
 }
 
 // ackRound is the drain's inner loop at a constant backlog: take the head
