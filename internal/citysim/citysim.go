@@ -563,7 +563,7 @@ func (dst *Stats) merge(src *Stats) {
 
 // stateBytes is the resident engine footprint: every nodeState slab
 // (routes, queues, strategy state, link slabs) and every shard's packet
-// slab. Reporting only — not digest material.
+// slab and candidate index. Reporting only — not digest material.
 func (s *Sim) stateBytes() uint64 {
 	var b uint64
 	slabs := reflect.ValueOf(s.nodes)
@@ -573,6 +573,7 @@ func (s *Sim) stateBytes() uint64 {
 	}
 	for _, sh := range s.shards {
 		b += uint64(cap(sh.pkts)) * uint64(reflect.TypeOf(pkt{}).Size())
+		b += uint64(len(sh.candOf)) * uint64(reflect.TypeOf(int32(0)).Size())
 	}
 	return b
 }

@@ -56,9 +56,9 @@ func TestCityBasics(t *testing.T) {
 }
 
 // TestStateBytesCountsEverySlab grows each nodeState slab, then each
-// shard's packet slab, by one element: StateBytes must grow by exactly
-// that element's size, so no slab is left out or counted at the wrong
-// width.
+// shard's packet slab and candidate index, by one element: StateBytes must
+// grow by exactly that element's size, so no slab is left out or counted
+// at the wrong width.
 func TestStateBytesCountsEverySlab(t *testing.T) {
 	s, err := New(Config{Nodes: 200, Shards: 2, Seed: 1})
 	if err != nil {
@@ -80,6 +80,11 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 		sh.pkts = make([]pkt, len(sh.pkts), cap(sh.pkts)+1)
 		if got, want := s.stateBytes()-before, reflect.TypeOf(pkt{}).Size(); got != uint64(want) {
 			t.Errorf("one more pkt slot adds %d state bytes, want %d", got, want)
+		}
+		before = s.stateBytes()
+		sh.candOf = append(sh.candOf, -1)
+		if got, want := s.stateBytes()-before, reflect.TypeOf(int32(0)).Size(); got != uint64(want) {
+			t.Errorf("one more candOf entry adds %d state bytes, want %d", got, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // radio.go — reception evaluation and carrier sense. Both execution modes
 // share every gate after sensitivity; the serial full scan recomputes links
-// to every station, the sharded mode reads the sender's and interferers' slabs.
+// to every station, the sharded mode reads the sender's slab for its
+// receivers and each interferer's slab for the receivers it captures,
+// looking those up by id in the shard's candidate index.
 //
 // Cross-mode exactness relies on the radio-relevance bound: a node outside
 // the sender's 3x3 cell neighborhood is farther than one cell side, so its
@@ -68,6 +70,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 		}
 		inRange++
 		if r := ns.nbrID[k]; s.shardOfCell(ns.cell[r]) == sh.id {
+			sh.candOf[r] = int32(len(sh.cands))
 			sh.cands = append(sh.cands, candidate{r: r, rssi: s.r.eirpDBm - loss})
 		}
 	}
@@ -79,6 +82,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	}
 	sh.capture(scell, tx)
 	for _, c := range sh.cands {
+		sh.candOf[c.r] = -1
 		sh.receive(c.r, tx, c.captured)
 	}
 	return sh.heard
@@ -91,10 +95,12 @@ type candidate struct {
 	rssi     float64 // the frame's, at r
 }
 
-// capture is clearOfInterference for every candidate at once: it merges
+// capture is clearOfInterference for every candidate at once: it visits
 // each in-flight record in the sender's 5x5 cell block that overlaps tx and
-// is not the sender's with the candidates. The block holds every
-// candidate's 3x3, and the verdict is an AND, so visit order does not matter.
+// is not the sender's, and lets markCaptured mark the candidates it
+// captures. The block holds every candidate's 3x3, and the verdict is an
+// OR over (candidate, interferer) pairs, so visit order does not matter.
+// The caller fills candOf for the candidates before and clears it after.
 func (sh *shard) capture(scell int32, tx *txRec) {
 	g := &sh.sim.grid
 	col, row := g.ColRow(int(scell))
@@ -103,31 +109,28 @@ func (sh *shard) capture(scell int32, tx *txRec) {
 		for c := max(col-2, 0); c <= min(col+2, cols-1); c++ {
 			for _, rec := range sh.cellTx[r*cols+c] {
 				if rec.sender != tx.sender && rec.endNs > tx.startNs && rec.startNs < tx.endNs {
-					sh.mergeInterferer(rec.sender)
+					sh.markCaptured(rec.sender)
 				}
 			}
 		}
 	}
 }
 
-// mergeInterferer marks the candidates interferer i captures by merging
-// i's slab with them, both ascending by id. Slabs are symmetric and never
-// list their own node, so an id match is exactly lossBetween(r, i)'s pair.
-func (sh *shard) mergeInterferer(i int32) {
+// markCaptured marks the candidates interferer i captures in one pass over
+// i's slab, finding each listed node's candidate through candOf. Slabs are
+// symmetric and never list their own node, so a hit is exactly
+// lossBetween(r, i)'s pair, and a receiver's own transmission never
+// captures it.
+func (sh *shard) markCaptured(i int32) {
 	s, ns := sh.sim, &sh.sim.nodes
 	lo, hi := ns.nbrOff[i], ns.nbrOff[i+1]
 	ids, loss := ns.nbrID[lo:hi], ns.nbrLoss[lo:hi]
-	k := 0
-	for j := range sh.cands {
-		c := &sh.cands[j]
-		for k < len(ids) && ids[k] < c.r {
-			k++
-		}
-		if k == len(ids) {
-			return
-		}
-		if irssi := s.r.eirpDBm - loss[k]; ids[k] == c.r && irssi >= s.r.noiseDBm-10 && c.rssi-irssi < s.r.captureThDB {
-			c.captured = true
+	for k, id := range ids {
+		if j := sh.candOf[id]; j >= 0 {
+			c := &sh.cands[j]
+			if irssi := s.r.eirpDBm - loss[k]; irssi >= s.r.noiseDBm-10 && c.rssi-irssi < s.r.captureThDB {
+				c.captured = true
+			}
 		}
 	}
 }

@@ -7,21 +7,25 @@ import (
 	"time"
 )
 
+// inFlight returns every record in s's tx-indexes.
+func inFlight(s *Sim) []airRec {
+	if s.fullScan {
+		return s.shards[0].flightAll
+	}
+	var recs []airRec
+	for c := range s.cellStations {
+		recs = append(recs, s.shards[s.shardOfCell(int32(c))].cellTx[c]...)
+	}
+	return recs
+}
+
 // probeFrames returns, for every record in s's tx-indexes, a data frame
 // from every node over that record's span, addressed to no one: each
 // overlaps at least one in-flight record, so the interference gate has
 // work, and evaluating one runs no handler.
 func probeFrames(s *Sim) []txRec {
-	var spans []airRec
-	if s.fullScan {
-		spans = s.shards[0].flightAll
-	} else {
-		for c := range s.cellStations {
-			spans = append(spans, s.shards[s.shardOfCell(int32(c))].cellTx[c]...)
-		}
-	}
 	var frames []txRec
-	for _, sp := range spans {
+	for _, sp := range inFlight(s) {
 		for i := int32(0); i < int32(s.r.Nodes); i++ {
 			frames = append(frames, txRec{
 				startNs: sp.startNs, endNs: sp.endNs, sender: i, dst: -1,
@@ -33,8 +37,8 @@ func probeFrames(s *Sim) []txRec {
 }
 
 // hearAll decides tx on every shard with both hear and the reference and
-// fails unless the merged receiver sets and loss buckets agree. It returns
-// hear's buckets.
+// fails unless the merged receiver sets and loss buckets agree and every
+// shard's candidate index is clean again. It returns hear's buckets.
 func hearAll(t *testing.T, s *Sim, tx txRec) Stats {
 	t.Helper()
 	var got, want Stats
@@ -48,6 +52,9 @@ func hearAll(t *testing.T, s *Sim, tx txRec) Stats {
 		sh.stats = Stats{}
 		gotHeard = append(gotHeard, sh.hear(&tx)...)
 		got.merge(&sh.stats)
+		if r := slices.IndexFunc(sh.candOf, func(j int32) bool { return j != -1 }); r >= 0 {
+			t.Fatalf("frame %+v: shard %d left candOf[%d] = %d", tx, sh.id, r, sh.candOf[r])
+		}
 	}
 	slices.Sort(gotHeard)
 	slices.Sort(wantHeard)
@@ -118,23 +125,76 @@ func TestHearMatchesReference(t *testing.T) {
 		total.FramesDelivered, total.LostHalfDuplex, total.LostCollision, total.LostRandom)
 }
 
+// FuzzHearMatchesReference searches for a frame hear and the reference
+// decide differently, or after which a shard's candidate index is not
+// clean. It builds one small city per execution mode, with shadowing and
+// erasures, once per fuzz process; the input picks the mode, a sender, an
+// in-flight record and where a frame of what length overlaps it. The
+// seeds are probe frames: a record's exact span.
+func FuzzHearMatchesReference(f *testing.F) {
+	type city struct {
+		s    *Sim
+		recs []airRec
+	}
+	var cities []city
+	for i, shards := range []int{0, 1, 2, 4} {
+		s, err := New(Config{
+			Nodes: 300, Strategy: "icn", Shards: shards, Seed: 11,
+			ShadowSigmaDB: 4, ExtraFrameLossRate: 0.02,
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Run(3 * time.Minute); err != nil {
+			f.Fatal(err)
+		}
+		recs := inFlight(s)
+		if len(recs) == 0 {
+			f.Fatalf("shards %d: nothing on the air", shards)
+		}
+		for _, k := range []int{0, len(recs) / 2, len(recs) - 1} {
+			span := uint64(recs[k].endNs - recs[k].startNs)
+			for _, sender := range []int32{recs[k].sender, int32(k) % int32(s.r.Nodes)} {
+				f.Add(uint8(i), uint16(sender), uint16(k), span-1, span-1)
+			}
+		}
+		cities = append(cities, city{s, recs})
+	}
+	f.Fuzz(func(t *testing.T, mode uint8, sender, rec uint16, offset, length uint64) {
+		c := cities[int(mode)%len(cities)]
+		s, sp := c.s, c.recs[int(rec)%len(c.recs)]
+		// The frame lasts 1..maxAir ns and starts anywhere it overlaps sp.
+		n := 1 + int64(length%uint64(s.r.maxAirNs))
+		start := sp.startNs - n + 1 + int64(offset%uint64(sp.endNs-sp.startNs+n-1))
+		hearAll(t, s, txRec{
+			startNs: start, endNs: start + n, sender: int32(sender) % int32(s.r.Nodes),
+			dst: -1, seq: uint32(offset), kind: kindData,
+		})
+	})
+}
+
 // BenchmarkEvaluateTx times one reception evaluation on a 2 000-node city
 // (the field grows with Nodes, so its density is the bench's) after ten
-// virtual minutes, against that run's in-flight records. Every probe frame
-// is a data frame addressed to no one, so no handler runs and every
+// virtual minutes, against that run's in-flight records, under the
+// proactive strategy and under ICN, where interferers pile up. Every probe
+// frame is a data frame addressed to no one, so no handler runs and every
 // iteration sees the same state.
 func BenchmarkEvaluateTx(b *testing.B) {
-	s, err := New(Config{Nodes: 2000, Shards: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Run(10 * time.Minute); err != nil {
-		b.Fatal(err)
-	}
-	frames := probeFrames(s)
-	sh := s.shards[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh.evaluateTx(frames[i%len(frames)])
+	for _, strategy := range []string{"proactive", "icn"} {
+		b.Run(strategy, func(b *testing.B) {
+			s, err := New(Config{Nodes: 2000, Strategy: strategy, Shards: 1, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Run(10 * time.Minute); err != nil {
+				b.Fatal(err)
+			}
+			frames := probeFrames(s)
+			sh := s.shards[0]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.evaluateTx(frames[i%len(frames)])
+			}
+		})
 	}
 }

@@ -91,6 +91,11 @@ type shard struct {
 	// that heard.
 	cands []candidate
 	heard []int32
+	// candOf indexes cands by node id: -1 except while capture runs, when
+	// each candidate's entry holds its position. Per shard, not a nodeState
+	// slab: an interferer's slab lists nodes of other stripes, whose shards
+	// fill their own indexes at the same time.
+	candOf []int32
 
 	// pkts is the queued-packet slab with a freelist.
 	pkts     []pkt
@@ -119,6 +124,10 @@ func newShard(s *Sim, id int32, c0 int) *shard {
 	}
 	if !s.fullScan {
 		sh.cellTx = make([][]airRec, s.grid.NumCells())
+		sh.candOf = make([]int32, s.r.Nodes)
+		for i := range sh.candOf {
+			sh.candOf[i] = -1
+		}
 	}
 	return sh
 }
