@@ -16,6 +16,16 @@
 // transmissions in its one-column halo so interference and carrier sense
 // at its border nodes see foreign traffic.
 //
+// # Node state in space order
+//
+// Node state is stored by slot, and slots ascend by (cell column, cell
+// row, id), so each stripe's nodes are one contiguous slot range and two
+// shards share cache lines only at their border. The id — the node's index
+// in the placement — stays wherever its value is model material: hash and
+// shadowing keys, the barrier tie-break, sink election, initial
+// scheduling, the digest and the delivery log. Everything else, the link
+// slabs included, names nodes by slot.
+//
 // # Conservative windowed synchronization
 //
 // Shards run in lockstep windows of width W <= the minimum frame airtime
@@ -44,9 +54,13 @@
 // through the sorted barrier list; per-cell tx indexes are read-only
 // during phases and mutated only at integration in merged order; every
 // random draw is a loraphy.Mix64 (SplitMix64) hash of (seed, purpose,
-// node/pair, counter) — there is no shared rand.Rand to race on ordering;
-// and both eval paths share one linkLoss function so cached and
-// recomputed budgets are bit-identical. Unlike airmedium, reception
+// node/pair id, counter) — there is no shared rand.Rand to race on
+// ordering; and both eval paths share one linkLoss function so cached and
+// recomputed budgets are bit-identical. The receivers of one frame may be
+// dispatched in any order: a handler writes only its receiver's slots, and
+// what the shard shares commutes (counter sums, an outbox sorted by a
+// unique key, a delivery log sorted by its full key, packet slab indexes
+// that are not digest material). Unlike airmedium, reception
 // checks sensitivity before half-duplex so out-of-range stations land in
 // the same loss bucket whether they were scanned individually (serial) or
 // skipped in bulk (sharded).
@@ -56,6 +70,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -378,11 +393,11 @@ type Sim struct {
 	// fullScan marks the serial reference mode (Config.Shards == 0).
 	fullScan bool
 	nodes    nodeState
-	// cellStations lists node ids per cell, ascending (static topology).
-	cellStations [][]int32
-	// shardOfCol maps a grid column to its owning shard.
-	shardOfCol []int32
-	shards     []*shard
+	// cellStart holds each cell's first slot, cells in column-major order
+	// (key col*Rows + row), plus the node count: the slots of column col,
+	// rows r0..r1, are [cellStart[col*Rows+r0], cellStart[col*Rows+r1+1]).
+	cellStart []int32
+	shards    []*shard
 	// winTxs is the barrier-merged, globally sorted transmission list of
 	// the current window, read-only during phase B.
 	winTxs []txRec
@@ -409,33 +424,59 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("citysim: %w", err)
 	}
-	s.buildNodes(topo)
-	s.electSinks()
+	slotOf := s.buildNodes(topo)
+	s.electSinks(slotOf)
 	s.buildShards()
 	if !s.fullScan {
 		s.buildLinks()
 	}
-	s.scheduleInitialEvents()
+	s.scheduleInitialEvents(slotOf)
 	return s, nil
 }
 
-// buildNodes fills the position slabs and the static cell membership.
-func (s *Sim) buildNodes(topo *geo.Topology) {
-	n := s.r.Nodes
-	ns := &s.nodes
-	ns.alloc(n)
-	s.cellStations = make([][]int32, s.grid.NumCells())
+// buildNodes stores the placement in space order and returns the id → slot
+// map. Slots ascend by (cell column, cell row, id), so each column stripe's
+// nodes are one slot range and each cell's nodes one run; nodes.id maps a
+// slot back to its id, the node's name wherever its value is model
+// material.
+func (s *Sim) buildNodes(topo *geo.Topology) []int32 {
+	g := &s.grid
+	key := make([]int32, len(topo.Positions))
+	s.cellStart = make([]int32, g.NumCells()+1)
 	for i, p := range topo.Positions {
-		ns.x[i], ns.y[i] = p.X, p.Y
-		c := int32(s.grid.CellOf(p))
-		ns.cell[i] = c
-		s.cellStations[c] = append(s.cellStations[c], int32(i))
+		col, row := g.ColRow(g.CellOf(p))
+		key[i] = int32(col*g.Rows() + row)
+		s.cellStart[key[i]+1]++
 	}
+	for k := 1; k < len(s.cellStart); k++ {
+		s.cellStart[k] += s.cellStart[k-1]
+	}
+	// A counting sort: ids reach their cell's run in ascending order.
+	next := slices.Clone(s.cellStart)
+	slotOf := make([]int32, len(topo.Positions))
+	ns := &s.nodes
+	ns.alloc(s.r.Nodes)
+	for i, p := range topo.Positions {
+		slot := next[key[i]]
+		next[key[i]]++
+		slotOf[i] = slot
+		ns.id[slot] = int32(i)
+		ns.x[slot], ns.y[slot] = p.X, p.Y
+		ns.cell[slot] = int32(g.CellOf(p))
+	}
+	return slotOf
+}
+
+// cellRun returns the slot range of the cells in column col, rows r0..r1.
+func (s *Sim) cellRun(col, r0, r1 int) (lo, hi int32) {
+	k := col * s.grid.Rows()
+	return s.cellStart[k+r0], s.cellStart[k+r1+1]
 }
 
 // electSinks snaps a uniform sink grid to the nearest nodes: sinks are
-// ordinary stations that terminate telemetry and beacon hop 0.
-func (s *Sim) electSinks() {
+// ordinary stations that terminate telemetry and beacon hop 0. It scans in
+// id order, so a tie goes to the lower id.
+func (s *Sim) electSinks(slotOf []int32) {
 	k := max(1, s.r.Nodes/nodesPerSink)
 	g := int(math.Ceil(math.Sqrt(float64(k))))
 	placed := 0
@@ -443,8 +484,8 @@ func (s *Sim) electSinks() {
 		for gx := 0; gx < g && placed < k; gx++ {
 			px := (float64(gx) + 0.5) * s.r.field / float64(g)
 			py := (float64(gy) + 0.5) * s.r.field / float64(g)
-			best, bestD := -1, math.MaxFloat64
-			for i := 0; i < s.r.Nodes; i++ {
+			best, bestD := int32(-1), math.MaxFloat64
+			for _, i := range slotOf {
 				d := math.Hypot(s.nodes.x[i]-px, s.nodes.y[i]-py)
 				if d < bestD {
 					best, bestD = i, d
@@ -461,9 +502,10 @@ func (s *Sim) electSinks() {
 }
 
 // buildShards partitions grid columns into contiguous stripes balanced by
-// node count and creates the per-shard wheels.
+// node count and creates the per-shard wheels. In space order a stripe's
+// nodes are the slot range [lo, hi), and the ranges tile all nodes.
 func (s *Sim) buildShards() {
-	cols := s.grid.Cols()
+	cols, rows := s.grid.Cols(), s.grid.Rows()
 	nsh := s.r.Shards
 	if s.fullScan {
 		nsh = 1
@@ -474,39 +516,36 @@ func (s *Sim) buildShards() {
 	if nsh < 1 {
 		nsh = 1
 	}
-	// Node count per column.
-	colPop := make([]int, cols)
-	for c, st := range s.cellStations {
-		col, _ := s.grid.ColRow(c)
-		colPop[col] += len(st)
-	}
-	s.shardOfCol = make([]int32, cols)
-	cum := 0
 	for col := 0; col < cols; col++ {
-		// Open the next stripe when the cumulative count passes the
+		// Open the next stripe when the nodes before this column pass the
 		// proportional boundary, keeping stripes contiguous and non-empty.
-		if n := len(s.shards); n == 0 || n < nsh && cum >= n*s.r.Nodes/nsh && col >= n {
-			s.shards = append(s.shards, newShard(s, int32(n), col))
+		lo, hi := s.cellRun(col, 0, rows-1)
+		if n := len(s.shards); n == 0 || n < nsh && int(lo) >= n*s.r.Nodes/nsh && col >= n {
+			s.shards = append(s.shards, newShard(s, int32(n), col, lo))
 		}
 		sh := s.shards[len(s.shards)-1]
-		sh.c1 = col
-		s.shardOfCol[col] = sh.id
-		cum += colPop[col]
+		sh.c1, sh.hi = col, hi
+	}
+	if !s.fullScan {
+		for _, sh := range s.shards {
+			sh.candOf = make([]int32, sh.hi-sh.lo)
+			for i := range sh.candOf {
+				sh.candOf[i] = -1
+			}
+		}
 	}
 	s.stats.Nodes = s.r.Nodes
 	s.stats.Shards = len(s.shards)
 	s.stats.Cells = s.grid.NumCells()
 }
 
-// shardOfCell returns the shard owning a cell.
-func (s *Sim) shardOfCell(cell int32) int32 {
-	col, _ := s.grid.ColRow(int(cell))
-	return s.shardOfCol[col]
-}
-
-// shardOfNode returns the shard owning a node.
+// shardOfNode returns the shard owning the node in slot i.
 func (s *Sim) shardOfNode(i int32) *shard {
-	return s.shards[s.shardOfCell(s.nodes.cell[i])]
+	k := 0
+	for i >= s.shards[k].hi {
+		k++
+	}
+	return s.shards[k]
 }
 
 // Run executes the simulation for d of virtual time (rounded up to whole
@@ -583,17 +622,20 @@ func (s *Sim) stateBytes() uint64 {
 type Delivery struct {
 	// At and Born are virtual-time offsets from the run start.
 	At, Born time.Duration
-	// Sink and Origin are node indices.
+	// Sink and Origin are node ids (placement indices), not storage slots.
 	Sink, Origin int
 }
 
 // Deliveries returns the full delivery log sorted into its global order
-// (arrival time, then sink, then origin) — the per-shard append order is
-// a mode-dependent interleaving, this ordering is not.
+// (arrival time, then sink, then origin, by id) — the per-shard append
+// order is a mode-dependent interleaving, this ordering is not.
 func (s *Sim) Deliveries() []Delivery {
 	var recs []deliveryRec
 	for _, sh := range s.shards {
-		recs = append(recs, sh.deliveries...)
+		for _, r := range sh.deliveries {
+			r.sink, r.origin = s.nodes.id[r.sink], s.nodes.id[r.origin]
+			recs = append(recs, r)
+		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]

@@ -2,11 +2,16 @@ package citysim
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
+
+	"repro/internal/geo"
 )
 
 // runOnce builds and runs one simulation, returning stats and digest.
@@ -55,10 +60,11 @@ func TestCityBasics(t *testing.T) {
 	}
 }
 
-// TestStateBytesCountsEverySlab grows each nodeState slab, then each
-// shard's packet slab and candidate index, by one element: StateBytes must
-// grow by exactly that element's size, so no slab is left out or counted
-// at the wrong width.
+// TestStateBytesCountsEverySlab grows each nodeState slab (the id slab
+// among them), then each shard's packet slab and candidate index, by one
+// element: StateBytes must grow by exactly that element's size, so no slab
+// is left out or counted at the wrong width. A candidate index spans its
+// stripe, not the city.
 func TestStateBytesCountsEverySlab(t *testing.T) {
 	s, err := New(Config{Nodes: 200, Shards: 2, Seed: 1})
 	if err != nil {
@@ -76,6 +82,9 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 		f.Set(reflect.ValueOf(kept))
 	}
 	for _, sh := range s.shards {
+		if len(sh.candOf) != int(sh.hi-sh.lo) {
+			t.Errorf("shard %d: candOf has %d entries for the %d nodes of its stripe", sh.id, len(sh.candOf), sh.hi-sh.lo)
+		}
 		before := s.stateBytes()
 		sh.pkts = make([]pkt, len(sh.pkts), cap(sh.pkts)+1)
 		if got, want := s.stateBytes()-before, reflect.TypeOf(pkt{}).Size(); got != uint64(want) {
@@ -126,8 +135,8 @@ func TestCityConfigValidation(t *testing.T) {
 // wait must hand the processor to the shard it waits for. The last case
 // is sized from nodesPerSink so the shipped ratio elects two sinks:
 // cross-shard deliveries to different sinks must merge into the same
-// delivery order. GOMAXPROCS is process-wide, so no test here runs in
-// parallel.
+// delivery order. GOMAXPROCS is process-wide, so no top-level test here
+// runs in parallel.
 func TestCityDeterminism(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -178,6 +187,135 @@ func TestCityDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestCityDigestsPinned holds every strategy's digest, plain and with
+// shadowing and erasures, in the serial reference and at two shards, to
+// constants computed before node state was stored in space order. The
+// mode-against-mode gates above compare runs that share one storage
+// order, so they cannot see a slot leaking where an id is model material
+// (a shadow or erasure key, a delivery's sink); these constants can. Two
+// sinks, so the delivery log merges arrivals at both. The serial runs
+// dominate the cost, so the cases run in parallel.
+func TestCityDigestsPinned(t *testing.T) {
+	pinned := map[string]uint64{
+		"proactive/plain": 0x52232d4e6244f06a,
+		"proactive/noisy": 0x44354736efd454df,
+		"reactive/plain":  0x23e01c1f6754fb98,
+		"reactive/noisy":  0x00ccc0b9115f820e,
+		"icn/plain":       0xfc835e330dcbf70a,
+		"icn/noisy":       0xa3ad6946d8bb2c8a,
+		"slotted/plain":   0x952554be90b2430d,
+		"slotted/noisy":   0xf8a8a7e68d536a7b,
+	}
+	for _, strategy := range []string{"proactive", "reactive", "icn", "slotted"} {
+		for _, noise := range []string{"plain", "noisy"} {
+			for _, shards := range []int{0, 2} {
+				name := strategy + "/" + noise
+				cfg := Config{Nodes: 2 * nodesPerSink, Seed: 3, Strategy: strategy, Shards: shards}
+				if noise == "noisy" {
+					cfg.ShadowSigmaDB, cfg.ExtraFrameLossRate = 4, 0.02
+				}
+				t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+					t.Parallel()
+					st, got := runOnce(t, cfg, 6*time.Minute)
+					if st.Sinks != 2 {
+						t.Fatalf("elected %d sinks, want 2", st.Sinks)
+					}
+					if want := pinned[name]; got != want {
+						t.Errorf("digest %016x, pinned %016x", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSpaceOrder checks the storage order over random cities: id is a
+// permutation and slots ascend by (cell column, cell row, id); each
+// shard's nodes are exactly its slot range, and the ranges tile the city;
+// and every node's link slab, read back through id, lists the neighbours a
+// scan of all pairs finds (3x3-adjacent cells, linkLoss within
+// maxLossRel), ascending, with bit-identical losses and symmetrically.
+func TestSpaceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, shards := range []int{1, 2, 4} {
+		cfg := Config{Nodes: 150 + rng.Intn(451), Shards: shards, Seed: rng.Int63(), ShadowSigmaDB: 6 * rng.Float64()}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := geo.RandomGeometric(cfg.Nodes, s.r.field, s.r.field, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns, n := &s.nodes, int32(cfg.Nodes)
+		colRow := func(i int32) (int, int) { return s.grid.ColRow(int(ns.cell[i])) }
+		slotOf := make([]int32, n)
+		seen := make([]bool, n)
+		for i := int32(0); i < n; i++ {
+			id := ns.id[i]
+			if id < 0 || id >= n || seen[id] {
+				t.Fatalf("%+v: id is not a permutation at slot %d (id %d)", cfg, i, id)
+			}
+			seen[id], slotOf[id] = true, i
+			if p := topo.Positions[id]; ns.x[i] != p.X || ns.y[i] != p.Y || ns.cell[i] != int32(s.grid.CellOf(p)) {
+				t.Fatalf("%+v: slot %d does not hold node %d's placement", cfg, i, id)
+			}
+			if i > 0 {
+				c0, r0 := colRow(i - 1)
+				c1, r1 := colRow(i)
+				if c0 > c1 || c0 == c1 && (r0 > r1 || r0 == r1 && ns.id[i-1] > id) {
+					t.Fatalf("%+v: slots %d and %d out of (column, row, id) order", cfg, i-1, i)
+				}
+			}
+		}
+		if s.shards[0].lo != 0 || s.shards[len(s.shards)-1].hi != n {
+			t.Fatalf("%+v: shard ranges do not span [0, %d)", cfg, n)
+		}
+		for k, sh := range s.shards {
+			if k > 0 && sh.lo != s.shards[k-1].hi {
+				t.Fatalf("%+v: shard %d starts at %d, shard %d ends at %d", cfg, k, sh.lo, k-1, s.shards[k-1].hi)
+			}
+			for i := int32(0); i < n; i++ {
+				if col, _ := colRow(i); (col >= sh.c0 && col <= sh.c1) != sh.owns(i) {
+					t.Fatalf("%+v: shard %d (columns %d..%d, slots [%d, %d)) disagrees on slot %d in column %d",
+						cfg, k, sh.c0, sh.c1, sh.lo, sh.hi, i, col)
+				}
+			}
+		}
+		links := 0
+		for a := int32(0); a < n; a++ {
+			i := slotOf[a]
+			ca, ra := colRow(i)
+			var want []int32
+			for b := int32(0); b < n; b++ {
+				j := slotOf[b]
+				if cb, rb := colRow(j); b != a && abs(ca-cb) <= 1 && abs(ra-rb) <= 1 && s.linkLoss(i, j) <= s.r.maxLossRel {
+					want = append(want, j)
+				}
+			}
+			slices.Sort(want)
+			got := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]]
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v: node %d lists %v, all pairs give %v", cfg, a, got, want)
+			}
+			for k, j := range got {
+				if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float64bits(loss) != math.Float64bits(s.linkLoss(i, j)) {
+					t.Fatalf("%+v: link (%d, %d) loss %v, linkLoss %v", cfg, a, ns.id[j], loss, s.linkLoss(i, j))
+				}
+				if back, ok := s.lossBetween(j, i); !ok || math.Float64bits(back) != math.Float64bits(s.linkLoss(i, j)) {
+					t.Fatalf("%+v: link (%d, %d) is not symmetric", cfg, a, ns.id[j])
+				}
+			}
+			links += len(got)
+		}
+		if links == 0 {
+			t.Fatalf("%+v: no links", cfg)
+		}
+	}
+}
+
+func abs(v int) int { return max(v, -v) }
 
 // TestAwait pins the barrier's wait: with a budget that parks at once, one
 // that runs out before the second send, and one that outlasts it, both
@@ -255,10 +393,10 @@ func TestCityDeliveryExports(t *testing.T) {
 	if err := sim.Run(10 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	isSink := map[int]bool{}
+	isSink := map[int]bool{} // by id, as Deliveries names nodes
 	for i, is := range sim.nodes.isSink {
 		if is {
-			isSink[i] = true
+			isSink[int(sim.nodes.id[i])] = true
 		}
 	}
 	if len(isSink) != 2 {

@@ -31,14 +31,26 @@ func (d *digester) i64(v int64) { d.u64(uint64(v)) }
 // Strategy-specific state (content stores, PIT crumbs, solicit/interest
 // counters, queued frame kinds) is folded only in the non-proactive
 // modes, so the proactive digest is byte-identical to a build without
-// the strategy field.
+// the strategy field. Nodes are folded in id order, and every node-valued
+// field as the id it names: the digest does not see the storage order.
 func (s *Sim) Digest() uint64 {
 	d := digester(fnvOffset)
 	ns := &s.nodes
 	strategic := s.r.strat != stratProactive
-	for i := 0; i < s.r.Nodes; i++ {
+	slotOf := make([]int32, s.r.Nodes)
+	for i, id := range ns.id {
+		slotOf[id] = int32(i)
+	}
+	// node folds the node in slot i, or -1 for none, as its id.
+	node := func(i int32) {
+		if i >= 0 {
+			i = ns.id[i]
+		}
+		d.i64(int64(i))
+	}
+	for _, i := range slotOf {
 		d.u64(uint64(ns.hop[i]))
-		d.i64(int64(ns.next[i]))
+		node(ns.next[i])
 		d.i64(ns.routeAt[i])
 		d.u64(uint64(ns.txSeq[i]))
 		d.u64(uint64(ns.helloSeq[i]))
@@ -49,32 +61,36 @@ func (s *Sim) Digest() uint64 {
 		d.u64(uint64(ns.cDelivered[i]))
 		// Queue contents, oldest first. Packet slab indexes are
 		// mode-dependent; the packets they name are not.
-		sh := s.shardOfNode(int32(i))
+		sh := s.shardOfNode(i)
 		d.u64(uint64(ns.qLen[i]))
 		for k := 0; k < int(ns.qLen[i]); k++ {
-			slot := (int(ns.qHead[i]) + k) % queueCap
-			p := sh.pkts[ns.qBuf[i*queueCap+slot]]
-			d.i64(int64(p.origin))
+			at := (int(ns.qHead[i]) + k) % queueCap
+			p := sh.pkts[ns.qBuf[int(i)*queueCap+at]]
+			node(p.origin)
 			d.i64(p.born)
 			d.u64(uint64(p.hops))
 			if strategic {
 				d.u64(uint64(p.kind))
-				d.i64(int64(p.dst))
+				if s.r.strat == stratICN {
+					node(p.dst)
+				} else {
+					d.i64(int64(p.dst)) // zero: only ICN addresses a queued packet
+				}
 			}
 		}
 		if strategic {
 			d.i64(ns.solicitAt[i])
-			d.i64(int64(ns.solSeenFrom[i]))
+			node(ns.solSeenFrom[i])
 			d.i64(ns.solSeenBorn[i])
-			d.i64(int64(ns.intSeenFrom[i]))
+			node(ns.intSeenFrom[i])
 			d.i64(ns.intSeenBorn[i])
 			d.i64(ns.csAt[i])
 			d.u64(uint64(ns.csHops[i]))
 			d.u64(uint64(ns.pitLen[i]))
-			for k := 0; k < int(ns.pitLen[i]); k++ {
-				d.i64(int64(ns.pitDown[i*pitCap+k]))
-				d.i64(int64(ns.pitOrigin[i*pitCap+k]))
-				d.i64(ns.pitBorn[i*pitCap+k])
+			for k := int(i) * pitCap; k < int(i)*pitCap+int(ns.pitLen[i]); k++ {
+				node(ns.pitDown[k])
+				node(ns.pitOrigin[k])
+				d.i64(ns.pitBorn[k])
 			}
 		}
 	}

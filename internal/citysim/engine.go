@@ -2,7 +2,10 @@
 // state and the protocol handlers (beaconing, sink-tree routing, queueing,
 // CSMA, duty budgets). Handlers run on the wheel of the shard owning the
 // node and only ever write that node's slots; everything cross-node rides
-// the barrier as a txRec.
+// the barrier as a txRec. Nodes are named by slot everywhere but where the
+// name is model material (hash and shadow keys, the barrier tie-break,
+// sink election and initial scheduling, the digest and the delivery log),
+// which read the slot's id.
 
 package citysim
 
@@ -17,7 +20,8 @@ import (
 // it is always a telemetry reading (kind/dst unused — the digest of a
 // proactive run never folds them); the icn strategy also queues interest
 // relays and named-data answers, for which kind selects the frame type
-// and dst the unicast breadcrumb hop (-1 broadcasts). Packets live in
+// and dst the unicast breadcrumb hop (-1 broadcasts); both are slots, as
+// everywhere in engine state. Packets live in
 // per-shard slabs with freelists; a frame crossing a shard boundary
 // travels as txRec fields and re-materializes in the receiving shard's
 // slab.
@@ -29,18 +33,21 @@ type pkt struct {
 	dst    int32
 }
 
-// nodeState is the struct-of-arrays engine state. Each slot is written
+// nodeState is the struct-of-arrays engine state, indexed by slot: space
+// order, ascending by (cell column, cell row, id). Each slot is written
 // only by the shard owning the node; slices are shared read-only maps of
-// the whole city.
+// the whole city. Node-valued fields hold slots too.
 type nodeState struct {
-	// Static placement.
+	// Static placement. id maps a slot to the node's id, its index in the
+	// placement.
+	id     []int32
 	x, y   []float64
 	cell   []int32
 	isSink []bool
 
 	// Distance-vector routing toward the nearest sink.
 	hop     []uint16 // hops to a sink; noRoute when none
-	next    []int32  // next-hop node id; -1 when none
+	next    []int32  // next-hop node; -1 when none
 	routeAt []int64  // ns of last refresh; -1 when never/poisoned
 
 	// Radio state. txHist keeps the last txHistLen own transmissions for
@@ -86,16 +93,17 @@ type nodeState struct {
 	pitOrigin   []int32
 	pitBorn     []int64
 
-	// Link slabs (sharded modes): per-node sorted neighbor ids with
+	// Link slabs (sharded modes): per-node ascending neighbor slots with
 	// precomputed symmetric link loss. nbrOff has n+1 entries.
 	nbrOff  []int32
-	nbrID   []int32
+	nbrSlot []int32
 	nbrLoss []float64
 }
 
 const txHistLen = 4
 
 func (ns *nodeState) alloc(n int) {
+	ns.id = make([]int32, n)
 	ns.x = make([]float64, n)
 	ns.y = make([]float64, n)
 	ns.cell = make([]int32, n)
@@ -192,22 +200,23 @@ func (s *Sim) hash(purpose uint64, a, b, c uint64) uint64 {
 // hash01 maps a hash to a uniform in [0,1).
 func hash01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
-// jitter returns a deterministic offset in [-period/8, period/8).
-func (s *Sim) jitter(purpose uint64, node int32, seq uint32, periodNs int64) int64 {
+// jitter returns a deterministic offset in [-period/8, period/8) for the
+// node in slot i.
+func (s *Sim) jitter(purpose uint64, i int32, seq uint32, periodNs int64) int64 {
 	span := periodNs / 4
 	if span <= 0 {
 		return 0
 	}
-	h := s.hash(purpose, uint64(node), uint64(seq), 0)
+	h := s.hash(purpose, uint64(s.nodes.id[i]), uint64(seq), 0)
 	return int64(h%uint64(span)) - span/2
 }
 
 // linkLoss is the single path-loss formula both execution modes share:
-// symmetric (unordered pair key), truncated-shadowed log-distance. The
+// symmetric (unordered id pair key), truncated-shadowed log-distance. The
 // precomputed link slabs memoize exactly this function, so serial
 // recomputation is bit-identical.
 func (s *Sim) linkLoss(a, b int32) float64 {
-	lo, hi := a, b
+	lo, hi := s.nodes.id[a], s.nodes.id[b]
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -230,48 +239,33 @@ func (s *Sim) linkLoss(a, b int32) float64 {
 	return loss
 }
 
-// buildLinks precomputes each node's radio-relevant neighbor list (ids
+// buildLinks precomputes each node's radio-relevant neighbor list (slots
 // ascending, with link loss) by scanning only the 3x3 cell neighborhood —
-// the O(n*degree) substitute for airmedium's O(n^2) loss matrix.
+// the O(n*degree) substitute for airmedium's O(n^2) loss matrix. In space
+// order the neighborhood is three slot ranges, one per column, visited in
+// ascending order.
 func (s *Sim) buildLinks() {
-	n := s.r.Nodes
+	n := int32(s.r.Nodes)
 	ns := &s.nodes
 	ns.nbrOff = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		ns.nbrOff[i] = int32(len(ns.nbrID))
-		s.grid.ForNeighbors(int(ns.cell[i]), func(c int) {
-			for _, j := range s.cellStations[c] {
-				if j == int32(i) {
+	for i := int32(0); i < n; i++ {
+		ns.nbrOff[i] = int32(len(ns.nbrSlot))
+		col, row := s.grid.ColRow(int(ns.cell[i]))
+		r0, r1 := max(row-1, 0), min(row+1, s.grid.Rows()-1)
+		for c := max(col-1, 0); c <= min(col+1, s.grid.Cols()-1); c++ {
+			lo, hi := s.cellRun(c, r0, r1)
+			for j := lo; j < hi; j++ {
+				if j == i {
 					continue
 				}
-				if loss := s.linkLoss(int32(i), j); loss <= s.r.maxLossRel {
-					ns.nbrID = append(ns.nbrID, j)
+				if loss := s.linkLoss(i, j); loss <= s.r.maxLossRel {
+					ns.nbrSlot = append(ns.nbrSlot, j)
 					ns.nbrLoss = append(ns.nbrLoss, loss)
 				}
 			}
-		})
-		// Cells are visited row-major, so ids within the segment are not
-		// globally sorted; sort the segment for binary-search lookups.
-		seg := ns.nbrID[ns.nbrOff[i]:]
-		segLoss := ns.nbrLoss[ns.nbrOff[i]:]
-		insertionSortPairs(seg, segLoss)
-	}
-	ns.nbrOff[n] = int32(len(ns.nbrID))
-}
-
-// insertionSortPairs sorts ids ascending, carrying losses along. Segments
-// are small (mean = radio degree), where insertion sort beats sort.Slice
-// and allocates nothing.
-func insertionSortPairs(ids []int32, loss []float64) {
-	for i := 1; i < len(ids); i++ {
-		id, l := ids[i], loss[i]
-		j := i - 1
-		for j >= 0 && ids[j] > id {
-			ids[j+1], loss[j+1] = ids[j], loss[j]
-			j--
 		}
-		ids[j+1], loss[j+1] = id, l
 	}
+	ns.nbrOff[n] = int32(len(ns.nbrSlot))
 }
 
 // lossBetween resolves the link budget between a node and a peer: slab
@@ -283,7 +277,7 @@ func (s *Sim) lossBetween(node, peer int32) (float64, bool) {
 		return loss, loss <= s.r.maxLossRel
 	}
 	lo, hi := s.nodes.nbrOff[node], s.nodes.nbrOff[node+1]
-	ids := s.nodes.nbrID[lo:hi]
+	ids := s.nodes.nbrSlot[lo:hi]
 	// Manual binary search: this is the hottest lookup in the simulator.
 	i, j := 0, len(ids)
 	for i < j {
@@ -355,16 +349,15 @@ func (sh *shard) dequeue(i int32) (int32, bool) {
 }
 
 // scheduleInitialEvents arms every node's first hello and first telemetry
-// reading, hash-staggered across their periods, in ascending node order so
+// reading, hash-staggered across their periods, in ascending id order so
 // wheel sequence numbers are deterministic.
-func (s *Sim) scheduleInitialEvents() {
-	for i := 0; i < s.r.Nodes; i++ {
-		i := int32(i)
+func (s *Sim) scheduleInitialEvents(slotOf []int32) {
+	for id, i := range slotOf {
 		sh := s.shardOfNode(i)
-		helloAt := int64(s.hash(purposeHelloJit, uint64(i), 0, 1) % uint64(s.r.helloNs))
+		helloAt := int64(s.hash(purposeHelloJit, uint64(id), 0, 1) % uint64(s.r.helloNs))
 		sh.at(helloAt, func() { sh.helloFire(i) })
 		if !s.nodes.isSink[i] {
-			dataAt := s.r.dataNs/2 + int64(s.hash(purposeDataJit, uint64(i), 0, 1)%uint64(s.r.dataNs))
+			dataAt := s.r.dataNs/2 + int64(s.hash(purposeDataJit, uint64(id), 0, 1)%uint64(s.r.dataNs))
 			sh.at(dataAt, func() { sh.dataFire(i) })
 		}
 	}
@@ -463,7 +456,7 @@ func (sh *shard) pump(i int32) {
 			ns.backoff[i]++
 		}
 		window := uint64(1) << ns.backoff[i]
-		slots := 1 + s.hash(purposeBackoff, uint64(i), uint64(ns.txSeq[i]), uint64(ns.backoff[i]))%window
+		slots := 1 + s.hash(purposeBackoff, uint64(ns.id[i]), uint64(ns.txSeq[i]), uint64(ns.backoff[i]))%window
 		sh.armPump(i, int64(slots)*s.r.csmaSlotNs)
 		return
 	}

@@ -99,7 +99,7 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 // answers or relays the flood (origin, born), so concurrent answerers and
 // relayers desynchronize.
 func (s *Sim) holdOff(purpose uint64, r, origin int32, born int64) int64 {
-	return 1 + int64(s.hash(purpose, uint64(r), uint64(origin), uint64(born))%uint64(s.r.relayJitNs))
+	return 1 + int64(s.hash(purpose, uint64(s.nodes.id[r]), uint64(s.nodes.id[origin]), uint64(born))%uint64(s.r.relayJitNs))
 }
 
 // solicitRelay re-broadcasts a solicit flood from a still-routeless node.

@@ -2,7 +2,7 @@
 // share every gate after sensitivity; the serial full scan recomputes links
 // to every station, the sharded mode reads the sender's slab for its
 // receivers and each interferer's slab for the receivers it captures,
-// looking those up by id in the shard's candidate index.
+// looking those up by slot in the shard's candidate index.
 //
 // Cross-mode exactness relies on the radio-relevance bound: a node outside
 // the sender's 3x3 cell neighborhood is farther than one cell side, so its
@@ -39,8 +39,9 @@ func (sh *shard) evaluateTx(tx txRec) {
 }
 
 // hear decides tx at every receiver this shard owns, books each loss, and
-// returns who heard it, ascending (shard scratch). No verdict reads state a
-// handler writes, so deciding all before dispatching any changes nothing.
+// returns who heard it, in slot order (shard scratch). No verdict reads
+// state a handler writes, so deciding all before dispatching any changes
+// nothing.
 func (sh *shard) hear(tx *txRec) []int32 {
 	s := sh.sim
 	sh.heard = sh.heard[:0]
@@ -69,12 +70,12 @@ func (sh *shard) hear(tx *txRec) []int32 {
 			continue
 		}
 		inRange++
-		if r := ns.nbrID[k]; s.shardOfCell(ns.cell[r]) == sh.id {
-			sh.candOf[r] = int32(len(sh.cands))
+		if r := ns.nbrSlot[k]; sh.owns(r) {
+			sh.candOf[r-sh.lo] = int32(len(sh.cands))
 			sh.cands = append(sh.cands, candidate{r: r, rssi: s.r.eirpDBm - loss})
 		}
 	}
-	if s.shardOfCell(scell) == sh.id { // the rest, booked once, by the sender's owner
+	if sh.owns(tx.sender) { // the rest, booked once, by the sender's owner
 		sh.stats.LostBelowSensitivity += uint64(s.r.Nodes - 1 - inRange)
 	}
 	if len(sh.cands) == 0 {
@@ -82,7 +83,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	}
 	sh.capture(scell, tx)
 	for _, c := range sh.cands {
-		sh.candOf[c.r] = -1
+		sh.candOf[c.r-sh.lo] = -1
 		sh.receive(c.r, tx, c.captured)
 	}
 	return sh.heard
@@ -117,18 +118,21 @@ func (sh *shard) capture(scell int32, tx *txRec) {
 }
 
 // markCaptured marks the candidates interferer i captures in one pass over
-// i's slab, finding each listed node's candidate through candOf. Slabs are
-// symmetric and never list their own node, so a hit is exactly
-// lossBetween(r, i)'s pair, and a receiver's own transmission never
+// i's slab, finding the candidate of each listed node in the stripe
+// through candOf. Slabs are symmetric and never list their own node, so a hit is
+// exactly lossBetween(r, i)'s pair, and a receiver's own transmission never
 // captures it.
 func (sh *shard) markCaptured(i int32) {
-	s, ns := sh.sim, &sh.sim.nodes
+	r, ns := &sh.sim.r, &sh.sim.nodes
 	lo, hi := ns.nbrOff[i], ns.nbrOff[i+1]
-	ids, loss := ns.nbrID[lo:hi], ns.nbrLoss[lo:hi]
-	for k, id := range ids {
-		if j := sh.candOf[id]; j >= 0 {
-			c := &sh.cands[j]
-			if irssi := s.r.eirpDBm - loss[k]; irssi >= s.r.noiseDBm-10 && c.rssi-irssi < s.r.captureThDB {
+	nbrs, loss := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
+	// Locals, so the stores below cannot make the loop reload them.
+	first, candOf, cands := sh.lo, sh.candOf, sh.cands
+	eirp, floor, th := r.eirpDBm, r.noiseDBm-10, r.captureThDB
+	for k, n := range nbrs {
+		if at := uint(n - first); at < uint(len(candOf)) && candOf[at] >= 0 {
+			c := &cands[candOf[at]]
+			if irssi := eirp - loss[k]; irssi >= floor && c.rssi-irssi < th {
 				c.captured = true
 			}
 		}
@@ -148,7 +152,7 @@ func (sh *shard) receive(r int32, tx *txRec, captured bool) {
 		return
 	}
 	if rate := s.r.ExtraFrameLossRate; rate > 0 &&
-		hash01(s.hash(purposeErasure, uint64(tx.sender), uint64(tx.seq), uint64(r))) < rate {
+		hash01(s.hash(purposeErasure, uint64(s.nodes.id[tx.sender]), uint64(tx.seq), uint64(s.nodes.id[r]))) < rate {
 		sh.stats.LostRandom++
 		return
 	}

@@ -13,8 +13,12 @@ func inFlight(s *Sim) []airRec {
 		return s.shards[0].flightAll
 	}
 	var recs []airRec
-	for c := range s.cellStations {
-		recs = append(recs, s.shards[s.shardOfCell(int32(c))].cellTx[c]...)
+	for _, sh := range s.shards {
+		for col := sh.c0; col <= sh.c1; col++ {
+			for row := 0; row < s.grid.Rows(); row++ {
+				recs = append(recs, sh.cellTx[row*s.grid.Cols()+col]...)
+			}
+		}
 	}
 	return recs
 }
@@ -52,8 +56,11 @@ func hearAll(t *testing.T, s *Sim, tx txRec) Stats {
 		sh.stats = Stats{}
 		gotHeard = append(gotHeard, sh.hear(&tx)...)
 		got.merge(&sh.stats)
+		if !s.fullScan && len(sh.candOf) != int(sh.hi-sh.lo) {
+			t.Fatalf("shard %d: candOf has %d entries for stripe [%d, %d)", sh.id, len(sh.candOf), sh.lo, sh.hi)
+		}
 		if r := slices.IndexFunc(sh.candOf, func(j int32) bool { return j != -1 }); r >= 0 {
-			t.Fatalf("frame %+v: shard %d left candOf[%d] = %d", tx, sh.id, r, sh.candOf[r])
+			t.Fatalf("frame %+v: shard %d left candOf for slot %d = %d", tx, sh.id, int(sh.lo)+r, sh.candOf[r])
 		}
 	}
 	slices.Sort(gotHeard)

@@ -3,7 +3,9 @@ package citysim
 // The reference: evaluateTx, evalAt and clearOfInterference as they stood
 // before reception was read from the sender's link slab, verbatim but for
 // their receiver type, the 3x3 population they once read from a Sim
-// field, and the handler dispatch, which appends the receiver to heard.
+// field, the handler dispatch, which appends the receiver to heard, and
+// space order: a cell's stations are a slot run, a shard owns a slot
+// range, and the erasure key names nodes by id.
 // TestHearMatchesReference holds hear to them.
 
 // refShard is a shard whose reception counters and heard list are its
@@ -14,10 +16,19 @@ type refShard struct {
 	heard []int32
 }
 
+// refStations returns the slot run of a cell's stations.
+func refStations(s *Sim, cell int) (lo, hi int32) {
+	col, row := s.grid.ColRow(cell)
+	return s.cellRun(col, row, row)
+}
+
 // refPop3x3 is the station count of a cell's 3x3 neighborhood.
 func refPop3x3(s *Sim, cell int32) int32 {
 	var pop int32
-	s.grid.ForNeighbors(int(cell), func(nc int) { pop += int32(len(s.cellStations[nc])) })
+	s.grid.ForNeighbors(int(cell), func(nc int) {
+		lo, hi := refStations(s, nc)
+		pop += hi - lo
+	})
 	return pop
 }
 
@@ -35,18 +46,16 @@ func (sh *refShard) evaluateTx(tx txRec) {
 		return
 	}
 	scell := s.nodes.cell[tx.sender]
-	if s.shardOfCell(scell) == sh.id {
+	if sh.owns(tx.sender) {
 		// Bulk-account everything outside the 3x3 neighborhood (which
 		// holds the sender itself) as below sensitivity, exactly once per
 		// transmission (by the cell owner).
 		sh.stats.LostBelowSensitivity += uint64(s.r.Nodes) - uint64(refPop3x3(s, scell))
 	}
 	s.grid.ForNeighbors(int(scell), func(c int) {
-		if s.shardOfCell(int32(c)) != sh.id {
-			return
-		}
-		for _, r := range s.cellStations[c] {
-			if r != tx.sender {
+		lo, hi := refStations(s, c)
+		for r := lo; r < hi; r++ {
+			if r != tx.sender && sh.owns(r) {
 				sh.evalAt(r, &tx)
 			}
 		}
@@ -73,7 +82,7 @@ func (sh *refShard) evalAt(r int32, tx *txRec) {
 		return
 	}
 	if rate := s.r.ExtraFrameLossRate; rate > 0 &&
-		hash01(s.hash(purposeErasure, uint64(tx.sender), uint64(tx.seq), uint64(r))) < rate {
+		hash01(s.hash(purposeErasure, uint64(s.nodes.id[tx.sender]), uint64(tx.seq), uint64(s.nodes.id[r]))) < rate {
 		sh.stats.LostRandom++
 		return
 	}

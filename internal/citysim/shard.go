@@ -28,6 +28,7 @@ const (
 
 // txRec is one transmission crossing the barrier: everything any shard
 // needs to evaluate reception without reading the sender's mutable state.
+// Nodes are slots.
 type txRec struct {
 	startNs int64
 	endNs   int64
@@ -49,7 +50,8 @@ type airRec struct {
 	sender  int32
 }
 
-// deliveryRec is one sink delivery, digest material.
+// deliveryRec is one sink delivery, digest material; sink and origin are
+// slots until Deliveries names them by id.
 type deliveryRec struct {
 	atNs   int64
 	bornNs int64
@@ -70,12 +72,14 @@ type shardCmd struct {
 }
 
 // shard owns a contiguous stripe of grid columns [c0, c1]: the nodes in
-// those columns, their event wheel, and a cell tx-index covering the
-// stripe plus a one-column halo so border evaluations see foreign traffic.
+// those columns, which space order stores as the slot range [lo, hi), their
+// event wheel, and a cell tx-index covering the stripe plus a one-column
+// halo so border evaluations see foreign traffic.
 type shard struct {
 	sim    *Sim
 	id     int32
 	c0, c1 int
+	lo, hi int32
 	wheel  *simtime.Scheduler
 
 	// outbox collects this shard's transmissions during phase A; drained
@@ -91,10 +95,10 @@ type shard struct {
 	// that heard.
 	cands []candidate
 	heard []int32
-	// candOf indexes cands by node id: -1 except while capture runs, when
-	// each candidate's entry holds its position. Per shard, not a nodeState
-	// slab: an interferer's slab lists nodes of other stripes, whose shards
-	// fill their own indexes at the same time.
+	// candOf indexes cands by slot - lo, over the stripe: -1 except while
+	// capture runs, when each candidate's entry holds its position. Per
+	// shard, not a nodeState slab: an interferer's slab lists nodes of
+	// other stripes, whose shards fill their own indexes at the same time.
 	candOf []int32
 
 	// pkts is the queued-packet slab with a freelist.
@@ -113,24 +117,23 @@ type shard struct {
 	cmds chan shardCmd
 }
 
-// newShard creates shard id, whose stripe starts at column c0.
-func newShard(s *Sim, id int32, c0 int) *shard {
+// newShard creates shard id, whose stripe starts at column c0 and slot lo.
+func newShard(s *Sim, id int32, c0 int, lo int32) *shard {
 	sh := &shard{
 		sim:   s,
 		id:    id,
 		c0:    c0,
-		c1:    c0,
+		lo:    lo,
 		wheel: simtime.NewScheduler(time.Unix(0, 0).UTC()),
 	}
 	if !s.fullScan {
 		sh.cellTx = make([][]airRec, s.grid.NumCells())
-		sh.candOf = make([]int32, s.r.Nodes)
-		for i := range sh.candOf {
-			sh.candOf[i] = -1
-		}
 	}
 	return sh
 }
+
+// owns reports whether the node in slot i is in the shard's stripe.
+func (sh *shard) owns(i int32) bool { return sh.lo <= i && i < sh.hi }
 
 // nowNs returns the shard wheel's clock.
 func (sh *shard) nowNs() int64 { return sh.wheel.Now().UnixNano() }
@@ -195,7 +198,7 @@ func (s *Sim) runWindows(endNs int64) {
 		s.step(workers, own, done, shardCmd{integrate: pending, winStartNs: winStart, winEndNs: winEnd, poll: poll})
 
 		// Barrier: merge outboxes into one globally sorted list. The key
-		// (startNs, sender) is unique — a sender's transmissions never
+		// (startNs, sender's id) is unique — a sender's transmissions never
 		// overlap — so the order is total and mode-independent.
 		merged := s.winTxs[:0]
 		for _, sh := range s.shards {
@@ -206,7 +209,7 @@ func (s *Sim) runWindows(endNs int64) {
 			if c := cmp.Compare(a.startNs, b.startNs); c != 0 {
 				return c
 			}
-			return cmp.Compare(a.sender, b.sender)
+			return cmp.Compare(s.nodes.id[a.sender], s.nodes.id[b.sender])
 		})
 		s.winTxs = merged
 		s.stats.Windows++
