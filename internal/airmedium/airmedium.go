@@ -91,23 +91,29 @@ type station struct {
 	rx        Receiver
 	listening bool
 	removed   bool
-	// gen counts link-relevant changes to this station (moves, removal,
-	// link blocking); cached link budgets tagged with an older generation
-	// are stale. See pathLoss.
-	gen uint64
+	// gen counts changes to this station that alter its link budgets
+	// (moves and removal; not link blocking, which SetLinkBlocked keeps
+	// outside the cache); cached receptions tagged with an older
+	// generation are stale. See reception.
+	gen uint32
 	// txUntil is the end of this station's most recent transmission,
 	// for half-duplex checks and double-transmit detection.
 	txUntil time.Time
 	airtime time.Duration
 }
 
-// linkLoss is one cached link-budget entry for an ordered station pair.
-// The entry is valid only while both stations' generations match and the
-// carrier frequency is unchanged.
-type linkLoss struct {
-	genFrom, genTo uint64
+// cachedLink is one cached link budget for an ordered station pair: the
+// loraphy.Reception of the pair's shadowed path loss under one set of
+// radio parameters. The entry is valid only while both stations'
+// generations, the carrier frequency and the (SF, BW) it was computed for
+// all match. It packs into 40 B; the matrix holds one per ordered pair.
+type cachedLink struct {
+	genFrom, genTo uint32
 	freqHz         float64
-	lossDB         float64
+	rssiDBm, snrDB float64
+	sf             loraphy.SpreadingFactor
+	bw             loraphy.Bandwidth
+	above          bool // loraphy.Reception.AboveSensitivity
 	valid          bool
 }
 
@@ -137,13 +143,15 @@ type Medium struct {
 	// blocked marks severed links (partition injection); keys are
 	// ordered (lo, hi) station pairs.
 	blocked map[[2]StationID]bool
-	// lossCache memoizes pathLoss per ordered (from, to) pair: the
-	// shadowed link budget is deterministic in (pair, positions, freq),
-	// and reception is evaluated at every station per frame, so the
-	// log-distance/shadowing math dominates dense-network runs without
-	// it. Entries self-invalidate via station generations (bumped on
-	// SetPosition and Remove) rather than being cleared eagerly.
-	lossCache [][]linkLoss
+	// lossCache memoizes reception per ordered (from, to) pair: the
+	// shadowed link budget and what loraphy.Receive derives from it
+	// (RSSI, SNR, the sensitivity verdict) are deterministic in (pair,
+	// positions, freq, SF, BW), and reception is evaluated at every
+	// station per frame, so the log-distance/shadowing math dominates
+	// dense-network runs without it. Entries self-invalidate via station
+	// generations (bumped on SetPosition and Remove) and their radio-
+	// parameter key rather than being cleared eagerly.
+	lossCache [][]cachedLink
 	stats     Stats
 }
 
@@ -178,9 +186,9 @@ func (m *Medium) AddStation(pos geo.Point, rx Receiver) (StationID, error) {
 	m.stations = append(m.stations, &station{id: id, pos: pos, rx: rx, listening: true})
 	// Grow the loss matrix; fresh entries are zero-valued, i.e. invalid.
 	for i := range m.lossCache {
-		m.lossCache[i] = append(m.lossCache[i], linkLoss{})
+		m.lossCache[i] = append(m.lossCache[i], cachedLink{})
 	}
-	m.lossCache = append(m.lossCache, make([]linkLoss, len(m.stations)))
+	m.lossCache = append(m.lossCache, make([]cachedLink, len(m.stations)))
 	return id, nil
 }
 
@@ -318,12 +326,7 @@ func (m *Medium) evaluate(tx *transmission, s *station) {
 		m.stats.LostHalfDuplex++
 		return
 	}
-	loss := m.pathLoss(tx.from, s.id, tx.params.FrequencyHz)
-	rec, err := loraphy.Receive(tx.params, m.budget, loss)
-	if err != nil {
-		// Params were validated at Transmit; this is a programming bug.
-		panic(fmt.Sprintf("airmedium: reception eval: %v", err))
-	}
+	rec := m.reception(tx.from, s.id, tx.params)
 	if !rec.AboveSensitivity {
 		m.stats.LostBelowSensitivity++
 		return
@@ -383,8 +386,7 @@ func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm fl
 		if !(other.start.Before(tx.end) && other.end.After(tx.start)) {
 			continue
 		}
-		interfLoss := m.pathLoss(other.from, s.id, other.params.FrequencyHz)
-		interfDBm := m.budget.RSSI(interfLoss)
+		interfDBm := m.reception(other.from, s.id, other.params).RSSIDBm
 		// Interference far below the noise floor cannot destroy the frame
 		// even at adverse capture thresholds.
 		if interfDBm < tx.params.NoiseFloorDBm()-10 {
@@ -402,19 +404,27 @@ func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm fl
 	return true
 }
 
-// pathLoss resolves the (optionally shadowed) geometric attenuation
-// between two stations, memoized per ordered pair; a cached entry is reused
-// only while both stations' generations and the carrier frequency match, so
-// moving or removing a station lazily invalidates every link it is part of.
-func (m *Medium) pathLoss(from, to StationID, freqHz float64) float64 {
+// reception resolves the link budget of a frame sent with p from one
+// station to another: loraphy.Receive on the (optionally shadowed)
+// geometric path loss, memoized per ordered pair. A cached entry is reused
+// only while both stations' generations, the carrier frequency and p's
+// (SF, BW) match, so moving or removing a station lazily invalidates every
+// link it is part of. p was validated at Transmit, so Receive cannot fail.
+func (m *Medium) reception(from, to StationID, p loraphy.Params) loraphy.Reception {
 	sf, st := m.stations[int(from)], m.stations[int(to)]
 	e := &m.lossCache[int(from)][int(to)]
-	if e.valid && e.genFrom == sf.gen && e.genTo == st.gen && e.freqHz == freqHz {
-		return e.lossDB
+	if !e.valid || e.genFrom != sf.gen || e.genTo != st.gen || e.freqHz != p.FrequencyHz ||
+		e.sf != p.SpreadingFactor || e.bw != p.Bandwidth {
+		loss := m.shadow.LinkPathLossDB(uint64(from), uint64(to), sf.pos.Distance(st.pos), p.FrequencyHz)
+		rec, err := loraphy.Receive(p, m.budget, loss)
+		if err != nil {
+			panic(fmt.Sprintf("airmedium: reception eval: %v", err))
+		}
+		*e = cachedLink{genFrom: sf.gen, genTo: st.gen, freqHz: p.FrequencyHz,
+			rssiDBm: rec.RSSIDBm, snrDB: rec.SNRDB, sf: p.SpreadingFactor, bw: p.Bandwidth,
+			above: rec.AboveSensitivity, valid: true}
 	}
-	loss := m.shadow.LinkPathLossDB(uint64(from), uint64(to), sf.pos.Distance(st.pos), freqHz)
-	*e = linkLoss{genFrom: sf.gen, genTo: st.gen, freqHz: freqHz, lossDB: loss, valid: true}
-	return loss
+	return loraphy.Reception{RSSIDBm: e.rssiDBm, SNRDB: e.snrDB, AboveSensitivity: e.above}
 }
 
 // lostInSoftRegion samples the near-sensitivity PER curve: the loss
@@ -511,12 +521,7 @@ func (m *Medium) Busy(id StationID, freqHz float64) (bool, error) {
 		if m.linkBlocked(tx.from, id) {
 			continue
 		}
-		loss := m.pathLoss(tx.from, id, tx.params.FrequencyHz)
-		rec, err := loraphy.Receive(tx.params, m.budget, loss)
-		if err != nil {
-			return false, fmt.Errorf("airmedium: busy eval: %w", err)
-		}
-		if rec.AboveSensitivity {
+		if m.reception(tx.from, id, tx.params).AboveSensitivity {
 			return true, nil
 		}
 	}

@@ -36,11 +36,28 @@ func (e *fenceEnv) Rand() float64                                  { return e.rn
 // TestReceivePathAllocs fences the secured receive path's allocations: a
 // HELLO from a known neighbour and an overheard DATA frame are decoded,
 // verified, decrypted and applied with none, and a forwarded DATA frame
-// costs its clone (the packet and its payload) and its queue entry.
+// costs its clone (the packet and its payload) and its queue entry. The
+// same holds when the node's Link shares a meshsec.Memo, whether each
+// frame misses it or another listener has just opened the frame.
 func TestReceivePathAllocs(t *testing.T) {
+	for _, memo := range []string{"alone", "memo miss", "memo primed"} {
+		t.Run(memo, func(t *testing.T) { receivePathAllocs(t, memo) })
+	}
+}
+
+func receivePathAllocs(t *testing.T, memo string) {
 	const self, neighbour, origin, far = 1, 2, 5, 12
 	env := &fenceEnv{now: t0, rng: rand.New(rand.NewSource(1))}
 	cfg := Config{Address: self, DutyCycleLimit: 1, Security: meshsec.NewLink(testNetKey, self)}
+	// sibling hears every frame just before the node does, as a station
+	// next to it on the same medium would.
+	sibling := meshsec.NewLink(testNetKey, 3)
+	if memo != "alone" {
+		m := new(meshsec.Memo)
+		cfg.Security.ShareMemo(m)
+		sibling.ShareMemo(m)
+	}
+	var heard packet.Packet
 	n, err := NewNode(cfg, env)
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +108,14 @@ func TestReceivePathAllocs(t *testing.T) {
 		i := 0
 		return testing.AllocsPerRun(runs, func() {
 			env.now = env.now.Add(2 * time.Second)
+			if memo == "memo primed" {
+				if err := packet.UnmarshalInto(&heard, frames[i]); err != nil {
+					t.Fatal(err)
+				}
+				if err := sibling.Open(&heard); err != nil {
+					t.Fatal(err)
+				}
+			}
 			n.HandleFrame(frames[i], RxInfo{SNRDB: 5})
 			i++
 			if after != nil {

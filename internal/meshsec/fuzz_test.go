@@ -2,6 +2,7 @@ package meshsec
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/packet"
@@ -14,6 +15,11 @@ import (
 // sealed; any other frame the codec still parses must fail Open. Nothing
 // panics. (A forged frame passes the 32-bit MIC once in 2^32 tries; a
 // lone crasher that does not reproduce on a second mask is that.)
+//
+// A second arm opens the frame on a Link sharing a Memo that another
+// listener primed with the legitimate frame: its verdict and plaintext
+// must equal the fresh private receiver's, so a hit never stands in for
+// bytes that differ from the remembered ones.
 func FuzzOpen(f *testing.F) {
 	types := []packet.Type{packet.TypeData, packet.TypeHello, packet.TypeXLData}
 	f.Add([]byte("payload"), uint32(1), uint8(0), true, uint16(0), uint8(0))       // untouched
@@ -25,6 +31,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte("payload"), uint32(9), uint8(2), true, uint16(13), uint8(0xFF))   // stream seqID
 	f.Add([]byte("payload"), uint32(9), uint8(2), false, uint16(0xFFFF), uint8(2)) // somewhere in the tail
 	f.Add([]byte{}, uint32(0xFFFFFFFF), uint8(0), true, uint16(14), uint8(1))      // empty payload: MIC
+	f.Add([]byte("payload"), uint32(9), uint8(0), true, uint16(15), uint8(4))      // ciphertext
 
 	f.Fuzz(func(t *testing.T, payload []byte, counter uint32, typ uint8, encrypt bool, pos uint16, mask uint8) {
 		p := &packet.Packet{
@@ -66,8 +73,23 @@ func FuzzOpen(f *testing.F) {
 			return // the codec refused it before the security layer saw it
 		}
 		intact := rx.Secured && view(rx) == want
+		memo := new(Memo)
+		primer, shared := NewLink(key, p.Dst), NewLink(key, p.Dst)
+		primer.ShareMemo(memo)
+		shared.ShareMemo(memo)
+		if err := primer.Open(sealed); err != nil {
+			t.Fatalf("legitimate frame refused: %v", err)
+		}
+		rxShared, err := packet.Unmarshal(bytes.Clone(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedErr := shared.Open(rxShared)
 		rxl := NewLink(key, p.Dst)
 		err = rxl.Open(rx)
+		if fmt.Sprint(sharedErr) != fmt.Sprint(err) || (err == nil && !bytes.Equal(rxShared.Payload, rx.Payload)) {
+			t.Fatalf("frame % x: shared memo %v % x, private %v % x", frame, sharedErr, rxShared.Payload, err, rx.Payload)
+		}
 		if !intact {
 			if err == nil {
 				t.Fatalf("frame % x with byte %d ^ %#02x authenticated", frame, int(pos)%len(frame), mask)

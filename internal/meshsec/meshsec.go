@@ -25,9 +25,16 @@
 // plaintext so forwarders can route), jamming/collisions, via-field
 // tampering (hop-local, self-healing via retransmission), and insiders
 // holding the network key.
+//
+// Links that share a Memo verify one transmission once, not once per
+// listener. The memo remembers the verdict only for identical bytes under
+// an identical key, and only a success, so it changes no outcome and the
+// threat model is unchanged: a frame that differs from the remembered one
+// anywhere the MIC covers is verified in full.
 package meshsec
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/subtle"
@@ -128,7 +135,59 @@ type Link struct {
 	// locals they would cost an allocation each per call.
 	mac [16]byte
 	ks  [keystreamLen]byte
+
+	memo *Memo // shared with the other listeners of a medium; nil = none
 }
+
+// Memo remembers the last frame a network key authenticated, so that the
+// Links sharing it verify a transmission once, not once per listener:
+// every station in range opens the same bytes under the same key. A hit
+// needs the key, the 13-byte AAD, the MIC and the ciphertext to equal the
+// remembered frame's byte for byte, so it stands for a verification that
+// would succeed, and it hands back that verification's keystream. Only a
+// success is recorded. What stays per Link is everything that is not a
+// function of the bytes and the key: the fallback to the previous and the
+// staged key, HELLO freshness and the replay window.
+//
+// One frame is enough when the listeners of a transmission are evaluated
+// back to back, as airmedium does. The memo is keyed on key bytes, never
+// on a Link's key generation or a slice's identity. Its fields are fixed
+// arrays, so it allocates nothing. Not safe for concurrent use: share one
+// only among Links driven from one goroutine.
+type Memo struct {
+	key Key
+	aad [13]byte
+	mic [packet.SecMICLen]byte
+	n   int // ciphertext length
+	ct  [keystreamLen]byte
+	ks  [keystreamLen]byte
+	ok  bool // a frame is recorded
+}
+
+// lookup reports whether p, with AAD aad, is the frame m last recorded
+// under key, and if so returns its keystream (nil for a MIC-only frame,
+// as verify does).
+func (m *Memo) lookup(key *Key, aad *[13]byte, p *packet.Packet) ([]byte, bool) {
+	n := len(p.Payload)
+	if !m.ok || m.key != *key || m.aad != *aad || m.mic != p.MIC || m.n != n || !bytes.Equal(m.ct[:n], p.Payload) {
+		return nil, false
+	}
+	if p.SecFlags&packet.SecFlagEncrypted == 0 {
+		return nil, true
+	}
+	return m.ks[:n], true
+}
+
+// record remembers p, which authenticated under key with keystream ks.
+func (m *Memo) record(key *Key, aad *[13]byte, p *packet.Packet, ks []byte) {
+	m.ok, m.key, m.aad, m.mic, m.n = true, *key, *aad, p.MIC, len(p.Payload)
+	copy(m.ct[:], p.Payload)
+	copy(m.ks[:], ks)
+}
+
+// ShareMemo makes Open consult and feed m. Give every Link that hears the
+// same medium the same Memo; a Link without one verifies every frame.
+func (l *Link) ShareMemo(m *Memo) { l.memo = m }
 
 // NewLink returns the security state for a node with the given address
 // under the given network key.
@@ -426,12 +485,12 @@ func (l *Link) SealFrame(frame []byte, p *packet.Packet) error {
 // copy (core's deliver/forward paths already do).
 //
 // Verification order matters: the MIC is checked first (under the
-// current key, then the previous key during a rotation), and only an
-// authenticated counter may advance the replay window — otherwise a
-// forger could poison windows and block legitimate traffic. The
-// keystream under the current key is computed in the same pass as its
-// MIC, but applied only to a frame the window has admitted; the scratch
-// buffer is untouched on failure.
+// current key — or by a hit in the shared Memo — then the previous key
+// during a rotation), and only an authenticated counter may advance the
+// replay window — otherwise a forger could poison windows and block
+// legitimate traffic. The keystream under the current key is computed in
+// the same pass as its MIC, but applied only to a frame the window has
+// admitted; the scratch buffer is untouched on failure.
 func (l *Link) Open(p *packet.Packet) error {
 	if !p.Secured {
 		return errors.New("meshsec: Open on an unsecured packet")
@@ -446,7 +505,15 @@ func (l *Link) Open(p *packet.Packet) error {
 	}
 	var aad [13]byte
 	secAAD(p, &aad)
-	ks, ok := l.verify(s, p, &aad)
+	var ks []byte
+	hit := false
+	if l.memo != nil {
+		ks, hit = l.memo.lookup(&l.cur, &aad, p)
+	}
+	ok, key := hit, &l.cur
+	if !hit {
+		ks, ok = l.verify(s, p, &aad)
+	}
 	if !ok {
 		if l.hasPrev {
 			ps, err := l.session(o, l.prev, l.prevGen)
@@ -454,7 +521,7 @@ func (l *Link) Open(p *packet.Packet) error {
 				return err
 			}
 			if l.mic(ps, &aad, p.Payload, nil) == p.MIC {
-				s, ok = ps, true
+				s, ok, key = ps, true, &l.prev
 			}
 		}
 		if !ok && l.hasNext {
@@ -465,7 +532,7 @@ func (l *Link) Open(p *packet.Packet) error {
 				return err
 			}
 			if l.mic(ns, &aad, p.Payload, nil) == p.MIC {
-				s, ok = ns, true
+				s, ok, key = ns, true, &l.next
 			}
 		}
 		if !ok {
@@ -474,6 +541,9 @@ func (l *Link) Open(p *packet.Packet) error {
 		if ks != nil {
 			ks = l.keystream(s, p.Src, p.Counter, len(p.Payload))
 		}
+	}
+	if !hit && l.memo != nil {
+		l.memo.record(key, &aad, p, ks)
 	}
 	o.windowed = true
 	if p.Type == packet.TypeHello && p.Counter <= o.win.top {

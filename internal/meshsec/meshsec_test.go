@@ -512,10 +512,20 @@ func sealedFrames(t testing.TB, tx *Link, typ packet.Type, size, n int) []*packe
 	return frames
 }
 
+// clonePacket copies p with its own payload, as a second listener parses
+// the same frame into its own packet.
+func clonePacket(p *packet.Packet) *packet.Packet {
+	cp := *p
+	cp.Payload = bytes.Clone(p.Payload)
+	return &cp
+}
+
 // TestSealOpenAllocs fences the engine's per-frame crypto: sealing and
 // opening a data frame or a 60-row HELLO allocate nothing once the
 // origin's slot and sessions exist, and neither does an Open that
-// authenticates under the previous key or under the staged one.
+// authenticates under the previous key or under the staged one — alone,
+// through a shared Memo that misses, or through one another listener has
+// primed with the same frame.
 func TestSealOpenAllocs(t *testing.T) {
 	const runs = 100
 	oldKey, newKey := testKey(0x42), testKey(0x43)
@@ -531,8 +541,8 @@ func TestSealOpenAllocs(t *testing.T) {
 		{"data under the staged key", packet.TypeData, 24, func(tx, rx *Link) { rx.Stage(newKey); tx.Rotate(newKey) }},
 	}
 	for _, c := range cases {
-		tx, rx := NewLink(oldKey, 0x0001), NewLink(oldKey, 0x0002)
-		c.keys(tx, rx)
+		tx := NewLink(oldKey, 0x0001)
+		c.keys(tx, NewLink(oldKey, 0x0002))
 		p := typedPacket(tx, c.typ, c.size)
 		frame, err := packet.Marshal(p)
 		if err != nil {
@@ -546,20 +556,41 @@ func TestSealOpenAllocs(t *testing.T) {
 			t.Errorf("%s: SealFrame: %v allocations, want 0", c.name, got)
 		}
 
-		// Open consumes a counter, so each run opens its own sealed frame;
-		// the first one (outside the count) creates the slot and sessions.
-		frames := sealedFrames(t, tx, c.typ, c.size, runs+2)
-		if err := rx.Open(frames[0]); err != nil {
-			t.Fatal(err)
-		}
-		i := 1
-		if got := testing.AllocsPerRun(runs, func() {
-			if err := rx.Open(frames[i]); err != nil {
-				t.Fatal(err)
+		for _, memo := range []string{"alone", "memo miss", "memo primed"} {
+			rx, primer := NewLink(oldKey, 0x0002), NewLink(oldKey, 0x0003)
+			c.keys(tx, rx)
+			c.keys(tx, primer)
+			if memo != "alone" {
+				m := new(Memo)
+				rx.ShareMemo(m)
+				primer.ShareMemo(m)
 			}
-			i++
-		}); got != 0 {
-			t.Errorf("%s: Open: %v allocations, want 0", c.name, got)
+			// Open consumes a counter, so each run opens its own sealed
+			// frame; the first one (outside the count) creates the slot and
+			// sessions. A primer opens its own copy of each frame first.
+			frames := sealedFrames(t, tx, c.typ, c.size, runs+2)
+			copies := make([]*packet.Packet, len(frames))
+			for i, f := range frames {
+				copies[i] = clonePacket(f)
+			}
+			open := func(i int) {
+				if memo == "memo primed" {
+					if err := primer.Open(copies[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := rx.Open(frames[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			open(0)
+			i := 1
+			if got := testing.AllocsPerRun(runs, func() {
+				open(i)
+				i++
+			}); got != 0 {
+				t.Errorf("%s, %s: Open: %v allocations, want 0", c.name, memo, got)
+			}
 		}
 	}
 }
@@ -651,7 +682,10 @@ var benchFrames = []struct {
 // BenchmarkOpen times Open of a frame from a known origin: a 60-row
 // HELLO (240 B), the frame that dominates a secured mesh's receptions,
 // and a 24 B data frame. A frame opens once, so batches of freshly
-// sealed frames are prepared with the timer stopped.
+// sealed frames are prepared with the timer stopped. listeners14 times
+// one HELLO opened by the 14 stations that hear a transmission in
+// mesh_secure, each Link alone or all sharing one Memo; an op is the
+// whole transmission.
 func BenchmarkOpen(b *testing.B) {
 	for _, c := range benchFrames {
 		b.Run(c.name, func(b *testing.B) {
@@ -668,6 +702,50 @@ func BenchmarkOpen(b *testing.B) {
 				}
 				if err := rx.Open(frames[i%batch]); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, memo := range []bool{false, true} {
+		name := "listeners14/alone"
+		if memo {
+			name = "listeners14/memo"
+		}
+		b.Run(name, func(b *testing.B) {
+			const batch, listeners = 64, 14
+			key := testKey(0x42)
+			tx := NewLink(key, 0x0001)
+			m := new(Memo)
+			rx := make([]*Link, listeners)
+			for i := range rx {
+				rx[i] = NewLink(key, packet.Address(0x0100+i))
+				if memo {
+					rx[i].ShareMemo(m)
+				}
+			}
+			// Every listener opens its own copy of each frame, as each
+			// station's receive path parses the shared bytes into its own
+			// packet.
+			var frames [][]*packet.Packet
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					b.StopTimer()
+					frames = make([][]*packet.Packet, listeners)
+					for j := range frames {
+						frames[j] = make([]*packet.Packet, batch)
+					}
+					for k, f := range sealedFrames(b, tx, packet.TypeHello, 240, batch) {
+						for j := range frames {
+							frames[j][k] = clonePacket(f)
+						}
+					}
+					b.StartTimer()
+				}
+				for j, l := range rx {
+					if err := l.Open(frames[j][i%batch]); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

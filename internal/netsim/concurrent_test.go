@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/meshsec"
 )
 
 // TestConcurrentSimsShareNothing backs the parallel sweep runner: the
@@ -13,8 +15,14 @@ import (
 // Under -race, any hidden shared mutable state between Sims (package-level
 // maps written at runtime, topology mutation inside New, shared RNGs)
 // surfaces here. The deterministic-output check doubles as a value-level
-// guard where the race detector is not running.
+// guard where the race detector is not running. The secured run covers the
+// meshsec.Memo each Sim shares among its own Links.
 func TestConcurrentSimsShareNothing(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { concurrentSims(t, nil) })
+	t.Run("secured", func(t *testing.T) { concurrentSims(t, &secTestKey) })
+}
+
+func concurrentSims(t *testing.T, key *meshsec.Key) {
 	topo := mustLine(t, 5, 8000)
 	const sims = 4
 	results := make([]string, sims)
@@ -23,7 +31,7 @@ func TestConcurrentSimsShareNothing(t *testing.T) {
 	for w := 0; w < sims; w++ {
 		go func(w int) {
 			defer wg.Done()
-			sim, err := New(Config{Topology: topo, Node: fastNode(), Seed: 1})
+			sim, err := New(Config{Topology: topo, Node: fastNode(), Seed: 1, SecKey: key})
 			if err != nil {
 				t.Errorf("sim %d: %v", w, err)
 				return

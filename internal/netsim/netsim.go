@@ -253,6 +253,9 @@ func New(cfg Config) (*Sim, error) {
 		s.Tracer = trace.New(cfg.TraceCapacity, cfg.SpanCapacity)
 	}
 
+	// Every Link hears the one medium, which hands a transmission to its
+	// listeners back to back, so one memo lets them share its verification.
+	memo := new(meshsec.Memo)
 	for i, pos := range cfg.Topology.Positions {
 		addr := baseAddress + packet.Address(i)
 		h := &Handle{Index: i, Addr: addr}
@@ -260,6 +263,7 @@ func New(cfg Config) (*Sim, error) {
 		h.prefix = "node." + h.addrStr + "."
 		if cfg.SecKey != nil {
 			h.Sec = meshsec.NewLink(*cfg.SecKey, addr)
+			h.Sec.ShareMemo(memo)
 		}
 		env := &nodeEnv{sim: s, h: h, rng: rand.New(rand.NewSource(cfg.Seed ^ int64(i+1)*0x9e3779b9))}
 		h.env = env
