@@ -287,6 +287,10 @@ func (cfg Config) resolve() (resolved, error) {
 	r.budget = loraphy.DefaultLinkBudget()
 	r.model = loraphy.DefaultLogDistance()
 	r.model.Exponent = pathLossExponent
+	// Resolve the free-space reference loss once: PathLossDB(d0) is
+	// ref + 10·n·log10(1), exactly ref, so every later PathLossDB returns
+	// the same bits without recomputing it.
+	r.model.ReferenceLossDB = r.model.PathLossDB(r.model.ReferenceMeters, r.params.FrequencyHz)
 
 	helloAir, err := r.params.Airtime(helloFrameBytes)
 	if err != nil {
@@ -602,17 +606,18 @@ func (dst *Stats) merge(src *Stats) {
 
 // stateBytes is the resident engine footprint: every nodeState slab
 // (routes, queues, strategy state, link slabs) and every shard's packet
-// slab and candidate index. Reporting only — not digest material.
+// slab and candidate index, each by capacity, the bytes it holds.
+// Reporting only — not digest material.
 func (s *Sim) stateBytes() uint64 {
 	var b uint64
 	slabs := reflect.ValueOf(s.nodes)
 	for i := 0; i < slabs.NumField(); i++ {
 		f := slabs.Field(i)
-		b += uint64(f.Len()) * uint64(f.Type().Elem().Size())
+		b += uint64(f.Cap()) * uint64(f.Type().Elem().Size())
 	}
 	for _, sh := range s.shards {
 		b += uint64(cap(sh.pkts)) * uint64(reflect.TypeOf(pkt{}).Size())
-		b += uint64(len(sh.candOf)) * uint64(reflect.TypeOf(int32(0)).Size())
+		b += uint64(cap(sh.candOf)) * uint64(reflect.TypeOf(int32(0)).Size())
 	}
 	return b
 }

@@ -60,11 +60,12 @@ func TestCityBasics(t *testing.T) {
 	}
 }
 
-// TestStateBytesCountsEverySlab grows each nodeState slab (the id slab
-// among them), then each shard's packet slab and candidate index, by one
-// element: StateBytes must grow by exactly that element's size, so no slab
-// is left out or counted at the wrong width. A candidate index spans its
-// stripe, not the city.
+// TestStateBytesCountsEverySlab grows the capacity of each nodeState slab
+// (the id slab among them), then of each shard's packet slab and candidate
+// index, by one element: StateBytes must grow by exactly that element's
+// size, so no slab is left out or counted at the wrong width. New leaves
+// no spare capacity in a nodeState slab, so counting what is resident
+// counts what is used. A candidate index spans its stripe, not the city.
 func TestStateBytesCountsEverySlab(t *testing.T) {
 	s, err := New(Config{Nodes: 200, Shards: 2, Seed: 1})
 	if err != nil {
@@ -74,8 +75,11 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 	for i := 0; i < slabs.NumField(); i++ {
 		f := slabs.Field(i)
 		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem() // settable
+		if f.Cap() != f.Len() {
+			t.Errorf("%s: New leaves capacity %d for %d elements", slabs.Type().Field(i).Name, f.Cap(), f.Len())
+		}
 		kept, before := f.Interface(), s.stateBytes()
-		f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		f.Set(reflect.MakeSlice(f.Type(), f.Len(), f.Cap()+1))
 		if got, want := s.stateBytes()-before, f.Type().Elem().Size(); got != uint64(want) {
 			t.Errorf("one more %s element adds %d state bytes, want %d", slabs.Type().Field(i).Name, got, want)
 		}
@@ -91,7 +95,7 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 			t.Errorf("one more pkt slot adds %d state bytes, want %d", got, want)
 		}
 		before = s.stateBytes()
-		sh.candOf = append(sh.candOf, -1)
+		sh.candOf = make([]int32, len(sh.candOf), cap(sh.candOf)+1)
 		if got, want := s.stateBytes()-before, reflect.TypeOf(int32(0)).Size(); got != uint64(want) {
 			t.Errorf("one more candOf entry adds %d state bytes, want %d", got, want)
 		}
@@ -234,12 +238,13 @@ func TestCityDigestsPinned(t *testing.T) {
 // permutation and slots ascend by (cell column, cell row, id); each
 // shard's nodes are exactly its slot range, and the ranges tile the city;
 // and every node's link slab, read back through id, lists the neighbours a
-// scan of all pairs finds (3x3-adjacent cells, linkLoss within
-// maxLossRel), ascending, with bit-identical losses and symmetrically.
+// scan of all pairs finds (3x3-adjacent cells, refLinkLoss within
+// maxLossRel), ascending, with bit-identical losses and symmetrically —
+// as built, and again with one pair pinned to the edge of reach.
 func TestSpaceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, shards := range []int{1, 2, 4} {
-		cfg := Config{Nodes: 150 + rng.Intn(451), Shards: shards, Seed: rng.Int63(), ShadowSigmaDB: 6 * rng.Float64()}
+		cfg := Config{Nodes: 150 + rng.Intn(451), Shards: shards, Seed: rng.Int63(), ShadowSigmaDB: float64(rng.Intn(121)) / 10}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -283,35 +288,43 @@ func TestSpaceOrder(t *testing.T) {
 				}
 			}
 		}
-		links := 0
-		for a := int32(0); a < n; a++ {
-			i := slotOf[a]
-			ca, ra := colRow(i)
-			var want []int32
-			for b := int32(0); b < n; b++ {
-				j := slotOf[b]
-				if cb, rb := colRow(j); b != a && abs(ca-cb) <= 1 && abs(ra-rb) <= 1 && s.linkLoss(i, j) <= s.r.maxLossRel {
-					want = append(want, j)
+		allPairs := func(label string) {
+			links := 0
+			for a := int32(0); a < n; a++ {
+				i := slotOf[a]
+				ca, ra := colRow(i)
+				var want []int32
+				for b := int32(0); b < n; b++ {
+					j := slotOf[b]
+					if cb, rb := colRow(j); b != a && abs(ca-cb) <= 1 && abs(ra-rb) <= 1 && refLinkLoss(s, i, j) <= s.r.maxLossRel {
+						want = append(want, j)
+					}
 				}
-			}
-			slices.Sort(want)
-			got := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]]
-			if !slices.Equal(got, want) {
-				t.Fatalf("%+v: node %d lists %v, all pairs give %v", cfg, a, got, want)
-			}
-			for k, j := range got {
-				if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float64bits(loss) != math.Float64bits(s.linkLoss(i, j)) {
-					t.Fatalf("%+v: link (%d, %d) loss %v, linkLoss %v", cfg, a, ns.id[j], loss, s.linkLoss(i, j))
+				slices.Sort(want)
+				got := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]]
+				if !slices.Equal(got, want) {
+					t.Fatalf("%+v %s: node %d lists %v, all pairs give %v", cfg, label, a, got, want)
 				}
-				if back, ok := s.lossBetween(j, i); !ok || math.Float64bits(back) != math.Float64bits(s.linkLoss(i, j)) {
-					t.Fatalf("%+v: link (%d, %d) is not symmetric", cfg, a, ns.id[j])
+				for k, j := range got {
+					want := refLinkLoss(s, i, j)
+					if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float64bits(loss) != math.Float64bits(want) {
+						t.Fatalf("%+v %s: link (%d, %d) loss %v, oracle %v", cfg, label, a, ns.id[j], loss, want)
+					}
+					if back, ok := s.lossBetween(j, i); !ok || math.Float64bits(back) != math.Float64bits(want) {
+						t.Fatalf("%+v %s: link (%d, %d) is not symmetric", cfg, label, a, ns.id[j])
+					}
 				}
+				links += len(got)
 			}
-			links += len(got)
+			if links == 0 {
+				t.Fatalf("%+v %s: no links", cfg, label)
+			}
 		}
-		if links == 0 {
-			t.Fatalf("%+v: no links", cfg)
+		allPairs("as built")
+		if !pinEdgePair(s) {
+			t.Fatalf("%+v: no pair to pin", cfg)
 		}
+		allPairs("with an edge pair")
 	}
 }
 

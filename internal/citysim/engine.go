@@ -11,6 +11,7 @@ package citysim
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/loraphy"
@@ -212,9 +213,11 @@ func (s *Sim) jitter(purpose uint64, i int32, seq uint32, periodNs int64) int64 
 }
 
 // linkLoss is the single path-loss formula both execution modes share:
-// symmetric (unordered id pair key), truncated-shadowed log-distance. The
-// precomputed link slabs memoize exactly this function, so serial
-// recomputation is bit-identical.
+// truncated-shadowed log-distance on the resolved model (reference loss
+// computed once in resolve). It is symmetric bit for bit — Hypot of an
+// exactly negated difference, an unordered id pair as the shadow key — so
+// buildLinks prices each unordered pair once for both slabs, and the
+// serial recomputation matches the slabs exactly.
 func (s *Sim) linkLoss(a, b int32) float64 {
 	lo, hi := s.nodes.id[a], s.nodes.id[b]
 	if lo > hi {
@@ -239,33 +242,65 @@ func (s *Sim) linkLoss(a, b int32) float64 {
 	return loss
 }
 
+// linkPair is one radio-relevant unordered pair, i < j, in buildLinks'
+// scratch list.
+type linkPair struct {
+	i, j int32
+	loss float64
+}
+
 // buildLinks precomputes each node's radio-relevant neighbor list (slots
-// ascending, with link loss) by scanning only the 3x3 cell neighborhood —
-// the O(n*degree) substitute for airmedium's O(n^2) loss matrix. In space
-// order the neighborhood is three slot ranges, one per column, visited in
-// ascending order.
+// ascending, with link loss) from the 3x3 cell neighborhood — the
+// O(n*degree) substitute for airmedium's O(n^2) loss matrix. In space
+// order the neighborhood's slots above i are two runs, the rest of i's
+// column and the next column, so each unordered pair is priced once, for
+// slot i ascending. A pair beyond reach is skipped before the log:
+// shadowing is truncated at -2 sigma, so its loss exceeds maxLossRel, and
+// the relative margin dwarfs the squared distance's rounding. The pairs
+// are then counted into nbrOff and scattered into both endpoints' slabs;
+// since i ascends, each slab comes out ascending with no sort.
 func (s *Sim) buildLinks() {
 	n := int32(s.r.Nodes)
 	ns := &s.nodes
+	reach := rangeAtLoss(s.r.model, s.r.params.FrequencyHz, s.r.maxLossRel+2*s.r.ShadowSigmaDB) * (1 + 1e-9)
+	reach2 := reach * reach
+	// The pairs a uniform placement puts within reach, edges ignored: an
+	// over-estimate, so the scratch list does not grow.
+	est := float64(n) * float64(n-1) / 2 * math.Pi * reach2 / (s.r.field * s.r.field)
+	pairs := make([]linkPair, 0, int(min(est, float64(n)*float64(n-1)/2))+1)
 	ns.nbrOff = make([]int32, n+1)
 	for i := int32(0); i < n; i++ {
-		ns.nbrOff[i] = int32(len(ns.nbrSlot))
 		col, row := s.grid.ColRow(int(ns.cell[i]))
 		r0, r1 := max(row-1, 0), min(row+1, s.grid.Rows()-1)
-		for c := max(col-1, 0); c <= min(col+1, s.grid.Cols()-1); c++ {
+		for c := col; c <= min(col+1, s.grid.Cols()-1); c++ {
 			lo, hi := s.cellRun(c, r0, r1)
-			for j := lo; j < hi; j++ {
-				if j == i {
+			for j := max(lo, i+1); j < hi; j++ {
+				dx, dy := ns.x[i]-ns.x[j], ns.y[i]-ns.y[j]
+				if dx*dx+dy*dy > reach2 {
 					continue
 				}
 				if loss := s.linkLoss(i, j); loss <= s.r.maxLossRel {
-					ns.nbrSlot = append(ns.nbrSlot, j)
-					ns.nbrLoss = append(ns.nbrLoss, loss)
+					pairs = append(pairs, linkPair{i, j, loss})
+					ns.nbrOff[i+1]++
+					ns.nbrOff[j+1]++
 				}
 			}
 		}
 	}
-	ns.nbrOff[n] = int32(len(ns.nbrSlot))
+	for i := int32(0); i < n; i++ {
+		ns.nbrOff[i+1] += ns.nbrOff[i]
+	}
+	ns.nbrSlot = make([]int32, ns.nbrOff[n])
+	ns.nbrLoss = make([]float64, ns.nbrOff[n])
+	next := slices.Clone(ns.nbrOff[:n])
+	for _, p := range pairs {
+		k := next[p.i]
+		ns.nbrSlot[k], ns.nbrLoss[k] = p.j, p.loss
+		next[p.i]++
+		k = next[p.j]
+		ns.nbrSlot[k], ns.nbrLoss[k] = p.i, p.loss
+		next[p.j]++
+	}
 }
 
 // lossBetween resolves the link budget between a node and a peer: slab

@@ -3,8 +3,8 @@
 # build, full tests (the root package's compares every deterministic
 # table of the evaluation with eval_output.txt), the same tests under the
 # race detector, every Go benchmark once, the benchmark's smoke test, two
-# end-to-end CLI smokes, the coverage ratchet, and the size ledger
-# (counts.sh). CI and contributors run exactly this.
+# end-to-end CLI smokes, the coverage ratchet, the size ledger
+# (counts.sh) and the docs ceiling. CI and contributors run exactly this.
 #
 # staticcheck and govulncheck run when their binaries are on PATH (CI
 # installs them; locally `go install honnef.co/go/tools/cmd/staticcheck@latest`
@@ -109,5 +109,18 @@ if awk -v t="$total" -v f="$floor" 'BEGIN { exit !(t > f + 1.0) }'; then
 fi
 echo "==> counts"
 # The size ledger a code-diet PR quotes in CHANGES.md, before and after.
-./scripts/counts.sh
+./scripts/counts.sh >"$tmp/counts.txt"
+cat "$tmp/counts.txt"
+echo "==> docs ceiling"
+# The docs ratchet: the KB of README, DESIGN, EXPERIMENTS and CHANGES, as
+# counts.sh prints them, may not exceed scripts/docs_ceiling.txt. A change
+# may lower the ceiling, never raise it.
+docs=$(sed -n 's/^docs KB.*: *//p' "$tmp/counts.txt")
+ceiling=$(grep -v '^#' scripts/docs_ceiling.txt)
+echo "    docs ${docs} KB (ceiling ${ceiling} KB)"
+if awk -v d="$docs" -v c="$ceiling" 'BEGIN { exit !(d > c) }'; then
+    echo "docs ${docs} KB exceed the ${ceiling} KB ceiling in scripts/docs_ceiling.txt" >&2
+    echo "trim the docs; the ceiling may fall, never rise" >&2
+    exit 1
+fi
 echo "OK"
