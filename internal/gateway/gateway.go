@@ -284,15 +284,15 @@ type dlKey struct {
 
 // Gateway is a store-and-forward bridge instance. Create with New, feed
 // with Offer (usually via AttachSim/AttachHost), and drive either with
-// Start (real time, own goroutine) or Poll (externally clocked — the
+// Start (real time, a goroutine per lane) or Poll (externally clocked — the
 // deterministic simulator). It is safe for concurrent use.
 //
 // Internally the gateway is a set of independent shard lanes (see
 // gwShard): Offer routes a reading to its origin's lane and touches only
-// that lane's lock; Poll walks the lanes, launches every batch whose
-// window has room, posts them concurrently, and applies the results in
-// launch order — deterministic under the simulator, pipelined in the
-// wall-clock sense either way.
+// that lane's lock. Poll walks every lane in one round, posts the round's
+// batches concurrently, and applies the results in launch order, which
+// keeps the simulator deterministic; Start gives each lane a loop of its
+// own, so a lane never waits for a sibling's POST.
 type Gateway struct {
 	cfg Config
 	reg *metrics.Registry
@@ -315,8 +315,6 @@ type Gateway struct {
 
 	closed atomic.Bool
 
-	// kick wakes the real-time loop when a batch fills.
-	kick     chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -346,7 +344,6 @@ func New(cfg Config) (*Gateway, error) {
 		label:   gwLabel(cfg.Addr),
 		reg:     metrics.NewRegistry(),
 		applied: make(map[dlKey]uint32),
-		kick:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 	}
 	g.preRegisterInstruments()
@@ -542,7 +539,7 @@ func (g *Gateway) Offer(r Reading) bool {
 	g.admission("gw.accepted", r.Trace, span.SegEnqueue, "gw_spool")
 	if depth >= g.cfg.BatchSize {
 		select {
-		case g.kick <- struct{}{}:
+		case sh.kick <- struct{}{}:
 		default:
 		}
 	}
@@ -558,15 +555,19 @@ func (g *Gateway) OfferMessage(m core.AppMessage) bool { return g.Offer(FromAppM
 // passed; per-shard backoff and breaker windows are respected; dirty WAL
 // buffers group-commit when their interval expires) and returns how long
 // until it next wants to run. Poll is the externally-clocked drive used
-// by the simulator adapter; the real-time loop calls it with time.Now().
+// by the simulator adapter.
 //
 // Each round launches every due batch across all shards, posts them
 // concurrently, then applies the results in launch order — so a
 // simulation's metrics and state transitions stay deterministic while
 // the POSTs themselves overlap in wall-clock time.
-func (g *Gateway) Poll(now time.Time) time.Duration {
+func (g *Gateway) Poll(now time.Time) time.Duration { return g.poll(g.shards, now) }
+
+// poll is Poll over a subset of the lanes: all of them for Poll, one for
+// each of Start's lane loops.
+func (g *Gateway) poll(shards []*gwShard, now time.Time) time.Duration {
 	for {
-		launches, wait := g.collect(now)
+		launches, wait := g.collect(shards, now)
 		if len(launches) == 0 {
 			return wait
 		}
@@ -577,17 +578,17 @@ func (g *Gateway) Poll(now time.Time) time.Duration {
 	}
 }
 
-// collect walks the shards under their locks, gathering every batch that
-// may launch now and the earliest next-wake deadline otherwise. It also
-// runs due WAL group commits — the spool flush clock rides the same
-// drive as the uplinker.
-func (g *Gateway) collect(now time.Time) ([]*launch, time.Duration) {
+// collect walks the given shards under their locks, gathering every
+// batch that may launch now and the earliest next-wake deadline
+// otherwise. It also runs due WAL group commits — the spool flush clock
+// rides the same drive as the uplinker.
+func (g *Gateway) collect(shards []*gwShard, now time.Time) ([]*launch, time.Duration) {
 	if g.closed.Load() {
 		return nil, time.Hour
 	}
 	minWait := time.Hour
 	var launches []*launch
-	for _, sh := range g.shards {
+	for _, sh := range shards {
 		sh.mu.Lock()
 		for {
 			wait, attempt := g.decideShard(sh, now)
@@ -894,28 +895,31 @@ func (g *Gateway) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * backoffScale)
 }
 
-// Start launches the real-time drain loop (livenet hosts and
-// cmd/meshgw). Pair with Close.
+// Start launches the real-time drain (livenet hosts and cmd/meshgw): one
+// loop per lane, each on its own timer and woken by Offer when its batch
+// fills, so a slow POST holds up only its own lane. Pair with Close.
 func (g *Gateway) Start() {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		for {
-			d := g.Poll(time.Now())
-			timer := time.NewTimer(d)
-			select {
-			case <-g.stop:
-				timer.Stop()
-				return
-			case <-g.kick:
-				timer.Stop()
-			case <-timer.C:
+	for i, sh := range g.shards {
+		lane := g.shards[i : i+1]
+		g.wg.Add(1)
+		go func() {
+			defer g.wg.Done()
+			for {
+				timer := time.NewTimer(g.poll(lane, time.Now()))
+				select {
+				case <-g.stop:
+					timer.Stop()
+					return
+				case <-sh.kick:
+					timer.Stop()
+				case <-timer.C:
+				}
 			}
-		}
-	}()
+		}()
+	}
 }
 
-// Close stops the loop, attempts one final best-effort flush of every
+// Close stops the lane loops, attempts one final best-effort flush of every
 // shard's full or partial batches, and closes the spool WALs. Readings
 // still pending remain in the WALs for the next process to replay.
 func (g *Gateway) Close() error {

@@ -427,7 +427,7 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 
 	offer(0)
 	offer(1)
-	first, _ := g.collect(now)
+	first, _ := g.collect(g.shards, now)
 	if len(first) != 1 || len(first[0].batch) != 2 {
 		t.Fatalf("first collect launched %d batches, want one of 2", len(first))
 	}
@@ -437,7 +437,7 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 	if got := g.Metrics().Counter("gw.drop.oldest").Value(); got != 2 {
 		t.Fatalf("evicted %d readings, want 2", got)
 	}
-	next, wait := g.collect(now)
+	next, wait := g.collect(g.shards, now)
 	if len(next) != 2 {
 		t.Fatalf("collect launched %d batches and would wake in %v; want both full batches at once", len(next), wait)
 	}
@@ -478,5 +478,132 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 		if puts[id] != 1 || dels[id] != wantDels {
 			t.Errorf("reading %d: %d put and %d del records, want 1 and %d", i, puts[id], dels[id], wantDels)
 		}
+	}
+}
+
+// lanePair builds an unstarted gateway with two lanes, lane i posting to
+// a server of its own in front of backs[i]; hold[i], when set, runs in
+// each of lane i's requests before its backend sees the batch. It also
+// returns one origin the ring routes to each lane.
+func lanePair(t *testing.T, hold [2]func()) (*Gateway, [2]*Backend, [2]packet.Address) {
+	t.Helper()
+	var backs [2]*Backend
+	urls := make([]string, 2)
+	for i := range backs {
+		b, h := NewBackend(), hold[i]
+		backs[i] = b
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if h != nil {
+				h()
+			}
+			b.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	g, err := New(Config{URLs: urls, Addr: 0x0001, BatchSize: 4, Pipeline: 1, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	var origins [2]packet.Address
+	for a, found := packet.Address(0x0100), 0; found < 2; a++ {
+		if lane := g.ring.shard(a); origins[lane] == 0 {
+			origins[lane] = a
+			found++
+		}
+	}
+	return g, backs, origins
+}
+
+// TestSlowLaneDoesNotStallSiblings holds Start's lanes to their own
+// clocks: while lane 0's POST hangs, lane 1 drains its whole backlog.
+func TestSlowLaneDoesNotStallSiblings(t *testing.T) {
+	release := make(chan struct{})
+	g, backs, origins := lanePair(t, [2]func(){func() { <-release }, nil})
+	defer close(release) // before the cleanups close the gateway
+	const perLane = 40
+	for k := 0; k < perLane; k++ {
+		for lane, origin := range origins {
+			g.Offer(reading(origin, uint64(0x8000+lane*perLane+k), time.Now()))
+		}
+	}
+	g.Start()
+	deadline := time.Now().Add(2 * time.Second)
+	for backs[1].Distinct() < perLane && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := backs[1].Distinct(); got != perLane {
+		t.Fatalf("lane 1 holds %d of %d readings after 2 s while lane 0's POST hangs", got, perLane)
+	}
+	if got := backs[0].Distinct(); got != 0 {
+		t.Fatalf("lane 0's backend holds %d readings; its POST should still hang", got)
+	}
+}
+
+// TestFullBatchWakesItsLane offers a full batch to each lane of a started
+// gateway whose FlushInterval is an hour: each lane must uplink it at
+// once, woken by its own kick. Close must then join every lane loop, so
+// no POST reaches a backend after it returns; each subtest holds a
+// different lane's POST open across Close.
+func TestFullBatchWakesItsLane(t *testing.T) {
+	const rounds = 2
+	for slow := 0; slow < 2; slow++ {
+		t.Run(fmt.Sprintf("slow=%d", slow), func(t *testing.T) {
+			var entered [2]chan struct{}
+			var hold [2]func()
+			for i := range entered {
+				ch := make(chan struct{}, rounds) // one POST per round
+				entered[i] = ch
+				hold[i] = func() {
+					ch <- struct{}{}
+					if i == slow {
+						time.Sleep(100 * time.Millisecond) // still in flight when Close runs
+					}
+				}
+			}
+			g, backs, origins := lanePair(t, hold)
+			g.Start()
+			id := uint64(0x9000)
+			for round := 1; round <= rounds; round++ {
+				// Both loops have applied the last round and parked on their
+				// hour-long timers, so only a kick can wake them.
+				for lane, b := range backs {
+					for deadline := time.Now().Add(2 * time.Second); b.Distinct() < 4*(round-1); time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("round %d: lane %d's last batch was not acknowledged within 2 s", round, lane)
+						}
+					}
+				}
+				time.Sleep(20 * time.Millisecond)
+				for _, origin := range origins {
+					for k := 0; k < 4; k++ {
+						id++
+						g.Offer(reading(origin, id, time.Now()))
+					}
+				}
+				for lane := range entered {
+					select {
+					case <-entered[lane]:
+					case <-time.After(2 * time.Second):
+						t.Fatalf("round %d: lane %d did not uplink its full batch within 2 s", round, lane)
+					}
+				}
+			}
+			// The slow lane's last POST is in flight.
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settled := [2]int{backs[0].Batches(), backs[1].Batches()}
+			time.Sleep(200 * time.Millisecond)
+			for lane, b := range backs {
+				if got := b.Batches(); got != settled[lane] {
+					t.Errorf("lane %d: %d POSTs accepted when Close returned, %d after", lane, settled[lane], got)
+				}
+				if got := b.Distinct(); got != 4*rounds {
+					t.Errorf("lane %d's backend holds %d readings, want %d", lane, got, 4*rounds)
+				}
+			}
+		})
 	}
 }

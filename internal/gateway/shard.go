@@ -127,6 +127,8 @@ type gwShard struct {
 	// Config.Pipeline. The spool marks the readings they carry, so
 	// overlapping launches never upload the same reading twice.
 	inflightBatches int
+	// kick wakes the lane's real-time loop when its batch fills.
+	kick chan struct{}
 
 	// Per-lane instruments, resolved once (fmt on the hot path would
 	// undo the sharding win).
@@ -143,6 +145,7 @@ func newGwShard(id int, url string, sp *spool, reg *metrics.Registry) *gwShard {
 		id:        id,
 		url:       url,
 		sp:        sp,
+		kick:      make(chan struct{}, 1),
 		gDepth:    reg.Gauge(prefix + "depth"),
 		gInflight: reg.Gauge(prefix + "inflight"),
 		gBreaker:  reg.Gauge(prefix + "breaker_open"),

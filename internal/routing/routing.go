@@ -195,8 +195,8 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 		if metric > int(t.cfg.MaxHops) {
 			continue
 		}
-		var c bool
-		next, c = t.update(now, next, adv.Addr, from, uint8(metric), adv.Role, snr)
+		i, c := t.update(now, next, adv.Addr, from, uint8(metric), adv.Role, snr)
+		next = i + 1 // row i is adv.Addr, which sorts before the next row
 		changed = changed || c
 	}
 	return changed
