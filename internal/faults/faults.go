@@ -180,8 +180,8 @@ type Attacker struct {
 	BitFlip    bool `json:"bit_flip,omitempty"`
 }
 
-// behaviors returns the enabled behavior names in cycling order.
-func (a Attacker) behaviors() []string {
+// Behaviors returns the enabled behavior names in cycling order.
+func (a Attacker) Behaviors() []string {
 	var bs []string
 	if a.Replay {
 		bs = append(bs, "replay")
@@ -194,9 +194,6 @@ func (a Attacker) behaviors() []string {
 	}
 	return bs
 }
-
-// Behaviors exposes the enabled behavior names in cycling order.
-func (a Attacker) Behaviors() []string { return a.behaviors() }
 
 // ClockSkew multiplies one node's HELLO timer period by Factor,
 // modelling the cheap-crystal drift real SX127x boards exhibit (a
@@ -324,7 +321,7 @@ func (p *Plan) Validate(n int) error {
 		if a.CaptureUntil.D() < 0 {
 			return fmt.Errorf("faults: %s has negative capture_until", what)
 		}
-		if len(a.behaviors()) == 0 {
+		if len(a.Behaviors()) == 0 {
 			return fmt.Errorf("faults: %s enables no behavior (replay, forge_hello, bit_flip)", what)
 		}
 	}

@@ -289,10 +289,10 @@ type dlKey struct {
 //
 // Internally the gateway is a set of independent shard lanes (see
 // gwShard): Offer routes a reading to its origin's lane and touches only
-// that lane's lock. Poll walks every lane in one round, posts the round's
-// batches concurrently, and applies the results in launch order, which
-// keeps the simulator deterministic; Start gives each lane a loop of its
-// own, so a lane never waits for a sibling's POST.
+// that lane's lock, and every drive drains a lane with one per-lane poll.
+// Poll runs it on each lane in turn, each of Start's lane loops runs it on
+// its own lane, and Close runs it once more per lane, so a lane never
+// waits for a sibling's POST.
 type Gateway struct {
 	cfg Config
 	reg *metrics.Registry
@@ -314,6 +314,8 @@ type Gateway struct {
 	applied map[dlKey]uint32 // highest Seq injected per command stream
 
 	closed atomic.Bool
+	// draining makes every queued reading due: Close's last poll.
+	draining atomic.Bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -323,13 +325,12 @@ type Gateway struct {
 // launch is one batch POST decided under a shard lock and executed
 // outside it.
 type launch struct {
-	sh       *gwShard
-	batch    []Reading
-	seqs     []uint64 // the batch's spool sequence numbers, for the ack
-	halfOpen bool
-	resp     *uplinkResponse
-	rtt      time.Duration
-	err      error
+	sh    *gwShard
+	batch []Reading
+	seqs  []uint64 // the batch's spool sequence numbers, for the ack
+	resp  *uplinkResponse
+	rtt   time.Duration
+	err   error
 }
 
 // New opens the spools (replaying any WALs) and returns a ready gateway.
@@ -557,17 +558,24 @@ func (g *Gateway) OfferMessage(m core.AppMessage) bool { return g.Offer(FromAppM
 // until it next wants to run. Poll is the externally-clocked drive used
 // by the simulator adapter.
 //
-// Each round launches every due batch across all shards, posts them
-// concurrently, then applies the results in launch order — so a
-// simulation's metrics and state transitions stay deterministic while
-// the POSTs themselves overlap in wall-clock time.
-func (g *Gateway) Poll(now time.Time) time.Duration { return g.poll(g.shards, now) }
+// It drains the lanes in turn, each with the same poll Start's lane loops
+// run. A lane's poll decides from that lane's state alone, and a simulated
+// POST takes no virtual time, so a simulation stays deterministic.
+func (g *Gateway) Poll(now time.Time) time.Duration {
+	wait := time.Hour
+	for _, sh := range g.shards {
+		wait = min(wait, g.poll(sh, now))
+	}
+	return wait
+}
 
-// poll is Poll over a subset of the lanes: all of them for Poll, one for
-// each of Start's lane loops.
-func (g *Gateway) poll(shards []*gwShard, now time.Time) time.Duration {
+// poll drains one lane at now: it launches every due batch, posts them
+// (concurrently when the window holds several), applies the results in
+// launch order, and repeats until nothing more is due, returning how long
+// until the lane next wants to run.
+func (g *Gateway) poll(sh *gwShard, now time.Time) time.Duration {
 	for {
-		launches, wait := g.collect(shards, now)
+		launches, wait := g.collect(sh, now)
 		if len(launches) == 0 {
 			return wait
 		}
@@ -578,52 +586,43 @@ func (g *Gateway) poll(shards []*gwShard, now time.Time) time.Duration {
 	}
 }
 
-// collect walks the given shards under their locks, gathering every
-// batch that may launch now and the earliest next-wake deadline
-// otherwise. It also runs due WAL group commits — the spool flush clock
-// rides the same drive as the uplinker.
-func (g *Gateway) collect(shards []*gwShard, now time.Time) ([]*launch, time.Duration) {
+// collect walks one lane under its lock, gathering every batch that may
+// launch now and the earliest next-wake deadline otherwise. It also runs
+// due WAL group commits — the spool flush clock rides the same drive as
+// the uplinker.
+func (g *Gateway) collect(sh *gwShard, now time.Time) ([]*launch, time.Duration) {
 	if g.closed.Load() {
 		return nil, time.Hour
 	}
 	minWait := time.Hour
 	var launches []*launch
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for {
-			wait, attempt := g.decideShard(sh, now)
-			if !attempt {
-				if wait < minWait {
-					minWait = wait
-				}
-				break
-			}
-			batch, seqs := sh.sp.take(g.cfg.BatchSize)
-			if len(batch) == 0 {
-				break
-			}
-			sh.inflightBatches++
-			sh.gInflight.Set(float64(sh.inflightBatches))
-			launches = append(launches, &launch{sh: sh, batch: batch, seqs: seqs, halfOpen: sh.breakerOpen})
-			if sh.breakerOpen {
-				// Half-open: exactly one probe batch.
-				break
-			}
+	sh.mu.Lock()
+	for {
+		wait, attempt := g.decideShard(sh, now)
+		if !attempt {
+			minWait = min(minWait, wait)
+			break
 		}
-		if err := sh.sp.commitIfDue(now); err != nil {
-			g.reg.Counter("gw.wal.errors").Inc()
+		batch, seqs := sh.sp.take(g.cfg.BatchSize)
+		if len(batch) == 0 {
+			break
 		}
-		if dl, ok := sh.sp.commitDeadline(); ok {
-			if w := dl.Sub(now); w < minWait {
-				minWait = w
-			}
+		sh.inflightBatches++
+		sh.gInflight.Set(float64(sh.inflightBatches))
+		launches = append(launches, &launch{sh: sh, batch: batch, seqs: seqs})
+		if sh.breakerOpen {
+			// Half-open: exactly one probe batch.
+			break
 		}
-		sh.mu.Unlock()
 	}
-	if minWait < 0 {
-		minWait = 0
+	if err := sh.sp.commitIfDue(now); err != nil {
+		g.reg.Counter("gw.wal.errors").Inc()
 	}
-	return launches, minWait
+	if dl, ok := sh.sp.commitDeadline(); ok {
+		minWait = min(minWait, dl.Sub(now))
+	}
+	sh.mu.Unlock()
+	return launches, max(minWait, 0)
 }
 
 // decideShard reports whether a flush attempt is due on one shard at
@@ -656,7 +655,7 @@ func (g *Gateway) decideShard(sh *gwShard, now time.Time) (time.Duration, bool) 
 		}
 		return g.cfg.FlushInterval, false
 	}
-	if avail >= g.cfg.BatchSize || now.Sub(sh.lastFlush) >= g.cfg.FlushInterval {
+	if avail >= g.cfg.BatchSize || g.draining.Load() || now.Sub(sh.lastFlush) >= g.cfg.FlushInterval {
 		return 0, true
 	}
 	return sh.lastFlush.Add(g.cfg.FlushInterval).Sub(now), false
@@ -719,7 +718,7 @@ func (g *Gateway) apply(l *launch, now time.Time) {
 	if wErr := sh.sp.ackAt(l.batch, l.seqs, now); wErr != nil {
 		g.reg.Counter("gw.wal.errors").Inc()
 	}
-	if l.halfOpen || sh.breakerOpen {
+	if sh.breakerOpen {
 		sh.breakerOpen = false
 		g.reg.Gauge("gw.breaker.open").Set(0)
 		sh.gBreaker.Set(0)
@@ -899,13 +898,12 @@ func (g *Gateway) backoff(n int) time.Duration {
 // loop per lane, each on its own timer and woken by Offer when its batch
 // fills, so a slow POST holds up only its own lane. Pair with Close.
 func (g *Gateway) Start() {
-	for i, sh := range g.shards {
-		lane := g.shards[i : i+1]
+	for _, sh := range g.shards {
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
 			for {
-				timer := time.NewTimer(g.poll(lane, time.Now()))
+				timer := time.NewTimer(g.poll(sh, time.Now()))
 				select {
 				case <-g.stop:
 					timer.Stop()
@@ -919,9 +917,12 @@ func (g *Gateway) Start() {
 	}
 }
 
-// Close stops the lane loops, attempts one final best-effort flush of every
-// shard's full or partial batches, and closes the spool WALs. Readings
-// still pending remain in the WALs for the next process to replay.
+// Close stops the lane loops, then drains what the backend will take with
+// one last poll per lane in which every queued reading is due, and closes
+// the spool WALs. It retries nothing: a POST that fails backs its lane off
+// for the rest of that poll, and a lane already backed off or behind an
+// open breaker is left alone. Readings still pending remain in the WALs
+// for the next process to replay.
 func (g *Gateway) Close() error {
 	if g.closed.Load() {
 		return nil
@@ -929,34 +930,10 @@ func (g *Gateway) Close() error {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
 
-	// Final flush outside the loop: drain what the backend will take,
-	// but do not retry — the WAL keeps the rest. Each shard drains
-	// independently; a backed-off or open-breaker shard is left alone.
+	g.draining.Store(true)
 	now := time.Now()
 	for _, sh := range g.shards {
-		sh.mu.Lock()
-		blocked := sh.breakerOpen && now.Before(sh.breakerTil) || now.Before(sh.nextRetryAt)
-		sh.mu.Unlock()
-		if blocked {
-			continue
-		}
-		for {
-			sh.mu.Lock()
-			batch, seqs := sh.sp.take(g.cfg.BatchSize)
-			if len(batch) == 0 {
-				sh.mu.Unlock()
-				break
-			}
-			sh.inflightBatches++
-			halfOpen := sh.breakerOpen
-			sh.mu.Unlock()
-			l := &launch{sh: sh, batch: batch, seqs: seqs, halfOpen: halfOpen}
-			l.resp, l.rtt, l.err = g.post(sh.url, g.Addr(), batch)
-			g.apply(l, now)
-			if l.err != nil {
-				break
-			}
-		}
+		g.poll(sh, now)
 	}
 
 	g.closed.Store(true)

@@ -427,7 +427,7 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 
 	offer(0)
 	offer(1)
-	first, _ := g.collect(g.shards, now)
+	first, _ := g.collect(g.shards[0], now)
 	if len(first) != 1 || len(first[0].batch) != 2 {
 		t.Fatalf("first collect launched %d batches, want one of 2", len(first))
 	}
@@ -437,7 +437,7 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 	if got := g.Metrics().Counter("gw.drop.oldest").Value(); got != 2 {
 		t.Fatalf("evicted %d readings, want 2", got)
 	}
-	next, wait := g.collect(g.shards, now)
+	next, wait := g.collect(g.shards[0], now)
 	if len(next) != 2 {
 		t.Fatalf("collect launched %d batches and would wake in %v; want both full batches at once", len(next), wait)
 	}
@@ -483,9 +483,10 @@ func TestEvictedInFlightReadingFreesItsWindowSlot(t *testing.T) {
 
 // lanePair builds an unstarted gateway with two lanes, lane i posting to
 // a server of its own in front of backs[i]; hold[i], when set, runs in
-// each of lane i's requests before its backend sees the batch. It also
-// returns one origin the ring routes to each lane.
-func lanePair(t *testing.T, hold [2]func()) (*Gateway, [2]*Backend, [2]packet.Address) {
+// each of lane i's requests before its backend sees the batch, and mut,
+// when set, adjusts the Config first. It also returns one origin the ring
+// routes to each lane.
+func lanePair(t *testing.T, hold [2]func(), mut func(*Config)) (*Gateway, [2]*Backend, [2]packet.Address) {
 	t.Helper()
 	var backs [2]*Backend
 	urls := make([]string, 2)
@@ -501,7 +502,11 @@ func lanePair(t *testing.T, hold [2]func()) (*Gateway, [2]*Backend, [2]packet.Ad
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
-	g, err := New(Config{URLs: urls, Addr: 0x0001, BatchSize: 4, Pipeline: 1, FlushInterval: time.Hour})
+	cfg := Config{URLs: urls, Addr: 0x0001, BatchSize: 4, Pipeline: 1, FlushInterval: time.Hour}
+	if mut != nil {
+		mut(&cfg)
+	}
+	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +525,7 @@ func lanePair(t *testing.T, hold [2]func()) (*Gateway, [2]*Backend, [2]packet.Ad
 // clocks: while lane 0's POST hangs, lane 1 drains its whole backlog.
 func TestSlowLaneDoesNotStallSiblings(t *testing.T) {
 	release := make(chan struct{})
-	g, backs, origins := lanePair(t, [2]func(){func() { <-release }, nil})
+	g, backs, origins := lanePair(t, [2]func(){func() { <-release }, nil}, nil)
 	defer close(release) // before the cleanups close the gateway
 	const perLane = 40
 	for k := 0; k < perLane; k++ {
@@ -562,7 +567,7 @@ func TestFullBatchWakesItsLane(t *testing.T) {
 					}
 				}
 			}
-			g, backs, origins := lanePair(t, hold)
+			g, backs, origins := lanePair(t, hold, nil)
 			g.Start()
 			id := uint64(0x9000)
 			for round := 1; round <= rounds; round++ {
@@ -603,6 +608,82 @@ func TestFullBatchWakesItsLane(t *testing.T) {
 				if got := b.Distinct(); got != 4*rounds {
 					t.Errorf("lane %d's backend holds %d readings, want %d", lane, got, 4*rounds)
 				}
+			}
+		})
+	}
+}
+
+// TestCloseDrainsWhatTheBackendTakes holds Close to its rule: drain every
+// lane's queue, partial batches included, but retry nothing — a failed POST
+// ends its lane's drain and leaves the rest in the WAL, and a lane behind
+// an open breaker is not posted to at all.
+func TestCloseDrainsWhatTheBackendTakes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		perLane int  // readings offered to each lane
+		failing bool // the backends fail every POST from the start
+		// breaker opens each lane's breaker with one failed Poll of a
+		// full batch, then heals the backends before Close.
+		breaker      bool
+		wantPosts    int // POSTs each lane makes inside Close
+		wantUplinked int // readings each backend holds after Close
+	}{
+		{name: "partial batch", perLane: 3, wantPosts: 1, wantUplinked: 3},
+		{name: "failing backend", perLane: 6, failing: true, wantPosts: 1},
+		{name: "open breaker", perLane: 4, failing: true, breaker: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var posts [2]atomic.Int32
+			spool := filepath.Join(t.TempDir(), "close.wal")
+			var cfg Config
+			g, backs, origins := lanePair(t, [2]func(){
+				func() { posts[0].Add(1) },
+				func() { posts[1].Add(1) },
+			}, func(c *Config) {
+				c.SpoolPath = spool
+				if tc.breaker {
+					// One failure opens the breaker, and its backoff is
+					// over before Close, so only the breaker holds the lane.
+					c.BreakerThreshold = 1
+					c.RetryBase = time.Nanosecond
+				}
+				cfg = *c
+			})
+			for lane, origin := range origins {
+				backs[lane].SetFailing(tc.failing)
+				for k := 0; k < tc.perLane; k++ {
+					g.Offer(reading(origin, uint64(0xa000+lane*tc.perLane+k), time.Now()))
+				}
+			}
+			if tc.breaker {
+				g.Poll(time.Now())
+				if !g.BreakerOpen() {
+					t.Fatal("a failed Poll did not open the breaker")
+				}
+				for _, b := range backs {
+					b.SetFailing(false)
+				}
+			}
+			before := [2]int32{posts[0].Load(), posts[1].Load()}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for lane, b := range backs {
+				if got := posts[lane].Load() - before[lane]; got != int32(tc.wantPosts) {
+					t.Errorf("lane %d made %d POSTs inside Close, want %d", lane, got, tc.wantPosts)
+				}
+				if got := b.Distinct(); got != tc.wantUplinked {
+					t.Errorf("lane %d's backend holds %d readings, want %d", lane, got, tc.wantUplinked)
+				}
+			}
+
+			g2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g2.Close()
+			if got, want := g2.Pending(), 2*(tc.perLane-tc.wantUplinked); got != want {
+				t.Fatalf("a successor on the same spool replays %d readings, want %d", got, want)
 			}
 		})
 	}

@@ -126,9 +126,6 @@ type FlowSample struct {
 
 // Config tunes the monitor.
 type Config struct {
-	// Interval is the intended poll period; it only documents the
-	// cadence for Verdict (hosts drive Poll themselves). Zero means 30s.
-	Interval time.Duration
 	// FlowLatencyBound, when positive, arms the per-flow latency-bound
 	// invariant: every FlowSample whose Latency exceeds the bound is a
 	// latency_bound violation. Zero disables the detector.
@@ -140,13 +137,6 @@ type Config struct {
 	// Tracer, when set, receives every violation as a structured
 	// trace.KindHealth event (the violation kind rides Event.Seg).
 	Tracer *trace.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Second
-	}
-	return c
 }
 
 // The delta detectors' thresholds.
@@ -191,8 +181,7 @@ type Monitor struct {
 	seq        uint64 // monotonic Violation.Seq source
 	lastPoll   time.Time
 	lastStatus string
-	subs       map[int]func(Violation)
-	nextSub    int
+	subs       []func(Violation)
 }
 
 // recentCap bounds the violation tail kept for Verdict.
@@ -201,13 +190,12 @@ const recentCap = 256
 // New builds a monitor over src.
 func New(cfg Config, src Source) *Monitor {
 	m := &Monitor{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		src:        src,
 		reg:        metrics.NewRegistry(),
 		hist:       make(map[packet.Address]*history),
 		scores:     make(map[packet.Address]int),
 		lastStatus: "unknown",
-		subs:       make(map[int]func(Violation)),
 	}
 	// Pre-register the stable schema so a scrape before the first poll
 	// sees zeros, not absence.
@@ -227,20 +215,13 @@ func New(cfg Config, src Source) *Monitor {
 func (m *Monitor) Metrics() *metrics.Registry { return m.reg }
 
 // Subscribe registers fn to observe every violation as it is detected
-// (in subscription order), called from Poll's goroutine. The returned
-// function cancels the subscription. This is the one attachment point for
-// violation consumers — notably the internal/control reconciler.
-func (m *Monitor) Subscribe(fn func(Violation)) (cancel func()) {
+// (in subscription order), called from Poll's goroutine. This is the one
+// attachment point for violation consumers — notably the internal/control
+// reconciler.
+func (m *Monitor) Subscribe(fn func(Violation)) {
 	m.mu.Lock()
-	id := m.nextSub
-	m.nextSub++
-	m.subs[id] = fn
+	m.subs = append(m.subs, fn)
 	m.mu.Unlock()
-	return func() {
-		m.mu.Lock()
-		delete(m.subs, id)
-		m.mu.Unlock()
-	}
 }
 
 // Poll snapshots the mesh, runs every detector, updates scores and
@@ -260,17 +241,9 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 	}
 	m.score(now, nodes, vs)
 	tracer := m.cfg.Tracer
-	// Snapshot subscribers in id (= subscription) order so every run
-	// notifies in the same deterministic order.
-	ids := make([]int, 0, len(m.subs))
-	for id := range m.subs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	subs := make([]func(Violation), len(ids))
-	for i, id := range ids {
-		subs[i] = m.subs[id]
-	}
+	// Subscribe only appends, so the slice read under the lock is a
+	// stable snapshot.
+	subs := m.subs
 	m.mu.Unlock()
 
 	for _, v := range vs {

@@ -2,6 +2,7 @@ package health
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -341,26 +342,40 @@ func TestViolationSeqMonotonic(t *testing.T) {
 	}
 }
 
-// TestSubscribeCancel verifies subscriber lifecycle: every Subscribe
-// observer fires per violation, and a canceled subscription stops
-// immediately while the others keep firing.
-func TestSubscribeCancel(t *testing.T) {
+// TestSubscribersFireInOrder verifies subscriber fan-out: every
+// subscriber fires once per violation, and for each violation they fire
+// in registration order.
+func TestSubscribersFireInOrder(t *testing.T) {
 	p := &poller{nodes: []NodeStatus{
 		{Addr: addr(1), Alive: true, Routes: []Route{{Dst: addr(2), Via: addr(9)}}},
 		{Addr: addr(2), Alive: true},
 	}}
-	var kept, subbed int
-	m := New(Config{}, p.source)
-	m.Subscribe(func(Violation) { kept++ })
-	cancel := m.Subscribe(func(Violation) { subbed++ })
-
-	m.Poll(t0.Add(time.Minute))
-	if kept != 1 || subbed != 1 {
-		t.Fatalf("after one poll: kept=%d sub=%d, want 1/1", kept, subbed)
+	type call struct {
+		sub int
+		seq uint64
 	}
-	cancel()
-	m.Poll(t0.Add(2 * time.Minute))
-	if kept != 2 || subbed != 1 {
-		t.Fatalf("after cancel: kept=%d sub=%d, want 2/1", kept, subbed)
+	var calls []call
+	m := New(Config{}, p.source)
+	for i := 0; i < 3; i++ {
+		m.Subscribe(func(v Violation) { calls = append(calls, call{i, v.Seq}) })
+	}
+
+	var seqs []uint64
+	for i := 1; i <= 2; i++ {
+		for _, v := range m.Poll(t0.Add(time.Duration(i) * time.Minute)) {
+			seqs = append(seqs, v.Seq)
+		}
+	}
+	if len(seqs) != 2 {
+		t.Fatalf("two polls detected %d violations, want one blackhole each", len(seqs))
+	}
+	var want []call
+	for _, seq := range seqs {
+		for i := 0; i < 3; i++ {
+			want = append(want, call{i, seq})
+		}
+	}
+	if !slices.Equal(calls, want) {
+		t.Fatalf("subscriber calls %v, want %v", calls, want)
 	}
 }

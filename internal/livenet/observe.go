@@ -29,10 +29,7 @@ type observer struct {
 func observe(cfg Config, h *Host) (*observer, error) {
 	o := &observer{host: h, stop: make(chan struct{})}
 	if cfg.HealthInterval > 0 {
-		o.health = health.New(health.Config{
-			Interval: cfg.HealthInterval,
-			Tracer:   cfg.Node.Tracer,
-		}, o.healthSource)
+		o.health = health.New(health.Config{Tracer: cfg.Node.Tracer}, o.healthSource)
 	}
 	if cfg.MetricsAddr != "" {
 		if err := o.serveMetrics(cfg.MetricsAddr); err != nil {

@@ -284,10 +284,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	if cfg.HealthInterval > 0 {
-		hc := health.Config{
-			Interval: cfg.HealthInterval,
-			Tracer:   s.Tracer,
-		}
+		hc := health.Config{Tracer: s.Tracer}
 		if latencyBound > 0 {
 			hc.FlowLatencyBound = latencyBound
 			hc.Flows = s.drainFlowSamples

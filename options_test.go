@@ -42,33 +42,10 @@ func TestEveryOptionHasASetter(t *testing.T) {
 		}
 	}
 	r := loadRepo(t)
-
-	// The options: field object -> its name and defining file.
-	type option struct{ key, file string }
-	options := make(map[types.Object]option)
-	for path, pkg := range r.pkgs {
-		if !strings.HasPrefix(path, "repro/internal/") {
-			continue
-		}
-		for _, name := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() && !f.Embedded() {
-					options[f] = option{pkg.Name() + "." + name + "." + f.Name(), r.fset.Position(f.Pos()).Filename}
-				}
-			}
-		}
-	}
+	options := r.options()
 	// scripts/counts.sh reads this line.
 	t.Logf("exported Config fields under internal/: %d", len(options))
-	// 99 at the last count; losing one package to a broken walk shows.
+	// 98 at the last count; losing one package to a broken walk shows.
 	if len(options) < 90 {
 		t.Fatalf("found only %d Config fields under internal/: the walk is broken", len(options))
 	}
@@ -128,6 +105,98 @@ func TestEveryOptionHasASetter(t *testing.T) {
 			t.Errorf("optionAllowlist names %s, which no longer exists", k)
 		}
 	}
+}
+
+// TestEveryOptionIsRead is TestEveryOptionHasASetter's other half: every
+// exported field of every exported *Config struct under internal/ is read
+// by some non-test code other than its own type's withDefaults. A read is
+// a selector use that is not an assignment target or an & operand (keyed
+// literal keys are not selectors), so a field only written and defaulted
+// is a knob nothing honours.
+func TestEveryOptionIsRead(t *testing.T) {
+	r := loadRepo(t)
+	options := r.options()
+	read := make(map[types.Object]bool)
+	for _, f := range r.files {
+		for _, d := range f.Decls {
+			// defaulted is the Config whose withDefaults d is, if any.
+			var defaulted types.Object
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					defaulted = r.info.Uses[id]
+				}
+			}
+			writes := make(map[*ast.SelectorExpr]bool)
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							writes[sel] = true
+						}
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+						writes[sel] = true
+					}
+				case *ast.SelectorExpr:
+					obj := r.info.Uses[n.Sel]
+					if o, ok := options[obj]; ok && !writes[n] && o.owner != defaulted {
+						read[obj] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unread []string
+	for obj, o := range options {
+		if !read[obj] {
+			unread = append(unread, o.key)
+		}
+	}
+	sort.Strings(unread)
+	for _, k := range unread {
+		t.Errorf("%s is never read outside withDefaults: delete it", k)
+	}
+}
+
+// option is one exported field of an exported Config struct under
+// internal/: its package.Type.Field key, defining file and owning type.
+type option struct {
+	key, file string
+	owner     types.Object
+}
+
+// options finds every exported field of every exported *Config struct
+// under internal/, keyed by the field object.
+func (r *repo) options() map[types.Object]option {
+	options := make(map[types.Object]option)
+	for path, pkg := range r.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					options[f] = option{pkg.Name() + "." + name + "." + f.Name(), r.fset.Position(f.Pos()).Filename, tn}
+				}
+			}
+		}
+	}
+	return options
 }
 
 // repo type-checks the repository's packages from source — non-test
