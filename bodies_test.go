@@ -22,7 +22,7 @@ var bodyAllowlist = map[string]string{}
 // written twice rather than an idiom (a getter, a guard and a return).
 const minBodyStmts = 3
 
-// TestNoFunctionWrittenTwice is decision 7's "a path is written once"
+// TestNoFunctionWrittenTwice is the options policy's "a path is written once"
 // for code: no two non-test functions of minBodyStmts or more top-level
 // statements have the same body once their receiver and parameter names
 // are renamed by position. Bodies compare as token streams: layout and

@@ -1,6 +1,6 @@
 // meshbench regenerates the evaluation's tables and figures. Each
-// experiment (E1–E11) and ablation (A1–A5) maps to one table/figure in
-// DESIGN.md's experiment index; EXPERIMENTS.md records the expected
+// experiment (E1–E17), ablation (A1–A5) and extension (X1–X7) is one
+// table in EXPERIMENTS.md, which indexes them and records the expected
 // shapes.
 //
 // Usage:
@@ -30,7 +30,6 @@ type options struct {
 	exp        string
 	quick      bool
 	seed       int64
-	list       bool
 	cpuprofile string
 	// seckey, 32 hex digits, replaces the built-in network key in the
 	// security-aware experiments (E13).
@@ -42,7 +41,6 @@ func main() {
 	flag.StringVar(&o.exp, "exp", "", "comma-separated experiment ids (default: all)")
 	flag.BoolVar(&o.quick, "quick", false, "run E15, E17 and X7 at test size (every other experiment has one size)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.BoolVar(&o.list, "list", false, "list experiment ids and exit")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.seckey, "seckey", "", "network key as 32 hex digits for the security experiments (default: built-in key)")
 	flag.Parse()
@@ -69,13 +67,6 @@ func main() {
 }
 
 func run(w, ew io.Writer, o options) error {
-	if o.list {
-		for _, s := range experiments.All() {
-			fmt.Fprintf(w, "%-4s %s\n", s.ID, s.Title)
-		}
-		return nil
-	}
-
 	var specs []experiments.Spec
 	if o.exp == "" {
 		specs = experiments.All()
@@ -83,7 +74,7 @@ func run(w, ew io.Writer, o options) error {
 		for _, id := range strings.Split(o.exp, ",") {
 			s, ok := experiments.Find(strings.TrimSpace(id))
 			if !ok {
-				return fmt.Errorf("unknown experiment %q (try -list)", id)
+				return fmt.Errorf("unknown experiment %q", id)
 			}
 			specs = append(specs, s)
 		}

@@ -24,18 +24,6 @@ func TestMeshbenchSmoke(t *testing.T) {
 	})
 }
 
-func TestMeshbenchList(t *testing.T) {
-	var out, errOut strings.Builder
-	if err := run(&out, &errOut, options{list: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"E1", "E11", "A1", "X1"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list missing %s", want)
-		}
-	}
-}
-
 func TestMeshbenchUnknownExperiment(t *testing.T) {
 	var out, errOut strings.Builder
 	if err := run(&out, &errOut, options{exp: "E99"}); err == nil {

@@ -1,7 +1,7 @@
 // packetdump decodes LoRaMesher frames captured as hex — from a logic
 // analyzer, an SDR, or the simulator's traces — into human-readable form,
 // including HELLO routing-table payloads, ICN interest/named-data
-// payloads, TDMA slot beacons, and per-SF airtime.
+// payloads, TDMA slot beacons, and SF7/BW125 airtime.
 //
 //	$ packetdump ffff00010412340103
 //	HELLO 0001->FFFF len=9
@@ -56,7 +56,6 @@ import (
 )
 
 func main() {
-	sf := flag.Int("sf", 7, "spreading factor for airtime annotation (7-12)")
 	events := flag.String("events", "", "read a JSONL trace stream from this file (\"-\" for stdin) instead of hex frames")
 	traceID := flag.String("trace", "", "with -events: only events for this trace ID (the packet's journey)")
 	kind := flag.String("kind", "", "with -events: only events of this kind (tx, rx, drop, route, app, stream, failure, interest, data, slot-beacon)")
@@ -103,13 +102,8 @@ func main() {
 		return
 	}
 
+	// Airtime is annotated at the simulator's default PHY (SF7/BW125).
 	params := loraphy.DefaultParams()
-	params.SpreadingFactor = loraphy.SpreadingFactor(*sf)
-	if err := params.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "packetdump: %v\n", err)
-		os.Exit(1)
-	}
-
 	inputs := flag.Args()
 	if len(inputs) == 0 {
 		scanner := bufio.NewScanner(os.Stdin)

@@ -17,19 +17,23 @@ import (
 	"repro/lorasim"
 )
 
+// The image size, the hops between server and target, and the seed.
+const (
+	size = 8192
+	hops = 3
+	seed = 3
+)
+
 func main() {
-	size := flag.Int("size", 8192, "firmware image size in bytes")
-	hops := flag.Int("hops", 3, "radio hops between server and target")
 	loss := flag.Float64("loss", 0.05, "injected per-link frame loss rate")
-	seed := flag.Int64("seed", 3, "simulation seed")
 	flag.Parse()
-	if err := run(*size, *hops, *loss, *seed); err != nil {
+	if err := run(*loss); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("otaupdate: %v", err)
 	}
 }
 
-func run(size, hops int, loss float64, seed int64) error {
+func run(loss float64) error {
 	topo, err := lorasim.LineTopology(hops+1, 8000)
 	if err != nil {
 		return err

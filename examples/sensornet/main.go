@@ -26,17 +26,21 @@ import (
 func main() {
 	nodes := flag.Int("nodes", 12, "number of sensor nodes (plus one sink)")
 	hours := flag.Int("hours", 6, "simulated duration in hours")
-	interval := flag.Duration("interval", 10*time.Minute, "mean telemetry interval per sensor")
-	seed := flag.Int64("seed", 1, "simulation seed")
 	stdout := flag.Bool("stdout", false, "mesh-only report, no gateway uplink (pre-bridge behavior)")
 	flag.Parse()
-	if err := run(*nodes, *hours, *interval, *seed, *stdout); err != nil {
+	if err := run(*nodes, *hours, *stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("sensornet: %v", err)
 	}
 }
 
-func run(nodes, hours int, interval time.Duration, seed int64, stdout bool) error {
+// The mean telemetry interval per sensor, and the simulation seed.
+const (
+	interval = 10 * time.Minute
+	seed     = 1
+)
+
+func run(nodes, hours int, stdout bool) error {
 	// Scatter sensors over a 25x25 km field; SF7 links close at ≈13 km,
 	// so the far corners need multi-hop paths to the sink at index 0.
 	topo, err := lorasim.RandomTopology(nodes+1, 25000, 25000, 12000, seed)

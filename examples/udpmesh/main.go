@@ -35,7 +35,6 @@ func main() {
 		addr    = flag.String("addr", "", "this node's mesh address (hex, e.g. 0x0001); empty runs the in-process demo")
 		listen  = flag.String("listen", "127.0.0.1:0", "UDP listen address")
 		peers   = flag.String("peers", "", "comma-separated peer UDP addresses")
-		scale   = flag.Float64("timescale", 1, "protocol time compression")
 		send    = flag.String("send", "", "optional dst:message to send reliably once routed (e.g. 0x0001:hello)")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics and /healthz on this address (e.g. 127.0.0.1:9100)")
 	)
@@ -44,7 +43,7 @@ func main() {
 	if *addr == "" {
 		err = demo()
 	} else {
-		err = single(*addr, *listen, *peers, *scale, *send, *metrics)
+		err = single(*addr, *listen, *peers, *send, *metrics)
 	}
 	if err != nil {
 		log.SetFlags(0)
@@ -150,7 +149,7 @@ func demo() error {
 }
 
 // single runs one distributed node until interrupted.
-func single(addrHex, listen, peers string, scale float64, send, metricsAddr string) error {
+func single(addrHex, listen, peers, send, metricsAddr string) error {
 	a, err := parseAddr(addrHex)
 	if err != nil {
 		return err
@@ -165,7 +164,6 @@ func single(addrHex, listen, peers string, scale float64, send, metricsAddr stri
 	}
 	h, err := livenet.Start(livenet.Config{
 		Node:        nodeConfig(a),
-		TimeScale:   scale,
 		MetricsAddr: metricsAddr,
 		// /healthz then answers with the health monitor's verdict on this
 		// node (blackholed routes, silence, a stuck duty budget, replays)

@@ -1,5 +1,5 @@
 // Package repro's root test is the fence the evaluation rests on: under
-// `go test ./...` every experiment in DESIGN.md's index runs once at
+// `go test ./...` every experiment in EXPERIMENTS.md's index runs once at
 // seed 1, and each deterministic table is compared byte for byte with
 // the committed eval_output.txt. Performance is measured by bench/ (see
 // BENCHMARK.json), not here.

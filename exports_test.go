@@ -16,22 +16,25 @@ var exportAllowlist = map[string]string{
 	"faults.Plan.LastFlapEnd":    "netsim's chaos suite waits out a plan's last flap with it",
 }
 
-// stdInterfaceMethods are the method names of the standard-library
-// interfaces a type in this repo may satisfy without any file naming the
-// method: error, fmt.Stringer, json.Marshaler/Unmarshaler, io.WriterTo,
-// sort.Interface, heap.Interface, http.Handler.
-var stdInterfaceMethods = []string{
-	"Error", "String", "MarshalJSON", "UnmarshalJSON", "WriteTo",
-	"Len", "Less", "Swap", "Push", "Pop", "ServeHTTP",
+// stdInterfaces are the standard-library interfaces a type in this repo
+// may satisfy without any file naming their methods: error, fmt.Stringer,
+// json.Marshaler/Unmarshaler, io.WriterTo, sort.Interface,
+// heap.Interface, http.Handler.
+var stdInterfaces = [][2]string{
+	{"", "error"}, {"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"io", "WriterTo"}, {"sort", "Interface"},
+	{"container/heap", "Interface"}, {"net/http", "Handler"},
 }
 
-// TestEveryExportIsReached is decision 7 for code, as
+// TestEveryExportIsReached is the options policy for code, as
 // TestEveryOptionHasASetter is for options: every exported package-level
 // func, method, type, const and var under internal/ is used by at least
 // one non-test file, or is in exportAllowlist with its reason. A method
-// is also reached when its name belongs to an interface declared in the
-// repo or to one of stdInterfaceMethods. A test alone does not keep an
-// export alive.
+// is also reached when its type implements an interface declared in the
+// repo or one of stdInterfaces that holds it: a caller may reach it
+// through the interface. A name alone exempts nothing. A test alone does
+// not keep an export alive.
 func TestEveryExportIsReached(t *testing.T) {
 	r := loadRepo(t)
 
@@ -42,18 +45,37 @@ func TestEveryExportIsReached(t *testing.T) {
 		}
 		used[obj] = true
 	}
-	ifaceMethod := make(map[string]bool)
-	for _, m := range stdInterfaceMethods {
-		ifaceMethod[m] = true
+	var ifaces []*types.Interface
+	for _, si := range stdInterfaces {
+		scope := types.Universe
+		if si[0] != "" {
+			pkg, err := r.Import(si[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = pkg.Scope()
+		}
+		ifaces = append(ifaces, scope.Lookup(si[1]).Type().Underlying().(*types.Interface))
 	}
 	for _, pkg := range r.pkgs {
 		for _, name := range pkg.Scope().Names() {
 			if it, ok := pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					ifaceMethod[it.Method(i).Name()] = true
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	// viaInterface reports whether named or its pointer implements an
+	// interface of ifaces that holds a method called method.
+	viaInterface := func(named *types.Named, method string) bool {
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == method &&
+					(types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+					return true
 				}
 			}
 		}
+		return false
 	}
 
 	var unreached []string
@@ -92,7 +114,7 @@ func TestEveryExportIsReached(t *testing.T) {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
-					check(pkg.Name()+"."+name+"."+m.Name(), m, used[m] || ifaceMethod[m.Name()])
+					check(pkg.Name()+"."+name+"."+m.Name(), m, used[m] || viaInterface(named, m.Name()))
 				}
 			}
 		}

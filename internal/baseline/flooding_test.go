@@ -239,8 +239,14 @@ func TestFloodDedupEviction(t *testing.T) {
 	if got := len(b.env(2).msgs); got != sends {
 		t.Errorf("delivered %d, want %d despite dedup eviction", got, sends)
 	}
-	if got := b.env(2).node.seen.Len(); got != dedupCapacity {
-		t.Errorf("dedup set holds %d after %d floods, want the cap %d", got, sends, dedupCapacity)
+	// The set holds the cap: the first sends-dedupCapacity floods are
+	// forgotten, the rest remembered.
+	seen, origin := &b.env(2).node.seen, b.env(1).node.addr
+	for seq := 0; seq < sends; seq++ {
+		_, ok := seen.At(floodKey{origin: origin, seq: uint16(seq)})
+		if want := seq >= sends-dedupCapacity; ok != want {
+			t.Errorf("after %d floods, flood %d remembered = %v, want %v (cap %d)", sends, seq, ok, want, dedupCapacity)
+		}
 	}
 }
 

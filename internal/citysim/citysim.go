@@ -88,8 +88,8 @@ const (
 
 const noRoute = ^uint16(0) // hop-count sentinel: no usable route to a sink
 
-// Bounds every program runs at one value (DESIGN.md decision 7). Sink
-// routes not refreshed by a beacon expire after 3.5 HELLO periods, and
+// Bounds every program runs at one value (DESIGN.md's options policy).
+// Sink routes not refreshed by a beacon expire after 3.5 HELLO periods, and
 // the synchronization window is the minimum frame airtime — the
 // conservative lookahead bound.
 const (

@@ -178,7 +178,7 @@ var (
 	ErrStreamFailed = errors.New("core: stream exhausted retries")
 )
 
-// Bounds every program runs at one value (DESIGN.md decision 7).
+// Bounds every program runs at one value (DESIGN.md's options policy).
 const (
 	// queueCapacity bounds the transmit queue, in frames.
 	queueCapacity = 64

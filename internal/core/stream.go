@@ -21,9 +21,6 @@ import (
 // requests the missing chunk with LOST. Senders retransmit on timeout and
 // give up after StreamMaxRetries rounds.
 
-// maxChunk is the data bytes per XL_DATA packet on a plaintext mesh.
-var maxChunk = packet.MaxPayload(packet.TypeXLData)
-
 // chunkSize is the data bytes per XL_DATA packet for this node's
 // security mode. Both ends compute the same value because security is a
 // network-wide property (a mixed mesh cannot interoperate anyway).

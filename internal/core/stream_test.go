@@ -71,6 +71,8 @@ func TestReliableMultiChunk(t *testing.T) {
 	if len(evs) != 1 || evs[0].Err != nil {
 		t.Fatalf("stream events = %+v", evs)
 	}
+	// The bus is plaintext, so a chunk is a whole XL_DATA payload.
+	maxChunk := packet.MaxPayload(packet.TypeXLData)
 	if want := (len(payload) + maxChunk - 1) / maxChunk; evs[0].Chunks != want {
 		t.Errorf("chunks = %d, want %d", evs[0].Chunks, want)
 	}

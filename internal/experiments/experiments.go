@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure in the
-// evaluation (see DESIGN.md's experiment index): each experiment builds
+// evaluation (see EXPERIMENTS.md's index): each experiment builds
 // its workload on internal/netsim, runs it under the deterministic
 // simulator, and renders the same rows/series the paper-scale evaluation
 // reports. cmd/meshbench is the CLI front end; the repo root's

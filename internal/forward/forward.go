@@ -160,9 +160,6 @@ func (d *Dedup) Duplicate(now time.Time, fp uint64) bool {
 	return false
 }
 
-// Len returns the number of remembered fingerprints (for tests).
-func (d *Dedup) Len() int { return len(d.seen) }
-
 // SeenSet is the bounded duplicate-suppression set the table-free
 // engines (flooding, reactive, ICN) share: it remembers up to Cap keys
 // and, past that, forgets the key first remembered longest ago — FIFO by
@@ -196,9 +193,6 @@ func (s *SeenSet[K]) At(k K) (at time.Time, ok bool) {
 	at, ok = s.at[k]
 	return at, ok
 }
-
-// Len returns the number of remembered keys (for tests).
-func (s *SeenSet[K]) Len() int { return len(s.at) }
 
 // Mark records k as last heard at the given time. A key already
 // remembered keeps its place in the eviction order.

@@ -53,8 +53,8 @@ func TestDedupDisabled(t *testing.T) {
 			t.Fatal("disabled dedup reported a duplicate")
 		}
 	}
-	if d.Len() != 0 {
-		t.Errorf("disabled dedup remembered %d fingerprints", d.Len())
+	if len(d.seen) != 0 {
+		t.Errorf("disabled dedup remembered %d fingerprints", len(d.seen))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestDedupHorizon(t *testing.T) {
 	if d.Duplicate(now, 2) {
 		t.Fatal("distinct fingerprint reported as duplicate")
 	}
-	if d.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", d.Len())
+	if len(d.seen) != 2 {
+		t.Errorf("remembered %d, want 2", len(d.seen))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestDedupSweep(t *testing.T) {
 	}
 	// Past 256 entries, inserts sweep fingerprints older than the horizon.
 	d.Duplicate(now.Add(2*time.Second), 1000)
-	if d.Len() != 1 {
-		t.Errorf("after sweep Len() = %d, want 1 (only the fresh fingerprint)", d.Len())
+	if len(d.seen) != 1 {
+		t.Errorf("after sweep remembered %d, want 1 (only the fresh fingerprint)", len(d.seen))
 	}
 }
 
@@ -119,8 +119,8 @@ func TestSeenSetEvictsInFirstSightOrder(t *testing.T) {
 			t.Errorf("%d evicted out of order", k)
 		}
 	}
-	if s.Len() != 3 {
-		t.Errorf("Len() = %d, want the capacity 3", s.Len())
+	if len(s.at) != 3 {
+		t.Errorf("remembered %d, want the capacity 3", len(s.at))
 	}
 	// An evicted key is new again.
 	if s.Remember(1) {

@@ -57,7 +57,7 @@ var (
 	ErrBadName = errors.New("icn: bad content name")
 )
 
-// Bounds every program runs at one value (DESIGN.md decision 7).
+// Bounds every program runs at one value (DESIGN.md's options policy).
 const (
 	// contentStoreBytes bounds the content store (sum of cached content
 	// bytes, LRU eviction).

@@ -180,7 +180,7 @@ func TestChaosMixedFaultSoak(t *testing.T) {
 					t.Errorf("no %s drops injected", reason)
 				}
 			}
-			if got := sim.Metrics().Counter("fault.restart").Value(); got != 1 {
+			if got := sim.reg.Counter("fault.restart").Value(); got != 1 {
 				t.Errorf("fault.restart = %d, want 1", got)
 			}
 			if err := sim.CheckInvariants(); err != nil {

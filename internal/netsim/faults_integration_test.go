@@ -127,10 +127,10 @@ func TestFaultPlanCrashRestartColdBoot(t *testing.T) {
 	if coldLen >= preLen {
 		t.Errorf("restart kept %d routes (had %d before): table not lost", coldLen, preLen)
 	}
-	if got := sim.Metrics().Counter("fault.crash").Value(); got != 1 {
+	if got := sim.reg.Counter("fault.crash").Value(); got != 1 {
 		t.Errorf("fault.crash = %d, want 1", got)
 	}
-	if got := sim.Metrics().Counter("fault.restart").Value(); got != 1 {
+	if got := sim.reg.Counter("fault.restart").Value(); got != 1 {
 		t.Errorf("fault.restart = %d, want 1", got)
 	}
 	if !sim.Converged() {

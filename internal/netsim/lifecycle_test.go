@@ -29,7 +29,7 @@ func TestRebuildKeepsWhatLivesOnTheHandle(t *testing.T) {
 				t.Fatal(err)
 			}
 			sim.Run(time.Minute)
-			if got := sim.Metrics().Counter("fault.restart").Value(); got != 1 {
+			if got := sim.reg.Counter("fault.restart").Value(); got != 1 {
 				t.Fatalf("fault.restart = %d, want 1", got)
 			}
 		}},
@@ -123,9 +123,9 @@ func TestSleepCycleLeavesACrashedRadioOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(6 * time.Second)
-	inFlight := sim.Metrics().Counter("drop.fault.down").Value()
+	inFlight := sim.reg.Counter("drop.fault.down").Value()
 	sim.Run(5 * time.Minute)
-	if got := sim.Metrics().Counter("drop.fault.down").Value(); got != inFlight {
+	if got := sim.reg.Counter("drop.fault.down").Value(); got != inFlight {
 		t.Errorf("crashed node's radio heard %d frames after the crash", got-inFlight)
 	}
 }

@@ -423,10 +423,6 @@ func (s *Sim) TimeToConvergence(step, max time.Duration) (time.Duration, bool) {
 	return s.RunUntil(s.Converged, step, max)
 }
 
-// Metrics returns the simulation-level registry (end-to-end latency and
-// flow counters that no single node can observe).
-func (s *Sim) Metrics() *metrics.Registry { return s.reg }
-
 // AggregateMetrics merges every node's registry under "node.<addr>.",
 // network-wide totals under "total.", and the simulation-level registry
 // under "sim.".

@@ -38,7 +38,7 @@ var (
 	ErrPendingFull = errors.New("reactive: too many datagrams awaiting route discovery")
 )
 
-// Bounds every program runs at one value (DESIGN.md decision 7).
+// Bounds every program runs at one value (DESIGN.md's options policy).
 const (
 	// discoveryTimeout is how long the originator waits for an RREP
 	// before re-flooding.

@@ -52,7 +52,6 @@ type Scheduler struct {
 	events  []event
 	free    []int32 // slots whose entries have left the heap
 	nextSeq uint64
-	live    int
 	fired   uint64
 }
 
@@ -63,9 +62,6 @@ func NewScheduler(start time.Time) *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.now }
-
-// Len returns the number of pending (non-cancelled) events.
-func (s *Scheduler) Len() int { return s.live }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -88,7 +84,6 @@ func (s *Scheduler) At(at time.Time, fn func()) (Handle, error) {
 	}
 	s.events[slot] = event{at: at, fn: fn, seq: s.nextSeq}
 	s.push(entry{atNs: at.UnixNano(), seq: s.nextSeq, slot: slot})
-	s.live++
 	return Handle{slot: slot, seq: s.nextSeq}, nil
 }
 
@@ -121,7 +116,6 @@ func (s *Scheduler) Cancel(h Handle) bool {
 		return false
 	}
 	s.events[h.slot] = event{}
-	s.live--
 	return true
 }
 
@@ -140,7 +134,6 @@ func (s *Scheduler) Step() bool {
 		fn := ev.fn
 		s.now = ev.at
 		*ev = event{}
-		s.live--
 		s.fired++
 		fn()
 		return true

@@ -63,8 +63,8 @@ func TestSchedulerCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len() = %d after cancel, want 0", s.Len())
+	if at, ok := s.NextAt(); ok {
+		t.Fatalf("an event at %v is pending after cancel", at)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestSchedulerRunMaxEvents(t *testing.T) {
 	if n := s.Run(4); n != 4 {
 		t.Fatalf("Run(4) executed %d, want 4", n)
 	}
-	if s.Len() != 6 {
-		t.Fatalf("Len() = %d, want 6", s.Len())
+	if n := s.Run(0); n != 6 {
+		t.Fatalf("%d events left after Run(4), want 6", n)
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 )
 
 // The superframe: the one real-time schedule every program runs
-// (DESIGN.md decision 7). It repeats every slots×slotLen, and a node
+// (DESIGN.md's options policy). It repeats every slots×slotLen, and a node
 // transmits data only inside its own slot.
 const (
 	slots   = 3

@@ -15,9 +15,9 @@ import (
 )
 
 // optionAllowlist names the exported Config fields that no program sets
-// and that stay anyway, each with the reason (DESIGN.md decision 7). Keys
-// are package.Type.Field, resolved by type. It is a list of named
-// exceptions, not a category: at most maxOptionAllowlist entries, and
+// and that stay anyway, each with the reason (DESIGN.md's options
+// policy). Keys are package.Type.Field, resolved by type. It is a list of
+// named exceptions, not a category: at most maxOptionAllowlist entries, and
 // "tests set it" is not a reason — a bound only tests move is a constant.
 var optionAllowlist = map[string]string{
 	"citysim.Config.ExtraFrameLossRate": "the only input that reaches the LostRandom bucket bench/ reports, and the erasures that show counter-keyed draws are independent of the execution mode",
