@@ -483,6 +483,7 @@ type hotInstruments struct {
 	helloReceived, routesUpdated      *metrics.Counter
 	queueDepth, routesCount, dutyUtil *metrics.Gauge
 	txAirtimeMs, queueWaitMs          *metrics.Histogram
+	streamRetxRounds                  *metrics.Histogram
 	txType, rxType                    [256]*metrics.Counter
 	// Security instruments; resolved only when cfg.Security is set.
 	secSealed, secOpened       *metrics.Counter
@@ -511,7 +512,7 @@ func (n *Node) registerInstruments() {
 	// stream.retx.rounds observes, per finished stream, the longest run
 	// of consecutive retransmission rounds without acknowledged
 	// progress — the bounded-retry evidence chaos runs assert on.
-	n.reg.Histogram("stream.retx.rounds")
+	n.ins.streamRetxRounds = n.reg.Histogram("stream.retx.rounds")
 	n.ins.txFrames = n.reg.Counter("tx.frames")
 	n.ins.txBytes = n.reg.Counter("tx.bytes")
 	n.ins.rxFrames = n.reg.Counter("rx.frames")

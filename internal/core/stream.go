@@ -313,7 +313,7 @@ func (n *Node) finishStream(s *outStream, err error) {
 		s.fillCancel = nil
 	}
 	delete(n.outStreams, s.id)
-	n.reg.Histogram("stream.retx.rounds").Observe(float64(s.maxRounds))
+	n.ins.streamRetxRounds.Observe(float64(s.maxRounds))
 	if err != nil {
 		n.reg.Counter("stream.failed").Inc()
 		if n.cfg.TriggeredUpdates {

@@ -303,6 +303,7 @@ type Gateway struct {
 	gDepth, gBackoff         *metrics.Gauge
 	cBatches, cReadings      *metrics.Counter
 	hBatchSize, hRTT, hAgeMs *metrics.Histogram
+	hCompactNs               *metrics.Histogram
 
 	ring   *hashRing
 	shards []*gwShard
@@ -404,7 +405,7 @@ func (g *Gateway) preRegisterInstruments() {
 		"gw.wal.errors", "gw.uplink.failures",
 		"gw.breaker.opened", "gw.spool.replayed", "gw.spool.compactions",
 		"gw.downlink.received", "gw.downlink.injected", "gw.downlink.errors",
-		"gw.downlink.stale", "ingest.wal.commits",
+		"gw.downlink.stale",
 	} {
 		g.reg.Counter(c)
 	}
@@ -418,8 +419,7 @@ func (g *Gateway) preRegisterInstruments() {
 	g.hRTT = g.reg.Histogram("gw.uplink.rtt_ms")
 	g.hAgeMs = g.reg.Histogram("gw.uplink.age_ms")
 	g.reg.Gauge("gw.breaker.open")
-	g.reg.Histogram("gw.wal.compact_ns")
-	g.reg.Histogram("ingest.wal.commit_records")
+	g.hCompactNs = g.reg.Histogram("gw.wal.compact_ns")
 }
 
 // admission accounts what Offer did with one reading: the gw.<counter>
@@ -764,7 +764,7 @@ func (g *Gateway) compactShard(sh *gwShard) {
 	sh.mu.Lock()
 	err := sh.sp.finishCompact(st)
 	sh.mu.Unlock()
-	g.reg.Histogram("gw.wal.compact_ns").Observe(float64(time.Since(start)))
+	g.hCompactNs.Observe(float64(time.Since(start)))
 	if err != nil {
 		g.reg.Counter("gw.wal.errors").Inc()
 	}

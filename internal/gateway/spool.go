@@ -63,6 +63,9 @@ type spool struct {
 	path     string // "" = memory-only
 	capacity int
 	reg      *metrics.Registry
+	// The group-commit instruments, resolved once.
+	cCommits    *metrics.Counter
+	hCommitRecs *metrics.Histogram
 
 	f *os.File
 	w *bufio.Writer
@@ -129,11 +132,13 @@ const (
 // always flushed immediately.
 func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*spool, error) {
 	s := &spool{
-		path:     path,
-		capacity: capacity,
-		reg:      reg,
-		seen:     make(map[trace.TraceID]struct{}),
-		seenCap:  seenCap,
+		path:        path,
+		capacity:    capacity,
+		reg:         reg,
+		cCommits:    reg.Counter("ingest.wal.commits"),
+		hCommitRecs: reg.Histogram("ingest.wal.commit_records"),
+		seen:        make(map[trace.TraceID]struct{}),
+		seenCap:     seenCap,
 	}
 	if path == "" {
 		return s, nil
@@ -544,8 +549,8 @@ func (s *spool) commit() error {
 		return fmt.Errorf("gateway: spool: %w", err)
 	}
 	if recs > 0 {
-		s.reg.Counter("ingest.wal.commits").Inc()
-		s.reg.Histogram("ingest.wal.commit_records").Observe(float64(recs))
+		s.cCommits.Inc()
+		s.hCommitRecs.Observe(float64(recs))
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,20 +45,176 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram collects float64 samples and answers summary statistics.
-// Samples are retained in full: simulation scales are small enough that
-// exact quantiles beat approximation error in experiment output.
+// Histogram collects float64 samples into a fixed set of log-linear
+// buckets (HDR-style): subBuckets per power of two, so its bytes do not
+// grow with the sample count. Count, sum, min and max are exact; the sum
+// is a running sum in observation order. Quantile answers nearest-rank
+// from the buckets: for a sample whose magnitude lies in the window
+// [2^minExp, 2^maxExp) the answer is within 1/subBuckets (< 0.79 %) of
+// it, rounded toward zero, every integer in [0, 256) is exact, and p = 0
+// and p = 1 give the exact min and max. NaN is dropped and not counted;
+// ±Inf and other magnitudes outside the window land in the window's edge
+// buckets, where min and max still report them exactly. Zero and
+// negatives have buckets of their own.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
+	mu sync.Mutex
+	d  dist
 }
 
-// Observe records one sample.
+const (
+	// subBits is log2 of subBuckets: a bucket key is a magnitude's
+	// float64 exponent and the top subBits bits of its mantissa.
+	subBits    = 7
+	subBuckets = 1 << subBits
+	// minExp and maxExp bound the exponent window, which holds every
+	// duration this repo records, in ms or ns: 2^-24 ms is 0.06 ns and
+	// 2^48 ns is 78 hours.
+	minExp = -24
+	maxExp = 48
+	// keyShift drops the mantissa bits below the sub-bucket.
+	keyShift = 52 - subBits
+	keyLo    = (minExp + 1023) << subBits
+	keyHi    = (maxExp+1023)<<subBits - 1
+	// maxBucketBytes is the worst case of one histogram's bucket arrays:
+	// every key of the window, for each sign.
+	maxBucketBytes = 2 * (keyHi - keyLo + 1) * 8
+)
+
+// keyOf returns the bucket key of magnitude m > 0, clamped into the
+// window. Keys ascend with magnitude.
+func keyOf(m float64) int {
+	return min(max(int(math.Float64bits(m)>>keyShift), keyLo), keyHi)
+}
+
+// floorOf returns the smallest magnitude of key k's bucket.
+func floorOf(k int) float64 { return math.Float64frombits(uint64(k) << keyShift) }
+
+// dist is a Histogram's state, without its lock.
+type dist struct {
+	n, zeros uint64
+	sum      float64
+	min, max float64
+	pos, neg buckets // by magnitude: neg holds -v for each v < 0
+}
+
+// buckets is a dense array of counts over the keys [lo, lo+len(counts)),
+// grown on demand to the range observed so far.
+type buckets struct {
+	lo     int
+	counts []uint64
+}
+
+// cover grows b to hold the keys [lo, hi].
+func (b *buckets) cover(lo, hi int) {
+	if len(b.counts) == 0 {
+		b.lo, b.counts = lo, make([]uint64, hi-lo+1)
+		return
+	}
+	top := b.lo + len(b.counts) - 1
+	if lo >= b.lo && hi <= top {
+		return
+	}
+	nlo, nhi := min(lo, b.lo), max(hi, top)
+	c := make([]uint64, nhi-nlo+1)
+	copy(c[b.lo-nlo:], b.counts)
+	b.lo, b.counts = nlo, c
+}
+
+// inc counts one sample at key k.
+func (b *buckets) inc(k int) {
+	if k < b.lo || k >= b.lo+len(b.counts) {
+		b.cover(k, k)
+	}
+	b.counts[k-b.lo]++
+}
+
+func (b *buckets) merge(o *buckets) {
+	if len(o.counts) == 0 {
+		return
+	}
+	b.cover(o.lo, o.lo+len(o.counts)-1)
+	for i, c := range o.counts {
+		b.counts[o.lo-b.lo+i] += c
+	}
+}
+
+func (d *dist) observe(v float64) {
+	if d.n == 0 || v < d.min {
+		d.min = v
+	}
+	if d.n == 0 || v > d.max {
+		d.max = v
+	}
+	d.n++
+	d.sum += v
+	switch {
+	case v > 0:
+		d.pos.inc(keyOf(v))
+	case v < 0:
+		d.neg.inc(keyOf(-v))
+	default:
+		d.zeros++
+	}
+}
+
+func (d *dist) merge(o *dist) {
+	if o.n == 0 {
+		return
+	}
+	if d.n == 0 || o.min < d.min {
+		d.min = o.min
+	}
+	if d.n == 0 || o.max > d.max {
+		d.max = o.max
+	}
+	d.n += o.n
+	d.zeros += o.zeros
+	d.sum += o.sum
+	d.pos.merge(&o.pos)
+	d.neg.merge(&o.neg)
+}
+
+// quantile walks the buckets in value order to the one holding the
+// nearest-rank sample and answers its bound nearest zero, clamped to
+// [min, max].
+func (d *dist) quantile(p float64) float64 {
+	if d.n == 0 || !(p >= 0 && p <= 1) {
+		return math.NaN()
+	}
+	rank := uint64(math.Ceil(p * float64(d.n)))
+	if rank <= 1 {
+		return d.min
+	}
+	if rank >= d.n {
+		return d.max
+	}
+	clamp := func(v float64) float64 { return min(max(v, d.min), d.max) }
+	for i := len(d.neg.counts) - 1; i >= 0; i-- {
+		if rank <= d.neg.counts[i] {
+			return clamp(-floorOf(d.neg.lo + i))
+		}
+		rank -= d.neg.counts[i]
+	}
+	if rank <= d.zeros {
+		return 0
+	}
+	rank -= d.zeros
+	for i, c := range d.pos.counts {
+		if rank <= c {
+			return clamp(floorOf(d.pos.lo + i))
+		}
+		rank -= c
+	}
+	return d.max
+}
+
+// Observe records one sample; NaN is dropped.
 func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	h.mu.Lock()
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.d.observe(v)
 	h.mu.Unlock()
 }
 
@@ -73,59 +228,46 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.samples)
+	return int(h.d.n)
 }
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s
+	return h.d.sum
 }
 
 // Mean returns the sample mean, or NaN with no samples.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	if h.d.n == 0 {
 		return math.NaN()
 	}
-	var s float64
-	for _, v := range h.samples {
-		s += v
-	}
-	return s / float64(len(h.samples))
+	return h.d.sum / float64(h.d.n)
 }
 
-// Quantile returns the p-quantile (0 <= p <= 1) by nearest-rank on the
-// sorted samples, or NaN with no samples.
+// Quantile returns the p-quantile (0 <= p <= 1) by nearest rank, within
+// the bound stated on Histogram, or NaN with no samples.
 func (h *Histogram) Quantile(p float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n == 0 || p < 0 || p > 1 {
-		return math.NaN()
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	idx := int(math.Ceil(p*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return h.samples[idx]
+	return h.d.quantile(p)
 }
 
 // Max returns the largest sample, or NaN with no samples.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
+
+// clone returns a deep copy of h's state.
+func (h *Histogram) clone() dist {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	d := h.d
+	d.pos.counts = append([]uint64(nil), d.pos.counts...)
+	d.neg.counts = append([]uint64(nil), d.neg.counts...)
+	return d
+}
 
 // Registry is a namespace of instruments, lazily created on first use.
 // New instruments are carved from per-kind slabs rather than allocated
@@ -229,9 +371,9 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
-// Merge folds other's counters and histogram samples into r, prefixing
-// names with the given prefix (e.g. "node.0003."). Gauges are copied under
-// the prefixed name.
+// Merge folds other's counters and histograms into r, prefixing names
+// with the given prefix (e.g. "node.0003."): counters and histogram
+// buckets, counts and sums add. Gauges are copied under the prefixed name.
 func (r *Registry) Merge(prefix string, other *Registry) {
 	other.mu.Lock()
 	type kc struct {
@@ -243,8 +385,8 @@ func (r *Registry) Merge(prefix string, other *Registry) {
 		v    float64
 	}
 	type kh struct {
-		name    string
-		samples []float64
+		name string
+		d    dist
 	}
 	var cs []kc
 	var gs []kg
@@ -256,9 +398,7 @@ func (r *Registry) Merge(prefix string, other *Registry) {
 		gs = append(gs, kg{name, g.Value()})
 	}
 	for name, h := range other.histograms {
-		h.mu.Lock()
-		hs = append(hs, kh{name, append([]float64(nil), h.samples...)})
-		h.mu.Unlock()
+		hs = append(hs, kh{name, h.clone()})
 	}
 	other.mu.Unlock()
 
@@ -270,8 +410,8 @@ func (r *Registry) Merge(prefix string, other *Registry) {
 	}
 	for _, h := range hs {
 		dst := r.Histogram(prefix + h.name)
-		for _, v := range h.samples {
-			dst.Observe(v)
-		}
+		dst.mu.Lock()
+		dst.d.merge(&h.d)
+		dst.mu.Unlock()
 	}
 }

@@ -14,7 +14,9 @@ import (
 // Prometheus names must match [a-zA-Z_:][a-zA-Z0-9_:]*, so every other
 // character becomes '_'. Counters get the conventional _total suffix.
 // Histograms are rendered as Prometheus summaries: quantile-labelled
-// samples plus _sum and _count.
+// samples plus _sum and _count. A quantile is read from the histogram's
+// buckets, within 1/128 (< 0.79 %) of the exact nearest-rank sample and
+// rounded toward zero; _sum and _count are exact.
 
 // SanitizeName maps an instrument name to a legal Prometheus metric name.
 func SanitizeName(name string) string {
