@@ -299,7 +299,7 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "backend: %d distinct readings, %d duplicates, %d batches\n",
 			backend.Distinct(), backend.Duplicates(), backend.Batches())
 		for _, h := range hosts[1:] {
-			fmt.Fprintf(w, "  from %v: %d readings\n", h.Addr(), len(backend.FromAddr(h.Addr())))
+			fmt.Fprintf(w, "  from %v: %d readings\n", h.Addr(), backend.FromAddr(h.Addr()))
 		}
 		if o.count > 0 && backend.Distinct() < want {
 			return fmt.Errorf("only %d/%d readings uplinked before the deadline", backend.Distinct(), want)

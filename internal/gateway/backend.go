@@ -21,22 +21,33 @@ import (
 // telemetry into it, experiment E11 measures against it, and the tests
 // use its exactly-once bookkeeping (Duplicates) to verify dedup.
 //
+// It keeps a receipt of each distinct reading, not the reading: the
+// payload ends its journey at the accept, so a long run holds 16 bytes
+// and a seen-set entry a reading.
+//
 // It also implements the reverse path: downlink commands queued with
 // PushDownlink ride out in the response to the gateway's next uplink
 // POST, and fault injection (SetFailing) simulates backend
 // outages so backoff and the circuit breaker can be observed.
 type Backend struct {
 	mu        sync.Mutex
-	readings  []Reading
-	seen      map[trace.TraceID]int // uploads per trace ID (first + dupes)
+	receipts  []Receipt // one per distinct reading, in arrival order
+	seen      map[trace.TraceID]struct{}
+	dupes     int // uploads of a trace ID already accepted
 	downlinks []Downlink
 	batches   int
 	failing   bool
 }
 
+// Receipt is what the backend keeps of an accepted reading.
+type Receipt struct {
+	Trace trace.TraceID
+	From  packet.Address
+}
+
 // NewBackend returns an empty collector.
 func NewBackend() *Backend {
-	return &Backend{seen: make(map[trace.TraceID]int)}
+	return &Backend{seen: make(map[trace.TraceID]struct{})}
 }
 
 // ServeHTTP implements http.Handler for the uplink endpoint.
@@ -62,11 +73,13 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	b.mu.Lock()
 	accepted := 0
 	for _, r := range ur.Readings {
-		b.seen[r.Trace]++
-		if b.seen[r.Trace] == 1 {
-			b.readings = append(b.readings, r)
-			accepted++
+		if _, dup := b.seen[r.Trace]; dup {
+			b.dupes++
+			continue
 		}
+		b.seen[r.Trace] = struct{}{}
+		b.receipts = append(b.receipts, Receipt{Trace: r.Trace, From: r.From})
+		accepted++
 	}
 	b.batches++
 	resp := uplinkResponse{Accepted: accepted, Downlinks: b.downlinks}
@@ -106,18 +119,19 @@ func (b *Backend) PushDownlink(d Downlink) {
 	b.mu.Unlock()
 }
 
-// Readings returns the distinct readings received, in arrival order.
-func (b *Backend) Readings() []Reading {
+// Readings returns a receipt for each distinct reading received, in
+// arrival order.
+func (b *Backend) Readings() []Receipt {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Reading(nil), b.readings...)
+	return append([]Receipt(nil), b.receipts...)
 }
 
 // Distinct returns how many unique readings (by trace ID) arrived.
 func (b *Backend) Distinct() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.readings)
+	return len(b.receipts)
 }
 
 // Duplicates returns how many redundant uploads arrived — readings whose
@@ -126,11 +140,7 @@ func (b *Backend) Distinct() int {
 func (b *Backend) Duplicates() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := 0
-	for _, n := range b.seen {
-		d += n - 1
-	}
-	return d
+	return b.dupes
 }
 
 // Batches returns how many uplink POSTs succeeded.
@@ -140,17 +150,17 @@ func (b *Backend) Batches() int {
 	return b.batches
 }
 
-// FromAddr returns the distinct readings originated by a given node.
-func (b *Backend) FromAddr(a packet.Address) []Reading {
+// FromAddr returns how many distinct readings the node a originated.
+func (b *Backend) FromAddr(a packet.Address) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var out []Reading
-	for _, r := range b.readings {
+	n := 0
+	for _, r := range b.receipts {
 		if r.From == a {
-			out = append(out, r)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // ShardedBackend is N Backend collectors behind one handler — the
@@ -229,16 +239,15 @@ func (sb *ShardedBackend) Duplicates() int {
 // shards. Zero means cross-gateway exactly-once held.
 func (sb *ShardedBackend) DoubleAccepted() int {
 	counts := make(map[trace.TraceID]int)
-	for _, b := range sb.shards {
-		for _, r := range b.Readings() {
-			counts[r.Trace]++
-		}
-	}
 	double := 0
-	for _, n := range counts {
-		if n > 1 {
-			double++
+	for _, b := range sb.shards {
+		b.mu.Lock()
+		for _, r := range b.receipts {
+			if counts[r.Trace]++; counts[r.Trace] == 2 {
+				double++
+			}
 		}
+		b.mu.Unlock()
 	}
 	return double
 }

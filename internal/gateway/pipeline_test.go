@@ -139,7 +139,7 @@ func TestShardedGatewayPartitionsByOrigin(t *testing.T) {
 		origin := packet.Address(0x0100 + o)
 		home := g.ring.shard(origin)
 		for s := 0; s < len(sb.shards); s++ {
-			got := len(sb.Shard(s).FromAddr(origin))
+			got := sb.Shard(s).FromAddr(origin)
 			want := 0
 			if s == home {
 				want = perOrigin

@@ -80,7 +80,8 @@ type spool struct {
 	// slots holds the readings admitted as base, base+1, … in order, and
 	// state what became of each; a dead slot's reading is zeroed. The head
 	// slot is never dead (trim restores that after every removal), and both
-	// slices grow on demand — never pre-sized to capacity.
+	// slices grow on demand — never pre-sized to capacity — and are
+	// dropped when the queue empties.
 	slots []Reading
 	state []slotState
 	base  uint64
@@ -581,13 +582,17 @@ func (s *spool) kill(seq uint64) {
 	s.live--
 }
 
-// trim pops the tombstones at the head.
+// trim pops the tombstones at the head. A trim that empties the queue
+// drops both arrays, so a drained backlog's peak stops pinning memory.
 func (s *spool) trim() {
 	n := 0
 	for n < len(s.state) && s.state[n] == slotDead {
 		n++
 	}
 	s.slots, s.state, s.base = s.slots[n:], s.state[n:], s.base+uint64(n)
+	if len(s.slots) == 0 {
+		s.slots, s.state = nil, nil
+	}
 }
 
 // evictHead removes and returns the oldest pending reading, in flight or

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -806,12 +807,10 @@ func refDecodeBody(b []byte) (uplinkRequest, error) {
 	return ur, nil
 }
 
-// FuzzDecodeMatchesJSON searches for a POST body the backend accepts but
-// reads unlike encoding/json: whenever the twin accepts a body,
-// encoding/json must accept it too and decode the same value. The converse
-// need not hold: the backend answers 400 to any spelling
-// appendUplinkRequest does not write.
-func FuzzDecodeMatchesJSON(f *testing.F) {
+// uplinkBodyCorpus is the seed corpus of the POST-body fuzzers: the
+// canonical bodies appendUplinkRequest and appendReading write, and each
+// respelled by one mutation that valid JSON allows but the twin refuses.
+func uplinkBodyCorpus() [][]byte {
 	r := Reading{
 		From: 2, To: 1, Trace: 0x00ab_cdef_0123_4567,
 		Payload:  []byte{0xff, 0xff, 0xff, 0x01}, // "////AQ=="
@@ -822,9 +821,7 @@ func FuzzDecodeMatchesJSON(f *testing.F) {
 	plain.Reliable, plain.Payload, plain.At = false, nil, time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 	body := appendUplinkRequest(nil, 0x00FE, []Reading{r, plain})
 	canonical := [][]byte{body, appendReading(nil, &r), appendUplinkRequest(nil, 0, nil)}
-	for _, c := range canonical {
-		f.Add(c)
-	}
+	corpus := append([][]byte(nil), canonical...)
 	mutations := [][2]string{
 		{`"from":2`, `"from":3`},                             // a flipped digit: canonical still
 		{`"from":2`, `"from":02`},                            // a leading zero
@@ -841,11 +838,23 @@ func FuzzDecodeMatchesJSON(f *testing.F) {
 	for _, c := range canonical {
 		for _, m := range mutations {
 			if mut := bytes.Replace(c, []byte(m[0]), []byte(m[1]), 1); !bytes.Equal(mut, c) {
-				f.Add(mut)
+				corpus = append(corpus, mut)
 			}
 		}
-		f.Add(append(append([]byte(nil), c...), "\n{}"...)) // trailing bytes
-		f.Add(append([]byte(" "), c...))
+		corpus = append(corpus, append(append([]byte(nil), c...), "\n{}"...)) // trailing bytes
+		corpus = append(corpus, append([]byte(" "), c...))
+	}
+	return corpus
+}
+
+// FuzzDecodeMatchesJSON searches for a POST body the backend accepts but
+// reads unlike encoding/json: whenever the twin accepts a body,
+// encoding/json must accept it too and decode the same value. The converse
+// need not hold: the backend answers 400 to any spelling
+// appendUplinkRequest does not write.
+func FuzzDecodeMatchesJSON(f *testing.F) {
+	for _, c := range uplinkBodyCorpus() {
+		f.Add(c)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -953,6 +962,28 @@ func TestAckCostIndependentOfBacklog(t *testing.T) {
 	t.Logf("100 acks of 64: %v behind 1k, %v behind 100k", shallow, deep)
 	if deep > 5*shallow {
 		t.Fatalf("100 acks of 64 took %v behind 1k readings and %v behind 100k: the cost of a batch grows with the backlog", shallow, deep)
+	}
+}
+
+// TestDrainedSpoolReleasesBacklog is the spool's run-length fence: once a
+// backlog drains, the spool holds as much as after a small one — within
+// 1 MiB of a 1 k backlog's, where a 100 k one's array is ~9 MiB.
+func TestDrainedSpoolReleasesBacklog(t *testing.T) {
+	retained := func(backlog int) int64 {
+		before := liveHeap()
+		s, _ := backlogSpool(backlog)
+		for s.len() > 0 {
+			batch, seqs := s.take(64)
+			s.ackAt(batch, seqs, time.Time{})
+		}
+		held := liveHeap() - before
+		runtime.KeepAlive(s)
+		return held
+	}
+	small, large := retained(1_000), retained(100_000)
+	t.Logf("retained after draining: %d B behind 1k, %d B behind 100k", small, large)
+	if large-small > 1<<20 {
+		t.Fatalf("a drained spool holds %d B after a 100k backlog, %d B after 1k: the backlog's array is pinned", large, small)
 	}
 }
 
