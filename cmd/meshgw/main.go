@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/control"
@@ -270,6 +271,12 @@ func run(w io.Writer, o options) error {
 	// The reverse path: queue a command for the far end of the chain; it
 	// rides back in an uplink response and re-enters the mesh at the sink.
 	far := hosts[o.n-1]
+	var pinged atomic.Bool
+	far.SetOnMessage(func(m core.AppMessage) {
+		if string(m.Payload) == "downlink ping" {
+			pinged.Store(true)
+		}
+	})
 	if backend != nil {
 		backend.PushDownlink(gateway.Downlink{
 			To: far.Addr(), Payload: []byte("downlink ping"),
@@ -306,14 +313,7 @@ func run(w io.Writer, o options) error {
 		}
 	}
 	if backend != nil {
-		got := false
-		for _, m := range far.Messages() {
-			if string(m.Payload) == "downlink ping" {
-				got = true
-				break
-			}
-		}
-		fmt.Fprintf(w, "downlink to %v delivered: %v\n", far.Addr(), got)
+		fmt.Fprintf(w, "downlink to %v delivered: %v\n", far.Addr(), pinged.Load())
 	}
 	if ctl != nil {
 		snap := ctl.Metrics().Snapshot()

@@ -69,25 +69,28 @@ func run() error {
 	}
 	show("bob  ", bob)
 	show("alice", alice)
+	var acked *loramesher.StreamEvent
+	alice.OnStreamDone = func(ev loramesher.StreamEvent) { acked = &ev }
+	bob.OnStreamDone = alice.OnStreamDone
 
 	for i, l := range script {
 		src, dst := alice, bob
 		if !l.fromAlice {
 			src, dst = bob, alice
 		}
+		acked = nil
 		if _, err := src.Mesher.SendReliable(dst.Addr, []byte(l.text)); err != nil {
 			return fmt.Errorf("message %d: %w", i, err)
 		}
 		// Wait for the ack'd delivery before the reply, like a real chat.
-		sent := len(src.StreamEvents)
-		for tries := 0; len(src.StreamEvents) == sent && tries < 600; tries++ {
+		for tries := 0; acked == nil && tries < 600; tries++ {
 			sim.Run(time.Second)
 		}
-		if len(src.StreamEvents) == sent {
+		if acked == nil {
 			return fmt.Errorf("message %d never acknowledged", i)
 		}
-		if ev := src.StreamEvents[len(src.StreamEvents)-1]; ev.Err != nil {
-			return fmt.Errorf("message %d failed: %w", i, ev.Err)
+		if acked.Err != nil {
+			return fmt.Errorf("message %d failed: %w", i, acked.Err)
 		}
 	}
 

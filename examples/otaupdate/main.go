@@ -64,24 +64,26 @@ func run(loss float64) error {
 	image := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(image)
 
-	start := sim.Now()
+	var ev *loramesher.StreamEvent
+	server.OnStreamDone = func(e loramesher.StreamEvent) { ev = &e }
+	var got [][]byte
+	target.OnMessage = func(m loramesher.Message) { got = append(got, m.Payload) }
 	id, err := server.Mesher.SendReliable(target.Addr, image)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("stream %d opened; transferring...\n", id)
 
-	for tries := 0; len(server.StreamEvents) == 0 && tries < 240; tries++ {
+	for tries := 0; ev == nil && tries < 240; tries++ {
 		sim.Run(30 * time.Second)
 	}
-	if len(server.StreamEvents) == 0 {
+	if ev == nil {
 		return fmt.Errorf("transfer never completed")
 	}
-	ev := server.StreamEvents[0]
 	if ev.Err != nil {
 		return fmt.Errorf("transfer failed: %w", ev.Err)
 	}
-	if len(target.Msgs) != 1 || !bytes.Equal(target.Msgs[0].Payload, image) {
+	if len(got) != 1 || !bytes.Equal(got[0], image) {
 		return fmt.Errorf("image corrupted in transit")
 	}
 
@@ -91,6 +93,5 @@ func run(loss float64) error {
 	fmt.Printf("  retransmissions   %d\n", ev.Retransmissions)
 	fmt.Printf("  goodput           %.1f B/s\n", float64(size)/elapsed.Seconds())
 	fmt.Printf("  total airtime     %v across the mesh\n", sim.TotalAirtime().Round(time.Millisecond))
-	_ = start
 	return nil
 }

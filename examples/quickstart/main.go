@@ -55,17 +55,19 @@ func run() error {
 	fmt.Println()
 
 	// A datagram from A to C must relay through B.
+	received := 0
+	c.OnMessage = func(msg loramesher.Message) {
+		received++
+		fmt.Printf("C received %q from %v\n", msg.Payload, msg.From)
+	}
 	payload := []byte("hello from A, routed by B")
 	if err := a.Proto.Send(c.Addr, payload); err != nil {
 		return err
 	}
 	sim.Run(30 * time.Second)
-
-	if len(c.Msgs) == 0 {
+	if received == 0 {
 		return fmt.Errorf("C received nothing")
 	}
-	msg := c.Msgs[0]
-	fmt.Printf("C received %q from %v\n", msg.Payload, msg.From)
 	fmt.Printf("B forwarded %d data frame(s) as a router\n",
 		b.Proto.Metrics().Counter("fwd.frames").Value())
 
@@ -74,14 +76,15 @@ func run() error {
 	for i := range blob {
 		blob[i] = byte(i)
 	}
+	var ev *loramesher.StreamEvent
+	c.OnStreamDone = func(e loramesher.StreamEvent) { ev = &e }
 	if _, err := c.Mesher.SendReliable(a.Addr, blob); err != nil {
 		return err
 	}
 	sim.Run(5 * time.Minute)
-	if len(c.StreamEvents) == 0 || c.StreamEvents[0].Err != nil {
-		return fmt.Errorf("reliable transfer failed: %+v", c.StreamEvents)
+	if ev == nil || ev.Err != nil {
+		return fmt.Errorf("reliable transfer failed: %+v", ev)
 	}
-	ev := c.StreamEvents[0]
 	fmt.Printf("C→A reliable transfer: %d chunks in %v (%d retransmissions)\n",
 		ev.Chunks, ev.Elapsed.Round(time.Millisecond), ev.Retransmissions)
 

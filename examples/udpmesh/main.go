@@ -102,22 +102,23 @@ func demo() error {
 	}
 	fmt.Println("converged: node 0001 has a route to node 0004 across two UDP-relay hops")
 
+	done := make(chan error, 1) // one stream, so the send never blocks
+	hosts[0].SetOnStreamDone(func(ev loramesher.StreamEvent) { done <- ev.Err })
+	hosts[n-1].SetOnMessage(func(m loramesher.Message) {
+		fmt.Printf("node %v received %q from %v\n", loramesher.Address(n), m.Payload, m.From)
+	})
 	if _, err := hosts[0].SendReliable(loramesher.Address(n), []byte("packets over sockets over virtual radio")); err != nil {
 		return err
 	}
-	deadline = time.Now().Add(30 * time.Second)
-	for len(hosts[0].StreamEvents()) == 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("reliable transfer never finished")
+	select {
+	case err := <-done:
+		if err != nil {
+			return fmt.Errorf("transfer failed: %w", err)
 		}
-		time.Sleep(50 * time.Millisecond)
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("reliable transfer never finished")
 	}
-	if ev := hosts[0].StreamEvents()[0]; ev.Err != nil {
-		return fmt.Errorf("transfer failed: %w", ev.Err)
-	}
-	msg := hosts[n-1].Messages()[0]
-	fmt.Printf("node %v received %q from %v, end-to-end acknowledged\n",
-		loramesher.Address(n), msg.Payload, msg.From)
+	fmt.Println("end-to-end acknowledged")
 
 	// Scrape node 0001's live /metrics endpoint — the same lines a
 	// Prometheus server would collect.
@@ -195,20 +196,18 @@ func single(addrHex, listen, peers, send, metricsAddr string) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
+	h.SetOnMessage(func(m loramesher.Message) {
+		fmt.Printf("⇐ %q from %v\n", m.Payload, m.From)
+	})
 	ticker := time.NewTicker(2 * time.Second)
 	defer ticker.Stop()
 	sent := false
-	seen := 0
 	for {
 		select {
 		case <-sig:
 			fmt.Println("\nshutting down")
 			return nil
 		case <-ticker.C:
-			for _, m := range h.Messages()[seen:] {
-				fmt.Printf("⇐ %q from %v\n", m.Payload, m.From)
-				seen++
-			}
 			if sendMsg != "" && !sent && h.HasRoute(sendDst) {
 				if _, err := h.SendReliable(sendDst, []byte(sendMsg)); err == nil {
 					fmt.Printf("⇒ sending %q to %v\n", sendMsg, sendDst)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/loraphy"
 	"repro/internal/netsim"
@@ -156,6 +157,8 @@ func A3ARQWindow(opt Options) (*Result, error) {
 			return nil, err
 		}
 		src := sim.Handle(0)
+		var ev *core.StreamEvent
+		src.OnStreamDone = func(e core.StreamEvent) { ev = &e }
 		if _, err := src.Mesher.SendReliable(sim.Handle(hops).Addr, make([]byte, size)); err != nil {
 			return nil, err
 		}
@@ -163,13 +166,12 @@ func A3ARQWindow(opt Options) (*Result, error) {
 		if v.pacing > 0 {
 			pacingStr = fmtDur(v.pacing)
 		}
-		for tries := 0; len(src.StreamEvents) == 0 && tries < 720; tries++ {
+		for tries := 0; ev == nil && tries < 720; tries++ {
 			sim.Run(10 * time.Second)
 		}
-		if len(src.StreamEvents) == 0 {
+		if ev == nil {
 			return []string{fmt.Sprintf("%d", w), pacingStr, ">2h", "-", "-"}, nil
 		}
-		ev := src.StreamEvents[0]
 		if ev.Err != nil {
 			return []string{fmt.Sprintf("%d", w), pacingStr, "failed", "-", fmt.Sprintf("%d", ev.Retransmissions)}, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/geo"
 	"repro/internal/netsim"
@@ -55,6 +56,8 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 			return nil, err
 		}
 		defer g.Close()
+		atSink := 0 // AttachSim and the flows chain onto this count
+		sim.Handle(0).OnMessage = func(core.AppMessage) { atSink++ }
 		if err := gateway.AttachSim(sim, 0, g); err != nil {
 			return nil, err
 		}
@@ -111,7 +114,6 @@ func E11GatewayUplink(opt Options) (*Result, error) {
 		}
 
 		reg := g.Metrics()
-		atSink := len(sim.Handle(0).Msgs)
 		uplinked := backend.Distinct()
 		ratio := 0.0
 		if atSink > 0 {

@@ -61,11 +61,12 @@ func E1MeshFormation(opt Options) (*Result, error) {
 			fmt.Sprintf("%v", sim.Converged()))
 	}
 	// The demo's payoff: end-to-end data through the routers.
+	delivered := 0
+	sim.Handle(n - 1).OnMessage = func(core.AppMessage) { delivered++ }
 	if err := sim.Handle(0).Proto.Send(sim.Handle(n-1).Addr, []byte("demo")); err != nil {
 		return nil, err
 	}
 	sim.Run(time.Minute)
-	delivered := len(sim.Handle(n - 1).Msgs)
 	forwards := uint64(0)
 	for i := 1; i < n-1; i++ {
 		forwards += sim.Handle(i).Proto.Metrics().Counter("fwd.frames").Value()
@@ -271,22 +272,22 @@ func deliveryCell(seed int64, hops int, loss float64, count int) ([]string, erro
 	if relCount < 5 {
 		relCount = 5
 	}
-	okRel, retrans := 0, 0
+	okRel, retrans, done := 0, 0, 0
+	src := sim.Handle(0)
+	src.OnStreamDone = func(ev core.StreamEvent) {
+		done++
+		if ev.Err == nil {
+			okRel++
+		}
+		retrans += ev.Retransmissions
+	}
 	for i := 0; i < relCount; i++ {
-		src := sim.Handle(0)
-		before := len(src.StreamEvents)
+		before := done
 		if _, err := src.Mesher.SendReliable(sim.Handle(hops).Addr, make([]byte, 24)); err != nil {
 			continue
 		}
-		for tries := 0; len(src.StreamEvents) == before && tries < 360; tries++ {
+		for tries := 0; done == before && tries < 360; tries++ {
 			sim.Run(5 * time.Second)
-		}
-		if len(src.StreamEvents) > before {
-			ev := src.StreamEvents[len(src.StreamEvents)-1]
-			if ev.Err == nil {
-				okRel++
-			}
-			retrans += ev.Retransmissions
 		}
 	}
 	return []string{

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/netsim"
@@ -38,16 +39,17 @@ func E6LargePayload(opt Options) (*Result, error) {
 			return nil, err
 		}
 		src := sim.Handle(0)
+		var ev *core.StreamEvent
+		src.OnStreamDone = func(e core.StreamEvent) { ev = &e }
 		if _, err := src.Mesher.SendReliable(sim.Handle(h).Addr, make([]byte, size)); err != nil {
 			return nil, err
 		}
-		for tries := 0; len(src.StreamEvents) == 0 && tries < 720; tries++ {
+		for tries := 0; ev == nil && tries < 720; tries++ {
 			sim.Run(10 * time.Second)
 		}
-		if len(src.StreamEvents) == 0 || src.StreamEvents[0].Err != nil {
+		if ev == nil || ev.Err != nil {
 			return nil, fmt.Errorf("E6: transfer %dB/%dhops failed", size, h)
 		}
-		ev := src.StreamEvents[0]
 		return []string{fmt.Sprintf("%d", size), fmt.Sprintf("%d", h),
 			fmt.Sprintf("%d", ev.Chunks), fmtDur(ev.Elapsed),
 			fmtF(float64(size)/ev.Elapsed.Seconds(), 1)}, nil

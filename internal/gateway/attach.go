@@ -24,12 +24,11 @@ import (
 // caller runs the real-time loop with Gateway.Start.
 
 // AttachSim hooks g onto node index's deliveries and starts polling the
-// uplinker on the simulation's scheduler. The node keeps accumulating
-// Msgs and running any previously-installed OnMessage observer; the
-// gateway observes in addition, not instead. The attachment lasts as
-// long as g does: a closed gateway refuses offers and launches nothing,
-// so closing it and attaching a successor on the same spool models a
-// process restart.
+// uplinker on the simulation's scheduler. Any OnMessage already
+// installed keeps running; the gateway observes in addition. The
+// attachment lasts as long as g does: a closed gateway refuses offers
+// and launches nothing, so closing it and attaching a successor on the
+// same spool models a process restart.
 func AttachSim(s *netsim.Sim, index int, g *Gateway) error {
 	if index < 0 || index >= s.N() {
 		return fmt.Errorf("gateway: attach: node %d out of range", index)

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +51,12 @@ func TestAttachHostLivenet(t *testing.T) {
 		}
 	}
 	sink, sensor := hosts[0], hosts[1]
+	var acked atomic.Bool
+	sensor.SetOnMessage(func(m core.AppMessage) {
+		if string(m.Payload) == "ack" {
+			acked.Store(true)
+		}
+	})
 
 	g, err := New(Config{
 		URLs:          []string{srv.URL},
@@ -90,14 +97,7 @@ func TestAttachHostLivenet(t *testing.T) {
 	if b.Duplicates() != 0 {
 		t.Fatalf("%d duplicate uploads", b.Duplicates())
 	}
-	if !waitFor(10*time.Second, func() bool {
-		for _, m := range sensor.Messages() {
-			if string(m.Payload) == "ack" {
-				return true
-			}
-		}
-		return false
-	}) {
+	if !waitFor(10*time.Second, acked.Load) {
 		t.Fatal("downlink never reached the sensor")
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"repro/internal/control"
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/meshsec"
 	"repro/internal/netsim"
 	"repro/internal/routing"
-
-	"repro/internal/core"
 )
 
 // simChain builds a converged n-node chain with node 0 as the sink.
@@ -83,6 +82,7 @@ func TestSimEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	sim := simChain(t, 5, 1)
+	sink := collect(sim.Handle(0))
 	g := simGateway(t, srv.URL, "")
 	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestSimEndToEnd(t *testing.T) {
 	drain(t, sim, g)
 
 	merged := netsim.MergeStats(stats)
-	atSink := len(sim.Handle(0).Msgs)
+	atSink := sink.msgs
 	if merged.Delivered < 36 { // the mesh itself must mostly work
 		t.Fatalf("mesh delivered only %d/40", merged.Delivered)
 	}
@@ -137,6 +137,7 @@ func TestSimPartitionHealWithOutage(t *testing.T) {
 	defer srv.Close()
 
 	sim := simChain(t, 4, 2)
+	sink := collect(sim.Handle(0))
 	g := simGateway(t, srv.URL, "")
 	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestSimPartitionHealWithOutage(t *testing.T) {
 	sim.Run(5 * time.Minute)
 	drain(t, sim, g)
 
-	atSink := len(sim.Handle(0).Msgs)
+	atSink := sink.msgs
 	if atSink == 0 {
 		t.Fatal("no readings reached the sink at all")
 	}
@@ -210,6 +211,7 @@ func TestSimRestartReplay(t *testing.T) {
 	defer srv.Close()
 
 	sim := simChain(t, 3, 3)
+	sink := collect(sim.Handle(0))
 	g1 := simGateway(t, srv.URL, path)
 	if err := AttachSim(sim, 0, g1); err != nil {
 		t.Fatal(err)
@@ -225,7 +227,7 @@ func TestSimRestartReplay(t *testing.T) {
 	}
 	// Let the workload finish so no deliveries land in the attachment gap.
 	sim.Run(4 * time.Minute)
-	atSink := len(sim.Handle(0).Msgs)
+	atSink := sink.msgs
 	if atSink == 0 || g1.Pending() != atSink {
 		t.Fatalf("outage phase: sink=%d pending=%d, want equal and nonzero", atSink, g1.Pending())
 	}
@@ -272,6 +274,7 @@ func TestSimRekeyRollout(t *testing.T) {
 	defer srv.Close()
 
 	sim := simChainKeyed(t, 3, 5, &oldKey)
+	sink := collect(sim.Handle(0))
 	g := simGateway(t, srv.URL, "")
 	if err := AttachSim(sim, 0, g); err != nil {
 		t.Fatal(err)
@@ -319,7 +322,7 @@ func TestSimRekeyRollout(t *testing.T) {
 		t.Errorf("gateway injected %d downlinks, want >= %d",
 			g.Metrics().Counter("gw.downlink.injected").Value(), sim.N()-1)
 	}
-	atSink := len(sim.Handle(0).Msgs)
+	atSink := sink.msgs
 	if b.Distinct() <= preRotate {
 		t.Errorf("no readings arrived after the rotation (%d before, %d after)", preRotate, b.Distinct())
 	}
@@ -345,6 +348,7 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 	defer srv.Close()
 
 	sim := simChainKeyed(t, 3, 6, &key)
+	sink := collect(sim.Handle(0))
 	g1 := simGateway(t, srv.URL, path)
 	if err := AttachSim(sim, 0, g1); err != nil {
 		t.Fatal(err)
@@ -359,7 +363,7 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 		}
 	}
 	sim.Run(4 * time.Minute)
-	atOutage := len(sim.Handle(0).Msgs)
+	atOutage := sink.msgs
 	if atOutage == 0 || g1.Pending() != atOutage {
 		t.Fatalf("outage phase: sink=%d pending=%d, want equal and nonzero", atOutage, g1.Pending())
 	}
@@ -392,4 +396,21 @@ func TestSimSecuredGatewayRestart(t *testing.T) {
 		t.Fatalf("benign secured run dropped frames as hostile: auth=%v replay=%v",
 			snap["total.sec.drop.auth"], snap["total.sec.drop.replay"])
 	}
+}
+
+// tally counts the deliveries a node's OnMessage receives.
+type tally struct{ msgs int }
+
+// collect chains a tally in front of any OnMessage already installed
+// on h; observers installed later (AttachSim, flows) chain onto it.
+func collect(h *netsim.Handle) *tally {
+	in := &tally{}
+	prev := h.OnMessage
+	h.OnMessage = func(m core.AppMessage) {
+		in.msgs++
+		if prev != nil {
+			prev(m)
+		}
+	}
+	return in
 }

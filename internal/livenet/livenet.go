@@ -103,10 +103,8 @@ type Host struct {
 	closeOnce sync.Once
 	loopDone  chan struct{}
 
-	mu      sync.Mutex
-	msgs    []core.AppMessage
-	streams []core.StreamEvent
-	onMsg   func(core.AppMessage)
+	onMsg    func(core.AppMessage)  // event loop only
+	onStream func(core.StreamEvent) // event loop only
 }
 
 // Start runs one host over link. The host owns link from here on: it is
@@ -167,13 +165,18 @@ func (h *Host) Addr() packet.Address { return h.addr }
 // — with a ":0" config this is where the kernel actually bound it.
 func (h *Host) MetricsAddr() string { return h.obs.addr() }
 
-// SetOnMessage installs an observer invoked for every application
-// delivery, after the message is recorded. The observer runs on the
-// host's event loop, so it must not block; pass nil to remove it.
+// SetOnMessage installs the callback that receives every application
+// delivery; the host keeps no copy. The callback runs on the host's
+// event loop, so it must not block; pass nil to remove it. Installing
+// goes through Do, so do not call it from a callback.
 func (h *Host) SetOnMessage(fn func(core.AppMessage)) {
-	h.mu.Lock()
-	h.onMsg = fn
-	h.mu.Unlock()
+	h.Do(func(*core.Node) { h.onMsg = fn })
+}
+
+// SetOnStreamDone installs the callback that receives every
+// reliable-transfer outcome, under the same rules as SetOnMessage.
+func (h *Host) SetOnStreamDone(fn func(core.StreamEvent)) {
+	h.Do(func(*core.Node) { h.onStream = fn })
 }
 
 // receive hands the host a frame its link heard. The link's read loop
@@ -248,20 +251,6 @@ func (h *Host) HasRoute(dst packet.Address) bool {
 	return ok
 }
 
-// Messages returns a snapshot of delivered application messages.
-func (h *Host) Messages() []core.AppMessage {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]core.AppMessage(nil), h.msgs...)
-}
-
-// StreamEvents returns a snapshot of reliable-transfer outcomes.
-func (h *Host) StreamEvents() []core.StreamEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]core.StreamEvent(nil), h.streams...)
-}
-
 // status snapshots the node for the health monitor. It runs on the
 // host's own event loop (Do), so the table walk never races the engine.
 func (h *Host) status() health.NodeStatus {
@@ -318,22 +307,16 @@ func (e *hostEnv) ChannelBusy() (bool, error) { return false, nil }
 
 // Deliver implements core.Env.
 func (e *hostEnv) Deliver(msg core.AppMessage) {
-	h := e.host()
-	h.mu.Lock()
-	h.msgs = append(h.msgs, msg)
-	fn := h.onMsg
-	h.mu.Unlock()
-	if fn != nil {
+	if fn := e.host().onMsg; fn != nil {
 		fn(msg)
 	}
 }
 
 // StreamDone implements core.Env.
 func (e *hostEnv) StreamDone(ev core.StreamEvent) {
-	h := e.host()
-	h.mu.Lock()
-	h.streams = append(h.streams, ev)
-	h.mu.Unlock()
+	if fn := e.host().onStream; fn != nil {
+		fn(ev)
+	}
 }
 
 // Rand implements core.Env. It runs only inside the host's loop, so the

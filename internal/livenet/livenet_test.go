@@ -66,6 +66,41 @@ func bootUDP(t *testing.T, cfg Config, n, reach int) []*Host {
 	return hs
 }
 
+// inbox keeps what a host's callbacks receive. They run on the host's
+// event loop, so the test reads through the lock.
+type inbox struct {
+	mu      sync.Mutex
+	msgs    []core.AppMessage
+	streams []core.StreamEvent
+}
+
+func collect(h *Host) *inbox {
+	in := &inbox{}
+	h.SetOnMessage(func(m core.AppMessage) {
+		in.mu.Lock()
+		in.msgs = append(in.msgs, m)
+		in.mu.Unlock()
+	})
+	h.SetOnStreamDone(func(ev core.StreamEvent) {
+		in.mu.Lock()
+		in.streams = append(in.streams, ev)
+		in.mu.Unlock()
+	})
+	return in
+}
+
+func (in *inbox) messages() []core.AppMessage {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]core.AppMessage(nil), in.msgs...)
+}
+
+func (in *inbox) streamEvents() []core.StreamEvent {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return append([]core.StreamEvent(nil), in.streams...)
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	t.Helper()
@@ -95,16 +130,17 @@ func testPayload(n, step int) []byte {
 func TestLiveMeshConvergesAndRoutes(t *testing.T) {
 	t.Run("udp", func(t *testing.T) {
 		hs := bootUDP(t, liveConfig(), 3, 1)
+		far := collect(hs[2])
 		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) && hs[2].HasRoute(1) }) {
 			t.Fatal("live mesh did not converge")
 		}
 		if err := hs[0].Send(3, []byte("live multi-hop")); err != nil {
 			t.Fatal(err)
 		}
-		if !waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 }) {
+		if !waitFor(t, 15*time.Second, func() bool { return len(far.messages()) >= 1 }) {
 			t.Fatal("datagram not delivered over the live mesh")
 		}
-		msg := hs[2].Messages()[0]
+		msg := far.messages()[0]
 		if string(msg.Payload) != "live multi-hop" || msg.From != 1 {
 			t.Errorf("message = %+v", msg)
 		}
@@ -119,6 +155,7 @@ func TestLiveMeshConvergesAndRoutes(t *testing.T) {
 func TestLiveReliableTransfer(t *testing.T) {
 	t.Run("udp", func(t *testing.T) {
 		hs := bootUDP(t, liveConfig(), 3, 1)
+		src, far := collect(hs[0]), collect(hs[2])
 		if !waitFor(t, 15*time.Second, func() bool { return hs[0].HasRoute(3) }) {
 			t.Fatal("no convergence")
 		}
@@ -126,13 +163,13 @@ func TestLiveReliableTransfer(t *testing.T) {
 		if _, err := hs[0].SendReliable(3, payload); err != nil {
 			t.Fatal(err)
 		}
-		if !waitFor(t, 30*time.Second, func() bool { return len(hs[0].StreamEvents()) == 1 }) {
+		if !waitFor(t, 30*time.Second, func() bool { return len(src.streamEvents()) == 1 }) {
 			t.Fatal("stream never completed")
 		}
-		if ev := hs[0].StreamEvents()[0]; ev.Err != nil {
+		if ev := src.streamEvents()[0]; ev.Err != nil {
 			t.Fatalf("stream failed: %v", ev.Err)
 		}
-		msgs := hs[2].Messages()
+		msgs := far.messages()
 		if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
 			t.Fatal("reliable payload corrupted over live mesh")
 		}
@@ -148,6 +185,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		cfg := liveConfig()
 		cfg.MetricsAddr = "127.0.0.1:0"
 		hs := bootUDP(t, cfg, 3, 1)
+		far := collect(hs[2])
 		metricsAddr := hs[0].MetricsAddr()
 		if metricsAddr == "" {
 			t.Fatal("metrics listener not bound")
@@ -158,7 +196,7 @@ func TestMetricsEndpointScrape(t *testing.T) {
 		if err := hs[0].Send(3, []byte("scrape me")); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, 15*time.Second, func() bool { return len(hs[2].Messages()) >= 1 })
+		waitFor(t, 15*time.Second, func() bool { return len(far.messages()) >= 1 })
 
 		scrape := func(path string) string {
 			resp, err := http.Get("http://" + metricsAddr + path)
@@ -336,6 +374,10 @@ func TestLiveConcurrentSenders(t *testing.T) {
 	// detector.
 	const n = 5
 	hs := bootUDP(t, liveConfig(), n, n)
+	inboxes := make([]*inbox, n)
+	for i, h := range hs {
+		inboxes[i] = collect(h)
+	}
 	if !waitFor(t, 10*time.Second, func() bool {
 		for _, h := range hs {
 			var routes int
@@ -365,8 +407,8 @@ func TestLiveConcurrentSenders(t *testing.T) {
 	wg.Wait()
 	total := func() int {
 		sum := 0
-		for _, h := range hs {
-			sum += len(h.Messages())
+		for _, in := range inboxes {
+			sum += len(in.messages())
 		}
 		return sum
 	}

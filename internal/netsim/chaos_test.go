@@ -84,6 +84,7 @@ func TestChaosFlapConvergence(t *testing.T) {
 			// Launch a reliable stream from inside the second down-window.
 			sim.Run(130 * time.Second)
 			src := sim.Handle(0)
+			sent := collect(src)
 			if _, err := src.Mesher.SendReliable(sim.Handle(3).Addr,
 				bytes.Repeat([]byte("chaos-stream"), 40)); err != nil {
 				t.Fatal(err)
@@ -103,7 +104,7 @@ func TestChaosFlapConvergence(t *testing.T) {
 
 			// Let the stream's capped backoff play out, then audit.
 			sim.Run(6 * time.Minute)
-			evs := src.StreamEvents
+			evs := sent.streams
 			if len(evs) != 1 {
 				t.Fatalf("got %d stream events, want 1", len(evs))
 			}
@@ -207,6 +208,7 @@ func TestChaosAttackerSecured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			inboxes := collectAll(sim)
 			if _, ok := sim.TimeToConvergence(time.Second, 10*time.Minute); !ok {
 				t.Fatal("no initial convergence")
 			}
@@ -258,7 +260,7 @@ func TestChaosAttackerSecured(t *testing.T) {
 						t.Errorf("node %v routes via forged %v", h.Addr, ForgeAddr)
 					}
 				}
-				for _, msg := range h.Msgs {
+				for _, msg := range inboxes[i].msgs {
 					if sim.ByAddr(msg.From) == nil {
 						t.Errorf("node %v delivered app payload from forged %v", h.Addr, msg.From)
 					}

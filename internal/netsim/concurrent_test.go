@@ -41,13 +41,14 @@ func concurrentSims(t *testing.T, key *meshsec.Key) {
 				t.Errorf("sim %d: no convergence", w)
 				return
 			}
+			dst := collect(sim.Handle(4))
 			if err := sim.Handle(0).Proto.Send(sim.Handle(4).Addr, []byte("x")); err != nil {
 				t.Errorf("sim %d: %v", w, err)
 				return
 			}
 			sim.Run(time.Minute)
 			results[w] = fmt.Sprintf("conv=%v delivered=%d fired=%d",
-				d, len(sim.Handle(4).Msgs), sim.Sched.Fired())
+				d, len(dst.msgs), sim.Sched.Fired())
 		}(w)
 	}
 	wg.Wait()

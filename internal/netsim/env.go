@@ -77,7 +77,6 @@ func (e *nodeEnv) ChannelBusy() (bool, error) {
 
 // Deliver implements core.Env.
 func (e *nodeEnv) Deliver(msg core.AppMessage) {
-	e.h.Msgs = append(e.h.Msgs, msg)
 	if e.sim.Tracer.Enabled() {
 		e.sim.Tracer.Emit(e.Now(), e.h.addrStr, trace.KindApp,
 			"delivered %d bytes from %v (reliable=%v)", len(msg.Payload), msg.From, msg.Reliable)
@@ -89,7 +88,6 @@ func (e *nodeEnv) Deliver(msg core.AppMessage) {
 
 // StreamDone implements core.Env.
 func (e *nodeEnv) StreamDone(ev core.StreamEvent) {
-	e.h.StreamEvents = append(e.h.StreamEvents, ev)
 	if e.sim.Tracer.Enabled() {
 		e.sim.Tracer.Emit(e.Now(), e.h.addrStr, trace.KindStream,
 			"stream %d to %v: err=%v chunks=%d retrans=%d elapsed=%v",

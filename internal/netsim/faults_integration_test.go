@@ -271,6 +271,7 @@ func TestPartitionDuringFlapWindowAndHealMidStream(t *testing.T) {
 	// t=35s: the flap holds link 0-1 down; launch a stream into it.
 	sim.Run(35 * time.Second)
 	src, dst := sim.Handle(0), sim.Handle(3)
+	sent := collect(src)
 	if _, err := src.Mesher.SendReliable(dst.Addr, bytes.Repeat([]byte("chaos"), 40)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestPartitionDuringFlapWindowAndHealMidStream(t *testing.T) {
 	}
 
 	sim.Run(5 * time.Minute)
-	evs := src.StreamEvents
+	evs := sent.streams
 	if len(evs) != 1 {
 		t.Fatalf("got %d stream events, want 1", len(evs))
 	}

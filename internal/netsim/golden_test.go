@@ -90,23 +90,25 @@ var goldenScenarios = []goldenScenario{
 	{"stream", func(t *testing.T, m goldenMode, sink *bytes.Buffer) (*netsim.Sim, string) {
 		sim := goldenChain(t, m, netsim.Config{Node: goldenNode(), Seed: 5})
 		sim.Tracer.SetSink(sink)
+		src, dst := collect(sim.Handle(0)), collect(sim.Handle(3))
 		payload := bytes.Repeat([]byte("reliable "), 20)
 		if _, err := sim.Handle(0).Mesher.SendReliable(sim.Handle(3).Addr, payload); err != nil {
 			t.Fatal(err)
 		}
 		sim.Run(90 * time.Second)
-		evs := sim.Handle(0).StreamEvents
+		evs := src.streams
 		if len(evs) != 1 || evs[0].Err != nil {
 			t.Fatalf("stream outcome: %+v", evs)
 		}
 		return sim, fmt.Sprintf("stream chunks=%d retrans=%d delivered=%d",
-			evs[0].Chunks, evs[0].Retransmissions, len(sim.Handle(3).Msgs))
+			evs[0].Chunks, evs[0].Retransmissions, len(dst.msgs))
 	}},
 	{"gateway", func(t *testing.T, m goldenMode, sink *bytes.Buffer) (*netsim.Sim, string) {
 		b := gateway.NewBackend()
 		srv := httptest.NewServer(b)
 		t.Cleanup(srv.Close)
 		sim := goldenChain(t, m, netsim.Config{Node: goldenNode(), Seed: 6})
+		atSink := collect(sim.Handle(0))
 		g, err := gateway.New(gateway.Config{
 			URLs: []string{srv.URL}, BatchSize: 4, FlushInterval: 10 * time.Second,
 			RetryBase: 5 * time.Second, RetryMax: 20 * time.Second, BreakerThreshold: -1,
@@ -136,7 +138,7 @@ var goldenScenarios = []goldenScenario{
 		}
 		snap := g.Metrics().Snapshot()
 		return sim, fmt.Sprintf("gateway sink=%d backend=%d uplink_failures=%d",
-			len(sim.Handle(0).Msgs), b.Distinct(), int(snap["gw.uplink.failures"]))
+			len(atSink.msgs), b.Distinct(), int(snap["gw.uplink.failures"]))
 	}},
 	{"icn", func(t *testing.T, m goldenMode, sink *bytes.Buffer) (*netsim.Sim, string) {
 		sim := goldenChain(t, m, netsim.Config{
@@ -149,6 +151,7 @@ var goldenScenarios = []goldenScenario{
 			},
 		})
 		sim.Tracer.SetSink(sink)
+		first, second := collect(sim.Handle(1)), collect(sim.Handle(0))
 		// Node 1 pulls the name first, so node 0's later interest is
 		// answered from node 1's content store.
 		for _, pull := range []struct {
@@ -168,7 +171,7 @@ var goldenScenarios = []goldenScenario{
 			t.Fatal("no content-store hit")
 		}
 		return sim, fmt.Sprintf("icn delivered=%d+%d cs_hits=%d",
-			len(sim.Handle(1).Msgs), len(sim.Handle(0).Msgs), int(hits))
+			len(first.msgs), len(second.msgs), int(hits))
 	}},
 	{"fault", func(t *testing.T, m goldenMode, sink *bytes.Buffer) (*netsim.Sim, string) {
 		sim := goldenChain(t, m, netsim.Config{Node: goldenNode(), Seed: 8})
@@ -279,4 +282,30 @@ func TestStreamsMatchParentGoldens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// inbox keeps what a node's delivery callbacks receive.
+type inbox struct {
+	msgs    []core.AppMessage
+	streams []core.StreamEvent
+}
+
+// collect chains an inbox in front of any OnMessage/OnStreamDone
+// already installed on h.
+func collect(h *netsim.Handle) *inbox {
+	in := &inbox{}
+	prevMsg, prevStream := h.OnMessage, h.OnStreamDone
+	h.OnMessage = func(m core.AppMessage) {
+		in.msgs = append(in.msgs, m)
+		if prevMsg != nil {
+			prevMsg(m)
+		}
+	}
+	h.OnStreamDone = func(ev core.StreamEvent) {
+		in.streams = append(in.streams, ev)
+		if prevStream != nil {
+			prevStream(ev)
+		}
+	}
+	return in
 }

@@ -108,13 +108,9 @@ type Handle struct {
 	Mesher *core.Node
 	// ICN is the engine as an *icn.Node, nil except under forward.KindICN.
 	ICN *icn.Node
-	// Msgs collects application deliveries.
-	Msgs []core.AppMessage
-	// StreamEvents collects reliable-transfer outcomes.
-	StreamEvents []core.StreamEvent
-	// OnMessage, when set, observes each delivery as it happens.
+	// OnMessage, when set, receives each delivery; the node keeps none.
 	OnMessage func(core.AppMessage)
-	// OnStreamDone, when set, observes each stream outcome.
+	// OnStreamDone, when set, receives each stream outcome.
 	OnStreamDone func(core.StreamEvent)
 	// Sec is the node's security link when Config.SecKey is set. It
 	// outlives engine rebuilds (see Config.SecKey).

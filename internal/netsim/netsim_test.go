@@ -84,11 +84,12 @@ func TestEndToEndDatagramOverPHY(t *testing.T) {
 		t.Fatal("no convergence")
 	}
 	payload := []byte("hello across the field")
+	dst := collect(sim.Handle(3))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(3).Addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(30 * time.Second)
-	msgs := sim.Handle(3).Msgs
+	msgs := dst.msgs
 	if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
 		t.Fatalf("destination messages = %d", len(msgs))
 	}
@@ -110,15 +111,16 @@ func TestReliableTransferOverPHY(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
+	src, dst := collect(sim.Handle(0)), collect(sim.Handle(2))
 	if _, err := sim.Handle(0).Mesher.SendReliable(sim.Handle(2).Addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(10 * time.Minute)
-	evs := sim.Handle(0).StreamEvents
+	evs := src.streams
 	if len(evs) != 1 || evs[0].Err != nil {
 		t.Fatalf("stream events = %+v", evs)
 	}
-	msgs := sim.Handle(2).Msgs
+	msgs := dst.msgs
 	if len(msgs) != 1 || !bytes.Equal(msgs[0].Payload, payload) {
 		t.Fatal("reliable payload corrupted over PHY")
 	}
@@ -155,11 +157,12 @@ func TestKillAndRouteRepair(t *testing.T) {
 		t.Fatal("mesh did not repair after node death")
 	}
 	// And traffic flows via the surviving path.
+	dst := collect(sim.Handle(3))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(3).Addr, []byte("rerouted")); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(30 * time.Second)
-	if len(sim.Handle(3).Msgs) != 1 {
+	if len(dst.msgs) != 1 {
 		t.Fatal("datagram not delivered after repair")
 	}
 	// Kill is idempotent.
@@ -182,12 +185,13 @@ func TestFloodingProtocolOnPHY(t *testing.T) {
 	if !sim.Converged() {
 		t.Fatal("flooding should trivially report converged")
 	}
+	dst := collect(sim.Handle(3))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(3).Addr, []byte("flood")); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(time.Minute)
-	if len(sim.Handle(3).Msgs) != 1 {
-		t.Fatalf("flooded datagram not delivered: %d msgs", len(sim.Handle(3).Msgs))
+	if len(dst.msgs) != 1 {
+		t.Fatalf("flooded datagram not delivered: %d msgs", len(dst.msgs))
 	}
 }
 
@@ -623,11 +627,12 @@ func TestReactiveProtocolOnPHY(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reactive needs no warm-up: the first send triggers discovery.
+	dst := collect(sim.Handle(3))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(3).Addr, []byte("on demand")); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(5 * time.Minute)
-	if got := len(sim.Handle(3).Msgs); got != 1 {
+	if got := len(dst.msgs); got != 1 {
 		t.Fatalf("reactive delivery over PHY: %d msgs, want 1", got)
 	}
 	if err := sim.CheckInvariants(); err != nil {
@@ -668,12 +673,13 @@ func TestPacketTraceRoundTrip(t *testing.T) {
 
 	// Delivery case: a datagram that must be forwarded by node 0002.
 	payload := []byte("traced payload")
+	dst := collect(sim.Handle(2))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(2).Addr, payload); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(30 * time.Second)
-	if len(sim.Handle(2).Msgs) != 1 {
-		t.Fatalf("destination got %d messages, want 1", len(sim.Handle(2).Msgs))
+	if len(dst.msgs) != 1 {
+		t.Fatalf("destination got %d messages, want 1", len(dst.msgs))
 	}
 
 	// Drop case: no route to an address outside the mesh.
@@ -786,4 +792,39 @@ func TestSimLevelMetrics(t *testing.T) {
 	if _, ok := snap["node.0001.dutycycle.utilization"]; !ok {
 		t.Error("aggregate missing node duty-cycle utilization gauge")
 	}
+}
+
+// inbox keeps what a node's delivery callbacks receive.
+type inbox struct {
+	msgs    []core.AppMessage
+	streams []core.StreamEvent
+}
+
+// collect chains an inbox in front of any OnMessage/OnStreamDone
+// already installed on h, the way StartFlow chains its observer.
+func collect(h *Handle) *inbox {
+	in := &inbox{}
+	prevMsg, prevStream := h.OnMessage, h.OnStreamDone
+	h.OnMessage = func(m core.AppMessage) {
+		in.msgs = append(in.msgs, m)
+		if prevMsg != nil {
+			prevMsg(m)
+		}
+	}
+	h.OnStreamDone = func(ev core.StreamEvent) {
+		in.streams = append(in.streams, ev)
+		if prevStream != nil {
+			prevStream(ev)
+		}
+	}
+	return in
+}
+
+// collectAll chains an inbox onto every node, indexed like Sim.Handle.
+func collectAll(s *Sim) []*inbox {
+	all := make([]*inbox, s.N())
+	for i := range all {
+		all[i] = collect(s.Handle(i))
+	}
+	return all
 }

@@ -123,6 +123,7 @@ func TestSecuredAttackerAllDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		inboxes := collectAll(sim)
 		if _, ok := sim.TimeToConvergence(time.Second, 5*time.Minute); !ok {
 			t.Fatalf("seed %d: no convergence", seed)
 		}
@@ -161,7 +162,7 @@ func TestSecuredAttackerAllDropped(t *testing.T) {
 			}
 			// Nothing forged or replayed reached an application: every
 			// delivery's source is a real mesh address.
-			for _, msg := range h.Msgs {
+			for _, msg := range inboxes[i].msgs {
 				if sim.ByAddr(msg.From) == nil {
 					t.Errorf("seed %d: node %v delivered app payload from forged %v", seed, h.Addr, msg.From)
 				}

@@ -45,14 +45,15 @@ func TestICNRetrievalOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	consumer := sim.Handle(0)
+	got := collect(consumer)
 	if err := consumer.ICN.Express("sensor/temp"); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(2 * time.Minute)
-	if len(consumer.Msgs) != 1 {
-		t.Fatalf("consumer deliveries = %d, want 1", len(consumer.Msgs))
+	if len(got.msgs) != 1 {
+		t.Fatalf("consumer deliveries = %d, want 1", len(got.msgs))
 	}
-	msg := consumer.Msgs[0]
+	msg := got.msgs[0]
 	want := append([]byte("sensor/temp\x00"), icnContent("sensor/temp")...)
 	if !bytes.Equal(msg.Payload, want) {
 		t.Errorf("delivered %q, want %q", msg.Payload, want)
@@ -86,6 +87,7 @@ func TestInterestRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prod := collect(sim.Handle(producer))
 	if _, err := sim.StartInterestRounds("t/", 0, time.Hour); err == nil {
 		t.Error("zero period: want error")
 	}
@@ -104,7 +106,7 @@ func TestInterestRounds(t *testing.T) {
 	if len(stats.Latencies) != stats.Delivered || stats.MeanLatency() <= 0 {
 		t.Errorf("latencies %d mean %v for %d deliveries", len(stats.Latencies), stats.MeanLatency(), stats.Delivered)
 	}
-	if got := len(sim.Handle(producer).Msgs); got != 0 {
+	if got := len(prod.msgs); got != 0 {
 		t.Errorf("the producer read %d of its own data", got)
 	}
 
@@ -140,6 +142,7 @@ func TestICNAggregationAndCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const name = "city/air-quality"
+	inboxes := map[int]*inbox{8: collect(sim.Handle(8)), 6: collect(sim.Handle(6)), 7: collect(sim.Handle(7))}
 	// Two far-corner consumers express almost simultaneously — the second
 	// interest reaches nodes already holding a pending PIT entry and must
 	// aggregate instead of re-flooding — and keep re-expressing every
@@ -154,7 +157,7 @@ func TestICNAggregationAndCacheHit(t *testing.T) {
 		}{{8, time.Second}, {6, 1200 * time.Millisecond}} {
 			c := c
 			sim.Sched.MustAfter(at+c.offset, func() {
-				if len(sim.Handle(c.idx).Msgs) == 0 {
+				if len(inboxes[c.idx].msgs) == 0 {
 					_ = sim.Handle(c.idx).ICN.Express(name)
 				}
 			})
@@ -166,7 +169,7 @@ func TestICNAggregationAndCacheHit(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		at := time.Duration(round) * 30 * time.Second
 		sim.Sched.MustAfter(at+time.Second, func() {
-			if len(sim.Handle(7).Msgs) == 0 {
+			if len(inboxes[7].msgs) == 0 {
 				_ = sim.Handle(7).ICN.Express(name)
 			}
 		})
@@ -185,13 +188,13 @@ func TestICNAggregationAndCacheHit(t *testing.T) {
 	}
 	want := append([]byte(name+"\x00"), icnContent(name)...)
 	for _, i := range []int{8, 6, 7} {
-		h := sim.Handle(i)
-		if len(h.Msgs) == 0 {
+		msgs := inboxes[i].msgs
+		if len(msgs) == 0 {
 			t.Errorf("consumer %d got no delivery", i)
 			continue
 		}
-		if !bytes.Equal(h.Msgs[0].Payload, want) {
-			t.Errorf("consumer %d delivered %q, want %q", i, h.Msgs[0].Payload, want)
+		if !bytes.Equal(msgs[0].Payload, want) {
+			t.Errorf("consumer %d delivered %q, want %q", i, msgs[0].Payload, want)
 		}
 	}
 }
@@ -236,6 +239,7 @@ func TestICNCorrectUnderChaosAcrossSeeds(t *testing.T) {
 			if err := sim.ApplyFaultPlan(icnChaosPlan()); err != nil {
 				t.Fatal(err)
 			}
+			consumers := []*inbox{collect(sim.Handle(0)), collect(sim.Handle(1))}
 			// Both near-end consumers re-express periodically (interests
 			// are not retransmitted, so lost rounds are retried by the
 			// application), staggered so rounds overlap in shared PITs.
@@ -248,8 +252,8 @@ func TestICNCorrectUnderChaosAcrossSeeds(t *testing.T) {
 			sim.Run(20 * time.Minute)
 
 			delivered := 0
-			for _, i := range []int{0, 1} {
-				for _, msg := range sim.Handle(i).Msgs {
+			for i, in := range consumers {
+				for _, msg := range in.msgs {
 					delivered++
 					sep := bytes.IndexByte(msg.Payload, 0)
 					if sep < 0 {

@@ -26,12 +26,13 @@ func Example() {
 	if _, ok := lorasim.RunUntilConverged(sim, time.Second, time.Hour); !ok {
 		panic("no convergence")
 	}
+	sim.Handle(2).OnMessage = func(msg loramesher.Message) {
+		fmt.Printf("node %v received %q from %v\n", sim.Handle(2).Addr, msg.Payload, msg.From)
+	}
 	if err := sim.Handle(0).Proto.Send(sim.Handle(2).Addr, []byte("hello mesh")); err != nil {
 		panic(err)
 	}
 	sim.Run(30 * time.Second)
-	msg := sim.Handle(2).Msgs[0]
-	fmt.Printf("node %v received %q from %v\n", sim.Handle(2).Addr, msg.Payload, msg.From)
 	fmt.Printf("router forwarded %d frame(s)\n",
 		sim.Handle(1).Proto.Metrics().Counter("fwd.frames").Value())
 	// Output:

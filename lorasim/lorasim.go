@@ -12,9 +12,9 @@
 //	topo, _ := lorasim.LineTopology(5, 8000) // 5 nodes, 8 km apart
 //	sim, _ := lorasim.New(lorasim.Config{Topology: topo, Seed: 1})
 //	sim.TimeToConvergence(time.Second, time.Hour)
+//	sim.Handle(4).OnMessage = func(m loramesher.Message) { fmt.Println(m) }
 //	sim.Handle(0).Proto.Send(sim.Handle(4).Addr, []byte("multi-hop"))
 //	sim.Run(time.Minute)
-//	fmt.Println(sim.Handle(4).Msgs)
 package lorasim
 
 import (
@@ -36,7 +36,7 @@ type Config = netsim.Config
 // Sim is a running simulation.
 type Sim = netsim.Sim
 
-// Handle is one node in a simulation: engine, mailbox, and hooks.
+// Handle is one node in a simulation: its engine and delivery hooks.
 type Handle = netsim.Handle
 
 // Flow describes a unicast traffic workload; TrafficStats its outcome.

@@ -32,11 +32,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Datagram across the chain.
+	far := collect(sim.Handle(3))
+	src := collect(sim.Handle(0))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(3).Addr, []byte("public api")); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(time.Minute)
-	if got := len(sim.Handle(3).Msgs); got != 1 {
+	if got := len(far.msgs); got != 1 {
 		t.Fatalf("delivered %d datagrams, want 1", got)
 	}
 
@@ -45,7 +47,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run(10 * time.Minute)
-	evs := sim.Handle(0).StreamEvents
+	evs := src.streams
 	if len(evs) != 1 || evs[0].Err != nil {
 		t.Fatalf("stream events = %+v", evs)
 	}
@@ -99,11 +101,38 @@ func TestFloodingThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := collect(sim.Handle(2))
 	if err := sim.Handle(0).Proto.Send(sim.Handle(2).Addr, []byte("flood")); err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(time.Minute)
-	if len(sim.Handle(2).Msgs) != 1 {
+	if len(dst.msgs) != 1 {
 		t.Fatal("flooded datagram not delivered via public API")
 	}
+}
+
+// inbox keeps what a node's delivery callbacks receive.
+type inbox struct {
+	msgs    []loramesher.Message
+	streams []loramesher.StreamEvent
+}
+
+// collect chains an inbox in front of any OnMessage/OnStreamDone
+// already installed on h.
+func collect(h *lorasim.Handle) *inbox {
+	in := &inbox{}
+	prevMsg, prevStream := h.OnMessage, h.OnStreamDone
+	h.OnMessage = func(m loramesher.Message) {
+		in.msgs = append(in.msgs, m)
+		if prevMsg != nil {
+			prevMsg(m)
+		}
+	}
+	h.OnStreamDone = func(ev loramesher.StreamEvent) {
+		in.streams = append(in.streams, ev)
+		if prevStream != nil {
+			prevStream(ev)
+		}
+	}
+	return in
 }
