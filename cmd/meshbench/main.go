@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/meshsec"
 )
 
 // options collects everything a run needs; flags map onto it 1:1.
@@ -31,9 +30,6 @@ type options struct {
 	quick      bool
 	seed       int64
 	cpuprofile string
-	// seckey, 32 hex digits, replaces the built-in network key in the
-	// security-aware experiments (E13).
-	seckey string
 }
 
 func main() {
@@ -42,7 +38,6 @@ func main() {
 	flag.BoolVar(&o.quick, "quick", false, "run E15, E17 and X7 at test size (every other experiment has one size)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&o.seckey, "seckey", "", "network key as 32 hex digits for the security experiments (default: built-in key)")
 	flag.Parse()
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
@@ -81,13 +76,6 @@ func run(w, ew io.Writer, o options) error {
 	}
 
 	opt := experiments.Options{Seed: o.seed, Quick: o.quick}
-	if o.seckey != "" {
-		key, err := meshsec.ParseKey(o.seckey)
-		if err != nil {
-			return err
-		}
-		opt.SecKey = &key
-	}
 	failed := 0
 	for _, s := range specs {
 		start := time.Now()

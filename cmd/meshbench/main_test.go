@@ -30,23 +30,3 @@ func TestMeshbenchUnknownExperiment(t *testing.T) {
 		t.Fatal("unknown experiment must fail")
 	}
 }
-
-// TestMeshbenchSecKey checks the -seckey plumbing: a valid key reaches
-// the security experiment, a malformed one fails before any experiment
-// runs.
-func TestMeshbenchSecKey(t *testing.T) {
-	var out, errOut strings.Builder
-	o := options{exp: "E13", seed: 1,
-		seckey: "000102030405060708090a0b0c0d0e0f"}
-	if err := run(&out, &errOut, o); err != nil {
-		t.Fatalf("run: %v\n%s", err, errOut.String())
-	}
-	if !strings.Contains(out.String(), "== E13:") {
-		t.Errorf("output missing the E13 table:\n%s", out.String())
-	}
-
-	o.seckey = "tooshort"
-	if err := run(&out, &errOut, o); err == nil {
-		t.Fatal("malformed -seckey must fail")
-	}
-}

@@ -39,7 +39,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -270,36 +269,29 @@ func dump(w io.Writer, hexFrame string, params loraphy.Params, link *meshsec.Lin
 			fmt.Fprintf(w, "    %v metric %d %v\n", e.Addr, e.Metric, e.Role)
 		}
 	case p.Type == packet.TypeInterest:
-		// nonce(2) + hops(1) + prevHop(2) + name (see internal/icn).
-		if len(p.Payload) < 6 {
-			return fmt.Errorf("interest payload: %d bytes, want >= 6", len(p.Payload))
+		// The ICN engine's rule: a breadcrumb, then a 1..MaxNameLen name.
+		b, name, err := packet.UnmarshalBreadcrumb(p.Payload)
+		if err != nil {
+			return fmt.Errorf("interest payload: %w", err)
 		}
-		nonce := binary.BigEndian.Uint16(p.Payload[0:2])
-		hops := p.Payload[2]
-		prevHop := packet.Address(binary.BigEndian.Uint16(p.Payload[3:5]))
-		name := string(p.Payload[5:])
+		if len(name) == 0 || len(name) > packet.MaxNameLen {
+			return fmt.Errorf("interest payload: name of %d bytes, want 1..%d", len(name), packet.MaxNameLen)
+		}
 		fmt.Fprintf(w, "  interest %s nonce=%d hops=%d prev-hop=%v\n",
-			previewPayload([]byte(name)), nonce, hops, prevHop)
+			previewPayload(name), b.ID, b.Hops, b.PrevHop)
 	case p.Type == packet.TypeNamedData:
-		// producer(2) + hops(1) + nameLen(1) + name + content.
-		if len(p.Payload) < 4 || len(p.Payload) < 4+int(p.Payload[3]) {
-			return fmt.Errorf("named-data payload: %d bytes, name length %d",
-				len(p.Payload), p.Payload[3])
+		d, err := packet.UnmarshalNamedData(p.Payload)
+		if err != nil {
+			return fmt.Errorf("named-data payload: %w", err)
 		}
-		producer := packet.Address(binary.BigEndian.Uint16(p.Payload[0:2]))
-		hops := p.Payload[2]
-		nameLen := int(p.Payload[3])
-		name := p.Payload[4 : 4+nameLen]
-		content := p.Payload[4+nameLen:]
-		fmt.Fprintf(w, "  data %s producer=%v hops=%d\n", previewPayload(name), producer, hops)
-		fmt.Fprintf(w, "  content (%d B): %s\n", len(content), previewPayload(content))
+		fmt.Fprintf(w, "  data %s producer=%v hops=%d\n", previewPayload([]byte(d.Name)), d.Producer, d.Hops)
+		fmt.Fprintf(w, "  content (%d B): %s\n", len(d.Content), previewPayload(d.Content))
 	case p.Type == packet.TypeSlotBeacon:
-		// slots(1) + slot(1) + depth(1), exactly.
-		if len(p.Payload) != 3 {
-			return fmt.Errorf("slot-beacon payload: %d bytes, want 3", len(p.Payload))
+		b, err := packet.UnmarshalSlotBeacon(p.Payload)
+		if err != nil {
+			return fmt.Errorf("slot-beacon payload: %w", err)
 		}
-		fmt.Fprintf(w, "  slot beacon: slot %d of %d, sender depth %d\n",
-			p.Payload[1], p.Payload[0], p.Payload[2])
+		fmt.Fprintf(w, "  slot beacon: slot %d of %d, sender depth %d\n", b.Slot, b.Slots, b.Depth)
 	case len(p.Payload) > 0:
 		fmt.Fprintf(w, "  payload (%d B): %s\n", len(p.Payload), previewPayload(p.Payload))
 	}

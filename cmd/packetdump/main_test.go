@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-func encodeHex(t *testing.T, p *packet.Packet) string {
+func encodeHex(t testing.TB, p *packet.Packet) string {
 	t.Helper()
 	buf, err := packet.Marshal(p)
 	if err != nil {
@@ -236,6 +236,86 @@ func TestDumpSlotBeacon(t *testing.T) {
 	}
 }
 
+// TestDumpStrategyPayloadBounds walks each strategy payload across the
+// edges of what its engine accepts: packetdump must reject exactly what a
+// node rejects, with an error and never a panic.
+func TestDumpStrategyPayloadBounds(t *testing.T) {
+	interest := func(name string) []byte {
+		return append(packet.Breadcrumb{ID: 1, Hops: 2, PrevHop: 3}.Append(nil), name...)
+	}
+	for _, c := range []struct {
+		what    string
+		typ     packet.Type
+		payload []byte
+		ok      bool
+	}{
+		{"interest, empty name", packet.TypeInterest, interest(""), false},
+		{"interest, 1-byte name", packet.TypeInterest, interest("n"), true},
+		{"interest, MaxNameLen name", packet.TypeInterest, interest(strings.Repeat("n", packet.MaxNameLen)), true},
+		{"interest, name past MaxNameLen", packet.TypeInterest, interest(strings.Repeat("n", packet.MaxNameLen+1)), false},
+		{"interest, 4-byte header", packet.TypeInterest, []byte{0, 1, 2, 0}, false},
+		{"named data, 0 bytes", packet.TypeNamedData, []byte{}, false},
+		{"named data, 1 byte", packet.TypeNamedData, []byte{0}, false},
+		{"named data, 2 bytes", packet.TypeNamedData, []byte{0, 9}, false},
+		{"named data, 3 bytes", packet.TypeNamedData, []byte{0, 9, 2}, false},
+		{"named data, header only", packet.TypeNamedData, []byte{0, 9, 2, 0}, true},
+		{"named data, name length past the end", packet.TypeNamedData, []byte{0, 9, 2, 2, 'x'}, false},
+		{"slot beacon, 2 bytes", packet.TypeSlotBeacon, []byte{3, 1}, false},
+		{"slot beacon, 3 bytes", packet.TypeSlotBeacon, []byte{3, 1, 2}, true},
+		{"slot beacon, 4 bytes", packet.TypeSlotBeacon, []byte{3, 1, 2, 0}, false},
+	} {
+		p := &packet.Packet{Dst: packet.Broadcast, Src: 2, Type: c.typ, Payload: c.payload}
+		if c.typ.Routed() {
+			p.Dst, p.Via = 5, 3
+		}
+		err := dump(io.Discard, encodeHex(t, p), loraphy.DefaultParams(), nil)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: dump error %v, want accepted %v", c.what, err, c.ok)
+		}
+	}
+}
+
+// FuzzDump feeds arbitrary frames to dump, with and without a key: no
+// input may panic. The seeds are the frames the TestDump* cases build.
+func FuzzDump(f *testing.F) {
+	key := meshsec.Key{0x2b, 0x7e, 0x15, 0x16}
+	hello, err := packet.MarshalHello([]packet.HelloEntry{{Addr: 0x1234, Metric: 2, Role: packet.RoleSink}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range []*packet.Packet{
+		{Dst: packet.Broadcast, Src: 1, Type: packet.TypeHello, Payload: hello},
+		{Dst: 9, Src: 2, Type: packet.TypeData, Via: 3, Payload: []byte("hi")},
+		{Dst: packet.Broadcast, Src: 2, Type: packet.TypeInterest,
+			Payload: append(packet.Breadcrumb{ID: 258, Hops: 3, PrevHop: 7}.Append(nil), "city/7/air"...)},
+		{Dst: 2, Src: 5, Via: 3, Type: packet.TypeNamedData,
+			Payload: packet.NamedData{Producer: 9, Hops: 2, Name: "city/7/air", Content: []byte("21.5C")}.Append(nil)},
+		{Dst: packet.Broadcast, Src: 4, Type: packet.TypeSlotBeacon, Payload: []byte{3, 1, 2}},
+	} {
+		frame, err := hex.DecodeString(encodeHex(f, p))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame, false)
+	}
+	sealed, err := hex.DecodeString(sealedHex(f, key, &packet.Packet{
+		Dst: 2, Src: 1, Via: 2, Type: packet.TypeData, Payload: []byte("hello mesh"), Counter: 7,
+	}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed, true)
+	f.Add([]byte{0x01, 0x02}, false)
+
+	f.Fuzz(func(t *testing.T, frame []byte, keyed bool) {
+		var link *meshsec.Link
+		if keyed {
+			link = meshsec.NewLink(key, 0)
+		}
+		_ = dump(io.Discard, hex.EncodeToString(frame), loraphy.DefaultParams(), link)
+	})
+}
+
 func TestDumpEventsStrategyKinds(t *testing.T) {
 	tr := trace.New(16, 0)
 	var jsonl bytes.Buffer
@@ -297,7 +377,7 @@ func TestDumpSpansCacheHit(t *testing.T) {
 // sealedHex seals p (plaintext payload) under key, as its origin p.Src
 // would, and returns the frame as hex, exactly as a capture would
 // present it.
-func sealedHex(t *testing.T, key meshsec.Key, p *packet.Packet) string {
+func sealedHex(t testing.TB, key meshsec.Key, p *packet.Packet) string {
 	t.Helper()
 	p.Secured, p.SecFlags = true, packet.SecFlagEncrypted
 	frame, err := packet.Marshal(p)

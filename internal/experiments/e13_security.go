@@ -9,8 +9,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// e13Key is the fixed network key E13 uses when Options.SecKey is nil, so
-// the published tables reproduce without any flag.
+// e13Key is the fixed network key E13 and E16 run under, so the published
+// tables reproduce.
 var e13Key = meshsec.Key{
 	0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
 	0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
@@ -28,11 +28,6 @@ func E13Security(opt Options) (*Result, error) {
 	hops := []int{1, 3, 5}
 	count := 30
 	interval := time.Minute
-	key := opt.SecKey
-	if key == nil {
-		k := e13Key
-		key = &k
-	}
 
 	res := &Result{
 		Title: fmt.Sprintf("link-layer security overhead (%d datagrams per cell, 24 B payload)",
@@ -59,7 +54,8 @@ func E13Security(opt Options) (*Result, error) {
 		var sk *meshsec.Key
 		mode := "off"
 		if c.secured {
-			sk = key
+			k := e13Key
+			sk = &k
 			mode = "on"
 		}
 		sim, err := netsim.New(netsim.Config{Topology: topo, Node: expNode(), Seed: opt.Seed, SecKey: sk})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/geo"
-	"repro/internal/meshsec"
 	"repro/internal/netsim"
 )
 
@@ -42,11 +41,6 @@ import (
 func E16SelfHealing(opt Options) (*Result, error) {
 	const probeEvery = 15 * time.Second
 	horizon := 8 * time.Minute
-	key := opt.SecKey
-	if key == nil {
-		k := e13Key
-		key = &k
-	}
 
 	res := &Result{
 		Title: fmt.Sprintf("self-healing MTTR: controller off vs on (%v horizon, probes every %v)",
@@ -64,7 +58,7 @@ func E16SelfHealing(opt Options) (*Result, error) {
 	}
 
 	if err := res.sweep(len(cells), func(i int) ([]string, error) {
-		return e16Cell(opt, cells[i].fault, cells[i].ctl, *key, horizon, probeEvery)
+		return e16Cell(opt, cells[i].fault, cells[i].ctl, horizon, probeEvery)
 	}); err != nil {
 		return nil, err
 	}
@@ -77,7 +71,7 @@ func E16SelfHealing(opt Options) (*Result, error) {
 }
 
 // e16Cell runs one (fault, controller) cell and returns its table row.
-func e16Cell(opt Options, fault string, withCtl bool, key meshsec.Key,
+func e16Cell(opt Options, fault string, withCtl bool,
 	horizon, probeEvery time.Duration) ([]string, error) {
 
 	const settle = time.Minute
@@ -111,7 +105,7 @@ func e16Cell(opt Options, fault string, withCtl bool, key meshsec.Key,
 		return nil, err
 	}
 
-	k := key
+	k := e13Key
 	// Health polls at 30 s: the silent detector's window (3 polls) must
 	// exceed the 1 min HELLO period, or a merely-quiet leaf node looks
 	// dead every time a beacon misses the window.

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/meshsec"
 	"repro/internal/netsim"
 )
 
@@ -25,10 +24,6 @@ type Options struct {
 	// Quick shrinks E15, E17 and X7, the three experiments whose
 	// published size costs seconds to a minute; the rest have one size.
 	Quick bool
-	// SecKey, when set, replaces the built-in network key in the
-	// security-aware experiments (E13). Nil keeps the fixed default so
-	// published tables reproduce without flags.
-	SecKey *meshsec.Key
 }
 
 // Result is one regenerated table/figure as rows of text cells.

@@ -115,25 +115,8 @@ var scorePenalty = map[string]int{
 	KindLatencyBound: 30,
 }
 
-// FlowSample is one end-to-end application delivery as observed by the
-// host, fed to the latency-bound invariant.
-type FlowSample struct {
-	// Src is the flow's originator, Dst the delivering node.
-	Src, Dst packet.Address
-	// Latency is send-to-delivery time.
-	Latency time.Duration
-}
-
 // Config tunes the monitor.
 type Config struct {
-	// FlowLatencyBound, when positive, arms the per-flow latency-bound
-	// invariant: every FlowSample whose Latency exceeds the bound is a
-	// latency_bound violation. Zero disables the detector.
-	FlowLatencyBound time.Duration
-	// Flows, when set, returns the flow deliveries observed since the
-	// previous poll (the host drains its sample buffer here). Called
-	// from Poll's goroutine; nil disables the latency-bound detector.
-	Flows func() []FlowSample
 	// Tracer, when set, receives every violation as a structured
 	// trace.KindHealth event (the violation kind rides Event.Seg).
 	Tracer *trace.Tracer
@@ -176,6 +159,7 @@ type Monitor struct {
 	hist       map[packet.Address]*history
 	scores     map[packet.Address]int
 	recent     []Violation // bounded tail of detections
+	late       []Violation // LateFlow reports awaiting the next poll
 	total      uint64
 	polls      uint64
 	seq        uint64 // monotonic Violation.Seq source
@@ -230,9 +214,10 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 	nodes := m.src()
 	var vs []Violation
 	vs = append(vs, RouteFaults(nodes)...)
-	vs = append(vs, m.latencyFaults()...)
 
 	m.mu.Lock()
+	vs = append(vs, m.late...)
+	m.late = nil
 	vs = append(vs, m.deltaDetectors(nodes)...)
 	for i := range vs {
 		m.seq++
@@ -258,24 +243,15 @@ func (m *Monitor) Poll(now time.Time) []Violation {
 	return vs
 }
 
-// latencyFaults drains the host's flow-delivery samples and flags every
-// one exceeding the declared per-flow latency bound. The violation is
-// attributed to the flow's originator (whose traffic missed its
-// deadline), with Dst recording the delivering node.
-func (m *Monitor) latencyFaults() []Violation {
-	if m.cfg.FlowLatencyBound <= 0 || m.cfg.Flows == nil {
-		return nil
-	}
-	var vs []Violation
-	for _, f := range m.cfg.Flows() {
-		if f.Latency <= m.cfg.FlowLatencyBound {
-			continue
-		}
-		vs = append(vs, Violation{Node: f.Src, Kind: KindLatencyBound, Dst: f.Dst,
-			Detail: fmt.Sprintf("flow %v -> %v delivered in %v, bound %v",
-				f.Src, f.Dst, f.Latency, m.cfg.FlowLatencyBound)})
-	}
-	return vs
+// LateFlow records a flow delivery from src to dst that took latency,
+// past its bound; the next Poll reports it as a latency_bound violation.
+// The violation is attributed to the flow's originator (whose traffic
+// missed its deadline), with Dst recording the delivering node.
+func (m *Monitor) LateFlow(src, dst packet.Address, latency, bound time.Duration) {
+	m.mu.Lock()
+	m.late = append(m.late, Violation{Node: src, Kind: KindLatencyBound, Dst: dst,
+		Detail: fmt.Sprintf("flow %v -> %v delivered in %v, bound %v", src, dst, latency, bound)})
+	m.mu.Unlock()
 }
 
 // deltaDetectors runs the counter-delta checks (silent, duty-stuck,

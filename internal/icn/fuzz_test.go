@@ -1,7 +1,6 @@
 package icn
 
 import (
-	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -28,21 +27,14 @@ var accepted = []string{
 // the one arrival rx.frames alone counts.
 func FuzzHandleFrame(f *testing.F) {
 	interest := func(nonce uint16, hops uint8, prev packet.Address, name string) []byte {
-		p := make([]byte, interestHeaderLen, interestHeaderLen+len(name))
-		binary.BigEndian.PutUint16(p[0:2], nonce)
-		p[2] = hops
-		binary.BigEndian.PutUint16(p[3:5], uint16(prev))
-		return append(p, name...)
+		return append(packet.Breadcrumb{ID: nonce, Hops: hops, PrevHop: prev}.Append(nil), name...)
 	}
 	data := func(producer packet.Address, hops uint8, name, content string) []byte {
-		p := make([]byte, dataHeaderLen, dataHeaderLen+len(name)+len(content))
-		binary.BigEndian.PutUint16(p[0:2], uint16(producer))
-		p[2], p[3] = hops, uint8(len(name))
-		return append(append(p, name...), content...)
+		return packet.NamedData{Producer: producer, Hops: hops, Name: name, Content: []byte(content)}.Append(nil)
 	}
 	const kindInterest, kindData, kindRaw = 0, 1, 2
 	bc := uint16(packet.Broadcast)
-	for _, name := range []string{"own", "cached", "want", "new/name", strings.Repeat("n", MaxNameLen+1)} {
+	for _, name := range []string{"own", "cached", "want", "new/name", strings.Repeat("n", packet.MaxNameLen+1)} {
 		f.Add(uint8(kindInterest), uint16(9), bc, bc, interest(7, 1, 9, name))
 	}
 	f.Add(uint8(kindInterest), uint16(9), bc, bc, interest(8, maxHops-1, 9, "far"))

@@ -24,8 +24,8 @@
 package icn
 
 import (
+	"bytes"
 	"container/list"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -38,18 +38,6 @@ import (
 	"repro/internal/span"
 	"repro/internal/trace"
 )
-
-// interestHeaderLen is nonce(2) + hops(1) + prevHop(2); the content name
-// follows.
-const interestHeaderLen = 5
-
-// dataHeaderLen is producer(2) + hops(1) + nameLen(1); the name and then
-// the content follow.
-const dataHeaderLen = 4
-
-// MaxNameLen bounds content names (they ride a length byte on data
-// packets).
-const MaxNameLen = 64
 
 // Errors returned by the API.
 var (
@@ -246,8 +234,8 @@ func (n *Node) Express(name string) error {
 	if n.stopped {
 		return ErrStopped
 	}
-	if len(name) == 0 || len(name) > MaxNameLen {
-		return fmt.Errorf("%w: %d bytes (max %d)", ErrBadName, len(name), MaxNameLen)
+	if !validName(name) {
+		return fmt.Errorf("%w: %d bytes (max %d)", ErrBadName, len(name), packet.MaxNameLen)
 	}
 	n.reg.Counter("app.sent").Inc()
 	n.reg.Counter("icn.interest.expressed").Inc()
@@ -327,11 +315,9 @@ func (e *pitEntry) addCrumb(c crumb) {
 // sendInterest enqueues one interest frame. origin is preserved across
 // relays (like an RREQ flood); prevHop is this hop's sender.
 func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevHop packet.Address) {
-	payload := make([]byte, interestHeaderLen+len(name))
-	binary.BigEndian.PutUint16(payload[0:2], nonce)
-	payload[2] = hops
-	binary.BigEndian.PutUint16(payload[3:5], uint16(prevHop))
-	copy(payload[interestHeaderLen:], name)
+	payload := packet.Breadcrumb{ID: nonce, Hops: hops, PrevHop: prevHop}.
+		Append(make([]byte, 0, packet.BreadcrumbLen+len(name)))
+	payload = append(payload, name...)
 	p := &packet.Packet{
 		Dst: packet.Broadcast, Src: origin, Type: packet.TypeInterest, Payload: payload,
 	}
@@ -345,12 +331,8 @@ func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevH
 // sendData enqueues one named-data frame carrying content toward origin
 // via the downstream breadcrumb.
 func (n *Node) sendData(name string, content []byte, producer packet.Address, hops uint8, origin, downstream packet.Address) {
-	payload := make([]byte, dataHeaderLen+len(name)+len(content))
-	binary.BigEndian.PutUint16(payload[0:2], uint16(producer))
-	payload[2] = hops
-	payload[3] = uint8(len(name))
-	copy(payload[dataHeaderLen:], name)
-	copy(payload[dataHeaderLen+len(name):], content)
+	payload := packet.NamedData{Producer: producer, Hops: hops, Name: name, Content: content}.
+		Append(make([]byte, 0, packet.NamedDataHeaderLen+len(name)+len(content)))
 	p := &packet.Packet{
 		Dst: origin, Src: n.cfg.Address, Type: packet.TypeNamedData,
 		Via: downstream, Payload: payload,
@@ -412,19 +394,13 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 // handleInterest runs the ICN forwarding plane for one interest: dedup,
 // producer/cache answer, PIT aggregation, or relay.
 func (n *Node) handleInterest(p *packet.Packet) {
-	if len(p.Payload) < interestHeaderLen+1 {
+	b, tail, err := packet.UnmarshalBreadcrumb(p.Payload)
+	name := string(tail)
+	if err != nil || !validName(name) {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
-	nonce := binary.BigEndian.Uint16(p.Payload[0:2])
-	hops := p.Payload[2]
-	prevHop := packet.Address(binary.BigEndian.Uint16(p.Payload[3:5]))
-	name := string(p.Payload[interestHeaderLen:])
-	if len(name) > MaxNameLen {
-		n.reg.Counter("rx.corrupt").Inc()
-		return
-	}
-	key := nonceKey{origin: p.Src, nonce: nonce}
+	key := nonceKey{origin: p.Src, nonce: b.ID}
 	if n.seen.Remember(key) {
 		n.reg.Counter("icn.interest.duplicate").Inc()
 		return
@@ -438,12 +414,12 @@ func (n *Node) handleInterest(p *packet.Packet) {
 		} else {
 			n.reg.Counter("icn.data.produced").Inc()
 		}
-		n.sendData(name, own.content, own.producer, own.hops, p.Src, prevHop)
+		n.sendData(name, own.content, own.producer, own.hops, p.Src, b.PrevHop)
 		return
 	}
 	n.reg.Counter("icn.cs.miss").Inc()
 
-	c := crumb{downstream: prevHop, origin: p.Src}
+	c := crumb{downstream: b.PrevHop, origin: p.Src}
 	if e, ok := n.livePIT(name); ok {
 		// Aggregation: the upstream round trip is already in flight; this
 		// reader just adds a breadcrumb.
@@ -455,7 +431,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 		}
 		return
 	}
-	if hops+1 >= maxHops {
+	if b.Hops+1 >= maxHops {
 		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}
@@ -470,7 +446,7 @@ func (n *Node) handleInterest(p *packet.Packet) {
 	// outright.
 	delay := time.Duration((1.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.reg.Counter("icn.interest.relayed").Inc()
-	n.scheduleInterest(name, nonce, hops+1, p.Src, delay)
+	n.scheduleInterest(name, b.ID, b.Hops+1, p.Src, delay)
 }
 
 // scheduleInterest defers a relayed interest (jittered flood).
@@ -495,7 +471,7 @@ func (n *Node) creditAirtimeSaved(e *csEntry, nameLen int) {
 	if e.hops == 0 {
 		return
 	}
-	wire := packet.HeaderLen(packet.TypeNamedData) + dataHeaderLen + nameLen + len(e.content)
+	wire := packet.HeaderLen(packet.TypeNamedData) + packet.NamedDataHeaderLen + nameLen + len(e.content)
 	if wire > packet.MaxFrameLen {
 		wire = packet.MaxFrameLen
 	}
@@ -515,19 +491,13 @@ func (n *Node) creditAirtimeSaved(e *csEntry, nameLen int) {
 // requester the overheard frame is already travelling to are dropped
 // silently rather than served twice.
 func (n *Node) handleData(p *packet.Packet, overheard bool) {
-	if len(p.Payload) < dataHeaderLen {
+	d, err := packet.UnmarshalNamedData(p.Payload)
+	if err != nil {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
-	producer := packet.Address(binary.BigEndian.Uint16(p.Payload[0:2]))
-	hops := p.Payload[2]
-	nameLen := int(p.Payload[3])
-	if len(p.Payload) < dataHeaderLen+nameLen {
-		n.reg.Counter("rx.corrupt").Inc()
-		return
-	}
-	name := string(p.Payload[dataHeaderLen : dataHeaderLen+nameLen])
-	content := append([]byte(nil), p.Payload[dataHeaderLen+nameLen:]...)
+	name, producer, hops := d.Name, d.Producer, d.Hops
+	content := append([]byte(nil), d.Content...)
 
 	// Remember the answer in flight so a queued answer of our own for the
 	// same requester stands down (see sendData).
@@ -645,6 +615,18 @@ func (n *Node) deliverContent(name string, producer packet.Address, content []by
 		Payload: payload,
 		At:      n.env.Now(),
 	})
+}
+
+// SplitDelivery splits an application delivery's payload, as
+// deliverContent writes it, into the content name and the content.
+func SplitDelivery(payload []byte) (name string, content []byte, ok bool) {
+	head, content, ok := bytes.Cut(payload, []byte{0})
+	return string(head), content, ok
+}
+
+// validName is the interest name rule: 1..packet.MaxNameLen bytes.
+func validName(name string) bool {
+	return len(name) > 0 && len(name) <= packet.MaxNameLen
 }
 
 // HandleTxDone resumes the transmit queue.

@@ -2,7 +2,6 @@ package icn
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"strings"
@@ -149,7 +148,7 @@ func TestExpressValidation(t *testing.T) {
 	if err := n.Express(""); !errors.Is(err, ErrBadName) {
 		t.Errorf("empty name: %v", err)
 	}
-	if err := n.Express(strings.Repeat("x", MaxNameLen+1)); !errors.Is(err, ErrBadName) {
+	if err := n.Express(strings.Repeat("x", packet.MaxNameLen+1)); !errors.Is(err, ErrBadName) {
 		t.Errorf("oversized name: %v", err)
 	}
 	n.Stop()
@@ -289,11 +288,7 @@ func TestInterestAggregation(t *testing.T) {
 // interestFrame marshals one interest as a peer would send it.
 func interestFrame(t *testing.T, src packet.Address, name string, nonce uint16, hops uint8) []byte {
 	t.Helper()
-	payload := make([]byte, interestHeaderLen+len(name))
-	binary.BigEndian.PutUint16(payload[0:2], nonce)
-	payload[2] = hops
-	binary.BigEndian.PutUint16(payload[3:5], uint16(src))
-	copy(payload[interestHeaderLen:], name)
+	payload := append(packet.Breadcrumb{ID: nonce, Hops: hops, PrevHop: src}.Append(nil), name...)
 	frame, err := packet.Marshal(&packet.Packet{
 		Dst: packet.Broadcast, Src: src, Type: packet.TypeInterest, Payload: payload,
 	})

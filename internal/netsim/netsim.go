@@ -193,10 +193,8 @@ type Sim struct {
 	injector *faults.Injector
 	// latencyBound is the per-flow delivery deadline the health monitor
 	// enforces: slotted.LatencyBound under forward.KindSlotted, else zero.
+	// StartFlow hands the monitor each delivery later than it.
 	latencyBound time.Duration
-	// flowSamples buffers StartFlow deliveries for that invariant; drained
-	// every poll. Only filled when latencyBound is positive.
-	flowSamples []health.FlowSample
 	// control is the attached self-healing controller; nil without one.
 	control *control.Controller
 }
@@ -280,12 +278,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	if cfg.HealthInterval > 0 {
-		hc := health.Config{Tracer: s.Tracer}
-		if latencyBound > 0 {
-			hc.FlowLatencyBound = latencyBound
-			hc.Flows = s.drainFlowSamples
-		}
-		s.Health = health.New(hc, s.healthSource)
+		s.Health = health.New(health.Config{Tracer: s.Tracer}, s.healthSource)
 		var tick func()
 		tick = func() {
 			s.Health.Poll(s.Sched.Now())
@@ -294,14 +287,6 @@ func New(cfg Config) (*Sim, error) {
 		s.Sched.MustAfter(cfg.HealthInterval, tick)
 	}
 	return s, nil
-}
-
-// drainFlowSamples hands the buffered StartFlow deliveries to the health
-// monitor's latency-bound invariant and resets the buffer.
-func (s *Sim) drainFlowSamples() []health.FlowSample {
-	out := s.flowSamples
-	s.flowSamples = nil
-	return out
 }
 
 // healthSource snapshots every node for the health monitor: liveness,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/forward"
 	"repro/internal/geo"
 	"repro/internal/health"
+	"repro/internal/icn"
 	"repro/internal/packet"
 	"repro/internal/slotted"
 )
@@ -255,11 +256,10 @@ func TestICNCorrectUnderChaosAcrossSeeds(t *testing.T) {
 			for i, in := range consumers {
 				for _, msg := range in.msgs {
 					delivered++
-					sep := bytes.IndexByte(msg.Payload, 0)
-					if sep < 0 {
+					name, content, ok := icn.SplitDelivery(msg.Payload)
+					if !ok {
 						t.Fatalf("consumer %d: delivery %q has no name separator", i, msg.Payload)
 					}
-					name, content := string(msg.Payload[:sep]), msg.Payload[sep+1:]
 					if !bytes.Equal(content, icnContent(name)) {
 						t.Errorf("consumer %d: content for %q = %q, want %q",
 							i, name, content, icnContent(name))

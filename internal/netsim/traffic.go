@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -10,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forward"
-	"repro/internal/health"
+	"repro/internal/icn"
 )
 
 // TrafficStats accumulates the outcome of a generated workload.
@@ -95,9 +94,8 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 		stats.Latencies = append(stats.Latencies, lat)
 		s.reg.Counter("flows.delivered").Inc()
 		s.reg.Histogram("e2e.latency_ms").ObserveDuration(lat)
-		if s.latencyBound > 0 {
-			s.flowSamples = append(s.flowSamples,
-				health.FlowSample{Src: src.Addr, Dst: dst.Addr, Latency: lat})
+		if s.latencyBound > 0 && lat > s.latencyBound {
+			s.Health.LateFlow(src.Addr, dst.Addr, lat, s.latencyBound)
 		}
 	}
 
@@ -210,12 +208,11 @@ func (s *Sim) StartInterestRounds(prefix string, period, duration time.Duration)
 			if prev != nil {
 				prev(msg)
 			}
-			// ICN deliveries are name, NUL, content.
-			sep := bytes.IndexByte(msg.Payload, 0)
-			if sep < 0 {
+			name, _, ok := icn.SplitDelivery(msg.Payload)
+			if !ok {
 				return
 			}
-			tail, ok := strings.CutPrefix(string(msg.Payload[:sep]), prefix)
+			tail, ok := strings.CutPrefix(name, prefix)
 			if !ok {
 				return
 			}

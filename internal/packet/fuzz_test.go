@@ -65,3 +65,52 @@ func FuzzUnmarshalHello(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStrategyPayloads drives the strategy payload codecs both ways:
+// decoding arbitrary bytes never panics and re-encodes whatever it
+// accepts to the identical bytes, and every header the fuzzer builds
+// decodes back to itself.
+func FuzzStrategyPayloads(f *testing.F) {
+	f.Add(Breadcrumb{ID: 258, Hops: 3, PrevHop: 7}.Append(nil), uint16(1), uint8(2), uint16(3), "city/7/air", []byte("21.5C"))
+	f.Add(NamedData{Producer: 9, Hops: 2, Name: "city/7/air", Content: []byte("21.5C")}.Append(nil), uint16(0), uint8(0), uint16(0), "", []byte{})
+	f.Add(SlotBeacon{Slots: 3, Slot: 1, Depth: 2}.Append(nil), uint16(0xFFFF), uint8(255), uint16(0xFFFF), "n", []byte(nil))
+	f.Add([]byte{0x00, 0x09, 2, 200, 'x'}, uint16(0), uint8(0), uint16(0), "", []byte(nil))
+	f.Add([]byte{}, uint16(0), uint8(0), uint16(0), "", []byte(nil))
+
+	f.Fuzz(func(t *testing.T, data []byte, id uint16, hops uint8, prev uint16, name string, content []byte) {
+		if b, rest, err := UnmarshalBreadcrumb(data); err == nil {
+			if out := append(b.Append(nil), rest...); !bytes.Equal(out, data) {
+				t.Fatalf("breadcrumb decode/encode not identity:\n in  %x\n out %x", data, out)
+			}
+		}
+		if d, err := UnmarshalNamedData(data); err == nil {
+			if out := d.Append(nil); !bytes.Equal(out, data) {
+				t.Fatalf("named-data decode/encode not identity:\n in  %x\n out %x", data, out)
+			}
+		}
+		if s, err := UnmarshalSlotBeacon(data); err == nil {
+			if out := s.Append(nil); !bytes.Equal(out, data) {
+				t.Fatalf("slot-beacon decode/encode not identity:\n in  %x\n out %x", data, out)
+			}
+		}
+
+		b := Breadcrumb{ID: id, Hops: hops, PrevHop: Address(prev)}
+		gotB, tail, err := UnmarshalBreadcrumb(append(b.Append(nil), name...))
+		if err != nil || gotB != b || string(tail) != name {
+			t.Fatalf("breadcrumb %+v + %q decoded as %+v + %q, %v", b, name, gotB, tail, err)
+		}
+		s := SlotBeacon{Slots: uint8(id), Slot: uint8(id >> 8), Depth: hops}
+		if gotS, err := UnmarshalSlotBeacon(s.Append(nil)); err != nil || gotS != s {
+			t.Fatalf("slot beacon %+v decoded as %+v, %v", s, gotS, err)
+		}
+		if len(name) > 255 {
+			return // the name rides a length byte
+		}
+		d := NamedData{Producer: Address(prev), Hops: hops, Name: name, Content: content}
+		gotD, err := UnmarshalNamedData(d.Append(nil))
+		if err != nil || gotD.Producer != d.Producer || gotD.Hops != d.Hops ||
+			gotD.Name != d.Name || !bytes.Equal(gotD.Content, d.Content) {
+			t.Fatalf("named data %+v decoded as %+v, %v", d, gotD, err)
+		}
+	})
+}

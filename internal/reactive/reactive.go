@@ -16,7 +16,6 @@
 package reactive
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -26,10 +25,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/packet"
 )
-
-// rreqPayloadLen is requestID(2) + hopCount(1) + prevHop(2): the fields a
-// discovery flood accumulates hop by hop.
-const rreqPayloadLen = 5
 
 // Errors returned by the API.
 var (
@@ -248,10 +243,7 @@ func (n *Node) discoveryTimeout(d *discovery) {
 
 // floodRReq broadcasts one route request.
 func (n *Node) floodRReq(target packet.Address, id uint16, hopCount uint8, prevHop packet.Address) {
-	payload := make([]byte, rreqPayloadLen)
-	binary.BigEndian.PutUint16(payload[0:2], id)
-	payload[2] = hopCount
-	binary.BigEndian.PutUint16(payload[3:5], uint16(prevHop))
+	payload := packet.Breadcrumb{ID: id, Hops: hopCount, PrevHop: prevHop}.Append(nil)
 	n.tx.Enqueue(&packet.Packet{
 		Dst: target, Src: n.addr, Type: packet.TypeRouteRequest, Payload: payload,
 	}, 0)
@@ -293,37 +285,32 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 // handleRReq processes a discovery flood: learn the reverse route, answer
 // if we are the target, otherwise relay.
 func (n *Node) handleRReq(p *packet.Packet) {
-	if len(p.Payload) != rreqPayloadLen {
+	b, ok := breadcrumb(p)
+	if !ok {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
 	// p.Src is the RREQ originator, not the link-layer sender: the relay
 	// chain preserves it so reverse routes point at the right endpoint.
-	id := binary.BigEndian.Uint16(p.Payload[0:2])
-	hopCount := p.Payload[2]
-	prevHop := packet.Address(binary.BigEndian.Uint16(p.Payload[3:5]))
-	key := reqKey{origin: p.Src, id: id}
+	key := reqKey{origin: p.Src, id: b.ID}
 	if n.seen.Remember(key) {
 		n.reg.Counter("rreq.duplicate").Inc()
 		return
 	}
-	n.learnRoute(p.Src, prevHop, hopCount+1)
+	n.learnRoute(p.Src, b.PrevHop, b.Hops+1)
 
 	if p.Dst == n.addr {
 		// We are the destination: reply along the reverse path.
-		n.sendRRep(p.Src, prevHop, id)
+		n.sendRRep(p.Src, b.PrevHop, b.ID)
 		return
 	}
-	if hopCount+1 >= maxHops {
+	if b.Hops+1 >= maxHops {
 		n.reg.Counter("drop." + forward.DropTTL).Inc()
 		return
 	}
 	// Relay after a randomized hold-off so simultaneous relays collide
 	// less. The relayed request keeps the original Src (originator).
-	payload := make([]byte, rreqPayloadLen)
-	binary.BigEndian.PutUint16(payload[0:2], id)
-	payload[2] = hopCount + 1
-	binary.BigEndian.PutUint16(payload[3:5], uint16(n.addr))
+	payload := packet.Breadcrumb{ID: b.ID, Hops: b.Hops + 1, PrevHop: n.addr}.Append(nil)
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
 	n.tx.Enqueue(&packet.Packet{
 		Dst: p.Dst, Src: p.Src, Type: packet.TypeRouteRequest, Payload: payload,
@@ -331,12 +318,16 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	n.reg.Counter("rreq.relayed").Inc()
 }
 
+// breadcrumb decodes an RREQ or RREP payload, which is exactly one
+// breadcrumb.
+func breadcrumb(p *packet.Packet) (packet.Breadcrumb, bool) {
+	b, rest, err := packet.UnmarshalBreadcrumb(p.Payload)
+	return b, err == nil && len(rest) == 0
+}
+
 // sendRRep originates a route reply toward the RREQ originator.
 func (n *Node) sendRRep(origin, via packet.Address, id uint16) {
-	payload := make([]byte, rreqPayloadLen)
-	binary.BigEndian.PutUint16(payload[0:2], id)
-	payload[2] = 0
-	binary.BigEndian.PutUint16(payload[3:5], uint16(n.addr))
+	payload := packet.Breadcrumb{ID: id, PrevHop: n.addr}.Append(nil)
 	n.tx.Enqueue(&packet.Packet{
 		Dst: origin, Src: n.addr, Type: packet.TypeRouteReply,
 		Via: via, Payload: payload,
@@ -347,14 +338,13 @@ func (n *Node) sendRRep(origin, via packet.Address, id uint16) {
 // handleRRep walks a reply back toward the originator, installing the
 // forward route at every hop.
 func (n *Node) handleRRep(p *packet.Packet) {
-	if len(p.Payload) != rreqPayloadLen {
+	b, ok := breadcrumb(p)
+	if !ok {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
-	hopCount := p.Payload[2]
-	prevHop := packet.Address(binary.BigEndian.Uint16(p.Payload[3:5]))
 	// p.Src is the replying destination: the forward route.
-	n.learnRoute(p.Src, prevHop, hopCount+1)
+	n.learnRoute(p.Src, b.PrevHop, b.Hops+1)
 
 	if p.Dst == n.addr {
 		// Discovery complete: flush everything waiting on this route.
@@ -381,8 +371,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	}
 	fwd := p.Clone()
 	fwd.Via = r.next
-	fwd.Payload[2] = hopCount + 1
-	binary.BigEndian.PutUint16(fwd.Payload[3:5], uint16(n.addr))
+	fwd.Payload = packet.Breadcrumb{ID: b.ID, Hops: b.Hops + 1, PrevHop: n.addr}.Append(fwd.Payload[:0])
 	n.tx.Enqueue(fwd, 0)
 	n.reg.Counter("rrep.forwarded").Inc()
 }

@@ -169,7 +169,7 @@ func (s *Node) beaconTick() {
 	}
 	slot := s.Slot()
 	s.Metrics().Gauge("slotted.slot").Set(float64(slot))
-	payload := []byte{slots, uint8(slot), uint8(s.depth())}
+	payload := packet.SlotBeacon{Slots: slots, Slot: uint8(slot), Depth: uint8(s.depth())}.Append(nil)
 	if err := s.SendBeacon(packet.TypeSlotBeacon, payload); err == nil {
 		s.Metrics().Counter("slotted.beacon.tx").Inc()
 		if tr := s.Config().Tracer; tr.Enabled() {
@@ -183,13 +183,13 @@ func (s *Node) beaconTick() {
 // handleBeacon counts neighbor slot beacons (observability only: slot
 // assignment is derived from the routing table, not from beacons).
 func (s *Node) handleBeacon(p *packet.Packet, _ core.RxInfo) {
-	if len(p.Payload) != 3 {
+	b, err := packet.UnmarshalSlotBeacon(p.Payload)
+	if err != nil {
 		return
 	}
 	s.Metrics().Counter("slotted.beacon.rx").Inc()
 	if tr := s.Config().Tracer; tr.Enabled() {
 		tr.Emit(s.env.Now(), s.Address().String(), trace.KindSlotBeacon,
-			"heard slot beacon from %v: slot %d/%d depth %d",
-			p.Src, p.Payload[1], p.Payload[0], p.Payload[2])
+			"heard slot beacon from %v: slot %d/%d depth %d", p.Src, b.Slot, b.Slots, b.Depth)
 	}
 }
