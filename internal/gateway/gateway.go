@@ -87,18 +87,6 @@ type Reading struct {
 	At time.Time
 }
 
-// FromAppMessage converts a mesh delivery into a spoolable reading.
-func FromAppMessage(m core.AppMessage) Reading {
-	return Reading{
-		From:     m.From,
-		To:       m.To,
-		Trace:    m.Trace,
-		Payload:  append([]byte(nil), m.Payload...),
-		Reliable: m.Reliable,
-		At:       m.At,
-	}
-}
-
 // Downlink is one backend→mesh command, returned in uplink responses.
 type Downlink struct {
 	// To is the destination mesh node.
@@ -502,9 +490,11 @@ func (g *Gateway) BreakerOpen() bool {
 }
 
 // Offer admits one reading into its origin's shard. It returns true when
-// the reading was admitted, false when it was recognized as a duplicate.
-// Offer never blocks on the network, and offers for different origins
-// contend only on their own shard's lock.
+// the reading was admitted, false when it was recognized as a duplicate
+// (or refused: a shard holds under 4 GiB of pending payloads). The spool
+// keeps its own copy, so the caller may reuse r.Payload once Offer
+// returns. Offer never blocks on the network, and offers for different
+// origins contend only on their own shard's lock.
 func (g *Gateway) Offer(r Reading) bool {
 	if control.IsReport(r.Payload) {
 		// Control-plane feedback reaching the spool means no reconciler
@@ -519,10 +509,14 @@ func (g *Gateway) Offer(r Reading) bool {
 	sh := g.shards[g.ring.shard(r.From)]
 	g.reg.Counter("gw.offered").Inc()
 	sh.mu.Lock()
-	dup, evicted, err := sh.sp.add(r)
+	dup, evictedID, evicted, err := sh.sp.add(r)
 	depth := sh.sp.len()
 	sh.mu.Unlock()
 
+	if err == errSpoolFull {
+		g.admission("gw.drop.full", r.Trace, span.SegDrop, "gw_full")
+		return false
+	}
 	if err != nil {
 		// The reading is queued in memory even when the WAL write
 		// failed; durability degrades, delivery does not.
@@ -534,8 +528,8 @@ func (g *Gateway) Offer(r Reading) bool {
 		g.admission("gw.drop.duplicate", r.Trace, span.SegDrop, "gw_duplicate")
 		return false
 	}
-	if evicted != nil {
-		g.admission("gw.drop.oldest", evicted.Trace, span.SegDrop, "gw_evicted")
+	if evicted {
+		g.admission("gw.drop.oldest", evictedID, span.SegDrop, "gw_evicted")
 	}
 	g.admission("gw.accepted", r.Trace, span.SegEnqueue, "gw_spool")
 	if depth >= g.cfg.BatchSize {
@@ -547,8 +541,10 @@ func (g *Gateway) Offer(r Reading) bool {
 	return true
 }
 
-// OfferMessage converts and admits a mesh delivery.
-func (g *Gateway) OfferMessage(m core.AppMessage) bool { return g.Offer(FromAppMessage(m)) }
+// OfferMessage admits a mesh delivery; like Offer, it copies the payload.
+func (g *Gateway) OfferMessage(m core.AppMessage) bool {
+	return g.Offer(Reading{From: m.From, To: m.To, Trace: m.Trace, Payload: m.Payload, Reliable: m.Reliable, At: m.At})
+}
 
 // Poll advances the uplinker at the given time: it performs every flush
 // that is due (full batches drain eagerly, up to Pipeline batches in

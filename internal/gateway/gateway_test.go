@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -458,5 +461,97 @@ func TestGatewayRestartReplay(t *testing.T) {
 		if got[i].Trace != id {
 			t.Fatalf("reading %d out of order or lost: %v != %v", i, got[i].Trace, id)
 		}
+	}
+}
+
+// TestGatewayHeapFlatInOutages is ingest's run-length fence: a gateway that
+// went through four outage → restart → replay → drain cycles holds, once
+// the last backlog drains and the backend is released, within 10 % of what
+// one holds after a single cycle. What a gateway holds is the live heap
+// with it less the live heap once it is closed and dropped, so what the
+// runtime keeps of the run (goroutine records, idle connections) cancels.
+// The horizon is 16 IDs: a Go map that churns settles at a size that
+// depends on its hash seed, and the horizon's bound has its own test.
+func TestGatewayHeapFlatInOutages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spools and drains 120 k readings")
+	}
+	const perOutage, horizon, bound = 8_000, 16, 0.10
+	held := func(outages int) int64 {
+		goroutines := runtime.NumGoroutine()
+		sb := NewShardedBackend(2)
+		srv := httptest.NewServer(sb)
+		cfg := Config{
+			URLs: sb.URLs(srv.URL), Addr: 1, SpoolPath: filepath.Join(t.TempDir(), "gw.wal"),
+			SpoolCapacity: 2 * perOutage, BatchSize: 64, FlushInterval: time.Millisecond, DedupHorizon: horizon,
+		}
+		var g *Gateway
+		now, next := time.Unix(0, 0), 0
+		for c := 0; c < outages; c++ {
+			sb.Shard(0).SetFailing(true)
+			sb.Shard(1).SetFailing(true)
+			spooler, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for end := next + perOutage; next < end; next++ {
+				spooler.Offer(reading(packet.Address(2+next%16), uint64(next+1), now))
+			}
+			spooler.Close() // the flush fails; the WAL keeps the backlog
+			if g != nil {
+				g.Close()
+			}
+			sb.Shard(0).SetFailing(false)
+			sb.Shard(1).SetFailing(false)
+			if g, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if g.Pending() != perOutage {
+				t.Fatalf("outage %d: replayed %d readings, want %d", c, g.Pending(), perOutage)
+			}
+			for i := 0; i < 1000 && g.Pending() > 0; i++ {
+				now = now.Add(time.Second)
+				g.Poll(now)
+			}
+			if g.Pending() != 0 {
+				t.Fatalf("outage %d: %d readings left after the drain", c, g.Pending())
+			}
+		}
+		if got := sb.Shard(0).Distinct() + sb.Shard(1).Distinct(); got != outages*perOutage {
+			t.Fatalf("the backend holds %d readings, want %d", got, outages*perOutage)
+		}
+		// Release the backend, whose receipts grow with every cycle by
+		// design, and wait out the connections' goroutines: each end of a
+		// connection holds buffers, and the server's holds the backend, a
+		// moment past Close.
+		srv.Close()
+		var gone atomic.Bool
+		runtime.SetFinalizer(sb, func(*ShardedBackend) { gone.Store(true) })
+		sb = nil
+		for i := 0; i < 1000 && (!gone.Load() || runtime.NumGoroutine() > goroutines); i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if !gone.Load() || runtime.NumGoroutine() > goroutines {
+			t.Fatalf("the backend is still reachable (%v) or connections still run (%d goroutines, %d before)", !gone.Load(), runtime.NumGoroutine(), goroutines)
+		}
+		with := liveHeap()
+		g.Close()
+		g = nil
+		return with - liveHeap()
+	}
+	// The least of three runs: a histogram that saw a longer round trip
+	// holds a bucket more, a few hundred bytes of noise either way.
+	least := func(outages int) int64 {
+		m := held(outages)
+		for i := 1; i < 3; i++ {
+			m = min(m, held(outages))
+		}
+		return m
+	}
+	one, four := least(1), least(4)
+	t.Logf("a drained gateway holds %d B after one outage, %d B after four", one, four)
+	if d := math.Abs(float64(four-one)) / float64(one); d > bound {
+		t.Fatalf("after four outages the gateway holds %d B, after one %d B: %.0f %% apart, bound %.0f %%", four, one, 100*d, 100*bound)
 	}
 }

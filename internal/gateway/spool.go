@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"time"
 
@@ -78,13 +80,20 @@ type spool struct {
 	unflushed   int
 
 	// slots holds the readings admitted as base, base+1, … in order, and
-	// state what became of each; a dead slot's reading is zeroed. The head
-	// slot is never dead (trim restores that after every removal), and both
-	// slices grow on demand — never pre-sized to capacity — and are
-	// dropped when the queue empties.
-	slots []Reading
+	// state what became of each. The head slot is never dead (trim
+	// restores that after every removal), and both slices grow on demand —
+	// never pre-sized to capacity — and are dropped when the queue empties.
+	slots []slot
 	state []slotState
 	base  uint64
+	// data is the payload arena: the slots' payloads back to back, the
+	// head's starting at offset start (offsets count mod 2³², so a live
+	// span stays under 4 GiB — add refuses what would reach it). Its bytes
+	// are written once and never rewritten: trim reslices past dead heads
+	// and an emptied queue drops the array, so a payload handed out (an
+	// in-flight batch, a compaction snapshot) stays valid without a copy.
+	data  []byte
+	start uint32
 	live  int // slots not dead: the pending readings
 	busy  int // of those, how many ride an in-flight batch
 	seen  map[trace.TraceID]struct{}
@@ -116,6 +125,77 @@ type spool struct {
 	// lost its trailing newline to a crash; it is truncated away with the
 	// torn bytes and re-appended, framed, once the writer is open.
 	tail []byte
+}
+
+// slot is one admitted reading as the queue holds it: 32 bytes and no
+// pointer, its payload in the arena. At is kept as its instant and its
+// zone's offset there (or that it was Local), so the rebuilt At is Equal
+// to it and formats to the same bytes; its monotonic reading, which a WAL
+// replay drops anyway, and the name of a zone other than UTC or Local are
+// not kept.
+type slot struct {
+	trace    trace.TraceID
+	sec      int64  // At as unix seconds
+	nsec     uint32 // At's nanoseconds, plus the atLocal and isReliable bits
+	zone     int32  // At's zone offset in seconds east of UTC, unless atLocal
+	end      uint32 // the arena offset just past the payload
+	from, to packet.Address
+}
+
+const (
+	nsecMask   = 1<<30 - 1
+	atLocal    = 1 << 30 // At was in time.Local: rebuild it there
+	isReliable = 1 << 31
+
+	// maxArena bounds the arena's live span: its offsets are 32-bit.
+	maxArena = 1<<32 - 1
+)
+
+// errSpoolFull refuses a reading whose payload would stretch the arena's
+// live span past maxArena.
+var errSpoolFull = errors.New("gateway: spool: pending payloads would pass 4 GiB")
+
+// packSlot packs r, whose payload ends at arena offset end.
+func packSlot(r *Reading, end uint32) slot {
+	sl := slot{trace: r.Trace, sec: r.At.Unix(), nsec: uint32(r.At.Nanosecond()), end: end, from: r.From, to: r.To}
+	if r.At.Location() == time.Local {
+		sl.nsec |= atLocal
+	} else {
+		_, off := r.At.Zone()
+		sl.zone = int32(off)
+	}
+	if r.Reliable {
+		sl.nsec |= isReliable
+	}
+	return sl
+}
+
+// payload returns slots[i]'s payload: a capped window on the arena, so
+// appending to it never reaches a neighbour.
+func (s *spool) payload(i int) []byte {
+	from := s.start
+	if i > 0 {
+		from = s.slots[i-1].end
+	}
+	lo, hi := from-s.start, s.slots[i].end-s.start
+	return s.data[lo:hi:hi]
+}
+
+// reading rebuilds the reading in slots[i].
+func (s *spool) reading(i int) Reading {
+	sl := &s.slots[i]
+	at := time.Unix(sl.sec, int64(sl.nsec&nsecMask))
+	switch {
+	case sl.nsec&atLocal != 0:
+	case sl.zone == 0:
+		at = at.UTC()
+	default:
+		at = at.In(time.FixedZone("", int(sl.zone)))
+	}
+	return Reading{
+		From: sl.from, To: sl.to, Trace: sl.trace, Payload: s.payload(i),
+		Reliable: sl.nsec&isReliable != 0, At: at,
+	}
 }
 
 // slotState says what became of an admitted reading.
@@ -176,7 +256,7 @@ func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*
 	for s.live > s.capacity {
 		ev := s.evictHead()
 		s.reg.Counter("gw.drop.oldest").Inc()
-		if err := s.appendDel(ev.Trace, time.Time{}); err != nil {
+		if err := s.appendDel(ev, time.Time{}); err != nil {
 			return nil, err
 		}
 	}
@@ -216,7 +296,8 @@ func (s *spool) replay() (torn bool, err error) {
 		terminated := rerr == nil
 		raw := bytes.TrimSuffix(line, []byte{'\n'})
 		if len(raw) > 0 {
-			r, put, ok := parseRecord(raw)
+			// A put's payload is decoded straight onto the arena's tail.
+			r, put, ok := parseRecordOnto(raw, &s.data)
 			if !ok {
 				if terminated {
 					// A framed record that does not parse is corruption,
@@ -228,14 +309,17 @@ func (s *spool) replay() (torn bool, err error) {
 				torn = true
 				break
 			}
+			if put && uint64(len(s.data)) > maxArena {
+				return false, fmt.Errorf("gateway: spool %s: pending payloads pass 4 GiB at line %d", s.path, lines+1)
+			}
 			if seq, ok := at[r.Trace]; ok {
 				s.kill(uint64(seq))
-				s.trim()
 				delete(at, r.Trace)
 			}
 			if put {
-				at[r.Trace] = uint32(s.push(r))
+				at[r.Trace] = uint32(s.pushSlot(&r))
 			}
+			s.trim() // after the push, so it never drops the payload just decoded
 			s.remember(r.Trace)
 			lines++
 			if !terminated {
@@ -254,7 +338,35 @@ func (s *spool) replay() (torn bool, err error) {
 		}
 	}
 	s.lines = lines
+	s.settle()
 	return torn, nil
+}
+
+// settle moves the live slots and their payloads into arrays of exactly
+// their size, dropping the dead ones between them and the slack that
+// growing left: replay knows the whole backlog it rebuilt, and nothing
+// outside the spool holds a sequence number or a payload yet.
+func (s *spool) settle() {
+	slots := make([]slot, 0, s.live)
+	n := 0
+	for i, st := range s.state {
+		if st != slotDead {
+			n += len(s.payload(i))
+		}
+	}
+	data := make([]byte, 0, n)
+	for i, st := range s.state {
+		if st != slotDead {
+			data = append(data, s.payload(i)...)
+			sl := s.slots[i]
+			sl.end = s.start + uint32(len(data))
+			slots = append(slots, sl)
+		}
+	}
+	s.slots, s.state, s.data = slots, make([]slotState, len(slots)), data
+	if len(slots) == 0 {
+		s.slots, s.state, s.data = nil, nil, nil
+	}
 }
 
 // remember adds id to the bounded dedup horizon.
@@ -331,6 +443,14 @@ func appendReading(dst []byte, r *Reading) []byte {
 // same base64 decode into a fresh slice, the time through the same
 // time.Time.UnmarshalJSON call (FuzzDecodeMatchesJSON holds it to that).
 func parseReading(b []byte) (r Reading, rest []byte, ok bool) {
+	return parseReadingOnto(b, nil)
+}
+
+// parseReadingOnto is parseReading decoding the payload, when arena is not
+// nil, into the spare capacity past *arena's end (grown as append grows
+// it) instead of a fresh slice; r.Payload is that window, capped, and the
+// caller keeps it by extending *arena over it.
+func parseReadingOnto(b []byte, arena *[]byte) (r Reading, rest []byte, ok bool) {
 	if b, ok = cut(b, `{"from":`); !ok {
 		return r, nil, false
 	}
@@ -358,12 +478,20 @@ func parseReading(b []byte) (r Reading, rest []byte, ok bool) {
 	if n < 0 || bytes.ContainsAny(b[:n], "\r\n") {
 		return r, nil, false
 	}
-	r.Payload = make([]byte, base64.StdEncoding.DecodedLen(n))
-	m, err := base64.StdEncoding.Decode(r.Payload, b[:n])
+	dl := base64.StdEncoding.DecodedLen(n)
+	var buf []byte
+	if arena == nil {
+		buf = make([]byte, dl)
+	} else {
+		off := len(*arena)
+		*arena = slices.Grow(*arena, dl)
+		buf = (*arena)[off : off+dl]
+	}
+	m, err := base64.StdEncoding.Decode(buf, b[:n])
 	if err != nil {
 		return r, nil, false
 	}
-	r.Payload = r.Payload[:m]
+	r.Payload = buf[:m:m]
 	b = b[n:]
 	if rb, rel := cut(b, `","reliable":true,"at":`); rel {
 		r.Reliable, b = true, rb
@@ -457,9 +585,20 @@ func encodeDel(dst []byte, id trace.TraceID) []byte {
 // its newline cut off, when it is exactly what one of them writes. A put
 // yields its reading (put true), a del a Reading holding only the trace.
 func parseRecord(line []byte) (r Reading, put, ok bool) {
+	return parseRecordOnto(line, nil)
+}
+
+// parseRecordOnto is parseRecord decoding a put's payload onto the end of
+// *arena, when arena is not nil; a refused line leaves *arena's length
+// alone.
+func parseRecordOnto(line []byte, arena *[]byte) (r Reading, put, ok bool) {
 	if b, isPut := cut(line, `{"op":"put","r":`); isPut {
-		r, b, ok = parseReading(b)
-		return r, true, ok && string(b) == "}"
+		r, b, ok = parseReadingOnto(b, arena)
+		ok = ok && string(b) == "}"
+		if ok && arena != nil {
+			*arena = (*arena)[:len(*arena)+len(r.Payload)]
+		}
+		return r, true, ok
 	}
 	b, ok := cut(line, `{"op":"del","trace":"`)
 	if !ok {
@@ -556,9 +695,16 @@ func (s *spool) commit() error {
 	return nil
 }
 
-// push appends r at the tail and returns its sequence number.
-func (s *spool) push(r Reading) uint64 {
-	s.slots = append(s.slots, r)
+// push appends r at the tail, its payload copied onto the arena, and
+// returns its sequence number.
+func (s *spool) push(r *Reading) uint64 {
+	s.data = append(s.data, r.Payload...)
+	return s.pushSlot(r)
+}
+
+// pushSlot appends r's slot for a payload already at the arena's end.
+func (s *spool) pushSlot(r *Reading) uint64 {
+	s.slots = append(s.slots, packSlot(r, s.start+uint32(len(s.data))))
 	s.state = append(s.state, slotQueued)
 	s.live++
 	return s.base + uint64(len(s.slots)-1)
@@ -578,57 +724,65 @@ func (s *spool) kill(seq uint64) {
 		s.busy--
 	}
 	s.state[i] = slotDead
-	s.slots[i] = Reading{} // let the payload go now, not when the head passes
 	s.live--
 }
 
-// trim pops the tombstones at the head. A trim that empties the queue
-// drops both arrays, so a drained backlog's peak stops pinning memory.
+// trim pops the tombstones at the head and reslices the arena past their
+// payloads. A trim that empties the queue drops all three arrays, so a
+// drained backlog's peak stops pinning memory.
 func (s *spool) trim() {
 	n := 0
 	for n < len(s.state) && s.state[n] == slotDead {
 		n++
 	}
+	if n > 0 {
+		end := s.slots[n-1].end
+		s.data, s.start = s.data[end-s.start:], end
+	}
 	s.slots, s.state, s.base = s.slots[n:], s.state[n:], s.base+uint64(n)
 	if len(s.slots) == 0 {
-		s.slots, s.state = nil, nil
+		s.slots, s.state, s.data = nil, nil, nil
 	}
 }
 
-// evictHead removes and returns the oldest pending reading, in flight or
-// not.
-func (s *spool) evictHead() Reading {
-	old := s.slots[0]
+// evictHead removes the oldest pending reading, in flight or not, and
+// returns its trace.
+func (s *spool) evictHead() trace.TraceID {
+	id := s.slots[0].trace
 	s.kill(s.base)
 	s.trim()
-	return old
+	return id
 }
 
-// add admits a reading unless the horizon has seen it (dup): enqueue,
-// evicting the oldest pending reading when full. The evicted reading is
-// returned so the caller can record it. The in-memory queue is updated
-// before the WAL is written: a failed append degrades durability (reported
-// via err), but the admitted reading still uplinks from memory.
-func (s *spool) add(r Reading) (dup bool, evicted *Reading, err error) {
+// add admits a copy of r unless the horizon has seen it (dup): enqueue,
+// evicting the oldest pending reading when full — its trace is returned
+// (evicted true) so the caller can record it. A payload that would stretch
+// the arena past maxArena is refused with errSpoolFull. Otherwise the
+// in-memory queue is updated before the WAL is written: a failed append
+// degrades durability (reported via err), but the admitted reading still
+// uplinks from memory.
+func (s *spool) add(r Reading) (dup bool, evictedID trace.TraceID, evicted bool, err error) {
 	if _, dup := s.seen[r.Trace]; dup {
-		return true, nil, nil
+		return true, 0, false, nil
+	}
+	if uint64(len(s.data))+uint64(len(r.Payload)) > maxArena {
+		return false, 0, false, errSpoolFull
 	}
 	if s.live >= s.capacity {
-		old := s.evictHead()
-		evicted = &old
+		evictedID, evicted = s.evictHead(), true
 	}
 	s.remember(r.Trace)
-	s.push(r)
+	s.push(&r)
 	var firstErr error
-	if evicted != nil {
-		if werr := s.appendDel(evicted.Trace, r.At); werr != nil {
+	if evicted {
+		if werr := s.appendDel(evictedID, r.At); werr != nil {
 			firstErr = werr
 		}
 	}
 	if werr := s.appendPut(&r, r.At); werr != nil && firstErr == nil {
 		firstErr = werr
 	}
-	return false, evicted, firstErr
+	return false, evictedID, evicted, firstErr
 }
 
 // take hands out the next batch: up to n queued readings from the head,
@@ -643,7 +797,7 @@ func (s *spool) take(n int) (batch []Reading, seqs []uint64) {
 	for i := 0; len(batch) < n; i++ {
 		if s.state[i] == slotQueued {
 			s.state[i] = slotBusy
-			batch = append(batch, s.slots[i])
+			batch = append(batch, s.reading(i))
 			seqs = append(seqs, s.base+uint64(i))
 		}
 	}
@@ -800,12 +954,13 @@ func (s *spool) len() int { return s.live }
 // queued returns how many pending readings no in-flight batch carries.
 func (s *spool) queued() int { return s.live - s.busy }
 
-// pendingReadings copies the pending readings out in FIFO order.
+// pendingReadings rebuilds the pending readings in FIFO order; their
+// payloads are windows on the arena.
 func (s *spool) pendingReadings() []Reading {
 	out := make([]Reading, 0, s.live)
 	for i, st := range s.state {
 		if st != slotDead {
-			out = append(out, s.slots[i])
+			out = append(out, s.reading(i))
 		}
 	}
 	return out

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestSpoolMemoryOnlyFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+		if dup, _, _, err := s.add(testReading(i)); dup || err != nil {
 			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 	}
@@ -73,17 +74,17 @@ func TestSpoolDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := testReading(1)
-	if dup, _, _ := s.add(r); dup {
+	if dup, _, _, _ := s.add(r); dup {
 		t.Fatal("first add judged a duplicate")
 	}
-	if dup, _, _ := s.add(r); !dup {
+	if dup, _, _, _ := s.add(r); !dup {
 		t.Fatal("second add admitted, want duplicate")
 	}
 	// Still a duplicate after upload: the horizon outlives the queue.
 	if err := ackHead(s, 1); err != nil {
 		t.Fatal(err)
 	}
-	if dup, _, _ := s.add(r); !dup {
+	if dup, _, _, _ := s.add(r); !dup {
 		t.Fatal("post-ack add admitted, want duplicate")
 	}
 }
@@ -93,9 +94,9 @@ func TestSpoolDropPolicies(t *testing.T) {
 	s, _ := openSpool("", 2, 16, metrics.NewRegistry())
 	s.add(testReading(0))
 	s.add(testReading(1))
-	dup, evicted, _ := s.add(testReading(2))
-	if dup || evicted == nil || evicted.Trace != testReading(0).Trace {
-		t.Fatalf("full spool: dup=%v evicted=%v", dup, evicted)
+	dup, evictedID, evicted, _ := s.add(testReading(2))
+	if dup || !evicted || evictedID != testReading(0).Trace {
+		t.Fatalf("full spool: dup=%v evicted=%v %v", dup, evicted, evictedID)
 	}
 	if s.len() != 2 || peek(s, 1)[0].Trace != testReading(1).Trace {
 		t.Fatalf("queue state wrong after the eviction")
@@ -109,7 +110,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+		if dup, _, _, err := s.add(testReading(i)); dup || err != nil {
 			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 	}
@@ -136,7 +137,7 @@ func TestSpoolReplayAfterRestart(t *testing.T) {
 		}
 	}
 	// Uploaded readings must still be recognized as duplicates.
-	if dup, _, _ := s2.add(testReading(0)); !dup {
+	if dup, _, _, _ := s2.add(testReading(0)); !dup {
 		t.Errorf("replayed horizon lost an uploaded ID")
 	}
 }
@@ -196,7 +197,7 @@ func TestSpoolTornTailTruncatedBeforeAppend(t *testing.T) {
 	if s2.len() != 2 {
 		t.Fatalf("replayed %d, want 2", s2.len())
 	}
-	if dup, _, err := s2.add(testReading(2)); dup || err != nil {
+	if dup, _, _, err := s2.add(testReading(2)); dup || err != nil {
 		t.Fatalf("post-torn add: dup=%v err=%v", dup, err)
 	}
 	if err := s2.close(); err != nil {
@@ -348,7 +349,7 @@ func TestSpoolAddKeepsReadingOnWALError(t *testing.T) {
 	}
 	// Sabotage the WAL: every flush now fails.
 	s.f.Close()
-	dup, _, err := s.add(testReading(0))
+	dup, _, _, err := s.add(testReading(0))
 	if dup {
 		t.Fatal("add under WAL failure judged a duplicate, want admitted")
 	}
@@ -372,7 +373,7 @@ func TestSpoolCompaction(t *testing.T) {
 	// driving the rewrite the way the gateway does: check the trigger
 	// after each ack and run the begin/write/finish cycle when due.
 	for i := 0; i < 700; i++ {
-		if dup, _, err := s.add(testReading(i)); dup || err != nil {
+		if dup, _, _, err := s.add(testReading(i)); dup || err != nil {
 			t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
 		}
 		if err := ackHead(s, 1); err != nil {
@@ -416,54 +417,160 @@ func TestSpoolSeenHorizonBounded(t *testing.T) {
 		t.Fatalf("horizon grew to %d, cap 8", len(s.seen))
 	}
 	// An ID evicted from the horizon is admissible again.
-	if dup, _, _ := s.add(testReading(0)); dup {
+	if dup, _, _, _ := s.add(testReading(0)); dup {
 		t.Fatal("evicted-horizon re-add judged a duplicate, want admitted")
 	}
 }
 
 // spoolModel is the queue the sequence-addressed spool replaced, kept as
-// the reference: one slice, in-flight readings in a set of trace IDs, and
-// an ack that filters everything pending.
+// the reference: one slice of pending entries, in flight or not; a dedup
+// horizon that forgets in FIFO order; and the WAL as a list of records
+// that a reopen replays by scanning it.
 type spoolModel struct {
-	capacity int
-	pending  []Reading
-	seen     map[trace.TraceID]bool
+	capacity, horizon int
+	pending           []modelEntry
+	seen              map[trace.TraceID]bool
+	order             []trace.TraceID // the horizon, oldest first
+	log               []modelRecord   // what a reopen replays
+	sidecar           []modelRecord   // a running compaction's file, else nil
+	compacting        bool
+	next              int // the next entry's admission number
+	readmits          int // admissions of an ID still pending
 }
 
-func (m *spoolModel) add(r Reading) (dup bool, evicted *Reading) {
+// modelEntry is one pending reading; its admission number tells apart two
+// entries of one ID (re-admitted after it left the horizon).
+type modelEntry struct {
+	n int
+	r Reading
+}
+
+// modelRecord is one WAL record: a put of its reading or a del of its
+// trace.
+type modelRecord struct {
+	put bool
+	r   Reading
+}
+
+func newSpoolModel(capacity, horizon int) *spoolModel {
+	return &spoolModel{capacity: capacity, horizon: horizon, seen: map[trace.TraceID]bool{}}
+}
+
+func (m *spoolModel) remember(id trace.TraceID) {
+	if m.seen[id] {
+		return
+	}
+	m.seen[id] = true
+	m.order = append(m.order, id)
+	if len(m.order) > m.horizon {
+		delete(m.seen, m.order[0])
+		m.order = m.order[1:]
+	}
+}
+
+func (m *spoolModel) write(put bool, r Reading) {
+	m.log = append(m.log, modelRecord{put, r})
+	if m.compacting {
+		m.sidecar = append(m.sidecar, modelRecord{put, r})
+	}
+}
+
+func (m *spoolModel) push(r Reading) {
+	m.pending = append(m.pending, modelEntry{m.next, r})
+	m.next++
+}
+
+func (m *spoolModel) add(r Reading) (dup bool, evicted trace.TraceID, didEvict bool) {
 	if m.seen[r.Trace] {
-		return true, nil
+		return true, 0, false
 	}
 	if len(m.pending) >= m.capacity {
-		evicted, m.pending = &m.pending[0], m.pending[1:]
+		evicted, didEvict, m.pending = m.pending[0].r.Trace, true, m.pending[1:]
+		m.write(false, Reading{Trace: evicted})
 	}
-	m.seen[r.Trace] = true
-	m.pending = append(m.pending, r)
-	return false, evicted
+	for _, e := range m.pending {
+		if e.r.Trace == r.Trace {
+			m.readmits++
+			break
+		}
+	}
+	m.remember(r.Trace)
+	m.push(r)
+	m.write(true, r)
+	return false, evicted, didEvict
 }
 
-func (m *spoolModel) peekExcluding(n int, excl map[trace.TraceID]bool) []Reading {
-	var out []Reading
-	for _, p := range m.pending {
-		if len(out) < n && !excl[p.Trace] {
-			out = append(out, p)
+// take returns the first n pending entries no batch carries.
+func (m *spoolModel) take(n int, busy map[int]bool) []modelEntry {
+	var out []modelEntry
+	for _, e := range m.pending {
+		if len(out) < n && !busy[e.n] {
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-func (m *spoolModel) ackAt(rs []Reading) {
-	ids := make(map[trace.TraceID]bool, len(rs))
-	for _, r := range rs {
-		ids[r.Trace] = true
+// ack removes the entries numbered ns, whatever else is pending, and logs
+// a del for each reading of the batch, evicted meanwhile or not.
+func (m *spoolModel) ack(ns []int, batch []Reading) {
+	acked := map[int]bool{}
+	for _, n := range ns {
+		acked[n] = true
 	}
-	var kept []Reading
-	for _, p := range m.pending {
-		if !ids[p.Trace] {
-			kept = append(kept, p)
+	var kept []modelEntry
+	for _, e := range m.pending {
+		if !acked[e.n] {
+			kept = append(kept, e)
 		}
 	}
 	m.pending = kept
+	for _, r := range batch {
+		m.write(false, Reading{Trace: r.Trace})
+	}
+}
+
+func (m *spoolModel) beginCompact() {
+	m.compacting, m.sidecar = true, nil
+	for _, e := range m.pending {
+		m.sidecar = append(m.sidecar, modelRecord{true, e.r})
+	}
+}
+
+func (m *spoolModel) finishCompact() {
+	m.log, m.sidecar, m.compacting = m.sidecar, nil, false
+}
+
+// reopen replays the log by scanning it — a put replaces whatever of its
+// ID is pending and queues at the tail, a del removes it — remembering
+// every ID it names, then evicts down to capacity.
+func (m *spoolModel) reopen() {
+	m.pending, m.seen, m.order = nil, map[trace.TraceID]bool{}, nil
+	for _, rec := range m.log {
+		kept := m.pending[:0]
+		for _, e := range m.pending {
+			if e.r.Trace != rec.r.Trace {
+				kept = append(kept, e)
+			}
+		}
+		m.pending = kept
+		if rec.put {
+			m.push(rec.r)
+		}
+		m.remember(rec.r.Trace)
+	}
+	for len(m.pending) > m.capacity {
+		m.write(false, Reading{Trace: m.pending[0].r.Trace})
+		m.pending = m.pending[1:]
+	}
+}
+
+func entryReadings(es []modelEntry) []Reading {
+	rs := make([]Reading, len(es))
+	for i, e := range es {
+		rs[i] = e.r
+	}
+	return rs
 }
 
 // sameReadings compares two queues field by field (a replayed time is
@@ -481,161 +588,247 @@ func sameReadings(a, b []Reading) bool {
 	return true
 }
 
-// TestSpoolMatchesScanModel drives the spool and the scan-based model with
-// the same seeded random interleaving of everything a shard does to its
-// queue — admit, duplicate admit, evict at capacity, up to three batches
+// chooser picks the next operation and its arguments: a *rand.Rand in
+// TestSpoolMatchesScanModel, the fuzzer's bytes in FuzzSpoolOps.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser reads each choice from one input byte; an exhausted input
+// chooses 0.
+type byteChooser struct{ b []byte }
+
+func (c *byteChooser) Intn(n int) int {
+	if len(c.b) == 0 {
+		return 0
+	}
+	v := int(c.b[0])
+	c.b = c.b[1:]
+	return v % n
+}
+
+// spoolRun drives a spool and the model through the same operations and
+// demands identical depth, contents, order, evictees and horizon after
+// each one.
+type spoolRun struct {
+	t          testing.TB
+	path       string
+	s          *spool
+	m          *spoolModel
+	out        []flight
+	busy       map[int]bool // model admission numbers in flight
+	compacting *compactState
+	next       int // testReading index of the next fresh admission
+
+	compactions, reopens, lateAcks int
+}
+
+// flight is one batch out: the spool's readings and sequence numbers, and
+// the model's admission numbers.
+type flight struct {
+	batch []Reading
+	seqs  []uint64
+	ns    []int
+}
+
+func newSpoolRun(t testing.TB, path string, capacity, horizon int) *spoolRun {
+	s, err := openSpool(path, capacity, horizon, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &spoolRun{t: t, path: path, s: s, m: newSpoolModel(capacity, horizon), busy: map[int]bool{}}
+}
+
+// step runs one operation, chosen by c, of everything a shard does to its
+// queue: admit, duplicate admit, evict at capacity, up to three batches
 // out at once, acks in and out of order, failed batches that retry, acks
 // of readings evicted in flight, compactions with traffic between begin
-// and finish, crash and reopen — and demands identical depth, contents,
-// order and evictees after every step, and that the WAL replays to the
-// model's queue.
-func TestSpoolMatchesScanModel(t *testing.T) {
-	const steps, horizon = 2000, 1 << 20 // the horizon never forgets: dedup is not under test
-	type flight struct {
-		batch []Reading
-		seqs  []uint64
-	}
-	compactions, reopens, lateAcks := 0, 0, 0
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		path := filepath.Join(t.TempDir(), "model.wal")
-		capacity := 4 + rng.Intn(60)
-		reg := metrics.NewRegistry()
-		s, err := openSpool(path, capacity, horizon, reg)
+// and finish, crash and reopen.
+func (r *spoolRun) step(c chooser, at string) {
+	t, s, m := r.t, r.s, r.m
+	t.Helper()
+	what := ""
+	switch p := c.Intn(100); {
+	case p < 50:
+		what = "admit"
+		rd := testReading(r.next)
+		r.next++
+		mdup, mev, mok := m.add(rd)
+		dup, ev, ok, err := s.add(rd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &spoolModel{capacity: capacity, seen: map[trace.TraceID]bool{}}
-		var out []flight
-		busy := map[trace.TraceID]bool{}
-		var compacting *compactState
-		next := 0
-
-		check := func(step int, what string) {
-			t.Helper()
-			queued := 0
-			for _, p := range m.pending {
-				if !busy[p.Trace] {
-					queued++
-				}
-			}
-			if s.len() != len(m.pending) || s.queued() != queued || !sameReadings(s.pendingReadings(), m.pending) {
-				t.Fatalf("seed %d step %d (%s): spool len=%d queued=%d %v, model len=%d queued=%d %v",
-					seed, step, what, s.len(), s.queued(), traces(s.pendingReadings()), len(m.pending), queued, traces(m.pending))
-			}
+		if dup != mdup || ok != mok || ev != mev {
+			t.Fatalf("%s: add: spool dup=%v evicted=%v %v, model dup=%v evicted=%v %v", at, dup, ok, ev, mdup, mok, mev)
 		}
-		reopen := func(step int, crash bool) {
-			if compacting != nil {
-				if err := s.finishCompact(compacting); err != nil {
-					t.Fatal(err)
-				}
-				compacting = nil
-			}
-			if crash {
-				s.crash()
-			} else if err := s.close(); err != nil {
-				t.Fatal(err)
-			}
-			if s, err = openSpool(path, capacity, horizon, reg); err != nil {
-				t.Fatalf("seed %d step %d: reopen: %v", seed, step, err)
-			}
-			// The batches that were out died with the process, and the
-			// horizon is now what the log still names.
-			out, busy = nil, map[trace.TraceID]bool{}
-			m.seen = map[trace.TraceID]bool{}
-			for id := range s.seen {
-				m.seen[id] = true
-			}
-			reopens++
+	case p < 55 && r.next > 0:
+		what = "duplicate admit" // of one of the last 128: some left a small horizon
+		rd := testReading(r.next - 1 - c.Intn(min(r.next, 128)))
+		mdup, mev, mok := m.add(rd)
+		dup, ev, ok, _ := s.add(rd)
+		if dup != mdup || ok != mok || ev != mev {
+			t.Fatalf("%s: duplicate admit: spool dup=%v evicted=%v %v, model dup=%v evicted=%v %v", at, dup, ok, ev, mdup, mok, mev)
 		}
-
-		for step := 0; step < steps; step++ {
-			what := ""
-			switch p := rng.Intn(100); {
-			case p < 45:
-				what = "admit"
-				r := testReading(next)
-				next++
-				mdup, mev := m.add(r)
-				dup, ev, err := s.add(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dup != mdup || (ev == nil) != (mev == nil) || (ev != nil && ev.Trace != mev.Trace) {
-					t.Fatalf("seed %d step %d: add: spool dup=%v evicted=%v, model dup=%v evicted=%v", seed, step, dup, ev, mdup, mev)
-				}
-			case p < 50 && next > 0:
-				what = "duplicate admit"
-				r := testReading(rng.Intn(next))
-				mdup, _ := m.add(r)
-				dup, _, _ := s.add(r)
-				if dup != mdup {
-					t.Fatalf("seed %d step %d: duplicate admit: spool dup=%v, model dup=%v", seed, step, dup, mdup)
-				}
-			case p < 70 && len(out) < 3:
-				what = "take"
-				n := 1 + rng.Intn(8)
-				want := m.peekExcluding(n, busy)
-				batch, seqs := s.take(n)
-				if !sameReadings(batch, want) {
-					t.Fatalf("seed %d step %d: take(%d) = %v, model %v", seed, step, n, traces(batch), traces(want))
-				}
-				if len(batch) > 0 {
-					for _, r := range batch {
-						busy[r.Trace] = true
-					}
-					out = append(out, flight{batch, seqs})
-				}
-			case p < 92 && len(out) > 0:
-				// The oldest batch out (in order) or any of them (out of
-				// order); one time in four it failed and goes back.
-				i := 0
-				if rng.Intn(2) == 0 {
-					i = rng.Intn(len(out))
-				}
-				f := out[i]
-				out = append(out[:i], out[i+1:]...)
-				for _, r := range f.batch {
-					delete(busy, r.Trace)
-				}
-				if rng.Intn(4) == 0 {
-					what = "fail"
-					s.release(f.seqs)
-					break
-				}
-				what = "ack"
-				if f.seqs[0] < s.base {
-					lateAcks++
-				}
-				m.ackAt(f.batch)
-				if err := s.ackAt(f.batch, f.seqs, time.Time{}); err != nil {
-					t.Fatal(err)
-				}
-			case p < 97:
-				what = "compact"
-				if compacting != nil {
-					if err := s.finishCompact(compacting); err != nil {
-						t.Fatal(err)
-					}
-					compacting = nil
-					compactions++
-				} else if snap, due := s.beginCompact(); due {
-					compacting = s.writeCompactTmp(snap) // finishes some steps later
-				}
-			case p < 99:
-				what = "reopen"
-				reopen(step, rng.Intn(2) == 0)
-			}
-			check(step, what)
+	case p < 72 && len(r.out) < 3:
+		what = "take"
+		n := 1 + c.Intn(8)
+		want := m.take(n, r.busy)
+		batch, seqs := s.take(n)
+		if !sameReadings(batch, entryReadings(want)) {
+			t.Fatalf("%s: take(%d) = %v, model %v", at, n, traces(batch), traces(entryReadings(want)))
 		}
-		reopen(steps, false)
-		check(steps, "final replay")
-		s.close()
+		if len(batch) > 0 {
+			f := flight{batch: batch, seqs: seqs}
+			for _, e := range want {
+				r.busy[e.n] = true
+				f.ns = append(f.ns, e.n)
+			}
+			r.out = append(r.out, f)
+		}
+	case p < 92 && len(r.out) > 0:
+		// The oldest batch out (in order) or any of them (out of order);
+		// one time in four it failed and goes back.
+		i := 0
+		if c.Intn(2) == 0 {
+			i = c.Intn(len(r.out))
+		}
+		f := r.out[i]
+		r.out = append(r.out[:i], r.out[i+1:]...)
+		for _, n := range f.ns {
+			delete(r.busy, n)
+		}
+		if c.Intn(4) == 0 {
+			what = "fail"
+			s.release(f.seqs)
+			break
+		}
+		what = "ack"
+		if f.seqs[0] < s.base {
+			r.lateAcks++
+		}
+		m.ack(f.ns, f.batch)
+		if err := s.ackAt(f.batch, f.seqs, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	case p < 97:
+		what = "compact"
+		if r.compacting != nil {
+			r.finishCompact()
+			r.compactions++
+		} else if snap, due := s.beginCompact(); due {
+			m.beginCompact()
+			r.compacting = s.writeCompactTmp(snap) // finishes some steps later
+		}
+	case p < 99:
+		what = "reopen"
+		r.reopen(at, c.Intn(2) == 0)
 	}
-	t.Logf("compactions=%d reopens=%d acks after eviction=%d", compactions, reopens, lateAcks)
-	if compactions == 0 || reopens == 0 || lateAcks == 0 {
-		t.Fatalf("the walk never reached: compactions=%d reopens=%d acks after eviction=%d", compactions, reopens, lateAcks)
+	r.check(at + " (" + what + ")")
+}
+
+func (r *spoolRun) finishCompact() {
+	if err := r.s.finishCompact(r.compacting); err != nil {
+		r.t.Fatal(err)
 	}
+	r.m.finishCompact()
+	r.compacting = nil
+}
+
+// reopen closes or crashes the spool and replays its WAL: the batches
+// that were out die with the process.
+func (r *spoolRun) reopen(at string, crash bool) {
+	t := r.t
+	t.Helper()
+	if r.compacting != nil {
+		r.finishCompact()
+	}
+	if crash {
+		r.s.crash()
+	} else if err := r.s.close(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if r.s, err = openSpool(r.path, r.m.capacity, r.m.horizon, metrics.NewRegistry()); err != nil {
+		t.Fatalf("%s: reopen: %v", at, err)
+	}
+	r.m.reopen()
+	r.out, r.busy = nil, map[int]bool{}
+	r.reopens++
+	if !slices.Equal(r.s.seenOrder, r.m.order) {
+		t.Fatalf("%s: replayed horizon %v, model %v", at, r.s.seenOrder, r.m.order)
+	}
+}
+
+func (r *spoolRun) check(at string) {
+	r.t.Helper()
+	s, m := r.s, r.m
+	queued := 0
+	for _, e := range m.pending {
+		if !r.busy[e.n] {
+			queued++
+		}
+	}
+	want := entryReadings(m.pending)
+	if s.len() != len(want) || s.queued() != queued || !sameReadings(s.pendingReadings(), want) {
+		r.t.Fatalf("%s: spool len=%d queued=%d %v, model len=%d queued=%d %v",
+			at, s.len(), s.queued(), traces(s.pendingReadings()), len(want), queued, traces(want))
+	}
+}
+
+// finish replays the WAL a last time, checks it and closes the spool.
+func (r *spoolRun) finish(at string) {
+	r.t.Helper()
+	r.reopen(at, false)
+	r.check(at + " (final replay)")
+	r.s.close()
+}
+
+// TestSpoolMatchesScanModel drives the spool and the scan-based model with
+// seeded random interleavings of spoolRun.step, and demands that the WAL
+// replays to the model's queue and horizon. At horizon 1<<20 the horizon
+// never forgets; at 8 and 64 it forgets readings still pending, which the
+// mesh then re-admits, so one ID is pending twice and a reopen keeps the
+// later put unless a del of the ID follows it.
+func TestSpoolMatchesScanModel(t *testing.T) {
+	for _, horizon := range []int{1 << 20, 8, 64} {
+		t.Run(fmt.Sprintf("horizon=%d", horizon), func(t *testing.T) {
+			compactions, reopens, lateAcks, readmits := 0, 0, 0, 0
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				r := newSpoolRun(t, filepath.Join(t.TempDir(), "model.wal"), 4+rng.Intn(124), horizon)
+				for step := 0; step < 2000; step++ {
+					r.step(rng, fmt.Sprintf("seed %d step %d", seed, step))
+				}
+				r.finish(fmt.Sprintf("seed %d", seed))
+				compactions, reopens, lateAcks, readmits = compactions+r.compactions, reopens+r.reopens, lateAcks+r.lateAcks, readmits+r.m.readmits
+			}
+			t.Logf("compactions=%d reopens=%d acks after eviction=%d re-admissions=%d", compactions, reopens, lateAcks, readmits)
+			if compactions == 0 || reopens == 0 || lateAcks == 0 || (readmits == 0) != (horizon == 1<<20) {
+				t.Fatalf("the walk never reached: compactions=%d reopens=%d acks after eviction=%d re-admissions=%d", compactions, reopens, lateAcks, readmits)
+			}
+		})
+	}
+}
+
+// FuzzSpoolOps searches the walk TestSpoolMatchesScanModel samples: the
+// input's bytes choose the capacity, the horizon and up to 500 operations
+// (a reopen replays the whole log, so a longer walk of reopens is slow).
+func FuzzSpoolOps(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		b := make([]byte, 800)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	path := filepath.Join(f.TempDir(), "ops.wal") // one file per worker process: executions do not overlap
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		os.Remove(path)
+		c := &byteChooser{ops}
+		capacity := 1 + c.Intn(128)
+		horizon := []int{1 << 20, 8, 64}[c.Intn(3)]
+		r := newSpoolRun(t, path, capacity, horizon)
+		for step := 0; len(c.b) > 0 && step < 500; step++ {
+			r.step(c, fmt.Sprintf("step %d", step))
+		}
+		r.finish("end")
+	})
 }
 
 // traces lists a queue's trace IDs, for failure messages.
@@ -1054,7 +1247,7 @@ func FuzzSpoolReplay(f *testing.F) {
 		fresh := testReading(0)
 		for fresh.Trace = 1; known[fresh.Trace]; fresh.Trace++ {
 		}
-		if dup, _, err := s.add(fresh); dup || err != nil {
+		if dup, _, _, err := s.add(fresh); dup || err != nil {
 			t.Fatalf("add after replay: dup=%v err=%v", dup, err)
 		}
 		if err := ackHead(s, 3); err != nil {
@@ -1073,4 +1266,192 @@ func FuzzSpoolReplay(f *testing.F) {
 			t.Fatalf("reopen found %v, the spool held %v", traces(got), traces(want))
 		}
 	})
+}
+
+// reading24 is testReading with the bench's 24-byte payload, every byte
+// derived from i.
+func reading24(i int) Reading {
+	r := testReading(i)
+	r.Payload = make([]byte, 24)
+	for k := range r.Payload {
+		r.Payload[k] = byte(i*31 + k)
+	}
+	return r
+}
+
+// TestSpoolOwnsPayload holds the arena to its write-once contract: the
+// spool copies a payload at admission, and a payload it hands out keeps
+// its bytes however the arena moves on. Each case runs from offset 0 and
+// from just below 2³², so the arena's 32-bit offsets wrap mid-case.
+func TestSpoolOwnsPayload(t *testing.T) {
+	for _, start := range []uint32{0, math.MaxUint32 - 40} {
+		fresh := func(capacity int) *spool {
+			s, err := openSpool("", capacity, 1<<20, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.start = start
+			return s
+		}
+		t.Run(fmt.Sprintf("start=%d/caller reuses its buffer", start), func(t *testing.T) {
+			s := fresh(8)
+			buf := make([]byte, 24)
+			for i := 0; i < 4; i++ {
+				r := reading24(i)
+				copy(buf, r.Payload)
+				r.Payload = buf
+				s.add(r)
+				for k := range buf {
+					buf[k] = 0xEE
+				}
+			}
+			batch, _ := s.take(4)
+			for i, r := range batch {
+				if !bytes.Equal(r.Payload, reading24(i).Payload) {
+					t.Fatalf("reading %d: took %x, admitted %x", i, r.Payload, reading24(i).Payload)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("start=%d/evicted batch outlives the arena", start), func(t *testing.T) {
+			s := fresh(64)
+			next := 0
+			for ; next < 64; next++ {
+				s.add(reading24(next))
+			}
+			batch, seqs := s.take(16)
+			want := appendUplinkRequest(nil, 1, batch)
+			// 64 admissions evict the batch; 10 k more, acked as they go,
+			// grow the arena, trim it and drop it when it empties.
+			for end := next + 10_064; next < end; next++ {
+				s.add(reading24(next))
+				if next%100 == 0 {
+					for s.len() > 0 {
+						ackHead(s, 64)
+					}
+				}
+			}
+			if s.base <= seqs[len(seqs)-1] {
+				t.Fatal("the batch was never evicted")
+			}
+			if got := appendUplinkRequest(nil, 1, batch); !bytes.Equal(got, want) {
+				t.Fatalf("the batch encodes to\n%s\nafter the arena moved on, was\n%s", got, want)
+			}
+		})
+		t.Run(fmt.Sprintf("start=%d/append to a payload reaches no neighbour", start), func(t *testing.T) {
+			s := fresh(8)
+			for i := 0; i < 4; i++ {
+				s.add(reading24(i))
+			}
+			batch, _ := s.take(2)
+			for i := range batch {
+				batch[i].Payload = append(batch[i].Payload, 0xEE, 0xEE, 0xEE)
+			}
+			for i, r := range append(batch, s.pendingReadings()...) {
+				id := int(r.Trace - testReading(0).Trace)
+				if want := reading24(id).Payload; !bytes.Equal(r.Payload[:24], want) {
+					t.Fatalf("reading %d (%d): %x, admitted %x", i, id, r.Payload, want)
+				}
+			}
+			if s.start+uint32(len(s.data)) != start+4*24 {
+				t.Fatalf("arena ends at %d, want %d", s.start+uint32(len(s.data)), start+4*24)
+			}
+		})
+	}
+}
+
+// TestSpoolRebuildsReadingTime holds the packed slot to the reading it
+// packed: for each kind of time a reading can carry, the rebuilt reading
+// encodes to the same WAL record, byte for byte, its At is Equal to the
+// original, and a reopen's replay encodes to those bytes again. (A zone
+// of 3601 s is the one case where the replayed At is not Equal: the
+// record's offset has no seconds, so it never was.)
+func TestSpoolRebuildsReadingTime(t *testing.T) {
+	base := time.Date(2022, 7, 1, 12, 30, 5, 999_999_999, time.UTC)
+	ats := []time.Time{
+		base,
+		base.Local(),
+		base.In(time.FixedZone("IST", 5*3600+30*60)),
+		base.In(time.FixedZone("", -8*3600)),
+		base.In(time.FixedZone("", 3601)),
+		{},
+		time.Now(), // carries a monotonic reading
+	}
+	path := filepath.Join(t.TempDir(), "times.wal")
+	s, err := openSpool(path, 16, 16, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(ats))
+	for i, at := range ats {
+		r := testReading(i)
+		r.At, r.Reliable = at, i%2 == 0
+		want[i] = encodePut(nil, &r)
+		s.add(r)
+	}
+	batch, _ := s.take(len(ats))
+	for i, r := range batch {
+		if got := encodePut(nil, &r); !bytes.Equal(got, want[i]) {
+			t.Errorf("%v: rebuilt reading encodes to\n%s want\n%s", ats[i], got, want[i])
+		}
+		if !r.At.Equal(ats[i]) {
+			t.Errorf("%v: rebuilt At %v is not Equal", ats[i], r.At)
+		}
+	}
+	s.close()
+	if s, err = openSpool(path, 16, 16, metrics.NewRegistry()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	for i, r := range s.pendingReadings() {
+		if got := encodePut(nil, &r); !bytes.Equal(got, want[i]) {
+			t.Errorf("%v: replayed reading encodes to\n%s want\n%s", ats[i], got, want[i])
+		}
+	}
+}
+
+// TestSpoolBytesPerPending is the spool's heap fence: a pending 24-byte
+// reading costs at most 72 bytes built by add (a packed slot, its state
+// byte, its payload and append's slack) and 60 after a reopen's replay,
+// which leaves no slack; holding Reading structs took 109. A one-entry
+// horizon keeps the dedup set out of the sum. It measures the live heap
+// after a collection, so it must not run beside other tests.
+func TestSpoolBytesPerPending(t *testing.T) {
+	const n, maxAdded, maxReplayed = 100_000, 72, 60
+	path := filepath.Join(t.TempDir(), "pending.wal")
+	reg := metrics.NewRegistry()
+	perReading := func(build func() *spool) float64 {
+		before := liveHeap()
+		s := build()
+		held := liveHeap() - before
+		runtime.KeepAlive(s)
+		if s.len() != n {
+			t.Fatalf("%d pending, want %d", s.len(), n)
+		}
+		if err := s.close(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(held) / n
+	}
+	added := perReading(func() *spool {
+		s, err := openSpool(path, n, 1, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.groupCommit = time.Hour // buffered appends; close flushes
+		for i := 0; i < n; i++ {
+			s.add(reading24(i))
+		}
+		return s
+	})
+	replayed := perReading(func() *spool {
+		s, err := openSpool(path, n, 1, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
+	t.Logf("bytes per pending 24 B reading: %.1f built by add, %.1f replayed", added, replayed)
+	if added > maxAdded || replayed > maxReplayed {
+		t.Fatalf("a pending 24 B reading holds %.1f B built by add (bound %d) and %.1f B replayed (bound %d)", added, maxAdded, replayed, maxReplayed)
+	}
 }
