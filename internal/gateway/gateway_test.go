@@ -470,20 +470,22 @@ func TestGatewayRestartReplay(t *testing.T) {
 // one holds after a single cycle. What a gateway holds is the live heap
 // with it less the live heap once it is closed and dropped, so what the
 // runtime keeps of the run (goroutine records, idle connections) cancels.
-// The horizon is 16 IDs: a Go map that churns settles at a size that
-// depends on its hash seed, and the horizon's bound has its own test.
+// The dedup horizon is the default's 8192 IDs, and an outage spools twice
+// that, so the horizon is full and churning from the first cycle on: both
+// runs measure it at its cap (about 0.6 MB of what is held). Three more
+// cycles admit 49 k more readings, so 10 % is about 1.3 B a reading.
 func TestGatewayHeapFlatInOutages(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spools and drains 120 k readings")
+		t.Skip("spools and drains 245 k readings")
 	}
-	const perOutage, horizon, bound = 8_000, 16, 0.10
+	const perOutage, bound = 2 * 8192, 0.10
 	held := func(outages int) int64 {
 		goroutines := runtime.NumGoroutine()
 		sb := NewShardedBackend(2)
 		srv := httptest.NewServer(sb)
 		cfg := Config{
 			URLs: sb.URLs(srv.URL), Addr: 1, SpoolPath: filepath.Join(t.TempDir(), "gw.wal"),
-			SpoolCapacity: 2 * perOutage, BatchSize: 64, FlushInterval: time.Millisecond, DedupHorizon: horizon,
+			SpoolCapacity: 2 * perOutage, BatchSize: 64, FlushInterval: time.Millisecond,
 		}
 		var g *Gateway
 		now, next := time.Unix(0, 0), 0

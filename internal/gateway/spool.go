@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strconv"
 	"time"
 
@@ -33,9 +32,9 @@ import (
 // the head then advances past tombstones, so moving a batch costs O(batch)
 // however deep the backlog behind it is — whether the batch was the head
 // run or left a hole behind an earlier batch that failed. A sequence
-// number below base names a reading already evicted; its ack still logs
-// the del. Eviction pops the head the same way. Replay pushes puts onto
-// the same structure.
+// number below base names a reading already evicted, whose eviction
+// logged its del; its ack logs none. Eviction pops the head the same way.
+// Replay pushes puts onto the same structure.
 //
 // The log also persists the dedup horizon: every trace ID that ever
 // entered the spool (uploaded, pending, or evicted) is remembered — up to
@@ -280,12 +279,18 @@ func (s *spool) replay() (torn bool, err error) {
 	}
 	defer f.Close()
 
-	// at resolves a del to the slot its put went to. It holds only IDs
-	// whose put has seen no del yet and is garbage once replay returns
-	// (32 bits a slot: replay numbers from zero, and no log has 2³² puts).
-	// A put of an ID still pending supersedes the earlier put (it fell off
-	// the dedup horizon and was re-admitted): one slot per ID.
+	// at resolves a del to the oldest pending slot of its ID, and more
+	// holds the later ones, oldest first: an ID falls off the dedup
+	// horizon while still pending and is re-admitted, so two slots can
+	// hold it, and a del names a trace, not a slot. Each del in the log
+	// removed exactly one pending reading (ackAt logs none for a reading
+	// evicted in flight), so resolving it to the oldest keeps as many
+	// copies of an ID as memory held; only which copy stays can differ,
+	// when a later copy was acked first. Both maps are garbage once replay
+	// returns (32 bits a slot: replay numbers from zero, and no log has
+	// 2³² puts).
 	at := make(map[trace.TraceID]uint32)
+	more := make(map[trace.TraceID][]uint32)
 	br := bufio.NewReaderSize(f, 64*1024)
 	lines := 0
 	for {
@@ -296,8 +301,7 @@ func (s *spool) replay() (torn bool, err error) {
 		terminated := rerr == nil
 		raw := bytes.TrimSuffix(line, []byte{'\n'})
 		if len(raw) > 0 {
-			// A put's payload is decoded straight onto the arena's tail.
-			r, put, ok := parseRecordOnto(raw, &s.data)
+			r, put, ok := parseRecord(raw)
 			if !ok {
 				if terminated {
 					// A framed record that does not parse is corruption,
@@ -309,17 +313,21 @@ func (s *spool) replay() (torn bool, err error) {
 				torn = true
 				break
 			}
-			if put && uint64(len(s.data)) > maxArena {
+			switch seq, pending := at[r.Trace]; {
+			case put && uint64(len(s.data))+uint64(len(r.Payload)) > maxArena:
 				return false, fmt.Errorf("gateway: spool %s: pending payloads pass 4 GiB at line %d", s.path, lines+1)
-			}
-			if seq, ok := at[r.Trace]; ok {
+			case put && pending:
+				more[r.Trace] = append(more[r.Trace], uint32(s.push(&r)))
+			case put:
+				at[r.Trace] = uint32(s.push(&r))
+			case pending:
 				s.kill(uint64(seq))
+				s.trim()
 				delete(at, r.Trace)
+				if later := more[r.Trace]; len(later) > 0 {
+					at[r.Trace], more[r.Trace] = later[0], later[1:]
+				}
 			}
-			if put {
-				at[r.Trace] = uint32(s.pushSlot(&r))
-			}
-			s.trim() // after the push, so it never drops the payload just decoded
 			s.remember(r.Trace)
 			lines++
 			if !terminated {
@@ -443,14 +451,6 @@ func appendReading(dst []byte, r *Reading) []byte {
 // same base64 decode into a fresh slice, the time through the same
 // time.Time.UnmarshalJSON call (FuzzDecodeMatchesJSON holds it to that).
 func parseReading(b []byte) (r Reading, rest []byte, ok bool) {
-	return parseReadingOnto(b, nil)
-}
-
-// parseReadingOnto is parseReading decoding the payload, when arena is not
-// nil, into the spare capacity past *arena's end (grown as append grows
-// it) instead of a fresh slice; r.Payload is that window, capped, and the
-// caller keeps it by extending *arena over it.
-func parseReadingOnto(b []byte, arena *[]byte) (r Reading, rest []byte, ok bool) {
 	if b, ok = cut(b, `{"from":`); !ok {
 		return r, nil, false
 	}
@@ -478,20 +478,12 @@ func parseReadingOnto(b []byte, arena *[]byte) (r Reading, rest []byte, ok bool)
 	if n < 0 || bytes.ContainsAny(b[:n], "\r\n") {
 		return r, nil, false
 	}
-	dl := base64.StdEncoding.DecodedLen(n)
-	var buf []byte
-	if arena == nil {
-		buf = make([]byte, dl)
-	} else {
-		off := len(*arena)
-		*arena = slices.Grow(*arena, dl)
-		buf = (*arena)[off : off+dl]
-	}
-	m, err := base64.StdEncoding.Decode(buf, b[:n])
+	r.Payload = make([]byte, base64.StdEncoding.DecodedLen(n))
+	m, err := base64.StdEncoding.Decode(r.Payload, b[:n])
 	if err != nil {
 		return r, nil, false
 	}
-	r.Payload = buf[:m:m]
+	r.Payload = r.Payload[:m]
 	b = b[n:]
 	if rb, rel := cut(b, `","reliable":true,"at":`); rel {
 		r.Reliable, b = true, rb
@@ -585,20 +577,9 @@ func encodeDel(dst []byte, id trace.TraceID) []byte {
 // its newline cut off, when it is exactly what one of them writes. A put
 // yields its reading (put true), a del a Reading holding only the trace.
 func parseRecord(line []byte) (r Reading, put, ok bool) {
-	return parseRecordOnto(line, nil)
-}
-
-// parseRecordOnto is parseRecord decoding a put's payload onto the end of
-// *arena, when arena is not nil; a refused line leaves *arena's length
-// alone.
-func parseRecordOnto(line []byte, arena *[]byte) (r Reading, put, ok bool) {
 	if b, isPut := cut(line, `{"op":"put","r":`); isPut {
-		r, b, ok = parseReadingOnto(b, arena)
-		ok = ok && string(b) == "}"
-		if ok && arena != nil {
-			*arena = (*arena)[:len(*arena)+len(r.Payload)]
-		}
-		return r, true, ok
+		r, b, ok = parseReading(b)
+		return r, true, ok && string(b) == "}"
 	}
 	b, ok := cut(line, `{"op":"del","trace":"`)
 	if !ok {
@@ -699,32 +680,29 @@ func (s *spool) commit() error {
 // returns its sequence number.
 func (s *spool) push(r *Reading) uint64 {
 	s.data = append(s.data, r.Payload...)
-	return s.pushSlot(r)
-}
-
-// pushSlot appends r's slot for a payload already at the arena's end.
-func (s *spool) pushSlot(r *Reading) uint64 {
 	s.slots = append(s.slots, packSlot(r, s.start+uint32(len(s.data))))
 	s.state = append(s.state, slotQueued)
 	s.live++
 	return s.base + uint64(len(s.slots)-1)
 }
 
-// kill tombstones the slot admitted as seq; a slot already dead or popped
-// is left alone. The caller trims afterwards.
-func (s *spool) kill(seq uint64) {
+// kill tombstones the slot admitted as seq and reports whether it was
+// pending; a slot already dead or popped is left alone. The caller trims
+// afterwards.
+func (s *spool) kill(seq uint64) bool {
 	if seq < s.base {
-		return
+		return false
 	}
 	i := seq - s.base
 	switch s.state[i] {
 	case slotDead:
-		return
+		return false
 	case slotBusy:
 		s.busy--
 	}
 	s.state[i] = slotDead
 	s.live--
+	return true
 }
 
 // trim pops the tombstones at the head and reslices the arena past their
@@ -818,13 +796,15 @@ func (s *spool) release(seqs []uint64) {
 
 // ackAt removes an uploaded batch — slot by slot through its sequence
 // numbers, so the cost does not depend on what else is pending — and logs
-// a del for every reading in it, also one evicted while the upload was in
-// flight. Compaction is the caller's affair — check compactDue afterwards
+// a del for every reading of it still pending; one evicted while the
+// upload was in flight has its del already. Compaction is the caller's affair — check compactDue afterwards
 // and run it off the hot path.
 func (s *spool) ackAt(batch []Reading, seqs []uint64, now time.Time) error {
 	var firstErr error
 	for i, seq := range seqs {
-		s.kill(seq)
+		if !s.kill(seq) {
+			continue // evicted in flight: its eviction logged the del
+		}
 		if err := s.appendDel(batch[i].Trace, now); err != nil && firstErr == nil {
 			firstErr = err
 		}

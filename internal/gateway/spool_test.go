@@ -422,6 +422,56 @@ func TestSpoolSeenHorizonBounded(t *testing.T) {
 	}
 }
 
+// TestSpoolReplayKeepsReadmittedReading: a reading that falls off the
+// dedup horizon while pending and is re-admitted is pending twice, and a
+// del that removes one copy — an ack's, an eviction's, or none for the
+// ack of a copy evicted in flight — leaves the other pending across a
+// restart.
+func TestSpoolReplayKeepsReadmittedReading(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove func(s *spool)
+	}{
+		{"ack", func(s *spool) {
+			batch, seqs := s.take(1)
+			s.ackAt(batch, seqs, time.Time{})
+		}},
+		{"evict", func(s *spool) { s.add(testReading(3)) }},
+		{"ack after eviction", func(s *spool) {
+			batch, seqs := s.take(1)
+			s.add(testReading(3))
+			s.ackAt(batch, seqs, time.Time{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "readmit.wal")
+			s, err := openSpool(path, 4, 2, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range []int{0, 1, 2, 0} { // 1 and 2 push 0 off the horizon
+				if dup, _, _, err := s.add(testReading(i)); dup || err != nil {
+					t.Fatalf("add %d: dup=%v err=%v", i, dup, err)
+				}
+			}
+			tc.remove(s)
+			want := s.pendingReadings()
+			if n := slices.Index(traces(want), testReading(0).Trace); n < 0 || slices.Contains(traces(want)[n+1:], testReading(0).Trace) {
+				t.Fatalf("memory holds %v, want one copy of %v", traces(want), testReading(0).Trace)
+			}
+			s.close()
+			s2, err := openSpool(path, 4, 2, metrics.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.close()
+			if got := s2.pendingReadings(); !sameReadings(got, want) {
+				t.Fatalf("replayed %v, the spool held %v", traces(got), traces(want))
+			}
+		})
+	}
+}
+
 // spoolModel is the queue the sequence-addressed spool replaced, kept as
 // the reference: one slice of pending entries, in flight or not; a dedup
 // horizon that forgets in FIFO order; and the WAL as a list of records
@@ -512,22 +562,21 @@ func (m *spoolModel) take(n int, busy map[int]bool) []modelEntry {
 }
 
 // ack removes the entries numbered ns, whatever else is pending, and logs
-// a del for each reading of the batch, evicted meanwhile or not.
-func (m *spoolModel) ack(ns []int, batch []Reading) {
+// a del for each of them still pending: one evicted meanwhile has its del.
+func (m *spoolModel) ack(ns []int) {
 	acked := map[int]bool{}
 	for _, n := range ns {
 		acked[n] = true
 	}
 	var kept []modelEntry
 	for _, e := range m.pending {
-		if !acked[e.n] {
+		if acked[e.n] {
+			m.write(false, Reading{Trace: e.r.Trace})
+		} else {
 			kept = append(kept, e)
 		}
 	}
 	m.pending = kept
-	for _, r := range batch {
-		m.write(false, Reading{Trace: r.Trace})
-	}
 }
 
 func (m *spoolModel) beginCompact() {
@@ -541,28 +590,38 @@ func (m *spoolModel) finishCompact() {
 	m.log, m.sidecar, m.compacting = m.sidecar, nil, false
 }
 
-// reopen replays the log by scanning it — a put replaces whatever of its
-// ID is pending and queues at the tail, a del removes it — remembering
-// every ID it names, then evicts down to capacity.
-func (m *spoolModel) reopen() {
+// reopen replays the log by scanning it — a put queues at the tail, a del
+// removes the oldest pending entry of its trace — remembering every ID it
+// names, then evicts down to capacity. It returns what the scan left out
+// of the queue held in memory, or held beyond it, compared as bags of
+// readings: both must be empty, for a restart keeps every pending reading
+// and no other. Only which copy of an ID pending twice stays, and so
+// where it queues, may differ from memory, when the later copy was acked
+// first (a del names a trace, not a copy).
+func (m *spoolModel) reopen() (lost, gained []Reading) {
+	held := entryReadings(m.pending)
 	m.pending, m.seen, m.order = nil, map[trace.TraceID]bool{}, nil
 	for _, rec := range m.log {
-		kept := m.pending[:0]
-		for _, e := range m.pending {
-			if e.r.Trace != rec.r.Trace {
-				kept = append(kept, e)
-			}
-		}
-		m.pending = kept
 		if rec.put {
 			m.push(rec.r)
+		} else if i := slices.IndexFunc(m.pending, func(e modelEntry) bool { return e.r.Trace == rec.r.Trace }); i >= 0 {
+			m.pending = slices.Delete(m.pending, i, i+1)
 		}
 		m.remember(rec.r.Trace)
+	}
+	gained = entryReadings(m.pending)
+	for _, r := range held {
+		if i := slices.IndexFunc(gained, func(g Reading) bool { return sameReadings([]Reading{g}, []Reading{r}) }); i >= 0 {
+			gained = slices.Delete(gained, i, i+1)
+		} else {
+			lost = append(lost, r)
+		}
 	}
 	for len(m.pending) > m.capacity {
 		m.write(false, Reading{Trace: m.pending[0].r.Trace})
 		m.pending = m.pending[1:]
 	}
+	return lost, gained
 }
 
 func entryReadings(es []modelEntry) []Reading {
@@ -704,7 +763,7 @@ func (r *spoolRun) step(c chooser, at string) {
 		if f.seqs[0] < s.base {
 			r.lateAcks++
 		}
-		m.ack(f.ns, f.batch)
+		m.ack(f.ns)
 		if err := s.ackAt(f.batch, f.seqs, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
@@ -749,7 +808,9 @@ func (r *spoolRun) reopen(at string, crash bool) {
 	if r.s, err = openSpool(r.path, r.m.capacity, r.m.horizon, metrics.NewRegistry()); err != nil {
 		t.Fatalf("%s: reopen: %v", at, err)
 	}
-	r.m.reopen()
+	if lost, gained := r.m.reopen(); len(lost)+len(gained) > 0 {
+		t.Fatalf("%s: the log replays to a queue that lost %v and gained %v", at, traces(lost), traces(gained))
+	}
 	r.out, r.busy = nil, map[int]bool{}
 	r.reopens++
 	if !slices.Equal(r.s.seenOrder, r.m.order) {
@@ -785,8 +846,8 @@ func (r *spoolRun) finish(at string) {
 // seeded random interleavings of spoolRun.step, and demands that the WAL
 // replays to the model's queue and horizon. At horizon 1<<20 the horizon
 // never forgets; at 8 and 64 it forgets readings still pending, which the
-// mesh then re-admits, so one ID is pending twice and a reopen keeps the
-// later put unless a del of the ID follows it.
+// mesh then re-admits, so one ID is pending twice, and a reopen must keep
+// both copies until two dels of the ID follow.
 func TestSpoolMatchesScanModel(t *testing.T) {
 	for _, horizon := range []int{1 << 20, 8, 64} {
 		t.Run(fmt.Sprintf("horizon=%d", horizon), func(t *testing.T) {
