@@ -459,7 +459,7 @@ func (s *Sim) buildNodes(topo *geo.Topology) []int32 {
 	next := slices.Clone(s.cellStart)
 	slotOf := make([]int32, len(topo.Positions))
 	ns := &s.nodes
-	ns.alloc(s.r.Nodes)
+	ns.alloc(s.r.Nodes, s.r.strat)
 	for i, p := range topo.Positions {
 		slot := next[key[i]]
 		next[key[i]]++

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -98,6 +99,52 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 		sh.candOf = make([]int32, len(sh.candOf), cap(sh.candOf)+1)
 		if got, want := s.stateBytes()-before, reflect.TypeOf(int32(0)).Size(); got != uint64(want) {
 			t.Errorf("one more candOf entry adds %d state bytes, want %d", got, want)
+		}
+	}
+}
+
+// TestStrategyStateOnlyWhereRead holds each strategy to the strategy
+// slabs it reads: every other one has capacity 0, and a node's nodeState
+// bytes, the link slabs aside, stay at the strategy's budget (the shared
+// 192 B plus its own slabs). Each strategy then runs briefly, so a read of
+// a slab it was not given panics here.
+func TestStrategyStateOnlyWhereRead(t *testing.T) {
+	reactive := []string{"solicitAt", "solSeenFrom", "solSeenBorn", "replyArmed"}
+	icn := []string{"intSeenFrom", "intSeenBorn", "csAt", "csHops", "pitLen", "pitExpiry", "pitDown", "pitOrigin", "pitBorn"}
+	cases := []struct {
+		strat   string
+		reads   []string
+		perNode uint64
+	}{
+		{"proactive", nil, 192},
+		{"reactive", reactive, 213},
+		{"icn", icn, 287},
+		{"slotted", nil, 192},
+	}
+	const nodes = 200
+	for _, tc := range cases {
+		s, err := New(Config{Nodes: nodes, Shards: 2, Seed: 1, Strategy: tc.strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slabs := reflect.ValueOf(s.nodes)
+		var bytes uint64
+		for i := 0; i < slabs.NumField(); i++ {
+			name, f := slabs.Type().Field(i).Name, slabs.Field(i)
+			if strings.HasPrefix(name, "nbr") {
+				continue
+			}
+			bytes += uint64(f.Cap()) * uint64(f.Type().Elem().Size())
+			strategic := slices.Contains(reactive, name) || slices.Contains(icn, name)
+			if strategic && !slices.Contains(tc.reads, name) && f.Cap() != 0 {
+				t.Errorf("%s: %s holds %d elements it never reads", tc.strat, name, f.Cap())
+			}
+		}
+		if got := bytes / nodes; got > tc.perNode {
+			t.Errorf("%s: %d state bytes a node, want at most %d", tc.strat, got, tc.perNode)
+		}
+		if err := s.Run(3 * time.Minute); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -31,7 +31,8 @@ func (d *digester) i64(v int64) { d.u64(uint64(v)) }
 // Strategy-specific state (content stores, PIT crumbs, solicit/interest
 // counters, queued frame kinds) is folded only in the non-proactive
 // modes, so the proactive digest is byte-identical to a build without
-// the strategy field. Nodes are folded in id order, and every node-valued
+// the strategy field; a strategy slab another strategy owns folds as its
+// initial value. Nodes are folded in id order, and every node-valued
 // field as the id it names: the digest does not see the storage order.
 func (s *Sim) Digest() uint64 {
 	d := digester(fnvOffset)
@@ -79,15 +80,16 @@ func (s *Sim) Digest() uint64 {
 			}
 		}
 		if strategic {
-			d.i64(ns.solicitAt[i])
-			node(ns.solSeenFrom[i])
-			d.i64(ns.solSeenBorn[i])
-			node(ns.intSeenFrom[i])
-			d.i64(ns.intSeenBorn[i])
-			d.i64(ns.csAt[i])
-			d.u64(uint64(ns.csHops[i]))
-			d.u64(uint64(ns.pitLen[i]))
-			for k := int(i) * pitCap; k < int(i)*pitCap+int(ns.pitLen[i]); k++ {
+			d.i64(slabAt(ns.solicitAt, i, -1))
+			node(slabAt(ns.solSeenFrom, i, -1))
+			d.i64(slabAt(ns.solSeenBorn, i, 0))
+			node(slabAt(ns.intSeenFrom, i, -1))
+			d.i64(slabAt(ns.intSeenBorn, i, 0))
+			d.i64(slabAt(ns.csAt, i, -1))
+			d.u64(uint64(slabAt(ns.csHops, i, 0)))
+			pitLen := int(slabAt(ns.pitLen, i, 0))
+			d.u64(uint64(pitLen))
+			for k := int(i) * pitCap; k < int(i)*pitCap+pitLen; k++ {
 				node(ns.pitDown[k])
 				node(ns.pitOrigin[k])
 				d.i64(ns.pitBorn[k])
@@ -128,4 +130,13 @@ func (s *Sim) Digest() uint64 {
 		d.u64(st.SlotDeferrals)
 	}
 	return uint64(d)
+}
+
+// slabAt returns slab[i], or initial when the strategy never allocated
+// the slab, the value it would have held all run.
+func slabAt[T any](slab []T, i int32, initial T) T {
+	if slab == nil {
+		return initial
+	}
+	return slab[i]
 }

@@ -78,8 +78,10 @@ type nodeState struct {
 	cFwd       []uint32
 	cDelivered []uint32
 
-	// Strategy-mode state (engine_strategy.go). Written only in the
-	// non-proactive modes; folded into the digest only there too.
+	// Strategy-mode state (engine_strategy.go). alloc makes a slab only
+	// under the strategy that reads it (the reactive four, the icn nine);
+	// under any other it stays nil, and the digest folds the initial value
+	// it would have held.
 	solicitAt   []int64 // reactive: last solicit heard (-1 never)
 	solSeenFrom []int32 // reactive: last relayed solicit flood (origin)
 	solSeenBorn []int64 // reactive: last relayed solicit flood (born)
@@ -103,15 +105,17 @@ type nodeState struct {
 
 const txHistLen = 4
 
-func (ns *nodeState) alloc(n int) {
+// alloc makes the slabs of an n-node city under strategy strat: the
+// shared ones, and the strategy slabs only that strategy reads.
+func (ns *nodeState) alloc(n int, strat uint8) {
 	ns.id = make([]int32, n)
 	ns.x = make([]float64, n)
 	ns.y = make([]float64, n)
 	ns.cell = make([]int32, n)
 	ns.isSink = make([]bool, n)
-	ns.hop = make([]uint16, n)
-	ns.next = make([]int32, n)
-	ns.routeAt = make([]int64, n)
+	ns.hop = filled(n, noRoute)
+	ns.next = filled(n, int32(-1))
+	ns.routeAt = filled(n, int64(-1))
 	ns.txEnd = make([]int64, n)
 	ns.txHist = make([]int64, n*txHistLen*2)
 	ns.txHistPos = make([]uint8, n)
@@ -129,28 +133,32 @@ func (ns *nodeState) alloc(n int) {
 	ns.cDataTx = make([]uint32, n)
 	ns.cFwd = make([]uint32, n)
 	ns.cDelivered = make([]uint32, n)
-	ns.solicitAt = make([]int64, n)
-	ns.solSeenFrom = make([]int32, n)
-	ns.solSeenBorn = make([]int64, n)
-	ns.replyArmed = make([]bool, n)
-	ns.intSeenFrom = make([]int32, n)
-	ns.intSeenBorn = make([]int64, n)
-	ns.csAt = make([]int64, n)
-	ns.csHops = make([]uint16, n)
-	ns.pitLen = make([]uint8, n)
-	ns.pitExpiry = make([]int64, n)
-	ns.pitDown = make([]int32, n*pitCap)
-	ns.pitOrigin = make([]int32, n*pitCap)
-	ns.pitBorn = make([]int64, n*pitCap)
-	for i := 0; i < n; i++ {
-		ns.hop[i] = noRoute
-		ns.next[i] = -1
-		ns.routeAt[i] = -1
-		ns.solicitAt[i] = -1
-		ns.solSeenFrom[i] = -1
-		ns.intSeenFrom[i] = -1
-		ns.csAt[i] = -1
+	switch strat {
+	case stratReactive:
+		ns.solicitAt = filled(n, int64(-1))
+		ns.solSeenFrom = filled(n, int32(-1))
+		ns.solSeenBorn = make([]int64, n)
+		ns.replyArmed = make([]bool, n)
+	case stratICN:
+		ns.intSeenFrom = filled(n, int32(-1))
+		ns.intSeenBorn = make([]int64, n)
+		ns.csAt = filled(n, int64(-1))
+		ns.csHops = make([]uint16, n)
+		ns.pitLen = make([]uint8, n)
+		ns.pitExpiry = make([]int64, n)
+		ns.pitDown = make([]int32, n*pitCap)
+		ns.pitOrigin = make([]int32, n*pitCap)
+		ns.pitBorn = make([]int64, n*pitCap)
 	}
+}
+
+// filled returns a slab of n copies of v.
+func filled[T any](n int, v T) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // recordTx pushes an own-transmission interval into the half-duplex ring.

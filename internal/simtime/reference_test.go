@@ -253,9 +253,9 @@ var (
 )
 
 // driveWheel applies a random op sequence drawn from seed to w and returns
-// everything it observed: each fire, each op's result, and the clock,
-// Len and Fired after every op. Delays come from a few milliseconds, so
-// same-instant ties are common; cancels pick any handle ever returned —
+// everything it observed: each fire, each op's result, and the clock (as
+// Now().String(), so its location too) and Fired after every op. Delays
+// come from a few milliseconds, so same-instant ties are common; cancels pick any handle ever returned —
 // live, fired, already cancelled, or stale with its slot reused — or the
 // zero handle. Callbacks schedule and cancel too.
 func driveWheel[H comparable](w wheel[H], seed int64, ops int) []string {
@@ -305,29 +305,56 @@ func driveWheel[H comparable](w wheel[H], seed int64, ops int) []string {
 			w.RunUntil(w.Now().Add(delay()))
 		default:
 			at, ok := w.NextAt()
-			log = append(log, fmt.Sprintf("next %v %v", at.Sub(testEpoch), ok))
+			log = append(log, fmt.Sprintf("next %v %v", at, ok))
 		}
-		log = append(log, fmt.Sprintf("now %v fired %d", w.Now().Sub(testEpoch), w.Fired()))
+		log = append(log, fmt.Sprintf("now %v fired %d", w.Now(), w.Fired()))
 	}
 	return log
 }
 
+// zonedEpoch is testEpoch's instant on a clock in a fixed zone: a wheel
+// started there must keep the zone through every fire and run.
+var zonedEpoch = testEpoch.In(time.FixedZone("UTC+05:30", 5*3600+30*60))
+
 // TestSchedulerMatchesReference holds the slab scheduler to the
 // container/heap one it replaced: the same random op sequences must fire
-// the same events in the same order and report the same clock, Len,
-// Fired, NextAt and Cancel results.
+// the same events in the same order and report the same clock (instant
+// and location), Fired, NextAt and Cancel results.
 func TestSchedulerMatchesReference(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		got := driveWheel[Handle](NewScheduler(testEpoch), seed, 300)
-		want := driveWheel[refHandle](newRefScheduler(testEpoch), seed, 300)
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("seed %d: diverges at line %d:\n%s", seed, i, diffContext(got, want, i))
-			}
+	for _, epoch := range []time.Time{testEpoch, zonedEpoch} {
+		for seed := int64(1); seed <= 200; seed++ {
+			matchReference(t, epoch, seed, 300)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d lines, reference %d", seed, len(got), len(want))
+	}
+}
+
+// FuzzSchedulerMatchesReference searches the same property over any seed
+// and op count, from either epoch.
+func FuzzSchedulerMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint16(300), false)
+	f.Add(int64(7), uint16(40), true)
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16, zoned bool) {
+		epoch := testEpoch
+		if zoned {
+			epoch = zonedEpoch
 		}
+		matchReference(t, epoch, seed, int(ops%2048))
+	})
+}
+
+// matchReference drives both schedulers from epoch with the op sequence
+// drawn from seed and fails at the first line they disagree on.
+func matchReference(t *testing.T, epoch time.Time, seed int64, ops int) {
+	t.Helper()
+	got := driveWheel[Handle](NewScheduler(epoch), seed, ops)
+	want := driveWheel[refHandle](newRefScheduler(epoch), seed, ops)
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("epoch %v seed %d: diverges at line %d:\n%s", epoch, seed, i, diffContext(got, want, i))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("epoch %v seed %d: %d lines, reference %d", epoch, seed, len(got), len(want))
 	}
 }
 

@@ -10,6 +10,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -25,9 +26,8 @@ type Handle struct {
 // event's schedule number and 0 once it fired or was cancelled. A slot
 // returns to the freelist only when its heap entry leaves the heap, never
 // at Cancel time, because the entry still names the slot until Step or
-// NextAt discards it.
+// NextAt discards it. The instant lives only in the entry's atNs.
 type event struct {
-	at  time.Time
 	fn  func()
 	seq uint64
 }
@@ -35,9 +35,30 @@ type event struct {
 // entry is one heap element: the event's ordering key and its slot. An
 // entry whose seq differs from its slot's is a cancelled event.
 type entry struct {
-	atNs int64  // at.UnixNano(), precomputed for ordering
+	atNs int64  // the instant as UnixNano, the one record of it
 	seq  uint64 // tie-breaker: schedule order
 	slot int32
+}
+
+// The instants UnixNano can name, as Unix seconds and nanoseconds: from
+// 1677-09-21T00:12:43.145224192Z to 2262-04-11T23:47:16.854775807Z. At
+// refuses any other.
+const (
+	minSec, minNsec = math.MinInt64/1_000_000_000 - 1, math.MinInt64%1_000_000_000 + 1_000_000_000
+	maxSec, maxNsec = math.MaxInt64 / 1_000_000_000, math.MaxInt64 % 1_000_000_000
+)
+
+// unixNanos returns t as UnixNano and whether t lies in its range; an
+// instant outside it reads as the nearer end.
+func unixNanos(t time.Time) (int64, bool) {
+	sec, nsec := t.Unix(), t.Nanosecond()
+	switch {
+	case sec < minSec || sec == minSec && nsec < minNsec:
+		return math.MinInt64, false
+	case sec > maxSec || sec == maxSec && nsec > maxNsec:
+		return math.MaxInt64, false
+	}
+	return t.UnixNano(), true
 }
 
 func (a entry) before(b entry) bool {
@@ -66,14 +87,25 @@ func (s *Scheduler) Now() time.Time { return s.now }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
+// instant is the time an entry at atNs fires, in the clock's location.
+func (s *Scheduler) instant(atNs int64) time.Time {
+	return time.Unix(0, atNs).In(s.now.Location())
+}
+
 // At schedules fn to run at the given virtual time. Scheduling in the past
-// is an error: the simulation would lose causal ordering.
+// is an error: the simulation would lose causal ordering. So is an instant
+// UnixNano cannot name (before 1677-09-21 or after 2262-04-11): the queue
+// orders by it.
 func (s *Scheduler) At(at time.Time, fn func()) (Handle, error) {
 	if fn == nil {
 		return Handle{}, fmt.Errorf("simtime: schedule nil callback at %v", at)
 	}
 	if at.Before(s.now) {
 		return Handle{}, fmt.Errorf("simtime: schedule at %v is before now %v", at, s.now)
+	}
+	atNs, ok := unixNanos(at)
+	if !ok {
+		return Handle{}, fmt.Errorf("simtime: schedule at %v is outside UnixNano's range", at)
 	}
 	s.nextSeq++
 	slot := int32(len(s.events))
@@ -82,8 +114,8 @@ func (s *Scheduler) At(at time.Time, fn func()) (Handle, error) {
 	} else {
 		s.events = append(s.events, event{})
 	}
-	s.events[slot] = event{at: at, fn: fn, seq: s.nextSeq}
-	s.push(entry{atNs: at.UnixNano(), seq: s.nextSeq, slot: slot})
+	s.events[slot] = event{fn: fn, seq: s.nextSeq}
+	s.push(entry{atNs: atNs, seq: s.nextSeq, slot: slot})
 	return Handle{slot: slot, seq: s.nextSeq}, nil
 }
 
@@ -132,7 +164,7 @@ func (s *Scheduler) Step() bool {
 			continue // cancelled
 		}
 		fn := ev.fn
-		s.now = ev.at
+		s.now = s.instant(e.atNs)
 		*ev = event{}
 		s.fired++
 		fn()
@@ -159,9 +191,13 @@ func (s *Scheduler) RunBefore(t time.Time) { s.runTo(t, false) }
 // runTo executes events in order while they are scheduled before t, or at
 // t when inclusive, then advances the clock to t unless it is later.
 func (s *Scheduler) runTo(t time.Time, inclusive bool) {
+	tNs, ok := unixNanos(t)
+	if !ok {
+		inclusive = tNs == math.MaxInt64 // past the range all are due, before it none
+	}
 	for {
-		next, ok := s.NextAt()
-		if !ok || next.After(t) || !inclusive && next.Equal(t) {
+		e, ok := s.peek()
+		if !ok || e.atNs > tNs || !inclusive && e.atNs == tNs {
 			break
 		}
 		s.Step()
@@ -189,18 +225,27 @@ func (s *Scheduler) Run(maxEvents int) int {
 	return n
 }
 
-// NextAt returns the time of the earliest pending event, discarding
-// cancelled entries from the top of the heap on the way.
+// NextAt returns the time of the earliest pending event.
 func (s *Scheduler) NextAt() (time.Time, bool) {
+	e, ok := s.peek()
+	if !ok {
+		return time.Time{}, false
+	}
+	return s.instant(e.atNs), true
+}
+
+// peek returns the heap entry of the earliest pending event, discarding
+// cancelled entries from the top of the heap on the way.
+func (s *Scheduler) peek() (entry, bool) {
 	for len(s.heap) > 0 {
 		e := s.heap[0]
-		if ev := &s.events[e.slot]; ev.seq == e.seq {
-			return ev.at, true
+		if s.events[e.slot].seq == e.seq {
+			return e, true
 		}
 		s.pop()
 		s.free = append(s.free, e.slot)
 	}
-	return time.Time{}, false
+	return entry{}, false
 }
 
 // push adds e to the heap, sifting it up from the last position.

@@ -1,11 +1,13 @@
 package simtime
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 var testEpoch = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -90,6 +92,64 @@ func TestSchedulerRejectsPastAndNil(t *testing.T) {
 	}
 	if _, err := s.After(time.Second, nil); err == nil {
 		t.Error("nil callback: want error")
+	}
+}
+
+// TestSchedulerRejectsInstantsUnixNanoCannotName pins the range guard: a
+// delay that lands past 2262 would order by an undefined UnixNano, so At
+// refuses it, and the near timer fires first at its own instant.
+func TestSchedulerRejectsInstantsUnixNanoCannotName(t *testing.T) {
+	start := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	s := NewScheduler(start)
+	var fired []string
+	if _, err := s.After(math.MaxInt64, func() { fired = append(fired, "far") }); err == nil {
+		t.Error("After past 2262: want error")
+	}
+	if _, err := s.At(start.AddDate(300, 0, 0), func() { fired = append(fired, "far") }); err == nil {
+		t.Error("At past 2262: want error")
+	}
+	s.MustAfter(time.Second, func() { fired = append(fired, "near") })
+	if !s.Step() || len(fired) != 1 || fired[0] != "near" {
+		t.Fatalf("first Step fired %v, want [near]", fired)
+	}
+	if want := start.Add(time.Second); s.Now() != want {
+		t.Fatalf("Now() = %v, want %v", s.Now(), want)
+	}
+	if s.Step() {
+		t.Fatalf("a second event fired: %v", fired)
+	}
+	// The range's last nanosecond is an instant like any other; the next
+	// one, and a clock run past the range, are not.
+	last := time.Unix(0, math.MaxInt64)
+	if _, err := s.At(last, func() {}); err != nil {
+		t.Errorf("At the last UnixNano: %v", err)
+	}
+	if _, err := s.At(last.Add(1), func() {}); err == nil {
+		t.Error("At a nanosecond past the range: want error")
+	}
+	s.RunUntil(last.Add(time.Hour))
+	if s.Fired() != 2 {
+		t.Errorf("fired %d events, want the near one and the last UnixNano", s.Fired())
+	}
+	if _, err := s.After(0, func() {}); err == nil {
+		t.Error("At a clock past 2262: want error")
+	}
+	// Likewise the first nanosecond, on a clock started before it.
+	first := time.Unix(0, math.MinInt64)
+	early := NewScheduler(first.Add(-time.Hour))
+	if _, err := early.At(first.Add(-1), func() {}); err == nil {
+		t.Error("At a nanosecond before the range: want error")
+	}
+	if _, err := early.At(first, func() {}); err != nil || !early.Step() || !early.Now().Equal(first) {
+		t.Errorf("At the first UnixNano: err %v, clock %v", err, early.Now())
+	}
+}
+
+// TestEventIs16Bytes pins the slab element: the callback and the sequence
+// number, the instant living only in the heap entry.
+func TestEventIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 16 {
+		t.Fatalf("event is %d bytes, want 16", size)
 	}
 }
 
