@@ -152,20 +152,14 @@ func (n *Node) deliver(msg AppMessage) {
 
 // handleHello folds a received routing beacon into the table.
 func (n *Node) handleHello(p *packet.Packet, info RxInfo) {
-	entries, err := packet.AppendHello(n.helloRows[:0], p.Payload)
+	// The sender's own role rides on its metric-0 self entry when
+	// present; the prototype simply advertises RoleDefault otherwise.
+	entries, role, err := packet.AppendHello(n.helloRows[:0], p.Payload, p.Src)
 	if err != nil {
 		n.ins.rxCorrupt.Inc()
 		return
 	}
 	n.helloRows = entries
-	// The sender's own role rides on its metric-0 self entry when
-	// present; the prototype simply advertises RoleDefault otherwise.
-	role := packet.RoleDefault
-	for _, e := range entries {
-		if e.Addr == p.Src {
-			role = e.Role
-		}
-	}
 	if n.table.ApplyHello(n.env.Now(), p.Src, role, info.SNRDB, entries) {
 		n.ins.routesUpdated.Inc()
 	}

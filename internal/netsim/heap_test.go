@@ -18,8 +18,8 @@ import (
 // node reporting to the centre sink every ~5 min) the live heap of a 20 h
 // run may exceed a 5 h run's by at most 64 B per extra delivery; a node
 // that kept each delivery and its payload grows by ~120 B. The generator
-// is test-local because StartFlow's latencies and its sentAt map are the
-// caller's record and grow by design.
+// is test-local because StartFlow's latencies are the caller's record and
+// grow by design.
 func TestSimHeapFlatInRunLength(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 25 h of a 64-node mesh")

@@ -67,29 +67,35 @@ func MarshalHello(entries []HelloEntry) ([]byte, error) {
 // UnmarshalHello decodes a HELLO payload into routing-table entries.
 func UnmarshalHello(payload []byte) ([]HelloEntry, error) {
 	// Capped: an oversized payload, which AppendHello rejects, must not
-	// size the allocation.
+	// size the allocation. There is no sender here, so Broadcast stands
+	// in for one and the role is dropped.
 	n := min(len(payload), MaxHelloEntries*helloEntryLen) / helloEntryLen
-	return AppendHello(make([]HelloEntry, 0, n), payload)
+	rows, _, err := AppendHello(make([]HelloEntry, 0, n), payload, Broadcast)
+	return rows, err
 }
 
-// AppendHello decodes a HELLO payload, appending its entries to dst and
-// returning the extended slice; a receive path that passes the same
-// buffer back (`rows[:0]`) decodes every beacon without allocating.
-func AppendHello(dst []HelloEntry, payload []byte) ([]HelloEntry, error) {
+// AppendHello decodes a HELLO payload sent by src, appending its entries
+// to dst, and returns the extended slice and src's role: the Role of its
+// own row (a beacon leads with it, at metric 0; the last wins if it
+// repeats), or RoleDefault when the rows list none. A receive path that
+// passes the same buffer back (`rows[:0]`) decodes every beacon without
+// allocating.
+func AppendHello(dst []HelloEntry, payload []byte, src Address) ([]HelloEntry, Role, error) {
 	if len(payload)%helloEntryLen != 0 {
-		return nil, fmt.Errorf("packet: hello payload length %d is not a multiple of %d",
+		return nil, 0, fmt.Errorf("packet: hello payload length %d is not a multiple of %d",
 			len(payload), helloEntryLen)
 	}
 	if len(payload) > MaxHelloEntries*helloEntryLen {
-		return nil, fmt.Errorf("packet: hello payload of %d entries exceeds the %d-entry frame limit",
+		return nil, 0, fmt.Errorf("packet: hello payload of %d entries exceeds the %d-entry frame limit",
 			len(payload)/helloEntryLen, MaxHelloEntries)
 	}
-	for off := 0; off < len(payload); off += helloEntryLen {
-		dst = append(dst, HelloEntry{
-			Addr:   Address(binary.BigEndian.Uint16(payload[off : off+2])),
-			Metric: payload[off+2],
-			Role:   Role(payload[off+3]),
-		})
+	role := RoleDefault
+	for b := payload; len(b) >= helloEntryLen; b = b[helloEntryLen:] {
+		e := HelloEntry{Addr: Address(binary.BigEndian.Uint16(b)), Metric: b[2], Role: Role(b[3])}
+		if e.Addr == src {
+			role = e.Role
+		}
+		dst = append(dst, e)
 	}
-	return dst, nil
+	return dst, role, nil
 }

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +242,35 @@ func TestHelloLimits(t *testing.T) {
 		t.Fatalf("max hello does not fit in frame: %v", err)
 	}
 	if _, err := UnmarshalHello([]byte{1, 2, 3}); err == nil {
+		t.Error("ragged hello payload: want error")
+	}
+}
+
+// TestAppendHelloSenderRole pins the role AppendHello reads for a beacon's
+// sender in the decode pass: its own row's, the last if it repeats, and
+// RoleDefault when the rows list none. The rows decode onto dst whatever
+// the sender, and a ragged payload is refused.
+func TestAppendHelloSenderRole(t *testing.T) {
+	rows := []HelloEntry{
+		{Addr: 7, Role: RoleSink},
+		{Addr: 3, Metric: 1, Role: RoleGateway},
+		{Addr: 7, Metric: 2, Role: RoleGateway},
+	}
+	payload, err := MarshalHello(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]HelloEntry, 0, len(rows))
+	for _, tc := range []struct {
+		src  Address
+		want Role
+	}{{7, RoleGateway}, {3, RoleGateway}, {9, RoleDefault}} {
+		got, role, err := AppendHello(buf[:0], payload, tc.src)
+		if err != nil || role != tc.want || !slices.Equal(got, rows) {
+			t.Errorf("AppendHello from %v = %v, %v, %v; want %v, %v", tc.src, got, role, err, rows, tc.want)
+		}
+	}
+	if _, _, err := AppendHello(buf[:0], payload[:len(payload)-1], 7); err == nil {
 		t.Error("ragged hello payload: want error")
 	}
 }

@@ -7,14 +7,15 @@
 // refreshed by subsequent HELLOs and expire after a timeout, which is how
 // the prototype detects dead routes.
 //
-// A table is one slice of rows sorted by destination address plus a count
-// of the usable ones. Every HELLO is applied by each station that hears it
-// (about 15 in the benchmark's mesh) and carries the sender's whole table,
-// so nothing on that path hashes: ApplyHello looks for each advertised
-// row, which arrive in address order, just past the last one it applied,
-// other lookups bisect, Len is a field read, and the walks that render or
-// age the table (Entries, HelloEntries, ExpireStale, RemoveNeighbor)
-// produce address order without sorting.
+// A table is one slice of 24-byte, pointer-free rows sorted by destination
+// address plus a count of the usable ones. Every HELLO is applied by each
+// station that hears it (about 15 in the benchmark's mesh) and carries the
+// sender's whole table, so nothing on that path hashes: ApplyHello expects
+// each advertised row, which arrive in address order, just past the last
+// one it applied and refreshes it there, other lookups bisect, Len is a
+// field read, and the walks that render or age the table (Entries,
+// HelloEntries, ExpireStale, RemoveNeighbor) produce address order without
+// sorting.
 //
 // Two defensive mechanisms beyond the prototype's expiry-only behaviour are
 // available behind configuration flags, evaluated as ablations:
@@ -103,6 +104,28 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%v via %v metric %d role %v", e.Addr, e.Via, e.Metric, e.Role)
 }
 
+// row is an Entry as the table stores it: the confirmation instant as
+// UnixNano in place of a time.Time, whose *Location would make the row
+// 40 bytes with a pointer for the collector to scan. Entry is rebuilt
+// from it when read.
+type row struct {
+	addr, via packet.Address
+	metric    uint8
+	role      packet.Role
+	at        int64 // UpdatedAt as UnixNano
+	snr       float64
+}
+
+// poisoned reports whether the row advertises unreachability.
+func (r *row) poisoned() bool { return r.metric == MetricInfinity }
+
+// set overwrites a row's route field by field: a composite literal would
+// be built on the stack in narrow stores and copied out in wide loads,
+// which stall on store forwarding.
+func (r *row) set(at int64, via packet.Address, metric uint8, role packet.Role, snr float64) {
+	r.via, r.metric, r.role, r.at, r.snr = via, metric, role, at, snr
+}
+
 // Table is a single node's distance-vector routing table: its rows in one
 // slice sorted by destination address, and how many of them are usable
 // (not poisoned). It is not safe for concurrent use; the owning node
@@ -110,17 +133,37 @@ func (e Entry) String() string {
 type Table struct {
 	self   packet.Address
 	cfg    Config
-	rows   []Entry
+	rows   []row
 	usable int
+	// loc is the location of the last clock reading applied, the one
+	// Entry.UpdatedAt is read in.
+	loc *time.Location
+	// resume is where the last HELLO's walk stopped and senderRow where
+	// its sender's row lay: a table paged over two beacons is heard as
+	// two HELLOs in a row, and the second starts where the first
+	// stopped. Each is checked against the row it names before use.
+	resume, senderRow int
 }
 
 // NewTable returns an empty table for the node self.
 func NewTable(self packet.Address, cfg Config) *Table {
-	return &Table{self: self, cfg: cfg.withDefaults()}
+	return &Table{self: self, cfg: cfg.withDefaults(), loc: time.UTC}
 }
 
 // Len returns the number of usable (non-poisoned) entries.
 func (t *Table) Len() int { return t.usable }
+
+// clock records now's location and returns now as the rows store it.
+func (t *Table) clock(now time.Time) int64 {
+	t.loc = now.Location()
+	return now.UnixNano()
+}
+
+// entry rebuilds the Entry a row stores.
+func (t *Table) entry(r *row) Entry {
+	return Entry{Addr: r.addr, Via: r.via, Metric: r.metric, Role: r.role,
+		UpdatedAt: time.Unix(0, r.at).In(t.loc), SNR: r.snr}
+}
 
 // find returns the index of dst's row and true, or the index a row for
 // dst would be inserted at and false.
@@ -131,19 +174,19 @@ func (t *Table) find(dst packet.Address) (int, bool) { return t.findFrom(0, dst)
 func (t *Table) findFrom(from int, dst packet.Address) (int, bool) {
 	lo, hi := from, len(t.rows)
 	for ; lo < hi && lo < from+3; lo++ {
-		if a := t.rows[lo].Addr; a >= dst {
+		if a := t.rows[lo].addr; a >= dst {
 			return lo, a == dst
 		}
 	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if t.rows[m].Addr < dst {
+		if t.rows[m].addr < dst {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(t.rows) && t.rows[lo].Addr == dst
+	return lo, lo < len(t.rows) && t.rows[lo].addr == dst
 }
 
 // ApplyHello folds one received HELLO into the table. from is the sender
@@ -154,31 +197,58 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 	if from == t.self || from == packet.Broadcast {
 		return false
 	}
-	_, changed := t.update(now, 0, from, from, 1, role, snr)
-	// Rows below next sort before the row being applied. A beacon lists
-	// its rows in address order, so each is usually found at next or
-	// just past it.
-	next := 0
-	for _, adv := range advertised {
+	at := t.clock(now)
+	// Rows below next sort at or before last, the previous advertised
+	// row, and so before the row being applied unless the beacon is out
+	// of address order. A beacon lists its rows in address order, so
+	// each is usually found at next, where refresh applies it in place.
+	next, last := 0, packet.Address(0)
+	changed, direct := false, true // direct: the sender's own route is still to apply
+	for k := 0; k < len(advertised); k++ {
+		if n, c := t.refresh(advertised[k:], next, at, from, snr); n > 0 {
+			changed = changed || c
+			k, next, last = k+n-1, next+n, advertised[k+n-1].Addr
+			continue
+		}
+		adv := advertised[k]
+		// A beacon leads with the sender's own row instead of listing it
+		// in address order, so an in-order walk finds the sender's route
+		// in a gap. The direct route is applied there, and the row tried
+		// again past it.
+		if direct && next < len(t.rows) && t.rows[next].addr == from && adv.Addr > from {
+			_, c := t.update(at, next, from, from, 1, role, snr)
+			changed, direct, t.senderRow = changed || c, false, next
+			next, last = next+1, from // every row below next now sorts at or before from
+			k--
+			continue
+		}
 		if adv.Addr == t.self || adv.Addr == packet.Broadcast {
 			continue
 		}
 		// Direct reception is authoritative for the sender itself: an
 		// advertised row about the sender (stale self-route echoed back
-		// through the mesh) must not degrade the 1-hop entry above.
+		// through the mesh) must not degrade the 1-hop entry.
 		if adv.Addr == from {
 			continue
 		}
-		if next > 0 && t.rows[next-1].Addr >= adv.Addr {
+		if adv.Addr <= last {
 			next = 0 // out of address order
 		}
+		if h := t.resume; next < h && h < len(t.rows) && t.rows[h].addr == adv.Addr {
+			// The previous beacon's walk stopped at this row: the walk
+			// resumes there, every row below it sorting before it.
+			next, last = h, t.rows[h-1].addr
+			k--
+			continue
+		}
+		last = adv.Addr
 		if adv.Metric == MetricInfinity {
 			// Poisoned advertisement: if our route to that
 			// destination goes through the sender, it is dead.
 			i, ok := t.findFrom(next, adv.Addr)
 			next = i
-			if ok && t.rows[i].Via == from && !t.rows[i].Poisoned() {
-				if !t.withdraw(now, &t.rows[i]) {
+			if ok && t.rows[i].via == from && !t.rows[i].poisoned() {
+				if !t.withdraw(at, &t.rows[i]) {
 					t.rows = slices.Delete(t.rows, i, i+1)
 				}
 				changed = true
@@ -188,79 +258,128 @@ func (t *Table) ApplyHello(now time.Time, from packet.Address, role packet.Role,
 		// Metric 0 means "the destination is the advertiser" and is only
 		// legitimate for adv.Addr == from, handled above; anything else
 		// is corruption and must not masquerade as a 1-hop route.
-		if adv.Metric == 0 {
+		if adv.Metric == 0 || adv.Metric >= t.cfg.MaxHops {
 			continue
 		}
-		metric := int(adv.Metric) + 1
-		if metric > int(t.cfg.MaxHops) {
-			continue
-		}
-		i, c := t.update(now, next, adv.Addr, from, uint8(metric), adv.Role, snr)
+		i, c := t.update(at, next, adv.Addr, from, adv.Metric+1, adv.Role, snr)
 		next = i + 1 // row i is adv.Addr, which sorts before the next row
 		changed = changed || c
 	}
+	if direct {
+		// The walk did not reach the sender's row. When the sender sorts
+		// after every row applied, the row lies at or past next.
+		start := 0
+		if from > last {
+			start = next
+		} else if i := t.senderRow; i < len(t.rows) && t.rows[i].addr == from {
+			start = i
+		}
+		i, c := t.update(at, start, from, from, 1, role, snr)
+		changed, t.senderRow = changed || c, i
+	}
+	t.resume = next
 	return changed
+}
+
+// refresh is ApplyHello's fast path. It walks advertised and the rows
+// from next in step for as long as each row is the destination advertised
+// beside it, and returns how many rows it walked and whether any route
+// changed. Most candidates lose, and one through another neighbour that
+// is not shorter (nor, with SNRTiebreak, as short) changes nothing
+// whatever else it is, so it is passed over first. Otherwise the row must
+// be usable and the candidate a route (a metric of 1 to MaxHops-1: 0,
+// over the cap and MetricInfinity all wrap past hopCap-1) from a sender
+// that is not the destination, and only the Bellman-Ford rule is left,
+// applied in place. refresh calls nothing, so the walk keeps its state
+// in registers.
+func (t *Table) refresh(advertised []packet.HelloEntry, next int, at int64, from packet.Address, snr float64) (n int, changed bool) {
+	rows := t.rows[next:]
+	m := min(len(rows), len(advertised))
+	rows, advertised = rows[:m], advertised[:m]
+	hopCap, tiebreak := t.cfg.MaxHops, t.cfg.SNRTiebreak
+	// A candidate at adv.Metric+1 loses to a row at a metric no more than
+	// adv.Metric+tieLoses: one compare, whose outcome rarely changes.
+	tieLoses := 1
+	if tiebreak {
+		tieLoses = 0
+	}
+	for ; n < len(rows); n++ {
+		adv, r := &advertised[n], &rows[n]
+		if r.addr != adv.Addr {
+			break
+		}
+		if r.via != from && int(adv.Metric)+tieLoses >= int(r.metric) {
+			continue
+		}
+		if adv.Addr == from || adv.Metric-1 >= hopCap-1 || r.poisoned() {
+			break
+		}
+		c := r.relax(tiebreak, at, from, adv.Metric+1, adv.Role, snr)
+		changed = changed || c
+	}
+	return n, changed
 }
 
 // update applies the Bellman-Ford acceptance rule for one candidate route
 // to dst via a neighbour at a metric, which is never poisoned: it is
 // capped at MaxHops. Every row below from sorts before dst. It returns
 // the index of dst's row and whether the table changed. The candidate
-// arrives as scalars, not as an Entry, for the reason set gives.
-func (t *Table) update(now time.Time, from int, dst, via packet.Address, metric uint8, role packet.Role, snr float64) (int, bool) {
+// arrives as scalars, not as a row, for the reason set gives.
+func (t *Table) update(at int64, from int, dst, via packet.Address, metric uint8, role packet.Role, snr float64) (int, bool) {
 	i, ok := t.findFrom(from, dst)
 	if !ok {
-		t.rows = slices.Insert(t.rows, i, Entry{Addr: dst})
+		t.rows = slices.Insert(t.rows, i, row{addr: dst})
 		t.usable++
-	}
-	cur := &t.rows[i]
-	switch {
-	case !ok:
-	case cur.Metric == MetricInfinity: // poisoned; not cur.Poisoned(), which copies the row
+	} else if cur := &t.rows[i]; !cur.poisoned() {
+		return i, cur.relax(t.cfg.SNRTiebreak, at, via, metric, role, snr)
+	} else if metric != 1 {
 		// Hold-down: while a route is poisoned, neighbors may still be
 		// advertising their stale copies of it; accepting them would
 		// resurrect the dead route and defeat the poison. Only direct
 		// evidence (a metric-1 candidate: the destination itself was
 		// heard) lifts the hold.
-		if metric != 1 {
-			return i, false
-		}
-		t.usable++
-	case cur.Via == via:
-		// Update from the route's own next hop: always accept — the
-		// path through that neighbor now has this metric, better or
-		// worse — and refresh the timestamp.
-		structural := cur.Metric != metric || cur.Role != role
-		cur.set(now, via, metric, role, snr)
-		return i, structural
-	case metric < cur.Metric:
-		// Strictly better path through a different neighbor.
-	case metric == cur.Metric && t.cfg.SNRTiebreak && snr >= cur.SNR+snrMarginDB:
-		// Equal hop count but a clearly stronger first link.
-	default:
 		return i, false
+	} else {
+		t.usable++
 	}
-	cur.set(now, via, metric, role, snr)
+	t.rows[i].set(at, via, metric, role, snr)
 	return i, true
 }
 
-// set overwrites a row's route field by field: a composite literal would
-// be built on the stack in narrow stores and copied out in wide loads,
-// which stall on store forwarding.
-func (e *Entry) set(now time.Time, via packet.Address, metric uint8, role packet.Role, snr float64) {
-	e.Via, e.Metric, e.Role, e.UpdatedAt, e.SNR = via, metric, role, now, snr
+// relax applies the Bellman-Ford rule to a usable row for a candidate
+// route via a neighbour at a metric, and reports whether the row's route
+// changed. It is small enough to inline into refresh's loop.
+func (cur *row) relax(tiebreak bool, at int64, via packet.Address, metric uint8, role packet.Role, snr float64) bool {
+	sameHop := cur.via == via
+	switch {
+	case sameHop:
+		// Update from the route's own next hop: always accept — the
+		// path through that neighbor now has this metric, better or
+		// worse — and refresh the timestamp.
+	case metric < cur.metric:
+		// Strictly better path through a different neighbor.
+	case tiebreak && metric == cur.metric && snr >= cur.snr+snrMarginDB:
+		// Equal hop count but a clearly stronger first link. The
+		// setting is tested first: it never changes, so the branch on
+		// it is predicted where the one on the metrics is not.
+	default:
+		return false
+	}
+	changed := !sameHop || cur.metric != metric || cur.role != role
+	cur.set(at, via, metric, role, snr)
+	return changed
 }
 
 // withdraw makes a usable row unreachable: with poisoning on it is
 // poisoned in place and kept; otherwise it reports false and the caller
 // removes the row.
-func (t *Table) withdraw(now time.Time, e *Entry) (keep bool) {
+func (t *Table) withdraw(at int64, r *row) (keep bool) {
 	t.usable--
 	if !t.cfg.Poisoning {
 		return false
 	}
-	e.Metric = MetricInfinity
-	e.UpdatedAt = now
+	r.metric = MetricInfinity
+	r.at = at
 	return true
 }
 
@@ -271,23 +390,24 @@ func (t *Table) poisonHold() time.Duration { return t.cfg.EntryTTL / 2 }
 // poisoned entries past their hold time. It returns the addresses whose
 // routes were invalidated this call, in address order.
 func (t *Table) ExpireStale(now time.Time) []packet.Address {
+	at := t.clock(now)
+	ttl, hold := int64(t.cfg.EntryTTL), int64(t.poisonHold())
 	var dead []packet.Address
 	kept := t.rows[:0]
-	for _, e := range t.rows {
-		age := now.Sub(e.UpdatedAt)
-		if e.Poisoned() {
-			if age > t.poisonHold() {
+	for _, r := range t.rows {
+		age := at - r.at
+		if r.poisoned() {
+			if age > hold {
 				continue
 			}
-		} else if age > t.cfg.EntryTTL {
-			dead = append(dead, e.Addr)
-			if !t.withdraw(now, &e) {
+		} else if age > ttl {
+			dead = append(dead, r.addr)
+			if !t.withdraw(at, &r) {
 				continue
 			}
 		}
-		kept = append(kept, e)
+		kept = append(kept, r)
 	}
-	clear(t.rows[len(kept):])
 	t.rows = kept
 	return dead
 }
@@ -295,10 +415,10 @@ func (t *Table) ExpireStale(now time.Time) []packet.Address {
 // NextHop returns the neighbor to forward a packet for dst to.
 func (t *Table) NextHop(dst packet.Address) (packet.Address, bool) {
 	i, ok := t.find(dst)
-	if !ok || t.rows[i].Poisoned() {
+	if !ok || t.rows[i].poisoned() {
 		return 0, false
 	}
-	return t.rows[i].Via, true
+	return t.rows[i].via, true
 }
 
 // HopsTo returns the hop count (route metric) to dst, false when no
@@ -307,10 +427,10 @@ func (t *Table) NextHop(dst packet.Address) (packet.Address, bool) {
 // of inspecting entries directly.
 func (t *Table) HopsTo(dst packet.Address) (uint8, bool) {
 	i, ok := t.find(dst)
-	if !ok || t.rows[i].Poisoned() {
+	if !ok || t.rows[i].poisoned() {
 		return 0, false
 	}
-	return t.rows[i].Metric, true
+	return t.rows[i].metric, true
 }
 
 // Lookup returns a copy of the entry for dst.
@@ -319,22 +439,26 @@ func (t *Table) Lookup(dst packet.Address) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return t.rows[i], true
+	return t.entry(&t.rows[i]), true
 }
 
 // Entries returns a copy of all rows (including poisoned ones), sorted by
 // address.
 func (t *Table) Entries() []Entry {
-	return append(make([]Entry, 0, len(t.rows)), t.rows...)
+	out := make([]Entry, len(t.rows))
+	for i := range t.rows {
+		out[i] = t.entry(&t.rows[i])
+	}
+	return out
 }
 
 // HelloEntries renders the table as HELLO advertisement rows in address
 // order: every usable route at its metric, plus — when poisoning is on —
 // poisoned routes at MetricInfinity.
 func (t *Table) HelloEntries() []packet.HelloEntry {
-	out := make([]packet.HelloEntry, 0, len(t.rows))
-	for _, e := range t.rows {
-		out = append(out, packet.HelloEntry{Addr: e.Addr, Metric: e.Metric, Role: e.Role})
+	out := make([]packet.HelloEntry, len(t.rows))
+	for i, r := range t.rows {
+		out[i] = packet.HelloEntry{Addr: r.addr, Metric: r.metric, Role: r.role}
 	}
 	return out
 }
@@ -344,9 +468,9 @@ func (t *Table) HelloEntries() []packet.HelloEntry {
 // me a sink/gateway" without provisioning addresses.
 func (t *Table) ByRole(role packet.Role) []Entry {
 	var out []Entry
-	for _, e := range t.rows {
-		if !e.Poisoned() && e.Role == role {
-			out = append(out, e)
+	for i := range t.rows {
+		if r := &t.rows[i]; !r.poisoned() && r.role == role {
+			out = append(out, t.entry(r))
 		}
 	}
 	// Stable over address order: equal metrics stay nearest address first.
@@ -358,18 +482,18 @@ func (t *Table) ByRole(role packet.Role) []Entry {
 // link layer reports repeated delivery failure. It returns the invalidated
 // destinations in address order.
 func (t *Table) RemoveNeighbor(now time.Time, via packet.Address) []packet.Address {
+	at := t.clock(now)
 	var dead []packet.Address
 	kept := t.rows[:0]
-	for _, e := range t.rows {
-		if e.Via == via && !e.Poisoned() {
-			dead = append(dead, e.Addr)
-			if !t.withdraw(now, &e) {
+	for _, r := range t.rows {
+		if r.via == via && !r.poisoned() {
+			dead = append(dead, r.addr)
+			if !t.withdraw(at, &r) {
 				continue
 			}
 		}
-		kept = append(kept, e)
+		kept = append(kept, r)
 	}
-	clear(t.rows[len(kept):])
 	t.rows = kept
 	return dead
 }

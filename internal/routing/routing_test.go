@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/packet"
 )
@@ -17,6 +18,31 @@ import (
 var t0 = time.Date(2022, 7, 1, 0, 0, 0, 0, time.UTC)
 
 func newTestTable(cfg Config) *Table { return NewTable(0x0001, cfg) }
+
+// TestTableRowIs24BytesPointerFree pins the stored row: Entry's fields
+// with the confirmation instant as UnixNano, 24 bytes, and nothing the
+// collector must scan (a time.Time holds a *Location, which made the row
+// 40 bytes with a pointer).
+func TestTableRowIs24BytesPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(row{}); size != 24 {
+		t.Fatalf("row is %d bytes, want 24", size)
+	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("row%s is a %v, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(row{}), "")
+}
 
 func TestApplyHelloAddsNeighbor(t *testing.T) {
 	tab := newTestTable(DefaultConfig())
@@ -328,16 +354,44 @@ func TestPropertyMetricConsistency(t *testing.T) {
 	}
 }
 
+// BenchmarkApplyHello applies one full HELLO page per op, in mesh_secure's
+// shape: a receiver holding 64 routes hears 15 neighbours in rotation, each
+// paging out its own table as a sealed beacon does, its metric-0 self row
+// first and then every destination in address order.
 func BenchmarkApplyHello(b *testing.B) {
-	adv := make([]packet.HelloEntry, 30)
-	for i := range adv {
-		adv[i] = packet.HelloEntry{Addr: packet.Address(i + 10), Metric: uint8(i%5 + 1)}
+	const dests, senders = 64, 15
+	perPage := (packet.MaxPayload(packet.TypeHello) - packet.SecOverhead) / packet.HelloEntryLen
+	type page struct {
+		from packet.Address
+		rows []packet.HelloEntry
+	}
+	var pages []page
+	for s := 0; s < senders; s++ {
+		from := packet.Address(2 + s)
+		adv := []packet.HelloEntry{{Addr: from, Role: packet.RoleDefault}}
+		for a := packet.Address(1); a <= dests+1; a++ {
+			if a != from {
+				adv = append(adv, packet.HelloEntry{Addr: a, Metric: uint8(1 + (int(a)+s)%6), Role: packet.RoleDefault})
+			}
+		}
+		for len(adv) > 0 {
+			n := min(perPage, len(adv))
+			pages = append(pages, page{from, adv[:n]})
+			adv = adv[n:]
+		}
 	}
 	tab := newTestTable(DefaultConfig())
+	for _, p := range pages {
+		tab.ApplyHello(t0, p.from, packet.RoleDefault, 0, p.rows)
+	}
+	if tab.Len() != dests {
+		b.Fatalf("table holds %d routes, want %d", tab.Len(), dests)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.ApplyHello(t0.Add(time.Duration(i)*time.Second),
-			packet.Address(i%8+2), packet.RoleDefault, 0, adv)
+		p := pages[i%len(pages)]
+		tab.ApplyHello(t0.Add(time.Duration(i)*time.Second), p.from, packet.RoleDefault, float64(i%7), p.rows)
 	}
 }
 
@@ -616,25 +670,66 @@ func randomHello(rng *rand.Rand, self, from packet.Address, pool []packet.Addres
 	return rows
 }
 
+// fullHello draws the beacon a converged neighbour sends: its metric-0
+// self row, then about nine in ten of the receiver and the pool in address
+// order, mostly at route metrics but sometimes poisoned, at 0 or over the
+// model's hop cap of 6, paged in two at a random row.
+func fullHello(rng *rand.Rand, self, from packet.Address, pool []packet.Address) [][]packet.HelloEntry {
+	rows := []packet.HelloEntry{{Addr: from, Role: packet.RoleDefault}}
+	for _, a := range append([]packet.Address{self}, pool...) {
+		if a == from || rng.Intn(10) == 0 {
+			continue
+		}
+		metric := uint8(1 + rng.Intn(5))
+		switch rng.Intn(20) {
+		case 0:
+			metric = MetricInfinity
+		case 1:
+			metric = 0
+		case 2:
+			metric = 6
+		}
+		role := packet.Role(1 + int(a)%3)
+		if rng.Intn(8) == 0 {
+			role = packet.Role(1 + rng.Intn(3))
+		}
+		rows = append(rows, packet.HelloEntry{Addr: a, Metric: metric, Role: role})
+	}
+	cut := 1 + rng.Intn(len(rows))
+	if cut == len(rows) {
+		return [][]packet.HelloEntry{rows}
+	}
+	return [][]packet.HelloEntry{rows[:cut], rows[cut:]}
+}
+
 // TestTableMatchesMapModel drives the sorted-slice table and the map model
 // through the same seeded random operations and demands identical answers
-// and identical state after every step.
+// and identical state after every step. Besides arbitrary adverts, a few
+// neighbours re-advertise near-full tables in address order, which most
+// rows meet at the merge cursor and refresh in place. Odd seeds run on a
+// clock in a fixed zone east of UTC, where a refreshed row must still read
+// back the instant applied.
 func TestTableMatchesMapModel(t *testing.T) {
 	const self = packet.Address(1)
 	pool := make([]packet.Address, 0, 20)
 	for a := packet.Address(2); len(pool) < cap(pool); a += 3 {
 		pool = append(pool, a)
 	}
+	neighbours := pool[3:8]
 	seen := append([]packet.Address{self, packet.Broadcast, 0}, pool...)
+	zone := time.FixedZone("UTC+5:30", 5*3600+1800)
 	for ci, cfg := range modelConfigs() {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			tab, ref := NewTable(self, cfg), newMapTable(self, cfg)
 			now := t0
+			if seed%2 == 1 {
+				now = t0.In(zone)
+			}
 			for step := 0; step < 2000; step++ {
 				now = now.Add(time.Duration(rng.Intn(20)) * time.Second)
 				where := fmt.Sprintf("config %d seed %d step %d", ci, seed, step)
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(12); {
 				case op < 6:
 					from := pool[rng.Intn(len(pool))]
 					switch rng.Intn(20) {
@@ -649,11 +744,23 @@ func TestTableMatchesMapModel(t *testing.T) {
 					if got, want := tab.ApplyHello(now, from, role, snr, adv), ref.ApplyHello(now, from, role, snr, adv); got != want {
 						t.Fatalf("%s: ApplyHello(%v, %v) = %v, want %v", where, from, adv, got, want)
 					}
-				case op < 7:
+				case op < 8:
+					from := neighbours[rng.Intn(len(neighbours))]
+					snr := float64(rng.Intn(12))
+					role := packet.Role(1 + rng.Intn(3))
+					for _, page := range fullHello(rng, self, from, pool) {
+						if got, want := tab.ApplyHello(now, from, role, snr, page), ref.ApplyHello(now, from, role, snr, page); got != want {
+							t.Fatalf("%s: ApplyHello(%v, %v) = %v, want %v", where, from, page, got, want)
+						}
+					}
+					if e, ok := tab.Lookup(from); !ok || !e.UpdatedAt.Equal(now) || e.UpdatedAt.Location() != now.Location() {
+						t.Fatalf("%s: sender's row %v,%v, want it confirmed at %v", where, e, ok, now)
+					}
+				case op < 9:
 					if got, want := tab.ExpireStale(now), ref.ExpireStale(now); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: ExpireStale = %v, want %v", where, got, want)
 					}
-				case op < 8:
+				case op < 10:
 					via := pool[rng.Intn(len(pool))]
 					if got, want := tab.RemoveNeighbor(now, via), ref.RemoveNeighbor(now, via); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: RemoveNeighbor(%v) = %v, want %v", where, via, got, want)
