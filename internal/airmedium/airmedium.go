@@ -1,9 +1,10 @@
-// Package airmedium simulates the shared LoRa radio channel. It propagates
-// every transmission to every listening station, applying the link budget
-// (path loss, sensitivity, SNR floors from internal/loraphy), half-duplex
-// constraints, and the capture-effect collision rules, and delivers the
-// surviving frames at their end-of-airtime instants through the
-// discrete-event scheduler.
+// Package airmedium simulates the shared LoRa radio channel. It evaluates
+// every transmission at the stations that hear its sender above
+// sensitivity, applying the link budget (path loss, sensitivity, SNR
+// floors from internal/loraphy), half-duplex constraints, and the
+// capture-effect collision rules, books every other station's loss in
+// bulk, and delivers the surviving frames at their end-of-airtime instants
+// through the discrete-event scheduler.
 //
 // The collision model follows the LoRaSim family: two frames interact when
 // their airtimes overlap on the same carrier frequency; a frame survives an
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -100,6 +102,27 @@ type station struct {
 	// for half-duplex checks and double-transmit detection.
 	txUntil time.Time
 	airtime time.Duration
+	// reach lists the stations that hear this station's frames above
+	// sensitivity; see Medium.reach.
+	reach reachList
+	// quietAt is this station's index in Medium.quiet plus one, 0 while
+	// it is listening and not removed.
+	quietAt int
+	// stamp is the serial of the last frame whose exceptions listed this
+	// station; see Medium.exceptions.
+	stamp uint32
+}
+
+// reachList is the ascending list of stations that hear one sender above
+// sensitivity, valid while the medium's topology generation and the
+// frame's carrier frequency, SF and BW match those it was built for. It
+// holds at most one id per station.
+type reachList struct {
+	topo   uint32
+	freqHz float64
+	sf     loraphy.SpreadingFactor
+	bw     loraphy.Bandwidth
+	ids    []StationID
 }
 
 // cachedLink is one cached link budget for an ordered station pair: the
@@ -117,13 +140,17 @@ type cachedLink struct {
 	valid          bool
 }
 
-// transmission is one in-flight or recently ended frame.
+// transmission is one in-flight or recently ended frame. Records are
+// recycled through Medium.free once prune drops them.
 type transmission struct {
 	from   StationID
 	start  time.Time
 	end    time.Time
 	data   []byte
 	params loraphy.Params
+	// done is m.finish bound to this record, made once when the record
+	// is created so a recycled record schedules without allocating.
+	done func()
 }
 
 // Medium is the shared channel. It is not safe for concurrent use; the
@@ -138,8 +165,26 @@ type Medium struct {
 	rng      *rand.Rand
 	stations []*station
 	// recent holds transmissions that may still overlap future frame
-	// evaluations; pruned as time advances.
-	recent []*transmission
+	// evaluations; pruned as time advances. overlaps is the part of it
+	// overlapping the frame being received.
+	recent   []*transmission
+	overlaps []*transmission
+	// free holds records prune dropped from recent, for Transmit to
+	// reuse; it never outgrows recent's peak length.
+	free []*transmission
+	// topo counts changes that alter some link budget (AddStation,
+	// SetPosition, Remove); a reach list built under another value is
+	// stale.
+	topo uint32
+	// changes counts SetListening, SetPosition and Remove calls: receive
+	// books out-of-reach stations in bulk only while it stands still.
+	changes uint32
+	// quiet holds the removed or non-listening stations, in no order.
+	quiet []StationID
+	// serial numbers the frames receive evaluates, for station stamps;
+	// except is the scratch list of the frame being received.
+	serial uint32
+	except []StationID
 	// blocked marks severed links (partition injection); keys are
 	// ordered (lo, hi) station pairs.
 	blocked map[[2]StationID]bool
@@ -147,10 +192,12 @@ type Medium struct {
 	// shadowed link budget and what loraphy.Receive derives from it
 	// (RSSI, SNR, the sensitivity verdict) are deterministic in (pair,
 	// positions, freq, SF, BW), and reception is evaluated at every
-	// station per frame, so the log-distance/shadowing math dominates
+	// station in reach per frame and at every station when a reach list
+	// is built, so the log-distance/shadowing math dominates
 	// dense-network runs without it. Entries self-invalidate via station
 	// generations (bumped on SetPosition and Remove) and their radio-
-	// parameter key rather than being cleared eagerly.
+	// parameter key rather than being cleared eagerly. A sender's row is
+	// grown on first use, so stations that never transmit cost none.
 	lossCache [][]cachedLink
 	stats     Stats
 }
@@ -184,11 +231,8 @@ func (m *Medium) AddStation(pos geo.Point, rx Receiver) (StationID, error) {
 	}
 	id := StationID(len(m.stations))
 	m.stations = append(m.stations, &station{id: id, pos: pos, rx: rx, listening: true})
-	// Grow the loss matrix; fresh entries are zero-valued, i.e. invalid.
-	for i := range m.lossCache {
-		m.lossCache[i] = append(m.lossCache[i], cachedLink{})
-	}
-	m.lossCache = append(m.lossCache, make([]cachedLink, len(m.stations)))
+	m.topo++
+	m.lossCache = append(m.lossCache, nil)
 	return id, nil
 }
 
@@ -212,6 +256,8 @@ func (m *Medium) SetPosition(id StationID, pos geo.Point) error {
 	}
 	s.pos = pos
 	s.gen++ // invalidate cached link budgets involving this station
+	m.topo++
+	m.changes++
 	return nil
 }
 
@@ -232,6 +278,8 @@ func (m *Medium) SetListening(id StationID, on bool) error {
 		return err
 	}
 	s.listening = on
+	m.changes++
+	m.fileQuiet(s)
 	return nil
 }
 
@@ -245,7 +293,27 @@ func (m *Medium) Remove(id StationID) error {
 	s.removed = true
 	s.listening = false
 	s.gen++ // invalidate cached link budgets involving this station
+	m.topo++
+	m.changes++
+	m.fileQuiet(s)
 	return nil
+}
+
+// fileQuiet adds s to m.quiet or takes it out, as it is now removed or
+// not listening, or neither.
+func (m *Medium) fileQuiet(s *station) {
+	if quiet := s.removed || !s.listening; quiet == (s.quietAt > 0) {
+		return
+	} else if quiet {
+		m.quiet = append(m.quiet, s.id)
+		s.quietAt = len(m.quiet)
+		return
+	}
+	last := m.quiet[len(m.quiet)-1]
+	m.quiet[s.quietAt-1] = last
+	m.stations[last].quietAt = s.quietAt
+	m.quiet = m.quiet[:len(m.quiet)-1]
+	s.quietAt = 0
 }
 
 func (m *Medium) station(id StationID) (*station, error) {
@@ -277,37 +345,152 @@ func (m *Medium) Transmit(id StationID, data []byte, params loraphy.Params) (tim
 	if err != nil {
 		return 0, fmt.Errorf("airmedium: %w", err)
 	}
-	tx := &transmission{
-		from:   id,
-		start:  now,
-		end:    now.Add(airtime),
-		data:   append([]byte(nil), data...),
-		params: params,
-	}
+	tx := m.newTransmission()
+	tx.from, tx.start, tx.end, tx.params = id, now, now.Add(airtime), params
+	// Receivers may keep Delivery.Data (see Receiver), so every frame
+	// gets its own copy even when its record is recycled.
+	tx.data = append([]byte(nil), data...)
 	s.txUntil = tx.end
 	s.airtime += airtime
 	m.recent = append(m.recent, tx)
 	m.stats.FramesSent++
 	m.stats.AirtimeTotal += airtime
-	m.sched.MustAfter(airtime, func() { m.finish(tx) })
+	m.sched.MustAfter(airtime, tx.done)
 	return airtime, nil
 }
 
-// finish runs at a frame's end-of-airtime: evaluate reception at every
-// other station, deliver survivors, notify the sender, and prune history.
-func (m *Medium) finish(tx *transmission) {
-	for _, s := range m.stations {
-		if s.id == tx.from || s.removed {
-			continue
-		}
-		m.evaluate(tx, s)
+// newTransmission returns a record from the free list, or a new one with
+// its finish callback bound.
+func (m *Medium) newTransmission() *transmission {
+	if n := len(m.free); n > 0 {
+		tx := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return tx
 	}
+	tx := &transmission{}
+	tx.done = func() { m.finish(tx) }
+	return tx
+}
+
+// finish runs at a frame's end-of-airtime: book the frame's outcome at
+// every other station, deliver survivors, notify the sender, and prune
+// history.
+func (m *Medium) finish(tx *transmission) {
+	m.receive(tx)
 	if sender := m.stations[int(tx.from)]; !sender.removed {
 		if obs, ok := sender.rx.(TxObserver); ok {
 			obs.OnTxDone(m.sched.Now())
 		}
 	}
 	m.prune()
+}
+
+// receive books frame tx's outcome at every other station, in ascending
+// id order, as evaluate at each would: the stations in the sender's reach
+// list through evaluate itself, the rest in bulk by book. Only an OnFrame
+// can change the field meanwhile; once one has moved, removed, woken or
+// silenced a station, the remaining stations go through evaluate one by
+// one, as they stand then.
+func (m *Medium) receive(tx *transmission) {
+	n := StationID(len(m.stations))
+	m.gatherOverlaps(tx)
+	reach, except := m.reach(tx), m.exceptions(tx)
+	changes := m.changes
+	lo := StationID(0)
+	for _, r := range reach {
+		except = m.book(tx, except, lo, r)
+		m.evaluate(tx, m.stations[r])
+		lo = r + 1
+		if m.changes != changes {
+			for _, s := range m.stations[lo:n] {
+				if s.id != tx.from && !s.removed {
+					m.evaluate(tx, s)
+				}
+			}
+			return
+		}
+	}
+	m.book(tx, except, lo, n)
+}
+
+// reach returns the ascending ids of the stations, the sender excluded,
+// that hear tx's sender above sensitivity at tx's frequency, SF and BW,
+// rebuilding the sender's list from the reception cache when the topology
+// or those parameters changed since it was built.
+func (m *Medium) reach(tx *transmission) []StationID {
+	r, p := &m.stations[int(tx.from)].reach, tx.params
+	// A zero reachList never matches: AddStation made m.topo at least 1.
+	if r.topo == m.topo && r.freqHz == p.FrequencyHz &&
+		r.sf == p.SpreadingFactor && r.bw == p.Bandwidth {
+		return r.ids
+	}
+	ids := r.ids[:0]
+	for _, s := range m.stations {
+		if s.id != tx.from && !s.removed && m.reception(tx.from, s.id, p).AboveSensitivity {
+			ids = append(ids, s.id)
+		}
+	}
+	*r = reachList{topo: m.topo, freqHz: p.FrequencyHz, sf: p.SpreadingFactor, bw: p.Bandwidth, ids: ids}
+	return ids
+}
+
+// exceptions returns, ascending and each once, the stations outside the
+// plain below-sensitivity verdict a station out of reach gets: tx's
+// sender, the removed and non-listening stations and the senders of
+// frames overlapping tx, found by walking those sets rather than every
+// station.
+func (m *Medium) exceptions(tx *transmission) []StationID {
+	m.serial++
+	except := m.stampException(m.except[:0], tx.from)
+	for _, id := range m.quiet {
+		except = m.stampException(except, id)
+	}
+	for _, o := range m.overlaps {
+		except = m.stampException(except, o.from)
+	}
+	slices.Sort(except)
+	m.except = except
+	return except
+}
+
+// stampException appends id to except unless this frame listed it already.
+func (m *Medium) stampException(except []StationID, id StationID) []StationID {
+	if s := m.stations[int(id)]; s.stamp != m.serial {
+		s.stamp = m.serial
+		except = append(except, id)
+	}
+	return except
+}
+
+// book counts tx's outcome at stations lo..hi-1, which are out of reach,
+// as evaluate would: LostBelowSensitivity, except where one of except
+// (ascending) is the sender, removed, not listening or was transmitting
+// during the frame. It consumes the exceptions up to and including hi,
+// the next station in reach, and returns the rest.
+func (m *Medium) book(tx *transmission, except []StationID, lo, hi StationID) []StationID {
+	below := uint64(hi - lo)
+	for len(except) > 0 && except[0] <= hi {
+		id := except[0]
+		except = except[1:]
+		if id == hi {
+			break // in reach: evaluate decides
+		}
+		below--
+		switch s := m.stations[int(id)]; {
+		case id == tx.from || s.removed:
+		case m.linkBlocked(tx.from, id):
+			below++
+		case !s.listening:
+			m.stats.LostNotListening++
+		case m.transmittedDuring(id):
+			m.stats.LostHalfDuplex++
+		default:
+			below++
+		}
+	}
+	m.stats.LostBelowSensitivity += below
+	return except
 }
 
 // evaluate decides whether station s receives frame tx and delivers it.
@@ -322,7 +505,7 @@ func (m *Medium) evaluate(tx *transmission, s *station) {
 	}
 	// Half-duplex: any own transmission overlapping the frame blinds the
 	// receiver.
-	if m.transmittedDuring(s.id, tx.start, tx.end) {
+	if m.transmittedDuring(s.id) {
 		m.stats.LostHalfDuplex++
 		return
 	}
@@ -356,11 +539,27 @@ func (m *Medium) evaluate(tx *transmission, s *station) {
 	})
 }
 
-// transmittedDuring reports whether station id had any own transmission
-// overlapping [start, end).
-func (m *Medium) transmittedDuring(id StationID, start, end time.Time) bool {
-	for _, other := range m.recent {
-		if other.from == id && other.start.Before(end) && other.end.After(start) {
+// gatherOverlaps fills m.overlaps with the transmissions in recent whose
+// airtime overlaps tx's: those that blind their own sender to tx and
+// those that may interfere with it. The sender is half-duplex too: it
+// cannot have emitted two overlapping frames (enforced in Transmit), so no
+// other entry from tx.from overlaps tx. A frame an OnFrame sends starts at
+// tx's end, so the list holds while tx is received.
+func (m *Medium) gatherOverlaps(tx *transmission) {
+	overlaps := m.overlaps[:0]
+	for _, o := range m.recent {
+		if o.from != tx.from && o.start.Before(tx.end) && o.end.After(tx.start) {
+			overlaps = append(overlaps, o)
+		}
+	}
+	m.overlaps = overlaps
+}
+
+// transmittedDuring reports whether station id sent any frame
+// overlapping the one being received.
+func (m *Medium) transmittedDuring(id StationID) bool {
+	for _, o := range m.overlaps {
+		if o.from == id {
 			return true
 		}
 	}
@@ -370,20 +569,9 @@ func (m *Medium) transmittedDuring(id StationID, start, end time.Time) bool {
 // survivesInterference applies the capture model against every overlapping
 // co-frequency transmission at receiver s.
 func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm float64) bool {
-	for _, other := range m.recent {
-		if other == tx || other.from == s.id || other.from == tx.from {
-			// The sender is half-duplex too: it cannot have emitted two
-			// overlapping frames (enforced in Transmit), so any other
-			// entry from tx.from does not overlap tx.
-			continue
-		}
-		if other.params.FrequencyHz != tx.params.FrequencyHz {
-			continue
-		}
-		if m.linkBlocked(other.from, s.id) {
-			continue
-		}
-		if !(other.start.Before(tx.end) && other.end.After(tx.start)) {
+	for _, other := range m.overlaps {
+		if other.from == s.id || other.params.FrequencyHz != tx.params.FrequencyHz ||
+			m.linkBlocked(other.from, s.id) {
 			continue
 		}
 		interfDBm := m.reception(other.from, s.id, other.params).RSSIDBm
@@ -412,7 +600,13 @@ func (m *Medium) survivesInterference(tx *transmission, s *station, signalDBm fl
 // link it is part of. p was validated at Transmit, so Receive cannot fail.
 func (m *Medium) reception(from, to StationID, p loraphy.Params) loraphy.Reception {
 	sf, st := m.stations[int(from)], m.stations[int(to)]
-	e := &m.lossCache[int(from)][int(to)]
+	row := m.lossCache[int(from)]
+	if int(to) >= len(row) {
+		// Fresh entries are zero-valued, i.e. invalid.
+		row = append(row, make([]cachedLink, len(m.stations)-len(row))...)
+		m.lossCache[int(from)] = row
+	}
+	e := &row[int(to)]
 	if !e.valid || e.genFrom != sf.gen || e.genTo != st.gen || e.freqHz != p.FrequencyHz ||
 		e.sf != p.SpreadingFactor || e.bw != p.Bandwidth {
 		loss := m.shadow.LinkPathLossDB(uint64(from), uint64(to), sf.pos.Distance(st.pos), p.FrequencyHz)
@@ -447,11 +641,12 @@ func (m *Medium) lostInSoftRegion(p loraphy.Params, snrDB float64) bool {
 // prune drops transmissions that can no longer overlap any active frame.
 func (m *Medium) prune() {
 	now := m.sched.Now()
-	// The earliest start of any still-active frame bounds what future
-	// evaluations can look back to.
+	// The earliest start of any frame not yet finished bounds what future
+	// evaluations can look back to. A frame ending now may still await
+	// its finish, behind this one at the same instant.
 	horizon := now
 	for _, tx := range m.recent {
-		if tx.end.After(now) && tx.start.Before(horizon) {
+		if !tx.end.Before(now) && tx.start.Before(horizon) {
 			horizon = tx.start
 		}
 	}
@@ -459,7 +654,11 @@ func (m *Medium) prune() {
 	for _, tx := range m.recent {
 		if !tx.end.Before(horizon) {
 			kept = append(kept, tx)
+			continue
 		}
+		// It ended before now, so its finish has run: reuse the record.
+		tx.data = nil
+		m.free = append(m.free, tx)
 	}
 	// Zero the tail so pruned frames are collectable.
 	for i := len(kept); i < len(m.recent); i++ {
@@ -500,7 +699,7 @@ func (m *Medium) SetLinkBlocked(a, b StationID, blocked bool) error {
 
 // linkBlocked reports whether the pair is severed.
 func (m *Medium) linkBlocked(a, b StationID) bool {
-	return m.blocked[linkKey(a, b)]
+	return len(m.blocked) > 0 && m.blocked[linkKey(a, b)]
 }
 
 // Busy reports whether station id currently senses energy on the channel:

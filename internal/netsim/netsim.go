@@ -112,6 +112,9 @@ type Handle struct {
 	OnMessage func(core.AppMessage)
 	// OnStreamDone, when set, receives each stream outcome.
 	OnStreamDone func(core.StreamEvent)
+	// flows holds the StartFlow flows into this node by source address,
+	// nil until the first one installs its dispatcher on OnMessage.
+	flows map[packet.Address][]*flow
 	// Sec is the node's security link when Config.SecKey is set. It
 	// outlives engine rebuilds (see Config.SecKey).
 	Sec *meshsec.Link

@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/forward"
 	"repro/internal/icn"
+	"repro/internal/metrics"
+	"repro/internal/packet"
 )
 
 // TrafficStats accumulates the outcome of a generated workload.
@@ -69,10 +71,31 @@ type Flow struct {
 	Poisson bool
 }
 
+// flow is one StartFlow flow's live state: its stats, the tag of its next
+// send, and the sim-wide instruments it feeds, each looked up by name on
+// its first use.
+type flow struct {
+	stats                        *TrafficStats
+	src, dst                     *Handle
+	seq                          uint32
+	offered, accepted, delivered *metrics.Counter
+	latency                      *metrics.Histogram
+}
+
+// counter returns *c, looking the named counter up on first use.
+func (s *Sim) counter(c **metrics.Counter, name string) *metrics.Counter {
+	if *c == nil {
+		*c = s.reg.Counter(name)
+	}
+	return *c
+}
+
 // StartFlow schedules the flow's sends and tracks outcomes into the
 // returned stats. Payloads carry a sequence tag so deliveries are matched
 // to sends, within flowHorizon of them; latency is measured
-// send-to-deliver in virtual time.
+// send-to-deliver in virtual time. The first flow into a destination
+// chains one dispatcher onto its OnMessage; it hands each delivery to the
+// flows from the message's source, in the order they were started.
 func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 	if f.From < 0 || f.From >= s.N() || f.To < 0 || f.To >= s.N() || f.From == f.To {
 		return nil, fmt.Errorf("netsim: flow endpoints %d->%d invalid", f.From, f.To)
@@ -83,38 +106,21 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 	if f.Interval <= 0 {
 		return nil, fmt.Errorf("netsim: flow interval must be positive")
 	}
-	stats := &TrafficStats{}
-	src := s.handles[f.From]
-	dst := s.handles[f.To]
-	var seq uint32 // the next send's tag
-
-	prevOnMessage := dst.OnMessage
-	dst.OnMessage = func(msg core.AppMessage) {
-		if prevOnMessage != nil {
-			prevOnMessage(msg)
-		}
-		if msg.From != src.Addr || len(msg.Payload) < 4 {
-			return
-		}
-		tag := uint32(msg.Payload[0])<<24 | uint32(msg.Payload[1])<<16 |
-			uint32(msg.Payload[2])<<8 | uint32(msg.Payload[3])
-		if lag := seq - tag; lag == 0 || lag > flowHorizon {
-			return // never sent, or forgotten
-		}
-		at := stats.sent[tag%flowHorizon]
-		if at == unsent {
-			return
-		}
-		stats.sent[tag%flowHorizon] = unsent
-		stats.Delivered++
-		lat := time.Duration(msg.At.UnixNano() - at)
-		stats.Latencies = append(stats.Latencies, lat)
-		s.reg.Counter("flows.delivered").Inc()
-		s.reg.Histogram("e2e.latency_ms").ObserveDuration(lat)
-		if s.latencyBound > 0 && lat > s.latencyBound {
-			s.Health.LateFlow(src.Addr, dst.Addr, lat, s.latencyBound)
+	fl := &flow{stats: &TrafficStats{}, src: s.handles[f.From], dst: s.handles[f.To]}
+	stats, src, dst := fl.stats, fl.src, fl.dst
+	if dst.flows == nil {
+		dst.flows = make(map[packet.Address][]*flow)
+		prevOnMessage := dst.OnMessage
+		dst.OnMessage = func(msg core.AppMessage) {
+			if prevOnMessage != nil {
+				prevOnMessage(msg)
+			}
+			for _, fl := range dst.flows[msg.From] {
+				s.flowDelivered(fl, msg)
+			}
 		}
 	}
+	dst.flows[src.Addr] = append(dst.flows[src.Addr], fl)
 
 	var fire func()
 	arm := func() {
@@ -140,12 +146,12 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 			return
 		}
 		payload := make([]byte, f.Payload)
-		tag := seq
-		seq++
+		tag := fl.seq
+		fl.seq++
 		payload[0], payload[1], payload[2], payload[3] =
 			byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag)
 		stats.Offered++
-		s.reg.Counter("flows.offered").Inc()
+		s.counter(&fl.offered, "flows.offered").Inc()
 		// The tag flowHorizon sends back is forgotten before the send,
 		// so no delivery can match it to this slot.
 		if len(stats.sent) < flowHorizon {
@@ -154,7 +160,7 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 		stats.sent[tag%flowHorizon] = unsent
 		if err := src.Proto.Send(dst.Addr, payload); err == nil {
 			stats.Accepted++
-			s.reg.Counter("flows.accepted").Inc()
+			s.counter(&fl.accepted, "flows.accepted").Inc()
 			stats.sent[tag%flowHorizon] = s.Sched.Now().UnixNano()
 		}
 		if f.Count == 0 || stats.Offered < f.Count {
@@ -163,6 +169,36 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 	}
 	arm()
 	return stats, nil
+}
+
+// flowDelivered matches a delivery from fl's source to the send its tag
+// names and records it.
+func (s *Sim) flowDelivered(fl *flow, msg core.AppMessage) {
+	if len(msg.Payload) < 4 {
+		return
+	}
+	stats := fl.stats
+	tag := uint32(msg.Payload[0])<<24 | uint32(msg.Payload[1])<<16 |
+		uint32(msg.Payload[2])<<8 | uint32(msg.Payload[3])
+	if lag := fl.seq - tag; lag == 0 || lag > flowHorizon {
+		return // never sent, or forgotten
+	}
+	at := stats.sent[tag%flowHorizon]
+	if at == unsent {
+		return
+	}
+	stats.sent[tag%flowHorizon] = unsent
+	stats.Delivered++
+	lat := time.Duration(msg.At.UnixNano() - at)
+	stats.Latencies = append(stats.Latencies, lat)
+	s.counter(&fl.delivered, "flows.delivered").Inc()
+	if fl.latency == nil {
+		fl.latency = s.reg.Histogram("e2e.latency_ms")
+	}
+	fl.latency.ObserveDuration(lat)
+	if s.latencyBound > 0 && lat > s.latencyBound {
+		s.Health.LateFlow(fl.src.Addr, fl.dst.Addr, lat, s.latencyBound)
+	}
 }
 
 // StartManyToOne starts one Poisson flow from every other node to node 0,
