@@ -18,7 +18,8 @@ import (
 // size and are not compared with eval_output.txt.
 var wallClockOnly = map[string]bool{"E15": true, "E17": true}
 
-// TestAllExperimentsQuick runs every experiment once. The 27 other than
+// TestAllExperimentsQuick runs every experiment once. An experiment in
+// claims must satisfy its notes' predicate. The 27 other than
 // E15 and E17 run at published size and must render their section of
 // eval_output.txt exactly; E15's deterministic columns at test size are
 // pinned by a golden file; E17's delivery ledger is asserted by the
@@ -32,6 +33,11 @@ func TestAllExperimentsQuick(t *testing.T) {
 			res, err := spec.Run(experiments.Options{Seed: 1, Quick: wallClockOnly[spec.ID]})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if claim := claims[spec.ID]; claim != nil {
+				if err := claim(res); err != nil {
+					t.Errorf("the notes' claim fails: %v", err)
+				}
 			}
 			switch spec.ID {
 			case "E15":
