@@ -63,24 +63,25 @@ type Node struct {
 
 	nextSeq uint16
 	seen    forward.SeenSet[floodKey]
-	tx      *forward.TxQueue
+	tx      *core.Transmitter
 }
 
-// NewNode creates a flooding node with the given mesh address on env.
-func NewNode(addr packet.Address, env core.Env) (*Node, error) {
-	if env == nil {
-		return nil, fmt.Errorf("baseline: nil env")
-	}
-	if addr == packet.Broadcast {
-		return nil, fmt.Errorf("baseline: node address must not be broadcast")
-	}
+// NewNode creates a flooding node on env. Of cfg, the node template, it
+// reads the address and what its transmit path reads (see
+// core.NewTransmitter): flooding pays the same duty gate, queue bound and
+// listen-before-talk as every other strategy.
+func NewNode(cfg core.Config, env core.Env) (*Node, error) {
 	reg := metrics.NewRegistry()
+	tx, err := core.NewTransmitter(cfg, env, reg)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
 	return &Node{
-		addr: addr,
+		addr: cfg.Address,
 		env:  env,
 		reg:  reg,
 		seen: forward.SeenSet[floodKey]{Cap: dedupCapacity},
-		tx:   forward.NewTxQueue(env, reg),
+		tx:   tx,
 	}, nil
 }
 
@@ -103,6 +104,7 @@ func (n *Node) Stop() {
 }
 
 // Send floods a datagram toward dst (packet.Broadcast floods to everyone).
+// A full transmit queue refuses it with core.ErrQueueFull.
 func (n *Node) Send(dst packet.Address, payload []byte) error {
 	if n.stopped {
 		return ErrStopped
@@ -124,8 +126,10 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 		Payload: body,
 	}
 	n.seen.Remember(floodKey{origin: n.addr, seq: seq})
+	if err := n.tx.Enqueue(p, 0); err != nil {
+		return err
+	}
 	n.reg.Counter("app.sent").Inc()
-	n.tx.Enqueue(p, 0)
 	return nil
 }
 
@@ -179,7 +183,7 @@ func (n *Node) HandleFrame(frame []byte, _ core.RxInfo) {
 	// Randomized hold-off: nodes that heard the same broadcast would
 	// otherwise rebroadcast at the same instant and collide.
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
-	n.tx.Enqueue(fwd, delay)
+	_ = n.tx.Enqueue(fwd, delay) // a refusal is counted as drop.queue_full
 }
 
 // HandleTxDone resumes the transmit queue.

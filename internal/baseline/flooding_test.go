@@ -70,7 +70,7 @@ func newFloodBus(t *testing.T, addrs ...packet.Address) *floodBus {
 	b := &floodBus{sched: simtime.NewScheduler(t0)}
 	for i, a := range addrs {
 		env := &floodEnv{b: b, addr: a, rng: rand.New(rand.NewSource(int64(i) + 1))}
-		n, err := NewNode(a, env)
+		n, err := NewNode(core.Config{Address: a}, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,10 +219,10 @@ func TestFloodValidation(t *testing.T) {
 	if err := n.Send(2, []byte("x")); !errors.Is(err, ErrStopped) {
 		t.Errorf("send after stop = %v, want ErrStopped", err)
 	}
-	if _, err := NewNode(packet.Broadcast, &floodEnv{}); err == nil {
+	if _, err := NewNode(core.Config{Address: packet.Broadcast}, &floodEnv{}); err == nil {
 		t.Error("broadcast address: want error")
 	}
-	if _, err := NewNode(1, nil); err == nil {
+	if _, err := NewNode(core.Config{Address: 1}, nil); err == nil {
 		t.Error("nil env: want error")
 	}
 }

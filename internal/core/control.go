@@ -100,16 +100,10 @@ func (n *Node) applyConfig(cmd control.Command) control.Status {
 		}
 	}
 	if cmd.DutyCycle > 0 && cmd.DutyCycle != n.cfg.DutyCycleLimit {
-		old := n.duty
 		n.cfg.DutyCycleLimit = cmd.DutyCycle
-		duty, err := newDuty(n.cfg)
-		if err != nil {
+		if err := n.tx.setDutyLimit(cmd.DutyCycle); err != nil {
 			return control.StatusError
 		}
-		// Swap regulators, carrying the lifetime airtime ledger so
-		// AirtimeUsed stays monotonic across the swap.
-		n.dutyCarry += old.LifetimeAirtime()
-		n.duty = duty
 	}
 	hostSF := cmd.SF != 0 && cmd.SF != int(n.cfg.Phy.SpreadingFactor)
 	hostSleep := cmd.Awake > 0 && cmd.Sleep > 0

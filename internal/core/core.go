@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/control"
-	"repro/internal/dutycycle"
 	"repro/internal/forward"
 	"repro/internal/loraphy"
 	"repro/internal/meshsec"
@@ -338,33 +337,23 @@ func (c Config) Validate() error {
 // Node is one LoRaMesher protocol engine. See the package comment for the
 // execution model.
 type Node struct {
+	pathLog
 	cfg   Config
-	env   Env
 	table *routing.Table
-	reg   *metrics.Registry
 	// ins caches instrument pointers for the per-frame paths; Registry
 	// lookups hash a name and take a mutex, which dominates dense
 	// simulations when paid per frame.
 	ins hotInstruments
-	// traceOn and segsOn mirror the two classes cfg.Tracer records
-	// (narrative, span segments). Hot call sites test traceOn to skip
-	// building tracePacket's variadic arguments: the []any boxing
-	// allocates even when nothing is recorded.
-	traceOn, segsOn bool
 	// sec mirrors cfg.Security; nil means the legacy plaintext protocol.
 	sec *meshsec.Link
-	// addrStr caches Address.String() — span segments carry the rendered
-	// address, and formatting it per segment would allocate on the hot
-	// path.
-	addrStr string
-	// secStatTick counts frame opens and secSealTick frame seals. Every
-	// 32nd of each is timed into sec.open_ns / sec.seal_ns, and every 32nd
-	// open refreshes the replay-window gauges: a clock read and a kept
-	// histogram sample per frame, or a walk of the per-origin windows,
-	// would show up in dense-simulation profiles and heaps. Where Links
-	// share a meshsec.Memo (netsim), most opens are memo hits, so
-	// sec.open_ns mostly samples a hit, not a full MIC verification.
-	secStatTick, secSealTick uint32
+	// secStatTick counts frame opens (the Transmitter counts seals). Every
+	// 32nd is timed into sec.open_ns and refreshes the replay-window
+	// gauges: a clock read and a kept histogram sample per frame, or a
+	// walk of the per-origin windows, would show up in dense-simulation
+	// profiles and heaps. Where Links share a meshsec.Memo (netsim), most
+	// opens are memo hits, so sec.open_ns mostly samples a hit, not a full
+	// MIC verification.
+	secStatTick uint32
 	// rx and helloRows are what HandleFrame decodes each frame and each
 	// HELLO's rows into. Nothing HandleFrame hands a frame to keeps it
 	// past the call (forwarding clones), so one of each serves every
@@ -375,16 +364,8 @@ type Node struct {
 	started bool
 	stopped bool
 
-	// Transmit path.
-	queue        *txQueue
-	transmitting bool
-	pumpTimer    Timer
-	pumpArmed    bool
-	cadTries     int
-	duty         dutyRegulator
-	// txBuf is the reusable frame-encode buffer behind transmitHead; the
-	// Env.Transmit contract (no retention after return) makes reuse safe.
-	txBuf []byte
+	// tx is the node's transmit path.
+	tx *Transmitter
 
 	// Beaconing and route maintenance.
 	helloTimer  Timer
@@ -397,9 +378,6 @@ type Node struct {
 	// controller's convergence detection has ground truth.
 	ctlEpoch    uint32
 	ctlKeyEpoch uint32
-	// dutyCarry preserves lifetime airtime across duty-regulator swaps
-	// (an OpSetConfig changing the duty-cycle class replaces n.duty).
-	dutyCarry time.Duration
 
 	// Reliable transport.
 	nextSeqID  uint8
@@ -411,61 +389,23 @@ type Node struct {
 	dedup forward.Dedup
 }
 
-// dutyRegulator is the transmit gate: a dutycycle.Regulator, or
-// unlimitedDuty when the config lifts regulation.
-type dutyRegulator interface {
-	CanTransmit(now time.Time, airtime time.Duration) bool
-	Record(now time.Time, airtime time.Duration)
-	NextAllowed(now time.Time, airtime time.Duration) (time.Time, error)
-	LifetimeAirtime() time.Duration
-	// Utilization is the fraction of the rolling airtime budget consumed
-	// at now (0 when unregulated); it feeds the dutycycle.utilization
-	// gauge.
-	Utilization(now time.Time) float64
-}
-
-// unlimitedDuty disables regulation.
-type unlimitedDuty struct{ lifetime time.Duration }
-
-func (*unlimitedDuty) CanTransmit(time.Time, time.Duration) bool { return true }
-func (u *unlimitedDuty) Record(_ time.Time, a time.Duration)     { u.lifetime += a }
-func (u *unlimitedDuty) NextAllowed(now time.Time, _ time.Duration) (time.Time, error) {
-	return now, nil
-}
-func (u *unlimitedDuty) LifetimeAirtime() time.Duration { return u.lifetime }
-func (*unlimitedDuty) Utilization(time.Time) float64    { return 0 }
-
 // NewNode creates a node. The env must outlive the node.
 func NewNode(cfg Config, env Env) (*Node, error) {
-	if env == nil {
-		return nil, fmt.Errorf("core: nil env")
-	}
-	if err := cfg.Validate(); err != nil {
+	tx, err := NewTransmitter(cfg, env, metrics.NewRegistry())
+	if err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	n := &Node{
+		pathLog:    tx.pathLog,
 		cfg:        cfg,
-		env:        env,
+		tx:         tx,
 		table:      routing.NewTable(cfg.Address, cfg.Routing),
-		reg:        metrics.NewRegistry(),
-		queue:      &txQueue{},
 		outStreams: make(map[uint8]*outStream),
 		inStreams:  make(map[inKey]*inStream),
+		dedup:      forward.Dedup{Horizon: dedupHorizon},
+		sec:        cfg.Security,
 	}
-	n.dedup = forward.Dedup{Horizon: dedupHorizon}
-	duty, err := newDuty(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n.duty = duty
-	n.traceOn, n.segsOn = cfg.Tracer.Enabled(), cfg.Tracer.Segments()
-	n.sec = cfg.Security
-	n.addrStr = cfg.Address.String()
-	n.pumpTimer = newTimer(env, func() {
-		n.pumpArmed = false
-		n.pump(0)
-	})
 	n.helloTimer = newTimer(env, n.helloTick)
 	n.expiryTimer = newTimer(env, n.expiryTick)
 	n.registerInstruments()
@@ -473,24 +413,22 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 }
 
 // hotInstruments holds instrument pointers resolved once at construction
-// for the counters, gauges, and histograms the per-frame paths touch.
-// Per-packet-type counters (tx.type.*, rx.type.*) are filled lazily, one
-// slot per wire type byte.
+// for the counters, gauges, and histograms the receive and forwarding
+// paths touch (the Transmitter keeps its own). Per-packet-type counters
+// (rx.type.*) are filled lazily, one slot per wire type byte.
 type hotInstruments struct {
-	txFrames, txBytes, rxFrames       *metrics.Counter
-	fwdFrames, appSent, appDelivered  *metrics.Counter
+	rxFrames, fwdFrames               *metrics.Counter
+	appSent, appDelivered             *metrics.Counter
 	rxCorrupt, rxOwnEcho, rxOverheard *metrics.Counter
 	helloReceived, routesUpdated      *metrics.Counter
-	queueDepth, routesCount, dutyUtil *metrics.Gauge
-	txAirtimeMs, queueWaitMs          *metrics.Histogram
+	routesCount                       *metrics.Gauge
 	streamRetxRounds                  *metrics.Histogram
-	txType, rxType                    [256]*metrics.Counter
+	rxType                            [256]*metrics.Counter
 	// Security instruments; resolved only when cfg.Security is set.
-	secSealed, secOpened       *metrics.Counter
-	secDropAuth, secDropReplay *metrics.Counter
-	secDropLegacy, secRekeys   *metrics.Counter
-	secOverheadBytes           *metrics.Counter
-	secSealNs, secOpenNs       *metrics.Histogram
+	secOpened, secDropAuth   *metrics.Counter
+	secDropReplay            *metrics.Counter
+	secDropLegacy, secRekeys *metrics.Counter
+	secOpenNs                *metrics.Histogram
 	// Replay-protection state gauges, refreshed by refreshSecGauges.
 	secWinOrigins, secWinOccupancy *metrics.Gauge
 	secTxHigh, secRxHigh           *metrics.Gauge
@@ -501,20 +439,12 @@ type hotInstruments struct {
 // counter that reads 0 is very different from one that does not exist
 // yet — and keeps the ones the per-frame paths touch.
 func (n *Node) registerInstruments() {
-	for _, c := range []string{
-		"drop." + forward.DropNoRoute, "drop." + forward.DropDuplicate,
-		"drop." + forward.DropQueueFull, "drop." + forward.DropDutyCycle,
-		"drop." + forward.DropMarshal, "drop." + forward.DropTxError,
-		"dutycycle.deferrals",
-	} {
-		n.reg.Counter(c)
-	}
+	n.reg.Counter("drop." + forward.DropNoRoute)
+	n.reg.Counter("drop." + forward.DropDuplicate)
 	// stream.retx.rounds observes, per finished stream, the longest run
 	// of consecutive retransmission rounds without acknowledged
 	// progress — the bounded-retry evidence chaos runs assert on.
 	n.ins.streamRetxRounds = n.reg.Histogram("stream.retx.rounds")
-	n.ins.txFrames = n.reg.Counter("tx.frames")
-	n.ins.txBytes = n.reg.Counter("tx.bytes")
 	n.ins.rxFrames = n.reg.Counter("rx.frames")
 	n.ins.fwdFrames = n.reg.Counter("fwd.frames")
 	n.ins.appSent = n.reg.Counter("app.sent")
@@ -524,38 +454,21 @@ func (n *Node) registerInstruments() {
 	n.ins.rxOverheard = n.reg.Counter("rx.overheard")
 	n.ins.helloReceived = n.reg.Counter("hello.received")
 	n.ins.routesUpdated = n.reg.Counter("routes.updated")
-	n.ins.queueDepth = n.reg.Gauge("queue.depth")
 	n.ins.routesCount = n.reg.Gauge("routes.count")
-	n.ins.dutyUtil = n.reg.Gauge("dutycycle.utilization")
-	n.ins.txAirtimeMs = n.reg.Histogram("tx.airtime_ms")
-	n.ins.queueWaitMs = n.reg.Histogram("queue.wait_ms")
 	if n.cfg.Security != nil {
-		n.ins.secSealed = n.reg.Counter("sec.tx.sealed")
 		n.ins.secOpened = n.reg.Counter("sec.rx.opened")
 		n.ins.secDropAuth = n.reg.Counter("sec.drop.auth")
 		n.ins.secDropReplay = n.reg.Counter("sec.drop.replay")
 		n.ins.secDropLegacy = n.reg.Counter("sec.drop.legacy")
 		n.ins.secRekeys = n.reg.Counter("sec.rekey.applied")
-		n.ins.secOverheadBytes = n.reg.Counter("sec.overhead.bytes")
-		// Sampled: one seal and one open in 32 is timed, so .count is
-		// about a 32nd of sec.tx.sealed / sec.rx.opened.
-		n.ins.secSealNs = n.reg.Histogram("sec.seal_ns")
+		// Sampled: one open in 32 is timed, so .count is about a 32nd
+		// of sec.rx.opened.
 		n.ins.secOpenNs = n.reg.Histogram("sec.open_ns")
 		n.ins.secWinOrigins = n.reg.Gauge("sec.replay.window.origins")
 		n.ins.secWinOccupancy = n.reg.Gauge("sec.replay.window.occupancy")
 		n.ins.secTxHigh = n.reg.Gauge("sec.counter.tx.highwater")
 		n.ins.secRxHigh = n.reg.Gauge("sec.counter.rx.highwater")
 	}
-}
-
-// txTypeCounter returns the cached "tx.type.<T>" counter for t.
-func (n *Node) txTypeCounter(t packet.Type) *metrics.Counter {
-	c := n.ins.txType[t]
-	if c == nil {
-		c = n.reg.Counter("tx.type." + t.String())
-		n.ins.txType[t] = c
-	}
-	return c
 }
 
 // rxTypeCounter returns the cached "rx.type.<T>" counter for t.
@@ -568,13 +481,36 @@ func (n *Node) rxTypeCounter(t packet.Type) *metrics.Counter {
 	return c
 }
 
+// pathLog is where a node accounts what happens to packets: its
+// registry, and the narrative and span segments of its tracer. A Node and
+// its Transmitter each hold a copy of the same one.
+type pathLog struct {
+	env    Env
+	reg    *metrics.Registry
+	tracer *trace.Tracer
+	// traceOn and segsOn mirror the two classes tracer records
+	// (narrative, span segments). Hot call sites test traceOn to skip
+	// building tracePacket's variadic arguments: the []any boxing
+	// allocates even when nothing is recorded.
+	traceOn, segsOn bool
+	// addrStr caches Address.String() — span segments carry the rendered
+	// address, and formatting it per segment would allocate on the hot
+	// path.
+	addrStr string
+}
+
+func newPathLog(cfg Config, env Env, reg *metrics.Registry) pathLog {
+	return pathLog{env: env, reg: reg, tracer: cfg.Tracer,
+		traceOn: cfg.Tracer.Enabled(), segsOn: cfg.Tracer.Segments(), addrStr: cfg.Address.String()}
+}
+
 // tracePacket emits a narrative event about p, stamped with p's trace
 // ID. It is a no-op when the narrative is off.
-func (n *Node) tracePacket(kind trace.Kind, p *packet.Packet, format string, args ...any) {
-	if !n.traceOn {
+func (l *pathLog) tracePacket(kind trace.Kind, p *packet.Packet, format string, args ...any) {
+	if !l.traceOn {
 		return
 	}
-	n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, kind,
+	l.tracer.EmitPacket(l.env.Now(), l.addrStr, kind,
 		trace.TraceID(p.TraceID()), format, args...)
 }
 
@@ -582,11 +518,11 @@ func (n *Node) tracePacket(kind trace.Kind, p *packet.Packet, format string, arg
 // segments are off, and otherwise allocates nothing: node and detail
 // strings are pre-rendered or constant, and the trace ID hash works on
 // the packet in place.
-func (n *Node) segment(p *packet.Packet, seg span.Seg, dur time.Duration, detail string) {
-	if !n.segsOn {
+func (l *pathLog) segment(p *packet.Packet, seg span.Seg, dur time.Duration, detail string) {
+	if !l.segsOn {
 		return
 	}
-	n.cfg.Tracer.EmitSeg(n.env.Now(), n.addrStr, trace.KindSpan,
+	l.tracer.EmitSeg(l.env.Now(), l.addrStr, trace.KindSpan,
 		trace.TraceID(p.TraceID()), seg.String(), dur, detail)
 }
 
@@ -596,15 +532,15 @@ func (n *Node) segment(p *packet.Packet, seg span.Seg, dur time.Duration, detail
 // occurrence has always streamed them in.
 
 // drop accounts a packet dropped for one of the forward.Drop* reasons.
-func (n *Node) drop(p *packet.Packet, reason, format string, args ...any) {
-	n.dropAs(n.reg.Counter("drop."+reason), p, reason, format, args...)
+func (l *pathLog) drop(p *packet.Packet, reason, format string, args ...any) {
+	l.dropAs(l.reg.Counter("drop."+reason), p, reason, format, args...)
 }
 
 // dropAs is drop for the reasons whose counter is not drop.<reason>.
-func (n *Node) dropAs(c *metrics.Counter, p *packet.Packet, reason, format string, args ...any) {
+func (l *pathLog) dropAs(c *metrics.Counter, p *packet.Packet, reason, format string, args ...any) {
 	c.Inc()
-	n.tracePacket(trace.KindDrop, p, format, args...)
-	n.segment(p, span.SegDrop, 0, reason)
+	l.tracePacket(trace.KindDrop, p, format, args...)
+	l.segment(p, span.SegDrop, 0, reason)
 }
 
 // received accounts a routed packet accepted for processing.
@@ -641,37 +577,6 @@ func (n *Node) forwarded(fwd *packet.Packet, next packet.Address) {
 	}
 }
 
-// transmitted accounts a frame the radio accepted at now, after the
-// packet waited in the queue since enqueuedAt (zero if unknown).
-func (n *Node) transmitted(head *packet.Packet, frameLen int, now, enqueuedAt time.Time, airtime time.Duration) {
-	n.ins.txFrames.Inc()
-	n.txTypeCounter(head.Type).Inc()
-	n.ins.txBytes.Add(uint64(frameLen))
-	if head.Secured {
-		n.ins.secSealed.Inc()
-		n.ins.secOverheadBytes.Add(uint64(packet.SecOverhead))
-	}
-	n.ins.txAirtimeMs.ObserveDuration(airtime)
-	if !enqueuedAt.IsZero() {
-		n.ins.queueWaitMs.ObserveDuration(now.Sub(enqueuedAt))
-	}
-	n.ins.dutyUtil.Set(n.duty.Utilization(now))
-	if head.Type == packet.TypeHello {
-		return
-	}
-	if n.segsOn {
-		id := trace.TraceID(head.TraceID())
-		if !enqueuedAt.IsZero() {
-			n.cfg.Tracer.EmitSeg(now, n.addrStr, trace.KindSpan, id, span.SegQueueWait.String(), now.Sub(enqueuedAt), "")
-		}
-		n.cfg.Tracer.EmitSeg(now, n.addrStr, trace.KindSpan, id, span.SegAirtime.String(), airtime, head.Type.String())
-	}
-	if n.traceOn {
-		n.tracePacket(trace.KindTx, head, "tx %v %v->%v via %v, %d bytes, airtime %v",
-			head.Type, head.Src, head.Dst, head.Via, frameLen, airtime)
-	}
-}
-
 // refreshSecGauges re-exports the link's replay-protection state —
 // window occupancy and frame-counter high-water marks. Called every 32nd
 // open (see secStatTick) so the per-origin window walk stays off the
@@ -700,7 +605,7 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 // AirtimeUsed returns the node's cumulative transmit airtime, including
 // airtime spent under duty regulators replaced by control-plane
 // reconfiguration.
-func (n *Node) AirtimeUsed() time.Duration { return n.dutyCarry + n.duty.LifetimeAirtime() }
+func (n *Node) AirtimeUsed() time.Duration { return n.tx.airtimeUsed() }
 
 // Start begins beaconing and route maintenance. The first HELLO is sent
 // after a random fraction of the hello period, which desynchronizes nodes
@@ -725,9 +630,9 @@ func (n *Node) Stop() {
 		return
 	}
 	n.stopped = true
-	for _, t := range []Timer{n.helloTimer, n.expiryTimer, n.pumpTimer} {
-		t.Stop()
-	}
+	n.helloTimer.Stop()
+	n.expiryTimer.Stop()
+	n.tx.Stop()
 	for _, s := range n.outStreams {
 		if s.retryCancel != nil {
 			s.retryCancel()
@@ -751,25 +656,4 @@ func (n *Node) routeCheckPeriod() time.Duration {
 		ttl = routing.DefaultConfig().EntryTTL
 	}
 	return ttl / 4
-}
-
-// newDuty builds the duty-cycle gate from the config: unregulated at a
-// limit of 1 or more, else the standard rolling-hour regulator at the
-// configured limit (the band's regulatory limit when zero).
-func newDuty(cfg Config) (dutyRegulator, error) {
-	if cfg.DutyCycleLimit >= 1 {
-		return &unlimitedDuty{}, nil
-	}
-	limit := cfg.DutyCycleLimit
-	if limit == 0 {
-		var err error
-		if limit, err = dutycycle.LimitForFrequency(cfg.Phy.FrequencyHz); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	reg, err := dutycycle.NewRegulator(limit, dutycycle.DefaultWindow)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return reg, nil
 }

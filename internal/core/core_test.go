@@ -216,13 +216,13 @@ func TestQueueFullRejectsDataKeepsHello(t *testing.T) {
 		t.Error("drop.queue_full not counted")
 	}
 	// A HELLO still gets in by evicting a data packet.
-	before := n.queue.len()
+	before := n.tx.queue.len()
 	n.sendHello()
-	if n.queue.len() != before {
-		t.Errorf("queue length changed %d -> %d, want eviction keeping it full", before, n.queue.len())
+	if n.tx.queue.len() != before {
+		t.Errorf("queue length changed %d -> %d, want eviction keeping it full", before, n.tx.queue.len())
 	}
 	hasHello := false
-	for _, lvl := range n.queue.levels {
+	for _, lvl := range n.tx.queue.levels {
 		for _, e := range lvl {
 			if e.p.Type == packet.TypeHello {
 				hasHello = true

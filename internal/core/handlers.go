@@ -213,7 +213,7 @@ func (n *Node) forward(p *packet.Packet) {
 	}
 	fwd := p.Clone()
 	fwd.Via = next
-	if err := n.enqueue(fwd); err != nil {
+	if err := n.tx.Enqueue(fwd, 0); err != nil {
 		// Metrics and the tracer already recorded the drop reason in
 		// enqueue.
 		return
@@ -237,7 +237,7 @@ func (n *Node) isDuplicate(p *packet.Packet) bool {
 func (n *Node) route(p *packet.Packet) error {
 	if p.Dst == packet.Broadcast {
 		p.Via = packet.Broadcast
-		return n.enqueue(p)
+		return n.tx.Enqueue(p, 0)
 	}
 	next, ok := n.table.NextHop(p.Dst)
 	if !ok {
@@ -245,7 +245,7 @@ func (n *Node) route(p *packet.Packet) error {
 		return fmt.Errorf("%w: %v", ErrNoRoute, p.Dst)
 	}
 	p.Via = next
-	return n.enqueue(p)
+	return n.tx.Enqueue(p, 0)
 }
 
 // sendControl emits a stream control packet (ACK or LOST) toward dst.

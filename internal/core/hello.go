@@ -60,7 +60,7 @@ func (n *Node) sendHello() {
 			Type:    packet.TypeHello,
 			Payload: payload,
 		}
-		if err := n.enqueue(p); err != nil {
+		if err := n.tx.Enqueue(p, 0); err != nil {
 			// Queue pressure: the next beacon will carry the table.
 			return
 		}

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dutycycle"
 	"repro/internal/forward"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/span"
+	"repro/internal/trace"
 )
 
 // priority orders packets in the transmit queue: routing control first
@@ -104,168 +107,359 @@ func (q *txQueue) pop() (*packet.Packet, time.Time, bool) {
 	return nil, time.Time{}, false
 }
 
-// enqueue validates, queues, and pumps a packet assembled by the node.
-func (n *Node) enqueue(p *packet.Packet) error {
-	if n.stopped {
+// Transmitter is the one transmit path every engine sends through — the
+// LoRaMesher node, the slotted wrapper around it, and the table-free
+// flooding, reactive and ICN engines. It owns queue admission (three
+// priority levels, at most queueCapacity frames), the duty-cycle
+// regulator, the TxGate, listen-before-talk and the jittered inter-frame
+// gap, and puts one frame on the air at a time, encoded into one reusable
+// buffer. It accounts tx.*, queue.*, dutycycle.* and the queue_full,
+// dutycycle, marshal and txerror drops in its owner's registry, and each
+// packet's enqueue, queue-wait, airtime and drop in the config's Tracer.
+type Transmitter struct {
+	pathLog
+	cfg   Config
+	ins   txInstruments
+	queue txQueue
+	duty  dutyRegulator
+	// dutyCarry preserves lifetime airtime across duty-regulator swaps
+	// (an OpSetConfig changing the duty-cycle class replaces duty).
+	dutyCarry time.Duration
+	pumpTimer Timer
+	cadTries  int
+	// sealTick counts frame seals; every 32nd is timed (see secStatTick).
+	sealTick                         uint32
+	transmitting, pumpArmed, stopped bool
+	// buf is the reusable frame-encode buffer behind transmitHead; the
+	// Env.Transmit contract (no retention after return) makes reuse safe.
+	buf []byte
+}
+
+// txInstruments are the transmit path's per-frame instruments, resolved
+// once. Per-type counters (tx.type.*) fill lazily, one slot per wire type
+// byte; the security ones only when cfg.Security is set.
+type txInstruments struct {
+	frames, bytes, sealed, secOverhead *metrics.Counter
+	depth, dutyUtil                    *metrics.Gauge
+	airtimeMs, waitMs, sealNs          *metrics.Histogram
+	txType                             [256]*metrics.Counter
+}
+
+// NewTransmitter returns the transmit path of the node cfg describes — it
+// reads Address, Phy, DutyCycleLimit, CAD, TxGate, Security and Tracer —
+// transmitting through env and accounting into reg.
+func NewTransmitter(cfg Config, env Env, reg *metrics.Registry) (*Transmitter, error) {
+	if env == nil {
+		return nil, fmt.Errorf("core: nil env")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	duty, err := newDuty(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &Transmitter{pathLog: newPathLog(cfg, env, reg), cfg: cfg, duty: duty}
+	t.pumpTimer = newTimer(env, func() {
+		t.pumpArmed = false
+		t.pump(0)
+	})
+	for _, reason := range []string{forward.DropQueueFull, forward.DropDutyCycle, forward.DropMarshal, forward.DropTxError} {
+		reg.Counter("drop." + reason)
+	}
+	reg.Counter("dutycycle.deferrals")
+	t.ins.frames = reg.Counter("tx.frames")
+	t.ins.bytes = reg.Counter("tx.bytes")
+	t.ins.depth = reg.Gauge("queue.depth")
+	t.ins.dutyUtil = reg.Gauge("dutycycle.utilization")
+	t.ins.airtimeMs = reg.Histogram("tx.airtime_ms")
+	t.ins.waitMs = reg.Histogram("queue.wait_ms")
+	if cfg.Security != nil {
+		t.ins.sealed = reg.Counter("sec.tx.sealed")
+		t.ins.secOverhead = reg.Counter("sec.overhead.bytes")
+		// Sampled: one seal in 32 is timed, so .count is about a 32nd of
+		// sec.tx.sealed.
+		t.ins.sealNs = reg.Histogram("sec.seal_ns")
+	}
+	return t, nil
+}
+
+// Enqueue admits p for transmission after delay (at once when delay is
+// not positive). A packet the queue refuses is counted under
+// drop.queue_full, and Enqueue returns ErrQueueFull; after a delay the
+// refusal is only counted. A stopped transmitter refuses everything with
+// ErrStopped, including packets whose delay has yet to elapse.
+func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
+	if t.stopped {
 		return ErrStopped
+	}
+	if delay > 0 {
+		t.env.Schedule(delay, func() { _ = t.Enqueue(p, 0) })
+		return nil
 	}
 	// Stamp origin security state before Validate: WireLen depends on it.
 	// Forwarded packets arrive already stamped — their counter belongs to
 	// the origin and must survive the hop untouched, or every forwarder
 	// would change the frame's identity (and its MIC inputs).
-	if n.sec != nil && !p.Secured {
+	if t.cfg.Security != nil && !p.Secured {
 		p.Secured = true
 		p.SecFlags = packet.SecFlagEncrypted
-		p.Counter = n.sec.NextCounter()
+		p.Counter = t.cfg.Security.NextCounter()
 	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := n.queue.push(p, n.env.Now()); err != nil {
+	if err := t.queue.push(p, t.env.Now()); err != nil {
 		if p.Type == packet.TypeHello {
 			// Beacons are counted, never traced.
-			n.reg.Counter("drop." + forward.DropQueueFull).Inc()
+			t.reg.Counter("drop." + forward.DropQueueFull).Inc()
 		} else {
-			n.drop(p, forward.DropQueueFull, "drop: queue full (%d queued)", n.queue.len())
+			t.drop(p, forward.DropQueueFull, "drop: queue full (%d queued)", t.queue.len())
 		}
 		return err
 	}
 	if p.Type != packet.TypeHello {
-		n.segment(p, span.SegEnqueue, 0, p.Type.String())
+		t.segment(p, span.SegEnqueue, 0, p.Type.String())
 	}
-	n.ins.queueDepth.Set(float64(n.queue.len()))
-	n.pump(0)
+	t.ins.depth.Set(float64(t.queue.len()))
+	t.pump(0)
 	return nil
 }
 
 // pump tries to start transmitting the head-of-queue packet after delay.
 // It is idempotent: at most one pending pump timer exists, and nothing
-// happens while a transmission is in flight (HandleTxDone re-pumps).
-func (n *Node) pump(delay time.Duration) {
-	if n.stopped || n.transmitting {
+// happens while a transmission is in flight (TxDone re-pumps).
+func (t *Transmitter) pump(delay time.Duration) {
+	if t.stopped || t.transmitting {
 		return
 	}
-	if n.pumpArmed {
+	if t.pumpArmed {
 		if delay > 0 {
 			// An earlier pump is already scheduled; it will run first.
 			return
 		}
-		n.pumpTimer.Stop()
-		n.pumpArmed = false
+		t.pumpTimer.Stop()
+		t.pumpArmed = false
 	}
 	if delay > 0 {
-		n.pumpArmed = true
-		n.pumpTimer.Reset(delay)
+		t.pumpArmed = true
+		t.pumpTimer.Reset(delay)
 		return
 	}
-	n.transmitHead()
+	t.transmitHead()
 }
 
-// transmitHead performs the duty-cycle and CAD checks and starts the
-// head-of-queue transmission.
-func (n *Node) transmitHead() {
-	head, ok := n.queue.peek()
+// transmitHead performs the duty-cycle, gate and CAD checks and starts
+// the head-of-queue transmission.
+func (t *Transmitter) transmitHead() {
+	head, ok := t.queue.peek()
 	if !ok {
 		return
 	}
-	// Encode into the node's reusable buffer: Env.Transmit must not
-	// retain the frame past the call, so one buffer serves every
-	// transmission this node ever makes.
-	frame, err := packet.AppendMarshal(n.txBuf[:0], head)
+	// Encode into the reusable buffer: Env.Transmit must not retain the
+	// frame past the call, so one buffer serves every transmission.
+	frame, err := packet.AppendMarshal(t.buf[:0], head)
 	if err == nil {
-		n.txBuf = frame
-		if n.sec != nil && head.Secured {
+		t.buf = frame
+		if sec := t.cfg.Security; sec != nil && head.Secured {
 			// Seal in place. Deterministic, so re-marshalling the same
 			// head after a duty-cycle deferral reproduces the same bytes.
-			// One seal in 32 is timed (see secStatTick).
-			n.secSealTick++
-			sampled := n.secSealTick&31 == 0
+			t.sealTick++
+			sampled := t.sealTick&31 == 0
 			var start time.Time
 			if sampled {
 				start = time.Now()
 			}
-			err = n.sec.SealFrame(frame, head)
+			err = sec.SealFrame(frame, head)
 			if sampled {
-				n.ins.secSealNs.Observe(float64(time.Since(start)))
+				t.ins.sealNs.Observe(float64(time.Since(start)))
 			}
 		}
 	}
 	if err != nil {
 		// The packet was validated at enqueue; treat as a bug signal,
 		// drop it, and keep the queue moving.
-		n.queue.pop()
-		n.drop(head, forward.DropMarshal, "drop: marshal failed: %v", err)
-		n.pump(0)
+		t.queue.pop()
+		t.drop(head, forward.DropMarshal, "drop: marshal failed: %v", err)
+		t.pump(0)
 		return
 	}
-	airtime, err := n.cfg.Phy.Airtime(len(frame))
+	airtime, err := t.cfg.Phy.Airtime(len(frame))
 	if err != nil {
-		n.queue.pop()
-		n.dropAs(n.reg.Counter("drop."+forward.DropMarshal), head, "airtime", "drop: airtime rejected: %v", err)
-		n.pump(0)
+		t.queue.pop()
+		t.dropAs(t.reg.Counter("drop."+forward.DropMarshal), head, "airtime", "drop: airtime rejected: %v", err)
+		t.pump(0)
 		return
 	}
-	now := n.env.Now()
-	if !n.duty.CanTransmit(now, airtime) {
-		at, err := n.duty.NextAllowed(now, airtime)
+	now := t.env.Now()
+	if !t.duty.CanTransmit(now, airtime) {
+		at, err := t.duty.NextAllowed(now, airtime)
 		if err != nil {
 			// The frame alone exceeds the whole budget; it can never
 			// be sent legally.
-			n.queue.pop()
-			n.drop(head, forward.DropDutyCycle, "drop: frame airtime %v exceeds whole duty budget", airtime)
-			n.pump(0)
+			t.queue.pop()
+			t.drop(head, forward.DropDutyCycle, "drop: frame airtime %v exceeds whole duty budget", airtime)
+			t.pump(0)
 			return
 		}
-		n.reg.Counter("dutycycle.deferrals").Inc()
-		n.ins.dutyUtil.Set(n.duty.Utilization(now))
-		n.pump(at.Sub(now) + time.Millisecond)
+		t.reg.Counter("dutycycle.deferrals").Inc()
+		t.ins.dutyUtil.Set(t.duty.Utilization(now))
+		t.pump(at.Sub(now) + time.Millisecond)
 		return
 	}
-	if n.cfg.TxGate != nil {
+	if t.cfg.TxGate != nil {
 		// Scheduled access (the slotted strategy): outside the node's
 		// transmission window the frame waits for clearance. Runs after
 		// the duty check so deferred frames never double-spend budget
 		// probes, and before CAD so listen-before-talk happens inside the
 		// granted window.
-		if wait := n.cfg.TxGate.Clearance(now, head.Type, airtime); wait > 0 {
-			n.reg.Counter("txgate.deferrals").Inc()
-			n.pump(wait)
+		if wait := t.cfg.TxGate.Clearance(now, head.Type, airtime); wait > 0 {
+			t.reg.Counter("txgate.deferrals").Inc()
+			t.pump(wait)
 			return
 		}
 	}
-	if n.cfg.CAD {
-		busy, err := n.env.ChannelBusy()
-		if err == nil && busy && n.cadTries < cadMaxTries {
-			n.cadTries++
-			n.reg.Counter("cad.deferrals").Inc()
-			backoff := cadBackoffPreambles * n.cfg.Phy.PreambleTime()
-			n.pump(time.Duration((1 + n.env.Rand()) * float64(backoff)))
+	if t.cfg.CAD {
+		busy, err := t.env.ChannelBusy()
+		if err == nil && busy && t.cadTries < cadMaxTries {
+			t.cadTries++
+			t.reg.Counter("cad.deferrals").Inc()
+			backoff := cadBackoffPreambles * t.cfg.Phy.PreambleTime()
+			t.pump(time.Duration((1 + t.env.Rand()) * float64(backoff)))
 			return
 		}
-		n.cadTries = 0
+		t.cadTries = 0
 	}
-	_, enqueuedAt, _ := n.queue.pop()
-	n.ins.queueDepth.Set(float64(n.queue.len()))
-	if _, err := n.env.Transmit(frame); err != nil {
-		n.drop(head, forward.DropTxError, "drop: radio transmit error: %v", err)
-		n.pump(0)
+	_, enqueuedAt, _ := t.queue.pop()
+	t.ins.depth.Set(float64(t.queue.len()))
+	if _, err := t.env.Transmit(frame); err != nil {
+		t.drop(head, forward.DropTxError, "drop: radio transmit error: %v", err)
+		t.pump(0)
 		return
 	}
-	n.duty.Record(now, airtime)
-	n.transmitting = true
-	n.transmitted(head, len(frame), now, enqueuedAt, airtime)
+	t.duty.Record(now, airtime)
+	t.transmitting = true
+	t.transmitted(head, len(frame), now, enqueuedAt, airtime)
+}
+
+// transmitted accounts a frame the radio accepted at now, after the
+// packet waited in the queue since enqueuedAt (zero if unknown).
+func (t *Transmitter) transmitted(head *packet.Packet, frameLen int, now, enqueuedAt time.Time, airtime time.Duration) {
+	t.ins.frames.Inc()
+	c := t.ins.txType[head.Type]
+	if c == nil {
+		c = t.reg.Counter("tx.type." + head.Type.String())
+		t.ins.txType[head.Type] = c
+	}
+	c.Inc()
+	t.ins.bytes.Add(uint64(frameLen))
+	if head.Secured {
+		t.ins.sealed.Inc()
+		t.ins.secOverhead.Add(uint64(packet.SecOverhead))
+	}
+	t.ins.airtimeMs.ObserveDuration(airtime)
+	if !enqueuedAt.IsZero() {
+		t.ins.waitMs.ObserveDuration(now.Sub(enqueuedAt))
+	}
+	t.ins.dutyUtil.Set(t.duty.Utilization(now))
+	if head.Type == packet.TypeHello {
+		return
+	}
+	if t.segsOn {
+		id := trace.TraceID(head.TraceID())
+		if !enqueuedAt.IsZero() {
+			t.tracer.EmitSeg(now, t.addrStr, trace.KindSpan, id, span.SegQueueWait.String(), now.Sub(enqueuedAt), "")
+		}
+		t.tracer.EmitSeg(now, t.addrStr, trace.KindSpan, id, span.SegAirtime.String(), airtime, head.Type.String())
+	}
+	if t.traceOn {
+		t.tracePacket(trace.KindTx, head, "tx %v %v->%v via %v, %d bytes, airtime %v",
+			head.Type, head.Src, head.Dst, head.Via, frameLen, airtime)
+	}
+}
+
+// TxDone is the host's signal that the frame on the air ended. The next
+// frame waits out the inter-frame gap, jittered ±50% so forwarders on a
+// shared path don't lock step into repeated collisions.
+func (t *Transmitter) TxDone() {
+	if t.stopped {
+		return
+	}
+	t.transmitting = false
+	t.pump(time.Duration((0.5 + t.env.Rand()) * float64(interFrameGap)))
+}
+
+// Stop silences the transmitter: nothing further is queued or sent.
+func (t *Transmitter) Stop() {
+	t.stopped = true
+	t.pumpTimer.Stop()
+}
+
+// airtimeUsed returns the cumulative transmit airtime, including airtime
+// spent under duty regulators replaced by control-plane reconfiguration.
+func (t *Transmitter) airtimeUsed() time.Duration { return t.dutyCarry + t.duty.LifetimeAirtime() }
+
+// setDutyLimit swaps in a regulator for a new duty-cycle limit, carrying
+// the lifetime airtime ledger so AirtimeUsed stays monotonic.
+func (t *Transmitter) setDutyLimit(limit float64) error {
+	t.cfg.DutyCycleLimit = limit
+	duty, err := newDuty(t.cfg)
+	if err != nil {
+		return err
+	}
+	t.dutyCarry += t.duty.LifetimeAirtime()
+	t.duty = duty
+	return nil
+}
+
+// dutyRegulator is the transmit gate: a dutycycle.Regulator, or
+// unlimitedDuty when the config lifts regulation.
+type dutyRegulator interface {
+	CanTransmit(now time.Time, airtime time.Duration) bool
+	Record(now time.Time, airtime time.Duration)
+	NextAllowed(now time.Time, airtime time.Duration) (time.Time, error)
+	LifetimeAirtime() time.Duration
+	// Utilization is the fraction of the rolling airtime budget consumed
+	// at now (0 when unregulated); it feeds the dutycycle.utilization
+	// gauge.
+	Utilization(now time.Time) float64
+}
+
+// unlimitedDuty disables regulation.
+type unlimitedDuty struct{ lifetime time.Duration }
+
+func (*unlimitedDuty) CanTransmit(time.Time, time.Duration) bool { return true }
+func (u *unlimitedDuty) Record(_ time.Time, a time.Duration)     { u.lifetime += a }
+func (u *unlimitedDuty) NextAllowed(now time.Time, _ time.Duration) (time.Time, error) {
+	return now, nil
+}
+func (u *unlimitedDuty) LifetimeAirtime() time.Duration { return u.lifetime }
+func (*unlimitedDuty) Utilization(time.Time) float64    { return 0 }
+
+// newDuty builds the duty-cycle gate from the config: unregulated at a
+// limit of 1 or more, else the standard rolling-hour regulator at the
+// configured limit (the band's regulatory limit when zero).
+func newDuty(cfg Config) (dutyRegulator, error) {
+	if cfg.DutyCycleLimit >= 1 {
+		return &unlimitedDuty{}, nil
+	}
+	limit := cfg.DutyCycleLimit
+	if limit == 0 {
+		var err error
+		if limit, err = dutycycle.LimitForFrequency(cfg.Phy.FrequencyHz); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	reg, err := dutycycle.NewRegulator(limit, dutycycle.DefaultWindow)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return reg, nil
 }
 
 // HandleTxDone is called by the host when the node's transmission ends.
-func (n *Node) HandleTxDone() {
-	if n.stopped {
-		return
-	}
-	n.transmitting = false
-	// Jitter the inter-frame gap ±50% so forwarders on a shared path
-	// don't lock step into repeated collisions.
-	n.pump(time.Duration((0.5 + n.env.Rand()) * float64(interFrameGap)))
-}
+func (n *Node) HandleTxDone() { n.tx.TxDone() }
 
 // interFrameGap is the nominal pause between consecutive transmissions
 // from one node.
@@ -293,5 +487,5 @@ func (n *Node) SendBeacon(t packet.Type, payload []byte) error {
 		Type:    t,
 		Payload: append([]byte(nil), payload...),
 	}
-	return n.enqueue(p)
+	return n.tx.Enqueue(p, 0)
 }

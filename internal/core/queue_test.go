@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/forward"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 )
 
@@ -138,11 +141,11 @@ func TestHelloPagination(t *testing.T) {
 	}
 	// Pretend a transmission is in flight so the pump leaves both HELLO
 	// pages in the queue for inspection.
-	n.transmitting = true
+	n.tx.transmitting = true
 	n.sendHello()
 	var frames []*packet.Packet
 	for {
-		p, _, ok := n.queue.pop()
+		p, _, ok := n.tx.queue.pop()
 		if !ok {
 			break
 		}
@@ -192,5 +195,167 @@ func TestFingerprintDistinguishesPackets(t *testing.T) {
 	d.Number = 7
 	if fingerprint(a) == fingerprint(d) {
 		t.Error("different stream numbers share a fingerprint")
+	}
+}
+
+// txHost is a scripted Env for the Transmitter: it records the frames it
+// is handed and the timers it is asked for, and fires a timer only when
+// the test says so.
+type txHost struct {
+	sent   [][]byte
+	timers []*hostTimer
+	failOn int // 1-based Transmit call that errors; 0 = never
+	calls  int
+}
+
+type hostTimer struct {
+	d         time.Duration
+	fn        func()
+	cancelled bool
+}
+
+func (h *txHost) Now() time.Time { return t0 }
+
+func (h *txHost) Schedule(d time.Duration, fn func()) func() {
+	ht := &hostTimer{d: d, fn: fn}
+	h.timers = append(h.timers, ht)
+	return func() { ht.cancelled = true }
+}
+
+func (h *txHost) Transmit(frame []byte) (time.Duration, error) {
+	h.calls++
+	if h.calls == h.failOn {
+		return 0, errors.New("radio refused")
+	}
+	h.sent = append(h.sent, append([]byte(nil), frame...))
+	return time.Millisecond, nil
+}
+
+func (h *txHost) ChannelBusy() (bool, error) { return false, nil }
+func (h *txHost) Deliver(AppMessage)         {}
+func (h *txHost) StreamDone(StreamEvent)     {}
+func (h *txHost) Rand() float64              { return 0.5 }
+
+// fire runs the pending timers in the order they were asked for,
+// including any a fired one asks for.
+func (h *txHost) fire() {
+	for len(h.timers) > 0 {
+		ht := h.timers[0]
+		h.timers = h.timers[1:]
+		if !ht.cancelled {
+			ht.fn()
+		}
+	}
+}
+
+// tags decodes the payload tag of every transmitted frame.
+func (h *txHost) tags(t *testing.T) string {
+	t.Helper()
+	var tags []byte
+	for _, f := range h.sent {
+		p, err := packet.Unmarshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags = append(tags, p.Payload[0])
+	}
+	return string(tags)
+}
+
+func newTestTransmitter(t *testing.T, h *txHost) (*Transmitter, *metrics.Registry) {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	tx, err := NewTransmitter(Config{Address: 1, DutyCycleLimit: 1}, h, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tx, reg
+}
+
+// TestTxQueueOrdering holds the shared transmit path to one frame on the
+// air at a time, FIFO within a priority level, a delayed packet joining
+// the queue only when its hold-off ends, and the inter-frame gap after
+// every transmission.
+func TestTxQueueOrdering(t *testing.T) {
+	h := &txHost{}
+	tx, reg := newTestTransmitter(t, h)
+	for _, e := range []struct {
+		tag   byte
+		delay time.Duration
+	}{{'a', 0}, {'b', 0}, {'d', 300 * time.Millisecond}, {'c', 0}} {
+		if err := tx.Enqueue(mkPacket(packet.TypeData, e.tag), e.delay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.tags(t); got != "a" {
+		t.Fatalf("on the air before TxDone: %q, want only a", got)
+	}
+	if len(h.timers) != 1 || h.timers[0].d != 300*time.Millisecond {
+		t.Fatalf("timers after the enqueues: %d, want d's 300 ms hold-off", len(h.timers))
+	}
+	tx.TxDone()
+	if gap := h.timers[1].d; gap != interFrameGap {
+		t.Errorf("gap after a frame = %v, want %v at Rand 0.5", gap, interFrameGap)
+	}
+	h.fire() // d's hold-off ends during the gap and joins behind c
+	for i := 0; i < 3; i++ {
+		tx.TxDone()
+		h.fire()
+	}
+	if got := h.tags(t); got != "abcd" {
+		t.Errorf("transmit order %q, want abcd", got)
+	}
+	snap := reg.Snapshot()
+	if snap["tx.frames"] != 4 || snap["tx.bytes"] == 0 || snap["tx.type.DATA"] != 4 {
+		t.Errorf("tx accounting: %v", snap)
+	}
+}
+
+// TestTxQueueDropsAndStop: a packet that no longer marshals is dropped
+// and the next one goes out; a Transmit error drops that packet and the
+// queue moves on; a stopped transmitter sends nothing, not even a packet
+// whose hold-off was under way, and refuses new ones.
+func TestTxQueueDropsAndStop(t *testing.T) {
+	h := &txHost{failOn: 3}
+	tx, reg := newTestTransmitter(t, h)
+	tooBig := mkPacket(packet.TypeData, 'x')
+	for _, p := range []*packet.Packet{mkPacket(packet.TypeData, 'a'), tooBig, mkPacket(packet.TypeData, 'b')} {
+		if err := tx.Enqueue(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Valid when admitted, unencodable by its turn.
+	tooBig.Payload = make([]byte, packet.MaxFrameLen)
+	tx.TxDone()
+	h.fire()
+	if got := h.tags(t); got != "ab" {
+		t.Fatalf("after the marshal drop: %q, want ab", got)
+	}
+	tx.TxDone()
+	h.fire()
+	for _, tag := range []byte{'c', 'd'} {
+		if err := tx.Enqueue(mkPacket(packet.TypeData, tag), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.tags(t); got != "abd" {
+		t.Fatalf("after the refused transmit: %q, want abd", got)
+	}
+	snap := reg.Snapshot()
+	if snap["drop."+forward.DropMarshal] != 1 || snap["drop."+forward.DropTxError] != 1 || snap["tx.frames"] != 3 {
+		t.Errorf("drop accounting: %v", snap)
+	}
+
+	if err := tx.Enqueue(mkPacket(packet.TypeData, 'e'), 300*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	tx.Stop()
+	tx.TxDone()
+	h.fire()
+	if got := h.tags(t); got != "abd" {
+		t.Errorf("stopped transmitter sent: %q", got)
+	}
+	if err := tx.Enqueue(mkPacket(packet.TypeData, 'f'), 0); !errors.Is(err, ErrStopped) {
+		t.Errorf("Enqueue after Stop = %v, want ErrStopped", err)
 	}
 }

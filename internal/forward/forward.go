@@ -2,10 +2,11 @@
 // engine surface every mesh protocol in this repository presents to its
 // host, plus the smaller contracts a strategy is assembled from — the
 // transmission admission for scheduled access (TxGate), the routed-
-// packet duplicate suppressor (Dedup), the bounded seen-set and transmit
-// queue the table-free engines share (SeenSet, TxQueue), and the
-// canonical drop-reason vocabulary shared by every strategy's drop
-// accounting.
+// packet duplicate suppressor (Dedup), the bounded seen-set the
+// table-free engines share (SeenSet), and the canonical drop-reason
+// vocabulary shared by every strategy's drop accounting. Every engine
+// transmits through one path, core.Transmitter, which consults the
+// TxGate.
 //
 // Four strategies implement the API today:
 //
@@ -211,79 +212,3 @@ func (s *SeenSet[K]) Mark(k K, at time.Time) {
 		s.order = s.order[1:]
 	}
 }
-
-// TxEnv is the part of an engine's host a TxQueue drives: timers and the
-// radio. Every core.Env satisfies it.
-type TxEnv interface {
-	Schedule(d time.Duration, fn func()) (cancel func())
-	Transmit(frame []byte) (time.Duration, error)
-}
-
-// TxQueue is the transmit path the table-free engines share: a FIFO of
-// packets awaiting the half-duplex radio, one frame on the air at a
-// time. It accounts tx.frames/tx.bytes and the marshal/txerror drops in
-// the engine's registry under the canonical names.
-type TxQueue struct {
-	env          TxEnv
-	reg          *metrics.Registry
-	queue        []*packet.Packet
-	transmitting bool
-	stopped      bool
-}
-
-// NewTxQueue returns an empty queue transmitting through env and
-// accounting into reg.
-func NewTxQueue(env TxEnv, reg *metrics.Registry) *TxQueue {
-	return &TxQueue{env: env, reg: reg}
-}
-
-// Enqueue admits p for transmission after delay (immediately when delay
-// is not positive).
-func (q *TxQueue) Enqueue(p *packet.Packet, delay time.Duration) {
-	if delay > 0 {
-		q.env.Schedule(delay, func() { q.Enqueue(p, 0) })
-		return
-	}
-	q.queue = append(q.queue, p)
-	q.pump()
-}
-
-// pump puts the head of the queue on the air when the radio is free. A
-// packet that fails to marshal is dropped and the next one tried; a
-// Transmit error drops the packet and leaves the queue to the next
-// Enqueue or TxDone.
-func (q *TxQueue) pump() {
-	if q.stopped || q.transmitting || len(q.queue) == 0 {
-		return
-	}
-	p := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		q.reg.Counter("drop." + DropMarshal).Inc()
-		q.pump()
-		return
-	}
-	if _, err := q.env.Transmit(frame); err != nil {
-		q.reg.Counter("drop." + DropTxError).Inc()
-		return
-	}
-	q.transmitting = true
-	q.reg.Counter("tx.frames").Inc()
-	q.reg.Counter("tx.bytes").Add(uint64(len(frame)))
-}
-
-// TxDone is the host's signal that the frame on the air ended; the next
-// queued packet goes out.
-func (q *TxQueue) TxDone() {
-	if q.stopped {
-		return
-	}
-	q.transmitting = false
-	q.pump()
-}
-
-// Stop silences the queue: nothing further is transmitted, including
-// packets whose Enqueue delay has yet to elapse.
-func (q *TxQueue) Stop() { q.stopped = true }

@@ -63,12 +63,12 @@ func FuzzHandleFrame(f *testing.F) {
 			}
 		}
 		const self = packet.Address(1)
-		b := newBus(t, Config{Address: self, Produce: func(name string) []byte {
+		b := newBus(t, spec{Address: self, Produce: func(name string) []byte {
 			if name == "own" {
 				return []byte("21.5C")
 			}
 			return nil
-		}}, Config{Address: 2})
+		}}, spec{Address: 2})
 		n := b.env(self).node
 		n.cacheContent("cached", []byte("v"), 3, 2)
 		if err := n.Express("want"); err != nil {

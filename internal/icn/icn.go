@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forward"
-	"repro/internal/loraphy"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/span"
@@ -61,29 +60,6 @@ const (
 	// interest, desynchronizing the flood.
 	rebroadcastDelay = 200 * time.Millisecond
 )
-
-// Config parameterizes an ICN node.
-type Config struct {
-	// Address is the node's mesh address.
-	Address packet.Address
-	// Phy selects the radio parameters, used to estimate the airtime a
-	// cache hit saves. Zero value means loraphy.DefaultParams().
-	Phy loraphy.Params
-	// Produce, when set, makes this node a producer: called with a
-	// content name, it returns the content (nil = not produced here).
-	Produce func(name string) []byte
-	// Tracer, when set, receives interest/data lifecycle events and,
-	// when it records span segments, the SegCacheHit segment that marks
-	// cached replies in hop trees.
-	Tracer *trace.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.Phy == (loraphy.Params{}) {
-		c.Phy = loraphy.DefaultParams()
-	}
-	return c
-}
 
 // nonceKey identifies one interest flood network-wide.
 type nonceKey struct {
@@ -133,7 +109,13 @@ type csEntry struct {
 
 // Node is one ICN protocol engine.
 type Node struct {
-	cfg     Config
+	// cfg is the node template, its Phy defaulted: the address, the radio
+	// the transmit path uses and the airtime a cache hit saves is priced
+	// on, and the tracer of the interest/data lifecycle.
+	cfg core.Config
+	// produce, when set, makes this node a producer: called with a
+	// content name, it returns the content (nil = not produced here).
+	produce func(name string) []byte
 	env     core.Env
 	reg     *metrics.Registry
 	stopped bool
@@ -154,20 +136,24 @@ type Node struct {
 	csLRU   *list.List // front = most recent
 	csBytes int
 
-	tx *forward.TxQueue
+	tx *core.Transmitter
 }
 
-// NewNode creates an ICN node on the given env.
-func NewNode(cfg Config, env core.Env) (*Node, error) {
-	if env == nil {
-		return nil, fmt.Errorf("icn: nil env")
-	}
-	if cfg.Address == packet.Broadcast {
-		return nil, fmt.Errorf("icn: node address must not be broadcast")
-	}
+// NewNode creates an ICN node on env from cfg, the node template: the
+// node reads its address, its tracer (interest/data lifecycle events and,
+// when it records span segments, the SegCacheHit segment that marks
+// cached replies in hop trees) and what its transmit path reads (see
+// core.NewTransmitter). A non-nil produce makes the node a producer.
+func NewNode(cfg core.Config, produce func(name string) []byte, env core.Env) (*Node, error) {
 	reg := metrics.NewRegistry()
+	tx, err := core.NewTransmitter(cfg, env, reg)
+	if err != nil {
+		return nil, fmt.Errorf("icn: %w", err)
+	}
+	cfg.Phy = cfg.EffectivePhy()
 	n := &Node{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		produce:  produce,
 		env:      env,
 		reg:      reg,
 		addrStr:  cfg.Address.String(),
@@ -176,7 +162,7 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 		pit:      make(map[string]*pitEntry),
 		cs:       make(map[string]*csEntry),
 		csLRU:    list.New(),
-		tx:       forward.NewTxQueue(env, reg),
+		tx:       tx,
 	}
 	// Pre-register the icn.* schema so scrapes before traffic see zeros.
 	for _, c := range []string{
@@ -187,9 +173,8 @@ func NewNode(cfg Config, env core.Env) (*Node, error) {
 		"icn.cs.hit", "icn.cs.miss", "icn.cs.evict",
 		"icn.airtime.saved_ms",
 		"drop." + forward.DropTTL, "drop." + forward.DropNoPIT,
-		"drop." + forward.DropMarshal, "drop." + forward.DropTxError,
 		"app.sent", "app.delivered", "fwd.frames",
-		"tx.frames", "tx.bytes", "rx.frames", "rx.corrupt", "rx.ignored",
+		"rx.frames", "rx.corrupt", "rx.ignored",
 	} {
 		n.reg.Counter(c)
 	}
@@ -221,11 +206,12 @@ func (n *Node) Send(_ packet.Address, payload []byte) error {
 	return n.Express(string(payload))
 }
 
-// Express broadcasts an interest in name. The matching data arrives as
-// an application delivery (Env.Deliver) with From = the producer. While
-// an interest in the same name is already pending, the call aggregates
-// instead of re-flooding. Content already in the local store is
-// delivered synchronously.
+// Express broadcasts an interest in name; a full transmit queue refuses it
+// with core.ErrQueueFull. The matching data arrives as an application
+// delivery (Env.Deliver) with From = the producer. While an interest in
+// the same name is already pending, the call aggregates instead of
+// re-flooding. Content already in the local store is delivered
+// synchronously.
 //
 // The engine does not retransmit lost interests: retry is the
 // application's (re-Express) — a re-expression inside the pitTimeout
@@ -257,21 +243,23 @@ func (n *Node) Express(name string) error {
 		n.reg.Counter("icn.interest.aggregated").Inc()
 		return nil
 	}
-	e := n.newPIT(name)
-	e.addCrumb(crumb{downstream: n.cfg.Address, origin: n.cfg.Address})
-	e.relayed = true
 	nonce := n.nextNonce
 	n.nextNonce++
 	n.seen.Remember(nonceKey{origin: n.cfg.Address, nonce: nonce})
-	n.sendInterest(name, nonce, 0, n.cfg.Address, n.cfg.Address)
+	if err := n.sendInterest(name, nonce, 0, n.cfg.Address, n.cfg.Address); err != nil {
+		return err // refused by a full transmit queue: nothing is pending
+	}
+	e := n.newPIT(name)
+	e.addCrumb(crumb{downstream: n.cfg.Address, origin: n.cfg.Address})
+	e.relayed = true
 	return nil
 }
 
 // localContent returns the node's own copy of name — produced or cached
 // — touching the LRU on a cache read.
 func (n *Node) localContent(name string) *csEntry {
-	if n.cfg.Produce != nil {
-		if c := n.cfg.Produce(name); c != nil {
+	if n.produce != nil {
+		if c := n.produce(name); c != nil {
 			return &csEntry{name: name, content: c, producer: n.cfg.Address}
 		}
 	}
@@ -314,7 +302,7 @@ func (e *pitEntry) addCrumb(c crumb) {
 
 // sendInterest enqueues one interest frame. origin is preserved across
 // relays (like an RREQ flood); prevHop is this hop's sender.
-func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevHop packet.Address) {
+func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevHop packet.Address) error {
 	payload := packet.Breadcrumb{ID: nonce, Hops: hops, PrevHop: prevHop}.
 		Append(make([]byte, 0, packet.BreadcrumbLen+len(name)))
 	payload = append(payload, name...)
@@ -325,7 +313,7 @@ func (n *Node) sendInterest(name string, nonce uint16, hops uint8, origin, prevH
 		n.cfg.Tracer.EmitPacket(n.env.Now(), n.addrStr, trace.KindInterest,
 			trace.TraceID(p.TraceID()), "interest %q nonce=%d hops=%d", name, nonce, hops)
 	}
-	n.tx.Enqueue(p, 0)
+	return n.tx.Enqueue(p, 0)
 }
 
 // sendData enqueues one named-data frame carrying content toward origin
@@ -350,7 +338,8 @@ func (n *Node) sendData(name string, content []byte, producer packet.Address, ho
 	// nearby answer wins the channel before the flood grows.
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay) / 2)
 	scheduledAt := n.env.Now()
-	n.env.Schedule(delay, func() {
+	var answer func()
+	answer = func() {
 		if n.stopped {
 			return
 		}
@@ -360,8 +349,17 @@ func (n *Node) sendData(name string, content []byte, producer packet.Address, ho
 			n.reg.Counter("icn.data.suppressed").Inc()
 			return
 		}
-		n.tx.Enqueue(p, 0)
-	})
+		// Another answer may be on the air this instant (holders of the
+		// content that heard one interest pick hold-offs inside one data
+		// airtime of each other): hear it out, then look again, for as
+		// long as the requester's PIT entry can be alive.
+		if busy, err := n.env.ChannelBusy(); err == nil && busy && n.env.Now().Sub(scheduledAt) < pitTimeout {
+			n.env.Schedule(delay, answer)
+			return
+		}
+		_ = n.tx.Enqueue(p, 0) // a refusal is counted as drop.queue_full
+	}
+	n.env.Schedule(delay, answer)
 }
 
 // HandleFrame processes one received frame.
@@ -460,7 +458,7 @@ func (n *Node) scheduleInterest(name string, nonce uint16, hops uint8, origin pa
 		if _, ok := n.cs[name]; ok {
 			return
 		}
-		n.sendInterest(name, nonce, hops, origin, n.cfg.Address)
+		_ = n.sendInterest(name, nonce, hops, origin, n.cfg.Address) // a refusal is counted as drop.queue_full
 	})
 }
 

@@ -71,13 +71,19 @@ func (e *testEnv) Rand() float64                  { return e.rng.Float64() }
 
 var _ core.Env = (*testEnv)(nil)
 
-// newBus builds a started node per config on a shared medium.
-func newBus(t *testing.T, cfgs ...Config) *bus {
+// spec is one bus node: its address and, for a producer, its content.
+type spec struct {
+	Address packet.Address
+	Produce func(name string) []byte
+}
+
+// newBus builds a started node per spec on a shared medium.
+func newBus(t *testing.T, specs ...spec) *bus {
 	t.Helper()
 	b := &bus{sched: simtime.NewScheduler(t0)}
-	for i, cfg := range cfgs {
-		env := &testEnv{b: b, addr: cfg.Address, rng: rand.New(rand.NewSource(int64(i) + 1)), phy: loraphy.DefaultParams()}
-		n, err := NewNode(cfg, env)
+	for i, sp := range specs {
+		env := &testEnv{b: b, addr: sp.Address, rng: rand.New(rand.NewSource(int64(i) + 1)), phy: loraphy.DefaultParams()}
+		n, err := NewNode(core.Config{Address: sp.Address}, sp.Produce, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,25 +131,25 @@ func counter(t *testing.T, n *Node, name string) float64 {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Phy == (loraphy.Params{}) {
+	b := newBus(t, spec{Address: 1})
+	if b.env(1).node.cfg.Phy == (loraphy.Params{}) {
 		t.Error("Phy not defaulted")
 	}
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{Address: 1}, nil); err == nil {
+	if _, err := NewNode(core.Config{Address: 1}, nil, nil); err == nil {
 		t.Error("nil env accepted")
 	}
 	b := &bus{sched: simtime.NewScheduler(t0)}
 	env := &testEnv{b: b, rng: rand.New(rand.NewSource(1)), phy: loraphy.DefaultParams()}
-	if _, err := NewNode(Config{Address: packet.Broadcast}, env); err == nil {
+	if _, err := NewNode(core.Config{Address: packet.Broadcast}, nil, env); err == nil {
 		t.Error("broadcast address accepted")
 	}
 }
 
 func TestExpressValidation(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001})
+	b := newBus(t, spec{Address: 0x0001})
 	n := b.env(0x0001).node
 	if err := n.Express(""); !errors.Is(err, ErrBadName) {
 		t.Errorf("empty name: %v", err)
@@ -161,13 +167,13 @@ func TestExpressValidation(t *testing.T) {
 }
 
 func TestProducerRoundTripAndLocalCache(t *testing.T) {
-	producer := Config{Address: 0x0001, Produce: func(name string) []byte {
+	producer := spec{Address: 0x0001, Produce: func(name string) []byte {
 		if name == "sensor/1" {
 			return []byte("21.5C")
 		}
 		return nil
 	}}
-	consumer := Config{Address: 0x0002}
+	consumer := spec{Address: 0x0002}
 	b := newBus(t, producer, consumer)
 	cons := b.env(0x0002)
 
@@ -212,11 +218,11 @@ func TestIntermediateCacheAnswers(t *testing.T) {
 	// its store is cold and its read of the same name must be answered by
 	// the mid node's cache instead of the producer.
 	produced := 0
-	producer := Config{Address: 0x0003, Produce: func(name string) []byte {
+	producer := spec{Address: 0x0003, Produce: func(name string) []byte {
 		produced++
 		return []byte("v:" + name)
 	}}
-	b := newBus(t, Config{Address: 0x0001}, Config{Address: 0x0002}, producer, Config{Address: 0x0004})
+	b := newBus(t, spec{Address: 0x0001}, spec{Address: 0x0002}, producer, spec{Address: 0x0004})
 
 	for i, cons := range []*testEnv{b.env(0x0001), b.env(0x0004)} {
 		b.drop = chainDrop(cons.addr, 0x0002, 0x0003)
@@ -247,7 +253,7 @@ func TestIntermediateCacheAnswers(t *testing.T) {
 func TestInterestAggregation(t *testing.T) {
 	// An isolated consumer with nobody to answer: the second expression of
 	// a pending name aggregates instead of re-flooding.
-	b := newBus(t, Config{Address: 0x0001})
+	b := newBus(t, spec{Address: 0x0001})
 	n := b.env(0x0001).node
 	if err := n.Express("demo/1"); err != nil {
 		t.Fatal(err)
@@ -299,7 +305,7 @@ func interestFrame(t *testing.T, src packet.Address, name string, nonce uint16, 
 }
 
 func TestInterestTTLAndDedup(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001})
+	b := newBus(t, spec{Address: 0x0001})
 	n := b.env(0x0001).node
 
 	// One hop short of the limit the interest is relayed; at the limit it
@@ -322,7 +328,7 @@ func TestInterestTTLAndDedup(t *testing.T) {
 }
 
 func TestCorruptAndForeignFrames(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001})
+	b := newBus(t, spec{Address: 0x0001})
 	n := b.env(0x0001).node
 
 	short, err := packet.Marshal(&packet.Packet{
@@ -360,7 +366,7 @@ func TestCorruptAndForeignFrames(t *testing.T) {
 }
 
 func TestContentStoreLRUEviction(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001})
+	b := newBus(t, spec{Address: 0x0001})
 	n := b.env(0x0001).node
 
 	// Two entries of just over half the store each: the second evicts
@@ -395,7 +401,7 @@ func TestContentStoreLRUEviction(t *testing.T) {
 }
 
 func TestStrategySurface(t *testing.T) {
-	b := newBus(t, Config{Address: 0x0001, Produce: func(string) []byte { return []byte("v") }})
+	b := newBus(t, spec{Address: 0x0001, Produce: func(string) []byte { return []byte("v") }})
 	n := b.env(0x0001).node
 	// Send maps the generic surface onto Express (dst advisory): the
 	// producer answers itself without touching the air.

@@ -43,9 +43,9 @@ func (s *Sim) rebuild(h *Handle) error {
 	return nil
 }
 
-// nodeConfig prepares node h's core.Config — the proactive engine's, and
-// the one the slotted wrapper embeds — from the simulation's template plus
-// the state the handle keeps across rebuilds.
+// nodeConfig prepares node h's core.Config, the one every engine is built
+// on, from the simulation's template plus the state the handle keeps
+// across rebuilds.
 func (s *Sim) nodeConfig(h *Handle) core.Config {
 	nc := s.Cfg.Node
 	nc.Address = h.Addr
@@ -78,62 +78,51 @@ func (s *Sim) nodeConfig(h *Handle) core.Config {
 
 // buildEngine constructs node h's protocol engine from the simulation
 // config and points the handle at it; rebuild retires and starts around it.
+// Every strategy runs on the node template (nodeConfig), so all share one
+// radio profile and one transmit path: duty gate, queue bound, CAD.
 func (s *Sim) buildEngine(h *Handle) error {
-	addr := h.Addr
+	nc := s.nodeConfig(h)
+	h.env.phy = nc.EffectivePhy()
+	var err error
 	switch s.Cfg.Protocol {
 	case forward.KindProactive:
-		n, err := core.NewNode(s.nodeConfig(h), h.env)
-		if err != nil {
-			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
+		var n *core.Node
+		if n, err = core.NewNode(nc, h.env); err == nil {
+			h.Proto, h.Mesher = n, n
 		}
-		h.Proto = n
-		h.Mesher = n
-		h.env.phy = n.Config().Phy
 	case forward.KindFlooding:
-		n, err := baseline.NewNode(addr, h.env)
-		if err != nil {
-			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
+		var n *baseline.Node
+		if n, err = baseline.NewNode(nc, h.env); err == nil {
+			h.Proto = n
 		}
-		h.Proto = n
-		h.Mesher = nil
-		h.env.phy = s.Cfg.Node.EffectivePhy()
 	case forward.KindReactive:
-		n, err := reactive.NewNode(addr, h.env)
-		if err != nil {
-			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
+		var n *reactive.Node
+		if n, err = reactive.NewNode(nc, h.env); err == nil {
+			h.Proto = n
 		}
-		h.Proto = n
-		h.Mesher = nil
-		h.env.phy = s.Cfg.Node.EffectivePhy()
 	case forward.KindICN:
-		// All strategies share one radio profile: the node template's.
-		ic := icn.Config{Address: addr, Tracer: s.Tracer, Phy: s.Cfg.Node.EffectivePhy()}
-		if produce := s.Cfg.ICNProduce; produce != nil {
+		var produce func(name string) []byte
+		if p := s.Cfg.ICNProduce; p != nil {
 			idx := h.Index
-			ic.Produce = func(name string) []byte { return produce(idx, name) }
+			produce = func(name string) []byte { return p(idx, name) }
 		}
-		n, err := icn.NewNode(ic, h.env)
-		if err != nil {
-			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
+		var n *icn.Node
+		if n, err = icn.NewNode(nc, produce, h.env); err == nil {
+			h.Proto, h.ICN = n, n
 		}
-		h.Proto = n
-		h.ICN = n
-		h.Mesher = nil
-		h.env.phy = ic.Phy
 	case forward.KindSlotted:
-		nc := s.nodeConfig(h)
 		// The slotted wrapper owns these hooks.
 		nc.TxGate, nc.OnBeacon = nil, nil
 		// Slots follow route depth to node 0, the sink of every workload.
-		n, err := slotted.NewNode(slotted.Config{Core: nc, Sink: baseAddress}, h.env)
-		if err != nil {
-			return fmt.Errorf("netsim: node %d: %w", h.Index, err)
+		var n *slotted.Node
+		if n, err = slotted.NewNode(slotted.Config{Core: nc, Sink: baseAddress}, h.env); err == nil {
+			h.Proto, h.Mesher = n, n.Node
 		}
-		h.Proto = n
-		h.Mesher = n.Node
-		h.env.phy = n.Config().Phy
 	default:
 		return fmt.Errorf("netsim: unknown protocol %q", s.Cfg.Protocol)
+	}
+	if err != nil {
+		return fmt.Errorf("netsim: node %d: %w", h.Index, err)
 	}
 	return nil
 }

@@ -30,7 +30,10 @@ import (
 // forwarded the span ring into a sink-only tracer and was checked equal
 // to what the ring retained. The "neither" file is the run's behaviour
 // summary, which every mode must reproduce — observers read the
-// simulation, they never steer it.
+// simulation, they never steer it. The icn.* files were re-recorded when
+// ICN moved onto core.Transmitter: its frames gained the engine's tx
+// events and enqueue/queue-wait/airtime segments, and the inter-frame
+// gap's jitter draws moved its instants.
 //
 // Two fields of the gateway's segments are wall-clock and masked on both
 // sides: the stamp of the three admission-time segments (time.Now()) and

@@ -89,27 +89,27 @@ type Node struct {
 	discoveries map[packet.Address]*discovery
 	pending     map[packet.Address][][]byte
 
-	tx *forward.TxQueue
+	tx *core.Transmitter
 }
 
-// NewNode creates a reactive node with the given mesh address on env.
-func NewNode(addr packet.Address, env core.Env) (*Node, error) {
-	if env == nil {
-		return nil, fmt.Errorf("reactive: nil env")
-	}
-	if addr == packet.Broadcast {
-		return nil, fmt.Errorf("reactive: node address must not be broadcast")
-	}
+// NewNode creates a reactive node on env. Of cfg, the node template, it
+// reads the address and what its transmit path reads (see
+// core.NewTransmitter).
+func NewNode(cfg core.Config, env core.Env) (*Node, error) {
 	reg := metrics.NewRegistry()
+	tx, err := core.NewTransmitter(cfg, env, reg)
+	if err != nil {
+		return nil, fmt.Errorf("reactive: %w", err)
+	}
 	return &Node{
-		addr:        addr,
+		addr:        cfg.Address,
 		env:         env,
 		reg:         reg,
 		routes:      make(map[packet.Address]routeEntry),
 		seen:        forward.SeenSet[reqKey]{Cap: 512},
 		discoveries: make(map[packet.Address]*discovery),
 		pending:     make(map[packet.Address][][]byte),
-		tx:          forward.NewTxQueue(env, reg),
+		tx:          tx,
 	}, nil
 }
 
@@ -142,7 +142,7 @@ func (n *Node) Stop() {
 // fresh route exists. Unlike the proactive engine, a missing route is not
 // an error: the payload is buffered until discovery succeeds or exhausts
 // its retries (then silently dropped and counted, as datagram semantics
-// allow).
+// allow). A full transmit queue refuses a datagram with core.ErrQueueFull.
 func (n *Node) Send(dst packet.Address, payload []byte) error {
 	if n.stopped {
 		return ErrStopped
@@ -150,22 +150,29 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 	if len(payload) > packet.MaxPayload(packet.TypeData) {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
+	via := packet.Broadcast
+	if dst != packet.Broadcast {
+		r, ok := n.freshRoute(dst)
+		if !ok {
+			return n.await(dst, payload)
+		}
+		via = r.next
+	}
+	if err := n.sendData(dst, via, payload); err != nil {
+		return err
+	}
 	n.reg.Counter("app.sent").Inc()
-	if dst == packet.Broadcast {
-		n.tx.Enqueue(&packet.Packet{
-			Dst: dst, Src: n.addr, Type: packet.TypeData,
-			Via: packet.Broadcast, Payload: append([]byte(nil), payload...),
-		}, 0)
-		return nil
-	}
-	if r, ok := n.freshRoute(dst); ok {
-		n.sendData(dst, r.next, payload)
-		return nil
-	}
+	return nil
+}
+
+// await buffers a datagram for dst until route discovery ends, starting
+// one if none is under way.
+func (n *Node) await(dst packet.Address, payload []byte) error {
 	if len(n.pending[dst]) >= pendingCapacity {
 		n.reg.Counter("drop.pending_full").Inc()
 		return fmt.Errorf("%w: %v", ErrPendingFull, dst)
 	}
+	n.reg.Counter("app.sent").Inc()
 	n.pending[dst] = append(n.pending[dst], append([]byte(nil), payload...))
 	if _, busy := n.discoveries[dst]; !busy {
 		n.startDiscovery(dst)
@@ -195,9 +202,9 @@ func (n *Node) learnRoute(dst, next packet.Address, hops uint8) {
 	n.routes[dst] = routeEntry{next: next, hops: hops, expires: now.Add(routeTTL)}
 }
 
-// sendData enqueues a routed datagram.
-func (n *Node) sendData(dst, via packet.Address, payload []byte) {
-	n.tx.Enqueue(&packet.Packet{
+// sendData enqueues a datagram this node originates.
+func (n *Node) sendData(dst, via packet.Address, payload []byte) error {
+	return n.tx.Enqueue(&packet.Packet{
 		Dst: dst, Src: n.addr, Type: packet.TypeData,
 		Via: via, Payload: append([]byte(nil), payload...),
 	}, 0)
@@ -244,9 +251,9 @@ func (n *Node) discoveryTimeout(d *discovery) {
 // floodRReq broadcasts one route request.
 func (n *Node) floodRReq(target packet.Address, id uint16, hopCount uint8, prevHop packet.Address) {
 	payload := packet.Breadcrumb{ID: id, Hops: hopCount, PrevHop: prevHop}.Append(nil)
-	n.tx.Enqueue(&packet.Packet{
+	_ = n.tx.Enqueue(&packet.Packet{
 		Dst: target, Src: n.addr, Type: packet.TypeRouteRequest, Payload: payload,
-	}, 0)
+	}, 0) // a refusal is counted as drop.queue_full
 	n.reg.Counter("rreq.sent").Inc()
 }
 
@@ -312,9 +319,9 @@ func (n *Node) handleRReq(p *packet.Packet) {
 	// less. The relayed request keeps the original Src (originator).
 	payload := packet.Breadcrumb{ID: b.ID, Hops: b.Hops + 1, PrevHop: n.addr}.Append(nil)
 	delay := time.Duration((0.5 + n.env.Rand()) * float64(rebroadcastDelay))
-	n.tx.Enqueue(&packet.Packet{
+	_ = n.tx.Enqueue(&packet.Packet{
 		Dst: p.Dst, Src: p.Src, Type: packet.TypeRouteRequest, Payload: payload,
-	}, delay)
+	}, delay) // a refusal is counted as drop.queue_full
 	n.reg.Counter("rreq.relayed").Inc()
 }
 
@@ -328,10 +335,10 @@ func breadcrumb(p *packet.Packet) (packet.Breadcrumb, bool) {
 // sendRRep originates a route reply toward the RREQ originator.
 func (n *Node) sendRRep(origin, via packet.Address, id uint16) {
 	payload := packet.Breadcrumb{ID: id, PrevHop: n.addr}.Append(nil)
-	n.tx.Enqueue(&packet.Packet{
+	_ = n.tx.Enqueue(&packet.Packet{
 		Dst: origin, Src: n.addr, Type: packet.TypeRouteReply,
 		Via: via, Payload: payload,
-	}, 0)
+	}, 0) // a refusal is counted as drop.queue_full
 	n.reg.Counter("rrep.sent").Inc()
 }
 
@@ -357,7 +364,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 		n.reg.Counter("discovery.succeeded").Inc()
 		if r, ok := n.freshRoute(p.Src); ok {
 			for _, payload := range n.pending[p.Src] {
-				n.sendData(p.Src, r.next, payload)
+				_ = n.sendData(p.Src, r.next, payload) // a refusal is counted as drop.queue_full
 			}
 		}
 		delete(n.pending, p.Src)
@@ -372,7 +379,7 @@ func (n *Node) handleRRep(p *packet.Packet) {
 	fwd := p.Clone()
 	fwd.Via = r.next
 	fwd.Payload = packet.Breadcrumb{ID: b.ID, Hops: b.Hops + 1, PrevHop: n.addr}.Append(fwd.Payload[:0])
-	n.tx.Enqueue(fwd, 0)
+	_ = n.tx.Enqueue(fwd, 0) // a refusal is counted as drop.queue_full
 	n.reg.Counter("rrep.forwarded").Inc()
 }
 
@@ -395,7 +402,7 @@ func (n *Node) handleData(p *packet.Packet) {
 	}
 	fwd := p.Clone()
 	fwd.Via = r.next
-	n.tx.Enqueue(fwd, 0)
+	_ = n.tx.Enqueue(fwd, 0) // a refusal is counted as drop.queue_full
 	n.reg.Counter("fwd.frames").Inc()
 }
 

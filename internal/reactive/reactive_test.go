@@ -69,7 +69,7 @@ func newRBus(t *testing.T, addrs ...packet.Address) *rbus {
 	b := &rbus{sched: simtime.NewScheduler(t0)}
 	for i, a := range addrs {
 		env := &renv{b: b, addr: a, rng: rand.New(rand.NewSource(int64(i) + 1))}
-		n, err := NewNode(a, env)
+		n, err := NewNode(core.Config{Address: a}, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,10 +297,10 @@ func TestBroadcastData(t *testing.T) {
 }
 
 func TestValidationAndStop(t *testing.T) {
-	if _, err := NewNode(packet.Broadcast, &renv{}); err == nil {
+	if _, err := NewNode(core.Config{Address: packet.Broadcast}, &renv{}); err == nil {
 		t.Error("broadcast address: want error")
 	}
-	if _, err := NewNode(1, nil); err == nil {
+	if _, err := NewNode(core.Config{Address: 1}, nil); err == nil {
 		t.Error("nil env: want error")
 	}
 	b := newRBus(t, 1)
