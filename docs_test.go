@@ -27,6 +27,7 @@ var (
 	testNameRE = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*`)
 	testFuncRE = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	pointerRE  = regexp.MustCompile(`DESIGN(?:\.md)?(?:'s|,)?\s+"([^"]+)"`)
+	changesRE  = regexp.MustCompile(`^(?:- \*\*)?PR [0-9]+`)
 )
 
 // TestDocsNameLiveCode fails on a name the documents cite that the code
@@ -94,6 +95,35 @@ func TestDocsNameLiveCode(t *testing.T) {
 				t.Errorf("%s: no test function is named %s…", doc, name)
 			}
 		}
+	}
+}
+
+// maxChangesEntry bounds one PR's CHANGES.md entry: what changed, the
+// claim and its result, the new tests and the counts line. Protocol and
+// profile detail lives in DESIGN's "Measured" sections.
+const maxChangesEntry = 1100
+
+// TestChangesEntriesStayShort fails on a CHANGES.md PR entry longer than
+// maxChangesEntry bytes. FOUND and MENDED lines are lines of their own
+// and are not counted.
+func TestChangesEntriesStayShort(t *testing.T) {
+	b, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for i, line := range strings.Split(string(b), "\n") {
+		pr := changesRE.FindString(line)
+		if pr == "" {
+			continue
+		}
+		entries++
+		if len(line) > maxChangesEntry {
+			t.Errorf("CHANGES.md:%d: the %s entry is %d B, over %d", i+1, strings.TrimPrefix(pr, "- **"), len(line), maxChangesEntry)
+		}
+	}
+	if entries < 40 {
+		t.Fatalf("found only %d PR entries: the walk is broken", entries)
 	}
 }
 

@@ -7,6 +7,8 @@ package repro
 
 import (
 	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,10 +108,20 @@ func lineAt(lines []string, i int) string {
 	return lines[i]
 }
 
-// publishedTables cuts eval_output.txt into one rendered table per
-// experiment id, dropping the "(… completed in … wall time)" line that
-// ends each section.
+// publishedTables is evalTables with E14's allocation counts masked.
 func publishedTables(t *testing.T) map[string]string {
+	t.Helper()
+	tables := evalTables(t)
+	for id, table := range tables {
+		tables[id] = maskAllocs(id, table)
+	}
+	return tables
+}
+
+// evalTables cuts eval_output.txt into one rendered table per experiment
+// id, dropping the "(… completed in … wall time)" line that ends each
+// section.
+func evalTables(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile("eval_output.txt")
 	if err != nil {
@@ -125,10 +137,73 @@ func publishedTables(t *testing.T) map[string]string {
 			id = ""
 		}
 		if id != "" {
-			tables[id] += maskAllocs(id, line)
+			tables[id] += line
 		}
 	}
 	return tables
+}
+
+var (
+	docSectionRE = regexp.MustCompile(`^#+ ([EAX][0-9]+) `)
+	unitGapRE    = regexp.MustCompile(`([0-9]) +([A-Za-z%])`)
+	numericRE    = regexp.MustCompile(`^[<>]?[0-9][0-9.]*[A-Za-z%/]*$`)
+)
+
+// TestExperimentsDocMatchesEval holds EXPERIMENTS.md's tables to the run
+// they quote. In each E*, A* or X* section, a table row's numeric cells,
+// with bold marks stripped and a unit joined to its number, must all be
+// fields of one row of that experiment's table in eval_output.txt. E15
+// and E17 quote wall-clock columns of another machine and are skipped.
+func TestExperimentsDocMatchesEval(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := evalTables(t)
+	id, checked := "", 0
+	for n, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "#") {
+			id = ""
+			if m := docSectionRE.FindStringSubmatch(line); m != nil && !wallClockOnly[m[1]] {
+				id = m[1]
+				if tables[id] == "" {
+					t.Errorf("EXPERIMENTS.md:%d: eval_output.txt has no %s table", n+1, id)
+				}
+			}
+			continue
+		}
+		if id == "" || !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		var cells []string
+		for _, cell := range strings.Split(strings.Trim(line, "| "), "|") {
+			cell = unitGapRE.ReplaceAllString(strings.TrimSpace(strings.ReplaceAll(cell, "**", "")), "$1$2")
+			if numericRE.MatchString(cell) {
+				cells = append(cells, cell)
+			}
+		}
+		if len(cells) == 0 {
+			continue
+		}
+		checked++
+		if !inOneRow(tables[id], cells) {
+			t.Errorf("EXPERIMENTS.md:%d: %s cells %q are not all in one row of eval_output.txt's table", n+1, id, cells)
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("checked only %d rows: the section walk is broken", checked)
+	}
+}
+
+// inOneRow reports whether every cell is a field of one line of table.
+func inOneRow(table string, cells []string) bool {
+	for _, line := range strings.Split(table, "\n") {
+		fields := strings.Fields(line)
+		if !slices.ContainsFunc(cells, func(c string) bool { return !slices.Contains(fields, c) }) {
+			return true
+		}
+	}
+	return false
 }
 
 // maskAllocs blanks E14's heap-allocs column, which counts runtime
