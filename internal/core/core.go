@@ -188,6 +188,13 @@ const (
 	cadMaxTries = 8
 	// maxOutStreams bounds concurrent outgoing streams.
 	maxOutStreams = 4
+	// maxInStreamsPerSource and maxInStreams bound the incoming streams
+	// a node holds open — SYNC accepted, payload not yet whole — from one
+	// source and in all. A sender has at most maxOutStreams open, and a
+	// stream it gave up on stays open here for a grace period, so twice
+	// that fits one honest source.
+	maxInStreamsPerSource = 2 * maxOutStreams
+	maxInStreams          = 64
 	// streamBackoff is the retransmission-timeout growth per consecutive
 	// round without acknowledged progress.
 	streamBackoff = 2
@@ -383,6 +390,8 @@ type Node struct {
 	nextSeqID  uint8
 	outStreams map[uint8]*outStream
 	inStreams  map[inKey]*inStream
+	inOpen     map[packet.Address]int // open incoming streams by source
+	inOpenAll  int
 
 	// dedup is the forwarding loop-breaker (shared strategy-API
 	// semantics; see forward.Dedup).
@@ -403,6 +412,7 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 		table:      routing.NewTable(cfg.Address, cfg.Routing),
 		outStreams: make(map[uint8]*outStream),
 		inStreams:  make(map[inKey]*inStream),
+		inOpen:     make(map[packet.Address]int),
 		dedup:      forward.Dedup{Horizon: dedupHorizon},
 		sec:        cfg.Security,
 	}

@@ -61,12 +61,16 @@ type inKey struct {
 	id  uint8
 }
 
-// inStream is the receiver-side state of one reliable transfer.
+// inStream is the receiver-side state of one reliable transfer. Its
+// storage grows with the chunks received, never with what the SYNC
+// claims: the in-order prefix is appended to payload, and only a chunk
+// past a gap waits in chunks.
 type inStream struct {
-	total        int // expected chunk count
-	totalBytes   int // expected payload bytes (from SYNC)
-	chunks       [][]byte
-	nextExpected int // lowest missing chunk (1-based)
+	total        int            // expected chunk count
+	totalBytes   int            // expected payload bytes (from SYNC)
+	payload      []byte         // chunks 1 … nextExpected-1, back to back
+	chunks       map[int][]byte // chunks received past a gap, by number
+	nextExpected int            // lowest missing chunk (1-based)
 	done         bool
 	lastLost     time.Time
 	gcCancel     func()
@@ -429,15 +433,22 @@ func (n *Node) handleSync(p *packet.Packet) {
 		n.reg.Counter("rx.corrupt").Inc()
 		return
 	}
+	if n.inOpen[p.Src] >= maxInStreamsPerSource || n.inOpenAll >= maxInStreams {
+		// No ACK: the sender retries and, past its budget, fails the
+		// stream, as it would over a lossy path.
+		n.reg.Counter("stream.sync_refused").Inc()
+		return
+	}
 	s := &inStream{
 		total:        total,
 		totalBytes:   totalBytes,
-		chunks:       make([][]byte, total),
 		nextExpected: 1,
 		secured:      p.Secured,
 		counter:      p.Counter,
 	}
 	n.inStreams[key] = s
+	n.inOpen[p.Src]++
+	n.inOpenAll++
 	n.armStreamGC(key, s)
 	n.reg.Counter("stream.accepted").Inc()
 	n.sendControl(p.Src, packet.TypeAck, p.SeqID, 0)
@@ -466,11 +477,17 @@ func (n *Node) handleChunk(p *packet.Packet) {
 		n.sendControl(p.Src, packet.TypeAck, p.SeqID, uint16(s.total))
 		return
 	}
-	if s.chunks[k-1] == nil {
-		s.chunks[k-1] = append([]byte(nil), p.Payload...)
-	}
-	for s.nextExpected <= s.total && s.chunks[s.nextExpected-1] != nil {
-		s.nextExpected++
+	if k == s.nextExpected {
+		s.appendChunk(p.Payload)
+		for c, ok := s.chunks[s.nextExpected]; ok; c, ok = s.chunks[s.nextExpected] {
+			delete(s.chunks, s.nextExpected)
+			s.appendChunk(c)
+		}
+	} else if _, held := s.chunks[k]; k > s.nextExpected && !held {
+		if s.chunks == nil {
+			s.chunks = make(map[int][]byte)
+		}
+		s.chunks[k] = append([]byte(nil), p.Payload...)
 	}
 	if k > s.nextExpected-1 && s.nextExpected <= s.total {
 		// Sequence gap: request the missing chunk, rate-limited to one
@@ -486,11 +503,9 @@ func (n *Node) handleChunk(p *packet.Packet) {
 
 	if s.nextExpected > s.total {
 		s.done = true
-		payload := make([]byte, 0, s.totalBytes)
-		for _, c := range s.chunks {
-			payload = append(payload, c...)
-		}
-		s.chunks = nil
+		n.closeInStream(p.Src)
+		payload := s.payload
+		s.payload, s.chunks = nil, nil
 		if len(payload) != s.totalBytes {
 			n.reg.Counter("stream.length_mismatch").Inc()
 		}
@@ -530,8 +545,31 @@ func (n *Node) armStreamGC(key inKey, s *inStream) {
 		if n.inStreams[key] == s {
 			delete(n.inStreams, key)
 			if !s.done {
+				n.closeInStream(key.src)
 				n.reg.Counter("stream.abandoned").Inc()
 			}
 		}
 	})
+}
+
+// closeInStream uncounts an open incoming stream from src: it completed
+// or was abandoned.
+func (n *Node) closeInStream(src packet.Address) {
+	n.inOpenAll--
+	if n.inOpen[src]--; n.inOpen[src] == 0 {
+		delete(n.inOpen, src)
+	}
+}
+
+// appendChunk appends chunk nextExpected to the payload. The payload
+// grows geometrically, as append would, but no further than the SYNC's
+// byte count, so a whole payload ends exactly that long.
+func (s *inStream) appendChunk(c []byte) {
+	if need := len(s.payload) + len(c); need > cap(s.payload) {
+		grown := make([]byte, len(s.payload), max(need, min(2*cap(s.payload), s.totalBytes)))
+		copy(grown, s.payload)
+		s.payload = grown
+	}
+	s.payload = append(s.payload, c...)
+	s.nextExpected++
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -346,6 +347,65 @@ func TestStreamCorruptSyncRejected(t *testing.T) {
 	}
 	if len(n.inStreams) != 0 {
 		t.Error("corrupt SYNC created receiver state")
+	}
+}
+
+// TestSyncFloodIsBounded: SYNC frames that each claim a long stream and
+// send no chunk cost a receiver nothing past its caps. One source opens
+// all 256 of its stream IDs, then 100 more sources one each; the receiver
+// holds at most maxInStreamsPerSource open from the first and maxInStreams
+// in all, refuses every other SYNC as stream.sync_refused without
+// allocating, and holds no chunk storage for a chunk it never received.
+// Once the open streams expire, a source may open streams again.
+func TestSyncFloodIsBounded(t *testing.T) {
+	const claimed, sources = 1000, 100 // chunks a SYNC claims; sources past the first
+	b := converge(t, fastConfig(), 1, 2)
+	n := b.env(2).node
+	syncFrame := func(src packet.Address, id uint8) []byte {
+		p := &packet.Packet{Dst: 2, Src: src, Type: packet.TypeSync, Via: 2, SeqID: id, Number: claimed,
+			Payload: binary.BigEndian.AppendUint32(nil, uint32(claimed*n.chunkSize()))}
+		frame, err := packet.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	for id := 0; id < 256; id++ {
+		n.HandleFrame(syncFrame(1, uint8(id)), RxInfo{})
+	}
+	for src := 3; src < 3+sources; src++ {
+		n.HandleFrame(syncFrame(packet.Address(src), 0), RxInfo{})
+	}
+	open, fromOne, slots := 0, 0, 0
+	for k, s := range n.inStreams {
+		if !s.done {
+			open++
+			if k.src == 1 {
+				fromOne++
+			}
+		}
+		slots += len(s.chunks)
+	}
+	refused := n.Metrics().Counter("stream.sync_refused").Value()
+	t.Logf("%d streams open (%d from source 1), %d chunk slots, %d SYNCs refused", open, fromOne, slots, refused)
+	if fromOne > maxInStreamsPerSource || open > maxInStreams || slots != 0 {
+		t.Fatalf("%d streams open, %d from one source, holding %d chunk slots; want at most %d, %d and none",
+			open, fromOne, slots, maxInStreams, maxInStreamsPerSource)
+	}
+	if want := uint64(256 + sources - open); refused != want {
+		t.Fatalf("stream.sync_refused = %d, want the %d SYNCs not opened", refused, want)
+	}
+	refuse := syncFrame(sources+3, 0)
+	if a := testing.AllocsPerRun(10, func() { n.HandleFrame(refuse, RxInfo{}) }); a != 0 {
+		t.Errorf("a refused SYNC allocates %.0f times, want none", a)
+	}
+	b.run(time.Hour) // every open stream expires
+	if n.inOpenAll != 0 || len(n.inOpen) != 0 {
+		t.Fatalf("after expiry %d streams counted open (%d sources)", n.inOpenAll, len(n.inOpen))
+	}
+	n.HandleFrame(syncFrame(1, 0), RxInfo{})
+	if s, ok := n.inStreams[inKey{src: 1, id: 0}]; !ok || s.done {
+		t.Fatal("after expiry a SYNC is still refused")
 	}
 }
 

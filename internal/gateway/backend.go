@@ -22,8 +22,8 @@ import (
 // use its exactly-once bookkeeping (Duplicates) to verify dedup.
 //
 // It keeps a receipt of each distinct reading, not the reading: the
-// payload ends its journey at the accept, so a long run holds 16 bytes
-// and a seen-set entry a reading.
+// payload ends its journey at the accept, so a long run holds a 16-byte
+// receipt and 8 to 16 bytes of traceIndex table a reading.
 //
 // It also implements the reverse path: downlink commands queued with
 // PushDownlink ride out in the response to the gateway's next uplink
@@ -31,9 +31,9 @@ import (
 // outages so backoff and the circuit breaker can be observed.
 type Backend struct {
 	mu        sync.Mutex
-	receipts  []Receipt // one per distinct reading, in arrival order
-	seen      map[trace.TraceID]struct{}
-	dupes     int // uploads of a trace ID already accepted
+	receipts  []Receipt  // one per distinct reading, in arrival order
+	accepted  traceIndex // over receipts: the trace IDs already accepted
+	dupes     int        // uploads of a trace ID already accepted
 	downlinks []Downlink
 	batches   int
 	failing   bool
@@ -47,7 +47,9 @@ type Receipt struct {
 
 // NewBackend returns an empty collector.
 func NewBackend() *Backend {
-	return &Backend{seen: make(map[trace.TraceID]struct{})}
+	b := &Backend{}
+	b.accepted = newTraceIndex(func(pos int) trace.TraceID { return b.receipts[pos].Trace })
+	return b
 }
 
 // ServeHTTP implements http.Handler for the uplink endpoint.
@@ -73,12 +75,12 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	b.mu.Lock()
 	accepted := 0
 	for _, r := range ur.Readings {
-		if _, dup := b.seen[r.Trace]; dup {
+		if b.accepted.has(r.Trace) {
 			b.dupes++
 			continue
 		}
-		b.seen[r.Trace] = struct{}{}
 		b.receipts = append(b.receipts, Receipt{Trace: r.Trace, From: r.From})
+		b.accepted.add(len(b.receipts) - 1)
 		accepted++
 	}
 	b.batches++
@@ -236,17 +238,28 @@ func (sb *ShardedBackend) Duplicates() int {
 // DoubleAccepted counts trace IDs accepted (stored) by MORE than one
 // shard — the exactly-once violation sharded dedup must prevent: it can
 // only happen when two gateways map the same origin to different
-// shards. Zero means cross-gateway exactly-once held.
+// shards. Zero means cross-gateway exactly-once held. It probes the
+// earlier shards' indexes for each receipt and allocates nothing: an ID
+// counts once, at the second shard that accepted it.
 func (sb *ShardedBackend) DoubleAccepted() int {
-	counts := make(map[trace.TraceID]int)
-	double := 0
 	for _, b := range sb.shards {
 		b.mu.Lock()
+	}
+	double := 0
+	for i, b := range sb.shards {
 		for _, r := range b.receipts {
-			if counts[r.Trace]++; counts[r.Trace] == 2 {
+			earlier := 0
+			for _, e := range sb.shards[:i] {
+				if e.accepted.has(r.Trace) {
+					earlier++
+				}
+			}
+			if earlier == 1 {
 				double++
 			}
 		}
+	}
+	for _, b := range sb.shards {
 		b.mu.Unlock()
 	}
 	return double

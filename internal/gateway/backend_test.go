@@ -123,7 +123,8 @@ func postTo(t *testing.T, sb *ShardedBackend, path string, body []byte) (code, a
 // model with the same seeded random POSTs — fresh readings, repeats
 // within a batch, across batches and across shards, outages of one shard
 // or all, malformed bodies and unknown paths — and demands the same
-// response and the same counts after every step.
+// response and the same counts after every step; DoubleAccepted, which
+// probes the shards' indexes, allocates nothing.
 func TestBackendMatchesModel(t *testing.T) {
 	const steps = 300
 	paths := []string{"/s/0", "/s/1", "/s/2", "/s/3"}
@@ -185,6 +186,9 @@ func TestBackendMatchesModel(t *testing.T) {
 			}
 			m.check(t, sb, fmt.Sprintf("seed %d step %d", seed, step))
 		}
+		if a := testing.AllocsPerRun(1, func() { sb.DoubleAccepted() }); a != 0 {
+			t.Fatalf("seed %d: DoubleAccepted allocates %.0f times, want none", seed, a)
+		}
 	}
 }
 
@@ -197,11 +201,12 @@ func liveHeap() int64 {
 }
 
 // TestBackendBytesPerReading is the backend's heap fence: 200 k distinct
-// readings are held in at most 48 bytes each, a receipt and a seen-set
-// entry, where keeping the readings took about 109. It measures the live
-// heap after a collection, so it must not run beside other tests.
+// readings are held in at most 32 bytes each, a receipt and its trace
+// index entry, where keeping the readings took about 109 and a receipt
+// beside a map entry about 42. It measures the live heap after a
+// collection, so it must not run beside other tests.
 func TestBackendBytesPerReading(t *testing.T) {
-	const n, batchSize, maxBytes = 200_000, 500, 48
+	const n, batchSize, maxBytes = 200_000, 500, 32
 	batch := make([]Reading, batchSize)
 	body := appendUplinkRequest(nil, 1, batch)
 	b := NewBackend()

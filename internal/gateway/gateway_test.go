@@ -472,8 +472,9 @@ func TestGatewayRestartReplay(t *testing.T) {
 // runtime keeps of the run (goroutine records, idle connections) cancels.
 // The dedup horizon is the default's 8192 IDs, and an outage spools twice
 // that, so the horizon is full and churning from the first cycle on: both
-// runs measure it at its cap (about 0.6 MB of what is held). Three more
-// cycles admit 49 k more readings, so 10 % is about 1.3 B a reading.
+// runs measure it at its cap, 16 B an ID in each of the two spools
+// (256 KiB of the about 290 KB held). Three more cycles admit 49 k more
+// readings, so 10 % is about 0.6 B a reading.
 func TestGatewayHeapFlatInOutages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spools and drains 245 k readings")

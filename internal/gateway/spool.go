@@ -95,11 +95,7 @@ type spool struct {
 	start uint32
 	live  int // slots not dead: the pending readings
 	busy  int // of those, how many ride an in-flight batch
-	seen  map[trace.TraceID]struct{}
-	// seenOrder evicts the oldest remembered IDs once the horizon fills,
-	// bounding memory for long-running gateways.
-	seenOrder []trace.TraceID
-	seenCap   int
+	seen  *horizon
 
 	lines    int // WAL records written since last compaction (incl. replayed)
 	replayed int // pending readings recovered at open
@@ -217,8 +213,7 @@ func openSpool(path string, capacity int, seenCap int, reg *metrics.Registry) (*
 		reg:         reg,
 		cCommits:    reg.Counter("ingest.wal.commits"),
 		hCommitRecs: reg.Histogram("ingest.wal.commit_records"),
-		seen:        make(map[trace.TraceID]struct{}),
-		seenCap:     seenCap,
+		seen:        newHorizon(seenCap),
 	}
 	if path == "" {
 		return s, nil
@@ -328,7 +323,7 @@ func (s *spool) replay() (torn bool, err error) {
 					at[r.Trace], more[r.Trace] = later[0], later[1:]
 				}
 			}
-			s.remember(r.Trace)
+			s.seen.remember(r.Trace)
 			lines++
 			if !terminated {
 				// Complete record, missing only its newline: keep it, but
@@ -377,16 +372,48 @@ func (s *spool) settle() {
 	}
 }
 
-// remember adds id to the bounded dedup horizon.
-func (s *spool) remember(id trace.TraceID) {
-	if _, ok := s.seen[id]; ok {
+// horizon is the spool's dedup memory: the last limit distinct trace IDs
+// that entered it, in first-sight order. They sit in a ring, 8 bytes an
+// ID, that grows to limit, never past it, and then overwrites its oldest,
+// and a traceIndex over the ring finds them: once full, 16 bytes an ID at
+// a power-of-two limit such as the default 8192, under 24 at any other.
+type horizon struct {
+	ids   []trace.TraceID
+	head  int // the oldest ID's position, once the ring is full
+	limit int
+	idx   traceIndex
+}
+
+func newHorizon(limit int) *horizon {
+	h := &horizon{limit: limit}
+	h.idx = newTraceIndex(func(pos int) trace.TraceID { return h.ids[pos] })
+	return h
+}
+
+// has reports whether id is within the horizon.
+func (h *horizon) has(id trace.TraceID) bool { return h.idx.has(id) }
+
+// remember adds id as the newest ID unless the horizon holds it,
+// forgetting the oldest once the ring is full.
+func (h *horizon) remember(id trace.TraceID) {
+	if h.has(id) {
 		return
 	}
-	s.seen[id] = struct{}{}
-	s.seenOrder = append(s.seenOrder, id)
-	for len(s.seenOrder) > s.seenCap {
-		delete(s.seen, s.seenOrder[0])
-		s.seenOrder = s.seenOrder[1:]
+	if len(h.ids) < h.limit {
+		if len(h.ids) == cap(h.ids) {
+			grown := make([]trace.TraceID, len(h.ids), min(max(2*len(h.ids), minIndexTable), h.limit))
+			copy(grown, h.ids)
+			h.ids = grown
+		}
+		h.ids = append(h.ids, id)
+		h.idx.add(len(h.ids) - 1)
+		return
+	}
+	h.idx.remove(h.head)
+	h.ids[h.head] = id
+	h.idx.add(h.head)
+	if h.head++; h.head == h.limit {
+		h.head = 0
 	}
 }
 
@@ -740,7 +767,7 @@ func (s *spool) evictHead() trace.TraceID {
 // degrades durability (reported via err), but the admitted reading still
 // uplinks from memory.
 func (s *spool) add(r Reading) (dup bool, evictedID trace.TraceID, evicted bool, err error) {
-	if _, dup := s.seen[r.Trace]; dup {
+	if s.seen.has(r.Trace) {
 		return true, 0, false, nil
 	}
 	if uint64(len(s.data))+uint64(len(r.Payload)) > maxArena {
@@ -749,7 +776,7 @@ func (s *spool) add(r Reading) (dup bool, evictedID trace.TraceID, evicted bool,
 	if s.live >= s.capacity {
 		evictedID, evicted = s.evictHead(), true
 	}
-	s.remember(r.Trace)
+	s.seen.remember(r.Trace)
 	s.push(&r)
 	var firstErr error
 	if evicted {

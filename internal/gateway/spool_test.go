@@ -413,8 +413,8 @@ func TestSpoolSeenHorizonBounded(t *testing.T) {
 		s.add(testReading(i))
 		ackHead(s, 1)
 	}
-	if len(s.seen) > 8 || len(s.seenOrder) > 8 {
-		t.Fatalf("horizon grew to %d, cap 8", len(s.seen))
+	if len(s.seen.ids) > 8 || s.seen.idx.n > 8 {
+		t.Fatalf("horizon grew to %d IDs and %d index entries, cap 8", len(s.seen.ids), s.seen.idx.n)
 	}
 	// An ID evicted from the horizon is admissible again.
 	if dup, _, _, _ := s.add(testReading(0)); dup {
@@ -813,8 +813,8 @@ func (r *spoolRun) reopen(at string, crash bool) {
 	}
 	r.out, r.busy = nil, map[int]bool{}
 	r.reopens++
-	if !slices.Equal(r.s.seenOrder, r.m.order) {
-		t.Fatalf("%s: replayed horizon %v, model %v", at, r.s.seenOrder, r.m.order)
+	if got := r.s.seen.oldestFirst(); !slices.Equal(got, r.m.order) {
+		t.Fatalf("%s: replayed horizon %v, model %v", at, got, r.m.order)
 	}
 }
 
@@ -1299,7 +1299,7 @@ func FuzzSpoolReplay(f *testing.F) {
 		// An ID neither the horizon nor the queue knows (a pending reading
 		// can have fallen off a 64-entry horizon).
 		known := map[trace.TraceID]bool{}
-		for id := range s.seen {
+		for _, id := range s.seen.ids {
 			known[id] = true
 		}
 		for _, r := range s.pendingReadings() {
