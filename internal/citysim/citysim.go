@@ -228,6 +228,7 @@ type resolved struct {
 	eirpDBm       float64 // tx power + both antenna gains
 	maxLossDel    float64 // max path loss that still delivers
 	maxLossRel    float64 // max radio-relevant loss (delivery or interference + shadow margin)
+	lossErr       float64 // slab decisions' error bound; buildLinks sets it
 	noiseDBm      float64
 	captureThDB   float64
 	helloAirNs    int64

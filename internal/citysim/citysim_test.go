@@ -245,8 +245,10 @@ func TestCityDeterminism(t *testing.T) {
 // mode-against-mode gates above compare runs that share one storage
 // order, so they cannot see a slot leaking where an id is model material
 // (a shadow or erasure key, a delivery's sink); these constants can. Two
-// sinks, so the delivery log merges arrivals at both. The serial runs
-// dominate the cost, so the cases run in parallel.
+// sinks, so the delivery log merges arrivals at both. Each two-shard run
+// is repeated with lossErr at 100 dB, so that the slab decisions all but
+// always fall back to linkLoss: the exact path must hold the same digests.
+// The serial runs dominate the cost, so the cases run in parallel.
 func TestCityDigestsPinned(t *testing.T) {
 	pinned := map[string]uint64{
 		"proactive/plain": 0x52232d4e6244f06a,
@@ -258,21 +260,35 @@ func TestCityDigestsPinned(t *testing.T) {
 		"slotted/plain":   0x952554be90b2430d,
 		"slotted/noisy":   0xf8a8a7e68d536a7b,
 	}
+	modes := []struct {
+		label   string
+		shards  int
+		lossErr float64 // 0 keeps buildLinks' bound
+	}{{"shards=0", 0, 0}, {"shards=2", 2, 0}, {"shards=2/exact", 2, 100}}
 	for _, strategy := range []string{"proactive", "reactive", "icn", "slotted"} {
 		for _, noise := range []string{"plain", "noisy"} {
-			for _, shards := range []int{0, 2} {
+			for _, mode := range modes {
 				name := strategy + "/" + noise
-				cfg := Config{Nodes: 2 * nodesPerSink, Seed: 3, Strategy: strategy, Shards: shards}
+				cfg := Config{Nodes: 2 * nodesPerSink, Seed: 3, Strategy: strategy, Shards: mode.shards}
 				if noise == "noisy" {
 					cfg.ShadowSigmaDB, cfg.ExtraFrameLossRate = 4, 0.02
 				}
-				t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				t.Run(name+"/"+mode.label, func(t *testing.T) {
 					t.Parallel()
-					st, got := runOnce(t, cfg, 6*time.Minute)
-					if st.Sinks != 2 {
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if mode.lossErr > 0 {
+						s.r.lossErr = mode.lossErr
+					}
+					if err := s.Run(6 * time.Minute); err != nil {
+						t.Fatal(err)
+					}
+					if st := s.Stats(); st.Sinks != 2 {
 						t.Fatalf("elected %d sinks, want 2", st.Sinks)
 					}
-					if want := pinned[name]; got != want {
+					if got, want := s.Digest(), pinned[name]; got != want {
 						t.Errorf("digest %016x, pinned %016x", got, want)
 					}
 				})
@@ -286,8 +302,11 @@ func TestCityDigestsPinned(t *testing.T) {
 // shard's nodes are exactly its slot range, and the ranges tile the city;
 // and every node's link slab, read back through id, lists the neighbours a
 // scan of all pairs finds (3x3-adjacent cells, refLinkLoss within
-// maxLossRel), ascending, with bit-identical losses and symmetrically —
-// as built, and again with one pair pinned to the edge of reach.
+// maxLossRel), ascending, each loss refLinkLoss's rounded to float32, and
+// inDeliveryRange agrees with refLinkLoss <= maxLossDel on every ordered
+// 3x3-adjacent pair and refuses every other — as built, where no other pair
+// delivers, and again with one pair pinned to the edge of reach, then
+// one to the edge of delivery (a pinned node leaves its cell behind).
 func TestSpaceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, shards := range []int{1, 2, 4} {
@@ -342,8 +361,20 @@ func TestSpaceOrder(t *testing.T) {
 				ca, ra := colRow(i)
 				var want []int32
 				for b := int32(0); b < n; b++ {
+					if b == a {
+						continue
+					}
 					j := slotOf[b]
-					if cb, rb := colRow(j); b != a && abs(ca-cb) <= 1 && abs(ra-rb) <= 1 && refLinkLoss(s, i, j) <= s.r.maxLossRel {
+					oracle := refLinkLoss(s, i, j)
+					cb, rb := colRow(j)
+					adjacent := abs(ca-cb) <= 1 && abs(ra-rb) <= 1
+					if !adjacent && label == "as built" && oracle <= s.r.maxLossDel {
+						t.Fatalf("%+v: link (%d, %d) at %v dB delivers across cells", cfg, a, b, oracle)
+					}
+					if got := s.inDeliveryRange(i, j); got != (adjacent && oracle <= s.r.maxLossDel) {
+						t.Fatalf("%+v %s: link (%d, %d) at %v dB: in delivery range %v", cfg, label, a, b, oracle, got)
+					}
+					if adjacent && oracle <= s.r.maxLossRel {
 						want = append(want, j)
 					}
 				}
@@ -353,12 +384,9 @@ func TestSpaceOrder(t *testing.T) {
 					t.Fatalf("%+v %s: node %d lists %v, all pairs give %v", cfg, label, a, got, want)
 				}
 				for k, j := range got {
-					want := refLinkLoss(s, i, j)
-					if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float64bits(loss) != math.Float64bits(want) {
+					want := float32(refLinkLoss(s, i, j))
+					if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float32bits(loss) != math.Float32bits(want) {
 						t.Fatalf("%+v %s: link (%d, %d) loss %v, oracle %v", cfg, label, a, ns.id[j], loss, want)
-					}
-					if back, ok := s.lossBetween(j, i); !ok || math.Float64bits(back) != math.Float64bits(want) {
-						t.Fatalf("%+v %s: link (%d, %d) is not symmetric", cfg, label, a, ns.id[j])
 					}
 				}
 				links += len(got)
@@ -368,10 +396,15 @@ func TestSpaceOrder(t *testing.T) {
 			}
 		}
 		allPairs("as built")
-		if !pinEdgePair(s) {
-			t.Fatalf("%+v: no pair to pin", cfg)
+		for _, edge := range []struct {
+			label string
+			limit float64
+		}{{"with an edge pair", s.r.maxLossRel}, {"with a delivery-edge pair", s.r.maxLossDel}} {
+			if !pinEdgePair(s, edge.limit) {
+				t.Fatalf("%+v: no pair to pin %s", cfg, edge.label)
+			}
+			allPairs(edge.label)
 		}
-		allPairs("with an edge pair")
 	}
 }
 

@@ -97,10 +97,11 @@ type nodeState struct {
 	pitBorn     []int64
 
 	// Link slabs (sharded modes): per-node ascending neighbor slots with
-	// precomputed symmetric link loss. nbrOff has n+1 entries.
+	// precomputed symmetric link loss, rounded to float32 (within
+	// resolved.lossErr of linkLoss). nbrOff has n+1 entries.
 	nbrOff  []int32
 	nbrSlot []int32
-	nbrLoss []float64
+	nbrLoss []float32
 }
 
 const txHistLen = 4
@@ -254,7 +255,7 @@ func (s *Sim) linkLoss(a, b int32) float64 {
 // scratch list.
 type linkPair struct {
 	i, j int32
-	loss float64
+	loss float32
 }
 
 // buildLinks precomputes each node's radio-relevant neighbor list (slots
@@ -267,6 +268,22 @@ type linkPair struct {
 // the relative margin dwarfs the squared distance's rounding. The pairs
 // are then counted into nbrOff and scattered into both endpoints' slabs;
 // since i ascends, each slab comes out ascending with no sort.
+//
+// The slabs hold each loss rounded to float32, and buildLinks sets lossErr
+// = M·2^-20, M the largest magnitude a slab decision combines: every
+// loss, maxLossRel (which bounds maxLossDel and eirp − floor), |eirp|,
+// |floor| and the capture threshold. The decisions (margins in radio.go)
+// then agree with float64 comparisons on linkLoss wherever the slab loss
+// settles them. Proof, with u = 2^-24·M so that lossErr = 16u: rounding
+// a loss to float32 moves it at most 2^-24·|loss| ≤ u. An RSSI, eirp −
+// loss, and a difference of two RSSIs each take float64 operations on
+// operands below 4M, each rounding at most 2^-53·4M < u/2^26; so a slab
+// RSSI lies within u + u/2^25 of the exact one, a difference within 2u +
+// u/2^24, and a threshold widened by ±lossErr or ±2·lossErr lands within
+// u/2^26 of its real value. A loss or RSSI at least lossErr past its
+// threshold, or a difference at least 2·lossErr past, is therefore past it
+// exactly too, with margin to spare (the factor 16 against at most 3).
+// Only inside those bands does a decision recompute linkLoss.
 func (s *Sim) buildLinks() {
 	n := int32(s.r.Nodes)
 	ns := &s.nodes
@@ -277,6 +294,7 @@ func (s *Sim) buildLinks() {
 	est := float64(n) * float64(n-1) / 2 * math.Pi * reach2 / (s.r.field * s.r.field)
 	pairs := make([]linkPair, 0, int(min(est, float64(n)*float64(n-1)/2))+1)
 	ns.nbrOff = make([]int32, n+1)
+	mag := max(s.r.maxLossRel, math.Abs(s.r.eirpDBm), math.Abs(s.r.noiseDBm-10), math.Abs(s.r.captureThDB))
 	for i := int32(0); i < n; i++ {
 		col, row := s.grid.ColRow(int(ns.cell[i]))
 		r0, r1 := max(row-1, 0), min(row+1, s.grid.Rows()-1)
@@ -288,7 +306,8 @@ func (s *Sim) buildLinks() {
 					continue
 				}
 				if loss := s.linkLoss(i, j); loss <= s.r.maxLossRel {
-					pairs = append(pairs, linkPair{i, j, loss})
+					mag = max(mag, math.Abs(loss))
+					pairs = append(pairs, linkPair{i, j, float32(loss)})
 					ns.nbrOff[i+1]++
 					ns.nbrOff[j+1]++
 				}
@@ -299,7 +318,8 @@ func (s *Sim) buildLinks() {
 		ns.nbrOff[i+1] += ns.nbrOff[i]
 	}
 	ns.nbrSlot = make([]int32, ns.nbrOff[n])
-	ns.nbrLoss = make([]float64, ns.nbrOff[n])
+	ns.nbrLoss = make([]float32, ns.nbrOff[n])
+	s.r.lossErr = mag * 0x1p-20
 	next := slices.Clone(ns.nbrOff[:n])
 	for _, p := range pairs {
 		k := next[p.i]
@@ -311,17 +331,18 @@ func (s *Sim) buildLinks() {
 	}
 }
 
-// lossBetween resolves the link budget between a node and a peer: slab
-// lookup in sharded mode, direct recomputation in the serial full scan.
-// ok=false means the pair is beyond radio relevance.
-func (s *Sim) lossBetween(node, peer int32) (float64, bool) {
+// inDeliveryRange reports whether peer's frames reach node above
+// sensitivity, linkLoss(node, peer) <= maxLossDel: by recomputation in the
+// serial full scan, from node's slab in sharded mode, where a pair not
+// listed is beyond radio relevance and a listed one recomputes linkLoss
+// only when its slab loss lies within lossErr of the threshold.
+func (s *Sim) inDeliveryRange(node, peer int32) bool {
 	if s.fullScan {
-		loss := s.linkLoss(node, peer)
-		return loss, loss <= s.r.maxLossRel
+		return s.linkLoss(node, peer) <= s.r.maxLossDel
 	}
 	lo, hi := s.nodes.nbrOff[node], s.nodes.nbrOff[node+1]
 	ids := s.nodes.nbrSlot[lo:hi]
-	// Manual binary search: this is the hottest lookup in the simulator.
+	// Manual binary search: this is carrier sense's lookup.
 	i, j := 0, len(ids)
 	for i < j {
 		m := (i + j) / 2
@@ -331,10 +352,17 @@ func (s *Sim) lossBetween(node, peer int32) (float64, bool) {
 			j = m
 		}
 	}
-	if i < len(ids) && ids[i] == peer {
-		return s.nodes.nbrLoss[int(lo)+i], true
+	if i == len(ids) || ids[i] != peer {
+		return false
 	}
-	return 0, false
+	m := s.r.margins()
+	switch m.delivers(s.nodes.nbrLoss[int(lo)+i]) {
+	case yes:
+		return true
+	case exact:
+		return s.linkLoss(node, peer) <= s.r.maxLossDel
+	}
+	return false
 }
 
 // effHop returns node i's effective hop count: sinks are always 0, stale

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/loraphy"
 )
@@ -78,7 +79,9 @@ func refBuildLinks(s *Sim) (nbrOff, nbrSlot []int32, nbrLoss []float64) {
 }
 
 // linksMatchReference fails t unless s's link slabs are refBuildLinks',
-// offsets and slots equal and losses bit for bit.
+// offsets and slots equal and each loss the reference's rounded to float32,
+// and unless inDeliveryRange decides every listed pair as the reference
+// loss compared with maxLossDel does.
 func linksMatchReference(t testing.TB, s *Sim) {
 	t.Helper()
 	off, slot, loss := refBuildLinks(s)
@@ -88,9 +91,13 @@ func linksMatchReference(t testing.TB, s *Sim) {
 		if ns.nbrOff[i] != off[i] || !slices.Equal(got, want) {
 			t.Fatalf("%+v: slot %d lists %v from offset %d, the block scan %v from %d", s.r.Config, i, got, ns.nbrOff[i], want, off[i])
 		}
-		for k := range want {
-			if a, b := ns.nbrLoss[int(off[i])+k], loss[int(off[i])+k]; math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%+v: link (%d, %d) loss %v, block scan %v", s.r.Config, i, want[k], a, b)
+		for k, j := range want {
+			a, b := ns.nbrLoss[int(off[i])+k], loss[int(off[i])+k]
+			if math.Float32bits(a) != math.Float32bits(float32(b)) {
+				t.Fatalf("%+v: link (%d, %d) loss %v, block scan %v", s.r.Config, i, j, a, b)
+			}
+			if got, want := s.inDeliveryRange(int32(i), j), b <= s.r.maxLossDel; got != want {
+				t.Fatalf("%+v: link (%d, %d) at %v dB: in delivery range %v, block scan %v", s.r.Config, i, j, b, got, want)
 			}
 		}
 	}
@@ -101,12 +108,14 @@ func linksMatchReference(t testing.TB, s *Sim) {
 }
 
 // pinEdgePair moves two 3x3-adjacent slots to the farthest distance at
-// which their link is still radio-relevant, leaving their cells as they
-// are, and rebuilds the slabs. With shadowing, it picks a pair whose draw
-// is truncated at -2 sigma, so the pair sits on the reach test's boundary
-// in every case. It reports false, changing nothing, when no pair
-// qualifies.
-func pinEdgePair(s *Sim) bool {
+// which their reference loss is still within limit, leaving their cells as
+// they are, and rebuilds the slabs. At limit maxLossRel the pair is on the
+// edge of radio relevance; with shadowing, pinEdgePair then picks a pair
+// whose draw is truncated at -2 sigma, so the pair sits on the reach
+// test's boundary in every case. At maxLossDel it is on the edge of
+// delivery, within one ulp, where only the exact loss decides. It reports
+// false, changing nothing, when no pair qualifies.
+func pinEdgePair(s *Sim, limit float64) bool {
 	ns := &s.nodes
 	for i := int32(0); i < int32(s.r.Nodes); i++ {
 		col, row := s.grid.ColRow(int(ns.cell[i]))
@@ -123,7 +132,7 @@ func pinEdgePair(s *Sim) bool {
 				near, far := 1.0, 1e9
 				for math.Nextafter(near, far) < far {
 					ns.x[j] = near + (far-near)/2
-					if refLinkLoss(s, i, j) <= s.r.maxLossRel {
+					if refLinkLoss(s, i, j) <= limit {
 						near = ns.x[j]
 					} else {
 						far = ns.x[j]
@@ -140,8 +149,8 @@ func pinEdgePair(s *Sim) bool {
 
 // TestLinksMatchBlockScan holds the link slabs of the bench's own city —
 // 10k nodes, no shadowing — to the block scan, as built and with one pair
-// pinned to the edge of reach. The all-pairs oracle cannot afford this
-// size.
+// pinned to the edge of reach, then one to the edge of delivery. The
+// all-pairs oracle cannot afford this size.
 func TestLinksMatchBlockScan(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		s, err := New(Config{Nodes: 10000, Shards: 2, Seed: seed})
@@ -149,10 +158,32 @@ func TestLinksMatchBlockScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		linksMatchReference(t, s)
-		if !pinEdgePair(s) {
-			t.Fatalf("seed %d: no pair to pin", seed)
+		for _, limit := range []float64{s.r.maxLossRel, s.r.maxLossDel} {
+			if !pinEdgePair(s, limit) {
+				t.Fatalf("seed %d: no pair to pin at %v dB", seed, limit)
+			}
+			linksMatchReference(t, s)
 		}
-		linksMatchReference(t, s)
+	}
+}
+
+// TestLinkSlabBytes fences the link slabs' footprint on the bench's city:
+// a directed link costs at most 8 B, its neighbour slot and its loss, and
+// nbrOff one int32 a node besides.
+func TestLinkSlabBytes(t *testing.T) {
+	s, err := New(Config{Nodes: 10000, Shards: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := &s.nodes
+	links := uint64(len(ns.nbrSlot))
+	got := uint64(cap(ns.nbrSlot))*uint64(unsafe.Sizeof(ns.nbrSlot[0])) +
+		uint64(cap(ns.nbrLoss))*uint64(unsafe.Sizeof(ns.nbrLoss[0]))
+	off := uint64(cap(ns.nbrOff)) * uint64(unsafe.Sizeof(ns.nbrOff[0]))
+	t.Logf("%d directed links in %d B, nbrOff %d B", links, got, off)
+	if links == 0 || got > 8*links || off > 4*uint64(s.r.Nodes+1) {
+		t.Errorf("%d directed links cost %d B (want at most %d) and nbrOff %d B (want at most %d)",
+			links, got, 8*links, off, 4*(s.r.Nodes+1))
 	}
 }
 
@@ -173,7 +204,7 @@ func FuzzLinksMatchReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		linksMatchReference(t, s)
-		if pinEdgePair(s) {
+		if pinEdgePair(s, s.r.maxLossRel) {
 			linksMatchReference(t, s)
 		}
 	})

@@ -50,8 +50,8 @@ func (sh *shard) hear(tx *txRec) []int32 {
 			if r == tx.sender {
 				continue
 			}
-			loss, ok := s.lossBetween(r, tx.sender)
-			if !ok || loss > s.r.maxLossDel {
+			loss := s.linkLoss(r, tx.sender)
+			if loss > s.r.maxLossDel {
 				sh.stats.LostBelowSensitivity++
 				continue
 			}
@@ -62,15 +62,24 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	// The sender's slab lists its receivers; linkLoss is symmetric.
 	ns := &s.nodes
 	scell := ns.cell[tx.sender]
+	m := s.r.margins()
 	sh.cands = sh.cands[:0]
 	inRange := 0
-	for k := ns.nbrOff[tx.sender]; k < ns.nbrOff[tx.sender+1]; k++ {
-		loss := ns.nbrLoss[k]
-		if loss > s.r.maxLossDel {
+	lo, hi := ns.nbrOff[tx.sender], ns.nbrOff[tx.sender+1]
+	slots, losses := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
+	slots = slots[:len(losses)]
+	for k, l := range losses {
+		r, loss := slots[k], float64(l)
+		switch m.delivers(l) {
+		case no:
 			continue
+		case exact:
+			if loss = s.linkLoss(tx.sender, r); loss > s.r.maxLossDel {
+				continue
+			}
 		}
 		inRange++
-		if r := ns.nbrSlot[k]; sh.owns(r) {
+		if sh.owns(r) {
 			sh.candOf[r-sh.lo] = int32(len(sh.cands))
 			sh.cands = append(sh.cands, candidate{r: r, rssi: s.r.eirpDBm - loss})
 		}
@@ -81,7 +90,7 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	if len(sh.cands) == 0 {
 		return sh.heard
 	}
-	sh.capture(scell, tx)
+	sh.capture(&m, scell, tx)
 	for _, c := range sh.cands {
 		sh.candOf[c.r-sh.lo] = -1
 		sh.receive(c.r, tx, c.captured)
@@ -93,7 +102,67 @@ func (sh *shard) hear(tx *txRec) []int32 {
 type candidate struct {
 	r        int32
 	captured bool    // by some interferer
-	rssi     float64 // the frame's, at r
+	rssi     float64 // the frame's, at r, within lossErr
+}
+
+// A verdict is what a link's float32 slab loss settles about a comparison
+// the float64 code makes on linkLoss: no, yes, or exact, when the slab
+// value lies too near the threshold and only linkLoss can decide.
+type verdict uint8
+
+const (
+	no verdict = iota
+	yes
+	exact
+)
+
+// margins are the thresholds of the slab decisions, each widened both ways
+// by the error it must absorb (buildLinks proves the bound): lossErr for a
+// loss or an RSSI, 2·lossErr for the difference of two RSSIs.
+type margins struct {
+	delLo, delHi     float64 // maxLossDel
+	floorLo, floorHi float64 // the interferer floor, noise − 10 dB
+	thLo, thHi       float64 // captureThDB
+}
+
+func (r *resolved) margins() margins {
+	e, floor := r.lossErr, r.noiseDBm-10
+	return margins{
+		delLo: r.maxLossDel - e, delHi: r.maxLossDel + e,
+		floorLo: floor - e, floorHi: floor + e,
+		thLo: r.captureThDB - 2*e, thHi: r.captureThDB + 2*e,
+	}
+}
+
+// delivers decides linkLoss <= maxLossDel from the link's slab loss: for
+// hear's receivers and carrier sense alike.
+func (m *margins) delivers(loss float32) verdict {
+	switch l := float64(loss); {
+	case l > m.delHi:
+		return no
+	case l <= m.delLo:
+		return yes
+	}
+	return exact
+}
+
+// captures decides resolved.captured from a candidate's rssi and an
+// interferer's irssi, both taken from slab losses.
+func (m *margins) captures(rssi, irssi float64) verdict {
+	switch d := rssi - irssi; {
+	case irssi < m.floorLo || d >= m.thHi:
+		return no
+	case irssi >= m.floorHi && d < m.thLo:
+		return yes
+	}
+	return exact
+}
+
+// captured is the capture test both modes share: an interferer heard at
+// irssi, above the relevance floor, captures a frame heard at rssi unless
+// the frame is captureThDB stronger.
+func (r *resolved) captured(rssi, irssi float64) bool {
+	return irssi >= r.noiseDBm-10 && rssi-irssi < r.captureThDB
 }
 
 // capture is clearOfInterference for every candidate at once: it visits
@@ -102,7 +171,7 @@ type candidate struct {
 // captures. The block holds every candidate's 3x3, and the verdict is an
 // OR over (candidate, interferer) pairs, so visit order does not matter.
 // The caller fills candOf for the candidates before and clears it after.
-func (sh *shard) capture(scell int32, tx *txRec) {
+func (sh *shard) capture(m *margins, scell int32, tx *txRec) {
 	g := &sh.sim.grid
 	col, row := g.ColRow(int(scell))
 	cols := g.Cols()
@@ -110,7 +179,7 @@ func (sh *shard) capture(scell int32, tx *txRec) {
 		for c := max(col-2, 0); c <= min(col+2, cols-1); c++ {
 			for _, rec := range sh.cellTx[r*cols+c] {
 				if rec.sender != tx.sender && rec.endNs > tx.startNs && rec.startNs < tx.endNs {
-					sh.markCaptured(rec.sender)
+					sh.markCaptured(m, rec.sender, tx.sender)
 				}
 			}
 		}
@@ -119,21 +188,24 @@ func (sh *shard) capture(scell int32, tx *txRec) {
 
 // markCaptured marks the candidates interferer i captures in one pass over
 // i's slab, finding the candidate of each listed node in the stripe
-// through candOf. Slabs are symmetric and never list their own node, so a hit is
-// exactly lossBetween(r, i)'s pair, and a receiver's own transmission never
-// captures it.
-func (sh *shard) markCaptured(i int32) {
-	r, ns := &sh.sim.r, &sh.sim.nodes
-	lo, hi := ns.nbrOff[i], ns.nbrOff[i+1]
-	nbrs, loss := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
+// through candOf. Slabs are symmetric and never list their own node, so a
+// hit is exactly the pair (r, i), and a receiver's own transmission never
+// captures it. A test the slab losses leave open is decided on the exact
+// losses of both links, sender's and i's.
+func (sh *shard) markCaptured(m *margins, i, sender int32) {
+	s := sh.sim
+	lo, hi := s.nodes.nbrOff[i], s.nodes.nbrOff[i+1]
+	nbrs, loss := s.nodes.nbrSlot[lo:hi], s.nodes.nbrLoss[lo:hi]
 	// Locals, so the stores below cannot make the loop reload them.
-	first, candOf, cands := sh.lo, sh.candOf, sh.cands
-	eirp, floor, th := r.eirpDBm, r.noiseDBm-10, r.captureThDB
+	first, candOf, cands, eirp := sh.lo, sh.candOf, sh.cands, s.r.eirpDBm
 	for k, n := range nbrs {
 		if at := uint(n - first); at < uint(len(candOf)) && candOf[at] >= 0 {
 			c := &cands[candOf[at]]
-			if irssi := eirp - loss[k]; irssi >= floor && c.rssi-irssi < th {
+			switch m.captures(c.rssi, eirp-float64(loss[k])) {
+			case yes:
 				c.captured = true
+			case exact:
+				c.captured = c.captured || s.r.captured(eirp-s.linkLoss(sender, n), eirp-s.linkLoss(i, n))
 			}
 		}
 	}
@@ -175,15 +247,8 @@ func (sh *shard) clearOfInterference(r int32, tx *txRec, rssiDBm float64, recs [
 		if rec.endNs <= tx.startNs || rec.startNs >= tx.endNs {
 			continue // no overlap
 		}
-		il, ok := s.lossBetween(r, rec.sender)
-		if !ok {
-			continue
-		}
-		irssi := s.r.eirpDBm - il
-		if irssi < s.r.noiseDBm-10 {
-			continue
-		}
-		if rssiDBm-irssi < s.r.captureThDB {
+		il := s.linkLoss(r, rec.sender)
+		if il <= s.r.maxLossRel && s.r.captured(rssiDBm, s.r.eirpDBm-il) {
 			return false
 		}
 	}
@@ -202,7 +267,7 @@ func (sh *shard) channelBusy(i int32, nowNs int64) bool {
 			if rec.sender == i || rec.startNs >= sh.winStartNs || rec.endNs <= nowNs {
 				continue
 			}
-			if loss, ok := s.lossBetween(i, rec.sender); ok && loss <= s.r.maxLossDel {
+			if s.inDeliveryRange(i, rec.sender) {
 				return true
 			}
 		}

@@ -5,7 +5,8 @@ package citysim
 // their receiver type, the 3x3 population they once read from a Sim
 // field, the handler dispatch, which appends the receiver to heard, and
 // space order: a cell's stations are a slot run, a shard owns a slot
-// range, and the erasure key names nodes by id.
+// range, and the erasure key names nodes by id; and link losses, which
+// refLossBetween recomputes in float64, where a link slab once held them.
 // TestHearMatchesReference holds hear to them.
 
 // refShard is a shard whose reception counters and heard list are its
@@ -14,6 +15,15 @@ type refShard struct {
 	*shard
 	stats Stats
 	heard []int32
+}
+
+// refLossBetween is lossBetween as it stood when the link slabs held
+// float64 losses. The serial full scan recomputed linkLoss so; in sharded
+// mode every pair the reference asks about lies in a 3x3 neighborhood,
+// where a slab listed exactly the pairs within maxLossRel, at linkLoss.
+func refLossBetween(s *Sim, node, peer int32) (float64, bool) {
+	loss := s.linkLoss(node, peer)
+	return loss, loss <= s.r.maxLossRel
 }
 
 // refStations returns the slot run of a cell's stations.
@@ -68,7 +78,7 @@ func (sh *refShard) evaluateTx(tx txRec) {
 // interference, and the erasure channel.
 func (sh *refShard) evalAt(r int32, tx *txRec) {
 	s := sh.sim
-	loss, ok := s.lossBetween(r, tx.sender)
+	loss, ok := refLossBetween(s, r, tx.sender)
 	if !ok || loss > s.r.maxLossDel {
 		sh.stats.LostBelowSensitivity++
 		return
@@ -103,7 +113,7 @@ func (sh *refShard) clearOfInterference(r int32, tx *txRec, rssiDBm float64) boo
 		if rec.endNs <= tx.startNs || rec.startNs >= tx.endNs {
 			return true // no overlap
 		}
-		il, ok := s.lossBetween(r, rec.sender)
+		il, ok := refLossBetween(s, r, rec.sender)
 		if !ok {
 			return true
 		}

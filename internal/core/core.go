@@ -195,6 +195,10 @@ const (
 	// that fits one honest source.
 	maxInStreamsPerSource = 2 * maxOutStreams
 	maxInStreams          = 64
+	// maxInSingles bounds the single-packet transfers a node holds as
+	// delivered, each for a grace period so that a copy is re-acknowledged,
+	// not delivered twice. The evaluation's busiest node holds 20.
+	maxInSingles = 1024
 	// streamBackoff is the retransmission-timeout growth per consecutive
 	// round without acknowledged progress.
 	streamBackoff = 2
@@ -392,6 +396,7 @@ type Node struct {
 	inStreams  map[inKey]*inStream
 	inOpen     map[packet.Address]int // open incoming streams by source
 	inOpenAll  int
+	inSingles  int // delivered single-packet transfers still held
 
 	// dedup is the forwarding loop-breaker (shared strategy-API
 	// semantics; see forward.Dedup).

@@ -72,6 +72,7 @@ type inStream struct {
 	chunks       map[int][]byte // chunks received past a gap, by number
 	nextExpected int            // lowest missing chunk (1-based)
 	done         bool
+	single       bool // a single-packet transfer (handleSingle's)
 	lastLost     time.Time
 	gcCancel     func()
 	secured      bool   // the opening SYNC arrived sealed
@@ -388,15 +389,28 @@ func (n *Node) handleLost(p *packet.Packet) {
 }
 
 // handleSingle is the receiver side of a single-packet reliable transfer:
-// deliver once, acknowledge every copy.
+// deliver once, acknowledge every copy. A transfer that replaces a stream
+// still open under its key closes that stream.
 func (n *Node) handleSingle(p *packet.Packet) {
 	key := inKey{src: p.Src, id: p.SeqID}
-	if s, ok := n.inStreams[key]; ok && s.done {
+	old, ok := n.inStreams[key]
+	if ok && old.done {
 		n.sendControl(p.Src, packet.TypeAck, p.SeqID, p.Number)
 		return
 	}
-	s := &inStream{total: 1, totalBytes: len(p.Payload), nextExpected: 2, done: true}
+	if n.inSingles >= maxInSingles {
+		// No ACK, as for a refused SYNC: the sender retries until the
+		// oldest held transfers expire.
+		n.reg.Counter("stream.single_refused").Inc()
+		return
+	}
+	if ok {
+		old.gcCancel()
+		n.closeInStream(p.Src)
+	}
+	s := &inStream{total: 1, totalBytes: len(p.Payload), nextExpected: 2, done: true, single: true}
 	n.inStreams[key] = s
+	n.inSingles++
 	n.armStreamGC(key, s)
 	n.reg.Counter("app.delivered").Inc()
 	n.streamReceived(p, "data_ack")
@@ -544,7 +558,9 @@ func (n *Node) armStreamGC(key inKey, s *inStream) {
 	s.gcCancel = n.env.Schedule(grace, func() {
 		if n.inStreams[key] == s {
 			delete(n.inStreams, key)
-			if !s.done {
+			if s.single {
+				n.inSingles--
+			} else if !s.done {
 				n.closeInStream(key.src)
 				n.reg.Counter("stream.abandoned").Inc()
 			}

@@ -409,6 +409,76 @@ func TestSyncFloodIsBounded(t *testing.T) {
 	}
 }
 
+// TestSingleFloodIsBounded: DATA_ACK frames from spoofed sources cost a
+// receiver at most maxInSingles held transfers. 100 sources send one on
+// each of their 256 stream IDs; the receiver delivers and acknowledges the
+// first maxInSingles, refuses every other as stream.single_refused with no
+// ACK (each ACK to these unroutable sources counts as
+// stream.control_unroutable), and once the held transfers expire accepts
+// a transfer again.
+func TestSingleFloodIsBounded(t *testing.T) {
+	const sources = 100
+	b := converge(t, fastConfig(), 1, 2)
+	n := b.env(2).node
+	single := func(src packet.Address, id uint8) []byte {
+		frame, err := packet.Marshal(&packet.Packet{Dst: 2, Src: src, Type: packet.TypeDataAck, Via: 2,
+			SeqID: id, Number: 1, Payload: []byte("reading")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	for src := 3; src < 3+sources; src++ {
+		for id := 0; id < 256; id++ {
+			n.HandleFrame(single(packet.Address(src), uint8(id)), RxInfo{})
+		}
+	}
+	refused := n.Metrics().Counter("stream.single_refused").Value()
+	acks := n.Metrics().Counter("stream.control_unroutable").Value()
+	t.Logf("%d transfers held, %d refused, %d ACKs", len(n.inStreams), refused, acks)
+	if len(n.inStreams) > maxInSingles || n.inSingles != len(n.inStreams) {
+		t.Fatalf("%d transfers held (%d counted), want at most %d", len(n.inStreams), n.inSingles, maxInSingles)
+	}
+	if want := uint64(256*sources - len(n.inStreams)); refused != want || acks != uint64(len(n.inStreams)) {
+		t.Fatalf("%d refused and %d ACKs sent; want the %d not held refused and one ACK a held transfer", refused, acks, want)
+	}
+	b.run(time.Hour) // every held transfer expires
+	if n.inSingles != 0 || len(n.inStreams) != 0 {
+		t.Fatalf("after expiry %d transfers held (%d counted)", len(n.inStreams), n.inSingles)
+	}
+	n.HandleFrame(single(3, 0), RxInfo{})
+	if s, ok := n.inStreams[inKey{src: 3, id: 0}]; !ok || !s.single {
+		t.Fatal("after expiry a transfer is still refused")
+	}
+}
+
+// TestSingleClosesTheStreamItReplaces: a DATA_ACK under the key of a
+// stream still open (its sender gave up and reused the ID) replaces the
+// stream and uncounts it, so the stream's slot is free at once and not
+// held open forever.
+func TestSingleClosesTheStreamItReplaces(t *testing.T) {
+	b := converge(t, fastConfig(), 1, 2)
+	n := b.env(2).node
+	for _, p := range []*packet.Packet{
+		{Dst: 2, Src: 1, Type: packet.TypeSync, Via: 2, SeqID: 7, Number: 2,
+			Payload: binary.BigEndian.AppendUint32(nil, uint32(n.chunkSize()+1))},
+		{Dst: 2, Src: 1, Type: packet.TypeDataAck, Via: 2, SeqID: 7, Number: 1, Payload: []byte("reading")},
+	} {
+		frame, err := packet.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.HandleFrame(frame, RxInfo{})
+	}
+	if s := n.inStreams[inKey{src: 1, id: 7}]; s == nil || !s.single || n.inOpenAll != 0 || len(n.inOpen) != 0 {
+		t.Fatalf("after the replacing transfer: entry %+v, %d streams counted open", s, n.inOpenAll)
+	}
+	b.run(time.Hour)
+	if n.inOpenAll != 0 || n.inSingles != 0 || len(n.inStreams) != 0 {
+		t.Fatalf("after expiry: %d open, %d singles, %d entries", n.inOpenAll, n.inSingles, len(n.inStreams))
+	}
+}
+
 func TestStreamElapsedAndMetrics(t *testing.T) {
 	b := converge(t, fastConfig(), 1, 2)
 	if _, err := b.env(1).node.SendReliable(2, makePayload(600)); err != nil {

@@ -58,6 +58,9 @@ type Regulator struct {
 	// (pruned or not); it upper-bounds the usage of any window and feeds
 	// CanTransmit's O(1) under-budget fast path.
 	histSum int64
+	// lastEnd is the latest end ever recorded: no recorded transmission is
+	// on the air after it.
+	lastEnd int64
 	// total airtime ever recorded, for compliance reporting.
 	lifetime time.Duration
 }
@@ -153,9 +156,13 @@ func overlapNs(s, e, from, t int64) int64 {
 
 // CanTransmit reports whether a transmission of the given airtime starting
 // at now fits the budget at every future instant. Window usage including
-// the candidate peaks where some transmission ends, so it suffices to
-// check the candidate's own end and the ends of recorded transmissions
-// that finish after it starts.
+// the candidate is piecewise linear in the window's end t. Its slope falls
+// only where a transmission ends or where one starts leaving the window, at
+// its start plus the window, and past the last end nothing is on the air,
+// so usage only falls. Its peaks after now therefore lie at those instants
+// up to the last end, and only they are checked. (Were records never to
+// overlap, as a half-duplex node's do not, the ends alone would do; the
+// regulator does not rely on it.)
 func (r *Regulator) CanTransmit(now time.Time, airtime time.Duration) bool {
 	a := int64(airtime)
 	if a > r.budget {
@@ -170,14 +177,14 @@ func (r *Regulator) CanTransmit(now time.Time, airtime time.Duration) bool {
 	}
 	n := now.UnixNano()
 	end := n + a
-	if r.usedWithCandidate(end, n, end) > r.budget {
+	last := max(end, r.lastEnd)
+	peak := func(t int64) bool { return t > n && t <= last && r.usedWithCandidate(t, n, end) > r.budget }
+	if peak(end) || peak(n+r.window) {
 		return false
 	}
 	for _, rec := range r.history {
-		if rec.end > end {
-			if r.usedWithCandidate(rec.end, n, end) > r.budget {
-				return false
-			}
+		if peak(rec.end) || peak(rec.start+r.window) {
+			return false
 		}
 	}
 	return true
@@ -194,6 +201,7 @@ func (r *Regulator) Record(now time.Time, airtime time.Duration) {
 	n := now.UnixNano()
 	r.prune(n)
 	r.history = append(r.history, record{start: n, end: n + int64(airtime)})
+	r.lastEnd = max(r.lastEnd, n+int64(airtime))
 	r.histSum += int64(airtime)
 	r.lifetime += airtime
 }

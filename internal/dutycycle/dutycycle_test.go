@@ -1,6 +1,7 @@
 package dutycycle
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,34 +159,117 @@ func TestRecordIgnoresNonPositive(t *testing.T) {
 	}
 }
 
+// neverExceeds replays a schedule of transmissions gated by CanTransmit,
+// one every gap, and reports whether the rolling-window usage stays within
+// the budget at each admitted transmission's end.
+func neverExceeds(gapsMS []uint16, airtimesMS []uint8) bool {
+	r, err := NewRegulator(0.01, 10*time.Minute)
+	if err != nil {
+		return false
+	}
+	now := t0
+	for i := 0; i < min(len(gapsMS), len(airtimesMS)); i++ {
+		now = now.Add(time.Duration(gapsMS[i]) * time.Millisecond)
+		air := time.Duration(airtimesMS[i]) * time.Millisecond * 10
+		if r.CanTransmit(now, air) {
+			r.Record(now, air)
+		}
+		if r.usedAt(now.Add(air)) > r.Budget() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPropertyNeverExceedsBudget: any schedule of transmissions gated by
 // CanTransmit keeps the rolling-window duty cycle at or under the limit.
 func TestPropertyNeverExceedsBudget(t *testing.T) {
-	f := func(gapsMS []uint16, airtimesMS []uint8) bool {
-		r, err := NewRegulator(0.01, 10*time.Minute)
-		if err != nil {
-			return false
-		}
-		now := t0
-		n := len(gapsMS)
-		if len(airtimesMS) < n {
-			n = len(airtimesMS)
-		}
-		for i := 0; i < n; i++ {
-			now = now.Add(time.Duration(gapsMS[i]) * time.Millisecond)
-			air := time.Duration(airtimesMS[i]) * time.Millisecond * 10
-			if r.CanTransmit(now, air) {
-				r.Record(now, air)
-			}
-			if r.usedAt(now.Add(air)) > r.Budget() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(neverExceeds, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestOverlapPeakIsChecked replays a schedule a quick seed once found:
+// transmissions overlap, and the regulator admitted a 2.08 s frame at step
+// 17 while an old record left the window in the middle of it, so 0.18 s
+// later the window held 6.433 s against a 6 s budget.
+func TestOverlapPeakIsChecked(t *testing.T) {
+	gaps := []uint16{0x9cfc, 0x1d3, 0x468b, 0xc19a, 0x502b, 0xdef3, 0xf276, 0xf3fe, 0x31ef, 0x71d6,
+		0xbfce, 0x332a, 0x7940, 0xf6f8, 0x49ea, 0xb77f, 0xd371, 0x2a3b, 0xb7, 0x8498, 0x99bd, 0xb2d9,
+		0xf169, 0x1edd, 0xa80a, 0x3978, 0xecc2, 0x6833, 0xb938, 0xc6e8, 0xf8cd, 0x385e, 0xe1be, 0x9733,
+		0x95f9, 0x9dd6, 0x3933}
+	airtimes := []uint8{0x7b, 0xf8, 0x9a, 0x4f, 0x68, 0x69, 0xcb, 0x5f, 0x34, 0xf2, 0x13, 0x1e, 0x82,
+		0x7f, 0x70, 0xc3, 0x7e, 0xd0, 0x1d, 0xda, 0x51, 0xb7, 0xac, 0x74, 0x5e}
+	if !neverExceeds(gaps, airtimes) {
+		t.Error("the window exceeds the budget after an admitted transmission")
+	}
+}
+
+// FuzzRegulatorNeverExceedsBudget searches for a schedule, overlapping or
+// not, after which some window holds more airtime than the budget. A step
+// is three bytes: the gap since the last step in ms, big-endian, then the
+// airtime in units of 10 ms; the transmission goes out if CanTransmit
+// admits it. After each step the model sums every admitted transmission's
+// overlap with each window ending at a breakpoint {s, e, s+W, e+W} at or
+// after now; usage is piecewise linear between breakpoints, so those
+// windows bound every other, and earlier ones no later step can change.
+// The limit is 1 % to 10 % over a 10-minute window, and a schedule's first
+// 256 steps are played. The first seed is TestOverlapPeakIsChecked's
+// schedule.
+func FuzzRegulatorNeverExceedsBudget(f *testing.F) {
+	f.Add(uint8(0), []byte{
+		0x9c, 0xfc, 0x7b, 0x01, 0xd3, 0xf8, 0x46, 0x8b, 0x9a, 0xc1, 0x9a, 0x4f, 0x50, 0x2b, 0x68,
+		0xde, 0xf3, 0x69, 0xf2, 0x76, 0xcb, 0xf3, 0xfe, 0x5f, 0x31, 0xef, 0x34, 0x71, 0xd6, 0xf2,
+		0xbf, 0xce, 0x13, 0x33, 0x2a, 0x1e, 0x79, 0x40, 0x82, 0xf6, 0xf8, 0x7f, 0x49, 0xea, 0x70,
+		0xb7, 0x7f, 0xc3, 0xd3, 0x71, 0x7e, 0x2a, 0x3b, 0xd0, 0x00, 0xb7, 0x1d, 0x84, 0x98, 0xda,
+		0x99, 0xbd, 0x51, 0xb2, 0xd9, 0xb7, 0xf1, 0x69, 0xac, 0x1e, 0xdd, 0x74, 0xa8, 0x0a, 0x5e,
+	})
+	f.Add(uint8(9), []byte{0, 0, 200, 0, 100, 200, 0, 100, 200, 3, 232, 50})
+	f.Fuzz(func(t *testing.T, limit uint8, schedule []byte) {
+		const window = 10 * time.Minute
+		r, err := NewRegulator(float64(1+limit%10)/100, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type tx struct{ s, e time.Time }
+		var sent []tx
+		now := t0
+		for steps := 0; steps < 256 && len(schedule) >= 3; steps, schedule = steps+1, schedule[3:] {
+			now = now.Add(time.Duration(int(schedule[0])<<8|int(schedule[1])) * time.Millisecond)
+			air := time.Duration(schedule[2]) * 10 * time.Millisecond
+			if r.CanTransmit(now, air) {
+				r.Record(now, air)
+				if air > 0 {
+					sent = append(sent, tx{now, now.Add(air)})
+				}
+			}
+			// A transmission that left the window is in no window checked
+			// from now on.
+			sent = slices.DeleteFunc(sent, func(x tx) bool { return !x.e.After(now.Add(-window)) })
+			for _, b := range sent {
+				for _, at := range []time.Time{b.s, b.e, b.s.Add(window), b.e.Add(window)} {
+					if at.Before(now) {
+						continue
+					}
+					var used time.Duration
+					for _, x := range sent {
+						lo, hi := x.s, x.e
+						if from := at.Add(-window); lo.Before(from) {
+							lo = from
+						}
+						if hi.After(at) {
+							hi = at
+						}
+						used += max(hi.Sub(lo), 0)
+					}
+					if used > r.Budget() {
+						t.Fatalf("after %d transmissions, the window ending %v after the first holds %v, budget %v",
+							len(sent), at.Sub(t0), used, r.Budget())
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestPropertyNextAllowedIsLegal: the instant NextAllowed returns must
