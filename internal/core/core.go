@@ -397,6 +397,10 @@ type Node struct {
 	inOpen     map[packet.Address]int // open incoming streams by source
 	inOpenAll  int
 	inSingles  int // delivered single-packet transfers still held
+	// ended holds the transfers sent that ended within streamGrace, oldest
+	// first: at most 256 per destination, since allocStreamID skips their
+	// ids for that destination.
+	ended []endedStream
 
 	// dedup is the forwarding loop-breaker (shared strategy-API
 	// semantics; see forward.Dedup).

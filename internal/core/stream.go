@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -55,6 +56,14 @@ type outStream struct {
 	fillCancel  func()
 }
 
+// endedStream is a transfer this node sent that has ended: until
+// streamGrace has passed, its receiver may still hold it.
+type endedStream struct {
+	at  time.Time
+	dst packet.Address
+	id  uint8
+}
+
 // inKey identifies an incoming transfer.
 type inKey struct {
 	src packet.Address
@@ -98,7 +107,7 @@ func (n *Node) SendReliable(dst packet.Address, payload []byte) (uint8, error) {
 	if len(n.outStreams) >= maxOutStreams {
 		return 0, fmt.Errorf("%w: %d active", ErrBusyStream, len(n.outStreams))
 	}
-	id, err := n.allocStreamID()
+	id, err := n.allocStreamID(dst)
 	if err != nil {
 		return 0, err
 	}
@@ -144,12 +153,27 @@ func (n *Node) SendReliable(dst packet.Address, payload []byte) (uint8, error) {
 	return id, nil
 }
 
-// allocStreamID returns an unused stream sequence id.
-func (n *Node) allocStreamID() (uint8, error) {
+// allocStreamID returns a stream sequence id that is not in use and
+// whose last transfer to dst did not end within streamGrace: dst may
+// still hold that transfer as done, and would re-acknowledge a new one
+// under its id without delivering it.
+func (n *Node) allocStreamID(dst packet.Address) (uint8, error) {
+	now, grace := n.env.Now(), n.streamGrace()
+	stale := 0
+	for stale < len(n.ended) && now.Sub(n.ended[stale].at) >= grace {
+		stale++
+	}
+	n.ended = slices.Delete(n.ended, 0, stale)
+	var recent [256 / 64]uint64
+	for _, e := range n.ended {
+		if e.dst == dst {
+			recent[e.id/64] |= 1 << (e.id % 64)
+		}
+	}
 	for i := 0; i < 256; i++ {
 		id := n.nextSeqID
 		n.nextSeqID++
-		if _, busy := n.outStreams[id]; !busy {
+		if _, busy := n.outStreams[id]; !busy && recent[id/64]&(1<<(id%64)) == 0 {
 			return id, nil
 		}
 	}
@@ -318,6 +342,7 @@ func (n *Node) finishStream(s *outStream, err error) {
 		s.fillCancel = nil
 	}
 	delete(n.outStreams, s.id)
+	n.ended = append(n.ended, endedStream{at: n.env.Now(), dst: s.dst, id: s.id})
 	n.ins.streamRetxRounds.Observe(float64(s.maxRounds))
 	if err != nil {
 		n.reg.Counter("stream.failed").Inc()
@@ -545,17 +570,22 @@ func (n *Node) handleChunk(p *packet.Packet) {
 	}
 }
 
-// armStreamGC (re)schedules expiry of receiver-side stream state. The
-// grace covers the sender's full retry budget so duplicate final chunks
-// still find the state and get re-acknowledged.
+// streamGrace is how long a receiver holds a transfer's state after its
+// last frame. It covers the sender's full retry budget, every backed-off
+// round, so duplicate final chunks still find the state and get
+// re-acknowledged; the extra quarter absorbs jitter plus one final
+// duplicate's flight time.
+func (n *Node) streamGrace() time.Duration {
+	return n.retryBudget() + n.retryBudget()/4
+}
+
+// armStreamGC (re)schedules expiry of receiver-side stream state after
+// streamGrace.
 func (n *Node) armStreamGC(key inKey, s *inStream) {
 	if s.gcCancel != nil {
 		s.gcCancel()
 	}
-	// The budget covers every backed-off round; the extra quarter
-	// absorbs jitter plus one final duplicate's flight time.
-	grace := n.retryBudget() + n.retryBudget()/4
-	s.gcCancel = n.env.Schedule(grace, func() {
+	s.gcCancel = n.env.Schedule(n.streamGrace(), func() {
 		if n.inStreams[key] == s {
 			delete(n.inStreams, key)
 			if s.single {

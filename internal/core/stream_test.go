@@ -540,3 +540,47 @@ func TestPropertyStreamIntegrityUnderRandomLoss(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReusedStreamIDStillDelivers: 300 reliable singles, 0.5 s apart, cycle
+// the 256 stream ids well inside the receiver's grace. Sent alternately to
+// two destinations, every one is delivered: the sender skips an id whose
+// last transfer to that destination the receiver may still hold as done.
+// Sent to one destination, a send finds no such id free and is refused
+// with ErrBusyStream; every accepted one is delivered.
+func TestReusedStreamIDStillDelivers(t *testing.T) {
+	const sends = 300
+	for _, dsts := range [][]packet.Address{{2, 3}, {2}} {
+		b := converge(t, fastConfig(), 1, 2, 3)
+		sender := b.env(1)
+		if grace := sender.node.streamGrace(); grace <= 256*500*time.Millisecond {
+			t.Fatalf("grace %v: 256 sends 0.5 s apart do not cycle the ids inside it", grace)
+		}
+		accepted, refused := 0, 0
+		for i := 0; i < sends; i++ {
+			_, err := sender.node.SendReliable(dsts[i%len(dsts)], []byte{byte(i), byte(i >> 8)})
+			switch {
+			case err == nil:
+				accepted++
+			case errors.Is(err, ErrBusyStream):
+				refused++
+			default:
+				t.Fatalf("send %d: %v", i, err)
+			}
+			b.run(500 * time.Millisecond)
+		}
+		b.run(30 * time.Second)
+		delivered := len(b.env(2).msgs) + len(b.env(3).msgs)
+		t.Logf("%d destinations: %d accepted, %d refused, %d delivered", len(dsts), accepted, refused, delivered)
+		if delivered != accepted {
+			t.Errorf("%d destinations: %d transfers accepted, %d delivered", len(dsts), accepted, delivered)
+		}
+		if len(dsts) == 2 && accepted != sends {
+			t.Errorf("two destinations: %d of %d sends accepted", accepted, sends)
+		}
+		for _, ev := range sender.events {
+			if ev.Err != nil {
+				t.Errorf("%d destinations: stream %d to %v: %v", len(dsts), ev.ID, ev.Dst, ev.Err)
+			}
+		}
+	}
+}

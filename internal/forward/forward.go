@@ -30,6 +30,7 @@ package forward
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -128,14 +129,22 @@ const (
 // field). A non-positive horizon disables it. The zero value is ready
 // to use.
 //
-// Semantics are load-bearing for replay determinism: a duplicate hit
-// does NOT refresh the remembered timestamp (the horizon measures from
-// first sight), and the table is swept of stale entries only when it
-// grows past 256 fingerprints.
+// A duplicate hit does NOT refresh the remembered instant: the horizon
+// measures from first sight. Sightings are kept in first-sight order and
+// dropped from the oldest as they pass the horizon, so the table holds
+// only the fingerprints still within it. For non-decreasing instants (the
+// simulator's clock, the monotonic wall clock) every answer is the one a
+// map of each fingerprint's last recorded instant would give.
 type Dedup struct {
 	// Horizon is how long a fingerprint is remembered.
 	Horizon time.Duration
-	seen    map[uint64]time.Time
+	seen    []sighting // oldest first
+}
+
+// sighting is a fingerprint and the instant it was recorded.
+type sighting struct {
+	fp uint64
+	at time.Time
 }
 
 // Duplicate records fp at now and reports whether it was already seen
@@ -144,20 +153,17 @@ func (d *Dedup) Duplicate(now time.Time, fp uint64) bool {
 	if d.Horizon <= 0 {
 		return false
 	}
-	if last, ok := d.seen[fp]; ok && now.Sub(last) < d.Horizon {
-		return true
+	stale := 0
+	for stale < len(d.seen) && now.Sub(d.seen[stale].at) >= d.Horizon {
+		stale++
 	}
-	if d.seen == nil {
-		d.seen = make(map[uint64]time.Time)
-	}
-	d.seen[fp] = now
-	if len(d.seen) > 256 {
-		for k, v := range d.seen {
-			if now.Sub(v) >= d.Horizon {
-				delete(d.seen, k)
-			}
+	d.seen = slices.Delete(d.seen, 0, stale)
+	for _, s := range d.seen {
+		if s.fp == fp && now.Sub(s.at) < d.Horizon {
+			return true
 		}
 	}
+	d.seen = append(d.seen, sighting{fp, now})
 	return false
 }
 

@@ -1,6 +1,7 @@
 package forward
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -49,8 +50,8 @@ func TestDedupDisabled(t *testing.T) {
 			t.Fatal("disabled dedup reported a duplicate")
 		}
 	}
-	if len(d.seen) != 0 {
-		t.Errorf("disabled dedup remembered %d fingerprints", len(d.seen))
+	if n := len(d.seen); n != 0 {
+		t.Errorf("disabled dedup remembered %d fingerprints", n)
 	}
 }
 
@@ -71,8 +72,8 @@ func TestDedupHorizon(t *testing.T) {
 	if d.Duplicate(now, 2) {
 		t.Fatal("distinct fingerprint reported as duplicate")
 	}
-	if len(d.seen) != 2 {
-		t.Errorf("remembered %d, want 2", len(d.seen))
+	if n := len(d.seen); n != 2 {
+		t.Errorf("remembered %d, want 2", n)
 	}
 }
 
@@ -82,10 +83,89 @@ func TestDedupSweep(t *testing.T) {
 	for fp := uint64(0); fp < 300; fp++ {
 		d.Duplicate(now, fp)
 	}
-	// Past 256 entries, inserts sweep fingerprints older than the horizon.
+	// An insert drops every fingerprint older than the horizon.
 	d.Duplicate(now.Add(2*time.Second), 1000)
-	if len(d.seen) != 1 {
-		t.Errorf("after sweep remembered %d, want 1 (only the fresh fingerprint)", len(d.seen))
+	if n := len(d.seen); n != 1 {
+		t.Errorf("after sweep remembered %d, want 1 (only the fresh fingerprint)", n)
+	}
+}
+
+// mapDedup is the Dedup this package shipped before it kept sightings in
+// first-sight order: a map of each fingerprint's last recorded instant,
+// swept of stale entries once it passes 256. TestDedupMatchesMapModel
+// holds Dedup to it.
+type mapDedup struct {
+	horizon time.Duration
+	seen    map[uint64]time.Time
+}
+
+func (d *mapDedup) Duplicate(now time.Time, fp uint64) bool {
+	if last, ok := d.seen[fp]; ok && now.Sub(last) < d.horizon {
+		return true
+	}
+	if d.seen == nil {
+		d.seen = make(map[uint64]time.Time)
+	}
+	d.seen[fp] = now
+	if len(d.seen) > 256 {
+		for k, v := range d.seen {
+			if now.Sub(v) >= d.horizon {
+				delete(d.seen, k)
+			}
+		}
+	}
+	return false
+}
+
+// TestDedupMatchesMapModel drives Dedup and the map it replaced with the
+// same non-decreasing instants — equal instants, steps of exactly the
+// horizon, bursts of more than 256 fingerprints inside one horizon, and
+// quiet gaps — over fingerprints drawn from pools of several sizes, so
+// repeats fall inside, at and past the horizon. Every answer must agree,
+// and the oldest fingerprint Dedup holds must still be within the horizon.
+func TestDedupMatchesMapModel(t *testing.T) {
+	const horizon = 1500 * time.Millisecond
+	rng := rand.New(rand.NewSource(1))
+	maxLive := 0
+	for run := 0; run < 10; run++ {
+		d, m := Dedup{Horizon: horizon}, mapDedup{horizon: horizon}
+		now := time.Unix(1_000_000, 0)
+		pool := uint64(1) << (2 + run/2*3) // 4 to 16 384 fingerprints
+		burst := run%2 == 1                // 1000 ops a millisecond apart at most
+		dups := 0
+		for op := 0; op < 5000; op++ {
+			switch r := rng.Intn(100); {
+			case burst && op%1000 != 0:
+				now = now.Add(time.Duration(rng.Intn(2)) * time.Microsecond)
+			case r < 40: // the same instant
+			case r < 45:
+				now = now.Add(horizon)
+			case r < 48:
+				now = now.Add(horizon - time.Nanosecond)
+			case r < 50:
+				now = now.Add(time.Duration(rng.Int63n(int64(10 * horizon))))
+			default:
+				now = now.Add(time.Duration(rng.Int63n(int64(horizon / 20))))
+			}
+			fp := rng.Uint64() % pool
+			got, want := d.Duplicate(now, fp), m.Duplicate(now, fp)
+			if got != want {
+				t.Fatalf("run %d op %d: Duplicate(%v, %d) = %v, map %v", run, op, now, fp, got, want)
+			}
+			if got {
+				dups++
+			}
+			maxLive = max(maxLive, len(d.seen))
+			if s := d.seen[0]; now.Sub(s.at) >= horizon {
+				t.Fatalf("run %d op %d: Dedup holds %d from %v, past the horizon", run, op, s.fp, s.at)
+			}
+		}
+		if dups == 0 {
+			t.Errorf("run %d: no duplicates over a pool of %d", run, pool)
+		}
+	}
+	if maxLive <= 256 {
+		t.Errorf("at most %d fingerprints within the horizon: no burst passed the map's 256-entry sweep", maxLive)
 	}
 }
 

@@ -3,6 +3,7 @@ package meshsec
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/packet"
@@ -21,8 +22,11 @@ type fleetPair struct {
 // RetirePrev on random subsets of listeners so they disagree on the
 // current key — and requires every Open to give the same error and
 // plaintext in both fleets, and every listener the same ReplayStats.
+// After every step the Memo's shared sessions must be those a private
+// Link derives, under at most memoKeys distinct keys, although the script
+// rotates through more keys than that.
 func TestSharedMemoMatchesPrivate(t *testing.T) {
-	keys := []Key{testKey(0x11), testKey(0x22), testKey(0x33)}
+	keys := []Key{testKey(0x11), testKey(0x22), testKey(0x33), testKey(0x44), testKey(0x55)}
 	types := []packet.Type{packet.TypeData, packet.TypeHello, packet.TypeXLData}
 	rng := rand.New(rand.NewSource(7))
 	memo := new(Memo)
@@ -87,7 +91,28 @@ func TestSharedMemoMatchesPrivate(t *testing.T) {
 		}
 	}
 
+	tabled := map[Key]bool{} // every key the memo has held sessions under
+	checkTable := func(step int) {
+		held := map[Key]bool{}
+		for _, ks := range memo.sessions {
+			if ks.byAddr == nil {
+				continue
+			}
+			if held[ks.key] {
+				t.Fatalf("step %d: the memo holds key %v twice", step, ks.key)
+			}
+			held[ks.key], tabled[ks.key] = true, true
+			for addr, st := range ks.byAddr {
+				want, err := derive(&ks.key, addr)
+				if err != nil || st.k1 != want.k1 || st.k2 != want.k2 {
+					t.Fatalf("step %d: shared session of %v under %v differs from a private derivation", step, addr, ks.key)
+				}
+			}
+		}
+	}
+	rotations := 0
 	for step := 0; step < 6000; step++ {
+		checkTable(step)
 		switch op := rng.Intn(20); {
 		case op == 0:
 			k := keys[rng.Intn(len(keys))]
@@ -101,6 +126,7 @@ func TestSharedMemoMatchesPrivate(t *testing.T) {
 				f.shared.Rotate(k)
 				f.private.Rotate(k)
 			}
+			rotations++
 		case op == 2:
 			for _, f := range subset() {
 				f.shared.RetirePrev()
@@ -161,5 +187,67 @@ func TestSharedMemoMatchesPrivate(t *testing.T) {
 	t.Logf("opens: %d authenticated (%d by a memo hit), %d auth failures, %d replays", opened, hits, authFails, replays)
 	if hits == 0 || authFails == 0 || replays == 0 || hits == opened {
 		t.Errorf("the script does not cover hits, misses, auth failures and replays")
+	}
+	if rotations < 5 || len(tabled) <= memoKeys {
+		t.Errorf("%d rotations, sessions under %d keys: the script does not make the memo drop a key's sessions", rotations, len(tabled))
+	}
+}
+
+// TestForgedFramesLeaveNoState: frames sealed under a key the listeners
+// do not hold, each from a new origin address, fail authentication and
+// leave nothing behind: no origin slot in a Link alone or in one sharing a
+// Memo, no session in the Memo, no heap. A legitimate frame from one of
+// those addresses then opens and gets its slot.
+func TestForgedFramesLeaveNoState(t *testing.T) {
+	const forged, perOrigin = 2000, 16
+	good, bad := testKey(0x11), testKey(0x99)
+	memo := new(Memo)
+	alone, shared := NewLink(good, 0x0100), NewLink(good, 0x0101)
+	shared.ShareMemo(memo)
+	frames, copies := make([]*packet.Packet, forged), make([]*packet.Packet, forged)
+	for i := range frames {
+		frames[i] = sealedFrames(t, NewLink(bad, packet.Address(0x1000+i)), packet.TypeData, 24, 1)[0]
+		copies[i] = clonePacket(frames[i])
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := range frames {
+		if err := alone.Open(frames[i]); err != ErrAuth {
+			t.Fatalf("forged frame %d, alone: %v, want ErrAuth", i, err)
+		}
+		if err := shared.Open(copies[i]); err != ErrAuth {
+			t.Fatalf("forged frame %d, memo: %v, want ErrAuth", i, err)
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(frames)
+	runtime.KeepAlive(copies)
+	if n := len(alone.origins) + len(shared.origins); n != 0 {
+		t.Errorf("%d forged origins left %d slots, want none", forged, n)
+	}
+	if n := len(memo.table(&good, false)); n != 0 {
+		t.Errorf("%d forged origins left %d shared sessions, want none", forged, n)
+	}
+	if grown > perOrigin*forged {
+		t.Errorf("%d forged origins grew the heap %d B (%.0f B each), want at most %d B each",
+			forged, grown, float64(grown)/forged, perOrigin)
+	}
+
+	p := sealedFrames(t, NewLink(good, 0x1000), packet.TypeData, 24, 1)[0]
+	for _, l := range []*Link{alone, shared} {
+		if err := l.Open(clonePacket(p)); err != nil {
+			t.Fatalf("legitimate frame from a forged address: %v", err)
+		}
+		if len(l.origins) != 1 || l.origins[0].addr != 0x1000 || !l.origins[0].windowed {
+			t.Errorf("after a legitimate frame: %d slots, want one for 0x1000", len(l.origins))
+		}
+	}
+	if n := len(memo.table(&good, false)); n != 1 {
+		t.Errorf("after a legitimate frame: %d shared sessions, want 1", n)
 	}
 }

@@ -81,26 +81,32 @@ var (
 // and the 16-bit block index of a counter block never wraps.
 const keystreamLen = (packet.MaxFrameLen + 15) / 16 * 16
 
-// session holds the cipher state derived for one origin address under
-// one key generation.
-type session struct {
+// state is the cipher state derived for one origin address under one
+// key. It is a function of the key bytes and the address alone, so the
+// Links that share a Memo share it, and it is never written once derived.
+type state struct {
 	block  cipher.Block
 	k1, k2 [16]byte // CMAC subkeys
-	gen    uint32   // key generation; 0 = empty
+}
+
+// session is an origin's cipher state under one key generation.
+type session struct {
+	st  *state
+	gen uint32 // key generation; 0 = empty
 }
 
 // origin is what a Link keeps about one origin address: its replay
 // window and its sessions under the live key generations (current,
 // previous, staged), so one lookup serves a whole Open. Outside a key
 // rotation one generation is live, so its session is inline and the
-// other two live behind a pointer set at the first rotation: a node
-// keeps a slot for every origin it hears.
+// other two live behind a pointer set at the first rotation. A Link
+// keeps a slot for every origin a frame has authenticated from, and for
+// every origin it seals for.
 type origin struct {
 	win  window
 	addr packet.Address
 	// windowed is set once a counter from this origin was checked:
-	// ReplayStats counts those origins, not ones that only failed
-	// authentication.
+	// ReplayStats counts those origins, not ones only sealed or verified.
 	windowed bool
 	sess     session
 	more     *[2]session
@@ -151,8 +157,14 @@ type Link struct {
 //
 // One frame is enough when the listeners of a transmission are evaluated
 // back to back, as airmedium does. The memo is keyed on key bytes, never
-// on a Link's key generation or a slice's identity. Its fields are fixed
-// arrays, so it allocates nothing. Not safe for concurrent use: share one
+// on a Link's key generation or a slice's identity.
+//
+// A Memo also holds the cipher state the Links derived, by key and origin
+// address, so a medium derives each origin's session once, not once per
+// listener. It holds the sessions of the memoKeys most recently used keys;
+// a further key displaces the oldest key's, and the Links that hold them
+// keep them. The frame fields are fixed arrays; a Memo allocates once per
+// first session of a (key, origin). Not safe for concurrent use: share one
 // only among Links driven from one goroutine.
 type Memo struct {
 	key Key
@@ -162,6 +174,39 @@ type Memo struct {
 	ct  [keystreamLen]byte
 	ks  [keystreamLen]byte
 	ok  bool // a frame is recorded
+
+	sessions [memoKeys]keySessions // most recently used key first
+}
+
+// memoKeys is how many keys' sessions a Memo holds: a rollout has at most
+// a current, a previous and a staged key live.
+const memoKeys = 3
+
+// keySessions is the cipher state derived under one key, by origin.
+type keySessions struct {
+	key    Key
+	byAddr map[packet.Address]*state // nil = unused
+}
+
+// table returns key's sessions and makes key the most recently used. A
+// key the memo does not hold gets an empty table when add is set,
+// displacing the least recently used key's; otherwise the result is nil.
+func (m *Memo) table(key *Key, add bool) map[packet.Address]*state {
+	i := 0
+	for i < memoKeys && (m.sessions[i].byAddr == nil || m.sessions[i].key != *key) {
+		i++
+	}
+	if i == memoKeys {
+		if !add {
+			return nil
+		}
+		i = memoKeys - 1
+		m.sessions[i] = keySessions{key: *key, byAddr: make(map[packet.Address]*state)}
+	}
+	ks := m.sessions[i]
+	copy(m.sessions[1:i+1], m.sessions[:i])
+	m.sessions[0] = ks
+	return ks.byAddr
 }
 
 // lookup reports whether p, with AAD aad, is the frame m last recorded
@@ -323,9 +368,9 @@ func (l *Link) evictGen(gen uint32) {
 	}
 }
 
-// origin returns addr's slot, inserting an empty one on first contact.
-// The pointer is valid until the next insertion.
-func (l *Link) origin(addr packet.Address) *origin {
+// search returns where addr's slot is or would be inserted, and whether
+// it is there.
+func (l *Link) search(addr packet.Address) (int, bool) {
 	lo, hi := 0, len(l.origins)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -335,7 +380,22 @@ func (l *Link) origin(addr packet.Address) *origin {
 			hi = m
 		}
 	}
-	if lo == len(l.origins) || l.origins[lo].addr != addr {
+	return lo, lo < len(l.origins) && l.origins[lo].addr == addr
+}
+
+// find returns addr's slot, or nil if it has none.
+func (l *Link) find(addr packet.Address) *origin {
+	if i, ok := l.search(addr); ok {
+		return &l.origins[i]
+	}
+	return nil
+}
+
+// origin returns addr's slot, inserting an empty one if it has none.
+// The pointer is valid until the next insertion.
+func (l *Link) origin(addr packet.Address) *origin {
+	i, ok := l.search(addr)
+	if !ok {
 		if len(l.origins) == cap(l.origins) {
 			// Grow by an eighth, not by append's doubling: every node keeps
 			// a slot per origin it hears, and a doubled slice is mostly empty.
@@ -343,24 +403,47 @@ func (l *Link) origin(addr packet.Address) *origin {
 			copy(grown, l.origins)
 			l.origins = grown
 		}
-		l.origins = slices.Insert(l.origins, lo, origin{addr: addr})
+		l.origins = slices.Insert(l.origins, i, origin{addr: addr})
 	}
-	return &l.origins[lo]
+	return &l.origins[i]
 }
 
-// session returns (deriving on first use) the cipher state for frames
-// originated by o under the given key generation.
-func (l *Link) session(o *origin, key Key, gen uint32) (*session, error) {
-	if o.sess.gen == gen {
-		return &o.sess, nil
-	}
-	if o.more != nil {
-		for i := range o.more {
-			if o.more[i].gen == gen {
-				return &o.more[i], nil
+// session returns the cipher state for frames originated by addr under
+// key, generation gen. With a slot o it is derived on first use and kept
+// there; without one it is taken from the shared Memo or derived, and
+// kept nowhere, so a frame that fails authentication leaves no state.
+func (l *Link) session(o *origin, addr packet.Address, key *Key, gen uint32) (*state, error) {
+	if o != nil {
+		if o.sess.gen == gen {
+			return o.sess.st, nil
+		}
+		if o.more != nil {
+			for i := range o.more {
+				if o.more[i].gen == gen {
+					return o.more[i].st, nil
+				}
 			}
 		}
 	}
+	var st *state
+	if l.memo != nil {
+		st = l.memo.table(key, false)[addr]
+	}
+	if st == nil {
+		var err error
+		if st, err = derive(key, addr); err != nil {
+			return nil, err
+		}
+	}
+	if o != nil {
+		l.keep(o, key, gen, st)
+	}
+	return st, nil
+}
+
+// keep stores st as o's session under generation gen of key, and shares
+// it through the Memo.
+func (l *Link) keep(o *origin, key *Key, gen uint32, st *state) {
 	// Every retirement evicts, so of three entries one is free for the
 	// at most three live generations.
 	s := &o.sess
@@ -373,6 +456,15 @@ func (l *Link) session(o *origin, key Key, gen uint32) (*session, error) {
 			s = &o.more[1]
 		}
 	}
+	*s = session{st: st, gen: gen}
+	if l.memo != nil {
+		l.memo.table(key, true)[o.addr] = st
+	}
+}
+
+// derive computes the cipher state for frames originated by addr under
+// key.
+func derive(key *Key, addr packet.Address) (*state, error) {
 	nk, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("meshsec: %w", err)
@@ -383,15 +475,15 @@ func (l *Link) session(o *origin, key Key, gen uint32) (*session, error) {
 	// without inverting AES.
 	var blk [16]byte
 	blk[0] = 0x01
-	binary.BigEndian.PutUint16(blk[1:3], uint16(o.addr))
+	binary.BigEndian.PutUint16(blk[1:3], uint16(addr))
 	nk.Encrypt(blk[:], blk[:])
 	b, err := aes.NewCipher(blk[:])
 	if err != nil {
 		return nil, fmt.Errorf("meshsec: %w", err)
 	}
-	*s = session{block: b, gen: gen}
-	cmacSubkeys(b, &s.k1, &s.k2)
-	return s, nil
+	st := &state{block: b}
+	cmacSubkeys(b, &st.k1, &st.k2)
+	return st, nil
 }
 
 // aad assembles the 13 bytes of authenticated associated data: every
@@ -425,7 +517,7 @@ func (l *Link) counterBlocks(src packet.Address, counter uint32, n int) []byte {
 // keystream returns the CTR keystream for n bytes from (origin, counter)
 // under s: every counter block is written before the first is encrypted,
 // so none is read back while its stores are still in flight.
-func (l *Link) keystream(s *session, src packet.Address, counter uint32, n int) []byte {
+func (l *Link) keystream(s *state, src packet.Address, counter uint32, n int) []byte {
 	ks := l.counterBlocks(src, counter, n)
 	encryptBlocks(s.block, ks)
 	return ks
@@ -433,7 +525,7 @@ func (l *Link) keystream(s *session, src packet.Address, counter uint32, n int) 
 
 // mic computes the truncated CMAC tag over aad || ct, encrypting the
 // counter blocks ks in place along the way (see cmacCTR).
-func (l *Link) mic(s *session, aad *[13]byte, ct, ks []byte) [packet.SecMICLen]byte {
+func (l *Link) mic(s *state, aad *[13]byte, ct, ks []byte) [packet.SecMICLen]byte {
 	cmacCTR(s.block, &s.k1, &s.k2, aad[:], ct, &l.mac, ks)
 	return [packet.SecMICLen]byte(l.mac[:])
 }
@@ -441,7 +533,7 @@ func (l *Link) mic(s *session, aad *[13]byte, ct, ks []byte) [packet.SecMICLen]b
 // verify reports whether p's MIC verifies under s and returns the
 // keystream of an encrypted p, encrypted in the same pass (nil for a
 // MIC-only frame, and so a no-op for subtle.XORBytes).
-func (l *Link) verify(s *session, p *packet.Packet, aad *[13]byte) ([]byte, bool) {
+func (l *Link) verify(s *state, p *packet.Packet, aad *[13]byte) ([]byte, bool) {
 	var ks []byte
 	if p.SecFlags&packet.SecFlagEncrypted != 0 {
 		ks = l.counterBlocks(p.Src, p.Counter, len(p.Payload))
@@ -462,7 +554,7 @@ func (l *Link) SealFrame(frame []byte, p *packet.Packet) error {
 	if len(frame) < packet.SecMICLen || len(frame) > packet.MaxFrameLen || len(frame) != p.WireLen() {
 		return errors.New("meshsec: frame does not match packet")
 	}
-	s, err := l.session(l.origin(p.Src), l.cur, l.curGen)
+	s, err := l.session(l.origin(p.Src), p.Src, &l.cur, l.curGen)
 	if err != nil {
 		return err
 	}
@@ -498,11 +590,9 @@ func (l *Link) Open(p *packet.Packet) error {
 	if len(p.Payload) > keystreamLen {
 		return ErrAuth // longer than any frame a sealer can produce
 	}
-	o := l.origin(p.Src)
-	s, err := l.session(o, l.cur, l.curGen)
-	if err != nil {
-		return err
-	}
+	// An origin gets a slot only once a frame from it authenticates, so a
+	// forged frame from a new address leaves nothing behind.
+	o := l.find(p.Src)
 	var aad [13]byte
 	secAAD(p, &aad)
 	var ks []byte
@@ -510,29 +600,34 @@ func (l *Link) Open(p *packet.Packet) error {
 	if l.memo != nil {
 		ks, hit = l.memo.lookup(&l.cur, &aad, p)
 	}
-	ok, key := hit, &l.cur
+	ok, key, gen := hit, &l.cur, l.curGen
+	var s *state
 	if !hit {
+		var err error
+		if s, err = l.session(o, p.Src, &l.cur, l.curGen); err != nil {
+			return err
+		}
 		ks, ok = l.verify(s, p, &aad)
 	}
 	if !ok {
 		if l.hasPrev {
-			ps, err := l.session(o, l.prev, l.prevGen)
+			ps, err := l.session(o, p.Src, &l.prev, l.prevGen)
 			if err != nil {
 				return err
 			}
 			if l.mic(ps, &aad, p.Payload, nil) == p.MIC {
-				s, ok, key = ps, true, &l.prev
+				s, ok, key, gen = ps, true, &l.prev, l.prevGen
 			}
 		}
 		if !ok && l.hasNext {
 			// A staged (not yet active) key accepts too: peers that have
 			// already rotated stay readable mid-rollout.
-			ns, err := l.session(o, l.next, l.nextGen)
+			ns, err := l.session(o, p.Src, &l.next, l.nextGen)
 			if err != nil {
 				return err
 			}
 			if l.mic(ns, &aad, p.Payload, nil) == p.MIC {
-				s, ok, key = ns, true, &l.next
+				s, ok, key, gen = ns, true, &l.next, l.nextGen
 			}
 		}
 		if !ok {
@@ -544,6 +639,12 @@ func (l *Link) Open(p *packet.Packet) error {
 	}
 	if !hit && l.memo != nil {
 		l.memo.record(key, &aad, p, ks)
+	}
+	if o == nil {
+		o = l.origin(p.Src)
+		if s != nil {
+			l.keep(o, key, gen, s)
+		}
 	}
 	o.windowed = true
 	if p.Type == packet.TypeHello && p.Counter <= o.win.top {
@@ -574,7 +675,8 @@ func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
 	if len(p.Payload) > keystreamLen {
 		return nil, false
 	}
-	s, err := l.session(l.origin(p.Src), l.cur, l.curGen)
+	o := l.find(p.Src)
+	s, err := l.session(o, p.Src, &l.cur, l.curGen)
 	if err != nil {
 		return nil, false
 	}
@@ -583,6 +685,9 @@ func (l *Link) VerifyOnly(p *packet.Packet) ([]byte, bool) {
 	ks, ok := l.verify(s, p, &aad)
 	if !ok {
 		return nil, false
+	}
+	if o == nil {
+		l.keep(l.origin(p.Src), &l.cur, l.curGen, s)
 	}
 	pt := append([]byte(nil), p.Payload...)
 	subtle.XORBytes(pt, pt, ks)

@@ -643,7 +643,7 @@ func TestRetiredSessionsEvicted(t *testing.T) {
 				if s.gen != rx.curGen && !(rx.hasPrev && s.gen == rx.prevGen) && !(rx.hasNext && s.gen == rx.nextGen) {
 					t.Errorf("after %s: origin %v holds retired generation %d", step, o.addr, s.gen)
 				}
-				if s.block == nil {
+				if s.st == nil {
 					t.Errorf("after %s: origin %v holds generation %d without a cipher", step, o.addr, s.gen)
 				}
 			}

@@ -10,6 +10,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,8 +47,9 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram collects float64 samples into a fixed set of log-linear
-// buckets (HDR-style): subBuckets per power of two, so its bytes do not
-// grow with the sample count. Count, sum, min and max are exact; the sum
+// buckets (HDR-style): subBuckets per power of two, of which it keeps
+// only those a sample has hit, so its bytes do not grow with the sample
+// count. Count, sum, min and max are exact; the sum
 // is a running sum in observation order. Quantile answers nearest-rank
 // from the buckets: for a sample whose magnitude lies in the window
 // [2^minExp, 2^maxExp) the answer is within 1/subBuckets (< 0.79 %) of
@@ -75,19 +77,22 @@ const (
 	keyShift = 52 - subBits
 	keyLo    = (minExp + 1023) << subBits
 	keyHi    = (maxExp+1023)<<subBits - 1
+	// windowKeys is how many keys the window holds.
+	windowKeys = keyHi - keyLo + 1
 	// maxBucketBytes is the worst case of one histogram's bucket arrays:
-	// every key of the window, for each sign.
-	maxBucketBytes = 2 * (keyHi - keyLo + 1) * 8
+	// every key of the window, for each sign, as a 4 B key and an 8 B
+	// count. Growth never reserves room past windowKeys.
+	maxBucketBytes = 2 * windowKeys * (4 + 8)
 )
 
 // keyOf returns the bucket key of magnitude m > 0, clamped into the
 // window. Keys ascend with magnitude.
-func keyOf(m float64) int {
-	return min(max(int(math.Float64bits(m)>>keyShift), keyLo), keyHi)
+func keyOf(m float64) int32 {
+	return int32(min(max(int(math.Float64bits(m)>>keyShift), keyLo), keyHi))
 }
 
 // floorOf returns the smallest magnitude of key k's bucket.
-func floorOf(k int) float64 { return math.Float64frombits(uint64(k) << keyShift) }
+func floorOf(k int32) float64 { return math.Float64frombits(uint64(k) << keyShift) }
 
 // dist is a Histogram's state, without its lock.
 type dist struct {
@@ -97,45 +102,65 @@ type dist struct {
 	pos, neg buckets // by magnitude: neg holds -v for each v < 0
 }
 
-// buckets is a dense array of counts over the keys [lo, lo+len(counts)),
-// grown on demand to the range observed so far.
+// buckets holds the keys a sample has hit, ascending, and their counts.
+// A wall-clock histogram scatters over a wide span, of which a dense
+// array would be mostly zeros.
 type buckets struct {
-	lo     int
+	keys   []int32
 	counts []uint64
 }
 
-// cover grows b to hold the keys [lo, hi].
-func (b *buckets) cover(lo, hi int) {
-	if len(b.counts) == 0 {
-		b.lo, b.counts = lo, make([]uint64, hi-lo+1)
-		return
-	}
-	top := b.lo + len(b.counts) - 1
-	if lo >= b.lo && hi <= top {
-		return
-	}
-	nlo, nhi := min(lo, b.lo), max(hi, top)
-	c := make([]uint64, nhi-nlo+1)
-	copy(c[b.lo-nlo:], b.counts)
-	b.lo, b.counts = nlo, c
-}
-
 // inc counts one sample at key k.
-func (b *buckets) inc(k int) {
-	if k < b.lo || k >= b.lo+len(b.counts) {
-		b.cover(k, k)
-	}
-	b.counts[k-b.lo]++
-}
-
-func (b *buckets) merge(o *buckets) {
-	if len(o.counts) == 0 {
+func (b *buckets) inc(k int32) {
+	i, found := slices.BinarySearch(b.keys, k)
+	if found {
+		b.counts[i]++
 		return
 	}
-	b.cover(o.lo, o.lo+len(o.counts)-1)
-	for i, c := range o.counts {
-		b.counts[o.lo-b.lo+i] += c
+	if len(b.keys) == cap(b.keys) {
+		// Grow by an eighth, not by append's doubling, and never past the
+		// window: a doubled array is mostly empty, and maxBucketBytes
+		// stays the worst case.
+		n := min(len(b.keys)+len(b.keys)/8+1, windowKeys)
+		b.keys = append(make([]int32, 0, n), b.keys...)
+		b.counts = append(make([]uint64, 0, n), b.counts...)
 	}
+	b.keys = slices.Insert(b.keys, i, k)
+	b.counts = slices.Insert(b.counts, i, 1)
+}
+
+// merge adds o's counts into b: in place when b holds every key o does,
+// otherwise into arrays rebuilt at the union's exact size.
+func (b *buckets) merge(o *buckets) {
+	union := len(b.keys)
+	for _, k := range o.keys {
+		if _, found := slices.BinarySearch(b.keys, k); !found {
+			union++
+		}
+	}
+	if union == len(b.keys) {
+		for j, k := range o.keys {
+			i, _ := slices.BinarySearch(b.keys, k)
+			b.counts[i] += o.counts[j]
+		}
+		return
+	}
+	keys, counts := make([]int32, 0, union), make([]uint64, 0, union)
+	i, j := 0, 0
+	for i < len(b.keys) || j < len(o.keys) {
+		switch {
+		case j == len(o.keys) || i < len(b.keys) && b.keys[i] < o.keys[j]:
+			keys, counts = append(keys, b.keys[i]), append(counts, b.counts[i])
+			i++
+		case i == len(b.keys) || o.keys[j] < b.keys[i]:
+			keys, counts = append(keys, o.keys[j]), append(counts, o.counts[j])
+			j++
+		default:
+			keys, counts = append(keys, b.keys[i]), append(counts, b.counts[i]+o.counts[j])
+			i, j = i+1, j+1
+		}
+	}
+	b.keys, b.counts = keys, counts
 }
 
 func (d *dist) observe(v float64) {
@@ -191,7 +216,7 @@ func (d *dist) quantile(p float64) float64 {
 	clamp := func(v float64) float64 { return min(max(v, d.min), d.max) }
 	for i := len(d.neg.counts) - 1; i >= 0; i-- {
 		if rank <= d.neg.counts[i] {
-			return clamp(-floorOf(d.neg.lo + i))
+			return clamp(-floorOf(d.neg.keys[i]))
 		}
 		rank -= d.neg.counts[i]
 	}
@@ -201,7 +226,7 @@ func (d *dist) quantile(p float64) float64 {
 	rank -= d.zeros
 	for i, c := range d.pos.counts {
 		if rank <= c {
-			return clamp(floorOf(d.pos.lo + i))
+			return clamp(floorOf(d.pos.keys[i]))
 		}
 		rank -= c
 	}
@@ -264,8 +289,9 @@ func (h *Histogram) clone() dist {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	d := h.d
-	d.pos.counts = append([]uint64(nil), d.pos.counts...)
-	d.neg.counts = append([]uint64(nil), d.neg.counts...)
+	for _, b := range []*buckets{&d.pos, &d.neg} {
+		b.keys, b.counts = slices.Clone(b.keys), slices.Clone(b.counts)
+	}
 	return d
 }
 

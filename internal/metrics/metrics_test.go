@@ -302,24 +302,27 @@ func TestHistogramMatchesSortedModel(t *testing.T) {
 	}
 }
 
-// bucketBytes is the bytes r's histograms hold in bucket arrays.
+// bucketBytes is the bytes r's histograms hold in bucket arrays, keys
+// and counts, counted by capacity.
 func bucketBytes(r *Registry) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, h := range r.histograms {
 		h.mu.Lock()
-		n += 8 * (cap(h.d.pos.counts) + cap(h.d.neg.counts))
+		for _, b := range []*buckets{&h.d.pos, &h.d.neg} {
+			n += 4*cap(b.keys) + 8*cap(b.counts)
+		}
 		h.mu.Unlock()
 	}
 	return n
 }
 
 // TestHistogramBytesIndependentOfCount: a histogram's bucket bytes follow
-// the range of keys it has seen, never the count, so ten times the
-// samples from one distribution leave a registry's bytes where they were
-// (each distribution here reaches its whole range within the first N),
-// and no input takes a histogram past maxBucketBytes.
+// the keys it has hit, never the count, so ten times the samples from one
+// distribution leave a registry's bytes where they were (each
+// distribution here hits all its keys within the first N), and no input
+// takes a histogram past maxBucketBytes, whether observed or merged.
 func TestHistogramBytesIndependentOfCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := NewRegistry()
@@ -341,11 +344,11 @@ func TestHistogramBytesIndependentOfCount(t *testing.T) {
 
 	w := NewRegistry()
 	h := w.Histogram("whole window")
-	for _, k := range []int{keyLo, keyHi, keyLo + 1, keyHi - 1} {
+	for _, k := range []int32{keyLo, keyHi, keyLo + 1, keyHi - 1} {
 		h.Observe(floorOf(k))
 		h.Observe(-floorOf(k))
 	}
-	for k := keyLo; k <= keyHi; k++ {
+	for k := int32(keyLo); k <= keyHi; k++ {
 		h.Observe(floorOf(k))
 		h.Observe(-floorOf(k))
 	}
@@ -355,13 +358,36 @@ func TestHistogramBytesIndependentOfCount(t *testing.T) {
 	if got := bucketBytes(w); got != maxBucketBytes {
 		t.Errorf("every key of the window holds %d bucket bytes, want maxBucketBytes = %d", got, maxBucketBytes)
 	}
+	if maxBucketBytes > 3*2*windowKeys*8/2 {
+		t.Errorf("maxBucketBytes = %d, more than 1.5 times a dense array's %d", maxBucketBytes, 2*windowKeys*8)
+	}
+	// Halves of the window merged into one histogram: the union is built
+	// at its exact size.
+	m := NewRegistry()
+	for half := int32(0); half < 2; half++ {
+		part := NewRegistry()
+		for k := int32(keyLo) + half; k <= keyHi; k += 2 {
+			part.Histogram("h").Observe(floorOf(k))
+			part.Histogram("h").Observe(-floorOf(k))
+		}
+		m.Merge("", part)
+	}
+	if got := bucketBytes(m); got != maxBucketBytes {
+		t.Errorf("the merged window holds %d bucket bytes, want maxBucketBytes = %d", got, maxBucketBytes)
+	}
 }
 
+// TestObserveAllocFree: once its key is present, Observe allocates
+// nothing. Every key the measured calls hit is observed first.
 func TestObserveAllocFree(t *testing.T) {
 	var h Histogram
 	vals := []float64{0, -3, 1e-6, 0.5, 87.296, 399.616, 1e6}
-	for _, v := range vals {
+	for i, v := range vals {
 		h.Observe(v)
+		h.Observe(v * 0.99)
+		for us := i; us < 1000; us += len(vals) {
+			h.ObserveDuration(time.Duration(us) * time.Microsecond)
+		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
