@@ -2,6 +2,7 @@ package airmedium
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/geo"
@@ -53,8 +54,8 @@ func TestTransmitAllocs(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		send()
 	}
-	if got := testing.AllocsPerRun(200, send); got != 1 {
-		t.Errorf("Transmit and its finish allocate %v objects a frame, want 1", got)
+	if got := mallocs(200, send); got != 200 {
+		t.Errorf("Transmit and its finish allocated %d objects in 200 frames, want 200", got)
 	}
 	if st := m.Stats(); st.FramesDelivered != 4*st.FramesSent || st.LostBelowSensitivity != 16*st.FramesSent {
 		t.Errorf("the cluster does not hear only itself: %+v", st)
@@ -79,4 +80,19 @@ func BenchmarkFinish(b *testing.B) {
 			}
 		})
 	}
+}
+
+// mallocs calls f once to warm up, then runs more times on one processor,
+// and returns every heap allocation those runs made: testing.AllocsPerRun
+// rounds its mean down, so it passes up to runs − 1 of them unseen.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -31,11 +31,11 @@
 // Shards run in lockstep windows of width W <= the minimum frame airtime
 // (the conservative lookahead: no transmission can start and finish inside
 // one window). Each window has two phases with a barrier between them:
-// phase A runs every shard's wheel through the window with
-// simtime.RunBefore; the barrier merges all shards' transmission outboxes
-// into one globally sorted list (by start instant, then sender); phase B
-// has every shard integrate that list into its cell tx-index and schedule
-// reception evaluations. Phase B rides at the head of the next window's
+// phase A runs every shard's wheel through the window (runBefore); the
+// barrier merges all shards' transmission outboxes into one globally
+// sorted list (by start instant, then sender); phase B has every shard
+// integrate that list into its cell tx-index and schedule reception
+// evaluations. Phase B rides at the head of the next window's
 // command, so a window costs one rendezvous, and a shard that waits for
 // its next command polls before it parks (shard.go). A frame ending at e
 // is evaluated at e+W, by which point every transmission that could
@@ -228,7 +228,6 @@ type resolved struct {
 	eirpDBm       float64 // tx power + both antenna gains
 	maxLossDel    float64 // max path loss that still delivers
 	maxLossRel    float64 // max radio-relevant loss (delivery or interference + shadow margin)
-	lossErr       float64 // slab decisions' error bound; buildLinks sets it
 	noiseDBm      float64
 	captureThDB   float64
 	helloAirNs    int64
@@ -240,6 +239,11 @@ type resolved struct {
 	routeTTLNs    int64
 	csmaSlotNs    int64
 	noRouteWaitNs int64
+
+	// The link codes' scale (a code q stands for lossLo + q·lossStep) and
+	// the slab decisions' error bound; buildLinks sets them.
+	lossLo, lossStep float64
+	lossErr          float64
 
 	// Strategy-mode constants (see engine.go for the handlers).
 	strat        uint8
@@ -567,7 +571,7 @@ func (s *Sim) Run(d time.Duration) error {
 	s.runWindows(d.Nanoseconds())
 	s.stats.Wall = time.Since(start)
 	for _, sh := range s.shards {
-		s.stats.EventsFired += sh.wheel.Fired()
+		s.stats.EventsFired += sh.fired
 		s.stats.ShardBusy += sh.busy
 	}
 	s.stats.StateBytes = s.stateBytes()
@@ -617,7 +621,7 @@ func (s *Sim) stateBytes() uint64 {
 		b += uint64(f.Cap()) * uint64(f.Type().Elem().Size())
 	}
 	for _, sh := range s.shards {
-		b += uint64(cap(sh.pkts)) * uint64(reflect.TypeOf(pkt{}).Size())
+		b += uint64(cap(sh.pkts.items)) * uint64(reflect.TypeOf(pkt{}).Size())
 		b += uint64(cap(sh.candOf)) * uint64(reflect.TypeOf(int32(0)).Size())
 	}
 	return b

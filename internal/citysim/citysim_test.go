@@ -13,6 +13,7 @@ import (
 	"unsafe"
 
 	"repro/internal/geo"
+	"repro/internal/simtime"
 )
 
 // runOnce builds and runs one simulation, returning stats and digest.
@@ -91,7 +92,7 @@ func TestStateBytesCountsEverySlab(t *testing.T) {
 			t.Errorf("shard %d: candOf has %d entries for the %d nodes of its stripe", sh.id, len(sh.candOf), sh.hi-sh.lo)
 		}
 		before := s.stateBytes()
-		sh.pkts = make([]pkt, len(sh.pkts), cap(sh.pkts)+1)
+		sh.pkts.items = make([]pkt, len(sh.pkts.items), cap(sh.pkts.items)+1)
 		if got, want := s.stateBytes()-before, reflect.TypeOf(pkt{}).Size(); got != uint64(want) {
 			t.Errorf("one more pkt slot adds %d state bytes, want %d", got, want)
 		}
@@ -302,7 +303,7 @@ func TestCityDigestsPinned(t *testing.T) {
 // shard's nodes are exactly its slot range, and the ranges tile the city;
 // and every node's link slab, read back through id, lists the neighbours a
 // scan of all pairs finds (3x3-adjacent cells, refLinkLoss within
-// maxLossRel), ascending, each loss refLinkLoss's rounded to float32, and
+// maxLossRel), ascending, each code the one refLinkLoss's loss quantizes to, and
 // inDeliveryRange agrees with refLinkLoss <= maxLossDel on every ordered
 // 3x3-adjacent pair and refuses every other — as built, where no other pair
 // delivers, and again with one pair pinned to the edge of reach, then
@@ -384,9 +385,9 @@ func TestSpaceOrder(t *testing.T) {
 					t.Fatalf("%+v %s: node %d lists %v, all pairs give %v", cfg, label, a, got, want)
 				}
 				for k, j := range got {
-					want := float32(refLinkLoss(s, i, j))
-					if loss := ns.nbrLoss[int(ns.nbrOff[i])+k]; math.Float32bits(loss) != math.Float32bits(want) {
-						t.Fatalf("%+v %s: link (%d, %d) loss %v, oracle %v", cfg, label, a, ns.id[j], loss, want)
+					oracle := refLinkLoss(s, i, j)
+					if q := ns.nbrLoss[int(ns.nbrOff[i])+k]; q != s.r.lossCode(oracle) {
+						t.Fatalf("%+v %s: link (%d, %d) code %d, oracle's loss %v codes as %d", cfg, label, a, ns.id[j], q, oracle, s.r.lossCode(oracle))
 					}
 				}
 				links += len(got)
@@ -409,6 +410,122 @@ func TestSpaceOrder(t *testing.T) {
 }
 
 func abs(v int) int { return max(v, -v) }
+
+// TestCityEventIs24Bytes pins a pending city event: one queue item
+// holding its instant, its schedule number, its kind and one operand, and
+// no closure.
+func TestCityEventIs24Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(simtime.Item[event]{}); size != 24 {
+		t.Fatalf("a pending city event is %d bytes, want 24", size)
+	}
+}
+
+// TestWindowExcludesItsEnd pins the window semantics on a shard wheel: the
+// window [0, 10 ms) fires the event before its end and leaves the clock
+// at the end, the event at exactly 10 ms waits for the next window, an
+// event the barrier schedules at the end is legal and fires then too, and
+// an event before the clock is refused. An idle window moves the clock to
+// its end, and an earlier end never moves it back. The events are pumps
+// of a node with nothing queued, which do nothing.
+func TestWindowExcludesItsEnd(t *testing.T) {
+	s, err := New(Config{Nodes: 2, Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ms = int64(time.Millisecond)
+	sh := s.shards[0]
+	sh.wheel = simtime.Queue[event]{} // drop the initial beacons and readings
+	for _, at := range []int64{5 * ms, 10 * ms, 15 * ms} {
+		sh.at(at, evPump, 0)
+	}
+	sh.runBefore(10 * ms)
+	if sh.fired != 1 || sh.nowNs != 10*ms || sh.wheel.Min().AtNs != 10*ms {
+		t.Fatalf("after [0, 10 ms): %d fired, clock %d ns, next at %d ns; want 1, 10 ms, 10 ms", sh.fired, sh.nowNs, sh.wheel.Min().AtNs)
+	}
+	sh.at(sh.nowNs, evPump, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an event before the clock was scheduled")
+			}
+		}()
+		sh.at(sh.nowNs-1, evPump, 0)
+	}()
+	sh.runBefore(20 * ms)
+	if sh.fired != 4 || sh.nowNs != 20*ms || sh.wheel.Len() != 0 {
+		t.Fatalf("after [10, 20 ms): %d fired, clock %d ns, %d pending; want 4, 20 ms, 0", sh.fired, sh.nowNs, sh.wheel.Len())
+	}
+	sh.runBefore(30 * ms)
+	sh.runBefore(25 * ms)
+	if sh.nowNs != 30*ms {
+		t.Fatalf("idle clock at %d ns, want 30 ms", sh.nowNs)
+	}
+}
+
+// TestCityRunAllocsPerFrame counts a run's heap allocations: in a
+// 1 000-node city over ten virtual minutes, in every strategy, serial and
+// at two shards, Run allocates at most once per ten frames sent. Slabs,
+// logs and the wheel grow by doubling and the window loop starts its
+// goroutines once, so the count is near zero; a per-event or per-frame
+// allocation puts it at one or more.
+func TestCityRunAllocsPerFrame(t *testing.T) {
+	for _, strategy := range []string{"proactive", "reactive", "icn", "slotted"} {
+		for _, shards := range []int{0, 2} {
+			s, err := New(Config{Nodes: 1000, Shards: shards, Seed: 1, Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := s.Run(10 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			frames := s.Stats().FramesSent
+			perFrame := float64(after.Mallocs-before.Mallocs) / float64(frames)
+			t.Logf("%s shards=%d: %d allocations over %d frames, %.4f a frame", strategy, shards, after.Mallocs-before.Mallocs, frames, perFrame)
+			if frames == 0 || perFrame > 0.1 {
+				t.Errorf("%s shards=%d: %.3f allocations a frame over %d frames, want at most 0.1", strategy, shards, perFrame, frames)
+			}
+		}
+	}
+}
+
+// modeFree returns st without the fields Stats names as depending on the
+// machine or the execution mode, and without the shard count.
+func modeFree(st Stats) Stats {
+	st.Shards, st.EventsFired, st.Wall, st.StateBytes, st.ShardBusy, st.BarrierWait = 0, 0, 0, 0, 0, 0
+	return st
+}
+
+// FuzzShardedMatchesSerial searches for a city whose sharded run departs
+// from the serial reference: 2 to 400 nodes, any seed and strategy,
+// shadowing from 0 to 12 dB, erasures or none, 1 to 4 shards, two to five
+// virtual minutes. The digest and every Stats field but the mode's own
+// must equal the serial run's.
+func FuzzShardedMatchesSerial(f *testing.F) {
+	strategies := []string{"proactive", "reactive", "icn", "slotted"}
+	f.Add(uint16(0), int64(1), uint8(0), uint16(0), false, uint8(0), uint8(0))
+	f.Add(uint16(238), int64(9), uint8(1), uint16(math.MaxUint16/4), true, uint8(1), uint8(3))
+	f.Add(uint16(398), int64(3), uint8(2), uint16(math.MaxUint16/3), false, uint8(3), uint8(1))
+	f.Add(uint16(150), int64(7), uint8(3), uint16(math.MaxUint16), true, uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, nodes uint16, seed int64, strategy uint8, sigma uint16, erasures bool, shards, minutes uint8) {
+		cfg := Config{
+			Nodes: 2 + int(nodes)%399, Seed: seed, Strategy: strategies[int(strategy)%len(strategies)],
+			ShadowSigmaDB: 12 * float64(sigma) / math.MaxUint16,
+		}
+		if erasures {
+			cfg.ExtraFrameLossRate = 0.02
+		}
+		d := time.Duration(2+int(minutes)%4) * time.Minute
+		serial, want := runOnce(t, cfg, d)
+		cfg.Shards = 1 + int(shards)%4
+		st, got := runOnce(t, cfg, d)
+		if got != want || modeFree(st) != modeFree(serial) {
+			t.Fatalf("%+v over %v: digest %016x, serial %016x\n stats  %+v\n serial %+v", cfg, d, got, want, modeFree(st), modeFree(serial))
+		}
+	})
+}
 
 // TestAwait pins the barrier's wait: with a budget that parks at once, one
 // that runs out before the second send, and one that outlasts it, both

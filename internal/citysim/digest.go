@@ -66,7 +66,7 @@ func (s *Sim) Digest() uint64 {
 		d.u64(uint64(ns.qLen[i]))
 		for k := 0; k < int(ns.qLen[i]); k++ {
 			at := (int(ns.qHead[i]) + k) % queueCap
-			p := sh.pkts[ns.qBuf[int(i)*queueCap+at]]
+			p := sh.pkts.items[ns.qBuf[int(i)*queueCap+at]]
 			node(p.origin)
 			d.i64(p.born)
 			d.u64(uint64(p.hops))

@@ -97,11 +97,12 @@ type nodeState struct {
 	pitBorn     []int64
 
 	// Link slabs (sharded modes): per-node ascending neighbor slots with
-	// precomputed symmetric link loss, rounded to float32 (within
-	// resolved.lossErr of linkLoss). nbrOff has n+1 entries.
+	// precomputed symmetric link loss as a 16-bit code (resolved.codeLoss
+	// decodes it within resolved.lossErr of linkLoss). nbrOff has n+1
+	// entries.
 	nbrOff  []int32
 	nbrSlot []int32
-	nbrLoss []float32
+	nbrLoss []uint16
 }
 
 const txHistLen = 4
@@ -255,7 +256,7 @@ func (s *Sim) linkLoss(a, b int32) float64 {
 // scratch list.
 type linkPair struct {
 	i, j int32
-	loss float32
+	loss float64
 }
 
 // buildLinks precomputes each node's radio-relevant neighbor list (slots
@@ -269,21 +270,29 @@ type linkPair struct {
 // are then counted into nbrOff and scattered into both endpoints' slabs;
 // since i ascends, each slab comes out ascending with no sort.
 //
-// The slabs hold each loss rounded to float32, and buildLinks sets lossErr
-// = M·2^-20, M the largest magnitude a slab decision combines: every
-// loss, maxLossRel (which bounds maxLossDel and eirp − floor), |eirp|,
-// |floor| and the capture threshold. The decisions (margins in radio.go)
-// then agree with float64 comparisons on linkLoss wherever the slab loss
-// settles them. Proof, with u = 2^-24·M so that lossErr = 16u: rounding
-// a loss to float32 moves it at most 2^-24·|loss| ≤ u. An RSSI, eirp −
+// The slabs hold each loss as a 16-bit code: q = round((loss −
+// lossLo)/lossStep) stands for lossLo + q·lossStep, where lossLo and
+// lossLo + 65535·lossStep are the least and the greatest loss listed
+// (lossStep is 0 when they are equal or no link is listed, and every code
+// 0). buildLinks sets lossErr = lossStep/2 + M·2^-20, M the largest
+// magnitude a slab decision combines: every loss, maxLossRel (which bounds
+// maxLossDel and eirp − floor), |eirp|, |floor| and the capture threshold.
+// The decisions (margins in radio.go) then agree with float64 comparisons
+// on linkLoss wherever the code settles them. Proof, with δ = lossStep/2
+// and u = 2^-24·M, so that lossErr = δ + 16u: the nearest integer to the
+// quotient stands for a loss within δ of the exact one, and the float64
+// roundings of encoding and decoding, four on operands below 4M, move it
+// at most 2^-49·M < u more (none when lossStep is 0). An RSSI, eirp −
 // loss, and a difference of two RSSIs each take float64 operations on
 // operands below 4M, each rounding at most 2^-53·4M < u/2^26; so a slab
-// RSSI lies within u + u/2^25 of the exact one, a difference within 2u +
-// u/2^24, and a threshold widened by ±lossErr or ±2·lossErr lands within
-// u/2^26 of its real value. A loss or RSSI at least lossErr past its
-// threshold, or a difference at least 2·lossErr past, is therefore past it
-// exactly too, with margin to spare (the factor 16 against at most 3).
-// Only inside those bands does a decision recompute linkLoss.
+// RSSI lies within δ + u + u/2^25 of the exact one, a difference within
+// 2δ + 2u + u/2^24, and a threshold widened by ±lossErr or ±2·lossErr
+// lands within u/2^26 of its real value. A loss or RSSI at least lossErr
+// past its threshold, or a difference at least 2·lossErr past, is
+// therefore past it exactly too, with margin to spare (16u against at most
+// 3u). Only inside those bands does a decision recompute linkLoss. One
+// bound serves the whole slab: a per-link one costs the evaluation more
+// than the recomputes it saves.
 func (s *Sim) buildLinks() {
 	n := int32(s.r.Nodes)
 	ns := &s.nodes
@@ -295,6 +304,7 @@ func (s *Sim) buildLinks() {
 	pairs := make([]linkPair, 0, int(min(est, float64(n)*float64(n-1)/2))+1)
 	ns.nbrOff = make([]int32, n+1)
 	mag := max(s.r.maxLossRel, math.Abs(s.r.eirpDBm), math.Abs(s.r.noiseDBm-10), math.Abs(s.r.captureThDB))
+	lossLo, lossHi := math.Inf(1), math.Inf(-1)
 	for i := int32(0); i < n; i++ {
 		col, row := s.grid.ColRow(int(ns.cell[i]))
 		r0, r1 := max(row-1, 0), min(row+1, s.grid.Rows()-1)
@@ -307,7 +317,8 @@ func (s *Sim) buildLinks() {
 				}
 				if loss := s.linkLoss(i, j); loss <= s.r.maxLossRel {
 					mag = max(mag, math.Abs(loss))
-					pairs = append(pairs, linkPair{i, j, float32(loss)})
+					lossLo, lossHi = min(lossLo, loss), max(lossHi, loss)
+					pairs = append(pairs, linkPair{i, j, loss})
 					ns.nbrOff[i+1]++
 					ns.nbrOff[j+1]++
 				}
@@ -318,15 +329,20 @@ func (s *Sim) buildLinks() {
 		ns.nbrOff[i+1] += ns.nbrOff[i]
 	}
 	ns.nbrSlot = make([]int32, ns.nbrOff[n])
-	ns.nbrLoss = make([]float32, ns.nbrOff[n])
-	s.r.lossErr = mag * 0x1p-20
+	ns.nbrLoss = make([]uint16, ns.nbrOff[n])
+	if len(pairs) == 0 {
+		lossLo, lossHi = 0, 0
+	}
+	s.r.lossLo, s.r.lossStep = lossLo, (lossHi-lossLo)/math.MaxUint16
+	s.r.lossErr = s.r.lossStep/2 + mag*0x1p-20
 	next := slices.Clone(ns.nbrOff[:n])
 	for _, p := range pairs {
+		q := s.r.lossCode(p.loss)
 		k := next[p.i]
-		ns.nbrSlot[k], ns.nbrLoss[k] = p.j, p.loss
+		ns.nbrSlot[k], ns.nbrLoss[k] = p.j, q
 		next[p.i]++
 		k = next[p.j]
-		ns.nbrSlot[k], ns.nbrLoss[k] = p.i, p.loss
+		ns.nbrSlot[k], ns.nbrLoss[k] = p.i, q
 		next[p.j]++
 	}
 }
@@ -335,7 +351,7 @@ func (s *Sim) buildLinks() {
 // sensitivity, linkLoss(node, peer) <= maxLossDel: by recomputation in the
 // serial full scan, from node's slab in sharded mode, where a pair not
 // listed is beyond radio relevance and a listed one recomputes linkLoss
-// only when its slab loss lies within lossErr of the threshold.
+// only when its code's loss lies within lossErr of the threshold.
 func (s *Sim) inDeliveryRange(node, peer int32) bool {
 	if s.fullScan {
 		return s.linkLoss(node, peer) <= s.r.maxLossDel
@@ -356,7 +372,7 @@ func (s *Sim) inDeliveryRange(node, peer int32) bool {
 		return false
 	}
 	m := s.r.margins()
-	switch m.delivers(s.nodes.nbrLoss[int(lo)+i]) {
+	switch m.delivers(s.r.codeLoss(s.nodes.nbrLoss[int(lo)+i])) {
 	case yes:
 		return true
 	case exact:
@@ -397,7 +413,7 @@ func (sh *shard) enqueue(i int32, pktIdx int32) {
 	ns := &sh.sim.nodes
 	if int(ns.qLen[i]) == queueCap {
 		head := ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]
-		sh.freePkt(head)
+		sh.pkts.take(head)
 		ns.qHead[i] = uint8((int(ns.qHead[i]) + 1) % queueCap)
 		ns.qLen[i]--
 		sh.stats.DropQueue++
@@ -426,10 +442,10 @@ func (s *Sim) scheduleInitialEvents(slotOf []int32) {
 	for id, i := range slotOf {
 		sh := s.shardOfNode(i)
 		helloAt := int64(s.hash(purposeHelloJit, uint64(id), 0, 1) % uint64(s.r.helloNs))
-		sh.at(helloAt, func() { sh.helloFire(i) })
+		sh.at(helloAt, evHello, i)
 		if !s.nodes.isSink[i] {
 			dataAt := s.r.dataNs/2 + int64(s.hash(purposeDataJit, uint64(id), 0, 1)%uint64(s.r.dataNs))
-			sh.at(dataAt, func() { sh.dataFire(i) })
+			sh.at(dataAt, evData, i)
 		}
 	}
 }
@@ -439,7 +455,7 @@ func (s *Sim) scheduleInitialEvents(slotOf []int32) {
 // period comes soon enough for routing).
 func (sh *shard) helloFire(i int32) {
 	s := sh.sim
-	now := sh.nowNs()
+	now := sh.nowNs
 	ns := &s.nodes
 	s.accrueDuty(i, now)
 	ns.helloSeq[i]++
@@ -456,7 +472,7 @@ func (sh *shard) helloFire(i int32) {
 		ns.cHelloTx[i]++
 	}
 	next := s.r.helloNs + s.jitter(purposeHelloJit, i, ns.helloSeq[i], s.r.helloNs)
-	sh.at(now+next, func() { sh.helloFire(i) })
+	sh.at(now+next, evHello, i)
 }
 
 // beaconClear is the gate every beacon-sized broadcast (hello, solicit)
@@ -472,18 +488,18 @@ func (sh *shard) beaconClear(i int32, nowNs int64) bool {
 // content instead (the reading flows sink-to-node, not node-to-sink).
 func (sh *shard) dataFire(i int32) {
 	s := sh.sim
-	now := sh.nowNs()
+	now := sh.nowNs
 	ns := &s.nodes
 	ns.dataSeq[i]++
 	sh.stats.Offered++
 	if s.r.strat == stratICN {
 		sh.expressInterest(i, now)
 	} else {
-		sh.enqueue(i, sh.allocPkt(pkt{origin: i, born: now, hops: 0}))
+		sh.enqueue(i, sh.pkts.put(pkt{origin: i, born: now, hops: 0}))
 		sh.pump(i)
 	}
 	next := s.r.dataNs + s.jitter(purposeDataJit, i, ns.dataSeq[i], s.r.dataNs)
-	sh.at(now+next, func() { sh.dataFire(i) })
+	sh.at(now+next, evData, i)
 }
 
 // pump tries to transmit the head of node i's queue, observing the radio,
@@ -492,7 +508,7 @@ func (sh *shard) dataFire(i int32) {
 func (sh *shard) pump(i int32) {
 	s := sh.sim
 	ns := &s.nodes
-	now := sh.nowNs()
+	now := sh.nowNs
 	if ns.txEnd[i] > now || ns.qLen[i] == 0 {
 		return // busy radio pumps again from txDone; empty queue has nothing to do
 	}
@@ -535,8 +551,7 @@ func (sh *shard) pump(i int32) {
 	if !ok {
 		return
 	}
-	p := sh.pkts[idx]
-	sh.freePkt(idx)
+	p := sh.pkts.take(idx)
 	ns.backoff[i] = 0
 	kind, dst := kindData, ns.next[i]
 	if s.r.strat == stratICN {
@@ -561,7 +576,7 @@ func (sh *shard) pump(i int32) {
 // peek returns the head of node i's queue without dequeuing (qLen > 0).
 func (sh *shard) peek(i int32) pkt {
 	ns := &sh.sim.nodes
-	return sh.pkts[ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]]
+	return sh.pkts.items[ns.qBuf[int(i)*queueCap+int(ns.qHead[i])]]
 }
 
 // armPump schedules a single pump retry after d; duplicate arms collapse.
@@ -571,10 +586,7 @@ func (sh *shard) armPump(i int32, dNs int64) {
 		return
 	}
 	ns.pumpArmed[i] = true
-	sh.at(sh.nowNs()+dNs, func() {
-		ns.pumpArmed[i] = false
-		sh.pump(i)
-	})
+	sh.at(sh.nowNs+dNs, evArmedPump, i)
 }
 
 // startTx puts a frame on the air: records radio state, spends duty
@@ -582,7 +594,7 @@ func (sh *shard) armPump(i int32, dNs int64) {
 func (sh *shard) startTx(i int32, tx txRec, airNs int64) {
 	s := sh.sim
 	ns := &s.nodes
-	now := sh.nowNs()
+	now := sh.nowNs
 	tx.sender = i
 	tx.startNs = now
 	tx.endNs = now + airNs
@@ -594,7 +606,7 @@ func (sh *shard) startTx(i int32, tx txRec, airNs int64) {
 	sh.stats.FramesSent++
 	sh.stats.AirtimeTotal += time.Duration(airNs)
 	sh.outbox = append(sh.outbox, tx)
-	sh.at(tx.endNs, func() { sh.pump(i) })
+	sh.at(tx.endNs, evPump, i)
 }
 
 // onHello applies a received beacon to node r's sink route.
@@ -604,7 +616,7 @@ func (sh *shard) onHello(r int32, tx *txRec) {
 	if ns.isSink[r] {
 		return
 	}
-	now := sh.nowNs()
+	now := sh.nowNs
 	if tx.hopSrc == noRoute {
 		// A routeless beacon from the current next hop poisons the route.
 		if ns.next[r] == tx.sender {
@@ -628,7 +640,7 @@ func (sh *shard) onHello(r int32, tx *txRec) {
 func (sh *shard) onData(r int32, tx *txRec) {
 	s := sh.sim
 	ns := &s.nodes
-	now := sh.nowNs()
+	now := sh.nowNs
 	if ns.isSink[r] {
 		sh.deliver(r, tx.origin, tx.born, now)
 		return
@@ -638,7 +650,7 @@ func (sh *shard) onData(r int32, tx *txRec) {
 		sh.stats.DropTTL++
 		return
 	}
-	sh.enqueue(r, sh.allocPkt(pkt{origin: tx.origin, born: tx.born, hops: nh}))
+	sh.enqueue(r, sh.pkts.put(pkt{origin: tx.origin, born: tx.born, hops: nh}))
 	sh.pump(r)
 }
 

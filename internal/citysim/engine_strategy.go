@@ -67,17 +67,14 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 	if tx.origin == r {
 		return // own flood echoed back
 	}
-	now := sh.nowNs()
+	now := sh.nowNs
 	ns.solicitAt[r] = now
 	if ns.isSink[r] || s.effHop(r, now) != noRoute {
 		// Routed: answer with a one-shot hello after a deterministic
 		// jitter so concurrent answerers desynchronize.
 		if !ns.replyArmed[r] {
 			ns.replyArmed[r] = true
-			sh.at(now+s.holdOff(purposeSolicitJit, r, tx.origin, tx.born), func() {
-				ns.replyArmed[r] = false
-				sh.helloOnce(r)
-			})
+			sh.at(now+s.holdOff(purposeSolicitJit, r, tx.origin, tx.born), evReply, r)
 		}
 		return
 	}
@@ -91,8 +88,8 @@ func (sh *shard) onSolicit(r int32, tx *txRec) {
 		sh.stats.DropTTL++
 		return
 	}
-	origin, born, hops := tx.origin, tx.born, tx.hops+1
-	sh.at(now+s.holdOff(purposeRelayJit, r, origin, born), func() { sh.solicitRelay(r, origin, born, hops) })
+	sh.at(now+s.holdOff(purposeRelayJit, r, tx.origin, tx.born), evRelay,
+		sh.txs.put(txRec{sender: r, origin: tx.origin, born: tx.born, hops: tx.hops + 1}))
 }
 
 // holdOff is node r's deterministic delay, in [1, relayJitNs], before it
@@ -104,7 +101,7 @@ func (s *Sim) holdOff(purpose uint64, r, origin int32, born int64) int64 {
 
 // solicitRelay re-broadcasts a solicit flood from a still-routeless node.
 func (sh *shard) solicitRelay(r, origin int32, born int64, hops uint8) {
-	now := sh.nowNs()
+	now := sh.nowNs
 	if sh.sim.effHop(r, now) != noRoute {
 		return // learned a route during the hold-off; beacons answer now
 	}
@@ -115,7 +112,7 @@ func (sh *shard) solicitRelay(r, origin int32, born int64, hops uint8) {
 // radio gates as the periodic helloFire.
 func (sh *shard) helloOnce(i int32) {
 	s := sh.sim
-	now := sh.nowNs()
+	now := sh.nowNs
 	s.accrueDuty(i, now)
 	if !sh.beaconClear(i, now) {
 		sh.stats.HelloSkips++
@@ -185,7 +182,7 @@ func (sh *shard) expressInterest(i int32, nowNs int64) {
 	ns.pitLen[i] = 0
 	ns.pitExpiry[i] = nowNs + s.r.pitTTLNs
 	s.pitAdd(i, i, i, nowNs)
-	sh.enqueue(i, sh.allocPkt(pkt{kind: kindInterest, dst: -1, origin: i, born: nowNs, hops: 0}))
+	sh.enqueue(i, sh.pkts.put(pkt{kind: kindInterest, dst: -1, origin: i, born: nowNs, hops: 0}))
 	sh.pump(i)
 }
 
@@ -201,7 +198,7 @@ func (sh *shard) onInterest(r int32, tx *txRec) {
 		return
 	}
 	ns.intSeenFrom[r], ns.intSeenBorn[r] = tx.origin, tx.born
-	now := sh.nowNs()
+	now := sh.nowNs
 
 	if ns.isSink[r] || s.csValid(r, now) {
 		// Producer (sinks hold the content) or cache: answer along the
@@ -242,8 +239,8 @@ func (sh *shard) onInterest(r int32, tx *txRec) {
 // queueHeldOff queues p at node r and pumps r after its hold-off for p's
 // flood.
 func (sh *shard) queueHeldOff(r int32, p pkt) {
-	sh.enqueue(r, sh.allocPkt(p))
-	sh.at(sh.nowNs()+sh.sim.holdOff(purposeRelayJit, r, p.origin, p.born), func() { sh.pump(r) })
+	sh.enqueue(r, sh.pkts.put(p))
+	sh.at(sh.nowNs+sh.sim.holdOff(purposeRelayJit, r, p.origin, p.born), evPump, r)
 }
 
 // onNamedData handles content addressed to node r: cache it, deliver to
@@ -251,7 +248,7 @@ func (sh *shard) queueHeldOff(r int32, p pkt) {
 func (sh *shard) onNamedData(r int32, tx *txRec) {
 	s := sh.sim
 	ns := &s.nodes
-	now := sh.nowNs()
+	now := sh.nowNs
 	ns.csAt[r] = now
 	ns.csHops[r] = uint16(tx.hops) + 1
 
@@ -267,7 +264,7 @@ func (sh *shard) onNamedData(r int32, tx *txRec) {
 			sh.deliver(r, origin, born, now)
 			continue
 		}
-		sh.enqueue(r, sh.allocPkt(pkt{
+		sh.enqueue(r, sh.pkts.put(pkt{
 			kind: kindNamedData, dst: down,
 			origin: origin, born: born, hops: tx.hops + 1,
 		}))

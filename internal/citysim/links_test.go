@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/loraphy"
@@ -79,13 +80,21 @@ func refBuildLinks(s *Sim) (nbrOff, nbrSlot []int32, nbrLoss []float64) {
 }
 
 // linksMatchReference fails t unless s's link slabs are refBuildLinks',
-// offsets and slots equal and each loss the reference's rounded to float32,
-// and unless inDeliveryRange decides every listed pair as the reference
-// loss compared with maxLossDel does.
+// offsets and slots equal, the codes' scale spans the least to the
+// greatest reference loss and each code is the one the reference's loss
+// quantizes to, and unless inDeliveryRange decides every listed pair as
+// the reference loss compared with maxLossDel does.
 func linksMatchReference(t testing.TB, s *Sim) {
 	t.Helper()
 	off, slot, loss := refBuildLinks(s)
 	ns := &s.nodes
+	lossLo, lossHi := 0.0, 0.0
+	if len(loss) > 0 {
+		lossLo, lossHi = slices.Min(loss), slices.Max(loss)
+	}
+	if s.r.lossLo != lossLo || s.r.lossStep != (lossHi-lossLo)/math.MaxUint16 {
+		t.Fatalf("%+v: codes from %v dB in steps of %v, block scan spans %v to %v dB", s.r.Config, s.r.lossLo, s.r.lossStep, lossLo, lossHi)
+	}
 	for i := range off[:len(off)-1] {
 		got, want := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]], slot[off[i]:off[i+1]]
 		if ns.nbrOff[i] != off[i] || !slices.Equal(got, want) {
@@ -93,8 +102,8 @@ func linksMatchReference(t testing.TB, s *Sim) {
 		}
 		for k, j := range want {
 			a, b := ns.nbrLoss[int(off[i])+k], loss[int(off[i])+k]
-			if math.Float32bits(a) != math.Float32bits(float32(b)) {
-				t.Fatalf("%+v: link (%d, %d) loss %v, block scan %v", s.r.Config, i, j, a, b)
+			if want := s.r.lossCode(b); a != want {
+				t.Fatalf("%+v: link (%d, %d) code %d, block scan's loss %v codes as %d", s.r.Config, i, j, a, b, want)
 			}
 			if got, want := s.inDeliveryRange(int32(i), j), b <= s.r.maxLossDel; got != want {
 				t.Fatalf("%+v: link (%d, %d) at %v dB: in delivery range %v, block scan %v", s.r.Config, i, j, b, got, want)
@@ -167,9 +176,55 @@ func TestLinksMatchBlockScan(t *testing.T) {
 	}
 }
 
+// TestOneAndNoLinkCities builds the two cities whose least and greatest
+// link loss coincide: two nodes in reach, one link listed both ways, every
+// code 0 and standing for the loss exactly; and the same two moved out of
+// reach, no link at all. Each must build as the block scan does and run
+// to the serial reference's digest.
+func TestOneAndNoLinkCities(t *testing.T) {
+	for _, apart := range []bool{false, true} {
+		build := func(shards int) *Sim {
+			s, err := New(Config{Nodes: 2, Shards: shards, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if apart {
+				s.nodes.x[1] = s.nodes.x[0] + 1e7 // its cell stays as placed
+				if shards > 0 {
+					s.buildLinks()
+				}
+			}
+			return s
+		}
+		serial, s := build(0), build(1)
+		linksMatchReference(t, s)
+		ns := &s.nodes
+		want := 2
+		if apart {
+			want = 0
+		}
+		if len(ns.nbrSlot) != want || s.r.lossStep != 0 {
+			t.Fatalf("apart %v: %d links in steps of %v dB, want %d in steps of 0", apart, len(ns.nbrSlot), s.r.lossStep, want)
+		}
+		for _, q := range ns.nbrLoss {
+			if loss := s.linkLoss(0, 1); q != 0 || s.r.codeLoss(q) != loss || !s.inDeliveryRange(0, 1) {
+				t.Fatalf("code %d stands for %v dB, the link's loss is %v dB, in delivery range %v", q, s.r.codeLoss(q), loss, s.inDeliveryRange(0, 1))
+			}
+		}
+		for _, sim := range []*Sim{serial, s} {
+			if err := sim.Run(5 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); s.Digest() != serial.Digest() || apart != (st.Delivered == 0) {
+			t.Fatalf("apart %v: digest %016x, serial %016x; %d delivered", apart, s.Digest(), serial.Digest(), st.Delivered)
+		}
+	}
+}
+
 // TestLinkSlabBytes fences the link slabs' footprint on the bench's city:
-// a directed link costs at most 8 B, its neighbour slot and its loss, and
-// nbrOff one int32 a node besides.
+// a directed link costs at most 6 B, its neighbour slot and its loss code,
+// and nbrOff one int32 a node besides.
 func TestLinkSlabBytes(t *testing.T) {
 	s, err := New(Config{Nodes: 10000, Shards: 2, Seed: 1})
 	if err != nil {
@@ -181,9 +236,9 @@ func TestLinkSlabBytes(t *testing.T) {
 		uint64(cap(ns.nbrLoss))*uint64(unsafe.Sizeof(ns.nbrLoss[0]))
 	off := uint64(cap(ns.nbrOff)) * uint64(unsafe.Sizeof(ns.nbrOff[0]))
 	t.Logf("%d directed links in %d B, nbrOff %d B", links, got, off)
-	if links == 0 || got > 8*links || off > 4*uint64(s.r.Nodes+1) {
+	if links == 0 || got > 6*links || off > 4*uint64(s.r.Nodes+1) {
 		t.Errorf("%d directed links cost %d B (want at most %d) and nbrOff %d B (want at most %d)",
-			links, got, 8*links, off, 4*(s.r.Nodes+1))
+			links, got, 6*links, off, 4*(s.r.Nodes+1))
 	}
 }
 

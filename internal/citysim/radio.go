@@ -14,6 +14,8 @@
 
 package citysim
 
+import "math"
+
 // evaluateTx hands tx to every receiver this shard owns that hears it.
 // Fired at tx.endNs + W, when every transmission that can overlap tx has
 // crossed a barrier — the interferer set is exact.
@@ -66,11 +68,11 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	sh.cands = sh.cands[:0]
 	inRange := 0
 	lo, hi := ns.nbrOff[tx.sender], ns.nbrOff[tx.sender+1]
-	slots, losses := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
-	slots = slots[:len(losses)]
-	for k, l := range losses {
-		r, loss := slots[k], float64(l)
-		switch m.delivers(l) {
+	slots, codes := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
+	slots = slots[:len(codes)]
+	for k, q := range codes {
+		r, loss := slots[k], s.r.codeLoss(q)
+		switch m.delivers(loss) {
 		case no:
 			continue
 		case exact:
@@ -105,9 +107,9 @@ type candidate struct {
 	rssi     float64 // the frame's, at r, within lossErr
 }
 
-// A verdict is what a link's float32 slab loss settles about a comparison
-// the float64 code makes on linkLoss: no, yes, or exact, when the slab
-// value lies too near the threshold and only linkLoss can decide.
+// A verdict is what a link's code settles about a comparison the float64
+// code makes on linkLoss: no, yes, or exact, when the code's loss lies too
+// near the threshold and only linkLoss can decide.
 type verdict uint8
 
 const (
@@ -134,20 +136,32 @@ func (r *resolved) margins() margins {
 	}
 }
 
-// delivers decides linkLoss <= maxLossDel from the link's slab loss: for
-// hear's receivers and carrier sense alike.
-func (m *margins) delivers(loss float32) verdict {
-	switch l := float64(loss); {
-	case l > m.delHi:
+// lossCode returns the code of a loss between the least and the greatest
+// a slab lists.
+func (r *resolved) lossCode(loss float64) uint16 {
+	if r.lossStep == 0 {
+		return 0
+	}
+	return uint16(math.Round((loss - r.lossLo) / r.lossStep))
+}
+
+// codeLoss returns the loss a code stands for.
+func (r *resolved) codeLoss(q uint16) float64 { return r.lossLo + float64(q)*r.lossStep }
+
+// delivers decides linkLoss <= maxLossDel from the loss a link's code
+// stands for: for hear's receivers and carrier sense alike.
+func (m *margins) delivers(loss float64) verdict {
+	switch {
+	case loss > m.delHi:
 		return no
-	case l <= m.delLo:
+	case loss <= m.delLo:
 		return yes
 	}
 	return exact
 }
 
 // captures decides resolved.captured from a candidate's rssi and an
-// interferer's irssi, both taken from slab losses.
+// interferer's irssi, both taken from codes.
 func (m *margins) captures(rssi, irssi float64) verdict {
 	switch d := rssi - irssi; {
 	case irssi < m.floorLo || d >= m.thHi:
@@ -190,18 +204,18 @@ func (sh *shard) capture(m *margins, scell int32, tx *txRec) {
 // i's slab, finding the candidate of each listed node in the stripe
 // through candOf. Slabs are symmetric and never list their own node, so a
 // hit is exactly the pair (r, i), and a receiver's own transmission never
-// captures it. A test the slab losses leave open is decided on the exact
+// captures it. A test the codes leave open is decided on the exact
 // losses of both links, sender's and i's.
 func (sh *shard) markCaptured(m *margins, i, sender int32) {
 	s := sh.sim
 	lo, hi := s.nodes.nbrOff[i], s.nodes.nbrOff[i+1]
-	nbrs, loss := s.nodes.nbrSlot[lo:hi], s.nodes.nbrLoss[lo:hi]
+	nbrs, codes := s.nodes.nbrSlot[lo:hi], s.nodes.nbrLoss[lo:hi]
 	// Locals, so the stores below cannot make the loop reload them.
 	first, candOf, cands, eirp := sh.lo, sh.candOf, sh.cands, s.r.eirpDBm
 	for k, n := range nbrs {
 		if at := uint(n - first); at < uint(len(candOf)) && candOf[at] >= 0 {
 			c := &cands[candOf[at]]
-			switch m.captures(c.rssi, eirp-float64(loss[k])) {
+			switch m.captures(c.rssi, eirp-s.r.codeLoss(codes[k])) {
 			case yes:
 				c.captured = true
 			case exact:

@@ -183,13 +183,15 @@ func FuzzHearMatchesReference(f *testing.F) {
 
 // TestSlabDecisionsMatchFloat64 holds the slab decision helpers to the
 // float64 comparisons they stand for, on exact losses drawn within a few
-// float32 ulps of every threshold and band edge: delivers (hear's receivers
-// and carrier sense) to loss <= maxLossDel, and captures to the capture
-// test on a receiver's and an interferer's loss, the receiver's rssi taken
-// from its slab loss or from the exact one. A helper may answer exact, so
-// that linkLoss decides; any other answer must be the float64 one. The
-// bounds are buildLinks' own, on a plain and a heavily shadowed city; each
-// verdict must occur, so the draws reach both sides of every band.
+// quantization steps of every threshold and band edge: delivers (hear's
+// receivers and carrier sense) to loss <= maxLossDel, and captures to the
+// capture test on a receiver's and an interferer's loss, the receiver's
+// rssi taken from its code or from the exact loss. A helper may answer
+// exact, so that linkLoss decides; any other answer must be the float64
+// one. The codes' scale and the bounds are buildLinks' own, on a plain and
+// a heavily shadowed city, and a draw no listed loss can take (beyond the
+// least or the greatest) is skipped; each verdict must occur, so the draws
+// reach both sides of every band.
 func TestSlabDecisionsMatchFloat64(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, sigma := range []float64{0, 12} {
@@ -198,41 +200,43 @@ func TestSlabDecisionsMatchFloat64(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := &s.r
-		m, e, floor := r.margins(), r.lossErr, r.noiseDBm-10
-		if e <= 0 {
-			t.Fatalf("sigma %v: lossErr %v", sigma, e)
+		m, e, floor, step := r.margins(), r.lossErr, r.noiseDBm-10, r.lossStep
+		if e <= step/2 || step <= 0 {
+			t.Fatalf("sigma %v: lossErr %v for a step of %v", sigma, e, step)
 		}
-		// near draws a float64 within 40 float32 ulps and 4 float64 ulps
-		// of x.
+		// near draws a float64 within 4 steps and 4 float64 ulps of x.
 		near := func(x float64) float64 {
-			ulp32 := float64(math.Nextafter32(float32(x), float32(math.Inf(1))) - float32(x))
 			ulp64 := math.Nextafter(x, math.Inf(1)) - x
-			return x + float64(rng.Intn(81)-40)*ulp32 + float64(rng.Intn(9)-4)*ulp64
+			return x + (8*rng.Float64()-4)*step + float64(rng.Intn(9)-4)*ulp64
 		}
-		slab := func(loss float64) float64 { return float64(float32(loss)) }
+		listable := func(loss float64) bool { return loss >= r.lossLo && loss <= r.lossLo+math.MaxUint16*step }
+		slab := func(loss float64) float64 { return r.codeLoss(r.lossCode(loss)) }
 		var seen [2][3]int
 		for i := 0; i < 200000; i++ {
 			del := r.maxLossDel + []float64{0, -e, e}[rng.Intn(3)]
-			l := near(del)
-			v := m.delivers(float32(l))
-			seen[0][v]++
-			if v != exact && (v == yes) != (l <= r.maxLossDel) {
-				t.Fatalf("sigma %v: delivers(%v) = %v, exact loss %v against %v", sigma, float32(l), v, l, r.maxLossDel)
+			if l := near(del); listable(l) {
+				v := m.delivers(slab(l))
+				seen[0][v]++
+				if v != exact && (v == yes) != (l <= r.maxLossDel) {
+					t.Fatalf("sigma %v: delivers(%v) = %v, exact loss %v against %v", sigma, slab(l), v, l, r.maxLossDel)
+				}
 			}
 
 			// An interferer near the floor or well above it, and a
 			// receiver whose margin over it is near the capture threshold.
-			li := r.eirpDBm - floor + []float64{0, -e, e, -20}[rng.Intn(4)]
-			li = near(li)
+			li := near(r.eirpDBm - floor + []float64{0, -e, e, -20}[rng.Intn(4)])
 			lc := near(li - r.captureThDB + []float64{0, -2 * e, 2 * e}[rng.Intn(3)])
+			if !listable(li) || !listable(lc) {
+				continue
+			}
 			rssi, irssi := r.eirpDBm-lc, r.eirpDBm-li
 			want := irssi >= floor && rssi-irssi < r.captureThDB
 			for _, c := range []float64{r.eirpDBm - slab(lc), rssi} {
 				v := m.captures(c, r.eirpDBm-slab(li))
 				seen[1][v]++
 				if v != exact && (v == yes) != want {
-					t.Fatalf("sigma %v: captures = %v on losses %v, %v (slab %v, %v); float64 says %v",
-						sigma, v, lc, li, float32(lc), float32(li), want)
+					t.Fatalf("sigma %v: captures = %v on losses %v, %v (codes %d, %d); float64 says %v",
+						sigma, v, lc, li, r.lossCode(lc), r.lossCode(li), want)
 				}
 			}
 		}
@@ -241,7 +245,7 @@ func TestSlabDecisionsMatchFloat64(t *testing.T) {
 				t.Errorf("sigma %v: %s answered no/yes/exact %v times: a draw misses a band", sigma, helper, seen[k])
 			}
 		}
-		t.Logf("sigma %v: lossErr %.3g dB; delivers no/yes/exact %v, captures %v", sigma, e, seen[0], seen[1])
+		t.Logf("sigma %v: step %.3g dB, lossErr %.3g dB; delivers no/yes/exact %v, captures %v", sigma, step, e, seen[0], seen[1])
 	}
 }
 

@@ -42,6 +42,49 @@ type txRec struct {
 	hops    uint8 // data: hops taken so far
 }
 
+// Event kinds on a shard wheel. x names a node's slot, except under
+// evaluate and relay, where it indexes the shard's txs slab.
+const (
+	evHello     uint8 = iota // helloFire(x)
+	evData                   // dataFire(x)
+	evPump                   // pump(x): a frame's end, a held-off queue
+	evArmedPump              // clear pumpArmed[x], then pump(x)
+	evEvaluate               // evaluateTx(txs[x])
+	evReply                  // clear replyArmed[x], then helloOnce(x)
+	evRelay                  // solicitRelay(txs[x]): its sender relays its flood
+)
+
+// event is one pending wheel event: a kind and its operand, no closure.
+// Its instant and schedule order live in the queue item, 24 B in all.
+type event struct {
+	x    int32
+	kind uint8
+}
+
+// slab stores values of T at stable indexes, reusing freed ones.
+type slab[T any] struct {
+	items []T
+	free  []int32
+}
+
+// put stores v and returns its index.
+func (sl *slab[T]) put(v T) int32 {
+	if n := len(sl.free); n > 0 {
+		i := sl.free[n-1]
+		sl.free = sl.free[:n-1]
+		sl.items[i] = v
+		return i
+	}
+	sl.items = append(sl.items, v)
+	return int32(len(sl.items) - 1)
+}
+
+// take returns the value at i and frees i.
+func (sl *slab[T]) take(i int32) T {
+	sl.free = append(sl.free, i)
+	return sl.items[i]
+}
+
 // airRec is the on-air footprint of a transmission kept in cell tx-indexes
 // for interference and carrier-sense scans.
 type airRec struct {
@@ -80,7 +123,14 @@ type shard struct {
 	id     int32
 	c0, c1 int
 	lo, hi int32
-	wheel  *simtime.Scheduler
+	// wheel holds the pending events; nowNs is its clock and fired counts
+	// the events it has run.
+	wheel simtime.Queue[event]
+	nowNs int64
+	fired uint64
+	// txs holds the operands of evEvaluate and evRelay: the frames
+	// pending evaluation and the solicit relays pending their hold-off.
+	txs slab[txRec]
 
 	// outbox collects this shard's transmissions during phase A; drained
 	// and merged by the barrier.
@@ -101,9 +151,8 @@ type shard struct {
 	// other stripes, whose shards fill their own indexes at the same time.
 	candOf []int32
 
-	// pkts is the queued-packet slab with a freelist.
-	pkts     []pkt
-	freePkts []int32
+	// pkts holds the queued packets.
+	pkts slab[pkt]
 
 	deliveries []deliveryRec
 	// stats holds the outcome counters this shard counts; Sim.Stats sums
@@ -119,13 +168,7 @@ type shard struct {
 
 // newShard creates shard id, whose stripe starts at column c0 and slot lo.
 func newShard(s *Sim, id int32, c0 int, lo int32) *shard {
-	sh := &shard{
-		sim:   s,
-		id:    id,
-		c0:    c0,
-		lo:    lo,
-		wheel: simtime.NewScheduler(time.Unix(0, 0).UTC()),
-	}
+	sh := &shard{sim: s, id: id, c0: c0, lo: lo}
 	if !s.fullScan {
 		sh.cellTx = make([][]airRec, s.grid.NumCells())
 	}
@@ -135,30 +178,50 @@ func newShard(s *Sim, id int32, c0 int, lo int32) *shard {
 // owns reports whether the node in slot i is in the shard's stripe.
 func (sh *shard) owns(i int32) bool { return sh.lo <= i && i < sh.hi }
 
-// nowNs returns the shard wheel's clock.
-func (sh *shard) nowNs() int64 { return sh.wheel.Now().UnixNano() }
+// at schedules the event (kind, x) on the shard wheel at ns. Scheduling in
+// the past is a programming bug (the window proofs exclude it), so it
+// panics.
+func (sh *shard) at(ns int64, kind uint8, x int32) {
+	if ns < sh.nowNs {
+		panic(fmt.Sprintf("citysim: shard %d: event at %d ns is before now, %d ns", sh.id, ns, sh.nowNs))
+	}
+	sh.wheel.Push(ns, event{x: x, kind: kind})
+}
 
-// at schedules fn on the shard wheel. Scheduling in the past is a
-// programming bug (the window proofs exclude it), so it panics.
-func (sh *shard) at(ns int64, fn func()) {
-	if _, err := sh.wheel.At(time.Unix(0, ns).UTC(), fn); err != nil {
-		panic(fmt.Sprintf("citysim: shard %d: %v", sh.id, err))
+// runBefore fires the wheel's events scheduled before endNs, in (instant,
+// schedule) order, then advances the clock to endNs: an event at endNs
+// belongs to the next window, after the barrier, and integration may
+// schedule at endNs without scheduling in the past.
+func (sh *shard) runBefore(endNs int64) {
+	for e, ok := sh.wheel.PopBefore(endNs, &sh.nowNs); ok; e, ok = sh.wheel.PopBefore(endNs, &sh.nowNs) {
+		sh.fired++
+		sh.fire(e.Val)
 	}
 }
 
-// allocPkt stores a packet in the slab and returns its index.
-func (sh *shard) allocPkt(p pkt) int32 {
-	if n := len(sh.freePkts); n > 0 {
-		idx := sh.freePkts[n-1]
-		sh.freePkts = sh.freePkts[:n-1]
-		sh.pkts[idx] = p
-		return idx
+// fire runs one wheel event.
+func (sh *shard) fire(ev event) {
+	ns, i := &sh.sim.nodes, ev.x
+	switch ev.kind {
+	case evHello:
+		sh.helloFire(i)
+	case evData:
+		sh.dataFire(i)
+	case evArmedPump:
+		ns.pumpArmed[i] = false
+		sh.pump(i)
+	case evPump:
+		sh.pump(i)
+	case evEvaluate:
+		sh.evaluateTx(sh.txs.take(i))
+	case evReply:
+		ns.replyArmed[i] = false
+		sh.helloOnce(i)
+	case evRelay:
+		tx := sh.txs.take(i)
+		sh.solicitRelay(tx.sender, tx.origin, tx.born, tx.hops)
 	}
-	sh.pkts = append(sh.pkts, p)
-	return int32(len(sh.pkts) - 1)
 }
-
-func (sh *shard) freePkt(idx int32) { sh.freePkts = append(sh.freePkts, idx) }
 
 // runWindows drives the lockstep window loop until the virtual clock
 // passes endNs (rounded up to whole windows) or no events remain. The
@@ -230,8 +293,8 @@ func (s *Sim) runWindows(endNs int64) {
 		var minNext int64
 		any := false
 		for _, sh := range s.shards {
-			if at, ok := sh.wheel.NextAt(); ok {
-				if ns := at.UnixNano(); !any || ns < minNext {
+			if sh.wheel.Len() > 0 {
+				if ns := sh.wheel.Min().AtNs; !any || ns < minNext {
 					minNext, any = ns, true
 				}
 			}
@@ -288,7 +351,7 @@ func (sh *shard) exec(cmd shardCmd) {
 		sh.integrate(cmd.winStartNs)
 	}
 	sh.winStartNs = cmd.winStartNs
-	sh.wheel.RunBefore(time.Unix(0, cmd.winEndNs).UTC())
+	sh.runBefore(cmd.winEndNs)
 	sh.busy += time.Since(t)
 }
 
@@ -326,18 +389,18 @@ func (sh *shard) integrate(winEndNs int64) {
 	s := sh.sim
 	winNs := s.r.winNs
 	for idx := range s.winTxs {
-		tx := s.winTxs[idx] // copy: winTxs is reused next window
+		tx := &s.winTxs[idx]
 		scell := s.nodes.cell[tx.sender]
 		if s.fullScan {
 			sh.flightAll = append(sh.flightAll, airRec{tx.startNs, tx.endNs, tx.sender})
-			sh.at(tx.endNs+winNs, func() { sh.evaluateTx(tx) })
+			sh.at(tx.endNs+winNs, evEvaluate, sh.txs.put(*tx))
 			continue
 		}
 		// A sender in the stripe or its halo: the shard indexes its cell,
 		// and its 3x3 neighborhood reaches receivers in the stripe.
 		if scol, _ := s.grid.ColRow(int(scell)); scol >= sh.c0-1 && scol <= sh.c1+1 {
 			sh.cellTx[scell] = append(sh.cellTx[scell], airRec{tx.startNs, tx.endNs, tx.sender})
-			sh.at(tx.endNs+winNs, func() { sh.evaluateTx(tx) })
+			sh.at(tx.endNs+winNs, evEvaluate, sh.txs.put(*tx))
 		}
 	}
 	sh.integrated++

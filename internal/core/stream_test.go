@@ -396,8 +396,8 @@ func TestSyncFloodIsBounded(t *testing.T) {
 		t.Fatalf("stream.sync_refused = %d, want the %d SYNCs not opened", refused, want)
 	}
 	refuse := syncFrame(sources+3, 0)
-	if a := testing.AllocsPerRun(10, func() { n.HandleFrame(refuse, RxInfo{}) }); a != 0 {
-		t.Errorf("a refused SYNC allocates %.0f times, want none", a)
+	if a := mallocs(10, func() { n.HandleFrame(refuse, RxInfo{}) }); a != 0 {
+		t.Errorf("10 refused SYNCs allocated %d times, want none", a)
 	}
 	b.run(time.Hour) // every open stream expires
 	if n.inOpenAll != 0 || len(n.inOpen) != 0 {

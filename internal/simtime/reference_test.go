@@ -193,26 +193,6 @@ func (s *refScheduler) RunUntil(deadline time.Time) {
 	}
 }
 
-// RunBefore executes events in order while they are scheduled strictly
-// before t, then advances the clock to t. It is the windowed-execution
-// primitive for the sharded simulator: a window [a, b) is processed with
-// RunBefore(b), so an event landing exactly on the boundary belongs to the
-// next window — after the barrier at b — never to this one. Leaving the
-// clock at t lets barrier-time integration schedule events at >= t without
-// tripping the schedule-in-the-past guard.
-func (s *refScheduler) RunBefore(t time.Time) {
-	for {
-		next, ok := s.peek()
-		if !ok || !next.at.Before(t) {
-			break
-		}
-		s.Step()
-	}
-	if s.now.Before(t) {
-		s.now = t
-	}
-}
-
 // peek returns the earliest pending event without executing it.
 func (s *refScheduler) peek() (*refEvent, bool) {
 	for s.queue.Len() > 0 {
@@ -226,15 +206,6 @@ func (s *refScheduler) peek() (*refEvent, bool) {
 	return nil, false
 }
 
-// NextAt returns the time of the earliest pending event.
-func (s *refScheduler) NextAt() (time.Time, bool) {
-	ev, ok := s.peek()
-	if !ok {
-		return time.Time{}, false
-	}
-	return ev.at, true
-}
-
 // wheel is the surface both schedulers share, generic in the handle type.
 type wheel[H comparable] interface {
 	Now() time.Time
@@ -242,9 +213,7 @@ type wheel[H comparable] interface {
 	At(time.Time, func()) (H, error)
 	Cancel(H) bool
 	Step() bool
-	RunBefore(time.Time)
 	RunUntil(time.Time)
-	NextAt() (time.Time, bool)
 }
 
 var (
@@ -298,14 +267,11 @@ func driveWheel[H comparable](w wheel[H], seed int64, ops int) []string {
 		case op < 6:
 			log = append(log, fmt.Sprintf("cancel %v", w.Cancel(pick())))
 		case op == 6:
-			log = append(log, fmt.Sprintf("step %v", w.Step()))
+			w.RunUntil(w.Now()) // only what is due at the current instant
 		case op == 7:
-			w.RunBefore(w.Now().Add(delay()))
-		case op == 8:
 			w.RunUntil(w.Now().Add(delay()))
 		default:
-			at, ok := w.NextAt()
-			log = append(log, fmt.Sprintf("next %v %v", at, ok))
+			log = append(log, fmt.Sprintf("step %v", w.Step()))
 		}
 		log = append(log, fmt.Sprintf("now %v fired %d", w.Now(), w.Fired()))
 	}
@@ -319,7 +285,7 @@ var zonedEpoch = testEpoch.In(time.FixedZone("UTC+05:30", 5*3600+30*60))
 // TestSchedulerMatchesReference holds the slab scheduler to the
 // container/heap one it replaced: the same random op sequences must fire
 // the same events in the same order and report the same clock (instant
-// and location), Fired, NextAt and Cancel results.
+// and location), Fired and Cancel results.
 func TestSchedulerMatchesReference(t *testing.T) {
 	for _, epoch := range []time.Time{testEpoch, zonedEpoch} {
 		for seed := int64(1); seed <= 200; seed++ {

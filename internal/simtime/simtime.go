@@ -24,20 +24,12 @@ type Handle struct {
 
 // event is a scheduled callback in the scheduler's slab. seq is the live
 // event's schedule number and 0 once it fired or was cancelled. A slot
-// returns to the freelist only when its heap entry leaves the heap, never
-// at Cancel time, because the entry still names the slot until Step or
-// NextAt discards it. The instant lives only in the entry's atNs.
+// returns to the freelist only when its queue item leaves the queue, never
+// at Cancel time, because the item still names the slot until Step or a
+// run discards it. The instant lives only in the item's AtNs.
 type event struct {
 	fn  func()
 	seq uint64
-}
-
-// entry is one heap element: the event's ordering key and its slot. An
-// entry whose seq differs from its slot's is a cancelled event.
-type entry struct {
-	atNs int64  // the instant as UnixNano, the one record of it
-	seq  uint64 // tie-breaker: schedule order
-	slot int32
 }
 
 // The instants UnixNano can name, as Unix seconds and nanoseconds: from
@@ -61,19 +53,14 @@ func unixNanos(t time.Time) (int64, bool) {
 	return t.UnixNano(), true
 }
 
-func (a entry) before(b entry) bool {
-	return a.atNs < b.atNs || (a.atNs == b.atNs && a.seq < b.seq)
-}
-
 // Scheduler is a deterministic discrete-event scheduler. It is not safe for
 // concurrent use; the simulation drives it from a single goroutine.
 type Scheduler struct {
-	now     time.Time
-	heap    []entry // binary min-heap ordered by (atNs, seq)
-	events  []event
-	free    []int32 // slots whose entries have left the heap
-	nextSeq uint64
-	fired   uint64
+	now    time.Time
+	queue  Queue[int32] // event slots by (instant, schedule order)
+	events []event
+	free   []int32 // slots whose items have left the queue
+	fired  uint64
 }
 
 // NewScheduler returns a scheduler whose clock starts at start.
@@ -87,7 +74,7 @@ func (s *Scheduler) Now() time.Time { return s.now }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// instant is the time an entry at atNs fires, in the clock's location.
+// instant is the time an item at atNs fires, in the clock's location.
 func (s *Scheduler) instant(atNs int64) time.Time {
 	return time.Unix(0, atNs).In(s.now.Location())
 }
@@ -107,16 +94,15 @@ func (s *Scheduler) At(at time.Time, fn func()) (Handle, error) {
 	if !ok {
 		return Handle{}, fmt.Errorf("simtime: schedule at %v is outside UnixNano's range", at)
 	}
-	s.nextSeq++
 	slot := int32(len(s.events))
 	if n := len(s.free); n > 0 {
 		slot, s.free = s.free[n-1], s.free[:n-1]
 	} else {
 		s.events = append(s.events, event{})
 	}
-	s.events[slot] = event{fn: fn, seq: s.nextSeq}
-	s.push(entry{atNs: atNs, seq: s.nextSeq, slot: slot})
-	return Handle{slot: slot, seq: s.nextSeq}, nil
+	seq := s.queue.Push(atNs, slot)
+	s.events[slot] = event{fn: fn, seq: seq}
+	return Handle{slot: slot, seq: seq}, nil
 }
 
 // After schedules fn to run d after the current virtual time. A negative
@@ -154,17 +140,17 @@ func (s *Scheduler) Cancel(h Handle) bool {
 // Step executes the next pending event, advancing the clock to its
 // scheduled time. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for len(s.heap) > 0 {
-		e := s.pop()
-		ev := &s.events[e.slot]
-		// Recycle before firing: the entry is out of the heap, so the
+	for s.queue.Len() > 0 {
+		e := s.queue.Pop()
+		ev := &s.events[e.Val]
+		// Recycle before firing: the item is out of the queue, so the
 		// callback can schedule freely, even into this slot.
-		s.free = append(s.free, e.slot)
-		if ev.seq != e.seq {
+		s.free = append(s.free, e.Val)
+		if ev.seq != e.Seq {
 			continue // cancelled
 		}
 		fn := ev.fn
-		s.now = s.instant(e.atNs)
+		s.now = s.instant(e.AtNs)
 		*ev = event{}
 		s.fired++
 		fn()
@@ -177,33 +163,18 @@ func (s *Scheduler) Step() bool {
 // next event is after deadline. The clock is left at the later of its
 // current value and deadline, so periodic measurements can rely on the
 // clock having reached the deadline even in an idle network.
-func (s *Scheduler) RunUntil(deadline time.Time) { s.runTo(deadline, true) }
-
-// RunBefore executes events in order while they are scheduled strictly
-// before t, then advances the clock to t. It is the windowed-execution
-// primitive for the sharded simulator: a window [a, b) is processed with
-// RunBefore(b), so an event landing exactly on the boundary belongs to the
-// next window — after the barrier at b — never to this one. Leaving the
-// clock at t lets barrier-time integration schedule events at >= t without
-// tripping the schedule-in-the-past guard.
-func (s *Scheduler) RunBefore(t time.Time) { s.runTo(t, false) }
-
-// runTo executes events in order while they are scheduled before t, or at
-// t when inclusive, then advances the clock to t unless it is later.
-func (s *Scheduler) runTo(t time.Time, inclusive bool) {
-	tNs, ok := unixNanos(t)
-	if !ok {
-		inclusive = tNs == math.MaxInt64 // past the range all are due, before it none
-	}
+func (s *Scheduler) RunUntil(deadline time.Time) {
+	tNs, inRange := unixNanos(deadline)
 	for {
+		// Past the range every event is due, before it none.
 		e, ok := s.peek()
-		if !ok || e.atNs > tNs || !inclusive && e.atNs == tNs {
+		if !ok || e.AtNs > tNs || !inRange && tNs == math.MinInt64 {
 			break
 		}
 		s.Step()
 	}
-	if s.now.Before(t) {
-		s.now = t
+	if s.now.Before(deadline) {
+		s.now = deadline
 	}
 }
 
@@ -225,71 +196,16 @@ func (s *Scheduler) Run(maxEvents int) int {
 	return n
 }
 
-// NextAt returns the time of the earliest pending event.
-func (s *Scheduler) NextAt() (time.Time, bool) {
-	e, ok := s.peek()
-	if !ok {
-		return time.Time{}, false
-	}
-	return s.instant(e.atNs), true
-}
-
-// peek returns the heap entry of the earliest pending event, discarding
-// cancelled entries from the top of the heap on the way.
-func (s *Scheduler) peek() (entry, bool) {
-	for len(s.heap) > 0 {
-		e := s.heap[0]
-		if s.events[e.slot].seq == e.seq {
+// peek returns the queue item of the earliest pending event, discarding
+// cancelled items from the head of the queue on the way.
+func (s *Scheduler) peek() (Item[int32], bool) {
+	for s.queue.Len() > 0 {
+		e := s.queue.Min()
+		if s.events[e.Val].seq == e.Seq {
 			return e, true
 		}
-		s.pop()
-		s.free = append(s.free, e.slot)
+		s.queue.Pop()
+		s.free = append(s.free, e.Val)
 	}
-	return entry{}, false
-}
-
-// push adds e to the heap, sifting it up from the last position.
-func (s *Scheduler) push(e entry) {
-	s.heap = append(s.heap, e)
-	h := s.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-}
-
-// pop removes and returns the heap's minimum, sifting the last entry down
-// from the root.
-func (s *Scheduler) pop() entry {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h[r].before(h[c]) {
-			c = r
-		}
-		if !h[c].before(last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = last
-	return top
+	return Item[int32]{}, false
 }

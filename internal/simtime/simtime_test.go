@@ -65,8 +65,8 @@ func TestSchedulerCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if at, ok := s.NextAt(); ok {
-		t.Fatalf("an event at %v is pending after cancel", at)
+	if n := s.queue.Len(); n != 0 {
+		t.Fatalf("%d items queued after the run", n)
 	}
 }
 
@@ -218,21 +218,26 @@ func TestSchedulerRunMaxEvents(t *testing.T) {
 	}
 }
 
-func TestSchedulerNextAt(t *testing.T) {
+// TestSchedulerPeekSkipsCancelled pins peek, which every run reads the
+// next instant through: nothing on an empty queue, the earliest pending
+// event, and after that one is cancelled the next, its cancelled item
+// discarded from the head.
+func TestSchedulerPeekSkipsCancelled(t *testing.T) {
 	s := NewScheduler(testEpoch)
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt on empty scheduler: want ok=false")
+	if _, ok := s.peek(); ok {
+		t.Fatal("peek on empty scheduler: want ok=false")
 	}
 	h := s.MustAfter(5*time.Second, func() {})
 	s.MustAfter(9*time.Second, func() {})
-	at, ok := s.NextAt()
-	if !ok || !at.Equal(testEpoch.Add(5*time.Second)) {
-		t.Fatalf("NextAt = %v,%v, want %v,true", at, ok, testEpoch.Add(5*time.Second))
+	at := func(e Item[int32]) time.Time { return s.instant(e.AtNs) }
+	e, ok := s.peek()
+	if !ok || !at(e).Equal(testEpoch.Add(5*time.Second)) {
+		t.Fatalf("peek = %v,%v, want %v,true", at(e), ok, testEpoch.Add(5*time.Second))
 	}
 	s.Cancel(h)
-	at, ok = s.NextAt()
-	if !ok || !at.Equal(testEpoch.Add(9*time.Second)) {
-		t.Fatalf("NextAt after cancel = %v,%v, want %v,true", at, ok, testEpoch.Add(9*time.Second))
+	e, ok = s.peek()
+	if !ok || !at(e).Equal(testEpoch.Add(9*time.Second)) || s.queue.Len() != 1 {
+		t.Fatalf("peek after cancel = %v,%v with %d queued, want %v,true with 1", at(e), ok, s.queue.Len(), testEpoch.Add(9*time.Second))
 	}
 }
 

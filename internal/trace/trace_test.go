@@ -339,8 +339,8 @@ func TestEmitSegNoSinkZeroAlloc(t *testing.T) {
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Fatalf("filling half the ring allocated %d times, want 0", n)
 	}
-	if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
-		t.Fatalf("EmitSeg with no sink allocates %.1f/op across the wrap, want 0", allocs)
+	if n := mallocs(1000, emit); n != 0 {
+		t.Fatalf("EmitSeg with no sink allocated %d times in 1000 calls across the wrap, want 0", n)
 	}
 }
 
@@ -351,4 +351,19 @@ func BenchmarkEmitSegNoSink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.EmitSeg(t0, node, KindSpan, 42, "airtime", 70*time.Millisecond, "DATA")
 	}
+}
+
+// mallocs calls f once to warm up, then runs more times on one processor,
+// and returns every heap allocation those runs made: testing.AllocsPerRun
+// rounds its mean down, so it passes up to runs − 1 of them unseen.
+func mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
