@@ -132,17 +132,6 @@ func receivePathAllocs(t *testing.T, memo string) {
 	if _, ok := n.Table().NextHop(far); !ok {
 		t.Fatal("setup: no route to the far node")
 	}
-	// The crypto's wall-clock timings now and then land in a bucket their
-	// sparse histogram has not seen, and its first hit allocates: a
-	// bounded cost, once a bucket, that metrics' own fences price. Every
-	// bucket from 1 ns to 2^40 ns is hit here first, so what the runs below
-	// count is the receive path's alone.
-	for _, name := range []string{"sec.open_ns", "sec.seal_ns"} {
-		h := n.Metrics().Histogram(name)
-		for v := 1.0; v < 0x1p40; v *= 1 + 1.0/256 {
-			h.Observe(v)
-		}
-	}
 
 	if got := measure(hello, nil); got != 0 {
 		t.Errorf("sealed HELLO from a known neighbour: %d allocations in %d frames, want 0", got, runs)

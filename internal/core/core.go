@@ -357,13 +357,9 @@ type Node struct {
 	ins hotInstruments
 	// sec mirrors cfg.Security; nil means the legacy plaintext protocol.
 	sec *meshsec.Link
-	// secStatTick counts frame opens (the Transmitter counts seals). Every
-	// 32nd is timed into sec.open_ns and refreshes the replay-window
-	// gauges: a clock read and a kept histogram sample per frame, or a
-	// walk of the per-origin windows, would show up in dense-simulation
-	// profiles and heaps. Where Links share a meshsec.Memo (netsim), most
-	// opens are memo hits, so sec.open_ns mostly samples a hit, not a full
-	// MIC verification.
+	// secStatTick counts frame opens; every 32nd refreshes the
+	// replay-window gauges, whose walk of the per-origin windows would
+	// show up in dense-simulation profiles if paid per frame.
 	secStatTick uint32
 	// rx and helloRows are what HandleFrame decodes each frame and each
 	// HELLO's rows into. Nothing HandleFrame hands a frame to keeps it
@@ -434,7 +430,7 @@ func NewNode(cfg Config, env Env) (*Node, error) {
 // hotInstruments holds instrument pointers resolved once at construction
 // for the counters, gauges, and histograms the receive and forwarding
 // paths touch (the Transmitter keeps its own). Per-packet-type counters
-// (rx.type.*) are filled lazily, one slot per wire type byte.
+// (rx.type.*) are filled lazily, one entry per type received.
 type hotInstruments struct {
 	rxFrames, fwdFrames               *metrics.Counter
 	appSent, appDelivered             *metrics.Counter
@@ -442,12 +438,11 @@ type hotInstruments struct {
 	helloReceived, routesUpdated      *metrics.Counter
 	routesCount                       *metrics.Gauge
 	streamRetxRounds                  *metrics.Histogram
-	rxType                            [256]*metrics.Counter
+	rxType                            typeCounters
 	// Security instruments; resolved only when cfg.Security is set.
 	secOpened, secDropAuth   *metrics.Counter
 	secDropReplay            *metrics.Counter
 	secDropLegacy, secRekeys *metrics.Counter
-	secOpenNs                *metrics.Histogram
 	// Replay-protection state gauges, refreshed by refreshSecGauges.
 	secWinOrigins, secWinOccupancy *metrics.Gauge
 	secTxHigh, secRxHigh           *metrics.Gauge
@@ -480,9 +475,6 @@ func (n *Node) registerInstruments() {
 		n.ins.secDropReplay = n.reg.Counter("sec.drop.replay")
 		n.ins.secDropLegacy = n.reg.Counter("sec.drop.legacy")
 		n.ins.secRekeys = n.reg.Counter("sec.rekey.applied")
-		// Sampled: one open in 32 is timed, so .count is about a 32nd
-		// of sec.rx.opened.
-		n.ins.secOpenNs = n.reg.Histogram("sec.open_ns")
 		n.ins.secWinOrigins = n.reg.Gauge("sec.replay.window.origins")
 		n.ins.secWinOccupancy = n.reg.Gauge("sec.replay.window.occupancy")
 		n.ins.secTxHigh = n.reg.Gauge("sec.counter.tx.highwater")
@@ -490,13 +482,27 @@ func (n *Node) registerInstruments() {
 	}
 }
 
-// rxTypeCounter returns the cached "rx.type.<T>" counter for t.
-func (n *Node) rxTypeCounter(t packet.Type) *metrics.Counter {
-	c := n.ins.rxType[t]
-	if c == nil {
-		c = n.reg.Counter("rx.type." + t.String())
-		n.ins.rxType[t] = c
+// typeCounters caches the per-packet-type counters "<prefix><T>" of one
+// registry, registered on a type's first use. A node sees about a dozen
+// wire types, so a short slice scanned in order beats a table indexed by
+// the type byte, most of whose slots would stay empty.
+type typeCounters []typeCounter
+
+type typeCounter struct {
+	t packet.Type
+	c *metrics.Counter
+}
+
+// get returns the counter prefix+t.String() of reg, registering it on
+// first use.
+func (tc *typeCounters) get(reg *metrics.Registry, prefix string, t packet.Type) *metrics.Counter {
+	for _, e := range *tc {
+		if e.t == t {
+			return e.c
+		}
 	}
+	c := reg.Counter(prefix + t.String())
+	*tc = append(*tc, typeCounter{t, c})
 	return c
 }
 
@@ -598,8 +604,7 @@ func (n *Node) forwarded(fwd *packet.Packet, next packet.Address) {
 
 // refreshSecGauges re-exports the link's replay-protection state —
 // window occupancy and frame-counter high-water marks. Called every 32nd
-// open (see secStatTick) so the per-origin window walk stays off the
-// per-frame cost profile.
+// open (see secStatTick).
 func (n *Node) refreshSecGauges() {
 	origins, occupancy, rxHigh := n.sec.ReplayStats()
 	n.ins.secWinOrigins.Set(float64(origins))

@@ -367,9 +367,9 @@ func TestMetricsNamesStable(t *testing.T) {
 	}
 	secSchema := append(slices.Clone(schema),
 		"sec.counter.rx.highwater", "sec.counter.tx.highwater", "sec.drop.auth",
-		"sec.drop.legacy", "sec.drop.replay", "sec.open_ns.count", "sec.overhead.bytes",
+		"sec.drop.legacy", "sec.drop.replay", "sec.overhead.bytes",
 		"sec.rekey.applied", "sec.replay.window.occupancy", "sec.replay.window.origins",
-		"sec.rx.opened", "sec.seal_ns.count", "sec.tx.sealed",
+		"sec.rx.opened", "sec.tx.sealed",
 	)
 	for _, sec := range []bool{false, true} {
 		cfg, want := fastConfig(), schema

@@ -31,7 +31,7 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 		n.ins.rxCorrupt.Inc()
 		return
 	}
-	n.rxTypeCounter(p.Type).Inc()
+	n.ins.rxType.get(n.reg, "rx.type.", p.Type).Inc()
 	if p.Src == n.cfg.Address {
 		// Our own packet echoed back through a loop; never process.
 		n.ins.rxOwnEcho.Inc()
@@ -105,15 +105,9 @@ func (n *Node) HandleFrame(frame []byte, info RxInfo) {
 // whether processing may continue. Failures are accounted under the
 // sec.drop.* counters the chaos suite asserts on.
 func (n *Node) secOpen(p *packet.Packet) bool {
-	n.secStatTick++
-	sampled := n.secStatTick&31 == 0
-	var start time.Time
-	if sampled {
-		start = time.Now()
-	}
 	err := n.sec.Open(p)
-	if sampled {
-		n.ins.secOpenNs.Observe(float64(time.Since(start)))
+	n.secStatTick++
+	if n.secStatTick&31 == 0 {
 		n.refreshSecGauges()
 	}
 	if err == nil {

@@ -124,11 +124,9 @@ type Transmitter struct {
 	duty  dutyRegulator
 	// dutyCarry preserves lifetime airtime across duty-regulator swaps
 	// (an OpSetConfig changing the duty-cycle class replaces duty).
-	dutyCarry time.Duration
-	pumpTimer Timer
-	cadTries  int
-	// sealTick counts frame seals; every 32nd is timed (see secStatTick).
-	sealTick                         uint32
+	dutyCarry                        time.Duration
+	pumpTimer                        Timer
+	cadTries                         int
 	transmitting, pumpArmed, stopped bool
 	// buf is the reusable frame-encode buffer behind transmitHead; the
 	// Env.Transmit contract (no retention after return) makes reuse safe.
@@ -136,13 +134,13 @@ type Transmitter struct {
 }
 
 // txInstruments are the transmit path's per-frame instruments, resolved
-// once. Per-type counters (tx.type.*) fill lazily, one slot per wire type
-// byte; the security ones only when cfg.Security is set.
+// once. Per-type counters (tx.type.*) fill lazily, one entry per type
+// sent; the security ones only when cfg.Security is set.
 type txInstruments struct {
 	frames, bytes, sealed, secOverhead *metrics.Counter
 	depth, dutyUtil                    *metrics.Gauge
-	airtimeMs, waitMs, sealNs          *metrics.Histogram
-	txType                             [256]*metrics.Counter
+	airtimeMs, waitMs                  *metrics.Histogram
+	txType                             typeCounters
 }
 
 // NewTransmitter returns the transmit path of the node cfg describes — it
@@ -178,9 +176,6 @@ func NewTransmitter(cfg Config, env Env, reg *metrics.Registry) (*Transmitter, e
 	if cfg.Security != nil {
 		t.ins.sealed = reg.Counter("sec.tx.sealed")
 		t.ins.secOverhead = reg.Counter("sec.overhead.bytes")
-		// Sampled: one seal in 32 is timed, so .count is about a 32nd of
-		// sec.tx.sealed.
-		t.ins.sealNs = reg.Histogram("sec.seal_ns")
 	}
 	return t, nil
 }
@@ -265,16 +260,7 @@ func (t *Transmitter) transmitHead() {
 		if sec := t.cfg.Security; sec != nil && head.Secured {
 			// Seal in place. Deterministic, so re-marshalling the same
 			// head after a duty-cycle deferral reproduces the same bytes.
-			t.sealTick++
-			sampled := t.sealTick&31 == 0
-			var start time.Time
-			if sampled {
-				start = time.Now()
-			}
 			err = sec.SealFrame(frame, head)
-			if sampled {
-				t.ins.sealNs.Observe(float64(time.Since(start)))
-			}
 		}
 	}
 	if err != nil {
@@ -347,12 +333,7 @@ func (t *Transmitter) transmitHead() {
 // packet waited in the queue since enqueuedAt (zero if unknown).
 func (t *Transmitter) transmitted(head *packet.Packet, frameLen int, now, enqueuedAt time.Time, airtime time.Duration) {
 	t.ins.frames.Inc()
-	c := t.ins.txType[head.Type]
-	if c == nil {
-		c = t.reg.Counter("tx.type." + head.Type.String())
-		t.ins.txType[head.Type] = c
-	}
-	c.Inc()
+	t.ins.txType.get(t.reg, "tx.type.", head.Type).Inc()
 	t.ins.bytes.Add(uint64(frameLen))
 	if head.Secured {
 		t.ins.sealed.Inc()

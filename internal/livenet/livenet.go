@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -280,10 +281,23 @@ func (e *hostEnv) host() *Host { return (*Host)(e) }
 func (e *hostEnv) Now() time.Time { return e.clock.now() }
 
 // Schedule implements core.Env using wall timers scaled to virtual time.
+// A timer that has expired has already queued its callback on the loop,
+// where Stop cannot reach it, so the loop runs fn only if no cancel came
+// first: a cancel holds once it returns, as core.Env promises.
 func (e *hostEnv) Schedule(d time.Duration, fn func()) func() {
 	h := e.host()
-	t := time.AfterFunc(h.clock.wall(d), func() { h.enqueue(fn) })
-	return func() { t.Stop() }
+	var cancelled atomic.Bool
+	t := time.AfterFunc(h.clock.wall(d), func() {
+		h.enqueue(func() {
+			if !cancelled.Load() {
+				fn()
+			}
+		})
+	})
+	return func() {
+		cancelled.Store(true)
+		t.Stop()
+	}
 }
 
 // Transmit implements core.Env: the link carries the frame to whoever

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -337,6 +338,27 @@ func TestLiveCloseUnblocksDo(t *testing.T) {
 			t.Error("closed host still ran an engine query")
 		}
 	})
+}
+
+// TestScheduleCancelHoldsAfterExpiry: a cancel the loop makes after the
+// wall timer has expired, while the callback waits in the mailbox behind
+// the busy loop, still keeps the callback from running (core.Env's
+// cancel contract). liveConfig's 200x time scale makes 200 ms of virtual
+// time a 1 ms wall timer; the loop stays busy 20 ms past it.
+func TestScheduleCancelHoldsAfterExpiry(t *testing.T) {
+	h := bootUDP(t, liveConfig(), 1, 0)[0]
+	var ran atomic.Bool
+	h.Do(func(*core.Node) {
+		cancel := (*hostEnv)(h).Schedule(200*time.Millisecond, func() { ran.Store(true) })
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	})
+	// The expired timer queued its callback before this Do's closure, so
+	// once Do returns the loop has run or skipped it.
+	h.Do(func(*core.Node) {})
+	if ran.Load() {
+		t.Error("callback ran after its cancel returned")
+	}
 }
 
 // TestMetricsListenerFailureLeaksNothing: a MetricsAddr that cannot be

@@ -311,10 +311,14 @@ type Registry struct {
 	histogramSlab []Histogram
 }
 
-// slabSize is how many instruments of one kind a slab holds. The node
-// engine pre-registers ~20 instruments, so one slab usually serves a
-// whole node.
-const slabSize = 24
+// slabSize is how many counters or gauges a slab holds: the node engine
+// pre-registers ~20 counters, so one slab usually serves a whole node.
+// histogramSlabSize is the same for histograms, which are 144 B each and
+// of which a node registers three.
+const (
+	slabSize          = 24
+	histogramSlabSize = 4
+)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -364,7 +368,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h, ok := r.histograms[name]
 	if !ok {
 		if len(r.histogramSlab) == 0 {
-			r.histogramSlab = make([]Histogram, slabSize)
+			r.histogramSlab = make([]Histogram, histogramSlabSize)
 		}
 		h = &r.histogramSlab[0]
 		r.histogramSlab = r.histogramSlab[1:]

@@ -60,13 +60,13 @@ func securedMeshHeap(t *testing.T, d time.Duration) (heap uint64, nodes, deliver
 // TestSimHeapFlatInRunLength is the run-length fence: a delivery goes to
 // the callback and the simulation keeps nothing of it. On
 // securedMeshHeap's shape the live heap of a 20 h run may exceed a 5 h
-// run's by at most 64 B per extra delivery; a node that kept each
-// delivery and its payload grows by ~120 B.
+// run's by at most 16 B per extra delivery (about 1 B today); a node
+// that kept each delivery and its payload grows by ~120 B.
 func TestSimHeapFlatInRunLength(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 25 h of a 64-node mesh")
 	}
-	const perDelivery = 64.0
+	const perDelivery = 16.0
 	shortHeap, _, shortN := securedMeshHeap(t, 5*time.Hour)
 	longHeap, _, longN := securedMeshHeap(t, 20*time.Hour)
 	if longN <= shortN {
@@ -82,16 +82,18 @@ func TestSimHeapFlatInRunLength(t *testing.T) {
 
 // TestSecuredNodeBytes is the per-node fence: after 20 h of
 // securedMeshHeap's shape the whole live heap, divided by the nodes, is
-// at most 40 KiB. A node's sessions are shared per medium, its
-// histograms hold the buckets they hit and its dedup table the
-// fingerprints within the horizon; any of them kept per listener, dense
-// or past the horizon again puts a node near 50 KB. The bound includes
-// Go maps, whose sizes depend on the toolchain.
+// at most 30 KiB (about 26 KB today). A node's sessions are shared per
+// medium, its histograms hold the buckets they hit, its per-type
+// counters the types it sees, and its dedup table the fingerprints
+// within the horizon; per-type tables indexed by the type byte alone
+// cost 4 KB a node, and a wall-clock timing histogram grows with the
+// machine's load. The bound includes Go maps, whose sizes depend on the
+// toolchain.
 func TestSecuredNodeBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 20 h of a 64-node mesh")
 	}
-	const maxPerNode = 40 << 10
+	const maxPerNode = 30 << 10
 	heap, nodes, _ := securedMeshHeap(t, 20*time.Hour)
 	per := float64(heap) / float64(nodes)
 	t.Logf("live heap %.2f MiB over %d nodes: %.1f KB a node", float64(heap)/(1<<20), nodes, per/1000)

@@ -16,6 +16,8 @@ echo "packages:                           $(go list ./... | wc -l | tr -d ' ')"
 # The guard's own type-checked walk, not a grep: what it counts is what it enforces.
 echo "exported Config fields (internal/): $(go test -count=1 -v -run '^TestEveryOptionHasASetter$' . |
     sed -n 's/.*exported Config fields under internal\/: \([0-9]*\).*/\1/p')"
+echo "wall-clock sites outside allowlist: $(go test -count=1 -v -run '^TestNoWallClockInModel$' . |
+    sed -n 's/.*outside wallClockAllowlist: \([0-9]*\).*/\1/p')"
 echo "flags (cmd/, examples/):            $(grep -rE 'flag\.(String|Int|Int64|Uint|Bool|Duration|Float64)(Var)?\(' --include='*.go' cmd examples | grep -vc '_test.go:')"
 echo "os.Getenv sites outside bench/:     $(find . -name '*.go' ! -path './bench/*' | xargs grep -c 'os\.Getenv(' | awk -F: '{n+=$2} END {print n+0}')"
 echo "interfaces (non-test):              $(src | xargs grep -c 'interface {' | awk -F: '{n+=$2} END {print n+0}')"
