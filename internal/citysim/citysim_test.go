@@ -372,7 +372,7 @@ func TestSpaceOrder(t *testing.T) {
 					if !adjacent && label == "as built" && oracle <= s.r.maxLossDel {
 						t.Fatalf("%+v: link (%d, %d) at %v dB delivers across cells", cfg, a, b, oracle)
 					}
-					if got := s.inDeliveryRange(i, j); got != (adjacent && oracle <= s.r.maxLossDel) {
+					if got := s.shards[0].inDeliveryRange(i, j); got != (adjacent && oracle <= s.r.maxLossDel) {
 						t.Fatalf("%+v %s: link (%d, %d) at %v dB: in delivery range %v", cfg, label, a, b, oracle, got)
 					}
 					if adjacent && oracle <= s.r.maxLossRel {

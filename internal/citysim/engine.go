@@ -352,7 +352,8 @@ func (s *Sim) buildLinks() {
 // serial full scan, from node's slab in sharded mode, where a pair not
 // listed is beyond radio relevance and a listed one recomputes linkLoss
 // only when its code's loss lies within lossErr of the threshold.
-func (s *Sim) inDeliveryRange(node, peer int32) bool {
+func (sh *shard) inDeliveryRange(node, peer int32) bool {
+	s := sh.sim
 	if s.fullScan {
 		return s.linkLoss(node, peer) <= s.r.maxLossDel
 	}
@@ -376,6 +377,7 @@ func (s *Sim) inDeliveryRange(node, peer int32) bool {
 	case yes:
 		return true
 	case exact:
+		sh.counts.exactSense++
 		return s.linkLoss(node, peer) <= s.r.maxLossDel
 	}
 	return false

@@ -105,7 +105,7 @@ func linksMatchReference(t testing.TB, s *Sim) {
 			if want := s.r.lossCode(b); a != want {
 				t.Fatalf("%+v: link (%d, %d) code %d, block scan's loss %v codes as %d", s.r.Config, i, j, a, b, want)
 			}
-			if got, want := s.inDeliveryRange(int32(i), j), b <= s.r.maxLossDel; got != want {
+			if got, want := s.shards[0].inDeliveryRange(int32(i), j), b <= s.r.maxLossDel; got != want {
 				t.Fatalf("%+v: link (%d, %d) at %v dB: in delivery range %v, block scan %v", s.r.Config, i, j, b, got, want)
 			}
 		}
@@ -207,8 +207,8 @@ func TestOneAndNoLinkCities(t *testing.T) {
 			t.Fatalf("apart %v: %d links in steps of %v dB, want %d in steps of 0", apart, len(ns.nbrSlot), s.r.lossStep, want)
 		}
 		for _, q := range ns.nbrLoss {
-			if loss := s.linkLoss(0, 1); q != 0 || s.r.codeLoss(q) != loss || !s.inDeliveryRange(0, 1) {
-				t.Fatalf("code %d stands for %v dB, the link's loss is %v dB, in delivery range %v", q, s.r.codeLoss(q), loss, s.inDeliveryRange(0, 1))
+			if loss := s.linkLoss(0, 1); q != 0 || s.r.codeLoss(q) != loss || !s.shards[0].inDeliveryRange(0, 1) {
+				t.Fatalf("code %d stands for %v dB, the link's loss is %v dB, in delivery range %v", q, s.r.codeLoss(q), loss, s.shards[0].inDeliveryRange(0, 1))
 			}
 		}
 		for _, sim := range []*Sim{serial, s} {

@@ -70,12 +70,15 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	lo, hi := ns.nbrOff[tx.sender], ns.nbrOff[tx.sender+1]
 	slots, codes := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
 	slots = slots[:len(codes)]
+	sh.counts.hearWalks++
+	sh.counts.hearLinks += uint64(len(codes))
 	for k, q := range codes {
 		r, loss := slots[k], s.r.codeLoss(q)
 		switch m.delivers(loss) {
 		case no:
 			continue
 		case exact:
+			sh.counts.exactHear++
 			if loss = s.linkLoss(tx.sender, r); loss > s.r.maxLossDel {
 				continue
 			}
@@ -98,6 +101,17 @@ func (sh *shard) hear(tx *txRec) []int32 {
 		sh.receive(c.r, tx, c.captured)
 	}
 	return sh.heard
+}
+
+// workCounts are what sharded reception and carrier sense walk and
+// recompute on one shard: the sender slabs hear walks and the links they
+// list, the interferer slabs markCaptured walks, and the linkLoss
+// recomputes a code left open in hear, in capture and in
+// inDeliveryRange. Not digest material and not in Stats; TestWorkPerFrame
+// pins them per frame.
+type workCounts struct {
+	hearWalks, hearLinks, captureWalks  uint64
+	exactHear, exactCapture, exactSense uint64
 }
 
 // candidate is a receiver in delivery range of the frame being decided.
@@ -208,6 +222,7 @@ func (sh *shard) capture(m *margins, scell int32, tx *txRec) {
 // losses of both links, sender's and i's.
 func (sh *shard) markCaptured(m *margins, i, sender int32) {
 	s := sh.sim
+	sh.counts.captureWalks++
 	lo, hi := s.nodes.nbrOff[i], s.nodes.nbrOff[i+1]
 	nbrs, codes := s.nodes.nbrSlot[lo:hi], s.nodes.nbrLoss[lo:hi]
 	// Locals, so the stores below cannot make the loop reload them.
@@ -219,7 +234,10 @@ func (sh *shard) markCaptured(m *margins, i, sender int32) {
 			case yes:
 				c.captured = true
 			case exact:
-				c.captured = c.captured || s.r.captured(eirp-s.linkLoss(sender, n), eirp-s.linkLoss(i, n))
+				if !c.captured {
+					sh.counts.exactCapture++
+					c.captured = s.r.captured(eirp-s.linkLoss(sender, n), eirp-s.linkLoss(i, n))
+				}
 			}
 		}
 	}
@@ -281,7 +299,7 @@ func (sh *shard) channelBusy(i int32, nowNs int64) bool {
 			if rec.sender == i || rec.startNs >= sh.winStartNs || rec.endNs <= nowNs {
 				continue
 			}
-			if s.inDeliveryRange(i, rec.sender) {
+			if sh.inDeliveryRange(i, rec.sender) {
 				return true
 			}
 		}

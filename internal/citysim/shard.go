@@ -157,7 +157,8 @@ type shard struct {
 	deliveries []deliveryRec
 	// stats holds the outcome counters this shard counts; Sim.Stats sums
 	// them.
-	stats Stats
+	stats  Stats
+	counts workCounts
 
 	winStartNs int64 // current window start: the carrier-sense quantum
 	integrated uint64
