@@ -93,6 +93,10 @@ type station struct {
 	rx        Receiver
 	listening bool
 	removed   bool
+	// obs is rx as a TxObserver, or nil, asserted once by AddStation: an
+	// interface assertion on the frame path fills the runtime's per-site
+	// cache at a random call, an allocation no warm-up takes out.
+	obs TxObserver
 	// gen counts changes to this station that alter its link budgets
 	// (moves and removal; not link blocking, which SetLinkBlocked keeps
 	// outside the cache); cached receptions tagged with an older
@@ -230,7 +234,8 @@ func (m *Medium) AddStation(pos geo.Point, rx Receiver) (StationID, error) {
 		return 0, fmt.Errorf("airmedium: nil receiver")
 	}
 	id := StationID(len(m.stations))
-	m.stations = append(m.stations, &station{id: id, pos: pos, rx: rx, listening: true})
+	obs, _ := rx.(TxObserver)
+	m.stations = append(m.stations, &station{id: id, pos: pos, rx: rx, obs: obs, listening: true})
 	m.topo++
 	m.lossCache = append(m.lossCache, nil)
 	return id, nil
@@ -378,10 +383,8 @@ func (m *Medium) newTransmission() *transmission {
 // history.
 func (m *Medium) finish(tx *transmission) {
 	m.receive(tx)
-	if sender := m.stations[int(tx.from)]; !sender.removed {
-		if obs, ok := sender.rx.(TxObserver); ok {
-			obs.OnTxDone(m.sched.Now())
-		}
+	if sender := m.stations[int(tx.from)]; !sender.removed && sender.obs != nil {
+		sender.obs.OnTxDone(m.sched.Now())
 	}
 	m.prune()
 }

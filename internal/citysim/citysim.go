@@ -437,7 +437,9 @@ func New(cfg Config) (*Sim, error) {
 	s.electSinks(slotOf)
 	s.buildShards()
 	if !s.fullScan {
-		s.buildLinks()
+		if err := s.buildLinks(); err != nil {
+			return nil, err
+		}
 	}
 	s.scheduleInitialEvents(slotOf)
 	return s, nil
@@ -640,12 +642,17 @@ type Delivery struct {
 // (arrival time, then sink, then origin, by id) — the per-shard append
 // order is a mode-dependent interleaving, this ordering is not.
 func (s *Sim) Deliveries() []Delivery {
-	var recs []deliveryRec
+	var n uint64
 	for _, sh := range s.shards {
-		for _, r := range sh.deliveries {
-			r.sink, r.origin = s.nodes.id[r.sink], s.nodes.id[r.origin]
-			recs = append(recs, r)
-		}
+		n += sh.stats.Delivered
+	}
+	recs := make([]deliveryRec, 0, n)
+	for _, sh := range s.shards {
+		recs = sh.deliveries.appendTo(recs)
+	}
+	for i := range recs {
+		r := &recs[i]
+		r.sink, r.origin = s.nodes.id[r.sink], s.nodes.id[r.origin]
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]

@@ -380,7 +380,7 @@ func TestSpaceOrder(t *testing.T) {
 					}
 				}
 				slices.Sort(want)
-				got := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]]
+				got := nbrSlots(s, i)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%+v %s: node %d lists %v, all pairs give %v", cfg, label, a, got, want)
 				}
@@ -401,7 +401,7 @@ func TestSpaceOrder(t *testing.T) {
 			label string
 			limit float64
 		}{{"with an edge pair", s.r.maxLossRel}, {"with a delivery-edge pair", s.r.maxLossDel}} {
-			if !pinEdgePair(s, edge.limit) {
+			if !pinEdgePair(t, s, edge.limit) {
 				t.Fatalf("%+v: no pair to pin %s", cfg, edge.label)
 			}
 			allPairs(edge.label)

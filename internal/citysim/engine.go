@@ -10,6 +10,7 @@
 package citysim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -96,13 +97,13 @@ type nodeState struct {
 	pitOrigin   []int32
 	pitBorn     []int64
 
-	// Link slabs (sharded modes): per-node ascending neighbor slots with
-	// precomputed symmetric link loss as a 16-bit code (resolved.codeLoss
-	// decodes it within resolved.lossErr of linkLoss). nbrOff has n+1
-	// entries.
-	nbrOff  []int32
-	nbrSlot []int32
-	nbrLoss []uint16
+	// Link slabs (sharded modes): per-node neighbours, ascending, each as
+	// its slot minus the node's (slotDelta) with the precomputed symmetric
+	// link loss as a 16-bit code (resolved.codeLoss decodes it within
+	// resolved.lossErr of linkLoss). nbrOff has n+1 entries.
+	nbrOff   []int32
+	nbrDelta []int16
+	nbrLoss  []uint16
 }
 
 const txHistLen = 4
@@ -259,6 +260,17 @@ type linkPair struct {
 	loss float64
 }
 
+// slotDelta returns peer's slot less node's, as a link slab lists peer in
+// node's slab, or an error when the two lie more than math.MaxInt16 slots
+// apart: both directions of a link must fit an int16.
+func slotDelta(node, peer int32) (int16, error) {
+	d := int64(peer) - int64(node)
+	if d < -math.MaxInt16 || d > math.MaxInt16 {
+		return 0, fmt.Errorf("citysim: slots %d and %d link %d slots apart, past a link slab's %d", node, peer, d, math.MaxInt16)
+	}
+	return int16(d), nil
+}
+
 // buildLinks precomputes each node's radio-relevant neighbor list (slots
 // ascending, with link loss) from the 3x3 cell neighborhood — the
 // O(n*degree) substitute for airmedium's O(n^2) loss matrix. In space
@@ -268,7 +280,12 @@ type linkPair struct {
 // shadowing is truncated at -2 sigma, so its loss exceeds maxLossRel, and
 // the relative margin dwarfs the squared distance's rounding. The pairs
 // are then counted into nbrOff and scattered into both endpoints' slabs;
-// since i ascends, each slab comes out ascending with no sort.
+// since i ascends, each slab comes out ascending with no sort. A slab
+// lists a neighbour as its slot delta: in space order a column holds
+// ∝ √Nodes slots and a linked pair lies under two columns apart, about
+// 4.4·√Nodes slots at the city's density (150, 441 and 918 at 1k, 10k
+// and 50k nodes), so every delta fits an int16 below about 55 M nodes.
+// buildLinks checks each pair it lists and returns an error past that.
 //
 // The slabs hold each loss as a 16-bit code: q = round((loss −
 // lossLo)/lossStep) stands for lossLo + q·lossStep, where lossLo and
@@ -293,7 +310,7 @@ type linkPair struct {
 // 3u). Only inside those bands does a decision recompute linkLoss. One
 // bound serves the whole slab: a per-link one costs the evaluation more
 // than the recomputes it saves.
-func (s *Sim) buildLinks() {
+func (s *Sim) buildLinks() error {
 	n := int32(s.r.Nodes)
 	ns := &s.nodes
 	reach := rangeAtLoss(s.r.model, s.r.params.FrequencyHz, s.r.maxLossRel+2*s.r.ShadowSigmaDB) * (1 + 1e-9)
@@ -316,6 +333,9 @@ func (s *Sim) buildLinks() {
 					continue
 				}
 				if loss := s.linkLoss(i, j); loss <= s.r.maxLossRel {
+					if _, err := slotDelta(i, j); err != nil {
+						return err
+					}
 					mag = max(mag, math.Abs(loss))
 					lossLo, lossHi = min(lossLo, loss), max(lossHi, loss)
 					pairs = append(pairs, linkPair{i, j, loss})
@@ -328,7 +348,7 @@ func (s *Sim) buildLinks() {
 	for i := int32(0); i < n; i++ {
 		ns.nbrOff[i+1] += ns.nbrOff[i]
 	}
-	ns.nbrSlot = make([]int32, ns.nbrOff[n])
+	ns.nbrDelta = make([]int16, ns.nbrOff[n])
 	ns.nbrLoss = make([]uint16, ns.nbrOff[n])
 	if len(pairs) == 0 {
 		lossLo, lossHi = 0, 0
@@ -337,14 +357,15 @@ func (s *Sim) buildLinks() {
 	s.r.lossErr = s.r.lossStep/2 + mag*0x1p-20
 	next := slices.Clone(ns.nbrOff[:n])
 	for _, p := range pairs {
-		q := s.r.lossCode(p.loss)
+		q, d := s.r.lossCode(p.loss), int16(p.j-p.i) // slotDelta checked it
 		k := next[p.i]
-		ns.nbrSlot[k], ns.nbrLoss[k] = p.j, q
+		ns.nbrDelta[k], ns.nbrLoss[k] = d, q
 		next[p.i]++
 		k = next[p.j]
-		ns.nbrSlot[k], ns.nbrLoss[k] = p.i, q
+		ns.nbrDelta[k], ns.nbrLoss[k] = -d, q
 		next[p.j]++
 	}
+	return nil
 }
 
 // inDeliveryRange reports whether peer's frames reach node above
@@ -358,18 +379,19 @@ func (sh *shard) inDeliveryRange(node, peer int32) bool {
 		return s.linkLoss(node, peer) <= s.r.maxLossDel
 	}
 	lo, hi := s.nodes.nbrOff[node], s.nodes.nbrOff[node+1]
-	ids := s.nodes.nbrSlot[lo:hi]
-	// Manual binary search: this is carrier sense's lookup.
-	i, j := 0, len(ids)
+	deltas, want := s.nodes.nbrDelta[lo:hi], peer-node
+	// Manual binary search: this is carrier sense's lookup. Deltas ascend
+	// as slots do; a peer past an int16's reach is never listed.
+	i, j := 0, len(deltas)
 	for i < j {
 		m := (i + j) / 2
-		if ids[m] < peer {
+		if int32(deltas[m]) < want {
 			i = m + 1
 		} else {
 			j = m
 		}
 	}
-	if i == len(ids) || ids[i] != peer {
+	if i == len(deltas) || int32(deltas[i]) != want {
 		return false
 	}
 	m := s.r.margins()
@@ -662,7 +684,5 @@ func (sh *shard) deliver(r, origin int32, bornNs, nowNs int64) {
 	sh.sim.nodes.cDelivered[r]++
 	sh.stats.Delivered++
 	sh.stats.LatencySum += time.Duration(nowNs - bornNs)
-	sh.deliveries = append(sh.deliveries, deliveryRec{
-		atNs: nowNs, sink: r, origin: origin, bornNs: bornNs,
-	})
+	sh.deliveries.append(deliveryRec{atNs: nowNs, sink: r, origin: origin, bornNs: bornNs})
 }

@@ -3,10 +3,12 @@ package citysim
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/geo"
 	"repro/internal/loraphy"
 )
 
@@ -79,6 +81,15 @@ func refBuildLinks(s *Sim) (nbrOff, nbrSlot []int32, nbrLoss []float64) {
 	return nbrOff, nbrSlot, nbrLoss
 }
 
+// nbrSlots returns the slots node i's link slab lists, ascending.
+func nbrSlots(s *Sim, i int32) []int32 {
+	var slots []int32
+	for _, d := range s.nodes.nbrDelta[s.nodes.nbrOff[i]:s.nodes.nbrOff[i+1]] {
+		slots = append(slots, i+int32(d))
+	}
+	return slots
+}
+
 // linksMatchReference fails t unless s's link slabs are refBuildLinks',
 // offsets and slots equal, the codes' scale spans the least to the
 // greatest reference loss and each code is the one the reference's loss
@@ -96,7 +107,7 @@ func linksMatchReference(t testing.TB, s *Sim) {
 		t.Fatalf("%+v: codes from %v dB in steps of %v, block scan spans %v to %v dB", s.r.Config, s.r.lossLo, s.r.lossStep, lossLo, lossHi)
 	}
 	for i := range off[:len(off)-1] {
-		got, want := ns.nbrSlot[ns.nbrOff[i]:ns.nbrOff[i+1]], slot[off[i]:off[i+1]]
+		got, want := nbrSlots(s, int32(i)), slot[off[i]:off[i+1]]
 		if ns.nbrOff[i] != off[i] || !slices.Equal(got, want) {
 			t.Fatalf("%+v: slot %d lists %v from offset %d, the block scan %v from %d", s.r.Config, i, got, ns.nbrOff[i], want, off[i])
 		}
@@ -110,9 +121,9 @@ func linksMatchReference(t testing.TB, s *Sim) {
 			}
 		}
 	}
-	if len(ns.nbrOff) != len(off) || len(ns.nbrSlot) != len(slot) || len(ns.nbrLoss) != len(loss) {
+	if len(ns.nbrOff) != len(off) || len(ns.nbrDelta) != len(slot) || len(ns.nbrLoss) != len(loss) {
 		t.Fatalf("%+v: slabs of %d/%d/%d entries, block scan %d/%d/%d", s.r.Config,
-			len(ns.nbrOff), len(ns.nbrSlot), len(ns.nbrLoss), len(off), len(slot), len(loss))
+			len(ns.nbrOff), len(ns.nbrDelta), len(ns.nbrLoss), len(off), len(slot), len(loss))
 	}
 }
 
@@ -124,7 +135,7 @@ func linksMatchReference(t testing.TB, s *Sim) {
 // test's boundary in every case. At maxLossDel it is on the edge of
 // delivery, within one ulp, where only the exact loss decides. It reports
 // false, changing nothing, when no pair qualifies.
-func pinEdgePair(s *Sim, limit float64) bool {
+func pinEdgePair(t testing.TB, s *Sim, limit float64) bool {
 	ns := &s.nodes
 	for i := int32(0); i < int32(s.r.Nodes); i++ {
 		col, row := s.grid.ColRow(int(ns.cell[i]))
@@ -148,7 +159,9 @@ func pinEdgePair(s *Sim, limit float64) bool {
 					}
 				}
 				ns.x[j] = near
-				s.buildLinks()
+				if err := s.buildLinks(); err != nil {
+					t.Fatal(err)
+				}
 				return true
 			}
 		}
@@ -168,7 +181,7 @@ func TestLinksMatchBlockScan(t *testing.T) {
 		}
 		linksMatchReference(t, s)
 		for _, limit := range []float64{s.r.maxLossRel, s.r.maxLossDel} {
-			if !pinEdgePair(s, limit) {
+			if !pinEdgePair(t, s, limit) {
 				t.Fatalf("seed %d: no pair to pin at %v dB", seed, limit)
 			}
 			linksMatchReference(t, s)
@@ -191,7 +204,9 @@ func TestOneAndNoLinkCities(t *testing.T) {
 			if apart {
 				s.nodes.x[1] = s.nodes.x[0] + 1e7 // its cell stays as placed
 				if shards > 0 {
-					s.buildLinks()
+					if err := s.buildLinks(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			return s
@@ -203,8 +218,8 @@ func TestOneAndNoLinkCities(t *testing.T) {
 		if apart {
 			want = 0
 		}
-		if len(ns.nbrSlot) != want || s.r.lossStep != 0 {
-			t.Fatalf("apart %v: %d links in steps of %v dB, want %d in steps of 0", apart, len(ns.nbrSlot), s.r.lossStep, want)
+		if len(ns.nbrDelta) != want || s.r.lossStep != 0 {
+			t.Fatalf("apart %v: %d links in steps of %v dB, want %d in steps of 0", apart, len(ns.nbrDelta), s.r.lossStep, want)
 		}
 		for _, q := range ns.nbrLoss {
 			if loss := s.linkLoss(0, 1); q != 0 || s.r.codeLoss(q) != loss || !s.shards[0].inDeliveryRange(0, 1) {
@@ -223,7 +238,7 @@ func TestOneAndNoLinkCities(t *testing.T) {
 }
 
 // TestLinkSlabBytes fences the link slabs' footprint on the bench's city:
-// a directed link costs at most 6 B, its neighbour slot and its loss code,
+// a directed link costs at most 4 B, its slot delta and its loss code,
 // and nbrOff one int32 a node besides.
 func TestLinkSlabBytes(t *testing.T) {
 	s, err := New(Config{Nodes: 10000, Shards: 2, Seed: 1})
@@ -231,14 +246,51 @@ func TestLinkSlabBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns := &s.nodes
-	links := uint64(len(ns.nbrSlot))
-	got := uint64(cap(ns.nbrSlot))*uint64(unsafe.Sizeof(ns.nbrSlot[0])) +
+	links := uint64(len(ns.nbrDelta))
+	got := uint64(cap(ns.nbrDelta))*uint64(unsafe.Sizeof(ns.nbrDelta[0])) +
 		uint64(cap(ns.nbrLoss))*uint64(unsafe.Sizeof(ns.nbrLoss[0]))
 	off := uint64(cap(ns.nbrOff)) * uint64(unsafe.Sizeof(ns.nbrOff[0]))
 	t.Logf("%d directed links in %d B, nbrOff %d B", links, got, off)
-	if links == 0 || got > 6*links || off > 4*uint64(s.r.Nodes+1) {
+	if links == 0 || got > 4*links || off > 4*uint64(s.r.Nodes+1) {
 		t.Errorf("%d directed links cost %d B (want at most %d) and nbrOff %d B (want at most %d)",
-			links, got, 6*links, off, 4*(s.r.Nodes+1))
+			links, got, 4*links, off, 4*(s.r.Nodes+1))
+	}
+}
+
+// TestSlotDeltaBounds pins a link slab's reach: a delta of ±32,767 slots
+// is listed, one of ±32,768 or more is an error.
+func TestSlotDeltaBounds(t *testing.T) {
+	const node = 1 << 20
+	for _, d := range []int32{-math.MaxInt16, -1, 1, math.MaxInt16} {
+		if got, err := slotDelta(node, node+d); err != nil || int32(got) != d {
+			t.Errorf("delta %d: got %d, %v", d, got, err)
+		}
+	}
+	for _, d := range []int32{-math.MaxInt16 - 1, math.MaxInt16 + 1, math.MinInt32 + node, math.MaxInt32 - node} {
+		if got, err := slotDelta(node, node+d); err == nil {
+			t.Errorf("delta %d: listed as %d, want an error", d, got)
+		}
+	}
+}
+
+// TestNewRefusesFarLinks builds a city of 2^15 + 2 nodes, folds its grid
+// into one cell, so that every pair is a candidate, and puts the last
+// slot next to the first: buildLinks must refuse the pair, 32,769 slots
+// apart, with an error rather than list it or panic.
+func TestNewRefusesFarLinks(t *testing.T) {
+	s, err := New(Config{Nodes: math.MaxInt16 + 3, Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.grid, err = geo.NewCellGrid(0, 0, s.r.field, s.r.field, 2*s.r.field); err != nil {
+		t.Fatal(err)
+	}
+	ns, n := &s.nodes, int32(s.r.Nodes)
+	clear(ns.cell)
+	s.cellStart = []int32{0, n}
+	ns.x[n-1], ns.y[n-1] = ns.x[0]+1, ns.y[0]
+	if err := s.buildLinks(); err == nil || !strings.Contains(err.Error(), "32769 slots apart") {
+		t.Fatalf("one-cell city, slots 0 and %d linked: %v", n-1, err)
 	}
 }
 
@@ -259,7 +311,7 @@ func FuzzLinksMatchReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		linksMatchReference(t, s)
-		if pinEdgePair(s, s.r.maxLossRel) {
+		if pinEdgePair(t, s, s.r.maxLossRel) {
 			linksMatchReference(t, s)
 		}
 	})

@@ -68,12 +68,12 @@ func (sh *shard) hear(tx *txRec) []int32 {
 	sh.cands = sh.cands[:0]
 	inRange := 0
 	lo, hi := ns.nbrOff[tx.sender], ns.nbrOff[tx.sender+1]
-	slots, codes := ns.nbrSlot[lo:hi], ns.nbrLoss[lo:hi]
-	slots = slots[:len(codes)]
+	deltas, codes := ns.nbrDelta[lo:hi], ns.nbrLoss[lo:hi]
+	deltas = deltas[:len(codes)]
 	sh.counts.hearWalks++
 	sh.counts.hearLinks += uint64(len(codes))
 	for k, q := range codes {
-		r, loss := slots[k], s.r.codeLoss(q)
+		r, loss := tx.sender+int32(deltas[k]), s.r.codeLoss(q)
 		switch m.delivers(loss) {
 		case no:
 			continue
@@ -224,11 +224,11 @@ func (sh *shard) markCaptured(m *margins, i, sender int32) {
 	s := sh.sim
 	sh.counts.captureWalks++
 	lo, hi := s.nodes.nbrOff[i], s.nodes.nbrOff[i+1]
-	nbrs, codes := s.nodes.nbrSlot[lo:hi], s.nodes.nbrLoss[lo:hi]
+	deltas, codes := s.nodes.nbrDelta[lo:hi], s.nodes.nbrLoss[lo:hi]
 	// Locals, so the stores below cannot make the loop reload them.
-	first, candOf, cands, eirp := sh.lo, sh.candOf, sh.cands, s.r.eirpDBm
-	for k, n := range nbrs {
-		if at := uint(n - first); at < uint(len(candOf)) && candOf[at] >= 0 {
+	base, candOf, cands, eirp := i-sh.lo, sh.candOf, sh.cands, s.r.eirpDBm
+	for k, d := range deltas {
+		if at := uint(base + int32(d)); at < uint(len(candOf)) && candOf[at] >= 0 {
 			c := &cands[candOf[at]]
 			switch m.captures(c.rssi, eirp-s.r.codeLoss(codes[k])) {
 			case yes:
@@ -236,6 +236,7 @@ func (sh *shard) markCaptured(m *margins, i, sender int32) {
 			case exact:
 				if !c.captured {
 					sh.counts.exactCapture++
+					n := i + int32(d)
 					c.captured = s.r.captured(eirp-s.linkLoss(sender, n), eirp-s.linkLoss(i, n))
 				}
 			}

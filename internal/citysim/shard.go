@@ -6,6 +6,7 @@ package citysim
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
@@ -102,6 +103,51 @@ type deliveryRec struct {
 	origin int32
 }
 
+// deliveryLog holds a shard's deliveries in append order as a stream of
+// varints, four a record: the instant as the gap since the previous
+// record's (zigzag, so any order encodes), the latency at − born, the
+// sink, and origin − sink (zigzag; 0 under ICN, where the requester is
+// the sink). A city delivery costs about 8–13 B, not a deliveryRec's 24.
+// Any record round-trips: each difference wraps as int64 arithmetic does.
+type deliveryLog struct {
+	buf    []byte
+	lastNs int64 // the previous record's atNs
+}
+
+// append adds r to the log.
+func (l *deliveryLog) append(r deliveryRec) {
+	b := binary.AppendVarint(l.buf, r.atNs-l.lastNs)
+	b = binary.AppendUvarint(b, uint64(r.atNs-r.bornNs))
+	b = binary.AppendUvarint(b, uint64(uint32(r.sink)))
+	l.buf = binary.AppendVarint(b, int64(r.origin)-int64(r.sink))
+	l.lastNs = r.atNs
+}
+
+// appendTo decodes the log onto dst, in append order.
+func (l *deliveryLog) appendTo(dst []deliveryRec) []deliveryRec {
+	var at int64
+	for b := l.buf; len(b) > 0; {
+		var f [4]uint64
+		for k := range f {
+			v, n := binary.Uvarint(b)
+			if n <= 0 {
+				panic("citysim: truncated delivery log")
+			}
+			f[k], b = v, b[n:]
+		}
+		at += unzigzag(f[0])
+		sink := int32(uint32(f[2]))
+		dst = append(dst, deliveryRec{
+			atNs: at, bornNs: at - int64(f[1]),
+			sink: sink, origin: int32(int64(sink) + unzigzag(f[3])),
+		})
+	}
+	return dst
+}
+
+// unzigzag inverts binary.AppendVarint's zigzag mapping.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
 // shardCmd is one window's work for a shard: integrate the previous
 // window's merged list, which ended at winStartNs, if it was not empty
 // (phase B), then run the wheel through [winStartNs, winEndNs) (phase A).
@@ -154,7 +200,7 @@ type shard struct {
 	// pkts holds the queued packets.
 	pkts slab[pkt]
 
-	deliveries []deliveryRec
+	deliveries deliveryLog
 	// stats holds the outcome counters this shard counts; Sim.Stats sums
 	// them.
 	stats  Stats
