@@ -1516,3 +1516,58 @@ func TestSpoolBytesPerPending(t *testing.T) {
 		t.Fatalf("a pending 24 B reading holds %.1f B built by add (bound %d) and %.1f B replayed (bound %d)", added, maxAdded, replayed, maxReplayed)
 	}
 }
+
+// TestSpoolWorkPerReading pins the WAL's work per reading: 4,096 24-byte
+// readings at one instant, admitted under group commit with a commit every
+// 64 adds, then taken and acknowledged in batches of 64, each ack followed
+// by a commit. A reading costs one put record (145 bytes) and one del (40),
+// and 1/32 of a flush; a change to how the spool holds a reading in memory
+// leaves every figure as it is.
+func TestSpoolWorkPerReading(t *testing.T) {
+	const n, group = 4096, 64
+	const wantBytes, wantRecords, wantCommits = 185.0, 2.0, 1.0 / 32
+	at := time.Date(2022, 7, 1, 12, 30, 5, 123_456_789, time.UTC)
+	path := filepath.Join(t.TempDir(), "work.wal")
+	reg := metrics.NewRegistry()
+	s, err := openSpool(path, n, n, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.groupCommit = time.Hour
+	for i := 0; i < n; i++ {
+		r := reading24(i)
+		r.At = at
+		if _, _, _, err := s.add(r); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%group == 0 {
+			if err := s.commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for s.len() > 0 {
+		batch, seqs := s.take(group)
+		if err := s.ackAt(batch, seqs, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesPer := float64(len(wal)) / n
+	recordsPer := float64(bytes.Count(wal, []byte{'\n'})) / n
+	commitsPer := float64(reg.Counter("ingest.wal.commits").Value()) / n
+	t.Logf("per reading: %.4g WAL bytes, %.4g records, %.4g commits", bytesPer, recordsPer, commitsPer)
+	if bytesPer != wantBytes || recordsPer != wantRecords || commitsPer != wantCommits {
+		t.Fatalf("per reading: %v WAL bytes, %v records, %v commits; pinned %v, %v, %v",
+			bytesPer, recordsPer, commitsPer, wantBytes, wantRecords, wantCommits)
+	}
+}
