@@ -22,24 +22,29 @@ import (
 // use its exactly-once bookkeeping (Duplicates) to verify dedup.
 //
 // It keeps a receipt of each distinct reading, not the reading: the
-// payload ends its journey at the accept, so a long run holds a 16-byte
-// receipt and 8 to 16 bytes of traceIndex table a reading.
+// payload ends its journey at the accept, so a long run holds its trace and
+// origin, 10 bytes in two columns, and 8 to 16 bytes of traceIndex table a
+// reading.
 //
 // It also implements the reverse path: downlink commands queued with
 // PushDownlink ride out in the response to the gateway's next uplink
 // POST, and fault injection (SetFailing) simulates backend
 // outages so backoff and the circuit breaker can be observed.
 type Backend struct {
-	mu        sync.Mutex
-	receipts  []Receipt  // one per distinct reading, in arrival order
-	accepted  traceIndex // over receipts: the trace IDs already accepted
+	mu sync.Mutex
+	// traces and froms are the receipts' columns: entry i is the i-th
+	// distinct reading to arrive.
+	traces    []trace.TraceID
+	froms     []packet.Address
+	accepted  traceIndex // over traces: the trace IDs already accepted
 	dupes     int        // uploads of a trace ID already accepted
 	downlinks []Downlink
 	batches   int
 	failing   bool
 }
 
-// Receipt is what the backend keeps of an accepted reading.
+// Receipt is what the backend keeps of an accepted reading; it stores the
+// two fields in columns and Readings zips them.
 type Receipt struct {
 	Trace trace.TraceID
 	From  packet.Address
@@ -48,7 +53,7 @@ type Receipt struct {
 // NewBackend returns an empty collector.
 func NewBackend() *Backend {
 	b := &Backend{}
-	b.accepted = newTraceIndex(func(pos int) trace.TraceID { return b.receipts[pos].Trace })
+	b.accepted = newTraceIndex(func(pos int) trace.TraceID { return b.traces[pos] })
 	return b
 }
 
@@ -79,8 +84,9 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			b.dupes++
 			continue
 		}
-		b.receipts = append(b.receipts, Receipt{Trace: r.Trace, From: r.From})
-		b.accepted.add(len(b.receipts) - 1)
+		b.traces = append(b.traces, r.Trace)
+		b.froms = append(b.froms, r.From)
+		b.accepted.add(len(b.traces) - 1)
 		accepted++
 	}
 	b.batches++
@@ -122,18 +128,25 @@ func (b *Backend) PushDownlink(d Downlink) {
 }
 
 // Readings returns a receipt for each distinct reading received, in
-// arrival order.
+// arrival order; nil before the first.
 func (b *Backend) Readings() []Receipt {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Receipt(nil), b.receipts...)
+	if len(b.traces) == 0 {
+		return nil
+	}
+	out := make([]Receipt, len(b.traces))
+	for i := range out {
+		out[i] = Receipt{Trace: b.traces[i], From: b.froms[i]}
+	}
+	return out
 }
 
 // Distinct returns how many unique readings (by trace ID) arrived.
 func (b *Backend) Distinct() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.receipts)
+	return len(b.traces)
 }
 
 // Duplicates returns how many redundant uploads arrived — readings whose
@@ -157,8 +170,8 @@ func (b *Backend) FromAddr(a packet.Address) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
-	for _, r := range b.receipts {
-		if r.From == a {
+	for _, from := range b.froms {
+		if from == a {
 			n++
 		}
 	}
@@ -247,10 +260,10 @@ func (sb *ShardedBackend) DoubleAccepted() int {
 	}
 	double := 0
 	for i, b := range sb.shards {
-		for _, r := range b.receipts {
+		for _, id := range b.traces {
 			earlier := 0
 			for _, e := range sb.shards[:i] {
-				if e.accepted.has(r.Trace) {
+				if e.accepted.has(id) {
 					earlier++
 				}
 			}

@@ -201,12 +201,13 @@ func liveHeap() int64 {
 }
 
 // TestBackendBytesPerReading is the backend's heap fence: 200 k distinct
-// readings are held in at most 32 bytes each, a receipt and its trace
-// index entry, where keeping the readings took about 109 and a receipt
-// beside a map entry about 42. It measures the live heap after a
-// collection, so it must not run beside other tests.
+// readings are held in at most 24 bytes each, a trace and an origin in two
+// columns and a trace index entry, where 16-byte Receipt structs took 28.6,
+// keeping the readings about 109 and a receipt beside a map entry about 42.
+// It measures the live heap after a collection, so it must not run beside
+// other tests.
 func TestBackendBytesPerReading(t *testing.T) {
-	const n, batchSize, maxBytes = 200_000, 500, 32
+	const n, batchSize, maxBytes = 200_000, 500, 24
 	batch := make([]Reading, batchSize)
 	body := appendUplinkRequest(nil, 1, batch)
 	b := NewBackend()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -85,14 +86,17 @@ type spool struct {
 	slots []slot
 	state []slotState
 	base  uint64
-	// data is the payload arena: the slots' payloads back to back, the
+	// data is the arena: each slot's stamp and payload, back to back, the
 	// head's starting at offset start (offsets count mod 2³², so a live
 	// span stays under 4 GiB — add refuses what would reach it). Its bytes
 	// are written once and never rewritten: trim reslices past dead heads
 	// and an emptied queue drops the array, so a payload handed out (an
 	// in-flight batch, a compaction snapshot) stays valid without a copy.
+	// epoch is the At, less its monotonic reading, of the first reading
+	// pushed into an empty arena; every stamp counts from it.
 	data  []byte
 	start uint32
+	epoch time.Time
 	live  int // slots not dead: the pending readings
 	busy  int // of those, how many ride an in-flight batch
 	seen  *horizon
@@ -122,75 +126,128 @@ type spool struct {
 	tail []byte
 }
 
-// slot is one admitted reading as the queue holds it: 32 bytes and no
-// pointer, its payload in the arena. At is kept as its instant and its
-// zone's offset there (or that it was Local), so the rebuilt At is Equal
-// to it and formats to the same bytes; its monotonic reading, which a WAL
-// replay drops anyway, and the name of a zone other than UTC or Local are
-// not kept.
+// slot is one admitted reading as the queue holds it: 16 bytes and no
+// pointer. Its At and Reliable sit in the arena as a stamp just before its
+// payload (see appendStamp), and end is the arena offset just past that
+// payload.
 type slot struct {
 	trace    trace.TraceID
-	sec      int64  // At as unix seconds
-	nsec     uint32 // At's nanoseconds, plus the atLocal and isReliable bits
-	zone     int32  // At's zone offset in seconds east of UTC, unless atLocal
-	end      uint32 // the arena offset just past the payload
+	end      uint32
 	from, to packet.Address
 }
 
+// A stamp is a reading's At and Reliable as the arena keeps them: a uvarint
+// head whose low stampFlags bits are the flags below and whose high bits
+// are zigzag(At − epoch) in nanoseconds, then a varint zone offset in
+// seconds east of UTC when the zone is fixed, then varint unix seconds and
+// uvarint nanoseconds when the head escapes. The rebuilt At is Equal to the
+// original and formats to the same bytes; its monotonic reading, which a
+// WAL replay drops anyway, and the name of a zone other than UTC or Local
+// are not kept.
 const (
-	nsecMask   = 1<<30 - 1
-	atLocal    = 1 << 30 // At was in time.Local: rebuild it there
-	isReliable = 1 << 31
+	stampReliable = 1 << iota // Reliable
+	stampLocal                // At was in time.Local: rebuild it there
+	stampFixed                // At's zone is a nonzero offset, which follows
+	stampEscape               // At − epoch needs more than 60 bits: seconds and nanoseconds follow
+	stampFlags    = 4         // the head's flag bits
+
+	// maxStamp bounds a stamp's length: four varints.
+	maxStamp = 4 * binary.MaxVarintLen64
 
 	// maxArena bounds the arena's live span: its offsets are 32-bit.
 	maxArena = 1<<32 - 1
 )
 
-// errSpoolFull refuses a reading whose payload would stretch the arena's
-// live span past maxArena.
+// errSpoolFull refuses a reading whose stamp and payload would stretch the
+// arena's live span past maxArena.
 var errSpoolFull = errors.New("gateway: spool: pending payloads would pass 4 GiB")
 
-// packSlot packs r, whose payload ends at arena offset end.
-func packSlot(r *Reading, end uint32) slot {
-	sl := slot{trace: r.Trace, sec: r.At.Unix(), nsec: uint32(r.At.Nanosecond()), end: end, from: r.From, to: r.To}
-	if r.At.Location() == time.Local {
-		sl.nsec |= atLocal
-	} else {
-		_, off := r.At.Zone()
-		sl.zone = int32(off)
-	}
+// appendStamp appends r's stamp against epoch, an instant with no
+// monotonic reading. The head holds a distance within ±2⁵⁹ ns (18 years);
+// Sub is exact up to ±2⁶³ ns and saturates beyond, so every saturated
+// distance escapes too.
+func appendStamp(dst []byte, epoch time.Time, r *Reading) []byte {
+	var head uint64
 	if r.Reliable {
-		sl.nsec |= isReliable
+		head |= stampReliable
 	}
-	return sl
+	_, off := r.At.Zone()
+	switch {
+	case r.At.Location() == time.Local:
+		head |= stampLocal
+	case off != 0:
+		head |= stampFixed
+	}
+	d := r.At.Sub(epoch)
+	if z := uint64(d<<1) ^ uint64(d>>63); z < 1<<(64-stampFlags) {
+		head |= z << stampFlags
+	} else {
+		head |= stampEscape
+	}
+	dst = binary.AppendUvarint(dst, head)
+	if head&stampFixed != 0 {
+		dst = binary.AppendVarint(dst, int64(off))
+	}
+	if head&stampEscape != 0 {
+		dst = binary.AppendVarint(dst, r.At.Unix())
+		dst = binary.AppendUvarint(dst, uint64(r.At.Nanosecond()))
+	}
+	return dst
 }
 
-// payload returns slots[i]'s payload: a capped window on the arena, so
-// appending to it never reaches a neighbour.
-func (s *spool) payload(i int) []byte {
+// readStamp is appendStamp's twin: it rebuilds the At and Reliable of the
+// stamp at the front of b and returns the stamp's length.
+func readStamp(b []byte, epoch time.Time) (at time.Time, reliable bool, n int) {
+	head, n := binary.Uvarint(b)
+	var off int64
+	if head&stampFixed != 0 {
+		v, k := binary.Varint(b[n:])
+		off, n = v, n+k
+	}
+	if head&stampEscape != 0 {
+		sec, k := binary.Varint(b[n:])
+		nsec, j := binary.Uvarint(b[n+k:])
+		at, n = time.Unix(sec, int64(nsec)), n+k+j
+	} else {
+		z := head >> stampFlags
+		at = epoch.Add(time.Duration(z>>1) ^ -time.Duration(z&1))
+	}
+	switch {
+	case head&stampLocal != 0:
+		at = at.Local()
+	case head&stampFixed != 0:
+		at = at.In(time.FixedZone("", int(off)))
+	default:
+		at = at.UTC()
+	}
+	return at, head&stampReliable != 0, n
+}
+
+// entry returns slots[i]'s stamp and payload as the arena holds them.
+func (s *spool) entry(i int) []byte {
 	from := s.start
 	if i > 0 {
 		from = s.slots[i-1].end
 	}
-	lo, hi := from-s.start, s.slots[i].end-s.start
-	return s.data[lo:hi:hi]
+	return s.data[from-s.start : s.slots[i].end-s.start]
 }
 
-// reading rebuilds the reading in slots[i].
+// reading rebuilds the reading in slots[i]. Its payload is a capped window
+// on the arena, so appending to it never reaches a neighbour.
 func (s *spool) reading(i int) Reading {
+	e := s.entry(i)
+	at, reliable, n := readStamp(e, s.epoch)
 	sl := &s.slots[i]
-	at := time.Unix(sl.sec, int64(sl.nsec&nsecMask))
-	switch {
-	case sl.nsec&atLocal != 0:
-	case sl.zone == 0:
-		at = at.UTC()
-	default:
-		at = at.In(time.FixedZone("", int(sl.zone)))
-	}
 	return Reading{
-		From: sl.from, To: sl.to, Trace: sl.trace, Payload: s.payload(i),
-		Reliable: sl.nsec&isReliable != 0, At: at,
+		From: sl.from, To: sl.to, Trace: sl.trace, Payload: e[n:len(e):len(e)],
+		Reliable: reliable, At: at,
 	}
+}
+
+// fits reports whether r's stamp, counted at its longest, and payload fit
+// in the arena's live span.
+func (s *spool) fits(r *Reading) bool {
+	return uint64(len(s.data))+maxStamp+uint64(len(r.Payload)) <= maxArena
 }
 
 // slotState says what became of an admitted reading.
@@ -309,7 +366,7 @@ func (s *spool) replay() (torn bool, err error) {
 				break
 			}
 			switch seq, pending := at[r.Trace]; {
-			case put && uint64(len(s.data))+uint64(len(r.Payload)) > maxArena:
+			case put && !s.fits(&r):
 				return false, fmt.Errorf("gateway: spool %s: pending payloads pass 4 GiB at line %d", s.path, lines+1)
 			case put && pending:
 				more[r.Trace] = append(more[r.Trace], uint32(s.push(&r)))
@@ -345,22 +402,23 @@ func (s *spool) replay() (torn bool, err error) {
 	return torn, nil
 }
 
-// settle moves the live slots and their payloads into arrays of exactly
-// their size, dropping the dead ones between them and the slack that
-// growing left: replay knows the whole backlog it rebuilt, and nothing
-// outside the spool holds a sequence number or a payload yet.
+// settle moves the live slots and their arena entries, verbatim, into
+// arrays of exactly their size, dropping the dead ones between them and
+// the slack that growing left: replay knows the whole backlog it rebuilt,
+// and nothing outside the spool holds a sequence number or a payload yet.
+// The epoch stays, so every stamp still reads as it did.
 func (s *spool) settle() {
 	slots := make([]slot, 0, s.live)
 	n := 0
 	for i, st := range s.state {
 		if st != slotDead {
-			n += len(s.payload(i))
+			n += len(s.entry(i))
 		}
 	}
 	data := make([]byte, 0, n)
 	for i, st := range s.state {
 		if st != slotDead {
-			data = append(data, s.payload(i)...)
+			data = append(data, s.entry(i)...)
 			sl := s.slots[i]
 			sl.end = s.start + uint32(len(data))
 			slots = append(slots, sl)
@@ -703,11 +761,16 @@ func (s *spool) commit() error {
 	return nil
 }
 
-// push appends r at the tail, its payload copied onto the arena, and
-// returns its sequence number.
+// push appends r at the tail, its stamp and a copy of its payload onto the
+// arena, and returns its sequence number. The first reading pushed into an
+// empty arena sets the epoch.
 func (s *spool) push(r *Reading) uint64 {
+	if len(s.slots) == 0 {
+		s.epoch = r.At.Round(0)
+	}
+	s.data = appendStamp(s.data, s.epoch, r)
 	s.data = append(s.data, r.Payload...)
-	s.slots = append(s.slots, packSlot(r, s.start+uint32(len(s.data))))
+	s.slots = append(s.slots, slot{trace: r.Trace, end: s.start + uint32(len(s.data)), from: r.From, to: r.To})
 	s.state = append(s.state, slotQueued)
 	s.live++
 	return s.base + uint64(len(s.slots)-1)
@@ -761,8 +824,9 @@ func (s *spool) evictHead() trace.TraceID {
 
 // add admits a copy of r unless the horizon has seen it (dup): enqueue,
 // evicting the oldest pending reading when full — its trace is returned
-// (evicted true) so the caller can record it. A payload that would stretch
-// the arena past maxArena is refused with errSpoolFull. Otherwise the
+// (evicted true) so the caller can record it. A reading whose stamp and
+// payload would stretch the arena past maxArena is refused with
+// errSpoolFull. Otherwise the
 // in-memory queue is updated before the WAL is written: a failed append
 // degrades durability (reported via err), but the admitted reading still
 // uplinks from memory.
@@ -770,7 +834,7 @@ func (s *spool) add(r Reading) (dup bool, evictedID trace.TraceID, evicted bool,
 	if s.seen.has(r.Trace) {
 		return true, 0, false, nil
 	}
-	if uint64(len(s.data))+uint64(len(r.Payload)) > maxArena {
+	if !s.fits(&r) {
 		return false, 0, false, errSpoolFull
 	}
 	if s.live >= s.capacity {

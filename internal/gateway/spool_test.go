@@ -1403,31 +1403,36 @@ func TestSpoolOwnsPayload(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				s.add(reading24(i))
 			}
+			end := s.start + uint32(len(s.data))
 			batch, _ := s.take(2)
 			for i := range batch {
 				batch[i].Payload = append(batch[i].Payload, 0xEE, 0xEE, 0xEE)
 			}
 			for i, r := range append(batch, s.pendingReadings()...) {
 				id := int(r.Trace - testReading(0).Trace)
-				if want := reading24(id).Payload; !bytes.Equal(r.Payload[:24], want) {
-					t.Fatalf("reading %d (%d): %x, admitted %x", i, id, r.Payload, want)
+				if want := reading24(id); !bytes.Equal(r.Payload[:24], want.Payload) || !r.At.Equal(want.At) {
+					t.Fatalf("reading %d (%d): %x at %v, admitted %x at %v", i, id, r.Payload, r.At, want.Payload, want.At)
 				}
 			}
-			if s.start+uint32(len(s.data)) != start+4*24 {
-				t.Fatalf("arena ends at %d, want %d", s.start+uint32(len(s.data)), start+4*24)
+			if got := s.start + uint32(len(s.data)); got != end {
+				t.Fatalf("arena ends at %d, ended at %d before the appends", got, end)
 			}
 		})
 	}
 }
 
-// TestSpoolRebuildsReadingTime holds the packed slot to the reading it
-// packed: for each kind of time a reading can carry, the rebuilt reading
-// encodes to the same WAL record, byte for byte, its At is Equal to the
-// original, and a reopen's replay encodes to those bytes again. (A zone
-// of 3601 s is the one case where the replayed At is not Equal: the
-// record's offset has no seconds, so it never was.)
+// TestSpoolRebuildsReadingTime holds the stamp to the reading it packed:
+// for each kind of time a reading can carry, the rebuilt reading encodes
+// to the same WAL record, byte for byte, its At is Equal to the original,
+// and a reopen's replay encodes to those bytes again. (A zone of 3601 s is
+// the one case where the replayed At is not Equal: the record's offset has
+// no seconds, so it never was.) One arena holds instants on both sides of
+// the epoch, at the edges of the stamp's 60-bit distance and past them; a
+// drained queue takes its next reading's At as the new epoch; and a replay
+// whose first put is the zero time counts every later stamp from year 1.
 func TestSpoolRebuildsReadingTime(t *testing.T) {
 	base := time.Date(2022, 7, 1, 12, 30, 5, 999_999_999, time.UTC)
+	const edge = time.Duration(1 << 59) // the nearest distance the head cannot hold
 	ats := []time.Time{
 		base,
 		base.Local(),
@@ -1436,48 +1441,160 @@ func TestSpoolRebuildsReadingTime(t *testing.T) {
 		base.In(time.FixedZone("", 3601)),
 		{},
 		time.Now(), // carries a monotonic reading
+		base.AddDate(300, 0, 0),
+		base.AddDate(-300, 0, 0).Local(),
+		base.Add(edge - 1),
+		base.Add(edge),
+		base.Add(-edge),
+		base.Add(-edge - 1).In(time.FixedZone("", 3600)),
+		time.Date(1, 1, 1, 0, 0, 0, 1, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.UTC),
+		base.Add(-time.Nanosecond),
 	}
+	open := func(path string) *spool {
+		s, err := openSpool(path, 64, 64, metrics.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// admit adds a reading at each of ats, numbered from first, the even
+	// ones reliable, and returns their put records.
+	admit := func(s *spool, first int, ats []time.Time) [][]byte {
+		want := make([][]byte, len(ats))
+		for i, at := range ats {
+			r := testReading(first + i)
+			r.At, r.Reliable = at, i%2 == 0
+			want[i] = encodePut(nil, &r)
+			if _, _, _, err := s.add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return want
+	}
+	// check holds rebuilt readings to the records they were admitted as
+	// and to their instants, which a replayed offset keeps only to the
+	// minute.
+	check := func(what string, got []Reading, want [][]byte, ats []time.Time, replayed bool) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d readings, want %d", what, len(got), len(want))
+		}
+		for i, r := range got {
+			if enc := encodePut(nil, &r); !bytes.Equal(enc, want[i]) {
+				t.Errorf("%s %v: rebuilt reading encodes to\n%s want\n%s", what, ats[i], enc, want[i])
+			}
+			if _, off := ats[i].Zone(); (!replayed || off%60 == 0) && !r.At.Equal(ats[i]) {
+				t.Errorf("%s %v: rebuilt At %v is not Equal", what, ats[i], r.At)
+			}
+		}
+	}
+
 	path := filepath.Join(t.TempDir(), "times.wal")
-	s, err := openSpool(path, 16, 16, metrics.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]byte, len(ats))
-	for i, at := range ats {
-		r := testReading(i)
-		r.At, r.Reliable = at, i%2 == 0
-		want[i] = encodePut(nil, &r)
-		s.add(r)
-	}
+	s := open(path)
+	want := admit(s, 0, ats)
 	batch, _ := s.take(len(ats))
-	for i, r := range batch {
-		if got := encodePut(nil, &r); !bytes.Equal(got, want[i]) {
-			t.Errorf("%v: rebuilt reading encodes to\n%s want\n%s", ats[i], got, want[i])
-		}
-		if !r.At.Equal(ats[i]) {
-			t.Errorf("%v: rebuilt At %v is not Equal", ats[i], r.At)
-		}
-	}
+	check("taken", batch, want, ats, false)
 	s.close()
-	if s, err = openSpool(path, 16, 16, metrics.NewRegistry()); err != nil {
-		t.Fatal(err)
+	s = open(path)
+	check("replayed", s.pendingReadings(), want, ats, true)
+
+	ackHead(s, len(ats))
+	if s.len() != 0 {
+		t.Fatalf("%d readings pending after acking all %d", s.len(), len(ats))
 	}
+	later := []time.Time{base.AddDate(500, 0, 0), base.AddDate(500, 0, 1), base, {}}
+	want = admit(s, len(ats), later)
+	if !s.epoch.Equal(later[0]) {
+		t.Fatalf("epoch %v after the queue drained, want the next reading's %v", s.epoch, later[0])
+	}
+	check("refilled", s.pendingReadings(), want, later, false)
+	s.close()
+
+	path = filepath.Join(t.TempDir(), "zero-first.wal")
+	s = open(path)
+	zeroFirst := append([]time.Time{{}}, ats...)
+	want = admit(s, 0, zeroFirst)
+	s.close()
+	s = open(path)
 	defer s.close()
-	for i, r := range s.pendingReadings() {
-		if got := encodePut(nil, &r); !bytes.Equal(got, want[i]) {
-			t.Errorf("%v: replayed reading encodes to\n%s want\n%s", ats[i], got, want[i])
+	if !s.epoch.IsZero() {
+		t.Fatalf("replay's epoch is %v, want the first put's zero time", s.epoch)
+	}
+	check("replayed after the zero time", s.pendingReadings(), want, zeroFirst, true)
+}
+
+// FuzzSpoolStamp pushes a reading at any instant, in UTC, Local or any
+// fixed zone (offsets with seconds too), reliable or not, behind one that
+// sets any epoch, and demands both back as they went in: an Equal At that
+// formats to the same RFC 3339 bytes, the same Reliable and payload, and a
+// stamp no longer than maxStamp.
+func FuzzSpoolStamp(f *testing.F) {
+	base := time.Date(2022, 7, 1, 12, 30, 5, 999_999_999, time.UTC)
+	for _, c := range []struct{ epoch, at time.Time }{
+		{base, base.Add(700 * time.Millisecond)},
+		{base, base.AddDate(300, 0, 0)},
+		{base, base.AddDate(-300, 0, 0)},
+		{base, time.Time{}},
+		{time.Time{}, base},
+		{base, base.Add(1<<59 - 1)},
+		{base, base.Add(-1 << 59)},
+		{base, base.Add(1 << 59)},
+	} {
+		for zone := byte(0); zone < 3; zone++ {
+			f.Add(c.epoch.Unix(), uint32(c.epoch.Nanosecond()), c.at.Unix(), uint32(c.at.Nanosecond()), zone, int32(3601), zone == 1, []byte("payload"))
 		}
 	}
+	f.Add(int64(math.MaxInt64), uint32(999_999_999), int64(math.MinInt64), uint32(0), byte(2), int32(math.MinInt32), true, []byte{})
+	f.Fuzz(func(t *testing.T, epochSec int64, epochNsec uint32, atSec int64, atNsec uint32, zone byte, offset int32, reliable bool, payload []byte) {
+		var loc *time.Location
+		switch zone % 3 {
+		case 0:
+			loc = time.UTC
+		case 1:
+			loc = time.Local
+		default:
+			loc = time.FixedZone("fixed", int(offset))
+		}
+		rs := []Reading{
+			{From: 2, To: 1, Trace: 1, Payload: []byte{0xEE}, At: time.Unix(epochSec, int64(epochNsec%1e9)).In(loc)},
+			{From: 3, To: 1, Trace: 2, Payload: payload, Reliable: reliable, At: time.Unix(atSec, int64(atNsec%1e9)).In(loc)},
+		}
+		s, err := openSpool("", 2, 2, metrics.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if _, _, _, err := s.add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, want := range rs {
+			got := s.reading(i)
+			switch {
+			case !got.At.Equal(want.At):
+				t.Fatalf("reading %d at %v (epoch %v) rebuilt at %v", i, want.At, s.epoch, got.At)
+			case got.At.Format(time.RFC3339Nano) != want.At.Format(time.RFC3339Nano):
+				t.Fatalf("reading %d at %s rebuilt as %s", i, want.At.Format(time.RFC3339Nano), got.At.Format(time.RFC3339Nano))
+			case got.Reliable != want.Reliable || !bytes.Equal(got.Payload, want.Payload):
+				t.Fatalf("reading %d: reliable %v payload %x, pushed %v %x", i, got.Reliable, got.Payload, want.Reliable, want.Payload)
+			case len(s.entry(i))-len(want.Payload) > maxStamp:
+				t.Fatalf("reading %d: a %d-byte stamp, more than %d", i, len(s.entry(i))-len(want.Payload), maxStamp)
+			}
+		}
+	})
 }
 
 // TestSpoolBytesPerPending is the spool's heap fence: a pending 24-byte
-// reading costs at most 72 bytes built by add (a packed slot, its state
-// byte, its payload and append's slack) and 60 after a reopen's replay,
-// which leaves no slack; holding Reading structs took 109. A one-entry
-// horizon keeps the dedup set out of the sum. It measures the live heap
-// after a collection, so it must not run beside other tests.
+// reading costs at most 60 bytes built by add (a 16-byte slot, its state
+// byte, its stamp, its payload and append's slack) and 50 after a reopen's
+// replay, which leaves no slack; 32-byte slots with no stamp took 62.9 and
+// 57.1, holding Reading structs 109. These readings are a second apart, so
+// most stamps are 8 bytes. A one-entry horizon keeps the dedup set out of
+// the sum. It measures the live heap after a collection, so it must not run
+// beside other tests.
 func TestSpoolBytesPerPending(t *testing.T) {
-	const n, maxAdded, maxReplayed = 100_000, 72, 60
+	const n, maxAdded, maxReplayed = 100_000, 60, 50
 	path := filepath.Join(t.TempDir(), "pending.wal")
 	reg := metrics.NewRegistry()
 	perReading := func(build func() *spool) float64 {
