@@ -17,9 +17,11 @@ import (
 // renders, so a re-pin that breaks what a note says fails even when the
 // table is regenerated.
 var claims = map[string]func(*experiments.Result) error{
-	"E7": claimE7,
-	"X6": claimX6,
-	"X7": claimX7,
+	"E7":  claimE7,
+	"E15": claimE15,
+	"E17": claimE17,
+	"X6":  claimX6,
+	"X7":  claimX7,
 }
 
 // claimE7: "flooding spends more airtime than routed forwarding for
@@ -40,6 +42,56 @@ func claimE7(res *experiments.Result) error {
 	}
 	if d := t.pct(flood, "PDR") - t.pct(mesher, "PDR"); d < -5 || d > 5 {
 		errs = append(errs, fmt.Sprintf("PDRs differ by %.1f points, not comparable", d))
+	}
+	return t.join(errs)
+}
+
+// claimE15: "rows of equal size share a digest" — and with it frames,
+// PDR and mean latency; every size runs on at least two executors.
+func claimE15(res *experiments.Result) error {
+	t := table{res}
+	if len(res.Rows) == 0 {
+		return fmt.Errorf("no rows")
+	}
+	first := map[string][]string{}
+	count := map[string]int{}
+	var errs []string
+	for _, row := range res.Rows {
+		count[row[0]]++
+		ref, ok := first[row[0]]
+		if !ok {
+			first[row[0]] = row
+			continue
+		}
+		for _, col := range []string{"frames", "PDR", "mean lat", "digest"} {
+			if row[t.col(col)] != ref[t.col(col)] {
+				errs = append(errs, fmt.Sprintf("%s nodes: %s's %s differs from %s's", row[0], row[1], col, ref[1]))
+			}
+		}
+	}
+	for nodes, n := range count {
+		if n < 2 {
+			errs = append(errs, fmt.Sprintf("%s nodes run on one executor: nothing to compare", nodes))
+		}
+	}
+	return t.join(errs)
+}
+
+// claimE17: "every rung delivered N/N readings with zero double-accepts"
+// — and none lost.
+func claimE17(res *experiments.Result) error {
+	t := table{res}
+	m := regexp.MustCompile(`every rung delivered \d+/(\d+) readings`).FindStringSubmatch(strings.Join(res.Notes, "\n"))
+	if m == nil || len(res.Rows) == 0 {
+		return fmt.Errorf("want rows and a note naming the readings offered")
+	}
+	readings, _ := strconv.ParseFloat(m[1], 64)
+	var errs []string
+	for _, row := range res.Rows {
+		if t.num(row, "distinct") != readings || t.num(row, "double-acc") != 0 || t.num(row, "lost") != 0 {
+			errs = append(errs, fmt.Sprintf("rung %s: distinct %s of %s, double-acc %s, lost %s",
+				row[0], row[t.col("distinct")], m[1], row[t.col("double-acc")], row[t.col("lost")]))
+		}
 	}
 	return t.join(errs)
 }
@@ -158,11 +210,11 @@ func (t table) row(name string) []string {
 	return nil
 }
 
-// find returns the first row of strategy kind whose scenario starts with
-// prefix.
+// find returns the first row whose first cell is kind and whose second
+// (X7's scenario, E15's executor) starts with prefix.
 func (t table) find(kind, prefix string) []string {
 	for _, r := range t.res.Rows {
-		if r[0] == kind && strings.HasPrefix(r[t.col("scenario")], prefix) {
+		if r[0] == kind && strings.HasPrefix(r[1], prefix) {
 			return r
 		}
 	}
@@ -233,6 +285,17 @@ func TestClaimsFailOnBrokenTables(t *testing.T) {
 			{"flooding", "", "airtime", "1.0min"},
 			{"flooding", "", "tx per delivery", "1.0"},
 			{"flooding", "", "PDR", "80.0%"},
+		},
+		"E15": {
+			{"1000", "serial", "frames", "21253"},
+			{"1000", "2-shard", "PDR", "40.4%"},
+			{"1000", "8-shard", "mean lat", "18.34s"},
+			{"10000", "8-shard", "digest", "0123456789abcdef"},
+		},
+		"E17": {
+			{"sharded 4", "", "distinct", "5999"},
+			{"fleet 2gw overlap", "", "double-acc", "1"},
+			{"fleet+crash/restart", "", "lost", "1"},
 		},
 		"X6": {
 			{"AODV-lite (reactive)", "", "idle airtime/h", "9.99s"},

@@ -7,7 +7,6 @@
 //
 //	meshbench              # run every experiment
 //	meshbench -exp E5,E7   # run selected experiments
-//	meshbench -quick       # E15, E17 and X7 (a minute at published size) at test size
 //	meshbench -seed 7      # different random seed
 //	meshbench -cpuprofile meshbench.prof
 package main
@@ -27,7 +26,6 @@ import (
 // options collects everything a run needs; flags map onto it 1:1.
 type options struct {
 	exp        string
-	quick      bool
 	seed       int64
 	cpuprofile string
 }
@@ -35,7 +33,6 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.exp, "exp", "", "comma-separated experiment ids (default: all)")
-	flag.BoolVar(&o.quick, "quick", false, "run E15, E17 and X7 at test size (every other experiment has one size)")
 	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
@@ -75,7 +72,7 @@ func run(w, ew io.Writer, o options) error {
 		}
 	}
 
-	opt := experiments.Options{Seed: o.seed, Quick: o.quick}
+	opt := experiments.Options{Seed: o.seed}
 	failed := 0
 	for _, s := range specs {
 		start := time.Now()
@@ -90,7 +87,8 @@ func run(w, ew io.Writer, o options) error {
 			failed++
 			continue
 		}
-		fmt.Fprintf(w, "(%s completed in %v wall time)\n\n", s.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(w)
+		fmt.Fprintf(ew, "(%s completed in %v wall time)\n", s.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failed)

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -15,13 +16,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatalf("quickstart: %v", err)
 	}
 }
 
-func run() error {
+// run plays the scene and writes its narration to w.
+func run(w io.Writer) error {
 	// Three nodes, 8 km apart: adjacent pairs hear each other, the ends
 	// do not (SF7 closes at ≈13 km under the default channel model).
 	topo, err := lorasim.LineTopology(3, 8000)
@@ -39,26 +41,26 @@ func run() error {
 		return err
 	}
 	a, b, c := sim.Handle(0), sim.Handle(1), sim.Handle(2)
-	fmt.Printf("nodes: A=%v  B=%v (router)  C=%v — 8 km spacing, SF7/BW125\n\n", a.Addr, b.Addr, c.Addr)
+	fmt.Fprintf(w, "nodes: A=%v  B=%v (router)  C=%v — 8 km spacing, SF7/BW125\n\n", a.Addr, b.Addr, c.Addr)
 
-	fmt.Println("waiting for the distance-vector mesh to converge...")
+	fmt.Fprintln(w, "waiting for the distance-vector mesh to converge...")
 	elapsed, ok := lorasim.RunUntilConverged(sim, time.Second, time.Hour)
 	if !ok {
 		return fmt.Errorf("mesh did not converge")
 	}
-	fmt.Printf("converged after %v of network time\n\n", elapsed.Round(time.Second))
+	fmt.Fprintf(w, "converged after %v of network time\n\n", elapsed.Round(time.Second))
 
-	fmt.Println("A's routing table:")
+	fmt.Fprintln(w, "A's routing table:")
 	for _, e := range a.Mesher.Table().Entries() {
-		fmt.Printf("  dst %v  via %v  metric %d\n", e.Addr, e.Via, e.Metric)
+		fmt.Fprintf(w, "  dst %v  via %v  metric %d\n", e.Addr, e.Via, e.Metric)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// A datagram from A to C must relay through B.
 	received := 0
 	c.OnMessage = func(msg loramesher.Message) {
 		received++
-		fmt.Printf("C received %q from %v\n", msg.Payload, msg.From)
+		fmt.Fprintf(w, "C received %q from %v\n", msg.Payload, msg.From)
 	}
 	payload := []byte("hello from A, routed by B")
 	if err := a.Proto.Send(c.Addr, payload); err != nil {
@@ -68,7 +70,7 @@ func run() error {
 	if received == 0 {
 		return fmt.Errorf("C received nothing")
 	}
-	fmt.Printf("B forwarded %d data frame(s) as a router\n",
+	fmt.Fprintf(w, "B forwarded %d data frame(s) as a router\n",
 		b.Proto.Metrics().Counter("fwd.frames").Value())
 
 	// And a reliable multi-frame payload back from C to A.
@@ -85,9 +87,9 @@ func run() error {
 	if ev == nil || ev.Err != nil {
 		return fmt.Errorf("reliable transfer failed: %+v", ev)
 	}
-	fmt.Printf("C→A reliable transfer: %d chunks in %v (%d retransmissions)\n",
+	fmt.Fprintf(w, "C→A reliable transfer: %d chunks in %v (%d retransmissions)\n",
 		ev.Chunks, ev.Elapsed.Round(time.Millisecond), ev.Retransmissions)
 
-	fmt.Fprintln(os.Stdout, "\nquickstart OK")
+	fmt.Fprintln(w, "\nquickstart OK")
 	return nil
 }

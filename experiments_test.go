@@ -1,7 +1,7 @@
 // Package repro's root test is the fence the evaluation rests on: under
 // `go test ./...` every experiment in EXPERIMENTS.md's index runs once at
-// seed 1, and each deterministic table is compared byte for byte with
-// the committed eval_output.txt. Performance is measured by bench/ (see
+// seed 1, and each table is compared byte for byte with the committed
+// eval_output.txt. Performance is measured by bench/ (see
 // BENCHMARK.json), not here.
 package repro
 
@@ -15,24 +15,17 @@ import (
 	"repro/internal/experiments"
 )
 
-// wallClockOnly names the two experiments that take a minute at published
-// size and whose tables are mostly wall-clock columns: they run at test
-// size and are not compared with eval_output.txt.
-var wallClockOnly = map[string]bool{"E15": true, "E17": true}
-
-// TestAllExperimentsQuick runs every experiment once. An experiment in
-// claims must satisfy its notes' predicate. The 27 other than
-// E15 and E17 run at published size and must render their section of
-// eval_output.txt exactly; E15's deterministic columns at test size are
-// pinned by a golden file; E17's delivery ledger is asserted by the
-// experiment itself. A change that means to move a cell regenerates the
-// file: go run ./cmd/meshbench > eval_output.txt
+// TestAllExperimentsQuick runs every experiment once at its one size.
+// An experiment in claims must satisfy its notes' predicate, and each
+// must render its section of eval_output.txt exactly. A change that means
+// to move a cell regenerates the file:
+// go run ./cmd/meshbench > eval_output.txt
 func TestAllExperimentsQuick(t *testing.T) {
 	published := publishedTables(t)
 	for _, spec := range experiments.All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			res, err := spec.Run(experiments.Options{Seed: 1, Quick: wallClockOnly[spec.ID]})
+			res, err := spec.Run(experiments.Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,39 +34,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("the notes' claim fails: %v", err)
 				}
 			}
-			switch spec.ID {
-			case "E15":
-				golden, err := os.ReadFile("internal/experiments/testdata/e15_quick.golden")
-				if err != nil {
-					t.Fatal(err)
-				}
-				expectTable(t, string(golden), render(t, deterministicE15(res)))
-			case "E17":
-				if len(res.Rows) == 0 {
-					t.Fatal("no rows produced")
-				}
-			default:
-				expectTable(t, published[spec.ID], maskAllocs(spec.ID, render(t, res)))
-			}
+			expectTable(t, published[spec.ID], maskAllocs(spec.ID, render(t, res)))
 		})
-	}
-}
-
-// TestOnlySlowExperimentsReadQuick holds the evaluation to one size: with
-// Quick set, each of the 26 experiments other than E15, E17 and X7 still
-// renders its published table, which TestAllExperimentsQuick shows is
-// what it renders without.
-func TestOnlySlowExperimentsReadQuick(t *testing.T) {
-	published := publishedTables(t)
-	for _, spec := range experiments.All() {
-		if wallClockOnly[spec.ID] || spec.ID == "X7" {
-			continue
-		}
-		res, err := spec.Run(experiments.Options{Seed: 1, Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", spec.ID, err)
-		}
-		expectTable(t, published[spec.ID], maskAllocs(spec.ID, render(t, res)))
 	}
 }
 
@@ -119,8 +81,8 @@ func publishedTables(t *testing.T) map[string]string {
 }
 
 // evalTables cuts eval_output.txt into one rendered table per experiment
-// id, dropping the "(… completed in … wall time)" line that ends each
-// section.
+// id: a section runs from its "== " header to the blank line before the
+// next.
 func evalTables(t *testing.T) map[string]string {
 	t.Helper()
 	data, err := os.ReadFile("eval_output.txt")
@@ -128,16 +90,10 @@ func evalTables(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	tables := map[string]string{}
-	id := ""
-	for _, line := range strings.SplitAfter(string(data), "\n") {
-		switch {
-		case strings.HasPrefix(line, "== "):
-			id = strings.TrimSuffix(strings.Fields(line)[1], ":")
-		case id != "" && strings.HasPrefix(line, "("+id+" completed in "):
-			id = ""
-		}
-		if id != "" {
-			tables[id] += line
+	for _, section := range strings.SplitAfter(string(data), "\n\n") {
+		if header, ok := strings.CutPrefix(section, "== "); ok {
+			id := strings.TrimSuffix(strings.Fields(header)[0], ":")
+			tables[id] = strings.TrimSuffix(section, "\n")
 		}
 	}
 	return tables
@@ -152,8 +108,7 @@ var (
 // TestExperimentsDocMatchesEval holds EXPERIMENTS.md's tables to the run
 // they quote. In each E*, A* or X* section, a table row's numeric cells,
 // with bold marks stripped and a unit joined to its number, must all be
-// fields of one row of that experiment's table in eval_output.txt. E15
-// and E17 quote wall-clock columns of another machine and are skipped.
+// fields of one row of that experiment's table in eval_output.txt.
 func TestExperimentsDocMatchesEval(t *testing.T) {
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -164,7 +119,7 @@ func TestExperimentsDocMatchesEval(t *testing.T) {
 	for n, line := range strings.Split(string(doc), "\n") {
 		if strings.HasPrefix(line, "#") {
 			id = ""
-			if m := docSectionRE.FindStringSubmatch(line); m != nil && !wallClockOnly[m[1]] {
+			if m := docSectionRE.FindStringSubmatch(line); m != nil {
 				id = m[1]
 				if tables[id] == "" {
 					t.Errorf("EXPERIMENTS.md:%d: eval_output.txt has no %s table", n+1, id)
@@ -221,23 +176,4 @@ func maskAllocs(id, table string) string {
 		}
 	}
 	return strings.Join(lines, "")
-}
-
-// deterministicE15 is E15's table without its two wall-clock columns and
-// its notes (one quotes the best speedup).
-func deterministicE15(res *experiments.Result) *experiments.Result {
-	strip := func(row []string) []string {
-		var kept []string
-		for i, cell := range row {
-			if h := res.Header[i]; h != "events/s" && h != "speedup" {
-				kept = append(kept, cell)
-			}
-		}
-		return kept
-	}
-	out := &experiments.Result{ID: res.ID, Title: res.Title, Header: strip(res.Header)}
-	for _, row := range res.Rows {
-		out.Rows = append(out.Rows, strip(row))
-	}
-	return out
 }

@@ -21,9 +21,6 @@ import (
 type Options struct {
 	// Seed drives all randomness; runs are reproducible per seed.
 	Seed int64
-	// Quick shrinks E15, E17 and X7, the three experiments whose
-	// published size costs seconds to a minute; the rest have one size.
-	Quick bool
 }
 
 // Result is one regenerated table/figure as rows of text cells.

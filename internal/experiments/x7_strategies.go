@@ -34,14 +34,13 @@ import (
 // seed) at any GOMAXPROCS: every sweep point builds its own
 // simulation and rows are assembled in sweep order.
 func X7Strategies(opt Options) (*Result, error) {
-	active := 2 * time.Hour
-	manyFor := 2 * time.Hour
-	cityNodes, cityShards, cityFor := 10000, 4, 15*time.Minute
-	if opt.Quick {
-		active = 40 * time.Minute
-		manyFor = time.Hour
-		cityNodes, cityShards, cityFor = 2000, 2, 12*time.Minute
-	}
+	const (
+		active     = 2 * time.Hour
+		manyFor    = 2 * time.Hour
+		cityNodes  = 10000
+		cityShards = 4
+		cityFor    = 15 * time.Minute
+	)
 
 	res := &Result{
 		Title: fmt.Sprintf("forwarding-strategy shoot-out: chaos chain (%v), many-reader (%v), city n=%d",
