@@ -278,7 +278,7 @@ var nan = math.NaN()
 // published table satisfies its claim, and each listed one-cell edit of
 // it — the edit a regression would make — breaks the claim.
 func TestClaimsFailOnBrokenTables(t *testing.T) {
-	published := publishedTables(t)
+	published := evalTables(t)
 	type edit struct{ kind, scenario, col, value string }
 	for id, edits := range map[string][]edit{
 		"E7": {

@@ -21,7 +21,7 @@ import (
 // to move a cell regenerates the file:
 // go run ./cmd/meshbench > eval_output.txt
 func TestAllExperimentsQuick(t *testing.T) {
-	published := publishedTables(t)
+	published := evalTables(t)
 	for _, spec := range experiments.All() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
@@ -34,7 +34,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("the notes' claim fails: %v", err)
 				}
 			}
-			expectTable(t, published[spec.ID], maskAllocs(spec.ID, render(t, res)))
+			expectTable(t, published[spec.ID], render(t, res))
 		})
 	}
 }
@@ -68,16 +68,6 @@ func lineAt(lines []string, i int) string {
 		return "(end of table)"
 	}
 	return lines[i]
-}
-
-// publishedTables is evalTables with E14's allocation counts masked.
-func publishedTables(t *testing.T) map[string]string {
-	t.Helper()
-	tables := evalTables(t)
-	for id, table := range tables {
-		tables[id] = maskAllocs(id, table)
-	}
-	return tables
 }
 
 // evalTables cuts eval_output.txt into one rendered table per experiment
@@ -159,21 +149,4 @@ func inOneRow(table string, cells []string) bool {
 		}
 	}
 	return false
-}
-
-// maskAllocs blanks E14's heap-allocs column, which counts runtime
-// mallocs and moves by a few from run to run; every other table passes
-// through unchanged.
-func maskAllocs(id, table string) string {
-	if id != "E14" {
-		return table
-	}
-	lines := strings.SplitAfter(table, "\n")
-	for i, line := range lines {
-		if f := strings.Fields(line); len(f) == 6 && (f[0] == "off" || f[0] == "spans" || f[0] == "spans+health") {
-			f[3] = "N"
-			lines[i] = strings.Join(f, " ") + "\n"
-		}
-	}
-	return strings.Join(lines, "")
 }

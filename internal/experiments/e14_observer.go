@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/geo"
@@ -14,13 +13,12 @@ import (
 // datagram workload runs three times — bare, with hop-level span capture
 // armed (segments into the tracer's ring, no sink, narrative off), and
 // with span capture plus the mesh health monitor polling — and the table
-// puts delivery, latency, and heap allocations side by side. Under
-// virtual time the observer must be behavior-neutral: spans and health
-// polls read the simulation, never perturb it, so PDR and latency are
-// asserted identical across modes and the only degree of freedom left is
-// the allocation count. The run is serial by design (no sweep pool): the
-// allocation deltas come from runtime.ReadMemStats, a process-global
-// counter that concurrent sweep workers would pollute.
+// puts delivery, latency, segments and polls side by side. Under virtual
+// time the observer must be behavior-neutral: spans and health polls read
+// the simulation, never perturb it, so PDR and latency are asserted
+// identical across modes. What an observer allocates is fenced by
+// internal/trace's 0-allocation guard, not counted here: a process-wide
+// malloc count follows process history, not the seed.
 func E14Observer(opt Options) (*Result, error) {
 	count := 30
 	interval := time.Minute
@@ -28,7 +26,7 @@ func E14Observer(opt Options) (*Result, error) {
 	res := &Result{
 		Title: fmt.Sprintf("observer overhead: spans and health monitor on vs off (%d datagrams, 3 hops)",
 			count),
-		Header: []string{"observer", "PDR", "mean lat", "heap allocs", "segments", "health polls"},
+		Header: []string{"observer", "PDR", "mean lat", "segments", "health polls"},
 	}
 
 	type mode struct {
@@ -65,15 +63,7 @@ func E14Observer(opt Options) (*Result, error) {
 			return nil, err
 		}
 
-		// Allocation accounting brackets the measured run only: setup and
-		// convergence (identical across modes) stay outside, and a forced
-		// GC settles the heap so the delta is the run's own.
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
 		sim.Run(time.Duration(count)*interval + 10*time.Minute)
-		runtime.ReadMemStats(&after)
-		allocs := after.Mallocs - before.Mallocs
 
 		if err := sim.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("E14 (%s): invariants: %w", m.name, err)
@@ -96,18 +86,17 @@ func E14Observer(opt Options) (*Result, error) {
 		if sim.Health != nil {
 			polls = fmt.Sprintf("%d", sim.Health.Verdict()["polls"])
 		}
-		res.AddRow(m.name, pdr, lat, fmt.Sprintf("%d", allocs), segments, polls)
+		res.AddRow(m.name, pdr, lat, segments, polls)
 	}
 
 	res.Notes = []string{
 		"Observability is behavior-neutral by construction: span capture and",
 		"health polls read the simulation without perturbing it, so delivery and",
 		"latency are identical across the three rows (the run fails if not).",
-		"E14 prices span segments and health polls, not the narrative tracer,",
-		"and counts heap allocations, not wall time: a segment is one slot of",
-		"the tracer's pre-sized ring (0 allocs/op guard in internal/trace), so",
-		"`spans` allocates what `off` does and the `spans+health` delta is the",
-		"per-poll health snapshots. DESIGN.md prices every observer class in wall time.",
+		"E14 prices span segments and health polls, not the narrative tracer.",
+		"Allocation neutrality is fenced by internal/trace's 0-allocation guard",
+		"(a segment is one slot of the tracer's pre-sized ring), not counted",
+		"here. DESIGN.md prices every observer class in wall time.",
 	}
 	return res, nil
 }

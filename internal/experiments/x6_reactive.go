@@ -62,8 +62,8 @@ func X6Reactive(opt Options) (*Result, error) {
 		total := netsim.MergeStats(all)
 		var firsts []time.Duration
 		for _, st := range all {
-			if len(st.Latencies) > 0 {
-				firsts = append(firsts, st.Latencies[0])
+			if lats := netsim.MergeStats([]*netsim.TrafficStats{st}).Latencies; len(lats) > 0 {
+				firsts = append(firsts, lats[0])
 			}
 		}
 		snap := sim.AggregateMetrics().Snapshot()

@@ -16,18 +16,20 @@ import (
 
 // TestFlowDispatchMatchesChain runs 63 Poisson flows into one sink of an
 // 8×8 secured grid, mesh_secure's shape, once through StartFlow and once
-// through the closure-per-flow chain it replaced (chainedStartFlow): every
-// flow's Offered, Accepted, Delivered and Latencies, and every metric of
+// through the closure-per-flow chain it replaced (chainedStartFlow), which
+// keeps the old ring of send instants and a raw slice of latencies: every
+// flow's Offered, Accepted, Delivered and latencies, the runs StartFlow
+// records expanded by MergeStats element by element, and every metric of
 // the run, must agree. The controller cases make the sink the
 // controller's host and attach it before, after or between the flows.
 func TestFlowDispatchMatchesChain(t *testing.T) {
 	for _, ctl := range []string{"none", "first", "last", "between"} {
 		t.Run("controller="+ctl, func(t *testing.T) {
 			type outcome struct {
-				flows   []TrafficStats
+				flows   []chainedFlow
 				metrics map[string]float64
 			}
-			run := func(start func(*Sim, Flow) (*TrafficStats, error)) outcome {
+			run := func(start func(*Sim, Flow) (func() chainedFlow, error)) outcome {
 				topo, err := geo.Grid(8, 8, 6000)
 				if err != nil {
 					t.Fatal(err)
@@ -54,7 +56,7 @@ func TestFlowDispatchMatchesChain(t *testing.T) {
 				if ctl == "first" {
 					attach()
 				}
-				var all []*TrafficStats
+				var all []func() chainedFlow
 				for i := 0; i < sim.N(); i++ {
 					if i == sink {
 						continue
@@ -73,9 +75,8 @@ func TestFlowDispatchMatchesChain(t *testing.T) {
 				}
 				sim.Run(d)
 				var o outcome
-				for _, st := range all {
-					o.flows = append(o.flows, TrafficStats{Offered: st.Offered, Accepted: st.Accepted,
-						Delivered: st.Delivered, Latencies: st.Latencies})
+				for _, read := range all {
+					o.flows = append(o.flows, read())
 				}
 				o.metrics = sim.AggregateMetrics().Snapshot()
 				for name := range o.metrics {
@@ -85,7 +86,7 @@ func TestFlowDispatchMatchesChain(t *testing.T) {
 				}
 				return o
 			}
-			got, want := run((*Sim).StartFlow), run(chainedStartFlow)
+			got, want := run(mergedStartFlow), run(chainedStartFlow)
 			delivered := 0
 			for i := range want.flows {
 				if !reflect.DeepEqual(got.flows[i], want.flows[i]) {
@@ -103,10 +104,34 @@ func TestFlowDispatchMatchesChain(t *testing.T) {
 	}
 }
 
+// chainedFlow is one flow's outcome: the counts and every latency in
+// delivery order.
+type chainedFlow struct {
+	Offered, Accepted, Delivered int
+	Latencies                    []time.Duration
+}
+
+// unsent marks a ring slot with no datagram awaiting delivery.
+const unsent = math.MinInt64
+
+// mergedStartFlow starts f through StartFlow and reads the flow back
+// through MergeStats.
+func mergedStartFlow(s *Sim, f Flow) (func() chainedFlow, error) {
+	st, err := s.StartFlow(f)
+	if err != nil {
+		return nil, err
+	}
+	return func() chainedFlow {
+		m := MergeStats([]*TrafficStats{st})
+		return chainedFlow{Offered: m.Offered, Accepted: m.Accepted, Delivered: m.Delivered, Latencies: m.Latencies}
+	}, nil
+}
+
 // chainedStartFlow is StartFlow as it was before the per-destination
-// dispatcher: one OnMessage closure per flow, chained in front of the
-// last, and every instrument looked up by name on every use.
-func chainedStartFlow(s *Sim, f Flow) (*TrafficStats, error) {
+// dispatcher and the run record: one OnMessage closure per flow, chained
+// in front of the last, every instrument looked up by name on every use,
+// a flowHorizon ring of send instants and a slice of every latency.
+func chainedStartFlow(s *Sim, f Flow) (func() chainedFlow, error) {
 	if f.From < 0 || f.From >= s.N() || f.To < 0 || f.To >= s.N() || f.From == f.To {
 		return nil, fmt.Errorf("netsim: flow endpoints %d->%d invalid", f.From, f.To)
 	}
@@ -116,10 +141,13 @@ func chainedStartFlow(s *Sim, f Flow) (*TrafficStats, error) {
 	if f.Interval <= 0 {
 		return nil, fmt.Errorf("netsim: flow interval must be positive")
 	}
-	stats := &TrafficStats{}
+	stats := &chainedFlow{}
 	src := s.handles[f.From]
 	dst := s.handles[f.To]
 	var seq uint32
+	// sent holds the last flowHorizon tags' send instants as UnixNano, at
+	// tag mod flowHorizon, or unsent.
+	var sent []int64
 
 	prevOnMessage := dst.OnMessage
 	dst.OnMessage = func(msg core.AppMessage) {
@@ -134,11 +162,11 @@ func chainedStartFlow(s *Sim, f Flow) (*TrafficStats, error) {
 		if lag := seq - tag; lag == 0 || lag > flowHorizon {
 			return
 		}
-		at := stats.sent[tag%flowHorizon]
+		at := sent[tag%flowHorizon]
 		if at == unsent {
 			return
 		}
-		stats.sent[tag%flowHorizon] = unsent
+		sent[tag%flowHorizon] = unsent
 		stats.Delivered++
 		lat := time.Duration(msg.At.UnixNano() - at)
 		stats.Latencies = append(stats.Latencies, lat)
@@ -176,19 +204,19 @@ func chainedStartFlow(s *Sim, f Flow) (*TrafficStats, error) {
 			byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag)
 		stats.Offered++
 		s.reg.Counter("flows.offered").Inc()
-		if len(stats.sent) < flowHorizon {
-			stats.sent = append(stats.sent, unsent)
+		if len(sent) < flowHorizon {
+			sent = append(sent, unsent)
 		}
-		stats.sent[tag%flowHorizon] = unsent
+		sent[tag%flowHorizon] = unsent
 		if err := src.Proto.Send(dst.Addr, payload); err == nil {
 			stats.Accepted++
 			s.reg.Counter("flows.accepted").Inc()
-			stats.sent[tag%flowHorizon] = s.Sched.Now().UnixNano()
+			sent[tag%flowHorizon] = s.Sched.Now().UnixNano()
 		}
 		if f.Count == 0 || stats.Offered < f.Count {
 			arm()
 		}
 	}
 	arm()
-	return stats, nil
+	return func() chainedFlow { return *stats }, nil
 }

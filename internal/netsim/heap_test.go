@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -13,10 +12,10 @@ import (
 )
 
 // securedMeshHeap runs mesh_secure's shape (8×8 secured grid at 6 km,
-// 5 min HELLO, 25 min EntryTTL, every node reporting to the centre sink
-// every ~5 min) for d and returns the live heap with the simulation still
-// reachable, and the deliveries. The generator is test-local because
-// StartFlow's latencies are the caller's record and grow by design.
+// 5 min HELLO, 25 min EntryTTL, one StartFlow Poisson flow from every node
+// to the centre sink, mean gap 5 min, 16..32 B payloads drawn from the
+// seed) for d and returns the live heap with the simulation and its flows
+// still reachable, and the deliveries.
 func securedMeshHeap(t *testing.T, d time.Duration) (heap uint64, nodes, delivered int) {
 	const side = 8
 	topo, err := geo.Grid(side, side, 6000)
@@ -31,42 +30,41 @@ func securedMeshHeap(t *testing.T, d time.Duration) (heap uint64, nodes, deliver
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := sim.Handle((side/2)*side + side/2)
-	sink.OnMessage = func(core.AppMessage) { delivered++ }
+	sink := (side/2)*side + side/2
 	rng := rand.New(rand.NewSource(1))
-	gap := func() time.Duration {
-		return time.Duration(float64(5*time.Minute) * math.Max(-math.Log(1-rng.Float64()), 1e-3))
-	}
+	var flows []*TrafficStats
 	for i := 0; i < sim.N(); i++ {
-		h := sim.Handle(i)
-		if h == sink {
+		if i == sink {
 			continue
 		}
-		var send func()
-		send = func() {
-			_ = h.Proto.Send(sink.Addr, make([]byte, 24))
-			sim.Sched.MustAfter(gap(), send)
+		st, err := sim.StartFlow(Flow{From: i, To: sink, Payload: 16 + rng.Intn(17), Interval: 5 * time.Minute, Poisson: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sim.Sched.MustAfter(gap(), send)
+		flows = append(flows, st)
 	}
 	sim.Run(d)
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	runtime.KeepAlive(sim)
+	for _, st := range flows {
+		delivered += st.Delivered
+	}
 	return ms.HeapAlloc, sim.N(), delivered
 }
 
 // TestSimHeapFlatInRunLength is the run-length fence: a delivery goes to
 // the callback and the simulation keeps nothing of it. On
 // securedMeshHeap's shape the live heap of a 20 h run may exceed a 5 h
-// run's by at most 16 B per extra delivery (about 1 B today); a node
-// that kept each delivery and its payload grows by ~120 B.
+// run's by at most 8 B per extra delivery (about 3 B today); flows that
+// kept a latency per delivery read 18 B, and a node that kept each
+// delivery and its payload grows by ~120 B.
 func TestSimHeapFlatInRunLength(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 25 h of a 64-node mesh")
 	}
-	const perDelivery = 16.0
+	const perDelivery = 8.0
 	shortHeap, _, shortN := securedMeshHeap(t, 5*time.Hour)
 	longHeap, _, longN := securedMeshHeap(t, 20*time.Hour)
 	if longN <= shortN {

@@ -225,9 +225,10 @@ func TestFlowStatsAndLatency(t *testing.T) {
 
 // TestFlowForgetsLostSends is the fence on StartFlow's record of sends:
 // a lost datagram is held for flowHorizon later sends of its flow, not for
-// the run, so on a lossy 6-node line the undelivered sends held after 8 h
-// are at most a quarter more than after 2 h, where a record of every lost
-// send grew from 71 to 279. Deliveries still match their sends.
+// the run, so on a lossy 6-node line the open list holds at most
+// flowHorizon sends, and after 8 h at most a quarter more than after 2 h,
+// where a record of every lost send grew from 71 to 279. Deliveries still
+// match their sends.
 func TestFlowForgetsLostSends(t *testing.T) {
 	sim, err := New(Config{Topology: mustLine(t, 6, 8000), Node: fastNode(), Seed: 6})
 	if err != nil {
@@ -237,28 +238,19 @@ func TestFlowForgetsLostSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := func() int {
-		n := 0
-		for _, at := range stats.sent {
-			if at != unsent {
-				n++
-			}
-		}
-		return n
-	}
 	sim.Run(2 * time.Hour)
-	early, lost := held(), stats.Offered-stats.Delivered
+	early, lost := len(stats.open), stats.Offered-stats.Delivered
 	sim.Run(6 * time.Hour)
-	late := held()
+	late := len(stats.open)
 	t.Logf("held %d at 2 h (%d lost), %d at 8 h (%d lost); delivered %d/%d", early, lost, late, stats.Offered-stats.Delivered, stats.Delivered, stats.Offered)
 	if lost < 20 {
 		t.Fatalf("only %d sends lost in 2 h: the line is too clean to test forgetting", lost)
 	}
-	if late > early+early/4 || len(stats.sent) > flowHorizon {
-		t.Errorf("held %d undelivered sends at 8 h, %d at 2 h, in %d slots: the record grows with the run", late, early, len(stats.sent))
+	if late > early+early/4 || late > flowHorizon || early > flowHorizon {
+		t.Errorf("held %d undelivered sends at 8 h, %d at 2 h, horizon %d: the record grows with the run", late, early, flowHorizon)
 	}
-	if len(stats.Latencies) != stats.Delivered || stats.Delivered < stats.Offered/2 {
-		t.Errorf("%d latencies for %d of %d delivered", len(stats.Latencies), stats.Delivered, stats.Offered)
+	if n := len(MergeStats([]*TrafficStats{stats}).Latencies); n != stats.Delivered || stats.Delivered < stats.Offered/2 {
+		t.Errorf("%d latencies for %d of %d delivered", n, stats.Delivered, stats.Offered)
 	}
 }
 

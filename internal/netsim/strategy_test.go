@@ -104,8 +104,8 @@ func TestInterestRounds(t *testing.T) {
 		t.Errorf("offered %d delivered %d, want %d each (2 rounds x %d consumers)",
 			stats.Offered, stats.Delivered, 2*consumers, consumers)
 	}
-	if len(stats.Latencies) != stats.Delivered || stats.MeanLatency() <= 0 {
-		t.Errorf("latencies %d mean %v for %d deliveries", len(stats.Latencies), stats.MeanLatency(), stats.Delivered)
+	if n := len(MergeStats([]*TrafficStats{stats}).Latencies); n != stats.Delivered || stats.MeanLatency() <= 0 {
+		t.Errorf("latencies %d mean %v for %d deliveries", n, stats.MeanLatency(), stats.Delivered)
 	}
 	if got := len(prod.msgs); got != 0 {
 		t.Errorf("the producer read %d of its own data", got)
@@ -345,7 +345,7 @@ func TestSlottedMeetsLatencyBound(t *testing.T) {
 	if stats.Delivered == 0 {
 		t.Fatal("no deliveries under the slotted schedule")
 	}
-	for _, lat := range stats.Latencies {
+	for _, lat := range MergeStats([]*TrafficStats{stats}).Latencies {
 		if lat > slotted.LatencyBound {
 			t.Errorf("delivery latency %v exceeds bound %v", lat, slotted.LatencyBound)
 		}
@@ -385,7 +385,7 @@ func TestSlottedLatencyBoundViolationDetected(t *testing.T) {
 	}
 	sim.Run(10 * time.Minute)
 	late := 0
-	for _, lat := range stats.Latencies {
+	for _, lat := range MergeStats([]*TrafficStats{stats}).Latencies {
 		if lat > slotted.LatencyBound {
 			late++
 		}
