@@ -352,9 +352,11 @@ func (m *Medium) Transmit(id StationID, data []byte, params loraphy.Params) (tim
 	}
 	tx := m.newTransmission()
 	tx.from, tx.start, tx.end, tx.params = id, now, now.Add(airtime), params
-	// Receivers may keep Delivery.Data (see Receiver), so every frame
-	// gets its own copy even when its record is recycled.
-	tx.data = append([]byte(nil), data...)
+	// The medium keeps its own copy of the frame (the caller may reuse
+	// data at once), in the buffer the recycled record kept: receivers
+	// do not retain Delivery.Data past OnFrame (see Receiver), and a
+	// record is recycled only after its finish ran.
+	tx.data = append(tx.data[:0], data...)
 	s.txUntil = tx.end
 	s.airtime += airtime
 	m.recent = append(m.recent, tx)
@@ -659,8 +661,8 @@ func (m *Medium) prune() {
 			kept = append(kept, tx)
 			continue
 		}
-		// It ended before now, so its finish has run: reuse the record.
-		tx.data = nil
+		// It ended before now, so its finish has run: reuse the record
+		// and its frame buffer.
 		m.free = append(m.free, tx)
 	}
 	// Zero the tail so pruned frames are collectable.

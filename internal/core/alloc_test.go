@@ -35,10 +35,10 @@ func (e *fenceEnv) StreamDone(StreamEvent)                         {}
 func (e *fenceEnv) Rand() float64                                  { return e.rng.Float64() }
 
 // TestReceivePathAllocs fences the secured receive path's allocations: a
-// HELLO from a known neighbour and an overheard DATA frame are decoded,
-// verified, decrypted and applied with none, and a forwarded DATA frame
-// costs its clone (the packet and its payload) and its queue entry. The
-// same holds when the node's Link shares a meshsec.Memo, whether each
+// HELLO from a known neighbour, an overheard DATA frame and a forwarded
+// one are decoded, verified, decrypted and applied or relayed with none
+// (a forward is copied into a transmit-queue slot that keeps its buffer).
+// The same holds when the node's Link shares a meshsec.Memo, whether each
 // frame misses it or another listener has just opened the frame.
 func TestReceivePathAllocs(t *testing.T) {
 	for _, memo := range []string{"alone", "memo miss", "memo primed"} {
@@ -140,13 +140,91 @@ func receivePathAllocs(t *testing.T, memo string) {
 		t.Errorf("overheard sealed DATA frame: %d allocations in %d frames, want 0", got, runs)
 	}
 	before := env.tx
-	// The clone's packet and payload, and the queue entry: the level's
-	// slice was emptied by the last transmission and regrows for this one.
-	if got := measure(data(self), n.HandleTxDone); got != 3*runs {
-		t.Errorf("forwarded sealed DATA frame: %d allocations in %d frames, want %d", got, runs, 3*runs)
+	if got := measure(data(self), n.HandleTxDone); got != 0 {
+		t.Errorf("forwarded sealed DATA frame: %d allocations in %d frames, want 0", got, runs)
 	}
 	if env.tx-before != 321 {
 		t.Errorf("forwarded %d frames, want 321", env.tx-before)
+	}
+}
+
+// firingEnv is fenceEnv with timers the test fires by hand: fire runs
+// every armed one, so a test can drive the transmitter's inter-frame
+// pump without a scheduler.
+type firingEnv struct {
+	fenceEnv
+	timers []*firingTimer
+}
+
+type firingTimer struct {
+	fn    func()
+	armed bool
+}
+
+func (t *firingTimer) Reset(time.Duration) { t.armed = true }
+func (t *firingTimer) Stop()               { t.armed = false }
+
+func (e *firingEnv) NewTimer(fn func()) Timer {
+	t := &firingTimer{fn: fn}
+	e.timers = append(e.timers, t)
+	return t
+}
+
+func (e *firingEnv) fire() {
+	for _, t := range e.timers {
+		if t.armed {
+			t.armed = false
+			t.fn()
+		}
+	}
+}
+
+// TestSendPathAllocs fences the secured send path at 0 allocations in
+// steady state: a node's HELLO, paged into three sealed frames, one
+// datagram Send, and the HandleTxDone cycles that put all four on the
+// air under the band's duty-cycle regulator, a beacon period apart.
+func TestSendPathAllocs(t *testing.T) {
+	const self, neighbour, far = 1, 2, 200
+	env := &firingEnv{fenceEnv: fenceEnv{now: t0, rng: rand.New(rand.NewSource(1))}}
+	n, err := NewNode(Config{Address: self, Security: meshsec.NewLink(testNetKey, self)}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A neighbour that reaches 150 destinations: the node's own beacon
+	// then needs three pages.
+	rows := []packet.HelloEntry{{Addr: neighbour, Metric: 0, Role: packet.RoleDefault}}
+	for a := packet.Address(far - 149); a <= far; a++ {
+		rows = append(rows, packet.HelloEntry{Addr: a, Metric: 1, Role: packet.RoleDefault})
+	}
+	n.Table().ApplyHello(env.now, neighbour, packet.RoleDefault, 5, rows)
+	payload := make([]byte, 24)
+	cycle := func() {
+		env.now = env.now.Add(5 * time.Minute)
+		n.sendHello()
+		if err := n.Send(far, payload); err != nil {
+			t.Fatal(err)
+		}
+		for n.tx.transmitting {
+			env.now = env.now.Add(time.Second)
+			n.HandleTxDone()
+			env.fire()
+		}
+	}
+	// Warm up: the queue's levels and slots, the beacon buffer and the
+	// regulator's hour of history grow to their working size.
+	for range 64 {
+		cycle()
+	}
+	const runs = 320
+	before := env.tx
+	if got := mallocs(runs, cycle); got != 0 {
+		t.Errorf("HELLO of three pages, a Send and their transmissions: %d allocations in %d cycles, want 0", got, runs)
+	}
+	if sent, want := env.tx-before, 4*(runs+1); sent != want {
+		t.Errorf("transmitted %d frames, want %d", sent, want)
+	}
+	if got := n.Metrics().Counter("hello.sent").Value(); got != 3*(64+runs+1) {
+		t.Errorf("hello.sent = %d, want three pages a cycle", got)
 	}
 }
 

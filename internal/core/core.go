@@ -363,8 +363,8 @@ type Node struct {
 	secStatTick uint32
 	// rx and helloRows are what HandleFrame decodes each frame and each
 	// HELLO's rows into. Nothing HandleFrame hands a frame to keeps it
-	// past the call (forwarding clones), so one of each serves every
-	// reception.
+	// past the call (the transmit queue copies a forward), so one of each
+	// serves every reception.
 	rx        packet.Packet
 	helloRows []packet.HelloEntry
 
@@ -436,9 +436,12 @@ type hotInstruments struct {
 	appSent, appDelivered             *metrics.Counter
 	rxCorrupt, rxOwnEcho, rxOverheard *metrics.Counter
 	helloReceived, routesUpdated      *metrics.Counter
-	routesCount                       *metrics.Gauge
-	streamRetxRounds                  *metrics.Histogram
-	rxType                            typeCounters
+	// helloSent is resolved at the first beacon, so the schema a node
+	// registers at boot stays what it was.
+	helloSent        *metrics.Counter
+	routesCount      *metrics.Gauge
+	streamRetxRounds *metrics.Histogram
+	rxType           typeCounters
 	// Security instruments; resolved only when cfg.Security is set.
 	secOpened, secDropAuth   *metrics.Counter
 	secDropReplay            *metrics.Counter

@@ -223,8 +223,8 @@ func TestQueueFullRejectsDataKeepsHello(t *testing.T) {
 	}
 	hasHello := false
 	for _, lvl := range n.tx.queue.levels {
-		for _, e := range lvl {
-			if e.p.Type == packet.TypeHello {
+		for i := range lvl.n {
+			if lvl.at(i).p.Type == packet.TypeHello {
 				hasHello = true
 			}
 		}

@@ -205,14 +205,16 @@ func (n *Node) forward(p *packet.Packet) {
 		n.drop(p, forward.DropDuplicate, "drop: duplicate within dedup horizon (loop breaker)")
 		return
 	}
-	fwd := p.Clone()
+	// The queue copies the packet, payload included, into a slot it owns,
+	// so the relayed copy lives on the stack and p stays untouched.
+	fwd := *p
 	fwd.Via = next
-	if err := n.tx.Enqueue(fwd, 0); err != nil {
+	if err := n.tx.Enqueue(&fwd, 0); err != nil {
 		// Metrics and the tracer already recorded the drop reason in
 		// enqueue.
 		return
 	}
-	n.forwarded(fwd, next)
+	n.forwarded(&fwd, next)
 }
 
 // dedupHorizon is how long a forwarded packet fingerprint is remembered.
@@ -279,16 +281,17 @@ func (n *Node) Send(dst packet.Address, payload []byte) error {
 		return fmt.Errorf("%w: %d > %d bytes (use SendReliable for large payloads)",
 			ErrTooLarge, len(payload), max)
 	}
-	p := &packet.Packet{
+	// The transmit queue copies the payload, so payload is not retained.
+	p := packet.Packet{
 		Dst:     dst,
 		Src:     n.cfg.Address,
 		Type:    packet.TypeData,
-		Payload: append([]byte(nil), payload...),
+		Payload: payload,
 	}
 	if n.traceOn {
-		n.tracePacket(trace.KindApp, p, "origin %d bytes -> %v", len(payload), dst)
+		n.tracePacket(trace.KindApp, &p, "origin %d bytes -> %v", len(payload), dst)
 	}
-	if err := n.route(p); err != nil {
+	if err := n.route(&p); err != nil {
 		return err
 	}
 	n.ins.appSent.Inc()

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/forward"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -31,40 +30,41 @@ func (n *Node) jitteredHello(period time.Duration) time.Duration {
 // broadcasts, led by a metric-0 self entry that carries the node's own
 // advertised role. Tables larger than one frame are split across
 // consecutive packets, mirroring how the prototype pages its table out.
+// Each page is encoded into the transmitter's frame buffer, which the
+// queue copies it out of, so a beacon allocates nothing once the buffer
+// and the queue's slots have grown to the table.
 func (n *Node) sendHello() {
-	table := n.table.HelloEntries()
-	entries := make([]packet.HelloEntry, 0, len(table)+1)
-	entries = append(entries, packet.HelloEntry{
-		Addr: n.cfg.Address, Metric: 0, Role: n.cfg.Role,
-	})
-	entries = append(entries, table...)
 	// A sealed HELLO pays SecOverhead bytes of payload, so a secured mesh
 	// pages its table in slightly smaller chunks.
-	maxEntries := n.maxPayloadFor(packet.TypeHello) / packet.HelloEntryLen
+	perPage := n.maxPayloadFor(packet.TypeHello) / packet.HelloEntryLen
 	// Always send at least one HELLO, even with an empty table: it is
-	// how neighbors discover this node in the first place.
-	for first := true; first || len(entries) > 0; first = false {
-		chunk := entries
-		if len(chunk) > maxEntries {
-			chunk = chunk[:maxEntries]
+	// how neighbors discover this node in the first place. The first
+	// page leads with a metric-0 self entry.
+	for from, more := 0, true; more; {
+		page, rows := n.tx.buf[:0], perPage
+		if from == 0 {
+			page = packet.AppendHelloEntry(page, packet.HelloEntry{
+				Addr: n.cfg.Address, Metric: 0, Role: n.cfg.Role,
+			})
+			rows--
 		}
-		entries = entries[len(chunk):]
-		payload, err := packet.MarshalHello(chunk)
-		if err != nil {
-			n.reg.Counter("drop." + forward.DropMarshal).Inc()
-			return
-		}
-		p := &packet.Packet{
+		page, more = n.table.AppendHello(page, from, rows)
+		from += rows
+		n.tx.buf = page
+		p := packet.Packet{
 			Dst:     packet.Broadcast,
 			Src:     n.cfg.Address,
 			Type:    packet.TypeHello,
-			Payload: payload,
+			Payload: page,
 		}
-		if err := n.tx.Enqueue(p, 0); err != nil {
+		if err := n.tx.Enqueue(&p, 0); err != nil {
 			// Queue pressure: the next beacon will carry the table.
 			return
 		}
-		n.reg.Counter("hello.sent").Inc()
+		if n.ins.helloSent == nil {
+			n.ins.helloSent = n.reg.Counter("hello.sent")
+		}
+		n.ins.helloSent.Inc()
 	}
 }
 

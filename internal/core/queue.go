@@ -35,73 +35,106 @@ func priorityFor(t packet.Type) priority {
 	}
 }
 
-// queued is one packet waiting to transmit, stamped with its enqueue time
-// so the queue.wait_ms histogram can measure head-of-line delay.
-type queued struct {
-	p  *packet.Packet
+// slot is one packet waiting to transmit, stamped with its enqueue time
+// so the queue.wait_ms histogram can measure head-of-line delay. The slot
+// owns its payload bytes: fill copies them into the buffer the slot kept
+// from its last use, so a queue in steady state allocates nothing and no
+// caller's buffer is retained.
+type slot struct {
+	p  packet.Packet
 	at time.Time
+}
+
+// fill copies p into s, reusing the payload buffer s already holds.
+func (s *slot) fill(p *packet.Packet, at time.Time) {
+	buf := s.p.Payload[:0]
+	s.p = *p
+	s.p.Payload = append(buf, p.Payload...)
+	s.at = at
+}
+
+// ring is one priority level: a FIFO of slots reused in place. It grows
+// (doubling, a power of two) only when full, so its slots, and the
+// buffers they keep, number the deepest backlog its traffic reached; a
+// level's buffers stay its own, sized to the payloads it carries.
+type ring struct {
+	slots   []slot
+	head, n int
+}
+
+// at returns the i-th queued slot, 0 being the oldest.
+func (r *ring) at(i int) *slot { return &r.slots[(r.head+i)&(len(r.slots)-1)] }
+
+// pushBack returns the slot after the newest, growing the ring when full.
+func (r *ring) pushBack() *slot {
+	if r.n == len(r.slots) {
+		grown := make([]slot, max(1, 2*r.n))
+		for i := range r.n {
+			grown[i] = *r.at(i)
+		}
+		r.slots, r.head = grown, 0
+	}
+	r.n++
+	return r.at(r.n - 1)
 }
 
 // txQueue is a three-level priority FIFO holding at most queueCapacity
 // packets.
 type txQueue struct {
-	levels [prioLevels][]queued
-	size   int
+	levels [prioLevels]ring
 }
 
-func (q *txQueue) len() int { return q.size }
+func (q *txQueue) len() int { return q.levels[0].n + q.levels[1].n + q.levels[2].n }
 
-// push enqueues p, rejecting when full. Routing packets may evict the
-// newest data packet when full: a mesh that stops beaconing under load
-// loses all routes, which is strictly worse than losing one datagram.
+// push enqueues a copy of p, rejecting when full. Routing packets may
+// evict the newest data packet when full: a mesh that stops beaconing
+// under load loses all routes, which is strictly worse than losing one
+// datagram.
 func (q *txQueue) push(p *packet.Packet, at time.Time) error {
 	prio := priorityFor(p.Type)
-	if q.size >= queueCapacity {
+	if q.len() >= queueCapacity {
 		if prio != prioRouting {
-			return fmt.Errorf("%w: %d packets queued", ErrQueueFull, q.size)
+			return fmt.Errorf("%w: %d packets queued", ErrQueueFull, q.len())
 		}
 		if !q.evictNewestData() {
-			return fmt.Errorf("%w: %d control packets queued", ErrQueueFull, q.size)
+			return fmt.Errorf("%w: %d control packets queued", ErrQueueFull, q.len())
 		}
 	}
-	idx := int(prio) - 1
-	q.levels[idx] = append(q.levels[idx], queued{p: p, at: at})
-	q.size++
+	q.levels[prio-1].pushBack().fill(p, at)
 	return nil
 }
 
 // evictNewestData drops the most recently queued data packet to make room.
 func (q *txQueue) evictNewestData() bool {
-	idx := int(prioData) - 1
-	lvl := q.levels[idx]
-	if len(lvl) == 0 {
+	r := &q.levels[prioData-1]
+	if r.n == 0 {
 		return false
 	}
-	lvl[len(lvl)-1] = queued{}
-	q.levels[idx] = lvl[:len(lvl)-1]
-	q.size--
+	r.n--
 	return true
 }
 
-// peek returns the next packet to transmit without removing it.
+// peek returns the next packet to transmit without removing it. The
+// pointer is valid until the queue next changes.
 func (q *txQueue) peek() (*packet.Packet, bool) {
 	for i := range q.levels {
-		if len(q.levels[i]) > 0 {
-			return q.levels[i][0].p, true
+		if r := &q.levels[i]; r.n > 0 {
+			return &r.at(0).p, true
 		}
 	}
 	return nil, false
 }
 
-// pop removes and returns the next packet along with its enqueue time.
+// pop removes the next packet and returns it along with its enqueue
+// time. The packet stays in its slot, valid until the next push to its
+// level.
 func (q *txQueue) pop() (*packet.Packet, time.Time, bool) {
 	for i := range q.levels {
-		if len(q.levels[i]) > 0 {
-			e := q.levels[i][0]
-			q.levels[i][0] = queued{}
-			q.levels[i] = q.levels[i][1:]
-			q.size--
-			return e.p, e.at, true
+		if r := &q.levels[i]; r.n > 0 {
+			s := r.at(0)
+			r.head = (r.head + 1) & (len(r.slots) - 1)
+			r.n--
+			return &s.p, s.at, true
 		}
 	}
 	return nil, time.Time{}, false
@@ -130,6 +163,8 @@ type Transmitter struct {
 	transmitting, pumpArmed, stopped bool
 	// buf is the reusable frame-encode buffer behind transmitHead; the
 	// Env.Transmit contract (no retention after return) makes reuse safe.
+	// A node's sendHello also encodes each HELLO page into it, between
+	// transmissions: Enqueue copies the page out before it can pump.
 	buf []byte
 }
 
@@ -190,7 +225,7 @@ func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
 		return ErrStopped
 	}
 	if delay > 0 {
-		t.env.Schedule(delay, func() { _ = t.Enqueue(p, 0) })
+		t.enqueueLater(p, delay)
 		return nil
 	}
 	// Stamp origin security state before Validate: WireLen depends on it.
@@ -220,6 +255,14 @@ func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
 	t.ins.depth.Set(float64(t.queue.len()))
 	t.pump(0)
 	return nil
+}
+
+// enqueueLater admits a copy of p, payload included, after delay, so the
+// caller may reuse p and its buffer as soon as Enqueue returns.
+func (t *Transmitter) enqueueLater(p *packet.Packet, delay time.Duration) {
+	q := *p
+	q.Payload = append([]byte(nil), p.Payload...)
+	t.env.Schedule(delay, func() { _ = t.Enqueue(&q, 0) })
 }
 
 // pump tries to start transmitting the head-of-queue packet after delay.
@@ -266,14 +309,14 @@ func (t *Transmitter) transmitHead() {
 	if err != nil {
 		// The packet was validated at enqueue; treat as a bug signal,
 		// drop it, and keep the queue moving.
-		t.queue.pop()
+		head, _, _ = t.queue.pop()
 		t.drop(head, forward.DropMarshal, "drop: marshal failed: %v", err)
 		t.pump(0)
 		return
 	}
 	airtime, err := t.cfg.Phy.Airtime(len(frame))
 	if err != nil {
-		t.queue.pop()
+		head, _, _ = t.queue.pop()
 		t.dropAs(t.reg.Counter("drop."+forward.DropMarshal), head, "airtime", "drop: airtime rejected: %v", err)
 		t.pump(0)
 		return
@@ -284,7 +327,7 @@ func (t *Transmitter) transmitHead() {
 		if err != nil {
 			// The frame alone exceeds the whole budget; it can never
 			// be sent legally.
-			t.queue.pop()
+			head, _, _ = t.queue.pop()
 			t.drop(head, forward.DropDutyCycle, "drop: frame airtime %v exceeds whole duty budget", airtime)
 			t.pump(0)
 			return
@@ -317,7 +360,7 @@ func (t *Transmitter) transmitHead() {
 		}
 		t.cadTries = 0
 	}
-	_, enqueuedAt, _ := t.queue.pop()
+	head, enqueuedAt, _ := t.queue.pop()
 	t.ins.depth.Set(float64(t.queue.len()))
 	if _, err := t.env.Transmit(frame); err != nil {
 		t.drop(head, forward.DropTxError, "drop: radio transmit error: %v", err)

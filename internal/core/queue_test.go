@@ -150,7 +150,7 @@ func TestHelloPagination(t *testing.T) {
 			break
 		}
 		if p.Type == packet.TypeHello {
-			frames = append(frames, p)
+			frames = append(frames, p.Clone())
 		}
 	}
 	if len(frames) != 2 {
@@ -318,13 +318,14 @@ func TestTxQueueOrdering(t *testing.T) {
 func TestTxQueueDropsAndStop(t *testing.T) {
 	h := &txHost{failOn: 3}
 	tx, reg := newTestTransmitter(t, h)
-	tooBig := mkPacket(packet.TypeData, 'x')
-	for _, p := range []*packet.Packet{mkPacket(packet.TypeData, 'a'), tooBig, mkPacket(packet.TypeData, 'b')} {
-		if err := tx.Enqueue(p, 0); err != nil {
+	for _, tag := range []byte{'a', 'x', 'b'} {
+		if err := tx.Enqueue(mkPacket(packet.TypeData, tag), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Valid when admitted, unencodable by its turn.
+	// Valid when admitted, unencodable by its turn. The queue holds its
+	// own copy of x, now at its head behind a on the air: corrupt that.
+	tooBig, _ := tx.queue.peek()
 	tooBig.Payload = make([]byte, packet.MaxFrameLen)
 	tx.TxDone()
 	h.fire()

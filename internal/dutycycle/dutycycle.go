@@ -50,14 +50,23 @@ type record struct {
 // a new transmission fits the duty-cycle budget. It is not safe for
 // concurrent use; each node owns one regulator per sub-band.
 type Regulator struct {
-	limit   float64
-	window  int64 // ns
-	budget  int64 // ns per window, precomputed from limit*window
+	limit  float64
+	window int64 // ns
+	budget int64 // ns per window, precomputed from limit*window
+	// history is a ring of the records still able to count against a
+	// window, in start order: record i is history[(head+i)%len], i < n.
+	// Record drops expired records from its head in place and grows it by
+	// an eighth only when full, so it keeps about the capacity of the
+	// busiest window the traffic reached, not append's doubling of it.
 	history []record
-	// histSum is the total duration of every record still in history
-	// (pruned or not); it upper-bounds the usage of any window and feeds
-	// CanTransmit's O(1) under-budget fast path.
+	head, n int
+	// histSum is the total duration of every record still in history; it
+	// upper-bounds the usage of any window and feeds CanTransmit's O(1)
+	// under-budget fast path.
 	histSum int64
+	// maxAir is the longest airtime ever recorded: a record that started
+	// maxAir before an instant is off the air by then.
+	maxAir int64
 	// lastEnd is the latest end ever recorded: no recorded transmission is
 	// on the air after it.
 	lastEnd int64
@@ -87,43 +96,74 @@ func (r *Regulator) Budget() time.Duration {
 	return time.Duration(r.budget)
 }
 
+// at returns the i-th record in history, 0 being the oldest.
+func (r *Regulator) at(i int) record {
+	if i += r.head; i >= len(r.history) {
+		i -= len(r.history)
+	}
+	return r.history[i]
+}
+
 // usedAt returns the airtime counted against the window ending at t,
-// assuming no transmissions after the recorded history.
+// assuming no transmissions after the recorded history. It starts from
+// histSum and corrects only the records the window clips: those that
+// started before it (a prefix, in start order) and those still on the
+// air at t (a suffix no longer than the records started within maxAir of
+// t), so it does not walk the history.
 func (r *Regulator) usedAt(t time.Time) time.Duration {
 	tn := t.UnixNano()
 	from := tn - r.window
-	var used int64
-	for _, rec := range r.history {
-		lo, hi := rec.start, rec.end
-		if lo < from {
-			lo = from
+	used := r.histSum
+	i := 0
+	for ; i < r.n; i++ {
+		rec := r.at(i)
+		if rec.start >= from {
+			break
 		}
-		if hi > tn {
-			hi = tn
+		used -= rec.end - rec.start - overlapNs(rec.start, rec.end, from, tn)
+	}
+	for j := r.n - 1; j >= i; j-- {
+		rec := r.at(j)
+		if rec.start <= tn-r.maxAir {
+			break
 		}
-		if hi > lo {
-			used += hi - lo
-		}
+		used -= min(rec.end-rec.start, max(rec.end-tn, 0))
 	}
 	return time.Duration(used)
 }
 
-// prune drops records that can no longer affect any window at or after now.
-// It must only be called with the actual clock (from Record), never with a
-// speculative future instant: NextAllowed probes future times, and pruning
-// against a probe would discard records still counted at the present.
+// prune drops records that can no longer affect any window at or after
+// now from the head of the history. Records are in start order, so one
+// that ended earlier may stay behind a longer one until that one expires;
+// it counts against no window at or after now either. It must only be
+// called with the actual clock (from Record), never with a speculative
+// future instant: NextAllowed probes future times, and pruning against a
+// probe would discard records still counted at the present.
 func (r *Regulator) prune(now int64) {
 	from := now - r.window
-	kept := r.history[:0]
-	var sum int64
-	for _, rec := range r.history {
+	for ; r.n > 0; r.n-- {
+		rec := r.history[r.head]
 		if rec.end > from {
-			kept = append(kept, rec)
-			sum += rec.end - rec.start
+			return
+		}
+		r.histSum -= rec.end - rec.start
+		if r.head++; r.head == len(r.history) {
+			r.head = 0
 		}
 	}
-	r.history = kept
-	r.histSum = sum
+}
+
+// push appends rec to the history, growing the ring when full.
+func (r *Regulator) push(rec record) {
+	if r.n == len(r.history) {
+		grown := make([]record, r.n+r.n/8+1)
+		for i := range r.n {
+			grown[i] = r.at(i)
+		}
+		r.history, r.head = grown, 0
+	}
+	r.history[(r.head+r.n)%len(r.history)] = rec
+	r.n++
 }
 
 // usedWithCandidate returns the airtime counted against the window ending
@@ -134,7 +174,8 @@ func (r *Regulator) prune(now int64) {
 func (r *Regulator) usedWithCandidate(t, candStart, candEnd int64) int64 {
 	from := t - r.window
 	used := overlapNs(candStart, candEnd, from, t)
-	for _, rec := range r.history {
+	for i := range r.n {
+		rec := r.at(i)
 		used += overlapNs(rec.start, rec.end, from, t)
 	}
 	return used
@@ -182,8 +223,8 @@ func (r *Regulator) CanTransmit(now time.Time, airtime time.Duration) bool {
 	if peak(end) || peak(n+r.window) {
 		return false
 	}
-	for _, rec := range r.history {
-		if peak(rec.end) || peak(rec.start+r.window) {
+	for i := range r.n {
+		if rec := r.at(i); peak(rec.end) || peak(rec.start+r.window) {
 			return false
 		}
 	}
@@ -200,8 +241,9 @@ func (r *Regulator) Record(now time.Time, airtime time.Duration) {
 	}
 	n := now.UnixNano()
 	r.prune(n)
-	r.history = append(r.history, record{start: n, end: n + int64(airtime)})
+	r.push(record{start: n, end: n + int64(airtime)})
 	r.lastEnd = max(r.lastEnd, n+int64(airtime))
+	r.maxAir = max(r.maxAir, int64(airtime))
 	r.histSum += int64(airtime)
 	r.lifetime += airtime
 }
@@ -224,10 +266,8 @@ func (r *Regulator) NextAllowed(now time.Time, airtime time.Duration) (time.Time
 	// skipped; mesh nodes are half-duplex and do not schedule into them
 	// anyway.) Every record has left the window after lastEnd+window.
 	lo := now
-	for _, rec := range r.history {
-		if e := time.Unix(0, rec.end); e.After(lo) {
-			lo = e
-		}
+	if e := time.Unix(0, r.lastEnd); e.After(lo) {
+		lo = e
 	}
 	if r.CanTransmit(lo, airtime) {
 		return lo, nil

@@ -89,7 +89,8 @@ type Strategy interface {
 	Stop()
 	// Send admits one application payload for dst. Strategies that route
 	// by name rather than address (ICN) interpret the payload as the
-	// content name and dst as advisory.
+	// content name and dst as advisory. Send keeps no reference to
+	// payload: the caller may reuse it once Send returns.
 	Send(dst packet.Address, payload []byte) error
 	// HandleFrame processes one frame received from the radio.
 	HandleFrame(frame []byte, info RxInfo)

@@ -134,6 +134,9 @@ type Link struct {
 	counter uint32
 
 	origins []origin // sorted by address
+	// The totals ReplayStats reports, kept as Open moves the windows.
+	winOrigins, winOccupancy int
+	rxHigh                   uint32
 
 	scratch []byte // decrypted-payload buffer, valid until the next Open
 	// The cipher's working blocks: the CMAC chaining value and the CTR
@@ -261,16 +264,7 @@ func (l *Link) Counter() uint32 { return l.counter }
 // high-water mark; the tx mark is Counter). Call from the owning node's
 // execution context, like Open.
 func (l *Link) ReplayStats() (origins, occupancy int, rxHigh uint32) {
-	for i := range l.origins {
-		o := &l.origins[i]
-		if !o.windowed {
-			continue
-		}
-		origins++
-		occupancy += o.win.occupancy()
-		rxHigh = max(rxHigh, o.win.top)
-	}
-	return origins, occupancy, rxHigh
+	return l.winOrigins, l.winOccupancy, l.rxHigh
 }
 
 // NextCounter issues the next monotonic frame counter. Counters start at
@@ -646,7 +640,10 @@ func (l *Link) Open(p *packet.Packet) error {
 			l.keep(o, key, gen, s)
 		}
 	}
-	o.windowed = true
+	if !o.windowed {
+		o.windowed = true
+		l.winOrigins++
+	}
 	if p.Type == packet.TypeHello && p.Counter <= o.win.top {
 		// Beacons get strict freshness, not the reordering window: a
 		// HELLO carries topology state, and an old-but-never-seen one
@@ -657,9 +654,12 @@ func (l *Link) Open(p *packet.Packet) error {
 		// arrives with the highest counter yet heard from its origin.
 		return ErrReplay
 	}
+	occ := o.win.occ
 	if !o.win.admit(p.Counter) {
 		return ErrReplay
 	}
+	l.winOccupancy += int(o.win.occ) - int(occ)
+	l.rxHigh = max(l.rxHigh, o.win.top)
 	l.scratch = append(l.scratch[:0], p.Payload...)
 	subtle.XORBytes(l.scratch, l.scratch, ks)
 	p.Payload = l.scratch

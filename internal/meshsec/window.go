@@ -10,9 +10,12 @@ import "math/bits"
 const WindowBits = 1024
 
 // window is a sliding replay window: the highest counter accepted from
-// one origin plus a bitmap of the WindowBits counters below it.
+// one origin plus a ring of WindowBits bits in which counter c lives at
+// bit c mod WindowBits, so sliding forward clears only the bits the
+// window moves past, not the whole bitmap. occ counts the bits set.
 type window struct {
 	top  uint32 // highest counter accepted; 0 = nothing yet
+	occ  uint32
 	bits [WindowBits / 64]uint64
 }
 
@@ -26,49 +29,40 @@ func (w *window) admit(c uint32) bool {
 		return false // 0 is "never sealed"; a real counter starts at 1
 	}
 	if c > w.top {
-		w.slide(c - w.top)
+		w.clear(w.top+1, c)
 		w.top = c
-		w.bits[0] |= 1
-		return true
-	}
-	back := w.top - c
-	if back >= WindowBits {
+	} else if w.top-c >= WindowBits {
 		return false
 	}
-	word, bit := back/64, back%64
+	word, bit := c/64%(WindowBits/64), c%64
 	if w.bits[word]&(1<<bit) != 0 {
 		return false
 	}
 	w.bits[word] |= 1 << bit
+	w.occ++
 	return true
 }
 
 // occupancy counts the admitted counters the window currently remembers.
-func (w *window) occupancy() int {
-	n := 0
-	for _, word := range w.bits {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
+func (w *window) occupancy() int { return int(w.occ) }
 
-// slide shifts the bitmap up by n counters (bit k tracks top-k).
-func (w *window) slide(n uint32) {
-	if n >= WindowBits {
+// clear forgets the counters the window slides past as its top moves to
+// hi: the ring bits of lo..hi, which held counters WindowBits older.
+func (w *window) clear(lo, hi uint32) {
+	if hi-lo >= WindowBits-1 {
 		w.bits = [WindowBits / 64]uint64{}
+		w.occ = 0
 		return
 	}
-	words, bits := int(n/64), n%64
-	if words > 0 {
-		copy(w.bits[words:], w.bits[:len(w.bits)-words])
-		for i := 0; i < words; i++ {
-			w.bits[i] = 0
+	for lo <= hi {
+		word, bit := lo/64%(WindowBits/64), lo%64
+		n := min(64-bit, hi-lo+1) // bits of this word in lo..hi
+		mask := ^uint64(0) >> (64 - n) << bit
+		w.occ -= uint32(bits.OnesCount64(w.bits[word] & mask))
+		w.bits[word] &^= mask
+		lo += n
+		if lo == 0 {
+			return // hi was the largest counter
 		}
-	}
-	if bits > 0 {
-		for i := len(w.bits) - 1; i > 0; i-- {
-			w.bits[i] = w.bits[i]<<bits | w.bits[i-1]>>(64-bits)
-		}
-		w.bits[0] <<= bits
 	}
 }

@@ -11,13 +11,13 @@ import (
 	"repro/internal/routing"
 )
 
-// securedMeshHeap runs mesh_secure's shape (8×8 secured grid at 6 km,
-// 5 min HELLO, 25 min EntryTTL, one StartFlow Poisson flow from every node
-// to the centre sink, mean gap 5 min, 16..32 B payloads drawn from the
-// seed) for d and returns the live heap with the simulation and its flows
-// still reachable, and the deliveries.
-func securedMeshHeap(t *testing.T, d time.Duration) (heap uint64, nodes, delivered int) {
-	const side = 8
+// securedMesh builds mesh_secure's shape on a side×side secured grid at
+// 6 km: 5 min HELLO, 25 min EntryTTL, one StartFlow Poisson flow from
+// every node to the centre sink, mean gap 5 min, 16..32 B payloads drawn
+// from the seed, and, with streams, a 2 KiB SendReliable from the first
+// node to the sink every 30 min, which puts a burst of segments in each
+// queue on its path.
+func securedMesh(t testing.TB, side int, streams bool) (*Sim, []*TrafficStats) {
 	topo, err := geo.Grid(side, side, 6000)
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +43,24 @@ func securedMeshHeap(t *testing.T, d time.Duration) (heap uint64, nodes, deliver
 		}
 		flows = append(flows, st)
 	}
+	if streams {
+		src, dst := sim.Handle(0), sim.Handle(sink).Addr
+		var tick func()
+		tick = func() {
+			// A refused transfer (no route yet) is counted by the node.
+			_, _ = src.Mesher.SendReliable(dst, make([]byte, 2048))
+			sim.Sched.MustAfter(30*time.Minute, tick)
+		}
+		sim.Sched.MustAfter(30*time.Minute, tick)
+	}
+	return sim, flows
+}
+
+// securedMeshHeap runs securedMesh's 8×8 shape for d and returns the live
+// heap with the simulation and its flows still reachable, and the
+// deliveries.
+func securedMeshHeap(t *testing.T, d time.Duration, streams bool) (heap uint64, nodes, delivered int) {
+	sim, flows := securedMesh(t, 8, streams)
 	sim.Run(d)
 	runtime.GC()
 	var ms runtime.MemStats
@@ -65,8 +83,8 @@ func TestSimHeapFlatInRunLength(t *testing.T) {
 		t.Skip("simulates 25 h of a 64-node mesh")
 	}
 	const perDelivery = 8.0
-	shortHeap, _, shortN := securedMeshHeap(t, 5*time.Hour)
-	longHeap, _, longN := securedMeshHeap(t, 20*time.Hour)
+	shortHeap, _, shortN := securedMeshHeap(t, 5*time.Hour, false)
+	longHeap, _, longN := securedMeshHeap(t, 20*time.Hour, false)
 	if longN <= shortN {
 		t.Fatalf("deliveries %d (5 h) → %d (20 h): the mesh stopped delivering", shortN, longN)
 	}
@@ -79,8 +97,11 @@ func TestSimHeapFlatInRunLength(t *testing.T) {
 }
 
 // TestSecuredNodeBytes is the per-node fence: after 20 h of
-// securedMeshHeap's shape the whole live heap, divided by the nodes, is
-// at most 30 KiB (about 26 KB today). A node's sessions are shared per
+// securedMeshHeap's shape with its 2 KiB reliable transfers the whole
+// live heap, divided by the nodes, is at most 30 KiB. The transmit
+// queues and the regulators' histories keep the buffers their deepest
+// burst grew and no more; sized to the queue's capacity, 64 frames of
+// 255 B, they would add 16 KB a node. A node's sessions are shared per
 // medium, its histograms hold the buckets they hit, its per-type
 // counters the types it sees, and its dedup table the fingerprints
 // within the horizon; per-type tables indexed by the type byte alone
@@ -92,7 +113,7 @@ func TestSecuredNodeBytes(t *testing.T) {
 		t.Skip("simulates 20 h of a 64-node mesh")
 	}
 	const maxPerNode = 30 << 10
-	heap, nodes, _ := securedMeshHeap(t, 20*time.Hour)
+	heap, nodes, _ := securedMeshHeap(t, 20*time.Hour, true)
 	per := float64(heap) / float64(nodes)
 	t.Logf("live heap %.2f MiB over %d nodes: %.1f KB a node", float64(heap)/(1<<20), nodes, per/1000)
 	if per > maxPerNode {

@@ -200,6 +200,9 @@ type Sim struct {
 	latencyBound time.Duration
 	// control is the attached self-healing controller; nil without one.
 	control *control.Controller
+	// flowBuf holds each flow send's bytes, as long as the largest flow's
+	// payload: a strategy's Send keeps none of them.
+	flowBuf []byte
 }
 
 // New builds and starts a simulation: all nodes are placed, started, and

@@ -161,6 +161,9 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 		return nil, fmt.Errorf("netsim: flow interval must be positive")
 	}
 	fl := &flow{stats: &TrafficStats{}, src: s.handles[f.From], dst: s.handles[f.To]}
+	if len(s.flowBuf) < f.Payload {
+		s.flowBuf = make([]byte, f.Payload)
+	}
 	stats, src, dst := fl.stats, fl.src, fl.dst
 	if dst.flows == nil {
 		dst.flows = make(map[packet.Address][]*flow)
@@ -199,7 +202,7 @@ func (s *Sim) StartFlow(f Flow) (*TrafficStats, error) {
 			arm()
 			return
 		}
-		payload := make([]byte, f.Payload)
+		payload := s.flowBuf[:f.Payload]
 		tag := fl.seq
 		fl.seq++
 		payload[0], payload[1], payload[2], payload[3] =

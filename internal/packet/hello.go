@@ -58,10 +58,16 @@ func MarshalHello(entries []HelloEntry) ([]byte, error) {
 	}
 	buf := make([]byte, 0, len(entries)*helloEntryLen)
 	for _, e := range entries {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(e.Addr))
-		buf = append(buf, e.Metric, byte(e.Role))
+		buf = AppendHelloEntry(buf, e)
 	}
 	return buf, nil
+}
+
+// AppendHelloEntry appends e's HelloEntryLen-byte wire form to dst: a
+// HELLO payload is a run of these.
+func AppendHelloEntry(dst []byte, e HelloEntry) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(e.Addr))
+	return append(dst, e.Metric, byte(e.Role))
 }
 
 // UnmarshalHello decodes a HELLO payload into routing-table entries.
