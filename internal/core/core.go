@@ -364,9 +364,11 @@ type Node struct {
 	// rx and helloRows are what HandleFrame decodes each frame and each
 	// HELLO's rows into. Nothing HandleFrame hands a frame to keeps it
 	// past the call (the transmit queue copies a forward), so one of each
-	// serves every reception.
+	// serves every reception. helloBuf holds the node's own beacon pages
+	// while they are queued (see sendHello).
 	rx        packet.Packet
 	helloRows []packet.HelloEntry
+	helloBuf  []byte
 
 	started bool
 	stopped bool

@@ -30,27 +30,27 @@ func (n *Node) jitteredHello(period time.Duration) time.Duration {
 // broadcasts, led by a metric-0 self entry that carries the node's own
 // advertised role. Tables larger than one frame are split across
 // consecutive packets, mirroring how the prototype pages its table out.
-// Each page is encoded into the transmitter's frame buffer, which the
-// queue copies it out of, so a beacon allocates nothing once the buffer
-// and the queue's slots have grown to the table.
+// The rows are encoded into the node's helloBuf, and each page is a slice
+// of it that the transmit queue reads in place, so a beacon allocates
+// nothing once the buffer has grown to the table. A beacon that finds
+// pages of the last one still queued encodes into a fresh buffer.
 func (n *Node) sendHello() {
+	if n.tx.queue.levels[prioRouting-1].n > 0 {
+		n.helloBuf = nil
+	}
+	rows := packet.AppendHelloEntry(n.helloBuf[:0], packet.HelloEntry{
+		Addr: n.cfg.Address, Metric: 0, Role: n.cfg.Role,
+	})
+	rows = n.table.AppendHello(rows)
+	n.helloBuf = rows
 	// A sealed HELLO pays SecOverhead bytes of payload, so a secured mesh
 	// pages its table in slightly smaller chunks.
-	perPage := n.maxPayloadFor(packet.TypeHello) / packet.HelloEntryLen
+	pageLen := n.maxPayloadFor(packet.TypeHello) / packet.HelloEntryLen * packet.HelloEntryLen
 	// Always send at least one HELLO, even with an empty table: it is
-	// how neighbors discover this node in the first place. The first
-	// page leads with a metric-0 self entry.
-	for from, more := 0, true; more; {
-		page, rows := n.tx.buf[:0], perPage
-		if from == 0 {
-			page = packet.AppendHelloEntry(page, packet.HelloEntry{
-				Addr: n.cfg.Address, Metric: 0, Role: n.cfg.Role,
-			})
-			rows--
-		}
-		page, more = n.table.AppendHello(page, from, rows)
-		from += rows
-		n.tx.buf = page
+	// how neighbors discover this node in the first place.
+	for first := true; first || len(rows) > 0; first = false {
+		page := rows[:min(len(rows), pageLen)]
+		rows = rows[len(page):]
 		p := packet.Packet{
 			Dst:     packet.Broadcast,
 			Src:     n.cfg.Address,

@@ -36,10 +36,11 @@ func priorityFor(t packet.Type) priority {
 }
 
 // slot is one packet waiting to transmit, stamped with its enqueue time
-// so the queue.wait_ms histogram can measure head-of-line delay. The slot
-// owns its payload bytes: fill copies them into the buffer the slot kept
-// from its last use, so a queue in steady state allocates nothing and no
-// caller's buffer is retained.
+// so the queue.wait_ms histogram can measure head-of-line delay. A data
+// or control slot owns its payload bytes: fill copies them into the
+// buffer the slot kept from its last use, so a queue in steady state
+// allocates nothing and no caller's buffer is retained. A HELLO slot
+// holds its payload by reference (see Enqueue).
 type slot struct {
 	p  packet.Packet
 	at time.Time
@@ -86,10 +87,10 @@ type txQueue struct {
 
 func (q *txQueue) len() int { return q.levels[0].n + q.levels[1].n + q.levels[2].n }
 
-// push enqueues a copy of p, rejecting when full. Routing packets may
-// evict the newest data packet when full: a mesh that stops beaconing
-// under load loses all routes, which is strictly worse than losing one
-// datagram.
+// push enqueues a copy of p (of a HELLO, without its payload), rejecting
+// when full. Routing packets may evict the newest data packet when full:
+// a mesh that stops beaconing under load loses all routes, which is
+// strictly worse than losing one datagram.
 func (q *txQueue) push(p *packet.Packet, at time.Time) error {
 	prio := priorityFor(p.Type)
 	if q.len() >= queueCapacity {
@@ -100,7 +101,12 @@ func (q *txQueue) push(p *packet.Packet, at time.Time) error {
 			return fmt.Errorf("%w: %d control packets queued", ErrQueueFull, q.len())
 		}
 	}
-	q.levels[prio-1].pushBack().fill(p, at)
+	s := q.levels[prio-1].pushBack()
+	if prio == prioRouting {
+		s.p, s.at = *p, at
+	} else {
+		s.fill(p, at)
+	}
 	return nil
 }
 
@@ -163,8 +169,6 @@ type Transmitter struct {
 	transmitting, pumpArmed, stopped bool
 	// buf is the reusable frame-encode buffer behind transmitHead; the
 	// Env.Transmit contract (no retention after return) makes reuse safe.
-	// A node's sendHello also encodes each HELLO page into it, between
-	// transmissions: Enqueue copies the page out before it can pump.
 	buf []byte
 }
 
@@ -220,6 +224,12 @@ func NewTransmitter(cfg Config, env Env, reg *metrics.Registry) (*Transmitter, e
 // drop.queue_full, and Enqueue returns ErrQueueFull; after a delay the
 // refusal is only counted. A stopped transmitter refuses everything with
 // ErrStopped, including packets whose delay has yet to elapse.
+//
+// The queue keeps a copy of p, and of its payload unless p is a HELLO: a
+// HELLO's payload is read in place until the frame leaves the queue, so
+// its sender must leave those bytes alone until then. A node's beacon
+// pages, the one HELLO source, live in a buffer the node re-encodes only
+// once none of them is queued, and idle queue slots keep no copy of them.
 func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
 	if t.stopped {
 		return ErrStopped
@@ -258,7 +268,8 @@ func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
 }
 
 // enqueueLater admits a copy of p, payload included, after delay, so the
-// caller may reuse p and its buffer as soon as Enqueue returns.
+// caller may reuse p and its buffer, a HELLO's too, as soon as Enqueue
+// returns.
 func (t *Transmitter) enqueueLater(p *packet.Packet, delay time.Duration) {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)
@@ -505,11 +516,12 @@ func (n *Node) SendBeacon(t packet.Type, payload []byte) error {
 	if t.Routed() {
 		return fmt.Errorf("core: beacon type %v is routed; beacons are link-local", t)
 	}
-	p := &packet.Packet{
+	// The transmit queue copies the payload.
+	p := packet.Packet{
 		Dst:     packet.Broadcast,
 		Src:     n.cfg.Address,
 		Type:    t,
-		Payload: append([]byte(nil), payload...),
+		Payload: payload,
 	}
-	return n.tx.Enqueue(p, 0)
+	return n.tx.Enqueue(&p, 0)
 }

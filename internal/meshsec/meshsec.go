@@ -132,11 +132,10 @@ type Link struct {
 	genSeq                   uint32 // generation allocator (never reused)
 
 	counter uint32
+	// The totals ReplayStats reports, kept as Open moves the windows.
+	winOrigins, winOccupancy, rxHigh uint32
 
 	origins []origin // sorted by address
-	// The totals ReplayStats reports, kept as Open moves the windows.
-	winOrigins, winOccupancy int
-	rxHigh                   uint32
 
 	scratch []byte // decrypted-payload buffer, valid until the next Open
 	// The cipher's working blocks: the CMAC chaining value and the CTR
@@ -264,7 +263,7 @@ func (l *Link) Counter() uint32 { return l.counter }
 // high-water mark; the tx mark is Counter). Call from the owning node's
 // execution context, like Open.
 func (l *Link) ReplayStats() (origins, occupancy int, rxHigh uint32) {
-	return l.winOrigins, l.winOccupancy, l.rxHigh
+	return int(l.winOrigins), int(l.winOccupancy), l.rxHigh
 }
 
 // NextCounter issues the next monotonic frame counter. Counters start at
@@ -658,7 +657,7 @@ func (l *Link) Open(p *packet.Packet) error {
 	if !o.win.admit(p.Counter) {
 		return ErrReplay
 	}
-	l.winOccupancy += int(o.win.occ) - int(occ)
+	l.winOccupancy += o.win.occ - occ
 	l.rxHigh = max(l.rxHigh, o.win.top)
 	l.scratch = append(l.scratch[:0], p.Payload...)
 	subtle.XORBytes(l.scratch, l.scratch, ks)

@@ -463,15 +463,13 @@ func (t *Table) HelloEntries() []packet.HelloEntry {
 	return out
 }
 
-// AppendHello appends up to n of the rows HelloEntries returns, starting
-// at row from, in HELLO wire form to dst, and reports whether rows remain
-// after them: a beacon pages its table out this way.
-func (t *Table) AppendHello(dst []byte, from, n int) (_ []byte, more bool) {
-	end := min(from+n, len(t.rows))
-	for _, r := range t.rows[min(from, end):end] {
+// AppendHello appends the rows HelloEntries returns, in HELLO wire
+// form, to dst.
+func (t *Table) AppendHello(dst []byte) []byte {
+	for _, r := range t.rows {
 		dst = packet.AppendHelloEntry(dst, packet.HelloEntry{Addr: r.addr, Metric: r.metric, Role: r.role})
 	}
-	return dst, end < len(t.rows)
+	return dst
 }
 
 // ByRole returns the usable entries whose destination advertises the
