@@ -267,9 +267,9 @@ func (t *Transmitter) Enqueue(p *packet.Packet, delay time.Duration) error {
 	return nil
 }
 
-// enqueueLater admits a copy of p, payload included, after delay, so the
-// caller may reuse p and its buffer, a HELLO's too, as soon as Enqueue
-// returns.
+// enqueueLater admits a copy of p, payload included, after delay. The
+// closure holds the copy, not p: were p captured, every caller's packet
+// would escape to the heap, a forward's and a Send's stack copy too.
 func (t *Transmitter) enqueueLater(p *packet.Packet, delay time.Duration) {
 	q := *p
 	q.Payload = append([]byte(nil), p.Payload...)

@@ -204,9 +204,10 @@ func (n *Node) learnRoute(dst, next packet.Address, hops uint8) {
 
 // sendData enqueues a datagram this node originates.
 func (n *Node) sendData(dst, via packet.Address, payload []byte) error {
+	// The transmit queue copies the payload.
 	return n.tx.Enqueue(&packet.Packet{
 		Dst: dst, Src: n.addr, Type: packet.TypeData,
-		Via: via, Payload: append([]byte(nil), payload...),
+		Via: via, Payload: payload,
 	}, 0)
 }
 
@@ -400,9 +401,9 @@ func (n *Node) handleData(p *packet.Packet) {
 		n.reg.Counter("drop." + forward.DropNoRoute).Inc()
 		return
 	}
-	fwd := p.Clone()
+	fwd := *p // the transmit queue copies it, payload included
 	fwd.Via = r.next
-	_ = n.tx.Enqueue(fwd, 0) // a refusal is counted as drop.queue_full
+	_ = n.tx.Enqueue(&fwd, 0) // a refusal is counted as drop.queue_full
 	n.reg.Counter("fwd.frames").Inc()
 }
 
