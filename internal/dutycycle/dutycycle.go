@@ -50,7 +50,6 @@ type record struct {
 // a new transmission fits the duty-cycle budget. It is not safe for
 // concurrent use; each node owns one regulator per sub-band.
 type Regulator struct {
-	limit  float64
 	window int64 // ns
 	budget int64 // ns per window, precomputed from limit*window
 	// history is a ring of the records still able to count against a
@@ -85,7 +84,6 @@ func NewRegulator(limit float64, window time.Duration) (*Regulator, error) {
 		return nil, fmt.Errorf("dutycycle: window %v must be positive", window)
 	}
 	return &Regulator{
-		limit:  limit,
 		window: int64(window),
 		budget: int64(float64(window) * limit),
 	}, nil

@@ -206,7 +206,7 @@ func FuzzRegulatorMatchesCopyPrune(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := &copyPruneRegulator{limit: r.limit, window: r.window, budget: r.budget}
+		ref := &copyPruneRegulator{window: r.window, budget: r.budget}
 		now := t0
 		for step := 0; step < 512 && len(schedule) >= 4; step, schedule = step+1, schedule[4:] {
 			now = now.Add(time.Duration(int(schedule[0])<<8|int(schedule[1])) * 10 * time.Millisecond)

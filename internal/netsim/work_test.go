@@ -10,15 +10,15 @@ import (
 )
 
 // meshWork runs securedMesh's 4×4 shape, streams included, for d and
-// returns the simulation, its flows and the heap allocations of the run.
-func meshWork(t *testing.T, d time.Duration) (*Sim, []*TrafficStats, uint64) {
-	sim, flows := securedMesh(t, 4, true)
+// returns the simulation and the heap allocations of the run.
+func meshWork(t *testing.T, d time.Duration) (*Sim, uint64) {
+	sim, _ := securedMesh(t, 4, true)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sim.Run(d)
 	runtime.ReadMemStats(&after)
-	return sim, flows, after.Mallocs - before.Mallocs
+	return sim, after.Mallocs - before.Mallocs
 }
 
 // TestMeshWorkPerFrame pins what the per-node engine does per frame sent
@@ -32,7 +32,7 @@ func meshWork(t *testing.T, d time.Duration) (*Sim, []*TrafficStats, uint64) {
 // heap allocations per frame are logged beside it (TestMeshAllocsPerFrame
 // bounds them).
 func TestMeshWorkPerFrame(t *testing.T) {
-	sim, _, allocs := meshWork(t, 10*time.Hour)
+	sim, allocs := meshWork(t, 10*time.Hour)
 	snap := sim.AggregateMetrics().Snapshot()
 	frames := sim.Medium.Stats().FramesSent
 	var b strings.Builder
